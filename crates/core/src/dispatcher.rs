@@ -223,13 +223,25 @@ impl<P: SchedulingPolicy> SchedulingPolicy for AvoidSaturated<P> {
     }
 }
 
+/// What [`place`] decided for one activity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// No node passed the health, capacity and placement-constraint
+    /// filter; the policy was not asked.
+    NoEligibleNode,
+    /// The policy saw a non-empty eligible set and chose to defer.
+    Deferred,
+    /// Index into `nodes` of the chosen node.
+    Node(usize),
+}
+
 /// Filter nodes by an activity's placement constraints and capacity, then
-/// ask the policy.  Returns the chosen node name.
-pub fn schedule<'a>(
+/// ask the policy.
+pub fn place(
     policy: &mut dyn SchedulingPolicy,
-    nodes: &'a [NodeView],
+    nodes: &[NodeView],
     binding: &ExternalBinding,
-) -> Option<&'a str> {
+) -> Placement {
     let eligible: Vec<usize> = (0..nodes.len())
         .filter(|&i| {
             let n = &nodes[i];
@@ -240,10 +252,24 @@ pub fn schedule<'a>(
         })
         .collect();
     if eligible.is_empty() {
-        return None;
+        return Placement::NoEligibleNode;
     }
-    let idx = policy.choose(nodes, &eligible)?;
-    Some(nodes[idx].name.as_str())
+    match policy.choose(nodes, &eligible) {
+        Some(idx) => Placement::Node(idx),
+        None => Placement::Deferred,
+    }
+}
+
+/// [`place`], reduced to the chosen node's name.
+pub fn schedule<'a>(
+    policy: &mut dyn SchedulingPolicy,
+    nodes: &'a [NodeView],
+    binding: &ExternalBinding,
+) -> Option<&'a str> {
+    match place(policy, nodes, binding) {
+        Placement::Node(idx) => Some(nodes[idx].name.as_str()),
+        Placement::NoEligibleNode | Placement::Deferred => None,
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,9 @@ use bioopera_cluster::SimTime;
 use bioopera_ocr::expr::{self, Env};
 use bioopera_ocr::model::{DataRef, FailurePolicy, ParallelBody, ProcessTemplate, TaskKind};
 use bioopera_ocr::value::Value;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+use tracked::Tracked;
 
 /// Mutable view of one instance's state during a navigation step.
 pub struct InstanceView<'a> {
@@ -59,9 +61,15 @@ pub struct NavOutcome {
     pub suspended: bool,
     /// Compensation programs to run, in order: `(task, program)`.
     pub compensations: Vec<(String, String)>,
+    /// Paths of the task records this navigation wrote or created — with
+    /// the header, exactly what must be committed to make the transition
+    /// durable.  Every other record is as the store last saw it.
+    pub touched: BTreeSet<String>,
 }
 
 impl NavOutcome {
+    /// Fold in the outcome of an inner step.  `touched` is not merged: it
+    /// accumulates in [`Tracked`] and is stamped once, on the way out.
     fn merge(&mut self, other: NavOutcome) {
         self.newly_ready.extend(other.newly_ready);
         self.newly_skipped.extend(other.newly_skipped);
@@ -69,6 +77,79 @@ impl NavOutcome {
         self.aborted |= other.aborted;
         self.suspended |= other.suspended;
         self.compensations.extend(other.compensations);
+    }
+}
+
+/// The navigator's write access to an instance.  Its fields are private
+/// to this module so that the functions below can reach a
+/// `&mut TaskRecord` only through [`Tracked::task_mut`] or create one only
+/// through [`Tracked::insert`]: the touched set reported on
+/// [`NavOutcome`] is complete by construction, not by bookkeeping at each
+/// write site.
+mod tracked {
+    use super::{InstanceView, NavOutcome};
+    use crate::error::{EngineError, EngineResult};
+    use crate::state::{InstanceHeader, TaskRecord};
+    use bioopera_ocr::model::ProcessTemplate;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    pub(super) struct Tracked<'v, 'a> {
+        view: &'v mut InstanceView<'a>,
+        touched: BTreeSet<String>,
+    }
+
+    impl<'v, 'a> Tracked<'v, 'a> {
+        pub(super) fn new(view: &'v mut InstanceView<'a>) -> Self {
+            Tracked {
+                view,
+                touched: BTreeSet::new(),
+            }
+        }
+
+        /// The template, borrowed for its own lifetime so it can be walked
+        /// while records are written.
+        pub(super) fn template(&self) -> &'a ProcessTemplate {
+            self.view.template
+        }
+
+        pub(super) fn header(&self) -> &InstanceHeader {
+            self.view.header
+        }
+
+        /// The header is part of every commit; writes to it need no record.
+        pub(super) fn header_mut(&mut self) -> &mut InstanceHeader {
+            self.view.header
+        }
+
+        pub(super) fn tasks(&self) -> &BTreeMap<String, TaskRecord> {
+            self.view.tasks
+        }
+
+        /// Write access to the record at `path`, noted as touched.
+        pub(super) fn task_mut(&mut self, path: &str) -> EngineResult<&mut TaskRecord> {
+            let id = self.view.header.id;
+            let rec = self
+                .view
+                .tasks
+                .get_mut(path)
+                .ok_or_else(|| EngineError::UnknownTask(id, path.to_string()))?;
+            if !self.touched.contains(path) {
+                self.touched.insert(path.to_string());
+            }
+            Ok(rec)
+        }
+
+        /// Create (or replace) the record at `rec.path`, noted as touched.
+        pub(super) fn insert(&mut self, rec: TaskRecord) {
+            self.touched.insert(rec.path.clone());
+            self.view.tasks.insert(rec.path.clone(), rec);
+        }
+
+        /// Stamp the touched set on the outcome handed back to the caller.
+        pub(super) fn finish(self, mut out: NavOutcome) -> NavOutcome {
+            out.touched = self.touched;
+            out
+        }
     }
 }
 
@@ -123,40 +204,37 @@ pub fn init_instance(
     view: &mut InstanceView<'_>,
     initial: &BTreeMap<String, Value>,
 ) -> EngineResult<NavOutcome> {
-    for field in &view.template.whiteboard {
+    let mut nav = Tracked::new(view);
+    let template = nav.template();
+    for field in &template.whiteboard {
         let v = initial
             .get(&field.name)
             .cloned()
             .or_else(|| field.default.clone())
             .unwrap_or(Value::Null);
-        view.header.whiteboard.insert(field.name.clone(), v);
+        nav.header_mut().whiteboard.insert(field.name.clone(), v);
     }
     // Unknown initial fields are still placed on the whiteboard (the paper
     // lets operators add data at start time).
     for (k, v) in initial {
-        view.header
+        nav.header_mut()
             .whiteboard
             .entry(k.clone())
             .or_insert_with(|| v.clone());
     }
-    for task in &view.template.tasks {
-        view.tasks
-            .insert(task.name.clone(), TaskRecord::new(task.name.clone()));
+    for task in &template.tasks {
+        nav.insert(TaskRecord::new(task.name.clone()));
     }
     let mut out = NavOutcome::default();
-    for name in view.template.initial_tasks() {
-        let rec = view
-            .tasks
-            .get_mut(name)
-            .ok_or_else(|| EngineError::UnknownTask(view.header.id, name.to_string()))?;
-        rec.state = TaskState::Ready;
+    for name in template.initial_tasks() {
+        nav.task_mut(name)?.state = TaskState::Ready;
         out.newly_ready.push(name.to_string());
     }
     // A template whose entry tasks are all guarded off could complete
     // instantly; propagate handles the general case.
-    let p = propagate(view)?;
+    let p = propagate(&mut nav)?;
     out.merge(p);
-    Ok(out)
+    Ok(nav.finish(out))
 }
 
 /// Bind the final input structure for a (template) task at dispatch time:
@@ -174,49 +252,31 @@ pub fn bind_inputs_parts(
     tasks: &BTreeMap<String, TaskRecord>,
     task_name: &str,
 ) -> BTreeMap<String, Value> {
-    let view = PartsView {
-        template,
-        header,
-        tasks,
-    };
-    view.bind(task_name)
-}
-
-struct PartsView<'a> {
-    template: &'a ProcessTemplate,
-    header: &'a InstanceHeader,
-    tasks: &'a BTreeMap<String, TaskRecord>,
-}
-
-impl PartsView<'_> {
-    fn bind(&self, task_name: &str) -> BTreeMap<String, Value> {
-        let view = self;
-        let mut inputs = BTreeMap::new();
-        if let Some(decl) = view.template.task(task_name) {
-            for f in &decl.inputs {
-                if let Some(d) = &f.default {
-                    inputs.insert(f.name.clone(), d.clone());
-                }
+    let mut inputs = BTreeMap::new();
+    if let Some(decl) = template.task(task_name) {
+        for f in &decl.inputs {
+            if let Some(d) = &f.default {
+                inputs.insert(f.name.clone(), d.clone());
             }
         }
-        for flow in &view.template.dataflows {
-            if let (DataRef::Whiteboard(w), DataRef::TaskField(t, f)) = (&flow.from, &flow.to) {
-                if t == task_name {
-                    if let Some(v) = view.header.whiteboard.get(w) {
-                        if v.is_defined() {
-                            inputs.insert(f.clone(), v.clone());
-                        }
+    }
+    for flow in &template.dataflows {
+        if let (DataRef::Whiteboard(w), DataRef::TaskField(t, f)) = (&flow.from, &flow.to) {
+            if t == task_name {
+                if let Some(v) = header.whiteboard.get(w) {
+                    if v.is_defined() {
+                        inputs.insert(f.clone(), v.clone());
                     }
                 }
             }
         }
-        if let Some(rec) = view.tasks.get(task_name) {
-            for (k, v) in &rec.inputs {
-                inputs.insert(k.clone(), v.clone());
-            }
-        }
-        inputs
     }
+    if let Some(rec) = tasks.get(task_name) {
+        for (k, v) in &rec.inputs {
+            inputs.insert(k.clone(), v.clone());
+        }
+    }
+    inputs
 }
 
 /// Handle successful completion of the task at `path` with `outputs`:
@@ -228,11 +288,20 @@ pub fn on_task_ended(
     now: SimTime,
     cpu_ms: f64,
 ) -> EngineResult<NavOutcome> {
+    let mut nav = Tracked::new(view);
+    let out = task_ended(&mut nav, path, outputs, now, cpu_ms)?;
+    Ok(nav.finish(out))
+}
+
+fn task_ended(
+    nav: &mut Tracked<'_, '_>,
+    path: &str,
+    outputs: BTreeMap<String, Value>,
+    now: SimTime,
+    cpu_ms: f64,
+) -> EngineResult<NavOutcome> {
     let parent = {
-        let rec = view
-            .tasks
-            .get_mut(path)
-            .ok_or_else(|| EngineError::UnknownTask(view.header.id, path.to_string()))?;
+        let rec = nav.task_mut(path)?;
         rec.outputs = outputs;
         rec.state = TaskState::Ended;
         rec.ended_at = Some(now);
@@ -243,51 +312,50 @@ pub fn on_task_ended(
 
     if let Some(parent) = parent {
         // A parallel child finished; the parent concludes when all do.
-        out.merge(check_parallel_parent(view, &parent, now)?);
+        out.merge(check_parallel_parent(nav, &parent, now)?);
     } else {
         // Template task: mapping phase along declared dataflows.
-        run_mapping_phase(view, path);
-        out.merge(propagate(view)?);
+        run_mapping_phase(nav, path);
+        out.merge(propagate(nav)?);
     }
-    out.merge(check_completion(view, now));
+    out.merge(check_completion(nav, now));
     Ok(out)
 }
 
 /// Re-evaluate readiness and completion without a triggering event — used
 /// when records are seeded externally (selective recomputation).
 pub fn reevaluate(view: &mut InstanceView<'_>, now: SimTime) -> EngineResult<NavOutcome> {
-    let mut out = propagate(view)?;
-    out.merge(check_completion(view, now));
-    Ok(out)
+    let mut nav = Tracked::new(view);
+    let mut out = propagate(&mut nav)?;
+    out.merge(check_completion(&mut nav, now));
+    Ok(nav.finish(out))
 }
 
 /// Replay the mapping phase of an (already `Ended`) task — used when its
 /// recorded outputs are reused by a recomputation instance and successors
-/// need their input buffers refilled.
+/// need their input buffers refilled.  The caller persists the whole
+/// instance afterwards, so the touched set is not reported.
 pub fn replay_mapping(view: &mut InstanceView<'_>, task: &str) {
     if view.tasks.get(task).map(|r| r.state) == Some(TaskState::Ended)
         && view.template.task(task).is_some()
     {
-        run_mapping_phase(view, task);
+        run_mapping_phase(&mut Tracked::new(view), task);
     }
 }
 
 /// Copy the completed task's outputs along its outgoing dataflows.
-fn run_mapping_phase(view: &mut InstanceView<'_>, task: &str) {
-    let flows: Vec<(String, DataRef)> = view
-        .template
-        .dataflows
-        .iter()
-        .filter_map(|d| match &d.from {
-            DataRef::TaskField(t, f) if t == task => Some((f.clone(), d.to.clone())),
-            _ => None,
-        })
-        .collect();
-    for (field, to) in flows {
-        let Some(value) = view
-            .tasks
+fn run_mapping_phase(nav: &mut Tracked<'_, '_>, task: &str) {
+    for flow in &nav.template().dataflows {
+        let DataRef::TaskField(t, field) = &flow.from else {
+            continue;
+        };
+        if t != task {
+            continue;
+        }
+        let Some(value) = nav
+            .tasks()
             .get(task)
-            .and_then(|r| r.outputs.get(&field))
+            .and_then(|r| r.outputs.get(field))
             .cloned()
         else {
             continue;
@@ -295,13 +363,13 @@ fn run_mapping_phase(view: &mut InstanceView<'_>, task: &str) {
         if !value.is_defined() {
             continue;
         }
-        match to {
+        match &flow.to {
             DataRef::Whiteboard(w) => {
-                view.header.whiteboard.insert(w, value);
+                nav.header_mut().whiteboard.insert(w.clone(), value);
             }
             DataRef::TaskField(t, f) => {
-                if let Some(rec) = view.tasks.get_mut(&t) {
-                    rec.inputs.insert(f, value);
+                if let Ok(rec) = nav.task_mut(t) {
+                    rec.inputs.insert(f.clone(), value);
                 }
             }
         }
@@ -309,25 +377,26 @@ fn run_mapping_phase(view: &mut InstanceView<'_>, task: &str) {
 }
 
 /// Re-evaluate readiness of all inactive tasks until fixpoint.
-fn propagate(view: &mut InstanceView<'_>) -> EngineResult<NavOutcome> {
+fn propagate(nav: &mut Tracked<'_, '_>) -> EngineResult<NavOutcome> {
     let mut out = NavOutcome::default();
+    let template = nav.template();
     loop {
         let mut changed = false;
-        let names: Vec<String> = view.template.tasks.iter().map(|t| t.name.clone()).collect();
-        for name in names {
+        for task in &template.tasks {
+            let name = &task.name;
             // A template task with no record (foreign or truncated journal
             // state) cannot be activated; skip it rather than panic.
-            if view.tasks.get(&name).map(|r| r.state) != Some(TaskState::Inactive) {
+            if nav.tasks().get(name).map(|r| r.state) != Some(TaskState::Inactive) {
                 continue;
             }
-            let incoming = view.template.incoming(&name);
+            let incoming = template.incoming(name);
             debug_assert!(!incoming.is_empty(), "initial tasks are Ready at init");
             let mut all_resolved = true;
             let mut any_true = false;
             for conn in &incoming {
                 // A missing source record counts as unresolved: the task
                 // stays Inactive instead of firing on phantom state.
-                let Some(src_state) = view.tasks.get(&conn.from).map(|r| r.state) else {
+                let Some(src_state) = nav.tasks().get(&conn.from).map(|r| r.state) else {
                     all_resolved = false;
                     break;
                 };
@@ -337,8 +406,8 @@ fn propagate(view: &mut InstanceView<'_>) -> EngineResult<NavOutcome> {
                 }
                 if src_state == TaskState::Ended {
                     let env = GuardEnv {
-                        header: view.header,
-                        tasks: view.tasks,
+                        header: nav.header(),
+                        tasks: nav.tasks(),
                     };
                     let fired = expr::eval_bool(&conn.condition, &env).map_err(|e| {
                         EngineError::Guard(format!("{} -> {}", conn.from, conn.to), e)
@@ -350,10 +419,7 @@ fn propagate(view: &mut InstanceView<'_>) -> EngineResult<NavOutcome> {
             if !all_resolved {
                 continue;
             }
-            let rec = view
-                .tasks
-                .get_mut(&name)
-                .ok_or_else(|| EngineError::UnknownTask(view.header.id, name.clone()))?;
+            let rec = nav.task_mut(name)?;
             if any_true {
                 rec.state = TaskState::Ready;
                 out.newly_ready.push(name.clone());
@@ -377,8 +443,18 @@ pub fn expand_parallel(
     task_name: &str,
     now: SimTime,
 ) -> EngineResult<(Vec<String>, NavOutcome)> {
-    let decl = view
-        .template
+    let mut nav = Tracked::new(view);
+    let (children, out) = expand(&mut nav, task_name, now)?;
+    Ok((children, nav.finish(out)))
+}
+
+fn expand(
+    nav: &mut Tracked<'_, '_>,
+    task_name: &str,
+    now: SimTime,
+) -> EngineResult<(Vec<String>, NavOutcome)> {
+    let decl = nav
+        .template()
         .task(task_name)
         .ok_or_else(|| EngineError::Internal(format!("no template task {task_name}")))?;
     let TaskKind::Parallel { over, .. } = &decl.kind else {
@@ -386,7 +462,7 @@ pub fn expand_parallel(
             "{task_name} is not a parallel task"
         )));
     };
-    let bound = bind_inputs(view, task_name);
+    let bound = bind_inputs_parts(nav.template(), nav.header(), nav.tasks(), task_name);
     let items: Vec<Value> = match bound.get(over.as_str()) {
         Some(Value::List(xs)) => xs.clone(),
         Some(other) => {
@@ -398,20 +474,17 @@ pub fn expand_parallel(
         None => Vec::new(),
     };
     {
-        let rec = view
-            .tasks
-            .get_mut(task_name)
-            .ok_or_else(|| EngineError::UnknownTask(view.header.id, task_name.to_string()))?;
+        let rec = nav.task_mut(task_name)?;
         rec.inputs = bound.clone();
         rec.state = TaskState::Dispatched;
         rec.started_at = Some(now);
     }
     if items.is_empty() {
         // Degenerate parallel task: conclude immediately.
-        let collect = collect_field(view.template, task_name)?;
+        let collect = collect_field(nav.template(), task_name)?;
         let mut outputs = BTreeMap::new();
         outputs.insert(collect, Value::List(Vec::new()));
-        let out = on_task_ended(view, task_name, outputs, now, 0.0)?;
+        let out = task_ended(nav, task_name, outputs, now, 0.0)?;
         return Ok((Vec::new(), out));
     }
     let mut paths = Vec::with_capacity(items.len());
@@ -427,7 +500,7 @@ pub fn expand_parallel(
                 rec.inputs.insert(k.clone(), v.clone());
             }
         }
-        view.tasks.insert(path.clone(), rec);
+        nav.insert(rec);
         paths.push(path);
     }
     Ok((paths, NavOutcome::default()))
@@ -453,51 +526,37 @@ pub fn parallel_body<'t>(template: &'t ProcessTemplate, task: &str) -> Option<&'
 /// If all children of `parent` are terminal, conclude the parent with the
 /// collected child outputs.
 fn check_parallel_parent(
-    view: &mut InstanceView<'_>,
+    nav: &mut Tracked<'_, '_>,
     parent: &str,
     now: SimTime,
 ) -> EngineResult<NavOutcome> {
-    if view.tasks.get(parent).map(|r| r.state) != Some(TaskState::Dispatched) {
+    if nav.tasks().get(parent).map(|r| r.state) != Some(TaskState::Dispatched) {
         return Ok(NavOutcome::default());
     }
     let prefix = format!("{parent}[");
-    let mut children: Vec<(usize, TaskState, BTreeMap<String, Value>, f64)> = view
-        .tasks
-        .iter()
-        .filter(|(p, _)| p.starts_with(&prefix))
-        .map(|(_, r)| {
-            (
-                r.parallel_index().unwrap_or(0),
-                r.state,
-                r.outputs.clone(),
-                r.cpu_ms,
-            )
-        })
-        .collect();
-    if children.iter().any(|(_, s, _, _)| !s.is_terminal()) {
+    let children = || {
+        nav.tasks()
+            .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
+            .take_while(|(p, _)| p.starts_with(&prefix))
+            .map(|(_, r)| r)
+    };
+    // Every child completion lands here but only the last one concludes
+    // the parent: look at the states before copying any outputs.
+    if children().any(|r| !r.state.is_terminal()) {
         return Ok(NavOutcome::default());
     }
-    children.sort_by_key(|(i, _, _, _)| *i);
-    let collected: Vec<Value> = children
-        .iter()
-        .map(|(_, _, outputs, _)| {
-            Value::Map(
-                outputs
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect(),
-            )
-        })
-        .collect();
-    let child_cpu: f64 = children.iter().map(|(_, _, _, c)| c).sum();
-    let collect = collect_field(view.template, parent)?;
+    let mut done: Vec<&TaskRecord> = children().collect();
+    done.sort_by_key(|r| r.parallel_index().unwrap_or(0));
+    let collected: Vec<Value> = done.iter().map(|r| Value::Map(r.outputs.clone())).collect();
+    let child_cpu: f64 = done.iter().map(|r| r.cpu_ms).sum();
+    let collect = collect_field(nav.template(), parent)?;
     let mut outputs = BTreeMap::new();
     outputs.insert(collect, Value::List(collected));
     // The parent's CPU is the sum of its children's (already recorded on
     // the children; recorded again on the parent would double-count, so
     // pass 0 and keep the sum only in the parent's record field).
-    let out = on_task_ended(view, parent, outputs, now, 0.0)?;
-    if let Some(rec) = view.tasks.get_mut(parent) {
+    let out = task_ended(nav, parent, outputs, now, 0.0)?;
+    if let Ok(rec) = nav.task_mut(parent) {
         rec.cpu_ms = child_cpu;
     }
     Ok(out)
@@ -510,11 +569,19 @@ pub fn on_task_failed(
     kind: FailureKind,
     now: SimTime,
 ) -> EngineResult<NavOutcome> {
-    let (attempts, retries, parent_name) = {
-        let rec = view
-            .tasks
-            .get_mut(path)
-            .ok_or_else(|| EngineError::UnknownTask(view.header.id, path.to_string()))?;
+    let mut nav = Tracked::new(view);
+    let out = task_failed(&mut nav, path, kind, now)?;
+    Ok(nav.finish(out))
+}
+
+fn task_failed(
+    nav: &mut Tracked<'_, '_>,
+    path: &str,
+    kind: FailureKind,
+    now: SimTime,
+) -> EngineResult<NavOutcome> {
+    let (attempts, parent_name) = {
+        let rec = nav.task_mut(path)?;
         if kind == FailureKind::System {
             // Masked: back to the activity queue, no retry consumed.
             rec.state = TaskState::Ready;
@@ -527,78 +594,67 @@ pub fn on_task_failed(
         rec.attempts += 1;
         rec.state = TaskState::Failed;
         rec.node = None;
-        let parent = rec.parallel_parent().map(str::to_string);
-        (rec.attempts, 0u32, parent)
+        (rec.attempts, rec.parallel_parent().map(str::to_string))
     };
     // Retry budget comes from the template declaration (children inherit
     // their parallel parent's).
     let decl_name = parent_name.as_deref().unwrap_or(path);
-    let declared_retries = view
-        .template
+    let declared_retries = nav
+        .template()
         .task(decl_name)
         .map(|t| t.retries)
-        .unwrap_or(retries);
+        .unwrap_or(0);
     if attempts <= declared_retries {
-        let rec = view
-            .tasks
-            .get_mut(path)
-            .ok_or_else(|| EngineError::UnknownTask(view.header.id, path.to_string()))?;
-        rec.state = TaskState::Ready;
+        nav.task_mut(path)?.state = TaskState::Ready;
         return Ok(NavOutcome {
             newly_ready: vec![path.to_string()],
             ..Default::default()
         });
     }
     // Retries exhausted: apply the failure policy.
-    let policy = view
-        .template
+    let policy = nav
+        .template()
         .failure_handler_for(decl_name)
         .map(|h| h.policy.clone())
         .unwrap_or(FailurePolicy::Abort);
     let mut out = NavOutcome::default();
     match policy {
         FailurePolicy::Ignore => {
-            view.tasks
-                .get_mut(path)
-                .ok_or_else(|| EngineError::UnknownTask(view.header.id, path.to_string()))?
-                .state = TaskState::Skipped;
+            nav.task_mut(path)?.state = TaskState::Skipped;
             out.newly_skipped.push(path.to_string());
             if let Some(parent) = parent_name {
-                out.merge(check_parallel_parent(view, &parent, now)?);
+                out.merge(check_parallel_parent(nav, &parent, now)?);
             } else {
-                out.merge(propagate(view)?);
+                out.merge(propagate(nav)?);
             }
-            out.merge(check_completion(view, now));
+            out.merge(check_completion(nav, now));
         }
         FailurePolicy::Alternative(alt) => {
-            view.tasks
-                .get_mut(path)
-                .ok_or_else(|| EngineError::UnknownTask(view.header.id, path.to_string()))?
-                .state = TaskState::Skipped;
+            nav.task_mut(path)?.state = TaskState::Skipped;
             out.newly_skipped.push(path.to_string());
-            let alt_rec = view
-                .tasks
-                .get_mut(&alt)
+            let alt_state = nav
+                .tasks()
+                .get(&alt)
+                .map(|r| r.state)
                 .ok_or_else(|| EngineError::Internal(format!("alternative {alt} missing")))?;
-            if alt_rec.state == TaskState::Inactive || alt_rec.state == TaskState::Skipped {
-                alt_rec.state = TaskState::Ready;
+            if alt_state == TaskState::Inactive || alt_state == TaskState::Skipped {
+                nav.task_mut(&alt)?.state = TaskState::Ready;
                 out.newly_ready.push(alt);
             }
         }
         FailurePolicy::CompensateSphere(sphere_name) => {
-            let sphere = view
-                .template
+            let sphere = nav
+                .template()
                 .spheres
                 .iter()
                 .find(|s| s.name == sphere_name)
-                .cloned()
                 .ok_or_else(|| EngineError::Internal(format!("sphere {sphere_name} missing")))?;
             // Compensate Ended members in reverse completion order.
             let mut ended: Vec<(SimTime, String)> = sphere
                 .members
                 .iter()
                 .filter_map(|m| {
-                    let r = view.tasks.get(m)?;
+                    let r = nav.tasks().get(m)?;
                     (r.state == TaskState::Ended)
                         .then(|| (r.ended_at.unwrap_or(SimTime::ZERO), m.clone()))
                 })
@@ -606,27 +662,22 @@ pub fn on_task_failed(
             ended.sort();
             ended.reverse();
             for (_, member) in ended {
-                // `ended` was collected from `view.tasks` above, but the
-                // same typed-error discipline applies.
-                view.tasks
-                    .get_mut(&member)
-                    .ok_or_else(|| EngineError::UnknownTask(view.header.id, member.clone()))?
-                    .state = TaskState::Compensated;
+                nav.task_mut(&member)?.state = TaskState::Compensated;
                 if let Some((_, prog)) = sphere.compensations.iter().find(|(t, _)| *t == member) {
                     out.compensations.push((member.clone(), prog.clone()));
                 }
             }
-            view.header.status = InstanceStatus::Aborted;
-            view.header.ended_at = Some(now);
+            nav.header_mut().status = InstanceStatus::Aborted;
+            nav.header_mut().ended_at = Some(now);
             out.aborted = true;
         }
         FailurePolicy::Abort => {
-            view.header.status = InstanceStatus::Aborted;
-            view.header.ended_at = Some(now);
+            nav.header_mut().status = InstanceStatus::Aborted;
+            nav.header_mut().ended_at = Some(now);
             out.aborted = true;
         }
         FailurePolicy::Suspend => {
-            view.header.status = InstanceStatus::Suspended;
+            nav.header_mut().status = InstanceStatus::Suspended;
             out.suspended = true;
         }
     }
@@ -639,38 +690,45 @@ pub fn on_task_failed(
 /// was parked (in-flight work drains under suspension) has nothing left
 /// to re-activate and must flip terminal now, not never.
 pub fn on_resume(view: &mut InstanceView<'_>, now: SimTime) -> NavOutcome {
+    let mut nav = Tracked::new(view);
     let mut out = NavOutcome::default();
-    if view.header.status == InstanceStatus::Suspended {
-        view.header.status = InstanceStatus::Running;
+    if nav.header().status == InstanceStatus::Suspended {
+        nav.header_mut().status = InstanceStatus::Running;
     }
-    for (path, rec) in view.tasks.iter_mut() {
-        if rec.state == TaskState::Failed {
+    let failed: Vec<String> = nav
+        .tasks()
+        .values()
+        .filter(|r| r.state == TaskState::Failed)
+        .map(|r| r.path.clone())
+        .collect();
+    for path in failed {
+        if let Ok(rec) = nav.task_mut(&path) {
             rec.attempts = 0;
             rec.state = TaskState::Ready;
-            out.newly_ready.push(path.clone());
+            out.newly_ready.push(path);
         }
     }
     if out.newly_ready.is_empty() {
-        let done = check_completion(view, now);
+        let done = check_completion(&mut nav, now);
         out.completed = done.completed;
     }
-    out
+    nav.finish(out)
 }
 
 /// Completed = every template task terminal.
-fn check_completion(view: &mut InstanceView<'_>, now: SimTime) -> NavOutcome {
-    if view.header.status != InstanceStatus::Running {
+fn check_completion(nav: &mut Tracked<'_, '_>, now: SimTime) -> NavOutcome {
+    if nav.header().status != InstanceStatus::Running {
         return NavOutcome::default();
     }
-    let all_done = view.template.tasks.iter().all(|t| {
-        view.tasks
+    let all_done = nav.template().tasks.iter().all(|t| {
+        nav.tasks()
             .get(&t.name)
             .map(|r| r.state.is_terminal())
             .unwrap_or(false)
     });
     if all_done {
-        view.header.status = InstanceStatus::Completed;
-        view.header.ended_at = Some(now);
+        nav.header_mut().status = InstanceStatus::Completed;
+        nav.header_mut().ended_at = Some(now);
         NavOutcome {
             completed: true,
             ..Default::default()
@@ -916,6 +974,45 @@ mod tests {
         assert!((view.tasks["Fan"].cpu_ms - 21.0).abs() < 1e-9);
     }
 
+    fn set(paths: &[&str]) -> BTreeSet<String> {
+        paths.iter().map(|p| p.to_string()).collect()
+    }
+
+    #[test]
+    fn touched_is_exactly_what_a_navigation_wrote() {
+        let t = parallel_template();
+        let (mut header, mut tasks) = fresh(&t);
+        let mut view = InstanceView {
+            template: &t,
+            header: &mut header,
+            tasks: &mut tasks,
+        };
+        let out = init_instance(&mut view, &BTreeMap::new()).unwrap();
+        assert_eq!(out.touched, set(&["Prep", "Fan", "Merge"]), "all created");
+        // Prep ends: its own record, plus Fan — mapping target and newly
+        // ready.  Merge is neither.
+        let out = on_task_ended(
+            &mut view,
+            "Prep",
+            outputs(&[("parts", Value::int_list([10, 20]))]),
+            SimTime::ZERO,
+            0.0,
+        )
+        .unwrap();
+        assert_eq!(out.touched, set(&["Prep", "Fan"]));
+        let (_, out) = expand_parallel(&mut view, "Fan", SimTime::ZERO).unwrap();
+        assert_eq!(out.touched, set(&["Fan", "Fan[0]", "Fan[1]"]));
+        // A masked failure and a first child's completion stay on the child.
+        let out = on_task_failed(&mut view, "Fan[1]", FailureKind::System, SimTime::ZERO).unwrap();
+        assert_eq!(out.touched, set(&["Fan[1]"]));
+        let out = on_task_ended(&mut view, "Fan[1]", BTreeMap::new(), SimTime::ZERO, 1.0).unwrap();
+        assert_eq!(out.touched, set(&["Fan[1]"]), "parent left alone");
+        // The last child concludes the parent, whose mapping phase fills
+        // Merge's input buffer and readies it.
+        let out = on_task_ended(&mut view, "Fan[0]", BTreeMap::new(), SimTime::ZERO, 1.0).unwrap();
+        assert_eq!(out.touched, set(&["Fan[0]", "Fan", "Merge"]));
+    }
+
     #[test]
     fn empty_parallel_list_completes_immediately() {
         let t = parallel_template();
@@ -1085,6 +1182,7 @@ mod tests {
         );
         assert_eq!(view.tasks["S1"].state, TaskState::Compensated);
         assert_eq!(view.tasks["S2"].state, TaskState::Compensated);
+        assert_eq!(out.touched, set(&["S1", "S2", "S3"]));
     }
 
     #[test]

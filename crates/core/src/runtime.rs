@@ -26,9 +26,9 @@
 
 use crate::awareness::{Awareness, EventKind};
 use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision, SystemCause};
-use crate::dispatcher::{self, NodeView, SchedulingPolicy};
+use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
 use crate::error::{EngineError, EngineResult};
-use crate::library::{ActivityLibrary, ProgramOutput};
+use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
 use crate::navigator::{self, FailureKind, InstanceView, NavOutcome};
 use crate::state::{
@@ -40,7 +40,7 @@ use bioopera_ocr::model::{ParallelBody, ProcessTemplate, TaskKind};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::ExternalBinding;
 use bioopera_store::{Batch, CompactionPolicy, Disk, Space, Store, StoreStats};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Events driving the runtime's kernel.
 #[derive(Debug, Clone)]
@@ -169,6 +169,23 @@ impl InstanceMem {
             self.template.task(path).map(|t| &t.kind),
             Some(TaskKind::Parallel { .. }) | Some(TaskKind::Subprocess { .. })
         )
+    }
+
+    /// How the pump activates the `Ready` record `rec` of this instance.
+    fn task_flavor(&self, rec: &TaskRecord) -> TaskFlavor<'_> {
+        if let Some(parent) = rec.parallel_parent() {
+            return match navigator::parallel_body(&self.template, parent) {
+                Some(ParallelBody::Activity(b)) => TaskFlavor::Activity(b),
+                Some(ParallelBody::Subprocess(t)) => TaskFlavor::Subprocess(t),
+                None => TaskFlavor::Unknown,
+            };
+        }
+        match self.template.task(&rec.path).map(|t| &t.kind) {
+            Some(TaskKind::Activity { binding }) => TaskFlavor::Activity(binding),
+            Some(TaskKind::Parallel { .. }) => TaskFlavor::ParallelParent,
+            Some(TaskKind::Subprocess { template }) => TaskFlavor::Subprocess(template),
+            None => TaskFlavor::Unknown,
+        }
     }
 }
 
@@ -466,6 +483,11 @@ impl<D: Disk + Clone> Runtime<D> {
     /// Status of an instance.
     pub fn instance_status(&self, id: InstanceId) -> Option<InstanceStatus> {
         self.instances.get(&id).map(|m| m.header.status)
+    }
+
+    /// Header record of an instance, as the server holds it in memory.
+    pub fn instance_header(&self, id: InstanceId) -> Option<&InstanceHeader> {
+        self.instances.get(&id).map(|m| &m.header)
     }
 
     /// Whiteboard of an instance.
@@ -794,7 +816,7 @@ impl<D: Disk + Clone> Runtime<D> {
             };
             navigator::on_resume(&mut view, now)
         };
-        self.persist_after_nav(id, &outcome, &[])?;
+        self.persist_after_nav(id, &outcome)?;
         self.apply_outcome(id, outcome)?;
         self.awareness.record(
             self.kernel.now(),
@@ -871,6 +893,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 if let Some(rec) = mem.tasks.get_mut(&path) {
                     rec.state = TaskState::Ready;
                     rec.node = None;
+                    outcome.touched.insert(path.clone());
                     outcome.newly_ready.push(path);
                 }
             }
@@ -882,7 +905,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 requeued: outcome.newly_ready.len() as u64,
             },
         );
-        self.persist_after_nav(id, &outcome, &[])?;
+        self.persist_after_nav(id, &outcome)?;
         self.apply_outcome(id, outcome)?;
         self.flush_awareness()?;
         self.resync_all_nodes();
@@ -1280,11 +1303,7 @@ impl<D: Disk + Clone> Runtime<D> {
                         cpu_ms,
                     },
                 );
-                self.persist_after_nav(
-                    flight.instance,
-                    &outcome,
-                    std::slice::from_ref(&flight.path),
-                )?;
+                self.persist_after_nav(flight.instance, &outcome)?;
                 self.apply_outcome(flight.instance, outcome)?;
             }
             Err(msg) => {
@@ -1316,11 +1335,7 @@ impl<D: Disk + Clone> Runtime<D> {
                         error: msg,
                     },
                 );
-                self.persist_after_nav(
-                    flight.instance,
-                    &outcome,
-                    std::slice::from_ref(&flight.path),
-                )?;
+                self.persist_after_nav(flight.instance, &outcome)?;
                 self.apply_outcome(flight.instance, outcome)?;
             }
         }
@@ -1858,6 +1873,9 @@ impl<D: Disk + Clone> Runtime<D> {
             return Ok(());
         }
         let now = self.kernel.now();
+        // Built on the first activity; nothing a pump does changes the
+        // cluster, so grants are the only thing that can move the view.
+        let mut view: Option<PumpView> = None;
         let mut deferred: VecDeque<(InstanceId, String)> = VecDeque::new();
         while let Some((id, path)) = self.ready_queue.pop_front() {
             let Some(mem) = self.instances.get(&id) else {
@@ -1878,10 +1896,20 @@ impl<D: Disk + Clone> Runtime<D> {
                 deferred.push_back((id, path));
                 continue;
             }
-            match self.task_flavor(id, &path) {
+            match mem.task_flavor(rec) {
                 TaskFlavor::Activity(binding) => {
-                    if !self.dispatch_activity(id, &path, &binding)? {
+                    let program = self
+                        .library
+                        .get(&binding.program)
+                        .ok_or_else(|| EngineError::UnknownProgram(binding.program.clone()))?;
+                    let view = view.get_or_insert_with(|| self.pump_view());
+                    let Some(node) = view.place(self.cfg.policy.as_mut(), binding) else {
                         deferred.push_back((id, path));
+                        continue;
+                    };
+                    let node_name = view.nodes[node].name.clone();
+                    if self.start_activity(id, &path, &*program, node_name)? {
+                        view.nodes[node].running_jobs += 1;
                     }
                 }
                 TaskFlavor::ParallelParent => {
@@ -1897,15 +1925,14 @@ impl<D: Disk + Clone> Runtime<D> {
                         };
                         navigator::expand_parallel(&mut view, &path, self.kernel.now())?
                     };
-                    let extra: Vec<String> =
-                        children.iter().cloned().chain([path.clone()]).collect();
-                    self.persist_after_nav(id, &outcome, &extra)?;
+                    self.persist_after_nav(id, &outcome)?;
                     for child in children {
                         self.enqueue_ready(id, child);
                     }
                     self.apply_outcome(id, outcome)?;
                 }
                 TaskFlavor::Subprocess(template_name) => {
+                    let template_name = template_name.to_string();
                     self.start_subprocess(id, &path, &template_name)?;
                 }
                 TaskFlavor::Unknown => {
@@ -1921,46 +1948,14 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(())
     }
 
-    fn task_flavor(&self, id: InstanceId, path: &str) -> TaskFlavor {
-        let Some(mem) = self.instances.get(&id) else {
-            return TaskFlavor::Unknown;
-        };
-        let Some(rec) = mem.tasks.get(path) else {
-            return TaskFlavor::Unknown;
-        };
-        if let Some(parent) = rec.parallel_parent() {
-            return match navigator::parallel_body(&mem.template, parent) {
-                Some(ParallelBody::Activity(b)) => TaskFlavor::Activity(b.clone()),
-                Some(ParallelBody::Subprocess(t)) => TaskFlavor::Subprocess(t.clone()),
-                None => TaskFlavor::Unknown,
-            };
-        }
-        match mem.template.task(path).map(|t| &t.kind) {
-            Some(TaskKind::Activity { binding }) => TaskFlavor::Activity(binding.clone()),
-            Some(TaskKind::Parallel { .. }) => TaskFlavor::ParallelParent,
-            Some(TaskKind::Subprocess { template }) => TaskFlavor::Subprocess(template.clone()),
-            None => TaskFlavor::Unknown,
-        }
-    }
-
-    /// Dispatch one activity; `false` means no node is available now.
-    fn dispatch_activity(
-        &mut self,
-        id: InstanceId,
-        path: &str,
-        binding: &ExternalBinding,
-    ) -> EngineResult<bool> {
-        let now = self.kernel.now();
-        let program = self
-            .library
-            .get(&binding.program)
-            .ok_or_else(|| EngineError::UnknownProgram(binding.program.clone()))?;
-        // Node views with committed (in-transit) jobs accounted.
+    /// The dispatcher's picture of the cluster, with committed
+    /// (in-transit) jobs accounted.
+    fn pump_view(&self) -> PumpView {
         let mut committed: BTreeMap<&str, u32> = BTreeMap::new();
         for f in self.in_flight.values() {
             *committed.entry(f.node.as_str()).or_default() += 1;
         }
-        let views: Vec<NodeView> = self
+        let nodes = self
             .cluster
             .nodes()
             .iter()
@@ -1984,13 +1979,25 @@ impl<D: Disk + Clone> Runtime<D> {
                 )
             })
             .collect();
-        let Some(node_name) = dispatcher::schedule(self.cfg.policy.as_mut(), &views, binding)
-        else {
-            return Ok(false);
-        };
-        let node_name = node_name.to_string();
-        // Bind inputs and run the (deterministic) program now; the node
-        // will "execute" for the program's declared cost in virtual time.
+        PumpView {
+            nodes,
+            unplaceable: Vec::new(),
+        }
+    }
+
+    /// Hand the `Ready` activity at `(id, path)` to `node_name`: bind its
+    /// inputs, run the (deterministic) program now — the node will
+    /// "execute" for the program's declared cost in virtual time — and put
+    /// the job in flight.  `false` means the queue entry turned out stale
+    /// and was dropped without a grant.
+    fn start_activity(
+        &mut self,
+        id: InstanceId,
+        path: &str,
+        program: &Program,
+        node_name: String,
+    ) -> EngineResult<bool> {
+        let now = self.kernel.now();
         let Some(inputs) = self.instances.get(&id).and_then(|mem| {
             let rec = mem.tasks.get(path)?;
             Some(if rec.is_parallel_child() {
@@ -2000,7 +2007,7 @@ impl<D: Disk + Clone> Runtime<D> {
             })
         }) else {
             self.note_stale(id, Some(path), "dispatch");
-            return Ok(true); // handled: the stale queue entry is dropped
+            return Ok(false);
         };
         let result = program(&inputs);
         let job = self.next_job_id;
@@ -2012,7 +2019,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 .and_then(|m| m.tasks.get_mut(path))
             else {
                 self.note_stale(id, Some(path), "dispatch");
-                return Ok(true);
+                return Ok(false);
             };
             rec.state = TaskState::Dispatched;
             rec.node = Some(node_name.clone());
@@ -2267,7 +2274,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 };
                 navigator::on_task_ended(&mut view, parent_task, outputs, now, child_cpu)?
             };
-            self.persist_after_nav(parent_id, &outcome, &[parent_task.to_string()])?;
+            self.persist_after_nav(parent_id, &outcome)?;
             self.apply_outcome(parent_id, outcome)?;
         } else {
             let outcome = {
@@ -2282,7 +2289,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 };
                 navigator::on_task_failed(&mut view, parent_task, FailureKind::Program, now)?
             };
-            self.persist_after_nav(parent_id, &outcome, &[parent_task.to_string()])?;
+            self.persist_after_nav(parent_id, &outcome)?;
             self.apply_outcome(parent_id, outcome)?;
         }
         Ok(())
@@ -2390,7 +2397,7 @@ impl<D: Disk + Clone> Runtime<D> {
                         },
                     );
                 }
-                self.persist_after_nav(id, &outcome, &[path.to_string()])?;
+                self.persist_after_nav(id, &outcome)?;
                 self.apply_outcome(id, outcome)?;
             }
             RetryDecision::Escalate { reason } => {
@@ -2420,7 +2427,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     },
                 );
                 self.log(format!("instance {id}: task {path} escalated ({reason})"));
-                self.persist_after_nav(id, &outcome, &[path.to_string()])?;
+                self.persist_after_nav(id, &outcome)?;
                 self.apply_outcome(id, outcome)?;
             }
         }
@@ -2742,71 +2749,13 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(())
     }
 
-    /// Persist the header plus every task record a navigation step could
-    /// have touched, in one atomic batch.
-    fn persist_after_nav(
-        &mut self,
-        id: InstanceId,
-        outcome: &NavOutcome,
-        extra_paths: &[String],
-    ) -> EngineResult<()> {
-        let Some(mem) = self.instances.get(&id) else {
-            return Ok(());
-        };
+    /// Persist the header plus exactly the task records the navigation
+    /// wrote ([`NavOutcome::touched`]), in one atomic batch.  Every other
+    /// record already equals its stored copy, so leaving it out changes
+    /// nothing recovery can observe.
+    fn persist_after_nav(&mut self, id: InstanceId, outcome: &NavOutcome) -> EngineResult<()> {
         let now = self.kernel.now();
-        let mut paths: BTreeSet<String> = BTreeSet::new();
-        for p in extra_paths {
-            paths.insert(p.clone());
-        }
-        for p in &outcome.newly_ready {
-            paths.insert(p.clone());
-        }
-        for p in &outcome.newly_skipped {
-            paths.insert(p.clone());
-        }
-        for (p, _) in &outcome.compensations {
-            paths.insert(p.clone());
-        }
-        // Mapping-phase targets and parallel parents of anything touched.
-        for p in paths.clone() {
-            if let Some(parent) = mem
-                .tasks
-                .get(&p)
-                .and_then(|r| r.parallel_parent().map(str::to_string))
-            {
-                paths.insert(parent.clone());
-                // The parent's mapping targets too (it may have concluded).
-                for flow in mem.template.dataflows_from_task(&parent) {
-                    if let bioopera_ocr::model::DataRef::TaskField(t, _) = &flow.to {
-                        paths.insert(t.clone());
-                    }
-                }
-            }
-            if mem.template.task(&p).is_some() {
-                for flow in mem.template.dataflows_from_task(&p) {
-                    if let bioopera_ocr::model::DataRef::TaskField(t, _) = &flow.to {
-                        paths.insert(t.clone());
-                    }
-                }
-            }
-        }
-        // Normalise the persisted enqueue stamp before serialising:
-        // records entering `Ready` carry the time they queued (first
-        // entry wins), records leaving it drop the stamp.  Doing this
-        // here — before the batch is built — is what makes queue-wait
-        // metrics crash-proof.
-        if let Some(mem) = self.instances.get_mut(&id) {
-            for p in &paths {
-                if let Some(rec) = mem.tasks.get_mut(p) {
-                    if rec.state == TaskState::Ready {
-                        rec.ready_at.get_or_insert(now);
-                    } else {
-                        rec.ready_at = None;
-                    }
-                }
-            }
-        }
-        let Some(mem) = self.instances.get(&id) else {
+        let Some(mem) = self.instances.get_mut(&id) else {
             return Ok(());
         };
         let mut batch = Batch::new();
@@ -2815,14 +2764,25 @@ impl<D: Disk + Clone> Runtime<D> {
             keys::header(id),
             serde_json::to_vec(&mem.header).map_err(bioopera_store::StoreError::from)?,
         );
-        for p in &paths {
-            if let Some(rec) = mem.tasks.get(p) {
-                batch.put(
-                    Space::Instance,
-                    keys::task(id, p),
-                    serde_json::to_vec(rec).map_err(bioopera_store::StoreError::from)?,
-                );
+        for p in &outcome.touched {
+            let Some(rec) = mem.tasks.get_mut(p) else {
+                continue;
+            };
+            // Normalise the persisted enqueue stamp before serialising:
+            // records entering `Ready` carry the time they queued (first
+            // entry wins), records leaving it drop the stamp.  Doing this
+            // here — before the batch is built — is what makes queue-wait
+            // metrics crash-proof.
+            if rec.state == TaskState::Ready {
+                rec.ready_at.get_or_insert(now);
+            } else {
+                rec.ready_at = None;
             }
+            batch.put(
+                Space::Instance,
+                keys::task(id, p),
+                serde_json::to_vec(rec).map_err(bioopera_store::StoreError::from)?,
+            );
         }
         self.commit_with_awareness(batch)?;
         Ok(())
@@ -2858,9 +2818,48 @@ impl<D: Disk + Clone> Runtime<D> {
     }
 }
 
-enum TaskFlavor {
-    Activity(ExternalBinding),
+enum TaskFlavor<'a> {
+    Activity(&'a ExternalBinding),
     ParallelParent,
-    Subprocess(String),
+    Subprocess(&'a str),
     Unknown,
+}
+
+/// One pump's node views: built once, kept current by bumping the chosen
+/// node's `running_jobs` after each grant.
+struct PumpView {
+    nodes: Vec<NodeView>,
+    /// Placement constraints `(os, hosts)` for which no node passed the
+    /// eligibility filter.  Grants only take slots away, so within one
+    /// pump such a constraint stays unplaceable and later queue entries
+    /// carrying it are deferred without another filter pass.  A *policy*
+    /// refusal is never remembered: policies may be stateful, and the
+    /// sequence of `choose` calls they see must not depend on this memo.
+    unplaceable: Vec<(Option<String>, Vec<String>)>,
+}
+
+impl PumpView {
+    /// Index of the node `policy` grants `binding`, or `None` to defer.
+    fn place(
+        &mut self,
+        policy: &mut dyn SchedulingPolicy,
+        binding: &ExternalBinding,
+    ) -> Option<usize> {
+        if self
+            .unplaceable
+            .iter()
+            .any(|(os, hosts)| *os == binding.os && *hosts == binding.hosts)
+        {
+            return None;
+        }
+        match dispatcher::place(policy, &self.nodes, binding) {
+            Placement::Node(i) => Some(i),
+            Placement::Deferred => None,
+            Placement::NoEligibleNode => {
+                self.unplaceable
+                    .push((binding.os.clone(), binding.hosts.clone()));
+                None
+            }
+        }
+    }
 }

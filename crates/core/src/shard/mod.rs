@@ -976,6 +976,14 @@ impl<D: Disk> ShardEngine<D> {
             .map(|s| s.header.status)
     }
 
+    /// Every resident instance with the shard that owns it, as held in
+    /// memory (tests compare this with the shard journals).
+    pub fn slots(&self) -> impl Iterator<Item = (ShardId, InstanceId, &InstanceSlot)> {
+        self.shards
+            .iter()
+            .flat_map(|s| s.slots.iter().map(move |(id, slot)| (s.id, *id, slot)))
+    }
+
     /// Final whiteboard of an instance (for output-equality checks).
     pub fn instance_whiteboard(&self, id: InstanceId) -> Option<&BTreeMap<String, Value>> {
         self.shards[owner(id, self.cfg.shards)]

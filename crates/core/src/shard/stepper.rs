@@ -24,7 +24,7 @@ use crate::library::ActivityLibrary;
 use crate::navigator::{self, FailureKind, InstanceView, NavOutcome};
 use crate::state::{keys, InstanceHeader, InstanceId, InstanceStatus, TaskRecord, TaskState};
 use bioopera_cluster::SimTime;
-use bioopera_ocr::model::{DataRef, ParallelBody, ProcessTemplate, TaskKind};
+use bioopera_ocr::model::{ParallelBody, ProcessTemplate, TaskKind};
 use bioopera_ocr::value::Value;
 use bioopera_store::{shard_key, Batch, Disk, Space, Store};
 use serde::{Deserialize, Serialize};
@@ -114,18 +114,13 @@ impl InstanceSlot {
     }
 }
 
-/// Which records of an instance this step touched.
-#[derive(Debug, Default)]
-struct Dirty {
-    all: bool,
-    tasks: BTreeSet<String>,
-}
-
 /// Transient per-step accumulation.
 #[derive(Default)]
 struct StepState {
     out: StepOutput,
-    dirty: BTreeMap<InstanceId, Dirty>,
+    /// Task records written this step, per instance; an entry (even an
+    /// empty one) also commits the instance's header.
+    dirty: BTreeMap<InstanceId, BTreeSet<String>>,
     stale_seq: BTreeMap<InstanceId, u64>,
     /// Root instances created this step: their commit retires the
     /// engine-level pending-start record.
@@ -141,19 +136,19 @@ struct StepState {
 
 impl StepState {
     fn mark(&mut self, id: InstanceId, path: &str) {
-        self.dirty
-            .entry(id)
-            .or_default()
-            .tasks
-            .insert(path.to_string());
+        self.dirty.entry(id).or_default().insert(path.to_string());
     }
 
     fn mark_header(&mut self, id: InstanceId) {
         self.dirty.entry(id).or_default();
     }
 
-    fn mark_all(&mut self, id: InstanceId) {
-        self.dirty.entry(id).or_default().all = true;
+    /// Mark what a navigation wrote: the header plus its touched records.
+    fn mark_touched(&mut self, id: InstanceId, outcome: &NavOutcome) {
+        self.dirty
+            .entry(id)
+            .or_default()
+            .extend(outcome.touched.iter().cloned());
     }
 }
 
@@ -402,7 +397,6 @@ impl Shard {
             navigator::init_instance(&mut view, &initial)?
         };
         self.slots.insert(id, slot);
-        st.mark_all(id);
         if self
             .slots
             .get(&id)
@@ -482,7 +476,7 @@ impl Shard {
                 }
             }
         }
-        self.mark_nav(st, &tmpl, id, &path);
+        st.mark(id, &path);
         if fault {
             self.emit(
                 st,
@@ -644,7 +638,6 @@ impl Shard {
                 return Ok(());
             }
         }
-        self.mark_nav(st, &tmpl, id, &path);
         if success {
             // A template subprocess task keeps only its declared outputs;
             // a parallel subprocess child collects the whole whiteboard.
@@ -757,7 +750,6 @@ impl Shard {
                     .filter(|r| r.state == TaskState::Ready)
                     .map(|r| r.path.clone())
                     .collect();
-                st.mark_all(id);
                 st.resumed_now.insert(id);
                 st.suspended_now.remove(&id);
                 self.emit(
@@ -808,28 +800,6 @@ impl Shard {
         navigator::on_task_failed(&mut view, path, kind, now)
     }
 
-    /// Mark the records a navigation step starting at `path` can touch:
-    /// the record itself, its parallel parent (which may conclude), and
-    /// the dataflow targets of both (the mapping phase writes into
-    /// successor input buffers).  The header (whiteboard) is always dirty.
-    fn mark_nav(&self, st: &mut StepState, tmpl: &ProcessTemplate, id: InstanceId, path: &str) {
-        st.mark_header(id);
-        st.mark(id, path);
-        let parent = TaskRecord::new(path).parallel_parent().map(str::to_string);
-        let mut sources = vec![path.to_string()];
-        if let Some(p) = parent {
-            sources.push(p.clone());
-            st.mark(id, &p);
-        }
-        for source in sources {
-            for flow in tmpl.dataflows_from_task(&source) {
-                if let DataRef::TaskField(t, _) = &flow.to {
-                    st.mark(id, t);
-                }
-            }
-        }
-    }
-
     /// Drain a navigation outcome: activate ready tasks (request a node,
     /// spawn a subprocess, or expand a parallel task in place), run
     /// compensations, and conclude the instance if it went terminal.
@@ -841,15 +811,14 @@ impl Shard {
         outcome: NavOutcome,
     ) -> EngineResult<()> {
         let now = ctx.now();
+        st.mark_touched(id, &outcome);
         let mut ready: VecDeque<String> = outcome.newly_ready.into();
         let mut compensations: VecDeque<(String, String)> = outcome.compensations.into();
-        let mut skipped = outcome.newly_skipped;
         let mut completed = outcome.completed;
         let mut aborted = outcome.aborted;
         let suspended = outcome.suspended;
         loop {
             if let Some((task, program)) = compensations.pop_front() {
-                st.mark(id, &task);
                 self.emit(
                     st,
                     ctx.round,
@@ -964,20 +933,14 @@ impl Shard {
                         };
                         navigator::expand_parallel(&mut view, &path, now)?
                     };
-                    for child in &children {
-                        st.mark(id, child);
-                    }
+                    st.mark_touched(id, &out2);
                     ready.extend(children);
                     ready.extend(out2.newly_ready);
-                    skipped.extend(out2.newly_skipped);
                     completed |= out2.completed;
                     aborted |= out2.aborted;
                     compensations.extend(out2.compensations);
                 }
             }
-        }
-        for p in &skipped {
-            st.mark(id, p);
         }
         if suspended {
             // Policy-driven suspension (FailurePolicy::Suspend) parks the
@@ -992,9 +955,6 @@ impl Shard {
             );
         }
         if completed || aborted {
-            // Terminal transitions can touch records outside the outcome
-            // lists (sphere members marked Compensated); persist it all.
-            st.mark_all(id);
             if completed {
                 self.emit(
                     st,
@@ -1057,23 +1017,13 @@ impl Shard {
                 shard_key(self.id, &keys::header(*id)),
                 encode(&slot.header)?,
             );
-            if dirty.all {
-                for rec in slot.tasks.values() {
+            for path in dirty {
+                if let Some(rec) = slot.tasks.get(path) {
                     b.put(
                         Space::Instance,
-                        shard_key(self.id, &keys::task(*id, &rec.path)),
+                        shard_key(self.id, &keys::task(*id, path)),
                         encode(rec)?,
                     );
-                }
-            } else {
-                for path in &dirty.tasks {
-                    if let Some(rec) = slot.tasks.get(path) {
-                        b.put(
-                            Space::Instance,
-                            shard_key(self.id, &keys::task(*id, path)),
-                            encode(rec)?,
-                        );
-                    }
                 }
             }
             batches.push(b);

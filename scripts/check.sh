@@ -54,24 +54,18 @@ echo "==> shard suites forced serial (BIOOPERA_SHARDS=1 is the reference semanti
 BIOOPERA_SHARDS=1 cargo test -q -p bioopera-core shard
 BIOOPERA_SHARDS=1 cargo test -q -p bioopera-core --test shard_determinism
 
-echo "==> unified-engine smoke: fig5/fig6 reports byte-identical under BIOOPERA_SHARDS=4"
-# One step loop means the shard knob must never change what a report
-# binary produces: run the figure reproductions under the forced-serial
-# config and under 4 shards, then diff stdout and every results artifact
-# byte-for-byte (~4 min; fig5 simulates the full shared-pool month twice).
-smoke_dir="$(mktemp -d)"
-trap 'rm -rf "$smoke_dir"' EXIT
-mkdir -p "$smoke_dir/serial" "$smoke_dir/sharded"
-for fig in fig5_shared_lifecycle fig6_nonshared_lifecycle; do
-  BIOOPERA_SHARDS=1 BIOOPERA_RESULTS="$smoke_dir/serial" \
-    cargo run --release -q -p bioopera-bench --bin "$fig" \
-    > "$smoke_dir/serial/${fig}.stdout" 2> /dev/null
-  BIOOPERA_SHARDS=4 BIOOPERA_RESULTS="$smoke_dir/sharded" \
-    cargo run --release -q -p bioopera-bench --bin "$fig" \
-    > "$smoke_dir/sharded/${fig}.stdout" 2> /dev/null
-done
-diff -r -q "$smoke_dir/serial" "$smoke_dir/sharded" \
-  || { echo "figure reports diverged between BIOOPERA_SHARDS=1 and =4"; exit 1; }
+echo "==> benchmark smoke: all four bench_e2e workloads at 1/20 size against their pinned oracles"
+# Builds benchmark/bench_e2e from source and runs month_shared,
+# shard_chains, shard_chains_tiered and allvsall_real small; a workload
+# whose digest, counts or `server.recover` total moved fails the run (~1 min
+# cold, seconds warm).
+bash benchmark/run.sh --smoke
+
+echo "==> benchmark check: full-size workloads on seed 7, crashed run == crash-free run"
+# Every workload at full size on a seed the oracles were not pinned on:
+# the run with the server crashes must end in the same results as the
+# crash-free run, with no failed operation.
+bash benchmark/run.sh --check --seed 7
 
 echo "==> chaos: seeded flaky-node scenario (bounded; seed override: CHAOS_SEED=N)"
 # One node kills every job; the dependability policies must finish the run
