@@ -1,33 +1,32 @@
-//! **Storage engine benchmark** — before/after numbers for the store
-//! hot-path overhaul, on identical workloads and the identical on-disk
-//! format.
+//! **Storage engine benchmark** — what bounded memory costs: the same
+//! workloads through [`bioopera_store::Store`] with tiering off
+//! (unbounded memtables, snapshot rolls) and under a small memtable
+//! budget.
 //!
-//! "Before" is [`bioopera_bench::store_baseline`], a faithful replica of
-//! the pre-overhaul engine (global mutex, allocating lookups, bytewise
-//! CRC, copying replay, clone-all compaction).  "After" is the real
-//! [`bioopera_store::Store`].  Measured:
+//! Measured, "before" = untiered and "after" = tiered:
 //!
-//! * put throughput (batched commits) and the group-commit variant,
-//! * single-thread and 4-thread concurrent get+scan throughput,
-//! * WAL replay wall time vs record count (the recovery path),
-//! * compaction wall time (snapshot encode + epoch roll),
-//! * tiered-engine variants: spill throughput under a small memtable
-//!   budget, bloom-gated reads across resident runs, run merge
-//!   compaction, and post-history reopen cost — with the observed
-//!   memory ceiling reported alongside.
+//! * put throughput while the tiered store spills and merges inline,
+//! * warm-cache point gets across memtable + resident runs,
+//! * `compact()`: snapshot rewrite vs spill + one leveled maintenance
+//!   round,
+//! * reopen after the full history: snapshot replay vs run metadata only,
+//!
+//! with the observed memory ceiling reported alongside.  The replica of
+//! the pre-overhaul engine this bench used to race against is retired
+//! (its last before/after table is frozen in EXPERIMENTS.md; replay and
+//! open regressions are caught by `bench_e2e`'s `recover_s` and
+//! `store.open_s`).
 //!
 //! Each metric is timed per pass, variants interleaved, and the minimum
 //! over `STORE_BENCH_REPEATS` passes reported (host interference only
 //! ever slows a pass down).  Writes `results/BENCH_store.json`.
 //!
 //! `STORE_BENCH_SMOKE=1` shrinks the workload for CI; in every mode the
-//! run **fails loudly** (non-zero exit) if replay shows a regression
-//! (speedup below the floor), so a slowdown cannot slip through a green
-//! check.
+//! run **fails loudly** (non-zero exit) if the memtable ceiling is
+//! breached, a tiered get falls below its floor relative to untiered, or
+//! a tiered reopen reads more than a quarter of the disk.
 
-use bioopera_bench::store_baseline::{encode_frame_bytewise, replay_copying, BaselineStore};
 use bioopera_bench::write_results;
-use bioopera_store::wal::{self, WalOp};
 use bioopera_store::{Batch, MemDisk, Space, Store, TieredPolicy};
 use bytes::Bytes;
 use serde::Serialize;
@@ -41,7 +40,7 @@ struct Metric {
     before: f64,
     after: f64,
     /// `after / before` for throughputs, `before_time / after_time` for
-    /// wall times — always "higher is better for the new engine".
+    /// wall times — always "higher is better for the tiered store".
     speedup: f64,
 }
 
@@ -98,16 +97,10 @@ struct BenchReport {
     repeats: u32,
     records: usize,
     value_bytes: usize,
-    readers: usize,
-    /// Hardware threads on the bench host.  On a single-core host the
-    /// concurrent metrics measure lock overhead under forced context
-    /// switching, not parallel scaling.
+    /// Hardware threads on the bench host.
     host_cpus: usize,
     baseline: String,
     metrics: Vec<Metric>,
-    /// Metrics with speedup >= 2.0 (the acceptance bar asks for two of:
-    /// concurrent-read throughput, WAL replay time, compaction time).
-    at_least_2x: Vec<String>,
     tiered: TieredSummary,
     #[serde(skip_serializing_if = "Vec::is_empty")]
     tiered_sweep: Vec<SweepRow>,
@@ -116,16 +109,12 @@ struct BenchReport {
 struct Config {
     smoke: bool,
     repeats: u32,
-    /// Records in the resident set (and in the replay log).
+    /// Records in the resident set.
     records: usize,
     /// Value payload size; History-event scale.
     value_bytes: usize,
-    /// Reads per thread in the read benchmarks.
+    /// Point gets in the read benchmark.
     reads: usize,
-    readers: usize,
-    /// Batches in the put benchmark.
-    put_batches: usize,
-    put_batch_ops: usize,
 }
 
 impl Config {
@@ -142,9 +131,6 @@ impl Config {
                 records: 4_000,
                 value_bytes: 256,
                 reads: 20_000,
-                readers: 4,
-                put_batches: 500,
-                put_batch_ops: 8,
             }
         } else {
             Config {
@@ -153,9 +139,6 @@ impl Config {
                 records: 20_000,
                 value_bytes: 512,
                 reads: 200_000,
-                readers: 4,
-                put_batches: 2_000,
-                put_batch_ops: 8,
             }
         }
     }
@@ -163,14 +146,6 @@ impl Config {
 
 fn key(i: usize) -> String {
     format!("inst/{:06}/task/t{:02}", i / 16, i % 16)
-}
-
-fn ops_for(i: usize, value_bytes: usize) -> Vec<WalOp> {
-    vec![WalOp::Put {
-        space: 1,
-        key: key(i),
-        value: Bytes::from(vec![(i % 251) as u8; value_bytes]),
-    }]
 }
 
 /// Min wall-seconds over `repeats` interleaved passes of two workloads.
@@ -190,293 +165,22 @@ fn race(repeats: u32, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64
     (b_best, a_best)
 }
 
-/// Populate both engines with the same record set.
-fn populate(cfg: &Config) -> (BaselineStore<MemDisk>, Store<MemDisk>) {
-    let old = BaselineStore::open(MemDisk::new());
-    let new = Store::open_with(MemDisk::new(), None).unwrap();
-    for i in 0..cfg.records {
-        old.apply(ops_for(i, cfg.value_bytes)).unwrap();
-        let mut b = Batch::new();
-        b.put(
-            Space::Instance,
-            key(i),
-            Bytes::from(vec![(i % 251) as u8; cfg.value_bytes]),
-        );
-        new.apply(b).unwrap();
-    }
-    (old, new)
-}
-
 fn main() {
     let cfg = Config::from_env();
     eprintln!(
-        "store_bench: {} records x {}B, {} readers, {} passes{}",
+        "store_bench: {} records x {}B, {} passes{}",
         cfg.records,
         cfg.value_bytes,
-        cfg.readers,
         cfg.repeats,
         if cfg.smoke { " (smoke)" } else { "" }
     );
     let mut metrics: Vec<Metric> = Vec::new();
 
-    // ---- put throughput (batched single commits) --------------------
-    {
-        let total_ops = (cfg.put_batches * cfg.put_batch_ops) as f64;
-        let value = vec![0x5A; cfg.value_bytes];
-        let (b, a) = race(
-            cfg.repeats,
-            || {
-                let store = BaselineStore::open(MemDisk::new());
-                for i in 0..cfg.put_batches {
-                    let ops: Vec<WalOp> = (0..cfg.put_batch_ops)
-                        .map(|j| WalOp::Put {
-                            space: 1,
-                            key: key(i * cfg.put_batch_ops + j),
-                            value: Bytes::from(value.clone()),
-                        })
-                        .collect();
-                    store.apply(ops).unwrap();
-                }
-            },
-            || {
-                let store = Store::open_with(MemDisk::new(), None).unwrap();
-                for i in 0..cfg.put_batches {
-                    let mut batch = Batch::new();
-                    for j in 0..cfg.put_batch_ops {
-                        batch.put(
-                            Space::Instance,
-                            key(i * cfg.put_batch_ops + j),
-                            Bytes::from(value.clone()),
-                        );
-                    }
-                    store.apply(batch).unwrap();
-                }
-            },
-        );
-        metrics.push(Metric {
-            name: "put_throughput".into(),
-            unit: "ops/s".into(),
-            workload: format!("{} batches x {} puts", cfg.put_batches, cfg.put_batch_ops),
-            before: total_ops / b,
-            after: total_ops / a,
-            speedup: b / a,
-        });
-
-        // Group commit: the same ops through apply_many, 8 batches per
-        // append (no baseline equivalent existed; before = single-commit
-        // path of the old engine).
-        let t = Instant::now();
-        let store = Store::open_with(MemDisk::new(), None).unwrap();
-        for i in 0..cfg.put_batches / 8 {
-            let group: Vec<Batch> = (0..8)
-                .map(|g| {
-                    let mut batch = Batch::new();
-                    for j in 0..cfg.put_batch_ops {
-                        batch.put(
-                            Space::Instance,
-                            key((i * 8 + g) * cfg.put_batch_ops + j),
-                            Bytes::from(value.clone()),
-                        );
-                    }
-                    batch
-                })
-                .collect();
-            store.apply_many(group).unwrap();
-        }
-        let group_secs = t.elapsed().as_secs_f64();
-        let group_ops = (cfg.put_batches / 8 * 8 * cfg.put_batch_ops) as f64;
-        metrics.push(Metric {
-            name: "group_commit_throughput".into(),
-            unit: "ops/s".into(),
-            workload: "same puts, 8 batches coalesced per disk append".into(),
-            before: total_ops / b,
-            after: group_ops / group_secs,
-            speedup: (group_ops / group_secs) / (total_ops / b),
-        });
-    }
-
-    // ---- read throughput, single-thread and concurrent --------------
-    {
-        let (old, new) = populate(&cfg);
-        // Keys are pre-built outside the timed region so the metric is the
-        // engine's lookup path, not `format!`.
-        let keys: Vec<String> = (0..cfg.records).map(key).collect();
-        let prefixes: Vec<String> = (0..cfg.records / 16)
-            .map(|g| format!("inst/{g:06}/"))
-            .collect();
-        let keys = &keys;
-        let prefixes = &prefixes;
-        let single_reads = cfg.reads as f64;
-        let (b, a) = race(
-            cfg.repeats,
-            || {
-                for r in 0..cfg.reads {
-                    let i = (r * 7919) % cfg.records;
-                    assert!(old.get(1, &keys[i]).is_some());
-                }
-            },
-            || {
-                for r in 0..cfg.reads {
-                    let i = (r * 7919) % cfg.records;
-                    assert!(new.get(Space::Instance, &keys[i]).unwrap().is_some());
-                }
-            },
-        );
-        metrics.push(Metric {
-            name: "get_throughput_single".into(),
-            unit: "ops/s".into(),
-            workload: format!("{} point gets over {} records", cfg.reads, cfg.records),
-            before: single_reads / b,
-            after: single_reads / a,
-            speedup: b / a,
-        });
-
-        let total_reads = (cfg.reads * cfg.readers) as f64;
-        let run_old = || {
-            std::thread::scope(|s| {
-                for t in 0..cfg.readers {
-                    let old = old.clone();
-                    s.spawn(move || {
-                        for r in 0..cfg.reads {
-                            let i = (r * 7919 + t * 13) % cfg.records;
-                            assert!(old.get(1, &keys[i]).is_some());
-                        }
-                    });
-                }
-            });
-        };
-        let run_new = || {
-            std::thread::scope(|s| {
-                for t in 0..cfg.readers {
-                    let new = new.clone();
-                    s.spawn(move || {
-                        for r in 0..cfg.reads {
-                            let i = (r * 7919 + t * 13) % cfg.records;
-                            assert!(new.get(Space::Instance, &keys[i]).unwrap().is_some());
-                        }
-                    });
-                }
-            });
-        };
-        let (b, a) = race(cfg.repeats, run_old, run_new);
-        metrics.push(Metric {
-            name: "get_throughput_concurrent".into(),
-            unit: "ops/s".into(),
-            workload: format!(
-                "{} threads x {} point gets over {} records",
-                cfg.readers, cfg.reads, cfg.records
-            ),
-            before: total_reads / b,
-            after: total_reads / a,
-            speedup: b / a,
-        });
-
-        // Concurrent prefix scans (each ~16 records).
-        let scans = cfg.reads / 16;
-        let total_scans = (scans * cfg.readers) as f64;
-        let (b, a) = race(
-            cfg.repeats,
-            || {
-                std::thread::scope(|s| {
-                    for t in 0..cfg.readers {
-                        let old = old.clone();
-                        s.spawn(move || {
-                            for r in 0..scans {
-                                let i = (r * 7919 + t * 13) % cfg.records;
-                                assert!(!old.scan_prefix(1, &prefixes[i / 16]).is_empty());
-                            }
-                        });
-                    }
-                });
-            },
-            || {
-                std::thread::scope(|s| {
-                    for t in 0..cfg.readers {
-                        let new = new.clone();
-                        s.spawn(move || {
-                            for r in 0..scans {
-                                let i = (r * 7919 + t * 13) % cfg.records;
-                                assert!(!new
-                                    .scan_prefix(Space::Instance, &prefixes[i / 16])
-                                    .unwrap()
-                                    .is_empty());
-                            }
-                        });
-                    }
-                });
-            },
-        );
-        metrics.push(Metric {
-            name: "scan_throughput_concurrent".into(),
-            unit: "scans/s".into(),
-            workload: format!("{} threads x {} 16-record prefix scans", cfg.readers, scans),
-            before: total_scans / b,
-            after: total_scans / a,
-            speedup: b / a,
-        });
-    }
-
-    // ---- WAL replay time vs record count ----------------------------
-    let replay_speedup;
-    {
-        // One shared byte image, written in the common format (the
-        // baseline encoder is bit-identical; asserted in its tests).
-        let mut log = Vec::new();
-        for i in 0..cfg.records {
-            log.extend_from_slice(&encode_frame_bytewise(&ops_for(i, cfg.value_bytes)));
-        }
-        let shared = Bytes::from(log.clone());
-        let (b, a) = race(
-            cfg.repeats,
-            || {
-                let batches = replay_copying(&log);
-                assert_eq!(batches.len(), cfg.records);
-            },
-            || {
-                let replay = wal::replay_shared(shared.clone()).unwrap();
-                assert_eq!(replay.batches.len(), cfg.records);
-                assert!(!replay.torn_tail);
-            },
-        );
-        replay_speedup = b / a;
-        metrics.push(Metric {
-            name: "wal_replay_time".into(),
-            unit: "s (lower is better)".into(),
-            workload: format!(
-                "replay {} records x {}B ({:.1} MiB log)",
-                cfg.records,
-                cfg.value_bytes,
-                log.len() as f64 / (1024.0 * 1024.0)
-            ),
-            before: b,
-            after: a,
-            speedup: replay_speedup,
-        });
-    }
-
-    // ---- compaction time --------------------------------------------
-    {
-        let (old, new) = populate(&cfg);
-        let (b, a) = race(
-            cfg.repeats,
-            || old.compact().unwrap(),
-            || new.compact().unwrap(),
-        );
-        metrics.push(Metric {
-            name: "compaction_time".into(),
-            unit: "s (lower is better)".into(),
-            workload: format!("snapshot {} records x {}B", cfg.records, cfg.value_bytes),
-            before: b,
-            after: a,
-            speedup: b / a,
-        });
-    }
-
     // ---- tiered engine: spill / bounded-memory read / merge / reopen
     //
-    // "Before" here is the overhauled engine itself with tiering off
-    // (unbounded memtables), "after" the same engine under a small
-    // memtable budget — the cost of bounded memory, not an overhaul win.
+    // "Before" is the engine with tiering off (unbounded memtables),
+    // "after" the same engine under a small memtable budget — the cost
+    // of bounded memory.
     let tiered_summary;
     {
         let budget: u64 = if cfg.smoke { 64 * 1024 } else { 256 * 1024 };
@@ -604,8 +308,8 @@ fn main() {
             after_reads.cache_misses
         );
 
-        // Compaction: snapshot rewrite (untiered) vs spill + merge-all of
-        // the resident runs (tiered).  Each pass rebuilds the store from
+        // Compaction: snapshot rewrite (untiered) vs spill + one leveled
+        // maintenance round (tiered).  Each pass rebuilds the store from
         // scratch because both paths leave nothing further to compact.
         let (mut b_best, mut a_best) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..=cfg.repeats {
@@ -629,7 +333,7 @@ fn main() {
             name: "tiered_compaction_time".into(),
             unit: "s (lower is better)".into(),
             workload: format!(
-                "{} records x {}B: snapshot rewrite vs run merge-all",
+                "{} records x {}B: snapshot rewrite vs spill + one maintenance round",
                 cfg.records, cfg.value_bytes
             ),
             before: b_best,
@@ -780,24 +484,14 @@ fn main() {
         }
     }
 
-    let at_least_2x: Vec<String> = metrics
-        .iter()
-        .filter(|m| m.speedup >= 2.0)
-        .map(|m| m.name.clone())
-        .collect();
     let report = BenchReport {
         smoke: cfg.smoke,
         repeats: cfg.repeats,
         records: cfg.records,
         value_bytes: cfg.value_bytes,
-        readers: cfg.readers,
         host_cpus: std::thread::available_parallelism().map_or(1, usize::from),
-        baseline: "pre-overhaul engine replica (global mutex, allocating gets, \
-                   bytewise CRC, copying replay, clone-all compaction) on the \
-                   identical on-disk format"
-            .into(),
+        baseline: "the same engine with tiering off (unbounded memtables, snapshot rolls)".into(),
         metrics,
-        at_least_2x,
         tiered: tiered_summary,
         tiered_sweep,
     };
@@ -823,32 +517,4 @@ fn main() {
     let json = serde_json::to_string(&report).expect("serialize report");
     write_results("BENCH_store.json", &json);
     println!("{json}");
-
-    // Loud regression gate: replay must never get slower than the old
-    // copying path.  (The full acceptance bar — >= 2x on two of
-    // concurrent reads / replay / compaction — is asserted in full mode.)
-    assert!(
-        replay_speedup >= 1.2,
-        "WAL replay regression: {replay_speedup:.2}x vs the copying baseline (floor 1.2x)"
-    );
-    if !cfg.smoke {
-        let bar: Vec<&str> = report
-            .at_least_2x
-            .iter()
-            .map(String::as_str)
-            .filter(|n| {
-                matches!(
-                    *n,
-                    "get_throughput_concurrent"
-                        | "scan_throughput_concurrent"
-                        | "wal_replay_time"
-                        | "compaction_time"
-                )
-            })
-            .collect();
-        assert!(
-            bar.len() >= 2,
-            "acceptance bar not met: need >=2x on two of concurrent reads / replay / compaction, got {bar:?}"
-        );
-    }
 }

@@ -6,8 +6,6 @@
 //! trace, running an all-vs-all, rendering ASCII charts of the
 //! availability/utilization series, and writing results files.
 
-pub mod store_baseline;
-
 use bioopera_cluster::{Cluster, SimTime, Trace};
 use bioopera_core::{Runtime, RuntimeConfig, SeriesRollup, SeriesSample};
 use bioopera_store::MemDisk;

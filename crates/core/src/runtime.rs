@@ -297,7 +297,7 @@ impl<D: Disk + Clone> Runtime<D> {
             heartbeat_scheduled: false,
             auto_restarts: 0,
             tier_stats: None,
-            history_retention: std::env::var("BIOOPERA_HISTORY_RETENTION").is_ok_and(|v| v == "1"),
+            history_retention: false,
             retained_rollup_base: 0,
         };
         rt.rebuild_from_store()?;
@@ -583,8 +583,7 @@ impl<D: Disk + Clone> Runtime<D> {
     /// The rollup already answers every aggregate query over that
     /// prefix, and [`Awareness::open_tail`] never scans below its base,
     /// so no recovery path needs the retired records.  Off by default;
-    /// enabled via [`set_history_retention`](Runtime::set_history_retention)
-    /// or `BIOOPERA_HISTORY_RETENTION=1`.
+    /// enabled via [`set_history_retention`](Runtime::set_history_retention).
     fn maybe_retain_history(&mut self) -> EngineResult<()> {
         if !self.history_retention {
             return Ok(());

@@ -59,15 +59,6 @@ const BARRIER_SEQ_BASE: u64 = 1 << 48;
 /// at every shard and thread count.
 const OPERATOR_SEQ_BASE: u64 = 1 << 56;
 
-/// Shard-count override: `BIOOPERA_SHARDS=N` (N >= 1).
-pub fn shards_from_env(default: usize) -> usize {
-    std::env::var("BIOOPERA_SHARDS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|n| *n >= 1)
-        .unwrap_or(default)
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
@@ -91,10 +82,9 @@ pub struct ShardConfig {
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        let shards = shards_from_env(4);
         ShardConfig {
-            shards,
-            threads: shards,
+            shards: 4,
+            threads: 4,
             nodes: 4,
             node_capacity: 64,
             quarantine_threshold: 3,

@@ -403,8 +403,9 @@ fn recovery_after_partial_commit_converges_to_oracle_outputs() {
     }
 }
 
-/// Forcing `BIOOPERA_SHARDS=1` semantics (a serial single-shard config)
-/// must agree with the default multi-shard config on the same workload.
+/// The serial single-shard config (1 shard, 1 thread, pinned by hand) is
+/// the reference semantics: a 4x4 config must agree with it on the same
+/// workload.
 #[test]
 fn single_shard_config_is_the_reference_semantics() {
     let workload: Vec<(usize, i64)> = vec![(0, 5), (1, 2), (2, 9), (0, 11), (2, 3)];

@@ -1,38 +1,26 @@
-//! The storage engine proper: record spaces, atomic batches, snapshots,
-//! and the bounded-memory sorted-run tier.
+//! The [`Store`] handle: open (crash recovery), apply, get, scan, len,
+//! stats, poison.
 //!
-//! A [`Store`] keeps the hot record set in memory (a `BTreeMap` per
-//! space) and makes every mutation durable through the WAL before
-//! applying it.  Without a [`TieredPolicy`] the memtables hold
-//! everything and [`Store::compact`] rolls the log into a snapshot —
-//! the pre-tiering behavior, byte-for-byte.  With a policy installed,
-//! a memtable set that outgrows its budget **spills** to an immutable
-//! sorted-run file ([`crate::runs`]), and runs are organized into a
-//! **leveled tier**:
+//! A store keeps the hot record set in memory (a `BTreeMap` per space,
+//! `memtable.rs`) and makes every mutation durable through the WAL
+//! before applying it.  Without a [`TieredPolicy`] the memtables hold
+//! everything and [`Store::compact`] rolls the log into a snapshot — the
+//! pre-tiering behavior, byte-for-byte.  With a policy installed, a
+//! memtable set that outgrows its budget spills to an immutable
+//! sorted-run file ([`crate::runs`]) and runs are organized into a
+//! leveled tier.  The rest of the engine lives in one module per
+//! decision:
 //!
-//! * **L0** holds freshly-spilled runs with overlapping key ranges,
-//!   read newest-to-oldest (bloom filters skip runs that cannot hold
-//!   the key).
-//! * **L1 and deeper** hold runs with pairwise-disjoint key ranges, so
-//!   a point read binary-searches the level's sparse run index and
-//!   probes at most **one** run per level.
-//!
-//! Once `run_merge_threshold` L0 runs accumulate, a bounded compaction
-//! merges them (plus only the *overlapping* L1 runs) into L1; a level
-//! that outgrows its byte budget pushes one victim run (plus overlaps)
-//! down a level.  Per-compaction work is therefore O(level window), not
-//! O(history), and tombstones are dropped only when the merge output
-//! lands in the bottom level — nothing older exists to resurrect.
-//! Point reads at L1+ go through a budgeted shared [`BlockCache`] of
-//! decoded blocks (blooms and sparse indexes stay pinned inside each
-//! [`Run`]).
-//!
-//! **Windowed retention** retires a key range for good: the manifest
-//! records a per-space `retain` watermark, reads treat the range as
-//! absent, writes into it are dropped on apply (including WAL replay),
-//! and compactions reclaim the bytes physically.  The awareness layer
-//! advances the watermark over raw `ev/` records once a durable rollup
-//! covers them.
+//! * `policy.rs` — when to roll and how big each tier may grow;
+//!   the store's single environment read.
+//! * `manifest.rs` — the MANIFEST text format, the one commit
+//!   point of every state change bigger than a WAL append.
+//! * `levels.rs` — the level layout (overlapping L0, disjoint
+//!   sorted L1+) and the point-read path through it.
+//! * `compaction.rs` — every rewrite that commits through the
+//!   manifest: snapshot roll, spill, bounded leveled merge.
+//! * `retention.rs` — the per-space watermark that retires a key
+//!   range for good.
 //!
 //! # Locking model
 //!
@@ -62,13 +50,17 @@
 use crate::cache::{BlockCache, DEFAULT_BLOCK_CACHE_BUDGET};
 use crate::disk::Disk;
 use crate::error::{StoreError, StoreResult};
-use crate::runs::{self, parse_run_name, run_name, Run, RunEntry};
+use crate::levels::{levels_lookup, Levels, TierMetrics};
+use crate::manifest::{parse_manifest, snapshot_name, wal_name, ManifestState, MANIFEST};
+use crate::memtable::{apply_ops, MemTables};
+use crate::policy::{CompactionPolicy, TieredPolicy};
+use crate::runs::{parse_run_name, Run};
 use crate::wal::{self, WalOp, WalOpRef};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The four persistent spaces of the BioOpera data layer (paper §3.2).
@@ -220,495 +212,47 @@ pub struct StoreStats {
     pub retired: u64,
 }
 
-/// When to roll the WAL into a snapshot automatically.  Installed with
-/// [`Store::set_compaction_policy`]; the store then compacts itself right
-/// after the commit that crosses the threshold, so month-long runs bound
-/// their recovery cost without the caller sprinkling `compact()` calls.
-///
-/// With no policy installed (the default) the store never compacts on its
-/// own — mutation sequences are exactly the caller's calls, which is what
-/// the crash-point torture harness enumerates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Compact once the live WAL exceeds this many bytes.
-    pub wal_bytes_threshold: u64,
-    /// …but only after at least this many batches in the current epoch,
-    /// so a single oversized batch doesn't trigger a pointless roll.
-    pub min_wal_batches: u64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            wal_bytes_threshold: 8 * 1024 * 1024,
-            min_wal_batches: 4,
-        }
-    }
-}
-
-/// Bounded-memory tiering: once the memtables' estimated resident size
-/// exceeds `memtable_budget_bytes`, the commit that crossed the budget
-/// spills them to an L0 sorted-run file; once `run_merge_threshold` L0
-/// runs exist they are merged — together with only the *overlapping*
-/// L1 runs — into L1, and a deeper level that outgrows its byte budget
-/// pushes one victim run down a level.  Tombstones are dropped only
-/// when a merge output lands in the bottom level.
-///
-/// With no tiered policy installed (the default) the store behaves —
-/// and lays bytes down — exactly as the pre-tiering engine, unless runs
-/// already exist on disk from an earlier tiered session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TieredPolicy {
-    /// Spill once the memtables' estimated bytes exceed this.
-    pub memtable_budget_bytes: u64,
-    /// Compact L0 into L1 once this many L0 runs exist.
-    pub run_merge_threshold: usize,
-    /// Byte budget of L1; level *i* holds `level_base_bytes *
-    /// level_growth^(i-1)`.  `0` derives a default from the memtable
-    /// budget (`budget * threshold * 4`) so tiny test budgets exercise
-    /// deep levels.
-    pub level_base_bytes: u64,
-    /// Fan-out between consecutive level budgets.
-    pub level_growth: u64,
-    /// Target size of each run a compaction writes; merge output is
-    /// split at this boundary so one oversized run never forms.  `0`
-    /// derives `max(memtable_budget_bytes, 4096)`.
-    pub level_run_bytes: u64,
-    /// Budget of the shared decoded-block cache
-    /// ([`crate::cache::BlockCache`]); `0` disables caching.
-    pub block_cache_budget: u64,
-}
-
-impl Default for TieredPolicy {
-    fn default() -> Self {
-        TieredPolicy {
-            memtable_budget_bytes: 4 * 1024 * 1024,
-            run_merge_threshold: 4,
-            level_base_bytes: 0,
-            level_growth: 8,
-            level_run_bytes: 0,
-            block_cache_budget: DEFAULT_BLOCK_CACHE_BUDGET,
-        }
-    }
-}
-
-impl TieredPolicy {
-    /// Policy requested through the environment, if any:
-    /// `BIOOPERA_MEMTABLE_BUDGET` (bytes) enables tiering;
-    /// `BIOOPERA_RUN_MERGE`, `BIOOPERA_LEVEL_BASE` and
-    /// `BIOOPERA_BLOCK_CACHE_BUDGET` optionally override the L0
-    /// threshold, the L1 byte budget and the cache budget.  This is how
-    /// the test suite forces constant spilling and deep levels across
-    /// the whole workspace without touching call sites.
-    pub fn from_env() -> Option<TieredPolicy> {
-        let budget = std::env::var("BIOOPERA_MEMTABLE_BUDGET")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()?;
-        let merge = std::env::var("BIOOPERA_RUN_MERGE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(TieredPolicy::default().run_merge_threshold);
-        let level_base = std::env::var("BIOOPERA_LEVEL_BASE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
-        let cache = std::env::var("BIOOPERA_BLOCK_CACHE_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_BLOCK_CACHE_BUDGET);
-        Some(TieredPolicy {
-            memtable_budget_bytes: budget,
-            run_merge_threshold: merge.max(2),
-            level_base_bytes: level_base,
-            block_cache_budget: cache,
-            ..TieredPolicy::default()
-        })
-    }
-
-    /// Byte budget of level `level` (1-based; L0 is run-count-gated).
-    fn level_cap(&self, level: usize) -> u64 {
-        let base = if self.level_base_bytes > 0 {
-            self.level_base_bytes
-        } else {
-            self.memtable_budget_bytes
-                .saturating_mul(self.run_merge_threshold as u64)
-                .saturating_mul(4)
-                .max(4096)
-        };
-        let growth = self.level_growth.max(2);
-        base.saturating_mul(growth.saturating_pow(level.saturating_sub(1) as u32))
-    }
-
-    /// Target output-run size for leveled compactions.
-    fn run_target(&self) -> u64 {
-        if self.level_run_bytes > 0 {
-            self.level_run_bytes
-        } else {
-            self.memtable_budget_bytes.max(4096)
-        }
-    }
-}
-
 /// Everything a writer needs: the disk plus WAL/epoch accounting and
 /// tier bookkeeping.
-struct WalState<D: Disk> {
-    disk: Arc<D>,
-    epoch: u64,
-    wal_bytes: u64,
+pub(crate) struct WalState<D: Disk> {
+    pub(crate) disk: Arc<D>,
+    pub(crate) epoch: u64,
+    pub(crate) wal_bytes: u64,
     batches_applied: u64,
-    batches_in_epoch: u64,
+    pub(crate) batches_in_epoch: u64,
     recovered_torn_tail: bool,
     recovered_truncated_bytes: u64,
-    policy: Option<CompactionPolicy>,
-    tiered: Option<TieredPolicy>,
+    pub(crate) policy: Option<CompactionPolicy>,
+    pub(crate) tiered: Option<TieredPolicy>,
     /// Id of the next run file this handle will write.
-    next_run_id: u64,
+    pub(crate) next_run_id: u64,
     /// Per-space live-record counts of the *runs-only* view — what the
     /// MANIFEST persists, so reopen can seed `MemTables::live` without
     /// scanning run data.  Updated only at spill time (when runs-view
     /// == full view); merges preserve it.
-    tier_live: [usize; 4],
-    spills: u64,
-    run_merges: u64,
+    pub(crate) tier_live: [usize; 4],
+    pub(crate) spills: u64,
+    pub(crate) run_merges: u64,
     /// Records logically retired by retention advances through this
     /// handle.
-    retired: u64,
+    pub(crate) retired: u64,
     /// Input bytes of the largest single compaction so far.
-    merge_bytes_max: u64,
+    pub(crate) merge_bytes_max: u64,
     /// Per-level round-robin compaction cursor (index 0 = L1): the
     /// composite upper bound of the last victim, so successive
     /// push-downs sweep the key space instead of re-picking one run.
-    level_cursors: Vec<Option<(u8, String)>>,
-}
-
-impl<D: Disk> WalState<D> {
-    fn over_threshold(&self) -> bool {
-        self.policy.is_some_and(|p| {
-            self.wal_bytes >= p.wal_bytes_threshold && self.batches_in_epoch >= p.min_wal_batches
-        })
-    }
-}
-
-/// Estimated resident cost of one memtable entry (`None` value = a
-/// tombstone).  The constant overhead stands in for the `BTreeMap` node
-/// and `Bytes` handle.
-const ENTRY_OVERHEAD: u64 = 48;
-
-fn entry_cost(key_len: usize, value_len: usize) -> u64 {
-    key_len as u64 + value_len as u64 + ENTRY_OVERHEAD
-}
-
-/// Read-path counters that live outside the WAL lock (readers bump them
-/// without serializing on writers).
-#[derive(Default)]
-struct TierMetrics {
-    bloom_skips: AtomicU64,
-    run_probes: AtomicU64,
-}
-
-/// The opened sorted-run tier plus the retention watermarks.  L0 holds
-/// freshly-spilled runs with overlapping key ranges (stored oldest
-/// first, read newest-to-oldest); each deeper level holds runs whose
-/// composite `(space, key)` ranges are pairwise disjoint and sorted,
-/// so a point read binary-searches to at most one candidate run per
-/// level.  Deeper always means older data.
-#[derive(Default)]
-struct Levels {
-    /// L0: overlapping runs, oldest first.
-    l0: Vec<Run>,
-    /// `deeper[i]` is level `i + 1`.
-    deeper: Vec<Vec<Run>>,
-    /// Per-space retention watermark `[start, below)`: keys inside are
-    /// permanently retired — invisible to reads, dropped on writes
-    /// (including WAL replay), physically reclaimed by compactions.
-    retain: [Option<(String, String)>; 4],
-}
-
-impl Levels {
-    /// True when no run exists at any level.
-    fn no_runs(&self) -> bool {
-        self.l0.is_empty() && self.deeper.iter().all(Vec::is_empty)
-    }
-
-    fn run_count(&self) -> usize {
-        self.l0.len() + self.deeper.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Populated levels beneath L0 (deepest non-empty level's number).
-    fn depth(&self) -> usize {
-        self.deeper
-            .iter()
-            .rposition(|l| !l.is_empty())
-            .map_or(0, |i| i + 1)
-    }
-
-    /// Every run, oldest data first: deepest level upward, then L0 in
-    /// spill order.  This is the fold order for merging scans (later
-    /// entries overwrite earlier ones).
-    fn iter_oldest_first(&self) -> impl Iterator<Item = &Run> {
-        self.deeper.iter().rev().flatten().chain(self.l0.iter())
-    }
-
-    /// Is `key` inside the retention watermark of `space`?
-    fn retained(&self, space: u8, key: &str) -> bool {
-        self.retain
-            .get(space as usize)
-            .and_then(|r| r.as_ref())
-            .is_some_and(|(start, below)| key >= start.as_str() && key < below.as_str())
-    }
-
-    /// Might any run surface `key`?  Bloom-only, no I/O; used to decide
-    /// whether a delete needs a tombstone.
-    fn may_contain_any(&self, space: u8, key: &str) -> bool {
-        self.iter_oldest_first().any(|r| r.may_contain(space, key))
-    }
-}
-
-/// The run at a disjoint level that could hold `(space, key)`, if any:
-/// binary search on the sorted run ranges, at most one candidate.
-fn level_run_for<'a>(level: &'a [Run], space: u8, key: &str) -> Option<&'a Run> {
-    let target = (space, key);
-    let idx = level.partition_point(|r| r.min_key().is_some_and(|mk| mk <= target));
-    let run = level.get(idx.checked_sub(1)?)?;
-    run.max_key().is_some_and(|mk| mk >= target).then_some(run)
-}
-
-/// Probe one run for `key`, cheapest gate first: the key-range check
-/// (two composite compares — history workloads write sequential keys,
-/// so sibling L0 runs rarely overlap), then the sparse index, then the
-/// *block cache* — a cached block answers definitively, skipping the
-/// bloom — and only a cold block pays the bloom gate before decoding.
-/// `hash` memoizes the bloom hash pair across the runs of one lookup;
-/// a fully warm lookup never hashes at all.  `Ok(None)` — not in this
-/// run; `Ok(Some(None))` — tombstoned here; `Ok(Some(Some(v)))` — live.
-/// Per-lookup counter staging: one atomic flush per lookup instead of
-/// one RMW per run probed.
-#[derive(Default)]
-struct LookupCounts {
-    skips: u64,
-    probes: u64,
-    /// Bloom hash memo, shared by every run one lookup touches.
-    hash: Option<(u64, u64)>,
-}
-
-impl LookupCounts {
-    fn flush(&self, metrics: &TierMetrics) {
-        if self.skips > 0 {
-            metrics.bloom_skips.fetch_add(self.skips, Ordering::Relaxed);
-        }
-        if self.probes > 0 {
-            metrics.run_probes.fetch_add(self.probes, Ordering::Relaxed);
-        }
-    }
-}
-
-fn probe_run<D: Disk>(
-    run: &Run,
-    disk: &D,
-    cache: &BlockCache,
-    space: u8,
-    key: &str,
-    counts: &mut LookupCounts,
-) -> StoreResult<Option<Option<Bytes>>> {
-    let in_range = match (run.min_key(), run.max_key()) {
-        (Some(lo), Some(hi)) => lo <= (space, key) && (space, key) <= hi,
-        _ => false,
-    };
-    if !in_range {
-        counts.skips += 1;
-        return Ok(None);
-    }
-    let Some(idx) = run.block_for(space, key) else {
-        counts.skips += 1; // sparse index proves absence, no disk read
-        return Ok(None);
-    };
-    let offset = run.block_offset(idx);
-    if let Some(found) = cache.lookup(run.id(), offset, key) {
-        counts.probes += 1;
-        return Ok(found);
-    }
-    let h = *counts
-        .hash
-        .get_or_insert_with(|| crate::bloom::hash_pair(space, key));
-    if !run.may_contain_hashed(h) {
-        counts.skips += 1;
-        return Ok(None);
-    }
-    counts.probes += 1;
-    cache.lookup_or_load(run.id(), offset, key, || run.load_block_at(disk, idx))
-}
-
-/// Look `key` up across the tier: L0 newest-to-oldest, then one
-/// candidate run per disjoint level, shallowest (newest) first.
-/// `Ok(None)` — in no run; `Ok(Some(None))` — newest occurrence is a
-/// tombstone (or the key is retired); `Ok(Some(Some(v)))` — live.
-fn levels_lookup<D: Disk>(
-    levels: &Levels,
-    disk: &D,
-    metrics: &TierMetrics,
-    cache: &BlockCache,
-    space: u8,
-    key: &str,
-) -> StoreResult<Option<Option<Bytes>>> {
-    if levels.retained(space, key) {
-        return Ok(Some(None));
-    }
-    let mut counts = LookupCounts::default();
-    let res = levels_lookup_inner(levels, disk, cache, space, key, &mut counts);
-    counts.flush(metrics);
-    res
-}
-
-fn levels_lookup_inner<D: Disk>(
-    levels: &Levels,
-    disk: &D,
-    cache: &BlockCache,
-    space: u8,
-    key: &str,
-    counts: &mut LookupCounts,
-) -> StoreResult<Option<Option<Bytes>>> {
-    for run in levels.l0.iter().rev() {
-        if let Some(hit) = probe_run(run, disk, cache, space, key, counts)? {
-            return Ok(Some(hit));
-        }
-    }
-    for level in &levels.deeper {
-        if let Some(run) = level_run_for(level, space, key) {
-            if let Some(hit) = probe_run(run, disk, cache, space, key, counts)? {
-                return Ok(Some(hit));
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// The four per-space memtables.  Keys are plain `String`s so lookups
-/// can borrow the caller's `&str` (no per-`get` allocation).  A `None`
-/// value is a **tombstone**: the key exists in an older run but has
-/// been deleted; tombstones only appear while runs exist.  `live`
-/// tracks the per-space count of the merged (memtable ∪ runs) view so
-/// `len` stays O(1) even with tombstones in play.
-#[derive(Default)]
-struct MemTables {
-    spaces: [BTreeMap<String, Option<Bytes>>; 4],
-    live: [usize; 4],
-    /// Estimated resident bytes — what the spill budget is checked
-    /// against.
-    approx_bytes: u64,
-}
-
-/// What the memtable knew about a key before an op, with borrows
-/// dropped so the caller can mutate.
-enum Prior {
-    Live(usize),
-    Tombstone,
-    Absent,
-}
-
-/// Apply a durable batch to the memtables, maintaining the live counts
-/// against the run tier.  Writes inside a retention watermark are
-/// dropped outright — the watermark only ever covers windows whose
-/// durable rollup already subsumes them, and dropping here is what
-/// keeps WAL replay consistent with the advanced manifest.  Fallible
-/// only because resolving whether an absent key is live in a run may
-/// read run blocks (bloom-gated; always infallible and free when the
-/// tier is empty).
-fn apply_ops_tiered<D: Disk>(
-    mem: &mut MemTables,
-    levels: &Levels,
-    disk: &D,
-    metrics: &TierMetrics,
-    cache: &BlockCache,
-    ops: Vec<WalOp>,
-) -> StoreResult<()> {
-    for op in ops {
-        match op {
-            WalOp::Put { space, key, value } => {
-                // Unknown space tags can only come from a corrupted
-                // frame that still passed its CRC; drop them rather
-                // than panic — they were never addressable anyway.
-                let si = space as usize;
-                if si >= 4 || levels.retained(space, &key) {
-                    continue;
-                }
-                let prior = match mem.spaces[si].get(&key) {
-                    Some(Some(v)) => Prior::Live(v.len()),
-                    Some(None) => Prior::Tombstone,
-                    None => Prior::Absent,
-                };
-                match prior {
-                    Prior::Live(vlen) => {
-                        mem.approx_bytes -= entry_cost(key.len(), vlen);
-                    }
-                    Prior::Tombstone => {
-                        mem.approx_bytes -= entry_cost(key.len(), 0);
-                        mem.live[si] += 1;
-                    }
-                    Prior::Absent => {
-                        let live_in_runs = !levels.no_runs()
-                            && levels_lookup(levels, disk, metrics, cache, space, &key)?
-                                .is_some_and(|v| v.is_some());
-                        if !live_in_runs {
-                            mem.live[si] += 1;
-                        }
-                    }
-                }
-                mem.approx_bytes += entry_cost(key.len(), value.len());
-                mem.spaces[si].insert(key, Some(value));
-            }
-            WalOp::Delete { space, key } => {
-                let si = space as usize;
-                if si >= 4 || levels.retained(space, &key) {
-                    continue;
-                }
-                let prior = match mem.spaces[si].get(&key) {
-                    Some(Some(v)) => Prior::Live(v.len()),
-                    Some(None) => Prior::Tombstone,
-                    None => Prior::Absent,
-                };
-                match prior {
-                    Prior::Live(vlen) => {
-                        mem.approx_bytes -= entry_cost(key.len(), vlen);
-                        mem.live[si] -= 1;
-                        // A tombstone is only worth keeping if some run
-                        // might still surface the key (bloom check, no
-                        // I/O); otherwise plain removal suffices.
-                        if levels.may_contain_any(space, &key) {
-                            mem.approx_bytes += entry_cost(key.len(), 0);
-                            mem.spaces[si].insert(key, None);
-                        } else {
-                            mem.spaces[si].remove(&key);
-                        }
-                    }
-                    Prior::Tombstone => {} // already deleted
-                    Prior::Absent => {
-                        let live_in_runs = !levels.no_runs()
-                            && levels_lookup(levels, disk, metrics, cache, space, &key)?
-                                .is_some_and(|v| v.is_some());
-                        if live_in_runs {
-                            mem.live[si] -= 1;
-                            mem.approx_bytes += entry_cost(key.len(), 0);
-                            mem.spaces[si].insert(key, None);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
+    pub(crate) level_cursors: Vec<Option<(u8, String)>>,
 }
 
 /// The storage engine.  Cheap to clone (shared handle); all methods are
 /// thread-safe, and readers never block other readers.
 pub struct Store<D: Disk> {
-    wal: Arc<Mutex<WalState<D>>>,
-    mem: Arc<RwLock<MemTables>>,
-    levels: Arc<RwLock<Levels>>,
-    disk: Arc<D>,
+    pub(crate) wal: Arc<Mutex<WalState<D>>>,
+    pub(crate) mem: Arc<RwLock<MemTables>>,
+    pub(crate) levels: Arc<RwLock<Levels>>,
+    pub(crate) disk: Arc<D>,
     metrics: Arc<TierMetrics>,
-    cache: Arc<BlockCache>,
+    pub(crate) cache: Arc<BlockCache>,
     poisoned: Arc<AtomicBool>,
 }
 
@@ -724,218 +268,6 @@ impl<D: Disk> Clone for Store<D> {
             poisoned: Arc::clone(&self.poisoned),
         }
     }
-}
-
-fn wal_name(epoch: u64) -> String {
-    format!("wal-{epoch:06}")
-}
-
-fn snapshot_name(epoch: u64) -> String {
-    format!("snapshot-{epoch:06}")
-}
-
-const MANIFEST: &str = "MANIFEST";
-
-/// Records per snapshot frame: keeps individual frames reasonable and is
-/// part of the on-disk format compatibility surface (snapshots written by
-/// earlier engine versions used the same chunking).
-const SNAPSHOT_CHUNK: usize = 1024;
-
-/// Parsed MANIFEST contents.
-struct ManifestState {
-    epoch: u64,
-    tier_live: [usize; 4],
-    /// L0 runs, oldest first.
-    run_names: Vec<String>,
-    /// Deeper runs as `(level, name)`, level ≥ 1, range order within a
-    /// level.
-    level_runs: Vec<(usize, String)>,
-    retain: [Option<(String, String)>; 4],
-}
-
-impl ManifestState {
-    fn empty() -> Self {
-        ManifestState {
-            epoch: 0,
-            tier_live: [0; 4],
-            run_names: Vec::new(),
-            level_runs: Vec::new(),
-            retain: Default::default(),
-        }
-    }
-}
-
-/// Escape a retention-watermark key for the line-oriented manifest:
-/// percent-encode the bytes that would break tokenization.
-fn escape_key(key: &str) -> String {
-    let mut out = String::with_capacity(key.len());
-    for c in key.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            ' ' => out.push_str("%20"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            '\t' => out.push_str("%09"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape_key(s: &str) -> StoreResult<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(c) = rest.chars().next() {
-        if c == '%' {
-            let byte = rest
-                .get(1..3)
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
-                .filter(u8::is_ascii)
-                .ok_or_else(|| StoreError::Corruption("manifest retain escape malformed".into()))?;
-            out.push(byte as char);
-            rest = &rest[3..];
-        } else {
-            out.push(c);
-            rest = &rest[c.len_utf8()..];
-        }
-    }
-    Ok(out)
-}
-
-/// Serialize the manifest.  With no runs and no retention the output is
-/// the bare epoch digits — **byte-identical** to what every pre-tiering
-/// engine version wrote, so a store that never spills produces an
-/// unchanged directory.  Otherwise extra lines follow: `live t i c h`
-/// (per-space live counts of the runs-only view, present whenever runs
-/// are listed), `retain <space> <start> <below>` watermarks (keys
-/// %-escaped), one `run <name>` line per L0 run oldest-to-newest, and
-/// one `lrun <level> <name>` line per deeper run in level-then-range
-/// order.
-fn format_manifest(
-    epoch: u64,
-    tier_live: &[usize; 4],
-    l0_names: &[&str],
-    level_names: &[(usize, &str)],
-    retain: &[Option<(String, String)>; 4],
-) -> String {
-    let any_runs = !l0_names.is_empty() || !level_names.is_empty();
-    if !any_runs && retain.iter().all(Option::is_none) {
-        return epoch.to_string();
-    }
-    let mut out = format!("{epoch}\n");
-    if any_runs {
-        out.push_str(&format!(
-            "live {} {} {} {}\n",
-            tier_live[0], tier_live[1], tier_live[2], tier_live[3]
-        ));
-    }
-    for (space, range) in retain.iter().enumerate() {
-        if let Some((start, below)) = range {
-            out.push_str(&format!(
-                "retain {space} {} {}\n",
-                escape_key(start),
-                escape_key(below)
-            ));
-        }
-    }
-    for name in l0_names {
-        out.push_str("run ");
-        out.push_str(name);
-        out.push('\n');
-    }
-    for (level, name) in level_names {
-        out.push_str(&format!("lrun {level} {name}\n"));
-    }
-    out
-}
-
-/// [`format_manifest`] over an in-memory [`Levels`] value.
-fn manifest_for(epoch: u64, tier_live: &[usize; 4], levels: &Levels) -> String {
-    let l0: Vec<&str> = levels.l0.iter().map(Run::name).collect();
-    let lnames: Vec<(usize, &str)> = levels
-        .deeper
-        .iter()
-        .enumerate()
-        .flat_map(|(i, lvl)| lvl.iter().map(move |r| (i + 1, r.name())))
-        .collect();
-    format_manifest(epoch, tier_live, &l0, &lnames, &levels.retain)
-}
-
-fn parse_manifest(bytes: Vec<u8>) -> StoreResult<ManifestState> {
-    let text = String::from_utf8(bytes)
-        .map_err(|_| StoreError::Corruption("manifest not utf-8".into()))?;
-    let mut lines = text.lines();
-    let epoch = lines
-        .next()
-        .unwrap_or("")
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| StoreError::Corruption("manifest not a number".into()))?;
-    let mut state = ManifestState {
-        epoch,
-        ..ManifestState::empty()
-    };
-    let mut saw_live = false;
-    for line in lines {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("live ") {
-            let counts: Vec<usize> = rest
-                .split_whitespace()
-                .map(str::parse)
-                .collect::<Result<_, _>>()
-                .map_err(|_| StoreError::Corruption("manifest live counts malformed".into()))?;
-            if counts.len() != 4 {
-                return Err(StoreError::Corruption(
-                    "manifest live counts malformed".into(),
-                ));
-            }
-            state.tier_live.copy_from_slice(&counts);
-            saw_live = true;
-        } else if let Some(name) = line.strip_prefix("run ") {
-            if parse_run_name(name).is_none() {
-                return Err(StoreError::Corruption(format!(
-                    "manifest lists malformed run name {name:?}"
-                )));
-            }
-            state.run_names.push(name.to_string());
-        } else if let Some(rest) = line.strip_prefix("lrun ") {
-            let (level, name) = rest
-                .split_once(' ')
-                .and_then(|(l, n)| Some((l.parse::<usize>().ok()?, n)))
-                .filter(|(l, n)| *l >= 1 && parse_run_name(n).is_some())
-                .ok_or_else(|| {
-                    StoreError::Corruption(format!("manifest has malformed lrun line {line:?}"))
-                })?;
-            state.level_runs.push((level, name.to_string()));
-        } else if let Some(rest) = line.strip_prefix("retain ") {
-            let fields: Vec<&str> = rest.split(' ').collect();
-            let parsed = match fields.as_slice() {
-                [space, start, below] => space
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|s| *s < 4)
-                    .map(|s| (s, *start, *below)),
-                _ => None,
-            };
-            let (space, start, below) = parsed.ok_or_else(|| {
-                StoreError::Corruption(format!("manifest has malformed retain line {line:?}"))
-            })?;
-            state.retain[space] = Some((unescape_key(start)?, unescape_key(below)?));
-        } else {
-            return Err(StoreError::Corruption(format!(
-                "manifest has unknown line {line:?}"
-            )));
-        }
-    }
-    if (!state.run_names.is_empty() || !state.level_runs.is_empty()) && !saw_live {
-        return Err(StoreError::Corruption(
-            "manifest lists runs but no live counts".into(),
-        ));
-    }
-    Ok(state)
 }
 
 impl<D: Disk> Store<D> {
@@ -1016,7 +348,7 @@ impl<D: Disk> Store<D> {
                 }
                 for batch in replay.batches {
                     batches_applied += 1;
-                    apply_ops_tiered(&mut mem, &levels, &*disk, &metrics, &cache, batch)?;
+                    apply_ops(&mut mem, &levels, &*disk, &metrics, &cache, batch)?;
                 }
             }
         }
@@ -1032,7 +364,7 @@ impl<D: Disk> Store<D> {
                     for batch in replay.batches {
                         batches_applied += 1;
                         batches_in_epoch += 1;
-                        apply_ops_tiered(&mut mem, &levels, &*disk, &metrics, &cache, batch)?;
+                        apply_ops(&mut mem, &levels, &*disk, &metrics, &cache, batch)?;
                     }
                     if replay.torn_tail {
                         // Repair: drop the torn tail *on disk*, not just in
@@ -1054,12 +386,12 @@ impl<D: Disk> Store<D> {
 
         // Crash hygiene: a crash can leave partially-written temp files
         // (torn `write_atomic`), orphan snapshot/WAL files of adjacent
-        // epochs (crash inside `compact`/spill between the new-state
-        // write, the manifest commit and the old-epoch GC), and run
-        // files the manifest never adopted (crash between the run write
-        // and the manifest commit) or already dropped (crash inside the
-        // merge GC).  Remove them so they can never be mistaken for live
-        // state.  These deletes are themselves crash points
+        // epochs (crash inside a snapshot roll or spill between the
+        // new-state write, the manifest commit and the old-epoch GC), and
+        // run files the manifest never adopted (crash between the run
+        // write and the manifest commit) or already dropped (crash inside
+        // the merge GC).  Remove them so they can never be mistaken for
+        // live state.  These deletes are themselves crash points
         // (recovery-during-recovery) and are idempotent: a crash here
         // leaves a state this same pass cleans on the next open.
         let keep_wal = wal_name(epoch);
@@ -1111,11 +443,6 @@ impl<D: Disk> Store<D> {
         self.wal.lock().policy = policy;
     }
 
-    /// Install (or clear) the tiered-storage policy at runtime.
-    pub fn set_tiered_policy(&self, policy: Option<TieredPolicy>) {
-        self.wal.lock().tiered = policy;
-    }
-
     /// The currently installed tiered-storage policy, if any.
     pub fn tiered_policy(&self) -> Option<TieredPolicy> {
         self.wal.lock().tiered
@@ -1123,45 +450,7 @@ impl<D: Disk> Store<D> {
 
     /// Apply a batch atomically: durable in the WAL first, then visible.
     pub fn apply(&self, batch: Batch) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        // Encode outside the critical section: concurrent committers
-        // serialize only on the disk append itself, not the CPU work.
-        let frame = wal::encode_frame(&batch.ops);
-        let auto = {
-            let mut wal = self.wal.lock();
-            let name = wal_name(wal.epoch);
-            if let Err(e) = wal.disk.append(&name, &frame) {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-            wal.wal_bytes += frame.len() as u64;
-            wal.batches_applied += 1;
-            wal.batches_in_epoch += 1;
-            // Still holding the WAL lock: visibility order == durable order.
-            let mut mem = self.mem.write();
-            let levels = self.levels.read();
-            if let Err(e) = apply_ops_tiered(
-                &mut mem,
-                &levels,
-                &*self.disk,
-                &self.metrics,
-                &self.cache,
-                batch.ops,
-            ) {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-            self.roll_due(&wal, &mem)
-        };
-        if auto {
-            self.maybe_roll()?;
-        }
-        Ok(())
+        self.apply_many([batch])
     }
 
     /// Group commit: apply several batches with **one** disk append.
@@ -1172,9 +461,9 @@ impl<D: Disk> Store<D> {
     /// What is amortized is everything else: one lock acquisition, one
     /// append syscall, one visibility pass.
     pub fn apply_many(&self, batches: impl IntoIterator<Item = Batch>) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
+        self.check_alive()?;
+        // Encode outside the critical section: concurrent committers
+        // serialize only on the disk append itself, not the CPU work.
         let mut buf = Vec::new();
         let mut scratch = Vec::new();
         let mut pending: Vec<Vec<WalOp>> = Vec::new();
@@ -1191,28 +480,22 @@ impl<D: Disk> Store<D> {
         }
         let auto = {
             let mut wal = self.wal.lock();
-            let name = wal_name(wal.epoch);
-            if let Err(e) = wal.disk.append(&name, &buf) {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
+            self.poison_on_err(wal.disk.append(&wal_name(wal.epoch), &buf))?;
             wal.wal_bytes += buf.len() as u64;
             wal.batches_applied += pending.len() as u64;
             wal.batches_in_epoch += pending.len() as u64;
+            // Still holding the WAL lock: visibility order == durable order.
             let mut mem = self.mem.write();
             let levels = self.levels.read();
             for ops in pending {
-                if let Err(e) = apply_ops_tiered(
+                self.poison_on_err(apply_ops(
                     &mut mem,
                     &levels,
                     &*self.disk,
                     &self.metrics,
                     &self.cache,
                     ops,
-                ) {
-                    self.poisoned.store(true, Ordering::SeqCst);
-                    return Err(e);
-                }
+                ))?;
             }
             self.roll_due(&wal, &mem)
         };
@@ -1247,9 +530,7 @@ impl<D: Disk> Store<D> {
     /// memtable guard is held across the tier lookup so a concurrent
     /// spill cannot move the key out from under the reader.
     pub fn get(&self, space: Space, key: &str) -> StoreResult<Option<Bytes>> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
+        self.check_alive()?;
         let mem = self.mem.read();
         match mem.spaces[space.as_u8() as usize].get(key) {
             Some(Some(v)) => Ok(Some(v.clone())),
@@ -1274,37 +555,39 @@ impl<D: Disk> Store<D> {
         }
     }
 
-    /// All `(key, value)` pairs in `space` whose key starts with `prefix`,
-    /// in key order, merged across the memtable and the run tier: runs
-    /// fold oldest-to-newest into an ordered map (newer entries
-    /// overwrite), the memtable overlays last (tombstones shadow), then
-    /// deletions drop out.
-    pub fn scan_prefix(&self, space: Space, prefix: &str) -> StoreResult<Vec<(String, Bytes)>> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
+    /// The one range scan: all `(key, value)` pairs in `space` from
+    /// `start` up to the first key `within` rejects, in key order,
+    /// merged across the memtable and the run tier.  `within` must hold
+    /// for a contiguous stretch of keys beginning at `start`.  Runs fold
+    /// oldest-to-newest into an ordered map (newer entries overwrite),
+    /// the memtable overlays last (tombstones shadow), then deletions
+    /// and retired keys drop out.
+    fn scan_while(
+        &self,
+        space: Space,
+        start: &str,
+        within: impl Fn(&str) -> bool,
+    ) -> StoreResult<Vec<(String, Bytes)>> {
+        self.check_alive()?;
         let mem = self.mem.read();
         let levels = self.levels.read();
-        let mem_map = &mem.spaces[space.as_u8() as usize];
+        let in_mem = mem.spaces[space.as_u8() as usize]
+            .range::<str, _>((Bound::Included(start), Bound::Unbounded))
+            .take_while(|(k, _)| within(k));
         if levels.no_runs() {
             // Fast path: no tier means no tombstones and no merge map
             // (and the memtable never holds retired keys).
-            return Ok(mem_map
-                .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-                .take_while(|(k, _)| k.starts_with(prefix))
+            return Ok(in_mem
                 .filter_map(|(k, v)| v.as_ref().map(|v| (k.clone(), v.clone())))
                 .collect());
         }
         let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
         for run in levels.iter_oldest_first() {
-            for (k, v) in run.scan_prefix(&*self.disk, space.as_u8(), prefix)? {
+            for (k, v) in run.scan_while(&*self.disk, space.as_u8(), start, &within)? {
                 merged.insert(k, v);
             }
         }
-        for (k, v) in mem_map
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-        {
+        for (k, v) in in_mem {
             merged.insert(k.clone(), v.clone());
         }
         Ok(merged
@@ -1314,657 +597,30 @@ impl<D: Disk> Store<D> {
             .collect())
     }
 
+    /// All `(key, value)` pairs in `space` whose key starts with `prefix`,
+    /// in key order.
+    pub fn scan_prefix(&self, space: Space, prefix: &str) -> StoreResult<Vec<(String, Bytes)>> {
+        self.scan_while(space, prefix, |k| k.starts_with(prefix))
+    }
+
     /// All `(key, value)` pairs in `space` with `key >= start`, in key
-    /// order, merged across the memtable and the run tier.  This is the
-    /// tail-scan primitive: callers that persist a rollup can resume from
-    /// the first un-rolled-up key without replaying their whole history.
+    /// order.  This is the tail-scan primitive: callers that persist a
+    /// rollup can resume from the first un-rolled-up key without
+    /// replaying their whole history.
     pub fn scan_from(&self, space: Space, start: &str) -> StoreResult<Vec<(String, Bytes)>> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        let mem = self.mem.read();
-        let levels = self.levels.read();
-        let mem_map = &mem.spaces[space.as_u8() as usize];
-        if levels.no_runs() {
-            return Ok(mem_map
-                .range::<str, _>((Bound::Included(start), Bound::Unbounded))
-                .filter_map(|(k, v)| v.as_ref().map(|v| (k.clone(), v.clone())))
-                .collect());
-        }
-        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
-        for run in levels.iter_oldest_first() {
-            for (k, v) in run.scan_from(&*self.disk, space.as_u8(), start)? {
-                merged.insert(k, v);
-            }
-        }
-        for (k, v) in mem_map.range::<str, _>((Bound::Included(start), Bound::Unbounded)) {
-            merged.insert(k.clone(), v.clone());
-        }
-        Ok(merged
-            .into_iter()
-            .filter(|(k, _)| !levels.retained(space.as_u8(), k))
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
+        self.scan_while(space, start, |_| true)
     }
 
     /// Number of records in `space`.  O(1): maintained incrementally
     /// across the memtable ∪ runs view.
     pub fn len(&self, space: Space) -> StoreResult<usize> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
+        self.check_alive()?;
         Ok(self.mem.read().live[space.as_u8() as usize])
     }
 
     /// True when `space` holds no records.  O(1).
     pub fn is_empty(&self, space: Space) -> StoreResult<bool> {
         Ok(self.len(space)? == 0)
-    }
-
-    /// Roll the WAL forward.  In snapshot mode (no tiered policy, no
-    /// runs on disk): write `snapshot-{e+1}` atomically, bump the
-    /// manifest (the commit point), start an empty `wal-{e+1}`, then
-    /// garbage-collect the previous epoch's files.  In tiered mode:
-    /// spill the memtables to a sorted run, then merge the whole tier
-    /// down to a single run.  A crash at any point leaves either the old
-    /// epoch or the new epoch fully recoverable.
-    pub fn compact(&self) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        let mut wal = self.wal.lock();
-        if wal.tiered.is_some() || !self.levels.read().no_runs() {
-            self.spill_locked(&mut wal)?;
-            if self.levels.read().run_count() > 1 {
-                self.merge_runs_locked(&mut wal)?;
-            }
-            Ok(())
-        } else {
-            self.compact_locked(&mut wal)
-        }
-    }
-
-    /// Spill the memtables to a new immutable sorted-run file, rolling
-    /// the WAL epoch.  No-op when there is nothing to persist and the
-    /// WAL is already empty.
-    pub fn spill(&self) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        let mut wal = self.wal.lock();
-        self.spill_locked(&mut wal)
-    }
-
-    /// Merge every run — all levels — into one L0 run, dropping
-    /// tombstones and reclaiming retired keys.  No-op with fewer than
-    /// two runs.  This is the full (unbounded) fold; steady-state
-    /// maintenance uses the bounded [`Store::compact_levels`] instead.
-    pub fn merge_runs(&self) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        let mut wal = self.wal.lock();
-        self.merge_runs_locked(&mut wal)
-    }
-
-    /// One round of bounded leveled maintenance: compact L0 into L1
-    /// when the policy's L0 run-count threshold is reached, then push a
-    /// victim run down from any level over its byte budget.  Normally
-    /// triggered automatically after a spill; exposed for tests and
-    /// benches.
-    pub fn compact_levels(&self) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        let mut wal = self.wal.lock();
-        self.level_maintenance_locked(&mut wal)
-    }
-
-    /// Is a roll (spill or snapshot compaction) due?  Called by
-    /// committers while still holding their locks; the actual roll
-    /// happens in [`Store::maybe_roll`] after they release.
-    fn roll_due(&self, wal: &WalState<D>, mem: &MemTables) -> bool {
-        wal.tiered
-            .is_some_and(|t| mem.approx_bytes > t.memtable_budget_bytes)
-            || wal.over_threshold()
-    }
-
-    /// Re-check the roll condition and perform it if still due.  Called
-    /// after a commit observed the condition *and released its locks*;
-    /// the re-check under the lock means two racing committers trigger
-    /// exactly one roll (the second sees the fresh epoch).
-    fn maybe_roll(&self) -> StoreResult<()> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        let mut wal = self.wal.lock();
-        let budget_hit = {
-            let mem = self.mem.read();
-            wal.tiered
-                .is_some_and(|t| mem.approx_bytes > t.memtable_budget_bytes)
-        };
-        if !budget_hit && !wal.over_threshold() {
-            return Ok(());
-        }
-        if wal.tiered.is_some() || !self.levels.read().no_runs() {
-            self.spill_locked(&mut wal)?;
-            self.level_maintenance_locked(&mut wal)?;
-            Ok(())
-        } else {
-            self.compact_locked(&mut wal)
-        }
-    }
-
-    /// The spill body; the caller holds the WAL lock, which freezes the
-    /// memtables against writers (readers proceed untouched until the
-    /// final swap).  Sequence: build the run image from a frozen
-    /// memtable view, write it, re-open it (self-check through the same
-    /// decoder recovery will use), commit the manifest at `epoch + 1`
-    /// (THE commit point — before it the new run is invisible garbage,
-    /// after it the old WAL/snapshot are garbage), GC the old epoch,
-    /// then atomically swap memtables for the run under both write
-    /// locks.
-    fn spill_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        {
-            let mem = self.mem.read();
-            let quiescent = mem.spaces.iter().all(BTreeMap::is_empty)
-                && wal.wal_bytes == 0
-                && wal.batches_in_epoch == 0;
-            if quiescent {
-                return Ok(());
-            }
-        }
-        let next = wal.epoch + 1;
-        let name = run_name(wal.next_run_id);
-        let (data, live_now) = {
-            let mem = self.mem.read();
-            let mut entries = Vec::new();
-            for (space, map) in mem.spaces.iter().enumerate() {
-                for (key, value) in map {
-                    entries.push(RunEntry {
-                        space: space as u8,
-                        key,
-                        value: value.as_deref(),
-                    });
-                }
-            }
-            (runs::build_run(&entries), mem.live)
-        };
-        let io: StoreResult<Run> = (|| {
-            wal.disk.write_atomic(&name, &data)?;
-            let run = Run::open(&*wal.disk, &name)?;
-            let manifest = {
-                let levels = self.levels.read();
-                let mut names: Vec<&str> = levels.l0.iter().map(Run::name).collect();
-                names.push(&name);
-                let lnames: Vec<(usize, &str)> = levels
-                    .deeper
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(i, lvl)| lvl.iter().map(move |r| (i + 1, r.name())))
-                    .collect();
-                // After the spill the runs-only view IS the full view
-                // (memtables drain into the run), so the live counts to
-                // persist are the current merged counts.
-                format_manifest(next, &live_now, &names, &lnames, &levels.retain)
-            };
-            wal.disk.write_atomic(MANIFEST, manifest.as_bytes())?;
-            wal.disk.delete(&wal_name(wal.epoch))?;
-            wal.disk.delete(&snapshot_name(wal.epoch))?;
-            Ok(run)
-        })();
-        let run = match io {
-            Ok(run) => run,
-            Err(e) => {
-                // Disk state is ambiguous from this handle's view;
-                // poison so a re-open re-establishes the truth.
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        };
-        {
-            // Readers hold `mem` across their tier lookup, so taking
-            // both write locks makes the swap invisible: no reader can
-            // observe the drained memtable without the new run.
-            let mut mem = self.mem.write();
-            let mut levels = self.levels.write();
-            for map in &mut mem.spaces {
-                map.clear();
-            }
-            mem.approx_bytes = 0;
-            levels.l0.push(run);
-        }
-        wal.epoch = next;
-        wal.wal_bytes = 0;
-        wal.batches_in_epoch = 0;
-        wal.next_run_id += 1;
-        wal.tier_live = live_now;
-        wal.spills += 1;
-        Ok(())
-    }
-
-    /// The full-merge body; the caller holds the WAL lock.  Folds every
-    /// run at every level oldest-to-newest into one sorted L0 image,
-    /// **dropping tombstones** (nothing older than the merged run
-    /// exists to resurrect) and reclaiming retired keys, then commits
-    /// by rewriting the manifest — same epoch, same live counts (a
-    /// merge never changes the visible view) — and GCs the inputs.
-    fn merge_runs_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let (old, retain) = {
-            let levels = self.levels.read();
-            (
-                levels.iter_oldest_first().cloned().collect::<Vec<Run>>(),
-                levels.retain.clone(),
-            )
-        };
-        if old.len() <= 1 {
-            return Ok(());
-        }
-        let input_bytes: u64 = old.iter().map(|r| r.data_bytes).sum();
-        let name = run_name(wal.next_run_id);
-        let io: StoreResult<Run> = (|| {
-            let mut merged: BTreeMap<(u8, String), Option<Bytes>> = BTreeMap::new();
-            for run in &old {
-                for op in run.load_all(&*wal.disk)? {
-                    match op {
-                        WalOp::Put { space, key, value } => {
-                            merged.insert((space, key), Some(value));
-                        }
-                        WalOp::Delete { space, key } => {
-                            merged.insert((space, key), None);
-                        }
-                    }
-                }
-            }
-            let retired = |space: u8, key: &str| {
-                retain[space as usize]
-                    .as_ref()
-                    .is_some_and(|(s, b)| key >= s.as_str() && key < b.as_str())
-            };
-            merged.retain(|(space, key), v| v.is_some() && !retired(*space, key));
-            let entries: Vec<RunEntry<'_>> = merged
-                .iter()
-                .map(|((space, key), value)| RunEntry {
-                    space: *space,
-                    key,
-                    value: value.as_deref(),
-                })
-                .collect();
-            let data = runs::build_run(&entries);
-            wal.disk.write_atomic(&name, &data)?;
-            let run = Run::open(&*wal.disk, &name)?;
-            let manifest = format_manifest(wal.epoch, &wal.tier_live, &[&name], &[], &retain);
-            wal.disk.write_atomic(MANIFEST, manifest.as_bytes())?;
-            Ok(run)
-        })();
-        let run = match io {
-            Ok(run) => run,
-            Err(e) => {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        };
-        // Swap the in-memory view *before* GC'ing the input files: the
-        // write lock waits out every reader still scanning the old runs,
-        // so no reader can touch a deleted file.  (A crash between the
-        // manifest commit above and these deletes only leaves unlisted
-        // run files, which recovery hygiene removes.)
-        {
-            let mut levels = self.levels.write();
-            levels.l0 = vec![run];
-            levels.deeper.clear();
-        }
-        wal.next_run_id += 1;
-        wal.run_merges += 1;
-        wal.merge_bytes_max = wal.merge_bytes_max.max(input_bytes);
-        wal.level_cursors.clear();
-        for r in &old {
-            self.cache.purge_run(r.id());
-            if let Err(e) = wal.disk.delete(r.name()) {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Leveled maintenance driver; the caller holds the WAL lock.
-    /// Compact L0 down once it reaches the policy's run-count
-    /// threshold, then cascade: any deeper level holding more bytes
-    /// than its budget (and more than one run) pushes one victim run
-    /// down.  Each push-down moves bytes strictly deeper, so the loop
-    /// terminates; the iteration cap is a pure safety net.
-    fn level_maintenance_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let policy = match wal.tiered {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        if self.levels.read().l0.len() >= policy.run_merge_threshold {
-            self.push_down_locked(wal, 0)?;
-        }
-        for _ in 0..64 {
-            let over = {
-                let levels = self.levels.read();
-                (1..=levels.deeper.len()).find(|&i| {
-                    let lvl = &levels.deeper[i - 1];
-                    lvl.len() > 1
-                        && lvl.iter().map(|r| r.data_bytes).sum::<u64>() > policy.level_cap(i)
-                })
-            };
-            match over {
-                Some(level) => self.push_down_locked(wal, level)?,
-                None => return Ok(()),
-            }
-        }
-        Ok(())
-    }
-
-    /// One bounded compaction step; the caller holds the WAL lock.
-    /// `source == 0` merges every L0 run (plus only the *overlapping*
-    /// L1 runs) into L1; `source >= 1` pushes one cursor-picked victim
-    /// run (plus its overlaps at `source + 1`) down a level.  The merge
-    /// output is split into runs of the policy's target size, so no
-    /// oversized run ever forms.  Commit point is the single manifest
-    /// write; inputs are GC'd after the in-memory swap.  Tombstones are
-    /// dropped only when every level deeper than the output is empty —
-    /// nothing older exists to resurrect.
-    fn push_down_locked(&self, wal: &mut WalState<D>, source: usize) -> StoreResult<()> {
-        let target = source + 1;
-        let policy = wal.tiered.unwrap_or_default();
-        let (sources, overlaps, bottom, mut new_levels) = {
-            let levels = self.levels.read();
-            let sources: Vec<Run> = if source == 0 {
-                levels.l0.clone()
-            } else {
-                let lvl = match levels.deeper.get(source - 1) {
-                    Some(l) if !l.is_empty() => l,
-                    _ => return Ok(()),
-                };
-                // Round-robin victim: first run past the cursor, else
-                // wrap to the front.
-                let pick = match wal.level_cursors.get(source - 1).and_then(|c| c.as_ref()) {
-                    Some((cs, ck)) => lvl
-                        .iter()
-                        .position(|r| r.min_key().is_some_and(|mk| mk > (*cs, ck.as_str())))
-                        .unwrap_or(0),
-                    None => 0,
-                };
-                vec![lvl[pick].clone()]
-            };
-            if sources.is_empty() {
-                return Ok(());
-            }
-            let lo = sources
-                .iter()
-                .filter_map(Run::min_key)
-                .min()
-                .map(|(s, k)| (s, k.to_owned()));
-            let hi = sources
-                .iter()
-                .filter_map(Run::max_key)
-                .max()
-                .map(|(s, k)| (s, k.to_owned()));
-            let overlaps: Vec<Run> = match (&lo, &hi) {
-                (Some(lo), Some(hi)) => levels
-                    .deeper
-                    .get(target - 1)
-                    .map(|lvl| {
-                        lvl.iter()
-                            .filter(|r| match (r.min_key(), r.max_key()) {
-                                (Some(rmin), Some(rmax)) => {
-                                    !((rmax.0, rmax.1.to_owned()) < *lo
-                                        || (rmin.0, rmin.1.to_owned()) > *hi)
-                                }
-                                // A degenerate empty run folds away.
-                                _ => true,
-                            })
-                            .cloned()
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                _ => Vec::new(),
-            };
-            let bottom = levels.deeper.iter().skip(target).all(Vec::is_empty);
-            // The tier as it will look after this step, minus the new
-            // runs (added once written).
-            let mut base = Levels {
-                l0: if source == 0 {
-                    Vec::new()
-                } else {
-                    levels.l0.clone()
-                },
-                deeper: levels.deeper.clone(),
-                retain: levels.retain.clone(),
-            };
-            if source >= 1 {
-                base.deeper[source - 1].retain(|r| !sources.iter().any(|s| s.name() == r.name()));
-            }
-            if base.deeper.len() < target {
-                base.deeper.resize_with(target, Vec::new);
-            }
-            base.deeper[target - 1].retain(|r| !overlaps.iter().any(|o| o.name() == r.name()));
-            (sources, overlaps, bottom, base)
-        };
-
-        let run_target = policy.run_target();
-        let io: StoreResult<(Vec<Run>, u64)> = (|| {
-            let mut merged: BTreeMap<(u8, String), Option<Bytes>> = BTreeMap::new();
-            let mut input_bytes = 0u64;
-            // Overlaps (target level) hold strictly older data than the
-            // sources, so they fold first and the sources overwrite.
-            for run in overlaps.iter().chain(sources.iter()) {
-                input_bytes += run.data_bytes;
-                for op in run.load_all(&*wal.disk)? {
-                    match op {
-                        WalOp::Put { space, key, value } => {
-                            merged.insert((space, key), Some(value));
-                        }
-                        WalOp::Delete { space, key } => {
-                            merged.insert((space, key), None);
-                        }
-                    }
-                }
-            }
-            let retired = |space: u8, key: &str| {
-                new_levels.retain[space as usize]
-                    .as_ref()
-                    .is_some_and(|(s, b)| key >= s.as_str() && key < b.as_str())
-            };
-            merged.retain(|(space, key), v| !retired(*space, key) && (v.is_some() || !bottom));
-            let mut new_runs: Vec<Run> = Vec::new();
-            let mut chunk: Vec<RunEntry<'_>> = Vec::new();
-            let mut chunk_bytes = 0u64;
-            for ((space, key), value) in merged.iter() {
-                let cost = entry_cost(key.len(), value.as_ref().map_or(0, |v| v.len()));
-                if !chunk.is_empty() && chunk_bytes + cost > run_target {
-                    let name = run_name(wal.next_run_id + new_runs.len() as u64);
-                    wal.disk.write_atomic(&name, &runs::build_run(&chunk))?;
-                    new_runs.push(Run::open(&*wal.disk, &name)?);
-                    chunk.clear();
-                    chunk_bytes = 0;
-                }
-                chunk.push(RunEntry {
-                    space: *space,
-                    key,
-                    value: value.as_deref(),
-                });
-                chunk_bytes += cost;
-            }
-            if !chunk.is_empty() {
-                let name = run_name(wal.next_run_id + new_runs.len() as u64);
-                wal.disk.write_atomic(&name, &runs::build_run(&chunk))?;
-                new_runs.push(Run::open(&*wal.disk, &name)?);
-            }
-            Ok((new_runs, input_bytes))
-        })();
-        let (new_runs, input_bytes) = match io {
-            Ok(v) => v,
-            Err(e) => {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        };
-        {
-            let tgt = &mut new_levels.deeper[target - 1];
-            tgt.extend(new_runs.iter().cloned());
-            tgt.sort_by(|a, b| a.min_key().cmp(&b.min_key()));
-        }
-        let manifest = manifest_for(wal.epoch, &wal.tier_live, &new_levels);
-        if let Err(e) = wal.disk.write_atomic(MANIFEST, manifest.as_bytes()) {
-            self.poisoned.store(true, Ordering::SeqCst);
-            return Err(e);
-        }
-        // Publish in memory before GC'ing inputs: the write lock waits
-        // out every reader still scanning the old runs.
-        let cursor = sources
-            .last()
-            .and_then(Run::max_key)
-            .map(|(s, k)| (s, k.to_owned()));
-        *self.levels.write() = new_levels;
-        wal.next_run_id += new_runs.len() as u64;
-        wal.run_merges += 1;
-        wal.merge_bytes_max = wal.merge_bytes_max.max(input_bytes);
-        if source >= 1 {
-            if wal.level_cursors.len() < source {
-                wal.level_cursors.resize(source, None);
-            }
-            wal.level_cursors[source - 1] = cursor;
-        }
-        for r in sources.iter().chain(overlaps.iter()) {
-            self.cache.purge_run(r.id());
-            if let Err(e) = wal.disk.delete(r.name()) {
-                self.poisoned.store(true, Ordering::SeqCst);
-                return Err(e);
-            }
-        }
-        Ok(())
-    }
-
-    /// Advance the retention watermark of `space`: every key in
-    /// `[start, below)` — widened to the convex hull of any existing
-    /// watermark — is permanently retired.  Retired keys are invisible
-    /// to reads, writes to them are dropped on apply (including WAL
-    /// replay), and compactions reclaim the bytes physically.  The
-    /// single manifest write is the commit point (one disk mutation);
-    /// it persists the widened watermark together with the decremented
-    /// runs-view live counts.  Returns how many visible records the
-    /// advance retired.
-    pub fn retain_below(&self, space: Space, start: &str, below: &str) -> StoreResult<u64> {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return Err(StoreError::Poisoned);
-        }
-        if below <= start {
-            return Ok(0);
-        }
-        let mut wal = self.wal.lock();
-        let si = space.as_u8() as usize;
-        let old = self.levels.read().retain[si].clone();
-        let (new_start, new_below) = match &old {
-            Some((s, b)) => (
-                s.as_str().min(start).to_string(),
-                b.as_str().max(below).to_string(),
-            ),
-            None => (start.to_string(), below.to_string()),
-        };
-        if old
-            .as_ref()
-            .is_some_and(|(s, b)| *s == new_start && *b == new_below)
-        {
-            return Ok(0); // already covered
-        }
-        // The newly retired region(s): the hull minus the old range.
-        let deltas: Vec<(String, String)> = match &old {
-            Some((s, b)) => {
-                let mut d = Vec::new();
-                if new_start.as_str() < s.as_str() {
-                    d.push((new_start.clone(), s.clone()));
-                }
-                if new_below.as_str() > b.as_str() {
-                    d.push((b.clone(), new_below.clone()));
-                }
-                d
-            }
-            None => vec![(new_start.clone(), new_below.clone())],
-        };
-        // Count what the advance retires, in both views: the runs-only
-        // view corrects the persisted live counts, the merged view
-        // (memtable overlay) corrects `len`.  Also price the memtable
-        // entries to purge.
-        let (merged_retired, runs_retired, purge_cost) = {
-            let mem = self.mem.read();
-            let levels = self.levels.read();
-            let mut runs_view: BTreeMap<String, bool> = BTreeMap::new();
-            for (lo, hi) in &deltas {
-                for run in levels.iter_oldest_first() {
-                    for (k, v) in run.scan_from(&*self.disk, space.as_u8(), lo)? {
-                        if k.as_str() >= hi.as_str() {
-                            break;
-                        }
-                        runs_view.insert(k, v.is_some());
-                    }
-                }
-            }
-            let runs_retired = runs_view.values().filter(|live| **live).count();
-            let mut merged: BTreeMap<&str, bool> =
-                runs_view.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-            let mut purge_cost = 0u64;
-            for (lo, hi) in &deltas {
-                for (k, v) in mem.spaces[si]
-                    .range::<str, _>((Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str())))
-                {
-                    merged.insert(k.as_str(), v.is_some());
-                    purge_cost += entry_cost(k.len(), v.as_ref().map_or(0, |b| b.len()));
-                }
-            }
-            let merged_retired = merged.values().filter(|live| **live).count();
-            (merged_retired, runs_retired, purge_cost)
-        };
-        let mut tier_live = wal.tier_live;
-        tier_live[si] -= runs_retired;
-        let manifest = {
-            let levels = self.levels.read();
-            let mut retain = levels.retain.clone();
-            retain[si] = Some((new_start.clone(), new_below.clone()));
-            let l0: Vec<&str> = levels.l0.iter().map(Run::name).collect();
-            let lnames: Vec<(usize, &str)> = levels
-                .deeper
-                .iter()
-                .enumerate()
-                .flat_map(|(i, lvl)| lvl.iter().map(move |r| (i + 1, r.name())))
-                .collect();
-            format_manifest(wal.epoch, &tier_live, &l0, &lnames, &retain)
-        };
-        if let Err(e) = wal.disk.write_atomic(MANIFEST, manifest.as_bytes()) {
-            self.poisoned.store(true, Ordering::SeqCst);
-            return Err(e);
-        }
-        // Committed: publish the watermark and purge the in-range
-        // memtable entries under both write locks (atomic to readers).
-        {
-            let mut mem = self.mem.write();
-            let mut levels = self.levels.write();
-            for (lo, hi) in &deltas {
-                let keys: Vec<String> = mem.spaces[si]
-                    .range::<str, _>((Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str())))
-                    .map(|(k, _)| k.clone())
-                    .collect();
-                for k in keys {
-                    mem.spaces[si].remove(&k);
-                }
-            }
-            mem.approx_bytes -= purge_cost;
-            mem.live[si] -= merged_retired;
-            levels.retain[si] = Some((new_start, new_below));
-        }
-        wal.tier_live = tier_live;
-        wal.retired += merged_retired as u64;
-        Ok(merged_retired as u64)
-    }
-
-    /// The retention watermark of `space`, if any: the `[start, below)`
-    /// range of permanently retired keys.
-    pub fn retention(&self, space: Space) -> Option<(String, String)> {
-        self.levels.read().retain[space.as_u8() as usize].clone()
     }
 
     /// Introspection for invariant tests: for each level beneath L0,
@@ -1985,78 +641,6 @@ impl<D: Disk> Store<D> {
                     .collect()
             })
             .collect()
-    }
-
-    /// The compaction body; the caller holds the WAL lock, which also
-    /// freezes the memtables (every writer needs that lock), so the
-    /// snapshot is a consistent image while readers proceed untouched.
-    fn compact_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let next = wal.epoch + 1;
-        // Stream the snapshot out of the memtables: encode in place, in
-        // chunks, borrowing keys and values — no owned clone of the record
-        // set is ever materialized.
-        let mut snap = Vec::new();
-        {
-            let mem = self.mem.read();
-            let mut scratch = Vec::new();
-            let mut refs: Vec<WalOpRef<'_>> = Vec::with_capacity(SNAPSHOT_CHUNK);
-            let mut total = 0usize;
-            for (space, map) in mem.spaces.iter().enumerate() {
-                for (key, value) in map {
-                    // Tombstones cannot reach this path (they only exist
-                    // while runs do, and runs route to `spill_locked`),
-                    // but skipping them keeps the snapshot well-formed
-                    // regardless.
-                    let Some(value) = value else { continue };
-                    refs.push(WalOpRef::Put {
-                        space: space as u8,
-                        key,
-                        value,
-                    });
-                    total += 1;
-                    if refs.len() == SNAPSHOT_CHUNK {
-                        wal::encode_frame_into(&mut snap, &mut scratch, &refs);
-                        refs.clear();
-                    }
-                }
-            }
-            if !refs.is_empty() {
-                wal::encode_frame_into(&mut snap, &mut scratch, &refs);
-            }
-            if total == 0 {
-                // Still write an (empty) snapshot so recovery has a file
-                // to find.
-                wal::encode_frame_into(&mut snap, &mut scratch, &[]);
-            }
-        }
-        // Any disk failure mid-compaction leaves the on-disk epoch state
-        // ambiguous from this handle's point of view: poison it so every
-        // further call fails until a re-open re-establishes the truth
-        // (recovery handles both the committed and the uncommitted case).
-        // An untiered compaction runs with no runs on disk, but a
-        // retention watermark may still be set — preserve it (bare
-        // epoch digits when there is none, for byte-compatibility).
-        let manifest = {
-            let levels = self.levels.read();
-            format_manifest(next, &wal.tier_live, &[], &[], &levels.retain)
-        };
-        let io: StoreResult<()> = (|| {
-            wal.disk.write_atomic(&snapshot_name(next), &snap)?;
-            wal.disk.write_atomic(MANIFEST, manifest.as_bytes())?;
-            let old_wal = wal_name(wal.epoch);
-            let old_snap = snapshot_name(wal.epoch);
-            wal.disk.delete(&old_wal)?;
-            wal.disk.delete(&old_snap)?;
-            Ok(())
-        })();
-        if let Err(e) = io {
-            self.poisoned.store(true, Ordering::SeqCst);
-            return Err(e);
-        }
-        wal.epoch = next;
-        wal.wal_bytes = 0;
-        wal.batches_in_epoch = 0;
-        Ok(())
     }
 
     /// Physical statistics.
@@ -2098,14 +682,41 @@ impl<D: Disk> Store<D> {
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
     }
+
+    /// The preamble of every public operation: a poisoned handle answers
+    /// nothing and touches no disk.
+    pub(crate) fn check_alive(&self) -> StoreResult<()> {
+        if self.is_poisoned() {
+            Err(StoreError::Poisoned)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A failed disk call leaves the on-disk state ambiguous from this
+    /// handle's point of view: poison it so every further call fails
+    /// until a re-open re-establishes the truth (recovery handles both
+    /// the committed and the uncommitted case).
+    pub(crate) fn poison_on_err<T>(&self, res: StoreResult<T>) -> StoreResult<T> {
+        if res.is_err() {
+            self.poison();
+        }
+        res
+    }
+
+    /// Write the manifest: the commit point of every roll, merge and
+    /// retention advance.
+    pub(crate) fn commit_manifest(&self, wal: &WalState<D>, text: &str) -> StoreResult<()> {
+        self.poison_on_err(wal.disk.write_atomic(MANIFEST, text.as_bytes()))
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::disk::{FaultPlan, MemDisk};
 
-    fn open_mem() -> (MemDisk, Store<MemDisk>) {
+    pub(crate) fn open_mem() -> (MemDisk, Store<MemDisk>) {
         let disk = MemDisk::new();
         let store = Store::open_with(disk.clone(), None).unwrap();
         (disk, store)
@@ -2192,48 +803,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_then_recover() {
-        let (disk, store) = open_mem();
-        for i in 0..100 {
-            store
-                .put(
-                    Space::History,
-                    format!("ev/{i:04}"),
-                    Bytes::from(vec![i as u8]),
-                )
-                .unwrap();
-        }
-        store.delete(Space::History, "ev/0000").unwrap();
-        let pre = store.stats();
-        assert!(pre.wal_bytes > 0);
-        store.compact().unwrap();
-        let post = store.stats();
-        assert_eq!(post.epoch, pre.epoch + 1);
-        assert_eq!(post.wal_bytes, 0);
-        assert_eq!(post.records, 99);
-
-        // Post-compaction writes land in the new WAL.
-        store.put(Space::History, "ev/9999", &b"new"[..]).unwrap();
-        drop(store);
-        let recovered = Store::open_with(disk, None).unwrap();
-        assert_eq!(recovered.len(Space::History).unwrap(), 100);
-        assert_eq!(recovered.get(Space::History, "ev/0000").unwrap(), None);
-        assert_eq!(
-            recovered.get(Space::History, "ev/9999").unwrap().unwrap(),
-            &b"new"[..]
-        );
-    }
-
-    #[test]
-    fn compact_empty_store() {
-        let (disk, store) = open_mem();
-        store.compact().unwrap();
-        drop(store);
-        let recovered = Store::open_with(disk, None).unwrap();
-        assert_eq!(recovered.stats().records, 0);
-    }
-
-    #[test]
     fn poison_models_server_crash() {
         let (disk, store) = open_mem();
         store.put(Space::Instance, "k", &b"v"[..]).unwrap();
@@ -2300,59 +869,6 @@ mod tests {
             &b"yes"[..]
         );
         assert_eq!(again.get(Space::Instance, "lost").unwrap(), None);
-    }
-
-    #[test]
-    fn crash_at_every_compact_mutation_recovers() {
-        use crate::disk::CrashEffect;
-        // compact() performs 4 mutations: snapshot write, manifest write,
-        // old-WAL delete, old-snapshot delete.  Crash at each, with every
-        // effect, and verify recovery sees exactly the pre-compact records
-        // and leaves no stale files behind.
-        for idx in 0..4u64 {
-            for effect in [
-                CrashEffect::Drop,
-                CrashEffect::Torn { keep: 7 },
-                CrashEffect::AfterApply,
-            ] {
-                let (disk, store) = open_mem();
-                for i in 0..20 {
-                    store
-                        .put(Space::History, format!("ev/{i:02}"), Bytes::from(vec![i]))
-                        .unwrap();
-                }
-                store.delete(Space::History, "ev/00").unwrap();
-                let expected: Vec<(String, Bytes)> = store.scan_prefix(Space::History, "").unwrap();
-
-                disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
-                assert!(
-                    store.compact().is_err(),
-                    "mutation {idx} {effect:?} must surface the crash"
-                );
-                assert!(store.is_poisoned(), "mutation {idx} {effect:?}");
-                disk.reboot();
-
-                let recovered = Store::open_with(disk.clone(), None).unwrap();
-                assert_eq!(
-                    recovered.scan_prefix(Space::History, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged"
-                );
-                // Open's hygiene pass removed temp files and orphan epochs.
-                let epoch = recovered.stats().epoch;
-                for name in disk.list().unwrap() {
-                    assert!(
-                        name == MANIFEST || name == wal_name(epoch) || name == snapshot_name(epoch),
-                        "mutation {idx} {effect:?}: stale file `{name}` survived recovery"
-                    );
-                }
-                // The recovered store keeps working.
-                recovered
-                    .put(Space::History, "ev/99", &b"post"[..])
-                    .unwrap();
-                recovered.compact().unwrap();
-            }
-        }
     }
 
     #[test]
@@ -2486,40 +1002,6 @@ mod tests {
         );
         assert_eq!(recovered.get(Space::Instance, "second-a").unwrap(), None);
         assert_eq!(recovered.get(Space::Instance, "second-b").unwrap(), None);
-    }
-
-    #[test]
-    fn compaction_policy_rolls_the_wal_automatically() {
-        let (disk, store) = open_mem();
-        store.set_compaction_policy(Some(CompactionPolicy {
-            wal_bytes_threshold: 256,
-            min_wal_batches: 2,
-        }));
-        let epoch0 = store.stats().epoch;
-        for i in 0..32 {
-            store
-                .put(
-                    Space::History,
-                    format!("ev/{i:03}"),
-                    Bytes::from(vec![0u8; 64]),
-                )
-                .unwrap();
-        }
-        let stats = store.stats();
-        assert!(
-            stats.epoch > epoch0,
-            "policy must have compacted at least once"
-        );
-        assert!(
-            stats.wal_bytes < 256 + 2 * 128,
-            "live WAL stays near the threshold, got {}",
-            stats.wal_bytes
-        );
-        assert_eq!(stats.records, 32);
-        // Everything survives recovery regardless of where the epoch rolled.
-        drop(store);
-        let recovered = Store::open_with(disk, None).unwrap();
-        assert_eq!(recovered.len(Space::History).unwrap(), 32);
     }
 
     #[test]
@@ -2693,7 +1175,7 @@ mod tests {
         assert_eq!(reopened.len(Space::History).unwrap(), 61);
     }
 
-    fn tiny_tiered() -> TieredPolicy {
+    pub(crate) fn tiny_tiered() -> TieredPolicy {
         TieredPolicy {
             memtable_budget_bytes: 2048,
             run_merge_threshold: 3,
@@ -2703,7 +1185,7 @@ mod tests {
 
     /// Every file on `disk` must be the manifest, the live WAL, or a run
     /// the manifest actually lists.
-    fn assert_only_live_files(disk: &MemDisk, ctx: &str) {
+    pub(crate) fn assert_only_live_files(disk: &MemDisk, ctx: &str) {
         let manifest = match disk.read(MANIFEST).unwrap() {
             Some(bytes) => {
                 parse_manifest(bytes).unwrap_or_else(|_| panic!("{ctx}: manifest unreadable"))
@@ -2810,209 +1292,6 @@ mod tests {
     }
 
     #[test]
-    fn deletes_tombstone_runs_until_merge_drops_them() {
-        let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        for i in 0..10 {
-            store
-                .put(
-                    Space::Configuration,
-                    format!("c/{i}"),
-                    Bytes::from(vec![1u8; 32]),
-                )
-                .unwrap();
-        }
-        store.spill().unwrap();
-        assert_eq!(store.stats().runs, 1);
-
-        // Deleting a spilled key leaves a tombstone in the memtable …
-        store.delete(Space::Configuration, "c/3").unwrap();
-        assert_eq!(store.get(Space::Configuration, "c/3").unwrap(), None);
-        assert_eq!(store.len(Space::Configuration).unwrap(), 9);
-
-        // … the tombstone rides the next spill into a run …
-        store.spill().unwrap();
-        let runs = store.levels.read().l0.clone();
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[1].tombstones, 1);
-
-        // … and the merge folds it away for good.
-        store.merge_runs().unwrap();
-        let runs = store.levels.read().l0.clone();
-        assert_eq!(runs.len(), 1);
-        assert_eq!(runs[0].tombstones, 0);
-        assert_eq!(runs[0].entries, 9);
-        assert_eq!(store.get(Space::Configuration, "c/3").unwrap(), None);
-        assert_eq!(store.len(Space::Configuration).unwrap(), 9);
-
-        // A reopen agrees, and deleting a key no run may contain never
-        // creates a tombstone at all.
-        let reopened = Store::open_with(disk, Some(tiny_tiered())).unwrap();
-        assert_eq!(reopened.len(Space::Configuration).unwrap(), 9);
-        reopened.put(Space::Template, "t/x", &b"v"[..]).unwrap();
-        reopened.delete(Space::Template, "t/x").unwrap();
-        assert!(reopened.mem.read().spaces[Space::Template.as_u8() as usize].is_empty());
-    }
-
-    #[test]
-    fn crash_at_every_spill_mutation_recovers() {
-        use crate::disk::CrashEffect;
-        // spill() performs 4 mutations: run write, manifest write,
-        // old-WAL delete, old-snapshot delete.  Crash at each, with
-        // every effect, and verify recovery sees exactly the pre-spill
-        // records and leaves no stale files behind.
-        for idx in 0..4u64 {
-            for effect in [
-                CrashEffect::Drop,
-                CrashEffect::Torn { keep: 7 },
-                CrashEffect::AfterApply,
-            ] {
-                let disk = MemDisk::new();
-                let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-                for i in 0..20 {
-                    store
-                        .put(Space::History, format!("ev/{i:02}"), Bytes::from(vec![i]))
-                        .unwrap();
-                }
-                store.delete(Space::History, "ev/00").unwrap();
-                let expected: Vec<(String, Bytes)> = store.scan_prefix(Space::History, "").unwrap();
-
-                disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
-                assert!(
-                    store.spill().is_err(),
-                    "mutation {idx} {effect:?} must surface the crash"
-                );
-                assert!(store.is_poisoned(), "mutation {idx} {effect:?}");
-                disk.reboot();
-
-                let recovered = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-                assert_eq!(
-                    recovered.scan_prefix(Space::History, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged"
-                );
-                assert_only_live_files(&disk, &format!("spill mutation {idx} {effect:?}"));
-                // The recovered store keeps working — including the very
-                // operation that crashed.
-                recovered
-                    .put(Space::History, "ev/99", &b"post"[..])
-                    .unwrap();
-                recovered.spill().unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn crash_at_every_merge_mutation_recovers() {
-        use crate::disk::CrashEffect;
-        // merge_runs() over two runs performs 4 mutations: merged-run
-        // write, manifest write, and one delete per input run.
-        for idx in 0..4u64 {
-            for effect in [
-                CrashEffect::Drop,
-                CrashEffect::Torn { keep: 7 },
-                CrashEffect::AfterApply,
-            ] {
-                let disk = MemDisk::new();
-                let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-                for i in 0..12 {
-                    store
-                        .put(Space::Instance, format!("a/{i:02}"), Bytes::from(vec![i]))
-                        .unwrap();
-                }
-                store.spill().unwrap();
-                for i in 0..12 {
-                    if i % 3 == 0 {
-                        store.delete(Space::Instance, format!("a/{i:02}")).unwrap();
-                    } else {
-                        store
-                            .put(Space::Instance, format!("b/{i:02}"), Bytes::from(vec![i]))
-                            .unwrap();
-                    }
-                }
-                store.spill().unwrap();
-                assert_eq!(store.stats().runs, 2);
-                let expected: Vec<(String, Bytes)> =
-                    store.scan_prefix(Space::Instance, "").unwrap();
-
-                disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
-                assert!(
-                    store.merge_runs().is_err(),
-                    "mutation {idx} {effect:?} must surface the crash"
-                );
-                assert!(store.is_poisoned(), "mutation {idx} {effect:?}");
-                disk.reboot();
-
-                let recovered = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-                assert_eq!(
-                    recovered.scan_prefix(Space::Instance, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged"
-                );
-                assert_only_live_files(&disk, &format!("merge mutation {idx} {effect:?}"));
-                recovered.merge_runs().unwrap();
-                assert_eq!(
-                    recovered.scan_prefix(Space::Instance, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged after re-merge"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn reopen_after_spill_reads_only_the_tail() {
-        let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        // A long history, fully spilled, plus a short live WAL tail.
-        for i in 0..2000u32 {
-            store
-                .put(
-                    Space::History,
-                    format!("ev/{i:08}"),
-                    Bytes::from(vec![i as u8; 100]),
-                )
-                .unwrap();
-        }
-        store.compact().unwrap(); // everything into one run, empty WAL
-        for i in 2000..2010u32 {
-            store
-                .put(
-                    Space::History,
-                    format!("ev/{i:08}"),
-                    Bytes::from(vec![i as u8; 100]),
-                )
-                .unwrap();
-        }
-        drop(store);
-
-        let total = disk.total_file_bytes();
-        let before = disk.bytes_read();
-        let reopened = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        let opened_bytes = disk.bytes_read() - before;
-        assert_eq!(reopened.len(Space::History).unwrap(), 2010);
-        // O(tail): open reads the manifest, the run's footer/meta and the
-        // short WAL — never the run's data blocks.  The data region is
-        // ~230 KiB here; the open must touch only a small fraction.
-        assert!(
-            opened_bytes < total / 4,
-            "open read {opened_bytes} of {total} bytes"
-        );
-        // And the reopened store answers a point get with a single block
-        // read, not a full-file scan.
-        let before = disk.bytes_read();
-        assert!(reopened
-            .get(Space::History, "ev/00000042")
-            .unwrap()
-            .is_some());
-        let get_bytes = disk.bytes_read() - before;
-        assert!(
-            get_bytes < 2 * crate::runs::BLOCK_TARGET_BYTES as u64,
-            "point get read {get_bytes} bytes"
-        );
-    }
-
-    #[test]
     fn never_spilling_tiered_store_matches_legacy_bytes() {
         // The same workload through an untiered store and a tiered store
         // whose budget is never crossed must leave byte-identical
@@ -3057,287 +1336,5 @@ mod tests {
                 "file `{name}` diverged"
             );
         }
-    }
-
-    #[test]
-    fn compact_in_tiered_mode_spills_and_merges_to_one_run() {
-        let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        for round in 0..3 {
-            for i in 0..8 {
-                store
-                    .put(
-                        Space::History,
-                        format!("ev/{round}/{i}"),
-                        Bytes::from(vec![i; 40]),
-                    )
-                    .unwrap();
-            }
-            store.spill().unwrap();
-        }
-        assert_eq!(store.stats().runs, 3);
-        store.put(Space::History, "ev/tail", &b"t"[..]).unwrap();
-        store.compact().unwrap();
-        let stats = store.stats();
-        assert_eq!(stats.runs, 1, "compact must fold the tier to one run");
-        assert_eq!(stats.wal_bytes, 0);
-        assert_eq!(store.len(Space::History).unwrap(), 25);
-        // Quiescent compact is a no-op: no new run, no epoch churn.
-        let epoch = store.stats().epoch;
-        store.compact().unwrap();
-        assert_eq!(store.stats().epoch, epoch);
-        assert_eq!(store.stats().runs, 1);
-    }
-
-    /// Thresholds small enough that a few hundred records cascade past L1.
-    fn tiny_leveled() -> TieredPolicy {
-        TieredPolicy {
-            memtable_budget_bytes: 512,
-            run_merge_threshold: 2,
-            level_base_bytes: 1024,
-            level_growth: 2,
-            level_run_bytes: 768,
-            ..TieredPolicy::default()
-        }
-    }
-
-    #[test]
-    fn leveled_push_down_keeps_levels_disjoint_and_model_equivalent() {
-        let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_leveled())).unwrap();
-        let mut model: BTreeMap<(u8, String), Vec<u8>> = BTreeMap::new();
-        for i in 0..300u32 {
-            let space = if i % 3 == 0 {
-                Space::History
-            } else {
-                Space::Instance
-            };
-            let key = format!("k/{:03}", (i * 7) % 120);
-            let value = vec![i as u8; 90];
-            store
-                .put(space, key.clone(), Bytes::from(value.clone()))
-                .unwrap();
-            model.insert((space.as_u8(), key), value);
-            if i % 13 == 4 {
-                let dk = format!("k/{:03}", (i * 7 + 7) % 120);
-                store.delete(space, dk.clone()).unwrap();
-                model.remove(&(space.as_u8(), dk));
-            }
-        }
-        let stats = store.stats();
-        assert!(stats.spills > 2, "workload never spilled");
-        assert!(stats.run_merges > 0, "workload never pushed a run down");
-        let ranges = store.level_ranges();
-        assert!(
-            ranges.iter().any(|level| !level.is_empty()),
-            "no run ever reached L1+"
-        );
-        // Every deeper level holds runs with valid, sorted, pairwise
-        // disjoint composite-key ranges.
-        for (li, level) in ranges.iter().enumerate() {
-            for (lo, hi) in level {
-                assert!(lo <= hi, "L{}: inverted range", li + 1);
-            }
-            for pair in level.windows(2) {
-                assert!(
-                    pair[0].1 < pair[1].0,
-                    "L{}: runs overlap or are unsorted: {:?} vs {:?}",
-                    li + 1,
-                    pair[0],
-                    pair[1]
-                );
-            }
-        }
-
-        let check = |store: &Store<MemDisk>| {
-            for space in [Space::History, Space::Instance] {
-                let expect: Vec<(String, Bytes)> = model
-                    .range((space.as_u8(), String::new())..((space.as_u8() + 1), String::new()))
-                    .map(|((_, k), v)| (k.clone(), Bytes::from(v.clone())))
-                    .collect();
-                assert_eq!(store.scan_prefix(space, "").unwrap(), expect, "{space:?}");
-                for (k, v) in &expect {
-                    assert_eq!(
-                        store.get(space, k).unwrap().as_ref(),
-                        Some(v),
-                        "{space:?}/{k}"
-                    );
-                }
-            }
-        };
-        check(&store);
-        drop(store);
-        let reopened = Store::open_with(disk.clone(), Some(tiny_leveled())).unwrap();
-        check(&reopened);
-        assert_only_live_files(&disk, "leveled reopen");
-    }
-
-    #[test]
-    fn retention_drops_covered_prefix_and_survives_reopen() {
-        let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        for i in 0..30u32 {
-            store
-                .put(
-                    Space::History,
-                    format!("ev/{i:04}"),
-                    Bytes::from(vec![i as u8; 60]),
-                )
-                .unwrap();
-        }
-        store.put(Space::Instance, "keepme", &b"v"[..]).unwrap();
-        store.spill().unwrap();
-        assert_eq!(store.len(Space::History).unwrap(), 30);
-
-        let retired = store
-            .retain_below(Space::History, "ev/", "ev/0020")
-            .unwrap();
-        assert_eq!(retired, 20, "exactly the covered records retire");
-        assert_eq!(store.len(Space::History).unwrap(), 10);
-        assert_eq!(store.get(Space::History, "ev/0005").unwrap(), None);
-        assert_eq!(
-            store.get(Space::History, "ev/0025").unwrap().unwrap(),
-            &[25u8; 60][..]
-        );
-        assert_eq!(
-            store.retention(Space::History),
-            Some(("ev/".to_string(), "ev/0020".to_string()))
-        );
-        // Other spaces are untouched.
-        assert_eq!(
-            store.get(Space::Instance, "keepme").unwrap().unwrap(),
-            &b"v"[..]
-        );
-        // Scans start past the watermark.
-        let scanned = store.scan_prefix(Space::History, "ev/").unwrap();
-        assert_eq!(scanned.len(), 10);
-        assert_eq!(scanned[0].0, "ev/0020");
-
-        // A write below the watermark is accepted but never becomes
-        // visible — the retention contract is a floor, not a suggestion.
-        store
-            .put(Space::History, "ev/0003", &b"zombie"[..])
-            .unwrap();
-        assert_eq!(store.get(Space::History, "ev/0003").unwrap(), None);
-        assert_eq!(store.len(Space::History).unwrap(), 10);
-
-        // Re-retaining an already-covered window is a no-op.
-        assert_eq!(
-            store
-                .retain_below(Space::History, "ev/", "ev/0010")
-                .unwrap(),
-            0
-        );
-
-        drop(store);
-        let reopened = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        assert_eq!(
-            reopened.retention(Space::History),
-            Some(("ev/".to_string(), "ev/0020".to_string()))
-        );
-        assert_eq!(reopened.len(Space::History).unwrap(), 10);
-        assert_eq!(reopened.get(Space::History, "ev/0003").unwrap(), None);
-        assert_eq!(reopened.get(Space::History, "ev/0005").unwrap(), None);
-        assert_eq!(
-            reopened.get(Space::History, "ev/0025").unwrap().unwrap(),
-            &[25u8; 60][..]
-        );
-        assert_only_live_files(&disk, "after retention reopen");
-    }
-
-    #[test]
-    fn crash_at_retention_manifest_recovers_to_old_or_new_watermark() {
-        use crate::disk::CrashEffect;
-        // retain_below commits through exactly one disk mutation (the
-        // manifest rewrite).  Crash on it with every effect: recovery
-        // must land on either the old state or the new one, never a mix.
-        for effect in [
-            CrashEffect::Drop,
-            CrashEffect::Torn { keep: 9 },
-            CrashEffect::AfterApply,
-        ] {
-            let disk = MemDisk::new();
-            let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-            for i in 0..20u32 {
-                store
-                    .put(
-                        Space::History,
-                        format!("ev/{i:04}"),
-                        Bytes::from(vec![i as u8; 60]),
-                    )
-                    .unwrap();
-            }
-            store.spill().unwrap();
-
-            disk.set_fault_plan(Some(FaultPlan::at_mutation(0, effect)));
-            assert!(
-                store
-                    .retain_below(Space::History, "ev/", "ev/0010")
-                    .is_err(),
-                "{effect:?}: crash must surface"
-            );
-            assert!(store.is_poisoned(), "{effect:?}");
-            disk.reboot();
-
-            let recovered = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-            match recovered.retention(Space::History) {
-                None => {
-                    // Old state: nothing retired.
-                    assert_eq!(recovered.len(Space::History).unwrap(), 20, "{effect:?}");
-                    assert!(
-                        recovered.get(Space::History, "ev/0005").unwrap().is_some(),
-                        "{effect:?}"
-                    );
-                }
-                Some((start, below)) => {
-                    // New state: the full watermark, with every covered
-                    // record invisible.
-                    assert_eq!(
-                        (start.as_str(), below.as_str()),
-                        ("ev/", "ev/0010"),
-                        "{effect:?}"
-                    );
-                    assert_eq!(recovered.len(Space::History).unwrap(), 10, "{effect:?}");
-                    assert_eq!(
-                        recovered.get(Space::History, "ev/0005").unwrap(),
-                        None,
-                        "{effect:?}"
-                    );
-                }
-            }
-            assert!(
-                recovered.get(Space::History, "ev/0015").unwrap().is_some(),
-                "{effect:?}: record above the watermark vanished"
-            );
-            assert_only_live_files(&disk, "retention crash recovery");
-            // The recovered store keeps working, including a clean retry.
-            recovered
-                .retain_below(Space::History, "ev/", "ev/0010")
-                .unwrap();
-            assert_eq!(recovered.len(Space::History).unwrap(), 10, "{effect:?}");
-        }
-    }
-
-    #[test]
-    fn manifest_retention_watermark_escaping_roundtrips() {
-        // Watermark bounds with spaces, percent signs, newlines and
-        // control bytes must survive the manifest's escaped encoding.
-        let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        let start = "a b%1\t\u{1}";
-        let below = "a b%2\nz 100%";
-        let retired = store.retain_below(Space::Template, start, below).unwrap();
-        assert_eq!(retired, 0);
-        assert_eq!(
-            store.retention(Space::Template),
-            Some((start.to_string(), below.to_string()))
-        );
-        drop(store);
-        let reopened = Store::open_with(disk, Some(tiny_tiered())).unwrap();
-        assert_eq!(
-            reopened.retention(Space::Template),
-            Some((start.to_string(), below.to_string())),
-            "watermark bounds did not roundtrip through the manifest"
-        );
     }
 }

@@ -30,17 +30,24 @@
 
 pub mod bloom;
 pub mod cache;
+mod compaction;
 pub mod crc;
 pub mod disk;
 pub mod engine;
 pub mod error;
+mod levels;
+mod manifest;
+mod memtable;
+mod policy;
+mod retention;
 pub mod runs;
 pub mod shard;
 pub mod typed;
 pub mod wal;
 
 pub use disk::{CrashEffect, Disk, FaultPlan, FaultTrigger, FileDisk, MemDisk};
-pub use engine::{Batch, CompactionPolicy, Space, Store, StoreStats, TieredPolicy};
+pub use engine::{Batch, Space, Store, StoreStats};
 pub use error::{StoreError, StoreResult};
+pub use policy::{CompactionPolicy, TieredPolicy};
 pub use shard::{parse_shard_key, shard_key, shard_prefix};
 pub use typed::TypedSpace;

@@ -435,59 +435,31 @@ impl Run {
         Ok(None)
     }
 
-    /// All entries of `space` whose key starts with `prefix`, in key
-    /// order.  Tombstones come back as `None` values so the caller can
-    /// shadow older tiers correctly.
-    pub fn scan_prefix<D: Disk>(
-        &self,
-        disk: &D,
-        space: u8,
-        prefix: &str,
-    ) -> StoreResult<Vec<(String, Option<Bytes>)>> {
-        let mut out = Vec::new();
-        for b in self.blocks.iter().filter(|b| b.space == space) {
-            if b.last_key.as_str() < prefix {
-                continue;
-            }
-            if b.first_key.as_str() > prefix && !b.first_key.starts_with(prefix) {
-                break;
-            }
-            for op in self.load_block(disk, b)? {
-                match op {
-                    WalOp::Put { key, value, .. } if key.starts_with(prefix) => {
-                        out.push((key, Some(value)));
-                    }
-                    WalOp::Delete { key, .. } if key.starts_with(prefix) => {
-                        out.push((key, None));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// All entries of `space` with key >= `start`, in key order.
-    pub fn scan_from<D: Disk>(
+    /// The one range scan: all entries of `space` from `start` up to the
+    /// first key `within` rejects, in key order (`within` must hold for a
+    /// contiguous stretch of keys beginning at `start`).  Blocks wholly
+    /// before `start` or wholly past the stretch are skipped without a
+    /// disk read.  Tombstones come back as `None` values so the caller
+    /// can shadow older tiers correctly.
+    pub(crate) fn scan_while<D: Disk>(
         &self,
         disk: &D,
         space: u8,
         start: &str,
+        within: impl Fn(&str) -> bool,
     ) -> StoreResult<Vec<(String, Option<Bytes>)>> {
         let mut out = Vec::new();
         for b in self.blocks.iter().filter(|b| b.space == space) {
             if b.last_key.as_str() < start {
                 continue;
             }
+            if b.first_key.as_str() >= start && !within(&b.first_key) {
+                break;
+            }
             for op in self.load_block(disk, b)? {
-                match op {
-                    WalOp::Put { key, value, .. } if key.as_str() >= start => {
-                        out.push((key, Some(value)));
-                    }
-                    WalOp::Delete { key, .. } if key.as_str() >= start => {
-                        out.push((key, None));
-                    }
-                    _ => {}
+                let (_, key, value) = op.into_entry();
+                if key.as_str() >= start && within(&key) {
+                    out.push((key, value));
                 }
             }
         }
@@ -555,10 +527,12 @@ mod tests {
         }
         assert_eq!(run.get(&disk, 0, "missing").unwrap(), None);
         assert_eq!(run.get(&disk, 0, "k/9999").unwrap(), None);
-        let scan = run.scan_prefix(&disk, 2, "k/000").unwrap();
+        let scan = run
+            .scan_while(&disk, 2, "k/000", |k| k.starts_with("k/000"))
+            .unwrap();
         assert_eq!(scan.len(), 10);
         assert!(scan.windows(2).all(|w| w[0].0 < w[1].0));
-        let from = run.scan_from(&disk, 1, "k/0045").unwrap();
+        let from = run.scan_while(&disk, 1, "k/0045", |_| true).unwrap();
         assert_eq!(from.len(), 5);
         assert_eq!(from[0].0, "k/0045");
     }

@@ -62,6 +62,15 @@ impl WalOp {
             WalOp::Delete { space, key } => WalOpRef::Delete { space: *space, key },
         }
     }
+
+    /// `(space, key, value)` with `None` for a delete — the shape every
+    /// map of entries-and-tombstones is built from.
+    pub(crate) fn into_entry(self) -> (u8, String, Option<Bytes>) {
+        match self {
+            WalOp::Put { space, key, value } => (space, key, Some(value)),
+            WalOp::Delete { space, key } => (space, key, None),
+        }
+    }
 }
 
 /// A borrowed operation: what [`encode_frame_into`] consumes.  Lets the

@@ -139,7 +139,7 @@ impl Model {
 enum Action {
     Apply(Vec<Op>),
     Spill,
-    MergeRuns,
+    CompactLevels,
     Compact,
     Retain {
         space: u8,
@@ -156,7 +156,7 @@ fn actions_strategy() -> impl Strategy<Value = Vec<Action>> {
         prop_oneof![
             6 => prop::collection::vec(op_strategy(), 1..6).prop_map(Action::Apply),
             2 => Just(Action::Spill),
-            1 => Just(Action::MergeRuns),
+            1 => Just(Action::CompactLevels),
             1 => Just(Action::Compact),
             2 => (0u8..4, boundary.clone(), boundary)
                 .prop_map(|(space, start, below)| Action::Retain { space, start, below }),
@@ -261,7 +261,7 @@ proptest! {
                     model.apply(ops);
                 }
                 Action::Spill => store.spill().unwrap(),
-                Action::MergeRuns => store.merge_runs().unwrap(),
+                Action::CompactLevels => store.compact_levels().unwrap(),
                 Action::Compact => store.compact().unwrap(),
                 Action::Retain { space, start, below } => {
                     let got = store
@@ -327,9 +327,10 @@ proptest! {
             prop_assert_eq!(store.get(Space::History, key).unwrap(), None);
         }
         assert_levels_disjoint(&store)?;
-        // Folding everything to one run drops the tombstones for good —
-        // and still does not resurrect the old values.
-        store.merge_runs().unwrap();
+        // One more maintenance round, whatever it merges or pushes down,
+        // still does not resurrect the old values.
+        store.compact_levels().unwrap();
+        assert_levels_disjoint(&store)?;
         drop(store);
         let reopened = Store::open_with(disk, Some(policy)).unwrap();
         for key in key_pool() {

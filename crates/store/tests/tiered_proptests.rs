@@ -73,13 +73,13 @@ fn to_batch(ops: &[Op]) -> Batch {
 }
 
 /// One step of the interleaving: commits, explicit tier transitions
-/// (spill, run merge, full compaction) and close/reopen cycles.
+/// (spill, leveled maintenance round, roll) and close/reopen cycles.
 #[derive(Debug, Clone)]
 enum Action {
     Apply(Vec<Op>),
     ApplyMany(Vec<Vec<Op>>),
     Spill,
-    MergeRuns,
+    CompactLevels,
     Compact,
     Reopen,
 }
@@ -91,7 +91,7 @@ fn actions_strategy() -> impl Strategy<Value = Vec<Action>> {
             2 => prop::collection::vec(prop::collection::vec(op_strategy(), 1..4), 1..4)
                 .prop_map(Action::ApplyMany),
             1 => Just(Action::Spill),
-            1 => Just(Action::MergeRuns),
+            1 => Just(Action::CompactLevels),
             1 => Just(Action::Compact),
             1 => Just(Action::Reopen),
         ],
@@ -158,7 +158,7 @@ proptest! {
                     }
                 }
                 Action::Spill => store.spill().unwrap(),
-                Action::MergeRuns => store.merge_runs().unwrap(),
+                Action::CompactLevels => store.compact_levels().unwrap(),
                 Action::Compact => store.compact().unwrap(),
                 Action::Reopen => {
                     drop(store);
