@@ -17,9 +17,10 @@
 //! Eviction is CLOCK (second chance): a fixed hand sweeps the slot
 //! table, clearing reference bits until it finds an unreferenced victim.
 //! No linked list, no per-hit mutation beyond setting a bit — the whole
-//! structure is one mutex around a `HashMap` + slot vector, which is
-//! plenty for a cache consulted only after a bloom filter and a sparse
-//! index have already narrowed the lookup to one block.
+//! structure is one mutex around a per-run `HashMap` of block offsets +
+//! a slot vector, which is plenty for a cache consulted only after a
+//! bloom filter and a sparse index have already narrowed the lookup to
+//! one block.
 //!
 //! Blooms and sparse block indexes are **pinned** by construction: they
 //! live inside [`crate::runs::Run`] for the lifetime of the opened run
@@ -27,9 +28,9 @@
 //!
 //! Blocks are inserted only *after* their frame CRC verified, so the
 //! cache can never serve bytes that corruption detection would have
-//! rejected.  Merge compactions stream runs via `load_all` and bypass
-//! the cache entirely — a merge touches every block once and would only
-//! evict the read-path working set.
+//! rejected.  Merge compactions stream runs block by block
+//! ([`crate::merge`]) and bypass the cache entirely — a merge touches
+//! every block once and would only evict the read-path working set.
 
 use crate::error::StoreResult;
 use crate::wal::WalOp;
@@ -87,7 +88,7 @@ struct Slot {
     referenced: bool,
 }
 
-/// Map hasher: the keys are `(run id, block offset)` pairs with no
+/// Map hasher: the keys are run ids and block offsets with no
 /// adversarial structure, so a murmur-style finalizer mixes them fine —
 /// SipHash resistance buys nothing on this hot read path.
 #[derive(Default)]
@@ -113,7 +114,12 @@ impl std::hash::Hasher for MixHasher {
     }
 }
 
-type BlockMap = HashMap<(u64, u64), usize, std::hash::BuildHasherDefault<MixHasher>>;
+type MixMap<V> = HashMap<u64, V, std::hash::BuildHasherDefault<MixHasher>>;
+
+/// Run id → block offset → slot.  Two levels so that retiring a run
+/// ([`BlockCache::purge_run`]) touches that run's blocks only; a run
+/// with no cached block has no entry.
+type BlockMap = MixMap<MixMap<usize>>;
 
 #[derive(Default)]
 struct Inner {
@@ -130,6 +136,12 @@ struct Inner {
 pub struct BlockCache {
     budget: u64,
     inner: Mutex<Inner>,
+}
+
+impl Inner {
+    fn slot_of(&self, run: u64, offset: u64) -> Option<usize> {
+        self.map.get(&run)?.get(&offset).copied()
+    }
 }
 
 impl BlockCache {
@@ -164,8 +176,7 @@ impl BlockCache {
     /// the bloom exists to avoid decode I/O, not cache probes.
     pub fn lookup(&self, run: u64, offset: u64, key: &str) -> Option<Option<Option<Bytes>>> {
         let mut inner = self.inner.lock();
-        let slot = inner.map.get(&(run, offset)).copied();
-        if let Some(idx) = slot {
+        if let Some(idx) = inner.slot_of(run, offset) {
             if let Some(s) = inner.slots[idx].as_mut() {
                 s.referenced = true;
                 let found = s.block.lookup(key);
@@ -188,11 +199,9 @@ impl BlockCache {
         key: &str,
         load: impl FnOnce() -> StoreResult<Vec<WalOp>>,
     ) -> StoreResult<Option<Option<Bytes>>> {
-        let mkey = (run, offset);
         {
             let mut inner = self.inner.lock();
-            let slot = inner.map.get(&mkey).copied();
-            if let Some(idx) = slot {
+            if let Some(idx) = inner.slot_of(run, offset) {
                 if let Some(s) = inner.slots[idx].as_mut() {
                     s.referenced = true;
                     let found = s.block.lookup(key);
@@ -207,11 +216,11 @@ impl BlockCache {
         inner.misses += 1;
         // A racing loader may have inserted the same block; keep the
         // existing entry rather than double-charging the budget.
-        if block.bytes <= self.budget && !inner.map.contains_key(&mkey) {
+        if block.bytes <= self.budget && inner.slot_of(run, offset).is_none() {
             Self::evict_until(&mut inner, self.budget.saturating_sub(block.bytes));
             inner.bytes += block.bytes;
             let slot = Slot {
-                key: mkey,
+                key: (run, offset),
                 block,
                 referenced: true,
             };
@@ -225,7 +234,7 @@ impl BlockCache {
                     inner.slots.len() - 1
                 }
             };
-            inner.map.insert(mkey, idx);
+            inner.map.entry(run).or_default().insert(offset, idx);
         }
         Ok(found)
     }
@@ -248,7 +257,13 @@ impl BlockCache {
                 Some(_) => {
                     let s = inner.slots[idx].take().unwrap();
                     inner.bytes -= s.block.bytes;
-                    inner.map.remove(&s.key);
+                    let (run, offset) = s.key;
+                    if let Some(blocks) = inner.map.get_mut(&run) {
+                        blocks.remove(&offset);
+                        if blocks.is_empty() {
+                            inner.map.remove(&run);
+                        }
+                    }
                     inner.free.push(idx);
                 }
                 None => {}
@@ -258,20 +273,18 @@ impl BlockCache {
 
     /// Drop every cached block of `run` — called when a compaction
     /// deletes the run file, so dead blocks free budget immediately.
+    /// Work is proportional to that run's cached blocks.
     pub fn purge_run(&self, run: u64) {
         let mut inner = self.inner.lock();
-        let stale: Vec<(u64, u64)> = inner
+        for idx in inner
             .map
-            .keys()
-            .filter(|(r, _)| *r == run)
-            .copied()
-            .collect();
-        for key in stale {
-            if let Some(idx) = inner.map.remove(&key) {
-                if let Some(s) = inner.slots[idx].take() {
-                    inner.bytes -= s.block.bytes;
-                    inner.free.push(idx);
-                }
+            .remove(&run)
+            .into_iter()
+            .flat_map(MixMap::into_values)
+        {
+            if let Some(s) = inner.slots[idx].take() {
+                inner.bytes -= s.block.bytes;
+                inner.free.push(idx);
             }
         }
     }
@@ -334,15 +347,37 @@ mod tests {
             .lookup_or_load(1, 0, "k0000", || Ok(block(2, 8)))
             .unwrap();
         cache
+            .lookup_or_load(1, 4096, "k0000", || Ok(block(3, 8)))
+            .unwrap();
+        cache
             .lookup_or_load(2, 0, "k0000", || Ok(block(2, 8)))
             .unwrap();
+        cache
+            .lookup_or_load(3, 4096, "k0000", || Ok(block(5, 8)))
+            .unwrap();
+        let others = DecodedBlock::new(block(2, 8)).bytes + DecodedBlock::new(block(5, 8)).bytes;
+        let slot_of = |run, offset| cache.inner.lock().slot_of(run, offset);
+        let (slot2, slot3) = (slot_of(2, 0), slot_of(3, 4096));
         cache.purge_run(1);
+        // Exactly run 1's two blocks went: the other runs keep their
+        // slots and the byte accounting drops by run 1's share alone.
+        assert_eq!(cache.resident_bytes(), others);
+        assert_eq!(slot_of(1, 0), None);
+        assert_eq!(slot_of(1, 4096), None);
+        assert!(!cache.inner.lock().map.contains_key(&1));
+        assert_eq!((slot_of(2, 0), slot_of(3, 4096)), (slot2, slot3));
+        assert!(slot2.is_some() && slot3.is_some());
+        cache.purge_run(7); // never cached: a no-op
+        assert_eq!(cache.resident_bytes(), others);
         cache
             .lookup_or_load(1, 0, "k0000", || Ok(block(2, 8)))
             .unwrap();
-        assert_eq!(cache.misses(), 3, "run 1 was purged");
+        assert_eq!(cache.misses(), 5, "run 1 was purged");
         cache
             .lookup_or_load(2, 0, "k0000", || panic!("run 2 must stay"))
+            .unwrap();
+        cache
+            .lookup_or_load(3, 4096, "k0000", || panic!("run 3 must stay"))
             .unwrap();
     }
 

@@ -7,8 +7,9 @@
 //! the new one fully recoverable (`Store::open_with` removes whatever the
 //! manifest does not list).  There is exactly one roll body
 //! ([`Store::compact`] and the automatic roll after a commit share it)
-//! and exactly one fold/retire/write/GC core (`push_down_locked`); per
-//! compaction work is O(level window), never O(history).
+//! and exactly one select/merge/write/GC core (`push_down_locked`); per
+//! compaction work is O(what overlaps), never O(history), and resident
+//! memory is one block per input plus one output run.
 
 use crate::disk::Disk;
 use crate::engine::{Store, WalState};
@@ -16,9 +17,9 @@ use crate::error::StoreResult;
 use crate::levels::Levels;
 use crate::manifest::{manifest_for, snapshot_name, wal_name};
 use crate::memtable::{entry_cost, MemTables};
+use crate::merge::{Entry, Merge};
 use crate::runs::{self, run_name, Run, RunEntry};
 use crate::wal::{self, WalOpRef};
-use bytes::Bytes;
 use std::collections::BTreeMap;
 
 /// Records per snapshot frame: keeps individual frames reasonable and is
@@ -198,17 +199,31 @@ impl<D: Disk> Store<D> {
     }
 
     /// One bounded compaction step; the caller holds the WAL lock.
-    /// `source == 0` merges every L0 run (plus only the *overlapping*
-    /// L1 runs) into L1; `source >= 1` pushes one cursor-picked victim
-    /// run (plus its overlaps at `source + 1`) down a level.  The merge
-    /// output is split into runs of the policy's target size, so no
-    /// oversized run ever forms.  Commit point is the single manifest
-    /// write; inputs are GC'd after the in-memory swap.  Tombstones are
-    /// dropped only when every level deeper than the output is empty —
-    /// nothing older exists to resurrect.
+    /// `source == 0` takes every L0 run, `source >= 1` one cursor-picked
+    /// victim run, and moves their data into level `source + 1`,
+    /// rewriting only what overlaps:
+    ///
+    /// * **Selection** is block-granular.  A target-level run joins the
+    ///   merge only if some source *block* range intersects its hull.
+    ///   Any target run whose hull contains a source key is therefore
+    ///   selected — an older version or a key a source tombstone shadows
+    ///   can never be left behind — while a run that merely sits between
+    ///   two source blocks (append-only history under a spill whose hull
+    ///   spans every space) is not read at all.
+    /// * **Fence cut.**  The merge output is split at the policy's target
+    ///   size and wherever the next key would jump an untouched target
+    ///   run, so the level keeps pairwise-disjoint sorted hulls.
+    /// * **Trivial move.**  A single source run that selects nothing,
+    ///   whose hull intersects no target run, that would not carry
+    ///   tombstones into the bottom level and that no retention
+    ///   watermark reaches moves by the manifest commit alone.
+    ///
+    /// Commit point is the single manifest write; inputs are GC'd after
+    /// the in-memory swap.  Tombstones are dropped only when every level
+    /// deeper than the output is empty — nothing older exists to
+    /// resurrect.
     fn push_down_locked(&self, wal: &mut WalState<D>, source: usize) -> StoreResult<()> {
         let target = source + 1;
-        let policy = wal.tiered.unwrap_or_default();
         let (sources, overlaps, bottom, mut new_levels) = {
             let levels = self.levels.read();
             let sources: Vec<Run> = if source == 0 {
@@ -232,36 +247,22 @@ impl<D: Disk> Store<D> {
             if sources.is_empty() {
                 return Ok(());
             }
-            let lo = sources
-                .iter()
-                .filter_map(Run::min_key)
-                .min()
-                .map(|(s, k)| (s, k.to_owned()));
-            let hi = sources
-                .iter()
-                .filter_map(Run::max_key)
-                .max()
-                .map(|(s, k)| (s, k.to_owned()));
-            let overlaps: Vec<Run> = match (&lo, &hi) {
-                (Some(lo), Some(hi)) => levels
-                    .deeper
-                    .get(target - 1)
-                    .map(|lvl| {
-                        lvl.iter()
-                            .filter(|r| match (r.min_key(), r.max_key()) {
-                                (Some(rmin), Some(rmax)) => {
-                                    !((rmax.0, rmax.1.to_owned()) < *lo
-                                        || (rmin.0, rmin.1.to_owned()) > *hi)
-                                }
-                                // A degenerate empty run folds away.
-                                _ => true,
-                            })
-                            .cloned()
-                            .collect()
-                    })
-                    .unwrap_or_default(),
-                _ => Vec::new(),
-            };
+            let overlaps: Vec<Run> = levels
+                .deeper
+                .get(target - 1)
+                .map(|lvl| {
+                    lvl.iter()
+                        .filter(|t| match t.hull() {
+                            Some((lo, hi)) => {
+                                sources.iter().any(|s| s.any_block_intersects(lo, hi))
+                            }
+                            // A degenerate empty run folds away.
+                            None => true,
+                        })
+                        .cloned()
+                        .collect()
+                })
+                .unwrap_or_default();
             let bottom = levels.deeper.iter().skip(target).all(Vec::is_empty);
             // The tier as it will look after this step, minus the new
             // runs (added once written).
@@ -284,55 +285,40 @@ impl<D: Disk> Store<D> {
             (sources, overlaps, bottom, base)
         };
 
-        let run_target = policy.run_target();
-        let (new_runs, input_bytes) = self.poison_on_err((|| {
-            let mut merged: BTreeMap<(u8, String), Option<Bytes>> = BTreeMap::new();
-            let mut input_bytes = 0u64;
-            // Overlaps (target level) hold strictly older data than the
-            // sources, so they fold first and the sources overwrite.
-            for run in overlaps.iter().chain(sources.iter()) {
-                input_bytes += run.data_bytes;
-                for op in run.load_all(&*wal.disk)? {
-                    let (space, key, value) = op.into_entry();
-                    merged.insert((space, key), value);
-                }
+        // What stays of the target level: the merge output must not
+        // straddle any of these.
+        let untouched = &new_levels.deeper[target - 1];
+        let trivial = match sources.as_slice() {
+            [victim] if overlaps.is_empty() => {
+                victim.hull().is_some_and(|(lo, hi)| {
+                    !untouched
+                        .iter()
+                        .any(|t| t.hull().is_some_and(|(tlo, thi)| tlo <= hi && lo <= thi))
+                }) && !(bottom && victim.tombstones > 0)
+                    && !new_levels.retains_part_of(victim)
             }
-            merged.retain(|(space, key), v| {
-                !new_levels.retained(*space, key) && (v.is_some() || !bottom)
-            });
-            let mut new_runs: Vec<Run> = Vec::new();
-            let mut write_run = |chunk: &mut Vec<RunEntry<'_>>| -> StoreResult<()> {
-                let name = run_name(wal.next_run_id + new_runs.len() as u64);
-                wal.disk.write_atomic(&name, &runs::build_run(chunk))?;
-                new_runs.push(Run::open(&*wal.disk, &name)?);
-                chunk.clear();
-                Ok(())
-            };
-            let mut chunk: Vec<RunEntry<'_>> = Vec::new();
-            let mut chunk_bytes = 0u64;
-            for ((space, key), value) in merged.iter() {
-                let cost = entry_cost(key.len(), value.as_ref().map_or(0, |v| v.len()));
-                if !chunk.is_empty() && chunk_bytes + cost > run_target {
-                    write_run(&mut chunk)?;
-                    chunk_bytes = 0;
-                }
-                chunk.push(RunEntry {
-                    space: *space,
-                    key,
-                    value: value.as_deref(),
-                });
-                chunk_bytes += cost;
-            }
-            if !chunk.is_empty() {
-                write_run(&mut chunk)?;
-            }
-            Ok((new_runs, input_bytes))
-        })())?;
+            _ => false,
+        };
+        let new_runs = if trivial {
+            sources.clone()
+        } else {
+            self.poison_on_err(self.merge_into_runs(
+                wal,
+                &overlaps,
+                &sources,
+                untouched,
+                |space, key, live| new_levels.retained(space, key) || (bottom && !live),
+            ))?
+        };
         {
             let tgt = &mut new_levels.deeper[target - 1];
             tgt.extend(new_runs.iter().cloned());
             tgt.sort_by(|a, b| a.min_key().cmp(&b.min_key()));
         }
+        debug_assert!(
+            new_levels.deeper_levels_disjoint(),
+            "push-down out of L{source} breaks the level invariant"
+        );
         // Same epoch, same live counts: a merge never changes the
         // visible view.
         let manifest = manifest_for(
@@ -348,25 +334,104 @@ impl<D: Disk> Store<D> {
         // touch a deleted file.  (A crash between the manifest commit
         // and these deletes only leaves unlisted run files, which
         // recovery hygiene removes.)
-        let cursor = sources
-            .last()
-            .and_then(Run::max_key)
-            .map(|(s, k)| (s, k.to_owned()));
         *self.levels.write() = new_levels;
-        wal.next_run_id += new_runs.len() as u64;
-        wal.run_merges += 1;
-        wal.merge_bytes_max = wal.merge_bytes_max.max(input_bytes);
         if source >= 1 {
             if wal.level_cursors.len() < source {
                 wal.level_cursors.resize(source, None);
             }
-            wal.level_cursors[source - 1] = cursor;
+            wal.level_cursors[source - 1] = sources
+                .last()
+                .and_then(Run::max_key)
+                .map(|(s, k)| (s, k.to_owned()));
         }
+        if trivial {
+            wal.trivial_moves += 1;
+            return Ok(());
+        }
+        let bytes_in: u64 = overlaps.iter().chain(&sources).map(|r| r.data_bytes).sum();
+        wal.next_run_id += new_runs.len() as u64;
+        wal.run_merges += 1;
+        wal.merge_bytes_in += bytes_in;
+        wal.merge_bytes_out += new_runs.iter().map(|r| r.data_bytes).sum::<u64>();
+        wal.merge_bytes_max = wal.merge_bytes_max.max(bytes_in);
         for r in sources.iter().chain(overlaps.iter()) {
             self.cache.purge_run(r.id());
             self.poison_on_err(wal.disk.delete(r.name()))?;
         }
         Ok(())
+    }
+
+    /// Stream the merge of `overlaps` (target level, older) and
+    /// `sources` (oldest first) into new run files, skipping every entry
+    /// `skip(space, key, is_live)` names.  Output is cut at the
+    /// policy's run size and before any key past the next `untouched`
+    /// target run (sorted, hulls disjoint from every merged key).  Each
+    /// written run is re-opened through the decoder recovery will use;
+    /// nothing is committed here.
+    fn merge_into_runs(
+        &self,
+        wal: &WalState<D>,
+        overlaps: &[Run],
+        sources: &[Run],
+        untouched: &[Run],
+        skip: impl Fn(u8, &str, bool) -> bool,
+    ) -> StoreResult<Vec<Run>> {
+        let run_target = wal.tiered.unwrap_or_default().run_target();
+        // The target level holds strictly older data than the sources,
+        // so it ranks first and the sources overwrite.
+        let mut inputs: Vec<&[Run]> = vec![overlaps];
+        inputs.extend(sources.iter().map(std::slice::from_ref));
+        let mut merge = Merge::new(&*wal.disk, &inputs)?;
+        let mut new_runs: Vec<Run> = Vec::new();
+        let mut write_run = |chunk: &mut Vec<Entry>| -> StoreResult<()> {
+            let entries: Vec<RunEntry<'_>> = chunk
+                .iter()
+                .map(|(space, key, value)| RunEntry {
+                    space: *space,
+                    key,
+                    value: value.as_deref(),
+                })
+                .collect();
+            let name = run_name(wal.next_run_id + new_runs.len() as u64);
+            wal.disk.write_atomic(&name, &runs::build_run(&entries))?;
+            new_runs.push(Run::open(&*wal.disk, &name)?);
+            chunk.clear();
+            Ok(())
+        };
+        // `untouched[fence]` is the first untouched run not wholly below
+        // the open chunk; a key past its hull must start a new run.
+        let mut fence = 0usize;
+        let past_fence = |fence: usize, space: u8, key: &str| {
+            untouched
+                .get(fence)
+                .and_then(Run::min_key)
+                .is_some_and(|min| min < (space, key))
+        };
+        let mut chunk: Vec<Entry> = Vec::new();
+        let mut chunk_bytes = 0u64;
+        while let Some((space, key, value)) = merge.next()? {
+            if skip(space, &key, value.is_some()) {
+                continue;
+            }
+            let cost = entry_cost(key.len(), value.as_ref().map_or(0, |v| v.len()));
+            if !chunk.is_empty()
+                && (chunk_bytes + cost > run_target || past_fence(fence, space, &key))
+            {
+                write_run(&mut chunk)?;
+                chunk_bytes = 0;
+            }
+            if chunk.is_empty() {
+                while past_fence(fence, space, &key) {
+                    fence += 1;
+                }
+            }
+            chunk.push((space, key, value));
+            chunk_bytes += cost;
+        }
+        if !chunk.is_empty() {
+            write_run(&mut chunk)?;
+        }
+        Ok(new_runs)
     }
 
     /// The snapshot-roll body; the caller holds the WAL lock, which also
@@ -679,19 +744,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn crash_at_every_merge_mutation_recovers() {
+    /// Crash `compact_levels()` at every disk mutation it makes on the
+    /// state `setup` builds, with every crash effect: recovery must see
+    /// exactly the pre-crash records, leave no stale file, keep every
+    /// deeper level disjoint, and finish the interrupted maintenance.
+    /// `expect` checks — on a crash-free probe — that the round really
+    /// took the steps the scenario is named for.  Returns the number of
+    /// mutations enumerated.
+    fn crash_at_every_mutation_of_a_maintenance_round(
+        policy: TieredPolicy,
+        setup: impl Fn(&Store<MemDisk>),
+        expect: impl Fn(&Store<MemDisk>),
+    ) -> u64 {
         use crate::disk::CrashEffect;
-        // compact_levels() over two L0 runs performs 4 mutations:
-        // merged-run write, manifest write, and one delete per input run.
-        for idx in 0..4u64 {
+        let scan = |store: &Store<MemDisk>| -> Vec<(String, Bytes)> {
+            [Space::Instance, Space::Configuration, Space::History]
+                .into_iter()
+                .flat_map(|space| store.scan_prefix(space, "").unwrap())
+                .collect()
+        };
+        let (mutations, settled) = {
+            let disk = MemDisk::new();
+            let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+            setup(&store);
+            let before = disk.mutation_count();
+            store.compact_levels().unwrap();
+            expect(&store);
+            (disk.mutation_count() - before, store.level_ranges())
+        };
+        for idx in 0..mutations {
             for effect in [
                 CrashEffect::Drop,
                 CrashEffect::Torn { keep: 7 },
                 CrashEffect::AfterApply,
             ] {
+                let ctx = format!("maintenance mutation {idx}/{mutations} {effect:?}");
                 let disk = MemDisk::new();
-                let store = Store::open_with(disk.clone(), Some(merge_at_two())).unwrap();
+                let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+                setup(&store);
+                let expected = scan(&store);
+
+                disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
+                assert!(store.compact_levels().is_err(), "{ctx}: crash not surfaced");
+                assert!(store.is_poisoned(), "{ctx}");
+                disk.reboot();
+
+                let recovered = Store::open_with(disk.clone(), Some(policy)).unwrap();
+                assert_eq!(scan(&recovered), expected, "{ctx}: records diverged");
+                assert_only_live_files(&disk, &ctx);
+                assert!(recovered.levels.read().deeper_levels_disjoint(), "{ctx}");
+                // Whatever step the crash interrupted is redone (a crash
+                // before a merge's commit re-merges into fresh run ids).
+                recovered.compact_levels().unwrap();
+                assert_eq!(recovered.level_ranges(), settled, "{ctx}: layout");
+                assert!(recovered.levels.read().l0.is_empty(), "{ctx}");
+                assert_eq!(scan(&recovered), expected, "{ctx}: diverged after redo");
+            }
+        }
+        mutations
+    }
+
+    fn put_range(store: &Store<MemDisk>, space: Space, prefix: &str, n: u8, fill: u8) {
+        for i in 0..n {
+            store
+                .put(
+                    space,
+                    format!("{prefix}/{i:02}"),
+                    Bytes::from(vec![fill; 90]),
+                )
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn crash_at_every_merge_mutation_recovers() {
+        // Two L0 runs, one output: merged-run write, manifest write and
+        // one delete per input run.
+        let mutations = crash_at_every_mutation_of_a_maintenance_round(
+            merge_at_two(),
+            |store| {
                 for i in 0..12 {
                     store
                         .put(Space::Instance, format!("a/{i:02}"), Bytes::from(vec![i]))
@@ -709,33 +840,216 @@ mod tests {
                 }
                 store.spill().unwrap();
                 assert_eq!(store.stats().runs, 2);
-                let expected: Vec<(String, Bytes)> =
-                    store.scan_prefix(Space::Instance, "").unwrap();
+            },
+            |store| assert_eq!(store.stats().runs, 1),
+        );
+        assert_eq!(mutations, 4);
+    }
 
-                disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
-                assert!(
-                    store.compact_levels().is_err(),
-                    "mutation {idx} {effect:?} must surface the crash"
-                );
-                assert!(store.is_poisoned(), "mutation {idx} {effect:?}");
-                disk.reboot();
+    #[test]
+    fn crash_at_every_fence_cut_merge_mutation_recovers() {
+        // L1 = [instance run, configuration run, history run]; the two
+        // L0 runs hold instance and history keys only, so no source
+        // block reaches the configuration run: it is neither read nor
+        // rewritten, and the output must be cut where it would jump it.
+        let policy = TieredPolicy {
+            memtable_budget_bytes: 1 << 20,
+            run_merge_threshold: 2,
+            level_base_bytes: 1 << 20,
+            level_run_bytes: 1 << 20,
+            ..TieredPolicy::default()
+        };
+        let mutations = crash_at_every_mutation_of_a_maintenance_round(
+            policy,
+            |store| {
+                for fill in 0..2 {
+                    put_range(store, Space::Configuration, "node", 8, fill);
+                    store.spill().unwrap();
+                }
+                store.compact_levels().unwrap();
+                for round in 0..2u8 {
+                    for fill in 0..2 {
+                        put_range(store, Space::Instance, "inst", 8, 10 * round + fill);
+                        put_range(store, Space::History, "ev", 8, 10 * round + fill);
+                        store.delete(Space::Instance, "inst/03").unwrap();
+                        store.spill().unwrap();
+                    }
+                    if round == 0 {
+                        store.compact_levels().unwrap();
+                        assert_eq!(store.level_ranges()[0].len(), 3, "fence cut missing");
+                    }
+                }
+            },
+            |store| {
+                let stats = store.stats();
+                assert_eq!((stats.run_merges, stats.trivial_moves), (3, 0));
+                let l1 = store.levels.read().deeper[0].clone();
+                assert_eq!(l1.len(), 3);
+                // The configuration run is still the file the first
+                // merge wrote; its neighbours were rewritten around it.
+                assert_eq!(l1[1].name(), "run-000002");
+                assert_eq!(l1[1].min_key(), Some((2, "node/00")));
+                assert!(l1[0].id() > 6 && l1[2].id() > 6);
+            },
+        );
+        // Two output runs, the manifest, four input deletes.
+        assert_eq!(mutations, 7);
+    }
 
-                let recovered = Store::open_with(disk.clone(), Some(merge_at_two())).unwrap();
-                assert_eq!(
-                    recovered.scan_prefix(Space::Instance, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged"
-                );
-                assert_only_live_files(&disk, &format!("merge mutation {idx} {effect:?}"));
-                recovered.compact_levels().unwrap();
-                assert_eq!(recovered.stats().runs, 1, "mutation {idx} {effect:?}");
-                assert_eq!(
-                    recovered.scan_prefix(Space::Instance, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged after re-merge"
-                );
+    #[test]
+    fn crash_at_every_trivial_move_mutation_recovers() {
+        // The L0 merge leaves L1 over its budget in several runs; with
+        // L2 empty each push-down is a trivial move — one manifest write
+        // and nothing else.
+        let policy = TieredPolicy {
+            memtable_budget_bytes: 1 << 20, // explicit spills only
+            ..tiny_leveled()
+        };
+        let mutations = crash_at_every_mutation_of_a_maintenance_round(
+            policy,
+            |store| {
+                put_range(store, Space::Instance, "a", 12, 1);
+                store.spill().unwrap();
+                put_range(store, Space::Instance, "b", 12, 2);
+                store.spill().unwrap();
+            },
+            |store| {
+                let stats = store.stats();
+                assert_eq!(stats.run_merges, 1);
+                assert!(stats.trivial_moves >= 2, "{stats:?}");
+                // Only the one rewriting merge is charged: nothing was
+                // dropped, so out is in plus a few more block headers.
+                assert!(stats.merge_bytes_in > 2000, "{stats:?}");
+                assert!(stats.merge_bytes_out.abs_diff(stats.merge_bytes_in) < 100);
+                assert!(stats.levels >= 2);
+            },
+        );
+        let merge_mutations = 4 + 1 + 2; // outputs, manifest, input deletes
+        assert!(mutations > merge_mutations, "no trivial move enumerated");
+    }
+
+    type Row<'a> = (u8, &'a str, Option<&'a [u8]>);
+
+    /// A store opened over hand-laid deeper levels: `levels[i]` lists
+    /// the runs of level `i + 1`, each a sorted entry list; `retain` is
+    /// a manifest watermark line (with its newline) or empty.
+    fn store_over(levels: &[&[&[Row<'_>]]], retain: &str) -> (MemDisk, Store<MemDisk>) {
+        use crate::runs::{build_run, run_name, RunEntry};
+        let disk = MemDisk::new();
+        let mut live = [0usize; 4];
+        let mut lruns = String::new();
+        let mut id = 0;
+        for (level, runs) in levels.iter().enumerate() {
+            for rows in runs.iter() {
+                let entries: Vec<RunEntry<'_>> = rows
+                    .iter()
+                    .map(|&(space, key, value)| RunEntry { space, key, value })
+                    .collect();
+                for e in entries.iter().filter(|e| e.value.is_some()) {
+                    live[e.space as usize] += 1;
+                }
+                disk.write_atomic(&run_name(id), &build_run(&entries))
+                    .unwrap();
+                lruns += &format!("lrun {} {}\n", level + 1, run_name(id));
+                id += 1;
             }
         }
+        let [t, i, c, h] = live;
+        let manifest = format!("1\nlive {t} {i} {c} {h}\n{retain}{lruns}");
+        disk.write_atomic(MANIFEST, manifest.as_bytes()).unwrap();
+        let policy = TieredPolicy {
+            memtable_budget_bytes: 1 << 20,
+            ..TieredPolicy::default()
+        };
+        let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+        (disk, store)
+    }
+
+    fn level_names(store: &Store<MemDisk>, level: usize) -> Vec<String> {
+        store.levels.read().deeper[level - 1]
+            .iter()
+            .map(|r| r.name().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn push_down_moves_a_run_that_overlaps_nothing_by_manifest_alone() {
+        let v = Some(&b"v"[..]);
+        let (disk, store) = store_over(
+            &[
+                &[&[(3, "ev/05", v), (3, "ev/06", v)]],
+                &[&[(3, "ev/01", v)]],
+            ],
+            "",
+        );
+        let (mutations, reads) = (disk.mutation_count(), disk.read_op_count());
+        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        assert_eq!(disk.mutation_count() - mutations, 1, "one manifest write");
+        assert_eq!(disk.read_op_count(), reads, "no run is read");
+        assert_eq!(level_names(&store, 2), ["run-000001", "run-000000"]);
+        assert!(level_names(&store, 1).is_empty());
+        let stats = store.stats();
+        assert_eq!((stats.trivial_moves, stats.run_merges), (1, 0));
+        assert_eq!((stats.merge_bytes_in, stats.merge_bytes_out), (0, 0));
+        drop(store);
+        let reopened = Store::open_with(disk, None).unwrap();
+        assert_eq!(reopened.scan_prefix(Space::History, "").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn push_down_rewrites_when_a_move_would_break_a_rule() {
+        let v = Some(&b"v"[..]);
+        // A tombstone must not settle in the bottom level.
+        let (_, store) = store_over(&[&[&[(3, "ev/05", v), (3, "ev/06", None)]]], "");
+        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        let stats = store.stats();
+        assert_eq!((stats.trivial_moves, stats.run_merges), (0, 1));
+        let moved = store.levels.read().deeper[1].clone();
+        assert_eq!((moved[0].entries, moved[0].tombstones), (1, 0));
+
+        // … but rides along while something deeper could still hold the
+        // key it shadows.
+        let (_, store) = store_over(
+            &[
+                &[&[(3, "ev/05", v), (3, "ev/06", None)]],
+                &[],
+                &[&[(1, "a", v)]],
+            ],
+            "",
+        );
+        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        assert_eq!(store.stats().trivial_moves, 1);
+        assert_eq!(level_names(&store, 2), ["run-000000"]);
+
+        // A retention watermark reaching into the run filters it.
+        let (_, store) = store_over(
+            &[&[&[(3, "ev/05", v), (3, "ev/06", v)]]],
+            "retain 3 ev/ ev/06\n",
+        );
+        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        assert_eq!(store.stats().run_merges, 1);
+        let moved = store.levels.read().deeper[1].clone();
+        assert_eq!(moved[0].min_key(), Some((3, "ev/06")));
+
+        // No block of the victim reaches the target run, but its hull
+        // spans it: the run is rewritten in two pieces around the
+        // untouched one, which is never read.
+        let (disk, store) = store_over(&[&[&[(1, "a", v), (3, "z", v)]], &[&[(2, "m", v)]]], "");
+        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        assert_eq!(store.stats().run_merges, 1);
+        assert_eq!(
+            level_names(&store, 2),
+            ["run-000002", "run-000001", "run-000003"]
+        );
+        assert_eq!(
+            store.level_ranges()[1],
+            [
+                ((1, "a".to_string()), (1, "a".to_string())),
+                ((2, "m".to_string()), (2, "m".to_string())),
+                ((3, "z".to_string()), (3, "z".to_string())),
+            ]
+        );
+        assert!(disk.file_len("run-000000").is_none(), "input not GC'd");
     }
 
     #[test]
@@ -863,22 +1177,7 @@ mod tests {
             ranges.iter().any(|level| !level.is_empty()),
             "no run ever reached L1+"
         );
-        // Every deeper level holds runs with valid, sorted, pairwise
-        // disjoint composite-key ranges.
-        for (li, level) in ranges.iter().enumerate() {
-            for (lo, hi) in level {
-                assert!(lo <= hi, "L{}: inverted range", li + 1);
-            }
-            for pair in level.windows(2) {
-                assert!(
-                    pair[0].1 < pair[1].0,
-                    "L{}: runs overlap or are unsorted: {:?} vs {:?}",
-                    li + 1,
-                    pair[0],
-                    pair[1]
-                );
-            }
-        }
+        assert!(store.levels.read().deeper_levels_disjoint());
 
         let check = |store: &Store<MemDisk>| {
             for space in [Space::History, Space::Instance] {

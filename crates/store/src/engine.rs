@@ -18,7 +18,9 @@
 //! * `levels.rs` — the level layout (overlapping L0, disjoint
 //!   sorted L1+) and the point-read path through it.
 //! * `compaction.rs` — every rewrite that commits through the
-//!   manifest: snapshot roll, spill, bounded leveled merge.
+//!   manifest: snapshot roll, spill, leveled push-down.
+//! * `merge.rs` — the streaming k-way merge a push-down reads its
+//!   inputs through.
 //! * `retention.rs` — the per-space watermark that retires a key
 //!   range for good.
 //!
@@ -190,8 +192,16 @@ pub struct StoreStats {
     pub memtable_bytes: u64,
     /// Memtable spills performed by this handle since open.
     pub spills: u64,
-    /// Run merge compactions performed by this handle since open.
+    /// Rewriting merge compactions performed by this handle since open.
     pub run_merges: u64,
+    /// Push-downs that moved a run a level down by manifest commit
+    /// alone, reading and writing no run data.
+    pub trivial_moves: u64,
+    /// Run data bytes read by every rewriting merge since open …
+    pub merge_bytes_in: u64,
+    /// … and run data bytes they wrote: with the spilled bytes, write
+    /// amplification is one subtraction away.
+    pub merge_bytes_out: u64,
     /// Run lookups answered "definitely absent" by run metadata alone —
     /// key-range check, sparse index, or bloom filter; never a disk
     /// read.
@@ -233,6 +243,9 @@ pub(crate) struct WalState<D: Disk> {
     pub(crate) tier_live: [usize; 4],
     pub(crate) spills: u64,
     pub(crate) run_merges: u64,
+    pub(crate) trivial_moves: u64,
+    pub(crate) merge_bytes_in: u64,
+    pub(crate) merge_bytes_out: u64,
     /// Records logically retired by retention advances through this
     /// handle.
     pub(crate) retired: u64,
@@ -425,6 +438,9 @@ impl<D: Disk> Store<D> {
                 tier_live: manifest.tier_live,
                 spills: 0,
                 run_merges: 0,
+                trivial_moves: 0,
+                merge_bytes_in: 0,
+                merge_bytes_out: 0,
                 retired: 0,
                 merge_bytes_max: 0,
                 level_cursors: Vec::new(),
@@ -661,6 +677,9 @@ impl<D: Disk> Store<D> {
             memtable_bytes,
             spills: wal.spills,
             run_merges: wal.run_merges,
+            trivial_moves: wal.trivial_moves,
+            merge_bytes_in: wal.merge_bytes_in,
+            merge_bytes_out: wal.merge_bytes_out,
             bloom_skips: self.metrics.bloom_skips.load(Ordering::Relaxed),
             run_probes: self.metrics.run_probes.load(Ordering::Relaxed),
             cache_hits: self.cache.hits(),

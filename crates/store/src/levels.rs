@@ -71,6 +71,26 @@ impl Levels {
             .is_some_and(|(start, below)| key >= start.as_str() && key < below.as_str())
     }
 
+    /// Could the watermark of some space retire an entry of `run`?
+    /// Block-granular and conservative (sparse index only).
+    pub(crate) fn retains_part_of(&self, run: &Run) -> bool {
+        self.retain.iter().enumerate().any(|(space, range)| {
+            range.as_ref().is_some_and(|(start, below)| {
+                run.any_block_intersects((space as u8, start), (space as u8, below))
+            })
+        })
+    }
+
+    /// The invariant of every level beneath L0: runs sorted by hull,
+    /// hulls pairwise disjoint — what lets a point read binary-search to
+    /// one run per level.
+    pub(crate) fn deeper_levels_disjoint(&self) -> bool {
+        self.deeper.iter().all(|level| {
+            level.iter().all(|r| r.min_key() <= r.max_key())
+                && level.windows(2).all(|w| w[0].max_key() < w[1].min_key())
+        })
+    }
+
     /// Might any run surface `key`?  Bloom-only, no I/O; used to decide
     /// whether a delete needs a tombstone.
     pub(crate) fn may_contain_any(&self, space: u8, key: &str) -> bool {

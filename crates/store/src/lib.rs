@@ -38,6 +38,7 @@ pub mod error;
 mod levels;
 mod manifest;
 mod memtable;
+mod merge;
 mod policy;
 mod retention;
 pub mod runs;

@@ -37,6 +37,7 @@ use crate::disk::Disk;
 use crate::error::{StoreError, StoreResult};
 use crate::wal::{self, WalOp, WalOpRef};
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// Footer magic: "BioOpera Run v1".
 pub const RUN_MAGIC: [u8; 4] = *b"BOR1";
@@ -71,6 +72,9 @@ pub struct RunEntry<'a> {
     pub value: Option<&'a [u8]>,
 }
 
+/// A borrowed composite key: runs, blocks and levels order by it.
+pub(crate) type KeyRef<'a> = (u8, &'a str);
+
 /// Sparse index entry for one data block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct BlockMeta {
@@ -83,15 +87,23 @@ struct BlockMeta {
     last_key: String,
 }
 
+/// What an opened run keeps resident: shared by every clone of its
+/// [`Run`], so copying a level layout copies pointers, never an index
+/// or a bloom.
+#[derive(Debug)]
+struct RunMeta {
+    name: String,
+    blocks: Vec<BlockMeta>,
+    bloom: Bloom,
+}
+
 /// An opened run: index + bloom resident, data blocks on disk.
 #[derive(Debug, Clone)]
 pub struct Run {
-    name: String,
+    meta: Arc<RunMeta>,
     /// Numeric id parsed from the name — the block cache keys cached
     /// blocks by `(run id, block offset)` so a purge after GC is exact.
     id: u64,
-    blocks: Vec<BlockMeta>,
-    bloom: Bloom,
     /// Live (non-tombstone) ops across all blocks.
     pub entries: u64,
     /// Tombstone ops across all blocks.
@@ -308,10 +320,12 @@ impl Run {
                 return None;
             }
             Some(Run {
-                name: name.to_string(),
+                meta: Arc::new(RunMeta {
+                    name: name.to_string(),
+                    blocks,
+                    bloom,
+                }),
                 id: parse_run_name(name).unwrap_or(u64::MAX),
-                blocks,
-                bloom,
                 entries,
                 tombstones,
                 data_bytes: meta_off,
@@ -321,7 +335,7 @@ impl Run {
     }
 
     pub fn name(&self) -> &str {
-        &self.name
+        &self.meta.name
     }
 
     /// Numeric id parsed from `run-{id:06}` at open time.
@@ -331,47 +345,80 @@ impl Run {
 
     /// Smallest `(space, key)` held by this run; `None` for an empty run.
     pub fn min_key(&self) -> Option<(u8, &str)> {
-        self.blocks.first().map(|b| (b.space, b.first_key.as_str()))
+        self.meta
+            .blocks
+            .first()
+            .map(|b| (b.space, b.first_key.as_str()))
     }
 
     /// Largest `(space, key)` held by this run; `None` for an empty run.
     pub fn max_key(&self) -> Option<(u8, &str)> {
-        self.blocks.last().map(|b| (b.space, b.last_key.as_str()))
+        self.meta
+            .blocks
+            .last()
+            .map(|b| (b.space, b.last_key.as_str()))
+    }
+
+    /// `[min_key, max_key]`: the inclusive composite range every entry
+    /// lies in; `None` for an empty run.
+    pub(crate) fn hull(&self) -> Option<(KeyRef<'_>, KeyRef<'_>)> {
+        self.min_key().zip(self.max_key())
     }
 
     /// Index of the one block whose range may contain `(space, key)`,
     /// found by binary search over the sparse index.
     pub(crate) fn block_for(&self, space: u8, key: &str) -> Option<usize> {
         let idx = self
+            .meta
             .blocks
             .partition_point(|b| (b.space, b.first_key.as_str()) <= (space, key));
         if idx == 0 {
             return None;
         }
-        let block = &self.blocks[idx - 1];
+        let block = &self.meta.blocks[idx - 1];
         if block.space != space || block.last_key.as_str() < key {
             return None;
         }
         Some(idx - 1)
     }
 
+    /// Data blocks in the run; a merge cursor walks `0..block_count()`
+    /// through [`Run::load_block_at`].
+    pub(crate) fn block_count(&self) -> usize {
+        self.meta.blocks.len()
+    }
+
+    /// Does some block's key range intersect the inclusive composite
+    /// range `[lo, hi]`?  Sparse index only, no I/O.  A compaction
+    /// selects a target-level run by asking this of every source run
+    /// about the target's hull: a source key can only lie inside a hull
+    /// some source block's range intersects.
+    pub(crate) fn any_block_intersects(&self, lo: KeyRef<'_>, hi: KeyRef<'_>) -> bool {
+        let blocks = &self.meta.blocks;
+        let idx = blocks.partition_point(|b| (b.space, b.last_key.as_str()) < lo);
+        blocks
+            .get(idx)
+            .is_some_and(|b| (b.space, b.first_key.as_str()) <= hi)
+    }
+
     /// Data-region offset of block `idx` — the block cache's key.
     pub(crate) fn block_offset(&self, idx: usize) -> u64 {
-        self.blocks[idx].offset
+        self.meta.blocks[idx].offset
     }
 
     /// Read and CRC-check block `idx`; the caller (block cache) owns the
     /// decoded ops afterwards, so cached entries are always
     /// post-validation.
     pub(crate) fn load_block_at<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Vec<WalOp>> {
-        self.load_block(disk, &self.blocks[idx])
+        self.load_block(disk, &self.meta.blocks[idx])
     }
 
     /// Resident-memory footprint of the opened run (index + bloom),
     /// for the bounded-memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        self.bloom.bits() / 8
+        self.meta.bloom.bits() / 8
             + self
+                .meta
                 .blocks
                 .iter()
                 .map(|b| b.first_key.len() + b.last_key.len() + 32)
@@ -380,30 +427,33 @@ impl Run {
 
     /// Bloom check only — `false` proves the pair is absent.
     pub fn may_contain(&self, space: u8, key: &str) -> bool {
-        self.bloom.may_contain(space, key)
+        self.meta.bloom.may_contain(space, key)
     }
 
     /// [`Run::may_contain`] with the `(space, key)` hash pair
     /// precomputed — lets a lookup across many runs hash once.
     pub fn may_contain_hashed(&self, hash: (u64, u64)) -> bool {
-        self.bloom.may_contain_hashed(hash)
+        self.meta.bloom.may_contain_hashed(hash)
     }
 
     /// Read and decode one data block, zero-copy.
     fn load_block<D: Disk>(&self, disk: &D, b: &BlockMeta) -> StoreResult<Vec<WalOp>> {
         let raw = disk
-            .read_range(&self.name, b.offset, b.len as usize)?
-            .ok_or_else(|| corrupt(&self.name, "data block vanished"))?;
+            .read_range(&self.meta.name, b.offset, b.len as usize)?
+            .ok_or_else(|| corrupt(&self.meta.name, "data block vanished"))?;
         if raw.len() != b.len as usize {
-            return Err(corrupt(&self.name, "data block truncated"));
+            return Err(corrupt(&self.meta.name, "data block truncated"));
         }
         let replay = wal::replay_shared(Bytes::from(raw))?;
         if replay.torn_tail || replay.batches.len() != 1 {
-            return Err(corrupt(&self.name, "data block is not one whole frame"));
+            return Err(corrupt(
+                &self.meta.name,
+                "data block is not one whole frame",
+            ));
         }
         let ops = replay.batches.into_iter().next().unwrap();
         if ops.len() != b.count as usize {
-            return Err(corrupt(&self.name, "data block op count mismatch"));
+            return Err(corrupt(&self.meta.name, "data block op count mismatch"));
         }
         Ok(ops)
     }
@@ -449,7 +499,7 @@ impl Run {
         within: impl Fn(&str) -> bool,
     ) -> StoreResult<Vec<(String, Option<Bytes>)>> {
         let mut out = Vec::new();
-        for b in self.blocks.iter().filter(|b| b.space == space) {
+        for b in self.meta.blocks.iter().filter(|b| b.space == space) {
             if b.last_key.as_str() < start {
                 continue;
             }
@@ -462,16 +512,6 @@ impl Run {
                     out.push((key, value));
                 }
             }
-        }
-        Ok(out)
-    }
-
-    /// Every op in the run, in `(space, key)` order — the merge path.
-    /// Values remain zero-copy slices of the per-block reads.
-    pub fn load_all<D: Disk>(&self, disk: &D) -> StoreResult<Vec<WalOp>> {
-        let mut out = Vec::with_capacity((self.entries + self.tombstones) as usize);
-        for b in &self.blocks {
-            out.extend(self.load_block(disk, b)?);
         }
         Ok(out)
     }
@@ -543,9 +583,15 @@ mod tests {
         let run = write_sample(&disk);
         // 50 entries x ~85B values per space exceed one 4 KiB block, so
         // every space must split — and blocks never mix spaces.
-        assert!(run.blocks.len() > 4, "blocks: {}", run.blocks.len());
-        let all = run.load_all(&disk).unwrap();
-        assert_eq!(all.len(), 200);
+        assert!(run.block_count() > 4, "blocks: {}", run.block_count());
+        let mut ops = 0;
+        for idx in 0..run.block_count() {
+            let block = run.load_block_at(&disk, idx).unwrap();
+            ops += block.len();
+            let space = run.meta.blocks[idx].space;
+            assert!(block.into_iter().all(|op| op.into_entry().0 == space));
+        }
+        assert_eq!(ops, 200);
     }
 
     #[test]

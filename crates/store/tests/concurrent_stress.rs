@@ -12,6 +12,7 @@
 use bioopera_store::{Batch, CompactionPolicy, MemDisk, Space, Store, TieredPolicy};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::thread;
 
 /// Keys per marker batch: all of them must always agree.
@@ -40,16 +41,21 @@ fn readers_never_observe_a_half_applied_batch() {
 
     let done = AtomicBool::new(false);
     let max_seen = AtomicU64::new(0);
+    // The writer starts only once every reader has completed a read, so
+    // no reader can be scheduled for the first time after `done` is set
+    // and every reader overlaps the whole write sequence.
+    let readers_started = Barrier::new(READERS + 1);
 
     thread::scope(|s| {
         for reader in 0..READERS {
             let store = store.clone();
             let done = &done;
             let max_seen = &max_seen;
+            let readers_started = &readers_started;
             s.spawn(move || {
                 let mut reads = 0u64;
                 let mut last = 0u64;
-                while !done.load(Ordering::Relaxed) {
+                loop {
                     // Scans and gets interleave; both must be consistent.
                     if reads.is_multiple_of(2) {
                         let hits = store.scan_prefix(Space::Instance, "stress/").unwrap();
@@ -81,15 +87,22 @@ fn readers_never_observe_a_half_applied_batch() {
                     // O(1) len never disagrees with the scan's cardinality.
                     assert_eq!(store.len(Space::Instance).unwrap(), KEYS);
                     reads += 1;
+                    if reads == 1 {
+                        readers_started.wait();
+                    }
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
-                assert!(reads > 0);
             });
         }
 
         // One writer: single applies, group commits and compactions.
         let writer_store = store.clone();
         let done = &done;
+        let readers_started = &readers_started;
         s.spawn(move || {
+            readers_started.wait();
             let mut i = 1u64;
             while i <= BATCHES {
                 match i % 5 {

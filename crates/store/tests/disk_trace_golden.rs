@@ -411,6 +411,84 @@ fn assert_golden(name: &str, actual: &str, golden: &str) {
     );
 }
 
+/// Names the manifest on `disk` lists at level 1 or deeper.
+fn settled_runs(disk: &Recording) -> Vec<String> {
+    let manifest = disk.inner.read("MANIFEST").unwrap().unwrap_or_default();
+    String::from_utf8(manifest)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_prefix("lrun "))
+        .map(|l| l.split_once(' ').unwrap().1.to_string())
+        .collect()
+}
+
+/// Append-only history — provenance only ever grows — costs two writes
+/// per byte and no re-read: the spill, and the one L0 merge that turns
+/// overlapping-by-construction L0 runs into a level-1 run.  From there
+/// a run only moves down by manifest commits: it is never selected by a
+/// later merge (no newer block reaches its hull), never read by a point
+/// lookup of a newer key, never rewritten and never deleted.
+#[test]
+fn append_only_runs_are_written_twice_and_never_touched_again() {
+    let disk = Recording::new();
+    let policy = TieredPolicy {
+        memtable_budget_bytes: 8 * 1024,
+        run_merge_threshold: 3,
+        level_base_bytes: 32 * 1024,
+        level_growth: 2,
+        level_run_bytes: 16 * 1024,
+        block_cache_budget: 0,
+    };
+    let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+    let mut data = 0usize;
+    let mut settled: Vec<String> = Vec::new();
+    let mut seen = 0usize;
+    for i in 0..2400usize {
+        let (key, v) = (format!("ev/{i:08}"), value(i));
+        data += key.len() + v.len();
+        store.put(Space::History, key, v).unwrap();
+        let trace = disk.trace();
+        for line in trace[seen..].lines() {
+            let touched = line.split(' ').nth(1).unwrap_or("");
+            assert!(
+                !settled.iter().any(|run| run == touched),
+                "put {i}: `{line}` touches a run already in level >= 1"
+            );
+        }
+        seen = trace.len();
+        let now = settled_runs(&disk);
+        assert!(
+            settled.iter().all(|run| now.contains(run)),
+            "put {i}: a settled run left the manifest: {settled:?} -> {now:?}"
+        );
+        settled = now;
+    }
+    let stats = store.stats();
+    assert!(stats.levels >= 3, "history never reached L3: {stats:?}");
+    assert!(stats.trivial_moves > 0, "{stats:?}");
+    // Every rewriting merge was an L0 merge of `run_merge_threshold`
+    // spills; nothing deeper was ever rewritten.
+    let in_l0 = stats.runs as u64 - settled.len() as u64;
+    assert_eq!(stats.run_merges * 3, stats.spills - in_l0, "{stats:?}");
+    let run_bytes_written: usize = disk
+        .trace()
+        .lines()
+        .filter_map(|l| l.strip_prefix("write_atomic run-"))
+        .map(|l| l.split(' ').nth(1).unwrap().parse::<usize>().unwrap())
+        .sum();
+    // Twice the data plus what a run file adds to it: frame headers,
+    // the per-op tags and lengths, bloom and sparse index.
+    assert!(
+        run_bytes_written <= 2 * data + data / 5,
+        "{run_bytes_written} run bytes written for {data} bytes of records"
+    );
+    assert_eq!(stats.merge_bytes_out, stats.merge_bytes_in);
+    assert_eq!(
+        store.get(Space::History, "ev/00000000").unwrap(),
+        Some(value(0))
+    );
+}
+
 #[test]
 fn untiered_disk_trace_matches_the_golden() {
     assert_golden(

@@ -196,6 +196,52 @@ fn assert_levels_disjoint(store: &Store<MemDisk>) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// One committed batch of the shard engine's key mix: the next `ev`
+/// keys of `ev/{n}` and the next `sev` keys of `sev/{round}/{idx}` —
+/// two families in the history space that only ever grow — plus
+/// overwrites and deletes of a small instance set spread over the
+/// `s0000…s0003` shard prefixes.
+#[derive(Debug, Clone)]
+struct ShardRound {
+    ev: usize,
+    sev: usize,
+    /// `(shard, instance, delete)`.
+    inst: Vec<(u8, u8, bool)>,
+    value_len: usize,
+    then: AfterRound,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum AfterRound {
+    Nothing,
+    Spill,
+    CompactLevels,
+    Reopen,
+}
+
+fn shard_rounds_strategy() -> impl Strategy<Value = Vec<ShardRound>> {
+    let round = (
+        0usize..6,
+        0usize..4,
+        prop::collection::vec((0u8..4, 0u8..5, prop::bool::weighted(0.15)), 0..5),
+        prop::sample::select(vec![8usize, 90, 400, 1500]),
+        prop_oneof![
+            8 => Just(AfterRound::Nothing),
+            2 => Just(AfterRound::Spill),
+            1 => Just(AfterRound::CompactLevels),
+            1 => Just(AfterRound::Reopen),
+        ],
+    )
+        .prop_map(|(ev, sev, inst, value_len, then)| ShardRound {
+            ev,
+            sev,
+            inst,
+            value_len,
+            then,
+        });
+    prop::collection::vec(round, 10..60)
+}
+
 fn assert_matches_model(store: &Store<MemDisk>, model: &Model) -> Result<(), TestCaseError> {
     prop_assert_eq!(dump(store), model.data.clone());
     for (i, space) in Space::ALL.iter().enumerate() {
@@ -346,5 +392,80 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    // Each case re-reads the whole store after every batch; a dozen
+    // cases of up to 60 batches keep the suite at a few seconds.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The key mix that makes every spill's hull span Instance→History:
+    /// block-granular selection leaves most of a level unselected, the
+    /// fence cut has to keep the merge output from straddling it, and
+    /// append-only runs move down by manifest alone.  After every batch
+    /// (each may run a spill and a whole maintenance cascade — whose
+    /// every publish re-checks the level invariant under
+    /// `debug_assert!`) the levels must be disjoint and sorted and the
+    /// store equal to the model.
+    #[test]
+    fn shard_key_mix_keeps_levels_disjoint_and_matches_model(
+        rounds in shard_rounds_strategy(),
+        budget in prop::sample::select(vec![1024u64, 6 * 1024]),
+        threshold in 2usize..4,
+        level_base in prop::sample::select(vec![4096u64, 24 * 1024]),
+        run_bytes in prop::sample::select(vec![1024u64, 12 * 1024]),
+    ) {
+        let policy = TieredPolicy {
+            memtable_budget_bytes: budget,
+            run_merge_threshold: threshold,
+            level_base_bytes: level_base,
+            level_growth: 2,
+            level_run_bytes: run_bytes,
+            ..TieredPolicy::default()
+        };
+        let disk = MemDisk::new();
+        let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+        let mut model = Model::default();
+        let (mut next_ev, mut stamp) = (0usize, 0u8);
+        for (round_no, round) in rounds.iter().enumerate() {
+            let mut ops = Vec::new();
+            let mut value = || {
+                stamp = stamp.wrapping_add(1);
+                vec![stamp; round.value_len]
+            };
+            for _ in 0..round.ev {
+                ops.push(Op::Put { space: 3, key: format!("ev/{next_ev:06}"), value: value() });
+                next_ev += 1;
+            }
+            for idx in 0..round.sev {
+                let key = format!("sev/{round_no:04}/{idx}");
+                ops.push(Op::Put { space: 3, key, value: value() });
+            }
+            for &(shard, inst, delete) in &round.inst {
+                let key = format!("s{shard:04}/inst/{inst}/header");
+                ops.push(if delete {
+                    Op::Delete { space: 1, key }
+                } else {
+                    Op::Put { space: 1, key, value: value() }
+                });
+            }
+            store.apply(to_batch(&ops)).unwrap();
+            model.apply(&ops);
+            match round.then {
+                AfterRound::Nothing => {}
+                AfterRound::Spill => store.spill().unwrap(),
+                AfterRound::CompactLevels => store.compact_levels().unwrap(),
+                AfterRound::Reopen => {
+                    drop(store);
+                    store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+                }
+            }
+            assert_levels_disjoint(&store)?;
+            prop_assert_eq!(dump(&store), model.data.clone(), "after round {}", round_no);
+        }
+        drop(store);
+        let reopened = Store::open_with(disk, Some(policy)).unwrap();
+        assert_matches_model(&reopened, &model)?;
     }
 }

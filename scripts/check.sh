@@ -27,6 +27,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> store concurrent stress, 5x in release (where a late-scheduled reader used to fail 1 run in 3)"
+# On the 2-vCPU host a release build finishes the writer before the
+# last reader thread is first scheduled; the readers now rendezvous with
+# the writer after their first read, and this loop is the gate that
+# showed the old flake.
+for _ in 1 2 3 4 5; do
+  cargo test --release -q -p bioopera-store --test concurrent_stress
+done
+
 echo "==> store+core suites under a forced-small memtable budget (constant spilling)"
 # BIOOPERA_MEMTABLE_BUDGET routes every Store::open through the tiered
 # engine with a 64 KiB budget, so the suites re-run against real memtable
