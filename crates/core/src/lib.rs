@@ -22,15 +22,22 @@
 //!   node quarantine, and poison-task escalation;
 //! * the **planner** ([`planner`]) answers what-if questions ("which
 //!   processes are affected if these nodes go off-line?", §3.5);
+//! * the **instance layer** ([`instance`]) is what every step loop shares
+//!   between the navigator and its own way of driving instances: what an
+//!   instance is, what a task record stands for, the journal format, and
+//!   what a record left in doubt by a dead server means;
 //! * the **runtime** ([`runtime`]) ties the engine to the discrete-event
 //!   cluster simulator and drives whole month-long executions, including
-//!   every failure class of the paper's evaluation.
+//!   every failure class of the paper's evaluation; the **sharded
+//!   navigator** ([`shard`]) drives the same instances in bulk-synchronous
+//!   rounds.
 
 pub mod awareness;
 pub mod dependability;
 mod diagnostics;
 pub mod dispatcher;
 pub mod error;
+pub mod instance;
 pub mod library;
 pub mod lineage;
 pub mod metrics;

@@ -28,19 +28,21 @@ use crate::awareness::{Awareness, EventKind};
 use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision, SystemCause};
 use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
 use crate::error::{EngineError, EngineResult};
+use crate::instance::{self, Instance, Role};
 use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
-use crate::navigator::{self, FailureKind, InstanceView, NavOutcome};
+use crate::navigator::{self, FailureKind, NavOutcome};
 use crate::state::{
     keys, InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskRecord, TaskState,
 };
 use bioopera_cluster::trace::{Trace, TraceEvent, TraceEventKind};
 use bioopera_cluster::{Cluster, JobId, JobOutcome, NetworkState, SimKernel, SimTime};
-use bioopera_ocr::model::{ParallelBody, ProcessTemplate, TaskKind};
+use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
 use bioopera_ocr::ExternalBinding;
 use bioopera_store::{Batch, CompactionPolicy, Disk, Space, Store, StoreStats};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Events driving the runtime's kernel.
 #[derive(Debug, Clone)]
@@ -143,52 +145,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Volatile per-instance server memory (rebuilt from the store after a
-/// server crash).
-struct InstanceMem {
-    template: ProcessTemplate,
-    header: InstanceHeader,
-    tasks: BTreeMap<String, TaskRecord>,
-}
-
-impl InstanceMem {
-    /// A *container* task's state is driven by something else — a parallel
-    /// parent by its children, a subprocess task (or a parallel child with
-    /// a subprocess body) by its child instance.  Containers are never
-    /// re-queued directly: doing so would duplicate running work.
-    fn is_container(&self, path: &str) -> bool {
-        if let Some(rec) = self.tasks.get(path) {
-            if let Some(parent) = rec.parallel_parent() {
-                return matches!(
-                    navigator::parallel_body(&self.template, parent),
-                    Some(ParallelBody::Subprocess(_))
-                );
-            }
-        }
-        matches!(
-            self.template.task(path).map(|t| &t.kind),
-            Some(TaskKind::Parallel { .. }) | Some(TaskKind::Subprocess { .. })
-        )
-    }
-
-    /// How the pump activates the `Ready` record `rec` of this instance.
-    fn task_flavor(&self, rec: &TaskRecord) -> TaskFlavor<'_> {
-        if let Some(parent) = rec.parallel_parent() {
-            return match navigator::parallel_body(&self.template, parent) {
-                Some(ParallelBody::Activity(b)) => TaskFlavor::Activity(b),
-                Some(ParallelBody::Subprocess(t)) => TaskFlavor::Subprocess(t),
-                None => TaskFlavor::Unknown,
-            };
-        }
-        match self.template.task(&rec.path).map(|t| &t.kind) {
-            Some(TaskKind::Activity { binding }) => TaskFlavor::Activity(binding),
-            Some(TaskKind::Parallel { .. }) => TaskFlavor::ParallelParent,
-            Some(TaskKind::Subprocess { template }) => TaskFlavor::Subprocess(template),
-            None => TaskFlavor::Unknown,
-        }
-    }
-}
-
 /// A job the server believes is on (or travelling to) a node.
 struct InFlight {
     instance: InstanceId,
@@ -213,7 +169,10 @@ pub struct Runtime<D: Disk + Clone> {
     cfg: RuntimeConfig,
 
     // ---- volatile server memory (lost on server crash) ----
-    instances: BTreeMap<InstanceId, InstanceMem>,
+    instances: BTreeMap<InstanceId, Instance>,
+    /// Templates resolved so far, by name: filled by `register_template`
+    /// and lazily from the template space.
+    templates: BTreeMap<String, Arc<ProcessTemplate>>,
     in_flight: BTreeMap<JobId, InFlight>,
     ready_queue: VecDeque<(InstanceId, String)>,
     next_instance_id: InstanceId,
@@ -282,6 +241,7 @@ impl<D: Disk + Clone> Runtime<D> {
             awareness,
             cfg,
             instances: BTreeMap::new(),
+            templates: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             ready_queue: VecDeque::new(),
             next_instance_id: 1,
@@ -316,6 +276,9 @@ impl<D: Disk + Clone> Runtime<D> {
             keys::template(&t.name),
             serde_json::to_vec(t).map_err(bioopera_store::StoreError::from)?,
         )?;
+        // Late binding: a re-registration replaces what instances started
+        // from now on resolve the name to.
+        self.templates.insert(t.name.clone(), Arc::new(t.clone()));
         Ok(())
     }
 
@@ -336,33 +299,11 @@ impl<D: Disk + Clone> Runtime<D> {
         initial: BTreeMap<String, Value>,
         parent: Option<(InstanceId, String)>,
     ) -> EngineResult<InstanceId> {
-        let template = self.load_template(template_name)?;
+        let template = Self::resolve_template(&self.store, &mut self.templates, template_name)?;
         let id = self.next_instance_id;
         self.next_instance_id += 1;
-        let mut header = InstanceHeader {
-            id,
-            template: template_name.to_string(),
-            status: InstanceStatus::Running,
-            whiteboard: BTreeMap::new(),
-            parent,
-            created_at: self.kernel.now(),
-            ended_at: None,
-        };
-        let mut tasks = BTreeMap::new();
-        let outcome = {
-            let mut view = InstanceView {
-                template: &template,
-                header: &mut header,
-                tasks: &mut tasks,
-            };
-            navigator::init_instance(&mut view, &initial)?
-        };
-        let mem = InstanceMem {
-            template,
-            header,
-            tasks,
-        };
-        self.instances.insert(id, mem);
+        let (inst, outcome) = Instance::create(template, id, parent, self.kernel.now(), &initial)?;
+        self.instances.insert(id, inst);
         self.persist_full_instance(id)?;
         self.awareness.record(
             self.kernel.now(),
@@ -376,13 +317,25 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(id)
     }
 
-    fn load_template(&self, name: &str) -> EngineResult<ProcessTemplate> {
-        let bytes = self
-            .store
+    /// The template called `name`: as already resolved, else decoded from
+    /// the template space and remembered (one `get` + decode per name per
+    /// server life, not one per instance).
+    fn resolve_template(
+        store: &Store<D>,
+        known: &mut BTreeMap<String, Arc<ProcessTemplate>>,
+        name: &str,
+    ) -> EngineResult<Arc<ProcessTemplate>> {
+        if let Some(t) = known.get(name) {
+            return Ok(t.clone());
+        }
+        let bytes = store
             .get(Space::Template, &keys::template(name))?
             .ok_or_else(|| EngineError::UnknownTemplate(name.to_string()))?;
-        serde_json::from_slice(&bytes)
-            .map_err(|e| EngineError::Internal(format!("corrupt template {name}: {e}")))
+        let t: ProcessTemplate = serde_json::from_slice(&bytes)
+            .map_err(|e| EngineError::Internal(format!("corrupt template {name}: {e}")))?;
+        let t = Arc::new(t);
+        known.insert(name.to_string(), t.clone());
+        Ok(t)
     }
 
     /// Install an environment trace (schedules every event).
@@ -667,7 +620,7 @@ impl<D: Disk + Clone> Runtime<D> {
     /// for the engine-agnostic what-if core — see
     /// [`crate::planner::PlannerSnapshot`].
     pub fn planner_snapshot(&self) -> crate::planner::PlannerSnapshot {
-        use crate::planner::{PlannerInstance, PlannerNode, PlannerSnapshot, PlannerTask};
+        use crate::planner::{PlannerNode, PlannerSnapshot};
         let nodes = self
             .cluster
             .nodes()
@@ -679,28 +632,12 @@ impl<D: Disk + Clone> Runtime<D> {
                 up: n.is_up(),
             })
             .collect();
-        let mut instances = Vec::new();
-        for (id, mem) in &self.instances {
-            if mem.header.status.is_terminal() {
-                continue;
-            }
-            instances.push(PlannerInstance {
-                id: *id,
-                template: mem.header.template.clone(),
-                tasks: mem
-                    .tasks
-                    .values()
-                    .map(|rec| PlannerTask {
-                        path: rec.path.clone(),
-                        state: rec.state,
-                        binding: crate::planner::binding_of(
-                            &mem.template,
-                            rec.parallel_parent().unwrap_or(&rec.path),
-                        ),
-                    })
-                    .collect(),
-            });
-        }
+        let instances = self
+            .instances
+            .values()
+            .filter(|inst| !inst.header.status.is_terminal())
+            .map(Instance::planner_view)
+            .collect();
         PlannerSnapshot {
             nodes,
             in_flight: self.in_flight_jobs(),
@@ -730,20 +667,11 @@ impl<D: Disk + Clone> Runtime<D> {
                 .get(&cur)
                 .ok_or(EngineError::UnknownInstance(cur))?;
             for rec in m.tasks.values() {
-                let is_container = match rec.parallel_parent() {
-                    // Children of a parallel-subprocess body proxy a child
-                    // instance: their CPU is counted in that instance.
-                    Some(parent) => matches!(
-                        crate::navigator::parallel_body(&m.template, parent),
-                        Some(ParallelBody::Subprocess(_))
-                    ),
-                    None => matches!(
-                        m.template.task(&rec.path).map(|t| &t.kind),
-                        Some(TaskKind::Parallel { .. }) | Some(TaskKind::Subprocess { .. })
-                    ),
-                };
-                if is_container {
-                    continue; // their work is counted via children
+                // A container's work is counted via what it contains —
+                // children of a parallel-subprocess body included: they
+                // proxy a child instance, which is walked below.
+                if m.role(rec).is_container() {
+                    continue;
                 }
                 if rec.state == TaskState::Ended {
                     cpu_ms += rec.cpu_ms;
@@ -803,18 +731,11 @@ impl<D: Disk + Clone> Runtime<D> {
     /// Operator resume.
     pub fn resume(&mut self, id: InstanceId) -> EngineResult<()> {
         let now = self.kernel.now();
-        let outcome = {
-            let mem = self
-                .instances
-                .get_mut(&id)
-                .ok_or(EngineError::UnknownInstance(id))?;
-            let mut view = InstanceView {
-                template: &mem.template,
-                header: &mut mem.header,
-                tasks: &mut mem.tasks,
-            };
-            navigator::on_resume(&mut view, now)
-        };
+        let inst = self
+            .instances
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownInstance(id))?;
+        let outcome = navigator::on_resume(&mut inst.view(), now);
         self.persist_after_nav(id, &outcome)?;
         self.apply_outcome(id, outcome)?;
         self.awareness.record(
@@ -880,8 +801,8 @@ impl<D: Disk + Clone> Runtime<D> {
             .map(|mem| {
                 mem.tasks
                     .iter()
-                    .filter(|(path, rec)| {
-                        rec.state == TaskState::Dispatched && !mem.is_container(path)
+                    .filter(|(_, rec)| {
+                        rec.state == TaskState::Dispatched && !mem.role(rec).is_container()
                     })
                     .map(|(path, _)| path.clone())
                     .collect()
@@ -950,15 +871,11 @@ impl<D: Disk + Clone> Runtime<D> {
         };
         let id = self.instantiate(&template_name, whiteboard, None)?;
         let outcome = {
-            let mem = self
+            let mut view = self
                 .instances
                 .get_mut(&id)
-                .ok_or(EngineError::UnknownInstance(id))?;
-            let mut view = InstanceView {
-                template: &mem.template,
-                header: &mut mem.header,
-                tasks: &mut mem.tasks,
-            };
+                .ok_or(EngineError::UnknownInstance(id))?
+                .view();
             let mut replay_order = Vec::new();
             for rec in reuse_records {
                 let mut r = rec;
@@ -1013,21 +930,11 @@ impl<D: Disk + Clone> Runtime<D> {
                 Resume => self.resume(id)?,
                 Abort => self.abort(id)?,
                 SetData(field, e) => {
-                    let value = {
-                        let Some(mem) = self.instances.get_mut(&id) else {
-                            continue;
-                        };
-                        let view = InstanceView {
-                            template: &mem.template,
-                            header: &mut mem.header,
-                            tasks: &mut mem.tasks,
-                        };
-                        navigator::eval_in_instance(&view, &e)?
-                    };
-                    let Some(mem) = self.instances.get_mut(&id) else {
+                    let Some(inst) = self.instances.get_mut(&id) else {
                         continue;
                     };
-                    mem.header.whiteboard.insert(field.clone(), value);
+                    let value = navigator::eval_in_instance(&inst.view(), &e)?;
+                    inst.header.whiteboard.insert(field.clone(), value);
                     self.persist_header(id)?;
                     self.log(format!("instance {id}: event {event} set {field}"));
                 }
@@ -1253,92 +1160,58 @@ impl<D: Disk + Clone> Runtime<D> {
         // node itself worked — end its failure streak, and reset the
         // task's masked-failure bookkeeping.
         self.note_node_success(node_name)?;
-        if let Some(mem) = self.instances.get_mut(&flight.instance) {
-            if let Some(rec) = mem.tasks.get_mut(&flight.path) {
-                rec.retry = None;
-            }
-        }
+        let (id, path) = (flight.instance, flight.path);
+        let context = match flight.result {
+            Ok(_) => "completion",
+            Err(_) => "failure report",
+        };
+        let Some(inst) = self.instances.get_mut(&id) else {
+            self.note_stale(id, Some(&path), context);
+            return Ok(());
+        };
         // Dispatch→completion wall time (read before the navigator clears
         // per-run fields).
-        let run_ms = self
-            .instances
-            .get(&flight.instance)
-            .and_then(|m| m.tasks.get(&flight.path))
-            .and_then(|r| r.started_at)
-            .map(|s| at.saturating_sub(s).as_millis())
-            .unwrap_or(0);
-        match flight.result {
-            Ok(out) => {
-                let result = {
-                    let Some(mem) = self.instances.get_mut(&flight.instance) else {
-                        self.note_stale(flight.instance, Some(&flight.path), "completion");
-                        return Ok(());
-                    };
-                    let mut view = InstanceView {
-                        template: &mem.template,
-                        header: &mut mem.header,
-                        tasks: &mut mem.tasks,
-                    };
-                    navigator::on_task_ended(&mut view, &flight.path, out.outputs, at, cpu_ms)
-                };
-                let outcome = match result {
-                    Ok(outcome) => outcome,
-                    // A completion for a record that no longer exists (a
-                    // stale in-flight job racing a restart or recovery)
-                    // is evidence, not poison: record it and drop it.
-                    Err(EngineError::UnknownTask(i, p)) => {
-                        self.note_stale(i, Some(&p), "completion");
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                };
-                self.awareness.record(
-                    at,
-                    EventKind::TaskEnd {
-                        instance: flight.instance,
-                        path: flight.path.clone(),
-                        node: node_name.to_string(),
-                        run_ms,
-                        cpu_ms,
-                    },
-                );
-                self.persist_after_nav(flight.instance, &outcome)?;
-                self.apply_outcome(flight.instance, outcome)?;
-            }
-            Err(msg) => {
-                let result = {
-                    let Some(mem) = self.instances.get_mut(&flight.instance) else {
-                        self.note_stale(flight.instance, Some(&flight.path), "failure report");
-                        return Ok(());
-                    };
-                    let mut view = InstanceView {
-                        template: &mem.template,
-                        header: &mut mem.header,
-                        tasks: &mut mem.tasks,
-                    };
-                    navigator::on_task_failed(&mut view, &flight.path, FailureKind::Program, at)
-                };
-                let outcome = match result {
-                    Ok(outcome) => outcome,
-                    Err(EngineError::UnknownTask(i, p)) => {
-                        self.note_stale(i, Some(&p), "failure report");
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                };
-                self.awareness.record(
-                    at,
-                    EventKind::TaskFail {
-                        instance: flight.instance,
-                        path: flight.path.clone(),
-                        error: msg,
-                    },
-                );
-                self.persist_after_nav(flight.instance, &outcome)?;
-                self.apply_outcome(flight.instance, outcome)?;
-            }
+        let mut run_ms = 0;
+        if let Some(rec) = inst.tasks.get_mut(&path) {
+            rec.retry = None;
+            run_ms = rec
+                .started_at
+                .map_or(0, |s| at.saturating_sub(s).as_millis());
         }
-        Ok(())
+        let (result, event) = match flight.result {
+            Ok(out) => (
+                navigator::on_task_ended(&mut inst.view(), &path, out.outputs, at, cpu_ms),
+                EventKind::TaskEnd {
+                    instance: id,
+                    path: path.clone(),
+                    node: node_name.to_string(),
+                    run_ms,
+                    cpu_ms,
+                },
+            ),
+            Err(error) => (
+                navigator::on_task_failed(&mut inst.view(), &path, FailureKind::Program, at),
+                EventKind::TaskFail {
+                    instance: id,
+                    path: path.clone(),
+                    error,
+                },
+            ),
+        };
+        let outcome = match result {
+            Ok(outcome) => outcome,
+            // A report for a record that no longer exists (a stale
+            // in-flight job racing a restart or recovery) is evidence, not
+            // poison: record it and drop it.
+            Err(EngineError::UnknownTask(i, p)) => {
+                self.note_stale(i, Some(&p), context);
+                return Ok(());
+            }
+            Err(e) => return Err(e),
+        };
+        self.awareness.record(at, event);
+        self.persist_after_nav(id, &outcome)?;
+        self.apply_outcome(id, outcome)
     }
 
     fn on_trace(&mut self, at: SimTime, ev: TraceEvent) -> EngineResult<()> {
@@ -1532,23 +1405,7 @@ impl<D: Disk + Clone> Runtime<D> {
             && self.in_flight.is_empty()
             && self.ready_queue.is_empty()
         {
-            let stuck: Vec<InstanceId> = self
-                .instances
-                .iter()
-                .filter(|(_, m)| {
-                    m.header.status == InstanceStatus::Running
-                        && m.tasks
-                            .values()
-                            .any(|r| r.state == TaskState::Dispatched && !m.is_container(&r.path))
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            if !stuck.is_empty() {
-                for id in stuck {
-                    self.restart_instance(id)?;
-                }
-                self.auto_restarts += 1;
-            }
+            self.restart_stuck_instances()?;
         }
         // Kill-and-restart migration: abort fully-starved jobs.
         if let Some(mig) = self.cfg.migration {
@@ -1658,6 +1515,7 @@ impl<D: Disk + Clone> Runtime<D> {
         // recorded this step but not yet flushed (the index is rebuilt
         // from the store on recovery).
         self.instances.clear();
+        self.templates.clear();
         self.in_flight.clear();
         self.ready_queue.clear();
         self.pec_buffer.clear();
@@ -1737,95 +1595,40 @@ impl<D: Disk + Clone> Runtime<D> {
                 self.on_quarantine_expire(now, &name, epoch)?;
             }
         }
-        let headers = self.store.scan_prefix(Space::Instance, "inst/")?;
-        let mut ids: Vec<InstanceId> = Vec::new();
-        for (key, bytes) in &headers {
-            if key.ends_with("/header") {
-                let header: InstanceHeader = serde_json::from_slice(bytes)
-                    .map_err(|e| EngineError::Internal(format!("corrupt header {key}: {e}")))?;
-                ids.push(header.id);
-                let template = self.load_template(&header.template)?;
-                self.instances.insert(
-                    header.id,
-                    InstanceMem {
-                        template,
-                        header,
-                        tasks: BTreeMap::new(),
-                    },
-                );
-            }
-        }
-        for (key, bytes) in &headers {
-            if let Some(rest) = key.strip_prefix("inst/") {
-                if let Some((id_str, task_key)) = rest.split_once("/task/") {
-                    let id: InstanceId = id_str
-                        .parse()
-                        .map_err(|_| EngineError::Internal(format!("bad key {key}")))?;
-                    let rec: TaskRecord = serde_json::from_slice(bytes)
-                        .map_err(|e| EngineError::Internal(format!("corrupt task {key}: {e}")))?;
-                    if let Some(mem) = self.instances.get_mut(&id) {
-                        mem.tasks.insert(task_key.to_string(), rec);
-                    }
-                }
-            }
-        }
-        self.next_instance_id = ids.iter().max().map(|m| m + 1).unwrap_or(1);
-        // In-flight work was lost with the server: re-queue it.  Container
-        // tasks (parallel parents, subprocesses) stay Dispatched — their
-        // children records / child instances drive them.
+        let records = self.store.scan_prefix(Space::Instance, "inst/")?;
+        let (store, known) = (&self.store, &mut self.templates);
+        let (instances, _) = instance::read_journal(None, &records, |name| {
+            Self::resolve_template(store, known, name)
+        })?;
+        self.instances = instances;
+        self.next_instance_id = self.instances.last_key_value().map_or(1, |(id, _)| id + 1);
+        // In-flight work was lost with the server.  The shared in-doubt
+        // rule puts every queued or dispatched record back to `Ready` —
+        // including a subprocess task whose child never reached the store,
+        // which the pump re-spawns under a fresh id — and leaves the
+        // containers something still drives: parallel parents (their
+        // child records) and subprocess tasks with a child instance.
+        let children = instance::child_links(self.instances.values());
         let mut requeue: Vec<(InstanceId, String)> = Vec::new();
-        for (id, mem) in self.instances.iter() {
-            if mem.header.status.is_terminal() {
-                continue;
-            }
-            for (path, rec) in mem.tasks.iter() {
-                match rec.state {
-                    TaskState::Dispatched if !mem.is_container(path) => {
-                        requeue.push((*id, path.clone()));
-                    }
-                    TaskState::Ready => requeue.push((*id, path.clone())),
-                    _ => {}
-                }
-            }
+        for (id, inst) in &mut self.instances {
+            let resolved = inst.resolve_in_doubt(now, &children);
+            requeue.extend(resolved.into_iter().map(|(path, _)| (*id, path)));
         }
-        requeue.sort();
         let requeued = requeue.len() as u64;
         for (id, path) in requeue {
-            let Some(rec) = self
-                .instances
-                .get_mut(&id)
-                .and_then(|m| m.tasks.get_mut(&path))
-            else {
-                continue;
-            };
-            if rec.state == TaskState::Dispatched {
-                rec.state = TaskState::Ready;
-                rec.node = None;
-                // The job was running when the server died; its wait
-                // starts over at recovery.
-                rec.ready_at = Some(now);
-            } else if rec.ready_at.is_none() {
-                // A task that sat Ready through the outage keeps its
-                // persisted enqueue time, so queue-wait metrics report
-                // the full wait including the outage.  Records written
-                // before `ready_at` existed decode as `None` and get the
-                // recovery time as a lower bound.
-                rec.ready_at = Some(now);
-            }
             // Reconstruct the pending backoff timer: the RetryAt event
             // died with the kernel consumer, but the deadline survived in
             // the record.  A deadline already in the past needs no event —
             // the pump dispatches it immediately.
-            if let Some(t) = rec.retry_at() {
-                if t > now {
-                    self.kernel.schedule_at(
-                        t,
-                        EngineEvent::RetryAt {
-                            instance: id,
-                            path: path.clone(),
-                        },
-                    );
-                }
+            let retry_at = self.task_record(id, &path).and_then(TaskRecord::retry_at);
+            if let Some(t) = retry_at.filter(|t| *t > now) {
+                self.kernel.schedule_at(
+                    t,
+                    EngineEvent::RetryAt {
+                        instance: id,
+                        path: path.clone(),
+                    },
+                );
             }
             self.persist_task(id, &path)?;
             self.enqueue_ready(id, path);
@@ -1895,8 +1698,8 @@ impl<D: Disk + Clone> Runtime<D> {
                 deferred.push_back((id, path));
                 continue;
             }
-            match mem.task_flavor(rec) {
-                TaskFlavor::Activity(binding) => {
+            match mem.role(rec) {
+                Role::Activity(binding) => {
                     let program = self
                         .library
                         .get(&binding.program)
@@ -1911,35 +1714,26 @@ impl<D: Disk + Clone> Runtime<D> {
                         view.nodes[node].running_jobs += 1;
                     }
                 }
-                TaskFlavor::ParallelParent => {
-                    let (children, outcome) = {
-                        let Some(mem) = self.instances.get_mut(&id) else {
-                            self.note_stale(id, Some(&path), "parallel expansion");
-                            continue;
-                        };
-                        let mut view = InstanceView {
-                            template: &mem.template,
-                            header: &mut mem.header,
-                            tasks: &mut mem.tasks,
-                        };
-                        navigator::expand_parallel(&mut view, &path, self.kernel.now())?
+                Role::ParallelParent => {
+                    let Some(inst) = self.instances.get_mut(&id) else {
+                        self.note_stale(id, Some(&path), "parallel expansion");
+                        continue;
                     };
+                    let (children, outcome) =
+                        navigator::expand_parallel(&mut inst.view(), &path, now)?;
                     self.persist_after_nav(id, &outcome)?;
                     for child in children {
                         self.enqueue_ready(id, child);
                     }
                     self.apply_outcome(id, outcome)?;
                 }
-                TaskFlavor::Subprocess(template_name) => {
-                    let template_name = template_name.to_string();
-                    self.start_subprocess(id, &path, &template_name)?;
-                }
-                TaskFlavor::Unknown => {
+                Role::Subprocess(_) => self.start_subprocess(id, &path)?,
+                Role::Unknown => {
                     // The queue entry's record or template declaration is
                     // gone (foreign journal record, template mismatch):
                     // drop it as a recorded stale event rather than
                     // poisoning the whole step.
-                    self.note_stale(id, Some(&path), "dispatch: task has no flavor");
+                    self.note_stale(id, Some(&path), "dispatch: task has no role");
                 }
             }
         }
@@ -1997,14 +1791,11 @@ impl<D: Disk + Clone> Runtime<D> {
         node_name: String,
     ) -> EngineResult<bool> {
         let now = self.kernel.now();
-        let Some(inputs) = self.instances.get(&id).and_then(|mem| {
-            let rec = mem.tasks.get(path)?;
-            Some(if rec.is_parallel_child() {
-                rec.inputs.clone()
-            } else {
-                navigator::bind_inputs_parts(&mem.template, &mem.header, &mem.tasks, path)
-            })
-        }) else {
+        let Some(inputs) = self
+            .instances
+            .get(&id)
+            .and_then(|inst| inst.bind_inputs(path))
+        else {
             self.note_stale(id, Some(path), "dispatch");
             return Ok(false);
         };
@@ -2068,49 +1859,27 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(true)
     }
 
-    fn start_subprocess(
-        &mut self,
-        id: InstanceId,
-        path: &str,
-        template_name: &str,
-    ) -> EngineResult<()> {
+    fn start_subprocess(&mut self, id: InstanceId, path: &str) -> EngineResult<()> {
         let now = self.kernel.now();
-        let Some(initial) = self.instances.get(&id).and_then(|mem| {
-            let rec = mem.tasks.get(path)?;
-            Some(if rec.is_parallel_child() {
-                rec.inputs.clone()
-            } else {
-                navigator::bind_inputs_parts(&mem.template, &mem.header, &mem.tasks, path)
-            })
-        }) else {
+        let Some((template_name, initial)) = self
+            .instances
+            .get_mut(&id)
+            .and_then(|inst| inst.begin_subprocess(path, now))
+        else {
             self.note_stale(id, Some(path), "subprocess start");
             return Ok(());
         };
-        {
-            let Some(rec) = self
-                .instances
-                .get_mut(&id)
-                .and_then(|m| m.tasks.get_mut(path))
-            else {
-                self.note_stale(id, Some(path), "subprocess start");
-                return Ok(());
-            };
-            rec.state = TaskState::Dispatched;
-            rec.started_at = Some(now);
-            rec.inputs = initial.clone();
-            rec.ready_at = None;
-        }
         self.persist_task(id, path)?;
         // Late binding: the template is resolved from the template space
         // *now*, not when the parent was defined.
-        let child = self.instantiate(template_name, initial, Some((id, path.to_string())))?;
+        let child = self.instantiate(&template_name, initial, Some((id, path.to_string())))?;
         self.awareness.record(
             now,
             EventKind::SubprocessStart {
                 instance: id,
                 path: path.to_string(),
                 child,
-                template: template_name.to_string(),
+                template: template_name,
             },
         );
         Ok(())
@@ -2204,94 +1973,47 @@ impl<D: Disk + Clone> Runtime<D> {
             );
             return Ok(());
         }
-        if success {
+        let concluded = if success {
+            let (Some(parent), Some(child)) = (
+                self.instances.get(&parent_id),
+                self.instances.get(&child_id),
+            ) else {
+                self.note_stale(parent_id, Some(parent_task), "child completion");
+                return Ok(());
+            };
             // The child's whiteboard fields matching the parent task's
             // declared outputs become the task outputs.
-            let (outputs, child_cpu) = {
-                let (Some(child), Some(parent)) = (
-                    self.instances.get(&child_id),
-                    self.instances.get(&parent_id),
-                ) else {
-                    self.note_stale(parent_id, Some(parent_task), "child completion");
-                    return Ok(());
-                };
-                let declared: Vec<String> = parent
-                    .tasks
-                    .get(parent_task)
-                    .map(|r| {
-                        if r.is_parallel_child() {
-                            // Children of parallel-subprocess bodies expose
-                            // the whole child whiteboard.
-                            Vec::new()
-                        } else {
-                            parent
-                                .template
-                                .task(parent_task)
-                                .map(|t| t.outputs.iter().map(|f| f.name.clone()).collect())
-                                .unwrap_or_default()
-                        }
-                    })
-                    .unwrap_or_default();
-                let outputs: BTreeMap<String, Value> = if declared.is_empty() {
-                    child.header.whiteboard.clone()
-                } else {
-                    declared
-                        .into_iter()
-                        .filter_map(|f| child.header.whiteboard.get(&f).map(|v| (f, v.clone())))
-                        .collect()
-                };
-                let child_cpu: f64 = child
-                    .tasks
-                    .values()
-                    .filter(|r| r.state == TaskState::Ended)
-                    .map(|r| {
-                        // Skip container records (their cpu duplicates
-                        // children).
-                        let is_container = !r.is_parallel_child()
-                            && matches!(
-                                child.template.task(&r.path).map(|t| &t.kind),
-                                Some(TaskKind::Parallel { .. }) | Some(TaskKind::Subprocess { .. })
-                            );
-                        if is_container {
-                            0.0
-                        } else {
-                            r.cpu_ms
-                        }
-                    })
-                    .sum();
-                (outputs, child_cpu)
-            };
-            let outcome = {
-                let Some(mem) = self.instances.get_mut(&parent_id) else {
-                    self.note_stale(parent_id, Some(parent_task), "child completion");
-                    return Ok(());
-                };
-                let mut view = InstanceView {
-                    template: &mem.template,
-                    header: &mut mem.header,
-                    tasks: &mut mem.tasks,
-                };
-                navigator::on_task_ended(&mut view, parent_task, outputs, now, child_cpu)?
-            };
-            self.persist_after_nav(parent_id, &outcome)?;
-            self.apply_outcome(parent_id, outcome)?;
+            let outputs = parent.subprocess_outputs(parent_task, child.header.whiteboard.clone());
+            let child_cpu: f64 = child
+                .tasks
+                .values()
+                .filter(|r| r.state == TaskState::Ended)
+                // Skip template-level container records (their cpu
+                // duplicates what they contain).
+                .filter(|r| r.is_parallel_child() || !child.role(r).is_container())
+                .map(|r| r.cpu_ms)
+                .sum();
+            Some((outputs, child_cpu))
         } else {
-            let outcome = {
-                let Some(mem) = self.instances.get_mut(&parent_id) else {
-                    self.note_stale(parent_id, Some(parent_task), "child failure");
-                    return Ok(());
-                };
-                let mut view = InstanceView {
-                    template: &mem.template,
-                    header: &mut mem.header,
-                    tasks: &mut mem.tasks,
-                };
-                navigator::on_task_failed(&mut view, parent_task, FailureKind::Program, now)?
-            };
-            self.persist_after_nav(parent_id, &outcome)?;
-            self.apply_outcome(parent_id, outcome)?;
-        }
-        Ok(())
+            None
+        };
+        let Some(parent) = self.instances.get_mut(&parent_id) else {
+            self.note_stale(parent_id, Some(parent_task), "child conclusion");
+            return Ok(());
+        };
+        let outcome = match concluded {
+            Some((outputs, child_cpu)) => {
+                navigator::on_task_ended(&mut parent.view(), parent_task, outputs, now, child_cpu)?
+            }
+            None => navigator::on_task_failed(
+                &mut parent.view(),
+                parent_task,
+                FailureKind::Program,
+                now,
+            )?,
+        };
+        self.persist_after_nav(parent_id, &outcome)?;
+        self.apply_outcome(parent_id, outcome)
     }
 
     /// Handle a system failure of `(id, path)` hosted on `node` (if
@@ -2308,54 +2030,35 @@ impl<D: Disk + Clone> Runtime<D> {
         why: &str,
     ) -> EngineResult<()> {
         let now = self.kernel.now();
-        if self
+        let Some(inst) = self
             .instances
-            .get(&id)
-            .map(|m| !m.tasks.contains_key(path))
-            .unwrap_or(true)
-        {
+            .get_mut(&id)
+            .filter(|inst| inst.tasks.contains_key(path))
+        else {
             // The failure outlived its instance (aborted between the fault
             // and its delivery): record it and move on.
             self.note_stale(id, Some(path), why);
             return Ok(());
-        }
-        let decision = if self.cfg.dependability.enabled {
-            let Some(rec) = self
-                .instances
-                .get_mut(&id)
-                .and_then(|m| m.tasks.get_mut(path))
-            else {
-                self.note_stale(id, Some(path), why);
-                return Ok(());
-            };
-            let retry = rec.retry_mut();
-            retry.sys_failures += 1;
-            if cause == SystemCause::NodeFault {
-                if let Some(n) = node {
-                    retry.note_failed_node(n);
-                }
-            }
-            let snapshot = retry.clone();
-            self.cfg.dependability.decide(id, path, &snapshot, cause)
-        } else {
-            RetryDecision::Requeue {
-                delay: SimTime::ZERO,
-            }
         };
-        match decision {
+        let decision = match inst.tasks.get_mut(path) {
+            Some(rec) if self.cfg.dependability.enabled => {
+                let retry = rec.retry_mut();
+                retry.sys_failures += 1;
+                if cause == SystemCause::NodeFault {
+                    if let Some(n) = node {
+                        retry.note_failed_node(n);
+                    }
+                }
+                self.cfg.dependability.decide(id, path, retry, cause)
+            }
+            _ => RetryDecision::Requeue {
+                delay: SimTime::ZERO,
+            },
+        };
+        let outcome = match decision {
             RetryDecision::Requeue { delay } => {
-                let outcome = {
-                    let Some(mem) = self.instances.get_mut(&id) else {
-                        self.note_stale(id, Some(path), why);
-                        return Ok(());
-                    };
-                    let mut view = InstanceView {
-                        template: &mem.template,
-                        header: &mut mem.header,
-                        tasks: &mut mem.tasks,
-                    };
-                    navigator::on_task_failed(&mut view, path, FailureKind::System, now)?
-                };
+                let outcome =
+                    navigator::on_task_failed(&mut inst.view(), path, FailureKind::System, now)?;
                 self.awareness.record(
                     now,
                     EventKind::TaskSystemFail {
@@ -2364,21 +2067,10 @@ impl<D: Disk + Clone> Runtime<D> {
                         reason: why.to_string(),
                     },
                 );
-                if delay > SimTime::ZERO {
+                if let Some(rec) = inst.tasks.get_mut(path).filter(|_| delay > SimTime::ZERO) {
                     let retry_at = now + delay;
-                    let attempt = {
-                        let Some(rec) = self
-                            .instances
-                            .get_mut(&id)
-                            .and_then(|m| m.tasks.get_mut(path))
-                        else {
-                            self.note_stale(id, Some(path), why);
-                            return Ok(());
-                        };
-                        let retry = rec.retry_mut();
-                        retry.retry_at = Some(retry_at);
-                        retry.sys_failures
-                    };
+                    let retry = rec.retry_mut();
+                    retry.retry_at = Some(retry_at);
                     self.kernel.schedule_at(
                         retry_at,
                         EngineEvent::RetryAt {
@@ -2391,32 +2083,21 @@ impl<D: Disk + Clone> Runtime<D> {
                         EventKind::TaskBackoff {
                             instance: id,
                             path: path.to_string(),
-                            attempt,
+                            attempt: retry.sys_failures,
                             delay_ms: delay.as_millis(),
                         },
                     );
                 }
-                self.persist_after_nav(id, &outcome)?;
-                self.apply_outcome(id, outcome)?;
+                outcome
             }
             RetryDecision::Escalate { reason } => {
                 // Stop masking: the failure becomes visible through the
                 // task's ordinary retry/failure-policy machinery.
-                let outcome = {
-                    let Some(mem) = self.instances.get_mut(&id) else {
-                        self.note_stale(id, Some(path), why);
-                        return Ok(());
-                    };
-                    if let Some(r) = mem.tasks.get_mut(path).and_then(|rec| rec.retry.as_mut()) {
-                        r.retry_at = None;
-                    }
-                    let mut view = InstanceView {
-                        template: &mem.template,
-                        header: &mut mem.header,
-                        tasks: &mut mem.tasks,
-                    };
-                    navigator::on_task_failed(&mut view, path, FailureKind::Program, now)?
-                };
+                if let Some(r) = inst.tasks.get_mut(path).and_then(|rec| rec.retry.as_mut()) {
+                    r.retry_at = None;
+                }
+                let outcome =
+                    navigator::on_task_failed(&mut inst.view(), path, FailureKind::Program, now)?;
                 self.awareness.record(
                     now,
                     EventKind::TaskPoisoned {
@@ -2426,10 +2107,11 @@ impl<D: Disk + Clone> Runtime<D> {
                     },
                 );
                 self.log(format!("instance {id}: task {path} escalated ({reason})"));
-                self.persist_after_nav(id, &outcome)?;
-                self.apply_outcome(id, outcome)?;
+                outcome
             }
-        }
+        };
+        self.persist_after_nav(id, &outcome)?;
+        self.apply_outcome(id, outcome)?;
         if self.cfg.dependability.enabled && cause == SystemCause::NodeFault {
             if let Some(name) = node {
                 self.note_node_failure(name, now)?;
@@ -2568,6 +2250,29 @@ impl<D: Disk + Clone> Runtime<D> {
             || self.instances.is_empty()
     }
 
+    /// Operator-restart every running instance that holds a `Dispatched`
+    /// activity although nothing is in flight or queued — the signature
+    /// of TEUs that finished but never reported.  Containers do not
+    /// count: something else drives them.  `true` if any was restarted.
+    fn restart_stuck_instances(&mut self) -> EngineResult<bool> {
+        let stuck: Vec<InstanceId> = self
+            .instances
+            .iter()
+            .filter(|(_, m)| {
+                m.header.status == InstanceStatus::Running
+                    && m.tasks
+                        .values()
+                        .any(|r| r.state == TaskState::Dispatched && !m.role(r).is_container())
+            })
+            .map(|(id, _)| *id)
+            .collect();
+        for id in &stuck {
+            self.restart_instance(*id)?;
+        }
+        self.auto_restarts += u32::from(!stuck.is_empty());
+        Ok(!stuck.is_empty())
+    }
+
     /// Handle stalls: silent TEUs (paper event 10) trigger the operator
     /// restart the paper describes; anything else is a real deadlock.
     fn try_unstall(&mut self) -> EngineResult<bool> {
@@ -2592,25 +2297,11 @@ impl<D: Disk + Clone> Runtime<D> {
         // Quiescent but incomplete: instances stuck on dispatched tasks
         // whose results will never arrive (non-reporting TEUs) get the
         // operator-restart treatment.
-        if self.in_flight.is_empty() && self.ready_queue.is_empty() {
-            let stuck: Vec<InstanceId> = self
-                .instances
-                .iter()
-                .filter(|(_, m)| {
-                    m.header.status == InstanceStatus::Running
-                        && m.tasks
-                            .values()
-                            .any(|r| r.state == TaskState::Dispatched && !m.is_container(&r.path))
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            if !stuck.is_empty() {
-                for id in stuck {
-                    self.restart_instance(id)?;
-                }
-                self.auto_restarts += 1;
-                return Ok(true);
-            }
+        if self.in_flight.is_empty()
+            && self.ready_queue.is_empty()
+            && self.restart_stuck_instances()?
+        {
+            return Ok(true);
         }
         // Tasks parked on backoff deadlines whose RetryAt timer was lost
         // (it fired while the server was down, say): re-arm the earliest
@@ -2688,63 +2379,42 @@ impl<D: Disk + Clone> Runtime<D> {
     /// Persist the header and every task record of an instance in one
     /// atomic batch (used at instantiation).
     fn persist_full_instance(&mut self, id: InstanceId) -> EngineResult<()> {
+        let now = self.kernel.now();
+        let inst = self
+            .instances
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownInstance(id))?;
         // Stamp enqueue times before the records hit disk, so an initial
         // task's queue wait is measured from instantiation even across a
         // crash.
-        let now = self.kernel.now();
-        if let Some(mem) = self.instances.get_mut(&id) {
-            for rec in mem.tasks.values_mut() {
-                if rec.state == TaskState::Ready {
-                    rec.ready_at.get_or_insert(now);
-                }
+        for rec in inst.tasks.values_mut() {
+            if rec.state == TaskState::Ready {
+                rec.ready_at.get_or_insert(now);
             }
         }
-        let mem = self
+        let mut batch = Batch::new();
+        inst.commit_into(&mut batch, None, inst.tasks.keys())?;
+        self.commit_with_awareness(batch)
+    }
+
+    fn persist_header(&mut self, id: InstanceId) -> EngineResult<()> {
+        let inst = self
             .instances
             .get(&id)
             .ok_or(EngineError::UnknownInstance(id))?;
         let mut batch = Batch::new();
-        batch.put(
-            Space::Instance,
-            keys::header(id),
-            serde_json::to_vec(&mem.header).map_err(bioopera_store::StoreError::from)?,
-        );
-        for (path, rec) in &mem.tasks {
-            batch.put(
-                Space::Instance,
-                keys::task(id, path),
-                serde_json::to_vec(rec).map_err(bioopera_store::StoreError::from)?,
-            );
-        }
-        self.commit_with_awareness(batch)?;
-        Ok(())
-    }
-
-    fn persist_header(&mut self, id: InstanceId) -> EngineResult<()> {
-        let mem = self
-            .instances
-            .get(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        self.store.put(
-            Space::Instance,
-            keys::header(id),
-            serde_json::to_vec(&mem.header).map_err(bioopera_store::StoreError::from)?,
-        )?;
+        inst.commit_into(&mut batch, None, std::iter::empty::<&str>())?;
+        self.store.apply(batch)?;
         Ok(())
     }
 
     fn persist_task(&mut self, id: InstanceId, path: &str) -> EngineResult<()> {
-        let Some(mem) = self.instances.get(&id) else {
+        let Some(inst) = self.instances.get(&id) else {
             return Ok(());
         };
-        let Some(rec) = mem.tasks.get(path) else {
-            return Ok(());
-        };
-        self.store.put(
-            Space::Instance,
-            keys::task(id, path),
-            serde_json::to_vec(rec).map_err(bioopera_store::StoreError::from)?,
-        )?;
+        let mut batch = Batch::new();
+        inst.tasks_into(&mut batch, None, [path])?;
+        self.store.apply(batch)?;
         Ok(())
     }
 
@@ -2754,17 +2424,11 @@ impl<D: Disk + Clone> Runtime<D> {
     /// nothing recovery can observe.
     fn persist_after_nav(&mut self, id: InstanceId, outcome: &NavOutcome) -> EngineResult<()> {
         let now = self.kernel.now();
-        let Some(mem) = self.instances.get_mut(&id) else {
+        let Some(inst) = self.instances.get_mut(&id) else {
             return Ok(());
         };
-        let mut batch = Batch::new();
-        batch.put(
-            Space::Instance,
-            keys::header(id),
-            serde_json::to_vec(&mem.header).map_err(bioopera_store::StoreError::from)?,
-        );
         for p in &outcome.touched {
-            let Some(rec) = mem.tasks.get_mut(p) else {
+            let Some(rec) = inst.tasks.get_mut(p) else {
                 continue;
             };
             // Normalise the persisted enqueue stamp before serialising:
@@ -2777,14 +2441,10 @@ impl<D: Disk + Clone> Runtime<D> {
             } else {
                 rec.ready_at = None;
             }
-            batch.put(
-                Space::Instance,
-                keys::task(id, p),
-                serde_json::to_vec(rec).map_err(bioopera_store::StoreError::from)?,
-            );
         }
-        self.commit_with_awareness(batch)?;
-        Ok(())
+        let mut batch = Batch::new();
+        inst.commit_into(&mut batch, None, &outcome.touched)?;
+        self.commit_with_awareness(batch)
     }
 
     // ---- node completion-event plumbing ----
@@ -2815,13 +2475,6 @@ impl<D: Disk + Clone> Runtime<D> {
             self.resync_node(&n);
         }
     }
-}
-
-enum TaskFlavor<'a> {
-    Activity(&'a ExternalBinding),
-    ParallelParent,
-    Subprocess(&'a str),
-    Unknown,
 }
 
 /// One pump's node views: built once, kept current by bumping the chosen

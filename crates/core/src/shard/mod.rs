@@ -27,24 +27,26 @@ pub mod router;
 pub mod services;
 pub mod stepper;
 
+pub use crate::instance::{Instance, ShardMeta};
 pub use router::{
     merge_outboxes, owner, splitmix64, ControlOp, Effect, Msg, Payload, ShardEvent, ShardId,
     SrcKey, StepOutput,
 };
 pub use services::{DispatchService, LogicalNode};
-pub use stepper::{FaultInjection, InstanceSlot, Shard, ShardMeta, StepCtx};
+pub use stepper::{FaultInjection, Shard, StepCtx};
 
 use crate::awareness::{Awareness, EventKind};
 use crate::diagnostics;
 use crate::error::{EngineError, EngineResult};
+use crate::instance::{self, InDoubt};
 use crate::library::ActivityLibrary;
 use crate::planner::{OutageImpact, PlannerNode, PlannerSnapshot};
 use crate::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
 use bioopera_cluster::SimTime;
-use bioopera_ocr::model::{ProcessTemplate, TaskKind};
+use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
-use bioopera_store::{shard_key, Batch, Disk, Space, Store};
-use std::collections::{BTreeMap, BTreeSet};
+use bioopera_store::{Batch, Disk, Space, Store};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Barrier-side events (quarantines, probations, subprocess allocations)
@@ -658,16 +660,19 @@ impl<D: Disk> ShardEngine<D> {
         Ok(engine)
     }
 
-    /// Reconstruct in-doubt cross-shard work from both sides' journals:
+    /// Reconstruct in-doubt cross-shard work from both sides' journals.
+    /// Which records are in doubt, and what they rewind to, is the
+    /// instance layer's rule ([`Instance::resolve_in_doubt`], shared with
+    /// the serial runtime); this turns its verdicts into shard effects:
     ///
-    /// * dispatched activities lost their grant → back to `Ready` and
-    ///   re-requested (`ready_at` is preserved, so queue-wait metrics
-    ///   span the outage);
+    /// * `Ready` records — queued ones, and dispatched activities whose
+    ///   grant was lost — are re-requested (`ready_at` is preserved, so
+    ///   queue-wait metrics span the outage);
+    /// * a `Dispatched` subprocess task with no child instance lost its
+    ///   spawn → re-spawned under a fresh id;
     /// * a terminal child whose parent task is still `Dispatched` lost
     ///   its `ChildDone` message → re-sent (the parent's state check
-    ///   dedupes);
-    /// * a `Dispatched` subprocess task with no live child lost its spawn
-    ///   → re-spawned under a fresh id.
+    ///   dedupes).
     fn redrive(&mut self) -> EngineResult<()> {
         let now = SimTime::from_secs(self.round);
         let round = self.round;
@@ -707,132 +712,57 @@ impl<D: Disk> ShardEngine<D> {
             });
         }
         // Pass 1 (read-only): child-instance facts.
-        let mut live_children: BTreeSet<(InstanceId, String)> = BTreeSet::new();
+        let children = instance::child_links(self.shards.iter().flat_map(|s| s.slots.values()));
         let mut child_results: Vec<ChildResult> = Vec::new();
-        for shard in &self.shards {
-            for (id, slot) in &shard.slots {
-                if let Some((pid, ppath)) = &slot.header.parent {
-                    live_children.insert((*pid, ppath.clone()));
-                    if slot.header.status.is_terminal() {
-                        child_results.push((
-                            *pid,
-                            ppath.clone(),
-                            *id,
-                            slot.header.status == InstanceStatus::Completed,
-                            slot.header.whiteboard.clone(),
-                            slot.cpu_ms(),
-                        ));
-                    }
+        for (_, id, slot) in self.slots() {
+            if let Some((pid, ppath)) = &slot.header.parent {
+                if slot.header.status.is_terminal() {
+                    child_results.push((
+                        *pid,
+                        ppath.clone(),
+                        id,
+                        slot.header.status == InstanceStatus::Completed,
+                        slot.header.whiteboard.clone(),
+                        stepper::child_cpu_ms(slot),
+                    ));
                 }
             }
         }
-        // Pass 2 (mutating): requeue lost grants, find lost spawns.
+        // Pass 2 (mutating): the shared in-doubt rule rewinds lost grants
+        // and lost spawns to `Ready`; what it returns is persisted and
+        // then re-activated by role, as a step would — a subprocess
+        // re-spawns, everything else asks for a node again.
         let mut requests: Vec<(InstanceId, String)> = Vec::new();
         let mut spawns: Vec<(InstanceId, String, String, BTreeMap<String, Value>)> = Vec::new();
         let mut requeued = 0u64;
         let mut batches: Vec<Batch> = Vec::new();
         for shard in &mut self.shards {
             for (id, slot) in &mut shard.slots {
+                let resolved = slot.resolve_in_doubt(now, &children);
+                if resolved.is_empty() {
+                    continue;
+                }
                 // Suspended instances re-drive too — their in-doubt work
                 // is rewound to `Ready` so nothing is lost — but stay
                 // parked: no re-request, no re-spawn until resume, whose
                 // full ready-task re-activation picks the rewound tasks
                 // up.
                 let parked = slot.header.status == InstanceStatus::Suspended;
-                if slot.header.status != InstanceStatus::Running && !parked {
-                    continue;
-                }
-                let tmpl = slot.template.clone();
-                let mut batch = Batch::new();
-                for rec in slot.tasks.values_mut() {
-                    let subprocess_like = match rec.parallel_parent() {
-                        Some(parent) => matches!(
-                            crate::navigator::parallel_body(&tmpl, parent),
-                            Some(bioopera_ocr::model::ParallelBody::Subprocess(_))
-                        ),
-                        None => matches!(
-                            tmpl.task(&rec.path).map(|t| &t.kind),
-                            Some(TaskKind::Subprocess { .. })
-                        ),
-                    };
-                    let parallel_parent_task = rec.parallel_parent().is_none()
-                        && matches!(
-                            tmpl.task(&rec.path).map(|t| &t.kind),
-                            Some(TaskKind::Parallel { .. })
-                        );
-                    match rec.state {
-                        TaskState::Ready => {
-                            rec.ready_at.get_or_insert(now);
-                            if !parked {
-                                requests.push((*id, rec.path.clone()));
-                            }
-                            batch.put(
-                                Space::Instance,
-                                shard_key(shard.id, &keys::task(*id, &rec.path)),
-                                encode(&*rec)?,
-                            );
+                for (path, verdict) in &resolved {
+                    requeued += u64::from(*verdict == InDoubt::LostGrant);
+                    if parked {
+                        continue;
+                    }
+                    match slot.begin_subprocess(path, now) {
+                        Some((template, initial)) => {
+                            spawns.push((*id, path.clone(), template, initial))
                         }
-                        TaskState::Dispatched if parallel_parent_task => {
-                            // Concluded by its children; nothing in flight.
-                        }
-                        TaskState::Dispatched
-                            if subprocess_like
-                                && !live_children.contains(&(*id, rec.path.clone())) =>
-                        {
-                            if parked {
-                                // Lost spawn of a parked parent: rewind so
-                                // resume's ready-task sweep re-spawns it.
-                                rec.state = TaskState::Ready;
-                                rec.node = None;
-                                rec.ready_at.get_or_insert(now);
-                                batch.put(
-                                    Space::Instance,
-                                    shard_key(shard.id, &keys::task(*id, &rec.path)),
-                                    encode(&*rec)?,
-                                );
-                                continue;
-                            }
-                            let template = match rec.parallel_parent() {
-                                Some(parent) => {
-                                    match crate::navigator::parallel_body(&tmpl, parent) {
-                                        Some(bioopera_ocr::model::ParallelBody::Subprocess(t)) => {
-                                            t.clone()
-                                        }
-                                        _ => continue,
-                                    }
-                                }
-                                None => match tmpl.task(&rec.path).map(|t| &t.kind) {
-                                    Some(TaskKind::Subprocess { template }) => template.clone(),
-                                    _ => continue,
-                                },
-                            };
-                            spawns.push((*id, rec.path.clone(), template, rec.inputs.clone()));
-                        }
-                        TaskState::Dispatched if subprocess_like => {
-                            // The child is alive and will report ChildDone
-                            // itself; leave the parent task in flight.
-                        }
-                        TaskState::Dispatched => {
-                            // An activity grant died with the server.
-                            rec.state = TaskState::Ready;
-                            rec.node = None;
-                            rec.ready_at.get_or_insert(now);
-                            requeued += 1;
-                            if !parked {
-                                requests.push((*id, rec.path.clone()));
-                            }
-                            batch.put(
-                                Space::Instance,
-                                shard_key(shard.id, &keys::task(*id, &rec.path)),
-                                encode(&*rec)?,
-                            );
-                        }
-                        _ => {}
+                        None => requests.push((*id, path.clone())),
                     }
                 }
-                if !batch.is_empty() {
-                    batches.push(batch);
-                }
+                let mut batch = Batch::new();
+                slot.tasks_into(&mut batch, Some(shard.id), resolved.iter().map(|(p, _)| p))?;
+                batches.push(batch);
             }
         }
         self.store.apply_many(batches).map_err(EngineError::Store)?;
@@ -930,7 +860,7 @@ impl<D: Disk> ShardEngine<D> {
     /// Digest of the final instance state, merged across shards in
     /// instance order (shard-placement independent).
     pub fn state_digest(&self) -> u64 {
-        let mut slots: Vec<(&InstanceId, &InstanceSlot)> =
+        let mut slots: Vec<(&InstanceId, &Instance)> =
             self.shards.iter().flat_map(|s| s.slots.iter()).collect();
         slots.sort_by_key(|(id, _)| **id);
         let mut h = FNV_OFFSET;
@@ -968,7 +898,7 @@ impl<D: Disk> ShardEngine<D> {
 
     /// Every resident instance with the shard that owns it, as held in
     /// memory (tests compare this with the shard journals).
-    pub fn slots(&self) -> impl Iterator<Item = (ShardId, InstanceId, &InstanceSlot)> {
+    pub fn slots(&self) -> impl Iterator<Item = (ShardId, InstanceId, &Instance)> {
         self.shards
             .iter()
             .flat_map(|s| s.slots.iter().map(move |(id, slot)| (s.id, *id, slot)))
@@ -1014,7 +944,7 @@ impl<D: Disk> ShardEngine<D> {
                 up: n.quarantined_until == 0 || n.quarantined_until <= round,
             })
             .collect();
-        let mut slots: Vec<(&InstanceId, &InstanceSlot)> =
+        let mut slots: Vec<(&InstanceId, &Instance)> =
             self.shards.iter().flat_map(|s| s.slots.iter()).collect();
         slots.sort_by_key(|(id, _)| **id);
         let mut in_flight = Vec::new();
@@ -1030,22 +960,7 @@ impl<D: Disk> ShardEngine<D> {
                     }
                 }
             }
-            instances.push(crate::planner::PlannerInstance {
-                id: *id,
-                template: slot.header.template.clone(),
-                tasks: slot
-                    .tasks
-                    .values()
-                    .map(|rec| crate::planner::PlannerTask {
-                        path: rec.path.clone(),
-                        state: rec.state,
-                        binding: crate::planner::binding_of(
-                            &slot.template,
-                            rec.parallel_parent().unwrap_or(&rec.path),
-                        ),
-                    })
-                    .collect(),
-            });
+            instances.push(slot.planner_view());
         }
         PlannerSnapshot {
             nodes,
@@ -1298,6 +1213,58 @@ mod tests {
         assert_eq!(run(4, 1), baseline);
         assert_eq!(run(4, 4), baseline);
         assert_eq!(run(8, 3), baseline);
+    }
+
+    /// The journal is CRC-framed: a record that is there but does not
+    /// decode, or an instance whose template is gone, is a format fault.
+    /// Recovery must say so — it used to come up with the task (or the
+    /// whole instance) silently missing.
+    #[test]
+    fn recovery_fails_loudly_on_an_undecodable_record_or_a_missing_template() {
+        let cfg = ShardConfig {
+            shards: 1,
+            threads: 1,
+            ..ShardConfig::default()
+        };
+        let crashed_disk = || {
+            let disk = MemDisk::new();
+            let store = Store::open(disk.clone()).unwrap();
+            let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).unwrap();
+            eng.register_template(chain_template()).unwrap();
+            for _ in 0..3 {
+                eng.submit("Chain", BTreeMap::new()).unwrap();
+            }
+            eng.step_round().unwrap();
+            eng.step_round().unwrap();
+            disk
+        };
+        let recover = |disk: &MemDisk| {
+            let store = Store::open(disk.clone()).unwrap();
+            ShardEngine::recover(store, chain_library(), cfg.clone()).map(|eng| eng.stats())
+        };
+        assert_eq!(recover(&crashed_disk()).unwrap().instances, 3);
+
+        let disk = crashed_disk();
+        let store = Store::open(disk.clone()).unwrap();
+        let key = "s0000/inst/000000000002/task/B";
+        assert!(store.get(Space::Instance, key).unwrap().is_some());
+        store
+            .put(Space::Instance, key, b"{not json".to_vec())
+            .unwrap();
+        drop(store);
+        let err = recover(&disk).unwrap_err().to_string();
+        assert!(err.contains(&format!("corrupt task {key}")), "{err}");
+
+        let disk = crashed_disk();
+        let store = Store::open(disk.clone()).unwrap();
+        store
+            .delete(Space::Template, keys::template("Chain"))
+            .unwrap();
+        drop(store);
+        assert!(matches!(
+            recover(&disk),
+            Err(EngineError::UnknownTemplate(name)) if name == "Chain"
+        ));
     }
 
     #[test]

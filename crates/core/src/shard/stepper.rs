@@ -20,13 +20,14 @@
 use super::router::{splitmix64, ControlOp, Effect, Msg, Payload, ShardEvent, ShardId, StepOutput};
 use crate::awareness::EventKind;
 use crate::error::{EngineError, EngineResult};
+use crate::instance::{self, Instance, Role, ShardMeta};
 use crate::library::ActivityLibrary;
-use crate::navigator::{self, FailureKind, InstanceView, NavOutcome};
-use crate::state::{keys, InstanceHeader, InstanceId, InstanceStatus, TaskRecord, TaskState};
+use crate::navigator::{self, FailureKind, NavOutcome};
+use crate::state::{InstanceId, InstanceStatus, TaskState};
 use bioopera_cluster::SimTime;
-use bioopera_ocr::model::{ParallelBody, ProcessTemplate, TaskKind};
+use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
-use bioopera_store::{shard_key, Batch, Disk, Space, Store};
+use bioopera_store::{Batch, Disk, Space, Store};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -59,14 +60,6 @@ impl FaultInjection {
     }
 }
 
-/// Per-round shard metadata record (`s{NNNN}/meta`): the last round this
-/// shard committed, used to resume the round clock after a crash.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardMeta {
-    /// Last committed round.
-    pub round: u64,
-}
-
 /// Read-only per-round context shared by all shard steppers.
 pub struct StepCtx<'a> {
     /// Current round (the virtual clock: `now = from_secs(round)`).
@@ -88,30 +81,16 @@ impl StepCtx<'_> {
     }
 }
 
-/// One instance resident on a shard.
-#[derive(Debug, Clone)]
-pub struct InstanceSlot {
-    /// The resolved template (shared, immutable).
-    pub template: Arc<ProcessTemplate>,
-    /// Header record.
-    pub header: InstanceHeader,
-    /// Task records by path.
-    pub tasks: BTreeMap<String, TaskRecord>,
-    /// Next event/effect sequence number (in-memory; the total order only
-    /// has to hold within one engine lifetime).
-    pub seq: u64,
-}
-
-impl InstanceSlot {
-    /// Reference-CPU total of the instance (parallel children excluded —
-    /// their sum is already recorded on the parent).
-    pub fn cpu_ms(&self) -> f64 {
-        self.tasks
-            .values()
-            .filter(|r| !r.is_parallel_child())
-            .map(|r| r.cpu_ms)
-            .sum()
-    }
+/// Reference-CPU total a finished child instance reports to its parent
+/// task (parallel children excluded — their sum is already recorded on
+/// the parallel parent).
+pub(super) fn child_cpu_ms(child: &Instance) -> f64 {
+    child
+        .tasks
+        .values()
+        .filter(|r| !r.is_parallel_child())
+        .map(|r| r.cpu_ms)
+        .sum()
 }
 
 /// Transient per-step accumulation.
@@ -155,10 +134,7 @@ impl StepState {
 /// What to do with a task that just became ready.
 enum Act {
     Request,
-    Spawn {
-        template: String,
-        initial: BTreeMap<String, Value>,
-    },
+    Spawn,
     Expand,
     Skip,
     /// The instance is suspended: leave the task `Ready` (with its
@@ -173,7 +149,7 @@ pub struct Shard {
     /// Shard index (also the journal prefix).
     pub id: ShardId,
     /// Resident instances.
-    pub slots: BTreeMap<InstanceId, InstanceSlot>,
+    pub slots: BTreeMap<InstanceId, Instance>,
 }
 
 impl Shard {
@@ -186,58 +162,22 @@ impl Shard {
     }
 
     /// Rebuild a shard from its journal prefix.  Returns the shard plus
-    /// the last round its meta record saw.  Records whose template is no
-    /// longer registered are skipped (the engine records the anomaly).
+    /// the last round its meta record saw.  A record that does not decode,
+    /// or a header whose template is no longer registered, fails the
+    /// recovery naming the key ([`instance::read_journal`]).
     pub fn recover<D: Disk>(
         id: ShardId,
         store: &Store<D>,
         templates: &BTreeMap<String, Arc<ProcessTemplate>>,
     ) -> EngineResult<(Self, u64)> {
-        let mut headers: BTreeMap<InstanceId, InstanceHeader> = BTreeMap::new();
-        let mut tasks: BTreeMap<InstanceId, BTreeMap<String, TaskRecord>> = BTreeMap::new();
-        let mut round = 0u64;
-        for (key, bytes) in store.scan_shard(Space::Instance, id)? {
-            if key == "meta" {
-                if let Ok(meta) = serde_json::from_slice::<ShardMeta>(&bytes) {
-                    round = meta.round;
-                }
-                continue;
-            }
-            let Some(rest) = key.strip_prefix("inst/") else {
-                continue;
-            };
-            let Some((id_str, tail)) = rest.split_once('/') else {
-                continue;
-            };
-            let Ok(iid) = id_str.parse::<InstanceId>() else {
-                continue;
-            };
-            if tail == "header" {
-                if let Ok(h) = serde_json::from_slice::<InstanceHeader>(&bytes) {
-                    headers.insert(iid, h);
-                }
-            } else if tail.starts_with("task/") {
-                if let Ok(r) = serde_json::from_slice::<TaskRecord>(&bytes) {
-                    tasks.entry(iid).or_default().insert(r.path.clone(), r);
-                }
-            }
-        }
-        let mut slots = BTreeMap::new();
-        for (iid, header) in headers {
-            let Some(template) = templates.get(&header.template).cloned() else {
-                continue;
-            };
-            slots.insert(
-                iid,
-                InstanceSlot {
-                    template,
-                    header,
-                    tasks: tasks.remove(&iid).unwrap_or_default(),
-                    seq: 0,
-                },
-            );
-        }
-        Ok((Shard { id, slots }, round))
+        let records = store.scan_shard(Space::Instance, id)?;
+        let (slots, meta) = instance::read_journal(Some(id), &records, |name| {
+            templates
+                .get(name)
+                .cloned()
+                .ok_or_else(|| EngineError::UnknownTemplate(name.to_string()))
+        })?;
+        Ok((Shard { id, slots }, meta.map_or(0, |m| m.round)))
     }
 
     /// Run one round: consume the inbox (sorted by source key), produce
@@ -373,36 +313,10 @@ impl Shard {
             }
             return Ok(());
         };
-        let now = ctx.now();
-        let mut slot = InstanceSlot {
-            header: InstanceHeader {
-                id,
-                template: template.clone(),
-                status: InstanceStatus::Running,
-                whiteboard: BTreeMap::new(),
-                parent,
-                created_at: now,
-                ended_at: None,
-            },
-            tasks: BTreeMap::new(),
-            seq: 0,
-            template: tmpl,
-        };
-        let outcome = {
-            let mut view = InstanceView {
-                template: slot.template.as_ref(),
-                header: &mut slot.header,
-                tasks: &mut slot.tasks,
-            };
-            navigator::init_instance(&mut view, &initial)?
-        };
+        let root = parent.is_none();
+        let (slot, outcome) = Instance::create(tmpl, id, parent, ctx.now(), &initial)?;
         self.slots.insert(id, slot);
-        if self
-            .slots
-            .get(&id)
-            .map(|s| s.header.parent.is_none())
-            .unwrap_or(false)
-        {
+        if root {
             st.created_roots.insert(id);
         }
         self.emit(
@@ -427,7 +341,6 @@ impl Shard {
         node: String,
     ) -> EngineResult<()> {
         let now = ctx.now();
-        let tmpl;
         let queue_ms;
         let mut fault = false;
         let mut escalate = false;
@@ -444,7 +357,6 @@ impl Shard {
                 self.push_release(st, id, &node, false);
                 return Ok(());
             }
-            tmpl = slot.template.clone();
             let Some(rec) = slot.tasks.get_mut(&path) else {
                 self.stale(st, ctx.round, id, Some(&path), "grant: unknown task");
                 self.push_release(st, id, &node, false);
@@ -507,32 +419,19 @@ impl Shard {
             let outcome = self.nav_failed(id, &path, kind, now)?;
             return self.apply_outcome(ctx, st, id, outcome);
         }
-        // Resolve the program: template activity or parallel-child body.
-        let program = {
-            let rec = self.slots.get(&id).and_then(|s| s.tasks.get(&path));
-            let parent = rec.and_then(|r| r.parallel_parent().map(str::to_string));
-            match parent {
-                Some(p) => match navigator::parallel_body(&tmpl, &p) {
-                    Some(ParallelBody::Activity(b)) => Ok(b.program.clone()),
-                    _ => Err("grant: parallel child has no activity body"),
-                },
-                None => match tmpl.task(&path).map(|t| &t.kind) {
-                    Some(TaskKind::Activity { binding }) => Ok(binding.program.clone()),
-                    _ => Err("grant: task is not an activity"),
-                },
-            }
-        };
-        let name = match program {
-            Ok(name) => name,
-            Err(why) => {
-                self.stale(st, ctx.round, id, Some(&path), why);
-                self.push_release(st, id, &node, false);
-                return Ok(());
-            }
-        };
-        let inputs = match self.slots.get(&id) {
-            Some(slot) => navigator::bind_inputs_parts(&tmpl, &slot.header, &slot.tasks, &path),
-            None => BTreeMap::new(),
+        // Resolve the program (template activity or parallel-child body)
+        // and bind its inputs.
+        let resolved = self.slots.get(&id).and_then(|slot| {
+            let Role::Activity(binding) = slot.role(slot.tasks.get(&path)?) else {
+                return None;
+            };
+            Some((binding.program.clone(), slot.bind_inputs(&path)?))
+        });
+        let Some((name, inputs)) = resolved else {
+            let why = "grant: task is not an activity";
+            self.stale(st, ctx.round, id, Some(&path), why);
+            self.push_release(st, id, &node, false);
+            return Ok(());
         };
         let run = match ctx.library.get(&name) {
             Some(prog) => prog(&inputs),
@@ -601,7 +500,6 @@ impl Shard {
         cpu_ms: f64,
     ) -> EngineResult<()> {
         let now = ctx.now();
-        let tmpl;
         {
             let Some(slot) = self.slots.get(&id) else {
                 self.stale(
@@ -613,7 +511,6 @@ impl Shard {
                 );
                 return Ok(());
             };
-            tmpl = slot.template.clone();
             let Some(rec) = slot.tasks.get(&path) else {
                 self.stale(
                     st,
@@ -639,26 +536,11 @@ impl Shard {
             }
         }
         if success {
-            // A template subprocess task keeps only its declared outputs;
-            // a parallel subprocess child collects the whole whiteboard.
-            let is_child = self
-                .slots
-                .get(&id)
-                .and_then(|s| s.tasks.get(&path))
-                .map(|r| r.is_parallel_child())
-                .unwrap_or(false);
-            let filtered = if is_child {
-                outputs
-            } else {
-                match tmpl.task(&path) {
-                    Some(decl) if !decl.outputs.is_empty() => outputs
-                        .into_iter()
-                        .filter(|(k, _)| decl.outputs.iter().any(|f| &f.name == k))
-                        .collect(),
-                    _ => outputs,
-                }
+            let outputs = match self.slots.get(&id) {
+                Some(slot) => slot.subprocess_outputs(&path, outputs),
+                None => outputs,
             };
-            let outcome = self.nav_ended(id, &path, filtered, now, cpu_ms)?;
+            let outcome = self.nav_ended(id, &path, outputs, now, cpu_ms)?;
             self.emit(
                 st,
                 ctx.round,
@@ -733,14 +615,7 @@ impl Shard {
                     return Ok(());
                 }
                 let now = ctx.now();
-                let mut outcome = {
-                    let mut view = InstanceView {
-                        template: slot.template.as_ref(),
-                        header: &mut slot.header,
-                        tasks: &mut slot.tasks,
-                    };
-                    navigator::on_resume(&mut view, now)
-                };
+                let mut outcome = navigator::on_resume(&mut slot.view(), now);
                 // Re-activate everything that is Ready now: the resume
                 // re-readied Failed tasks, and parked tasks stayed Ready
                 // the whole time.  BTreeMap order keeps this deterministic.
@@ -774,12 +649,7 @@ impl Shard {
         let Some(slot) = self.slots.get_mut(&id) else {
             return Ok(NavOutcome::default());
         };
-        let mut view = InstanceView {
-            template: slot.template.as_ref(),
-            header: &mut slot.header,
-            tasks: &mut slot.tasks,
-        };
-        navigator::on_task_ended(&mut view, path, outputs, now, cpu_ms)
+        navigator::on_task_ended(&mut slot.view(), path, outputs, now, cpu_ms)
     }
 
     fn nav_failed(
@@ -792,12 +662,7 @@ impl Shard {
         let Some(slot) = self.slots.get_mut(&id) else {
             return Ok(NavOutcome::default());
         };
-        let mut view = InstanceView {
-            template: slot.template.as_ref(),
-            header: &mut slot.header,
-            tasks: &mut slot.tasks,
-        };
-        navigator::on_task_failed(&mut view, path, kind, now)
+        navigator::on_task_failed(&mut slot.view(), path, kind, now)
     }
 
     /// Drain a navigation outcome: activate ready tasks (request a node,
@@ -850,36 +715,17 @@ impl Shard {
                 let Some(slot) = self.slots.get(&id) else {
                     break;
                 };
-                let tmpl = slot.template.clone();
                 if slot.header.status == InstanceStatus::Suspended {
                     Act::Park
                 } else {
                     match slot.tasks.get(&path) {
                         None => Act::Stale("ready task has no record"),
                         Some(rec) if rec.state != TaskState::Ready => Act::Skip,
-                        Some(rec) => match rec.parallel_parent() {
-                            Some(parent) => match navigator::parallel_body(&tmpl, parent) {
-                                Some(ParallelBody::Activity(_)) => Act::Request,
-                                Some(ParallelBody::Subprocess(t)) => Act::Spawn {
-                                    template: t.clone(),
-                                    initial: rec.inputs.clone(),
-                                },
-                                None => Act::Stale("parallel child without parallel parent"),
-                            },
-                            None => match tmpl.task(&path).map(|t| &t.kind) {
-                                Some(TaskKind::Activity { .. }) => Act::Request,
-                                Some(TaskKind::Subprocess { template }) => Act::Spawn {
-                                    template: template.clone(),
-                                    initial: navigator::bind_inputs_parts(
-                                        &tmpl,
-                                        &slot.header,
-                                        &slot.tasks,
-                                        &path,
-                                    ),
-                                },
-                                Some(TaskKind::Parallel { .. }) => Act::Expand,
-                                None => Act::Stale("ready task not in template"),
-                            },
+                        Some(rec) => match slot.role(rec) {
+                            Role::Activity(_) => Act::Request,
+                            Role::Subprocess(_) => Act::Spawn,
+                            Role::ParallelParent => Act::Expand,
+                            Role::Unknown => Act::Stale("ready task not in template"),
                         },
                     }
                 }
@@ -905,14 +751,14 @@ impl Shard {
                         src,
                     });
                 }
-                Act::Spawn { template, initial } => {
-                    if let Some(rec) = self.slots.get_mut(&id).and_then(|s| s.tasks.get_mut(&path))
-                    {
-                        rec.state = TaskState::Dispatched;
-                        rec.started_at = Some(now);
-                        rec.ready_at = None;
-                        rec.inputs = initial.clone();
-                    }
+                Act::Spawn => {
+                    let Some((template, initial)) = self
+                        .slots
+                        .get_mut(&id)
+                        .and_then(|s| s.begin_subprocess(&path, now))
+                    else {
+                        continue;
+                    };
                     let src = (id, self.next_seq(st, id));
                     st.out.effects.push(Effect::Spawn {
                         parent: (id, path.clone()),
@@ -922,17 +768,11 @@ impl Shard {
                     });
                 }
                 Act::Expand => {
-                    let (children, out2) = {
-                        let Some(slot) = self.slots.get_mut(&id) else {
-                            break;
-                        };
-                        let mut view = InstanceView {
-                            template: slot.template.as_ref(),
-                            header: &mut slot.header,
-                            tasks: &mut slot.tasks,
-                        };
-                        navigator::expand_parallel(&mut view, &path, now)?
+                    let Some(slot) = self.slots.get_mut(&id) else {
+                        break;
                     };
+                    let (children, out2) =
+                        navigator::expand_parallel(&mut slot.view(), &path, now)?;
                     st.mark_touched(id, &out2);
                     ready.extend(children);
                     ready.extend(out2.newly_ready);
@@ -970,7 +810,7 @@ impl Shard {
                 let (outputs, cpu_ms) = self
                     .slots
                     .get(&id)
-                    .map(|s| (s.header.whiteboard.clone(), s.cpu_ms()))
+                    .map(|s| (s.header.whiteboard.clone(), child_cpu_ms(s)))
                     .unwrap_or_default();
                 let src = (id, self.next_seq(st, id));
                 st.out.effects.push(Effect::Send(Msg {
@@ -1012,35 +852,14 @@ impl Shard {
             } else if st.resumed_now.contains(id) {
                 b.delete(Space::Instance, super::suspended_key(*id));
             }
-            b.put(
-                Space::Instance,
-                shard_key(self.id, &keys::header(*id)),
-                encode(&slot.header)?,
-            );
-            for path in dirty {
-                if let Some(rec) = slot.tasks.get(path) {
-                    b.put(
-                        Space::Instance,
-                        shard_key(self.id, &keys::task(*id, path)),
-                        encode(rec)?,
-                    );
-                }
-            }
+            slot.commit_into(&mut b, Some(self.id), dirty)?;
             batches.push(b);
         }
         let mut meta = Batch::new();
-        meta.put(
-            Space::Instance,
-            shard_key(self.id, "meta"),
-            encode(&ShardMeta { round: ctx.round })?,
-        );
+        ShardMeta { round: ctx.round }.put_into(&mut meta, self.id)?;
         batches.push(meta);
         Ok(batches)
     }
-}
-
-fn encode<T: Serialize>(value: &T) -> EngineResult<Vec<u8>> {
-    serde_json::to_vec(value).map_err(|e| EngineError::Internal(format!("encode: {e}")))
 }
 
 #[cfg(test)]

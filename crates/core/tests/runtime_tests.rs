@@ -3,12 +3,12 @@
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::navigator; // used indirectly via runtime
-use bioopera_core::state::{InstanceStatus, RunOutcome, TaskState};
+use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
 use bioopera_core::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder, ProcessTemplate};
-use bioopera_store::MemDisk;
+use bioopera_store::{Batch, MemDisk, Space, Store};
 use std::collections::BTreeMap;
 
 // Silence "unused import" for navigator (kept to assert the pub API).
@@ -412,11 +412,9 @@ fn sphere_compensation_runs_on_abort() {
     ));
 }
 
-#[test]
-fn subprocess_late_binding_uses_template_at_start_time() {
-    // Parent references template "Sub" which is registered *after* the
-    // parent, and swapped before the second run.
-    let parent = ProcessBuilder::new("Parent")
+/// `Child` is a subprocess task bound (late, by name) to template "Sub".
+fn subprocess_parent_template() -> ProcessTemplate {
+    ProcessBuilder::new("Parent")
         .whiteboard_default("x", TypeTag::Int, Value::Int(7))
         .subprocess("Child", "Sub", |t| {
             t.input("x", TypeTag::Int).output("y", TypeTag::Int)
@@ -425,8 +423,12 @@ fn subprocess_late_binding_uses_template_at_start_time() {
         .connect("Child", "After")
         .flow_from_whiteboard("x", "Child", "x")
         .build()
-        .unwrap();
-    let sub_v1 = ProcessBuilder::new("Sub")
+        .unwrap()
+}
+
+/// "Sub": `y = x²`.
+fn square_sub_template() -> ProcessTemplate {
+    ProcessBuilder::new("Sub")
         .whiteboard_field("x", TypeTag::Int)
         .whiteboard_field("y", TypeTag::Int)
         .activity("Work", "work.unit", |t| {
@@ -435,11 +437,16 @@ fn subprocess_late_binding_uses_template_at_start_time() {
         .flow_from_whiteboard("x", "Work", "item")
         .flow_to_whiteboard("Work", "value", "y")
         .build()
-        .unwrap();
+        .unwrap()
+}
 
+#[test]
+fn subprocess_late_binding_uses_template_at_start_time() {
+    // Parent references template "Sub" which is registered *after* the
+    // parent, and swapped before the second run.
     let mut rt = runtime(small_cluster());
-    rt.register_template(&parent).unwrap();
-    rt.register_template(&sub_v1).unwrap();
+    rt.register_template(&subprocess_parent_template()).unwrap();
+    rt.register_template(&square_sub_template()).unwrap();
     let id = rt.submit("Parent", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
     assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
@@ -448,10 +455,34 @@ fn subprocess_late_binding_uses_template_at_start_time() {
     // Child squared 7: parent task output y = 49 (from the child's
     // whiteboard).
     assert_eq!(child_rec.outputs["y"], Value::Int(49));
+
+    // Re-registering "Sub" replaces what the name resolves to from now
+    // on: the second version squares twice.
+    let sub_v2 = ProcessBuilder::new("Sub")
+        .whiteboard_field("x", TypeTag::Int)
+        .whiteboard_field("y", TypeTag::Int)
+        .activity("Work", "work.unit", |t| {
+            t.input("item", TypeTag::Int).output("value", TypeTag::Int)
+        })
+        .activity("Again", "work.unit", |t| {
+            t.input("item", TypeTag::Int).output("value", TypeTag::Int)
+        })
+        .connect("Work", "Again")
+        .flow_from_whiteboard("x", "Work", "item")
+        .flow_to_task("Work", "value", "Again", "item")
+        .flow_to_whiteboard("Again", "value", "y")
+        .build()
+        .unwrap();
+    rt.register_template(&sub_v2).unwrap();
+    let id = rt.submit("Parent", BTreeMap::new()).unwrap();
+    rt.run_to_completion().unwrap();
+    let child_rec = rt.task_record(id, "Child").unwrap();
+    assert_eq!(child_rec.outputs["y"], Value::Int(49 * 49));
 }
 
-#[test]
-fn parallel_subprocess_bodies_run_one_instance_per_element() {
+/// "Chunk" squares its `item`; "FanSub" fans one Chunk instance out per
+/// generated item and sums the squares.
+fn fan_of_subprocesses() -> (ProcessTemplate, ProcessTemplate) {
     let chunk = ProcessBuilder::new("Chunk")
         .whiteboard_field("item", TypeTag::Int)
         .whiteboard_field("value", TypeTag::Int)
@@ -486,6 +517,12 @@ fn parallel_subprocess_bodies_run_one_instance_per_element() {
         .flow_to_whiteboard("Merge", "total", "total")
         .build()
         .unwrap();
+    (chunk, t)
+}
+
+#[test]
+fn parallel_subprocess_bodies_run_one_instance_per_element() {
+    let (chunk, t) = fan_of_subprocesses();
     let mut rt = runtime(small_cluster());
     rt.register_template(&chunk).unwrap();
     rt.register_template(&t).unwrap();
@@ -498,6 +535,84 @@ fn parallel_subprocess_bodies_run_one_instance_per_element() {
     );
     // 4 child instances + the parent.
     assert_eq!(rt.instances().len(), 5);
+}
+
+/// The crash window between a subprocess task's `Dispatched` record and
+/// its child's first commit: the record says "in flight" and nothing is.
+/// Re-created here by crashing between steps and erasing the newest
+/// child from the disk.  Recovery must rewind the task to `Ready` and the
+/// pump re-spawn it — for a template subprocess task and for a child of
+/// a parallel subprocess body alike — while siblings whose child is in
+/// the journal are left in flight.
+#[test]
+fn lost_spawn_is_rewound_and_respawned_after_server_recovery() {
+    let (chunk, fan) = fan_of_subprocesses();
+    let cases: [(&str, Vec<ProcessTemplate>, usize, &str, i64); 2] = [
+        (
+            "Parent",
+            vec![subprocess_parent_template(), square_sub_template()],
+            1,
+            "y",
+            49,
+        ),
+        ("FanSub", vec![chunk, fan], 4, "total", expected_total(4)),
+    ];
+    for (root, templates, children, field, expect) in cases {
+        let disk = MemDisk::new();
+        let cfg = RuntimeConfig {
+            heartbeat: SimTime::from_secs(20),
+            ..Default::default()
+        };
+        let mut rt = Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap();
+        for t in &templates {
+            rt.register_template(t).unwrap();
+        }
+        let id = rt.submit(root, BTreeMap::new()).unwrap();
+        while rt.instances().len() < 1 + children {
+            assert!(rt.step().unwrap(), "{root}: finished before spawning");
+        }
+        let lost: InstanceId = rt.instances().iter().map(|(id, _, _)| *id).max().unwrap();
+        let (_, task) = rt.instance_header(lost).unwrap().parent.clone().unwrap();
+        assert_eq!(
+            rt.task_record(id, &task).unwrap().state,
+            TaskState::Dispatched
+        );
+        rt.crash_server().unwrap();
+        let store = Store::open(disk.clone()).unwrap();
+        let mut erase = Batch::new();
+        for (key, _) in store
+            .scan_prefix(Space::Instance, &keys::instance_prefix(lost))
+            .unwrap()
+        {
+            erase.delete(Space::Instance, key);
+        }
+        store.apply(erase).unwrap();
+        drop(store);
+        rt.recover_server().unwrap();
+
+        let rec = rt.task_record(id, &task).unwrap();
+        assert_eq!(rec.state, TaskState::Ready, "{root}: {task} rewound");
+        assert!(rec.ready_at.is_some());
+        let in_flight = rt
+            .task_records(id)
+            .unwrap()
+            .values()
+            .filter(|r| r.is_parallel_child() && r.state == TaskState::Dispatched)
+            .count();
+        assert_eq!(in_flight, children - 1, "{root}: live siblings are left");
+
+        assert_eq!(rt.run_to_completion().unwrap(), RunOutcome::Completed);
+        assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
+        let result = match root {
+            "Parent" => rt.task_record(id, "Child").unwrap().outputs[field].clone(),
+            _ => rt.whiteboard(id).unwrap()[field].clone(),
+        };
+        assert_eq!(result, Value::Int(expect), "{root}");
+        assert_eq!(rt.instances().len(), 1 + children, "{root}: no orphan");
+        let idx = rt.awareness().index();
+        assert_eq!(idx.count("subprocess.start"), children + 1, "{root}");
+        assert_eq!(idx.count("subprocess.duplicate"), 0, "{root}");
+    }
 }
 
 #[test]

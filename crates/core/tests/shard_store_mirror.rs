@@ -8,7 +8,7 @@
 //! would revert at the next recovery.  The serial engine's twin of this
 //! test lives in `crates/workloads/tests/store_mirror.rs`.
 
-use bioopera_core::shard::InstanceSlot;
+use bioopera_core::shard::Instance;
 use bioopera_core::state::keys;
 use bioopera_core::{
     ActivityLibrary, FaultInjection, InstanceHeader, InstanceStatus, ProgramOutput, ShardConfig,
@@ -178,7 +178,7 @@ fn engine(shards: usize, faults: Option<FaultInjection>) -> ShardEngine<MemDisk>
 
 fn assert_journal_mirrors_memory(eng: &ShardEngine<MemDisk>, at: &str) {
     let get = |key: String| eng.store().get(Space::Instance, &key).unwrap();
-    let slots: Vec<(usize, u64, &InstanceSlot)> = eng.slots().collect();
+    let slots: Vec<(usize, u64, &Instance)> = eng.slots().collect();
     for (shard, id, slot) in slots {
         let bytes = get(shard_key(shard, &keys::header(id)))
             .unwrap_or_else(|| panic!("{at}: instance {id} has no stored header"));

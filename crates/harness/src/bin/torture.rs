@@ -4,10 +4,12 @@
 //! torture [--seed N] [--store-limit N] [--runtime-samples N] [--recovery-samples N] [--shard-samples N]
 //! ```
 //!
-//! Defaults: full store crash-point enumeration, 8 sampled runtime crash
-//! points, 3 runtime double-crash points, 12 sampled shard barrier-crash
-//! points, seed from `HARNESS_SEED` (or the built-in default).  Exits non-zero and prints every violation — each
-//! carries the `HARNESS_SEED`/crash-index pair that reproduces it.
+//! Defaults: full store crash-point enumeration, every runtime crash
+//! point (`--runtime-samples N` samples instead), 3 runtime double-crash
+//! points, 12 sampled shard barrier-crash points, seed from
+//! `HARNESS_SEED` (or the built-in default).  Exits non-zero and prints
+//! every violation — each carries the `HARNESS_SEED`/crash-index pair
+//! that reproduces it.
 
 use bioopera_harness::{run_full, seed_from_env, DEFAULT_SEED};
 use std::time::Instant;
@@ -22,7 +24,7 @@ fn parse_next(args: &mut impl Iterator<Item = String>, flag: &str) -> u64 {
 fn main() {
     let mut seed = seed_from_env(DEFAULT_SEED);
     let mut store_limit: Option<usize> = None;
-    let mut runtime_samples = 8usize;
+    let mut runtime_samples = usize::MAX;
     let mut recovery_samples = 3usize;
     let mut shard_samples = 12usize;
 

@@ -35,7 +35,7 @@ pub mod runtime_torture;
 pub mod shard_torture;
 pub mod store_torture;
 
-pub use runtime_torture::{run_runtime_torture, RuntimeTortureOutcome};
+pub use runtime_torture::{real_setup, run_runtime_torture, RuntimeTortureOutcome};
 pub use shard_torture::{run_shard_torture, ShardTortureOutcome};
 pub use store_torture::{
     run_store_torture, run_store_torture_leveled, run_store_torture_tiered, tiny_leveled_policy,
@@ -134,10 +134,10 @@ impl TortureReport {
 /// Run both torture passes.
 ///
 /// `store_limit` bounds the number of store crash indices (`None` = full
-/// enumeration); `runtime_samples`/`recovery_samples` bound the sampled
-/// runtime crash points (a full runtime enumeration is hundreds of
-/// all-vs-all executions — correct, but not something `scripts/check.sh`
-/// should wait for); `shard_samples` bounds the sampled
+/// enumeration); `runtime_samples` bounds the runtime crash points of the
+/// real 3-TEU all-vs-all (`usize::MAX` = all of them: 83 executions, ~2 s
+/// in release) and `recovery_samples` its double-crash points;
+/// `shard_samples` bounds the sampled
 /// `(round, commit-prefix)` barrier-crash points of the sharded engine.
 pub fn run_full(
     seed: u64,
@@ -151,7 +151,7 @@ pub fn run_full(
         store: run_store_torture(seed, store_limit),
         store_tiered: run_store_torture_tiered(seed, store_limit),
         store_leveled: run_store_torture_leveled(seed, store_limit),
-        runtime: run_runtime_torture(seed, runtime_samples, recovery_samples),
+        runtime: run_runtime_torture(&real_setup(), seed, runtime_samples, recovery_samples),
         shard: run_shard_torture(seed, shard_samples),
     }
 }

@@ -3,14 +3,16 @@
 //!
 //! The crash-free run yields the oracle digest/match count and the number
 //! of disk mutations the whole execution performs (template registration,
-//! instance and task persistence, awareness events, WAL compactions).  A
-//! seeded sample of those mutation indices is then re-run with a crash
-//! injected at exactly that point; after rebooting the disk, a brand-new
+//! instance and task persistence, awareness events, WAL compactions).
+//! Every one of those mutation indices — or, when fewer samples are asked
+//! for than there are mutations, a seeded sample of them — is then re-run
+//! with a crash injected at exactly that point; after rebooting the disk,
+//! a brand-new
 //! `Runtime` must rebuild from the surviving bytes and finish the
 //! computation with results **byte-identical** to the oracle — the paper's
 //! §3.4 "avoid inconsistencies in the output data after failures", now
-//! checked at every sampled disk-level crash point rather than only at
-//! simulated node/server fault boundaries.
+//! checked at every disk-level crash point rather than only at simulated
+//! node/server fault boundaries.
 //!
 //! [`Runtime`]: bioopera_core::Runtime
 //! [`MemDisk`]: bioopera_store::MemDisk
@@ -57,7 +59,9 @@ fn cfg() -> RuntimeConfig {
     }
 }
 
-fn setup() -> AllVsAllSetup {
+/// The harness' standard set-up: real alignments of 16 sequences in 3
+/// TEUs (the `torture` binary and `scripts/check.sh` enumerate it fully).
+pub fn real_setup() -> AllVsAllSetup {
     let pam = Arc::new(PamFamily::default());
     let db = Arc::new(SequenceDb::generate(&DatasetConfig::small(16, 53), &pam));
     AllVsAllSetup::real(
@@ -175,15 +179,17 @@ fn runtime_case(
     compare(&res, oracle)
 }
 
-/// Full runtime torture pass with `samples` single-crash points and
-/// `recovery_samples` double-crash (crash-during-recovery) points, all
-/// derived from `seed`.
+/// Runtime torture pass over the all-vs-all set-up `s`: every disk
+/// mutation index of the crash-free run when `samples` reaches their
+/// number (`usize::MAX` = always), otherwise `samples` seeded picks; plus
+/// `recovery_samples` double-crash (crash-during-recovery) points.  All
+/// randomness derives from `seed`.
 pub fn run_runtime_torture(
+    s: &AllVsAllSetup,
     seed: u64,
     samples: usize,
     recovery_samples: usize,
 ) -> RuntimeTortureOutcome {
-    let s = setup();
     let mut out = RuntimeTortureOutcome {
         mutations: 0,
         cases: 0,
@@ -193,7 +199,7 @@ pub fn run_runtime_torture(
 
     // Crash-free oracle run; also counts the enumerable crash points.
     let disk = MemDisk::new();
-    let oracle = match drive(&disk, &s) {
+    let oracle = match drive(&disk, s) {
         Ok(res) if res.0 == InstanceStatus::Completed => res,
         Ok(res) => {
             out.violations.push(format!(
@@ -212,14 +218,21 @@ pub fn run_runtime_torture(
     out.mutations = disk.mutation_count();
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_1D1D);
-    // Always cover the first mutations (bootstrap/config writes) and the
-    // last one (completion record); fill the rest with seeded picks.
-    let mut indices = vec![0, 1, out.mutations / 2, out.mutations - 1];
-    while indices.len() < samples.max(4).min(out.mutations as usize) {
-        indices.push(rng.gen_range(0..out.mutations));
-    }
-    indices.sort_unstable();
-    indices.dedup();
+    let indices: Vec<u64> = if samples as u64 >= out.mutations {
+        (0..out.mutations).collect()
+    } else {
+        // Always cover the first mutations (bootstrap/config writes) and
+        // the last one (completion record); fill the rest with seeded
+        // picks (duplicates collapse, so a sample never reaches full
+        // coverage — that is what the branch above is for).
+        let mut picks = vec![0, 1, out.mutations / 2, out.mutations - 1];
+        while picks.len() < samples.max(4) {
+            picks.push(rng.gen_range(0..out.mutations));
+        }
+        picks.sort_unstable();
+        picks.dedup();
+        picks
+    };
 
     for (i, &k) in indices.iter().enumerate() {
         let effect = match i % 3 {
@@ -232,7 +245,7 @@ pub fn run_runtime_torture(
         out.cases += 1;
         let tag = format!("HARNESS_SEED={seed} runtime crash-index={k} effect={effect:?}");
         run_case(&mut out.violations, tag, || {
-            runtime_case(&s, &oracle, k, effect, None)
+            runtime_case(s, &oracle, k, effect, None)
         });
     }
 
@@ -247,7 +260,7 @@ pub fn run_runtime_torture(
             "HARNESS_SEED={seed} runtime crash-index={k} effect={effect:?} recovery-crash={r}"
         );
         run_case(&mut out.violations, tag, || {
-            runtime_case(&s, &oracle, k, effect, Some(r))
+            runtime_case(s, &oracle, k, effect, Some(r))
         });
     }
 

@@ -3,9 +3,10 @@
 //! `HARNESS_SEED=<seed> cargo test -p bioopera-harness`.
 
 use bioopera_harness::{
-    run_runtime_torture, run_store_torture, run_store_torture_leveled, run_store_torture_tiered,
-    seed_from_env, DEFAULT_SEED,
+    real_setup, run_runtime_torture, run_store_torture, run_store_torture_leveled,
+    run_store_torture_tiered, seed_from_env, DEFAULT_SEED,
 };
+use bioopera_workloads::{AllVsAllConfig, AllVsAllSetup};
 
 #[test]
 fn store_full_crash_point_enumeration_holds_all_invariants() {
@@ -104,12 +105,40 @@ fn store_enumeration_holds_under_an_alternate_seed() {
 #[test]
 fn runtime_sampled_crash_points_recover_byte_identically() {
     let seed = seed_from_env(DEFAULT_SEED);
-    let out = run_runtime_torture(seed, 6, 2);
+    let out = run_runtime_torture(&real_setup(), seed, 6, 2);
     assert!(
         out.mutations > 50,
         "all-vs-all run too small: {} mutations",
         out.mutations
     );
+    assert!(
+        out.violations.is_empty(),
+        "{} violations (first: {})",
+        out.violations.len(),
+        out.violations[0]
+    );
+}
+
+/// Every disk mutation of a 3-TEU all-vs-all (cost-model programs, so the
+/// whole enumeration runs in seconds) is a crash point here — including
+/// the three between a subprocess task's `Dispatched` record and its
+/// child's first commit, which a sample of 6 never hit and which wedged
+/// the serial runtime until it shared the shard engine's lost-spawn rule.
+#[test]
+fn runtime_full_crash_point_enumeration_recovers_byte_identically() {
+    let seed = seed_from_env(DEFAULT_SEED);
+    let config = AllVsAllConfig {
+        teus: 3,
+        ..Default::default()
+    };
+    let setup = AllVsAllSetup::synthetic(16, 53, 38, config);
+    let out = run_runtime_torture(&setup, seed, usize::MAX, 2);
+    assert!(
+        out.mutations > 50,
+        "all-vs-all run too small: {} mutations",
+        out.mutations
+    );
+    assert_eq!(out.cases as u64, out.mutations, "not a full enumeration");
     assert!(
         out.violations.is_empty(),
         "{} violations (first: {})",

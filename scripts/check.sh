@@ -21,6 +21,26 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+echo "==> one instance layer: task kinds, instance keys and InstanceView literals stay out of the drivers"
+# crates/core/src/instance.rs is the only place that classifies a task
+# record, formats an instance-record key or builds a navigator view; a
+# step loop that does any of the three itself is a second copy starting
+# to drift (the lost-spawn wedge was one).  navigator.rs and planner.rs
+# read the template by definition; state.rs defines the key helpers.
+stray=$({
+  grep -rnE 'TaskKind::|parallel_body\(' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/(navigator|instance|planner)\.rs:'
+  grep -rnE 'keys::header\(|keys::task\(|shard_key\(' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/(instance|state)\.rs:'
+  grep -rnE 'InstanceView \{' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/(navigator|instance)\.rs:'
+} || true)
+if [ -n "$stray" ]; then
+  echo "instance-layer knowledge outside crates/core/src/instance.rs:"
+  echo "$stray"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -66,10 +86,11 @@ BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
   cargo run -q -p bioopera-harness --bin torture -- --store-limit 8 \
   --runtime-samples 2 --recovery-samples 1 --shard-samples 8
 
-echo "==> crash-point torture harness (bounded; seed override: HARNESS_SEED=N)"
-# Full store crash-point enumeration + sampled runtime crash points +
-# sampled shard barrier-crash points; ~5 s.
-cargo run -q -p bioopera-harness --bin torture -- --runtime-samples 8 --recovery-samples 3 --shard-samples 12
+echo "==> crash-point torture harness (seed override: HARNESS_SEED=N)"
+# Full store crash-point enumeration + every runtime crash point of the
+# real 3-TEU all-vs-all (83 executions, ~2 s of the total in release) +
+# sampled shard barrier-crash points.
+cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
 
 echo "==> benchmark smoke: all four bench_e2e workloads at 1/20 size against their pinned oracles"
 # Builds benchmark/bench_e2e from source and runs month_shared,
