@@ -8,8 +8,7 @@
 //! breakdown through [`survey`] so the two paths can never drift into
 //! describing the same state differently.
 
-use crate::state::{InstanceId, InstanceStatus, TaskRecord};
-use std::collections::BTreeMap;
+use crate::state::{InstanceId, InstanceStatus, TaskMap};
 use std::fmt::Write as _;
 
 /// Bounded so a 100k-instance stall stays a readable message, not a
@@ -32,7 +31,7 @@ pub(crate) struct StallSummary {
 /// detail string plus the tallies the caller needs to decide whether the
 /// quiescence is an error at all.
 pub(crate) fn survey<'a>(
-    instances: impl Iterator<Item = (InstanceId, InstanceStatus, &'a BTreeMap<String, TaskRecord>)>,
+    instances: impl Iterator<Item = (InstanceId, InstanceStatus, &'a TaskMap)>,
 ) -> (StallSummary, String) {
     let mut out = String::new();
     let mut summary = StallSummary::default();
@@ -78,21 +77,19 @@ pub(crate) fn survey<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::TaskState;
+    use crate::state::{TaskRecord, TaskState};
 
-    fn task(path: &str, state: TaskState) -> (String, TaskRecord) {
+    fn task(path: &str, state: TaskState) -> (String, Box<TaskRecord>) {
         let mut rec = TaskRecord::new(path.to_string());
         rec.state = state;
-        (path.to_string(), rec)
+        (path.to_string(), Box::new(rec))
     }
 
     #[test]
     fn survey_separates_suspended_from_stuck() {
-        let running: BTreeMap<String, TaskRecord> =
-            [task("A", TaskState::Dispatched)].into_iter().collect();
-        let parked: BTreeMap<String, TaskRecord> =
-            [task("B", TaskState::Ready)].into_iter().collect();
-        let done: BTreeMap<String, TaskRecord> = BTreeMap::new();
+        let running: TaskMap = [task("A", TaskState::Dispatched)].into_iter().collect();
+        let parked: TaskMap = [task("B", TaskState::Ready)].into_iter().collect();
+        let done = TaskMap::new();
         let rows = [
             (1u64, InstanceStatus::Running, &running),
             (2u64, InstanceStatus::Suspended, &parked),
@@ -113,10 +110,10 @@ mod tests {
 
     #[test]
     fn survey_bounds_output() {
-        let tasks: BTreeMap<String, TaskRecord> = (0..8)
+        let tasks: TaskMap = (0..8)
             .map(|i| task(&format!("T{i}"), TaskState::Ready))
             .collect();
-        let rows: Vec<(u64, InstanceStatus, &BTreeMap<String, TaskRecord>)> = (1..=12)
+        let rows: Vec<(u64, InstanceStatus, &TaskMap)> = (1..=12)
             .map(|i| (i, InstanceStatus::Running, &tasks))
             .collect();
         let (summary, detail) = survey(rows.into_iter());

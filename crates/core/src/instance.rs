@@ -25,7 +25,9 @@
 use crate::error::{EngineError, EngineResult};
 use crate::navigator::{self, InstanceView, NavOutcome};
 use crate::planner::{self, PlannerInstance, PlannerTask};
-use crate::state::{keys, InstanceHeader, InstanceId, InstanceStatus, TaskRecord, TaskState};
+use crate::state::{
+    keys, InstanceHeader, InstanceId, InstanceStatus, TaskMap, TaskRecord, TaskState,
+};
 use bioopera_cluster::SimTime;
 use bioopera_ocr::model::{ParallelBody, ProcessTemplate, TaskKind};
 use bioopera_ocr::value::Value;
@@ -43,7 +45,7 @@ pub struct Instance {
     /// Header record.
     pub header: InstanceHeader,
     /// Task records by path.
-    pub tasks: BTreeMap<String, TaskRecord>,
+    pub tasks: TaskMap,
     /// Next event/effect sequence number on the shard path (in-memory;
     /// the total order only has to hold within one engine lifetime).  The
     /// serial runtime leaves it at zero.
@@ -154,7 +156,7 @@ impl Instance {
     pub fn bind_inputs(&self, path: &str) -> Option<BTreeMap<String, Value>> {
         let rec = self.tasks.get(path)?;
         Some(if rec.is_parallel_child() {
-            rec.inputs.clone()
+            rec.inputs.to_map()
         } else {
             navigator::bind_inputs_parts(&self.template, &self.header, &self.tasks, path)
         })
@@ -179,7 +181,7 @@ impl Instance {
         rec.state = TaskState::Dispatched;
         rec.started_at = Some(now);
         rec.ready_at = None;
-        rec.inputs = initial.clone();
+        rec.inputs = initial.clone().into();
         Some((child, initial))
     }
 
@@ -433,7 +435,7 @@ pub fn read_journal<B: AsRef<[u8]>>(
         if let Some((id, Some(path))) = parse_key(shard, key)? {
             let rec: TaskRecord = decode(shard, "task", key, bytes.as_ref())?;
             if let Some(inst) = instances.get_mut(&id) {
-                inst.tasks.insert(path.to_string(), rec);
+                inst.tasks.insert(path.to_string(), Box::new(rec));
             }
         }
     }
@@ -563,7 +565,7 @@ mod tests {
             let mut rec = TaskRecord::new(path);
             rec.state = state;
             rec.node = (state == Dispatched).then(|| "n1".to_string());
-            inst.tasks.insert(path.to_string(), rec);
+            inst.tasks.insert(path.to_string(), Box::new(rec));
             let before = inst.tasks[path].clone();
             // A child of some *other* task or instance never counts.
             let mut children =
@@ -620,7 +622,7 @@ mod tests {
         child.state = TaskState::Ready;
         child.ready_at = Some(SimTime::ZERO);
         child.inputs.insert("item".into(), Value::Int(4));
-        inst.tasks.insert("Q[1]".into(), child);
+        inst.tasks.insert("Q[1]".into(), Box::new(child));
         let (template, initial) = inst.begin_subprocess("Q[1]", now).unwrap();
         assert_eq!(template, "Chunk");
         assert_eq!(
@@ -630,14 +632,15 @@ mod tests {
         let rec = &inst.tasks["Q[1]"];
         assert_eq!(rec.state, TaskState::Dispatched);
         assert_eq!((rec.started_at, rec.ready_at), (Some(now), None));
-        assert_eq!(rec.inputs, initial);
+        assert_eq!(rec.inputs, initial.into());
         assert_eq!(inst.begin_subprocess("S", now).unwrap().0, "Sub");
     }
 
     #[test]
     fn subprocess_outputs_keep_declared_fields_only_for_template_tasks() {
         let mut inst = instance(1);
-        inst.tasks.insert("Q[0]".into(), TaskRecord::new("Q[0]"));
+        inst.tasks
+            .insert("Q[0]".into(), Box::new(TaskRecord::new("Q[0]")));
         let whiteboard = BTreeMap::from([
             ("kept".to_string(), Value::Int(1)),
             ("scratch".to_string(), Value::Int(2)),
@@ -674,7 +677,7 @@ mod tests {
         let mut child = TaskRecord::new("P[2]");
         child.state = TaskState::Dispatched;
         child.node = Some("n1".into());
-        inst.tasks.insert("P[2]".into(), child);
+        inst.tasks.insert("P[2]".into(), Box::new(child));
         let resolve = |name: &str| {
             assert_eq!(name, "Kinds");
             Ok(template())

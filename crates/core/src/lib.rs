@@ -61,4 +61,6 @@ pub use metrics::{
 pub use planner::{OutageImpact, Planner, PlannerNode, PlannerSnapshot};
 pub use runtime::{RunStats, Runtime, RuntimeConfig};
 pub use shard::{ControlOp, FaultInjection, ShardConfig, ShardEngine, ShardRunStats};
-pub use state::{InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskRecord, TaskState};
+pub use state::{
+    InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskMap, TaskRecord, TaskState,
+};

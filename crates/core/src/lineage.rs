@@ -169,7 +169,7 @@ impl RecomputePlan {
     /// invalidated, all its children are; otherwise all are reused.
     pub fn build(
         template: &ProcessTemplate,
-        tasks: &BTreeMap<String, crate::state::TaskRecord>,
+        tasks: &crate::state::TaskMap,
         source: InstanceId,
         changed: &[&str],
     ) -> EngineResult<RecomputePlan> {
@@ -297,13 +297,13 @@ mod tests {
 
     #[test]
     fn recompute_plan_reuses_unaffected_and_follows_parallel_children() {
-        use crate::state::TaskRecord;
+        use crate::state::{TaskMap, TaskRecord};
         let template = tower_like();
-        let mut tasks: BTreeMap<String, TaskRecord> = BTreeMap::new();
+        let mut tasks = TaskMap::new();
         for name in ["Gene", "Translate", "Align", "Tree", "Structure"] {
             let mut rec = TaskRecord::new(name);
             rec.state = TaskState::Ended;
-            tasks.insert(name.to_string(), rec);
+            tasks.insert(name.to_string(), Box::new(rec));
         }
         let plan = RecomputePlan::build(&template, &tasks, 7, &["Align"]).unwrap();
         assert!(plan.recompute.contains("Align"));

@@ -26,7 +26,9 @@
 //!   reverse completion order.
 
 use crate::error::{EngineError, EngineResult};
-use crate::state::{parallel_child_path, InstanceHeader, InstanceStatus, TaskRecord, TaskState};
+use crate::state::{
+    parallel_child_path, InstanceHeader, InstanceStatus, TaskMap, TaskRecord, TaskState,
+};
 use bioopera_cluster::SimTime;
 use bioopera_ocr::expr::{self, Env};
 use bioopera_ocr::model::{DataRef, FailurePolicy, ParallelBody, ProcessTemplate, TaskKind};
@@ -42,7 +44,7 @@ pub struct InstanceView<'a> {
     /// Header: status + whiteboard.
     pub header: &'a mut InstanceHeader,
     /// All task records, keyed by path.
-    pub tasks: &'a mut BTreeMap<String, TaskRecord>,
+    pub tasks: &'a mut TaskMap,
 }
 
 /// What a navigation step decided (the runtime turns these into persistent
@@ -89,9 +91,9 @@ impl NavOutcome {
 mod tracked {
     use super::{InstanceView, NavOutcome};
     use crate::error::{EngineError, EngineResult};
-    use crate::state::{InstanceHeader, TaskRecord};
+    use crate::state::{InstanceHeader, TaskMap, TaskRecord};
     use bioopera_ocr::model::ProcessTemplate;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     pub(super) struct Tracked<'v, 'a> {
         view: &'v mut InstanceView<'a>,
@@ -121,7 +123,7 @@ mod tracked {
             self.view.header
         }
 
-        pub(super) fn tasks(&self) -> &BTreeMap<String, TaskRecord> {
+        pub(super) fn tasks(&self) -> &TaskMap {
             self.view.tasks
         }
 
@@ -142,7 +144,7 @@ mod tracked {
         /// Create (or replace) the record at `rec.path`, noted as touched.
         pub(super) fn insert(&mut self, rec: TaskRecord) {
             self.touched.insert(rec.path.clone());
-            self.view.tasks.insert(rec.path.clone(), rec);
+            self.view.tasks.insert(rec.path.clone(), Box::new(rec));
         }
 
         /// Stamp the touched set on the outcome handed back to the caller.
@@ -167,7 +169,7 @@ pub enum FailureKind {
 /// Guard-expression environment over an instance.
 struct GuardEnv<'a> {
     header: &'a InstanceHeader,
-    tasks: &'a BTreeMap<String, TaskRecord>,
+    tasks: &'a TaskMap,
 }
 
 impl Env for GuardEnv<'_> {
@@ -249,7 +251,7 @@ pub fn bind_inputs(view: &InstanceView<'_>, task_name: &str) -> BTreeMap<String,
 pub fn bind_inputs_parts(
     template: &ProcessTemplate,
     header: &InstanceHeader,
-    tasks: &BTreeMap<String, TaskRecord>,
+    tasks: &TaskMap,
     task_name: &str,
 ) -> BTreeMap<String, Value> {
     let mut inputs = BTreeMap::new();
@@ -272,7 +274,7 @@ pub fn bind_inputs_parts(
         }
     }
     if let Some(rec) = tasks.get(task_name) {
-        for (k, v) in &rec.inputs {
+        for (k, v) in rec.inputs.iter() {
             inputs.insert(k.clone(), v.clone());
         }
     }
@@ -302,7 +304,7 @@ fn task_ended(
 ) -> EngineResult<NavOutcome> {
     let parent = {
         let rec = nav.task_mut(path)?;
-        rec.outputs = outputs;
+        rec.outputs = outputs.into();
         rec.state = TaskState::Ended;
         rec.ended_at = Some(now);
         rec.cpu_ms += cpu_ms;
@@ -475,7 +477,7 @@ fn expand(
     };
     {
         let rec = nav.task_mut(task_name)?;
-        rec.inputs = bound.clone();
+        rec.inputs = bound.clone().into();
         rec.state = TaskState::Dispatched;
         rec.started_at = Some(now);
     }
@@ -492,14 +494,17 @@ fn expand(
         let path = parallel_child_path(task_name, i);
         let mut rec = TaskRecord::new(path.clone());
         rec.state = TaskState::Ready;
-        rec.inputs.insert("item".to_string(), item.clone());
-        rec.inputs.insert("index".to_string(), Value::Int(i as i64));
+        let mut inputs = BTreeMap::from([
+            ("item".to_string(), item.clone()),
+            ("index".to_string(), Value::Int(i as i64)),
+        ]);
         // Pass through the parallel task's other inputs (db name etc.).
         for (k, v) in &bound {
             if k != over {
-                rec.inputs.insert(k.clone(), v.clone());
+                inputs.insert(k.clone(), v.clone());
             }
         }
+        rec.inputs = inputs.into();
         nav.insert(rec);
         paths.push(path);
     }
@@ -538,7 +543,7 @@ fn check_parallel_parent(
         nav.tasks()
             .range::<str, _>((Bound::Included(prefix.as_str()), Bound::Unbounded))
             .take_while(|(p, _)| p.starts_with(&prefix))
-            .map(|(_, r)| r)
+            .map(|(_, r)| &**r)
     };
     // Every child completion lands here but only the last one concludes
     // the parent: look at the states before copying any outputs.
@@ -547,7 +552,10 @@ fn check_parallel_parent(
     }
     let mut done: Vec<&TaskRecord> = children().collect();
     done.sort_by_key(|r| r.parallel_index().unwrap_or(0));
-    let collected: Vec<Value> = done.iter().map(|r| Value::Map(r.outputs.clone())).collect();
+    let collected: Vec<Value> = done
+        .iter()
+        .map(|r| Value::Map(r.outputs.to_map()))
+        .collect();
     let child_cpu: f64 = done.iter().map(|r| r.cpu_ms).sum();
     let collect = collect_field(nav.template(), parent)?;
     let mut outputs = BTreeMap::new();
@@ -757,7 +765,7 @@ mod tests {
     use bioopera_ocr::model::{ExternalBinding, TypeTag};
     use bioopera_ocr::{Expr, ProcessBuilder};
 
-    fn fresh(template: &ProcessTemplate) -> (InstanceHeader, BTreeMap<String, TaskRecord>) {
+    fn fresh(template: &ProcessTemplate) -> (InstanceHeader, TaskMap) {
         let header = InstanceHeader {
             id: 1,
             template: template.name.clone(),

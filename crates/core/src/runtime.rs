@@ -33,7 +33,7 @@ use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
 use crate::navigator::{self, FailureKind, NavOutcome};
 use crate::state::{
-    keys, InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskRecord, TaskState,
+    keys, InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskMap, TaskRecord, TaskState,
 };
 use bioopera_cluster::trace::{Trace, TraceEvent, TraceEventKind};
 use bioopera_cluster::{Cluster, JobId, JobOutcome, NetworkState, SimKernel, SimTime};
@@ -450,11 +450,11 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// A task record.
     pub fn task_record(&self, id: InstanceId, path: &str) -> Option<&TaskRecord> {
-        self.instances.get(&id).and_then(|m| m.tasks.get(path))
+        self.instances.get(&id)?.tasks.get(path).map(|rec| &**rec)
     }
 
     /// All task records of an instance.
-    pub fn task_records(&self, id: InstanceId) -> Option<&BTreeMap<String, TaskRecord>> {
+    pub fn task_records(&self, id: InstanceId) -> Option<&TaskMap> {
         self.instances.get(&id).map(|m| &m.tasks)
     }
 
@@ -855,7 +855,7 @@ impl<D: Disk + Clone> Runtime<D> {
             }
             let plan =
                 crate::lineage::RecomputePlan::build(&mem.template, &mem.tasks, source, changed)?;
-            let mut reuse: Vec<TaskRecord> = plan
+            let mut reuse: Vec<Box<TaskRecord>> = plan
                 .reuse
                 .iter()
                 .filter_map(|p| mem.tasks.get(p).cloned())
@@ -1814,7 +1814,7 @@ impl<D: Disk + Clone> Runtime<D> {
             rec.state = TaskState::Dispatched;
             rec.node = Some(node_name.clone());
             rec.started_at = Some(now);
-            rec.inputs = inputs;
+            rec.inputs = inputs.into();
             // The backoff deadline is spent; budget counters and the
             // poison set live on until a completion is delivered.
             if let Some(r) = rec.retry.as_mut() {

@@ -129,9 +129,49 @@ pub struct ShardEngine<D: Disk> {
     round: u64,
     next_instance: InstanceId,
     operator_seq: u64,
-    events_recorded: u64,
-    history_digest: u64,
+    history: HistoryFold,
+}
+
+/// The lifetime view of the committed history stream: every event the
+/// barrier commits is folded in, and recovery folds the persisted stream
+/// back so the view stays continuous across a crash.
+struct HistoryFold {
+    recorded: u64,
+    digest: u64,
     counts: BTreeMap<String, u64>,
+}
+
+impl Default for HistoryFold {
+    fn default() -> Self {
+        HistoryFold {
+            recorded: 0,
+            digest: FNV_OFFSET,
+            counts: BTreeMap::new(),
+        }
+    }
+}
+
+impl HistoryFold {
+    fn fold(&mut self, e: &ShardEvent) {
+        self.recorded += 1;
+        // A label is allocated the first time its kind is seen, not per
+        // event.
+        let label = e.kind.label();
+        match self.counts.get_mut(label) {
+            Some(n) => *n += 1,
+            None => {
+                self.counts.insert(label.to_string(), 1);
+            }
+        }
+        let mut h = self.digest;
+        h = fnv1a64(h, &e.round.to_le_bytes());
+        h = fnv1a64(h, &e.instance.to_le_bytes());
+        h = fnv1a64(h, &e.seq.to_le_bytes());
+        if let Ok(bytes) = serde_json::to_vec(&e.kind) {
+            h = fnv1a64(h, &bytes);
+        }
+        self.digest = h;
+    }
 }
 
 impl<D: Disk> ShardEngine<D> {
@@ -159,9 +199,7 @@ impl<D: Disk> ShardEngine<D> {
             round: 0,
             next_instance: 1,
             operator_seq: 0,
-            events_recorded: 0,
-            history_digest: FNV_OFFSET,
-            counts: BTreeMap::new(),
+            history: HistoryFold::default(),
             cfg,
         })
     }
@@ -480,22 +518,9 @@ impl<D: Disk> ShardEngine<D> {
             self.awareness.confirm_flushed();
         }
         for e in events {
-            self.fold_event(e);
+            self.history.fold(e);
         }
         Ok(())
-    }
-
-    fn fold_event(&mut self, e: &ShardEvent) {
-        self.events_recorded += 1;
-        *self.counts.entry(e.kind.label().to_string()).or_default() += 1;
-        let mut h = self.history_digest;
-        h = fnv1a64(h, &e.round.to_le_bytes());
-        h = fnv1a64(h, &e.instance.to_le_bytes());
-        h = fnv1a64(h, &e.seq.to_le_bytes());
-        if let Ok(bytes) = serde_json::to_vec(&e.kind) {
-            h = fnv1a64(h, &bytes);
-        }
-        self.history_digest = h;
     }
 
     /// Run rounds to quiescence.
@@ -612,9 +637,7 @@ impl<D: Disk> ShardEngine<D> {
             inboxes: vec![Vec::new(); cfg.shards],
             round: round + 1,
             next_instance,
-            events_recorded: 0,
-            history_digest: FNV_OFFSET,
-            counts: BTreeMap::new(),
+            history: HistoryFold::default(),
             store,
             library,
             templates,
@@ -646,16 +669,15 @@ impl<D: Disk> ShardEngine<D> {
             }
         }
         // Fold the committed history back into the digest/counters so the
-        // lifetime view stays continuous across the crash.
-        let persisted = engine
+        // lifetime view stays continuous across the crash — decoding as
+        // the scan goes, and failing on an event that does not decode: it
+        // would silently drop out of the digest and the counts.
+        engine
             .store
-            .scan_prefix(Space::History, "sev/")
-            .map_err(EngineError::Store)?;
-        for (_key, bytes) in persisted {
-            if let Ok(e) = serde_json::from_slice::<ShardEvent>(&bytes) {
-                engine.fold_event(&e);
-            }
-        }
+            .visit_prefix(Space::History, "sev/", |key, bytes| {
+                engine.history.fold(&decode_event(key, bytes)?);
+                Ok::<(), EngineError>(())
+            })?;
         engine.redrive()?;
         Ok(engine)
     }
@@ -833,7 +855,7 @@ impl<D: Disk> ShardEngine<D> {
     pub fn stats(&self) -> ShardRunStats {
         let mut stats = ShardRunStats {
             rounds: self.round,
-            events: self.events_recorded,
+            events: self.history.recorded,
             grants: self.service.granted(),
             ..Default::default()
         };
@@ -854,7 +876,7 @@ impl<D: Disk> ShardEngine<D> {
     /// Rolling FNV-1a digest of the committed history stream (order-
     /// sensitive): bit-identical across shard counts and thread counts.
     pub fn history_digest(&self) -> u64 {
-        self.history_digest
+        self.history.digest
     }
 
     /// Digest of the final instance state, merged across shards in
@@ -880,7 +902,7 @@ impl<D: Disk> ShardEngine<D> {
 
     /// Lifetime event counts by label.
     pub fn event_counts(&self) -> &BTreeMap<String, u64> {
-        &self.counts
+        &self.history.counts
     }
 
     /// Current round.
@@ -977,19 +999,24 @@ impl<D: Disk> ShardEngine<D> {
     /// Decode the committed history events (in commit order).
     pub fn persisted_events(&self) -> EngineResult<Vec<ShardEvent>> {
         let mut events = Vec::new();
-        for (_key, bytes) in self
-            .store
-            .scan_prefix(Space::History, "sev/")
-            .map_err(EngineError::Store)?
-        {
-            events.push(decode(&bytes)?);
-        }
+        self.store
+            .visit_prefix(Space::History, "sev/", |key, bytes| {
+                events.push(decode_event(key, bytes)?);
+                Ok::<(), EngineError>(())
+            })?;
         Ok(events)
     }
 }
 
 fn event_key(round: u64, index: usize) -> String {
     format!("sev/{round:08}/{index:06}")
+}
+
+/// Decode the history record at `key`.  The store is CRC-framed, so one
+/// that does not decode is a format fault and is named.
+fn decode_event(key: &str, bytes: &[u8]) -> EngineResult<ShardEvent> {
+    serde_json::from_slice(bytes)
+        .map_err(|e| EngineError::Internal(format!("corrupt history event {key}: {e}")))
 }
 
 /// Recovery fact about a terminal child: `(parent, parent task path,
@@ -1254,6 +1281,22 @@ mod tests {
         drop(store);
         let err = recover(&disk).unwrap_err().to_string();
         assert!(err.contains(&format!("corrupt task {key}")), "{err}");
+
+        // A history event that does not decode used to drop out of the
+        // recovered digest, event list and counts without a word.
+        let disk = crashed_disk();
+        let store = Store::open(disk.clone()).unwrap();
+        let key = "sev/00000001/000002";
+        assert!(store.get(Space::History, key).unwrap().is_some());
+        store
+            .put(Space::History, key, b"{not json".to_vec())
+            .unwrap();
+        drop(store);
+        let err = recover(&disk).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("corrupt history event {key}")),
+            "{err}"
+        );
 
         let disk = crashed_disk();
         let store = Store::open(disk.clone()).unwrap();

@@ -701,7 +701,7 @@ impl Shard {
                         .slots
                         .get(&id)
                         .and_then(|s| s.tasks.get(&task))
-                        .map(|r| r.inputs.clone())
+                        .map(|r| r.inputs.to_map())
                         .unwrap_or_default();
                     let _ = prog(&inputs);
                 }

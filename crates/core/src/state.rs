@@ -10,7 +10,7 @@
 
 use crate::dependability::RetryState;
 use bioopera_cluster::SimTime;
-use bioopera_ocr::value::Value;
+use bioopera_ocr::value::{FieldMap, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -140,9 +140,10 @@ pub struct TaskRecord {
     /// Current state.
     pub state: TaskState,
     /// Input structure contents (filled by dataflows and defaults).
-    pub inputs: BTreeMap<String, Value>,
+    /// Resident per task, hence exact-size (DESIGN.md "Instance layer").
+    pub inputs: FieldMap,
     /// Output structure contents (set when `Ended`).
-    pub outputs: BTreeMap<String, Value>,
+    pub outputs: FieldMap,
     /// Execution attempts so far (for retry accounting).
     pub attempts: u32,
     /// Node that ran (or is running) the task.
@@ -164,9 +165,15 @@ pub struct TaskRecord {
     /// Dependability bookkeeping for masked system failures: budget
     /// counter, pending backoff deadline, poison set.  `None` until the
     /// first masked failure — and for records written before the policy
-    /// layer existed, which decode as `None`.
-    pub retry: Option<RetryState>,
+    /// layer existed, which decode as `None`.  Boxed: most records never
+    /// see a masked failure.
+    pub retry: Option<Box<RetryState>>,
 }
+
+/// An instance's task records by path.  A `BTreeMap` leaf is allocated
+/// for 11 entries whatever it holds, so the records sit behind a pointer:
+/// a leaf is 368 B instead of 2.5 KiB.
+pub type TaskMap = BTreeMap<String, Box<TaskRecord>>;
 
 impl TaskRecord {
     /// A fresh inactive record.
@@ -174,8 +181,8 @@ impl TaskRecord {
         TaskRecord {
             path: path.into(),
             state: TaskState::Inactive,
-            inputs: BTreeMap::new(),
-            outputs: BTreeMap::new(),
+            inputs: FieldMap::new(),
+            outputs: FieldMap::new(),
             attempts: 0,
             node: None,
             cpu_ms: 0.0,
@@ -188,7 +195,7 @@ impl TaskRecord {
 
     /// The retry bookkeeping, created on first use.
     pub fn retry_mut(&mut self) -> &mut RetryState {
-        self.retry.get_or_insert_with(RetryState::default)
+        self.retry.get_or_insert_with(Box::default)
     }
 
     /// The pending backoff deadline, if one is set.
@@ -300,6 +307,47 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: TaskRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
+    }
+
+    /// The on-disk format is frozen: these are bytes `serde_json::to_string`
+    /// produced at the commit before `inputs`/`outputs` became exact-size
+    /// maps and `retry` a box.  They must decode, and encode back to
+    /// themselves — journals, WAL frames and `state_digest` depend on it.
+    #[test]
+    fn records_written_before_the_exact_size_maps_re_encode_to_the_same_bytes() {
+        const TASK: &str = concat!(
+            r#"{"path":"Alignment[3]","state":"Dispatched","#,
+            r#""inputs":{"db":{"Str":["sp38"]},"index":{"Int":[3]},"#,
+            r#""item":{"List":[[{"Int":[4]},{"Int":[5]}]]},"#,
+            r#""opts":{"Map":[{"pam":{"Float":[250]},"strict":{"Bool":[true]}}]}},"#,
+            r#""outputs":{"matches":{"List":[[{"Int":[1]},{"Int":[2]}]]},"none":"Null"},"#,
+            r#""attempts":2,"node":"linneus1","cpu_ms":123.5,"#,
+            r#""started_at":[30000],"ended_at":[45000],"ready_at":[12000],"#,
+            r#""retry":{"sys_failures":2,"retry_at":[60000],"failed_nodes":["linneus3"]}}"#,
+        );
+        const FRESH: &str = concat!(
+            r#"{"path":"Prep","state":"Inactive","inputs":{},"outputs":{},"attempts":0,"#,
+            r#""node":null,"cpu_ms":0,"started_at":null,"ended_at":null,"ready_at":null,"#,
+            r#""retry":null}"#,
+        );
+        const HEADER: &str = concat!(
+            r#"{"id":42,"template":"AllVsAll","status":"Running","#,
+            r#""whiteboard":{"db":{"Str":["sp38"]},"#,
+            r#""queue":{"List":[[{"Int":[3]},{"Int":[1]},{"Int":[2]}]]},"y":"Null"},"#,
+            r#""parent":[7,"Chunk[1]"],"created_at":[5000],"ended_at":null}"#,
+        );
+        for old in [TASK, FRESH] {
+            let rec: TaskRecord = serde_json::from_str(old).unwrap();
+            assert_eq!(serde_json::to_string(&rec).unwrap(), old);
+        }
+        let rec: TaskRecord = serde_json::from_str(TASK).unwrap();
+        assert_eq!(rec.inputs.len(), 4);
+        assert_eq!(rec.inputs["index"], Value::Int(3));
+        assert_eq!(rec.outputs["none"], Value::Null);
+        assert_eq!(rec.retry_at(), Some(SimTime::from_secs(60)));
+        let header: InstanceHeader = serde_json::from_str(HEADER).unwrap();
+        assert_eq!(serde_json::to_string(&header).unwrap(), HEADER);
+        assert_eq!(header.parent, Some((7, "Chunk[1]".to_string())));
     }
 
     #[test]

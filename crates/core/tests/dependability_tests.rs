@@ -198,7 +198,7 @@ fn instant_requeue_engine_livelocks_on_the_same_trace() {
 }
 
 /// The `retry` fields of all persisted task records, keyed by store key.
-fn retry_fields(rt: &Runtime<MemDisk>) -> BTreeMap<String, Option<bioopera_core::RetryState>> {
+fn retry_fields(rt: &Runtime<MemDisk>) -> BTreeMap<String, Option<Box<bioopera_core::RetryState>>> {
     rt.store()
         .scan_prefix(Space::Instance, "inst/")
         .unwrap()

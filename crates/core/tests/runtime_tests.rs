@@ -18,7 +18,7 @@ fn _navigator_api_exists() {
         as fn(
             &ProcessTemplate,
             &bioopera_core::InstanceHeader,
-            &BTreeMap<String, bioopera_core::TaskRecord>,
+            &bioopera_core::TaskMap,
             &str,
         ) -> BTreeMap<String, Value>;
 }

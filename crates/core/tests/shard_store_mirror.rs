@@ -188,7 +188,7 @@ fn assert_journal_mirrors_memory(eng: &ShardEngine<MemDisk>, at: &str) {
             let bytes = get(shard_key(shard, &keys::task(id, path)))
                 .unwrap_or_else(|| panic!("{at}: instance {id} task {path} was never stored"));
             let stored: TaskRecord = serde_json::from_slice(&bytes).unwrap();
-            assert_eq!(&stored, rec, "{at}: instance {id} task {path}");
+            assert_eq!(stored, **rec, "{at}: instance {id} task {path}");
         }
         let stored_tasks = eng
             .store()

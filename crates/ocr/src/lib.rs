@@ -38,4 +38,4 @@ pub use model::{
 pub use parser::{parse_process, ParseError};
 pub use printer::to_ocr_text;
 pub use validate::{validate, ValidationError};
-pub use value::Value;
+pub use value::{FieldMap, Value};

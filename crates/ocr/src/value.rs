@@ -6,9 +6,10 @@
 //! "the fact that the process state is persistently stored in a database
 //! also offers significant advantages for monitoring and querying purposes".
 
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 
 /// A dynamic value flowing through a process.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -227,6 +228,122 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
+/// An exact-size, key-sorted map of named [`Value`]s — the *resident* form
+/// of a field structure (a task record's inputs and outputs).
+///
+/// A `BTreeMap` allocates a whole leaf (11 entries, 632 B here) for its
+/// first entry; a server holding a record per task for weeks pays that for
+/// structures of one or two fields.  This holds exactly its entries and
+/// nothing when empty.  Insertion is O(n), which field structures (a
+/// handful of declared fields) never notice; a map that is built up and
+/// passed along — program inputs and outputs, the whiteboard,
+/// [`Value::Map`] — stays a `BTreeMap`.
+///
+/// On the wire it *is* a `BTreeMap<String, Value>`: the same `Content::Map`
+/// in key order out, keys in any order (or `null`) in.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct FieldMap(Box<[(String, Value)]>);
+
+impl FieldMap {
+    /// An empty map (no allocation).
+    pub fn new() -> Self {
+        FieldMap::default()
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True with no fields.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn position(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    /// The value of field `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.position(key).ok().map(|i| &self.0[i].1)
+    }
+
+    /// Set field `key`, returning the value it replaces.
+    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
+        match self.position(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+            Err(i) => {
+                let mut entries = std::mem::take(&mut self.0).into_vec();
+                entries.reserve_exact(1);
+                entries.insert(i, (key, value));
+                self.0 = entries.into_boxed_slice();
+                None
+            }
+        }
+    }
+
+    /// The fields in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    /// A copy in the passed form, for a program or a child instance.
+    pub fn to_map(&self) -> BTreeMap<String, Value> {
+        self.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+}
+
+impl Index<&str> for FieldMap {
+    type Output = Value;
+
+    /// Panics when the field is absent, as `BTreeMap`'s `Index` does.
+    fn index(&self, key: &str) -> &Value {
+        self.get(key).expect("no such field")
+    }
+}
+
+impl From<BTreeMap<String, Value>> for FieldMap {
+    fn from(map: BTreeMap<String, Value>) -> Self {
+        FieldMap(map.into_iter().collect())
+    }
+}
+
+/// Later entries replace earlier ones of the same key, as in a `BTreeMap`.
+impl FromIterator<(String, Value)> for FieldMap {
+    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
+        let entries: Vec<(String, Value)> = iter.into_iter().collect();
+        if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            FieldMap(entries.into_boxed_slice())
+        } else {
+            entries.into_iter().collect::<BTreeMap<_, _>>().into()
+        }
+    }
+}
+
+impl Serialize for FieldMap {
+    fn to_content(&self) -> Content {
+        Content::Map(
+            self.iter()
+                .map(|(k, v)| (k.clone(), v.to_content()))
+                .collect(),
+        )
+    }
+}
+
+impl Deserialize for FieldMap {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        match c {
+            Content::Map(entries) => entries
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), Value::from_content(v)?)))
+                .collect(),
+            Content::Null => Ok(FieldMap::new()),
+            other => Err(DeError::custom(format!("expected map, found {other:?}"))),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,6 +381,64 @@ mod tests {
             Value::map_from([("a", Value::Bool(true))]).to_string(),
             "{a: true}"
         );
+    }
+
+    #[test]
+    fn field_map_keeps_key_order_and_replaces_in_place() {
+        let mut m = FieldMap::new();
+        assert!(m.is_empty());
+        assert_eq!(m.insert("x".into(), Value::Int(1)), None);
+        assert_eq!(m.insert("a".into(), Value::Int(2)), None);
+        assert_eq!(m.insert("m".into(), Value::Int(3)), None);
+        assert_eq!(m.insert("x".into(), Value::Int(4)), Some(Value::Int(1)));
+        assert_eq!(m.len(), 3);
+        let keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "m", "x"]);
+        assert_eq!(m.get("x"), Some(&Value::Int(4)));
+        assert_eq!(m.get("b"), None);
+        assert_eq!(m["m"], Value::Int(3));
+        let model = BTreeMap::from([
+            ("a".to_string(), Value::Int(2)),
+            ("m".to_string(), Value::Int(3)),
+            ("x".to_string(), Value::Int(4)),
+        ]);
+        assert_eq!(m.to_map(), model);
+        assert_eq!(FieldMap::from(model), m);
+    }
+
+    /// On the wire a `FieldMap` is the `BTreeMap` it replaced.
+    #[test]
+    fn field_map_encodes_as_a_btree_map_and_decodes_any_key_order() {
+        let model = BTreeMap::from([
+            ("queue".to_string(), Value::int_list([3, 1])),
+            ("db".to_string(), Value::from("sp38")),
+            ("nested".to_string(), Value::map_from([("k", Value::Null)])),
+        ]);
+        let m = FieldMap::from(model.clone());
+        assert_eq!(m.to_content(), model.to_content());
+        let json = serde_json::to_string(&m).unwrap();
+        assert_eq!(json, serde_json::to_string(&model).unwrap());
+        assert_eq!(serde_json::from_str::<FieldMap>(&json).unwrap(), m);
+        // Keys out of order, a repeated key (the last one wins, as in a
+        // `BTreeMap`), an empty map and `null`.
+        let int = |i| serde_json::to_string(&Value::Int(i)).unwrap();
+        let shuffled = format!(r#"{{"z":{},"a":{},"z":{}}}"#, int(1), int(2), int(3));
+        let back: FieldMap = serde_json::from_str(&shuffled).unwrap();
+        let expect: BTreeMap<String, Value> = serde_json::from_str(&shuffled).unwrap();
+        assert_eq!(back.to_map(), expect);
+        assert_eq!(back["z"], Value::Int(3));
+        for empty in ["{}", "null"] {
+            let back: FieldMap = serde_json::from_str(empty).unwrap();
+            assert!(back.is_empty(), "{empty}");
+        }
+        assert!(serde_json::from_str::<FieldMap>("[1]").is_err());
+        assert_eq!(serde_json::to_string(&FieldMap::new()).unwrap(), "{}");
+    }
+
+    #[test]
+    #[should_panic(expected = "no such field")]
+    fn field_map_index_panics_on_a_missing_field() {
+        let _ = FieldMap::new()["nope"];
     }
 
     #[test]

@@ -571,19 +571,22 @@ impl<D: Disk> Store<D> {
         }
     }
 
-    /// The one range scan: all `(key, value)` pairs in `space` from
-    /// `start` up to the first key `within` rejects, in key order,
-    /// merged across the memtable and the run tier.  `within` must hold
-    /// for a contiguous stretch of keys beginning at `start`.  Runs fold
-    /// oldest-to-newest into an ordered map (newer entries overwrite),
-    /// the memtable overlays last (tombstones shadow), then deletions
-    /// and retired keys drop out.
-    fn scan_while(
+    /// The one range scan: `visit` sees every `(key, value)` pair in
+    /// `space` from `start` up to the first key `within` rejects, in key
+    /// order, merged across the memtable and the run tier, and stops the
+    /// scan by returning an error.  `within` must hold for a contiguous
+    /// stretch of keys beginning at `start`.  Runs fold oldest-to-newest
+    /// into an ordered map (newer entries overwrite), the memtable
+    /// overlays last (tombstones shadow), then deletions and retired keys
+    /// drop out.  The store's read locks are held throughout: `visit` must
+    /// not write to this store.
+    fn visit_while<E: From<StoreError>>(
         &self,
         space: Space,
         start: &str,
         within: impl Fn(&str) -> bool,
-    ) -> StoreResult<Vec<(String, Bytes)>> {
+        mut visit: impl FnMut(&str, &Bytes) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.check_alive()?;
         let mem = self.mem.read();
         let levels = self.levels.read();
@@ -593,9 +596,12 @@ impl<D: Disk> Store<D> {
         if levels.no_runs() {
             // Fast path: no tier means no tombstones and no merge map
             // (and the memtable never holds retired keys).
-            return Ok(in_mem
-                .filter_map(|(k, v)| v.as_ref().map(|v| (k.clone(), v.clone())))
-                .collect());
+            for (k, v) in in_mem {
+                if let Some(v) = v {
+                    visit(k, v)?;
+                }
+            }
+            return Ok(());
         }
         let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
         for run in levels.iter_oldest_first() {
@@ -606,11 +612,43 @@ impl<D: Disk> Store<D> {
         for (k, v) in in_mem {
             merged.insert(k.clone(), v.clone());
         }
-        Ok(merged
-            .into_iter()
-            .filter(|(k, _)| !levels.retained(space.as_u8(), k))
-            .filter_map(|(k, v)| v.map(|v| (k, v)))
-            .collect())
+        for (k, v) in &merged {
+            if let Some(v) = v {
+                if !levels.retained(space.as_u8(), k) {
+                    visit(k, v)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Store::visit_while`], collected.
+    fn scan_while(
+        &self,
+        space: Space,
+        start: &str,
+        within: impl Fn(&str) -> bool,
+    ) -> StoreResult<Vec<(String, Bytes)>> {
+        let mut out = Vec::new();
+        self.visit_while(space, start, within, |k, v| {
+            out.push((k.to_string(), v.clone()));
+            Ok::<(), StoreError>(())
+        })?;
+        Ok(out)
+    }
+
+    /// Visit every `(key, value)` pair in `space` whose key starts with
+    /// `prefix`, in key order, without materialising the range: for a
+    /// caller that decodes or folds records as they come.  An error from
+    /// `visit` ends the scan and is returned.  `visit` runs under the
+    /// store's read locks and must not write to this store.
+    pub fn visit_prefix<E: From<StoreError>>(
+        &self,
+        space: Space,
+        prefix: &str,
+        visit: impl FnMut(&str, &Bytes) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.visit_while(space, prefix, |k| k.starts_with(prefix), visit)
     }
 
     /// All `(key, value)` pairs in `space` whose key starts with `prefix`,
@@ -766,6 +804,51 @@ pub(crate) mod tests {
         let hits = store.scan_prefix(Space::Instance, "inst/1").unwrap();
         let keys: Vec<_> = hits.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["inst/1/a", "inst/1/b", "inst/10/c"]);
+    }
+
+    /// The visiting scan sees what `scan_prefix` returns, in order, with
+    /// and without a run tier under it, and an error from the visitor
+    /// stops it there.
+    #[test]
+    fn visit_prefix_streams_the_scan_and_stops_on_error() {
+        for tiered in [None, Some(tiny_tiered())] {
+            let store = Store::open_with(MemDisk::new(), tiered).unwrap();
+            for i in 0..60 {
+                let key = format!("ev/{i:03}");
+                store.put(Space::History, key, vec![i as u8; 90]).unwrap();
+            }
+            store.delete(Space::History, "ev/007").unwrap();
+            store.put(Space::History, "other", &b"x"[..]).unwrap();
+            assert_eq!(store.stats().spills > 0, tiered.is_some());
+            let mut seen = Vec::new();
+            store
+                .visit_prefix(Space::History, "ev/", |k, v| {
+                    seen.push((k.to_string(), v.clone()));
+                    Ok::<(), StoreError>(())
+                })
+                .unwrap();
+            assert_eq!(seen.len(), 59);
+            assert_eq!(seen, store.scan_prefix(Space::History, "ev/").unwrap());
+            let mut visited = 0;
+            let stopped = store.visit_prefix(Space::History, "ev/", |k, _| {
+                visited += 1;
+                if k == "ev/002" {
+                    return Err(VisitError(format!("stop at {k}")));
+                }
+                Ok(())
+            });
+            assert_eq!(stopped.unwrap_err().0, "stop at ev/002");
+            assert_eq!(visited, 3);
+        }
+    }
+
+    /// A caller's error type: anything a `StoreError` converts into.
+    struct VisitError(String);
+
+    impl From<StoreError> for VisitError {
+        fn from(e: StoreError) -> Self {
+            VisitError(e.to_string())
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! serial engine's `inst/{id:012}/` keys.
 
 use crate::engine::{Space, Store};
-use crate::error::StoreResult;
+use crate::error::{StoreError, StoreResult};
 use crate::Disk;
 use bytes::Bytes;
 
@@ -46,11 +46,12 @@ impl<D: Disk> Store<D> {
     /// the shard prefix, with the prefix stripped, in key order.
     pub fn scan_shard(&self, space: Space, shard: usize) -> StoreResult<Vec<(String, Bytes)>> {
         let prefix = shard_prefix(shard);
-        Ok(self
-            .scan_prefix(space, &prefix)?
-            .into_iter()
-            .map(|(k, v)| (k[prefix.len()..].to_string(), v))
-            .collect())
+        let mut out = Vec::new();
+        self.visit_prefix(space, &prefix, |k, v| {
+            out.push((k[prefix.len()..].to_string(), v.clone()));
+            Ok::<(), StoreError>(())
+        })?;
+        Ok(out)
     }
 }
 

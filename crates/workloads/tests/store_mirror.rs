@@ -50,7 +50,7 @@ fn assert_store_mirrors_memory(rt: &Runtime<MemDisk>, at: &str) {
                 .unwrap()
                 .unwrap_or_else(|| panic!("{at}: instance {id} task {path} was never stored"));
             let stored: TaskRecord = serde_json::from_slice(&bytes).unwrap();
-            assert_eq!(&stored, rec, "{at}: instance {id} task {path}");
+            assert_eq!(stored, **rec, "{at}: instance {id} task {path}");
         }
         let stored_tasks = rt
             .store()

@@ -41,6 +41,18 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+echo "==> residency rule: a map that is resident per task is exact-size; a map that is passed is a BTreeMap"
+# A BTreeMap allocates an 11-entry leaf for its first entry (632 B for
+# `BTreeMap<String, Value>`), and a server holds a record per task for
+# weeks: TaskRecord's own maps are `FieldMap`s.  Programs, whiteboards and
+# `Value::Map` are built up and passed along, and stay BTreeMaps.
+stray=$(sed -n '/^pub struct TaskRecord {/,/^}/p' crates/core/src/state.rs | grep -n 'BTreeMap<' || true)
+if [ -n "$stray" ]; then
+  echo "a BTreeMap inside TaskRecord (crates/core/src/state.rs) — a map that is resident per task is exact-size (bioopera_ocr::value::FieldMap); a map that is passed is a BTreeMap:"
+  echo "$stray"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -55,6 +67,12 @@ echo "==> store concurrent stress, 5x in release (where a late-scheduled reader 
 for _ in 1 2 3 4 5; do
   cargo test --release -q -p bioopera-store --test concurrent_stress
 done
+
+echo "==> residency gate in release: live heap per resident instance, record and task-map entry sizes"
+# 2 000 finished two-task chains may hold 2 KiB of heap each behind
+# ShardEngine::slots() (5.1 KiB with a BTreeMap leaf per field map and
+# unboxed records; ~1.5 KiB now), counted by a live-bytes allocator.
+cargo test --release -q -p bioopera-core --test residency
 
 echo "==> store+core suites under a forced-small memtable budget (constant spilling)"
 # BIOOPERA_MEMTABLE_BUDGET routes every Store::open through the tiered
