@@ -841,8 +841,11 @@ pub const DEFAULT_ROLLUP_EVERY: u64 = 512;
 /// index from it plus a tail scan (`seq >= base`) reproduces every
 /// aggregate query of a full-history scan, which is what makes
 /// [`Awareness::open_tail`] O(tail) instead of O(history).
+///
+/// Public by name only, as the other stored record types are, so that a
+/// reader of the History space can decode the `rollup` record.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct RollupRecord {
+pub struct RollupRecord {
     /// Events with sequence number below this are summarized.
     base: u64,
     /// Per-kind-label event counts.

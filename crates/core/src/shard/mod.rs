@@ -139,6 +139,9 @@ struct HistoryFold {
     recorded: u64,
     digest: u64,
     counts: BTreeMap<String, u64>,
+    /// Each event's kind is encoded here to be hashed: one buffer for the
+    /// run, not one per event.
+    scratch: String,
 }
 
 impl Default for HistoryFold {
@@ -147,6 +150,7 @@ impl Default for HistoryFold {
             recorded: 0,
             digest: FNV_OFFSET,
             counts: BTreeMap::new(),
+            scratch: String::new(),
         }
     }
 }
@@ -167,10 +171,7 @@ impl HistoryFold {
         h = fnv1a64(h, &e.round.to_le_bytes());
         h = fnv1a64(h, &e.instance.to_le_bytes());
         h = fnv1a64(h, &e.seq.to_le_bytes());
-        if let Ok(bytes) = serde_json::to_vec(&e.kind) {
-            h = fnv1a64(h, &bytes);
-        }
-        self.digest = h;
+        self.digest = fnv1a64_json(h, &e.kind, &mut self.scratch);
     }
 }
 
@@ -886,15 +887,12 @@ impl<D: Disk> ShardEngine<D> {
             self.shards.iter().flat_map(|s| s.slots.iter()).collect();
         slots.sort_by_key(|(id, _)| **id);
         let mut h = FNV_OFFSET;
+        let mut scratch = String::new();
         for (id, slot) in slots {
             h = fnv1a64(h, &id.to_le_bytes());
-            if let Ok(bytes) = serde_json::to_vec(&slot.header) {
-                h = fnv1a64(h, &bytes);
-            }
+            h = fnv1a64_json(h, &slot.header, &mut scratch);
             for rec in slot.tasks.values() {
-                if let Ok(bytes) = serde_json::to_vec(rec) {
-                    h = fnv1a64(h, &bytes);
-                }
+                h = fnv1a64_json(h, rec.as_ref(), &mut scratch);
             }
         }
         h
@@ -1030,9 +1028,11 @@ type ChildResult = (
     f64,
 );
 
-/// Durable record of an acked-but-not-yet-committed root submission.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct PendingStart {
+/// Durable record of an acked-but-not-yet-committed root submission
+/// (`pending/{id}` in the Instance space).  Public by name only, as the
+/// other stored record types are.
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct PendingStart {
     template: String,
     initial: BTreeMap<String, Value>,
 }
@@ -1059,6 +1059,15 @@ fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x1_0000_01b3);
     }
     hash
+}
+
+/// Fold the bytes `value` is stored as into `hash`.  Encoding into a
+/// buffer cannot fail, so no record can drop out of a digest, and
+/// `scratch` is reused from call to call.
+fn fnv1a64_json<T: serde::Serialize>(hash: u64, value: &T, scratch: &mut String) -> u64 {
+    scratch.clear();
+    value.write_json(scratch);
+    fnv1a64(hash, scratch.as_bytes())
 }
 
 fn encode<T: serde::Serialize>(value: &T) -> EngineResult<Vec<u8>> {
@@ -1281,6 +1290,25 @@ mod tests {
         drop(store);
         let err = recover(&disk).unwrap_err().to_string();
         assert!(err.contains(&format!("corrupt task {key}")), "{err}");
+
+        // A record nested a hundred thousand deep is the same fault.  The
+        // reader recurses per level, and used to end the process with a
+        // stack overflow here instead of returning.
+        let disk = crashed_disk();
+        let store = Store::open(disk.clone()).unwrap();
+        // Whether the nesting is a well-typed value (lists of lists) or
+        // sits in a member the record type does not have.
+        for member in [r#""inputs":{"x":"#, r#""no_such_member":"#] {
+            let deep = format!(
+                r#"{{"path":"B","state":"Ready",{member}{}"#,
+                r#"{"List":[["#.repeat(40_000)
+            );
+            store.put(Space::Instance, key, deep.into_bytes()).unwrap();
+            let err = recover(&disk).unwrap_err().to_string();
+            assert!(err.contains(&format!("corrupt task {key}")), "{err}");
+            assert!(err.contains("nested deeper than"), "{err}");
+        }
+        drop(store);
 
         // A history event that does not decode used to drop out of the
         // recovered digest, event list and counts without a word.

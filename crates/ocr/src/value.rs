@@ -6,7 +6,7 @@
 //! "the fact that the process state is persistently stored in a database
 //! also offers significant advantages for monitoring and querying purposes".
 
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, JsonReader, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
@@ -329,6 +329,10 @@ impl Serialize for FieldMap {
                 .collect(),
         )
     }
+
+    fn write_json(&self, out: &mut String) {
+        serde::write_map(self.iter(), out);
+    }
 }
 
 impl Deserialize for FieldMap {
@@ -341,6 +345,22 @@ impl Deserialize for FieldMap {
             Content::Null => Ok(FieldMap::new()),
             other => Err(DeError::custom(format!("expected map, found {other:?}"))),
         }
+    }
+
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
+        let mut entries = Vec::new();
+        let mut more = r.map_start_or_null()?;
+        while more {
+            let entry = (r.read_key()?.into_owned(), Value::read_json(r)?);
+            more = r.map_next()?;
+            // A structure of one field — most are — is allocated at its
+            // final size rather than grown to four entries and cut back.
+            if !more && entries.is_empty() {
+                entries.reserve_exact(1);
+            }
+            entries.push(entry);
+        }
+        Ok(entries.into_iter().collect())
     }
 }
 

@@ -53,6 +53,21 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+echo "==> record codec: the Content tree stays off the engine's paths"
+# serde_json's entry points stream (derived writers and readers, no tree
+# in between); `Content`, `to_content` and `from_content` remain as the
+# encoding's definition, for hand-written impls and as the tests'
+# reference.  In library code exactly two files may name them: FieldMap's
+# hand-written impls and HistoryEvent's legacy reader.  Anything else is
+# the tree creeping back onto a path that runs per record.
+stray=$(grep -rnE '\b(to_content|from_content|Content)\b' crates/*/src --include='*.rs' \
+  | grep -vE '^crates/(ocr/src/value|core/src/awareness)\.rs:' || true)
+if [ -n "$stray" ]; then
+  echo "the Content tree named outside crates/ocr/src/value.rs (FieldMap) and crates/core/src/awareness.rs (HistoryEvent):"
+  echo "$stray"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -73,6 +88,13 @@ echo "==> residency gate in release: live heap per resident instance, record and
 # ShardEngine::slots() (5.1 KiB with a BTreeMap leaf per field map and
 # unboxed records; ~1.5 KiB now), counted by a live-bytes allocator.
 cargo test --release -q -p bioopera-core --test residency
+
+echo "==> codec allocation gate in release: a record encodes without allocating and decodes with what it holds"
+# The chain's task record, a TaskEnd event and an instance header: none
+# into a warm buffer, at most two for `to_vec`, and to decode no more than
+# a clone of the value plus two (33 to write and 37 to read when every
+# record went through a Content tree).
+cargo test --release -q -p bioopera-core --test codec_allocs
 
 echo "==> store+core suites under a forced-small memtable budget (constant spilling)"
 # BIOOPERA_MEMTABLE_BUDGET routes every Store::open through the tiered
