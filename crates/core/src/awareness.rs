@@ -17,8 +17,16 @@
 //! flushed as **one store batch per navigator step** ([`Awareness::flush`]),
 //! keeping WAL traffic proportional to steps rather than events while
 //! preserving per-step crash atomicity.
+//!
+//! The History space holds one of two key layouts and [`Awareness`] reads
+//! either, picking by what the store holds: `ev/{seq}` [`HistoryEvent`]s
+//! summarized by the `rollup` record (what this module writes for the
+//! serial runtime), or the sharded engine's barrier stream —
+//! `sev/{round}/{index}` records summarized by a [`StreamSummary`] — which
+//! the engine writes itself and this module only views.
 
 use crate::metrics::Histogram;
+use crate::shard::router::{round_start_key, EVENT_PREFIX};
 use bioopera_cluster::SimTime;
 use bioopera_store::{Batch, Disk, Space, Store, StoreError, TypedSpace};
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -522,6 +530,14 @@ pub enum AwarenessError {
         /// The offending key (without the `ev/` prefix).
         key: String,
     },
+    /// A record of the barrier stream does not decode.  The store is
+    /// CRC-framed, so this is a format fault, and it is named.
+    BadRecord {
+        /// The full key of the record.
+        key: String,
+        /// What the decoder said.
+        reason: String,
+    },
 }
 
 impl fmt::Display for AwarenessError {
@@ -530,6 +546,9 @@ impl fmt::Display for AwarenessError {
             AwarenessError::Store(e) => write!(f, "store: {e}"),
             AwarenessError::BadKey { key } => {
                 write!(f, "history key `{key}` is not a sequence number")
+            }
+            AwarenessError::BadRecord { key, reason } => {
+                write!(f, "corrupt history event {key}: {reason}")
             }
         }
     }
@@ -581,6 +600,12 @@ pub struct AwarenessIndex {
 impl AwarenessIndex {
     /// Fold one event in (events must arrive in sequence order).
     pub fn ingest(&mut self, ev: &HistoryEvent) {
+        self.push(ev.clone());
+    }
+
+    /// [`ingest`](AwarenessIndex::ingest) for a caller that is done with
+    /// the event: it moves into the log.
+    fn push(&mut self, ev: HistoryEvent) {
         match &ev.kind {
             EventKind::TaskStart { queue_ms, .. } => {
                 self.queue_ms.observe(*queue_ms);
@@ -660,7 +685,7 @@ impl AwarenessIndex {
         if let Some(node) = ev.kind.node() {
             self.by_node.entry(node.to_string()).or_default().push(i);
         }
-        self.log.push(ev.clone());
+        self.log.push(ev);
     }
 
     /// Events indexed — the summarized prefix plus the in-memory tail.
@@ -731,11 +756,11 @@ impl AwarenessIndex {
         }
     }
 
-    /// Snapshot every aggregate as a rollup covering sequence numbers
-    /// `[0, base)`.  Only valid when the index has ingested exactly the
-    /// events below `base` — which is how [`Awareness::pending_batch`]
-    /// calls it (the rollup rides the same atomic batch as the tail
-    /// events it folds in).
+    /// Snapshot every aggregate as a rollup covering the first `base`
+    /// events.  Only valid when the index has ingested exactly those —
+    /// which is how [`Awareness::pending_batch`] and
+    /// [`Awareness::summary_into`] call it (the rollup rides the same
+    /// atomic batch as the tail events it folds in).
     fn to_rollup(&self, base: u64) -> RollupRecord {
         RollupRecord {
             base,
@@ -869,6 +894,37 @@ pub struct RollupRecord {
     store_io: BTreeMap<String, u64>,
 }
 
+/// History-space key of the barrier stream's summary: outside `sev/`,
+/// `ev/` and `rollup`, so no scan of either layout meets it.
+const SUMMARY_KEY: &str = "summary";
+
+/// The durable summary of the barrier stream (`sev/{round}/{index}`): the
+/// aggregates of every event of the rounds below `next_round`, committed
+/// by the sharded engine in the **same WAL frame** as the last of those
+/// rounds.  [`RollupRecord`]'s bytes are frozen and count events, not
+/// rounds, so where the tail starts is carried beside it.  A store the
+/// previous engine wrote has no such record (its `rollup` counts `ev/`
+/// sequence numbers); it reopens from a full scan of `sev/` and gains one
+/// at the next cadence.
+///
+/// Public by name only, as [`RollupRecord`] is.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StreamSummary {
+    /// Events of this round and later are the tail.
+    next_round: u64,
+    /// The aggregates; `base` is the number of events summarized.
+    rollup: RollupRecord,
+}
+
+/// What the awareness model reads of a barrier-stream record (a
+/// `ShardEvent`): the round is the event's time, and the source key is
+/// skipped unread.
+#[derive(Deserialize)]
+struct StreamRecord {
+    round: u64,
+    kind: EventKind,
+}
+
 /// Append-only writer/reader for the History space, with buffered appends
 /// and the incremental [`AwarenessIndex`].
 pub struct Awareness {
@@ -892,13 +948,22 @@ pub struct Awareness {
 
 impl Awareness {
     /// Open over a store, continuing after any existing records and
-    /// rebuilding the index from a **full scan** of them.  A key under
-    /// the event prefix that does not parse as a sequence number is an
-    /// error — resetting the sequence to 0 would overwrite history.
+    /// rebuilding the index from a **full scan** of them — of the barrier
+    /// stream if the store holds one, else of `ev/`, where a key that
+    /// does not parse as a sequence number is an error: resetting the
+    /// sequence to 0 would overwrite history.
     ///
     /// This is the exact, O(history) path; [`Awareness::open_tail`]
     /// resumes from the durable rollup instead.
     pub fn open<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
+        match Self::open_stream(store, None)? {
+            Some(stream) => Ok(stream),
+            None => Self::open_seq(store),
+        }
+    }
+
+    /// [`Awareness::open`] over the `ev/` layout.
+    fn open_seq<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
         let events: TypedSpace<HistoryEvent> = TypedSpace::new(Space::History, "ev/");
         let existing = Self::scan_sorted(&events, store)?;
         let next_seq = existing.last().map(|(seq, _)| seq + 1).unwrap_or(0);
@@ -928,9 +993,17 @@ impl Awareness {
     /// cover only the tail, and [`Awareness::of_kind`] transparently
     /// falls back to a store scan when that matters.  With no rollup on
     /// disk this is exactly [`Awareness::open`].
+    ///
+    /// The layout is picked from what the store holds: a
+    /// [`StreamSummary`], else any `sev/` record, means the barrier
+    /// stream; otherwise `ev/` and its `rollup`.
     pub fn open_tail<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
+        let summary = Self::read_record(store, SUMMARY_KEY)?;
+        if let Some(stream) = Self::open_stream(store, summary)? {
+            return Ok(stream);
+        }
         let Some(rollup) = Self::read_rollup(store)? else {
-            return Self::open(store);
+            return Self::open_seq(store);
         };
         let events: TypedSpace<HistoryEvent> = TypedSpace::new(Space::History, "ev/");
         let base = rollup.base;
@@ -974,8 +1047,68 @@ impl Awareness {
         })
     }
 
+    /// Open over the barrier stream, if the store holds one: seed the
+    /// index from `summary` and ingest the rounds it does not cover, or
+    /// with none ingest the whole stream.
+    fn open_stream<D: Disk>(
+        store: &Store<D>,
+        summary: Option<StreamSummary>,
+    ) -> Result<Option<Self>, AwarenessError> {
+        let (mut index, start) = match &summary {
+            Some(s) => (
+                AwarenessIndex::from_rollup(&s.rollup),
+                round_start_key(s.next_round),
+            ),
+            None => (AwarenessIndex::default(), EVENT_PREFIX.to_string()),
+        };
+        let rollup_base = index.base_len;
+        Self::visit_stream(store, &start, |ev| index.push(ev))?;
+        if index.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(Awareness {
+            events: TypedSpace::new(Space::History, "ev/"),
+            next_seq: index.len() as u64,
+            pending: Vec::new(),
+            rollup_every: DEFAULT_ROLLUP_EVERY,
+            rollup_base,
+            pending_rollup: None,
+            open_scanned: index.log.len() as u64,
+            index,
+        }))
+    }
+
+    /// Every barrier-stream record from key `start` on, in commit order,
+    /// as the event the awareness model sees.
+    fn visit_stream<D: Disk>(
+        store: &Store<D>,
+        start: &str,
+        mut visit: impl FnMut(HistoryEvent),
+    ) -> Result<(), AwarenessError> {
+        store.visit_prefix_from(Space::History, EVENT_PREFIX, start, |key, bytes| {
+            let rec: StreamRecord =
+                serde_json::from_slice(bytes).map_err(|e| AwarenessError::BadRecord {
+                    key: key.to_string(),
+                    reason: e.to_string(),
+                })?;
+            visit(HistoryEvent {
+                at: SimTime::from_secs(rec.round),
+                kind: rec.kind,
+            });
+            Ok(())
+        })
+    }
+
     fn read_rollup<D: Disk>(store: &Store<D>) -> Result<Option<RollupRecord>, AwarenessError> {
-        match store.get(Space::History, ROLLUP_KEY)? {
+        Self::read_record(store, ROLLUP_KEY)
+    }
+
+    /// The History-space record at `key`, decoded, if there is one.
+    fn read_record<D: Disk, T: Deserialize>(
+        store: &Store<D>,
+        key: &str,
+    ) -> Result<Option<T>, AwarenessError> {
+        match store.get(Space::History, key)? {
             Some(bytes) => Ok(Some(
                 serde_json::from_slice(&bytes).map_err(|e| StoreError::Codec(e.to_string()))?,
             )),
@@ -1040,6 +1173,43 @@ impl Awareness {
         self.index.ingest(&ev);
         self.pending.push((self.next_seq, ev));
         self.next_seq += 1;
+    }
+
+    /// Fold in one event of the barrier stream.  The sharded engine
+    /// stores the event itself, as a `sev/` record; nothing is buffered
+    /// here and no second copy is written.
+    pub(crate) fn observe(&mut self, at: SimTime, kind: EventKind) {
+        self.index.push(HistoryEvent { at, kind });
+    }
+
+    /// The barrier stream's rollup cadence: once enough events have been
+    /// [`observe`](Awareness::observe)d past the last summary, put into
+    /// `batch` — the one that commits the events of the rounds below
+    /// `next_round` — the [`StreamSummary`] that covers exactly those
+    /// rounds.  One batch is one WAL frame: a crash keeps the events and
+    /// their summary, or neither.
+    pub(crate) fn summary_into(
+        &mut self,
+        batch: &mut Batch,
+        next_round: u64,
+    ) -> Result<(), StoreError> {
+        let observed = self.index.len() as u64;
+        if observed - self.rollup_base < self.rollup_every {
+            return Ok(());
+        }
+        let summary = StreamSummary {
+            next_round,
+            rollup: self.index.to_rollup(observed),
+        };
+        batch.put(
+            Space::History,
+            SUMMARY_KEY,
+            serde_json::to_vec(&summary).map_err(StoreError::from)?,
+        );
+        // Not waiting for the commit: a store that fails an append is
+        // poisoned, and a handle that ran ahead of it is never used again.
+        self.rollup_base = observed;
+        Ok(())
     }
 
     /// Write all buffered events as one atomic store batch.  Returns the
@@ -1117,6 +1287,13 @@ impl Awareness {
     /// All events in sequence order: the durable log plus the buffered
     /// tail.
     pub fn all<D: Disk>(&self, store: &Store<D>) -> Result<Vec<HistoryEvent>, AwarenessError> {
+        // The barrier stream, when the store holds one (nothing is ever
+        // buffered beside it).
+        let mut stream = Vec::new();
+        Self::visit_stream(store, EVENT_PREFIX, |ev| stream.push(ev))?;
+        if !stream.is_empty() {
+            return Ok(stream);
+        }
         let mut seqd = Self::scan_sorted(&self.events, store)?;
         seqd.extend(self.pending.iter().cloned());
         seqd.sort_by_key(|(seq, _)| *seq);

@@ -35,6 +35,7 @@ pub use router::{
 pub use services::{DispatchService, LogicalNode};
 pub use stepper::{FaultInjection, Shard, StepCtx};
 
+use self::router::{event_key, EVENT_PREFIX};
 use crate::awareness::{Awareness, EventKind};
 use crate::diagnostics;
 use crate::error::{EngineError, EngineResult};
@@ -488,40 +489,34 @@ impl<D: Disk> ShardEngine<D> {
             self.route(grant);
         }
         events.extend(barrier_events);
-        self.commit_events(round, &events)
+        self.commit_events(round, events)
     }
 
-    /// Commit the round's totally-ordered events and feed the incremental
-    /// awareness index from the same stream, in the same group commit.
+    /// Commit the round's totally-ordered events: the one history record
+    /// this engine writes.  Each event is stored once, under its
+    /// [`event_key`], and folded into the lifetime digest and the
+    /// awareness index as it goes; when the rollup cadence is due, the
+    /// summary of every round up to and including this one joins the
+    /// batch.
     ///
-    /// The awareness rollup batch rides `apply_many` with the event batch,
-    /// so a crash can never persist one without the other: monitoring
-    /// queries over a recovered store always agree with the recorded
-    /// history, exactly as on the serial path.
-    fn commit_events(&mut self, round: u64, events: &[ShardEvent]) -> EngineResult<()> {
-        if !events.is_empty() {
-            let at = SimTime::from_secs(round);
-            let mut b = Batch::new();
-            for (i, e) in events.iter().enumerate() {
-                b.put(Space::History, event_key(round, i), encode(e)?);
-                self.awareness.record(at, e.kind.clone());
-            }
-            let mut batches = vec![b];
-            match self.awareness.pending_batch() {
-                Ok(Some(ab)) => batches.push(ab),
-                Ok(None) => {}
-                Err(e) => {
-                    self.awareness.discard_pending();
-                    return Err(EngineError::Store(e));
-                }
-            }
-            self.store.apply_many(batches).map_err(EngineError::Store)?;
-            self.awareness.confirm_flushed();
+    /// One batch is one WAL frame, and a crash keeps a frame whole or not
+    /// at all: the history and the monitoring view over it cannot come
+    /// apart, and what recovery refolds from `sev/` is what both held.
+    fn commit_events(&mut self, round: u64, events: Vec<ShardEvent>) -> EngineResult<()> {
+        if events.is_empty() {
+            return Ok(());
         }
-        for e in events {
-            self.history.fold(e);
+        let at = SimTime::from_secs(round);
+        let mut batch = Batch::new();
+        for (i, e) in events.into_iter().enumerate() {
+            batch.put(Space::History, event_key(round, i), encode(&e)?);
+            self.history.fold(&e);
+            self.awareness.observe(at, e.kind);
         }
-        Ok(())
+        self.awareness
+            .summary_into(&mut batch, round + 1)
+            .map_err(EngineError::Store)?;
+        self.store.apply(batch).map_err(EngineError::Store)
     }
 
     /// Run rounds to quiescence.
@@ -630,8 +625,8 @@ impl<D: Disk> ShardEngine<D> {
             shards.push(shard);
         }
         let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        // The awareness rollup was group-committed with every event batch,
-        // so an O(tail) reopen lands on a state consistent with `sev/`.
+        // The summary shares a frame with the events it covers, so an
+        // O(tail) reopen lands on what `sev/` holds.
         let awareness = Awareness::open_tail(&store)
             .map_err(|e| EngineError::Internal(format!("awareness open: {e}")))?;
         let mut engine = ShardEngine {
@@ -673,12 +668,22 @@ impl<D: Disk> ShardEngine<D> {
         // lifetime view stays continuous across the crash — decoding as
         // the scan goes, and failing on an event that does not decode: it
         // would silently drop out of the digest and the counts.
+        let mut last_round = None;
         engine
             .store
-            .visit_prefix(Space::History, "sev/", |key, bytes| {
-                engine.history.fold(&decode_event(key, bytes)?);
+            .visit_prefix(Space::History, EVENT_PREFIX, |key, bytes| {
+                let event = decode_event(key, bytes)?;
+                engine.history.fold(&event);
+                last_round = Some(event.round);
                 Ok::<(), EngineError>(())
             })?;
+        // A fresh round for what follows.  The shards' `meta` is not
+        // enough: a recovery commits its pseudo-round and no shard writes
+        // a later `meta` until the next step, so a crash before that step
+        // would recover into the same round and overwrite its events.
+        if let Some(last) = last_round {
+            engine.round = engine.round.max(last + 1);
+        }
         engine.redrive()?;
         Ok(engine)
     }
@@ -845,7 +850,7 @@ impl<D: Disk> ShardEngine<D> {
             seq: BARRIER_SEQ_BASE + bseq,
             kind: EventKind::ServerRecover { requeued },
         });
-        self.commit_events(round, &events)?;
+        self.commit_events(round, events)?;
         // The recovery pseudo-round used `round`'s event keys; advance so
         // the next barrier commits under fresh keys.
         self.round += 1;
@@ -942,10 +947,16 @@ impl<D: Disk> ShardEngine<D> {
         &self.cfg
     }
 
-    /// The awareness model, fed incrementally from the barrier's
-    /// totally-ordered event stream (crash-atomic with the group commit).
+    /// The awareness model: a view over the barrier's totally-ordered
+    /// event stream, fed as each round commits.
     pub fn awareness(&self) -> &Awareness {
         &self.awareness
+    }
+
+    /// Override the awareness summary cadence (tests force tiny values to
+    /// commit a summary with almost every round).
+    pub fn set_rollup_every(&mut self, every: u64) {
+        self.awareness.set_rollup_every(every);
     }
 
     /// Plain-data view of (logical nodes, in-flight jobs, instance task
@@ -998,16 +1009,12 @@ impl<D: Disk> ShardEngine<D> {
     pub fn persisted_events(&self) -> EngineResult<Vec<ShardEvent>> {
         let mut events = Vec::new();
         self.store
-            .visit_prefix(Space::History, "sev/", |key, bytes| {
+            .visit_prefix(Space::History, EVENT_PREFIX, |key, bytes| {
                 events.push(decode_event(key, bytes)?);
                 Ok::<(), EngineError>(())
             })?;
         Ok(events)
     }
-}
-
-fn event_key(round: u64, index: usize) -> String {
-    format!("sev/{round:08}/{index:06}")
 }
 
 /// Decode the history record at `key`.  The store is CRC-framed, so one
@@ -1262,10 +1269,11 @@ mod tests {
             threads: 1,
             ..ShardConfig::default()
         };
-        let crashed_disk = || {
+        let crashed_disk_at_cadence = |rollup_every: u64| {
             let disk = MemDisk::new();
             let store = Store::open(disk.clone()).unwrap();
             let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).unwrap();
+            eng.set_rollup_every(rollup_every);
             eng.register_template(chain_template()).unwrap();
             for _ in 0..3 {
                 eng.submit("Chain", BTreeMap::new()).unwrap();
@@ -1274,6 +1282,7 @@ mod tests {
             eng.step_round().unwrap();
             disk
         };
+        let crashed_disk = || crashed_disk_at_cadence(crate::awareness::DEFAULT_ROLLUP_EVERY);
         let recover = |disk: &MemDisk| {
             let store = Store::open(disk.clone()).unwrap();
             ShardEngine::recover(store, chain_library(), cfg.clone()).map(|eng| eng.stats())
@@ -1311,20 +1320,30 @@ mod tests {
         drop(store);
 
         // A history event that does not decode used to drop out of the
-        // recovered digest, event list and counts without a word.
-        let disk = crashed_disk();
-        let store = Store::open(disk.clone()).unwrap();
-        let key = "sev/00000001/000002";
-        assert!(store.get(Space::History, key).unwrap().is_some());
-        store
-            .put(Space::History, key, b"{not json".to_vec())
-            .unwrap();
-        drop(store);
-        let err = recover(&disk).unwrap_err().to_string();
-        assert!(
-            err.contains(&format!("corrupt history event {key}")),
-            "{err}"
-        );
+        // recovered digest, event list and counts without a word.  It is
+        // named whichever reader meets it first: the awareness tail scan
+        // (no summary yet, so the tail is the stream), or under a summary
+        // that covers it — the tail scan starts past it — recovery's fold.
+        for rollup_every in [crate::awareness::DEFAULT_ROLLUP_EVERY, 1] {
+            let disk = crashed_disk_at_cadence(rollup_every);
+            let store = Store::open(disk.clone()).unwrap();
+            let key = "sev/00000001/000002";
+            assert!(store.get(Space::History, key).unwrap().is_some());
+            store
+                .put(Space::History, key, b"{not json".to_vec())
+                .unwrap();
+            drop(store);
+            let err = recover(&disk).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("corrupt history event {key}")),
+                "{err}"
+            );
+            assert_eq!(
+                err.starts_with("internal error: awareness open"),
+                rollup_every > 1,
+                "{err}"
+            );
+        }
 
         let disk = crashed_disk();
         let store = Store::open(disk.clone()).unwrap();
@@ -1336,6 +1355,61 @@ mod tests {
             recover(&disk),
             Err(EngineError::UnknownTemplate(name)) if name == "Chain"
         ));
+    }
+
+    /// Label counts three ways: the engine's lifetime fold, the awareness
+    /// index, and the stream as persisted.  One record, so they agree.
+    fn counts_three_ways(eng: &ShardEngine<MemDisk>) -> [BTreeMap<String, u64>; 3] {
+        let index = eng.awareness().index().counts_by_kind();
+        let mut persisted = BTreeMap::new();
+        for e in eng.persisted_events().unwrap() {
+            *persisted.entry(e.kind.label().to_string()).or_insert(0) += 1;
+        }
+        [
+            eng.event_counts().clone(),
+            index.into_iter().map(|(k, n)| (k, n as u64)).collect(),
+            persisted,
+        ]
+    }
+
+    /// A recovery commits its pseudo-round and no shard writes a later
+    /// `meta` before the next step, so a crash straight after used to
+    /// recover into the same round and overwrite the first recovery's
+    /// events: three in a row left one `server.recover` in `sev/`.
+    #[test]
+    fn a_crash_after_a_recovery_does_not_overwrite_history() {
+        let disk = MemDisk::new();
+        let cfg = ShardConfig {
+            shards: 2,
+            threads: 1,
+            ..ShardConfig::default()
+        };
+        let store = Store::open(disk.clone()).unwrap();
+        let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).unwrap();
+        eng.register_template(chain_template()).unwrap();
+        for _ in 0..6 {
+            eng.submit("Chain", BTreeMap::new()).unwrap();
+        }
+        for _ in 0..3 {
+            eng.step_round().unwrap();
+        }
+        drop(eng);
+        for recoveries in 1..=3u64 {
+            let store = Store::open(disk.clone()).unwrap();
+            let eng = ShardEngine::recover(store, chain_library(), cfg.clone()).unwrap();
+            let [folded, indexed, persisted] = counts_three_ways(&eng);
+            assert_eq!(persisted["server.recover"], recoveries);
+            assert_eq!(folded, persisted, "after {recoveries} recoveries");
+            assert_eq!(indexed, persisted, "after {recoveries} recoveries");
+        }
+        let store = Store::open(disk).unwrap();
+        let mut eng = ShardEngine::recover(store, chain_library(), cfg).unwrap();
+        eng.run_to_completion().unwrap();
+        assert_eq!(eng.stats().completed, 6);
+        let [folded, indexed, persisted] = counts_three_ways(&eng);
+        assert_eq!(persisted["server.recover"], 4);
+        assert_eq!(folded, persisted);
+        assert_eq!(indexed, persisted);
     }
 
     #[test]

@@ -171,6 +171,30 @@ pub struct ShardEvent {
     pub kind: EventKind,
 }
 
+/// History-space prefix of the barrier's ordered stream: the one history
+/// record the sharded engine writes, and what recovery, the digest and
+/// the awareness model all read.
+pub(crate) const EVENT_PREFIX: &str = "sev/";
+
+/// Key of the `index`-th event the barrier commits in `round`.  Key order
+/// is commit order, which every reader of the stream relies on: six
+/// digits hold the first million events of a round (byte for byte the
+/// keys earlier versions wrote), and past that a `~` — after every digit
+/// in ASCII — opens a twenty-digit form that sorts behind them.
+pub(crate) fn event_key(round: u64, index: usize) -> String {
+    if index < 1_000_000 {
+        format!("{EVENT_PREFIX}{round:08}/{index:06}")
+    } else {
+        format!("{EVENT_PREFIX}{round:08}/~{index:020}")
+    }
+}
+
+/// The key every event of `round` sorts at or after, and every event of
+/// an earlier round before.
+pub(crate) fn round_start_key(round: u64) -> String {
+    format!("{EVENT_PREFIX}{round:08}/")
+}
+
 /// What one shard step hands to the barrier.
 #[derive(Debug, Default)]
 pub struct StepOutput {
@@ -198,6 +222,28 @@ pub fn merge_outboxes(mut per_shard: Vec<StepOutput>) -> (Vec<Effect>, Vec<Shard
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Round 0 of N submissions commits N `instance.start` events, and
+    /// `{index:06}` alone put the millionth before the second.
+    #[test]
+    fn event_keys_sort_in_commit_order_past_a_million_events_a_round() {
+        let indexes = [0usize, 999_999, 1_000_000, 10_000_000];
+        let keys: Vec<String> = [0u64, 1]
+            .iter()
+            .flat_map(|r| indexes.iter().map(|i| event_key(*r, *i)))
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort();
+        assert_eq!(keys, sorted);
+        // The keys already on disk are not respelled.
+        assert_eq!(event_key(21, 999_999), "sev/00000021/999999");
+        assert_eq!(
+            event_key(21, 1_000_000),
+            "sev/00000021/~00000000000001000000"
+        );
+        assert!(round_start_key(1) <= event_key(1, 0));
+        assert!(event_key(0, usize::MAX) < round_start_key(1));
+    }
 
     #[test]
     fn owner_is_stable_and_in_range() {

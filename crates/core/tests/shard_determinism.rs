@@ -15,14 +15,26 @@
 //! re-spawned children), so the assertion there is *output* equality —
 //! every root reaches the oracle's terminal status with the oracle's
 //! whiteboard — not digest equality.
+//!
+//! The history is one stream (`sev/{round}/{index}`) and the awareness
+//! model is a view over it, so the reader is checked here too: at every
+//! (shards, threads, summary cadence, crash or none, tiered or not),
+//! reopening the final image from its summary plus the tail gives what
+//! ingesting the persisted stream from its first event gives; and an
+//! image shaped as the previous engine left it — an `ev/` twin of every
+//! event and a `rollup` counted in `ev/` sequence numbers — recovers with
+//! each event counted once.
 
+use bioopera_cluster::SimTime;
+use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
-    ActivityLibrary, FaultInjection, InstanceStatus, ProgramOutput, ShardConfig, ShardEngine,
+    ActivityLibrary, Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus,
+    ProgramOutput, ShardConfig, ShardEngine,
 };
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
-use bioopera_store::{MemDisk, Store};
+use bioopera_store::{MemDisk, Space, Store, TieredPolicy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -156,6 +168,10 @@ fn build_engine(
         faults,
         ..ShardConfig::default()
     };
+    engine_on(store, cfg)
+}
+
+fn engine_on(store: Store<MemDisk>, cfg: ShardConfig) -> ShardEngine<MemDisk> {
     let mut eng = ShardEngine::new(store, library(), cfg).expect("engine");
     eng.register_template(chain_template()).unwrap();
     eng.register_template(fan_template()).unwrap();
@@ -172,6 +188,16 @@ fn run_workload(
     faults: Option<FaultInjection>,
 ) -> (u64, u64, BTreeMap<String, u64>) {
     let mut eng = build_engine(shards, threads, faults);
+    submit_workload(&mut eng, workload);
+    eng.run_to_completion().unwrap();
+    (
+        eng.history_digest(),
+        eng.state_digest(),
+        eng.event_counts().clone(),
+    )
+}
+
+fn submit_workload(eng: &mut ShardEngine<MemDisk>, workload: &[(usize, i64)]) {
     for (tmpl, knob) in workload {
         let name = TEMPLATES[tmpl % TEMPLATES.len()];
         let mut initial = BTreeMap::new();
@@ -185,11 +211,35 @@ fn run_workload(
         }
         eng.submit(name, initial).unwrap();
     }
-    eng.run_to_completion().unwrap();
+}
+
+/// The persisted stream as the awareness model sees it: an event's time
+/// is the round it was committed at.
+fn as_history(events: &[ShardEvent]) -> Vec<HistoryEvent> {
+    events
+        .iter()
+        .map(|e| HistoryEvent {
+            at: SimTime::from_secs(e.round),
+            kind: e.kind.clone(),
+        })
+        .collect()
+}
+
+/// Every aggregate an index answers from; the log and postings of a
+/// tail-opened index cover the tail only, and are left out.
+fn aggregates(index: &AwarenessIndex) -> impl PartialEq + std::fmt::Debug {
     (
-        eng.history_digest(),
-        eng.state_digest(),
-        eng.event_counts().clone(),
+        index.len(),
+        index.counts_by_kind(),
+        index.run_ms().clone(),
+        index.queue_ms().clone(),
+        (index.in_flight(), index.peak_in_flight()),
+        (
+            index.nodes_down().clone(),
+            index.nodes_quarantined().clone(),
+        ),
+        index.total_cpu_ms().to_bits(),
+        index.store_io().clone(),
     )
 }
 
@@ -317,6 +367,208 @@ proptest! {
         prop_assert_eq!(&sharded.1, &baseline.1, "state digest diverged");
         prop_assert_eq!(&sharded.2, &baseline.2, "event counts diverged");
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The awareness model is a view over the one persisted stream: the
+    /// live handle, and a reopen of the final image from the last summary
+    /// plus its tail, answer what ingesting the stream from its first
+    /// event answers — whatever the cadence put into which frame,
+    /// wherever a crash cut the run, tiered or not.
+    #[test]
+    fn reopening_the_stream_from_its_summary_equals_ingesting_it_whole(
+        workload in prop::collection::vec((0usize..3, 0i64..100), 1..16),
+        shards in 1usize..9,
+        threads in 1usize..5,
+        rollup_every in 1u64..40,
+        crash in (any::<bool>(), 0u64..8, 0usize..9),
+        tiered in any::<bool>(),
+        fault_rate in prop_oneof![Just(0u32), Just(120_000u32)],
+    ) {
+        let policy = tiered.then(|| TieredPolicy {
+            memtable_budget_bytes: 512,
+            run_merge_threshold: 2,
+            level_base_bytes: 4096,
+            level_growth: 2,
+            level_run_bytes: 768,
+            ..TieredPolicy::default()
+        });
+        // `None` leaves the choice to `Store::open`, as everywhere in this
+        // file: check.sh's tiered sweeps then reach these runs as well.
+        let open = |disk: &MemDisk| match policy {
+            Some(p) => Store::open_with(disk.clone(), Some(p)).unwrap(),
+            None => Store::open(disk.clone()).unwrap(),
+        };
+        let cfg = ShardConfig {
+            shards,
+            threads,
+            faults: (fault_rate > 0).then_some(FaultInjection { seed: 7, rate_ppm: fault_rate }),
+            ..ShardConfig::default()
+        };
+        let disk = MemDisk::new();
+        let mut eng = engine_on(open(&disk), cfg.clone());
+        eng.set_rollup_every(rollup_every);
+        submit_workload(&mut eng, &workload);
+        if let (true, crash_round, prefix) = crash {
+            for _ in 0..crash_round {
+                eng.step_round().unwrap();
+            }
+            if !eng.quiescent() {
+                eng.step_round_partial_commit(prefix.min(shards)).unwrap();
+            }
+            drop(eng);
+            eng = ShardEngine::recover(open(&disk), library(), cfg).unwrap();
+            eng.set_rollup_every(rollup_every);
+        }
+        eng.run_to_completion().unwrap();
+
+        let persisted = eng.persisted_events().unwrap();
+        let history = as_history(&persisted);
+        let mut whole = AwarenessIndex::default();
+        for ev in &history {
+            whole.ingest(ev);
+        }
+        prop_assert_eq!(
+            format!("{:?}", aggregates(eng.awareness().index())),
+            format!("{:?}", aggregates(&whole)),
+            "the live view drifted from the stream"
+        );
+        let reopened = Awareness::open_tail(eng.store()).unwrap();
+        prop_assert!(aggregates(reopened.index()) == aggregates(&whole),
+            "reopened {:?}\nwhole stream {:?}", aggregates(reopened.index()), aggregates(&whole));
+        prop_assert_eq!(&reopened.all(eng.store()).unwrap(), &history);
+        prop_assert_eq!(&eng.awareness().all(eng.store()).unwrap(), &history);
+        // O(tail): a commit that leaves `rollup_every` events or more
+        // unsummarized writes a summary, so the tail is always shorter.
+        prop_assert_eq!(
+            reopened.open_scanned(),
+            history.len() as u64 - reopened.index().summarized()
+        );
+        prop_assert!(reopened.open_scanned() < rollup_every,
+            "scanned {} events at cadence {rollup_every}", reopened.open_scanned());
+        // One writer: the stream, its summary, and nothing under `ev/`.
+        prop_assert!(eng.store().scan_prefix(Space::History, "ev/").unwrap().is_empty());
+        prop_assert_eq!(
+            eng.store().get(Space::History, "summary").unwrap().is_some(),
+            history.len() as u64 >= rollup_every
+        );
+    }
+}
+
+/// A store as the previous engine left it: beside every `sev/` record an
+/// `ev/` twin, and a `rollup` whose `base` counts `ev/` sequence numbers.
+/// The twins and the rollup are written here through the `ev/` writer —
+/// the frozen shapes, byte for byte what that engine wrote.  The new
+/// engine reads `sev/` alone: each event once, `ev/` left as it was.
+#[test]
+fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
+    let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
+    let cfg = ShardConfig {
+        shards: 4,
+        threads: 2,
+        ..ShardConfig::default()
+    };
+    let disk = MemDisk::new();
+    let mut eng = engine_on(Store::open(disk.clone()).unwrap(), cfg.clone());
+    // The previous engine wrote no stream summary.
+    eng.set_rollup_every(u64::MAX);
+    submit_workload(&mut eng, &workload);
+    for _ in 0..3 {
+        eng.step_round().unwrap();
+    }
+    eng.step_round_partial_commit(2).unwrap();
+    let before_crash = as_history(&eng.persisted_events().unwrap());
+    drop(eng);
+
+    let twins = Store::open(MemDisk::new()).unwrap();
+    let mut writer = Awareness::open(&twins).unwrap();
+    writer.set_rollup_every(4);
+    for chunk in before_crash.chunks(5) {
+        for ev in chunk {
+            writer.record(ev.at, ev.kind.clone());
+        }
+        writer.flush(&twins).unwrap();
+    }
+    let legacy = twins.scan_prefix(Space::History, "").unwrap();
+    assert_eq!(
+        legacy.len(),
+        before_crash.len() + 1,
+        "the twins and a rollup"
+    );
+    let store = Store::open(disk.clone()).unwrap();
+    assert!(store.get(Space::History, "summary").unwrap().is_none());
+    for (key, bytes) in &legacy {
+        assert!(key.starts_with("ev/") || key == "rollup", "{key}");
+        store
+            .put(Space::History, key.clone(), bytes.clone())
+            .unwrap();
+    }
+    drop(store);
+
+    let mut eng = ShardEngine::recover(Store::open(disk).unwrap(), library(), cfg).unwrap();
+    let counted = |eng: &ShardEngine<MemDisk>| {
+        let persisted = as_history(&eng.persisted_events().unwrap());
+        let mut whole = AwarenessIndex::default();
+        for ev in &persisted {
+            whole.ingest(ev);
+        }
+        assert!(aggregates(eng.awareness().index()) == aggregates(&whole));
+        assert_eq!(eng.awareness().all(eng.store()).unwrap(), persisted);
+        let by_label: BTreeMap<String, u64> = whole
+            .counts_by_kind()
+            .into_iter()
+            .map(|(k, n)| (k, n as u64))
+            .collect();
+        assert_eq!(*eng.event_counts(), by_label);
+        persisted.len()
+    };
+    // What was there, plus the recovery's own events — not twice that.
+    assert!(counted(&eng) > before_crash.len());
+    assert!(counted(&eng) < 2 * before_crash.len());
+    eng.set_rollup_every(8);
+    assert!(eng.run_to_completion().unwrap().is_completed());
+    assert_eq!(
+        eng.stats().completed,
+        9 + 3,
+        "nine roots and three subprocess children"
+    );
+    let events = counted(&eng);
+    // From here on it is a store like any other: a summary, an O(tail) reopen.
+    let reopened = Awareness::open_tail(eng.store()).unwrap();
+    assert_eq!(reopened.index().len(), events);
+    assert!(reopened.open_scanned() < 8);
+    // And the old stream is neither extended nor touched.
+    let mut left: Vec<_> = eng.store().scan_prefix(Space::History, "ev/").unwrap();
+    left.extend(eng.store().scan_prefix(Space::History, "rollup").unwrap());
+    assert_eq!(left, legacy);
+}
+
+/// The digests are compared between configurations everywhere else, so a
+/// change that moved all of them together would pass.  These are what the
+/// commit before the history became one stream recorded for this
+/// workload (`8678b3d`, 1×1 and 4×4).
+#[test]
+fn the_crash_free_history_digest_is_pinned() {
+    let workload: Vec<(usize, i64)> = vec![(0, 5), (1, 2), (2, 9), (0, 11), (2, 3)];
+    let (history, state, counts) = run_workload(&workload, 3, 2, None);
+    assert_eq!(
+        history, 0xdb4c_0aa5_5276_fe56,
+        "history digest {history:#018x}"
+    );
+    assert_eq!(state, 0x4a5e_de3f_fc93_5796, "state digest {state:#018x}");
+    let pinned = [
+        ("instance.complete", 7),
+        ("instance.start", 7),
+        ("subprocess.start", 2),
+        ("task.end", 17),
+        ("task.start", 15),
+    ];
+    assert_eq!(
+        counts,
+        pinned.iter().map(|(k, n)| (k.to_string(), *n)).collect()
+    );
 }
 
 /// Crash at the shard barrier with a partial commit prefix, recover,

@@ -105,7 +105,7 @@ impl TortureReport {
              \x20 tiered:  {} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases\n\
              \x20 leveled: {} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases\n\
              \x20 runtime: {} mutations, {} crash cases, {} recovery double-crash cases\n\
-             \x20 shard:   {} oracle rounds, {} barrier-crash cases, {} double-crash cases\n\
+             \x20 shard:   {} oracle rounds, {} barrier-crash cases, {} double-crash cases, {} torn-commit cases\n\
              \x20 violations: {}",
             self.seed,
             self.store.mutations,
@@ -126,6 +126,7 @@ impl TortureReport {
             self.shard.rounds,
             self.shard.cases,
             self.shard.recovery_cases,
+            self.shard.torn_cases,
             self.violations().len(),
         )
     }
@@ -138,7 +139,9 @@ impl TortureReport {
 /// real 3-TEU all-vs-all (`usize::MAX` = all of them: 83 executions, ~2 s
 /// in release) and `recovery_samples` its double-crash points;
 /// `shard_samples` bounds the sampled
-/// `(round, commit-prefix)` barrier-crash points of the sharded engine.
+/// `(round, commit-prefix)` barrier-crash points of the sharded engine
+/// (and, at a third of it, the rounds whose barrier commit is torn every
+/// way).
 pub fn run_full(
     seed: u64,
     store_limit: Option<usize>,

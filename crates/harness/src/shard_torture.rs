@@ -22,13 +22,29 @@
 //! recovered run must quiesce rather than wedge, and an operator resume
 //! must drive every root to the oracle's outputs.
 //!
+//! A second kind of case puts a [`FaultPlan`] under the engine and tears
+//! **the barrier's own commit** — the one append that carries a round's
+//! history events and, when its cadence is due, the awareness summary
+//! that covers them: lost, kept in full with the acknowledgment lost, and
+//! torn at byte 0, one byte either side of every WAL frame boundary and
+//! at seeded offsets inside.  Every case of either kind holds the engine
+//! to the **history invariant** after each recovery and at the end: the
+//! engine's lifetime event counts, the awareness index and the persisted
+//! stream are three views of one record, so they agree — by label, in
+//! length, and in every aggregate an index rebuilt from the persisted
+//! stream would hold.
+//!
 //! [`ShardEngine::step_round_partial_commit`]: bioopera_core::ShardEngine::step_round_partial_commit
 
-use bioopera_core::{ActivityLibrary, InstanceStatus, ProgramOutput, ShardConfig, ShardEngine};
+use bioopera_cluster::SimTime;
+use bioopera_core::{
+    ActivityLibrary, AwarenessIndex, HistoryEvent, InstanceStatus, ProgramOutput, ShardConfig,
+    ShardEngine,
+};
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
-use bioopera_store::{MemDisk, Store};
+use bioopera_store::{wal, CrashEffect, Disk, FaultPlan, MemDisk, Store};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -43,6 +59,9 @@ pub struct ShardTortureOutcome {
     pub recovery_cases: usize,
     /// Suspend-at-the-crashing-barrier cases executed.
     pub suspend_cases: usize,
+    /// Torn-barrier-commit cases executed (every effect and offset of
+    /// every sampled round counts as one).
+    pub torn_cases: usize,
     /// Invariant violations; empty on success.
     pub violations: Vec<String>,
 }
@@ -164,10 +183,12 @@ fn cfg() -> ShardConfig {
     }
 }
 
-/// Build an engine on `disk` and submit the scripted root mix.
-fn boot(disk: &MemDisk) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
+/// Build an engine on `disk` and submit the scripted root mix.  A small
+/// `rollup_every` puts an awareness summary into most barrier commits.
+fn boot(disk: &MemDisk, rollup_every: u64) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
     let store = Store::open(disk.clone()).map_err(|e| format!("open: {e}"))?;
     let mut eng = ShardEngine::new(store, library(), cfg()).expect("engine");
+    eng.set_rollup_every(rollup_every);
     for t in templates() {
         eng.register_template(t)
             .map_err(|e| format!("register: {e}"))?;
@@ -189,6 +210,20 @@ fn boot(disk: &MemDisk) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
             eng.submit(name, initial)
                 .map_err(|e| format!("submit: {e}"))?,
         );
+    }
+    Ok((eng, ids))
+}
+
+/// [`boot`], then `rounds` crash-free rounds.
+fn boot_at_round(
+    disk: &MemDisk,
+    rollup_every: u64,
+    rounds: u64,
+) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
+    let (mut eng, ids) = boot(disk, rollup_every)?;
+    for _ in 0..rounds {
+        eng.step_round()
+            .map_err(|e| format!("pre-crash step: {e}"))?;
     }
     Ok((eng, ids))
 }
@@ -227,14 +262,86 @@ fn compare(tag: &str, got: &[RootResult], oracle: &[RootResult]) -> Result<(), S
     Ok(())
 }
 
+/// The history invariant: one record, three views.  The engine's
+/// lifetime fold, the awareness index (reopened from a summary plus a
+/// tail, then fed by every commit since) and the persisted stream must
+/// agree.
+fn check_history(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
+    let persisted = eng
+        .persisted_events()
+        .map_err(|e| format!("persisted events: {e}"))?;
+    let mut rebuilt = AwarenessIndex::default();
+    let mut labels: BTreeMap<String, u64> = BTreeMap::new();
+    for e in &persisted {
+        *labels.entry(e.kind.label().to_string()).or_insert(0) += 1;
+        rebuilt.ingest(&HistoryEvent {
+            at: SimTime::from_secs(e.round),
+            kind: e.kind.clone(),
+        });
+    }
+    let index = eng.awareness().index();
+    let indexed: BTreeMap<String, u64> = index
+        .counts_by_kind()
+        .into_iter()
+        .map(|(label, n)| (label, n as u64))
+        .collect();
+    if *eng.event_counts() != labels {
+        return Err(format!(
+            "history: event_counts {:?} but the persisted stream holds {labels:?}",
+            eng.event_counts()
+        ));
+    }
+    if indexed != labels {
+        return Err(format!(
+            "history: awareness counts {indexed:?} but the persisted stream holds {labels:?}"
+        ));
+    }
+    let viewed = eng
+        .awareness()
+        .all(eng.store())
+        .map_err(|e| format!("awareness all: {e}"))?
+        .len();
+    if viewed != persisted.len() {
+        return Err(format!(
+            "history: awareness reads {viewed} events, the stream holds {}",
+            persisted.len()
+        ));
+    }
+    let aggregates = |i: &AwarenessIndex| {
+        (
+            i.in_flight(),
+            i.peak_in_flight(),
+            i.run_ms().clone(),
+            i.queue_ms().clone(),
+        )
+    };
+    if aggregates(index) != aggregates(&rebuilt) {
+        return Err(format!(
+            "history: awareness aggregates {:?}, rebuilt from the stream {:?}",
+            aggregates(index),
+            aggregates(&rebuilt)
+        ));
+    }
+    Ok(())
+}
+
+/// Reopen `disk` and recover, holding the recovered engine to the history
+/// invariant before it takes a step.
+fn recover(disk: &MemDisk, rollup_every: u64) -> Result<ShardEngine<MemDisk>, String> {
+    let store = Store::open(disk.clone()).map_err(|e| format!("reopen: {e}"))?;
+    let mut eng =
+        ShardEngine::recover(store, library(), cfg()).map_err(|e| format!("recover: {e}"))?;
+    eng.set_rollup_every(rollup_every);
+    check_history(&eng).map_err(|e| format!("after recovery: {e}"))?;
+    Ok(eng)
+}
+
 /// Recover from `disk` and drive the run to completion.  A run that
 /// quiesces with suspended instances is *not* a failure — that is the
 /// suspended-wedge fix working as intended — the operator resumes and
 /// the run must then finish for real.
-fn recover_and_finish(disk: &MemDisk) -> Result<ShardEngine<MemDisk>, String> {
-    let store = Store::open(disk.clone()).map_err(|e| format!("reopen: {e}"))?;
-    let mut eng =
-        ShardEngine::recover(store, library(), cfg()).map_err(|e| format!("recover: {e}"))?;
+fn recover_and_finish(disk: &MemDisk, rollup_every: u64) -> Result<ShardEngine<MemDisk>, String> {
+    let mut eng = recover(disk, rollup_every)?;
     let outcome = eng
         .run_to_completion()
         .map_err(|e| format!("resume: {e}"))?;
@@ -247,7 +354,67 @@ fn recover_and_finish(disk: &MemDisk) -> Result<ShardEngine<MemDisk>, String> {
             return Err(format!("still quiesced after resume: {outcome:?}"));
         }
     }
+    check_history(&eng).map_err(|e| format!("at the end: {e}"))?;
     Ok(eng)
+}
+
+/// The barrier's commit of round `round`, found on two crash-free twins
+/// of the run: which disk mutation of the round it is, and the bytes it
+/// appends.  `None` when the round commits no history.
+fn barrier_append(round: u64, rollup_every: u64) -> Result<Option<(u64, Vec<u8>)>, String> {
+    // Twin A stops short of the barrier: its mutation count is the index
+    // of the barrier's append, its files are the image before it.
+    let before = MemDisk::new();
+    let (mut eng, _) = boot_at_round(&before, rollup_every, round)?;
+    before.set_fault_plan(None);
+    eng.step_round_partial_commit(SHARDS)
+        .map_err(|e| format!("probe partial commit: {e}"))?;
+    let index = before.mutation_count();
+    drop(eng);
+    // Twin B dies the moment that mutation is durable: what it holds
+    // beyond twin A is the append.
+    let after = MemDisk::new();
+    let (mut eng, _) = boot_at_round(&after, rollup_every, round)?;
+    after.set_fault_plan(Some(FaultPlan::at_mutation(index, CrashEffect::AfterApply)));
+    if eng.step_round().is_ok() {
+        return Ok(None);
+    }
+    drop(eng);
+    after.reboot();
+    for name in after.list().map_err(|e| format!("probe list: {e}"))? {
+        let grown = after
+            .read(&name)
+            .map_err(|e| format!("probe read: {e}"))?
+            .unwrap_or_default();
+        let had = before.file_len(&name).unwrap_or(0);
+        if grown.len() > had {
+            return Ok(Some((index, grown[had..].to_vec())));
+        }
+    }
+    Ok(None)
+}
+
+/// Every crash the barrier's append of `data` can suffer: lost, applied
+/// with the acknowledgment lost, and torn at 0, at each WAL frame
+/// boundary ±1 and at three seeded offsets inside.
+fn barrier_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
+    let len = data.len() as u64;
+    let mut keeps = vec![0u64];
+    let mut off = 0usize;
+    while off + wal::HEADER_LEN <= data.len() {
+        let payload = u32::from_le_bytes(data[off + 2..off + 6].try_into().expect("four bytes"));
+        off += wal::HEADER_LEN + payload as usize;
+        keeps.extend([off as u64 - 1, off as u64, off as u64 + 1]);
+    }
+    for _ in 0..3 {
+        keeps.push(rng.gen_range(0..len.max(1)));
+    }
+    keeps.retain(|k| *k <= len);
+    keeps.sort_unstable();
+    keeps.dedup();
+    let mut effects = vec![CrashEffect::Drop, CrashEffect::AfterApply];
+    effects.extend(keeps.into_iter().map(|keep| CrashEffect::Torn { keep }));
+    effects
 }
 
 /// Run the shard-barrier crash torture: `samples` single-crash points and
@@ -258,15 +425,18 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
         cases: 0,
         recovery_cases: 0,
         suspend_cases: 0,
+        torn_cases: 0,
         violations: Vec::new(),
     };
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_70C7);
 
     // Crash-free oracle.
     let oracle_disk = MemDisk::new();
-    let oracle = match boot(&oracle_disk).and_then(|(mut eng, ids)| {
+    let oracle = match boot(&oracle_disk, rng.gen_range(1..40)).and_then(|(mut eng, ids)| {
         eng.run_to_completion()
             .map_err(|e| format!("oracle run: {e}"))?;
         out.rounds = eng.round();
+        check_history(&eng).map_err(|e| format!("crash-free: {e}"))?;
         roots(&eng, &ids)
     }) {
         Ok(roots) => roots,
@@ -284,16 +454,16 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
         return out;
     }
 
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_70C7);
     for case in 0..samples {
         let crash_round = rng.gen_range(0..out.rounds.max(1));
         let prefix = rng.gen_range(0..=SHARDS);
+        let rollup_every = rng.gen_range(1..40u64);
         let double_crash = case % 3 == 2;
         let suspend_at_barrier = case % 2 == 1;
         let suspend_root = rng.gen_range(0..9u64) as usize;
         let tag = format!(
             "seed={seed} case={case} round={crash_round} prefix={prefix}/{SHARDS} \
-             double={double_crash} suspend={suspend_at_barrier}"
+             double={double_crash} suspend={suspend_at_barrier} rollup_every={rollup_every}"
         );
         out.cases += 1;
         if suspend_at_barrier {
@@ -301,11 +471,7 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
         }
 
         let disk = MemDisk::new();
-        let res = boot(&disk).and_then(|(mut eng, ids)| {
-            for _ in 0..crash_round {
-                eng.step_round()
-                    .map_err(|e| format!("pre-crash step: {e}"))?;
-            }
+        let res = boot_at_round(&disk, rollup_every, crash_round).and_then(|(mut eng, ids)| {
             if suspend_at_barrier {
                 // Park a root right before the crashing barrier: the
                 // suspend control message (and, if its owner shard is in
@@ -321,9 +487,7 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
             if double_crash {
                 // Crash again mid-recovered-run before checking outputs.
                 out.recovery_cases += 1;
-                let store = Store::open(disk.clone()).map_err(|e| format!("reopen: {e}"))?;
-                let mut eng = ShardEngine::recover(store, library(), cfg())
-                    .map_err(|e| format!("recover: {e}"))?;
+                let mut eng = recover(&disk, rollup_every)?;
                 let prefix2 = rng.gen_range(0..=SHARDS);
                 if !eng.quiescent() {
                     eng.step_round_partial_commit(prefix2)
@@ -332,11 +496,48 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
                 drop(eng);
             }
 
-            let eng = recover_and_finish(&disk)?;
+            let eng = recover_and_finish(&disk, rollup_every)?;
             compare(&tag, &roots(&eng, &ids)?, &oracle)
         });
         if let Err(e) = res {
             out.violations.push(format!("shard torture [{tag}]: {e}"));
+        }
+    }
+
+    // Tear the barrier's own commit: a third as many rounds as barrier
+    // crashes, every effect and offset of each.
+    for case in 0..samples.div_ceil(3) {
+        let crash_round = rng.gen_range(0..out.rounds.max(1));
+        let rollup_every = rng.gen_range(1..40u64);
+        let tag =
+            format!("seed={seed} torn case={case} round={crash_round} rollup_every={rollup_every}");
+        let (index, data) = match barrier_append(crash_round, rollup_every) {
+            Ok(Some(found)) => found,
+            Ok(None) => continue,
+            Err(e) => {
+                out.violations.push(format!("shard torture [{tag}]: {e}"));
+                continue;
+            }
+        };
+        for effect in barrier_crash_effects(&data, &mut rng) {
+            out.torn_cases += 1;
+            let disk = MemDisk::new();
+            let res = boot_at_round(&disk, rollup_every, crash_round).and_then(|(mut eng, ids)| {
+                disk.set_fault_plan(Some(FaultPlan::at_mutation(index, effect)));
+                if eng.step_round().is_ok() {
+                    return Err("the armed barrier commit never crashed".to_string());
+                }
+                drop(eng);
+                disk.reboot();
+                let eng = recover_and_finish(&disk, rollup_every)?;
+                compare(&tag, &roots(&eng, &ids)?, &oracle)
+            });
+            if let Err(e) = res {
+                out.violations.push(format!(
+                    "shard torture [{tag} mutation={index} of {} bytes, {effect:?}]: {e}",
+                    data.len()
+                ));
+            }
         }
     }
     out
@@ -353,6 +554,7 @@ mod tests {
         assert_eq!(out.cases, 6);
         assert!(out.recovery_cases >= 1);
         assert!(out.suspend_cases >= 1);
+        assert!(out.torn_cases >= 10, "{} torn cases", out.torn_cases);
         assert!(
             out.violations.is_empty(),
             "violations: {:#?}",

@@ -7,7 +7,9 @@
 //! written by compiling this very source against that commit.  It
 //! therefore uses nothing newer than that commit's public API — the two
 //! record types that were private then (`RollupRecord`, `PendingStart`)
-//! are read back as stored bytes.
+//! are read back as stored bytes.  One line is newer: `StreamSummary`
+//! did not exist then, and its line is what the commit that introduced it
+//! stored (the `RollupRecord` inside it is the old type, unchanged).
 //!
 //! A name is `Type/case`; the text before the `/` picks the Rust type the
 //! line decodes as (`dispatch` in `codec_differential.rs`).
@@ -524,6 +526,27 @@ fn rollup_record() -> (String, String) {
     )
 }
 
+/// The `summary` record the sharded engine commits with the round that
+/// brings its cadence due, as stored.
+fn stream_summary() -> (String, String) {
+    let mut engine = chain_engine();
+    engine.set_rollup_every(4);
+    for x in [123_456, -7] {
+        let initial = BTreeMap::from([("x".to_string(), Value::Int(x))]);
+        engine.submit("Chain", initial).expect("submit");
+    }
+    engine.run_to_completion().expect("the chains run");
+    let bytes = engine
+        .store()
+        .get(Space::History, "summary")
+        .expect("store read")
+        .expect("the cadence wrote a summary");
+    (
+        "StreamSummary/chains".to_string(),
+        String::from_utf8(bytes.to_vec()).expect("JSON is UTF-8"),
+    )
+}
+
 /// The `pending/{id}` record a submission writes, as stored.
 fn pending_start() -> (String, String) {
     let mut engine = chain_engine();
@@ -553,6 +576,7 @@ pub fn golden_samples() -> Vec<(String, String)> {
     out.push(pending_start());
     out.extend(events());
     out.push(rollup_record());
+    out.push(stream_summary());
     out.extend(templates());
     out.extend(traces());
     out.push(run_report());

@@ -23,7 +23,7 @@
 mod samples;
 
 use bioopera_cluster::{NodeSpec, SimTime, Trace};
-use bioopera_core::awareness::RollupRecord;
+use bioopera_core::awareness::{RollupRecord, StreamSummary};
 use bioopera_core::dependability::HealthState;
 use bioopera_core::metrics::RunReport;
 use bioopera_core::shard::{PendingStart, ShardEvent, ShardMeta};
@@ -129,6 +129,7 @@ fn dispatch(name: &str, line: &str, check: &mut impl Check) {
         "ShardEvent" => check.run::<ShardEvent>(name, line),
         "HistoryEvent" => check.run::<HistoryEvent>(name, line),
         "RollupRecord" => check.run::<RollupRecord>(name, line),
+        "StreamSummary" => check.run::<StreamSummary>(name, line),
         "ProcessTemplate" => check.run::<ProcessTemplate>(name, line),
         "Trace" => check.run::<Trace>(name, line),
         "RunReport" => check.run::<RunReport>(name, line),

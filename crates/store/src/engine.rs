@@ -648,7 +648,23 @@ impl<D: Disk> Store<D> {
         prefix: &str,
         visit: impl FnMut(&str, &Bytes) -> Result<(), E>,
     ) -> Result<(), E> {
-        self.visit_while(space, prefix, |k| k.starts_with(prefix), visit)
+        self.visit_prefix_from(space, prefix, prefix, visit)
+    }
+
+    /// [`Store::visit_prefix`] from `start` on: the keys under `prefix`
+    /// that are `>= start`.  This is the tail visit: a caller that keeps a
+    /// summary of the records below `start` reads — from the memtable and
+    /// from every run — only what the summary does not cover.
+    pub fn visit_prefix_from<E: From<StoreError>>(
+        &self,
+        space: Space,
+        prefix: &str,
+        start: &str,
+        visit: impl FnMut(&str, &Bytes) -> Result<(), E>,
+    ) -> Result<(), E> {
+        // A start below the prefix would meet a foreign key first and
+        // end the scan before it began.
+        self.visit_while(space, start.max(prefix), |k| k.starts_with(prefix), visit)
     }
 
     /// All `(key, value)` pairs in `space` whose key starts with `prefix`,
@@ -839,6 +855,24 @@ pub(crate) mod tests {
             });
             assert_eq!(stopped.unwrap_err().0, "stop at ev/002");
             assert_eq!(visited, 3);
+            // From a start key on: the tail of the prefix, and nothing of
+            // the keys beyond it; a start below the prefix is the prefix.
+            for (start, expect) in [("ev/040", 20), ("ev/9", 0), ("a", 59), ("z", 0)] {
+                let mut tail = Vec::new();
+                store
+                    .visit_prefix_from(Space::History, "ev/", start, |k, _| {
+                        tail.push(k.to_string());
+                        Ok::<(), StoreError>(())
+                    })
+                    .unwrap();
+                let want: Vec<&String> = seen
+                    .iter()
+                    .map(|(k, _)| k)
+                    .filter(|k| k.as_str() >= start)
+                    .collect();
+                assert_eq!(tail.iter().collect::<Vec<_>>(), want, "from {start}");
+                assert_eq!(tail.len(), expect, "from {start}");
+            }
         }
     }
 

@@ -68,6 +68,23 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+echo "==> one history stream: the shard path stores each event once, in one frame with its summary"
+# The barrier's sev/ records are the only history the sharded engine
+# writes, and the awareness model is a view over them.  A second copy
+# (the ev/ twin: `Awareness::record` + `pending_batch`) or a second frame
+# (`apply_many` over the commit's batch) is two things that must land
+# together, and a torn append keeps a whole-frame prefix: they did not.
+stray=$({
+  grep -rnE '"ev/|pending_batch|\.record\(' crates/core/src/shard --include='*.rs'
+  sed -n '/fn commit_events/,/^    }/p' crates/core/src/shard/mod.rs | grep 'apply_many' \
+    | sed 's|^|crates/core/src/shard/mod.rs: commit_events: |'
+} || true)
+if [ -n "$stray" ]; then
+  echo "a second history stream or a second frame on the shard path:"
+  echo "$stray"
+  exit 1
+fi
+
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -119,9 +136,10 @@ BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
   cargo test -q -p bioopera-core --test runtime_tests --test shard_determinism \
   --test tiered_runtime --test tiered_shard_determinism
 # Bounded torture sample under the same squeeze: the runtime and shard
-# probes open their stores through the env, so barrier-crash recovery
-# and double-crash cases run on top of real spills and level merges
-# (~13 s; the full enumeration runs untiered below).
+# probes open their stores through the env, so barrier-crash recovery,
+# double-crash cases and every tear of three barrier commits run on top
+# of real spills and level merges (~13 s; the full enumeration runs
+# untiered below).
 BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
   cargo run -q -p bioopera-harness --bin torture -- --store-limit 8 \
   --runtime-samples 2 --recovery-samples 1 --shard-samples 8
@@ -129,7 +147,9 @@ BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
 echo "==> crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
 # real 3-TEU all-vs-all (83 executions, ~2 s of the total in release) +
-# sampled shard barrier-crash points.
+# sampled shard barrier-crash points + four rounds' barrier commits torn
+# every way (lost, applied unacknowledged, cut at each frame boundary ±1
+# and at seeded offsets), all held to the history invariant.
 cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
 
 echo "==> benchmark smoke: all four bench_e2e workloads at 1/20 size against their pinned oracles"
