@@ -11,7 +11,10 @@
 //!   round,
 //! * reopen after the full history: snapshot replay vs run metadata only,
 //!
-//! with the observed memory ceiling reported alongside.  The replica of
+//! with the observed memory ceiling reported alongside — and, beside
+//! them, the **checksum leg**: GB/s of the byte-at-a-time reference,
+//! slicing-by-8 and the dispatched `crc32` at the buffer sizes the store
+//! checksums, with the kernel that ran.  The replica of
 //! the pre-overhaul engine this bench used to race against is retired
 //! (its last before/after table is frozen in EXPERIMENTS.md; replay and
 //! open regressions are caught by `bench_e2e`'s `recover_s` and
@@ -23,10 +26,13 @@
 //!
 //! `STORE_BENCH_SMOKE=1` shrinks the workload for CI; in every mode the
 //! run **fails loudly** (non-zero exit) if the memtable ceiling is
-//! breached, a tiered get falls below its floor relative to untiered, or
-//! a tiered reopen reads more than a quarter of the disk.
+//! breached, a tiered get falls below its floor relative to untiered, a
+//! tiered reopen reads more than a quarter of the disk, or — on a host
+//! with `pclmulqdq` — the dispatched checksum is slower than the portable
+//! one.
 
 use bioopera_bench::write_results;
+use bioopera_store::crc::{crc32, crc32_bytewise, crc32_portable};
 use bioopera_store::{Batch, MemDisk, Space, Store, TieredPolicy};
 use bytes::Bytes;
 use serde::Serialize;
@@ -91,6 +97,23 @@ struct SweepRow {
     tiered_levels: usize,
 }
 
+/// Checksum throughput at one buffer size, GB/s (10^9 bytes), best pass.
+#[derive(Serialize)]
+struct CrcRow {
+    bytes: usize,
+    bytewise_gbps: f64,
+    portable_gbps: f64,
+    dispatched_gbps: f64,
+}
+
+/// The checksum leg: which kernel `crc32` dispatched to on this host
+/// (`"pclmulqdq"` | `"portable"`) and what each implementation moves.
+#[derive(Serialize)]
+struct CrcLeg {
+    kernel: &'static str,
+    rows: Vec<CrcRow>,
+}
+
 #[derive(Serialize)]
 struct BenchReport {
     smoke: bool,
@@ -102,6 +125,7 @@ struct BenchReport {
     baseline: String,
     metrics: Vec<Metric>,
     tiered: TieredSummary,
+    crc: CrcLeg,
     #[serde(skip_serializing_if = "Vec::is_empty")]
     tiered_sweep: Vec<SweepRow>,
 }
@@ -163,6 +187,57 @@ fn race(repeats: u32, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64
         a_best = a_best.min(t.elapsed().as_secs_f64());
     }
     (b_best, a_best)
+}
+
+/// Best GB/s of `f` over `data` in `repeats` passes of about `pass_bytes`
+/// each.
+fn crc_gbps(f: fn(&[u8]) -> u32, data: &[u8], pass_bytes: usize, repeats: u32) -> f64 {
+    let iters = (pass_bytes / data.len()).max(1);
+    let mut best = f64::INFINITY;
+    for _ in 0..=repeats {
+        let t = Instant::now();
+        for _ in 0..iters {
+            std::hint::black_box(f(std::hint::black_box(data)));
+        }
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    (iters * data.len()) as f64 / best / 1e9
+}
+
+/// The checksum at the sizes the store feeds it: the smallest buffer the
+/// fold takes, the mean `shard_chains` WAL frame, a run block, and a
+/// snapshot-sized megabyte.
+fn crc_leg(cfg: &Config) -> CrcLeg {
+    let kernel = bioopera_store::crc::kernel();
+    let pass_bytes = if cfg.smoke { 2 << 20 } else { 32 << 20 };
+    let buf: Vec<u8> = (0..1usize << 20)
+        .map(|i| (i as u32).wrapping_mul(2_654_435_761).to_le_bytes()[3])
+        .collect();
+    let rows: Vec<CrcRow> = [64, 350, 4096, 1 << 20]
+        .into_iter()
+        .map(|bytes| {
+            let data = &buf[..bytes];
+            CrcRow {
+                bytes,
+                bytewise_gbps: crc_gbps(crc32_bytewise, data, pass_bytes, cfg.repeats),
+                portable_gbps: crc_gbps(crc32_portable, data, pass_bytes, cfg.repeats),
+                dispatched_gbps: crc_gbps(crc32, data, pass_bytes, cfg.repeats),
+            }
+        })
+        .collect();
+    for r in &rows {
+        // Where the CPU has the instruction the fold must pay at every
+        // size it takes; elsewhere dispatched *is* portable and the two
+        // columns differ by noise only.
+        assert!(
+            kernel != "pclmulqdq" || r.dispatched_gbps >= r.portable_gbps,
+            "crc32 ({kernel}) slower than slicing-by-8 at {} B: {:.2} vs {:.2} GB/s",
+            r.bytes,
+            r.dispatched_gbps,
+            r.portable_gbps
+        );
+    }
+    CrcLeg { kernel, rows }
 }
 
 fn main() {
@@ -493,6 +568,7 @@ fn main() {
         baseline: "the same engine with tiering off (unbounded memtables, snapshot rolls)".into(),
         metrics,
         tiered: tiered_summary,
+        crc: crc_leg(&cfg),
         tiered_sweep,
     };
 
@@ -514,6 +590,12 @@ fn main() {
         report.tiered.reopen_bytes_read,
         report.tiered.total_disk_bytes,
     );
+    for r in &report.crc.rows {
+        eprintln!(
+            "  crc32 {:>8} B: bytewise {:>6.2}  slicing-by-8 {:>6.2}  dispatched ({}) {:>6.2} GB/s",
+            r.bytes, r.bytewise_gbps, r.portable_gbps, report.crc.kernel, r.dispatched_gbps
+        );
+    }
     let json = serde_json::to_string(&report).expect("serialize report");
     write_results("BENCH_store.json", &json);
     println!("{json}");

@@ -140,9 +140,6 @@ struct HistoryFold {
     recorded: u64,
     digest: u64,
     counts: BTreeMap<String, u64>,
-    /// Each event's kind is encoded here to be hashed: one buffer for the
-    /// run, not one per event.
-    scratch: String,
 }
 
 impl Default for HistoryFold {
@@ -151,13 +148,24 @@ impl Default for HistoryFold {
             recorded: 0,
             digest: FNV_OFFSET,
             counts: BTreeMap::new(),
-            scratch: String::new(),
         }
     }
 }
 
 impl HistoryFold {
-    fn fold(&mut self, e: &ShardEvent) {
+    /// Fold in `e`, stored as `record`.  The digest covers the encoding
+    /// of `e.kind`, and `record` already holds it ([`encoded_kind`]), so
+    /// the kind is encoded once per event — for the store — and hashed
+    /// where it lies.
+    fn fold(&mut self, e: &ShardEvent, record: &[u8]) -> EngineResult<()> {
+        let kind = encoded_kind(e, record).ok_or_else(|| {
+            EngineError::Internal("history event record does not end in its kind".into())
+        })?;
+        debug_assert_eq!(
+            Some(kind),
+            serde_json::to_vec(&e.kind).ok().as_deref(),
+            "the record's tail is a fresh encoding of its kind"
+        );
         self.recorded += 1;
         // A label is allocated the first time its kind is seen, not per
         // event.
@@ -172,8 +180,28 @@ impl HistoryFold {
         h = fnv1a64(h, &e.round.to_le_bytes());
         h = fnv1a64(h, &e.instance.to_le_bytes());
         h = fnv1a64(h, &e.seq.to_le_bytes());
-        self.digest = fnv1a64_json(h, &e.kind, &mut self.scratch);
+        self.digest = fnv1a64(h, kind);
+        Ok(())
     }
+}
+
+/// The encoding of `e.kind` inside `record`, the encoding of `e`.  The
+/// derived writer emits members in declaration order — `{"round":R,
+/// "instance":I,"seq":S,"kind":K}` — so where `K` starts follows from how
+/// many digits the three integers take, and it runs to the closing brace.
+/// `None` if `record` is not laid out that way.
+fn encoded_kind<'a>(e: &ShardEvent, record: &'a [u8]) -> Option<&'a [u8]> {
+    const NAME: &[u8] = b",\"kind\":";
+    let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let at = r#"{"round":"#.len()
+        + digits(e.round)
+        + r#","instance":"#.len()
+        + digits(e.instance)
+        + r#","seq":"#.len()
+        + digits(e.seq)
+        + NAME.len();
+    let (head, kind) = record.split_at_checked(at)?;
+    head.ends_with(NAME).then_some(kind)?.strip_suffix(b"}")
 }
 
 impl<D: Disk> ShardEngine<D> {
@@ -509,8 +537,9 @@ impl<D: Disk> ShardEngine<D> {
         let at = SimTime::from_secs(round);
         let mut batch = Batch::new();
         for (i, e) in events.into_iter().enumerate() {
-            batch.put(Space::History, event_key(round, i), encode(&e)?);
-            self.history.fold(&e);
+            let record = encode(&e)?;
+            self.history.fold(&e, &record)?;
+            batch.put(Space::History, event_key(round, i), record);
             self.awareness.observe(at, e.kind);
         }
         self.awareness
@@ -673,7 +702,7 @@ impl<D: Disk> ShardEngine<D> {
             .store
             .visit_prefix(Space::History, EVENT_PREFIX, |key, bytes| {
                 let event = decode_event(key, bytes)?;
-                engine.history.fold(&event);
+                engine.history.fold(&event, bytes)?;
                 last_round = Some(event.round);
                 Ok::<(), EngineError>(())
             })?;
@@ -1130,6 +1159,77 @@ mod tests {
         let mut eng = ShardEngine::new(store, chain_library(), cfg).expect("engine");
         eng.register_template(chain_template()).unwrap();
         eng
+    }
+
+    /// The digest hashes each event's `kind` where the stored record
+    /// holds it.  Over every `ShardEvent` of the codec golden — one per
+    /// event kind, strings with quotes and escapes among them — that
+    /// slice is a fresh encoding of the decoded `kind`, and the fold over
+    /// the record is the fold that encodes `kind` itself.
+    #[test]
+    fn the_digest_hashes_the_kind_the_record_holds() {
+        let golden = include_str!("../../../harness/tests/golden/records.tsv");
+        let mut fold = HistoryFold::default();
+        let mut reference = FNV_OFFSET;
+        let mut seen = 0;
+        for line in golden.lines() {
+            let Some((name, record)) = line.split_once('\t') else {
+                continue;
+            };
+            if !name.starts_with("ShardEvent/") {
+                continue;
+            }
+            seen += 1;
+            let event = decode_event(name, record.as_bytes()).unwrap();
+            let kind = serde_json::to_vec(&event.kind).unwrap();
+            assert_eq!(
+                encoded_kind(&event, record.as_bytes()),
+                Some(&kind[..]),
+                "{name}"
+            );
+            fold.fold(&event, record.as_bytes()).unwrap();
+            for part in [event.round, event.instance, event.seq] {
+                reference = fnv1a64(reference, &part.to_le_bytes());
+            }
+            reference = fnv1a64(reference, &kind);
+        }
+        assert_eq!(seen, 39, "one golden ShardEvent per event kind");
+        assert_eq!(fold.digest, reference);
+        // A `kind` whose own text holds the member name, quotes and all.
+        let tricky = ShardEvent {
+            round: 7,
+            instance: 3,
+            seq: 1,
+            kind: EventKind::TaskStart {
+                instance: 3,
+                path: r#"x,"kind":{"#.into(),
+                node: "n".into(),
+                job: 0,
+                queue_ms: 0,
+            },
+        };
+        let record = encode(&tricky).unwrap();
+        assert_eq!(
+            encoded_kind(&tricky, &record),
+            Some(&serde_json::to_vec(&tricky.kind).unwrap()[..])
+        );
+        // The integers' widths place the slice: zero, and all twenty digits.
+        for n in [0, 9, 10, u64::MAX] {
+            let e = ShardEvent {
+                round: n,
+                instance: n,
+                seq: n,
+                ..tricky.clone()
+            };
+            assert_eq!(
+                encoded_kind(&e, &encode(&e).unwrap()),
+                Some(&serde_json::to_vec(&e.kind).unwrap()[..])
+            );
+        }
+        // A record laid out any other way is refused, not mis-sliced.
+        assert_eq!(encoded_kind(&tricky, b"{\"round\":7}"), None);
+        let spaced = String::from_utf8(record).unwrap().replace(":", ": ");
+        assert_eq!(encoded_kind(&tricky, spaced.as_bytes()), None);
     }
 
     #[test]

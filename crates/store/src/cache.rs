@@ -169,24 +169,6 @@ impl BlockCache {
         self.inner.lock().bytes
     }
 
-    /// Probe-only point lookup: `None` — block `(run, offset)` is not
-    /// cached; `Some(found)` — it is, and `found` is the block's answer
-    /// for `key` (as in [`BlockCache::lookup_or_load`]).  Lets the read
-    /// path consult a warm cache *before* paying for a bloom check —
-    /// the bloom exists to avoid decode I/O, not cache probes.
-    pub fn lookup(&self, run: u64, offset: u64, key: &str) -> Option<Option<Option<Bytes>>> {
-        let mut inner = self.inner.lock();
-        if let Some(idx) = inner.slot_of(run, offset) {
-            if let Some(s) = inner.slots[idx].as_mut() {
-                s.referenced = true;
-                let found = s.block.lookup(key);
-                inner.hits += 1;
-                return Some(found);
-            }
-        }
-        None
-    }
-
     /// Point-look `key` up in block `(run, offset)`, decoding via
     /// `load` on a miss.  The search runs *under the cache lock* on a
     /// hit — no refcount traffic, no block handle escapes — and the

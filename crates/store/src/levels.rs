@@ -128,15 +128,22 @@ impl LookupCounts {
     }
 }
 
-/// Probe one run for `key`, cheapest gate first: the key-range check
-/// (two composite compares — history workloads write sequential keys,
-/// so sibling L0 runs rarely overlap), then the sparse index, then the
-/// *block cache* — a cached block answers definitively, skipping the
-/// bloom — and only a cold block pays the bloom gate before decoding.
-/// `counts.hash` memoizes the bloom hash pair across the runs of one
-/// lookup; a fully warm lookup never hashes at all.  `Ok(None)` — not in
-/// this run; `Ok(Some(None))` — tombstoned here; `Ok(Some(Some(v)))` —
-/// live.
+/// Probe one run for `key`, asking first whatever can say *no*
+/// cheapest: the key-range check (two composite compares — history
+/// workloads write sequential keys, so sibling L0 runs rarely overlap),
+/// then the bloom filter (seven bit probes; `counts.hash` memoizes the
+/// hash pair, so one lookup hashes its key once however many runs it
+/// touches), then the sparse index (a binary search over string keys),
+/// and only then the block cache (a mutex, a hash probe and a second
+/// binary search) and, on a cold block, the load.  The order follows the
+/// traffic: the store's dominant lookup is the writer's read-before-write
+/// (`apply_ops` keeping `len` exact), and most of those keys are in no
+/// run — the filter answers them without touching the index or the
+/// cache's lock.  Every gate either says "not in this run" or hands on,
+/// so the answers and the block loads do not depend on the order; only
+/// which cached blocks get their reference bit set does.  `Ok(None)` —
+/// not in this run; `Ok(Some(None))` — tombstoned here;
+/// `Ok(Some(Some(v)))` — live.
 fn probe_run<D: Disk>(
     run: &Run,
     disk: &D,
@@ -153,15 +160,6 @@ fn probe_run<D: Disk>(
         counts.skips += 1;
         return Ok(None);
     }
-    let Some(idx) = run.block_for(space, key) else {
-        counts.skips += 1; // sparse index proves absence, no disk read
-        return Ok(None);
-    };
-    let offset = run.block_offset(idx);
-    if let Some(found) = cache.lookup(run.id(), offset, key) {
-        counts.probes += 1;
-        return Ok(found);
-    }
     let h = *counts
         .hash
         .get_or_insert_with(|| crate::bloom::hash_pair(space, key));
@@ -169,8 +167,14 @@ fn probe_run<D: Disk>(
         counts.skips += 1;
         return Ok(None);
     }
+    let Some(idx) = run.block_for(space, key) else {
+        counts.skips += 1; // sparse index proves absence, no disk read
+        return Ok(None);
+    };
     counts.probes += 1;
-    cache.lookup_or_load(run.id(), offset, key, || run.load_block_at(disk, idx))
+    cache.lookup_or_load(run.id(), run.block_offset(idx), key, || {
+        run.load_block_at(disk, idx)
+    })
 }
 
 /// Look `key` up across the tier: L0 newest-to-oldest, then one

@@ -254,23 +254,21 @@ fn assert_matches_model(store: &Store<MemDisk>, model: &Model) -> Result<(), Tes
             i
         );
     }
-    // Newest-version point reads for every live key, and definite absence
-    // for every retired boundary key the pool could have produced.
-    for ((s, k), v) in &model.data {
-        let got = store.get(space_of(*s), k).unwrap();
-        prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
-    }
+    // A point read of every pool key in every space: the newest version
+    // of a live key, and definite absence for one that was deleted,
+    // never written or retired (retired keys leave `model.data`).
     for (i, space) in Space::ALL.iter().enumerate() {
         for key in key_pool() {
-            if model.retired(i as u8, key) {
-                prop_assert_eq!(
-                    store.get(*space, key).unwrap(),
-                    None,
-                    "retired key {}/{} resurfaced",
-                    i,
-                    key
-                );
-            }
+            let got = store.get(*space, key).unwrap();
+            let want = model.data.get(&(i as u8, key.to_string()));
+            prop_assert_eq!(
+                got.as_deref(),
+                want.map(Vec::as_slice),
+                "space {} key {} (retired: {})",
+                i,
+                key,
+                model.retired(i as u8, key)
+            );
         }
     }
     assert_levels_disjoint(store)
@@ -288,6 +286,9 @@ proptest! {
         budget in prop::sample::select(vec![256u64, 512]),
         threshold in 2usize..4,
         level_base in prop::sample::select(vec![1024u64, 4096]),
+        // No cache, one under constant eviction, the default; every
+        // reopen starts it cold.
+        cache in prop::sample::select(vec![0u64, 1024, TieredPolicy::default().block_cache_budget]),
     ) {
         let policy = TieredPolicy {
             memtable_budget_bytes: budget,
@@ -295,7 +296,7 @@ proptest! {
             level_base_bytes: level_base,
             level_growth: 2,
             level_run_bytes: 768,
-            ..TieredPolicy::default()
+            block_cache_budget: cache,
         };
         let disk = MemDisk::new();
         let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();

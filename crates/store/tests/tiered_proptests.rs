@@ -25,9 +25,10 @@ enum Op {
     },
 }
 
+const KEY_POOL: [&str; 7] = ["a", "b", "c", "inst/1", "inst/2", "tmpl/x", "h/1"];
+
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let key = prop::sample::select(vec!["a", "b", "c", "inst/1", "inst/2", "tmpl/x", "h/1"])
-        .prop_map(|s| s.to_string());
+    let key = prop::sample::select(KEY_POOL.to_vec()).prop_map(|s| s.to_string());
     let space = 0u8..4;
     prop_oneof![
         (
@@ -110,7 +111,9 @@ fn dump(store: &Store<MemDisk>) -> BTreeMap<(u8, String), Vec<u8>> {
 }
 
 /// Assert full observational equivalence with the oracle: scan contents,
-/// per-space O(1) lengths, and point reads for every key the model holds.
+/// per-space O(1) lengths, and point reads for every key of the pool —
+/// the value the model holds, or definite absence (deleted, or never
+/// written: the lookups the bloom filters answer).
 fn assert_matches_model(
     store: &Store<MemDisk>,
     model: &BTreeMap<(u8, String), Vec<u8>>,
@@ -121,9 +124,12 @@ fn assert_matches_model(
         prop_assert_eq!(store.len(*space).unwrap(), expect);
         prop_assert_eq!(store.is_empty(*space).unwrap(), expect == 0);
     }
-    for ((s, k), v) in model {
-        let got = store.get(space_of(*s), k).unwrap();
-        prop_assert_eq!(got.as_deref(), Some(v.as_slice()));
+    for s in 0..4u8 {
+        for k in KEY_POOL {
+            let got = store.get(space_of(s), k).unwrap();
+            let want = model.get(&(s, k.to_string()));
+            prop_assert_eq!(got.as_deref(), want.map(Vec::as_slice));
+        }
     }
     Ok(())
 }
@@ -136,10 +142,15 @@ proptest! {
         actions in actions_strategy(),
         budget in prop::sample::select(vec![256u64, 1024, 4096]),
         threshold in 2usize..5,
+        // No cache at all (every probe that passes the filters decodes
+        // its block), one that holds a block or two (constant eviction),
+        // and the default; every reopen starts the cache cold.
+        cache in prop::sample::select(vec![0u64, 1024, TieredPolicy::default().block_cache_budget]),
     ) {
         let policy = TieredPolicy {
             memtable_budget_bytes: budget,
             run_merge_threshold: threshold,
+            block_cache_budget: cache,
             ..TieredPolicy::default()
         };
         let disk = MemDisk::new();
@@ -214,4 +225,67 @@ proptest! {
             prop_assert_eq!(tiered.len(space).unwrap(), plain.len(space).unwrap());
         }
     }
+}
+
+/// The read path asks the bloom filter before it touches the sparse
+/// index or the block cache: a lookup of a key that lies inside the
+/// runs' hulls but that no run holds — the writer's read-before-write,
+/// most of the time — is answered by run metadata alone.  On a warm
+/// store, a thousand such lookups leave the cache's counters where they
+/// were, apart from bloom false positives, and read nothing.
+#[test]
+fn absent_in_hull_keys_are_answered_by_the_bloom_not_the_cache() {
+    use bioopera_store::bloom::FP_BOUND;
+
+    const KEYS: usize = 4_000;
+    let key = |i: usize| format!("k/{i:06}");
+    let disk = MemDisk::new();
+    let store = Store::open_with(
+        disk.clone(),
+        Some(TieredPolicy {
+            memtable_budget_bytes: 16 * 1024,
+            ..TieredPolicy::default()
+        }),
+    )
+    .unwrap();
+    // Even keys only, in a scattered order so sibling L0 runs overlap and
+    // a lookup has several runs whose hull contains its key.
+    for n in 0..KEYS {
+        let i = (n * 7919) % KEYS;
+        store
+            .put(Space::Instance, key(2 * i), vec![i as u8; 64])
+            .unwrap();
+    }
+    store.spill().unwrap();
+    let loaded = store.stats();
+    assert!(loaded.runs >= 4, "{loaded:?}");
+    assert_eq!(loaded.memtable_bytes, 0);
+    // Warm every block.
+    for i in 0..KEYS {
+        assert!(store.get(Space::Instance, &key(2 * i)).unwrap().is_some());
+    }
+
+    let before = store.stats();
+    let reads_before = disk.read_op_count();
+    for i in 0..1_000 {
+        let absent = key(2 * (i * 3 + 1) + 1);
+        assert_eq!(store.get(Space::Instance, &absent).unwrap(), None);
+    }
+    let after = store.stats();
+    let run_lookups =
+        (after.bloom_skips + after.run_probes) - (before.bloom_skips + before.run_probes);
+    let cache_lookups =
+        (after.cache_hits + after.cache_misses) - (before.cache_hits + before.cache_misses);
+    assert!(run_lookups >= 1_000, "every key is inside some run's hull");
+    assert!(
+        (cache_lookups as f64) <= FP_BOUND * run_lookups as f64,
+        "{cache_lookups} cache lookups for {run_lookups} run lookups of absent keys: \
+         the cache is being probed before the bloom filter"
+    );
+    assert_eq!(after.run_probes - before.run_probes, cache_lookups);
+    assert_eq!(
+        disk.read_op_count(),
+        reads_before,
+        "a warm store reads nothing"
+    );
 }
