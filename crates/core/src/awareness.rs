@@ -26,7 +26,7 @@
 //! the engine writes itself and this module only views.
 
 use crate::metrics::Histogram;
-use crate::shard::router::{round_start_key, EVENT_PREFIX};
+use crate::shard::router::{round_start_key, ShardEvent, EVENT_PREFIX};
 use bioopera_cluster::SimTime;
 use bioopera_store::{Batch, Disk, Space, Store, StoreError, TypedSpace};
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -902,27 +902,65 @@ const SUMMARY_KEY: &str = "summary";
 /// aggregates of every event of the rounds below `next_round`, committed
 /// by the sharded engine in the **same WAL frame** as the last of those
 /// rounds.  [`RollupRecord`]'s bytes are frozen and count events, not
-/// rounds, so where the tail starts is carried beside it.  A store the
-/// previous engine wrote has no such record (its `rollup` counts `ev/`
-/// sequence numbers); it reopens from a full scan of `sev/` and gains one
-/// at the next cadence.
+/// rounds, so where the tail starts is carried beside it — and so is the
+/// engine's lifetime `digest` of exactly those events, which with
+/// `rollup.base` and `rollup.counts` is everything a recovering engine
+/// would otherwise refold the whole stream for.  A store the previous
+/// engine wrote has no such record (its `rollup` counts `ev/` sequence
+/// numbers); it reopens from a full scan of `sev/` and gains one at the
+/// next cadence.  A summary written before the digest was carried has no
+/// `digest` member: that store refolds in full, once.
 ///
 /// Public by name only, as [`RollupRecord`] is.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct StreamSummary {
     /// Events of this round and later are the tail.
     next_round: u64,
     /// The aggregates; `base` is the number of events summarized.
     rollup: RollupRecord,
+    /// The engine's history digest over the summarized events; `None` in
+    /// a record an engine wrote before the member existed.
+    digest: Option<u64>,
 }
 
-/// What the awareness model reads of a barrier-stream record (a
-/// `ShardEvent`): the round is the event's time, and the source key is
-/// skipped unread.
-#[derive(Deserialize)]
-struct StreamRecord {
-    round: u64,
-    kind: EventKind,
+impl StreamSummary {
+    /// The first round the summary does not cover.
+    pub(crate) fn next_round(&self) -> u64 {
+        self.next_round
+    }
+
+    /// The history digest over the rounds it covers, if it carries one.
+    pub(crate) fn digest(&self) -> Option<u64> {
+        self.digest
+    }
+}
+
+/// Hand-written so that a summary without a digest has no `digest` member
+/// (the derive would write `null`): a record an earlier engine stored
+/// re-encodes to the bytes it was read from.
+impl Serialize for StreamSummary {
+    fn to_content(&self) -> Content {
+        let mut members = vec![
+            ("next_round".to_string(), self.next_round.to_content()),
+            ("rollup".to_string(), self.rollup.to_content()),
+        ];
+        if let Some(digest) = self.digest {
+            members.push(("digest".to_string(), digest.to_content()));
+        }
+        Content::Map(members)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"next_round\":");
+        self.next_round.write_json(out);
+        out.push_str(",\"rollup\":");
+        self.rollup.write_json(out);
+        if let Some(digest) = self.digest {
+            out.push_str(",\"digest\":");
+            digest.write_json(out);
+        }
+        out.push('}');
+    }
 }
 
 /// Append-only writer/reader for the History space, with buffered appends
@@ -1054,28 +1092,44 @@ impl Awareness {
         store: &Store<D>,
         summary: Option<StreamSummary>,
     ) -> Result<Option<Self>, AwarenessError> {
-        let (mut index, start) = match &summary {
-            Some(s) => (
-                AwarenessIndex::from_rollup(&s.rollup),
-                round_start_key(s.next_round),
-            ),
-            None => (AwarenessIndex::default(), EVENT_PREFIX.to_string()),
+        let start = match &summary {
+            Some(s) => round_start_key(s.next_round),
+            None => EVENT_PREFIX.to_string(),
         };
-        let rollup_base = index.base_len;
-        Self::visit_stream(store, &start, |ev| index.push(ev))?;
-        if index.is_empty() {
+        let mut stream = Self::from_summary(summary.as_ref());
+        Self::visit_stream(store, &start, |ev| stream.reobserve(ev.at, ev.kind))?;
+        if stream.index.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Awareness {
+        stream.next_seq = stream.index.len() as u64;
+        Ok(Some(stream))
+    }
+
+    /// The barrier stream's durable summary, if the store holds one.
+    pub(crate) fn stream_summary<D: Disk>(
+        store: &Store<D>,
+    ) -> Result<Option<StreamSummary>, AwarenessError> {
+        Self::read_record(store, SUMMARY_KEY)
+    }
+
+    /// The model as `summary` left it — every aggregate of the rounds it
+    /// covers, no log — or empty without one.  The caller walks the tail
+    /// and [`reobserve`](Awareness::reobserve)s it: the sharded engine
+    /// does, so that its one pass over the tail feeds its own fold too.
+    pub(crate) fn from_summary(summary: Option<&StreamSummary>) -> Self {
+        let index = summary.map_or_else(AwarenessIndex::default, |s| {
+            AwarenessIndex::from_rollup(&s.rollup)
+        });
+        Awareness {
             events: TypedSpace::new(Space::History, "ev/"),
-            next_seq: index.len() as u64,
+            next_seq: index.base_len,
             pending: Vec::new(),
             rollup_every: DEFAULT_ROLLUP_EVERY,
-            rollup_base,
+            rollup_base: index.base_len,
             pending_rollup: None,
-            open_scanned: index.log.len() as u64,
+            open_scanned: 0,
             index,
-        }))
+        }
     }
 
     /// Every barrier-stream record from key `start` on, in commit order,
@@ -1086,7 +1140,7 @@ impl Awareness {
         mut visit: impl FnMut(HistoryEvent),
     ) -> Result<(), AwarenessError> {
         store.visit_prefix_from(Space::History, EVENT_PREFIX, start, |key, bytes| {
-            let rec: StreamRecord =
+            let rec: ShardEvent =
                 serde_json::from_slice(bytes).map_err(|e| AwarenessError::BadRecord {
                     key: key.to_string(),
                     reason: e.to_string(),
@@ -1182,34 +1236,42 @@ impl Awareness {
         self.index.push(HistoryEvent { at, kind });
     }
 
+    /// [`observe`](Awareness::observe) an event read back from the store
+    /// while reopening: it counts towards
+    /// [`open_scanned`](Awareness::open_scanned).
+    pub(crate) fn reobserve(&mut self, at: SimTime, kind: EventKind) {
+        self.open_scanned += 1;
+        self.observe(at, kind);
+    }
+
     /// The barrier stream's rollup cadence: once enough events have been
     /// [`observe`](Awareness::observe)d past the last summary, put into
     /// `batch` — the one that commits the events of the rounds below
     /// `next_round` — the [`StreamSummary`] that covers exactly those
-    /// rounds.  One batch is one WAL frame: a crash keeps the events and
-    /// their summary, or neither.
+    /// rounds, `digest` being the engine's fold of exactly those events.
+    /// One batch is one WAL frame: a crash keeps the events and their
+    /// summary, or neither.  Encoded through `scratch`, the caller's
+    /// buffer.
     pub(crate) fn summary_into(
         &mut self,
         batch: &mut Batch,
         next_round: u64,
-    ) -> Result<(), StoreError> {
+        digest: u64,
+        scratch: &mut String,
+    ) {
         let observed = self.index.len() as u64;
         if observed - self.rollup_base < self.rollup_every {
-            return Ok(());
+            return;
         }
         let summary = StreamSummary {
             next_round,
             rollup: self.index.to_rollup(observed),
+            digest: Some(digest),
         };
-        batch.put(
-            Space::History,
-            SUMMARY_KEY,
-            serde_json::to_vec(&summary).map_err(StoreError::from)?,
-        );
+        batch.put_record(Space::History, SUMMARY_KEY, &summary, scratch);
         // Not waiting for the commit: a store that fails an append is
         // poisoned, and a handle that ran ahead of it is never used again.
         self.rollup_base = observed;
-        Ok(())
     }
 
     /// Write all buffered events as one atomic store batch.  Returns the
@@ -1799,5 +1861,48 @@ mod tests {
         let rebuilt = AwarenessIndex::from_rollup(&back);
         assert!(rebuilt.store_io().is_empty());
         assert_eq!(rebuilt.count("task.end"), 1);
+    }
+
+    /// The digest is any `u64`: the top of the range (past what an `i64`
+    /// holds, where the codec changes its number node) comes back as it
+    /// went in, streamed and through the tree; and a summary without the
+    /// member has none when written, not a `null`.
+    #[test]
+    fn the_summary_digest_round_trips_every_u64_and_is_absent_when_none() {
+        let index = AwarenessIndex::default();
+        for digest in [0, 1, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let summary = StreamSummary {
+                next_round: 9,
+                rollup: index.to_rollup(0),
+                digest: Some(digest),
+            };
+            let json = serde_json::to_string(&summary).unwrap();
+            assert!(json.ends_with(&format!(",\"digest\":{digest}}}")), "{json}");
+            assert_eq!(
+                serde_json::from_str::<StreamSummary>(&json).unwrap(),
+                summary
+            );
+            let mut tree = String::new();
+            serde::json::write_content(&summary.to_content(), &mut tree);
+            assert_eq!(tree, json);
+            let parsed = serde::JsonReader::new(&json).read_content().unwrap();
+            assert_eq!(StreamSummary::from_content(&parsed).unwrap(), summary);
+        }
+        let without = StreamSummary {
+            next_round: 9,
+            rollup: index.to_rollup(0),
+            digest: None,
+        };
+        let json = serde_json::to_string(&without).unwrap();
+        assert!(!json.contains("digest"), "{json}");
+        assert_eq!(
+            serde_json::from_str::<StreamSummary>(&json).unwrap(),
+            without
+        );
+        let nulled = format!("{},\"digest\":null}}", json.strip_suffix('}').unwrap());
+        assert_eq!(
+            serde_json::from_str::<StreamSummary>(&nulled).unwrap(),
+            without
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! 3. **the journal format** — [`Instance::commit_into`] /
 //!    [`Instance::tasks_into`] write `inst/{id}/header` and
 //!    `inst/{id}/task/{path}` (under an optional `s{NNNN}/` shard prefix),
-//!    [`read_journal`] reads them back;
+//!    a [`JournalReader`] reads them back as a scan hands them over;
 //! 4. **the in-doubt rule** — [`Instance::resolve_in_doubt`]: what a
 //!    `Ready` or `Dispatched` record means after the server that wrote it
 //!    died.
@@ -32,7 +32,7 @@ use bioopera_cluster::SimTime;
 use bioopera_ocr::model::{ParallelBody, ProcessTemplate, TaskKind};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::ExternalBinding;
-use bioopera_store::{shard_key, Batch, Space};
+use bioopera_store::{push_shard_prefix, shard_key, Batch, Space};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -228,15 +228,18 @@ impl Instance {
     /// Append a navigation commit to `batch`: the header — every commit
     /// of an instance carries it — plus the task records at `paths`,
     /// keyed under `shard`'s journal prefix (`None`: the unsharded serial
-    /// journal).
+    /// journal).  Records are encoded through `scratch`, the caller's
+    /// buffer, reused from commit to commit.
     pub fn commit_into(
         &self,
         batch: &mut Batch,
         shard: Option<usize>,
         paths: impl IntoIterator<Item = impl AsRef<str>>,
-    ) -> EngineResult<()> {
-        put(batch, shard, keys::header(self.header.id), &self.header)?;
-        self.tasks_into(batch, shard, paths)
+        scratch: &mut String,
+    ) {
+        let key = journal_key(shard, self.header.id, None);
+        batch.put_record(Space::Instance, key, &self.header, scratch);
+        self.tasks_into(batch, shard, paths, scratch);
     }
 
     /// Append the task records at `paths` alone: a dispatch stamp or a
@@ -247,14 +250,15 @@ impl Instance {
         batch: &mut Batch,
         shard: Option<usize>,
         paths: impl IntoIterator<Item = impl AsRef<str>>,
-    ) -> EngineResult<()> {
+        scratch: &mut String,
+    ) {
         for path in paths {
             let path = path.as_ref();
             if let Some(rec) = self.tasks.get(path) {
-                put(batch, shard, keys::task(self.header.id, path), rec)?;
+                let key = journal_key(shard, self.header.id, Some(path));
+                batch.put_record(Space::Instance, key, rec.as_ref(), scratch);
             }
         }
-        Ok(())
     }
 
     // ---- recovery: the in-doubt rule ----
@@ -338,29 +342,32 @@ const META_KEY: &str = "meta";
 
 impl ShardMeta {
     /// Append this record to `batch` under `shard`'s journal prefix.
-    pub fn put_into(&self, batch: &mut Batch, shard: usize) -> EngineResult<()> {
-        put(batch, Some(shard), META_KEY.to_string(), self)
+    pub fn put_into(&self, batch: &mut Batch, shard: usize, scratch: &mut String) {
+        batch.put_record(Space::Instance, shard_key(shard, META_KEY), self, scratch);
     }
 }
 
-fn journal_key(shard: Option<usize>, key: String) -> String {
+/// The journal key of instance `id`'s header (no `path`) or of its task
+/// record at `path`, under `shard`'s prefix: built in one pass, into one
+/// allocation of its final size.
+fn journal_key(shard: Option<usize>, id: InstanceId, path: Option<&str>) -> String {
+    // `s0000/` + `inst/000000000000/` + `task/` + path, or + `header`.
+    let prefix = shard.map_or(0, |_| 6);
+    let mut key = String::with_capacity(prefix + 18 + 5 + path.map_or(1, str::len));
+    if let Some(shard) = shard {
+        push_shard_prefix(&mut key, shard);
+    }
+    keys::push_record(&mut key, id, path);
+    key
+}
+
+/// `key` (shard prefix stripped) as the store holds it, to name in an
+/// error.
+fn stored_key(shard: Option<usize>, key: &str) -> String {
     match shard {
-        Some(s) => shard_key(s, &key),
-        None => key,
+        Some(s) => shard_key(s, key),
+        None => key.to_string(),
     }
-}
-
-fn put<T: Serialize>(
-    batch: &mut Batch,
-    shard: Option<usize>,
-    key: String,
-    record: &T,
-) -> EngineResult<()> {
-    let key = journal_key(shard, key);
-    let bytes = serde_json::to_vec(record)
-        .map_err(|e| EngineError::Internal(format!("encode {key}: {e}")))?;
-    batch.put(Space::Instance, key, bytes);
-    Ok(())
 }
 
 /// Split `inst/{id}/header` or `inst/{id}/task/{path}` (shard prefix
@@ -381,65 +388,89 @@ fn parse_key(shard: Option<usize>, key: &str) -> EngineResult<Option<(InstanceId
         },
     };
     let id = id.parse().map_err(|_| {
-        let key = journal_key(shard, key.to_string());
+        let key = stored_key(shard, key);
         EngineError::Internal(format!("bad instance key {key}"))
     })?;
     Ok(Some((id, path)))
 }
 
-/// Rebuild instances from scanned journal records — `scan_prefix("inst/")`
-/// of the serial journal, `scan_shard` of a shard's (prefix stripped;
-/// `shard` only names keys in errors).  `template` resolves a header's
-/// template name.  Also returns the shard meta record, if the scan held
-/// one.
+/// Rebuilds instances from journal records as a scan hands them over —
+/// `visit_prefix("inst/")` of the serial journal, `visit_shard` of a
+/// shard's (prefix stripped; `shard` only names keys in errors) — one
+/// record at a time, **in key order**: an instance's header sorts before
+/// its task records and nothing sorts between them, so each record is
+/// parsed and decoded once and lands in the instance being built; no list
+/// of the records is kept.  `template` resolves a header's template name.
 ///
 /// The store is CRC-framed, so a record that is there but does not decode
 /// — or a header whose template is gone — is a format fault, not a torn
 /// write: it fails the recovery, naming the key, instead of silently
 /// deleting a task or an instance.  Keys of no known shape are not ours
 /// and are skipped, as is a task record with no header beside it.
-pub fn read_journal<B: AsRef<[u8]>>(
+pub struct JournalReader<F> {
     shard: Option<usize>,
-    records: &[(String, B)],
-    mut template: impl FnMut(&str) -> EngineResult<Arc<ProcessTemplate>>,
-) -> EngineResult<(BTreeMap<InstanceId, Instance>, Option<ShardMeta>)> {
+    template: F,
+    /// Finished instances, in the order the scan met them.
+    instances: Vec<(InstanceId, Instance)>,
+    meta: Option<ShardMeta>,
+}
+
+impl<F: FnMut(&str) -> EngineResult<Arc<ProcessTemplate>>> JournalReader<F> {
+    /// A reader of `shard`'s journal (`None`: the serial one).
+    pub fn new(shard: Option<usize>, template: F) -> Self {
+        JournalReader {
+            shard,
+            template,
+            instances: Vec::new(),
+            meta: None,
+        }
+    }
+
+    /// Take in the record at `key`.
+    pub fn read(&mut self, key: &str, bytes: &[u8]) -> EngineResult<()> {
+        if key == META_KEY {
+            self.meta = Some(self.decode("shard meta", key, bytes)?);
+            return Ok(());
+        }
+        match parse_key(self.shard, key)? {
+            None => {}
+            Some((id, None)) => {
+                let header: InstanceHeader = self.decode("header", key, bytes)?;
+                let inst = Instance {
+                    template: (self.template)(&header.template)?,
+                    header,
+                    tasks: BTreeMap::new(),
+                    seq: 0,
+                };
+                self.instances.push((id, inst));
+            }
+            Some((id, Some(path))) => {
+                let rec: TaskRecord = self.decode("task", key, bytes)?;
+                // The header came just before, or there is none.
+                if let Some((_, inst)) = self.instances.last_mut().filter(|(at, _)| *at == id) {
+                    inst.tasks.insert(path.to_string(), Box::new(rec));
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The instances read, and the shard meta record if the scan held one.
+    pub fn finish(self) -> (BTreeMap<InstanceId, Instance>, Option<ShardMeta>) {
+        (self.instances.into_iter().collect(), self.meta)
+    }
+
     fn decode<T: serde::de::DeserializeOwned>(
-        shard: Option<usize>,
+        &self,
         what: &str,
         key: &str,
         bytes: &[u8],
     ) -> EngineResult<T> {
         serde_json::from_slice(bytes).map_err(|e| {
-            let key = journal_key(shard, key.to_string());
+            let key = stored_key(self.shard, key);
             EngineError::Internal(format!("corrupt {what} {key}: {e}"))
         })
     }
-    let mut instances = BTreeMap::new();
-    let mut meta = None;
-    // Headers first: nothing here depends on the scan's key order.
-    for (key, bytes) in records {
-        if key == META_KEY {
-            meta = Some(decode(shard, "shard meta", key, bytes.as_ref())?);
-        } else if let Some((id, None)) = parse_key(shard, key)? {
-            let header: InstanceHeader = decode(shard, "header", key, bytes.as_ref())?;
-            let inst = Instance {
-                template: template(&header.template)?,
-                header,
-                tasks: BTreeMap::new(),
-                seq: 0,
-            };
-            instances.insert(id, inst);
-        }
-    }
-    for (key, bytes) in records {
-        if let Some((id, Some(path))) = parse_key(shard, key)? {
-            let rec: TaskRecord = decode(shard, "task", key, bytes.as_ref())?;
-            if let Some(inst) = instances.get_mut(&id) {
-                inst.tasks.insert(path.to_string(), Box::new(rec));
-            }
-        }
-    }
-    Ok((instances, meta))
 }
 
 #[cfg(test)]
@@ -659,6 +690,19 @@ mod tests {
         assert_eq!(inst.subprocess_outputs("A", whiteboard.clone()), whiteboard);
     }
 
+    /// What a [`JournalReader`] makes of `records`, handed over in order.
+    fn read_journal(
+        shard: Option<usize>,
+        records: &[(String, Vec<u8>)],
+        template: impl FnMut(&str) -> EngineResult<Arc<ProcessTemplate>>,
+    ) -> EngineResult<(BTreeMap<InstanceId, Instance>, Option<ShardMeta>)> {
+        let mut reader = JournalReader::new(shard, template);
+        for (key, bytes) in records {
+            reader.read(key, bytes)?;
+        }
+        Ok(reader.finish())
+    }
+
     fn scanned(batch: Batch, strip: &str) -> Vec<(String, Vec<u8>)> {
         let store = bioopera_store::Store::open(bioopera_store::MemDisk::new()).unwrap();
         store.apply(batch).unwrap();
@@ -684,10 +728,10 @@ mod tests {
         };
         for (shard, prefix) in [(None, ""), (Some(3), "s0003/")] {
             let mut batch = Batch::new();
-            inst.commit_into(&mut batch, shard, inst.tasks.keys())
-                .unwrap();
+            let mut scratch = String::new();
+            inst.commit_into(&mut batch, shard, inst.tasks.keys(), &mut scratch);
             if let Some(s) = shard {
-                ShardMeta { round: 17 }.put_into(&mut batch, s).unwrap();
+                ShardMeta { round: 17 }.put_into(&mut batch, s, &mut scratch);
             }
             let mut keys: Vec<String> = scanned(batch.clone(), "")
                 .into_iter()
@@ -715,9 +759,9 @@ mod tests {
         // A header-only commit and a task-only write are the two other
         // shapes the drivers use.
         let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, std::iter::empty::<&str>())
-            .unwrap();
-        inst.tasks_into(&mut batch, Some(0), ["A", "Nope"]).unwrap();
+        let mut scratch = String::new();
+        inst.commit_into(&mut batch, None, std::iter::empty::<&str>(), &mut scratch);
+        inst.tasks_into(&mut batch, Some(0), ["A", "Nope"], &mut scratch);
         let keys: Vec<String> = scanned(batch, "").into_iter().map(|(k, _)| k).collect();
         assert_eq!(
             keys,
@@ -729,7 +773,7 @@ mod tests {
     fn reader_names_the_key_of_a_record_it_cannot_decode() {
         let inst = instance(5);
         let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, ["A"]).unwrap();
+        inst.commit_into(&mut batch, None, ["A"], &mut String::new());
         let good = scanned(batch, "");
         let resolve = |_: &str| Ok(template());
         assert!(read_journal(None, &good, resolve).is_ok());
@@ -774,6 +818,46 @@ mod tests {
         ];
         let (read, meta) = read_journal(None, &foreign, resolve).unwrap();
         assert!(read.is_empty() && meta.is_none());
+        // A headerless task record that follows another instance's records
+        // does not land in that instance.
+        let mut orphan = good.clone();
+        orphan.push(("inst/000000000009/task/Z".to_string(), good[1].1.clone()));
+        let (read, _) = read_journal(None, &orphan, resolve).unwrap();
+        assert_eq!(read.keys().copied().collect::<Vec<_>>(), [5]);
+        assert_eq!(read[&5].tasks.keys().collect::<Vec<_>>(), ["A"]);
+    }
+
+    /// Journal keys are built in one pass by a digit writer; the spelling
+    /// is `format!`'s, byte for byte — ids past twelve digits, shards past
+    /// four and paths of every shape included.
+    #[test]
+    fn journal_keys_are_spelled_as_format_spells_them() {
+        let mut ids = vec![0u64, 1, 42, 999_999_999_999, 1_000_000_000_000, u64::MAX];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..200 {
+            x = crate::shard::splitmix64(x);
+            ids.push(x >> (x % 64));
+        }
+        let paths = ["A", "Alignment[17]", "", "a/b", "tâche", "P[3]/task/x"];
+        for (i, &id) in ids.iter().enumerate() {
+            let path = paths[i % paths.len()];
+            assert_eq!(keys::header(id), format!("inst/{id:012}/header"));
+            assert_eq!(keys::task(id, path), format!("inst/{id:012}/task/{path}"));
+            assert_eq!(keys::task_prefix(id), format!("inst/{id:012}/task/"));
+            assert_eq!(keys::instance_prefix(id), format!("inst/{id:012}/"));
+            assert_eq!(journal_key(None, id, None), keys::header(id));
+            assert_eq!(journal_key(None, id, Some(path)), keys::task(id, path));
+            for shard in [0usize, 3, 9_999, 10_000, (id % 100_000) as usize] {
+                assert_eq!(
+                    journal_key(Some(shard), id, None),
+                    format!("s{shard:04}/inst/{id:012}/header")
+                );
+                assert_eq!(
+                    journal_key(Some(shard), id, Some(path)),
+                    format!("s{shard:04}/inst/{id:012}/task/{path}")
+                );
+            }
+        }
     }
 
     #[test]

@@ -173,6 +173,8 @@ pub struct Runtime<D: Disk + Clone> {
     /// Templates resolved so far, by name: filled by `register_template`
     /// and lazily from the template space.
     templates: BTreeMap<String, Arc<ProcessTemplate>>,
+    /// The buffer every journal record is encoded through.
+    scratch: String,
     in_flight: BTreeMap<JobId, InFlight>,
     ready_queue: VecDeque<(InstanceId, String)>,
     next_instance_id: InstanceId,
@@ -242,6 +244,7 @@ impl<D: Disk + Clone> Runtime<D> {
             cfg,
             instances: BTreeMap::new(),
             templates: BTreeMap::new(),
+            scratch: String::new(),
             in_flight: BTreeMap::new(),
             ready_queue: VecDeque::new(),
             next_instance_id: 1,
@@ -1595,12 +1598,16 @@ impl<D: Disk + Clone> Runtime<D> {
                 self.on_quarantine_expire(now, &name, epoch)?;
             }
         }
+        // Collected first: resolving a template reads the store, which a
+        // visitor under the store's read locks must not do.
         let records = self.store.scan_prefix(Space::Instance, "inst/")?;
         let (store, known) = (&self.store, &mut self.templates);
-        let (instances, _) = instance::read_journal(None, &records, |name| {
-            Self::resolve_template(store, known, name)
-        })?;
-        self.instances = instances;
+        let mut journal =
+            instance::JournalReader::new(None, |name| Self::resolve_template(store, known, name));
+        for (key, bytes) in &records {
+            journal.read(key, bytes)?;
+        }
+        (self.instances, _) = journal.finish();
         self.next_instance_id = self.instances.last_key_value().map_or(1, |(id, _)| id + 1);
         // In-flight work was lost with the server.  The shared in-doubt
         // rule puts every queued or dispatched record back to `Ready` —
@@ -2393,7 +2400,7 @@ impl<D: Disk + Clone> Runtime<D> {
             }
         }
         let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, inst.tasks.keys())?;
+        inst.commit_into(&mut batch, None, inst.tasks.keys(), &mut self.scratch);
         self.commit_with_awareness(batch)
     }
 
@@ -2403,7 +2410,12 @@ impl<D: Disk + Clone> Runtime<D> {
             .get(&id)
             .ok_or(EngineError::UnknownInstance(id))?;
         let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, std::iter::empty::<&str>())?;
+        inst.commit_into(
+            &mut batch,
+            None,
+            std::iter::empty::<&str>(),
+            &mut self.scratch,
+        );
         self.store.apply(batch)?;
         Ok(())
     }
@@ -2413,7 +2425,7 @@ impl<D: Disk + Clone> Runtime<D> {
             return Ok(());
         };
         let mut batch = Batch::new();
-        inst.tasks_into(&mut batch, None, [path])?;
+        inst.tasks_into(&mut batch, None, [path], &mut self.scratch);
         self.store.apply(batch)?;
         Ok(())
     }
@@ -2443,7 +2455,7 @@ impl<D: Disk + Clone> Runtime<D> {
             }
         }
         let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, &outcome.touched)?;
+        inst.commit_into(&mut batch, None, &outcome.touched, &mut self.scratch);
         self.commit_with_awareness(batch)
     }
 

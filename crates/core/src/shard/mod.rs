@@ -35,7 +35,7 @@ pub use router::{
 pub use services::{DispatchService, LogicalNode};
 pub use stepper::{FaultInjection, Shard, StepCtx};
 
-use self::router::{event_key, EVENT_PREFIX};
+use self::router::{event_key, round_start_key, EVENT_PREFIX};
 use crate::awareness::{Awareness, EventKind};
 use crate::diagnostics;
 use crate::error::{EngineError, EngineResult};
@@ -46,7 +46,7 @@ use crate::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
 use bioopera_cluster::SimTime;
 use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
-use bioopera_store::{Batch, Disk, Space, Store};
+use bioopera_store::{push_padded, Batch, Disk, Space, Store};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -131,24 +131,23 @@ pub struct ShardEngine<D: Disk> {
     next_instance: InstanceId,
     operator_seq: u64,
     history: HistoryFold,
+    /// The buffer every record the barrier writes is encoded through.
+    scratch: String,
 }
 
-/// The lifetime view of the committed history stream: every event the
-/// barrier commits is folded in, and recovery folds the persisted stream
-/// back so the view stays continuous across a crash.
+/// The lifetime digest of the committed history stream: every event the
+/// barrier commits is folded in, each summary the barrier commits carries
+/// the digest up to it, and recovery folds the stream's tail onto that, so
+/// the digest is continuous across a crash at a cost that follows the tail.
+/// (How many events, and how many of each label, is the awareness index's
+/// to say: it is fed by the same calls, event for event.)
 struct HistoryFold {
-    recorded: u64,
     digest: u64,
-    counts: BTreeMap<String, u64>,
 }
 
 impl Default for HistoryFold {
     fn default() -> Self {
-        HistoryFold {
-            recorded: 0,
-            digest: FNV_OFFSET,
-            counts: BTreeMap::new(),
-        }
+        HistoryFold { digest: FNV_OFFSET }
     }
 }
 
@@ -166,16 +165,6 @@ impl HistoryFold {
             serde_json::to_vec(&e.kind).ok().as_deref(),
             "the record's tail is a fresh encoding of its kind"
         );
-        self.recorded += 1;
-        // A label is allocated the first time its kind is seen, not per
-        // event.
-        let label = e.kind.label();
-        match self.counts.get_mut(label) {
-            Some(n) => *n += 1,
-            None => {
-                self.counts.insert(label.to_string(), 1);
-            }
-        }
         let mut h = self.digest;
         h = fnv1a64(h, &e.round.to_le_bytes());
         h = fnv1a64(h, &e.instance.to_le_bytes());
@@ -230,6 +219,7 @@ impl<D: Disk> ShardEngine<D> {
             next_instance: 1,
             operator_seq: 0,
             history: HistoryFold::default(),
+            scratch: String::new(),
             cfg,
         })
     }
@@ -261,16 +251,17 @@ impl<D: Disk> ShardEngine<D> {
         }
         let id = self.next_instance;
         self.next_instance += 1;
-        self.store
-            .put(
-                Space::Instance,
-                pending_key(id),
-                encode(&PendingStart {
-                    template: template.to_string(),
-                    initial: initial.clone(),
-                })?,
-            )
-            .map_err(EngineError::Store)?;
+        let mut pending = Batch::new();
+        pending.put_record(
+            Space::Instance,
+            pending_key(id),
+            &PendingStart {
+                template: template.to_string(),
+                initial: initial.clone(),
+            },
+            &mut self.scratch,
+        );
+        self.store.apply(pending).map_err(EngineError::Store)?;
         self.route(Msg {
             dest: id,
             src: (id, 0),
@@ -537,14 +528,18 @@ impl<D: Disk> ShardEngine<D> {
         let at = SimTime::from_secs(round);
         let mut batch = Batch::new();
         for (i, e) in events.into_iter().enumerate() {
-            let record = encode(&e)?;
-            self.history.fold(&e, &record)?;
-            batch.put(Space::History, event_key(round, i), record);
+            batch.put_record(Space::History, event_key(round, i), &e, &mut self.scratch);
+            self.history.fold(&e, self.scratch.as_bytes())?;
             self.awareness.observe(at, e.kind);
         }
-        self.awareness
-            .summary_into(&mut batch, round + 1)
-            .map_err(EngineError::Store)?;
+        // The digest now covers exactly the rounds below `round + 1`, which
+        // is what a summary put into this batch says it does.
+        self.awareness.summary_into(
+            &mut batch,
+            round + 1,
+            self.history.digest,
+            &mut self.scratch,
+        );
         self.store.apply(batch).map_err(EngineError::Store)
     }
 
@@ -654,15 +649,44 @@ impl<D: Disk> ShardEngine<D> {
             shards.push(shard);
         }
         let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        // The summary shares a frame with the events it covers, so an
-        // O(tail) reopen lands on what `sev/` holds.
-        let awareness = Awareness::open_tail(&store)
+        // The history, from its last summary on.  The summary shares a
+        // frame with the last round it covers, so what it says of the
+        // rounds below `next_round` — how many events, how many of each
+        // label, their digest — is what `sev/` holds of them, and only the
+        // tail past it is read: one pass that feeds the digest, the
+        // awareness index and the round clock together.  A summary without
+        // a digest (an earlier engine's) leaves the digest to be refolded
+        // from the stream's first record, once; so does no summary at all.
+        // An event that does not decode fails the recovery, named: it
+        // would silently drop out of the digest and the counts.
+        let summary = Awareness::stream_summary(&store)
             .map_err(|e| EngineError::Internal(format!("awareness open: {e}")))?;
+        let mut awareness = Awareness::from_summary(summary.as_ref());
+        let tail_round = summary.as_ref().map_or(0, |s| s.next_round());
+        let (mut history, start) = match summary.as_ref().and_then(|s| s.digest()) {
+            Some(digest) => (HistoryFold { digest }, round_start_key(tail_round)),
+            None => (HistoryFold::default(), EVENT_PREFIX.to_string()),
+        };
+        // A fresh round for what follows.  The shards' `meta` is not
+        // enough: a recovery commits its pseudo-round and no shard writes
+        // a later `meta` until the next step, so a crash before that step
+        // would recover into the same round and overwrite its events.
+        let mut next_round = (round + 1).max(tail_round);
+        store.visit_prefix_from(Space::History, EVENT_PREFIX, &start, |key, bytes| {
+            let event = decode_event(key, bytes)?;
+            history.fold(&event, bytes)?;
+            next_round = next_round.max(event.round + 1);
+            if event.round >= tail_round {
+                awareness.reobserve(SimTime::from_secs(event.round), event.kind);
+            }
+            Ok::<(), EngineError>(())
+        })?;
         let mut engine = ShardEngine {
             inboxes: vec![Vec::new(); cfg.shards],
-            round: round + 1,
+            round: next_round,
             next_instance,
-            history: HistoryFold::default(),
+            history,
+            scratch: String::new(),
             store,
             library,
             templates,
@@ -692,26 +716,6 @@ impl<D: Disk> ShardEngine<D> {
                     .delete(Space::Instance, key)
                     .map_err(EngineError::Store)?;
             }
-        }
-        // Fold the committed history back into the digest/counters so the
-        // lifetime view stays continuous across the crash — decoding as
-        // the scan goes, and failing on an event that does not decode: it
-        // would silently drop out of the digest and the counts.
-        let mut last_round = None;
-        engine
-            .store
-            .visit_prefix(Space::History, EVENT_PREFIX, |key, bytes| {
-                let event = decode_event(key, bytes)?;
-                engine.history.fold(&event, bytes)?;
-                last_round = Some(event.round);
-                Ok::<(), EngineError>(())
-            })?;
-        // A fresh round for what follows.  The shards' `meta` is not
-        // enough: a recovery commits its pseudo-round and no shard writes
-        // a later `meta` until the next step, so a crash before that step
-        // would recover into the same round and overwrite its events.
-        if let Some(last) = last_round {
-            engine.round = engine.round.max(last + 1);
         }
         engine.redrive()?;
         Ok(engine)
@@ -818,7 +822,12 @@ impl<D: Disk> ShardEngine<D> {
                     }
                 }
                 let mut batch = Batch::new();
-                slot.tasks_into(&mut batch, Some(shard.id), resolved.iter().map(|(p, _)| p))?;
+                slot.tasks_into(
+                    &mut batch,
+                    Some(shard.id),
+                    resolved.iter().map(|(p, _)| p),
+                    &mut self.scratch,
+                );
                 batches.push(batch);
             }
         }
@@ -890,7 +899,7 @@ impl<D: Disk> ShardEngine<D> {
     pub fn stats(&self) -> ShardRunStats {
         let mut stats = ShardRunStats {
             rounds: self.round,
-            events: self.history.recorded,
+            events: self.awareness.index().len() as u64,
             grants: self.service.granted(),
             ..Default::default()
         };
@@ -933,8 +942,9 @@ impl<D: Disk> ShardEngine<D> {
     }
 
     /// Lifetime event counts by label.
-    pub fn event_counts(&self) -> &BTreeMap<String, u64> {
-        &self.history.counts
+    pub fn event_counts(&self) -> BTreeMap<String, u64> {
+        let counts = self.awareness.index().counts_by_kind();
+        counts.into_iter().map(|(k, n)| (k, n as u64)).collect()
     }
 
     /// Current round.
@@ -1078,13 +1088,21 @@ pub struct PendingStart {
 /// knowing shard ownership).  Written and deleted in the same atomic
 /// frame as the header status flip.
 pub(crate) fn suspended_key(id: InstanceId) -> String {
-    format!("susp/{id:012}")
+    id_key("susp/", id)
 }
 
 /// Key of a pending-start record (outside every shard prefix, so it is
 /// visible to engine recovery regardless of which shard owns the id).
 pub(crate) fn pending_key(id: InstanceId) -> String {
-    format!("pending/{id:012}")
+    id_key("pending/", id)
+}
+
+/// `{prefix}{id:012}`, in one pass.
+fn id_key(prefix: &str, id: InstanceId) -> String {
+    let mut key = String::with_capacity(prefix.len() + 12);
+    key.push_str(prefix);
+    push_padded(&mut key, id, 12);
+    key
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1420,30 +1438,32 @@ mod tests {
         drop(store);
 
         // A history event that does not decode used to drop out of the
-        // recovered digest, event list and counts without a word.  It is
-        // named whichever reader meets it first: the awareness tail scan
-        // (no summary yet, so the tail is the stream), or under a summary
-        // that covers it — the tail scan starts past it — recovery's fold.
-        for rollup_every in [crate::awareness::DEFAULT_ROLLUP_EVERY, 1] {
-            let disk = crashed_disk_at_cadence(rollup_every);
-            let store = Store::open(disk.clone()).unwrap();
-            let key = "sev/00000001/000002";
-            assert!(store.get(Space::History, key).unwrap().is_some());
-            store
-                .put(Space::History, key, b"{not json".to_vec())
-                .unwrap();
-            drop(store);
-            let err = recover(&disk).unwrap_err().to_string();
-            assert!(
-                err.contains(&format!("corrupt history event {key}")),
-                "{err}"
-            );
-            assert_eq!(
-                err.starts_with("internal error: awareness open"),
-                rollup_every > 1,
-                "{err}"
-            );
-        }
+        // recovered digest, event list and counts without a word.  The one
+        // pass that reads the tail names it — with no summary yet the tail
+        // is the stream, so the record is in it.
+        let disk = crashed_disk();
+        let store = Store::open(disk.clone()).unwrap();
+        let key = "sev/00000001/000002";
+        assert!(store.get(Space::History, key).unwrap().is_some());
+        store
+            .put(Space::History, key, b"{not json".to_vec())
+            .unwrap();
+        drop(store);
+        let err = recover(&disk).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!("corrupt history event {key}")),
+            "{err}"
+        );
+        // Under a summary that covers it, and carries the digest of the
+        // rounds it covers, the record is never read again: recovery's
+        // cost follows the tail, and so does what it can notice.
+        let disk = crashed_disk_at_cadence(1);
+        let store = Store::open(disk.clone()).unwrap();
+        store
+            .put(Space::History, key, b"{not json".to_vec())
+            .unwrap();
+        drop(store);
+        assert_eq!(recover(&disk).unwrap().instances, 3);
 
         let disk = crashed_disk();
         let store = Store::open(disk.clone()).unwrap();
@@ -1457,7 +1477,7 @@ mod tests {
         ));
     }
 
-    /// Label counts three ways: the engine's lifetime fold, the awareness
+    /// Label counts three ways: the engine's lifetime counts, the awareness
     /// index, and the stream as persisted.  One record, so they agree.
     fn counts_three_ways(eng: &ShardEngine<MemDisk>) -> [BTreeMap<String, u64>; 3] {
         let index = eng.awareness().index().counts_by_kind();
@@ -1466,7 +1486,7 @@ mod tests {
             *persisted.entry(e.kind.label().to_string()).or_insert(0) += 1;
         }
         [
-            eng.event_counts().clone(),
+            eng.event_counts(),
             index.into_iter().map(|(k, n)| (k, n as u64)).collect(),
             persisted,
         ]

@@ -24,6 +24,7 @@
 use crate::awareness::EventKind;
 use crate::state::InstanceId;
 use bioopera_ocr::value::Value;
+use bioopera_store::push_padded;
 use std::collections::BTreeMap;
 
 /// Shard index.
@@ -176,23 +177,37 @@ pub struct ShardEvent {
 /// the awareness model all read.
 pub(crate) const EVENT_PREFIX: &str = "sev/";
 
+/// Append `sev/{round:08}/`: where the keys of `round`'s events begin.
+fn push_round(key: &mut String, round: u64) {
+    key.push_str(EVENT_PREFIX);
+    push_padded(key, round, 8);
+    key.push('/');
+}
+
 /// Key of the `index`-th event the barrier commits in `round`.  Key order
 /// is commit order, which every reader of the stream relies on: six
 /// digits hold the first million events of a round (byte for byte the
 /// keys earlier versions wrote), and past that a `~` — after every digit
-/// in ASCII — opens a twenty-digit form that sorts behind them.
+/// in ASCII — opens a twenty-digit form that sorts behind them.  Built in
+/// one pass: a round commits one of these per event.
 pub(crate) fn event_key(round: u64, index: usize) -> String {
+    let mut key = String::with_capacity(EVENT_PREFIX.len() + 8 + 1 + 6);
+    push_round(&mut key, round);
     if index < 1_000_000 {
-        format!("{EVENT_PREFIX}{round:08}/{index:06}")
+        push_padded(&mut key, index as u64, 6);
     } else {
-        format!("{EVENT_PREFIX}{round:08}/~{index:020}")
+        key.push('~');
+        push_padded(&mut key, index as u64, 20);
     }
+    key
 }
 
 /// The key every event of `round` sorts at or after, and every event of
 /// an earlier round before.
 pub(crate) fn round_start_key(round: u64) -> String {
-    format!("{EVENT_PREFIX}{round:08}/")
+    let mut key = String::with_capacity(EVENT_PREFIX.len() + 8 + 1);
+    push_round(&mut key, round);
+    key
 }
 
 /// What one shard step hands to the barrier.
@@ -243,6 +258,31 @@ mod tests {
         );
         assert!(round_start_key(1) <= event_key(1, 0));
         assert!(event_key(0, usize::MAX) < round_start_key(1));
+    }
+
+    /// The digit writer's keys are `format!`'s, byte for byte: seeded
+    /// rounds (past eight digits too) and indexes on both sides of 10⁶.
+    #[test]
+    fn event_keys_are_spelled_as_format_spells_them() {
+        let mut rounds = vec![0u64, 7, 99_999_999, 100_000_000, u64::MAX];
+        let mut indexes = vec![0usize, 5, 999_999, 1_000_000, 1_000_001, usize::MAX];
+        let mut x = 24u64;
+        for _ in 0..100 {
+            x = splitmix64(x);
+            rounds.push(x >> (x % 64));
+            indexes.push((splitmix64(x) % 2_000_000) as usize);
+        }
+        for &round in &rounds {
+            assert_eq!(round_start_key(round), format!("sev/{round:08}/"));
+            for &index in &indexes {
+                let spelled = if index < 1_000_000 {
+                    format!("sev/{round:08}/{index:06}")
+                } else {
+                    format!("sev/{round:08}/~{index:020}")
+                };
+                assert_eq!(event_key(round, index), spelled);
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use super::router::{splitmix64, ControlOp, Effect, Msg, Payload, ShardEvent, ShardId, StepOutput};
 use crate::awareness::EventKind;
 use crate::error::{EngineError, EngineResult};
-use crate::instance::{self, Instance, Role, ShardMeta};
+use crate::instance::{Instance, JournalReader, Role, ShardMeta};
 use crate::library::ActivityLibrary;
 use crate::navigator::{self, FailureKind, NavOutcome};
 use crate::state::{InstanceId, InstanceStatus, TaskState};
@@ -161,22 +161,25 @@ impl Shard {
         }
     }
 
-    /// Rebuild a shard from its journal prefix.  Returns the shard plus
-    /// the last round its meta record saw.  A record that does not decode,
-    /// or a header whose template is no longer registered, fails the
-    /// recovery naming the key ([`instance::read_journal`]).
+    /// Rebuild a shard from its journal prefix, building each instance as
+    /// the visit reaches its records — the journal is read in one visit and
+    /// never held as a list.  Returns the shard plus the last round its
+    /// meta record saw.  A record that does not decode, or a header whose
+    /// template is no longer registered, fails the recovery naming the key
+    /// ([`JournalReader`]).
     pub fn recover<D: Disk>(
         id: ShardId,
         store: &Store<D>,
         templates: &BTreeMap<String, Arc<ProcessTemplate>>,
     ) -> EngineResult<(Self, u64)> {
-        let records = store.scan_shard(Space::Instance, id)?;
-        let (slots, meta) = instance::read_journal(Some(id), &records, |name| {
+        let mut journal = JournalReader::new(Some(id), |name| {
             templates
                 .get(name)
                 .cloned()
                 .ok_or_else(|| EngineError::UnknownTemplate(name.to_string()))
-        })?;
+        });
+        store.visit_shard(Space::Instance, id, |key, bytes| journal.read(key, bytes))?;
+        let (slots, meta) = journal.finish();
         Ok((Shard { id, slots }, meta.map_or(0, |m| m.round)))
     }
 
@@ -194,7 +197,7 @@ impl Shard {
         for msg in inbox {
             self.handle(ctx, &mut st, msg)?;
         }
-        let batches = self.build_batches(ctx, &st)?;
+        let batches = self.build_batches(ctx, &st);
         Ok((st.out, batches))
     }
 
@@ -831,8 +834,10 @@ impl Shard {
 
     /// One batch per dirty instance (header + touched task records) plus
     /// the shard meta record — the shard's group commit for this round.
-    fn build_batches(&self, ctx: &StepCtx<'_>, st: &StepState) -> EngineResult<Vec<Batch>> {
+    fn build_batches(&self, ctx: &StepCtx<'_>, st: &StepState) -> Vec<Batch> {
         let mut batches = Vec::with_capacity(st.dirty.len() + 1);
+        // Every record of the round is encoded through this one buffer.
+        let mut scratch = String::new();
         for (id, dirty) in &st.dirty {
             let Some(slot) = self.slots.get(id) else {
                 continue;
@@ -852,13 +857,13 @@ impl Shard {
             } else if st.resumed_now.contains(id) {
                 b.delete(Space::Instance, super::suspended_key(*id));
             }
-            slot.commit_into(&mut b, Some(self.id), dirty)?;
+            slot.commit_into(&mut b, Some(self.id), dirty, &mut scratch);
             batches.push(b);
         }
         let mut meta = Batch::new();
-        ShardMeta { round: ctx.round }.put_into(&mut meta, self.id)?;
+        ShardMeta { round: ctx.round }.put_into(&mut meta, self.id, &mut scratch);
         batches.push(meta);
-        Ok(batches)
+        batches
     }
 }
 

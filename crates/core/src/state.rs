@@ -229,25 +229,54 @@ pub fn parallel_child_path(parent: &str, index: usize) -> String {
 /// Key helpers shared by runtime and planner.
 pub mod keys {
     use super::InstanceId;
+    use bioopera_store::push_padded;
+
+    /// Append `inst/{id:012}/`, the prefix of all records of an instance.
+    fn push_instance_prefix(key: &mut String, id: InstanceId) {
+        key.push_str("inst/");
+        push_padded(key, id, 12);
+        key.push('/');
+    }
+
+    /// Append the key of instance `id`'s header (no `path`) or of its task
+    /// record at `path`.  The one place that spells either: the journal
+    /// writer builds a whole key — shard prefix first — in one pass through
+    /// this.
+    pub fn push_record(key: &mut String, id: InstanceId, path: Option<&str>) {
+        push_instance_prefix(key, id);
+        match path {
+            None => key.push_str("header"),
+            Some(path) => {
+                key.push_str("task/");
+                key.push_str(path);
+            }
+        }
+    }
 
     /// Instance header key.
     pub fn header(id: InstanceId) -> String {
-        format!("inst/{id:012}/header")
+        let mut key = String::with_capacity(24);
+        push_record(&mut key, id, None);
+        key
     }
 
     /// Task record key.
     pub fn task(id: InstanceId, path: &str) -> String {
-        format!("inst/{id:012}/task/{path}")
+        let mut key = String::with_capacity(23 + path.len());
+        push_record(&mut key, id, Some(path));
+        key
     }
 
     /// Prefix of all task records of an instance.
     pub fn task_prefix(id: InstanceId) -> String {
-        format!("inst/{id:012}/task/")
+        task(id, "")
     }
 
     /// Prefix of all records of an instance.
     pub fn instance_prefix(id: InstanceId) -> String {
-        format!("inst/{id:012}/")
+        let mut key = String::with_capacity(18);
+        push_instance_prefix(&mut key, id);
+        key
     }
 
     /// Template key in the template space.

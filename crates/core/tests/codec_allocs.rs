@@ -9,12 +9,17 @@
 //! allocations the value itself holds.  This gate keeps it so: a derive or
 //! a container impl that falls back to the tree shows up here as a count,
 //! long before it shows up as a slow benchmark.
+//!
+//! And on its way into a commit a record asks the allocator for two things
+//! only: its key, built in one pass, and its value, copied once out of the
+//! buffer every record of the commit is encoded through.
 
 mod common;
 
-use bioopera_core::shard::ShardEvent;
+use bioopera_core::shard::{Instance, ShardEvent};
 use bioopera_core::{EventKind, InstanceHeader, RunOutcome, TaskRecord};
 use bioopera_ocr::value::Value;
+use bioopera_store::Batch;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,8 +73,9 @@ fn calls<R>(f: impl FnOnce() -> R) -> (R, u64) {
 }
 
 /// The records `bench_e2e`'s chain leaves behind: a finished instance's
-/// header, its `B` task record and the `TaskEnd` event of that task.
-fn chain_records() -> (TaskRecord, ShardEvent, InstanceHeader) {
+/// header, its `B` task record and the `TaskEnd` event of that task — and
+/// the instance itself.
+fn chain_records() -> (TaskRecord, ShardEvent, InstanceHeader, Instance) {
     let mut engine = common::chain_engine();
     for x in [123_456i64, 654_321, 7] {
         let initial = BTreeMap::from([("x".to_string(), Value::Int(x))]);
@@ -85,7 +91,7 @@ fn chain_records() -> (TaskRecord, ShardEvent, InstanceHeader) {
         .into_iter()
         .find(|e| matches!(&e.kind, EventKind::TaskEnd { path, .. } if path == "B"))
         .expect("B ended");
-    (task, event, instance.header.clone())
+    (task, event, instance.header.clone(), instance.clone())
 }
 
 fn gate<T: Serialize + DeserializeOwned + Clone>(what: &str, value: &T) {
@@ -122,11 +128,51 @@ fn gate<T: Serialize + DeserializeOwned + Clone>(what: &str, value: &T) {
 
 #[test]
 fn a_record_is_encoded_without_allocating_and_decoded_with_only_what_it_holds() {
-    let (task, event, header) = chain_records();
+    let (task, event, header, _) = chain_records();
     assert_eq!(task.inputs.len(), 1);
     assert_eq!(task.outputs.len(), 1);
     assert!(task.node.is_some());
     gate("the chain's task record", &task);
     gate("a TaskEnd shard event", &event);
     gate("an instance header", &header);
+}
+
+/// A task record committed to a shard's journal: the key (shard prefix,
+/// instance id and path written in one pass) and the value (streamed into
+/// the commit's buffer, copied once at its exact size).  The header that
+/// every navigation commit carries costs the same two.
+#[test]
+fn a_committed_record_costs_its_key_and_its_value() {
+    let (_, _, _, instance) = chain_records();
+    let mut scratch = String::new();
+    // A batch that has taken a commit already: its list of operations has
+    // room, and the buffer has grown to a record's size.
+    let mut warm = || {
+        let mut batch = Batch::new();
+        instance.commit_into(&mut batch, Some(3), ["A"], &mut scratch);
+        assert_eq!(batch.len(), 2);
+        batch
+    };
+    let (mut batch, mut other) = (warm(), warm());
+    let ((), task) = calls(|| instance.tasks_into(&mut batch, Some(3), ["B"], &mut scratch));
+    assert_eq!(batch.len(), 3);
+    assert!(
+        task <= 2,
+        "{task} allocator calls to commit one task record (its key, its value)"
+    );
+    let ((), commit) = calls(|| {
+        instance.commit_into(
+            &mut other,
+            Some(3),
+            std::iter::empty::<&str>(),
+            &mut scratch,
+        )
+    });
+    assert_eq!(other.len(), 3);
+    assert!(
+        commit <= 2,
+        "{commit} allocator calls to commit a header (its key, its value)"
+    );
+    // The counter works.
+    assert!(task >= 1 && commit >= 1);
 }

@@ -1,16 +1,17 @@
 //! What the allocator-counting gates (`residency.rs`, `codec_allocs.rs`)
-//! share.  Each installs its own `#[global_allocator]`, so they stay
-//! separate test binaries; the workload they count is one.
+//! and the recovery-cost gate (`proportional_cost.rs`) share.  The first
+//! two each install their own `#[global_allocator]`, so they stay separate
+//! test binaries; the workload they count is one.
 
 use bioopera_core::shard::{ShardConfig, ShardEngine};
 use bioopera_core::{ActivityLibrary, ProgramOutput};
 use bioopera_ocr::model::TypeTag;
 use bioopera_ocr::value::Value;
-use bioopera_ocr::ProcessBuilder;
-use bioopera_store::{MemDisk, Store};
+use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
+use bioopera_store::{Disk, MemDisk, Store};
 
-/// `bench_e2e`'s chain: `A` passes `x` on, `B` doubles it into `y`.
-pub fn chain_engine() -> ShardEngine<MemDisk> {
+/// The programs of `bench_e2e`'s chain: `A` passes `x` on, `B` doubles it.
+pub fn chain_library() -> ActivityLibrary {
     let mut library = ActivityLibrary::new();
     library.register("p.a", |inputs| {
         let x = inputs.get("x").and_then(|v| v.as_int()).unwrap_or(7);
@@ -23,7 +24,11 @@ pub fn chain_engine() -> ShardEngine<MemDisk> {
             .ok_or_else(|| "missing x".to_string())?;
         Ok(ProgramOutput::from_fields([("y", Value::Int(x * 2))], 20.0))
     });
-    let template = ProcessBuilder::new("Chain")
+    library
+}
+
+fn chain_template() -> ProcessTemplate {
+    ProcessBuilder::new("Chain")
         .whiteboard_default("x", TypeTag::Int, Value::Int(7))
         .whiteboard_field("y", TypeTag::Int)
         .activity("A", "p.a", |t| {
@@ -37,15 +42,30 @@ pub fn chain_engine() -> ShardEngine<MemDisk> {
         .flow_to_task("A", "x", "B", "x")
         .flow_to_whiteboard("B", "y", "y")
         .build()
-        .unwrap();
-    let cfg = ShardConfig {
+        .unwrap()
+}
+
+/// `bench_e2e`'s chain — `A` passes `x` on, `B` doubles it into `y` — on
+/// four shards over `store`.
+pub fn chain_engine_on<D: Disk>(store: Store<D>) -> ShardEngine<D> {
+    let mut engine = ShardEngine::new(store, chain_library(), chain_config()).unwrap();
+    engine.register_template(chain_template()).unwrap();
+    engine
+}
+
+/// The configuration of [`chain_engine_on`], to recover its store with.
+pub fn chain_config() -> ShardConfig {
+    ShardConfig {
         shards: 4,
         // One stepper thread: every allocation lands on this thread.
         threads: 1,
         ..ShardConfig::default()
-    };
-    let store = Store::open(MemDisk::new()).unwrap();
-    let mut engine = ShardEngine::new(store, library, cfg).unwrap();
-    engine.register_template(template).unwrap();
-    engine
+    }
+}
+
+/// [`chain_engine_on`] a fresh in-memory store.
+// Not every test binary that shares this module builds its own store.
+#[allow(dead_code)]
+pub fn chain_engine() -> ShardEngine<MemDisk> {
+    chain_engine_on(Store::open(MemDisk::new()).unwrap())
 }

@@ -6,26 +6,36 @@
 //!   only when the *last* child ends.  Doubling the fan must double the
 //!   bytes logged while the children run, not quadruple them.
 //! * Decoding a record is linear in its size.
+//! * Recovering the history costs what its tail costs: the summary carries
+//!   the count, the label counts and the digest of everything below it, so
+//!   four times the finished work behind the same live work is the same
+//!   history read.
+
+mod common;
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
+use bioopera_core::shard::ShardEngine;
 use bioopera_core::state::{keys, TaskState};
 use bioopera_core::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig, TaskRecord};
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
 use bioopera_store::wal::{self, WalOp};
-use bioopera_store::{Disk, MemDisk, StoreResult};
+use bioopera_store::{Disk, MemDisk, Space, Store, StoreResult, TieredPolicy};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A `MemDisk` that keeps every batch appended to a WAL, in order — the
 /// log itself cannot be read back afterwards, because a tiered store
-/// (`check.sh` forces one through the environment) retires WAL epochs.
+/// (`check.sh` forces one through the environment) retires WAL epochs —
+/// and counts the bytes of every History-space run block read back.
 #[derive(Clone, Default)]
 struct LoggingDisk {
     inner: MemDisk,
     batches: Arc<Mutex<Vec<Vec<WalOp>>>>,
+    history_block_bytes: Arc<AtomicU64>,
 }
 
 impl Disk for LoggingDisk {
@@ -51,7 +61,19 @@ impl Disk for LoggingDisk {
         self.inner.delete(name)
     }
     fn read_range(&self, name: &str, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
-        self.inner.read_range(name, offset, len)
+        let data = self.inner.read_range(name, offset, len)?;
+        // A data block of a run is one whole frame of one space's records;
+        // anything else read by range (a run's index and filter) is not.
+        if let Some(Ok(frame)) = data.as_deref().map(wal::replay) {
+            let is_history = |op: &WalOp| match op {
+                WalOp::Put { space, .. } | WalOp::Delete { space, .. } => *space == HISTORY,
+            };
+            if !frame.torn_tail && frame.batches.iter().flatten().any(is_history) {
+                self.history_block_bytes
+                    .fetch_add(len as u64, Ordering::Relaxed);
+            }
+        }
+        Ok(data)
     }
     fn file_size(&self, name: &str) -> StoreResult<Option<u64>> {
         self.inner.file_size(name)
@@ -232,5 +254,83 @@ fn decode_time_is_linear_in_record_size() {
     assert!(
         ratio < 40.0,
         "16x the bytes took {ratio:.0}x the time ({t_small:?} -> {t_large:?})"
+    );
+}
+
+/// The sharded engine's recovery of a store that holds `finished` finished
+/// chains and [`LIVE`] live ones, tiered so that history has left the
+/// memtable: the `sev/` records it decoded into the awareness index, the
+/// bytes of History-space run blocks it read, and how many events the
+/// stream holds.
+fn history_cost_of_recovery(finished: u64) -> (u64, u64, usize) {
+    let policy = Some(TieredPolicy {
+        memtable_budget_bytes: 16 * 1024,
+        ..TieredPolicy::default()
+    });
+    let disk = LoggingDisk::default();
+    let mut engine = common::chain_engine_on(Store::open_with(disk.clone(), policy).unwrap());
+    engine.set_rollup_every(CADENCE);
+    let submit = |engine: &mut ShardEngine<LoggingDisk>, chains: u64| {
+        for x in 0..chains {
+            let initial = BTreeMap::from([("x".to_string(), Value::Int(x as i64))]);
+            engine.submit("Chain", initial).unwrap();
+        }
+    };
+    submit(&mut engine, finished);
+    assert!(engine.run_to_completion().unwrap().is_completed());
+    submit(&mut engine, LIVE);
+    engine.step_round().unwrap();
+    engine.step_round().unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.completed, finished, "the late chains are in flight");
+    assert!(
+        engine.store().stats().spills > 0,
+        "history never left the memtable"
+    );
+    drop(engine);
+
+    disk.history_block_bytes.store(0, Ordering::Relaxed);
+    let store = Store::open_with(disk.clone(), policy).unwrap();
+    let engine =
+        ShardEngine::recover(store, common::chain_library(), common::chain_config()).unwrap();
+    assert_eq!(engine.stats().instances, finished + LIVE);
+    (
+        engine.awareness().open_scanned(),
+        disk.history_block_bytes.load(Ordering::Relaxed),
+        engine.persisted_events().unwrap().len(),
+    )
+}
+
+/// `Space::History` as a WAL operation carries it.
+const HISTORY: u8 = 3;
+/// Events between two summaries, at most.
+const CADENCE: u64 = 64;
+/// Chains in flight at the crash.
+const LIVE: u64 = 16;
+
+#[test]
+fn recovering_the_history_costs_its_tail_not_its_length() {
+    assert_eq!(Space::from_u8(HISTORY).unwrap(), Space::History);
+    let (scanned_small, read_small, events_small) = history_cost_of_recovery(300);
+    let (scanned_large, read_large, events_large) = history_cost_of_recovery(1200);
+    assert!(
+        events_large > 3 * events_small,
+        "four times the finished chains: {events_small} -> {events_large} events"
+    );
+    // A commit that leaves a cadence of events unsummarized writes a
+    // summary, so the tail is shorter than a cadence — and recovery
+    // decodes nothing below it.
+    for scanned in [scanned_small, scanned_large] {
+        assert!(
+            scanned < CADENCE,
+            "recovery decoded {scanned} history events past the summary at cadence {CADENCE}"
+        );
+    }
+    assert!(read_small > 0, "the tail was read from the memtable alone");
+    let growth = read_large as f64 / read_small as f64;
+    assert!(
+        growth < 1.3,
+        "four times the history read {growth:.2}x the history blocks \
+         ({read_small} -> {read_large} B for {events_small} -> {events_large} events)"
     );
 }

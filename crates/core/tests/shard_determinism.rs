@@ -24,8 +24,16 @@
 //! image shaped as the previous engine left it — an `ev/` twin of every
 //! event and a `rollup` counted in `ev/` sequence numbers — recovers with
 //! each event counted once.
+//!
+//! Recovery reads the history from its last summary on: the summary
+//! carries the count, the label counts and the digest of the rounds it
+//! covers.  So at the same sweep, what a recovered engine says of its
+//! lifetime history must be what refolding the persisted stream from its
+//! first event says — and a store whose summary predates the digest must
+//! come to the same answer by the full refold.
 
 use bioopera_cluster::SimTime;
+use bioopera_core::awareness::RollupRecord;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
     ActivityLibrary, Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus,
@@ -190,11 +198,7 @@ fn run_workload(
     let mut eng = build_engine(shards, threads, faults);
     submit_workload(&mut eng, workload);
     eng.run_to_completion().unwrap();
-    (
-        eng.history_digest(),
-        eng.state_digest(),
-        eng.event_counts().clone(),
-    )
+    (eng.history_digest(), eng.state_digest(), eng.event_counts())
 }
 
 fn submit_workload(eng: &mut ShardEngine<MemDisk>, workload: &[(usize, i64)]) {
@@ -223,6 +227,32 @@ fn as_history(events: &[ShardEvent]) -> Vec<HistoryEvent> {
             kind: e.kind.clone(),
         })
         .collect()
+}
+
+/// What refolding `events` from the stream's first record says of the
+/// history: the digest (round, instance and sequence number of each event,
+/// then a fresh encoding of its kind), the count by label and the count.
+fn refold(events: &[ShardEvent]) -> (u64, BTreeMap<String, u64>, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x1_0000_01b3);
+        }
+    };
+    let mut counts = BTreeMap::new();
+    for e in events {
+        fold(&e.round.to_le_bytes());
+        fold(&e.instance.to_le_bytes());
+        fold(&e.seq.to_le_bytes());
+        fold(&serde_json::to_vec(&e.kind).unwrap());
+        *counts.entry(e.kind.label().to_string()).or_insert(0) += 1;
+    }
+    (hash, counts, events.len() as u64)
+}
+
+/// The engine's lifetime view of its history, as [`refold`] reports it.
+fn lifetime(eng: &ShardEngine<MemDisk>) -> (u64, BTreeMap<String, u64>, u64) {
+    (eng.history_digest(), eng.event_counts(), eng.stats().events)
 }
 
 /// Every aggregate an index answers from; the log and postings of a
@@ -319,11 +349,7 @@ fn run_workload_with_ops(
         outcome.is_completed(),
         "paired resumes must unpark: {outcome:?}"
     );
-    (
-        eng.history_digest(),
-        eng.state_digest(),
-        eng.event_counts().clone(),
-    )
+    (eng.history_digest(), eng.state_digest(), eng.event_counts())
 }
 
 proptest! {
@@ -421,10 +447,18 @@ proptest! {
             drop(eng);
             eng = ShardEngine::recover(open(&disk), library(), cfg).unwrap();
             eng.set_rollup_every(rollup_every);
+            // Seeded from the summary and folded over the tail alone, the
+            // recovered view is the whole stream's.
+            prop_assert_eq!(
+                lifetime(&eng),
+                refold(&eng.persisted_events().unwrap()),
+                "recovered from round {} at cadence {}", crash_round, rollup_every
+            );
         }
         eng.run_to_completion().unwrap();
 
         let persisted = eng.persisted_events().unwrap();
+        prop_assert_eq!(lifetime(&eng), refold(&persisted));
         let history = as_history(&persisted);
         let mut whole = AwarenessIndex::default();
         for ev in &history {
@@ -521,7 +555,7 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
             .into_iter()
             .map(|(k, n)| (k, n as u64))
             .collect();
-        assert_eq!(*eng.event_counts(), by_label);
+        assert_eq!(eng.event_counts(), by_label);
         persisted.len()
     };
     // What was there, plus the recovery's own events — not twice that.
@@ -543,6 +577,69 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
     let mut left: Vec<_> = eng.store().scan_prefix(Space::History, "ev/").unwrap();
     left.extend(eng.store().scan_prefix(Space::History, "rollup").unwrap());
     assert_eq!(left, legacy);
+}
+
+/// The `summary` record as the engines before the history digest wrote
+/// and read it (PRs 22 and 23): the frozen shape, kept as a writer for
+/// stores of that age and as their reader, which skips a member it does
+/// not know.
+#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+struct SummaryBeforeDigest {
+    next_round: u64,
+    rollup: RollupRecord,
+}
+
+/// A store whose summary carries no digest — an earlier engine's — is
+/// recovered by refolding the stream from its first record, comes to the
+/// digest the stream has, and gains the member at its next cadence.  And
+/// the other way about: the earlier reader reads this engine's summary.
+#[test]
+fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one() {
+    let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
+    let cfg = ShardConfig {
+        shards: 3,
+        threads: 2,
+        ..ShardConfig::default()
+    };
+    let disk = MemDisk::new();
+    let mut eng = engine_on(Store::open(disk.clone()).unwrap(), cfg.clone());
+    eng.set_rollup_every(6);
+    submit_workload(&mut eng, &workload);
+    for _ in 0..4 {
+        eng.step_round().unwrap();
+    }
+    let summary = |store: &Store<MemDisk>| {
+        let bytes = store.get(Space::History, "summary").unwrap().unwrap();
+        String::from_utf8(bytes.to_vec()).unwrap()
+    };
+    let stored = summary(eng.store());
+    drop(eng);
+
+    // This engine's record, read by the earlier reader: the unknown member
+    // is skipped, and what is left re-encodes to the record minus it.
+    let before: SummaryBeforeDigest = serde_json::from_str(&stored).unwrap();
+    let old_shape = serde_json::to_string(&before).unwrap();
+    let (body, digest) = stored.rsplit_once(",\"digest\":").unwrap();
+    assert_eq!(old_shape, format!("{body}}}"));
+    assert!(digest.strip_suffix('}').unwrap().parse::<u64>().is_ok());
+
+    // The store as the earlier engine left it.
+    let store = Store::open(disk.clone()).unwrap();
+    store
+        .put(Space::History, "summary", old_shape.clone())
+        .unwrap();
+    drop(store);
+    let mut eng = ShardEngine::recover(Store::open(disk).unwrap(), library(), cfg).unwrap();
+    let persisted = eng.persisted_events().unwrap();
+    assert!(persisted.iter().any(|e| e.round < before.next_round));
+    assert_eq!(lifetime(&eng), refold(&persisted));
+    // The recovery's own commit was under the cadence: the record is
+    // still the old one.  The next due commit writes the member.
+    assert_eq!(summary(eng.store()), old_shape);
+    eng.set_rollup_every(6);
+    assert!(eng.run_to_completion().unwrap().is_completed());
+    assert!(summary(eng.store()).contains(",\"digest\":"));
+    assert_eq!(lifetime(&eng), refold(&eng.persisted_events().unwrap()));
 }
 
 /// The digests are compared between configurations everywhere else, so a

@@ -29,14 +29,16 @@
 //! torn at byte 0, one byte either side of every WAL frame boundary and
 //! at seeded offsets inside.  Every case of either kind holds the engine
 //! to the **history invariant** after each recovery and at the end: the
-//! engine's lifetime event counts, the awareness index and the persisted
-//! stream are three views of one record, so they agree — by label, in
-//! length, and in every aggregate an index rebuilt from the persisted
-//! stream would hold.
+//! engine's lifetime digest and event counts, the awareness index and the
+//! persisted stream are views of one record, so they agree — the digest
+//! with a refold of what `sev/` holds, the rest by label, in length, and
+//! in every aggregate an index rebuilt from the persisted stream would
+//! hold.
 //!
 //! [`ShardEngine::step_round_partial_commit`]: bioopera_core::ShardEngine::step_round_partial_commit
 
 use bioopera_cluster::SimTime;
+use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
     ActivityLibrary, AwarenessIndex, HistoryEvent, InstanceStatus, ProgramOutput, ShardConfig,
     ShardEngine,
@@ -262,10 +264,31 @@ fn compare(tag: &str, got: &[RootResult], oracle: &[RootResult]) -> Result<(), S
     Ok(())
 }
 
-/// The history invariant: one record, three views.  The engine's
-/// lifetime fold, the awareness index (reopened from a summary plus a
-/// tail, then fed by every commit since) and the persisted stream must
-/// agree.
+/// The history digest a refold of `events` from the stream's first record
+/// gives: per event the round, the instance and the sequence number, then
+/// a fresh encoding of its kind.  Written out here so that what the engine
+/// carries across a crash in a summary is held to the stream itself.
+fn refold_digest(events: &[ShardEvent]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x1_0000_01b3);
+        }
+    };
+    for e in events {
+        fold(&e.round.to_le_bytes());
+        fold(&e.instance.to_le_bytes());
+        fold(&e.seq.to_le_bytes());
+        fold(&serde_json::to_vec(&e.kind).expect("an event kind encodes"));
+    }
+    hash
+}
+
+/// The history invariant: one record, and every view of it agrees with
+/// it.  The engine's lifetime digest (seeded from a summary, then folded
+/// over the tail and every commit since) is the digest of the persisted
+/// stream refolded whole; its event counts and the awareness index
+/// (reopened from the same summary plus the same tail) are the stream's.
 fn check_history(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
     let persisted = eng
         .persisted_events()
@@ -280,20 +303,24 @@ fn check_history(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
         });
     }
     let index = eng.awareness().index();
-    let indexed: BTreeMap<String, u64> = index
-        .counts_by_kind()
-        .into_iter()
-        .map(|(label, n)| (label, n as u64))
-        .collect();
-    if *eng.event_counts() != labels {
+    let refolded = refold_digest(&persisted);
+    if eng.history_digest() != refolded {
+        return Err(format!(
+            "history: the engine's digest is {:#018x}, a refold of what sev/ holds gives {refolded:#018x}",
+            eng.history_digest()
+        ));
+    }
+    if eng.event_counts() != labels {
         return Err(format!(
             "history: event_counts {:?} but the persisted stream holds {labels:?}",
             eng.event_counts()
         ));
     }
-    if indexed != labels {
+    if eng.stats().events != persisted.len() as u64 {
         return Err(format!(
-            "history: awareness counts {indexed:?} but the persisted stream holds {labels:?}"
+            "history: stats().events is {}, the stream holds {}",
+            eng.stats().events,
+            persisted.len()
         ));
     }
     let viewed = eng

@@ -7,15 +7,18 @@
 //! written by compiling this very source against that commit.  It
 //! therefore uses nothing newer than that commit's public API — the two
 //! record types that were private then (`RollupRecord`, `PendingStart`)
-//! are read back as stored bytes.  One line is newer: `StreamSummary`
-//! did not exist then, and its line is what the commit that introduced it
-//! stored (the `RollupRecord` inside it is the old type, unchanged).
+//! are read back as stored bytes.  Two lines are newer: `StreamSummary`
+//! did not exist then.  `StreamSummary/chains` is what the commit that
+//! introduced it stored (the `RollupRecord` inside it is the old type,
+//! unchanged), written here through [`SummaryBeforeDigest`], that shape
+//! kept as a frozen writer; `StreamSummary/chains-digest` is the same
+//! summary as stored since it gained its `digest` member.
 //!
 //! A name is `Type/case`; the text before the `/` picks the Rust type the
 //! line decodes as (`dispatch` in `codec_differential.rs`).
 
 use bioopera_cluster::{NodeSpec, SimTime, Trace, TraceEventKind};
-use bioopera_core::awareness::Awareness;
+use bioopera_core::awareness::{Awareness, RollupRecord};
 use bioopera_core::dependability::HealthState;
 use bioopera_core::metrics::{Histogram, RollupBin, RunReport};
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent, ShardMeta};
@@ -26,7 +29,7 @@ use bioopera_core::{
 use bioopera_ocr::model::TypeTag;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate, Value};
 use bioopera_store::{MemDisk, Space, Store};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 fn json<T: Serialize>(value: &T) -> String {
@@ -526,9 +529,19 @@ fn rollup_record() -> (String, String) {
     )
 }
 
+/// The `summary` record as the engines before the history digest wrote
+/// and read it: the frozen shape, kept as a writer (for stores of that
+/// age) and as a reader (it skips the member it does not know).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SummaryBeforeDigest {
+    pub next_round: u64,
+    pub rollup: RollupRecord,
+}
+
 /// The `summary` record the sharded engine commits with the round that
-/// brings its cadence due, as stored.
-fn stream_summary() -> (String, String) {
+/// brings its cadence due: as stored, and as the engines before the digest
+/// stored it.
+fn stream_summaries() -> [(String, String); 2] {
     let mut engine = chain_engine();
     engine.set_rollup_every(4);
     for x in [123_456, -7] {
@@ -541,10 +554,13 @@ fn stream_summary() -> (String, String) {
         .get(Space::History, "summary")
         .expect("store read")
         .expect("the cadence wrote a summary");
-    (
-        "StreamSummary/chains".to_string(),
-        String::from_utf8(bytes.to_vec()).expect("JSON is UTF-8"),
-    )
+    let stored = String::from_utf8(bytes.to_vec()).expect("JSON is UTF-8");
+    let before: SummaryBeforeDigest =
+        serde_json::from_str(&stored).expect("the old reader skips the new member");
+    [
+        ("StreamSummary/chains".to_string(), json(&before)),
+        ("StreamSummary/chains-digest".to_string(), stored),
+    ]
 }
 
 /// The `pending/{id}` record a submission writes, as stored.
@@ -576,7 +592,7 @@ pub fn golden_samples() -> Vec<(String, String)> {
     out.push(pending_start());
     out.extend(events());
     out.push(rollup_record());
-    out.push(stream_summary());
+    out.extend(stream_summaries());
     out.extend(templates());
     out.extend(traces());
     out.push(run_report());

@@ -445,7 +445,6 @@ impl<D: Disk> Store<D> {
         let mut snap = Vec::new();
         {
             let mem = self.mem.read();
-            let mut scratch = Vec::new();
             let mut refs: Vec<WalOpRef<'_>> = Vec::with_capacity(SNAPSHOT_CHUNK);
             let mut total = 0usize;
             for (space, map) in mem.spaces.iter().enumerate() {
@@ -462,18 +461,18 @@ impl<D: Disk> Store<D> {
                     });
                     total += 1;
                     if refs.len() == SNAPSHOT_CHUNK {
-                        wal::encode_frame_into(&mut snap, &mut scratch, &refs);
+                        wal::encode_frame_into(&mut snap, refs.iter().copied());
                         refs.clear();
                     }
                 }
             }
             if !refs.is_empty() {
-                wal::encode_frame_into(&mut snap, &mut scratch, &refs);
+                wal::encode_frame_into(&mut snap, refs.iter().copied());
             }
             if total == 0 {
                 // Still write an (empty) snapshot so recovery has a file
                 // to find.
-                wal::encode_frame_into(&mut snap, &mut scratch, &[]);
+                wal::encode_frame_into(&mut snap, std::iter::empty());
             }
         }
         // A snapshot roll runs with no runs on disk, but a retention

@@ -57,7 +57,7 @@ use crate::manifest::{parse_manifest, snapshot_name, wal_name, ManifestState, MA
 use crate::memtable::{apply_ops, MemTables};
 use crate::policy::{CompactionPolicy, TieredPolicy};
 use crate::runs::{parse_run_name, Run};
-use crate::wal::{self, WalOp, WalOpRef};
+use crate::wal::{self, WalOp};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -348,6 +348,19 @@ impl<D: Disk> Store<D> {
         };
         let mut batches_applied = 0u64;
 
+        // Replay streams into the memtable: each frame's operations are
+        // applied as the frame is decoded, so the image is never held a
+        // second time as a list of owned batches.
+        let mut replay_into_mem = |image: &Bytes| {
+            let mut frames = 0u64;
+            let end = wal::replay_shared(image, |ops| {
+                frames += 1;
+                apply_ops(&mut mem, &levels, &*disk, &metrics, &cache, ops.drain(..))
+            })?;
+            batches_applied += frames;
+            Ok::<_, StoreError>((end, frames))
+        };
+
         // Snapshots and runs are mutually exclusive on disk (a spill
         // commits the manifest and deletes the snapshot in the same
         // epoch roll), so the snapshot is only consulted when no runs
@@ -355,13 +368,9 @@ impl<D: Disk> Store<D> {
         // snapshot is corruption.
         if levels.no_runs() {
             if let Some(snap) = disk.read(&snapshot_name(epoch))? {
-                let replay = wal::replay_shared(Bytes::from(snap))?;
-                if replay.torn_tail {
+                let (end, _) = replay_into_mem(&Bytes::from(snap))?;
+                if end.torn_tail {
                     return Err(StoreError::Corruption("snapshot has torn frames".into()));
-                }
-                for batch in replay.batches {
-                    batches_applied += 1;
-                    apply_ops(&mut mem, &levels, &*disk, &metrics, &cache, batch)?;
                 }
             }
         }
@@ -373,25 +382,21 @@ impl<D: Disk> Store<D> {
                     // The log image becomes one shared buffer; replay
                     // slices every value out of it without copying.
                     let log = Bytes::from(log);
-                    let replay = wal::replay_shared(log.clone())?;
-                    for batch in replay.batches {
-                        batches_applied += 1;
-                        batches_in_epoch += 1;
-                        apply_ops(&mut mem, &levels, &*disk, &metrics, &cache, batch)?;
-                    }
-                    if replay.torn_tail {
+                    let (end, frames) = replay_into_mem(&log)?;
+                    batches_in_epoch = frames;
+                    if end.torn_tail {
                         // Repair: drop the torn tail *on disk*, not just in
                         // memory.  Future appends must continue at the end
                         // of the valid prefix — appending after the torn
                         // bytes would make every post-recovery batch appear
                         // to follow an invalid frame on the next open, and
                         // be discarded.
-                        disk.write_atomic(&wal_name(epoch), &log.as_slice()[..replay.valid_len])?;
+                        disk.write_atomic(&wal_name(epoch), &log.as_slice()[..end.valid_len])?;
                     }
                     (
-                        replay.valid_len as u64,
-                        replay.torn_tail,
-                        replay.truncated_bytes as u64,
+                        end.valid_len as u64,
+                        end.torn_tail,
+                        end.truncated_bytes as u64,
                     )
                 }
                 None => (0, false, 0),
@@ -481,14 +486,12 @@ impl<D: Disk> Store<D> {
         // Encode outside the critical section: concurrent committers
         // serialize only on the disk append itself, not the CPU work.
         let mut buf = Vec::new();
-        let mut scratch = Vec::new();
         let mut pending: Vec<Vec<WalOp>> = Vec::new();
         for batch in batches {
             if batch.is_empty() {
                 continue;
             }
-            let refs: Vec<WalOpRef<'_>> = batch.ops.iter().map(WalOp::as_op_ref).collect();
-            wal::encode_frame_into(&mut buf, &mut scratch, &refs);
+            wal::encode_frame_into(&mut buf, batch.ops.iter().map(WalOp::as_op_ref));
             pending.push(batch.ops);
         }
         if pending.is_empty() {

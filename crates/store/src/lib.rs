@@ -50,5 +50,5 @@ pub use disk::{CrashEffect, Disk, FaultPlan, FaultTrigger, FileDisk, MemDisk};
 pub use engine::{Batch, Space, Store, StoreStats};
 pub use error::{StoreError, StoreResult};
 pub use policy::{CompactionPolicy, TieredPolicy};
-pub use shard::{parse_shard_key, shard_key, shard_prefix};
+pub use shard::{parse_shard_key, push_padded, push_shard_prefix, shard_key, shard_prefix};
 pub use typed::TypedSpace;

@@ -47,7 +47,7 @@ pub(crate) fn apply_ops<D: Disk>(
     disk: &D,
     metrics: &TierMetrics,
     cache: &BlockCache,
-    ops: Vec<WalOp>,
+    ops: impl IntoIterator<Item = WalOp>,
 ) -> StoreResult<()> {
     for op in ops {
         let (space, key, value) = op.into_entry();

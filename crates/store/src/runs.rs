@@ -121,7 +121,6 @@ fn corrupt(name: &str, what: &str) -> StoreError {
 pub fn build_run(entries: &[RunEntry<'_>]) -> Vec<u8> {
     let mut bloom = Bloom::with_capacity(entries.len());
     let mut out = Vec::new();
-    let mut scratch = Vec::new();
     let mut blocks: Vec<BlockMeta> = Vec::new();
     let mut tombstones = 0u64;
 
@@ -137,7 +136,7 @@ pub fn build_run(entries: &[RunEntry<'_>]) -> Vec<u8> {
                 return;
             }
             let offset = out.len() as u64;
-            wal::encode_frame_into(out, &mut scratch, pending);
+            wal::encode_frame_into(out, pending.iter().copied());
             blocks.push(BlockMeta {
                 space,
                 offset,
@@ -444,14 +443,18 @@ impl Run {
         if raw.len() != b.len as usize {
             return Err(corrupt(&self.meta.name, "data block truncated"));
         }
-        let replay = wal::replay_shared(Bytes::from(raw))?;
-        if replay.torn_tail || replay.batches.len() != 1 {
+        let (mut ops, mut frames) = (Vec::new(), 0usize);
+        let end = wal::replay_shared(&Bytes::from(raw), |frame| {
+            frames += 1;
+            ops = std::mem::take(frame);
+            Ok::<(), StoreError>(())
+        })?;
+        if end.torn_tail || frames != 1 {
             return Err(corrupt(
                 &self.meta.name,
                 "data block is not one whole frame",
             ));
         }
-        let ops = replay.batches.into_iter().next().unwrap();
         if ops.len() != b.count as usize {
             return Err(corrupt(&self.meta.name, "data block op count mismatch"));
         }

@@ -8,9 +8,29 @@
 use crate::engine::{Batch, Space, Store};
 use crate::error::StoreResult;
 use crate::Disk;
+use bytes::Bytes;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::marker::PhantomData;
+
+impl Batch {
+    /// Queue an insert/replace of `record` as the JSON it is stored as.
+    /// The record streams into `scratch` — the caller's, reused from
+    /// record to record, and left holding the encoding — and is copied
+    /// once, into a value of exactly its size: per record the allocator is
+    /// asked for the key and the value, nothing else.
+    pub fn put_record<T: Serialize + ?Sized>(
+        &mut self,
+        space: Space,
+        key: impl Into<String>,
+        record: &T,
+        scratch: &mut String,
+    ) -> &mut Self {
+        scratch.clear();
+        record.write_json(scratch);
+        self.put(space, key, Bytes::copy_from_slice(scratch.as_bytes()))
+    }
+}
 
 /// A typed facade over one space of a [`Store`].
 pub struct TypedSpace<T> {

@@ -17,10 +17,13 @@
 //! genuine mid-log corruption: skipping it would silently drop committed
 //! batches, so replay reports a typed [`StoreError::Corruption`] instead.
 //!
-//! Replay is **zero-copy**: [`replay_shared`] takes the whole log image as
-//! one shared [`Bytes`] buffer and every decoded value is a slice into it
-//! (no per-record allocation or copy), which is what keeps recovery time
-//! and peak memory linear in the log size rather than record count.
+//! Replay is **zero-copy** and **visiting**: [`replay_shared`] takes the
+//! whole log image as one shared [`Bytes`] buffer, every decoded value is a
+//! slice into it (no per-record allocation or copy), and each frame's
+//! operations are handed to the caller as soon as its checksum has passed —
+//! the log is never held a second time as owned operations, which is what
+//! keeps recovery time and peak memory linear in the log size rather than
+//! record count.
 
 use crate::crc::crc32;
 use crate::error::{StoreError, StoreResult};
@@ -75,7 +78,8 @@ impl WalOp {
 
 /// A borrowed operation: what [`encode_frame_into`] consumes.  Lets the
 /// engine stream a snapshot straight out of the memtable without first
-/// materializing owned [`WalOp`]s for every record.
+/// materializing owned [`WalOp`]s for every record, and a commit encode its
+/// owned ones where they lie.
 #[derive(Debug, Clone, Copy)]
 pub enum WalOpRef<'a> {
     /// Insert or replace `key` in `space` with `value`.
@@ -89,50 +93,53 @@ pub enum WalOpRef<'a> {
 }
 
 /// Encode one batch of operations as a framed WAL record appended to
-/// `out`.  `scratch` is a reusable payload buffer (cleared on entry) so a
-/// caller encoding many frames — group commit, snapshot streaming — does
-/// one allocation total, not one per frame.
-pub fn encode_frame_into(out: &mut Vec<u8>, scratch: &mut Vec<u8>, ops: &[WalOpRef<'_>]) {
-    scratch.clear();
-    scratch.put_u32_le(ops.len() as u32);
+/// `out`, in place: the header is reserved, the payload written behind it,
+/// then the length and the checksum patched in.  A caller encoding many
+/// frames — group commit, snapshot streaming — grows one buffer and copies
+/// nothing twice.
+pub fn encode_frame_into<'a>(out: &mut Vec<u8>, ops: impl ExactSizeIterator<Item = WalOpRef<'a>>) {
+    let frame = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&[0; HEADER_LEN - MAGIC.len()]);
+    let payload = frame + HEADER_LEN;
+    out.put_u32_le(ops.len() as u32);
     for op in ops {
         match op {
             WalOpRef::Put { space, key, value } => {
-                scratch.put_u8(0);
-                scratch.put_u8(*space);
-                scratch.put_u32_le(key.len() as u32);
-                scratch.put_slice(key.as_bytes());
-                scratch.put_u32_le(value.len() as u32);
-                scratch.put_slice(value);
+                out.reserve(10 + key.len() + value.len());
+                out.put_u8(0);
+                out.put_u8(space);
+                out.put_u32_le(key.len() as u32);
+                out.put_slice(key.as_bytes());
+                out.put_u32_le(value.len() as u32);
+                out.put_slice(value);
             }
             WalOpRef::Delete { space, key } => {
-                scratch.put_u8(1);
-                scratch.put_u8(*space);
-                scratch.put_u32_le(key.len() as u32);
-                scratch.put_slice(key.as_bytes());
+                out.put_u8(1);
+                out.put_u8(space);
+                out.put_u32_le(key.len() as u32);
+                out.put_slice(key.as_bytes());
             }
         }
     }
-    out.reserve(HEADER_LEN + scratch.len());
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&(scratch.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(scratch).to_le_bytes());
-    out.extend_from_slice(scratch);
+    let len = (out.len() - payload) as u32;
+    let crc = crc32(&out[payload..]);
+    out[frame + 2..frame + 6].copy_from_slice(&len.to_le_bytes());
+    out[frame + 6..payload].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Encode one batch of operations into a framed WAL record.
 pub fn encode_frame(ops: &[WalOp]) -> Vec<u8> {
-    let refs: Vec<WalOpRef<'_>> = ops.iter().map(WalOp::as_op_ref).collect();
     let mut frame = Vec::new();
-    let mut scratch = Vec::with_capacity(64 * ops.len());
-    encode_frame_into(&mut frame, &mut scratch, &refs);
+    encode_frame_into(&mut frame, ops.iter().map(WalOp::as_op_ref));
     frame
 }
 
-/// Decode the payload at `log[start..start + len]`.  Values are zero-copy
-/// slices of `log`; keys are validated in place and copied once into their
-/// owned `String` (they become map keys and must own their bytes).
-fn decode_payload(log: &Bytes, start: usize, len: usize) -> StoreResult<Vec<WalOp>> {
+/// Decode the payload at `log[start..start + len]` into `ops`, replacing
+/// what it held.  Values are zero-copy slices of `log`; keys are validated
+/// in place and copied once into their owned `String` (they become map
+/// keys and must own their bytes).
+fn decode_payload(log: &Bytes, start: usize, len: usize, ops: &mut Vec<WalOp>) -> StoreResult<()> {
     let corrupt = |m: &str| StoreError::Corruption(m.to_string());
     let mut cursor = &log.as_slice()[start..start + len];
     // Absolute offset of the cursor head within `log`, for slice() calls.
@@ -141,7 +148,8 @@ fn decode_payload(log: &Bytes, start: usize, len: usize) -> StoreResult<Vec<WalO
         return Err(corrupt("payload shorter than op count"));
     }
     let count = cursor.get_u32_le() as usize;
-    let mut ops = Vec::with_capacity(count.min(len / 2 + 1));
+    ops.clear();
+    ops.reserve(count.min(len / 2 + 1));
     for _ in 0..count {
         if cursor.remaining() < 2 {
             return Err(corrupt("truncated op header"));
@@ -180,10 +188,24 @@ fn decode_payload(log: &Bytes, start: usize, len: usize) -> StoreResult<Vec<WalO
     if cursor.has_remaining() {
         return Err(corrupt("trailing bytes in payload"));
     }
-    Ok(ops)
+    Ok(())
 }
 
-/// Outcome of a WAL replay.
+/// Where a replay ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplayEnd {
+    /// Number of bytes of valid log consumed; any torn tail is past this.
+    pub valid_len: usize,
+    /// Bytes discarded past `valid_len` (the torn tail's size; 0 when the
+    /// whole image replayed).
+    pub truncated_bytes: usize,
+    /// True when a torn tail was discarded.
+    pub torn_tail: bool,
+}
+
+/// A replay with every batch collected: the reference the visiting
+/// [`replay_shared`] is held to by the tests.  Nothing in the engine
+/// materialises a log this way.
 #[derive(Debug)]
 pub struct Replay {
     /// The decoded batches, in log order.
@@ -271,53 +293,78 @@ fn classify_tail(off: usize, tail: &[u8]) -> StoreResult<()> {
     Ok(())
 }
 
-/// Replay a WAL byte image into its batches, zero-copy: every decoded
-/// value is a slice of `log`.
+/// Replay a WAL byte image, zero-copy and frame by frame: each frame that
+/// passes its checksum is decoded — every value a slice of `log` — and its
+/// operations handed to `frame` before the next one is looked at.  The
+/// vector is reused from frame to frame: `frame` drains it or takes it.
 ///
 /// A malformed region at the very end of the image is treated as a torn
 /// write and discarded, with the number of discarded bytes reported in
-/// [`Replay::truncated_bytes`].  A malformed region *followed by a later
+/// [`ReplayEnd::truncated_bytes`].  A malformed region *followed by a later
 /// valid frame* indicates corruption of the middle of the log and produces
 /// a typed [`StoreError::Corruption`], because silently skipping committed
-/// batches would break atomicity and durability guarantees.
-pub fn replay_shared(log: Bytes) -> StoreResult<Replay> {
-    let mut batches = Vec::new();
+/// batches would break atomicity and durability guarantees.  The frames
+/// before it have been handed out by then: a caller that meets an error
+/// discards what it built.
+pub fn replay_shared<E: From<StoreError>>(
+    log: &Bytes,
+    mut frame: impl FnMut(&mut Vec<WalOp>) -> Result<(), E>,
+) -> Result<ReplayEnd, E> {
+    let mut ops = Vec::new();
     let mut off = 0usize;
     let image = log.as_slice();
     while off < image.len() {
-        match parse_frame(&image[off..]) {
-            Some((payload_len, consumed)) => {
-                batches.push(decode_payload(&log, off + HEADER_LEN, payload_len)?);
-                off += consumed;
-            }
-            None => {
-                // Invalid frame.  If any complete valid frame exists later
-                // in the image, this is mid-log corruption, not a torn
-                // tail: a crash tears only the *last* write, so committed
-                // frames can never follow the tear.
-                classify_tail(off, &image[off..])?;
-                return Ok(Replay {
-                    batches,
-                    valid_len: off,
-                    truncated_bytes: image.len() - off,
-                    torn_tail: true,
-                });
-            }
-        }
+        let Some((payload_len, consumed)) = parse_frame(&image[off..]) else {
+            // Invalid frame.  If any complete valid frame exists later in
+            // the image, this is mid-log corruption, not a torn tail: a
+            // crash tears only the *last* write, so committed frames can
+            // never follow the tear.
+            classify_tail(off, &image[off..])?;
+            return Ok(ReplayEnd {
+                valid_len: off,
+                truncated_bytes: image.len() - off,
+                torn_tail: true,
+            });
+        };
+        decode_payload(log, off + HEADER_LEN, payload_len, &mut ops)?;
+        frame(&mut ops)?;
+        off += consumed;
     }
-    Ok(Replay {
-        batches,
+    Ok(ReplayEnd {
         valid_len: off,
         truncated_bytes: 0,
         torn_tail: false,
     })
 }
 
-/// Replay a borrowed WAL byte image (copies it once into a shared buffer,
-/// then decodes zero-copy).  Callers holding an owned image should prefer
-/// [`replay_shared`].
+/// Replay a borrowed WAL byte image into a list of its batches — the
+/// collecting form, with a loop of its own over the same frame checks, kept
+/// as the tests' reference for [`replay_shared`].
 pub fn replay(log: &[u8]) -> StoreResult<Replay> {
-    replay_shared(Bytes::copy_from_slice(log))
+    let log = Bytes::copy_from_slice(log);
+    let image = log.as_slice();
+    let mut batches = Vec::new();
+    let mut off = 0usize;
+    while off < image.len() {
+        match parse_frame(&image[off..]) {
+            Some((payload_len, consumed)) => {
+                let mut ops = Vec::new();
+                decode_payload(&log, off + HEADER_LEN, payload_len, &mut ops)?;
+                batches.push(ops);
+                off += consumed;
+            }
+            None => {
+                classify_tail(off, &image[off..])?;
+                break;
+            }
+        }
+    }
+    Ok(Replay {
+        batches,
+        valid_len: off,
+        truncated_bytes: image.len() - off,
+        torn_tail: off < image.len(),
+    })
 }
 
 #[cfg(test)]
@@ -369,19 +416,48 @@ mod tests {
         assert!(!replay.torn_tail);
     }
 
+    /// The frame layout, spelled out: the payload first, into a buffer of
+    /// its own, then the header over its length and checksum.  Encoding in
+    /// place must leave the same bytes.
+    fn frame_by_hand(ops: &[WalOp]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+        for op in ops {
+            let (tag, space, key, value) = match op {
+                WalOp::Put { space, key, value } => (0u8, *space, key, Some(value)),
+                WalOp::Delete { space, key } => (1u8, *space, key, None),
+            };
+            payload.extend_from_slice(&[tag, space]);
+            payload.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            payload.extend_from_slice(key.as_bytes());
+            if let Some(value) = value {
+                payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
+                payload.extend_from_slice(value);
+            }
+        }
+        let mut frame = MAGIC.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
     #[test]
-    fn encode_frame_into_is_bit_identical_and_reuses_buffers() {
+    fn a_frame_encoded_in_place_is_the_frame_built_by_hand() {
         let ops = sample_ops();
-        let oracle = encode_frame(&ops);
+        let oracle = frame_by_hand(&ops);
+        assert_eq!(encode_frame(&ops), oracle);
+        assert_eq!(encode_frame(&[]), frame_by_hand(&[]));
+        // A second frame appends after the first, patched at its own
+        // header, whatever the buffer already holds.
         let refs: Vec<WalOpRef<'_>> = ops.iter().map(WalOp::as_op_ref).collect();
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        encode_frame_into(&mut out, &mut scratch, &refs);
-        assert_eq!(out, oracle);
-        // A second frame appends after the first with the same scratch.
-        encode_frame_into(&mut out, &mut scratch, &refs);
-        assert_eq!(out.len(), 2 * oracle.len());
-        assert_eq!(&out[oracle.len()..], oracle.as_slice());
+        let mut out = b"earlier bytes".to_vec();
+        let before = out.len();
+        encode_frame_into(&mut out, refs.iter().copied());
+        encode_frame_into(&mut out, refs.iter().copied());
+        assert_eq!(out.len(), before + 2 * oracle.len());
+        assert_eq!(&out[before..before + oracle.len()], oracle.as_slice());
+        assert_eq!(&out[before + oracle.len()..], oracle.as_slice());
     }
 
     #[test]
@@ -395,8 +471,17 @@ mod tests {
         let shared = Bytes::from(frame);
         let base = shared.as_slice().as_ptr() as usize;
         let end = base + shared.len();
-        let replay = replay_shared(shared.clone()).unwrap();
-        let WalOp::Put { value, .. } = &replay.batches[0][0] else {
+        let mut frames = Vec::new();
+        let replayed = replay_shared(&shared, |ops| {
+            frames.push(std::mem::take(ops));
+            Ok::<(), StoreError>(())
+        })
+        .unwrap();
+        assert_eq!(
+            (replayed.valid_len, replayed.torn_tail),
+            (shared.len(), false)
+        );
+        let WalOp::Put { value, .. } = &frames[0][0] else {
             panic!("expected put");
         };
         assert_eq!(value.as_slice(), big.as_slice());

@@ -9,11 +9,58 @@
 //!   exact: `valid_len + truncated_bytes == log.len()`.
 //! * `Err(StoreError::Corruption(_))` — a typed error; never a panic,
 //!   never an I/O error, and never bogus decoded batches.
+//!
+//! `replay` collects a log into a list of its batches and nothing in the
+//! engine calls it: recovery goes through the visiting `replay_shared`,
+//! which hands each frame's operations over as it is decoded.  The two
+//! have a loop each, and on every image here — every truncation and a
+//! seeded flip of every byte of a valid log included — they must say the
+//! same thing: the same operations, where the valid log ends, how much was
+//! cut, or the same error.
 
-use bioopera_store::wal::{encode_frame, replay, WalOp};
+use bioopera_store::wal::{encode_frame, replay, replay_shared, Replay, WalOp};
 use bioopera_store::StoreError;
 use bytes::Bytes;
 use proptest::prelude::*;
+
+/// `log` through the visiting replay, collected into the shape the
+/// collecting one returns.
+fn visited(log: &[u8]) -> Result<Replay, StoreError> {
+    let mut batches = Vec::new();
+    let end = replay_shared(&Bytes::copy_from_slice(log), |ops| {
+        batches.push(std::mem::take(ops));
+        Ok::<(), StoreError>(())
+    })?;
+    Ok(Replay {
+        batches,
+        valid_len: end.valid_len,
+        truncated_bytes: end.truncated_bytes,
+        torn_tail: end.torn_tail,
+    })
+}
+
+/// Both replays on `log`; they must agree.  Returns what they said.
+fn replay_both_ways(log: &[u8], what: &str) -> Result<Replay, StoreError> {
+    let collected = replay(log);
+    let visited = visited(log);
+    let tell = |r: &Result<Replay, StoreError>| match r {
+        Ok(r) => format!(
+            "{} batches {:?}, valid to {}, {} cut, torn {}",
+            r.batches.len(),
+            r.batches,
+            r.valid_len,
+            r.truncated_bytes,
+            r.torn_tail
+        ),
+        Err(e) => format!("error: {e}"),
+    };
+    assert_eq!(
+        tell(&visited),
+        tell(&collected),
+        "{what}: the visiting replay (left) and the collecting one (right) disagree"
+    );
+    collected
+}
 
 /// A deterministic valid log: returns `(log bytes, frame boundaries)`.
 fn valid_log(n_frames: usize, fat: bool) -> (Vec<u8>, Vec<usize>) {
@@ -98,14 +145,14 @@ proptest! {
         muts in prop::collection::vec(mutation_strategy(), 1..6),
     ) {
         let (log, bounds) = valid_log(n_frames, fat);
-        let oracle = replay(&log).unwrap();
+        let oracle = replay_both_ways(&log, "the valid log").unwrap();
         prop_assert_eq!(oracle.batches.len(), n_frames);
         prop_assert!(!oracle.torn_tail);
 
         let (mutated, first_touched) = mutate(&log, &muts);
         // Frames entirely before the first mutated byte must replay intact.
         let intact_frames = bounds.iter().filter(|b| **b <= first_touched).count() - 1;
-        match replay(&mutated) {
+        match replay_both_ways(&mutated, "a mutated log") {
             Ok(r) => {
                 prop_assert_eq!(
                     r.valid_len + r.truncated_bytes,
@@ -130,10 +177,36 @@ proptest! {
 
     #[test]
     fn replay_of_pure_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        match replay(&bytes) {
+        match replay_both_ways(&bytes, "garbage") {
             Ok(r) => prop_assert_eq!(r.valid_len + r.truncated_bytes, bytes.len()),
             Err(StoreError::Corruption(_)) => {}
             Err(e) => prop_assert!(false, "unexpected error kind: {}", e),
+        }
+    }
+}
+
+/// Every cut point, and every byte flipped under a seeded mask, of a valid
+/// log with thin and fat frames: the visiting replay and the collecting
+/// one agree on each — in particular on the last whole frame before a torn
+/// tail, and on which damage is a torn tail and which is corruption.
+#[test]
+fn visiting_and_collecting_replays_agree_on_every_truncation_and_bit_flip() {
+    for fat in [false, true] {
+        let (log, bounds) = valid_log(9, fat);
+        for cut in 0..=log.len() {
+            let replayed = replay_both_ways(&log[..cut], &format!("cut at {cut}")).unwrap();
+            let whole = bounds.iter().filter(|b| **b <= cut).count() - 1;
+            assert_eq!(replayed.batches.len(), whole, "cut at {cut}");
+            assert_eq!(replayed.valid_len, bounds[whole], "cut at {cut}");
+        }
+        let mut mask = 0x9E37_79B9_7F4A_7C15u64;
+        for at in 0..log.len() {
+            mask = mask.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let mut flipped = log.clone();
+            flipped[at] ^= ((mask >> 33) as u8) | 1;
+            // Typed corruption or a shorter valid prefix; never a panic,
+            // and the same answer both ways.
+            let _ = replay_both_ways(&flipped, &format!("flip at {at}"));
         }
     }
 }

@@ -3,12 +3,12 @@
 # of the working tree, runs the gate that is supposed to catch it, and
 # fails unless that gate turns red.  The tree itself is never touched.
 #
-#   bash scripts/canaries.sh            # all of them (~4 min cold)
+#   bash scripts/canaries.sh            # all of them (~8 min cold)
 #   bash scripts/canaries.sh bloom-bit  # just the named ones
 #
 # The copy and its target directory go under $TMPDIR (default /tmp) and
-# are removed on exit.  Not part of check.sh: it rebuilds the store four
-# times; run it when a gate it names, or the code under one, changes.
+# are removed on exit.  check.sh runs it in its full tier only: it rebuilds
+# the store, the engine or the harness once per canary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,7 +39,7 @@ canary() {
     echo "    GATE STAYED GREEN: $*"
     exit 1
   fi
-  grep -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input" "$work/red.log" \
+  grep -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input|disagree|violation" "$work/red.log" \
     | head -n 4 | sed 's/^/    red: /'
   cp "$work/saved" "$work/$file"
 }
@@ -69,5 +69,28 @@ canary occupied-approx-bytes crates/store/src/memtable.rs \
 canary bloom-bit crates/store/src/bloom.rs \
   '0,/1u64 << \(bit % 64\)/s//1u64 << (bit % 63)/' \
   cargo test -q --offline -p bioopera-store --test bloom_proptests
+
+# The summary written with a round carrying the digest from before that
+# round's events: a recovery seeded from it is one round short.
+canary stale-summary-digest crates/core/src/shard/mod.rs \
+  's/^        let at = SimTime::from_secs\(round\);$/&\n        let stale = self.history.digest;/;s/^            self\.history\.digest,$/            stale,/' \
+  cargo test -q --offline -p bioopera-core --test shard_determinism reopening_the_stream
+
+# Recovery reading the history's tail from one round past its summary.
+canary tail-one-round-late crates/core/src/shard/mod.rs \
+  's/round_start_key\(tail_round\)\)/round_start_key(tail_round + 1))/' \
+  cargo test -q --offline -p bioopera-core --test shard_determinism reopening_the_stream
+
+# The visiting replay holding back a frame until the next one parses: the
+# last whole frame before a torn tail is never handed over.
+canary replay-drops-last-frame crates/store/src/wal.rs \
+  's/^        frame\(&mut ops\)\?;$/        if off + consumed == image.len() || parse_frame(\&image[off + consumed..]).is_some() { frame(\&mut ops)?; }/' \
+  cargo test -q --offline -p bioopera-store --test wal_fuzz visiting_and_collecting
+
+# A spill that writes its run and retires the WAL without committing the
+# manifest that adopts the run (ROADMAP 1 (c)).
+canary spill-skips-manifest crates/store/src/compaction.rs \
+  '0,/^            self\.commit_manifest\(wal, &manifest\)\?;$/{//d}' \
+  cargo test -q --offline -p bioopera-harness --test torture_tests tiered_store_full
 
 echo "All canaries turned their gate red."

@@ -1,13 +1,52 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (warnings are errors), tests.
 # Run from anywhere; operates on the workspace root.
+#
+#   bash scripts/check.sh --fast   # fmt, the grep gates, clippy, the workspace
+#                                  # tests, the two release-mode allocation
+#                                  # gates: minutes, run it before every commit
+#   bash scripts/check.sh          # all of that, then the tiered sweeps, both
+#                                  # torture runs, the canaries, the benchmark
+#                                  # smoke and check, the bench smokes
+#
+# Every step prints its wall time when it ends, and the run ends with the
+# list (EXPERIMENTS.md records both tiers' times on the reference host).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo fmt --check"
+fast=0
+case "${1:-}" in
+  --fast) fast=1 ;;
+  "") ;;
+  *) echo "usage: check.sh [--fast]"; exit 2 ;;
+esac
+
+# step NAME: close the step before (printing what it took) and open NAME.
+step_name=""
+step_start=$SECONDS
+timings=()
+step() {
+  if [ -n "$step_name" ]; then
+    local took=$((SECONDS - step_start))
+    echo "    (${took}s)"
+    timings+=("$(printf '%5ds  %s' "$took" "$step_name")")
+  fi
+  step_name=$1
+  step_start=$SECONDS
+  [ -z "$1" ] || echo "==> $1"
+}
+finish() {
+  step ""
+  echo "Wall time per step (${SECONDS}s in all):"
+  printf '  %s\n' "${timings[@]}"
+  echo "$1"
+  exit 0
+}
+
+step "cargo fmt --check"
 cargo fmt --check
 
-echo "==> no environment reads in library code"
+step "no environment reads in library code"
 # Library crates take their configuration as arguments; only binaries
 # (src/bin/, the edge) read the environment.  Exactly two places are
 # allowed: the store's single policy read (TieredPolicy::from_env) and
@@ -21,7 +60,7 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-echo "==> one instance layer: task kinds, instance keys and InstanceView literals stay out of the drivers"
+step "one instance layer: task kinds, instance keys and InstanceView literals stay out of the drivers"
 # crates/core/src/instance.rs is the only place that classifies a task
 # record, formats an instance-record key or builds a navigator view; a
 # step loop that does any of the three itself is a second copy starting
@@ -30,7 +69,7 @@ echo "==> one instance layer: task kinds, instance keys and InstanceView literal
 stray=$({
   grep -rnE 'TaskKind::|parallel_body\(' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(navigator|instance|planner)\.rs:'
-  grep -rnE 'keys::header\(|keys::task\(|shard_key\(' crates/core/src --include='*.rs' \
+  grep -rnE 'keys::header\(|keys::task\(|keys::push_record\(|shard_key\(|push_shard_prefix\(' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(instance|state)\.rs:'
   grep -rnE 'InstanceView \{' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(navigator|instance)\.rs:'
@@ -41,7 +80,7 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-echo "==> residency rule: a map that is resident per task is exact-size; a map that is passed is a BTreeMap"
+step "residency rule: a map that is resident per task is exact-size; a map that is passed is a BTreeMap"
 # A BTreeMap allocates an 11-entry leaf for its first entry (632 B for
 # `BTreeMap<String, Value>`), and a server holds a record per task for
 # weeks: TaskRecord's own maps are `FieldMap`s.  Programs, whiteboards and
@@ -53,7 +92,7 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-echo "==> record codec: the Content tree stays off the engine's paths"
+step "record codec: the Content tree stays off the engine's paths"
 # serde_json's entry points stream (derived writers and readers, no tree
 # in between); `Content`, `to_content` and `from_content` remain as the
 # encoding's definition, for hand-written impls and as the tests'
@@ -68,7 +107,7 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-echo "==> one history stream: the shard path stores each event once, in one frame with its summary"
+step "one history stream: the shard path stores each event once, in one frame with its summary"
 # The barrier's sev/ records are the only history the sharded engine
 # writes, and the awareness model is a view over them.  A second copy
 # (the ev/ twin: `Awareness::record` + `pending_batch`) or a second frame
@@ -85,7 +124,31 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-echo "==> unsafe stays where it is argued: darwin's SIMD lane and the store's checksum kernel"
+step "recovery reads every byte once: the replay visits, a shard's journal is read in one visit"
+# `wal::replay` collects a log into a list of its batches; it is the tests'
+# reference and nothing under crates/*/src may call it (or reach for a
+# replay's `.batches`): `Store::open_with` applies each frame as
+# `wal::replay_shared` decodes it and holds no list of the log's batches.
+# `Shard::recover` builds instances while `Store::visit_shard` walks the
+# prefix: no `scan_shard`, no collected scan, and the reader keeps no list
+# of `(key, bytes)` records.
+stray=$({
+  grep -rnE '\breplay\(|\.batches\b|scan_shard' crates/*/src --include='*.rs' \
+    | grep -v '^crates/store/src/wal.rs:'
+  sed -n '/pub fn open_with/,/^    }/p' crates/store/src/engine.rs | grep -E 'Vec<Vec<WalOp>>' \
+    | sed 's|^|crates/store/src/engine.rs: open_with: |'
+  sed -n '/pub fn recover</,/^    }/p' crates/core/src/shard/stepper.rs | grep -E 'scan_prefix|Vec<\(' \
+    | sed 's|^|crates/core/src/shard/stepper.rs: Shard::recover: |'
+  sed '/^#\[cfg(test)\]/,$d' crates/core/src/instance.rs | grep -nE 'Vec<\(String, (B\b|Bytes|Vec<u8>)' \
+    | sed 's|^|crates/core/src/instance.rs:|'
+} || true)
+if [ -n "$stray" ]; then
+  echo "recovery materialising what it should visit:"
+  echo "$stray"
+  exit 1
+fi
+
+step "unsafe stays where it is argued: darwin's SIMD lane and the store's checksum kernel"
 # Library sources (crates/*/src outside src/bin/) may say `unsafe` in
 # three files only; the counting allocators of tests and bench binaries
 # are not library code.  In crc.rs every `unsafe` must sit directly under
@@ -114,13 +177,31 @@ if [ -n "$unargued" ]; then
   exit 1
 fi
 
-echo "==> cargo clippy --workspace (deny warnings)"
+step "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q --workspace"
+step "cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "==> store concurrent stress, 5x in release (where a late-scheduled reader used to fail 1 run in 3)"
+step "residency gate in release: live heap per resident instance, record and task-map entry sizes"
+# 2 000 finished two-task chains may hold 2 KiB of heap each behind
+# ShardEngine::slots() (5.1 KiB with a BTreeMap leaf per field map and
+# unboxed records; ~1.5 KiB now), counted by a live-bytes allocator.
+cargo test --release -q -p bioopera-core --test residency
+
+step "codec allocation gate in release: a record encodes without allocating and decodes with what it holds"
+# The chain's task record, a TaskEnd event and an instance header: none
+# into a warm buffer, at most two for `to_vec`, and to decode no more than
+# a clone of the value plus two (33 to write and 37 to read when every
+# record went through a Content tree); and a record committed to a journal
+# batch: two, its key and its value.
+cargo test --release -q -p bioopera-core --test codec_allocs
+
+if [ "$fast" = 1 ]; then
+  finish "Fast tier passed (the sweeps, torture runs, canaries and benchmark runs are the full tier's)."
+fi
+
+step "store concurrent stress, 5x in release (where a late-scheduled reader used to fail 1 run in 3)"
 # On the 2-vCPU host a release build finishes the writer before the
 # last reader thread is first scheduled; the readers now rendezvous with
 # the writer after their first read, and this loop is the gate that
@@ -129,20 +210,7 @@ for _ in 1 2 3 4 5; do
   cargo test --release -q -p bioopera-store --test concurrent_stress
 done
 
-echo "==> residency gate in release: live heap per resident instance, record and task-map entry sizes"
-# 2 000 finished two-task chains may hold 2 KiB of heap each behind
-# ShardEngine::slots() (5.1 KiB with a BTreeMap leaf per field map and
-# unboxed records; ~1.5 KiB now), counted by a live-bytes allocator.
-cargo test --release -q -p bioopera-core --test residency
-
-echo "==> codec allocation gate in release: a record encodes without allocating and decodes with what it holds"
-# The chain's task record, a TaskEnd event and an instance header: none
-# into a warm buffer, at most two for `to_vec`, and to decode no more than
-# a clone of the value plus two (33 to write and 37 to read when every
-# record went through a Content tree).
-cargo test --release -q -p bioopera-core --test codec_allocs
-
-echo "==> store+core suites under a forced-small memtable budget (constant spilling)"
+step "store+core suites under a forced-small memtable budget (constant spilling)"
 # BIOOPERA_MEMTABLE_BUDGET routes every Store::open through the tiered
 # engine with a 64 KiB budget, so the suites re-run against real memtable
 # spills, bloom-gated run reads and merge compactions inside the runtime
@@ -150,7 +218,7 @@ echo "==> store+core suites under a forced-small memtable budget (constant spill
 # traces quadratic in merge work; ~40 s at 64 KiB.)
 BIOOPERA_MEMTABLE_BUDGET=65536 cargo test -q -p bioopera-store -p bioopera-core
 
-echo "==> leveled squeeze: store + runtime/shard suites at a 512-byte budget"
+step "leveled squeeze: store + runtime/shard suites at a 512-byte budget"
 # The deepest-stress point of the leveled engine: a spill every few
 # records (512 B budget), an L0→L1 merge every second spill
 # (BIOOPERA_RUN_MERGE=2) and constant level-overflow push-downs
@@ -173,7 +241,7 @@ BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
   cargo run -q -p bioopera-harness --bin torture -- --store-limit 8 \
   --runtime-samples 2 --recovery-samples 1 --shard-samples 8
 
-echo "==> crash-point torture harness (seed override: HARNESS_SEED=N)"
+step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
 # real 3-TEU all-vs-all (83 executions, ~2 s of the total in release) +
 # sampled shard barrier-crash points + four rounds' barrier commits torn
@@ -181,30 +249,35 @@ echo "==> crash-point torture harness (seed override: HARNESS_SEED=N)"
 # and at seeded offsets), all held to the history invariant.
 cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
 
-echo "==> benchmark smoke: all four bench_e2e workloads at 1/20 size against their pinned oracles"
+step "canaries: every audited gate turns red on its planted bug"
+# One bug at a time in a scratch copy, the named gate must fail
+# (scripts/canaries.sh; the copy goes under $TMPDIR).
+bash scripts/canaries.sh
+
+step "benchmark smoke: all four bench_e2e workloads at 1/20 size against their pinned oracles"
 # Builds benchmark/bench_e2e from source and runs month_shared,
 # shard_chains, shard_chains_tiered and allvsall_real small; a workload
 # whose digest, counts or `server.recover` total moved fails the run (~1 min
 # cold, seconds warm).
 bash benchmark/run.sh --smoke
 
-echo "==> benchmark check: full-size workloads on seed 7, crashed run == crash-free run"
+step "benchmark check: full-size workloads on seed 7, crashed run == crash-free run"
 # Every workload at full size on a seed the oracles were not pinned on:
 # the run with the server crashes must end in the same results as the
 # crash-free run, with no failed operation.
 bash benchmark/run.sh --check --seed 7
 
-echo "==> chaos: seeded flaky-node scenario (bounded; seed override: CHAOS_SEED=N)"
+step "chaos: seeded flaky-node scenario (bounded; seed override: CHAOS_SEED=N)"
 # One node kills every job; the dependability policies must finish the run
 # within the retry ceiling and quarantine the killer.  Prints the seed and
 # exits non-zero past the ceiling; ~1 s.
 cargo run -q -p bioopera-workloads --bin chaos
 
-echo "==> awareness: index-vs-scan equivalence proptests + example smoke test"
+step "awareness: index-vs-scan equivalence proptests + example smoke test"
 cargo test -q -p bioopera-core --test awareness_proptests
 cargo run -q --example awareness_queries > /dev/null
 
-echo "==> store bench smoke (small config; tiered vs untiered floors)"
+step "store bench smoke (small config; tiered vs untiered floors)"
 # Bounded run (~2 s release): emits results/BENCH_store.json and exits
 # non-zero if the memtable ceiling is breached, a warm tiered get falls
 # below 0.3x of an untiered one, a tiered reopen reads more than a
@@ -214,7 +287,7 @@ echo "==> store bench smoke (small config; tiered vs untiered floors)"
 STORE_BENCH_SMOKE=1 cargo run --release -q -p bioopera-bench --bin store_bench > /dev/null
 test -s results/BENCH_store.json || { echo "BENCH_store.json missing"; exit 1; }
 
-echo "==> kernel bench smoke (one pass; fails loudly on a SIMD regression)"
+step "kernel bench smoke (one pass; fails loudly on a SIMD regression)"
 # Bounded run (~2 s release): asserts the SIMD lane is bit-identical to
 # the naive oracle, the banded refinement accounts every skipped cell,
 # warm passes stay allocation-free, and (on SIMD hosts) the simd_batched
@@ -222,7 +295,7 @@ echo "==> kernel bench smoke (one pass; fails loudly on a SIMD regression)"
 KERNEL_BENCH_SMOKE=1 cargo run --release -q -p bioopera-bench --bin kernel_bench > /dev/null
 test -s results/BENCH_kernel.json || { echo "BENCH_kernel.json missing"; exit 1; }
 
-echo "==> shard bench smoke (small config; digest-checked across shard counts)"
+step "shard bench smoke (small config; digest-checked across shard counts)"
 # Bounded run (~1 s release): emits results/BENCH_shard.json and asserts
 # the recorded history is bit-identical at 1/2/4/8 shards.  The 4-shard
 # speedup floor (1.5x) only applies on hosts with >= 4 available cores;
@@ -230,7 +303,7 @@ echo "==> shard bench smoke (small config; digest-checked across shard counts)"
 SHARD_BENCH_SMOKE=1 cargo run --release -q -p bioopera-bench --bin shard_bench > /dev/null
 test -s results/BENCH_shard.json || { echo "BENCH_shard.json missing"; exit 1; }
 
-echo "==> darwin suite with SIMD force-disabled (portable fallback stays honest)"
+step "darwin suite with SIMD force-disabled (portable fallback stays honest)"
 BIOOPERA_SIMD=scalar cargo test -q -p bioopera-darwin
 
-echo "All checks passed."
+finish "All checks passed."
