@@ -40,7 +40,7 @@ use bioopera_cluster::{Cluster, JobId, JobOutcome, NetworkState, SimKernel, SimT
 use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
 use bioopera_ocr::ExternalBinding;
-use bioopera_store::{Batch, CompactionPolicy, Disk, Space, Store, StoreStats};
+use bioopera_store::{Batch, CompactionPolicy, Disk, Space, Store, StoreStats, TieredPolicy};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -124,6 +124,9 @@ pub struct RuntimeConfig {
     pub backup_failover: Option<SimTime>,
     /// Compact the store when the WAL exceeds this many bytes.
     pub compact_wal_bytes: u64,
+    /// Tier the store under this policy (`None`, the default: the
+    /// untiered store), at boot and at every server recovery alike.
+    pub tiered: Option<TieredPolicy>,
     /// Dependability policies: retry budgets, backoff, quarantine, poison
     /// escalation (`DependabilityConfig::disabled()` reproduces the
     /// pre-policy instant-requeue engine).
@@ -140,9 +143,21 @@ impl Default for RuntimeConfig {
             migration: None,
             backup_failover: None,
             compact_wal_bytes: 8 * 1024 * 1024,
+            tiered: None,
             dependability: DependabilityConfig::default(),
         }
     }
+}
+
+/// The store `cfg` asks for over `disk`: tiered or not, rolling its WAL
+/// at `cfg.compact_wal_bytes`.
+fn open_store<D: Disk + Clone>(disk: &D, cfg: &RuntimeConfig) -> EngineResult<Store<D>> {
+    let store = Store::open_with(disk.clone(), cfg.tiered)?;
+    store.set_compaction_policy(Some(CompactionPolicy {
+        wal_bytes_threshold: cfg.compact_wal_bytes,
+        min_wal_batches: 1,
+    }));
+    Ok(store)
 }
 
 /// A job the server believes is on (or travelling to) a node.
@@ -220,11 +235,7 @@ impl<D: Disk + Clone> Runtime<D> {
         library: ActivityLibrary,
         cfg: RuntimeConfig,
     ) -> EngineResult<Self> {
-        let store = Store::open(disk.clone())?;
-        store.set_compaction_policy(Some(CompactionPolicy {
-            wal_bytes_threshold: cfg.compact_wal_bytes,
-            min_wal_batches: 1,
-        }));
+        let store = open_store(&disk, &cfg)?;
         let awareness = Awareness::open_tail(&store)?;
         // Record the hardware configuration (§3.2: configuration space).
         for node in cluster.nodes() {
@@ -1538,11 +1549,7 @@ impl<D: Disk + Clone> Runtime<D> {
         if self.server_up {
             return Ok(());
         }
-        self.store = Store::open(self.disk.clone())?;
-        self.store.set_compaction_policy(Some(CompactionPolicy {
-            wal_bytes_threshold: self.cfg.compact_wal_bytes,
-            min_wal_batches: 1,
-        }));
+        self.store = open_store(&self.disk, &self.cfg)?;
         self.awareness = Awareness::open_tail(&self.store)?;
         self.server_up = true;
         let requeued = self.rebuild_from_store()?;

@@ -113,6 +113,9 @@ pub struct ShardRunStats {
     pub events: u64,
     /// Node grants issued over the engine's lifetime.
     pub grants: u64,
+    /// Node slots granted and not released yet: none once the run is
+    /// quiescent.
+    pub slots_in_flight: u64,
     /// Instances parked in the suspended set (resumable, not stuck).
     pub suspended: u64,
 }
@@ -901,6 +904,7 @@ impl<D: Disk> ShardEngine<D> {
             rounds: self.round,
             events: self.awareness.index().len() as u64,
             grants: self.service.granted(),
+            slots_in_flight: self.service.in_flight() as u64,
             ..Default::default()
         };
         for shard in &self.shards {

@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 /// A `MemDisk` that keeps every batch appended to a WAL, in order — the
 /// log itself cannot be read back afterwards, because a tiered store
-/// (`check.sh` forces one through the environment) retires WAL epochs —
-/// and counts the bytes of every History-space run block read back.
+/// retires WAL epochs — and counts the bytes of every History-space run
+/// block read back.
 #[derive(Clone, Default)]
 struct LoggingDisk {
     inner: MemDisk,
@@ -141,10 +141,11 @@ fn library() -> ActivityLibrary {
     lib
 }
 
-/// Run the fan over `n` elements and return the bytes logged strictly
-/// between the batch that expanded `Fan` and the batch that concluded it,
-/// having checked that none of the batches in between rewrote `Fan`.
-fn bytes_logged_while_children_run(n: i64) -> usize {
+/// Run the fan over `n` elements on a store tiered by `policy` and return
+/// the bytes logged strictly between the batch that expanded `Fan` and the
+/// batch that concluded it, having checked that none of the batches in
+/// between rewrote `Fan`.
+fn bytes_logged_while_children_run(n: i64, policy: Option<TieredPolicy>) -> usize {
     let disk = LoggingDisk::default();
     let cluster = Cluster::new(
         "c",
@@ -154,6 +155,7 @@ fn bytes_logged_while_children_run(n: i64) -> usize {
     );
     let cfg = RuntimeConfig {
         heartbeat: SimTime::from_mins(10),
+        tiered: policy,
         ..Default::default()
     };
     let mut rt = Runtime::new(disk.clone(), cluster, library(), cfg).unwrap();
@@ -207,16 +209,17 @@ fn bytes_logged_while_children_run(n: i64) -> usize {
     bytes
 }
 
-#[test]
-fn child_completions_do_not_rewrite_the_parallel_parent() {
-    let small = bytes_logged_while_children_run(12);
-    let large = bytes_logged_while_children_run(24);
+fn child_completions_do_not_rewrite_the_parallel_parent(policy: Option<TieredPolicy>) {
+    let small = bytes_logged_while_children_run(12, policy);
+    let large = bytes_logged_while_children_run(24, policy);
     let growth = large as f64 / small as f64;
     assert!(
         growth < 2.5,
         "twice the children logged {growth:.2}x the bytes ({small} -> {large})"
     );
 }
+
+common::on_each_policy!(child_completions_do_not_rewrite_the_parallel_parent);
 
 fn record_with_string(len: usize) -> Vec<u8> {
     let mut rec = TaskRecord::new("Big");
@@ -291,8 +294,7 @@ fn history_cost_of_recovery(finished: u64) -> (u64, u64, usize) {
 
     disk.history_block_bytes.store(0, Ordering::Relaxed);
     let store = Store::open_with(disk.clone(), policy).unwrap();
-    let engine =
-        ShardEngine::recover(store, common::chain_library(), common::chain_config()).unwrap();
+    let engine = ShardEngine::recover(store, common::library(), common::chain_config()).unwrap();
     assert_eq!(engine.stats().instances, finished + LIVE);
     (
         engine.awareness().open_scanned(),

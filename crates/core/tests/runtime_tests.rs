@@ -1,14 +1,23 @@
 //! End-to-end runtime tests: full processes executing in virtual time on
 //! the simulated cluster, with every failure class of the paper injected.
+//!
+//! Every scenario runs on each store policy (`untiered::*`, `tiered::*`):
+//! a `Runtime` over the squeezed store spills and merges inside ordinary
+//! workloads, records the tier's activity as `store.*` events and
+//! recovers from a server crash through runs and levels, and must still
+//! produce what the untiered runtime produces.  The last two tests are the
+//! tiered store's own: its events, and windowed history retention.
+
+mod common;
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::navigator; // used indirectly via runtime
 use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
-use bioopera_core::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera_core::{ActivityLibrary, Awareness, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder, ProcessTemplate};
-use bioopera_store::{Batch, MemDisk, Space, Store};
+use bioopera_store::{Batch, MemDisk, Space, Store, TieredPolicy};
 use std::collections::BTreeMap;
 
 // Silence "unused import" for navigator (kept to assert the pub API).
@@ -118,11 +127,12 @@ fn fanout_template(count: i64, retries: u32) -> ProcessTemplate {
         .unwrap()
 }
 
-fn runtime(cluster: Cluster) -> Runtime<MemDisk> {
+fn runtime(cluster: Cluster, policy: Option<TieredPolicy>) -> Runtime<MemDisk> {
     // Tests run minute-scale workloads; sample the series often enough to
     // observe them (experiments use the 2-hour default).
     let cfg = RuntimeConfig {
         heartbeat: SimTime::from_secs(20),
+        tiered: policy,
         ..Default::default()
     };
     Runtime::new(MemDisk::new(), cluster, library(), cfg).unwrap()
@@ -133,9 +143,8 @@ fn expected_total(n: i64) -> i64 {
     (0..n).map(|i| i * i).sum()
 }
 
-#[test]
-fn fanout_completes_with_correct_result() {
-    let mut rt = runtime(small_cluster());
+fn fanout_completes_with_correct_result(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(6, 0)).unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
@@ -155,11 +164,10 @@ fn fanout_completes_with_correct_result() {
     assert!(stats.max_cpus_used >= 1);
 }
 
-#[test]
-fn parallelism_reduces_wall_time() {
+fn parallelism_reduces_wall_time(policy: Option<TieredPolicy>) {
     // Same work on a 1-CPU cluster vs a 6-CPU cluster.
     let run = |cluster: Cluster| {
-        let mut rt = runtime(cluster);
+        let mut rt = runtime(cluster, policy);
         rt.register_template(&fanout_template(6, 0)).unwrap();
         let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
         rt.run_to_completion().unwrap();
@@ -186,9 +194,8 @@ fn parallelism_reduces_wall_time() {
     assert!((0.9..1.1).contains(&ratio), "cpu ratio {ratio}");
 }
 
-#[test]
-fn node_crash_is_masked_and_work_completes() {
-    let mut rt = runtime(small_cluster());
+fn node_crash_is_masked_and_work_completes(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(8, 0)).unwrap();
     let mut trace = Trace::empty();
     // Kill n1 30 s in (children are mid-flight), revive it later.
@@ -215,9 +222,8 @@ fn node_crash_is_masked_and_work_completes() {
     assert!(!masked.is_empty(), "jobs on n1 must have been re-queued");
 }
 
-#[test]
-fn whole_cluster_failure_recovers() {
-    let mut rt = runtime(small_cluster());
+fn whole_cluster_failure_recovers(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(6, 0)).unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(20), TraceEventKind::AllNodesDown);
@@ -234,9 +240,8 @@ fn whole_cluster_failure_recovers() {
     assert!(rt.now() >= SimTime::from_secs(500));
 }
 
-#[test]
-fn server_crash_resumes_without_losing_completed_work() {
-    let mut rt = runtime(small_cluster());
+fn server_crash_resumes_without_losing_completed_work(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(6, 0)).unwrap();
     let mut trace = Trace::empty();
     // Crash the server after Gen has certainly completed (Gen costs 1 s,
@@ -260,9 +265,8 @@ fn server_crash_resumes_without_losing_completed_work() {
     assert_eq!(gen_ends, 1, "Gen must not be re-executed after recovery");
 }
 
-#[test]
-fn network_outage_buffers_results_at_pecs() {
-    let mut rt = runtime(small_cluster());
+fn network_outage_buffers_results_at_pecs(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(5, 0)).unwrap();
     let mut trace = Trace::empty();
     // Outage covers the completion times of the first child wave.
@@ -288,9 +292,8 @@ fn network_outage_buffers_results_at_pecs() {
     }
 }
 
-#[test]
-fn disk_full_forces_reruns_until_freed() {
-    let mut rt = runtime(small_cluster());
+fn disk_full_forces_reruns_until_freed(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(4, 0)).unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(5), TraceEventKind::DiskFull);
@@ -310,9 +313,8 @@ fn disk_full_forces_reruns_until_freed() {
     );
 }
 
-#[test]
-fn operator_suspend_drains_and_resume_continues() {
-    let mut rt = runtime(small_cluster());
+fn operator_suspend_drains_and_resume_continues(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(6, 0)).unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(5), TraceEventKind::OperatorSuspend);
@@ -326,12 +328,11 @@ fn operator_suspend_drains_and_resume_continues() {
     assert!(stats.wall >= SimTime::from_hours(2));
 }
 
-#[test]
-fn api_suspend_quiesces_run_and_resume_completes() {
+fn api_suspend_quiesces_run_and_resume_completes(policy: Option<TieredPolicy>) {
     // Regression for the suspended-instance wedge: an API-suspended
     // instance must not spin or error `run_to_completion` — the run
     // quiesces with a suspended count, and resume picks it back up.
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(4, 0)).unwrap();
     let parked = rt.submit("Fanout", BTreeMap::new()).unwrap();
     let free = rt.submit("Fanout", BTreeMap::new()).unwrap();
@@ -346,13 +347,12 @@ fn api_suspend_quiesces_run_and_resume_completes() {
     assert_eq!(rt.instance_status(parked), Some(InstanceStatus::Completed));
 }
 
-#[test]
-fn program_failure_exhausts_retries_then_aborts() {
+fn program_failure_exhausts_retries_then_aborts(policy: Option<TieredPolicy>) {
     let t = ProcessBuilder::new("Doomed")
         .activity("Bad", "fail.always", |t| t.retries(2))
         .build()
         .unwrap();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&t).unwrap();
     let id = rt.submit("Doomed", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
@@ -361,8 +361,7 @@ fn program_failure_exhausts_retries_then_aborts() {
     assert_eq!(fails.len(), 3, "1 try + 2 retries");
 }
 
-#[test]
-fn ignore_policy_lets_process_complete_despite_failure() {
+fn ignore_policy_lets_process_complete_despite_failure(policy: Option<TieredPolicy>) {
     let t = ProcessBuilder::new("Tolerant")
         .activity("Bad", "fail.always", |t| t)
         .activity("Good", "noop", |t| t)
@@ -370,7 +369,7 @@ fn ignore_policy_lets_process_complete_despite_failure() {
         .on_failure("Bad", FailurePolicy::Ignore)
         .build()
         .unwrap();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&t).unwrap();
     let id = rt.submit("Tolerant", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
@@ -382,8 +381,7 @@ fn ignore_policy_lets_process_complete_despite_failure() {
     );
 }
 
-#[test]
-fn sphere_compensation_runs_on_abort() {
+fn sphere_compensation_runs_on_abort(policy: Option<TieredPolicy>) {
     let t = ProcessBuilder::new("Atomic")
         .activity("S1", "noop", |t| t)
         .activity("S2", "fail.always", |t| t)
@@ -392,7 +390,7 @@ fn sphere_compensation_runs_on_abort() {
         .on_failure("S2", FailurePolicy::CompensateSphere("Sp".into()))
         .build()
         .unwrap();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&t).unwrap();
     let id = rt.submit("Atomic", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
@@ -440,11 +438,10 @@ fn square_sub_template() -> ProcessTemplate {
         .unwrap()
 }
 
-#[test]
-fn subprocess_late_binding_uses_template_at_start_time() {
+fn subprocess_late_binding_uses_template_at_start_time(policy: Option<TieredPolicy>) {
     // Parent references template "Sub" which is registered *after* the
     // parent, and swapped before the second run.
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&subprocess_parent_template()).unwrap();
     rt.register_template(&square_sub_template()).unwrap();
     let id = rt.submit("Parent", BTreeMap::new()).unwrap();
@@ -520,10 +517,9 @@ fn fan_of_subprocesses() -> (ProcessTemplate, ProcessTemplate) {
     (chunk, t)
 }
 
-#[test]
-fn parallel_subprocess_bodies_run_one_instance_per_element() {
+fn parallel_subprocess_bodies_run_one_instance_per_element(policy: Option<TieredPolicy>) {
     let (chunk, t) = fan_of_subprocesses();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&chunk).unwrap();
     rt.register_template(&t).unwrap();
     let id = rt.submit("FanSub", BTreeMap::new()).unwrap();
@@ -544,8 +540,7 @@ fn parallel_subprocess_bodies_run_one_instance_per_element() {
 /// pump re-spawn it — for a template subprocess task and for a child of
 /// a parallel subprocess body alike — while siblings whose child is in
 /// the journal are left in flight.
-#[test]
-fn lost_spawn_is_rewound_and_respawned_after_server_recovery() {
+fn lost_spawn_is_rewound_and_respawned_after_server_recovery(policy: Option<TieredPolicy>) {
     let (chunk, fan) = fan_of_subprocesses();
     let cases: [(&str, Vec<ProcessTemplate>, usize, &str, i64); 2] = [
         (
@@ -561,6 +556,7 @@ fn lost_spawn_is_rewound_and_respawned_after_server_recovery() {
         let disk = MemDisk::new();
         let cfg = RuntimeConfig {
             heartbeat: SimTime::from_secs(20),
+            tiered: policy,
             ..Default::default()
         };
         let mut rt = Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap();
@@ -578,7 +574,7 @@ fn lost_spawn_is_rewound_and_respawned_after_server_recovery() {
             TaskState::Dispatched
         );
         rt.crash_server().unwrap();
-        let store = Store::open(disk.clone()).unwrap();
+        let store = Store::open_with(disk.clone(), policy).unwrap();
         let mut erase = Batch::new();
         for (key, _) in store
             .scan_prefix(Space::Instance, &keys::instance_prefix(lost))
@@ -615,8 +611,7 @@ fn lost_spawn_is_rewound_and_respawned_after_server_recovery() {
     }
 }
 
-#[test]
-fn event_handlers_set_data_and_suspend() {
+fn event_handlers_set_data_and_suspend(policy: Option<TieredPolicy>) {
     let t = ProcessBuilder::new("Evented")
         .whiteboard_default("threshold", TypeTag::Float, Value::Float(80.0))
         .activity("A", "noop", |t| t)
@@ -628,7 +623,7 @@ fn event_handlers_set_data_and_suspend() {
         .on_event("go", EventAction::Resume)
         .build()
         .unwrap();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&t).unwrap();
     let id = rt.submit("Evented", BTreeMap::new()).unwrap();
     rt.signal_event(id, "retune").unwrap();
@@ -641,13 +636,12 @@ fn event_handlers_set_data_and_suspend() {
     assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
 }
 
-#[test]
-fn placement_constraints_honored() {
+fn placement_constraints_honored(policy: Option<TieredPolicy>) {
     let t = ProcessBuilder::new("Placed")
         .activity("OnSun", "noop", |t| t.on_os("solaris"))
         .build()
         .unwrap();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&t).unwrap();
     let id = rt.submit("Placed", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
@@ -657,10 +651,9 @@ fn placement_constraints_honored() {
     );
 }
 
-#[test]
-fn what_if_planner_reports_affected_jobs() {
+fn what_if_planner_reports_affected_jobs(policy: Option<TieredPolicy>) {
     use bioopera_core::Planner;
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(6, 0)).unwrap();
     let _id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     // Advance until children are in flight: run a bounded number of events
@@ -692,8 +685,7 @@ fn what_if_planner_reports_affected_jobs() {
     );
 }
 
-#[test]
-fn migration_rescues_starved_jobs() {
+fn migration_rescues_starved_jobs(policy: Option<TieredPolicy>) {
     // One fast node that gets fully occupied by external users right after
     // dispatch, plus a slow-but-free node.  Without migration the job
     // waits for the external load to clear (day 2); with migration it
@@ -742,6 +734,7 @@ fn migration_rescues_starved_jobs() {
             policy: Box::new(bioopera_core::LeastLoaded),
             migration,
             heartbeat: SimTime::from_mins(30),
+            tiered: policy,
             ..Default::default()
         };
         let mut rt = Runtime::new(MemDisk::new(), cluster(), library(), cfg).unwrap();
@@ -764,10 +757,9 @@ fn migration_rescues_starved_jobs() {
     );
 }
 
-#[test]
-fn deterministic_replay_same_disk_content() {
+fn deterministic_replay_same_disk_content(policy: Option<TieredPolicy>) {
     let run_digest = || {
-        let mut rt = runtime(small_cluster());
+        let mut rt = runtime(small_cluster(), policy);
         rt.register_template(&fanout_template(5, 0)).unwrap();
         let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
         rt.run_to_completion().unwrap();
@@ -781,8 +773,7 @@ fn deterministic_replay_same_disk_content() {
     assert_eq!(run_digest(), run_digest());
 }
 
-#[test]
-fn queue_wait_metric_survives_server_crash() {
+fn queue_wait_metric_survives_server_crash(policy: Option<TieredPolicy>) {
     // A task that queues through a server outage must report its *full*
     // wait — from the moment it became Ready, not from recovery.  The
     // enqueue time is persisted on the TaskRecord (`ready_at`), so the
@@ -791,7 +782,7 @@ fn queue_wait_metric_survives_server_crash() {
         .activity("W", "noop", |t| t)
         .build()
         .unwrap();
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&t).unwrap();
     let mut trace = Trace::empty();
     // The instance is suspended before anything dispatches; the server
@@ -820,13 +811,12 @@ fn queue_wait_metric_survives_server_crash() {
     );
 }
 
-#[test]
-fn stale_completion_after_abort_is_recorded_not_fatal() {
+fn stale_completion_after_abort_is_recorded_not_fatal(policy: Option<TieredPolicy>) {
     // Abort an instance while a job is in flight: the completion arrives
     // for a task whose instance is terminal.  The runtime must survive
     // (no panic, no error) — at most noting the anomaly — and the
     // remaining workload must keep running.
-    let mut rt = runtime(small_cluster());
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(4, 0)).unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     let other = rt.submit("Fanout", BTreeMap::new()).unwrap();
@@ -838,9 +828,8 @@ fn stale_completion_after_abort_is_recorded_not_fatal() {
     assert_eq!(rt.instance_status(other), Some(InstanceStatus::Completed));
 }
 
-#[test]
-fn store_survives_and_instance_is_queryable_after_manual_crash() {
-    let mut rt = runtime(small_cluster());
+fn store_survives_and_instance_is_queryable_after_manual_crash(policy: Option<TieredPolicy>) {
+    let mut rt = runtime(small_cluster(), policy);
     rt.register_template(&fanout_template(4, 0)).unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.crash_server().unwrap();
@@ -854,3 +843,120 @@ fn store_survives_and_instance_is_queryable_after_manual_crash() {
         Value::Int(expected_total(4))
     );
 }
+
+/// The squeezed store's spills and merges reach the awareness index as
+/// `store.*` events, through the history, without polling.
+#[test]
+fn a_tiered_runtime_surfaces_its_spills_as_store_events() {
+    let mut rt = runtime(small_cluster(), Some(common::squeezed()));
+    rt.register_template(&fanout_template(8, 0)).unwrap();
+    let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    rt.run_to_completion().unwrap();
+    assert_eq!(
+        rt.whiteboard(id).unwrap()["total"],
+        Value::Int(expected_total(8))
+    );
+    let stats = rt.store().stats();
+    assert!(stats.spills > 0, "no spills under a 512-byte budget");
+    assert!(stats.runs > 0 || stats.run_merges > 0);
+    let io = rt.awareness().index().store_io();
+    assert!(
+        io.get("spills").copied().unwrap_or(0) > 0,
+        "store_io missing spills: {io:?}"
+    );
+    assert!(rt.awareness().index().count("store.spill") > 0);
+}
+
+/// Windowed retention retires the rolled-up `ev/` records below the
+/// watermark without losing an aggregate, and recovery does not need them.
+#[test]
+fn history_retention_retires_rolled_up_records_and_recovery_survives() {
+    let disk = MemDisk::new();
+    let tiered_runtime = |disk: &MemDisk| {
+        let cfg = RuntimeConfig {
+            heartbeat: SimTime::from_secs(20),
+            tiered: Some(common::squeezed()),
+            ..Default::default()
+        };
+        Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap()
+    };
+    let mut rt = tiered_runtime(&disk);
+    rt.set_rollup_every(8);
+    rt.set_history_retention(true);
+    rt.register_template(&fanout_template(10, 0)).unwrap();
+    let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    rt.run_to_completion().unwrap();
+    assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
+
+    // The watermark advanced with the rollup and physically retired the
+    // covered prefix: no raw `ev/` record below it survives.
+    let (start, below) = rt
+        .store()
+        .retention(Space::History)
+        .expect("retention never advanced");
+    assert_eq!(start, "ev/");
+    let first_raw = rt
+        .store()
+        .scan_prefix(Space::History, "ev/")
+        .unwrap()
+        .into_iter()
+        .map(|(k, _)| k)
+        .next()
+        .expect("tail must keep raw events");
+    assert!(
+        first_raw >= below,
+        "raw record {first_raw} survives below watermark {below}"
+    );
+    let retired = rt.awareness().index().store_io().get("retired").copied();
+    assert!(
+        retired.unwrap_or(0) > 0,
+        "retention advanced but retired no records"
+    );
+
+    // An O(tail) reopen over the retired log answers the durable counts
+    // the live index accumulated.
+    let tail = Awareness::open_tail(rt.store()).unwrap();
+    assert_eq!(
+        tail.index().count("task.end"),
+        rt.awareness().index().count("task.end")
+    );
+    assert_eq!(tail.index().run_ms(), rt.awareness().index().run_ms());
+    assert!(tail.index().count("task.end") > 0);
+
+    // A fresh runtime over the same disk reopens and completes new work.
+    drop(rt);
+    let mut rt = tiered_runtime(&disk);
+    let id2 = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    rt.run_to_completion().unwrap();
+    assert_eq!(rt.instance_status(id2), Some(InstanceStatus::Completed));
+    assert_eq!(
+        rt.whiteboard(id2).unwrap()["total"],
+        Value::Int(expected_total(10))
+    );
+}
+
+common::on_each_policy!(
+    fanout_completes_with_correct_result,
+    parallelism_reduces_wall_time,
+    node_crash_is_masked_and_work_completes,
+    whole_cluster_failure_recovers,
+    server_crash_resumes_without_losing_completed_work,
+    network_outage_buffers_results_at_pecs,
+    disk_full_forces_reruns_until_freed,
+    operator_suspend_drains_and_resume_continues,
+    api_suspend_quiesces_run_and_resume_completes,
+    program_failure_exhausts_retries_then_aborts,
+    ignore_policy_lets_process_complete_despite_failure,
+    sphere_compensation_runs_on_abort,
+    subprocess_late_binding_uses_template_at_start_time,
+    parallel_subprocess_bodies_run_one_instance_per_element,
+    lost_spawn_is_rewound_and_respawned_after_server_recovery,
+    event_handlers_set_data_and_suspend,
+    placement_constraints_honored,
+    what_if_planner_reports_affected_jobs,
+    migration_rescues_starved_jobs,
+    deterministic_replay_same_disk_content,
+    queue_wait_metric_survives_server_crash,
+    stale_completion_after_abort_is_recorded_not_fatal,
+    store_survives_and_instance_is_queryable_after_manual_crash,
+);

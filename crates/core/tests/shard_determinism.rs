@@ -7,7 +7,7 @@
 //! workload mixes — plain chains, parallel fans, and subprocess trees,
 //! with and without injected node faults — through engines at several
 //! (shards, threads) points and require bit-identical digests against
-//! the 1-shard serial baseline.
+//! the untiered 1-shard serial baseline.
 //!
 //! Recovery is checked separately: after a crash mid-round (only a
 //! prefix of shard commits on disk) the recovered engine legitimately
@@ -31,145 +31,35 @@
 //! lifetime history must be what refolding the persisted stream from its
 //! first event says — and a store whose summary predates the digest must
 //! come to the same answer by the full refold.
+//!
+//! Tiering is one more thing that must not be observable, so the store
+//! policy is an axis of every test here: the proptests draw it, the fixed
+//! tests run once per policy (`untiered::*`, `tiered::*`), and the
+//! squeezed store must have spilled — its reads and recovery scans then
+//! go through runs and levels, against the untiered baseline.
+
+mod common;
 
 use bioopera_cluster::SimTime;
 use bioopera_core::awareness::RollupRecord;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
-    ActivityLibrary, Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus,
-    ProgramOutput, ShardConfig, ShardEngine,
+    Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus, ShardConfig,
+    ShardEngine,
 };
-use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
-use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
 use bioopera_store::{MemDisk, Space, Store, TieredPolicy};
+use common::{engine_on, library, submit_workload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-
-/// Activity programs shared by every template in the mix.
-fn library() -> ActivityLibrary {
-    let mut lib = ActivityLibrary::new();
-    lib.register("gen.list", |inputs| {
-        let count = inputs.get("count").and_then(|v| v.as_int()).unwrap_or(3);
-        Ok(ProgramOutput::from_fields(
-            [("items", Value::int_list(0..count))],
-            1_000.0,
-        ))
-    });
-    lib.register("work.unit", |inputs| {
-        let item = inputs
-            .get("item")
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| "work.unit needs an item".to_string())?;
-        Ok(ProgramOutput::from_fields(
-            [("value", Value::Int(item * item))],
-            5_000.0,
-        ))
-    });
-    lib.register("merge.sum", |inputs| {
-        let total: i64 = inputs
-            .get("results")
-            .and_then(|v| v.as_list())
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(|v| v.get_path(&["value"]).and_then(|v| v.as_int()))
-                    .sum()
-            })
-            .unwrap_or(0);
-        Ok(ProgramOutput::from_fields(
-            [("total", Value::Int(total))],
-            2_000.0,
-        ))
-    });
-    lib.register("p.a", |inputs| {
-        let x = inputs.get("x").and_then(|v| v.as_int()).unwrap_or(7);
-        Ok(ProgramOutput::from_fields([("x", Value::Int(x))], 10.0))
-    });
-    lib.register("p.b", |inputs| {
-        let x = inputs
-            .get("x")
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| "missing x".to_string())?;
-        Ok(ProgramOutput::from_fields([("y", Value::Int(x * 2))], 20.0))
-    });
-    lib
-}
-
-/// `A -> B` with a task-to-task dataflow.
-fn chain_template() -> ProcessTemplate {
-    ProcessBuilder::new("Chain")
-        .whiteboard_default("x", TypeTag::Int, Value::Int(7))
-        .whiteboard_field("y", TypeTag::Int)
-        .activity("A", "p.a", |t| {
-            t.input("x", TypeTag::Int).output("x", TypeTag::Int)
-        })
-        .activity("B", "p.b", |t| {
-            t.input("x", TypeTag::Int).output("y", TypeTag::Int)
-        })
-        .connect("A", "B")
-        .flow_from_whiteboard("x", "A", "x")
-        .flow_to_task("A", "x", "B", "x")
-        .flow_to_whiteboard("B", "y", "y")
-        .build()
-        .unwrap()
-}
-
-/// `Gen -> parallel Fan(work.unit) -> Merge`.
-fn fan_template() -> ProcessTemplate {
-    ProcessBuilder::new("Fan")
-        .whiteboard_default("count", TypeTag::Int, Value::Int(3))
-        .whiteboard_field("total", TypeTag::Int)
-        .activity("Gen", "gen.list", |t| {
-            t.input("count", TypeTag::Int)
-                .output("items", TypeTag::List)
-        })
-        .parallel(
-            "Fan",
-            "items",
-            ParallelBody::Activity(ExternalBinding::program("work.unit")),
-            "results",
-            |t| t,
-        )
-        .activity("Merge", "merge.sum", |t| {
-            t.input("results", TypeTag::List)
-                .output("total", TypeTag::Int)
-        })
-        .connect("Gen", "Fan")
-        .connect("Fan", "Merge")
-        .flow_from_whiteboard("count", "Gen", "count")
-        .flow_to_task("Gen", "items", "Fan", "items")
-        .flow_to_task("Fan", "results", "Merge", "results")
-        .flow_to_whiteboard("Merge", "total", "total")
-        .build()
-        .unwrap()
-}
-
-/// `Sub(Chain) -> After` — exercises cross-instance spawn + ChildDone.
-fn parent_template() -> ProcessTemplate {
-    ProcessBuilder::new("Parent")
-        .whiteboard_default("x", TypeTag::Int, Value::Int(21))
-        .subprocess("Sub", "Chain", |t| {
-            t.input("x", TypeTag::Int).output("y", TypeTag::Int)
-        })
-        .activity("After", "p.b", |t| {
-            t.input("x", TypeTag::Int).output("y", TypeTag::Int)
-        })
-        .connect("Sub", "After")
-        .flow_from_whiteboard("x", "Sub", "x")
-        .flow_to_task("Sub", "y", "After", "x")
-        .build()
-        .unwrap()
-}
-
-const TEMPLATES: [&str; 3] = ["Chain", "Fan", "Parent"];
 
 fn build_engine(
     shards: usize,
     threads: usize,
     faults: Option<FaultInjection>,
+    policy: Option<TieredPolicy>,
 ) -> ShardEngine<MemDisk> {
-    let store = Store::open(MemDisk::new()).unwrap();
+    let store = Store::open_with(MemDisk::new(), policy).unwrap();
     let cfg = ShardConfig {
         shards,
         threads,
@@ -179,42 +69,40 @@ fn build_engine(
     engine_on(store, cfg)
 }
 
-fn engine_on(store: Store<MemDisk>, cfg: ShardConfig) -> ShardEngine<MemDisk> {
-    let mut eng = ShardEngine::new(store, library(), cfg).expect("engine");
-    eng.register_template(chain_template()).unwrap();
-    eng.register_template(fan_template()).unwrap();
-    eng.register_template(parent_template()).unwrap();
-    eng
+/// The observable fingerprint of a run: history digest, state digest and
+/// event counts.
+type Fingerprint = (u64, u64, BTreeMap<String, u64>);
+
+fn fingerprint(eng: &ShardEngine<MemDisk>) -> Fingerprint {
+    (eng.history_digest(), eng.state_digest(), eng.event_counts())
 }
 
 /// Run a workload (list of template indices, plus a per-instance knob)
-/// to completion and return the observable fingerprint.
+/// to completion under `policy` and return the observable fingerprint.
+/// A squeezed store must have spilled on the way: the tiered half of the
+/// axis is not allowed to pass by never leaving the memtable.
 fn run_workload(
     workload: &[(usize, i64)],
     shards: usize,
     threads: usize,
     faults: Option<FaultInjection>,
-) -> (u64, u64, BTreeMap<String, u64>) {
-    let mut eng = build_engine(shards, threads, faults);
+    policy: Option<TieredPolicy>,
+) -> Fingerprint {
+    let mut eng = build_engine(shards, threads, faults, policy);
     submit_workload(&mut eng, workload);
     eng.run_to_completion().unwrap();
-    (eng.history_digest(), eng.state_digest(), eng.event_counts())
+    assert_spilled_if_tiered(&eng, policy);
+    fingerprint(&eng)
 }
 
-fn submit_workload(eng: &mut ShardEngine<MemDisk>, workload: &[(usize, i64)]) {
-    for (tmpl, knob) in workload {
-        let name = TEMPLATES[tmpl % TEMPLATES.len()];
-        let mut initial = BTreeMap::new();
-        match name {
-            "Chain" | "Parent" => {
-                initial.insert("x".to_string(), Value::Int(*knob));
-            }
-            _ => {
-                initial.insert("count".to_string(), Value::Int(1 + knob.rem_euclid(4)));
-            }
-        }
-        eng.submit(name, initial).unwrap();
-    }
+fn assert_spilled_if_tiered(eng: &ShardEngine<MemDisk>, policy: Option<TieredPolicy>) {
+    let stats = eng.store().stats();
+    assert_eq!(
+        stats.spills > 0,
+        policy.is_some(),
+        "{} spills under {policy:?}",
+        stats.spills
+    );
 }
 
 /// The persisted stream as the awareness model sees it: an event's time
@@ -288,24 +176,10 @@ fn run_workload_with_ops(
     ops: &OpSchedule,
     shards: usize,
     threads: usize,
-) -> (u64, u64, BTreeMap<String, u64>) {
-    let mut eng = build_engine(shards, threads, None);
-    let ids: Vec<u64> = workload
-        .iter()
-        .map(|(tmpl, knob)| {
-            let name = TEMPLATES[tmpl % TEMPLATES.len()];
-            let mut initial = BTreeMap::new();
-            match name {
-                "Chain" | "Parent" => {
-                    initial.insert("x".to_string(), Value::Int(*knob));
-                }
-                _ => {
-                    initial.insert("count".to_string(), Value::Int(1 + knob.rem_euclid(4)));
-                }
-            }
-            eng.submit(name, initial).unwrap()
-        })
-        .collect();
+    policy: Option<TieredPolicy>,
+) -> Fingerprint {
+    let mut eng = build_engine(shards, threads, None, policy);
+    let ids = submit_workload(&mut eng, workload);
     // Expand to a sorted (round, is_resume, instance) action list.
     let mut actions: Vec<(u64, bool, u64)> = Vec::new();
     for (sus_round, gap, idx) in ops {
@@ -349,46 +223,50 @@ fn run_workload_with_ops(
         outcome.is_completed(),
         "paired resumes must unpark: {outcome:?}"
     );
-    (eng.history_digest(), eng.state_digest(), eng.event_counts())
+    assert_spilled_if_tiered(&eng, policy);
+    fingerprint(&eng)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any (shards, threads) point reproduces the serial baseline
-    /// bit-for-bit, including under injected node faults.
+    /// Any (shards, threads) point, on either store policy, reproduces the
+    /// untiered serial baseline bit-for-bit, including under injected node
+    /// faults: neither sharding nor tiering is observable.
     #[test]
     fn sharded_replay_matches_serial_baseline(
         workload in prop::collection::vec((0usize..3, 0i64..100), 1..24),
-        shards in 2usize..9,
+        shards in 1usize..9,
         threads in 1usize..5,
         fault_seed in any::<u64>(),
         fault_rate in prop_oneof![Just(0u32), Just(120_000u32)],
+        policy in common::policy(),
     ) {
         let faults = (fault_rate > 0).then_some(FaultInjection {
             seed: fault_seed,
             rate_ppm: fault_rate,
         });
-        let baseline = run_workload(&workload, 1, 1, faults.clone());
-        let sharded = run_workload(&workload, shards, threads, faults);
+        let baseline = run_workload(&workload, 1, 1, faults.clone(), None);
+        let sharded = run_workload(&workload, shards, threads, faults, policy);
         prop_assert_eq!(&sharded.0, &baseline.0, "history digest diverged");
         prop_assert_eq!(&sharded.1, &baseline.1, "state digest diverged");
         prop_assert_eq!(&sharded.2, &baseline.2, "event counts diverged");
     }
 
     /// Suspension/resume injected at arbitrary rounds must leave the
-    /// history bit-identical across (shards, threads) points: operator
-    /// steering rides the same deterministic `(instance, seq)` outbox as
-    /// everything else.
+    /// history bit-identical across (shards, threads) points and store
+    /// policies: operator steering rides the same deterministic
+    /// `(instance, seq)` outbox as everything else.
     #[test]
     fn sharded_replay_matches_serial_baseline_with_suspension(
         workload in prop::collection::vec((0usize..3, 0i64..100), 1..16),
         ops in prop::collection::vec((0u64..12, 0u64..6, 0usize..16), 1..4),
-        shards in 2usize..9,
+        shards in 1usize..9,
         threads in 1usize..5,
+        policy in common::policy(),
     ) {
-        let baseline = run_workload_with_ops(&workload, &ops, 1, 1);
-        let sharded = run_workload_with_ops(&workload, &ops, shards, threads);
+        let baseline = run_workload_with_ops(&workload, &ops, 1, 1, None);
+        let sharded = run_workload_with_ops(&workload, &ops, shards, threads, policy);
         prop_assert_eq!(&sharded.0, &baseline.0, "history digest diverged");
         prop_assert_eq!(&sharded.1, &baseline.1, "state digest diverged");
         prop_assert_eq!(&sharded.2, &baseline.2, "event counts diverged");
@@ -410,23 +288,10 @@ proptest! {
         threads in 1usize..5,
         rollup_every in 1u64..40,
         crash in (any::<bool>(), 0u64..8, 0usize..9),
-        tiered in any::<bool>(),
+        policy in common::policy(),
         fault_rate in prop_oneof![Just(0u32), Just(120_000u32)],
     ) {
-        let policy = tiered.then(|| TieredPolicy {
-            memtable_budget_bytes: 512,
-            run_merge_threshold: 2,
-            level_base_bytes: 4096,
-            level_growth: 2,
-            level_run_bytes: 768,
-            ..TieredPolicy::default()
-        });
-        // `None` leaves the choice to `Store::open`, as everywhere in this
-        // file: check.sh's tiered sweeps then reach these runs as well.
-        let open = |disk: &MemDisk| match policy {
-            Some(p) => Store::open_with(disk.clone(), Some(p)).unwrap(),
-            None => Store::open(disk.clone()).unwrap(),
-        };
+        let open = |disk: &MemDisk| Store::open_with(disk.clone(), policy).unwrap();
         let cfg = ShardConfig {
             shards,
             threads,
@@ -496,8 +361,9 @@ proptest! {
 /// The twins and the rollup are written here through the `ev/` writer —
 /// the frozen shapes, byte for byte what that engine wrote.  The new
 /// engine reads `sev/` alone: each event once, `ev/` left as it was.
-#[test]
-fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
+fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
+    policy: Option<TieredPolicy>,
+) {
     let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
     let cfg = ShardConfig {
         shards: 4,
@@ -505,7 +371,7 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
         ..ShardConfig::default()
     };
     let disk = MemDisk::new();
-    let mut eng = engine_on(Store::open(disk.clone()).unwrap(), cfg.clone());
+    let mut eng = engine_on(Store::open_with(disk.clone(), policy).unwrap(), cfg.clone());
     // The previous engine wrote no stream summary.
     eng.set_rollup_every(u64::MAX);
     submit_workload(&mut eng, &workload);
@@ -531,7 +397,7 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
         before_crash.len() + 1,
         "the twins and a rollup"
     );
-    let store = Store::open(disk.clone()).unwrap();
+    let store = Store::open_with(disk.clone(), policy).unwrap();
     assert!(store.get(Space::History, "summary").unwrap().is_none());
     for (key, bytes) in &legacy {
         assert!(key.starts_with("ev/") || key == "rollup", "{key}");
@@ -541,7 +407,8 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once() {
     }
     drop(store);
 
-    let mut eng = ShardEngine::recover(Store::open(disk).unwrap(), library(), cfg).unwrap();
+    let mut eng =
+        ShardEngine::recover(Store::open_with(disk, policy).unwrap(), library(), cfg).unwrap();
     let counted = |eng: &ShardEngine<MemDisk>| {
         let persisted = as_history(&eng.persisted_events().unwrap());
         let mut whole = AwarenessIndex::default();
@@ -593,8 +460,7 @@ struct SummaryBeforeDigest {
 /// recovered by refolding the stream from its first record, comes to the
 /// digest the stream has, and gains the member at its next cadence.  And
 /// the other way about: the earlier reader reads this engine's summary.
-#[test]
-fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one() {
+fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one(policy: Option<TieredPolicy>) {
     let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
     let cfg = ShardConfig {
         shards: 3,
@@ -602,7 +468,7 @@ fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one() {
         ..ShardConfig::default()
     };
     let disk = MemDisk::new();
-    let mut eng = engine_on(Store::open(disk.clone()).unwrap(), cfg.clone());
+    let mut eng = engine_on(Store::open_with(disk.clone(), policy).unwrap(), cfg.clone());
     eng.set_rollup_every(6);
     submit_workload(&mut eng, &workload);
     for _ in 0..4 {
@@ -624,12 +490,13 @@ fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one() {
     assert!(digest.strip_suffix('}').unwrap().parse::<u64>().is_ok());
 
     // The store as the earlier engine left it.
-    let store = Store::open(disk.clone()).unwrap();
+    let store = Store::open_with(disk.clone(), policy).unwrap();
     store
         .put(Space::History, "summary", old_shape.clone())
         .unwrap();
     drop(store);
-    let mut eng = ShardEngine::recover(Store::open(disk).unwrap(), library(), cfg).unwrap();
+    let mut eng =
+        ShardEngine::recover(Store::open_with(disk, policy).unwrap(), library(), cfg).unwrap();
     let persisted = eng.persisted_events().unwrap();
     assert!(persisted.iter().any(|e| e.round < before.next_round));
     assert_eq!(lifetime(&eng), refold(&persisted));
@@ -645,11 +512,10 @@ fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one() {
 /// The digests are compared between configurations everywhere else, so a
 /// change that moved all of them together would pass.  These are what the
 /// commit before the history became one stream recorded for this
-/// workload (`8678b3d`, 1×1 and 4×4).
-#[test]
-fn the_crash_free_history_digest_is_pinned() {
+/// workload (`8678b3d`, 1×1 and 4×4) — on either store policy.
+fn the_crash_free_history_digest_is_pinned(policy: Option<TieredPolicy>) {
     let workload: Vec<(usize, i64)> = vec![(0, 5), (1, 2), (2, 9), (0, 11), (2, 3)];
-    let (history, state, counts) = run_workload(&workload, 3, 2, None);
+    let (history, state, counts) = run_workload(&workload, 3, 2, None, policy);
     assert_eq!(
         history, 0xdb4c_0aa5_5276_fe56,
         "history digest {history:#018x}"
@@ -669,33 +535,14 @@ fn the_crash_free_history_digest_is_pinned() {
 }
 
 /// Crash at the shard barrier with a partial commit prefix, recover,
-/// and require every root to converge to the crash-free oracle's
-/// terminal status and whiteboard.
-#[test]
-fn recovery_after_partial_commit_converges_to_oracle_outputs() {
+/// and require every root to converge to the untiered crash-free
+/// oracle's terminal status and whiteboard.
+fn recovery_after_partial_commit_converges_to_oracle_outputs(policy: Option<TieredPolicy>) {
     let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
-    let submit_all = |eng: &mut ShardEngine<MemDisk>| -> Vec<u64> {
-        workload
-            .iter()
-            .map(|(tmpl, knob)| {
-                let name = TEMPLATES[*tmpl];
-                let mut initial = BTreeMap::new();
-                match name {
-                    "Chain" | "Parent" => {
-                        initial.insert("x".to_string(), Value::Int(*knob));
-                    }
-                    _ => {
-                        initial.insert("count".to_string(), Value::Int(1 + knob.rem_euclid(4)));
-                    }
-                }
-                eng.submit(name, initial).unwrap()
-            })
-            .collect()
-    };
 
     // Crash-free oracle.
-    let mut oracle = build_engine(1, 1, None);
-    let oracle_ids = submit_all(&mut oracle);
+    let mut oracle = build_engine(1, 1, None, None);
+    let oracle_ids = submit_workload(&mut oracle, &workload);
     oracle.run_to_completion().unwrap();
     let expected: Vec<(InstanceStatus, BTreeMap<String, Value>)> = oracle_ids
         .iter()
@@ -714,24 +561,20 @@ fn recovery_after_partial_commit_converges_to_oracle_outputs() {
     for crash_round in 0..4u64 {
         for prefix in 0..=4usize {
             let disk = MemDisk::new();
-            let store = Store::open(disk.clone()).unwrap();
             let cfg = ShardConfig {
                 shards: 4,
                 threads: 1,
                 ..ShardConfig::default()
             };
-            let mut eng = ShardEngine::new(store, library(), cfg.clone()).expect("engine");
-            eng.register_template(chain_template()).unwrap();
-            eng.register_template(fan_template()).unwrap();
-            eng.register_template(parent_template()).unwrap();
-            let ids = submit_all(&mut eng);
+            let mut eng = engine_on(Store::open_with(disk.clone(), policy).unwrap(), cfg.clone());
+            let ids = submit_workload(&mut eng, &workload);
             for _ in 0..crash_round {
                 eng.step_round().unwrap();
             }
             eng.step_round_partial_commit(prefix).unwrap();
             drop(eng);
 
-            let store = Store::open(disk).unwrap();
+            let store = Store::open_with(disk, policy).unwrap();
             let mut eng = ShardEngine::recover(store, library(), cfg).unwrap();
             eng.run_to_completion().unwrap_or_else(|e| {
                 panic!("round {crash_round} prefix {prefix}: stuck after recovery: {e}")
@@ -752,13 +595,20 @@ fn recovery_after_partial_commit_converges_to_oracle_outputs() {
     }
 }
 
-/// The serial single-shard config (1 shard, 1 thread, pinned by hand) is
-/// the reference semantics: a 4x4 config must agree with it on the same
-/// workload.
-#[test]
-fn single_shard_config_is_the_reference_semantics() {
+/// The untiered serial single-shard config (1 shard, 1 thread, pinned by
+/// hand) is the reference semantics: a 4x4 config on either store policy
+/// must agree with it on the same workload.
+fn single_shard_config_is_the_reference_semantics(policy: Option<TieredPolicy>) {
     let workload: Vec<(usize, i64)> = vec![(0, 5), (1, 2), (2, 9), (0, 11), (2, 3)];
-    let a = run_workload(&workload, 1, 1, None);
-    let b = run_workload(&workload, 4, 4, None);
+    let a = run_workload(&workload, 1, 1, None, None);
+    let b = run_workload(&workload, 4, 4, None, policy);
     assert_eq!(a, b);
 }
+
+common::on_each_policy!(
+    a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once,
+    a_summary_without_a_digest_recovers_by_full_refold_and_gains_one,
+    the_crash_free_history_digest_is_pinned,
+    recovery_after_partial_commit_converges_to_oracle_outputs,
+    single_shard_config_is_the_reference_semantics,
+);

@@ -5,8 +5,12 @@
 //! stepper wrote itself).  After every `step_round` the decoded
 //! `s{NNNN}/inst/{id}/header` and `.../task/{path}` records must equal
 //! the resident slot — otherwise a write was left out of a batch and
-//! would revert at the next recovery.  The serial engine's twin of this
-//! test lives in `crates/workloads/tests/store_mirror.rs`.
+//! would revert at the next recovery.  Both tests run on each store
+//! policy: under the squeezed one every read below goes through runs.
+//! The serial engine's twin of this test lives in
+//! `crates/workloads/tests/store_mirror.rs`.
+
+mod common;
 
 use bioopera_core::shard::Instance;
 use bioopera_core::state::keys;
@@ -17,20 +21,15 @@ use bioopera_core::{
 use bioopera_ocr::model::{ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
-use bioopera_store::{shard_key, MemDisk, Space, Store};
+use bioopera_store::{shard_key, MemDisk, Space, Store, TieredPolicy};
 use std::collections::BTreeMap;
 
+/// The shared programs, plus `ok`, `boom` and `odd_fails` (which fails on
+/// an odd item).
 fn library() -> ActivityLibrary {
-    let mut lib = ActivityLibrary::new();
+    let mut lib = common::library();
     lib.register("ok", |_| Ok(ProgramOutput::from_fields([], 10.0)));
     lib.register("boom", |_| Err("boom".to_string()));
-    lib.register("list", |inputs| {
-        let n = inputs.get("count").and_then(|v| v.as_int()).unwrap_or(3);
-        Ok(ProgramOutput::from_fields(
-            [("items", Value::int_list(0..n))],
-            10.0,
-        ))
-    });
     lib.register("odd_fails", |inputs| {
         match inputs.get("item").and_then(|v| v.as_int()) {
             Some(i) if i % 2 == 1 => Err(format!("item {i} is odd")),
@@ -41,37 +40,14 @@ fn library() -> ActivityLibrary {
             None => Err("no item".to_string()),
         }
     });
-    lib.register("double", |inputs| {
-        let x = inputs.get("x").and_then(|v| v.as_int()).unwrap_or(1);
-        Ok(ProgramOutput::from_fields([("y", Value::Int(2 * x))], 10.0))
-    });
     lib
 }
 
-/// `A -> B` with whiteboard and task-to-task dataflows.
-fn chain() -> ProcessTemplate {
-    ProcessBuilder::new("Chain")
-        .whiteboard_default("x", TypeTag::Int, Value::Int(7))
-        .whiteboard_field("y", TypeTag::Int)
-        .activity("A", "double", |t| {
-            t.input("x", TypeTag::Int).output("y", TypeTag::Int)
-        })
-        .activity("B", "double", |t| {
-            t.input("x", TypeTag::Int).output("y", TypeTag::Int)
-        })
-        .connect("A", "B")
-        .flow_from_whiteboard("x", "A", "x")
-        .flow_to_task("A", "y", "B", "x")
-        .flow_to_whiteboard("B", "y", "y")
-        .build()
-        .unwrap()
-}
-
 /// A parallel fan whose odd children fail and are ignored.
-fn fan() -> ProcessTemplate {
-    ProcessBuilder::new("Fan")
+fn odd_fan() -> ProcessTemplate {
+    ProcessBuilder::new("OddFan")
         .whiteboard_default("count", TypeTag::Int, Value::Int(5))
-        .activity("Gen", "list", |t| {
+        .activity("Gen", "gen.list", |t| {
             t.input("count", TypeTag::Int)
                 .output("items", TypeTag::List)
         })
@@ -98,7 +74,7 @@ fn tree() -> ProcessTemplate {
     ProcessBuilder::new("Tree")
         .whiteboard_default("count", TypeTag::Int, Value::Int(3))
         .whiteboard_default("x", TypeTag::Int, Value::Int(21))
-        .activity("Gen", "list", |t| {
+        .activity("Gen", "gen.list", |t| {
             t.input("count", TypeTag::Int)
                 .output("items", TypeTag::List)
         })
@@ -160,17 +136,33 @@ fn park() -> ProcessTemplate {
         .unwrap()
 }
 
-const TEMPLATES: [&str; 6] = ["Chain", "Fan", "Tree", "Sphere", "Detour", "Park"];
+const TEMPLATES: [&str; 8] = [
+    "Chain", "Fan", "Parent", "OddFan", "Tree", "Sphere", "Detour", "Park",
+];
 
-fn engine(shards: usize, faults: Option<FaultInjection>) -> ShardEngine<MemDisk> {
+fn engine(
+    shards: usize,
+    faults: Option<FaultInjection>,
+    policy: Option<TieredPolicy>,
+) -> ShardEngine<MemDisk> {
     let cfg = ShardConfig {
         shards,
         threads: 1,
         faults,
         ..ShardConfig::default()
     };
-    let mut eng = ShardEngine::new(Store::open(MemDisk::new()).unwrap(), library(), cfg).unwrap();
-    for t in [chain(), fan(), tree(), sphere(), detour(), park()] {
+    let store = Store::open_with(MemDisk::new(), policy).unwrap();
+    let mut eng = ShardEngine::new(store, library(), cfg).unwrap();
+    for t in [
+        common::chain_template(),
+        common::fan_template(),
+        common::parent_template(),
+        odd_fan(),
+        tree(),
+        sphere(),
+        detour(),
+        park(),
+    ] {
         eng.register_template(t).unwrap();
     }
     eng
@@ -200,13 +192,15 @@ fn assert_journal_mirrors_memory(eng: &ShardEngine<MemDisk>, at: &str) {
 }
 
 /// Run rounds to quiescence, checking the mirror after each; `each_round`
-/// may steer the run before a round.
+/// may steer the run before a round.  A quiescent run holds no node slot:
+/// every attempt that was granted one handed it back.
 fn drive(eng: &mut ShardEngine<MemDisk>, mut each_round: impl FnMut(&mut ShardEngine<MemDisk>)) {
     loop {
         each_round(eng);
         let more = eng.step_round().unwrap();
         assert_journal_mirrors_memory(eng, &format!("after round {}", eng.round()));
         if !more {
+            assert_eq!(eng.stats().slots_in_flight, 0, "slots leaked at quiescence");
             return;
         }
         assert!(eng.round() < 10_000, "runaway run");
@@ -224,8 +218,7 @@ fn submit_mix(eng: &mut ShardEngine<MemDisk>, n: usize) -> Vec<u64> {
         .collect()
 }
 
-#[test]
-fn journals_mirror_memory_after_every_round() {
+fn journals_mirror_memory_after_every_round(policy: Option<TieredPolicy>) {
     for (shards, faults) in [
         (1, None),
         (3, None),
@@ -241,7 +234,7 @@ fn journals_mirror_memory_after_every_round() {
         // budget and abort its instance; only the clean runs have one
         // expected outcome per template.
         let clean = faults.is_none();
-        let mut eng = engine(shards, faults);
+        let mut eng = engine(shards, faults, policy);
         let ids = submit_mix(&mut eng, 24);
         drive(&mut eng, |_| {});
         for (i, id) in ids.iter().enumerate() {
@@ -257,9 +250,8 @@ fn journals_mirror_memory_after_every_round() {
     }
 }
 
-#[test]
-fn journals_mirror_memory_under_operator_steering() {
-    let mut eng = engine(3, None);
+fn journals_mirror_memory_under_operator_steering(policy: Option<TieredPolicy>) {
+    let mut eng = engine(3, None, policy);
     let ids = submit_mix(&mut eng, 18);
     drive(&mut eng, |eng| match eng.round() {
         2 => {
@@ -276,3 +268,8 @@ fn journals_mirror_memory_under_operator_steering() {
     drive(&mut eng, |_| {});
     assert!(eng.quiescent());
 }
+
+common::on_each_policy!(
+    journals_mirror_memory_after_every_round,
+    journals_mirror_memory_under_operator_steering,
+);

@@ -70,69 +70,88 @@ pub struct TortureReport {
     pub store_leveled: StoreTortureOutcome,
     /// Runtime all-vs-all outcome.
     pub runtime: RuntimeTortureOutcome,
+    /// A bounded sample of the runtime pass over stores under
+    /// [`tiny_leveled_policy`]: crash points inside the spills, merges and
+    /// push-downs of a running engine.
+    pub runtime_leveled: RuntimeTortureOutcome,
     /// Sharded-navigator barrier-crash outcome.
     pub shard: ShardTortureOutcome,
+    /// A bounded sample of the shard pass under [`tiny_leveled_policy`].
+    pub shard_leveled: ShardTortureOutcome,
 }
+
+/// At most this many runtime crash points, runtime double-crash points and
+/// shard barrier-crash points [`run_full`] samples under
+/// [`tiny_leveled_policy`].
+const LEVELED_SAMPLES: (usize, usize, usize) = (4, 1, 8);
 
 impl TortureReport {
     /// Every invariant violation found, store first.
     pub fn violations(&self) -> Vec<&str> {
-        self.store
-            .violations
-            .iter()
-            .chain(self.store_tiered.violations.iter())
-            .chain(self.store_leveled.violations.iter())
-            .chain(self.runtime.violations.iter())
-            .chain(self.shard.violations.iter())
-            .map(String::as_str)
-            .collect()
+        [
+            &self.store.violations,
+            &self.store_tiered.violations,
+            &self.store_leveled.violations,
+            &self.runtime.violations,
+            &self.runtime_leveled.violations,
+            &self.shard.violations,
+            &self.shard_leveled.violations,
+        ]
+        .into_iter()
+        .flatten()
+        .map(String::as_str)
+        .collect()
     }
 
     /// True when no invariant was violated.
     pub fn is_clean(&self) -> bool {
-        self.store.violations.is_empty()
-            && self.store_tiered.violations.is_empty()
-            && self.store_leveled.violations.is_empty()
-            && self.runtime.violations.is_empty()
-            && self.shard.violations.is_empty()
+        self.violations().is_empty()
     }
 
     /// Human-readable multi-line summary.
     pub fn summary(&self) -> String {
+        let store = |o: &StoreTortureOutcome| {
+            format!(
+                "{} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases",
+                o.mutations, o.cases, o.recovery_cases, o.bitflip_cases
+            )
+        };
+        let runtime = |o: &RuntimeTortureOutcome| {
+            format!(
+                "{} mutations, {} crash cases, {} recovery double-crash cases",
+                o.mutations, o.cases, o.recovery_cases
+            )
+        };
+        let shard = |o: &ShardTortureOutcome| {
+            format!(
+                "{} oracle rounds, {} barrier-crash cases, {} double-crash cases, {} torn-commit cases",
+                o.rounds, o.cases, o.recovery_cases, o.torn_cases
+            )
+        };
         format!(
             "torture harness HARNESS_SEED={}\n\
-             \x20 store:   {} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases\n\
-             \x20 tiered:  {} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases\n\
-             \x20 leveled: {} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases\n\
-             \x20 runtime: {} mutations, {} crash cases, {} recovery double-crash cases\n\
-             \x20 shard:   {} oracle rounds, {} barrier-crash cases, {} double-crash cases, {} torn-commit cases\n\
+             \x20 store:            {}\n\
+             \x20 tiered:           {}\n\
+             \x20 leveled:          {}\n\
+             \x20 runtime:          {}\n\
+             \x20 runtime, leveled: {}\n\
+             \x20 shard:            {}\n\
+             \x20 shard, leveled:   {}\n\
              \x20 violations: {}",
             self.seed,
-            self.store.mutations,
-            self.store.cases,
-            self.store.recovery_cases,
-            self.store.bitflip_cases,
-            self.store_tiered.mutations,
-            self.store_tiered.cases,
-            self.store_tiered.recovery_cases,
-            self.store_tiered.bitflip_cases,
-            self.store_leveled.mutations,
-            self.store_leveled.cases,
-            self.store_leveled.recovery_cases,
-            self.store_leveled.bitflip_cases,
-            self.runtime.mutations,
-            self.runtime.cases,
-            self.runtime.recovery_cases,
-            self.shard.rounds,
-            self.shard.cases,
-            self.shard.recovery_cases,
-            self.shard.torn_cases,
+            store(&self.store),
+            store(&self.store_tiered),
+            store(&self.store_leveled),
+            runtime(&self.runtime),
+            runtime(&self.runtime_leveled),
+            shard(&self.shard),
+            shard(&self.shard_leveled),
             self.violations().len(),
         )
     }
 }
 
-/// Run both torture passes.
+/// Run every torture pass.
 ///
 /// `store_limit` bounds the number of store crash indices (`None` = full
 /// enumeration); `runtime_samples` bounds the runtime crash points of the
@@ -141,7 +160,8 @@ impl TortureReport {
 /// `shard_samples` bounds the sampled
 /// `(round, commit-prefix)` barrier-crash points of the sharded engine
 /// (and, at a third of it, the rounds whose barrier commit is torn every
-/// way).
+/// way).  The runtime and shard passes then run again under
+/// [`tiny_leveled_policy`], on a bounded sample (`LEVELED_SAMPLES`).
 pub fn run_full(
     seed: u64,
     store_limit: Option<usize>,
@@ -149,12 +169,23 @@ pub fn run_full(
     recovery_samples: usize,
     shard_samples: usize,
 ) -> TortureReport {
+    let setup = real_setup();
+    let leveled = Some(tiny_leveled_policy());
+    let (runtime_max, recovery_max, shard_max) = LEVELED_SAMPLES;
     TortureReport {
         seed,
         store: run_store_torture(seed, store_limit),
         store_tiered: run_store_torture_tiered(seed, store_limit),
         store_leveled: run_store_torture_leveled(seed, store_limit),
-        runtime: run_runtime_torture(&real_setup(), seed, runtime_samples, recovery_samples),
-        shard: run_shard_torture(seed, shard_samples),
+        runtime: run_runtime_torture(&setup, seed, runtime_samples, recovery_samples, None),
+        runtime_leveled: run_runtime_torture(
+            &setup,
+            seed,
+            runtime_samples.min(runtime_max),
+            recovery_samples.min(recovery_max),
+            leveled,
+        ),
+        shard: run_shard_torture(seed, shard_samples, None),
+        shard_leveled: run_shard_torture(seed, shard_samples.min(shard_max), leveled),
     }
 }

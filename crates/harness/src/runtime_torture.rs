@@ -12,7 +12,9 @@
 //! computation with results **byte-identical** to the oracle — the paper's
 //! §3.4 "avoid inconsistencies in the output data after failures", now
 //! checked at every disk-level crash point rather than only at simulated
-//! node/server fault boundaries.
+//! node/server fault boundaries.  The store policy is the caller's
+//! (`RuntimeConfig::tiered`): under a tiered one the enumerated mutations
+//! include every spill, merge and push-down of the run.
 //!
 //! [`Runtime`]: bioopera_core::Runtime
 //! [`MemDisk`]: bioopera_store::MemDisk
@@ -21,7 +23,7 @@ use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::{InstanceStatus, Runtime, RuntimeConfig};
 use bioopera_darwin::{DatasetConfig, PamFamily, SequenceDb};
 use bioopera_ocr::value::Value;
-use bioopera_store::{CrashEffect, FaultPlan, MemDisk};
+use bioopera_store::{CrashEffect, FaultPlan, MemDisk, TieredPolicy};
 use bioopera_workloads::{AllVsAllConfig, AllVsAllSetup};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,12 +51,13 @@ fn cluster() -> Cluster {
     )
 }
 
-fn cfg() -> RuntimeConfig {
+fn cfg(tiered: Option<TieredPolicy>) -> RuntimeConfig {
     RuntimeConfig {
         heartbeat: SimTime::from_secs(20),
         // Small enough that the WAL compacts mid-run, putting the
         // snapshot/manifest/delete sequence inside the crash enumeration.
         compact_wal_bytes: 6 * 1024,
+        tiered,
         ..Default::default()
     }
 }
@@ -81,12 +84,16 @@ type RunResult = (InstanceStatus, Value, Value);
 /// resumes whatever the rebuilt state contains (re-registering templates
 /// is an idempotent put, and re-submitting only happens when the crash
 /// predated the instance header reaching the store).
-fn drive(disk: &MemDisk, s: &AllVsAllSetup) -> Result<RunResult, String> {
+fn drive(
+    disk: &MemDisk,
+    s: &AllVsAllSetup,
+    tiered: Option<TieredPolicy>,
+) -> Result<RunResult, String> {
     fn fail<E: std::fmt::Display>(stage: &'static str) -> impl Fn(E) -> String {
         move |e| format!("{stage}: {e}")
     }
-    let mut rt =
-        Runtime::new(disk.clone(), cluster(), s.library.clone(), cfg()).map_err(fail("boot"))?;
+    let mut rt = Runtime::new(disk.clone(), cluster(), s.library.clone(), cfg(tiered))
+        .map_err(fail("boot"))?;
     rt.register_template(&s.chunk_template)
         .map_err(fail("register chunk template"))?;
     rt.register_template(&s.template)
@@ -138,14 +145,16 @@ fn compare(got: &RunResult, oracle: &RunResult) -> Result<(), String> {
 /// durable across one further reopen.
 fn runtime_case(
     s: &AllVsAllSetup,
+    tiered: Option<TieredPolicy>,
     oracle: &RunResult,
     crash_index: u64,
     effect: CrashEffect,
     recovery_crash: Option<u64>,
 ) -> Result<(), String> {
+    let drive = |disk: &MemDisk| drive(disk, s, tiered);
     let disk = MemDisk::new();
     disk.set_fault_plan(Some(FaultPlan::at_mutation(crash_index, effect)));
-    if drive(&disk, s).is_ok() {
+    if drive(&disk).is_ok() {
         return Err("fault plan never fired — crash index beyond workload mutations".into());
     }
     if !disk.has_crashed() {
@@ -155,7 +164,7 @@ fn runtime_case(
 
     if let Some(r) = recovery_crash {
         disk.set_fault_plan(Some(FaultPlan::at_mutation(r, CrashEffect::Drop)));
-        match drive(&disk, s) {
+        match drive(&disk) {
             // Recovery *and* completion finished before mutation `r`.
             Ok(res) => {
                 disk.set_fault_plan(None);
@@ -170,25 +179,26 @@ fn runtime_case(
         }
     }
 
-    let res = drive(&disk, s).map_err(|e| format!("recovery failed: {e}"))?;
+    let res = drive(&disk).map_err(|e| format!("recovery failed: {e}"))?;
     compare(&res, oracle)?;
 
     // Completion must be durable: a further reboot + rebuild finds the
     // instance Completed with the same results.
-    let res = drive(&disk, s).map_err(|e| format!("post-completion reopen failed: {e}"))?;
+    let res = drive(&disk).map_err(|e| format!("post-completion reopen failed: {e}"))?;
     compare(&res, oracle)
 }
 
-/// Runtime torture pass over the all-vs-all set-up `s`: every disk
-/// mutation index of the crash-free run when `samples` reaches their
-/// number (`usize::MAX` = always), otherwise `samples` seeded picks; plus
-/// `recovery_samples` double-crash (crash-during-recovery) points.  All
-/// randomness derives from `seed`.
+/// Runtime torture pass over the all-vs-all set-up `s` on stores tiered
+/// by `tiered`: every disk mutation index of the crash-free run when
+/// `samples` reaches their number (`usize::MAX` = always), otherwise
+/// `samples` seeded picks; plus `recovery_samples` double-crash
+/// (crash-during-recovery) points.  All randomness derives from `seed`.
 pub fn run_runtime_torture(
     s: &AllVsAllSetup,
     seed: u64,
     samples: usize,
     recovery_samples: usize,
+    tiered: Option<TieredPolicy>,
 ) -> RuntimeTortureOutcome {
     let mut out = RuntimeTortureOutcome {
         mutations: 0,
@@ -197,20 +207,25 @@ pub fn run_runtime_torture(
         violations: Vec::new(),
     };
 
+    let policy = if tiered.is_some() {
+        "tiered"
+    } else {
+        "untiered"
+    };
     // Crash-free oracle run; also counts the enumerable crash points.
     let disk = MemDisk::new();
-    let oracle = match drive(&disk, s) {
+    let oracle = match drive(&disk, s, tiered) {
         Ok(res) if res.0 == InstanceStatus::Completed => res,
         Ok(res) => {
             out.violations.push(format!(
-                "HARNESS_SEED={seed} oracle: crash-free run ended {:?}",
+                "HARNESS_SEED={seed} {policy} oracle: crash-free run ended {:?}",
                 res.0
             ));
             return out;
         }
         Err(e) => {
             out.violations.push(format!(
-                "HARNESS_SEED={seed} oracle: crash-free run failed: {e}"
+                "HARNESS_SEED={seed} {policy} oracle: crash-free run failed: {e}"
             ));
             return out;
         }
@@ -243,9 +258,9 @@ pub fn run_runtime_torture(
             },
         };
         out.cases += 1;
-        let tag = format!("HARNESS_SEED={seed} runtime crash-index={k} effect={effect:?}");
+        let tag = format!("HARNESS_SEED={seed} {policy} runtime crash-index={k} effect={effect:?}");
         run_case(&mut out.violations, tag, || {
-            runtime_case(s, &oracle, k, effect, None)
+            runtime_case(s, tiered, &oracle, k, effect, None)
         });
     }
 
@@ -257,10 +272,10 @@ pub fn run_runtime_torture(
         };
         out.recovery_cases += 1;
         let tag = format!(
-            "HARNESS_SEED={seed} runtime crash-index={k} effect={effect:?} recovery-crash={r}"
+            "HARNESS_SEED={seed} {policy} runtime crash-index={k} effect={effect:?} recovery-crash={r}"
         );
         run_case(&mut out.violations, tag, || {
-            runtime_case(s, &oracle, k, effect, Some(r))
+            runtime_case(s, tiered, &oracle, k, effect, Some(r))
         });
     }
 

@@ -35,6 +35,10 @@
 //! in every aggregate an index rebuilt from the persisted stream would
 //! hold.
 //!
+//! The store policy is the caller's: under a tiered one the rounds spill
+//! and merge, so crash points fall inside a store whose journals and
+//! history live in runs, and recovery reads them back through levels.
+//!
 //! [`ShardEngine::step_round_partial_commit`]: bioopera_core::ShardEngine::step_round_partial_commit
 
 use bioopera_cluster::SimTime;
@@ -46,7 +50,7 @@ use bioopera_core::{
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
-use bioopera_store::{wal, CrashEffect, Disk, FaultPlan, MemDisk, Store};
+use bioopera_store::{wal, CrashEffect, Disk, FaultPlan, MemDisk, Store, TieredPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -185,12 +189,19 @@ fn cfg() -> ShardConfig {
     }
 }
 
+/// How one pass opens its stores, and how often it summarises.
+#[derive(Clone, Copy)]
+struct Setup {
+    tiered: Option<TieredPolicy>,
+    rollup_every: u64,
+}
+
 /// Build an engine on `disk` and submit the scripted root mix.  A small
 /// `rollup_every` puts an awareness summary into most barrier commits.
-fn boot(disk: &MemDisk, rollup_every: u64) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
-    let store = Store::open(disk.clone()).map_err(|e| format!("open: {e}"))?;
+fn boot(disk: &MemDisk, setup: Setup) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
+    let store = Store::open_with(disk.clone(), setup.tiered).map_err(|e| format!("open: {e}"))?;
     let mut eng = ShardEngine::new(store, library(), cfg()).expect("engine");
-    eng.set_rollup_every(rollup_every);
+    eng.set_rollup_every(setup.rollup_every);
     for t in templates() {
         eng.register_template(t)
             .map_err(|e| format!("register: {e}"))?;
@@ -219,10 +230,10 @@ fn boot(disk: &MemDisk, rollup_every: u64) -> Result<(ShardEngine<MemDisk>, Vec<
 /// [`boot`], then `rounds` crash-free rounds.
 fn boot_at_round(
     disk: &MemDisk,
-    rollup_every: u64,
+    setup: Setup,
     rounds: u64,
 ) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
-    let (mut eng, ids) = boot(disk, rollup_every)?;
+    let (mut eng, ids) = boot(disk, setup)?;
     for _ in 0..rounds {
         eng.step_round()
             .map_err(|e| format!("pre-crash step: {e}"))?;
@@ -354,11 +365,11 @@ fn check_history(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
 
 /// Reopen `disk` and recover, holding the recovered engine to the history
 /// invariant before it takes a step.
-fn recover(disk: &MemDisk, rollup_every: u64) -> Result<ShardEngine<MemDisk>, String> {
-    let store = Store::open(disk.clone()).map_err(|e| format!("reopen: {e}"))?;
+fn recover(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDisk>, String> {
+    let store = Store::open_with(disk.clone(), setup.tiered).map_err(|e| format!("reopen: {e}"))?;
     let mut eng =
         ShardEngine::recover(store, library(), cfg()).map_err(|e| format!("recover: {e}"))?;
-    eng.set_rollup_every(rollup_every);
+    eng.set_rollup_every(setup.rollup_every);
     check_history(&eng).map_err(|e| format!("after recovery: {e}"))?;
     Ok(eng)
 }
@@ -367,8 +378,8 @@ fn recover(disk: &MemDisk, rollup_every: u64) -> Result<ShardEngine<MemDisk>, St
 /// quiesces with suspended instances is *not* a failure — that is the
 /// suspended-wedge fix working as intended — the operator resumes and
 /// the run must then finish for real.
-fn recover_and_finish(disk: &MemDisk, rollup_every: u64) -> Result<ShardEngine<MemDisk>, String> {
-    let mut eng = recover(disk, rollup_every)?;
+fn recover_and_finish(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDisk>, String> {
+    let mut eng = recover(disk, setup)?;
     let outcome = eng
         .run_to_completion()
         .map_err(|e| format!("resume: {e}"))?;
@@ -388,11 +399,11 @@ fn recover_and_finish(disk: &MemDisk, rollup_every: u64) -> Result<ShardEngine<M
 /// The barrier's commit of round `round`, found on two crash-free twins
 /// of the run: which disk mutation of the round it is, and the bytes it
 /// appends.  `None` when the round commits no history.
-fn barrier_append(round: u64, rollup_every: u64) -> Result<Option<(u64, Vec<u8>)>, String> {
+fn barrier_append(round: u64, setup: Setup) -> Result<Option<(u64, Vec<u8>)>, String> {
     // Twin A stops short of the barrier: its mutation count is the index
     // of the barrier's append, its files are the image before it.
     let before = MemDisk::new();
-    let (mut eng, _) = boot_at_round(&before, rollup_every, round)?;
+    let (mut eng, _) = boot_at_round(&before, setup, round)?;
     before.set_fault_plan(None);
     eng.step_round_partial_commit(SHARDS)
         .map_err(|e| format!("probe partial commit: {e}"))?;
@@ -401,7 +412,7 @@ fn barrier_append(round: u64, rollup_every: u64) -> Result<Option<(u64, Vec<u8>)
     // Twin B dies the moment that mutation is durable: what it holds
     // beyond twin A is the append.
     let after = MemDisk::new();
-    let (mut eng, _) = boot_at_round(&after, rollup_every, round)?;
+    let (mut eng, _) = boot_at_round(&after, setup, round)?;
     after.set_fault_plan(Some(FaultPlan::at_mutation(index, CrashEffect::AfterApply)));
     if eng.step_round().is_ok() {
         return Ok(None);
@@ -444,9 +455,14 @@ fn barrier_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
     effects
 }
 
-/// Run the shard-barrier crash torture: `samples` single-crash points and
-/// (roughly) a third as many double-crash points, all derived from `seed`.
-pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
+/// Run the shard-barrier crash torture over stores tiered by `tiered`:
+/// `samples` single-crash points and (roughly) a third as many
+/// double-crash points, all derived from `seed`.
+pub fn run_shard_torture(
+    seed: u64,
+    samples: usize,
+    tiered: Option<TieredPolicy>,
+) -> ShardTortureOutcome {
     let mut out = ShardTortureOutcome {
         rounds: 0,
         cases: 0,
@@ -456,10 +472,20 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
         violations: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_70C7);
+    let setup_at = |rollup_every| Setup {
+        tiered,
+        rollup_every,
+    };
+    let policy = if tiered.is_some() {
+        "tiered"
+    } else {
+        "untiered"
+    };
 
     // Crash-free oracle.
     let oracle_disk = MemDisk::new();
-    let oracle = match boot(&oracle_disk, rng.gen_range(1..40)).and_then(|(mut eng, ids)| {
+    let oracle_setup = setup_at(rng.gen_range(1..40));
+    let oracle = match boot(&oracle_disk, oracle_setup).and_then(|(mut eng, ids)| {
         eng.run_to_completion()
             .map_err(|e| format!("oracle run: {e}"))?;
         out.rounds = eng.round();
@@ -489,16 +515,17 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
         let suspend_at_barrier = case % 2 == 1;
         let suspend_root = rng.gen_range(0..9u64) as usize;
         let tag = format!(
-            "seed={seed} case={case} round={crash_round} prefix={prefix}/{SHARDS} \
+            "seed={seed} {policy} case={case} round={crash_round} prefix={prefix}/{SHARDS} \
              double={double_crash} suspend={suspend_at_barrier} rollup_every={rollup_every}"
         );
+        let setup = setup_at(rollup_every);
         out.cases += 1;
         if suspend_at_barrier {
             out.suspend_cases += 1;
         }
 
         let disk = MemDisk::new();
-        let res = boot_at_round(&disk, rollup_every, crash_round).and_then(|(mut eng, ids)| {
+        let res = boot_at_round(&disk, setup, crash_round).and_then(|(mut eng, ids)| {
             if suspend_at_barrier {
                 // Park a root right before the crashing barrier: the
                 // suspend control message (and, if its owner shard is in
@@ -514,7 +541,7 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
             if double_crash {
                 // Crash again mid-recovered-run before checking outputs.
                 out.recovery_cases += 1;
-                let mut eng = recover(&disk, rollup_every)?;
+                let mut eng = recover(&disk, setup)?;
                 let prefix2 = rng.gen_range(0..=SHARDS);
                 if !eng.quiescent() {
                     eng.step_round_partial_commit(prefix2)
@@ -523,7 +550,7 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
                 drop(eng);
             }
 
-            let eng = recover_and_finish(&disk, rollup_every)?;
+            let eng = recover_and_finish(&disk, setup)?;
             compare(&tag, &roots(&eng, &ids)?, &oracle)
         });
         if let Err(e) = res {
@@ -536,9 +563,11 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
     for case in 0..samples.div_ceil(3) {
         let crash_round = rng.gen_range(0..out.rounds.max(1));
         let rollup_every = rng.gen_range(1..40u64);
-        let tag =
-            format!("seed={seed} torn case={case} round={crash_round} rollup_every={rollup_every}");
-        let (index, data) = match barrier_append(crash_round, rollup_every) {
+        let tag = format!(
+            "seed={seed} {policy} torn case={case} round={crash_round} rollup_every={rollup_every}"
+        );
+        let setup = setup_at(rollup_every);
+        let (index, data) = match barrier_append(crash_round, setup) {
             Ok(Some(found)) => found,
             Ok(None) => continue,
             Err(e) => {
@@ -549,14 +578,14 @@ pub fn run_shard_torture(seed: u64, samples: usize) -> ShardTortureOutcome {
         for effect in barrier_crash_effects(&data, &mut rng) {
             out.torn_cases += 1;
             let disk = MemDisk::new();
-            let res = boot_at_round(&disk, rollup_every, crash_round).and_then(|(mut eng, ids)| {
+            let res = boot_at_round(&disk, setup, crash_round).and_then(|(mut eng, ids)| {
                 disk.set_fault_plan(Some(FaultPlan::at_mutation(index, effect)));
                 if eng.step_round().is_ok() {
                     return Err("the armed barrier commit never crashed".to_string());
                 }
                 drop(eng);
                 disk.reboot();
-                let eng = recover_and_finish(&disk, rollup_every)?;
+                let eng = recover_and_finish(&disk, setup)?;
                 compare(&tag, &roots(&eng, &ids)?, &oracle)
             });
             if let Err(e) = res {
@@ -575,17 +604,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn small_sample_is_clean() {
-        let out = run_shard_torture(crate::DEFAULT_SEED, 6);
-        assert!(out.rounds > 0);
-        assert_eq!(out.cases, 6);
-        assert!(out.recovery_cases >= 1);
-        assert!(out.suspend_cases >= 1);
-        assert!(out.torn_cases >= 10, "{} torn cases", out.torn_cases);
-        assert!(
-            out.violations.is_empty(),
-            "violations: {:#?}",
-            out.violations
-        );
+    fn small_sample_is_clean_on_each_policy() {
+        for tiered in [None, Some(crate::tiny_leveled_policy())] {
+            let out = run_shard_torture(crate::DEFAULT_SEED, 6, tiered);
+            assert!(out.rounds > 0);
+            assert_eq!(out.cases, 6);
+            assert!(out.recovery_cases >= 1);
+            assert!(out.suspend_cases >= 1);
+            assert!(out.torn_cases >= 10, "{} torn cases", out.torn_cases);
+            assert!(
+                out.violations.is_empty(),
+                "violations under {tiered:?}: {:#?}",
+                out.violations
+            );
+        }
     }
 }

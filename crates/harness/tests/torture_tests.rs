@@ -4,7 +4,7 @@
 
 use bioopera_harness::{
     real_setup, run_runtime_torture, run_store_torture, run_store_torture_leveled,
-    run_store_torture_tiered, seed_from_env, DEFAULT_SEED,
+    run_store_torture_tiered, seed_from_env, tiny_leveled_policy, DEFAULT_SEED,
 };
 use bioopera_workloads::{AllVsAllConfig, AllVsAllSetup};
 
@@ -105,7 +105,7 @@ fn store_enumeration_holds_under_an_alternate_seed() {
 #[test]
 fn runtime_sampled_crash_points_recover_byte_identically() {
     let seed = seed_from_env(DEFAULT_SEED);
-    let out = run_runtime_torture(&real_setup(), seed, 6, 2);
+    let out = run_runtime_torture(&real_setup(), seed, 6, 2, None);
     assert!(
         out.mutations > 50,
         "all-vs-all run too small: {} mutations",
@@ -132,7 +132,7 @@ fn runtime_full_crash_point_enumeration_recovers_byte_identically() {
         ..Default::default()
     };
     let setup = AllVsAllSetup::synthetic(16, 53, 38, config);
-    let out = run_runtime_torture(&setup, seed, usize::MAX, 2);
+    let out = run_runtime_torture(&setup, seed, usize::MAX, 2, None);
     assert!(
         out.mutations > 50,
         "all-vs-all run too small: {} mutations",
@@ -144,5 +144,32 @@ fn runtime_full_crash_point_enumeration_recovers_byte_identically() {
         "{} violations (first: {})",
         out.violations.len(),
         out.violations[0]
+    );
+}
+
+/// The same all-vs-all over stores under the tiny leveled policy: its
+/// spills, merges and push-downs add crash points to the run, and a
+/// sample of them, double crashes included, recovers byte-identically.
+#[test]
+fn runtime_sampled_crash_points_recover_under_the_leveled_policy() {
+    let seed = seed_from_env(DEFAULT_SEED);
+    let config = AllVsAllConfig {
+        teus: 3,
+        ..Default::default()
+    };
+    let setup = AllVsAllSetup::synthetic(16, 53, 38, config);
+    let untiered = run_runtime_torture(&setup, seed, 0, 0, None);
+    let leveled = run_runtime_torture(&setup, seed, 12, 2, Some(tiny_leveled_policy()));
+    assert!(
+        leveled.mutations > untiered.mutations + 8,
+        "the leveled run added no spill/merge mutations ({} vs {})",
+        leveled.mutations,
+        untiered.mutations
+    );
+    assert!(
+        leveled.violations.is_empty(),
+        "{} violations (first: {})",
+        leveled.violations.len(),
+        leveled.violations[0]
     );
 }

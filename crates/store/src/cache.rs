@@ -38,8 +38,8 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Default cache budget when neither the policy nor
-/// `BIOOPERA_BLOCK_CACHE_BUDGET` says otherwise.
+/// Default cache budget: an untiered store's, and a tiered one's unless
+/// its policy says otherwise.
 pub const DEFAULT_BLOCK_CACHE_BUDGET: u64 = 8 * 1024 * 1024;
 
 /// One decoded, CRC-verified data block: ops sorted by key (a block

@@ -11,8 +11,7 @@
 //! leveled tier.  The rest of the engine lives in one module per
 //! decision:
 //!
-//! * `policy.rs` — when to roll and how big each tier may grow;
-//!   the store's single environment read.
+//! * `policy.rs` — when to roll and how big each tier may grow.
 //! * `manifest.rs` — the MANIFEST text format, the one commit
 //!   point of every state change bigger than a WAL append.
 //! * `levels.rs` — the level layout (overlapping L0, disjoint
@@ -288,11 +287,10 @@ impl<D: Disk> Store<D> {
     /// and the newest committed snapshot, then replay the live WAL,
     /// discarding any torn tail left by a crash.
     ///
-    /// A [`TieredPolicy`] requested through the environment
-    /// (`BIOOPERA_MEMTABLE_BUDGET`) is installed automatically; use
-    /// [`Store::open_with`] to pin the policy explicitly.
+    /// Exactly [`Store::open_with`] with no [`TieredPolicy`]: the store is
+    /// tiered only when its opener says so.
     pub fn open(disk: D) -> StoreResult<Self> {
-        Self::open_with(disk, TieredPolicy::from_env())
+        Self::open_with(disk, None)
     }
 
     /// [`Store::open`] with an explicit tiering decision (`None` keeps

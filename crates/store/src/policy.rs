@@ -3,9 +3,10 @@
 //! Two independent policies: [`CompactionPolicy`] rolls the WAL into a
 //! snapshot (the pre-tiering engine), [`TieredPolicy`] bounds resident
 //! memory by spilling memtables to sorted runs and sizes the levels
-//! beneath them.  This module is also the store's **single environment
-//! read** ([`TieredPolicy::from_env`]): `Store::open` consults it,
-//! `Store::open_with` never does.
+//! beneath them.  Both are arguments: a store is tiered only when its
+//! opener passes a policy to `Store::open_with` (a `Runtime` takes one
+//! through `RuntimeConfig::tiered`), and nothing here reads the
+//! environment.
 
 use crate::cache::DEFAULT_BLOCK_CACHE_BUDGET;
 
@@ -83,40 +84,6 @@ impl Default for TieredPolicy {
 }
 
 impl TieredPolicy {
-    /// Policy requested through the environment, if any:
-    /// `BIOOPERA_MEMTABLE_BUDGET` (bytes) enables tiering;
-    /// `BIOOPERA_RUN_MERGE`, `BIOOPERA_LEVEL_BASE` and
-    /// `BIOOPERA_BLOCK_CACHE_BUDGET` optionally override the L0
-    /// threshold, the L1 byte budget and the cache budget.  This is how
-    /// the test suite forces constant spilling and deep levels across
-    /// the whole workspace without touching call sites.
-    pub fn from_env() -> Option<TieredPolicy> {
-        let budget = std::env::var("BIOOPERA_MEMTABLE_BUDGET")
-            .ok()?
-            .trim()
-            .parse()
-            .ok()?;
-        let merge = std::env::var("BIOOPERA_RUN_MERGE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(TieredPolicy::default().run_merge_threshold);
-        let level_base = std::env::var("BIOOPERA_LEVEL_BASE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(0);
-        let cache = std::env::var("BIOOPERA_BLOCK_CACHE_BUDGET")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_BLOCK_CACHE_BUDGET);
-        Some(TieredPolicy {
-            memtable_budget_bytes: budget,
-            run_merge_threshold: merge.max(2),
-            level_base_bytes: level_base,
-            block_cache_budget: cache,
-            ..TieredPolicy::default()
-        })
-    }
-
     /// Byte budget of level `level` (1-based; L0 is run-count-gated).
     pub(crate) fn level_cap(&self, level: usize) -> u64 {
         let base = if self.level_base_bytes > 0 {

@@ -99,7 +99,7 @@ impl<D: Disk> Store<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemDisk;
+    use crate::{MemDisk, TieredPolicy};
 
     #[test]
     fn shard_keys_roundtrip_and_sort_disjoint() {
@@ -157,23 +157,51 @@ mod tests {
         out
     }
 
+    /// A shard's recovery visit reads its own records and nobody else's —
+    /// out of the memtable, and out of runs spilled and pushed down a
+    /// level.
     #[test]
     fn visit_shard_sees_only_its_prefix() {
-        let store = Store::open(MemDisk::new()).unwrap();
-        store
-            .put(Space::Instance, shard_key(0, "inst/a"), b"0".to_vec())
-            .unwrap();
-        store
-            .put(Space::Instance, shard_key(1, "inst/a"), b"1".to_vec())
-            .unwrap();
-        store
-            .put(Space::Instance, "inst/a", b"serial".to_vec())
-            .unwrap();
-        let s0 = collect_shard(&store, 0);
-        assert_eq!(s0.len(), 1);
-        assert_eq!(s0[0].0, "inst/a");
-        assert_eq!(s0[0].1.as_ref(), b"0");
-        let s1 = collect_shard(&store, 1);
-        assert_eq!(s1[0].1.as_ref(), b"1");
+        let squeezed = TieredPolicy {
+            memtable_budget_bytes: 512,
+            run_merge_threshold: 2,
+            level_base_bytes: 4096,
+            level_growth: 2,
+            level_run_bytes: 768,
+            ..TieredPolicy::default()
+        };
+        for tiered in [None, Some(squeezed)] {
+            let store = Store::open_with(MemDisk::new(), tiered).unwrap();
+            for shard in 0..3usize {
+                for i in 0..40u32 {
+                    let body = format!("shard{shard}-rec{i:03}-{}", "x".repeat(48));
+                    let key = shard_key(shard, &format!("inst/{i:03}"));
+                    store.put(Space::Instance, key, body.into_bytes()).unwrap();
+                }
+            }
+            store
+                .put(Space::Instance, "inst/a", b"serial".to_vec())
+                .unwrap();
+            let stats = store.stats();
+            assert_eq!(
+                stats.spills > 0 && stats.run_merges > 0,
+                tiered.is_some(),
+                "{stats:?}"
+            );
+            for shard in 0..3usize {
+                let seen = collect_shard(&store, shard);
+                assert_eq!(seen.len(), 40, "shard {shard} under {tiered:?}");
+                for (i, (key, value)) in seen.iter().enumerate() {
+                    assert_eq!(key, &format!("inst/{i:03}"));
+                    assert!(
+                        value.starts_with(format!("shard{shard}-rec{i:03}").as_bytes()),
+                        "shard {shard} read another shard's record under {tiered:?}"
+                    );
+                }
+            }
+            // A shard that never wrote sees an empty journal, not a
+            // neighbour's.
+            assert!(collect_shard(&store, 7).is_empty());
+        }
     }
 }

@@ -8,6 +8,11 @@
 //! observed a torn batch — exactly the isolation violation the
 //! `RwLock`-based engine must rule out (writers hold the write lock for
 //! the whole in-memory application).
+//!
+//! Each test runs on the untiered store and on a tiered one that spills
+//! every few batches, where a roll is a spill and a merge: there a merge must
+//! swap the in-memory tier list before deleting its input files, or a
+//! reader holding the old view scans a vanished run.
 
 use bioopera_store::{Batch, CompactionPolicy, MemDisk, Space, Store, TieredPolicy};
 use bytes::Bytes;
@@ -33,10 +38,38 @@ fn decode(v: &Bytes) -> u64 {
     u64::from_le_bytes(v.as_slice().try_into().expect("8-byte marker value"))
 }
 
+/// The store policies every test runs on: untiered, and a budget of two
+/// marker batches with an L0 merge every second spill.
+fn policies() -> [Option<TieredPolicy>; 2] {
+    [
+        None,
+        Some(TieredPolicy {
+            memtable_budget_bytes: 2048,
+            run_merge_threshold: 2,
+            ..TieredPolicy::default()
+        }),
+    ]
+}
+
+/// Under a tiered policy the workload must have spilled and merged.
+fn assert_tiered_work(store: &Store<MemDisk>, tiered: Option<TieredPolicy>) {
+    let stats = store.stats();
+    if tiered.is_some() {
+        assert!(stats.spills > 0, "budget never triggered a spill");
+        assert!(stats.run_merges > 0, "threshold never triggered a merge");
+    }
+}
+
 #[test]
 fn readers_never_observe_a_half_applied_batch() {
+    for tiered in policies() {
+        readers_never_observe_a_half_applied_batch_on(tiered);
+    }
+}
+
+fn readers_never_observe_a_half_applied_batch_on(tiered: Option<TieredPolicy>) {
     let disk = MemDisk::new();
-    let store = Store::open(disk.clone()).unwrap();
+    let store = Store::open_with(disk.clone(), tiered).unwrap();
     store.apply(marker_batch(0)).unwrap();
 
     let done = AtomicBool::new(false);
@@ -134,86 +167,24 @@ fn readers_never_observe_a_half_applied_batch() {
         assert_eq!(decode(v), BATCHES);
     }
     assert!(max_seen.load(Ordering::Relaxed) <= BATCHES);
+    assert_tiered_work(&store, tiered);
     drop(store);
-    let recovered = Store::open(disk).unwrap();
+    let recovered = Store::open_with(disk, tiered).unwrap();
     for (_, v) in recovered.scan_prefix(Space::Instance, "stress/").unwrap() {
         assert_eq!(decode(&v), BATCHES);
     }
 }
 
 #[test]
-fn tiered_spills_and_merges_under_concurrent_readers_never_break_a_scan() {
-    // Regression test for the run-GC race: a merge compaction must swap
-    // the in-memory tier list before deleting its input files, or a
-    // reader holding the old view scans a vanished run.  The tiny budget
-    // and merge threshold make spills and merges continuous while the
-    // readers hammer scans, gets and len.
-    let disk = MemDisk::new();
-    let store = Store::open_with(
-        disk.clone(),
-        Some(TieredPolicy {
-            memtable_budget_bytes: 2048,
-            run_merge_threshold: 2,
-            ..TieredPolicy::default()
-        }),
-    )
-    .unwrap();
-    store.apply(marker_batch(0)).unwrap();
-
-    const TIERED_BATCHES: u64 = 200;
-    let done = AtomicBool::new(false);
-    thread::scope(|s| {
-        for reader in 0..READERS {
-            let store = store.clone();
-            let done = &done;
-            s.spawn(move || {
-                let mut last = 0u64;
-                while !done.load(Ordering::Relaxed) {
-                    let hits = store.scan_prefix(Space::Instance, "stress/").unwrap();
-                    assert_eq!(hits.len(), KEYS, "reader {reader}: batch partially visible");
-                    let first = decode(&hits[0].1);
-                    for (k, v) in &hits {
-                        assert_eq!(decode(v), first, "reader {reader}: torn batch at key {k}");
-                    }
-                    assert!(first >= last, "reader {reader}: visibility went backwards");
-                    last = first;
-                    let point = store.get(Space::Instance, "stress/00").unwrap().unwrap();
-                    assert!(decode(&point) <= TIERED_BATCHES);
-                    assert_eq!(store.len(Space::Instance).unwrap(), KEYS);
-                }
-            });
-        }
-        let writer = store.clone();
-        let done = &done;
-        s.spawn(move || {
-            for i in 1..=TIERED_BATCHES {
-                writer.apply(marker_batch(i)).unwrap();
-                if i % 40 == 0 {
-                    writer.compact().unwrap();
-                }
-            }
-            done.store(true, Ordering::Relaxed);
-        });
-    });
-
-    // The workload actually exercised the tier machinery.
-    let stats = store.stats();
-    assert!(stats.spills > 0, "budget never triggered a spill");
-    assert!(stats.run_merges > 0, "threshold never triggered a merge");
-
-    drop(store);
-    let recovered = Store::open_with(disk, None).unwrap();
-    let hits = recovered.scan_prefix(Space::Instance, "stress/").unwrap();
-    assert_eq!(hits.len(), KEYS);
-    for (_, v) in &hits {
-        assert_eq!(decode(v), TIERED_BATCHES);
+fn auto_compaction_under_concurrent_readers_keeps_state_consistent() {
+    for tiered in policies() {
+        auto_compaction_under_concurrent_readers_on(tiered);
     }
 }
 
-#[test]
-fn auto_compaction_under_concurrent_readers_keeps_state_consistent() {
+fn auto_compaction_under_concurrent_readers_on(tiered: Option<TieredPolicy>) {
     let disk = MemDisk::new();
-    let store = Store::open(disk.clone()).unwrap();
+    let store = Store::open_with(disk.clone(), tiered).unwrap();
     store.set_compaction_policy(Some(CompactionPolicy {
         wal_bytes_threshold: 2 * 1024,
         min_wal_batches: 2,
@@ -248,8 +219,9 @@ fn auto_compaction_under_concurrent_readers_keeps_state_consistent() {
 
     // The policy actually fired (epoch advanced) and nothing was lost.
     assert!(store.stats().epoch > 0, "auto-compaction never triggered");
+    assert_tiered_work(&store, tiered);
     drop(store);
-    let recovered = Store::open(disk).unwrap();
+    let recovered = Store::open_with(disk, tiered).unwrap();
     assert_eq!(recovered.len(Space::Instance).unwrap(), KEYS);
     for (_, v) in recovered.scan_prefix(Space::Instance, "stress/").unwrap() {
         assert_eq!(decode(&v), 200);

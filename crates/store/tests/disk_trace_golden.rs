@@ -10,8 +10,7 @@
 //! the compaction core or the manifest writer that moves one byte on
 //! disk, one block read or one returned record turns this red.
 //!
-//! Policies are passed explicitly (`open_with`), so the `BIOOPERA_*`
-//! sweeps of `scripts/check.sh` run the same script.  `compact()` on a
+//! Each script passes its policy to `open_with`.  `compact()` on a
 //! tiered store is deliberately not in the script: it is the one call
 //! whose disk behaviour the split changed (it now does what an automatic
 //! roll does).

@@ -2,23 +2,28 @@
 # Repo-wide hygiene gate: formatting, lints (warnings are errors), tests.
 # Run from anywhere; operates on the workspace root.
 #
+#   bash scripts/check.sh --gates  # the grep gates alone: seconds (the
+#                                  # canaries plant bugs against these)
 #   bash scripts/check.sh --fast   # fmt, the grep gates, clippy, the workspace
-#                                  # tests, the two release-mode allocation
-#                                  # gates: minutes, run it before every commit
-#   bash scripts/check.sh          # all of that, then the tiered sweeps, both
-#                                  # torture runs, the canaries, the benchmark
-#                                  # smoke and check, the bench smokes
+#                                  # tests (tiering included: the store policy
+#                                  # is a test axis, not an environment), the
+#                                  # two release-mode allocation gates:
+#                                  # minutes, run it before every commit
+#   bash scripts/check.sh          # all of that, then both torture runs, the
+#                                  # canaries, the benchmark smoke and check,
+#                                  # the bench smokes
 #
 # Every step prints its wall time when it ends, and the run ends with the
 # list (EXPERIMENTS.md records both tiers' times on the reference host).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-fast=0
+tier=full
 case "${1:-}" in
-  --fast) fast=1 ;;
+  --gates) tier=gates ;;
+  --fast) tier=fast ;;
   "") ;;
-  *) echo "usage: check.sh [--fast]"; exit 2 ;;
+  *) echo "usage: check.sh [--gates|--fast]"; exit 2 ;;
 esac
 
 # step NAME: close the step before (printing what it took) and open NAME.
@@ -43,19 +48,35 @@ finish() {
   exit 0
 }
 
-step "cargo fmt --check"
-cargo fmt --check
+if [ "$tier" != gates ]; then
+  step "cargo fmt --check"
+  cargo fmt --check
+fi
 
 step "no environment reads in library code"
 # Library crates take their configuration as arguments; only binaries
-# (src/bin/, the edge) read the environment.  Exactly two places are
-# allowed: the store's single policy read (TieredPolicy::from_env) and
-# darwin's SIMD override.
+# (src/bin/, the edge) read the environment.  One place is allowed:
+# darwin's SIMD override, which picks a kernel and changes no result.
 stray=$(grep -rn 'env::var' crates/{store,core,cluster,ocr,darwin,workloads}/src --include='*.rs' \
   | grep -v '/src/bin/' \
-  | grep -v -e '^crates/store/src/policy.rs:' -e '^crates/darwin/src/simd.rs:' || true)
+  | grep -v '^crates/darwin/src/simd.rs:' || true)
 if [ -n "$stray" ]; then
   echo "environment read in library code:"
+  echo "$stray"
+  exit 1
+fi
+
+step "tiering is an argument: no store-policy variables, no process-wide environment writes"
+# A store is tiered by the policy its opener passes (RuntimeConfig::tiered
+# for a Runtime), and the test suites draw the policy as an axis.  The
+# four variables that once tiered every store behind the caller's back
+# must not come back — not read, not set by a step below — and no Rust
+# source may set a variable: in a multi-threaded test binary that changes
+# the program under every other test.
+stray=$(grep -rnE 'BIOOPERA_(MEMTABLE_BUDGET|RUN_MERGE|LEVEL_BASE|BLOCK_CACHE_BUDGET)|env::set_(var)\b' \
+  crates src scripts tests examples || true)
+if [ -n "$stray" ]; then
+  echo "a store-policy environment variable or an environment write:"
   echo "$stray"
   exit 1
 fi
@@ -177,6 +198,10 @@ if [ -n "$unargued" ]; then
   exit 1
 fi
 
+if [ "$tier" = gates ]; then
+  finish "Grep gates passed."
+fi
+
 step "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -197,8 +222,8 @@ step "codec allocation gate in release: a record encodes without allocating and 
 # batch: two, its key and its value.
 cargo test --release -q -p bioopera-core --test codec_allocs
 
-if [ "$fast" = 1 ]; then
-  finish "Fast tier passed (the sweeps, torture runs, canaries and benchmark runs are the full tier's)."
+if [ "$tier" = fast ]; then
+  finish "Fast tier passed (the torture runs, canaries and benchmark runs are the full tier's)."
 fi
 
 step "store concurrent stress, 5x in release (where a late-scheduled reader used to fail 1 run in 3)"
@@ -210,43 +235,14 @@ for _ in 1 2 3 4 5; do
   cargo test --release -q -p bioopera-store --test concurrent_stress
 done
 
-step "store+core suites under a forced-small memtable budget (constant spilling)"
-# BIOOPERA_MEMTABLE_BUDGET routes every Store::open through the tiered
-# engine with a 64 KiB budget, so the suites re-run against real memtable
-# spills, bloom-gated run reads and merge compactions inside the runtime
-# workloads.  (4 KiB would also work but makes the heavy dependability
-# traces quadratic in merge work; ~40 s at 64 KiB.)
-BIOOPERA_MEMTABLE_BUDGET=65536 cargo test -q -p bioopera-store -p bioopera-core
-
-step "leveled squeeze: store + runtime/shard suites at a 512-byte budget"
-# The deepest-stress point of the leveled engine: a spill every few
-# records (512 B budget), an L0→L1 merge every second spill
-# (BIOOPERA_RUN_MERGE=2) and constant level-overflow push-downs
-# (BIOOPERA_LEVEL_BASE=2048).  The heavy dependability traces are
-# minutes of merge work at this budget on the 1-core CI host, so this
-# step runs the store suite plus the runtime and shard integration
-# suites that assert tiering is semantics-invisible; the 64 KiB step
-# above already walks the whole core package through the tiered engine.
-BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
-  cargo test -q -p bioopera-store
-BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
-  cargo test -q -p bioopera-core --test runtime_tests --test shard_determinism \
-  --test tiered_runtime --test tiered_shard_determinism
-# Bounded torture sample under the same squeeze: the runtime and shard
-# probes open their stores through the env, so barrier-crash recovery,
-# double-crash cases and every tear of three barrier commits run on top
-# of real spills and level merges (~13 s; the full enumeration runs
-# untiered below).
-BIOOPERA_MEMTABLE_BUDGET=512 BIOOPERA_RUN_MERGE=2 BIOOPERA_LEVEL_BASE=2048 \
-  cargo run -q -p bioopera-harness --bin torture -- --store-limit 8 \
-  --runtime-samples 2 --recovery-samples 1 --shard-samples 8
-
 step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
 # real 3-TEU all-vs-all (83 executions, ~2 s of the total in release) +
 # sampled shard barrier-crash points + four rounds' barrier commits torn
 # every way (lost, applied unacknowledged, cut at each frame boundary ±1
-# and at seeded offsets), all held to the history invariant.
+# and at seeded offsets), all held to the history invariant; then a
+# bounded sample of the runtime and shard passes again over stores under
+# the tiny leveled policy, so crash points fall inside spills and merges.
 cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
 
 step "canaries: every audited gate turns red on its planted bug"
