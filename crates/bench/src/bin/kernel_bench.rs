@@ -16,9 +16,11 @@
 //! estimate of kernel throughput).
 //!
 //! Bit-identity is asserted, not sampled: every scoring variant must
-//! produce the same checksum and cell count as the naive oracle, and the
+//! produce the same checksum and cell count as the naive oracle, the
 //! banded refinement must agree with the unbanded ladder scan while
-//! accounting every skipped cell.
+//! accounting every skipped cell, and the per-query batched refinement
+//! (`refine_batched`) must give exactly the per-pair banded scan's
+//! checksum, cells and skipped cells.
 //!
 //! Writes `BENCH_kernel.json`.  With `KERNEL_BENCH_SMOKE=1` the bench
 //! runs one pass per variant and additionally enforces a floor on the
@@ -32,9 +34,11 @@ use bioopera_darwin::align::{
 };
 use bioopera_darwin::dataset::DatasetConfig;
 use bioopera_darwin::pam::FIXED_PAM;
-use bioopera_darwin::refine::{refine_pam_distance_banded, refine_pam_distance_with};
+use bioopera_darwin::refine::{
+    refine_pam_distance_banded, refine_pam_distance_with, refine_query_banded, Refined,
+};
 use bioopera_darwin::simd::{self, SimdLevel};
-use bioopera_darwin::{PamFamily, SequenceDb};
+use bioopera_darwin::{PamFamily, Sequence, SequenceDb};
 use serde::Serialize;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -295,6 +299,31 @@ fn main() {
         (checksum, cells, skipped)
     };
 
+    // The same banded ladder one query at a time: one profile per (query,
+    // matrix) shared by the query's matched subjects, as the all-vs-all's
+    // refine pass runs it.  `matched` is in query order, so the results —
+    // and the f64 checksum's summation order — are banded_refine's.
+    let mut scratch7 = AlignScratch::new();
+    let mut subjects: Vec<&Sequence> = Vec::new();
+    let mut refined: Vec<Refined> = Vec::new();
+    let mut refine_batched_pass = || {
+        let mut checksum = 0.0f64;
+        let mut cells = 0u64;
+        let mut skipped = 0u64;
+        for group in matched_ref.chunk_by(|x, y| x.0 == y.0) {
+            subjects.clear();
+            subjects.extend(group.iter().map(|&(_, f)| db.get(f)));
+            let query = db.get(group[0].0);
+            refine_query_banded(query, &subjects, &pam, &params, &mut scratch7, &mut refined);
+            for r in &refined {
+                checksum += r.score as f64;
+                cells += r.cells;
+                skipped += r.cells_skipped;
+            }
+        }
+        (checksum, cells, skipped)
+    };
+
     // Full traceback over the matched pairs with a reused scratch and
     // output: must be allocation-free once warm.
     let mut scratch6 = AlignScratch::new();
@@ -330,6 +359,7 @@ fn main() {
     simd_pass();
     refine_plain_pass();
     refine_banded_pass();
+    refine_batched_pass();
     traceback_pass();
     let mut naive_t = Timing::new();
     let mut batch_t = Timing::new();
@@ -337,6 +367,7 @@ fn main() {
     let mut simd_t = Timing::new();
     let mut refp_t = Timing::new();
     let mut refb_t = Timing::new();
+    let mut refq_t = Timing::new();
     let mut tb_t = Timing::new();
     for _ in 0..repeats {
         naive_t.pass(&mut naive_pass);
@@ -345,6 +376,7 @@ fn main() {
         simd_t.pass(&mut simd_pass);
         refp_t.pass(&mut refine_plain_pass);
         refb_t.pass(&mut refine_banded_pass);
+        refq_t.pass(&mut refine_batched_pass);
         tb_t.pass(&mut traceback_pass);
     }
 
@@ -376,11 +408,19 @@ fn main() {
         refb_cells + refb_skipped == refp_cells,
         "banded refine lost cells: {refb_cells} + {refb_skipped} != {refp_cells}"
     );
+    // One profile per (query, matrix) changes nothing a pair reports.
+    assert!(
+        refq_t.result == refb_t.result,
+        "batched refine diverged from the per-pair scan: {:?} vs {:?}",
+        refq_t.result,
+        refb_t.result
+    );
     // Warm steady-state passes must not touch the allocator.
     for (name, t) in [
         ("profile_batched", &batch_t),
         ("simd_batched", &simd_t),
         ("banded_refine", &refb_t),
+        ("refine_batched", &refq_t),
         ("local_traceback", &tb_t),
     ] {
         assert!(
@@ -410,6 +450,7 @@ fn main() {
         variant("refine_unbanded", &refp_t, matched_pairs),
         variant("banded_refine", &refb_t, matched_pairs),
         variant("local_traceback", &tb_t, matched_pairs),
+        variant("refine_batched", &refq_t, matched_pairs),
     ];
     let speedup = variants[1].cells_per_sec / variants[0].cells_per_sec;
     let simd_speedup = variants[3].cells_per_sec / variants[1].cells_per_sec;

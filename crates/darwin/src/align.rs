@@ -277,7 +277,7 @@ impl AlignScratch {
     /// exceeds `s` the result is exactly the unbanded one; otherwise the
     /// returned score is a partial best that is provably `<= s`, with
     /// the unvisited cells reported in `cells_skipped`.
-    fn align_loaded_bounded(
+    pub(crate) fn align_loaded_bounded(
         &mut self,
         subject: &[u8],
         p: &AlignParams,
@@ -679,8 +679,9 @@ pub fn align_score_naive(
 /// cell can lift the final score above `beat`.  In the skipping case the
 /// returned score is a partial best that is provably `<= beat`; skipped
 /// cells are reported in [`ScoreOnly::cells_skipped`] so cost accounting
-/// stays honest.  This is the PAM-ladder refinement's hot path: each
-/// matrix only has to prove it cannot beat the ladder's running best.
+/// stays honest.  The PAM-ladder refinement runs the same bounded kernel
+/// with one profile per matrix shared by all of a query's subjects
+/// ([`crate::refine::refine_query_banded`]).
 pub fn align_score_bounded_with(
     a: &Sequence,
     b: &Sequence,

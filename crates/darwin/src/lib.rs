@@ -48,7 +48,8 @@ pub use dataset::{DatasetConfig, SequenceDb};
 pub use matches::{Match, MatchSet};
 pub use pam::{PamFamily, ScoreMatrix};
 pub use refine::{
-    refine_pam_distance, refine_pam_distance_banded, refine_pam_distance_with, Refined,
+    refine_pam_distance, refine_pam_distance_banded, refine_pam_distance_with, refine_query_banded,
+    Refined,
 };
 pub use sequence::Sequence;
 pub use simd::SimdLevel;

@@ -7,7 +7,7 @@
 //! under every matrix of the family's ladder and return the argmax — a
 //! discrete maximum-likelihood estimate of evolutionary distance.
 
-use crate::align::{align_score_bounded_with, AlignParams, AlignScratch};
+use crate::align::{AlignParams, AlignScratch};
 use crate::pam::PamFamily;
 use crate::sequence::Sequence;
 
@@ -72,15 +72,15 @@ pub fn refine_pam_distance_with(
 
 /// Ladder scan with **score-bound adaptive banding**: each matrix after
 /// the first only has to prove it cannot beat the ladder's running best,
-/// so [`align_score_bounded_with`] may skip the whole matrix (when the
-/// query's score upper bound is below the running best) or a suffix of
-/// subject columns (once the per-column bound shows no later cell can
-/// reach it).  The argmax is **identical** to
-/// [`refine_pam_distance_with`] — bit-identical `score` and the same
-/// `pam_distance` — because a matrix is only truncated when its true
-/// score provably cannot exceed the running best, and ties keep the
-/// earlier matrix under the strict `>` in both scans.  Only the
-/// `cells`/`cells_skipped` split differs; their sum is invariant.
+/// so the bounded kernel may skip the whole matrix (when the query's
+/// score upper bound is below the running best) or a suffix of subject
+/// columns (once the per-column bound shows no later cell can reach it).
+/// The argmax is **identical** to [`refine_pam_distance_with`] —
+/// bit-identical `score` and the same `pam_distance` — because a matrix
+/// is only truncated when its true score provably cannot exceed the
+/// running best, and ties keep the earlier matrix under the strict `>`
+/// in both scans.  Only the `cells`/`cells_skipped` split differs; their
+/// sum is invariant.  This is [`refine_query_banded`] with one subject.
 pub fn refine_pam_distance_banded(
     a: &Sequence,
     b: &Sequence,
@@ -88,24 +88,63 @@ pub fn refine_pam_distance_banded(
     params: &AlignParams,
     scratch: &mut AlignScratch,
 ) -> Refined {
-    let mut best_pam = family.ladder()[0].pam;
-    let mut best_score = f32::NEG_INFINITY;
-    let mut cells = 0u64;
-    let mut cells_skipped = 0u64;
+    let mut out = [Refined::start(family)];
+    ladder_banded(a, &[b], family, params, scratch, &mut out);
+    out[0]
+}
+
+/// [`refine_pam_distance_banded`] of one query against many subjects,
+/// with one query profile per ladder matrix instead of one per (pair,
+/// matrix).  Each subject keeps its own running best as its `beat`, so
+/// every result — score bits, `pam_distance`, `cells`, `cells_skipped`
+/// — equals the per-pair scan's.  Results are pushed onto `out`
+/// (cleared first) in subject order.
+pub fn refine_query_banded(
+    a: &Sequence,
+    subjects: &[&Sequence],
+    family: &PamFamily,
+    params: &AlignParams,
+    scratch: &mut AlignScratch,
+    out: &mut Vec<Refined>,
+) {
+    out.clear();
+    out.resize(subjects.len(), Refined::start(family));
+    ladder_banded(a, subjects, family, params, scratch, out);
+}
+
+/// The one banded ladder loop: matrix-outer, subject-inner, each
+/// `out[i]` holding subject `i`'s running best.
+fn ladder_banded(
+    a: &Sequence,
+    subjects: &[&Sequence],
+    family: &PamFamily,
+    params: &AlignParams,
+    scratch: &mut AlignScratch,
+    out: &mut [Refined],
+) {
     for m in family.ladder() {
-        let r = align_score_bounded_with(a, b, m, params, best_score, scratch);
-        cells += r.cells;
-        cells_skipped += r.cells_skipped;
-        if r.score > best_score {
-            best_score = r.score;
-            best_pam = m.pam;
+        scratch.set_query(a, m);
+        for (b, best) in subjects.iter().zip(out.iter_mut()) {
+            let r = scratch.align_loaded_bounded(&b.residues, params, Some(best.score));
+            best.cells += r.cells;
+            best.cells_skipped += r.cells_skipped;
+            if r.score > best.score {
+                best.score = r.score;
+                best.pam_distance = m.pam;
+            }
         }
     }
-    Refined {
-        pam_distance: best_pam,
-        score: best_score,
-        cells,
-        cells_skipped,
+}
+
+impl Refined {
+    /// A ladder scan before its first matrix: nothing beaten yet.
+    fn start(family: &PamFamily) -> Refined {
+        Refined {
+            pam_distance: family.ladder()[0].pam,
+            score: f32::NEG_INFINITY,
+            cells: 0,
+            cells_skipped: 0,
+        }
     }
 }
 

@@ -11,15 +11,20 @@
 //! inside the column and is broken by the striping, which the **lazy-F**
 //! sweep repairs (see [`x86::kernel`]).
 //!
-//! Bit-identity with the scalar kernels: every cell computes
-//! `max(diag + score, E, F, 0)` from the same operands — `f32` max over
+//! Bit-identity with the scalar kernels: every cell's H is
+//! `max(diag + score, E, F, 0)` over the same operands — `f32` max over
 //! the NaN-free, negative-zero-free values arising here is the exact
 //! mathematical max, so the schedule (striped vs row-major) cannot change
-//! a single bit.  Padded lanes (query positions `>= len`) carry `-inf`
-//! profile entries; their H values stay strictly below the running best
-//! (any padded H derives from a real H minus at least one gap-open), so
-//! the final horizontal max needs no masking.  The darwin proptests pin
-//! all of this against [`crate::align::align_score_naive`].
+//! a single bit.  The F chain is fed from the cell *before* F is folded
+//! in (`H0 - open` instead of `H - open`), which is exact, not
+//! approximate: `x ↦ fl(x - c)` is monotone, so `fl(max(H0, F) - open)
+//! = max(fl(H0 - open), fl(F - open))`, and `fl(F - open) <= fl(F - ext)`
+//! whenever `open >= ext` — the precondition under which `align.rs`
+//! dispatches here at all.  Padded lanes (query positions `>= len`)
+//! carry `-inf` profile entries; their H values stay strictly below the
+//! running best (any padded H derives from a real H minus at least one
+//! gap-open), so the final horizontal max needs no masking.  The darwin
+//! proptests pin all of this against [`crate::align::align_score_naive`].
 //!
 //! Level selection: [`detect`] probes the CPU once (cached) and honours a
 //! `BIOOPERA_SIMD` override (`scalar`/`sse2`/`avx2`/`auto`), clamped to
@@ -321,18 +326,18 @@ mod x86 {
             let mut vf = vninf;
             for t in 0..seg {
                 let o = t * lanes;
-                // H = max(diag + score, E, F, 0): same operands and order
-                // as the scalar kernels, so the result is bit-identical.
+                // H0 = max(diag + score, E, 0) does not wait for F, and
+                // F' = max(F - ext, H0 - open) leaves `sub, max` on the
+                // loop-carried chain instead of `max, max, sub, max`.
+                // Exact only for open >= ext (see the module docs).
                 vh = O::add(vh, O::load(prow.add(o)));
                 let ve = O::load(ep.add(o));
-                vh = O::max(vh, ve);
-                vh = O::max(vh, vf);
-                vh = O::max(vh, vzero);
+                let vh0 = O::max(O::max(vh, ve), vzero);
+                vh = O::max(vh0, vf);
                 vbest = O::max(vbest, vh);
                 O::store(store.add(o), vh);
-                let vho = O::sub(vh, vopen);
-                O::store(ep.add(o), O::max(O::sub(ve, vext), vho));
-                vf = O::max(O::sub(vf, vext), vho);
+                O::store(ep.add(o), O::max(O::sub(ve, vext), O::sub(vh, vopen)));
+                vf = O::max(O::sub(vf, vext), O::sub(vh0, vopen));
                 // Next vector's diagonal is the previous column's H here.
                 vh = O::load(load.add(o));
             }

@@ -221,3 +221,61 @@ fn forced_scalar_fallback_is_exercised() {
     assert_eq!(r.score.to_bits(), naive.score.to_bits());
     assert_eq!(r.cells, naive.cells);
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The striped lane is exact only for `open >= ext >= 0`: its F chain
+    /// is fed `H0 - open` (the cell before F is folded in), which loses
+    /// `F - open` — dominated by `F - ext` only then — and its lazy-F
+    /// sweep is pure extension decay.  Every other pair of gap
+    /// parameters must be routed to the scalar kernel.  Draws
+    /// `open ∈ [0, 40]` and `ext ∈ [0, 4·open]` (both on a grid of exact
+    /// binary fractions), with `ext == open` and `ext == 0` pinned in
+    /// half of the cases, and holds every level, unbanded and banded, to
+    /// the naive oracle bit for bit.
+    #[test]
+    fn every_level_is_bit_identical_over_gap_parameters(
+        a in residues(48),
+        b in residues(48),
+        ladder_idx in 0usize..12,
+        open_q in 0u32..161,
+        ext_sixteenths in 0u32..65,
+        pin in 0u8..4,
+        beat in -10.0f32..200.0,
+    ) {
+        let fam = PamFamily::default();
+        let m = &fam.ladder()[ladder_idx % fam.ladder().len()];
+        let open = open_q as f32 / 4.0;
+        let ext = match pin {
+            0 => open,
+            1 => 0.0,
+            _ => open * ext_sixteenths as f32 / 16.0,
+        };
+        let p = AlignParams { gap_open: open, gap_extend: ext, ..AlignParams::default() };
+        let sa = Sequence::new(0, a);
+        let sb = Sequence::new(1, b);
+        let naive = align_score_naive(&sa, &sb, m, &p);
+        for level in levels() {
+            let mut scratch = AlignScratch::with_level(level);
+            let fast = align_score_with(&sa, &sb, m, &p, &mut scratch);
+            prop_assert_eq!(fast.score.to_bits(), naive.score.to_bits(),
+                "level {} open {} ext {}: {} vs naive {}", level.name(), open, ext, fast.score, naive.score);
+            prop_assert_eq!(fast.cells, naive.cells);
+            // Banded below the true score: nothing may be cut.
+            let below = align_score_bounded_with(&sa, &sb, m, &p, naive.score - 1.0, &mut scratch);
+            prop_assert_eq!(below.score.to_bits(), naive.score.to_bits(),
+                "level {} open {} ext {}: banded {} vs naive {}", level.name(), open, ext, below.score, naive.score);
+            prop_assert_eq!(below.cells, naive.cells);
+            // Banded at a drawn bound: exact when beaten, never above it.
+            let r = align_score_bounded_with(&sa, &sb, m, &p, beat, &mut scratch);
+            prop_assert_eq!(r.cells + r.cells_skipped, naive.cells);
+            if naive.score > beat {
+                prop_assert_eq!(r.score.to_bits(), naive.score.to_bits(),
+                    "level {} open {} ext {}: banded at {}", level.name(), open, ext, beat);
+            } else {
+                prop_assert!(r.score <= beat);
+            }
+        }
+    }
+}

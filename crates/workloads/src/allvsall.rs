@@ -34,7 +34,7 @@
 use bioopera_core::{ActivityLibrary, ProgramOutput};
 use bioopera_darwin::align::{align_score_many, AlignParams, AlignScratch, ScoreOnly};
 use bioopera_darwin::pam::{PamFamily, FIXED_PAM};
-use bioopera_darwin::refine::refine_pam_distance_banded;
+use bioopera_darwin::refine::{refine_query_banded, Refined};
 use bioopera_darwin::{CostModel, Match, MatchSet, SequenceDb};
 use bioopera_ocr::model::{ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
@@ -406,22 +406,17 @@ pub fn build_library(mode: &AllVsAllMode, config: &AllVsAllConfig) -> ActivityLi
                     .get("matches")
                     .and_then(|v| v.as_list())
                     .ok_or_else(|| "refine needs matches".to_string())?;
+                let id = |m: &Value, k: &str| {
+                    m.get_path(&[k]).and_then(|v| v.as_int()).unwrap_or(0) as u32
+                };
+                let pairs: Vec<(u32, u32)> =
+                    matches.iter().map(|m| (id(m, "q"), id(m, "s"))).collect();
+                // Banded scan: identical argmax, but provably-losing
+                // ladder cells are skipped and (honestly) cost nothing.
+                let results = refine_pass(&db_ref, &pam_ref, &pairs);
                 let mut refined = Vec::with_capacity(matches.len());
                 let mut cells = 0u64;
-                let params = AlignParams::default();
-                let mut scratch = AlignScratch::new();
-                for m in matches {
-                    let q = m.get_path(&["q"]).and_then(|v| v.as_int()).unwrap_or(0) as u32;
-                    let s = m.get_path(&["s"]).and_then(|v| v.as_int()).unwrap_or(0) as u32;
-                    // Banded scan: identical argmax, but provably-losing
-                    // ladder cells are skipped and (honestly) cost nothing.
-                    let r = refine_pam_distance_banded(
-                        db_ref.get(q),
-                        db_ref.get(s),
-                        &pam_ref,
-                        &params,
-                        &mut scratch,
-                    );
+                for ((m, &(q, s)), r) in matches.iter().zip(&pairs).zip(&results) {
                     cells += r.cells;
                     refined.push(Value::map_from([
                         ("q", Value::Int(q as i64)),
@@ -579,86 +574,46 @@ pub fn build_library(mode: &AllVsAllMode, config: &AllVsAllConfig) -> ActivityLi
     lib
 }
 
-/// The fixed-PAM pass over a chunk: entry `e` vs every `f > e`, threaded
-/// across available cores (real wall-clock only; the *virtual* cost comes
-/// from the exact DP cell count, which is deterministic).
-fn fixed_pass(
-    db: &SequenceDb,
-    pam: &PamFamily,
-    entries: &[u32],
-    threshold: f32,
-) -> (Vec<Match>, u64, u64) {
-    let workers = std::thread::available_parallelism()
+/// Worker threads for the real-mode passes: one per core (real
+/// wall-clock only; the *virtual* cost comes from the exact DP cell
+/// count, which is deterministic).
+fn workers() -> usize {
+    std::thread::available_parallelism()
         .map(|p| p.get())
-        .unwrap_or(4);
-    fixed_pass_with_workers(db, pam, entries, threshold, workers)
+        .unwrap_or(4)
 }
 
-/// [`fixed_pass`] with an explicit worker count, exposed so tests can
-/// assert the result is worker-count-invariant.
+/// Run `f` over `items` on `workers` threads and return its results in
+/// input order.
 ///
-/// Entries are handed out one at a time through an atomic counter
-/// (work-stealing), so a worker that draws a short entry immediately
-/// grabs the next one instead of idling behind a pre-assigned chunk —
-/// entry `e` aligns against all `f > e`, so contiguous chunking leaves
-/// the last worker with far fewer cells than the first.  Each worker
-/// holds one [`AlignScratch`]: per entry, one query profile build
-/// amortized over the whole `f > e` batch, zero per-pair allocation.
-/// Results are keyed by queue position and merged in order, so the
-/// returned matches are byte-identical regardless of worker count or
-/// scheduling interleaving.  Returns `(matches, cells, cells_skipped)`:
-/// DP cells computed and DP cells provably skipped (the prune bound),
-/// so cost accounting stays honest when `prune` is enabled.
-pub fn fixed_pass_with_workers(
-    db: &SequenceDb,
-    pam: &PamFamily,
-    entries: &[u32],
-    threshold: f32,
+/// Items are handed out one index at a time through an atomic counter
+/// (work-stealing), so a worker that draws a short item immediately
+/// grabs the next one instead of idling behind a pre-assigned chunk.
+/// Each worker builds its own `state` once (an [`AlignScratch`] and its
+/// buffers).  Results are keyed by index and put back in input order,
+/// so the output is byte-identical for any worker count or interleaving.
+fn steal_in_order<T: Sync, S, R: Send>(
+    items: &[T],
     workers: usize,
-) -> (Vec<Match>, u64, u64) {
+    state: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
+) -> Vec<R> {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    let params = AlignParams::default();
-    let matrix = pam.nearest(FIXED_PAM);
-    let n = db.len() as u32;
-    let workers = workers.clamp(1, entries.len().max(1));
+    let workers = workers.clamp(1, items.len().max(1));
+    // Relaxed: the counter only hands out indices; the results travel
+    // back through `join`, which synchronizes.
     let next = AtomicUsize::new(0);
-    let mut results: Vec<(usize, Vec<Match>, u64, u64)> = std::thread::scope(|scope| {
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut scratch = AlignScratch::new();
-                    let mut scores: Vec<ScoreOnly> = Vec::new();
-                    let mut done: Vec<(usize, Vec<Match>, u64, u64)> = Vec::new();
+                scope.spawn(|| {
+                    let mut st = state();
+                    let mut done = Vec::new();
                     loop {
                         let k = next.fetch_add(1, Ordering::Relaxed);
-                        if k >= entries.len() {
-                            break;
-                        }
-                        let e = entries[k];
-                        let mut matches = Vec::new();
-                        let mut cells = 0u64;
-                        let mut skipped = 0u64;
-                        if e + 1 < n {
-                            align_score_many(
-                                db.get(e),
-                                ((e + 1)..n).map(|f| db.get(f)),
-                                matrix,
-                                &params,
-                                Some(threshold),
-                                &mut scratch,
-                                &mut scores,
-                            );
-                            for (off, r) in scores.iter().enumerate() {
-                                cells += r.cells;
-                                skipped += r.cells_skipped;
-                                if r.score >= threshold {
-                                    matches.push(Match::unrefined(e, e + 1 + off as u32, r.score));
-                                }
-                            }
-                        }
-                        done.push((k, matches, cells, skipped));
+                        let Some(item) = items.get(k) else { break };
+                        done.push((k, f(&mut st, item)));
                     }
                     done
                 })
@@ -669,17 +624,123 @@ pub fn fixed_pass_with_workers(
             .flat_map(|h| h.join().expect("alignment worker panicked"))
             .collect()
     });
-    // Deterministic output: restore queue order before flattening.
-    results.sort_unstable_by_key(|(k, _, _, _)| *k);
+    done.sort_unstable_by_key(|(k, _)| *k);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The fixed-PAM pass over a chunk: entry `e` vs every `f > e`, on one
+/// worker per core.
+fn fixed_pass(
+    db: &SequenceDb,
+    pam: &PamFamily,
+    entries: &[u32],
+    threshold: f32,
+) -> (Vec<Match>, u64, u64) {
+    fixed_pass_with_workers(db, pam, entries, threshold, workers())
+}
+
+/// [`fixed_pass`] with an explicit worker count, exposed so tests can
+/// assert the result is worker-count-invariant.
+///
+/// Entries are work-stolen one at a time: entry `e` aligns against all
+/// `f > e`, so contiguous chunking would leave the last worker with far
+/// fewer cells than the first.  Per entry, one query profile build is
+/// amortized over the whole `f > e` batch, with zero per-pair
+/// allocation.  Returns `(matches, cells, cells_skipped)`: DP cells
+/// computed and DP cells provably skipped (the prune bound), so cost
+/// accounting stays honest when `prune` is enabled.
+pub fn fixed_pass_with_workers(
+    db: &SequenceDb,
+    pam: &PamFamily,
+    entries: &[u32],
+    threshold: f32,
+    workers: usize,
+) -> (Vec<Match>, u64, u64) {
+    let params = AlignParams::default();
+    let matrix = pam.nearest(FIXED_PAM);
+    let n = db.len() as u32;
+    let results = steal_in_order(
+        entries,
+        workers,
+        || (AlignScratch::new(), Vec::<ScoreOnly>::new()),
+        |(scratch, scores), &e| {
+            let mut matches = Vec::new();
+            let mut cells = 0u64;
+            let mut skipped = 0u64;
+            if e + 1 < n {
+                align_score_many(
+                    db.get(e),
+                    ((e + 1)..n).map(|f| db.get(f)),
+                    matrix,
+                    &params,
+                    Some(threshold),
+                    scratch,
+                    scores,
+                );
+                for (off, r) in scores.iter().enumerate() {
+                    cells += r.cells;
+                    skipped += r.cells_skipped;
+                    if r.score >= threshold {
+                        matches.push(Match::unrefined(e, e + 1 + off as u32, r.score));
+                    }
+                }
+            }
+            (matches, cells, skipped)
+        },
+    );
     let mut matches = Vec::new();
     let mut cells = 0u64;
     let mut cells_skipped = 0u64;
-    for (_, m, c, s) in results {
+    for (m, c, s) in results {
         matches.extend(m);
         cells += c;
         cells_skipped += s;
     }
     (matches, cells, cells_skipped)
+}
+
+/// The refinement of a chunk's matches, on one worker per core.
+fn refine_pass(db: &SequenceDb, pam: &PamFamily, pairs: &[(u32, u32)]) -> Vec<Refined> {
+    refine_pass_with_workers(db, pam, pairs, workers())
+}
+
+/// [`refine_pass`] with an explicit worker count, exposed so tests can
+/// assert the result is worker-count-invariant.
+///
+/// Consecutive `(query, subject)` pairs with the same query form one
+/// group (the fixed pass emits each query's matches together), and each
+/// group is one [`refine_query_banded`] call: one query profile per
+/// ladder matrix instead of one per (pair, matrix).  Groups are
+/// work-stolen like the fixed pass's entries.  Returns one [`Refined`]
+/// per pair, in input order, each equal to the pair's own banded scan.
+pub fn refine_pass_with_workers(
+    db: &SequenceDb,
+    pam: &PamFamily,
+    pairs: &[(u32, u32)],
+    workers: usize,
+) -> Vec<Refined> {
+    let params = AlignParams::default();
+    let groups: Vec<&[(u32, u32)]> = pairs.chunk_by(|x, y| x.0 == y.0).collect();
+    let results = steal_in_order(
+        &groups,
+        workers,
+        || (AlignScratch::new(), Vec::new()),
+        |(scratch, subjects), group| {
+            subjects.clear();
+            subjects.extend(group.iter().map(|&(_, s)| db.get(s)));
+            let mut out = Vec::with_capacity(group.len());
+            refine_query_banded(
+                db.get(group[0].0),
+                subjects,
+                pam,
+                &params,
+                scratch,
+                &mut out,
+            );
+            out
+        },
+    );
+    results.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

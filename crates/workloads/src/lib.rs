@@ -25,6 +25,8 @@ pub mod bio;
 pub mod chaos;
 pub mod tower;
 
-pub use allvsall::{fixed_pass_with_workers, AllVsAllConfig, AllVsAllMode, AllVsAllSetup};
+pub use allvsall::{
+    fixed_pass_with_workers, refine_pass_with_workers, AllVsAllConfig, AllVsAllMode, AllVsAllSetup,
+};
 pub use baseline::{BaselineOutcome, ScriptDriver};
 pub use chaos::{flaky_node_run, ChaosConfig, ChaosOutcome};

@@ -134,6 +134,26 @@ canary manifest-level-zero crates/store/src/manifest.rs \
   's/\.filter\(\|\(l, n\)\| \*l >= 1 && parse_run_name\(n\)\.is_some\(\)\)/.filter(|(_, n)| parse_run_name(n).is_some())/' \
   cargo test -q --offline -p bioopera-harness --test text_fuzz manifest_reader
 
+# The striped lane's gap precondition taken out of the dispatch: with
+# `ext > open` its F chain (fed `H0 - open`) and its lazy-F sweep are
+# wrong, and the gap-parameter proptest must see it — every other darwin
+# test runs at the default 22 / 1.5.
+canary simd-gap-guard crates/darwin/src/align.rs \
+  's/p\.gap_open >= p\.gap_extend && //' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident every_level_is_bit_identical_over_gap_parameters
+
+# The shortened F chain fed with the extension penalty instead of the
+# opening one: gaps open too cheaply in the striped lane.
+canary simd-f-chain crates/darwin/src/simd.rs \
+  's/O::sub\(vh0, vopen\)/O::sub(vh0, vext)/' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident
+
+# The work-stealing hand-out returning results in completion order: the
+# refine pass's output then depends on how many workers drew groups.
+canary refine-order crates/workloads/src/allvsall.rs \
+  '/^    done\.sort_unstable_by_key/d' \
+  cargo test -q --offline -p bioopera-workloads --test refine_workers refine_pass_is_identical_across_worker_counts
+
 # The store reading a policy variable again, and a test setting one: the
 # grep gates of check.sh.  (The names are split here so that this file
 # passes the gate it plants against.)
