@@ -1,18 +1,26 @@
-//! Seeded fuzzing of the hand-written text readers: the OCR parser
-//! (`bioopera_ocr::parser`, behind `bioopera validate|fmt|run`) and the
+//! Seeded fuzzing of the hand-written readers: the OCR parser
+//! (`bioopera_ocr::parser`, behind `bioopera validate|fmt|run`), the
 //! store's MANIFEST reader (behind every `Store::open_with`, its one
-//! caller).
+//! caller) and the sorted-run decoder (`Run::open`'s footer and meta
+//! section, and the op walk every run block and WAL frame goes through).
 //!
 //! The inputs are mutations of real texts — the paper's templates as the
-//! printer prints them, and the manifest a leveled store with a retention
-//! watermark commits: every truncation, bit flips (every one of the
-//! manifest's, seeded ones of the templates') and seeded byte insertions.
-//! Every input parses or comes back as an `Err`; none may panic.  A
-//! failure names the `HARNESS_SEED` and the mutation that reproduce it.
+//! printer prints them, the manifest a leveled store with a retention
+//! watermark commits, a spilled run — every truncation, bit flips (every
+//! one of the manifest's and the run's footer and meta, seeded ones of the
+//! templates' and of a block) and seeded byte insertions.  Where a
+//! checksum guards the bytes, the mutated bytes are checksummed again so
+//! that they reach the parser behind it.  Every input parses or comes back
+//! as an `Err`; none may panic, and none may size an allocation by a
+//! forged length.  A failure names the `HARNESS_SEED` and the mutation
+//! that reproduce it.
 
 use bioopera_harness::{seed_from_env, tiny_leveled_policy, DEFAULT_SEED};
 use bioopera_ocr::parser::{parse_library, parse_process};
 use bioopera_ocr::to_ocr_text;
+use bioopera_store::crc::crc32;
+use bioopera_store::runs::{build_run, Run, RunEntry, FOOTER_LEN};
+use bioopera_store::wal::{replay, HEADER_LEN, MAGIC};
 use bioopera_store::{Disk, MemDisk, Space, Store};
 use bioopera_workloads::{allvsall, tower};
 use rand::rngs::StdRng;
@@ -140,8 +148,9 @@ fn the_ocr_parser_refuses_mangled_templates_without_panicking() {
 fn the_manifest_reader_refuses_mangled_manifests_without_panicking() {
     let seed = seed_from_env(DEFAULT_SEED);
     let policy = Some(tiny_leveled_policy());
-    // A leveled store with runs in L0 and deeper, live counts and a
-    // retention watermark: every kind of line a manifest has.
+    // A leveled store with runs in L0 and deeper and a retention
+    // watermark: every kind of line a manifest has, plus the per-space
+    // counts older engines wrote after the epoch.
     let image = MemDisk::new();
     let store = Store::open_with(image.clone(), policy).unwrap();
     for i in 0..160u32 {
@@ -156,8 +165,9 @@ fn the_manifest_reader_refuses_mangled_manifests_without_panicking() {
         .retain_below(Space::History, "ev/", "ev/0100")
         .unwrap();
     drop(store);
-    let manifest = image.read("MANIFEST").unwrap().unwrap();
-    let text = String::from_utf8(manifest.clone()).unwrap();
+    let text = String::from_utf8(image.read("MANIFEST").unwrap().unwrap()).unwrap();
+    let text = text.replacen('\n', "\nlive 0 7 0 60\n", 1);
+    let manifest = text.clone().into_bytes();
     for line in ["live ", "retain ", "run ", "lrun "] {
         assert!(text.contains(line), "no `{line}` line in:\n{text}");
     }
@@ -174,5 +184,116 @@ fn the_manifest_reader_refuses_mangled_manifests_without_panicking() {
     assert!(
         refused > 0 && accepted > 0,
         "{accepted} accepted, {refused} refused"
+    );
+}
+
+/// `(space, key, value)`; `None` is a tombstone.
+type Row = (u8, String, Option<Vec<u8>>);
+
+/// A spilled run's image: two spaces, tombstones, several blocks.
+fn sample_run() -> (Vec<u8>, Vec<Row>) {
+    let rows: Vec<Row> = (0..90u32)
+        .map(|i| {
+            let value = (i % 9 != 4).then(|| vec![i as u8; 40 + (i as usize * 7) % 90]);
+            (1 + (i / 60) as u8 * 2, format!("inst/{i:04}"), value)
+        })
+        .collect();
+    let entries: Vec<RunEntry<'_>> = rows
+        .iter()
+        .map(|(space, key, value)| RunEntry {
+            space: *space,
+            key,
+            value: value.as_deref(),
+        })
+        .collect();
+    (build_run(&entries), rows)
+}
+
+/// Open `image` as a run and, if it opens, look keys up across all its
+/// blocks: `true` when the run opened and every lookup answered.
+fn open_and_read(image: &[u8], rows: &[Row]) -> bool {
+    let disk = MemDisk::new();
+    disk.write_atomic("run-000001", image).unwrap();
+    let Ok(run) = Run::open(&disk, "run-000001") else {
+        return false;
+    };
+    rows.iter()
+        .step_by(8)
+        .all(|(space, key, _)| run.get(&disk, *space, key).is_ok())
+}
+
+fn u64_at(bytes: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// `data`, then a meta section around `meta` — its length and checksum
+/// recomputed — and the footer that points at it.
+fn with_meta(data: &[u8], meta: &[u8]) -> Vec<u8> {
+    let mut out = data.to_vec();
+    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(meta).to_le_bytes());
+    out.extend_from_slice(meta);
+    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(8 + meta.len() as u64).to_le_bytes());
+    out.extend_from_slice(b"BOR1");
+    out
+}
+
+/// `payload` as one frame, its length and checksum recomputed.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+#[test]
+fn the_run_decoder_refuses_mangled_footers_metas_and_blocks_without_panicking() {
+    let seed = seed_from_env(DEFAULT_SEED);
+    let (image, rows) = sample_run();
+    assert!(open_and_read(&image, &rows), "the sample run reads");
+    let footer_at = image.len() - FOOTER_LEN;
+    let meta_off = u64_at(&image, footer_at) as usize;
+    let (data, meta) = (&image[..meta_off], &image[meta_off + 8..footer_at]);
+    assert_eq!(with_meta(data, meta), image);
+
+    // The footer as it lies on disk: nothing guards it, and nothing in it
+    // may change — its offset and length must frame the meta section
+    // exactly, before the magic.
+    let (accepted, refused) = fuzz("run footer", seed, &image[footer_at..], None, |footer| {
+        open_and_read(&[&image[..footer_at], footer].concat(), &rows)
+    });
+    assert!(
+        refused > 0 && accepted == 0,
+        "footer: {accepted} accepted, {refused} refused"
+    );
+
+    // The meta payload behind a recomputed checksum: counts, bloom and a
+    // block index whose forged lengths, offsets and counts reach the
+    // parser and, when it accepts them, the block reads.
+    let (accepted, refused) = fuzz("run meta", seed ^ 1, meta, None, |meta| {
+        open_and_read(&with_meta(data, meta), &rows)
+    });
+    assert!(
+        refused > 0 && accepted > 0,
+        "meta: {accepted} accepted, {refused} refused"
+    );
+
+    // The first block's payload behind a recomputed checksum: the op walk
+    // over it (as a WAL frame, the walk every block and frame goes
+    // through), and — where the mutation keeps its length, so the index
+    // still frames it — every lookup of the run it is spliced into.
+    let block_len = u32::from_le_bytes(data[2..6].try_into().unwrap()) as usize + HEADER_LEN;
+    let payload = &data[HEADER_LEN..block_len];
+    let (accepted, refused) = fuzz("run block", seed ^ 2, payload, Some(1_500), |payload| {
+        let walked = replay(&frame(payload));
+        let spliced = payload.len() == block_len - HEADER_LEN
+            && open_and_read(&[&frame(payload), &image[block_len..]].concat(), &rows);
+        walked.is_ok_and(|end| !end.torn_tail) && spliced
+    });
+    assert!(
+        refused > 0 && accepted > 0,
+        "block: {accepted} accepted, {refused} refused"
     );
 }

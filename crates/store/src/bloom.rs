@@ -85,8 +85,14 @@ impl Bloom {
     }
 
     pub fn insert(&mut self, space: u8, key: &str) {
+        self.insert_hashed(hash_pair(space, key));
+    }
+
+    /// [`Bloom::insert`] with the hash pair precomputed — a run writer
+    /// hashes each key as it arrives and fills the filter, sized by the
+    /// final count, at the end.
+    pub fn insert_hashed(&mut self, (h1, h2): (u64, u64)) {
         let nbits = self.bits() as u64;
-        let (h1, h2) = hash_pair(space, key);
         for i in 0..self.k as u64 {
             let bit = Self::reduce(h1.wrapping_add(i.wrapping_mul(h2)), nbits);
             self.words[(bit / 64) as usize] |= 1u64 << (bit % 64);

@@ -17,8 +17,8 @@ use crate::error::StoreResult;
 use crate::levels::Levels;
 use crate::manifest::{manifest_for, snapshot_name, wal_name};
 use crate::memtable::{entry_cost, MemTables};
-use crate::merge::{Entry, Merge};
-use crate::runs::{self, run_name, Run, RunEntry};
+use crate::merge::Merge;
+use crate::runs::{run_name, Run, RunEntry, RunWriter};
 use crate::wal::{self, WalOpRef};
 use std::collections::BTreeMap;
 
@@ -103,7 +103,7 @@ impl<D: Disk> Store<D> {
     /// then atomically swap memtables for the run under both write
     /// locks.
     fn spill_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let (data, live_now) = {
+        let data = {
             let mem = self.mem.read();
             let quiescent = mem.spaces.iter().all(BTreeMap::is_empty)
                 && wal.wal_bytes == 0
@@ -111,17 +111,19 @@ impl<D: Disk> Store<D> {
             if quiescent {
                 return Ok(());
             }
-            let mut entries = Vec::new();
+            // The memtable streams into the run image; its byte estimate
+            // bounds the image's data region.
+            let mut run = RunWriter::with_capacity(mem.approx_bytes as usize + 256);
             for (space, map) in mem.spaces.iter().enumerate() {
                 for (key, value) in map {
-                    entries.push(RunEntry {
+                    run.push(RunEntry {
                         space: space as u8,
                         key,
                         value: value.as_deref(),
                     });
                 }
             }
-            (runs::build_run(&entries), mem.live)
+            run.finish()
         };
         let next = wal.epoch + 1;
         let name = run_name(wal.next_run_id);
@@ -130,12 +132,8 @@ impl<D: Disk> Store<D> {
             let run = Run::open(&*wal.disk, &name)?;
             let manifest = {
                 let levels = self.levels.read();
-                // After the spill the runs-only view IS the full view
-                // (memtables drain into the run), so the live counts to
-                // persist are the current merged counts.
                 manifest_for(
                     next,
-                    &live_now,
                     levels.l0.iter().chain([&run]),
                     &levels.deeper,
                     &levels.retain,
@@ -162,7 +160,6 @@ impl<D: Disk> Store<D> {
         wal.wal_bytes = 0;
         wal.batches_in_epoch = 0;
         wal.next_run_id += 1;
-        wal.tier_live = live_now;
         wal.spills += 1;
         Ok(())
     }
@@ -319,11 +316,9 @@ impl<D: Disk> Store<D> {
             new_levels.deeper_levels_disjoint(),
             "push-down out of L{source} breaks the level invariant"
         );
-        // Same epoch, same live counts: a merge never changes the
-        // visible view.
+        // Same epoch: a merge never changes the visible view.
         let manifest = manifest_for(
             wal.epoch,
-            &wal.tier_live,
             &new_levels.l0,
             &new_levels.deeper,
             &new_levels.retain,
@@ -366,8 +361,9 @@ impl<D: Disk> Store<D> {
     /// `skip(space, key, is_live)` names.  Output is cut at the
     /// policy's run size and before any key past the next `untouched`
     /// target run (sorted, hulls disjoint from every merged key).  Each
-    /// written run is re-opened through the decoder recovery will use;
-    /// nothing is committed here.
+    /// entry is copied once, from its input block into the output image;
+    /// each written run is re-opened through the decoder recovery will
+    /// use; nothing is committed here.
     fn merge_into_runs(
         &self,
         wal: &WalState<D>,
@@ -382,24 +378,19 @@ impl<D: Disk> Store<D> {
         let mut inputs: Vec<&[Run]> = vec![overlaps];
         inputs.extend(sources.iter().map(std::slice::from_ref));
         let mut merge = Merge::new(&*wal.disk, &inputs)?;
+        // An output run holds at most `run_target` of entry cost, which
+        // bounds its image, and no more than the inputs hold.
+        let bytes_in: u64 = overlaps.iter().chain(sources).map(|r| r.data_bytes).sum();
+        let capacity = run_target.min(bytes_in) as usize + 256;
         let mut new_runs: Vec<Run> = Vec::new();
-        let mut write_run = |chunk: &mut Vec<Entry>| -> StoreResult<()> {
-            let entries: Vec<RunEntry<'_>> = chunk
-                .iter()
-                .map(|(space, key, value)| RunEntry {
-                    space: *space,
-                    key,
-                    value: value.as_deref(),
-                })
-                .collect();
+        let mut write_run = |run: RunWriter| -> StoreResult<()> {
             let name = run_name(wal.next_run_id + new_runs.len() as u64);
-            wal.disk.write_atomic(&name, &runs::build_run(&entries))?;
+            wal.disk.write_atomic(&name, &run.finish())?;
             new_runs.push(Run::open(&*wal.disk, &name)?);
-            chunk.clear();
             Ok(())
         };
         // `untouched[fence]` is the first untouched run not wholly below
-        // the open chunk; a key past its hull must start a new run.
+        // the open output; a key past its hull must start a new run.
         let mut fence = 0usize;
         let past_fence = |fence: usize, space: u8, key: &str| {
             untouched
@@ -407,29 +398,32 @@ impl<D: Disk> Store<D> {
                 .and_then(Run::min_key)
                 .is_some_and(|min| min < (space, key))
         };
-        let mut chunk: Vec<Entry> = Vec::new();
-        let mut chunk_bytes = 0u64;
-        while let Some((space, key, value)) = merge.next()? {
-            if skip(space, &key, value.is_some()) {
+        let mut out = RunWriter::with_capacity(capacity);
+        let mut out_bytes = 0u64;
+        while let Some(e) = merge.next()? {
+            if skip(e.space, e.key, e.value.is_some()) {
                 continue;
             }
-            let cost = entry_cost(key.len(), value.as_ref().map_or(0, |v| v.len()));
-            if !chunk.is_empty()
-                && (chunk_bytes + cost > run_target || past_fence(fence, space, &key))
+            let cost = entry_cost(e.key.len(), e.value.map_or(0, <[u8]>::len));
+            if !out.is_empty()
+                && (out_bytes + cost > run_target || past_fence(fence, e.space, e.key))
             {
-                write_run(&mut chunk)?;
-                chunk_bytes = 0;
+                write_run(std::mem::replace(
+                    &mut out,
+                    RunWriter::with_capacity(capacity),
+                ))?;
+                out_bytes = 0;
             }
-            if chunk.is_empty() {
-                while past_fence(fence, space, &key) {
+            if out.is_empty() {
+                while past_fence(fence, e.space, e.key) {
                     fence += 1;
                 }
             }
-            chunk.push((space, key, value));
-            chunk_bytes += cost;
+            out.push(e);
+            out_bytes += cost;
         }
-        if !chunk.is_empty() {
-            write_run(&mut chunk)?;
+        if !out.is_empty() {
+            write_run(out)?;
         }
         Ok(new_runs)
     }
@@ -480,13 +474,7 @@ impl<D: Disk> Store<D> {
         // when there is none, for byte-compatibility).
         let manifest = {
             let levels = self.levels.read();
-            manifest_for(
-                next,
-                &wal.tier_live,
-                &levels.l0,
-                &levels.deeper,
-                &levels.retain,
-            )
+            manifest_for(next, &levels.l0, &levels.deeper, &levels.retain)
         };
         self.poison_on_err((|| {
             wal.disk.write_atomic(&snapshot_name(next), &snap)?;
@@ -529,7 +517,7 @@ mod tests {
         let post = store.stats();
         assert_eq!(post.epoch, pre.epoch + 1);
         assert_eq!(post.wal_bytes, 0);
-        assert_eq!(post.records, 99);
+        assert_eq!(store.len(Space::History).unwrap(), 99);
 
         // Post-compaction writes land in the new WAL.
         store.put(Space::History, "ev/9999", &b"new"[..]).unwrap();
@@ -549,7 +537,9 @@ mod tests {
         store.compact().unwrap();
         drop(store);
         let recovered = Store::open_with(disk, None).unwrap();
-        assert_eq!(recovered.stats().records, 0);
+        for space in Space::ALL {
+            assert!(recovered.is_empty(space).unwrap());
+        }
     }
 
     #[test]
@@ -632,7 +622,7 @@ mod tests {
             "live WAL stays near the threshold, got {}",
             stats.wal_bytes
         );
-        assert_eq!(stats.records, 32);
+        assert_eq!(store.len(Space::History).unwrap(), 32);
         // Everything survives recovery regardless of where the epoch rolled.
         drop(store);
         let recovered = Store::open_with(disk, None).unwrap();
@@ -935,7 +925,6 @@ mod tests {
     fn store_over(levels: &[&[&[Row<'_>]]], retain: &str) -> (MemDisk, Store<MemDisk>) {
         use crate::runs::{build_run, run_name, RunEntry};
         let disk = MemDisk::new();
-        let mut live = [0usize; 4];
         let mut lruns = String::new();
         let mut id = 0;
         for (level, runs) in levels.iter().enumerate() {
@@ -944,17 +933,13 @@ mod tests {
                     .iter()
                     .map(|&(space, key, value)| RunEntry { space, key, value })
                     .collect();
-                for e in entries.iter().filter(|e| e.value.is_some()) {
-                    live[e.space as usize] += 1;
-                }
                 disk.write_atomic(&run_name(id), &build_run(&entries))
                     .unwrap();
                 lruns += &format!("lrun {} {}\n", level + 1, run_name(id));
                 id += 1;
             }
         }
-        let [t, i, c, h] = live;
-        let manifest = format!("1\nlive {t} {i} {c} {h}\n{retain}{lruns}");
+        let manifest = format!("1\n{retain}{lruns}");
         disk.write_atomic(MANIFEST, manifest.as_bytes()).unwrap();
         let policy = TieredPolicy {
             memtable_budget_bytes: 1 << 20,

@@ -178,8 +178,6 @@ pub struct StoreStats {
     pub wal_bytes: u64,
     /// Batches applied since open (including replayed ones).
     pub batches_applied: u64,
-    /// Total records across all spaces.
-    pub records: usize,
     /// Whether the last open discarded a torn tail.
     pub recovered_torn_tail: bool,
     /// Bytes of torn tail the last open discarded.
@@ -203,7 +201,8 @@ pub struct StoreStats {
     pub merge_bytes_out: u64,
     /// Run lookups answered "definitely absent" by run metadata alone —
     /// key-range check, sparse index, or bloom filter; never a disk
-    /// read.
+    /// read.  These four count readers' point lookups: the writer never
+    /// looks the tier up.
     pub bloom_skips: u64,
     /// Run lookups that had to consult a data block (cached or not).
     pub run_probes: u64,
@@ -235,11 +234,6 @@ pub(crate) struct WalState<D: Disk> {
     pub(crate) tiered: Option<TieredPolicy>,
     /// Id of the next run file this handle will write.
     pub(crate) next_run_id: u64,
-    /// Per-space live-record counts of the *runs-only* view — what the
-    /// MANIFEST persists, so reopen can seed `MemTables::live` without
-    /// scanning run data.  Updated only at spill time (when runs-view
-    /// == full view); merges preserve it.
-    pub(crate) tier_live: [usize; 4],
     pub(crate) spills: u64,
     pub(crate) run_merges: u64,
     pub(crate) trivial_moves: u64,
@@ -337,23 +331,20 @@ impl<D: Disk> Store<D> {
         let cache = Arc::new(BlockCache::new(
             tiered.map_or(DEFAULT_BLOCK_CACHE_BUDGET, |t| t.block_cache_budget),
         ));
-        // Seed the live counts from the manifest — this is what makes
-        // reopen O(tail): no run data block is read to learn how many
-        // records the tier holds.
-        let mut mem = MemTables {
-            live: manifest.tier_live,
-            ..Default::default()
-        };
+        let mut mem = MemTables::default();
         let mut batches_applied = 0u64;
 
         // Replay streams into the memtable: each frame's operations are
         // applied as the frame is decoded, so the image is never held a
-        // second time as a list of owned batches.
+        // second time as a list of owned batches.  Like every write, it
+        // reads no run: reopen reads the manifest, the runs' footers and
+        // meta, and the WAL tail.
         let mut replay_into_mem = |image: &Bytes| {
             let mut frames = 0u64;
             let end = wal::replay_shared(image, |ops| {
                 frames += 1;
-                apply_ops(&mut mem, &levels, &*disk, &metrics, &cache, ops.drain(..))
+                apply_ops(&mut mem, &levels, ops.drain(..));
+                Ok::<(), StoreError>(())
             })?;
             batches_applied += frames;
             Ok::<_, StoreError>((end, frames))
@@ -438,7 +429,6 @@ impl<D: Disk> Store<D> {
                 policy: None,
                 tiered,
                 next_run_id,
-                tier_live: manifest.tier_live,
                 spills: 0,
                 run_merges: 0,
                 trivial_moves: 0,
@@ -505,14 +495,7 @@ impl<D: Disk> Store<D> {
             let mut mem = self.mem.write();
             let levels = self.levels.read();
             for ops in pending {
-                self.poison_on_err(apply_ops(
-                    &mut mem,
-                    &levels,
-                    &*self.disk,
-                    &self.metrics,
-                    &self.cache,
-                    ops,
-                ))?;
+                apply_ops(&mut mem, &levels, ops);
             }
             self.roll_due(&wal, &mem)
         };
@@ -682,14 +665,24 @@ impl<D: Disk> Store<D> {
         self.scan_while(space, start, |_| true)
     }
 
-    /// Number of records in `space`.  O(1): maintained incrementally
-    /// across the memtable ∪ runs view.
+    /// Number of records in `space`.  O(records): a counting scan of the
+    /// memtable ∪ runs view — the store keeps no count, because keeping
+    /// one exact would make every write look its key up in the runs.
     pub fn len(&self, space: Space) -> StoreResult<usize> {
-        self.check_alive()?;
-        Ok(self.mem.read().live[space.as_u8() as usize])
+        let mut n = 0;
+        self.visit_while(
+            space,
+            "",
+            |_| true,
+            |_, _| {
+                n += 1;
+                Ok::<(), StoreError>(())
+            },
+        )?;
+        Ok(n)
     }
 
-    /// True when `space` holds no records.  O(1).
+    /// True when `space` holds no records.
     pub fn is_empty(&self, space: Space) -> StoreResult<bool> {
         Ok(self.len(space)? == 0)
     }
@@ -717,15 +710,11 @@ impl<D: Disk> Store<D> {
     /// Physical statistics.
     pub fn stats(&self) -> StoreStats {
         let wal = self.wal.lock();
-        let (records, memtable_bytes) = {
-            let mem = self.mem.read();
-            (mem.live.iter().sum(), mem.approx_bytes)
-        };
+        let memtable_bytes = self.mem.read().approx_bytes;
         StoreStats {
             epoch: wal.epoch,
             wal_bytes: wal.wal_bytes,
             batches_applied: wal.batches_applied,
-            records,
             recovered_torn_tail: wal.recovered_torn_tail,
             recovered_truncated_bytes: wal.recovered_truncated_bytes,
             runs: self.levels.read().run_count(),
@@ -1424,7 +1413,6 @@ pub(crate) mod tests {
         // The exact same state is visible after recovery.
         let reopened = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
         check(&reopened);
-        assert_eq!(reopened.stats().records, store.stats().records);
         assert_only_live_files(&disk, "after clean reopen");
     }
 

@@ -94,7 +94,11 @@ impl Levels {
     /// Might any run surface `key`?  Bloom-only, no I/O; used to decide
     /// whether a delete needs a tombstone.
     pub(crate) fn may_contain_any(&self, space: u8, key: &str) -> bool {
-        self.iter_oldest_first().any(|r| r.may_contain(space, key))
+        if self.no_runs() {
+            return false;
+        }
+        let h = crate::bloom::hash_pair(space, key);
+        self.iter_oldest_first().any(|r| r.may_contain_hashed(h))
     }
 }
 
@@ -135,10 +139,9 @@ impl LookupCounts {
 /// hash pair, so one lookup hashes its key once however many runs it
 /// touches), then the sparse index (a binary search over string keys),
 /// and only then the block cache (a mutex, a hash probe and a second
-/// binary search) and, on a cold block, the load.  The order follows the
-/// traffic: the store's dominant lookup is the writer's read-before-write
-/// (`apply_ops` keeping `len` exact), and most of those keys are in no
-/// run — the filter answers them without touching the index or the
+/// binary search) and, on a cold block, the load.  Most runs a lookup
+/// touches do not hold its key — overlapping L0 runs share their hulls —
+/// and the filter answers those without touching the index or the
 /// cache's lock.  Every gate either says "not in this run" or hands on,
 /// so the answers and the block loads do not depend on the order; only
 /// which cached blocks get their reference bit set does.  `Ok(None)` —

@@ -26,7 +26,6 @@ pub(crate) type Retain = [Option<(String, String)>; 4];
 /// Parsed MANIFEST contents.
 pub(crate) struct ManifestState {
     pub(crate) epoch: u64,
-    pub(crate) tier_live: [usize; 4],
     /// L0 runs, oldest first.
     pub(crate) run_names: Vec<String>,
     /// Deeper runs as `(level, name)`, level ≥ 1, range order within a
@@ -39,7 +38,6 @@ impl ManifestState {
     pub(crate) fn empty() -> Self {
         ManifestState {
             epoch: 0,
-            tier_live: [0; 4],
             run_names: Vec::new(),
             level_runs: Vec::new(),
             retain: Default::default(),
@@ -89,13 +87,11 @@ fn unescape_key(s: &str) -> StoreResult<String> {
 /// output is the bare epoch digits — **byte-identical** to what every
 /// pre-tiering engine version wrote, so a store that never spills
 /// produces an unchanged directory.  Otherwise extra lines follow:
-/// `live t i c h` (per-space live counts of the runs-only view, present
-/// whenever runs are listed), `retain <space> <start> <below>` watermarks
-/// (keys %-escaped), one `run <name>` line per L0 run and one
-/// `lrun <level> <name>` line per deeper run.
+/// `retain <space> <start> <below>` watermarks (keys %-escaped), one
+/// `run <name>` line per L0 run and one `lrun <level> <name>` line per
+/// deeper run.
 pub(crate) fn manifest_for<'a>(
     epoch: u64,
-    tier_live: &[usize; 4],
     l0: impl IntoIterator<Item = &'a Run>,
     deeper: &'a [Vec<Run>],
     retain: &Retain,
@@ -114,10 +110,6 @@ pub(crate) fn manifest_for<'a>(
         return epoch.to_string();
     }
     let mut out = format!("{epoch}\n");
-    if !runs.is_empty() {
-        let [t, i, c, h] = tier_live;
-        let _ = writeln!(out, "live {t} {i} {c} {h}");
-    }
     for (space, range) in retain.iter().enumerate() {
         if let Some((start, below)) = range {
             let (start, below) = (escape_key(start), escape_key(below));
@@ -142,25 +134,20 @@ pub(crate) fn parse_manifest(bytes: Vec<u8>) -> StoreResult<ManifestState> {
         epoch,
         ..ManifestState::empty()
     };
-    let mut saw_live = false;
     for line in lines {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
         if let Some(rest) = line.strip_prefix("live ") {
-            let counts: Vec<usize> = rest
-                .split_whitespace()
-                .map(str::parse)
-                .collect::<Result<_, _>>()
-                .map_err(|_| StoreError::Corruption("manifest live counts malformed".into()))?;
-            if counts.len() != 4 {
+            // Per-space record counts, written by engines that kept `len`
+            // O(1): still checked, no longer used.
+            let counts: Result<Vec<usize>, _> = rest.split_whitespace().map(str::parse).collect();
+            if !counts.is_ok_and(|c| c.len() == 4) {
                 return Err(StoreError::Corruption(
                     "manifest live counts malformed".into(),
                 ));
             }
-            state.tier_live.copy_from_slice(&counts);
-            saw_live = true;
         } else if let Some(name) = line.strip_prefix("run ") {
             if parse_run_name(name).is_none() {
                 return Err(StoreError::Corruption(format!(
@@ -197,11 +184,6 @@ pub(crate) fn parse_manifest(bytes: Vec<u8>) -> StoreResult<ManifestState> {
             )));
         }
     }
-    if (!state.run_names.is_empty() || !state.level_runs.is_empty()) && !saw_live {
-        return Err(StoreError::Corruption(
-            "manifest lists runs but no live counts".into(),
-        ));
-    }
     Ok(state)
 }
 
@@ -231,5 +213,51 @@ mod tests {
             Some((start.to_string(), below.to_string())),
             "watermark bounds did not roundtrip through the manifest"
         );
+    }
+
+    /// A manifest no longer carries per-space record counts; one written
+    /// when it did opens to the same store, and a mangled count line is
+    /// still refused.
+    #[test]
+    fn live_counts_of_older_manifests_are_checked_and_ignored() {
+        use super::{parse_manifest, MANIFEST};
+        use crate::Disk;
+        let disk = MemDisk::new();
+        let policy = Some(crate::engine::tests::tiny_tiered());
+        let store = Store::open_with(disk.clone(), policy).unwrap();
+        for i in 0..40u32 {
+            store
+                .put(Space::History, format!("ev/{i:03}"), vec![1; 60])
+                .unwrap();
+        }
+        store.delete(Space::History, "ev/007").unwrap();
+        assert!(store.stats().runs > 0);
+        let scan = store.scan_prefix(Space::History, "").unwrap();
+        drop(store);
+        let text = String::from_utf8(disk.read(MANIFEST).unwrap().unwrap()).unwrap();
+        assert!(!text.contains("live"), "{text}");
+        let (epoch, rest) = text.split_once('\n').unwrap();
+        for (live, opens) in [
+            ("live 0 0 0 39", true),
+            ("live 7 7 7 7", true),
+            ("live 0 0 39", false),
+            ("live 0 0 0 x", false),
+        ] {
+            let older = format!("{epoch}\n{live}\n{rest}");
+            assert_eq!(
+                parse_manifest(older.clone().into_bytes()).is_ok(),
+                opens,
+                "{live}"
+            );
+            disk.write_atomic(MANIFEST, older.as_bytes()).unwrap();
+            match Store::open_with(disk.clone(), policy) {
+                Ok(reopened) => {
+                    assert!(opens, "{live}");
+                    assert_eq!(reopened.scan_prefix(Space::History, "").unwrap(), scan);
+                    assert_eq!(reopened.len(Space::History).unwrap(), 39);
+                }
+                Err(_) => assert!(!opens, "{live}"),
+            }
+        }
     }
 }

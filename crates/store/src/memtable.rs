@@ -1,24 +1,18 @@
 //! The in-memory half of the store: one ordered map per space, and the
 //! one function that applies a durable batch to them.
 
-use crate::cache::BlockCache;
-use crate::disk::Disk;
-use crate::error::StoreResult;
-use crate::levels::{levels_lookup, Levels, TierMetrics};
+use crate::levels::Levels;
 use crate::wal::WalOp;
 use bytes::Bytes;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The four per-space memtables.  Keys are plain `String`s so lookups
 /// can borrow the caller's `&str` (no per-`get` allocation).  A `None`
-/// value is a **tombstone**: the key exists in an older run but has
-/// been deleted; tombstones only appear while runs exist.  `live`
-/// tracks the per-space count of the merged (memtable ∪ runs) view so
-/// `len` stays O(1) even with tombstones in play.
+/// value is a **tombstone**: a run may hold an older version of the key,
+/// which the delete shadows; tombstones only appear while runs exist.
 #[derive(Default)]
 pub(crate) struct MemTables {
     pub(crate) spaces: [BTreeMap<String, Option<Bytes>>; 4],
-    pub(crate) live: [usize; 4],
     /// Estimated resident bytes — what the spill budget is checked
     /// against.
     pub(crate) approx_bytes: u64,
@@ -33,22 +27,19 @@ pub(crate) fn entry_cost(key_len: usize, value_len: usize) -> u64 {
     key_len as u64 + value_len as u64 + ENTRY_OVERHEAD
 }
 
-/// Apply a durable batch to the memtables, maintaining the live counts
-/// against the run tier.  Writes inside a retention watermark are
-/// dropped outright — the watermark only ever covers windows whose
-/// durable rollup already subsumes them, and dropping here is what
-/// keeps WAL replay consistent with the advanced manifest.  Fallible
-/// only because resolving whether an absent key is live in a run may
-/// read run blocks (bloom-gated; always infallible and free when the
-/// tier is empty).
-pub(crate) fn apply_ops<D: Disk>(
+/// Apply a durable batch to the memtables.  The writer never reads the
+/// run tier: a put just lands, and a delete leaves a tombstone exactly
+/// when some run's bloom filter may hold the key (no I/O) — otherwise
+/// nothing older can surface and the key simply goes.  Writes inside a
+/// retention watermark are dropped outright — the watermark only ever
+/// covers windows whose durable rollup already subsumes them, and
+/// dropping here is what keeps WAL replay consistent with the advanced
+/// manifest.
+pub(crate) fn apply_ops(
     mem: &mut MemTables,
     levels: &Levels,
-    disk: &D,
-    metrics: &TierMetrics,
-    cache: &BlockCache,
     ops: impl IntoIterator<Item = WalOp>,
-) -> StoreResult<()> {
+) {
     for op in ops {
         let (space, key, value) = op.into_entry();
         // Unknown space tags can only come from a corrupted frame that
@@ -59,8 +50,7 @@ pub(crate) fn apply_ops<D: Disk>(
             continue;
         }
         // One descent finds the key's slot, and what to do is read off
-        // it: an occupied slot is adjusted in place, and only a vacant
-        // one has to ask the runs whether the key is visible.
+        // it.
         let key_len = key.len();
         match mem.spaces[si].entry(key) {
             Entry::Occupied(mut held) => {
@@ -69,19 +59,12 @@ pub(crate) fn apply_ops<D: Disk>(
                 match (value, was) {
                     (None, None) => {} // already deleted
                     (Some(value), _) => {
-                        if was.is_none() {
-                            mem.live[si] += 1;
-                        }
                         mem.approx_bytes -= entry_cost(key_len, was.unwrap_or(0));
                         mem.approx_bytes += entry_cost(key_len, value.len());
                         held.insert(Some(value));
                     }
                     (None, Some(len)) => {
-                        mem.live[si] -= 1;
                         mem.approx_bytes -= entry_cost(key_len, len);
-                        // A tombstone is only worth keeping if some run
-                        // might still surface the key (bloom check, no
-                        // I/O); otherwise plain removal suffices.
                         if levels.may_contain_any(space, held.key()) {
                             mem.approx_bytes += entry_cost(key_len, 0);
                             held.insert(None);
@@ -91,31 +74,21 @@ pub(crate) fn apply_ops<D: Disk>(
                     }
                 }
             }
-            Entry::Vacant(slot) => {
-                let was_live = !levels.no_runs()
-                    && levels_lookup(levels, disk, metrics, cache, space, slot.key())?
-                        .is_some_and(|v| v.is_some());
-                match value {
-                    Some(value) => {
-                        if !was_live {
-                            mem.live[si] += 1;
-                        }
-                        mem.approx_bytes += entry_cost(key_len, value.len());
-                        slot.insert(Some(value));
-                    }
-                    // Deleting a key a run holds leaves a tombstone to
-                    // shadow it; deleting one nothing holds leaves nothing.
-                    None if was_live => {
-                        mem.live[si] -= 1;
-                        mem.approx_bytes += entry_cost(key_len, 0);
-                        slot.insert(None);
-                    }
-                    None => {}
+            Entry::Vacant(slot) => match value {
+                Some(value) => {
+                    mem.approx_bytes += entry_cost(key_len, value.len());
+                    slot.insert(Some(value));
                 }
-            }
+                // Deleting a key a run may hold leaves a tombstone to
+                // shadow it; deleting one no run holds leaves nothing.
+                None if levels.may_contain_any(space, slot.key()) => {
+                    mem.approx_bytes += entry_cost(key_len, 0);
+                    slot.insert(None);
+                }
+                None => {}
+            },
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -126,11 +99,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// What `apply_ops` must keep true whatever it was handed: per space,
-    /// `live` is the number of records a full scan returns, and
-    /// `approx_bytes` is `entry_cost` summed over what the memtable holds.
+    /// What `apply_ops` must keep true whatever it was handed:
+    /// `approx_bytes` is `entry_cost` summed over what the memtable holds,
+    /// and per space `len` is the number of records a full scan returns.
     fn assert_accounting(store: &Store<MemDisk>, ctx: &str) {
-        let (live, approx, recount) = {
+        let (approx, recount) = {
             let mem = store.mem.read();
             let recount: u64 = mem
                 .spaces
@@ -138,13 +111,16 @@ mod tests {
                 .flatten()
                 .map(|(k, v)| entry_cost(k.len(), v.as_ref().map_or(0, Bytes::len)))
                 .sum();
-            (mem.live, mem.approx_bytes, recount)
+            (mem.approx_bytes, recount)
         };
         assert_eq!(approx, recount, "{ctx}: approx_bytes drifted");
-        for (si, space) in Space::ALL.iter().enumerate() {
-            let scanned = store.scan_prefix(*space, "").unwrap().len();
-            assert_eq!(live[si], scanned, "{ctx}: live count of {space:?} drifted");
-            assert_eq!(store.len(*space).unwrap(), scanned, "{ctx}");
+        for space in Space::ALL {
+            let scanned = store.scan_prefix(space, "").unwrap().len();
+            assert_eq!(
+                store.len(space).unwrap(),
+                scanned,
+                "{ctx}: len of {space:?}"
+            );
         }
     }
 
@@ -156,7 +132,7 @@ mod tests {
     }
 
     #[test]
-    fn live_and_approx_bytes_survive_any_put_delete_spill_merge_reopen_sequence() {
+    fn approx_bytes_and_len_survive_any_put_delete_spill_merge_reopen_sequence() {
         const SEED: u64 = 0xB10B_0B5E;
         let mut rng = StdRng::seed_from_u64(SEED);
         let disk = MemDisk::new();
@@ -238,5 +214,92 @@ mod tests {
         store.delete(space, "mem-only").unwrap();
         assert_eq!(slot(&store, space, "mem-only"), None);
         assert_accounting(&store, "delete of a memtable-only key");
+    }
+
+    /// The writer's half of the tier contract: applying batches reads
+    /// nothing.  Over a cold store with runs in L0 and L1, fresh puts,
+    /// overwrites and deletes of keys the runs hold, and deletes of keys
+    /// nothing holds make no `read`, `read_range` or `file_size` call —
+    /// and every read afterwards still sees exactly the model.
+    #[test]
+    fn the_writer_never_reads_the_tier() {
+        let policy = crate::TieredPolicy {
+            memtable_budget_bytes: 256 * 1024,
+            run_merge_threshold: 2,
+            ..crate::TieredPolicy::default()
+        };
+        let disk = MemDisk::new();
+        let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+        let mut model: std::collections::BTreeMap<(Space, String), Vec<u8>> = Default::default();
+        let mut put = |store: &Store<MemDisk>, space: Space, key: String, fill: u8| {
+            store.put(space, key.clone(), vec![fill; 50]).unwrap();
+            model.insert((space, key), vec![fill; 50]);
+        };
+        for (round, space) in [Space::Instance, Space::History, Space::Instance]
+            .into_iter()
+            .enumerate()
+        {
+            for i in 0..60 {
+                put(
+                    &store,
+                    space,
+                    format!("k/{:03}", 3 * i + round),
+                    round as u8,
+                );
+            }
+            store.spill().unwrap();
+            if round == 1 {
+                store.compact_levels().unwrap();
+            }
+        }
+        {
+            let levels = store.levels.read();
+            assert_eq!((levels.l0.len(), levels.deeper[0].len()), (1, 1));
+        }
+        drop(store);
+        let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+
+        let (reads, spills) = (disk.read_op_count(), store.stats().spills);
+        let mut batches = Vec::new();
+        for i in 0..60 {
+            let mut b = Batch::new();
+            let (space, fill) = (Space::ALL[i % 2], 100 + i as u8);
+            // Fresh, inside the runs' hulls and past them.
+            for key in [format!("k/{:03}", 3 * i + 1), format!("z/{i:03}")] {
+                b.put(space, key.clone(), vec![fill; 50]);
+                model.insert((space, key), vec![fill; 50]);
+            }
+            // Overwrite an L1 key, delete an L0 one, delete an absent one.
+            let l1 = format!("k/{:03}", 3 * i);
+            b.put(Space::Instance, l1.clone(), vec![fill; 50]);
+            model.insert((Space::Instance, l1), vec![fill; 50]);
+            let l0 = format!("k/{:03}", 3 * i + 2);
+            b.delete(Space::Instance, l0.clone());
+            model.remove(&(Space::Instance, l0));
+            b.delete(Space::Configuration, format!("k/{i:03}"));
+            batches.push(b);
+        }
+        store.apply_many(batches).unwrap();
+        assert_eq!(
+            disk.read_op_count(),
+            reads,
+            "applying a batch read the disk"
+        );
+        assert_eq!(
+            store.stats().spills,
+            spills,
+            "the batches crossed the budget"
+        );
+
+        for space in Space::ALL {
+            let expect: Vec<(String, Bytes)> = model
+                .iter()
+                .filter(|((s, _), _)| *s == space)
+                .map(|((_, k), v)| (k.clone(), Bytes::from(v.clone())))
+                .collect();
+            assert_eq!(store.scan_prefix(space, "").unwrap(), expect, "{space:?}");
+            assert_eq!(store.len(space).unwrap(), expect.len());
+        }
+        assert_accounting(&store, "after the batches");
     }
 }

@@ -22,9 +22,8 @@ impl<D: Disk> Store<D> {
     /// to reads, writes to them are dropped on apply (including WAL
     /// replay), and compactions reclaim the bytes physically.  The
     /// single manifest write is the commit point (one disk mutation);
-    /// it persists the widened watermark together with the decremented
-    /// runs-view live counts.  Returns how many visible records the
-    /// advance retired.
+    /// it persists the widened watermark.  Returns how many visible
+    /// records the advance retired.
     pub fn retain_below(&self, space: Space, start: &str, below: &str) -> StoreResult<u64> {
         self.check_alive()?;
         if below <= start {
@@ -60,11 +59,9 @@ impl<D: Disk> Store<D> {
             }
             None => vec![(new_start.clone(), new_below.clone())],
         };
-        // Count what the advance retires, in both views: the runs-only
-        // view corrects the persisted live counts, the merged view
-        // (memtable overlay) corrects `len`.  Also price the memtable
-        // entries to purge.
-        let (merged_retired, runs_retired, purge_cost) = {
+        // Count what the advance retires in the merged view (runs, then
+        // the memtable overlay), and price the memtable entries to purge.
+        let (retired, purge_cost) = {
             let mem = self.mem.read();
             let levels = self.levels.read();
             let mut runs_view: BTreeMap<String, bool> = BTreeMap::new();
@@ -78,7 +75,6 @@ impl<D: Disk> Store<D> {
                     }
                 }
             }
-            let runs_retired = runs_view.values().filter(|live| **live).count();
             let mut merged: BTreeMap<&str, bool> =
                 runs_view.iter().map(|(k, v)| (k.as_str(), *v)).collect();
             let mut purge_cost = 0u64;
@@ -90,16 +86,14 @@ impl<D: Disk> Store<D> {
                     purge_cost += entry_cost(k.len(), v.as_ref().map_or(0, |b| b.len()));
                 }
             }
-            let merged_retired = merged.values().filter(|live| **live).count();
-            (merged_retired, runs_retired, purge_cost)
+            let retired = merged.values().filter(|live| **live).count() as u64;
+            (retired, purge_cost)
         };
-        let mut tier_live = wal.tier_live;
-        tier_live[si] -= runs_retired;
         let manifest = {
             let levels = self.levels.read();
             let mut retain = levels.retain.clone();
             retain[si] = Some((new_start.clone(), new_below.clone()));
-            manifest_for(wal.epoch, &tier_live, &levels.l0, &levels.deeper, &retain)
+            manifest_for(wal.epoch, &levels.l0, &levels.deeper, &retain)
         };
         self.commit_manifest(&wal, &manifest)?;
         // Committed: publish the watermark and purge the in-range
@@ -117,12 +111,10 @@ impl<D: Disk> Store<D> {
                 }
             }
             mem.approx_bytes -= purge_cost;
-            mem.live[si] -= merged_retired;
             levels.retain[si] = Some((new_start, new_below));
         }
-        wal.tier_live = tier_live;
-        wal.retired += merged_retired as u64;
-        Ok(merged_retired as u64)
+        wal.retired += retired;
+        Ok(retired)
     }
 
     /// The retention watermark of `space`, if any: the `[start, below)`

@@ -21,9 +21,11 @@
 //! +--------------------------------------------------------------+
 //! ```
 //!
-//! Data blocks reuse the WAL frame format verbatim, so block decoding
-//! is [`wal::replay_shared`] — the same zero-copy path recovery uses:
-//! values are `Bytes` slices of the block read, never copied.
+//! Data blocks reuse the WAL frame format verbatim: one op encoder writes
+//! both, and one op parser reads both.  A point read decodes a block
+//! zero-copy — values are `Bytes` slices of the block read — and a merge
+//! walks it in place ([`Run::load_raw_block`]) and copies each surviving
+//! entry once, into its output run ([`RunWriter`]).
 //!
 //! The meta payload carries the entry/tombstone counts, the per-run
 //! [`Bloom`] filter, and a sparse block index (space, offset, length,
@@ -49,6 +51,9 @@ const META_HEADER_LEN: usize = 8;
 pub const BLOCK_TARGET_BYTES: usize = 4 * 1024;
 /// Meta payload format version.
 const META_VERSION: u8 = 1;
+/// Bytes of the smallest block-index entry (both keys empty): what bounds
+/// the index a meta payload of a given length can hold.
+const MIN_INDEX_ENTRY: usize = 1 + 8 + 4 + 4 + 4 + 4;
 
 /// `run-{id:06}` — the on-disk name of run `id`.
 pub fn run_name(id: u64) -> String {
@@ -119,95 +124,138 @@ fn corrupt(name: &str, what: &str) -> StoreError {
 /// Serialize `entries` — which must be sorted by `(space, key)` with no
 /// duplicate pairs — into a complete run-file image.
 pub fn build_run(entries: &[RunEntry<'_>]) -> Vec<u8> {
-    let mut bloom = Bloom::with_capacity(entries.len());
-    let mut out = Vec::new();
-    let mut blocks: Vec<BlockMeta> = Vec::new();
-    let mut tombstones = 0u64;
+    let mut run = RunWriter::with_capacity(0);
+    for &e in entries {
+        run.push(e);
+    }
+    run.finish()
+}
 
-    let mut pending: Vec<WalOpRef<'_>> = Vec::new();
-    let mut pending_bytes = 0usize;
-    let mut first_key = "";
-    let mut last_key = "";
-    let mut cur_space = 0u8;
+/// A run file written as its entries arrive: each entry is encoded
+/// straight into the image, blocks are cut as they fill, and the bloom
+/// and the index follow the last entry.  Entries must come sorted by
+/// `(space, key)` with no duplicate pairs; the image is byte for byte what
+/// the same entries have always produced.
+pub struct RunWriter {
+    out: Vec<u8>,
+    blocks: Vec<BlockMeta>,
+    /// Every entry's bloom hash pair: the filter is sized by the final
+    /// count, so it is built at [`RunWriter::finish`].
+    hashes: Vec<(u64, u64)>,
+    tombstones: u64,
+    /// The block being filled, indexed as it will be once closed (its
+    /// `offset` is where its frame starts), and the sum of its entries'
+    /// block costs — what the cut is decided on.
+    block: Option<(BlockMeta, usize)>,
+}
 
-    let mut flush =
-        |out: &mut Vec<u8>, pending: &mut Vec<WalOpRef<'_>>, space: u8, first: &str, last: &str| {
-            if pending.is_empty() {
-                return;
-            }
-            let offset = out.len() as u64;
-            wal::encode_frame_into(out, pending.iter().copied());
-            blocks.push(BlockMeta {
-                space,
-                offset,
-                len: (out.len() as u64 - offset) as u32,
-                count: pending.len() as u32,
-                first_key: first.to_string(),
-                last_key: last.to_string(),
-            });
-            pending.clear();
-        };
+impl RunWriter {
+    /// An empty run whose image starts with room for `bytes`.
+    pub fn with_capacity(bytes: usize) -> RunWriter {
+        RunWriter {
+            out: Vec::with_capacity(bytes),
+            blocks: Vec::new(),
+            hashes: Vec::new(),
+            tombstones: 0,
+            block: None,
+        }
+    }
 
-    for e in entries {
-        bloom.insert(e.space, e.key);
+    /// True until the first entry is pushed.
+    pub fn is_empty(&self) -> bool {
+        self.hashes.is_empty()
+    }
+
+    /// Append the next entry.  A block holds one space and is cut before
+    /// an entry that would take it past [`BLOCK_TARGET_BYTES`].
+    pub fn push(&mut self, e: RunEntry<'_>) {
+        self.hashes.push(crate::bloom::hash_pair(e.space, e.key));
         let cost = e.key.len() + e.value.map_or(0, <[u8]>::len) + 16;
-        if !pending.is_empty()
-            && (e.space != cur_space || pending_bytes + cost > BLOCK_TARGET_BYTES)
-        {
-            flush(&mut out, &mut pending, cur_space, first_key, last_key);
-            pending_bytes = 0;
+        if let Some((b, filled)) = &self.block {
+            if e.space != b.space || filled + cost > BLOCK_TARGET_BYTES {
+                self.close_block();
+            }
         }
-        if pending.is_empty() {
-            cur_space = e.space;
-            first_key = e.key;
-        }
-        last_key = e.key;
-        pending_bytes += cost;
-        match e.value {
-            Some(value) => pending.push(WalOpRef::Put {
+        let (b, filled) = self.block.get_or_insert_with(|| {
+            let meta = BlockMeta {
+                space: e.space,
+                offset: wal::begin_frame(&mut self.out) as u64,
+                len: 0,
+                count: 0,
+                first_key: e.key.to_owned(),
+                last_key: String::new(),
+            };
+            (meta, 0)
+        });
+        b.count += 1;
+        b.last_key.clear();
+        b.last_key.push_str(e.key);
+        *filled += cost;
+        let op = match e.value {
+            Some(value) => WalOpRef::Put {
                 space: e.space,
                 key: e.key,
                 value,
-            }),
+            },
             None => {
-                tombstones += 1;
-                pending.push(WalOpRef::Delete {
+                self.tombstones += 1;
+                WalOpRef::Delete {
                     space: e.space,
                     key: e.key,
-                });
+                }
             }
+        };
+        wal::encode_op(&mut self.out, op);
+    }
+
+    /// Close the open block's frame and index it.
+    fn close_block(&mut self) {
+        let Some((mut b, _)) = self.block.take() else {
+            return;
+        };
+        let frame = b.offset as usize;
+        wal::end_frame(&mut self.out, frame, b.count);
+        b.len = (self.out.len() - frame) as u32;
+        self.blocks.push(b);
+    }
+
+    /// The complete run-file image: the last block, the meta section
+    /// (counts, bloom, index) under its checksum, and the footer.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.close_block();
+        let mut bloom = Bloom::with_capacity(self.hashes.len());
+        for &h in &self.hashes {
+            bloom.insert_hashed(h);
         }
-    }
-    flush(&mut out, &mut pending, cur_space, first_key, last_key);
+        let out = &mut self.out;
+        let meta_off = out.len();
+        out.extend_from_slice(&[0; META_HEADER_LEN]);
+        let meta = out.len();
+        out.push(META_VERSION);
+        out.extend_from_slice(&(self.hashes.len() as u64 - self.tombstones).to_le_bytes());
+        out.extend_from_slice(&self.tombstones.to_le_bytes());
+        bloom.encode_into(out);
+        out.extend_from_slice(&(self.blocks.len() as u32).to_le_bytes());
+        for b in &self.blocks {
+            out.push(b.space);
+            out.extend_from_slice(&b.offset.to_le_bytes());
+            out.extend_from_slice(&b.len.to_le_bytes());
+            out.extend_from_slice(&b.count.to_le_bytes());
+            out.extend_from_slice(&(b.first_key.len() as u32).to_le_bytes());
+            out.extend_from_slice(b.first_key.as_bytes());
+            out.extend_from_slice(&(b.last_key.len() as u32).to_le_bytes());
+            out.extend_from_slice(b.last_key.as_bytes());
+        }
+        let meta_len = out.len() - meta;
+        let crc = crc32(&out[meta..]);
+        out[meta_off..meta_off + 4].copy_from_slice(&(meta_len as u32).to_le_bytes());
+        out[meta_off + 4..meta].copy_from_slice(&crc.to_le_bytes());
 
-    // ---- meta section ----------------------------------------------
-    let meta_off = out.len() as u64;
-    let mut meta = Vec::new();
-    meta.push(META_VERSION);
-    meta.extend_from_slice(&(entries.len() as u64 - tombstones).to_le_bytes());
-    meta.extend_from_slice(&tombstones.to_le_bytes());
-    bloom.encode_into(&mut meta);
-    meta.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
-    for b in &blocks {
-        meta.push(b.space);
-        meta.extend_from_slice(&b.offset.to_le_bytes());
-        meta.extend_from_slice(&b.len.to_le_bytes());
-        meta.extend_from_slice(&b.count.to_le_bytes());
-        meta.extend_from_slice(&(b.first_key.len() as u32).to_le_bytes());
-        meta.extend_from_slice(b.first_key.as_bytes());
-        meta.extend_from_slice(&(b.last_key.len() as u32).to_le_bytes());
-        meta.extend_from_slice(b.last_key.as_bytes());
+        out.extend_from_slice(&(meta_off as u64).to_le_bytes());
+        out.extend_from_slice(&((META_HEADER_LEN + meta_len) as u64).to_le_bytes());
+        out.extend_from_slice(&RUN_MAGIC);
+        self.out
     }
-    out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&meta).to_le_bytes());
-    out.extend_from_slice(&meta);
-
-    // ---- footer -----------------------------------------------------
-    let meta_len = (META_HEADER_LEN + meta.len()) as u64;
-    out.extend_from_slice(&meta_off.to_le_bytes());
-    out.extend_from_slice(&meta_len.to_le_bytes());
-    out.extend_from_slice(&RUN_MAGIC);
-    out
 }
 
 /// Little-endian readers over a byte cursor; all return `None` on
@@ -288,7 +336,9 @@ impl Run {
             let (bloom, consumed) = Bloom::decode(c.0)?;
             c.take(consumed)?;
             let nblocks = c.u32()? as usize;
-            let mut blocks = Vec::with_capacity(nblocks);
+            // A forged count cannot size the allocation: the entries must
+            // fit in what is left of the payload.
+            let mut blocks = Vec::with_capacity(nblocks.min(c.0.len() / MIN_INDEX_ENTRY));
             for _ in 0..nblocks {
                 let space = c.u8()?;
                 let offset = c.u64()?;
@@ -382,7 +432,7 @@ impl Run {
     }
 
     /// Data blocks in the run; a merge cursor walks `0..block_count()`
-    /// through [`Run::load_block_at`].
+    /// through [`Run::load_raw_block`].
     pub(crate) fn block_count(&self) -> usize {
         self.meta.blocks.len()
     }
@@ -405,13 +455,6 @@ impl Run {
         self.meta.blocks[idx].offset
     }
 
-    /// Read and CRC-check block `idx`; the caller (block cache) owns the
-    /// decoded ops afterwards, so cached entries are always
-    /// post-validation.
-    pub(crate) fn load_block_at<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Vec<WalOp>> {
-        self.load_block(disk, &self.meta.blocks[idx])
-    }
-
     /// Resident-memory footprint of the opened run (index + bloom),
     /// for the bounded-memory accounting.
     pub fn resident_bytes(&self) -> usize {
@@ -424,40 +467,45 @@ impl Run {
                 .sum::<usize>()
     }
 
-    /// Bloom check only — `false` proves the pair is absent.
-    pub fn may_contain(&self, space: u8, key: &str) -> bool {
-        self.meta.bloom.may_contain(space, key)
-    }
-
-    /// [`Run::may_contain`] with the `(space, key)` hash pair
-    /// precomputed — lets a lookup across many runs hash once.
+    /// Bloom check only, on the `(space, key)` hash pair
+    /// ([`crate::bloom::hash_pair`]) — `false` proves the pair is absent.
+    /// A lookup across many runs hashes once.
     pub fn may_contain_hashed(&self, hash: (u64, u64)) -> bool {
         self.meta.bloom.may_contain_hashed(hash)
     }
 
-    /// Read and decode one data block, zero-copy.
-    fn load_block<D: Disk>(&self, disk: &D, b: &BlockMeta) -> StoreResult<Vec<WalOp>> {
+    /// Read block `idx` and check it is one whole frame whose checksum
+    /// holds and whose op count is the index's; the ops are left to a
+    /// [`wal::OpWalk`] over the frame's payload (`[wal::HEADER_LEN..]`),
+    /// which makes the rest of the checks as it walks.  A merge walks
+    /// blocks this way, in place.
+    pub(crate) fn load_raw_block<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Vec<u8>> {
+        let b = &self.meta.blocks[idx];
         let raw = disk
             .read_range(&self.meta.name, b.offset, b.len as usize)?
             .ok_or_else(|| corrupt(&self.meta.name, "data block vanished"))?;
         if raw.len() != b.len as usize {
             return Err(corrupt(&self.meta.name, "data block truncated"));
         }
-        let (mut ops, mut frames) = (Vec::new(), 0usize);
-        let end = wal::replay_shared(&Bytes::from(raw), |frame| {
-            frames += 1;
-            ops = std::mem::take(frame);
-            Ok::<(), StoreError>(())
-        })?;
-        if end.torn_tail || frames != 1 {
+        if wal::parse_frame(&raw).is_none_or(|(_, consumed)| consumed != raw.len()) {
             return Err(corrupt(
                 &self.meta.name,
                 "data block is not one whole frame",
             ));
         }
-        if ops.len() != b.count as usize {
+        if wal::OpWalk::new(&raw[wal::HEADER_LEN..])?.ops_left() != b.count as usize {
             return Err(corrupt(&self.meta.name, "data block op count mismatch"));
         }
+        Ok(raw)
+    }
+
+    /// Read and decode block `idx`, zero-copy: the raw block, walked and
+    /// owned.  The caller (block cache) owns the decoded ops afterwards,
+    /// so cached entries are always post-validation.
+    pub(crate) fn load_block_at<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Vec<WalOp>> {
+        let raw = Bytes::from(self.load_raw_block(disk, idx)?);
+        let mut ops = Vec::new();
+        wal::decode_payload(&raw, wal::HEADER_LEN, raw.len() - wal::HEADER_LEN, &mut ops)?;
         Ok(ops)
     }
 
@@ -502,14 +550,14 @@ impl Run {
         within: impl Fn(&str) -> bool,
     ) -> StoreResult<Vec<(String, Option<Bytes>)>> {
         let mut out = Vec::new();
-        for b in self.meta.blocks.iter().filter(|b| b.space == space) {
-            if b.last_key.as_str() < start {
+        for (idx, b) in self.meta.blocks.iter().enumerate() {
+            if b.space != space || b.last_key.as_str() < start {
                 continue;
             }
             if b.first_key.as_str() >= start && !within(&b.first_key) {
                 break;
             }
-            for op in self.load_block(disk, b)? {
+            for op in self.load_block_at(disk, idx)? {
                 let (_, key, value) = op.into_entry();
                 if key.as_str() >= start && within(&key) {
                     out.push((key, value));
@@ -524,6 +572,8 @@ impl Run {
 mod tests {
     use super::*;
     use crate::disk::MemDisk;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn sample_entries() -> Vec<(u8, String, Option<Vec<u8>>)> {
         let mut v = Vec::new();
@@ -605,7 +655,7 @@ mod tests {
         let run = Run::open(&disk, "run-000007").unwrap();
         assert_eq!(run.entries, 0);
         assert_eq!(run.tombstones, 0);
-        assert!(!run.may_contain(0, "anything"));
+        assert!(!run.may_contain_hashed(crate::bloom::hash_pair(0, "anything")));
         assert_eq!(run.get(&disk, 1, "x").unwrap(), None);
     }
 
@@ -655,5 +705,182 @@ mod tests {
         assert_eq!(parse_run_name("run-42"), None);
         assert_eq!(parse_run_name("run-abcdef"), None);
         assert_eq!(parse_run_name("wal-000042"), None);
+    }
+
+    /// The run encoder before [`RunWriter`]: every entry borrowed into a
+    /// list of pending ops, a block framed when it is cut, the bloom
+    /// filled as entries arrive.  Kept verbatim as the reference the
+    /// streaming writer's images are held to, byte for byte.
+    fn build_run_reference(entries: &[RunEntry<'_>]) -> Vec<u8> {
+        let mut bloom = Bloom::with_capacity(entries.len());
+        let mut out = Vec::new();
+        let mut blocks: Vec<BlockMeta> = Vec::new();
+        let mut tombstones = 0u64;
+
+        let mut pending: Vec<WalOpRef<'_>> = Vec::new();
+        let mut pending_bytes = 0usize;
+        let mut first_key = "";
+        let mut last_key = "";
+        let mut cur_space = 0u8;
+
+        let mut flush = |out: &mut Vec<u8>,
+                         pending: &mut Vec<WalOpRef<'_>>,
+                         space: u8,
+                         first: &str,
+                         last: &str| {
+            if pending.is_empty() {
+                return;
+            }
+            let offset = out.len() as u64;
+            wal::encode_frame_into(out, pending.iter().copied());
+            blocks.push(BlockMeta {
+                space,
+                offset,
+                len: (out.len() as u64 - offset) as u32,
+                count: pending.len() as u32,
+                first_key: first.to_string(),
+                last_key: last.to_string(),
+            });
+            pending.clear();
+        };
+
+        for e in entries {
+            bloom.insert(e.space, e.key);
+            let cost = e.key.len() + e.value.map_or(0, <[u8]>::len) + 16;
+            if !pending.is_empty()
+                && (e.space != cur_space || pending_bytes + cost > BLOCK_TARGET_BYTES)
+            {
+                flush(&mut out, &mut pending, cur_space, first_key, last_key);
+                pending_bytes = 0;
+            }
+            if pending.is_empty() {
+                cur_space = e.space;
+                first_key = e.key;
+            }
+            last_key = e.key;
+            pending_bytes += cost;
+            match e.value {
+                Some(value) => pending.push(WalOpRef::Put {
+                    space: e.space,
+                    key: e.key,
+                    value,
+                }),
+                None => {
+                    tombstones += 1;
+                    pending.push(WalOpRef::Delete {
+                        space: e.space,
+                        key: e.key,
+                    });
+                }
+            }
+        }
+        flush(&mut out, &mut pending, cur_space, first_key, last_key);
+
+        // ---- meta section ----------------------------------------------
+        let meta_off = out.len() as u64;
+        let mut meta = Vec::new();
+        meta.push(META_VERSION);
+        meta.extend_from_slice(&(entries.len() as u64 - tombstones).to_le_bytes());
+        meta.extend_from_slice(&tombstones.to_le_bytes());
+        bloom.encode_into(&mut meta);
+        meta.extend_from_slice(&(blocks.len() as u32).to_le_bytes());
+        for b in &blocks {
+            meta.push(b.space);
+            meta.extend_from_slice(&b.offset.to_le_bytes());
+            meta.extend_from_slice(&b.len.to_le_bytes());
+            meta.extend_from_slice(&b.count.to_le_bytes());
+            meta.extend_from_slice(&(b.first_key.len() as u32).to_le_bytes());
+            meta.extend_from_slice(b.first_key.as_bytes());
+            meta.extend_from_slice(&(b.last_key.len() as u32).to_le_bytes());
+            meta.extend_from_slice(b.last_key.as_bytes());
+        }
+        out.extend_from_slice(&(meta.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(&meta).to_le_bytes());
+        out.extend_from_slice(&meta);
+
+        // ---- footer -----------------------------------------------------
+        let meta_len = (META_HEADER_LEN + meta.len()) as u64;
+        out.extend_from_slice(&meta_off.to_le_bytes());
+        out.extend_from_slice(&meta_len.to_le_bytes());
+        out.extend_from_slice(&RUN_MAGIC);
+        out
+    }
+
+    type Rows = BTreeMap<(u8, String), Option<Vec<u8>>>;
+
+    fn entries_of(rows: &Rows) -> Vec<RunEntry<'_>> {
+        rows.iter()
+            .map(|((space, key), value)| RunEntry {
+                space: *space,
+                key,
+                value: value.as_deref(),
+            })
+            .collect()
+    }
+
+    fn assert_same_image(rows: &Rows) {
+        let entries = entries_of(rows);
+        let image = build_run(&entries);
+        assert_eq!(
+            image,
+            build_run_reference(&entries),
+            "{} entries",
+            rows.len()
+        );
+        // The image opens, and says what went in.
+        let disk = MemDisk::new();
+        disk.write_atomic("run-000000", &image).unwrap();
+        let run = Run::open(&disk, "run-000000").unwrap();
+        let tombstones = rows.values().filter(|v| v.is_none()).count() as u64;
+        assert_eq!(
+            (run.entries, run.tombstones),
+            (rows.len() as u64 - tombstones, tombstones)
+        );
+    }
+
+    /// Entries whose block costs add up to exactly the block target, then
+    /// one byte past it: the cut rule is strict, and the writer's is the
+    /// reference's.
+    #[test]
+    fn run_writer_cuts_blocks_where_the_reference_does() {
+        for extra in [0usize, 1] {
+            for (n, key_len) in [(2usize, 1usize), (4, 7), (8, 24)] {
+                let mut rows = Rows::new();
+                let each = BLOCK_TARGET_BYTES / n;
+                for i in 0..n + 1 {
+                    let key = format!("{i:0key_len$}");
+                    let value_len = each - key_len - 16 + usize::from(i == 0) * extra;
+                    rows.insert((1, key), Some(vec![i as u8; value_len]));
+                }
+                assert_same_image(&rows);
+            }
+        }
+        assert_same_image(&Rows::new());
+    }
+
+    fn rows_strategy() -> impl Strategy<Value = Rows> {
+        let space = prop::sample::select(vec![0u8, 1, 2, 3]);
+        let key = "[a-z/]{0,12}";
+        // Tombstones, empty values, small ones, and ones large enough to
+        // straddle a block on their own.
+        let value = prop_oneof![
+            1 => Just(None),
+            1 => Just(Some(Vec::new())),
+            4 => prop::collection::vec(any::<u8>(), 1..300).prop_map(Some),
+            1 => (BLOCK_TARGET_BYTES - 64..BLOCK_TARGET_BYTES + 64).prop_map(|n| Some(vec![7; n])),
+        ];
+        prop::collection::btree_map((space, key), value, 0..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Any sorted entry set — one to four spaces, tombstones, empty
+        /// values, entries around the block target, none at all — makes
+        /// the image the reference encoder makes.
+        #[test]
+        fn run_writer_images_are_the_reference_encoders(rows in rows_strategy()) {
+            assert_same_image(&rows);
+        }
     }
 }

@@ -27,7 +27,8 @@
 
 use crate::crc::crc32;
 use crate::error::{StoreError, StoreResult};
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
+use std::ops::Range;
 
 /// Frame magic: distinguishes frame starts from arbitrary garbage with high
 /// probability and guards against replaying a file that is not a WAL.
@@ -94,34 +95,57 @@ pub enum WalOpRef<'a> {
 
 /// Encode one batch of operations as a framed WAL record appended to
 /// `out`, in place: the header is reserved, the payload written behind it,
-/// then the length and the checksum patched in.  A caller encoding many
-/// frames — group commit, snapshot streaming — grows one buffer and copies
-/// nothing twice.
-pub fn encode_frame_into<'a>(out: &mut Vec<u8>, ops: impl ExactSizeIterator<Item = WalOpRef<'a>>) {
+/// then the op count, the length and the checksum patched in.  A caller
+/// encoding many frames — group commit, snapshot streaming — grows one
+/// buffer and copies nothing twice.
+pub fn encode_frame_into<'a>(out: &mut Vec<u8>, ops: impl IntoIterator<Item = WalOpRef<'a>>) {
+    let frame = begin_frame(out);
+    let mut count = 0u32;
+    for op in ops {
+        encode_op(out, op);
+        count += 1;
+    }
+    end_frame(out, frame, count);
+}
+
+/// Open a frame at the end of `out`: the header and the op count are
+/// reserved, to be patched by [`end_frame`].  Returns where the frame
+/// starts.
+pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
     let frame = out.len();
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&[0; HEADER_LEN - MAGIC.len()]);
-    let payload = frame + HEADER_LEN;
-    out.put_u32_le(ops.len() as u32);
-    for op in ops {
-        match op {
-            WalOpRef::Put { space, key, value } => {
-                out.reserve(10 + key.len() + value.len());
-                out.put_u8(0);
-                out.put_u8(space);
-                out.put_u32_le(key.len() as u32);
-                out.put_slice(key.as_bytes());
-                out.put_u32_le(value.len() as u32);
-                out.put_slice(value);
-            }
-            WalOpRef::Delete { space, key } => {
-                out.put_u8(1);
-                out.put_u8(space);
-                out.put_u32_le(key.len() as u32);
-                out.put_slice(key.as_bytes());
-            }
+    out.extend_from_slice(&[0; HEADER_LEN - MAGIC.len() + 4]);
+    frame
+}
+
+/// Append one operation to the frame being built — the one op encoder,
+/// shared by every frame the store writes (WAL, snapshot, run block).
+#[inline]
+pub(crate) fn encode_op(out: &mut Vec<u8>, op: WalOpRef<'_>) {
+    match op {
+        WalOpRef::Put { space, key, value } => {
+            out.reserve(10 + key.len() + value.len());
+            out.put_u8(0);
+            out.put_u8(space);
+            out.put_u32_le(key.len() as u32);
+            out.put_slice(key.as_bytes());
+            out.put_u32_le(value.len() as u32);
+            out.put_slice(value);
+        }
+        WalOpRef::Delete { space, key } => {
+            out.put_u8(1);
+            out.put_u8(space);
+            out.put_u32_le(key.len() as u32);
+            out.put_slice(key.as_bytes());
         }
     }
+}
+
+/// Close the frame [`begin_frame`] opened at `frame`, holding `ops`
+/// operations: patch the op count, the payload length and its checksum.
+pub(crate) fn end_frame(out: &mut [u8], frame: usize, ops: u32) {
+    let payload = frame + HEADER_LEN;
+    out[payload..payload + 4].copy_from_slice(&ops.to_le_bytes());
     let len = (out.len() - payload) as u32;
     let crc = crc32(&out[payload..]);
     out[frame + 2..frame + 6].copy_from_slice(&len.to_le_bytes());
@@ -135,58 +159,141 @@ pub fn encode_frame(ops: &[WalOp]) -> Vec<u8> {
     frame
 }
 
-/// Decode the payload at `log[start..start + len]` into `ops`, replacing
-/// what it held.  Values are zero-copy slices of `log`; keys are validated
-/// in place and copied once into their owned `String` (they become map
-/// keys and must own their bytes).
-fn decode_payload(log: &Bytes, start: usize, len: usize, ops: &mut Vec<WalOp>) -> StoreResult<()> {
-    let corrupt = |m: &str| StoreError::Corruption(m.to_string());
-    let mut cursor = &log.as_slice()[start..start + len];
-    // Absolute offset of the cursor head within `log`, for slice() calls.
-    let abs = |cursor: &[u8]| start + len - cursor.remaining();
-    if cursor.remaining() < 4 {
-        return Err(corrupt("payload shorter than op count"));
+/// Where one operation lies in the payload it was walked from: ranges,
+/// not copies.
+#[derive(Debug, Clone)]
+pub(crate) struct OpAt {
+    pub(crate) space: u8,
+    pub(crate) key: Range<usize>,
+    /// `None` for a delete.
+    pub(crate) value: Option<Range<usize>>,
+}
+
+/// The one op parser: a walk over the payload of a frame whose checksum
+/// has passed, one operation per [`OpWalk::next`], borrowing from the
+/// payload instead of copying out of it.  It makes every check a payload
+/// gets — the op count is there, no op header, key or value runs past the
+/// end, every key is UTF-8, every tag is known, and no byte trails the
+/// last op — each one as the walk reaches it.  The walk keeps positions
+/// only, so its owner may hold the payload beside it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpWalk {
+    at: usize,
+    left: usize,
+}
+
+fn corrupt(m: &str) -> StoreError {
+    StoreError::Corruption(m.to_string())
+}
+
+impl OpWalk {
+    /// Start a walk of `payload`: read its op count.
+    pub(crate) fn new(payload: &[u8]) -> StoreResult<OpWalk> {
+        match payload {
+            [a, b, c, d, ..] => Ok(OpWalk {
+                at: 4,
+                left: u32::from_le_bytes([*a, *b, *c, *d]) as usize,
+            }),
+            _ => Err(corrupt("payload shorter than op count")),
+        }
     }
-    let count = cursor.get_u32_le() as usize;
-    ops.clear();
-    ops.reserve(count.min(len / 2 + 1));
-    for _ in 0..count {
-        if cursor.remaining() < 2 {
+
+    /// Operations the walk has yet to hand out.
+    pub(crate) fn ops_left(&self) -> usize {
+        self.left
+    }
+
+    /// The next operation, with its key as checked text; `Ok(None)` once
+    /// the count is reached and nothing trails it.
+    #[inline]
+    pub(crate) fn next<'p>(&mut self, payload: &'p [u8]) -> StoreResult<Option<(OpAt, &'p str)>> {
+        if self.left == 0 {
+            if self.at != payload.len() {
+                return Err(corrupt("trailing bytes in payload"));
+            }
+            return Ok(None);
+        }
+        // Each length is checked against what is left before it is used.
+        let u32_at = |at: usize| {
+            u32::from_le_bytes([
+                payload[at],
+                payload[at + 1],
+                payload[at + 2],
+                payload[at + 3],
+            ])
+        };
+        let left = |at: usize| payload.len() - at;
+        let at = self.at;
+        if left(at) < 2 {
             return Err(corrupt("truncated op header"));
         }
-        let tag = cursor.get_u8();
-        let space = cursor.get_u8();
-        if cursor.remaining() < 4 {
+        let (tag, space) = (payload[at], payload[at + 1]);
+        if left(at + 2) < 4 {
             return Err(corrupt("truncated key length"));
         }
-        let klen = cursor.get_u32_le() as usize;
-        if cursor.remaining() < klen {
+        let key_at = at + 6;
+        let klen = u32_at(at + 2) as usize;
+        if left(key_at) < klen {
             return Err(corrupt("truncated key"));
         }
-        let key = std::str::from_utf8(&cursor[..klen])
-            .map_err(|_| corrupt("key is not utf-8"))?
-            .to_string();
-        cursor.advance(klen);
-        match tag {
+        let key_end = key_at + klen;
+        let key = std::str::from_utf8(&payload[key_at..key_end])
+            .map_err(|_| corrupt("key is not utf-8"))?;
+        let value = match tag {
             0 => {
-                if cursor.remaining() < 4 {
+                if left(key_end) < 4 {
                     return Err(corrupt("truncated value length"));
                 }
-                let vlen = cursor.get_u32_le() as usize;
-                if cursor.remaining() < vlen {
+                let value_at = key_end + 4;
+                let vlen = u32_at(key_end) as usize;
+                if left(value_at) < vlen {
                     return Err(corrupt("truncated value"));
                 }
-                let at = abs(cursor);
-                let value = log.slice(at..at + vlen);
-                cursor.advance(vlen);
-                ops.push(WalOp::Put { space, key, value });
+                Some(value_at..value_at + vlen)
             }
-            1 => ops.push(WalOp::Delete { space, key }),
+            1 => None,
             t => return Err(corrupt(&format!("unknown op tag {t}"))),
-        }
+        };
+        self.at = value.as_ref().map_or(key_end, |v| v.end);
+        self.left -= 1;
+        Ok(Some((
+            OpAt {
+                space,
+                key: key_at..key_end,
+                value,
+            },
+            key,
+        )))
     }
-    if cursor.has_remaining() {
-        return Err(corrupt("trailing bytes in payload"));
+}
+
+/// Decode the payload at `log[start..start + len]` into `ops`, replacing
+/// what it held: the [`OpWalk`], then each op owned.  Values are zero-copy
+/// slices of `log`; keys are copied once into their owned `String` (they
+/// become map keys and must own their bytes).
+pub(crate) fn decode_payload(
+    log: &Bytes,
+    start: usize,
+    len: usize,
+    ops: &mut Vec<WalOp>,
+) -> StoreResult<()> {
+    let payload = &log.as_slice()[start..start + len];
+    let mut walk = OpWalk::new(payload)?;
+    ops.clear();
+    ops.reserve(walk.ops_left().min(len / 2 + 1));
+    while let Some((op, key)) = walk.next(payload)? {
+        let key = key.to_string();
+        ops.push(match op.value {
+            Some(value) => WalOp::Put {
+                space: op.space,
+                key,
+                value: log.slice(start + value.start..start + value.end),
+            },
+            None => WalOp::Delete {
+                space: op.space,
+                key,
+            },
+        });
     }
     Ok(())
 }
@@ -221,7 +328,7 @@ pub struct Replay {
 
 /// Validate the frame header at the start of `rest`: `(payload_len,
 /// consumed)`, or `None` when the header, length or checksum is invalid.
-fn parse_frame(rest: &[u8]) -> Option<(usize, usize)> {
+pub(crate) fn parse_frame(rest: &[u8]) -> Option<(usize, usize)> {
     if rest.len() < HEADER_LEN || rest[..2] != MAGIC {
         return None;
     }

@@ -146,6 +146,11 @@ fn scans(disk: &Recording, store: &Rec, prefixes: &[(Space, &str)], froms: &[(Sp
     }
 }
 
+/// Records across every space.
+fn records(store: &Rec) -> usize {
+    Space::ALL.iter().map(|s| store.len(*s).unwrap()).sum()
+}
+
 /// Plain WAL + snapshot mode: single applies, group commits, deletes,
 /// reopen, explicit and policy-driven `compact()`, a retention watermark
 /// carried through a snapshot roll.
@@ -237,7 +242,9 @@ fn untiered_script() -> String {
     let stats = store.stats();
     disk.note(format_args!(
         "# stats epoch {} batches {} records {}",
-        stats.epoch, stats.batches_applied, stats.records
+        stats.epoch,
+        stats.batches_applied,
+        records(&store)
     ));
     disk.trace()
 }
@@ -367,6 +374,7 @@ fn tiered_script() -> String {
     store.put(Space::History, "ev/000010", value(10)).unwrap();
     tiered_reads(&disk, &store);
     let stats = store.stats();
+    let records = records(&store);
     disk.note(format_args!(
         "# stats epoch {} runs {} levels {} spills {} merges {} max_merge {} retired {} records {}",
         stats.epoch,
@@ -376,7 +384,7 @@ fn tiered_script() -> String {
         stats.run_merges,
         stats.max_merge_bytes,
         stats.retired,
-        stats.records
+        records
     ));
 
     disk.note(format_args!("# reopen untiered over the runs"));

@@ -7,7 +7,7 @@
 //! batches cascade runs into L2 and beyond — the store is a per-space
 //! `BTreeMap` minus its retention windows:
 //!
-//! 1. Scans, O(1) lengths, the watermarks and a point read of every key of
+//! 1. Scans, lengths, the watermarks and a point read of every key of
 //!    the pool agree with the model: the newest version of a live key,
 //!    and definite absence for one that was deleted, retired or never
 //!    written (the lookups the bloom filters answer).  Writes below a
@@ -573,8 +573,8 @@ proptest! {
 
 /// The read path asks the bloom filter before it touches the sparse
 /// index or the block cache: a lookup of a key that lies inside the
-/// runs' hulls but that no run holds — the writer's read-before-write,
-/// most of the time — is answered by run metadata alone.  On a warm
+/// runs' hulls but that no run holds is answered by run metadata alone.
+/// On a warm
 /// store, a thousand such lookups leave the cache's counters where they
 /// were, apart from bloom false positives, and read nothing.
 #[test]

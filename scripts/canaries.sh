@@ -123,6 +123,34 @@ canary run-scan-drops-last-record crates/store/src/runs.rs \
   '/pub\(crate\) fn scan_while/,/^    \}/s/^        Ok\(out\)$/        out.pop();\n        Ok(out)/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism tiered::
 
+# The merge handing a tie to the older input: a key two inputs hold comes
+# out with its stale value, and again with its new one.
+canary merge-tie-older-wins crates/store/src/merge.rs \
+  's/if newest\.is_none_or\(\|\(_, best\)\| key <= best\) \{/if newest.is_none_or(|(_, best)| key < best) {/' \
+  cargo test -q --offline -p bioopera-store --lib merge::tests
+
+# A delete of a key only a run holds leaving no tombstone: the run's value
+# resurfaces.
+canary vacant-delete-no-tombstone crates/store/src/memtable.rs \
+  's/None if levels\.may_contain_any\(space, slot\.key\(\)\) => \{/None if false => {/' \
+  cargo test -q --offline -p bioopera-store --test store_proptests store_matches_model
+
+# The streaming run writer cutting a block that exactly fills the target:
+# the image is no longer the reference encoder's.
+canary run-writer-block-cut crates/store/src/runs.rs \
+  's/filled \+ cost > BLOCK_TARGET_BYTES/filled + cost >= BLOCK_TARGET_BYTES/' \
+  cargo test -q --offline -p bioopera-store --lib runs::tests
+
+# The writer looking every key up in the runs again before it applies the
+# batch (what keeping `len` O(1) once cost), and the grep gate against a
+# run lookup named in the memtable.
+canary writer-reads-again crates/store/src/engine.rs \
+  's/^                apply_ops\(&mut mem, &levels, ops\);$/                for op in \&ops { let (crate::wal::WalOpRef::Put { space, key, .. } | crate::wal::WalOpRef::Delete { space, key }) = op.as_op_ref(); levels_lookup(\&levels, \&*self.disk, \&self.metrics, \&self.cache, space, key)?; }\n&/' \
+  cargo test -q --offline -p bioopera-store --lib memtable::tests::the_writer_never_reads_the_tier
+canary writer-lookup-named crates/store/src/memtable.rs \
+  's/^use crate::levels::Levels;$/use crate::levels::{levels_lookup, Levels};/' \
+  bash scripts/check.sh --gates
+
 # The two hand-written text readers trusting their input: the OCR lexer
 # assuming every string literal is closed, and the manifest reader
 # accepting a run at level 0.  Either must make a mangled text panic under

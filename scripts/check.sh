@@ -169,6 +169,23 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+step "the tier at copy cost: the writer never looks a key up in the runs, a merge walks raw blocks"
+# `apply_ops` (memtable.rs) applies a batch from the memtable and the runs'
+# bloom filters alone — `Store::len` counts instead of the writer reading
+# before it writes.  A merge (merge.rs) hands out entries borrowed from
+# each input's raw block and picks the newest by a linear minimum: no
+# owned `WalOp` per entry, no heap.
+stray=$({
+  grep -n 'levels_lookup' crates/store/src/memtable.rs | sed 's|^|crates/store/src/memtable.rs:|'
+  sed '/^#\[cfg(test)\]/,$d' crates/store/src/merge.rs | grep -nE '\b(WalOp|into_entry|BinaryHeap)\b' \
+    | sed 's|^|crates/store/src/merge.rs:|'
+} || true)
+if [ -n "$stray" ]; then
+  echo "a run lookup on the write path, or an owned-op merge:"
+  echo "$stray"
+  exit 1
+fi
+
 step "unsafe stays where it is argued: darwin's SIMD lane and the store's checksum kernel"
 # Library sources (crates/*/src outside src/bin/) may say `unsafe` in
 # three files only; the counting allocators of tests and bench binaries
