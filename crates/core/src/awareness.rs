@@ -11,24 +11,23 @@
 //! cluster and operator events with typed fields) rather than free-form
 //! strings; records written by earlier versions still deserialize as
 //! [`EventKind::Legacy`].  An in-memory [`AwarenessIndex`] is maintained
-//! incrementally on every [`Awareness::record`] — by-kind / by-instance /
-//! by-node postings, counters, gauges and latency histograms — so
-//! monitoring queries never rescan the store.  Appends are buffered and
-//! flushed as **one store batch per navigator step** ([`Awareness::flush`]),
-//! keeping WAL traffic proportional to steps rather than events while
-//! preserving per-step crash atomicity.
+//! incrementally as each commit of the history lands — by-kind /
+//! by-instance / by-node postings, counters, gauges and latency histograms
+//! — so monitoring queries never rescan the store.
 //!
-//! The History space holds one of two key layouts and [`Awareness`] reads
-//! either, picking by what the store holds: `ev/{seq}` [`HistoryEvent`]s
-//! summarized by the `rollup` record (what this module writes for the
-//! serial runtime), or the sharded engine's barrier stream —
-//! `sev/{round}/{index}` records summarized by a [`StreamSummary`] — which
-//! the engine writes itself and this module only views.
+//! This module is the History space's reader and defines its records; the
+//! one writer is [`crate::history`], which both drivers commit through:
+//! the stream of `sev/{round}/{index}` [`ShardEvent`]s summarized by a
+//! [`StreamSummary`].  Stores written before the serial runtime joined that
+//! stream hold `ev/{seq}` [`HistoryEvent`]s summarized by a `rollup`
+//! record; [`Awareness`] still reads them, and picks the layout by what the
+//! store holds.
 
+use crate::history::{round_start_key, EVENT_PREFIX};
 use crate::metrics::Histogram;
-use crate::shard::router::{round_start_key, ShardEvent, EVENT_PREFIX};
+use crate::state::InstanceId;
 use bioopera_cluster::SimTime;
-use bioopera_store::{Batch, Disk, Space, Store, StoreError, TypedSpace};
+use bioopera_store::{Batch, Disk, Space, Store, StoreError};
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -518,6 +517,67 @@ impl Deserialize for HistoryEvent {
     }
 }
 
+/// One record of the history stream, `sev/{round}/{index}`: the event, the
+/// round that committed it, and `(instance, seq)`, its place in the
+/// sharded engine's barrier order (the serial runtime writes the instance
+/// the event concerns, 0 for none, and its index in the round).
+#[derive(Debug, Clone, PartialEq, Deserialize)]
+pub struct ShardEvent {
+    /// The round the event was committed at.
+    pub round: u64,
+    /// Source instance.
+    pub instance: InstanceId,
+    /// Per-instance sequence number.
+    pub seq: u64,
+    /// Virtual time, where the driver keeps a clock of its own (the serial
+    /// runtime); `None` on the sharded engine, whose clock is the round.
+    pub at: Option<SimTime>,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+impl ShardEvent {
+    /// When the event happened, as the awareness model sees it.
+    pub fn time(&self) -> SimTime {
+        self.at.unwrap_or_else(|| SimTime::from_secs(self.round))
+    }
+}
+
+/// Hand-written so that an event without a time has no `at` member (the
+/// derive would write `null`): the sharded engine's records keep the bytes
+/// they had before the member existed.  The member sits before `kind`,
+/// which runs to the closing brace (`history::encoded_kind` relies on it).
+impl Serialize for ShardEvent {
+    fn to_content(&self) -> Content {
+        let mut members = vec![
+            ("round".to_string(), self.round.to_content()),
+            ("instance".to_string(), self.instance.to_content()),
+            ("seq".to_string(), self.seq.to_content()),
+        ];
+        if let Some(at) = self.at {
+            members.push(("at".to_string(), at.to_content()));
+        }
+        members.push(("kind".to_string(), self.kind.to_content()));
+        Content::Map(members)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"round\":");
+        self.round.write_json(out);
+        out.push_str(",\"instance\":");
+        self.instance.write_json(out);
+        out.push_str(",\"seq\":");
+        self.seq.write_json(out);
+        if let Some(at) = self.at {
+            out.push_str(",\"at\":");
+            at.write_json(out);
+        }
+        out.push_str(",\"kind\":");
+        self.kind.write_json(out);
+        out.push('}');
+    }
+}
+
 /// Awareness-layer errors: store failures, plus history keys that do not
 /// belong to the append sequence (foreign or corrupt keys must surface,
 /// never silently reset the sequence — that would overwrite history).
@@ -530,8 +590,8 @@ pub enum AwarenessError {
         /// The offending key (without the `ev/` prefix).
         key: String,
     },
-    /// A record of the barrier stream does not decode.  The store is
-    /// CRC-framed, so this is a format fault, and it is named.
+    /// A record of the stream does not decode.  The store is CRC-framed,
+    /// so this is a format fault, and it is named.
     BadRecord {
         /// The full key of the record.
         key: String,
@@ -563,7 +623,7 @@ impl From<StoreError> for AwarenessError {
 }
 
 /// In-memory index over the event log, maintained incrementally as events
-/// are recorded (and rebuilt from the store on open/recovery).  Answers
+/// are committed (and rebuilt from the store on open/recovery).  Answers
 /// the monitoring queries — counts, postings, latency histograms, gauges —
 /// without rescanning the History space.
 ///
@@ -758,9 +818,8 @@ impl AwarenessIndex {
 
     /// Snapshot every aggregate as a rollup covering the first `base`
     /// events.  Only valid when the index has ingested exactly those —
-    /// which is how [`Awareness::pending_batch`] and
-    /// [`Awareness::summary_into`] call it (the rollup rides the same
-    /// atomic batch as the tail events it folds in).
+    /// which is how [`Awareness::summary_into`] calls it (the summary
+    /// rides the same atomic batch as the events it folds in).
     fn to_rollup(&self, base: u64) -> RollupRecord {
         RollupRecord {
             base,
@@ -843,29 +902,17 @@ impl AwarenessIndex {
     }
 }
 
-/// Sequence keys are zero-padded to 20 digits so every representable `u64`
-/// sorts lexicographically; pre-widening records used 10 digits, which
-/// collides past 10^10 — `open`/`all` therefore order by *parsed* value,
-/// never by raw key.
-fn event_key(seq: u64) -> String {
-    format!("{seq:020}")
-}
-
-/// History-space key of the durable awareness rollup.  Deliberately
-/// outside the `ev/` prefix so event scans never see it; it sorts after
-/// every event key, so tail scans skip it by prefix.
+/// History-space key of the `ev/` layout's rollup.  Outside the `ev/`
+/// prefix so event scans never see it.
 const ROLLUP_KEY: &str = "rollup";
 
-/// Default rollup cadence: fold the summary forward once this many new
-/// events have accumulated since the last rollup.
-pub const DEFAULT_ROLLUP_EVERY: u64 = 512;
-
-/// The durable aggregate summary of the event-log prefix `[0, base)`,
-/// written atomically **with** the flush batch whose events it covers —
-/// so it can never describe events the crash discarded.  Seeding an
-/// index from it plus a tail scan (`seq >= base`) reproduces every
-/// aggregate query of a full-history scan, which is what makes
-/// [`Awareness::open_tail`] O(tail) instead of O(history).
+/// The aggregates of a prefix of the history: the event-log prefix
+/// `[0, base)` of the `ev/` layout as its `rollup` record (written, until
+/// the serial runtime joined the stream, in the batch whose events it
+/// covers), and inside every [`StreamSummary`].  Seeding an index from it
+/// plus a tail scan reproduces every aggregate query of a full-history
+/// scan, which is what makes [`Awareness::open_tail`] O(tail) instead of
+/// O(history).
 ///
 /// Public by name only, as the other stored record types are, so that a
 /// reader of the History space can decode the `rollup` record.
@@ -894,22 +941,28 @@ pub struct RollupRecord {
     store_io: BTreeMap<String, u64>,
 }
 
-/// History-space key of the barrier stream's summary: outside `sev/`,
-/// `ev/` and `rollup`, so no scan of either layout meets it.
+/// History-space key of the stream's summary: outside `sev/`, `ev/` and
+/// `rollup`, so no scan of either layout meets it.
 const SUMMARY_KEY: &str = "summary";
 
-/// The durable summary of the barrier stream (`sev/{round}/{index}`): the
+/// The durable summary of the stream (`sev/{round}/{index}`): the
 /// aggregates of every event of the rounds below `next_round`, committed
-/// by the sharded engine in the **same WAL frame** as the last of those
-/// rounds.  [`RollupRecord`]'s bytes are frozen and count events, not
-/// rounds, so where the tail starts is carried beside it — and so is the
-/// engine's lifetime `digest` of exactly those events, which with
-/// `rollup.base` and `rollup.counts` is everything a recovering engine
-/// would otherwise refold the whole stream for.  A store the previous
-/// engine wrote has no such record (its `rollup` counts `ev/` sequence
-/// numbers); it reopens from a full scan of `sev/` and gains one at the
-/// next cadence.  A summary written before the digest was carried has no
-/// `digest` member: that store refolds in full, once.
+/// in the **same WAL frame** as the last of those rounds.
+/// [`RollupRecord`]'s bytes are frozen and count events, not rounds, so
+/// where the tail starts is carried beside it — and so is the writer's
+/// lifetime `digest` of exactly those rounds, which with `rollup.base` and
+/// `rollup.counts` is everything a recovering engine would otherwise
+/// refold the whole stream for.
+///
+/// A store an earlier sharded engine wrote, with an `ev/` twin beside each
+/// `sev/` record and a `rollup` counting the twins, has no such record; it
+/// reopens from a full scan of `sev/` and gains one at the next cadence.
+/// A store the serial runtime wrote before it joined the stream has `ev/`
+/// history and no `sev/`: the first commit on it carries a summary
+/// whatever the cadence, whose `rollup` counts the `ev/` events as well,
+/// so no reopen counts only the stream.  A summary written before the
+/// digest was carried has no `digest` member: that store refolds in full,
+/// once.
 ///
 /// Public by name only, as [`RollupRecord`] is.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
@@ -963,36 +1016,24 @@ impl Serialize for StreamSummary {
     }
 }
 
-/// Append-only writer/reader for the History space, with buffered appends
-/// and the incremental [`AwarenessIndex`].
+/// The History space's reader: the awareness model over whichever layout
+/// the store holds, with the incremental [`AwarenessIndex`].  What the
+/// drivers commit reaches it through [`crate::history`], the one writer,
+/// as each commit lands.
 pub struct Awareness {
-    events: TypedSpace<HistoryEvent>,
-    next_seq: u64,
-    pending: Vec<(u64, HistoryEvent)>,
     index: AwarenessIndex,
-    /// Fold a fresh rollup into the next flush batch once this many
-    /// events have accumulated past `rollup_base`.
-    rollup_every: u64,
-    /// `base` of the newest durable rollup (0 = none).
-    rollup_base: u64,
-    /// `base` of the rollup included in the batch last returned by
-    /// [`pending_batch`](Awareness::pending_batch), committed by
-    /// [`confirm_flushed`](Awareness::confirm_flushed).
-    pending_rollup: Option<u64>,
     /// Events deserialized by the most recent open — the O(tail) witness
     /// asserted by tests and reported by benches.
     open_scanned: u64,
 }
 
 impl Awareness {
-    /// Open over a store, continuing after any existing records and
-    /// rebuilding the index from a **full scan** of them — of the barrier
-    /// stream if the store holds one, else of `ev/`, where a key that
-    /// does not parse as a sequence number is an error: resetting the
-    /// sequence to 0 would overwrite history.
+    /// Open over a store, rebuilding the index from a **full scan** of
+    /// its history — of the stream if the store holds one, else of `ev/`,
+    /// where a key that does not parse as a sequence number is an error.
     ///
-    /// This is the exact, O(history) path; [`Awareness::open_tail`]
-    /// resumes from the durable rollup instead.
+    /// This is the exact, O(history) path over one layout;
+    /// [`Awareness::open_tail`] resumes from the durable summary instead.
     pub fn open<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
         match Self::open_stream(store, None)? {
             Some(stream) => Ok(stream),
@@ -1002,51 +1043,35 @@ impl Awareness {
 
     /// [`Awareness::open`] over the `ev/` layout.
     fn open_seq<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
-        let events: TypedSpace<HistoryEvent> = TypedSpace::new(Space::History, "ev/");
-        let existing = Self::scan_sorted(&events, store)?;
-        let next_seq = existing.last().map(|(seq, _)| seq + 1).unwrap_or(0);
-        let mut index = AwarenessIndex::default();
-        for (_, ev) in &existing {
-            index.ingest(ev);
+        let mut aw = Self::from_summary(None);
+        for (_, ev) in Self::scan_sorted(store)? {
+            aw.open_scanned += 1;
+            aw.index.push(ev);
         }
-        // Even an exact open keeps the rollup cadence anchored so the
-        // next flush does not immediately rewrite an up-to-date summary.
-        let rollup_base = Self::read_rollup(store)?.map_or(0, |r| r.base);
-        Ok(Awareness {
-            events,
-            next_seq,
-            pending: Vec::new(),
-            index,
-            rollup_every: DEFAULT_ROLLUP_EVERY,
-            rollup_base,
-            pending_rollup: None,
-            open_scanned: existing.len() as u64,
-        })
+        Ok(aw)
     }
 
     /// Open over a store in **O(tail)**: seed the index from the durable
-    /// rollup, then scan and ingest only the events at or past its
-    /// `base`.  Every aggregate query (counts, histograms, gauges)
-    /// equals the full-scan answer; postings queries on the raw index
-    /// cover only the tail, and [`Awareness::of_kind`] transparently
-    /// falls back to a store scan when that matters.  With no rollup on
-    /// disk this is exactly [`Awareness::open`].
+    /// summary, then scan and ingest only the events past it.  Every
+    /// aggregate query (counts, histograms, gauges) equals the full-scan
+    /// answer; postings queries on the raw index cover only the tail, and
+    /// [`Awareness::of_kind`] transparently falls back to a store scan
+    /// when that matters.  With no summary on disk this is exactly
+    /// [`Awareness::open`].
     ///
     /// The layout is picked from what the store holds: a
-    /// [`StreamSummary`], else any `sev/` record, means the barrier
-    /// stream; otherwise `ev/` and its `rollup`.
+    /// [`StreamSummary`], else any `sev/` record, means the stream;
+    /// otherwise `ev/` and its `rollup`.
     pub fn open_tail<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
-        let summary = Self::read_record(store, SUMMARY_KEY)?;
+        let summary = Self::stream_summary(store)?;
         if let Some(stream) = Self::open_stream(store, summary)? {
             return Ok(stream);
         }
-        let Some(rollup) = Self::read_rollup(store)? else {
+        let Some(rollup) = Self::read_record::<_, RollupRecord>(store, ROLLUP_KEY)? else {
             return Self::open_seq(store);
         };
-        let events: TypedSpace<HistoryEvent> = TypedSpace::new(Space::History, "ev/");
         let base = rollup.base;
-        let mut index = AwarenessIndex::from_rollup(&rollup);
-        let start = format!("ev/{}", event_key(base));
+        let start = format!("ev/{base:020}");
         let mut tail: Vec<(u64, HistoryEvent)> = Vec::new();
         for (key, bytes) in store.scan_from(Space::History, &start)? {
             // Non-event keys (the rollup itself sorts after every event
@@ -1068,26 +1093,19 @@ impl Awareness {
             tail.push((seq, ev));
         }
         tail.sort_by_key(|(seq, _)| *seq);
-        let next_seq = tail.last().map(|(seq, _)| seq + 1).unwrap_or(base);
-        let scanned = tail.len() as u64;
-        for (_, ev) in &tail {
-            index.ingest(ev);
+        let mut aw = Awareness {
+            index: AwarenessIndex::from_rollup(&rollup),
+            open_scanned: tail.len() as u64,
+        };
+        for (_, ev) in tail {
+            aw.index.push(ev);
         }
-        Ok(Awareness {
-            events,
-            next_seq,
-            pending: Vec::new(),
-            index,
-            rollup_every: DEFAULT_ROLLUP_EVERY,
-            rollup_base: base,
-            pending_rollup: None,
-            open_scanned: scanned,
-        })
+        Ok(aw)
     }
 
-    /// Open over the barrier stream, if the store holds one: seed the
-    /// index from `summary` and ingest the rounds it does not cover, or
-    /// with none ingest the whole stream.
+    /// Open over the stream, if the store holds one: seed the index from
+    /// `summary` and ingest the rounds it does not cover, or with none
+    /// ingest the whole stream.
     fn open_stream<D: Disk>(
         store: &Store<D>,
         summary: Option<StreamSummary>,
@@ -1098,14 +1116,10 @@ impl Awareness {
         };
         let mut stream = Self::from_summary(summary.as_ref());
         Self::visit_stream(store, &start, |ev| stream.reobserve(ev.at, ev.kind))?;
-        if stream.index.is_empty() {
-            return Ok(None);
-        }
-        stream.next_seq = stream.index.len() as u64;
-        Ok(Some(stream))
+        Ok((!stream.index.is_empty()).then_some(stream))
     }
 
-    /// The barrier stream's durable summary, if the store holds one.
+    /// The stream's durable summary, if the store holds one.
     pub(crate) fn stream_summary<D: Disk>(
         store: &Store<D>,
     ) -> Result<Option<StreamSummary>, AwarenessError> {
@@ -1114,26 +1128,19 @@ impl Awareness {
 
     /// The model as `summary` left it — every aggregate of the rounds it
     /// covers, no log — or empty without one.  The caller walks the tail
-    /// and [`reobserve`](Awareness::reobserve)s it: the sharded engine
-    /// does, so that its one pass over the tail feeds its own fold too.
+    /// and [`reobserve`](Awareness::reobserve)s it: the history writer
+    /// does, so that its one pass over the tail feeds its digest too.
     pub(crate) fn from_summary(summary: Option<&StreamSummary>) -> Self {
-        let index = summary.map_or_else(AwarenessIndex::default, |s| {
-            AwarenessIndex::from_rollup(&s.rollup)
-        });
         Awareness {
-            events: TypedSpace::new(Space::History, "ev/"),
-            next_seq: index.base_len,
-            pending: Vec::new(),
-            rollup_every: DEFAULT_ROLLUP_EVERY,
-            rollup_base: index.base_len,
-            pending_rollup: None,
+            index: summary.map_or_else(AwarenessIndex::default, |s| {
+                AwarenessIndex::from_rollup(&s.rollup)
+            }),
             open_scanned: 0,
-            index,
         }
     }
 
-    /// Every barrier-stream record from key `start` on, in commit order,
-    /// as the event the awareness model sees.
+    /// Every stream record from key `start` on, in commit order, as the
+    /// event the awareness model sees.
     fn visit_stream<D: Disk>(
         store: &Store<D>,
         start: &str,
@@ -1146,15 +1153,11 @@ impl Awareness {
                     reason: e.to_string(),
                 })?;
             visit(HistoryEvent {
-                at: SimTime::from_secs(rec.round),
+                at: rec.time(),
                 kind: rec.kind,
             });
             Ok(())
         })
-    }
-
-    fn read_rollup<D: Disk>(store: &Store<D>) -> Result<Option<RollupRecord>, AwarenessError> {
-        Self::read_record(store, ROLLUP_KEY)
     }
 
     /// The History-space record at `key`, decoded, if there is one.
@@ -1170,21 +1173,6 @@ impl Awareness {
         }
     }
 
-    /// `base` of the newest durable rollup (0 when none exists yet).
-    pub fn rollup_base(&self) -> u64 {
-        self.rollup_base
-    }
-
-    /// History-space key of the first event **not** covered by the
-    /// durable rollup — the exclusive upper bound below which raw `ev/`
-    /// records may be retired by windowed retention without losing any
-    /// aggregate (the rollup already summarizes them, and
-    /// [`Awareness::open_tail`] never scans below it).  `None` until a
-    /// rollup has been committed.
-    pub fn rolled_up_below(&self) -> Option<String> {
-        (self.rollup_base > 0).then(|| format!("ev/{}", event_key(self.rollup_base)))
-    }
-
     /// Events deserialized by the open that produced this handle: the
     /// whole history for [`Awareness::open`], only the tail for
     /// [`Awareness::open_tail`].
@@ -1192,18 +1180,9 @@ impl Awareness {
         self.open_scanned
     }
 
-    /// Override the rollup cadence (tests and benches force tiny values
-    /// to exercise the rollup path constantly).
-    pub fn set_rollup_every(&mut self, every: u64) {
-        self.rollup_every = every.max(1);
-    }
-
-    /// Scan the durable log and sort by parsed sequence number (10- and
+    /// The `ev/` layout, sorted by parsed sequence number (10- and
     /// 20-digit keys interleave lexicographically, so raw key order lies).
-    fn scan_sorted<D: Disk>(
-        _events: &TypedSpace<HistoryEvent>,
-        store: &Store<D>,
-    ) -> Result<Vec<(u64, HistoryEvent)>, AwarenessError> {
+    fn scan_sorted<D: Disk>(store: &Store<D>) -> Result<Vec<(u64, HistoryEvent)>, AwarenessError> {
         // Raw scan so a foreign key is reported as `BadKey` even when its
         // value would not decode as an event either.
         let mut out = Vec::new();
@@ -1220,18 +1199,8 @@ impl Awareness {
         Ok(out)
     }
 
-    /// Record an event: index it immediately, buffer the durable append
-    /// until the next [`flush`](Awareness::flush).
-    pub fn record(&mut self, at: SimTime, kind: EventKind) {
-        let ev = HistoryEvent { at, kind };
-        self.index.ingest(&ev);
-        self.pending.push((self.next_seq, ev));
-        self.next_seq += 1;
-    }
-
-    /// Fold in one event of the barrier stream.  The sharded engine
-    /// stores the event itself, as a `sev/` record; nothing is buffered
-    /// here and no second copy is written.
+    /// Fold in one event the history writer commits: it stores the event
+    /// itself, as a `sev/` record, and nothing is buffered here.
     pub(crate) fn observe(&mut self, at: SimTime, kind: EventKind) {
         self.index.push(HistoryEvent { at, kind });
     }
@@ -1244,122 +1213,47 @@ impl Awareness {
         self.observe(at, kind);
     }
 
-    /// The barrier stream's rollup cadence: once enough events have been
-    /// [`observe`](Awareness::observe)d past the last summary, put into
-    /// `batch` — the one that commits the events of the rounds below
-    /// `next_round` — the [`StreamSummary`] that covers exactly those
-    /// rounds, `digest` being the engine's fold of exactly those events.
-    /// One batch is one WAL frame: a crash keeps the events and their
-    /// summary, or neither.  Encoded through `scratch`, the caller's
-    /// buffer.
+    /// Put into `batch` — the one that commits the events of the rounds
+    /// below `next_round` — the [`StreamSummary`] of everything
+    /// [`observe`](Awareness::observe)d, `digest` being the writer's fold
+    /// of exactly those rounds.  One batch is one WAL frame: a crash keeps
+    /// the events and their summary, or neither.  Encoded through
+    /// `scratch`, the caller's buffer.
     pub(crate) fn summary_into(
-        &mut self,
+        &self,
         batch: &mut Batch,
         next_round: u64,
         digest: u64,
         scratch: &mut String,
     ) {
-        let observed = self.index.len() as u64;
-        if observed - self.rollup_base < self.rollup_every {
-            return;
-        }
         let summary = StreamSummary {
             next_round,
-            rollup: self.index.to_rollup(observed),
+            rollup: self.index.to_rollup(self.index.len() as u64),
             digest: Some(digest),
         };
         batch.put_record(Space::History, SUMMARY_KEY, &summary, scratch);
-        // Not waiting for the commit: a store that fails an append is
-        // poisoned, and a handle that ran ahead of it is never used again.
-        self.rollup_base = observed;
     }
 
-    /// Write all buffered events as one atomic store batch.  Returns the
-    /// number of events flushed.  Called once per navigator step by the
-    /// runtime; tests call it directly.
-    pub fn flush<D: Disk>(&mut self, store: &Store<D>) -> Result<usize, StoreError> {
-        match self.pending_batch()? {
-            Some(batch) => {
-                store.apply(batch)?;
-                Ok(self.confirm_flushed())
-            }
-            None => Ok(0),
-        }
-    }
-
-    /// Build the durable batch for all buffered events *without* clearing
-    /// them — the group-commit path.  The runtime hands this batch to
-    /// [`Store::apply_many`] together with the navigator's own persistence
-    /// batch (one disk append for both), then calls
-    /// [`confirm_flushed`](Awareness::confirm_flushed) once the commit
-    /// succeeded.  Returns `None` when nothing is buffered.
-    pub fn pending_batch(&mut self) -> Result<Option<Batch>, StoreError> {
-        if self.pending.is_empty() {
-            return Ok(None);
-        }
-        let mut batch = Batch::new();
-        for (seq, ev) in &self.pending {
-            self.events.put_in(&mut batch, &event_key(*seq), ev)?;
-        }
-        // Rollup cadence: once enough events have accumulated past the
-        // last durable summary, fold everything up to (and including)
-        // this batch into a fresh rollup and write it in the SAME atomic
-        // batch.  A crash either keeps both the events and the summary
-        // that covers them, or neither — the rollup can never run ahead
-        // of the log it summarizes.
-        if self.next_seq - self.rollup_base >= self.rollup_every {
-            let rollup = self.index.to_rollup(self.next_seq);
-            let body = serde_json::to_vec(&rollup).map_err(StoreError::from)?;
-            batch.put(Space::History, ROLLUP_KEY, body);
-            self.pending_rollup = Some(self.next_seq);
-        }
-        Ok(Some(batch))
-    }
-
-    /// Mark the events last returned by
-    /// [`pending_batch`](Awareness::pending_batch) as durably committed.
-    /// Returns how many events were confirmed.
-    pub fn confirm_flushed(&mut self) -> usize {
-        if let Some(base) = self.pending_rollup.take() {
-            self.rollup_base = base;
-        }
-        let n = self.pending.len();
-        self.pending.clear();
-        n
-    }
-
-    /// Drop buffered events without writing them — a server crash loses
-    /// the un-flushed tail of the current step (the index is rebuilt from
-    /// the store on recovery, restoring agreement).
-    pub fn discard_pending(&mut self) {
-        self.pending_rollup = None;
-        self.pending.clear();
-    }
-
-    /// Buffered events awaiting [`flush`](Awareness::flush).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// The incremental index (includes buffered events).
+    /// The incremental index.
     pub fn index(&self) -> &AwarenessIndex {
         &self.index
     }
 
-    /// All events in sequence order: the durable log plus the buffered
-    /// tail.
+    /// All events in commit order.  The stream, unless it holds fewer
+    /// events than the index counts: then it continues the `ev/` history
+    /// an earlier serial runtime left, which comes first.
     pub fn all<D: Disk>(&self, store: &Store<D>) -> Result<Vec<HistoryEvent>, AwarenessError> {
-        // The barrier stream, when the store holds one (nothing is ever
-        // buffered beside it).
         let mut stream = Vec::new();
         Self::visit_stream(store, EVENT_PREFIX, |ev| stream.push(ev))?;
-        if !stream.is_empty() {
+        if stream.len() >= self.index.len() {
             return Ok(stream);
         }
-        let mut seqd = Self::scan_sorted(&self.events, store)?;
-        seqd.extend(self.pending.iter().cloned());
-        seqd.sort_by_key(|(seq, _)| *seq);
-        Ok(seqd.into_iter().map(|(_, ev)| ev).collect())
+        let mut all: Vec<HistoryEvent> = Self::scan_sorted(store)?
+            .into_iter()
+            .map(|(_, ev)| ev)
+            .collect();
+        all.extend(stream);
+        Ok(all)
     }
 
     /// Events of a given kind label — answered from the index when it
@@ -1418,125 +1312,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_survive_reopen_and_keep_ordering() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        aw.record(
-            SimTime::from_secs(1),
-            EventKind::TaskStart {
-                instance: 1,
-                path: "A".into(),
-                node: "n1".into(),
-                job: 0,
-                queue_ms: 250,
-            },
-        );
-        aw.record(SimTime::from_secs(2), task_end("A", "n1", 1_000));
-        aw.record(
-            SimTime::from_secs(3),
-            EventKind::NodeCrash { node: "n1".into() },
-        );
-        assert_eq!(aw.pending_len(), 3);
-        assert_eq!(aw.flush(&store).unwrap(), 3);
-        assert_eq!(aw.pending_len(), 0);
-        drop(aw);
-        drop(store);
-
-        let store = Store::open(disk).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        // Continues the sequence instead of overwriting.
-        aw.record(
-            SimTime::from_secs(4),
-            EventKind::NodeRecover { node: "n1".into() },
-        );
-        aw.flush(&store).unwrap();
-        let all = aw.all(&store).unwrap();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[0].kind, "task.start");
-        assert_eq!(all[3].kind, "node.recover");
-        assert_eq!(aw.of_kind(&store, "node.crash").unwrap().len(), 1);
-        let counts = aw.counts_by_kind(&store).unwrap();
-        assert!(counts.contains(&("task.end".to_string(), 1)));
-        // The rebuilt index saw the crash then the recovery.
-        assert!(aw.index().nodes_down().is_empty());
-        assert_eq!(aw.index().run_ms().count(), 1);
-        assert_eq!(aw.index().queue_ms().mean_ms(), 250.0);
+    fn ingest_all(kinds: impl IntoIterator<Item = EventKind>) -> AwarenessIndex {
+        let mut index = AwarenessIndex::default();
+        for (i, kind) in kinds.into_iter().enumerate() {
+            index.ingest(&HistoryEvent {
+                at: SimTime::from_secs(i as u64),
+                kind,
+            });
+        }
+        index
     }
 
     #[test]
     fn index_tracks_gauges_and_postings() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        for (i, path) in ["A", "B"].iter().enumerate() {
-            aw.record(
-                SimTime::from_secs(i as u64),
-                EventKind::TaskStart {
-                    instance: 7,
-                    path: path.to_string(),
-                    node: "n1".into(),
-                    job: i as u64,
-                    queue_ms: 0,
-                },
-            );
-        }
-        assert_eq!(aw.index().in_flight(), 2);
-        assert_eq!(aw.index().peak_in_flight(), 2);
-        aw.record(SimTime::from_secs(3), task_end("A", "n1", 500));
-        assert_eq!(aw.index().in_flight(), 1);
-        assert_eq!(aw.index().for_instance(7).len(), 3);
-        assert_eq!(aw.index().for_node("n1").len(), 3);
-        assert_eq!(aw.index().count("task.start"), 2);
-        assert_eq!(aw.index().total_cpu_ms(), 500.0);
-        // Queries see buffered events before any flush.
-        assert_eq!(aw.of_kind(&store, "task.end").unwrap().len(), 1);
-        assert_eq!(aw.all(&store).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn legacy_string_records_reopen_and_query() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk).unwrap();
-        // Bytes exactly as the pre-taxonomy code wrote them: 10-digit
-        // keys, free-form kind/detail strings.
-        store
-            .put(
-                Space::History,
-                "ev/0000000000".to_string(),
-                br#"{"at":[1000],"kind":"task.start","detail":"A on n1"}"#.to_vec(),
-            )
-            .unwrap();
-        store
-            .put(
-                Space::History,
-                "ev/0000000001".to_string(),
-                br#"{"at":[2000],"kind":"task.end","detail":"A"}"#.to_vec(),
-            )
-            .unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        assert_eq!(aw.index().len(), 2);
-        assert_eq!(aw.index().count("task.end"), 1);
-        let ends = aw.of_kind(&store, "task.end").unwrap();
-        assert_eq!(
-            ends[0].kind,
-            EventKind::Legacy {
-                kind: "task.end".into(),
-                detail: "A".into()
-            }
-        );
-        // New records continue after the legacy tail, and ordering stays
-        // numeric even though 20-digit keys sort before 10-digit ones.
-        aw.record(SimTime::from_secs(3), task_end("B", "n2", 100));
-        aw.flush(&store).unwrap();
-        let all = aw.all(&store).unwrap();
-        assert_eq!(all.len(), 3);
-        assert_eq!(all[2].kind, "task.end");
-        assert_eq!(all[2].kind.task_path(), Some("B"));
-        drop(aw);
-        let aw = Awareness::open(&store).unwrap();
-        assert_eq!(aw.index().len(), 3);
+        let start = |path: &str, job| EventKind::TaskStart {
+            instance: 7,
+            path: path.into(),
+            node: "n1".into(),
+            job,
+            queue_ms: 0,
+        };
+        let index = ingest_all([start("A", 0), start("B", 1)]);
+        assert_eq!(index.in_flight(), 2);
+        assert_eq!(index.peak_in_flight(), 2);
+        let index = ingest_all([start("A", 0), start("B", 1), task_end("A", "n1", 500)]);
+        assert_eq!(index.in_flight(), 1);
+        assert_eq!(index.peak_in_flight(), 2);
+        assert_eq!(index.for_instance(7).len(), 3);
+        assert_eq!(index.for_node("n1").len(), 3);
+        assert_eq!(index.count("task.start"), 2);
+        assert_eq!(index.of_kind("task.end").len(), 1);
+        assert_eq!(index.total_cpu_ms(), 500.0);
     }
 
     #[test]
@@ -1584,151 +1390,6 @@ mod tests {
         assert_eq!(back, ev);
     }
 
-    #[test]
-    fn rollup_makes_reopen_o_tail_with_identical_aggregates() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        aw.set_rollup_every(16);
-        for i in 0..100u64 {
-            aw.record(
-                SimTime::from_secs(i),
-                EventKind::TaskStart {
-                    instance: i % 3,
-                    path: "A".into(),
-                    node: "n1".into(),
-                    job: i,
-                    queue_ms: i % 11,
-                },
-            );
-            aw.record(SimTime::from_secs(i), task_end("A", "n1", 5 + i % 7));
-            if i % 9 == 0 {
-                aw.record(
-                    SimTime::from_secs(i),
-                    EventKind::NodeCrash { node: "n2".into() },
-                );
-            }
-            if i % 8 == 7 {
-                aw.flush(&store).unwrap();
-            }
-        }
-        aw.flush(&store).unwrap();
-        assert!(aw.rollup_base() > 0, "cadence never produced a rollup");
-
-        let exact = Awareness::open(&store).unwrap();
-        let tail = Awareness::open_tail(&store).unwrap();
-        // O(tail): the rollup spared most of the history from being
-        // deserialized again.
-        assert_eq!(exact.open_scanned(), exact.index().len() as u64);
-        assert!(
-            tail.open_scanned() < exact.open_scanned() / 2,
-            "tail open scanned {} of {} events",
-            tail.open_scanned(),
-            exact.open_scanned()
-        );
-        assert_eq!(tail.index().summarized(), tail.rollup_base());
-
-        // Every aggregate agrees with the full scan.
-        assert_eq!(tail.index().len(), exact.index().len());
-        assert_eq!(
-            tail.index().counts_by_kind(),
-            exact.index().counts_by_kind()
-        );
-        assert_eq!(
-            tail.index().count("task.end"),
-            exact.index().count("task.end")
-        );
-        assert_eq!(tail.index().run_ms(), exact.index().run_ms());
-        assert_eq!(tail.index().queue_ms(), exact.index().queue_ms());
-        assert_eq!(tail.index().in_flight(), exact.index().in_flight());
-        assert_eq!(
-            tail.index().peak_in_flight(),
-            exact.index().peak_in_flight()
-        );
-        assert_eq!(tail.index().nodes_down(), exact.index().nodes_down());
-        assert_eq!(tail.index().total_cpu_ms(), exact.index().total_cpu_ms());
-
-        // Postings fall back to the store, so full-history queries still
-        // answer exactly.
-        let all_tail = tail.of_kind(&store, "task.end").unwrap();
-        let all_exact = exact.of_kind(&store, "task.end").unwrap();
-        assert_eq!(all_tail, all_exact);
-        assert_eq!(tail.all(&store).unwrap(), exact.all(&store).unwrap());
-
-        // And appending through the tail handle continues the sequence —
-        // no old event is overwritten.
-        let mut tail = tail;
-        tail.record(SimTime::from_secs(999), task_end("Z", "n1", 1));
-        tail.flush(&store).unwrap();
-        let reread = Awareness::open(&store).unwrap();
-        assert_eq!(reread.index().len(), exact.index().len() + 1);
-    }
-
-    #[test]
-    fn rollup_rides_the_flush_batch_atomically() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        aw.set_rollup_every(4);
-        for i in 0..6u64 {
-            aw.record(SimTime::from_secs(i), task_end("A", "n1", 10));
-        }
-        // The pending batch carries both the events and the rollup; a
-        // discarded batch must leave the durable cadence untouched.
-        assert!(aw.pending_batch().unwrap().is_some());
-        aw.discard_pending();
-        assert_eq!(aw.rollup_base(), 0);
-        assert!(Awareness::read_rollup(&store).unwrap().is_none());
-
-        // A discard models a server crash losing the un-flushed tail:
-        // recovery reopens the handle, re-records, and a real flush
-        // commits rollup and events together.
-        let mut aw = Awareness::open(&store).unwrap();
-        aw.set_rollup_every(4);
-        for i in 0..6u64 {
-            aw.record(SimTime::from_secs(i), task_end("A", "n1", 10));
-        }
-        aw.flush(&store).unwrap();
-        assert_eq!(aw.rollup_base(), 6);
-        let durable = Awareness::read_rollup(&store).unwrap().unwrap();
-        assert_eq!(durable.base, 6);
-        assert_eq!(durable.counts.get("task.end"), Some(&6));
-
-        // The rollup key is invisible to event scans.
-        let reopened = Awareness::open(&store).unwrap();
-        assert_eq!(reopened.index().len(), 6);
-        assert_eq!(reopened.rollup_base(), 6);
-    }
-
-    #[test]
-    fn legacy_narrow_keys_do_not_double_count_after_rollup() {
-        // A store written by the pre-widening engine uses 10-digit keys;
-        // those interleave lexicographically with 20-digit keys, so the
-        // tail scan must filter by parsed sequence number, not raw key.
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
-        for seq in 0..8u64 {
-            let body = format!("{{\"at\":[{seq}],\"kind\":\"old\",\"detail\":\"d{seq}\"}}");
-            store
-                .put(Space::History, format!("ev/{seq:010}"), body.into_bytes())
-                .unwrap();
-        }
-        let mut aw = Awareness::open(&store).unwrap();
-        assert_eq!(aw.index().len(), 8);
-        aw.set_rollup_every(2);
-        for i in 0..4u64 {
-            aw.record(SimTime::from_secs(i), task_end("A", "n1", 10));
-            aw.flush(&store).unwrap();
-        }
-        let tail = Awareness::open_tail(&store).unwrap();
-        let exact = Awareness::open(&store).unwrap();
-        assert_eq!(tail.index().len(), exact.index().len());
-        assert_eq!(
-            tail.index().counts_by_kind(),
-            exact.index().counts_by_kind()
-        );
-    }
-
     fn spill(spills: u64, runs: u64, skips: u64, hits: u64, misses: u64) -> EventKind {
         EventKind::StoreSpill {
             spills,
@@ -1741,43 +1402,26 @@ mod tests {
 
     #[test]
     fn store_events_fold_tier_io_deltas_and_sampled_gauges() {
-        let store = Store::open(MemDisk::new()).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        assert!(aw.index().store_io().is_empty());
-        aw.record(SimTime::from_secs(1), spill(2, 3, 10, 4, 5));
-        aw.record(SimTime::from_secs(2), spill(1, 2, 25, 9, 8));
-        aw.record(
-            SimTime::from_secs(3),
-            EventKind::StoreCompaction {
-                merges: 1,
-                levels: 2,
-                max_merge_bytes: 4096,
-            },
-        );
-        aw.record(
-            SimTime::from_secs(4),
-            EventKind::StoreCompaction {
-                merges: 2,
-                levels: 3,
-                max_merge_bytes: 1024,
-            },
-        );
-        aw.record(
-            SimTime::from_secs(5),
-            EventKind::StoreRetention {
-                retired: 7,
-                below: "ev/00000000000000000040".into(),
-            },
-        );
-        aw.record(
-            SimTime::from_secs(6),
-            EventKind::StoreRetention {
-                retired: 3,
-                below: "ev/00000000000000000080".into(),
-            },
-        );
+        assert!(AwarenessIndex::default().store_io().is_empty());
+        let compaction = |merges, levels, max_merge_bytes| EventKind::StoreCompaction {
+            merges,
+            levels,
+            max_merge_bytes,
+        };
+        let retention = |retired, below: &str| EventKind::StoreRetention {
+            retired,
+            below: below.into(),
+        };
+        let index = ingest_all([
+            spill(2, 3, 10, 4, 5),
+            spill(1, 2, 25, 9, 8),
+            compaction(1, 2, 4096),
+            compaction(2, 3, 1024),
+            retention(7, "sev/00000040/"),
+            retention(3, "sev/00000080/"),
+        ]);
 
-        let io = aw.index().store_io();
+        let io = index.store_io();
         // Per-event deltas accumulate...
         assert_eq!(io.get("spills"), Some(&3));
         assert_eq!(io.get("merges"), Some(&3));
@@ -1792,66 +1436,18 @@ mod tests {
         assert_eq!(io.get("max_merge_bytes"), Some(&4096));
 
         // Store events are ordinary history records with stable labels.
-        assert_eq!(aw.index().count("store.spill"), 2);
-        assert_eq!(aw.index().count("store.compaction"), 2);
-        assert_eq!(aw.index().count("store.retention"), 2);
-        aw.flush(&store).unwrap();
-        assert_eq!(aw.of_kind(&store, "store.retention").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn tier_io_counters_survive_the_rollup_fold() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
-        let mut aw = Awareness::open(&store).unwrap();
-        aw.set_rollup_every(4);
-        for i in 0..24u64 {
-            aw.record(SimTime::from_secs(i), spill(1, i % 5, 2 * i, i, i / 2));
-            if i % 6 == 5 {
-                aw.record(
-                    SimTime::from_secs(i),
-                    EventKind::StoreCompaction {
-                        merges: 1,
-                        levels: 2,
-                        max_merge_bytes: 100 * i,
-                    },
-                );
-            }
-            aw.flush(&store).unwrap();
-        }
-        aw.record(
-            SimTime::from_secs(99),
-            EventKind::StoreRetention {
-                retired: 12,
-                below: "ev/00000000000000000016".into(),
-            },
-        );
-        aw.flush(&store).unwrap();
-        assert!(aw.rollup_base() > 0, "cadence never produced a rollup");
-        // The retirement bound tracks the durable rollup base exactly.
-        assert_eq!(
-            aw.rolled_up_below(),
-            Some(format!("ev/{}", event_key(aw.rollup_base())))
-        );
-
-        let exact = Awareness::open(&store).unwrap();
-        let tail = Awareness::open_tail(&store).unwrap();
-        assert!(tail.open_scanned() < exact.open_scanned());
-        // The rollup carries the folded tier counters, so the O(tail)
-        // open answers identically to the full scan.
-        assert_eq!(tail.index().store_io(), exact.index().store_io());
-        assert_eq!(exact.index().store_io().get("spills"), Some(&24));
-        assert_eq!(exact.index().store_io().get("retired"), Some(&12));
-        assert_eq!(exact.index().store_io().get("max_merge_bytes"), Some(&2300));
+        assert_eq!(index.count("store.spill"), 2);
+        assert_eq!(index.count("store.compaction"), 2);
+        assert_eq!(index.count("store.retention"), 2);
+        assert_eq!(index.of_kind("store.retention").len(), 2);
+        // And a summary carries them.
+        let rebuilt = AwarenessIndex::from_rollup(&index.to_rollup(index.len() as u64));
+        assert_eq!(rebuilt.store_io(), index.store_io());
     }
 
     #[test]
     fn rollups_written_before_tier_io_decode_as_empty() {
-        let mut index = AwarenessIndex::default();
-        index.ingest(&HistoryEvent {
-            at: SimTime::from_secs(1),
-            kind: task_end("A", "n1", 10),
-        });
+        let index = ingest_all([task_end("A", "n1", 10)]);
         let json = serde_json::to_string(&index.to_rollup(1)).unwrap();
         // Bytes exactly as pre-tier rollups had them: no `store_io`
         // member at all.
@@ -1903,6 +1499,50 @@ mod tests {
         assert_eq!(
             serde_json::from_str::<StreamSummary>(&nulled).unwrap(),
             without
+        );
+    }
+
+    /// A stream record's time sits before its kind when it has one, and is
+    /// no member at all when it has none: the sharded engine's records keep
+    /// their bytes.  Streamed and through the tree alike, and a `null`
+    /// reads as none.
+    #[test]
+    fn a_stream_record_writes_its_time_only_when_it_has_one() {
+        let untimed = ShardEvent {
+            round: 21,
+            instance: 39_999,
+            seq: 5,
+            at: None,
+            kind: EventKind::ClusterFailure,
+        };
+        let json = serde_json::to_string(&untimed).unwrap();
+        assert_eq!(
+            json,
+            r#"{"round":21,"instance":39999,"seq":5,"kind":"ClusterFailure"}"#
+        );
+        let timed = ShardEvent {
+            at: Some(SimTime::from_millis(u64::MAX)),
+            ..untimed.clone()
+        };
+        let timed_json = serde_json::to_string(&timed).unwrap();
+        assert_eq!(
+            timed_json,
+            format!(
+                r#"{{"round":21,"instance":39999,"seq":5,"at":[{}],"kind":"ClusterFailure"}}"#,
+                u64::MAX
+            )
+        );
+        for (event, json) in [(&untimed, &json), (&timed, &timed_json)] {
+            let mut tree = String::new();
+            serde::json::write_content(&event.to_content(), &mut tree);
+            assert_eq!(&tree, json);
+            assert_eq!(&serde_json::from_str::<ShardEvent>(json).unwrap(), event);
+            assert_eq!(event.time(), event.at.unwrap_or(SimTime::from_secs(21)));
+        }
+        let nulled = json.replace(r#""seq":5,"#, r#""seq":5,"at":null,"#);
+        assert_eq!(
+            serde_json::from_str::<ShardEvent>(&nulled).unwrap(),
+            untimed
         );
     }
 }

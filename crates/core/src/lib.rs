@@ -15,8 +15,9 @@
 //!   backed by `bioopera-store`) make every transition durable *before* it
 //!   is acted on, so node, network and server failures never lose completed
 //!   work;
-//! * the **awareness model** ([`awareness`]) persistently records task
-//!   timings, node events and load samples, powering monitoring queries;
+//! * the **awareness model** ([`awareness`]) reads the persistent history
+//!   of task timings, node events and load samples, powering monitoring
+//!   queries; [`history`] is its one writer, for both step loops;
 //! * the **dependability policies** ([`dependability`]) bound the masked
 //!   system-failure loop: per-task retry budgets with exponential backoff,
 //!   node quarantine, and poison-task escalation;
@@ -37,6 +38,7 @@ pub mod dependability;
 mod diagnostics;
 pub mod dispatcher;
 pub mod error;
+pub mod history;
 pub mod instance;
 pub mod library;
 pub mod lineage;

@@ -24,10 +24,11 @@
 //! runtime at arbitrary points and verify the resumed run completes with
 //! identical results.
 
-use crate::awareness::{Awareness, EventKind};
+use crate::awareness::{Awareness, EventKind, HistoryEvent, ShardEvent};
 use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision, SystemCause};
 use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
 use crate::error::{EngineError, EngineResult};
+use crate::history::{round_start_key, History, EVENT_PREFIX};
 use crate::instance::{self, Instance, Role};
 use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
@@ -180,7 +181,12 @@ pub struct Runtime<D: Disk + Clone> {
     kernel: SimKernel<EngineEvent>,
     cluster: Cluster,
     library: ActivityLibrary,
-    awareness: Awareness,
+    history: History,
+    /// The stream round the next commit that carries events is.
+    round: u64,
+    /// Events noted since the last commit: the next persistence batch
+    /// carries them, or at the latest the end-of-step flush.
+    unsaved: Vec<HistoryEvent>,
     cfg: RuntimeConfig,
 
     // ---- volatile server memory (lost on server crash) ----
@@ -219,11 +225,11 @@ pub struct Runtime<D: Disk + Clone> {
     /// Tier counters at the last store-event emission; diffed at each
     /// step boundary to turn spills and merges into `store.*` events.
     tier_stats: Option<StoreStats>,
-    /// Retire raw `ev/` history records once the durable awareness
-    /// rollup covers them (windowed retention; opt-in).
+    /// Retire the stream's records once a durable summary covers them
+    /// (windowed retention; opt-in).
     history_retention: bool,
-    /// `rollup_base` the last retention advance was issued for.
-    retained_rollup_base: u64,
+    /// The summary round the last retention advance was issued for.
+    retained_round: u64,
 }
 
 impl<D: Disk + Clone> Runtime<D> {
@@ -236,7 +242,7 @@ impl<D: Disk + Clone> Runtime<D> {
         cfg: RuntimeConfig,
     ) -> EngineResult<Self> {
         let store = open_store(&disk, &cfg)?;
-        let awareness = Awareness::open_tail(&store)?;
+        let (history, round) = History::open(&store)?;
         // Record the hardware configuration (§3.2: configuration space).
         for node in cluster.nodes() {
             store.put(
@@ -251,7 +257,9 @@ impl<D: Disk + Clone> Runtime<D> {
             kernel: SimKernel::new(),
             cluster,
             library,
-            awareness,
+            history,
+            round,
+            unsaved: Vec::new(),
             cfg,
             instances: BTreeMap::new(),
             templates: BTreeMap::new(),
@@ -272,7 +280,7 @@ impl<D: Disk + Clone> Runtime<D> {
             auto_restarts: 0,
             tier_stats: None,
             history_retention: false,
-            retained_rollup_base: 0,
+            retained_round: 0,
         };
         rt.rebuild_from_store()?;
         Ok(rt)
@@ -303,7 +311,7 @@ impl<D: Disk + Clone> Runtime<D> {
         initial: BTreeMap<String, Value>,
     ) -> EngineResult<InstanceId> {
         let id = self.instantiate(template_name, initial, None)?;
-        self.flush_awareness()?;
+        self.flush_history()?;
         Ok(id)
     }
 
@@ -319,7 +327,7 @@ impl<D: Disk + Clone> Runtime<D> {
         let (inst, outcome) = Instance::create(template, id, parent, self.kernel.now(), &initial)?;
         self.instances.insert(id, inst);
         self.persist_full_instance(id)?;
-        self.awareness.record(
+        self.note(
             self.kernel.now(),
             EventKind::InstanceStart {
                 instance: id,
@@ -382,11 +390,11 @@ impl<D: Disk + Clone> Runtime<D> {
     /// One scheduler iteration: dispatch, then process the next event.
     /// Returns `Ok(false)` once every instance is terminal.
     ///
-    /// All awareness events the iteration produced are flushed as one
-    /// atomic store batch at the end of the step.
+    /// History events the iteration noted and no persistence batch
+    /// carried are committed as one round at the end of the step.
     pub fn step(&mut self) -> EngineResult<bool> {
         let more = self.step_inner()?;
-        self.flush_awareness()?;
+        self.flush_history()?;
         Ok(more)
     }
 
@@ -494,18 +502,59 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// The awareness model.
     pub fn awareness(&self) -> &Awareness {
-        &self.awareness
+        self.history.awareness()
     }
 
-    /// Flush buffered awareness events (one batch).  No-op while the
-    /// server is down — the store is poisoned and the pending tail is
-    /// discarded by the crash path.  Tier activity since the previous
-    /// flush is recorded as `store.*` events riding the same batch, and
-    /// (when enabled) raw history below the durable rollup is retired.
-    fn flush_awareness(&mut self) -> EngineResult<()> {
+    /// Rolling FNV-1a digest of the committed history stream
+    /// (order-sensitive): comparable between runs, and continuous across a
+    /// server crash.
+    pub fn history_digest(&self) -> u64 {
+        self.history.digest()
+    }
+
+    /// Note a history event: it is committed with the next persistence
+    /// batch, or at the latest by the end-of-step flush.
+    fn note(&mut self, at: SimTime, kind: EventKind) {
+        self.unsaved.push(HistoryEvent { at, kind });
+    }
+
+    /// Commit `batch` with every event noted since the last commit in the
+    /// same frame, as one round of the history stream: the events become
+    /// durable *with* the state they precede (persisted-before-visible, in
+    /// one append).  While the server is down nothing is committed.
+    fn commit(&mut self, mut batch: Batch) -> EngineResult<()> {
+        if self.server_up && !self.unsaved.is_empty() {
+            let round = self.round;
+            let events = self
+                .unsaved
+                .drain(..)
+                .enumerate()
+                .map(|(seq, ev)| ShardEvent {
+                    round,
+                    instance: ev.kind.instance().unwrap_or(0),
+                    seq: seq as u64,
+                    at: Some(ev.at),
+                    kind: ev.kind,
+                });
+            self.history
+                .commit(&mut batch, round, events, &mut self.scratch)?;
+            self.round += 1;
+        }
+        self.store.apply(batch)?;
+        Ok(())
+    }
+
+    /// Commit the events no persistence batch carried (one round), after
+    /// recording the tier activity since the previous flush as `store.*`
+    /// events; then, when enabled, retire the stream below the durable
+    /// summary.  No-op while the server is down — the store is poisoned
+    /// and the noted events die with the server.
+    fn flush_history(&mut self) -> EngineResult<()> {
         if self.server_up {
             self.record_store_events();
-            self.awareness.flush(&self.store)?;
+            if !self.unsaved.is_empty() {
+                self.commit(Batch::new())?;
+            }
             self.maybe_retain_history()?;
         }
         Ok(())
@@ -522,7 +571,7 @@ impl<D: Disk + Clone> Runtime<D> {
         let (prev_spills, prev_merges) = prev.map_or((0, 0), |p| (p.spills, p.run_merges));
         let now = self.kernel.now();
         if stats.spills > prev_spills {
-            self.awareness.record(
+            self.note(
                 now,
                 EventKind::StoreSpill {
                     spills: stats.spills - prev_spills,
@@ -534,7 +583,7 @@ impl<D: Disk + Clone> Runtime<D> {
             );
         }
         if stats.run_merges > prev_merges {
-            self.awareness.record(
+            self.note(
                 now,
                 EventKind::StoreCompaction {
                     merges: stats.run_merges - prev_merges,
@@ -545,28 +594,25 @@ impl<D: Disk + Clone> Runtime<D> {
         }
     }
 
-    /// Windowed retention: once the awareness rollup durably covers a
-    /// prefix of the event log, retire the raw `ev/` records below it.
-    /// The rollup already answers every aggregate query over that
-    /// prefix, and [`Awareness::open_tail`] never scans below its base,
-    /// so no recovery path needs the retired records.  Off by default;
-    /// enabled via [`set_history_retention`](Runtime::set_history_retention).
+    /// Windowed retention: once a durable summary covers a prefix of the
+    /// stream, retire the records of the rounds below it.  The summary
+    /// already answers every aggregate query over them, and recovery
+    /// never reads below it, so no recovery path needs the retired
+    /// records.  Off by default; enabled via
+    /// [`set_history_retention`](Runtime::set_history_retention).
     fn maybe_retain_history(&mut self) -> EngineResult<()> {
-        if !self.history_retention {
+        let round = self.history.summarized_round();
+        if !self.history_retention || round == self.retained_round {
             return Ok(());
         }
-        let base = self.awareness.rollup_base();
-        if base == 0 || base == self.retained_rollup_base {
-            return Ok(());
-        }
-        let Some(below) = self.awareness.rolled_up_below() else {
-            return Ok(());
-        };
-        let retired = self.store.retain_below(Space::History, "ev/", &below)?;
-        self.retained_rollup_base = base;
+        let below = round_start_key(round);
+        let retired = self
+            .store
+            .retain_below(Space::History, EVENT_PREFIX, &below)?;
+        self.retained_round = round;
         if retired > 0 {
-            // Recorded now, durable with the next step's batch.
-            self.awareness.record(
+            // Noted now, durable with the next commit.
+            self.note(
                 self.kernel.now(),
                 EventKind::StoreRetention { retired, below },
             );
@@ -580,10 +626,10 @@ impl<D: Disk + Clone> Runtime<D> {
         self.history_retention = on;
     }
 
-    /// Override the awareness rollup cadence (tests and benches force
-    /// tiny values so the rollup and retention paths run constantly).
+    /// Override the history summary cadence (tests and benches force tiny
+    /// values so the summary and retention paths run constantly).
     pub fn set_rollup_every(&mut self, every: u64) {
-        self.awareness.set_rollup_every(every);
+        self.history.set_every(every);
     }
 
     /// Snapshot everything this run tells the operator — per-kind event
@@ -591,7 +637,7 @@ impl<D: Disk + Clone> Runtime<D> {
     /// into `bin`-wide windows, and the labeled event log — as one
     /// serializable [`RunReport`].
     pub fn run_report(&self, bin: SimTime) -> RunReport {
-        let idx = self.awareness.index();
+        let idx = self.awareness().index();
         RunReport {
             taken_at_ms: self.kernel.now().as_millis(),
             events: idx.len() as u64,
@@ -732,11 +778,11 @@ impl<D: Disk + Clone> Runtime<D> {
         if mem.header.status == InstanceStatus::Running {
             mem.header.status = InstanceStatus::Suspended;
             self.persist_header(id)?;
-            self.awareness.record(
+            self.note(
                 self.kernel.now(),
                 EventKind::InstanceSuspend { instance: id },
             );
-            self.flush_awareness()?;
+            self.flush_history()?;
             self.log(format!("instance {id} suspended"));
         }
         Ok(())
@@ -752,11 +798,11 @@ impl<D: Disk + Clone> Runtime<D> {
         let outcome = navigator::on_resume(&mut inst.view(), now);
         self.persist_after_nav(id, &outcome)?;
         self.apply_outcome(id, outcome)?;
-        self.awareness.record(
+        self.note(
             self.kernel.now(),
             EventKind::InstanceResume { instance: id },
         );
-        self.flush_awareness()?;
+        self.flush_history()?;
         self.log(format!("instance {id} resumed"));
         Ok(())
     }
@@ -782,9 +828,8 @@ impl<D: Disk + Clone> Runtime<D> {
             mem.header.ended_at = Some(now);
         }
         self.persist_header(id)?;
-        self.awareness
-            .record(now, EventKind::InstanceAbort { instance: id });
-        self.flush_awareness()?;
+        self.note(now, EventKind::InstanceAbort { instance: id });
+        self.flush_history()?;
         self.resync_all_nodes();
         self.log(format!("instance {id} aborted by operator"));
         Ok(())
@@ -832,7 +877,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 }
             }
         }
-        self.awareness.record(
+        self.note(
             now,
             EventKind::InstanceRestart {
                 instance: id,
@@ -841,7 +886,7 @@ impl<D: Disk + Clone> Runtime<D> {
         );
         self.persist_after_nav(id, &outcome)?;
         self.apply_outcome(id, outcome)?;
-        self.flush_awareness()?;
+        self.flush_history()?;
         self.resync_all_nodes();
         self.log(format!(
             "instance {id} restarted; in-flight TEUs re-scheduled"
@@ -906,7 +951,7 @@ impl<D: Disk + Clone> Runtime<D> {
             navigator::reevaluate(&mut view, self.kernel.now())?
         };
         self.persist_full_instance(id)?;
-        self.awareness.record(
+        self.note(
             self.kernel.now(),
             EventKind::InstanceRecompute {
                 instance: id,
@@ -915,7 +960,7 @@ impl<D: Disk + Clone> Runtime<D> {
             },
         );
         self.apply_outcome(id, outcome)?;
-        self.flush_awareness()?;
+        self.flush_history()?;
         self.log(format!(
             "instance {id}: selective recomputation of {} (reusing the rest of instance {source})",
             changed.join(", ")
@@ -954,14 +999,14 @@ impl<D: Disk + Clone> Runtime<D> {
                 }
             }
         }
-        self.awareness.record(
+        self.note(
             self.kernel.now(),
             EventKind::EventSignal {
                 instance: id,
                 event: event.to_string(),
             },
         );
-        self.flush_awareness()?;
+        self.flush_history()?;
         Ok(())
     }
 
@@ -1017,7 +1062,7 @@ impl<D: Disk + Clone> Runtime<D> {
             return Ok(());
         };
         if health.on_quarantine_expired(epoch) {
-            self.awareness.record(
+            self.note(
                 at,
                 EventKind::NodeProbation {
                     node: node.to_string(),
@@ -1142,7 +1187,7 @@ impl<D: Disk + Clone> Runtime<D> {
         };
         if flight.silent {
             // Paper event 10: the TEU finished but never reported.
-            self.awareness.record(
+            self.note(
                 at,
                 EventKind::TaskNonReport {
                     instance: flight.instance,
@@ -1154,7 +1199,7 @@ impl<D: Disk + Clone> Runtime<D> {
         if self.disk_full {
             // Results cannot be persisted: the activity is treated as
             // failed by the environment and will be re-run.
-            self.awareness.record(
+            self.note(
                 at,
                 EventKind::TaskDiskFull {
                     instance: flight.instance,
@@ -1223,7 +1268,7 @@ impl<D: Disk + Clone> Runtime<D> {
             }
             Err(e) => return Err(e),
         };
-        self.awareness.record(at, event);
+        self.note(at, event);
         self.persist_after_nav(id, &outcome)?;
         self.apply_outcome(id, outcome)
     }
@@ -1239,8 +1284,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     None => Vec::new(),
                 };
                 if self.server_up {
-                    self.awareness
-                        .record(at, EventKind::NodeCrash { node: name.clone() });
+                    self.note(at, EventKind::NodeCrash { node: name.clone() });
                 }
                 self.fail_jobs(&killed, "node crash")?;
             }
@@ -1249,8 +1293,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     n.recover(at);
                 }
                 if self.server_up {
-                    self.awareness
-                        .record(at, EventKind::NodeRecover { node: name });
+                    self.note(at, EventKind::NodeRecover { node: name });
                 }
             }
             TraceEventKind::AllNodesDown => {
@@ -1259,7 +1302,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     killed.extend(n.crash(at));
                 }
                 if self.server_up {
-                    self.awareness.record(at, EventKind::ClusterFailure);
+                    self.note(at, EventKind::ClusterFailure);
                 }
                 self.fail_jobs(&killed, "cluster failure")?;
             }
@@ -1268,7 +1311,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     n.recover(at);
                 }
                 if self.server_up {
-                    self.awareness.record(at, EventKind::ClusterRecover);
+                    self.note(at, EventKind::ClusterRecover);
                 }
             }
             TraceEventKind::NetworkDown => {
@@ -1296,8 +1339,7 @@ impl<D: Disk + Clone> Runtime<D> {
                         .map(|n| (n.spec.name.clone(), n.external_cpus()))
                         .collect();
                     for (node, cpus) in loads {
-                        self.awareness
-                            .record(at, EventKind::NodeLoad { node, cpus });
+                        self.note(at, EventKind::NodeLoad { node, cpus });
                     }
                 }
                 self.resync_all_nodes();
@@ -1307,7 +1349,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     n.set_external_load(at, cpus);
                 }
                 if self.server_up {
-                    self.awareness.record(
+                    self.note(
                         at,
                         EventKind::NodeLoad {
                             node: node.clone(),
@@ -1322,8 +1364,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     n.set_cpus(at, cpus);
                 }
                 if self.server_up {
-                    self.awareness
-                        .record(at, EventKind::ClusterUpgrade { cpus });
+                    self.note(at, EventKind::ClusterUpgrade { cpus });
                 }
                 self.resync_all_nodes();
             }
@@ -1332,13 +1373,13 @@ impl<D: Disk + Clone> Runtime<D> {
             TraceEventKind::OperatorSuspend => {
                 self.operator_suspended = true;
                 if self.server_up {
-                    self.awareness.record(at, EventKind::OperatorSuspend);
+                    self.note(at, EventKind::OperatorSuspend);
                 }
             }
             TraceEventKind::OperatorResume => {
                 self.operator_suspended = false;
                 if self.server_up {
-                    self.awareness.record(at, EventKind::OperatorResume);
+                    self.note(at, EventKind::OperatorResume);
                 }
                 let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
                 for id in ids {
@@ -1363,8 +1404,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     n.set_reachable(false);
                 }
                 if self.server_up {
-                    self.awareness
-                        .record(at, EventKind::NodePartition { node: name });
+                    self.note(at, EventKind::NodePartition { node: name });
                 }
             }
             TraceEventKind::NodeRejoin(name) => {
@@ -1372,8 +1412,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     n.set_reachable(true);
                 }
                 if self.server_up {
-                    self.awareness
-                        .record(at, EventKind::NodeRejoin { node: name.clone() });
+                    self.note(at, EventKind::NodeRejoin { node: name.clone() });
                 }
                 // Deliver what this node's PEC buffered during the
                 // partition (a still-unreachable node's entries are
@@ -1448,7 +1487,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     if let Some(n) = self.cluster.node_mut(&f.node) {
                         n.abort_job(at, job);
                     }
-                    self.awareness.record(
+                    self.note(
                         at,
                         EventKind::TaskMigrate {
                             instance: f.instance,
@@ -1525,16 +1564,15 @@ impl<D: Disk + Clone> Runtime<D> {
                 n.abort_job(now, job);
             }
         }
-        // All volatile server memory is gone — including awareness events
-        // recorded this step but not yet flushed (the index is rebuilt
-        // from the store on recovery).
+        // All volatile server memory is gone — including history events
+        // noted this step but not yet committed.
         self.instances.clear();
         self.templates.clear();
         self.in_flight.clear();
         self.ready_queue.clear();
         self.pec_buffer.clear();
         self.node_health.clear();
-        self.awareness.discard_pending();
+        self.unsaved.clear();
         self.store.poison();
         self.resync_all_nodes();
         if let Some(delay) = self.cfg.backup_failover {
@@ -1550,12 +1588,13 @@ impl<D: Disk + Clone> Runtime<D> {
             return Ok(());
         }
         self.store = open_store(&self.disk, &self.cfg)?;
-        self.awareness = Awareness::open_tail(&self.store)?;
+        (self.history, self.round) = History::open(&self.store)?;
+        // What was noted while the server was down never reached it.
+        self.unsaved.clear();
         self.server_up = true;
         let requeued = self.rebuild_from_store()?;
-        self.awareness
-            .record(self.kernel.now(), EventKind::ServerRecover { requeued });
-        self.flush_awareness()?;
+        self.note(self.kernel.now(), EventKind::ServerRecover { requeued });
+        self.flush_history()?;
         self.log("server recovered: instances rebuilt from the instance space".into());
         self.ensure_heartbeat();
         Ok(())
@@ -1842,7 +1881,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 .unwrap_or(0)
         };
         self.persist_task(id, path)?;
-        self.awareness.record(
+        self.note(
             now,
             EventKind::TaskStart {
                 instance: id,
@@ -1887,7 +1926,7 @@ impl<D: Disk + Clone> Runtime<D> {
         // Late binding: the template is resolved from the template space
         // *now*, not when the parent was defined.
         let child = self.instantiate(&template_name, initial, Some((id, path.to_string())))?;
-        self.awareness.record(
+        self.note(
             now,
             EventKind::SubprocessStart {
                 instance: id,
@@ -1931,7 +1970,7 @@ impl<D: Disk + Clone> Runtime<D> {
             if let Some(prog) = self.library.get(program) {
                 let _ = prog(&BTreeMap::new());
             }
-            self.awareness.record(
+            self.note(
                 self.kernel.now(),
                 EventKind::TaskCompensate {
                     instance: id,
@@ -1945,7 +1984,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 .instances
                 .get(&id)
                 .and_then(|m| m.header.parent.clone());
-            self.awareness.record(
+            self.note(
                 self.kernel.now(),
                 if outcome.completed {
                     EventKind::InstanceComplete { instance: id }
@@ -1977,7 +2016,7 @@ impl<D: Disk + Clone> Runtime<D> {
             .and_then(|m| m.tasks.get(parent_task))
             .map(|r| r.state);
         if parent_state != Some(TaskState::Dispatched) {
-            self.awareness.record(
+            self.note(
                 now,
                 EventKind::SubprocessDuplicate {
                     instance: parent_id,
@@ -2073,14 +2112,15 @@ impl<D: Disk + Clone> Runtime<D> {
             RetryDecision::Requeue { delay } => {
                 let outcome =
                     navigator::on_task_failed(&mut inst.view(), path, FailureKind::System, now)?;
-                self.awareness.record(
-                    now,
-                    EventKind::TaskSystemFail {
+                // `self.note`, but `inst` still borrows `self.instances`.
+                self.unsaved.push(HistoryEvent {
+                    at: now,
+                    kind: EventKind::TaskSystemFail {
                         instance: id,
                         path: path.to_string(),
                         reason: why.to_string(),
                     },
-                );
+                });
                 if let Some(rec) = inst.tasks.get_mut(path).filter(|_| delay > SimTime::ZERO) {
                     let retry_at = now + delay;
                     let retry = rec.retry_mut();
@@ -2092,15 +2132,15 @@ impl<D: Disk + Clone> Runtime<D> {
                             path: path.to_string(),
                         },
                     );
-                    self.awareness.record(
-                        now,
-                        EventKind::TaskBackoff {
+                    self.unsaved.push(HistoryEvent {
+                        at: now,
+                        kind: EventKind::TaskBackoff {
                             instance: id,
                             path: path.to_string(),
                             attempt: retry.sys_failures,
                             delay_ms: delay.as_millis(),
                         },
-                    );
+                    });
                 }
                 outcome
             }
@@ -2112,7 +2152,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 }
                 let outcome =
                     navigator::on_task_failed(&mut inst.view(), path, FailureKind::Program, now)?;
-                self.awareness.record(
+                self.note(
                     now,
                     EventKind::TaskPoisoned {
                         instance: id,
@@ -2143,7 +2183,7 @@ impl<D: Disk + Clone> Runtime<D> {
         let quarantined = health.on_job_failed(now, threshold);
         let (failures, epoch) = (health.consecutive_failures, health.epoch);
         if quarantined {
-            self.awareness.record(
+            self.note(
                 now,
                 EventKind::NodeQuarantine {
                     node: name.to_string(),
@@ -2234,7 +2274,7 @@ impl<D: Disk + Clone> Runtime<D> {
     /// anomaly in the awareness space and drop the event instead of
     /// panicking.
     fn note_stale(&mut self, instance: InstanceId, path: Option<&str>, context: &str) {
-        self.awareness.record(
+        self.note(
             self.kernel.now(),
             EventKind::StaleEvent {
                 instance,
@@ -2353,8 +2393,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 if let Some(n) = self.cluster.node_mut(&name) {
                     n.set_reachable(true);
                 }
-                self.awareness
-                    .record(now, EventKind::NodeRejoin { node: name });
+                self.note(now, EventKind::NodeRejoin { node: name });
             }
             let buffered = std::mem::take(&mut self.pec_buffer);
             for (node, job, cpu_ms) in buffered {
@@ -2371,24 +2410,6 @@ impl<D: Disk + Clone> Runtime<D> {
     }
 
     // ---- persistence helpers ----
-
-    /// Commit a persistence batch, coalescing any awareness events
-    /// buffered so far into the same disk append (group commit).  Each
-    /// batch stays its own atomic WAL frame, but the events become
-    /// durable *with* the navigation state they precede instead of
-    /// waiting for the end-of-step flush — persisted-before-visible is
-    /// preserved, one disk append cheaper per navigation.
-    fn commit_with_awareness(&mut self, batch: Batch) -> EngineResult<()> {
-        if self.server_up {
-            if let Some(events) = self.awareness.pending_batch()? {
-                self.store.apply_many([events, batch])?;
-                self.awareness.confirm_flushed();
-                return Ok(());
-            }
-        }
-        self.store.apply(batch)?;
-        Ok(())
-    }
 
     /// Persist the header and every task record of an instance in one
     /// atomic batch (used at instantiation).
@@ -2408,7 +2429,7 @@ impl<D: Disk + Clone> Runtime<D> {
         }
         let mut batch = Batch::new();
         inst.commit_into(&mut batch, None, inst.tasks.keys(), &mut self.scratch);
-        self.commit_with_awareness(batch)
+        self.commit(batch)
     }
 
     fn persist_header(&mut self, id: InstanceId) -> EngineResult<()> {
@@ -2463,7 +2484,7 @@ impl<D: Disk + Clone> Runtime<D> {
         }
         let mut batch = Batch::new();
         inst.commit_into(&mut batch, None, &outcome.touched, &mut self.scratch);
-        self.commit_with_awareness(batch)
+        self.commit(batch)
     }
 
     // ---- node completion-event plumbing ----

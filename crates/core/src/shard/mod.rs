@@ -35,10 +35,10 @@ pub use router::{
 pub use services::{DispatchService, LogicalNode};
 pub use stepper::{FaultInjection, Shard, StepCtx};
 
-use self::router::{event_key, round_start_key, EVENT_PREFIX};
 use crate::awareness::{Awareness, EventKind};
 use crate::diagnostics;
 use crate::error::{EngineError, EngineResult};
+use crate::history::{self, fnv1a64, History, FNV_OFFSET};
 use crate::instance::{self, InDoubt};
 use crate::library::ActivityLibrary;
 use crate::planner::{OutageImpact, PlannerNode, PlannerSnapshot};
@@ -129,71 +129,12 @@ pub struct ShardEngine<D: Disk> {
     shards: Vec<Shard>,
     inboxes: Vec<Vec<Msg>>,
     service: DispatchService,
-    awareness: Awareness,
     round: u64,
     next_instance: InstanceId,
     operator_seq: u64,
-    history: HistoryFold,
+    history: History,
     /// The buffer every record the barrier writes is encoded through.
     scratch: String,
-}
-
-/// The lifetime digest of the committed history stream: every event the
-/// barrier commits is folded in, each summary the barrier commits carries
-/// the digest up to it, and recovery folds the stream's tail onto that, so
-/// the digest is continuous across a crash at a cost that follows the tail.
-/// (How many events, and how many of each label, is the awareness index's
-/// to say: it is fed by the same calls, event for event.)
-struct HistoryFold {
-    digest: u64,
-}
-
-impl Default for HistoryFold {
-    fn default() -> Self {
-        HistoryFold { digest: FNV_OFFSET }
-    }
-}
-
-impl HistoryFold {
-    /// Fold in `e`, stored as `record`.  The digest covers the encoding
-    /// of `e.kind`, and `record` already holds it ([`encoded_kind`]), so
-    /// the kind is encoded once per event — for the store — and hashed
-    /// where it lies.
-    fn fold(&mut self, e: &ShardEvent, record: &[u8]) -> EngineResult<()> {
-        let kind = encoded_kind(e, record).ok_or_else(|| {
-            EngineError::Internal("history event record does not end in its kind".into())
-        })?;
-        debug_assert_eq!(
-            Some(kind),
-            serde_json::to_vec(&e.kind).ok().as_deref(),
-            "the record's tail is a fresh encoding of its kind"
-        );
-        let mut h = self.digest;
-        h = fnv1a64(h, &e.round.to_le_bytes());
-        h = fnv1a64(h, &e.instance.to_le_bytes());
-        h = fnv1a64(h, &e.seq.to_le_bytes());
-        self.digest = fnv1a64(h, kind);
-        Ok(())
-    }
-}
-
-/// The encoding of `e.kind` inside `record`, the encoding of `e`.  The
-/// derived writer emits members in declaration order — `{"round":R,
-/// "instance":I,"seq":S,"kind":K}` — so where `K` starts follows from how
-/// many digits the three integers take, and it runs to the closing brace.
-/// `None` if `record` is not laid out that way.
-fn encoded_kind<'a>(e: &ShardEvent, record: &'a [u8]) -> Option<&'a [u8]> {
-    const NAME: &[u8] = b",\"kind\":";
-    let digits = |n: u64| n.checked_ilog10().map_or(1, |d| d as usize + 1);
-    let at = r#"{"round":"#.len()
-        + digits(e.round)
-        + r#","instance":"#.len()
-        + digits(e.instance)
-        + r#","seq":"#.len()
-        + digits(e.seq)
-        + NAME.len();
-    let (head, kind) = record.split_at_checked(at)?;
-    head.ends_with(NAME).then_some(kind)?.strip_suffix(b"}")
 }
 
 impl<D: Disk> ShardEngine<D> {
@@ -208,8 +149,7 @@ impl<D: Disk> ShardEngine<D> {
         let shards = (0..cfg.shards).map(Shard::new).collect();
         let inboxes = vec![Vec::new(); cfg.shards];
         let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        let awareness = Awareness::open_tail(&store)
-            .map_err(|e| EngineError::Internal(format!("awareness open: {e}")))?;
+        let (history, round) = History::open(&store)?;
         Ok(ShardEngine {
             store,
             library,
@@ -217,11 +157,10 @@ impl<D: Disk> ShardEngine<D> {
             shards,
             inboxes,
             service,
-            awareness,
-            round: 0,
+            round,
             next_instance: 1,
             operator_seq: 0,
-            history: HistoryFold::default(),
+            history,
             scratch: String::new(),
             cfg,
         })
@@ -456,6 +395,7 @@ impl<D: Disk> ShardEngine<D> {
                 round,
                 instance,
                 seq: BARRIER_SEQ_BASE + bseq,
+                at: None,
                 kind,
             });
             bseq += 1;
@@ -514,35 +454,15 @@ impl<D: Disk> ShardEngine<D> {
         self.commit_events(round, events)
     }
 
-    /// Commit the round's totally-ordered events: the one history record
-    /// this engine writes.  Each event is stored once, under its
-    /// [`event_key`], and folded into the lifetime digest and the
-    /// awareness index as it goes; when the rollup cadence is due, the
-    /// summary of every round up to and including this one joins the
-    /// batch.
-    ///
-    /// One batch is one WAL frame, and a crash keeps a frame whole or not
-    /// at all: the history and the monitoring view over it cannot come
-    /// apart, and what recovery refolds from `sev/` is what both held.
+    /// Commit the round's totally-ordered events, in one frame
+    /// ([`History::commit`]).
     fn commit_events(&mut self, round: u64, events: Vec<ShardEvent>) -> EngineResult<()> {
         if events.is_empty() {
             return Ok(());
         }
-        let at = SimTime::from_secs(round);
         let mut batch = Batch::new();
-        for (i, e) in events.into_iter().enumerate() {
-            batch.put_record(Space::History, event_key(round, i), &e, &mut self.scratch);
-            self.history.fold(&e, self.scratch.as_bytes())?;
-            self.awareness.observe(at, e.kind);
-        }
-        // The digest now covers exactly the rounds below `round + 1`, which
-        // is what a summary put into this batch says it does.
-        self.awareness.summary_into(
-            &mut batch,
-            round + 1,
-            self.history.digest,
-            &mut self.scratch,
-        );
+        self.history
+            .commit(&mut batch, round, events, &mut self.scratch)?;
         self.store.apply(batch).map_err(EngineError::Store)
     }
 
@@ -652,38 +572,13 @@ impl<D: Disk> ShardEngine<D> {
             shards.push(shard);
         }
         let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        // The history, from its last summary on.  The summary shares a
-        // frame with the last round it covers, so what it says of the
-        // rounds below `next_round` — how many events, how many of each
-        // label, their digest — is what `sev/` holds of them, and only the
-        // tail past it is read: one pass that feeds the digest, the
-        // awareness index and the round clock together.  A summary without
-        // a digest (an earlier engine's) leaves the digest to be refolded
-        // from the stream's first record, once; so does no summary at all.
-        // An event that does not decode fails the recovery, named: it
-        // would silently drop out of the digest and the counts.
-        let summary = Awareness::stream_summary(&store)
-            .map_err(|e| EngineError::Internal(format!("awareness open: {e}")))?;
-        let mut awareness = Awareness::from_summary(summary.as_ref());
-        let tail_round = summary.as_ref().map_or(0, |s| s.next_round());
-        let (mut history, start) = match summary.as_ref().and_then(|s| s.digest()) {
-            Some(digest) => (HistoryFold { digest }, round_start_key(tail_round)),
-            None => (HistoryFold::default(), EVENT_PREFIX.to_string()),
-        };
-        // A fresh round for what follows.  The shards' `meta` is not
-        // enough: a recovery commits its pseudo-round and no shard writes
-        // a later `meta` until the next step, so a crash before that step
-        // would recover into the same round and overwrite its events.
-        let mut next_round = (round + 1).max(tail_round);
-        store.visit_prefix_from(Space::History, EVENT_PREFIX, &start, |key, bytes| {
-            let event = decode_event(key, bytes)?;
-            history.fold(&event, bytes)?;
-            next_round = next_round.max(event.round + 1);
-            if event.round >= tail_round {
-                awareness.reobserve(SimTime::from_secs(event.round), event.kind);
-            }
-            Ok::<(), EngineError>(())
-        })?;
+        // The history, from its last summary on, and a fresh round for
+        // what follows.  The shards' `meta` is not enough: a recovery
+        // commits its pseudo-round and no shard writes a later `meta` until
+        // the next step, so a crash before that step would recover into the
+        // same round and overwrite its events.
+        let (history, tail_round) = History::open(&store)?;
+        let next_round = (round + 1).max(tail_round);
         let mut engine = ShardEngine {
             inboxes: vec![Vec::new(); cfg.shards],
             round: next_round,
@@ -695,7 +590,6 @@ impl<D: Disk> ShardEngine<D> {
             templates,
             shards,
             service,
-            awareness,
             operator_seq: 0,
             cfg,
         };
@@ -867,6 +761,7 @@ impl<D: Disk> ShardEngine<D> {
                 round,
                 instance: pid,
                 seq: BARRIER_SEQ_BASE + bseq,
+                at: None,
                 kind: EventKind::SubprocessStart {
                     instance: pid,
                     path: ppath.clone(),
@@ -889,6 +784,7 @@ impl<D: Disk> ShardEngine<D> {
             round,
             instance: u64::MAX,
             seq: BARRIER_SEQ_BASE + bseq,
+            at: None,
             kind: EventKind::ServerRecover { requeued },
         });
         self.commit_events(round, events)?;
@@ -902,7 +798,7 @@ impl<D: Disk> ShardEngine<D> {
     pub fn stats(&self) -> ShardRunStats {
         let mut stats = ShardRunStats {
             rounds: self.round,
-            events: self.awareness.index().len() as u64,
+            events: self.awareness().index().len() as u64,
             grants: self.service.granted(),
             slots_in_flight: self.service.in_flight() as u64,
             ..Default::default()
@@ -924,7 +820,7 @@ impl<D: Disk> ShardEngine<D> {
     /// Rolling FNV-1a digest of the committed history stream (order-
     /// sensitive): bit-identical across shard counts and thread counts.
     pub fn history_digest(&self) -> u64 {
-        self.history.digest
+        self.history.digest()
     }
 
     /// Digest of the final instance state, merged across shards in
@@ -947,7 +843,7 @@ impl<D: Disk> ShardEngine<D> {
 
     /// Lifetime event counts by label.
     pub fn event_counts(&self) -> BTreeMap<String, u64> {
-        let counts = self.awareness.index().counts_by_kind();
+        let counts = self.awareness().index().counts_by_kind();
         counts.into_iter().map(|(k, n)| (k, n as u64)).collect()
     }
 
@@ -993,13 +889,13 @@ impl<D: Disk> ShardEngine<D> {
     /// The awareness model: a view over the barrier's totally-ordered
     /// event stream, fed as each round commits.
     pub fn awareness(&self) -> &Awareness {
-        &self.awareness
+        self.history.awareness()
     }
 
     /// Override the awareness summary cadence (tests force tiny values to
     /// commit a summary with almost every round).
     pub fn set_rollup_every(&mut self, every: u64) {
-        self.awareness.set_rollup_every(every);
+        self.history.set_every(every);
     }
 
     /// Plain-data view of (logical nodes, in-flight jobs, instance task
@@ -1050,21 +946,8 @@ impl<D: Disk> ShardEngine<D> {
 
     /// Decode the committed history events (in commit order).
     pub fn persisted_events(&self) -> EngineResult<Vec<ShardEvent>> {
-        let mut events = Vec::new();
-        self.store
-            .visit_prefix(Space::History, EVENT_PREFIX, |key, bytes| {
-                events.push(decode_event(key, bytes)?);
-                Ok::<(), EngineError>(())
-            })?;
-        Ok(events)
+        history::persisted_events(&self.store)
     }
-}
-
-/// Decode the history record at `key`.  The store is CRC-framed, so one
-/// that does not decode is a format fault and is named.
-fn decode_event(key: &str, bytes: &[u8]) -> EngineResult<ShardEvent> {
-    serde_json::from_slice(bytes)
-        .map_err(|e| EngineError::Internal(format!("corrupt history event {key}: {e}")))
 }
 
 /// Recovery fact about a terminal child: `(parent, parent task path,
@@ -1107,16 +990,6 @@ fn id_key(prefix: &str, id: InstanceId) -> String {
     key.push_str(prefix);
     push_padded(&mut key, id, 12);
     key
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a64(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x1_0000_01b3);
-    }
-    hash
 }
 
 /// Fold the bytes `value` is stored as into `hash`.  Encoding into a
@@ -1181,77 +1054,6 @@ mod tests {
         let mut eng = ShardEngine::new(store, chain_library(), cfg).expect("engine");
         eng.register_template(chain_template()).unwrap();
         eng
-    }
-
-    /// The digest hashes each event's `kind` where the stored record
-    /// holds it.  Over every `ShardEvent` of the codec golden — one per
-    /// event kind, strings with quotes and escapes among them — that
-    /// slice is a fresh encoding of the decoded `kind`, and the fold over
-    /// the record is the fold that encodes `kind` itself.
-    #[test]
-    fn the_digest_hashes_the_kind_the_record_holds() {
-        let golden = include_str!("../../../harness/tests/golden/records.tsv");
-        let mut fold = HistoryFold::default();
-        let mut reference = FNV_OFFSET;
-        let mut seen = 0;
-        for line in golden.lines() {
-            let Some((name, record)) = line.split_once('\t') else {
-                continue;
-            };
-            if !name.starts_with("ShardEvent/") {
-                continue;
-            }
-            seen += 1;
-            let event = decode_event(name, record.as_bytes()).unwrap();
-            let kind = serde_json::to_vec(&event.kind).unwrap();
-            assert_eq!(
-                encoded_kind(&event, record.as_bytes()),
-                Some(&kind[..]),
-                "{name}"
-            );
-            fold.fold(&event, record.as_bytes()).unwrap();
-            for part in [event.round, event.instance, event.seq] {
-                reference = fnv1a64(reference, &part.to_le_bytes());
-            }
-            reference = fnv1a64(reference, &kind);
-        }
-        assert_eq!(seen, 39, "one golden ShardEvent per event kind");
-        assert_eq!(fold.digest, reference);
-        // A `kind` whose own text holds the member name, quotes and all.
-        let tricky = ShardEvent {
-            round: 7,
-            instance: 3,
-            seq: 1,
-            kind: EventKind::TaskStart {
-                instance: 3,
-                path: r#"x,"kind":{"#.into(),
-                node: "n".into(),
-                job: 0,
-                queue_ms: 0,
-            },
-        };
-        let record = encode(&tricky).unwrap();
-        assert_eq!(
-            encoded_kind(&tricky, &record),
-            Some(&serde_json::to_vec(&tricky.kind).unwrap()[..])
-        );
-        // The integers' widths place the slice: zero, and all twenty digits.
-        for n in [0, 9, 10, u64::MAX] {
-            let e = ShardEvent {
-                round: n,
-                instance: n,
-                seq: n,
-                ..tricky.clone()
-            };
-            assert_eq!(
-                encoded_kind(&e, &encode(&e).unwrap()),
-                Some(&serde_json::to_vec(&e.kind).unwrap()[..])
-            );
-        }
-        // A record laid out any other way is refused, not mis-sliced.
-        assert_eq!(encoded_kind(&tricky, b"{\"round\":7}"), None);
-        let spaced = String::from_utf8(record).unwrap().replace(":", ": ");
-        assert_eq!(encoded_kind(&tricky, spaced.as_bytes()), None);
     }
 
     #[test]
@@ -1404,7 +1206,7 @@ mod tests {
             eng.step_round().unwrap();
             disk
         };
-        let crashed_disk = || crashed_disk_at_cadence(crate::awareness::DEFAULT_ROLLUP_EVERY);
+        let crashed_disk = || crashed_disk_at_cadence(crate::history::DEFAULT_ROLLUP_EVERY);
         let recover = |disk: &MemDisk| {
             let store = Store::open(disk.clone()).unwrap();
             ShardEngine::recover(store, chain_library(), cfg.clone()).map(|eng| eng.stats())

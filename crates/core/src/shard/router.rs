@@ -21,10 +21,9 @@
 //! one round of latency but keeping "runs on one shard" and "runs on
 //! eight" literally the same computation.
 
-use crate::awareness::EventKind;
+pub use crate::awareness::ShardEvent;
 use crate::state::InstanceId;
 use bioopera_ocr::value::Value;
-use bioopera_store::push_padded;
 use std::collections::BTreeMap;
 
 /// Shard index.
@@ -159,57 +158,6 @@ impl Effect {
     }
 }
 
-/// One recorded history event: `(round, source key, kind)`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ShardEvent {
-    /// Barrier round the event was committed at.
-    pub round: u64,
-    /// Source instance.
-    pub instance: InstanceId,
-    /// Per-instance sequence number.
-    pub seq: u64,
-    /// What happened (same taxonomy as the serial engine's history).
-    pub kind: EventKind,
-}
-
-/// History-space prefix of the barrier's ordered stream: the one history
-/// record the sharded engine writes, and what recovery, the digest and
-/// the awareness model all read.
-pub(crate) const EVENT_PREFIX: &str = "sev/";
-
-/// Append `sev/{round:08}/`: where the keys of `round`'s events begin.
-fn push_round(key: &mut String, round: u64) {
-    key.push_str(EVENT_PREFIX);
-    push_padded(key, round, 8);
-    key.push('/');
-}
-
-/// Key of the `index`-th event the barrier commits in `round`.  Key order
-/// is commit order, which every reader of the stream relies on: six
-/// digits hold the first million events of a round (byte for byte the
-/// keys earlier versions wrote), and past that a `~` — after every digit
-/// in ASCII — opens a twenty-digit form that sorts behind them.  Built in
-/// one pass: a round commits one of these per event.
-pub(crate) fn event_key(round: u64, index: usize) -> String {
-    let mut key = String::with_capacity(EVENT_PREFIX.len() + 8 + 1 + 6);
-    push_round(&mut key, round);
-    if index < 1_000_000 {
-        push_padded(&mut key, index as u64, 6);
-    } else {
-        key.push('~');
-        push_padded(&mut key, index as u64, 20);
-    }
-    key
-}
-
-/// The key every event of `round` sorts at or after, and every event of
-/// an earlier round before.
-pub(crate) fn round_start_key(round: u64) -> String {
-    let mut key = String::with_capacity(EVENT_PREFIX.len() + 8 + 1);
-    push_round(&mut key, round);
-    key
-}
-
 /// What one shard step hands to the barrier.
 #[derive(Debug, Default)]
 pub struct StepOutput {
@@ -237,53 +185,7 @@ pub fn merge_outboxes(mut per_shard: Vec<StepOutput>) -> (Vec<Effect>, Vec<Shard
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Round 0 of N submissions commits N `instance.start` events, and
-    /// `{index:06}` alone put the millionth before the second.
-    #[test]
-    fn event_keys_sort_in_commit_order_past_a_million_events_a_round() {
-        let indexes = [0usize, 999_999, 1_000_000, 10_000_000];
-        let keys: Vec<String> = [0u64, 1]
-            .iter()
-            .flat_map(|r| indexes.iter().map(|i| event_key(*r, *i)))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-        // The keys already on disk are not respelled.
-        assert_eq!(event_key(21, 999_999), "sev/00000021/999999");
-        assert_eq!(
-            event_key(21, 1_000_000),
-            "sev/00000021/~00000000000001000000"
-        );
-        assert!(round_start_key(1) <= event_key(1, 0));
-        assert!(event_key(0, usize::MAX) < round_start_key(1));
-    }
-
-    /// The digit writer's keys are `format!`'s, byte for byte: seeded
-    /// rounds (past eight digits too) and indexes on both sides of 10⁶.
-    #[test]
-    fn event_keys_are_spelled_as_format_spells_them() {
-        let mut rounds = vec![0u64, 7, 99_999_999, 100_000_000, u64::MAX];
-        let mut indexes = vec![0usize, 5, 999_999, 1_000_000, 1_000_001, usize::MAX];
-        let mut x = 24u64;
-        for _ in 0..100 {
-            x = splitmix64(x);
-            rounds.push(x >> (x % 64));
-            indexes.push((splitmix64(x) % 2_000_000) as usize);
-        }
-        for &round in &rounds {
-            assert_eq!(round_start_key(round), format!("sev/{round:08}/"));
-            for &index in &indexes {
-                let spelled = if index < 1_000_000 {
-                    format!("sev/{round:08}/{index:06}")
-                } else {
-                    format!("sev/{round:08}/~{index:020}")
-                };
-                assert_eq!(event_key(round, index), spelled);
-            }
-        }
-    }
+    use crate::awareness::EventKind;
 
     #[test]
     fn owner_is_stable_and_in_range() {
@@ -305,6 +207,7 @@ mod tests {
             round: 0,
             instance,
             seq,
+            at: None,
             kind: EventKind::InstanceComplete { instance },
         };
         let a = StepOutput {

@@ -244,6 +244,7 @@ impl Shard {
             round,
             instance,
             seq,
+            at: None,
             kind,
         });
     }

@@ -1,6 +1,7 @@
 //! What the engine-level suites share: the Chain, Fan and Parent templates
-//! and the programs behind them (`Chain` is `bench_e2e`'s chain), and the
-//! store policies a suite whose run tiering can change is held on.  The
+//! and the programs behind them (`Chain` is `bench_e2e`'s chain), the
+//! store policies a suite whose run tiering can change is held on, and the
+//! frozen `ev/` history writer ([`ev_writer`]).  The
 //! allocator-counting gates (`residency.rs`, `codec_allocs.rs`) each
 //! install their own `#[global_allocator]`, so they stay separate test
 //! binaries; the workload they count is the one here.
@@ -8,7 +9,9 @@
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
 
-use bioopera_core::shard::{ShardConfig, ShardEngine};
+pub mod ev_writer;
+
+use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent};
 use bioopera_core::{ActivityLibrary, ProgramOutput};
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
@@ -185,6 +188,31 @@ pub fn chain_config() -> ShardConfig {
 /// [`chain_engine_on`] a fresh in-memory store.
 pub fn chain_engine() -> ShardEngine<MemDisk> {
     chain_engine_on(Store::open(MemDisk::new()).unwrap())
+}
+
+/// What refolding `events` from the stream's first record says of the
+/// history: the digest (round, instance and sequence number of each event,
+/// its time if it has one, then a fresh encoding of its kind), the count by
+/// label and the count.
+pub fn refold(events: &[ShardEvent]) -> (u64, BTreeMap<String, u64>, u64) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for b in bytes {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x1_0000_01b3);
+        }
+    };
+    let mut counts = BTreeMap::new();
+    for e in events {
+        fold(&e.round.to_le_bytes());
+        fold(&e.instance.to_le_bytes());
+        fold(&e.seq.to_le_bytes());
+        if let Some(at) = e.at {
+            fold(&at.as_millis().to_le_bytes());
+        }
+        fold(&serde_json::to_vec(&e.kind).unwrap());
+        *counts.entry(e.kind.label().to_string()).or_insert(0) += 1;
+    }
+    (hash, counts, events.len() as u64)
 }
 
 /// The squeezed tiered policy: a spill every few records, an L0 merge

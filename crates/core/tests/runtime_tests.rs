@@ -5,12 +5,16 @@
 //! a `Runtime` over the squeezed store spills and merges inside ordinary
 //! workloads, records the tier's activity as `store.*` events and
 //! recovers from a server crash through runs and levels, and must still
-//! produce what the untiered runtime produces.  The last two tests are the
-//! tiered store's own: its events, and windowed history retention.
+//! produce what the untiered runtime produces.  Its history is the one
+//! stream both drivers write, digest and all, and a store written before
+//! it joined that stream reopens with each old event counted once.  The
+//! last two tests are the tiered store's own: its events, and windowed
+//! history retention.
 
 mod common;
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
+use bioopera_core::history;
 use bioopera_core::navigator; // used indirectly via runtime
 use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
 use bioopera_core::{ActivityLibrary, Awareness, ProgramOutput, Runtime, RuntimeConfig};
@@ -18,6 +22,7 @@ use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelB
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder, ProcessTemplate};
 use bioopera_store::{Batch, MemDisk, Space, Store, TieredPolicy};
+use common::ev_writer::EvWriter;
 use std::collections::BTreeMap;
 
 // Silence "unused import" for navigator (kept to assert the pub API).
@@ -867,8 +872,8 @@ fn a_tiered_runtime_surfaces_its_spills_as_store_events() {
     assert!(rt.awareness().index().count("store.spill") > 0);
 }
 
-/// Windowed retention retires the rolled-up `ev/` records below the
-/// watermark without losing an aggregate, and recovery does not need them.
+/// Windowed retention retires the stream's records below its summary
+/// without losing an aggregate, and recovery does not need them.
 #[test]
 fn history_retention_retires_rolled_up_records_and_recovery_survives() {
     let disk = MemDisk::new();
@@ -888,16 +893,21 @@ fn history_retention_retires_rolled_up_records_and_recovery_survives() {
     rt.run_to_completion().unwrap();
     assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
 
-    // The watermark advanced with the rollup and physically retired the
-    // covered prefix: no raw `ev/` record below it survives.
+    // The watermark advanced with the summary and physically retired the
+    // covered prefix: no stream record below it survives.
     let (start, below) = rt
         .store()
         .retention(Space::History)
         .expect("retention never advanced");
-    assert_eq!(start, "ev/");
-    let first_raw = rt
+    assert_eq!(start, "sev/");
+    assert!(rt
         .store()
         .scan_prefix(Space::History, "ev/")
+        .unwrap()
+        .is_empty());
+    let first_raw = rt
+        .store()
+        .scan_prefix(Space::History, "sev/")
         .unwrap()
         .into_iter()
         .map(|(k, _)| k)
@@ -914,7 +924,7 @@ fn history_retention_retires_rolled_up_records_and_recovery_survives() {
     );
 
     // An O(tail) reopen over the retired log answers the durable counts
-    // the live index accumulated.
+    // the live index accumulated, and the digest goes on from the summary.
     let tail = Awareness::open_tail(rt.store()).unwrap();
     assert_eq!(
         tail.index().count("task.end"),
@@ -924,8 +934,10 @@ fn history_retention_retires_rolled_up_records_and_recovery_survives() {
     assert!(tail.index().count("task.end") > 0);
 
     // A fresh runtime over the same disk reopens and completes new work.
+    let digest = rt.history_digest();
     drop(rt);
     let mut rt = tiered_runtime(&disk);
+    assert_eq!(rt.history_digest(), digest);
     let id2 = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
     assert_eq!(rt.instance_status(id2), Some(InstanceStatus::Completed));
@@ -933,6 +945,157 @@ fn history_retention_retires_rolled_up_records_and_recovery_survives() {
         rt.whiteboard(id2).unwrap()["total"],
         Value::Int(expected_total(10))
     );
+}
+
+/// The runtime's history is the stream: each event once under `sev/`,
+/// with its virtual time, in the frame of the commit it rides.  Its digest
+/// is a refold of what `sev/` holds, its index counts what `sev/` holds,
+/// and both go on across a server crash and a reopen from the summary.
+fn the_runtime_history_is_one_stream_with_a_digest(policy: Option<TieredPolicy>) {
+    let disk = MemDisk::new();
+    let boot = |disk: &MemDisk| {
+        let cfg = RuntimeConfig {
+            heartbeat: SimTime::from_secs(20),
+            tiered: policy,
+            ..Default::default()
+        };
+        Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap()
+    };
+    let stream = |rt: &Runtime<MemDisk>| {
+        let persisted = history::persisted_events(rt.store()).unwrap();
+        let (digest, counts, len) = common::refold(&persisted);
+        assert_eq!(rt.history_digest(), digest);
+        let index = rt.awareness().index();
+        let indexed: BTreeMap<String, u64> = index
+            .counts_by_kind()
+            .into_iter()
+            .map(|(k, n)| (k, n as u64))
+            .collect();
+        assert_eq!(indexed, counts);
+        assert_eq!(index.len() as u64, len);
+        persisted
+    };
+    let mut rt = boot(&disk);
+    rt.set_rollup_every(8);
+    rt.register_template(&fanout_template(6, 0)).unwrap();
+    let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    for _ in 0..12 {
+        rt.step().unwrap();
+    }
+    let before = stream(&rt);
+    assert!(
+        before.iter().all(|e| e.at.is_some()),
+        "a record without its time"
+    );
+    assert!(before.windows(2).all(|w| w[0].at <= w[1].at));
+    rt.crash_server().unwrap();
+    rt.recover_server().unwrap();
+    let after = stream(&rt);
+    assert_eq!(after[..before.len()], before[..]);
+    assert_eq!(rt.awareness().index().count("server.recover"), 1);
+    rt.run_to_completion().unwrap();
+    assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
+    let done = stream(&rt);
+    assert!(rt.store().get(Space::History, "summary").unwrap().is_some());
+    assert!(rt
+        .store()
+        .scan_prefix(Space::History, "ev/")
+        .unwrap()
+        .is_empty());
+    assert!(rt.store().get(Space::History, "rollup").unwrap().is_none());
+    let digest = rt.history_digest();
+    drop(rt);
+    let rt = boot(&disk);
+    assert_eq!(rt.history_digest(), digest);
+    assert_eq!(stream(&rt), done);
+    assert_eq!(
+        rt.awareness().all(rt.store()).unwrap().len(),
+        done.len(),
+        "the reopened model reads the whole stream"
+    );
+}
+
+/// A store the runtime wrote before it joined the stream holds `ev/`
+/// history and a `rollup`, and no `sev/`.  The first commit on it carries
+/// a summary that counts the `ev/` events, so every reopen — a server
+/// recovery before any cadence-due summary, a fresh runtime after the run
+/// — counts each old event once, and the old records are left as they
+/// were.
+fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy>) {
+    let disk = MemDisk::new();
+    let store = Store::open_with(disk.clone(), policy).unwrap();
+    let mut writer = EvWriter::open(&store);
+    writer.set_every(8);
+    for i in 0..30u64 {
+        let kind = match i % 3 {
+            0 => bioopera_core::EventKind::NodeCrash { node: "n2".into() },
+            1 => bioopera_core::EventKind::NodeRecover { node: "n2".into() },
+            _ => bioopera_core::EventKind::ClusterUpgrade { cpus: 2 },
+        };
+        writer.record(SimTime::from_secs(i), kind);
+        if i % 7 == 6 {
+            writer.flush(&store);
+        }
+    }
+    writer.flush(&store);
+    let legacy = writer.index().clone();
+    let old_records = |store: &Store<MemDisk>| {
+        let mut records = store.scan_prefix(Space::History, "ev/").unwrap();
+        records.extend(store.scan_prefix(Space::History, "rollup").unwrap());
+        records
+    };
+    let written = old_records(&store);
+    assert_eq!(written.len(), 31, "thirty events and their rollup");
+    drop(store);
+
+    let counted_once = |rt: &Runtime<MemDisk>| {
+        let stream = history::persisted_events(rt.store()).unwrap();
+        let (digest, mut counts, len) = common::refold(&stream);
+        assert_eq!(rt.history_digest(), digest, "the digest is the stream's");
+        for (label, n) in legacy.counts_by_kind() {
+            *counts.entry(label).or_insert(0) += n as u64;
+        }
+        let index = rt.awareness().index();
+        let indexed: BTreeMap<String, u64> = index
+            .counts_by_kind()
+            .into_iter()
+            .map(|(k, n)| (k, n as u64))
+            .collect();
+        assert_eq!(indexed, counts);
+        assert_eq!(index.len(), legacy.len() + len as usize);
+        assert_eq!(index.nodes_down(), legacy.nodes_down());
+        let all = rt.awareness().all(rt.store()).unwrap();
+        assert_eq!(all.len(), index.len());
+        assert_eq!(&all[..legacy.len()], legacy.events());
+        assert_eq!(old_records(rt.store()), written, "the old records moved");
+        assert!(rt.store().get(Space::History, "summary").unwrap().is_some());
+    };
+    let boot = || {
+        let cfg = RuntimeConfig {
+            heartbeat: SimTime::from_secs(20),
+            tiered: policy,
+            ..Default::default()
+        };
+        Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap()
+    };
+    let mut rt = boot();
+    assert_eq!(rt.awareness().index().len(), legacy.len());
+    rt.register_template(&fanout_template(4, 0)).unwrap();
+    let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    rt.step().unwrap();
+    counted_once(&rt);
+    // Far below the default cadence: the summary that counts the old
+    // events is the one the first commit carried.
+    rt.crash_server().unwrap();
+    rt.recover_server().unwrap();
+    counted_once(&rt);
+    rt.run_to_completion().unwrap();
+    assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
+    counted_once(&rt);
+    drop(rt);
+    let rt = boot();
+    counted_once(&rt);
+    assert_eq!(rt.awareness().index().count("server.recover"), 1);
 }
 
 common::on_each_policy!(
@@ -959,4 +1122,6 @@ common::on_each_policy!(
     queue_wait_metric_survives_server_crash,
     stale_completion_after_abort_is_recorded_not_fatal,
     store_survives_and_instance_is_queryable_after_manual_crash,
+    the_runtime_history_is_one_stream_with_a_digest,
+    a_store_written_before_the_stream_is_counted_once,
 );

@@ -40,7 +40,6 @@
 
 mod common;
 
-use bioopera_cluster::SimTime;
 use bioopera_core::awareness::RollupRecord;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
@@ -49,7 +48,8 @@ use bioopera_core::{
 };
 use bioopera_ocr::value::Value;
 use bioopera_store::{MemDisk, Space, Store, TieredPolicy};
-use common::{engine_on, library, submit_workload};
+use common::ev_writer::EvWriter;
+use common::{engine_on, library, refold, submit_workload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -111,31 +111,10 @@ fn as_history(events: &[ShardEvent]) -> Vec<HistoryEvent> {
     events
         .iter()
         .map(|e| HistoryEvent {
-            at: SimTime::from_secs(e.round),
+            at: e.time(),
             kind: e.kind.clone(),
         })
         .collect()
-}
-
-/// What refolding `events` from the stream's first record says of the
-/// history: the digest (round, instance and sequence number of each event,
-/// then a fresh encoding of its kind), the count by label and the count.
-fn refold(events: &[ShardEvent]) -> (u64, BTreeMap<String, u64>, u64) {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |bytes: &[u8]| {
-        for b in bytes {
-            hash = (hash ^ u64::from(*b)).wrapping_mul(0x1_0000_01b3);
-        }
-    };
-    let mut counts = BTreeMap::new();
-    for e in events {
-        fold(&e.round.to_le_bytes());
-        fold(&e.instance.to_le_bytes());
-        fold(&e.seq.to_le_bytes());
-        fold(&serde_json::to_vec(&e.kind).unwrap());
-        *counts.entry(e.kind.label().to_string()).or_insert(0) += 1;
-    }
-    (hash, counts, events.len() as u64)
 }
 
 /// The engine's lifetime view of its history, as [`refold`] reports it.
@@ -358,9 +337,9 @@ proptest! {
 
 /// A store as the previous engine left it: beside every `sev/` record an
 /// `ev/` twin, and a `rollup` whose `base` counts `ev/` sequence numbers.
-/// The twins and the rollup are written here through the `ev/` writer —
-/// the frozen shapes, byte for byte what that engine wrote.  The new
-/// engine reads `sev/` alone: each event once, `ev/` left as it was.
+/// The twins and the rollup are written here through the frozen `ev/`
+/// writer, byte for byte what that engine wrote.  The new engine reads
+/// `sev/` alone: each event once, `ev/` left as it was.
 fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     policy: Option<TieredPolicy>,
 ) {
@@ -383,13 +362,13 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     drop(eng);
 
     let twins = Store::open(MemDisk::new()).unwrap();
-    let mut writer = Awareness::open(&twins).unwrap();
-    writer.set_rollup_every(4);
+    let mut writer = EvWriter::open(&twins);
+    writer.set_every(4);
     for chunk in before_crash.chunks(5) {
         for ev in chunk {
             writer.record(ev.at, ev.kind.clone());
         }
-        writer.flush(&twins).unwrap();
+        writer.flush(&twins);
     }
     let legacy = twins.scan_prefix(Space::History, "").unwrap();
     assert_eq!(

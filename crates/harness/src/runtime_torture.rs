@@ -12,13 +12,18 @@
 //! computation with results **byte-identical** to the oracle — the paper's
 //! §3.4 "avoid inconsistencies in the output data after failures", now
 //! checked at every disk-level crash point rather than only at simulated
-//! node/server fault boundaries.  The store policy is the caller's
+//! node/server fault boundaries.  Every boot (a recovery, after a crash)
+//! and every finished run is also held to the shard torture's **history
+//! invariant**: the runtime's digest is a refold of the `sev/` stream, and
+//! its awareness index — live, and reopened from the summary — is an index
+//! of that stream.  The store policy is the caller's
 //! (`RuntimeConfig::tiered`): under a tiered one the enumerated mutations
 //! include every spill, merge and push-down of the run.
 //!
 //! [`Runtime`]: bioopera_core::Runtime
 //! [`MemDisk`]: bioopera_store::MemDisk
 
+use crate::shard_torture::check_history;
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::{InstanceStatus, Runtime, RuntimeConfig};
 use bioopera_darwin::{DatasetConfig, PamFamily, SequenceDb};
@@ -94,6 +99,9 @@ fn drive(
     }
     let mut rt = Runtime::new(disk.clone(), cluster(), s.library.clone(), cfg(tiered))
         .map_err(fail("boot"))?;
+    let check =
+        |rt: &Runtime<MemDisk>| check_history(rt.history_digest(), rt.awareness(), rt.store());
+    check(&rt).map_err(fail("after recovery"))?;
     rt.register_template(&s.chunk_template)
         .map_err(fail("register chunk template"))?;
     rt.register_template(&s.template)
@@ -108,6 +116,7 @@ fn drive(
         None => rt.submit("AllVsAll", s.initial()).map_err(fail("submit"))?,
     };
     rt.run_to_completion().map_err(fail("run"))?;
+    check(&rt).map_err(fail("at the end"))?;
     let status = rt
         .instance_status(id)
         .ok_or("instance vanished after run")?;

@@ -28,8 +28,9 @@
 //! that covers them: lost, kept in full with the acknowledgment lost, and
 //! torn at byte 0, one byte either side of every WAL frame boundary and
 //! at seeded offsets inside.  Every case of either kind holds the engine
-//! to the **history invariant** after each recovery and at the end: the
-//! engine's lifetime digest and event counts, the awareness index and the
+//! to the **history invariant** ([`check_history`], which the runtime
+//! torture shares) after each recovery and at the end: the engine's
+//! lifetime digest, the awareness index, a reopen from the summary and the
 //! persisted stream are views of one record, so they agree — the digest
 //! with a refold of what `sev/` holds, the rest by label, in length, and
 //! in every aggregate an index rebuilt from the persisted stream would
@@ -41,11 +42,11 @@
 //!
 //! [`ShardEngine::step_round_partial_commit`]: bioopera_core::ShardEngine::step_round_partial_commit
 
-use bioopera_cluster::SimTime;
+use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
-    ActivityLibrary, AwarenessIndex, HistoryEvent, InstanceStatus, ProgramOutput, ShardConfig,
-    ShardEngine,
+    ActivityLibrary, Awareness, AwarenessIndex, HistoryEvent, InstanceStatus, ProgramOutput,
+    ShardConfig, ShardEngine,
 };
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
@@ -276,9 +277,10 @@ fn compare(tag: &str, got: &[RootResult], oracle: &[RootResult]) -> Result<(), S
 }
 
 /// The history digest a refold of `events` from the stream's first record
-/// gives: per event the round, the instance and the sequence number, then
-/// a fresh encoding of its kind.  Written out here so that what the engine
-/// carries across a crash in a summary is held to the stream itself.
+/// gives: per event the round, the instance and the sequence number, its
+/// time if it has one, then a fresh encoding of its kind.  Written out here
+/// so that what a driver carries across a crash in a summary is held to
+/// the stream itself.
 fn refold_digest(events: &[ShardEvent]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut fold = |bytes: &[u8]| {
@@ -290,53 +292,52 @@ fn refold_digest(events: &[ShardEvent]) -> u64 {
         fold(&e.round.to_le_bytes());
         fold(&e.instance.to_le_bytes());
         fold(&e.seq.to_le_bytes());
+        if let Some(at) = e.at {
+            fold(&at.as_millis().to_le_bytes());
+        }
         fold(&serde_json::to_vec(&e.kind).expect("an event kind encodes"));
     }
     hash
 }
 
-/// The history invariant: one record, and every view of it agrees with
-/// it.  The engine's lifetime digest (seeded from a summary, then folded
-/// over the tail and every commit since) is the digest of the persisted
-/// stream refolded whole; its event counts and the awareness index
-/// (reopened from the same summary plus the same tail) are the stream's.
-fn check_history(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
-    let persisted = eng
-        .persisted_events()
-        .map_err(|e| format!("persisted events: {e}"))?;
+/// The history invariant, for either driver: one record, and every view
+/// of it agrees with it.  The driver's lifetime `digest` (seeded from a
+/// summary, then folded over the tail and every commit since) is the
+/// digest of the persisted stream refolded whole; the awareness index's
+/// counts, length and aggregates are the stream's; and so are those of a
+/// reopen of `store` from its summary plus the tail.
+pub(crate) fn check_history<D: Disk>(
+    digest: u64,
+    awareness: &Awareness,
+    store: &Store<D>,
+) -> Result<(), String> {
+    let persisted =
+        history::persisted_events(store).map_err(|e| format!("persisted events: {e}"))?;
     let mut rebuilt = AwarenessIndex::default();
-    let mut labels: BTreeMap<String, u64> = BTreeMap::new();
     for e in &persisted {
-        *labels.entry(e.kind.label().to_string()).or_insert(0) += 1;
         rebuilt.ingest(&HistoryEvent {
-            at: SimTime::from_secs(e.round),
+            at: e.time(),
             kind: e.kind.clone(),
         });
     }
-    let index = eng.awareness().index();
     let refolded = refold_digest(&persisted);
-    if eng.history_digest() != refolded {
+    if digest != refolded {
         return Err(format!(
-            "history: the engine's digest is {:#018x}, a refold of what sev/ holds gives {refolded:#018x}",
-            eng.history_digest()
+            "history: the driver's digest is {digest:#018x}, a refold of what sev/ holds gives {refolded:#018x}"
         ));
     }
-    if eng.event_counts() != labels {
+    let index = awareness.index();
+    if index.counts_by_kind() != rebuilt.counts_by_kind() || index.len() != persisted.len() {
         return Err(format!(
-            "history: event_counts {:?} but the persisted stream holds {labels:?}",
-            eng.event_counts()
+            "history: the index counts {} events {:?}, the persisted stream holds {} {:?}",
+            index.len(),
+            index.counts_by_kind(),
+            persisted.len(),
+            rebuilt.counts_by_kind()
         ));
     }
-    if eng.stats().events != persisted.len() as u64 {
-        return Err(format!(
-            "history: stats().events is {}, the stream holds {}",
-            eng.stats().events,
-            persisted.len()
-        ));
-    }
-    let viewed = eng
-        .awareness()
-        .all(eng.store())
+    let viewed = awareness
+        .all(store)
         .map_err(|e| format!("awareness all: {e}"))?
         .len();
     if viewed != persisted.len() {
@@ -345,22 +346,32 @@ fn check_history(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
             persisted.len()
         ));
     }
+    let reopened = Awareness::open_tail(store).map_err(|e| format!("reopen: {e}"))?;
     let aggregates = |i: &AwarenessIndex| {
         (
-            i.in_flight(),
-            i.peak_in_flight(),
-            i.run_ms().clone(),
-            i.queue_ms().clone(),
+            i.len(),
+            i.counts_by_kind(),
+            (i.in_flight(), i.peak_in_flight()),
+            (i.run_ms().clone(), i.queue_ms().clone()),
+            (i.nodes_down().clone(), i.nodes_quarantined().clone()),
+            i.total_cpu_ms().to_bits(),
         )
     };
-    if aggregates(index) != aggregates(&rebuilt) {
-        return Err(format!(
-            "history: awareness aggregates {:?}, rebuilt from the stream {:?}",
-            aggregates(index),
-            aggregates(&rebuilt)
-        ));
+    for (view, index) in [("awareness", index), ("a reopen", reopened.index())] {
+        if aggregates(index) != aggregates(&rebuilt) {
+            return Err(format!(
+                "history: {view} aggregates {:?}, rebuilt from the stream {:?}",
+                aggregates(index),
+                aggregates(&rebuilt)
+            ));
+        }
     }
     Ok(())
+}
+
+/// [`check_history`] of a sharded engine.
+fn check_engine(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
+    check_history(eng.history_digest(), eng.awareness(), eng.store())
 }
 
 /// Reopen `disk` and recover, holding the recovered engine to the history
@@ -370,7 +381,7 @@ fn recover(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDisk>, String>
     let mut eng =
         ShardEngine::recover(store, library(), cfg()).map_err(|e| format!("recover: {e}"))?;
     eng.set_rollup_every(setup.rollup_every);
-    check_history(&eng).map_err(|e| format!("after recovery: {e}"))?;
+    check_engine(&eng).map_err(|e| format!("after recovery: {e}"))?;
     Ok(eng)
 }
 
@@ -392,7 +403,7 @@ fn recover_and_finish(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDis
             return Err(format!("still quiesced after resume: {outcome:?}"));
         }
     }
-    check_history(&eng).map_err(|e| format!("at the end: {e}"))?;
+    check_engine(&eng).map_err(|e| format!("at the end: {e}"))?;
     Ok(eng)
 }
 
@@ -489,7 +500,7 @@ pub fn run_shard_torture(
         eng.run_to_completion()
             .map_err(|e| format!("oracle run: {e}"))?;
         out.rounds = eng.round();
-        check_history(&eng).map_err(|e| format!("crash-free: {e}"))?;
+        check_engine(&eng).map_err(|e| format!("crash-free: {e}"))?;
         roots(&eng, &ids)
     }) {
         Ok(roots) => roots,

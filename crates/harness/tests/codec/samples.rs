@@ -7,18 +7,22 @@
 //! written by compiling this very source against that commit.  It
 //! therefore uses nothing newer than that commit's public API — the two
 //! record types that were private then (`RollupRecord`, `PendingStart`)
-//! are read back as stored bytes.  Two lines are newer: `StreamSummary`
+//! are read back as stored bytes.  Three lines are newer: `StreamSummary`
 //! did not exist then.  `StreamSummary/chains` is what the commit that
 //! introduced it stored (the `RollupRecord` inside it is the old type,
 //! unchanged), written here through [`SummaryBeforeDigest`], that shape
 //! kept as a frozen writer; `StreamSummary/chains-digest` is the same
-//! summary as stored since it gained its `digest` member.
+//! summary as stored since it gained its `digest` member; and
+//! `ShardEvent/runtime-task.end` is a stream record with the `at` member
+//! the serial runtime's records carry.  The `rollup` is written through
+//! the frozen `ev/` writer, as the serial runtime wrote it then.
 //!
 //! A name is `Type/case`; the text before the `/` picks the Rust type the
 //! line decodes as (`dispatch` in `codec_differential.rs`).
 
+use crate::ev_writer::EvWriter;
 use bioopera_cluster::{NodeSpec, SimTime, Trace, TraceEventKind};
-use bioopera_core::awareness::{Awareness, RollupRecord};
+use bioopera_core::awareness::RollupRecord;
 use bioopera_core::dependability::HealthState;
 use bioopera_core::metrics::{Histogram, RollupBin, RunReport};
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent, ShardMeta};
@@ -356,6 +360,7 @@ fn events() -> Vec<(String, String)> {
                 round: 21,
                 instance: 39_999,
                 seq: 5,
+                at: None,
                 kind: kind.clone(),
             }),
         ));
@@ -367,6 +372,24 @@ fn events() -> Vec<(String, String)> {
             }),
         ));
     }
+    // A stream record as the serial runtime commits it: with its virtual
+    // time, the instance the event concerns and its index in the round.
+    out.push((
+        "ShardEvent/runtime-task.end".to_string(),
+        json(&ShardEvent {
+            round: 4_312,
+            instance: 39_999,
+            seq: 3,
+            at: Some(SimTime::from_millis(3_155_690_123)),
+            kind: EventKind::TaskEnd {
+                instance: 39_999,
+                path: "B".into(),
+                node: "node-002".into(),
+                run_ms: 1,
+                cpu_ms: 20.0,
+            },
+        }),
+    ));
     out
 }
 
@@ -510,15 +533,15 @@ fn run_report() -> (String, String) {
     ("RunReport/month".to_string(), json(&report))
 }
 
-/// The `rollup` record an [`Awareness`] writes, as stored.
+/// The `rollup` record the `ev/` writer wrote, as stored.
 fn rollup_record() -> (String, String) {
     let store = Store::open(MemDisk::new()).expect("a fresh store opens");
-    let mut aw = Awareness::open(&store).expect("awareness opens");
-    aw.set_rollup_every(4);
+    let mut writer = EvWriter::open(&store);
+    writer.set_every(4);
     for (i, kind) in event_kinds().into_iter().enumerate() {
-        aw.record(SimTime::from_secs(i as u64), kind);
+        writer.record(SimTime::from_secs(i as u64), kind);
     }
-    aw.flush(&store).expect("flush");
+    writer.flush(&store);
     let bytes = store
         .get(Space::History, "rollup")
         .expect("store read")

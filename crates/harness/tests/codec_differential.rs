@@ -19,6 +19,8 @@
 //! Everything random comes from `HARNESS_SEED`, which every failure
 //! prints.
 
+#[path = "../../core/tests/common/ev_writer.rs"]
+mod ev_writer;
 #[path = "codec/samples.rs"]
 mod samples;
 

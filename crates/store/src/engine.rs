@@ -145,6 +145,23 @@ impl Batch {
         self
     }
 
+    /// Queue an insert/replace of `record` as the JSON it is stored as.
+    /// The record streams into `scratch` — the caller's, reused from
+    /// record to record, and left holding the encoding — and is copied
+    /// once, into a value of exactly its size: per record the allocator is
+    /// asked for the key and the value, nothing else.
+    pub fn put_record<T: serde::Serialize + ?Sized>(
+        &mut self,
+        space: Space,
+        key: impl Into<String>,
+        record: &T,
+        scratch: &mut String,
+    ) -> &mut Self {
+        scratch.clear();
+        record.write_json(scratch);
+        self.put(space, key, Bytes::copy_from_slice(scratch.as_bytes()))
+    }
+
     /// Queue a delete.
     pub fn delete(&mut self, space: Space, key: impl Into<String>) -> &mut Self {
         self.ops.push(WalOp::Delete {

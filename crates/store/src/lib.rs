@@ -43,7 +43,6 @@ mod policy;
 mod retention;
 pub mod runs;
 pub mod shard;
-pub mod typed;
 pub mod wal;
 
 pub use disk::{CrashEffect, Disk, FaultPlan, FaultTrigger, FileDisk, MemDisk};
@@ -51,4 +50,3 @@ pub use engine::{Batch, Space, Store, StoreStats};
 pub use error::{StoreError, StoreResult};
 pub use policy::{CompactionPolicy, TieredPolicy};
 pub use shard::{parse_shard_key, push_padded, push_shard_prefix, shard_key, shard_prefix};
-pub use typed::TypedSpace;

@@ -4,8 +4,9 @@
 //! The manifest records one `[start, below)` range per space; reads
 //! treat it as absent ([`crate::levels::Levels::retained`]), writes into
 //! it are dropped on apply (including WAL replay), and compactions
-//! reclaim the bytes physically.  The awareness layer advances the
-//! watermark over raw `ev/` records once a durable rollup covers them.
+//! reclaim the bytes physically.  The runtime advances the watermark
+//! over the history stream's `sev/` records once a durable summary covers
+//! them.
 
 use crate::disk::Disk;
 use crate::engine::{Space, Store};

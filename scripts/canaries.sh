@@ -74,14 +74,39 @@ canary bloom-bit crates/store/src/bloom.rs \
 
 # The summary written with a round carrying the digest from before that
 # round's events: a recovery seeded from it is one round short.
-canary stale-summary-digest crates/core/src/shard/mod.rs \
-  's/^        let at = SimTime::from_secs\(round\);$/&\n        let stale = self.history.digest;/;s/^            self\.history\.digest,$/            stale,/' \
+canary stale-summary-digest crates/core/src/history.rs \
+  's/^        for \(i, e\) in events\.into_iter\(\)\.enumerate\(\) \{$/        let stale = self.digest;\n&/;s/^                \.summary_into\(batch, round \+ 1, self\.digest, scratch\);$/                .summary_into(batch, round + 1, stale, scratch);/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism reopening_the_stream
 
 # Recovery reading the history's tail from one round past its summary.
-canary tail-one-round-late crates/core/src/shard/mod.rs \
+canary tail-one-round-late crates/core/src/history.rs \
   's/round_start_key\(tail_round\)\)/round_start_key(tail_round + 1))/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism reopening_the_stream
+
+# A summary that says it covers one round more than its frame holds: the
+# serial runtime, reopened from it, skips the round after it.
+canary runtime-summary-round-late crates/core/src/history.rs \
+  's/^                \.summary_into\(batch, round \+ 1, self\.digest, scratch\);$/                .summary_into(batch, round + 2, self.digest, scratch);/' \
+  cargo test -q --offline -p bioopera-core --test runtime_tests the_runtime_history
+
+# The serial runtime's record losing its virtual time: its events come
+# back stamped with the round that committed them.
+canary runtime-record-without-time crates/core/src/runtime.rs \
+  's/^                    at: Some\(ev\.at\),$/                    at: None,/' \
+  cargo test -q --offline -p bioopera-core --test runtime_tests the_runtime_history
+
+# An ev/ write back in the engine, and the grep gate that keeps the old
+# stream read-only.
+canary runtime-writes-ev crates/core/src/runtime.rs \
+  's/^        self\.store\.apply\(batch\)\?;$/        batch.put(Space::History, "ev\/0", Vec::new());\n&/' \
+  bash scripts/check.sh --gates
+
+# A summary that counts one event more than it covers: every reopen from
+# it — the figures' runs recover from two server crashes — reports one
+# event too many (scripts/artifacts.sh: fig5_report.json moves).
+canary summary-counts-one-more crates/core/src/awareness.rs \
+  's/^            rollup: self\.index\.to_rollup\(self\.index\.len\(\) as u64\),$/            rollup: self.index.to_rollup(self.index.len() as u64 + 1),/' \
+  bash scripts/artifacts.sh
 
 # The visiting replay holding back a frame until the next one parses: the
 # last whole frame before a torn tail is never handed over.

@@ -7,7 +7,8 @@
 #   bash scripts/check.sh --fast   # fmt, the grep gates, clippy, the workspace
 #                                  # tests (tiering included: the store policy
 #                                  # is a test axis, not an environment), the
-#                                  # two release-mode allocation gates:
+#                                  # two release-mode allocation gates, the
+#                                  # paper's artifacts byte for byte:
 #                                  # minutes, run it before every commit
 #   bash scripts/check.sh          # all of that, then both torture runs, the
 #                                  # canaries, the benchmark smoke and check,
@@ -128,19 +129,34 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "one history stream: the shard path stores each event once, in one frame with its summary"
-# The barrier's sev/ records are the only history the sharded engine
-# writes, and the awareness model is a view over them.  A second copy
-# (the ev/ twin: `Awareness::record` + `pending_batch`) or a second frame
-# (`apply_many` over the commit's batch) is two things that must land
-# together, and a torn append keeps a whole-frame prefix: they did not.
+step "one history writer: both drivers store each event once, in one frame with its summary"
+# crates/core/src/history.rs is the History space's one writer: the sev/
+# stream and its summary, put into the batch of the commit they describe,
+# for the sharded engine and the serial runtime alike.  The old ev/ stream
+# is read-only: named in awareness.rs (its reader) alone, where no write
+# but the summary's may appear; its buffered writer (`.record(` +
+# `pending_batch` + `confirm_flushed` + `discard_pending`, through
+# `TypedSpace`) must not come back; and neither commit may split its
+# events from its state into a second frame (`apply_many`).
 stray=$({
-  grep -rnE '"ev/|pending_batch|\.record\(' crates/core/src/shard --include='*.rs'
+  grep -rnE '"ev/|"rollup"|ROLLUP_KEY' crates/core/src --include='*.rs' \
+    | grep -v '^crates/core/src/awareness.rs:'
+  sed '/^#\[cfg(test)\]/,$d' crates/core/src/awareness.rs \
+    | grep -nE '\.(put|put_record|delete|apply|apply_many)\(' | grep -v 'SUMMARY_KEY' \
+    | sed 's|^|crates/core/src/awareness.rs:|'
+  grep -rnE 'pending_batch|confirm_flushed|discard_pending|\.record\(' crates/core/src --include='*.rs'
+  grep -rnE 'TypedSpace' crates/*/src --include='*.rs'
+  for f in $(grep -rlE 'put(_record)?\(Space::History' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/(history|awareness)\.rs$'); do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'put(_record)?\(Space::History' | sed "s|^|$f:|"
+  done
   sed -n '/fn commit_events/,/^    }/p' crates/core/src/shard/mod.rs | grep 'apply_many' \
     | sed 's|^|crates/core/src/shard/mod.rs: commit_events: |'
+  sed -n '/    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs | grep 'apply_many' \
+    | sed 's|^|crates/core/src/runtime.rs: commit: |'
 } || true)
 if [ -n "$stray" ]; then
-  echo "a second history stream or a second frame on the shard path:"
+  echo "a second history writer, an ev/ write, or a second frame for a commit's events:"
   echo "$stray"
   exit 1
 fi
@@ -238,6 +254,12 @@ step "codec allocation gate in release: a record encodes without allocating and 
 # record went through a Content tree); and a record committed to a journal
 # batch: two, its key and its value.
 cargo test --release -q -p bioopera-core --test codec_allocs
+
+step "the paper's seconds-scale artifacts regenerate byte for byte (results/, stdout included)"
+# Figures 4-6, Table 1, the four ablations and the monitoring-error sweep,
+# regenerated into a scratch BIOOPERA_RESULTS and compared with what is
+# committed (scripts/artifacts.sh; a few seconds once built).
+bash scripts/artifacts.sh
 
 if [ "$tier" = fast ]; then
   finish "Fast tier passed (the torture runs, canaries and benchmark runs are the full tier's)."
