@@ -106,6 +106,21 @@ pub enum InDoubt {
     LostSpawn,
 }
 
+/// One record the in-doubt rule decided (see
+/// [`Instance::resolve_in_doubt`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Resolved {
+    /// The task record's path.
+    pub path: String,
+    /// What the record was found to be.
+    pub verdict: InDoubt,
+    /// Whether the rule changed the record: a rewind, or a `ready_at` it
+    /// had to stamp.  A record it left as it was still equals its stored
+    /// copy, so a recovery that persists only the changed ones writes
+    /// what the crash undid and nothing else.
+    pub changed: bool,
+}
+
 impl Instance {
     /// A fresh instance of `template`, its records created and its entry
     /// tasks `Ready` ([`navigator::init_instance`]).
@@ -280,17 +295,19 @@ impl Instance {
     /// record that sat `Ready` through the outage keeps its persisted
     /// stamp, so queue-wait metrics span the outage; a rewound one (a
     /// dispatched record carries no stamp) starts its wait at `now`.
+    /// [`Resolved::changed`] says which records that made different from
+    /// what the journal holds.
     ///
     /// The rule is the same for a suspended instance — nothing in doubt
     /// may be lost — and returns nothing for a terminal one.  What the
     /// caller does with the returned records is the driver's business:
-    /// persist them, then queue / re-request / re-spawn — or, for a
-    /// suspended instance, leave them parked for `resume`.
+    /// persist the changed ones, then queue / re-request / re-spawn every
+    /// one — or, for a suspended instance, leave them parked for `resume`.
     pub fn resolve_in_doubt(
         &mut self,
         now: SimTime,
         children: &BTreeSet<(InstanceId, String)>,
-    ) -> Vec<(String, InDoubt)> {
+    ) -> Vec<Resolved> {
         let mut resolved = Vec::new();
         if self.header.status.is_terminal() {
             return resolved;
@@ -307,10 +324,16 @@ impl Instance {
                 },
                 _ => continue,
             };
+            let changed =
+                rec.state != TaskState::Ready || rec.node.is_some() || rec.ready_at.is_none();
             rec.state = TaskState::Ready;
             rec.node = None;
             rec.ready_at.get_or_insert(now);
-            resolved.push((rec.path.clone(), verdict));
+            resolved.push(Resolved {
+                path: rec.path.clone(),
+                verdict,
+                changed,
+            });
         }
         resolved
     }
@@ -612,7 +635,13 @@ mod tests {
                     assert_eq!(after, &before, "{row}: a left record is untouched");
                 }
                 Some(verdict) => {
-                    assert_eq!(resolved, vec![(path.to_string(), verdict)], "{row}");
+                    // No row's record carries a stamp: each is changed.
+                    let expect = Resolved {
+                        path: path.to_string(),
+                        verdict,
+                        changed: true,
+                    };
+                    assert_eq!(resolved, vec![expect], "{row}");
                     assert_eq!(after.state, Ready, "{row}");
                     assert_eq!(after.node, None, "{row}");
                     assert_eq!(after.ready_at, Some(now), "{row}");
@@ -627,12 +656,31 @@ mod tests {
         let queued = SimTime::from_secs(5);
         inst.tasks.get_mut("A").unwrap().ready_at = Some(queued);
         let resolved = inst.resolve_in_doubt(SimTime::from_secs(90), &BTreeSet::new());
-        // `create` left all four entry tasks Ready.
+        // `create` left all four entry tasks Ready; only `A` was stamped,
+        // as a driver stamps every record it queues, so only `A` is left
+        // as the journal holds it.
         assert_eq!(resolved.len(), 4, "{resolved:?}");
+        for r in &resolved {
+            assert_eq!(r.verdict, InDoubt::Requeue, "{r:?}");
+            assert_eq!(r.changed, r.path != "A", "{r:?}");
+        }
         assert_eq!(
             inst.tasks["A"].ready_at,
             Some(queued),
             "the wait spans the outage"
+        );
+        // The rule decided everything there was: a second pass changes
+        // nothing.
+        let again = inst.resolve_in_doubt(SimTime::from_secs(95), &BTreeSet::new());
+        assert_eq!(again.len(), 4);
+        assert!(again.iter().all(|r| !r.changed), "{again:?}");
+        // A queued record that still names a node is changed: the rule
+        // takes the node away.
+        inst.tasks.get_mut("A").unwrap().node = Some("n1".into());
+        let noded = inst.resolve_in_doubt(SimTime::from_secs(99), &BTreeSet::new());
+        assert!(
+            noded.iter().any(|r| r.path == "A" && r.changed),
+            "{noded:?}"
         );
         for status in [InstanceStatus::Completed, InstanceStatus::Aborted] {
             let mut done = instance(2);

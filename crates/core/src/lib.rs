@@ -62,7 +62,9 @@ pub use metrics::{
 };
 pub use planner::{OutageImpact, Planner, PlannerNode, PlannerSnapshot};
 pub use runtime::{RunStats, Runtime, RuntimeConfig};
-pub use shard::{ControlOp, FaultInjection, ShardConfig, ShardEngine, ShardRunStats};
+pub use shard::{
+    ControlOp, FaultInjection, RecoveryReport, ShardConfig, ShardEngine, ShardRunStats,
+};
 pub use state::{
     InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskMap, TaskRecord, TaskState,
 };

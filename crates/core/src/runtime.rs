@@ -1661,14 +1661,17 @@ impl<D: Disk + Clone> Runtime<D> {
         // which the pump re-spawns under a fresh id — and leaves the
         // containers something still drives: parallel parents (their
         // child records) and subprocess tasks with a child instance.
+        // Every resolved record is queued again; only the ones the rule
+        // changed are written back, the rest already equal their stored
+        // copies.
         let children = instance::child_links(self.instances.values());
-        let mut requeue: Vec<(InstanceId, String)> = Vec::new();
+        let mut requeue: Vec<(InstanceId, instance::Resolved)> = Vec::new();
         for (id, inst) in &mut self.instances {
             let resolved = inst.resolve_in_doubt(now, &children);
-            requeue.extend(resolved.into_iter().map(|(path, _)| (*id, path)));
+            requeue.extend(resolved.into_iter().map(|r| (*id, r)));
         }
         let requeued = requeue.len() as u64;
-        for (id, path) in requeue {
+        for (id, instance::Resolved { path, changed, .. }) in requeue {
             // Reconstruct the pending backoff timer: the RetryAt event
             // died with the kernel consumer, but the deadline survived in
             // the record.  A deadline already in the past needs no event —
@@ -1683,7 +1686,9 @@ impl<D: Disk + Clone> Runtime<D> {
                     },
                 );
             }
-            self.persist_task(id, &path)?;
+            if changed {
+                self.persist_task(id, &path)?;
+            }
             self.enqueue_ready(id, path);
         }
         // Reconcile the rare crash window between "child instance became

@@ -120,6 +120,32 @@ pub struct ShardRunStats {
     pub suspended: u64,
 }
 
+/// What the last [`ShardEngine::recover`] read, found in doubt and wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryReport {
+    /// Instances read from the shard journals.
+    pub instances: u64,
+    /// In-doubt records by [`InDoubt`] kind: queued ones …
+    pub requeue: u64,
+    /// … dispatched activities whose grant died with the server …
+    pub lost_grant: u64,
+    /// … and dispatched subprocess tasks whose child never came up.
+    pub lost_spawn: u64,
+    /// Task records recovery wrote back: those the in-doubt rule changed
+    /// and those a re-spawn stamped.  Every other in-doubt record already
+    /// equals its stored copy and is left out.
+    pub rewritten: u64,
+    /// Acknowledged submissions whose start died with the server, routed
+    /// again.
+    pub pending_rerouted: u64,
+    /// WAL bytes the store's open replayed …
+    pub wal_replayed_bytes: u64,
+    /// … and the torn tail it truncated.
+    pub wal_truncated_bytes: u64,
+    /// Sorted runs the store's open found.
+    pub runs: u64,
+}
+
 /// The sharded navigator engine.
 pub struct ShardEngine<D: Disk> {
     cfg: ShardConfig,
@@ -135,6 +161,8 @@ pub struct ShardEngine<D: Disk> {
     history: History,
     /// The buffer every record the barrier writes is encoded through.
     scratch: String,
+    /// The report of the recovery that built this engine, if one did.
+    recovery: Option<RecoveryReport>,
 }
 
 impl<D: Disk> ShardEngine<D> {
@@ -162,6 +190,7 @@ impl<D: Disk> ShardEngine<D> {
             operator_seq: 0,
             history,
             scratch: String::new(),
+            recovery: None,
             cfg,
         })
     }
@@ -552,6 +581,13 @@ impl<D: Disk> ShardEngine<D> {
     ) -> EngineResult<Self> {
         cfg.shards = cfg.shards.max(1);
         cfg.threads = cfg.threads.clamp(1, cfg.shards);
+        let opened = store.stats();
+        let mut report = RecoveryReport {
+            wal_replayed_bytes: opened.wal_bytes,
+            wal_truncated_bytes: opened.recovered_truncated_bytes,
+            runs: opened.runs as u64,
+            ..RecoveryReport::default()
+        };
         let mut templates = BTreeMap::new();
         for (_key, bytes) in store
             .scan_prefix(Space::Template, "tmpl/")
@@ -566,6 +602,7 @@ impl<D: Disk> ShardEngine<D> {
         for i in 0..cfg.shards {
             let (shard, r) = Shard::recover(i, &store, &templates)?;
             round = round.max(r);
+            report.instances += shard.slots.len() as u64;
             if let Some((max, _)) = shard.slots.last_key_value() {
                 next_instance = next_instance.max(max + 1);
             }
@@ -585,6 +622,7 @@ impl<D: Disk> ShardEngine<D> {
             next_instance,
             history,
             scratch: String::new(),
+            recovery: None,
             store,
             library,
             templates,
@@ -614,8 +652,15 @@ impl<D: Disk> ShardEngine<D> {
                     .map_err(EngineError::Store)?;
             }
         }
-        engine.redrive()?;
+        engine.redrive(&mut report)?;
+        engine.recovery = Some(report);
         Ok(engine)
+    }
+
+    /// What the recovery that built this engine read, found in doubt and
+    /// wrote; `None` for an engine [`ShardEngine::new`] made.
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.recovery
     }
 
     /// Reconstruct in-doubt cross-shard work from both sides' journals.
@@ -631,7 +676,12 @@ impl<D: Disk> ShardEngine<D> {
     /// * a terminal child whose parent task is still `Dispatched` lost
     ///   its `ChildDone` message → re-sent (the parent's state check
     ///   dedupes).
-    fn redrive(&mut self) -> EngineResult<()> {
+    ///
+    /// Only the records this changes are written back — a rewind, a
+    /// stamp the rule had to add, a re-spawn's `Dispatched` — so a crash
+    /// between rounds, which leaves every in-doubt record `Ready` and
+    /// stamped, costs recovery no write but its history commit.
+    fn redrive(&mut self, report: &mut RecoveryReport) -> EngineResult<()> {
         let now = SimTime::from_secs(self.round);
         let round = self.round;
         // Pass 0: acked submissions whose Start message died in memory
@@ -659,6 +709,7 @@ impl<D: Disk> ShardEngine<D> {
                 continue;
             }
             let start: PendingStart = decode(&bytes)?;
+            report.pending_rerouted += 1;
             self.route(Msg {
                 dest: id,
                 src: (id, 0),
@@ -687,44 +738,49 @@ impl<D: Disk> ShardEngine<D> {
             }
         }
         // Pass 2 (mutating): the shared in-doubt rule rewinds lost grants
-        // and lost spawns to `Ready`; what it returns is persisted and
-        // then re-activated by role, as a step would — a subprocess
-        // re-spawns, everything else asks for a node again.
+        // and lost spawns to `Ready`; what it returns is re-activated by
+        // role, as a step would — a subprocess re-spawns, everything else
+        // asks for a node again — and what that changed is persisted.
         let mut requests: Vec<(InstanceId, String)> = Vec::new();
         let mut spawns: Vec<(InstanceId, String, String, BTreeMap<String, Value>)> = Vec::new();
-        let mut requeued = 0u64;
         let mut batches: Vec<Batch> = Vec::new();
         for shard in &mut self.shards {
             for (id, slot) in &mut shard.slots {
                 let resolved = slot.resolve_in_doubt(now, &children);
-                if resolved.is_empty() {
-                    continue;
-                }
                 // Suspended instances re-drive too — their in-doubt work
                 // is rewound to `Ready` so nothing is lost — but stay
                 // parked: no re-request, no re-spawn until resume, whose
                 // full ready-task re-activation picks the rewound tasks
                 // up.
                 let parked = slot.header.status == InstanceStatus::Suspended;
-                for (path, verdict) in &resolved {
-                    requeued += u64::from(*verdict == InDoubt::LostGrant);
-                    if parked {
-                        continue;
-                    }
-                    match slot.begin_subprocess(path, now) {
-                        Some((template, initial)) => {
-                            spawns.push((*id, path.clone(), template, initial))
-                        }
-                        None => requests.push((*id, path.clone())),
+                let mut changed: Vec<&str> = Vec::new();
+                for r in &resolved {
+                    *match r.verdict {
+                        InDoubt::Requeue => &mut report.requeue,
+                        InDoubt::LostGrant => &mut report.lost_grant,
+                        InDoubt::LostSpawn => &mut report.lost_spawn,
+                    } += 1;
+                    let spawned = !parked
+                        && match slot.begin_subprocess(&r.path, now) {
+                            Some((template, initial)) => {
+                                spawns.push((*id, r.path.clone(), template, initial));
+                                true
+                            }
+                            None => {
+                                requests.push((*id, r.path.clone()));
+                                false
+                            }
+                        };
+                    if r.changed || spawned {
+                        changed.push(&r.path);
                     }
                 }
+                if changed.is_empty() {
+                    continue;
+                }
+                report.rewritten += changed.len() as u64;
                 let mut batch = Batch::new();
-                slot.tasks_into(
-                    &mut batch,
-                    Some(shard.id),
-                    resolved.iter().map(|(p, _)| p),
-                    &mut self.scratch,
-                );
+                slot.tasks_into(&mut batch, Some(shard.id), changed, &mut self.scratch);
                 batches.push(batch);
             }
         }
@@ -785,7 +841,9 @@ impl<D: Disk> ShardEngine<D> {
             instance: u64::MAX,
             seq: BARRIER_SEQ_BASE + bseq,
             at: None,
-            kind: EventKind::ServerRecover { requeued },
+            kind: EventKind::ServerRecover {
+                requeued: report.lost_grant,
+            },
         });
         self.commit_events(round, events)?;
         // The recovery pseudo-round used `round`'s event keys; advance so

@@ -34,7 +34,9 @@
 //! persisted stream are views of one record, so they agree — the digest
 //! with a refold of what `sev/` holds, the rest by label, in length, and
 //! in every aggregate an index rebuilt from the persisted stream would
-//! hold.
+//! hold.  Every recovery is also held to what it wrote ([`check_rewrites`]):
+//! each task record it rewrote differs from the copy the journal held, and
+//! each it left out still equals it.
 //!
 //! The store policy is the caller's: under a tiered one the rounds spill
 //! and merge, so crash points fall inside a store whose journals and
@@ -44,14 +46,17 @@
 
 use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
+use bioopera_core::state::keys;
 use bioopera_core::{
     ActivityLibrary, Awareness, AwarenessIndex, HistoryEvent, InstanceStatus, ProgramOutput,
-    ShardConfig, ShardEngine,
+    ShardConfig, ShardEngine, TaskRecord,
 };
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
-use bioopera_store::{wal, CrashEffect, Disk, FaultPlan, MemDisk, Store, TieredPolicy};
+use bioopera_store::{
+    shard_key, wal, CrashEffect, Disk, FaultPlan, MemDisk, Space, Store, TieredPolicy,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -374,14 +379,63 @@ fn check_engine(eng: &ShardEngine<MemDisk>) -> Result<(), String> {
     check_history(eng.history_digest(), eng.awareness(), eng.store())
 }
 
+/// Every task record of the shard journals `store` holds, by key.
+fn task_records<D: Disk>(store: &Store<D>) -> Result<BTreeMap<String, TaskRecord>, String> {
+    let mut out = BTreeMap::new();
+    for (key, bytes) in store
+        .scan_prefix(Space::Instance, "s")
+        .map_err(|e| format!("journal scan: {e}"))?
+    {
+        if key.contains("/task/") {
+            let rec = serde_json::from_slice(&bytes).map_err(|e| format!("{key}: {e}"))?;
+            out.insert(key, rec);
+        }
+    }
+    Ok(out)
+}
+
+/// What a recovery wrote is what it changed: every task record the
+/// recovered engine holds is stored as it holds it (nothing changed was
+/// left out), and exactly [`bioopera_core::RecoveryReport::rewritten`] of
+/// them differ
+/// from the copy the journal held before (nothing written equalled it).
+fn check_rewrites(
+    before: &BTreeMap<String, TaskRecord>,
+    eng: &ShardEngine<MemDisk>,
+) -> Result<(), String> {
+    let report = eng
+        .recovery_report()
+        .ok_or("a recovered engine has no report")?;
+    let after = task_records(eng.store())?;
+    let mut differ = 0u64;
+    for (shard, id, slot) in eng.slots() {
+        for (path, rec) in &slot.tasks {
+            let key = shard_key(shard, &keys::task(id, path));
+            if after.get(&key) != Some(&**rec) {
+                return Err(format!("recovery changed {key} and left it out"));
+            }
+            differ += u64::from(before.get(&key) != Some(&**rec));
+        }
+    }
+    if differ != report.rewritten {
+        return Err(format!(
+            "recovery wrote {} records, {differ} of them differ from the stored copy: {report:?}",
+            report.rewritten
+        ));
+    }
+    Ok(())
+}
+
 /// Reopen `disk` and recover, holding the recovered engine to the history
-/// invariant before it takes a step.
+/// invariant, and what it wrote to what it changed, before it takes a step.
 fn recover(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDisk>, String> {
     let store = Store::open_with(disk.clone(), setup.tiered).map_err(|e| format!("reopen: {e}"))?;
+    let before = task_records(&store)?;
     let mut eng =
         ShardEngine::recover(store, library(), cfg()).map_err(|e| format!("recover: {e}"))?;
     eng.set_rollup_every(setup.rollup_every);
     check_engine(&eng).map_err(|e| format!("after recovery: {e}"))?;
+    check_rewrites(&before, &eng).map_err(|e| format!("after recovery: {e}"))?;
     Ok(eng)
 }
 

@@ -164,11 +164,6 @@ impl BlockCache {
         self.inner.lock().misses
     }
 
-    /// Estimated bytes currently cached.
-    pub fn resident_bytes(&self) -> u64 {
-        self.inner.lock().bytes
-    }
-
     /// Point-look `key` up in block `(run, offset)`, decoding via
     /// `load` on a miss.  The search runs *under the cache lock* on a
     /// hit — no refcount traffic, no block handle escapes — and the
@@ -305,7 +300,7 @@ mod tests {
                 .lookup_or_load(2, i * 4096, "k0000", || Ok(block(4, 100)))
                 .unwrap();
         }
-        assert!(cache.resident_bytes() <= 4096);
+        assert!(cache.inner.lock().bytes <= 4096);
     }
 
     #[test]
@@ -319,7 +314,7 @@ mod tests {
             .unwrap();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.resident_bytes(), 0);
+        assert_eq!(cache.inner.lock().bytes, 0);
     }
 
     #[test]
@@ -343,14 +338,14 @@ mod tests {
         cache.purge_run(1);
         // Exactly run 1's two blocks went: the other runs keep their
         // slots and the byte accounting drops by run 1's share alone.
-        assert_eq!(cache.resident_bytes(), others);
+        assert_eq!(cache.inner.lock().bytes, others);
         assert_eq!(slot_of(1, 0), None);
         assert_eq!(slot_of(1, 4096), None);
         assert!(!cache.inner.lock().map.contains_key(&1));
         assert_eq!((slot_of(2, 0), slot_of(3, 4096)), (slot2, slot3));
         assert!(slot2.is_some() && slot3.is_some());
         cache.purge_run(7); // never cached: a no-op
-        assert_eq!(cache.resident_bytes(), others);
+        assert_eq!(cache.inner.lock().bytes, others);
         cache
             .lookup_or_load(1, 0, "k0000", || Ok(block(2, 8)))
             .unwrap();

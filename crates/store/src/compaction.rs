@@ -17,7 +17,7 @@ use crate::error::StoreResult;
 use crate::levels::Levels;
 use crate::manifest::{manifest_for, snapshot_name, wal_name};
 use crate::memtable::{entry_cost, MemTables};
-use crate::merge::Merge;
+use crate::merge::{Entry, Merge};
 use crate::runs::{run_name, Run, RunEntry, RunWriter};
 use crate::wal::{self, WalOpRef};
 use std::collections::BTreeMap;
@@ -377,7 +377,7 @@ impl<D: Disk> Store<D> {
         // so it ranks first and the sources overwrite.
         let mut inputs: Vec<&[Run]> = vec![overlaps];
         inputs.extend(sources.iter().map(std::slice::from_ref));
-        let mut merge = Merge::new(&*wal.disk, &inputs)?;
+        let mut merge = Merge::new(&*wal.disk, inputs, None)?;
         // An output run holds at most `run_target` of entry cost, which
         // bounds its image, and no more than the inputs hold.
         let bytes_in: u64 = overlaps.iter().chain(sources).map(|r| r.data_bytes).sum();
@@ -400,14 +400,13 @@ impl<D: Disk> Store<D> {
         };
         let mut out = RunWriter::with_capacity(capacity);
         let mut out_bytes = 0u64;
-        while let Some(e) = merge.next()? {
-            if skip(e.space, e.key, e.value.is_some()) {
+        while let Some(Entry { space, key, value }) = merge.next()? {
+            let value = value.map(|(block, at)| &block[at]);
+            if skip(space, key, value.is_some()) {
                 continue;
             }
-            let cost = entry_cost(e.key.len(), e.value.map_or(0, <[u8]>::len));
-            if !out.is_empty()
-                && (out_bytes + cost > run_target || past_fence(fence, e.space, e.key))
-            {
+            let cost = entry_cost(key.len(), value.map_or(0, <[u8]>::len));
+            if !out.is_empty() && (out_bytes + cost > run_target || past_fence(fence, space, key)) {
                 write_run(std::mem::replace(
                     &mut out,
                     RunWriter::with_capacity(capacity),
@@ -415,11 +414,11 @@ impl<D: Disk> Store<D> {
                 out_bytes = 0;
             }
             if out.is_empty() {
-                while past_fence(fence, e.space, e.key) {
+                while past_fence(fence, space, key) {
                     fence += 1;
                 }
             }
-            out.push(e);
+            out.push(RunEntry { space, key, value });
             out_bytes += cost;
         }
         if !out.is_empty() {

@@ -18,8 +18,9 @@
 //!   sorted L1+) and the point-read path through it.
 //! * `compaction.rs` — every rewrite that commits through the
 //!   manifest: snapshot roll, spill, leveled push-down.
-//! * `merge.rs` — the streaming k-way merge a push-down reads its
-//!   inputs through.
+//! * `merge.rs` — the streaming k-way merge every multi-input read
+//!   goes through: a push-down's inputs, and a range scan over the
+//!   memtable and the tier.
 //! * `retention.rs` — the per-space watermark that retires a key
 //!   range for good.
 //!
@@ -54,13 +55,12 @@ use crate::error::{StoreError, StoreResult};
 use crate::levels::{levels_lookup, Levels, TierMetrics};
 use crate::manifest::{parse_manifest, snapshot_name, wal_name, ManifestState, MANIFEST};
 use crate::memtable::{apply_ops, MemTables};
+use crate::merge::{Merge, Scan};
 use crate::policy::{CompactionPolicy, TieredPolicy};
 use crate::runs::{parse_run_name, Run};
 use crate::wal::{self, WalOp};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -469,11 +469,6 @@ impl<D: Disk> Store<D> {
         self.wal.lock().policy = policy;
     }
 
-    /// The currently installed tiered-storage policy, if any.
-    pub fn tiered_policy(&self) -> Option<TieredPolicy> {
-        self.wal.lock().tiered
-    }
-
     /// Apply a batch atomically: durable in the WAL first, then visible.
     pub fn apply(&self, batch: Batch) -> StoreResult<()> {
         self.apply_many([batch])
@@ -573,14 +568,12 @@ impl<D: Disk> Store<D> {
     }
 
     /// The one range scan: `visit` sees every `(key, value)` pair in
-    /// `space` from `start` up to the first key `within` rejects, in key
-    /// order, merged across the memtable and the run tier, and stops the
-    /// scan by returning an error.  `within` must hold for a contiguous
-    /// stretch of keys beginning at `start`.  Runs fold oldest-to-newest
-    /// into an ordered map (newer entries overwrite), the memtable
-    /// overlays last (tombstones shadow), then deletions and retired keys
-    /// drop out.  The store's read locks are held throughout: `visit` must
-    /// not write to this store.
+    /// `space` from `start` up to the first key `within` rejects (it must
+    /// hold for a contiguous stretch from `start`), in key order, and stops
+    /// the scan by returning an error.  The tier and the memtable, the
+    /// newest input, stream through one [`Merge`]; deletions and retired
+    /// keys drop out, and each value is a slice of the block it was read
+    /// in.  The read locks are held throughout: `visit` must not write.
     fn visit_while<E: From<StoreError>>(
         &self,
         space: Space,
@@ -591,32 +584,18 @@ impl<D: Disk> Store<D> {
         self.check_alive()?;
         let mem = self.mem.read();
         let levels = self.levels.read();
-        let in_mem = mem.spaces[space.as_u8() as usize]
-            .range::<str, _>((Bound::Included(start), Bound::Unbounded))
-            .take_while(|(k, _)| within(k));
-        if levels.no_runs() {
-            // Fast path: no tier means no tombstones and no merge map
-            // (and the memtable never holds retired keys).
-            for (k, v) in in_mem {
-                if let Some(v) = v {
-                    visit(k, v)?;
-                }
-            }
-            return Ok(());
-        }
-        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
-        for run in levels.iter_oldest_first() {
-            for (k, v) in run.scan_while(&*self.disk, space.as_u8(), start, &within)? {
-                merged.insert(k, v);
-            }
-        }
-        for (k, v) in in_mem {
-            merged.insert(k.clone(), v.clone());
-        }
-        for (k, v) in &merged {
-            if let Some(v) = v {
-                if !levels.retained(space.as_u8(), k) {
-                    visit(k, v)?;
+        let space = space.as_u8();
+        let scan = Scan {
+            space,
+            start,
+            within: &within,
+            mem: &mem,
+        };
+        let mut merge = Merge::new(&*self.disk, levels.merge_inputs(), Some(scan))?;
+        while let Some(e) = merge.next()? {
+            if let Some((block, at)) = e.value {
+                if !levels.retained(space, e.key) {
+                    visit(e.key, &block.slice(at))?;
                 }
             }
         }
@@ -624,7 +603,7 @@ impl<D: Disk> Store<D> {
     }
 
     /// [`Store::visit_while`], collected.
-    fn scan_while(
+    fn collect_while(
         &self,
         space: Space,
         start: &str,
@@ -671,7 +650,7 @@ impl<D: Disk> Store<D> {
     /// All `(key, value)` pairs in `space` whose key starts with `prefix`,
     /// in key order.
     pub fn scan_prefix(&self, space: Space, prefix: &str) -> StoreResult<Vec<(String, Bytes)>> {
-        self.scan_while(space, prefix, |k| k.starts_with(prefix))
+        self.collect_while(space, prefix, |k| k.starts_with(prefix))
     }
 
     /// All `(key, value)` pairs in `space` with `key >= start`, in key
@@ -679,7 +658,7 @@ impl<D: Disk> Store<D> {
     /// rollup can resume from the first un-rolled-up key without
     /// replaying their whole history.
     pub fn scan_from(&self, space: Space, start: &str) -> StoreResult<Vec<(String, Bytes)>> {
-        self.scan_while(space, start, |_| true)
+        self.collect_while(space, start, |_| true)
     }
 
     /// Number of records in `space`.  O(records): a counting scan of the
@@ -795,6 +774,9 @@ impl<D: Disk> Store<D> {
 pub(crate) mod tests {
     use super::*;
     use crate::disk::{FaultPlan, MemDisk};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::ops::Bound;
 
     pub(crate) fn open_mem() -> (MemDisk, Store<MemDisk>) {
         let disk = MemDisk::new();
@@ -1477,6 +1459,225 @@ pub(crate) mod tests {
                 tiered.read(name).unwrap(),
                 "file `{name}` diverged"
             );
+        }
+    }
+
+    /// A disk that logs every ranged read, `(file, offset)`: which block
+    /// of which run a scan loaded.
+    #[derive(Clone, Default)]
+    struct Recording {
+        inner: MemDisk,
+        reads: Arc<Mutex<Vec<(String, u64)>>>,
+    }
+
+    impl Disk for Recording {
+        fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>> {
+            self.inner.read(name)
+        }
+        fn write_atomic(&self, name: &str, data: &[u8]) -> StoreResult<()> {
+            self.inner.write_atomic(name, data)
+        }
+        fn append(&self, name: &str, data: &[u8]) -> StoreResult<()> {
+            self.inner.append(name, data)
+        }
+        fn list(&self) -> StoreResult<Vec<String>> {
+            self.inner.list()
+        }
+        fn delete(&self, name: &str) -> StoreResult<()> {
+            self.inner.delete(name)
+        }
+        fn read_range(&self, name: &str, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
+            self.reads.lock().push((name.to_string(), offset));
+            self.inner.read_range(name, offset, len)
+        }
+        fn file_size(&self, name: &str) -> StoreResult<Option<u64>> {
+            self.inner.file_size(name)
+        }
+    }
+
+    impl Recording {
+        /// The reads logged since the last call, sorted.
+        fn take_reads(&self) -> Vec<(String, u64)> {
+            let mut reads = std::mem::take(&mut *self.reads.lock());
+            reads.sort();
+            reads
+        }
+    }
+
+    /// The scan before it streamed through the merge: every run's range,
+    /// oldest first, folded into an ordered map, the memtable overlaid,
+    /// then deletions and retired keys dropped.
+    fn fold_scan<D: Disk>(
+        disk: &D,
+        mem: &BTreeMap<String, Option<Bytes>>,
+        levels: &Levels,
+        space: u8,
+        start: &str,
+        within: &dyn Fn(&str) -> bool,
+    ) -> Vec<(String, Bytes)> {
+        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();
+        for run in levels.deeper.iter().rev().flatten().chain(&levels.l0) {
+            let range = crate::runs::tests::scan_reference(run, disk, space, start, within);
+            merged.extend(range.unwrap());
+        }
+        let in_mem = mem
+            .range::<str, _>((Bound::Included(start), Bound::Unbounded))
+            .take_while(|(k, _)| within(k));
+        for (k, v) in in_mem {
+            merged.insert(k.clone(), v.clone());
+        }
+        merged
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, v?)))
+            .filter(|(k, _)| !levels.retained(space, k))
+            .collect()
+    }
+
+    type Rows = BTreeMap<(u8, String), Option<Vec<u8>>>;
+
+    /// Keys of three spaces under three prefixes; a quarter tombstones;
+    /// values long enough that a run of a few dozen entries spans blocks.
+    fn rows() -> impl Strategy<Value = Rows> {
+        let key = (
+            0u8..3,
+            prop::sample::select(vec!["a/", "b/", "c/"]),
+            0u16..40,
+        )
+            .prop_map(|(space, prefix, k)| (space, format!("{prefix}{k:03}")));
+        let value = prop_oneof![
+            1 => Just(None),
+            3 => prop::collection::vec(any::<u8>(), 0..900).prop_map(Some),
+        ];
+        prop::collection::btree_map(key, value, 0..40)
+    }
+
+    /// A random tier: overlapping L0 runs, and deeper levels of disjoint
+    /// runs (one entry set cut at random places).
+    #[derive(Debug)]
+    struct Layout {
+        l0: Vec<Rows>,
+        deeper: Vec<(Rows, Vec<usize>)>,
+        mem: Rows,
+        retain: Option<(String, String)>,
+    }
+
+    fn layout() -> impl Strategy<Value = Layout> {
+        let bound = (prop::sample::select(vec!["a/", "b/"]), 0u16..40)
+            .prop_map(|(prefix, k)| format!("{prefix}{k:03}"));
+        (
+            prop::collection::vec(rows(), 0..4),
+            prop::collection::vec((rows(), prop::collection::vec(0usize..40, 0..4)), 0..3),
+            rows(),
+            prop_oneof![1 => Just(None), 2 => (bound.clone(), bound).prop_map(Some)],
+        )
+            .prop_map(|(l0, deeper, mem, retain)| Layout {
+                l0,
+                deeper,
+                mem,
+                retain: retain.map(|(a, b)| (a.clone().min(b.clone()), a.max(b))),
+            })
+    }
+
+    fn write_run(disk: &MemDisk, id: &mut u64, entries: &[crate::runs::RunEntry<'_>]) -> Run {
+        let name = crate::runs::run_name(*id);
+        *id += 1;
+        disk.write_atomic(&name, &crate::runs::build_run(entries))
+            .unwrap();
+        Run::open(disk, &name).unwrap()
+    }
+
+    fn entries(rows: &Rows) -> Vec<crate::runs::RunEntry<'_>> {
+        rows.iter()
+            .map(|((space, key), value)| crate::runs::RunEntry {
+                space: *space,
+                key,
+                value: value.as_deref(),
+            })
+            .collect()
+    }
+
+    /// The layout laid down as runs, with the retention watermark on the
+    /// scanned space, and the memtable of every space.
+    fn lay_down(disk: &MemDisk, layout: &Layout, space: u8) -> (Levels, MemTables) {
+        let mut id = 0;
+        let mut levels = Levels::default();
+        for rows in &layout.l0 {
+            levels.l0.push(write_run(disk, &mut id, &entries(rows)));
+        }
+        for (rows, cuts) in &layout.deeper {
+            let rows = entries(rows);
+            let mut cuts: Vec<usize> = cuts.iter().copied().filter(|&c| c < rows.len()).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let mut level = Vec::new();
+            let mut from = 0;
+            for end in cuts.into_iter().chain([rows.len()]) {
+                if end > from {
+                    level.push(write_run(disk, &mut id, &rows[from..end]));
+                }
+                from = end;
+            }
+            levels.deeper.push(level);
+        }
+        levels.retain[space as usize] = layout.retain.clone();
+        // The memtable never holds a retired key: a write into the
+        // watermark is dropped, and an advance purges what it covers.
+        let mut mem = MemTables::default();
+        for ((s, key), value) in &layout.mem {
+            if !levels.retained(*s, key) {
+                mem.spaces[*s as usize].insert(key.clone(), value.clone().map(Bytes::from));
+            }
+        }
+        (levels, mem)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over any tier — overlapping L0 runs, disjoint deeper levels,
+        /// tombstones over older values and in the memtable, a retention
+        /// watermark — `visit_prefix_from` sees what the old merge-map
+        /// fold saw, from a start inside a block and under prefixes that
+        /// run to a space's end, and loads no block the fold did not load.
+        #[test]
+        fn the_merged_scan_is_the_fold_and_reads_no_more(
+            layout in layout(),
+            space in 0u8..3,
+            prefix in prop::sample::select(vec!["", "a/", "a/01", "b/", "c/", "c/03", "d/"]),
+            start in (prop::sample::select(vec!["", "a/", "b/", "c/"]), 0u16..400)
+                .prop_map(|(p, k)| format!("{p}{k:04}")),
+        ) {
+            let disk = Recording::default();
+            let store = Store::open_with(disk.clone(), Some(TieredPolicy::default())).unwrap();
+            let (levels, mem) = lay_down(&disk.inner, &layout, space);
+            let from = start.as_str().max(prefix);
+            let within = |k: &str| k.starts_with(prefix);
+            disk.take_reads();
+            let expect = fold_scan(&disk, &mem.spaces[space as usize], &levels, space, from, &within);
+            let fold_reads = disk.take_reads();
+            *store.levels.write() = levels;
+            *store.mem.write() = mem;
+            let mut got = Vec::new();
+            let space_of = Space::from_u8(space).unwrap();
+            store.visit_prefix_from(space_of, prefix, &start, |k, v| {
+                got.push((k.to_string(), v.clone()));
+                Ok::<(), StoreError>(())
+            })
+            .unwrap();
+            let scan_reads = disk.take_reads();
+            // Keys and lengths first: a failure names them, not the bytes.
+            let keys = |v: &[(String, Bytes)]| -> Vec<(String, usize)> {
+                v.iter().map(|(k, b)| (k.clone(), b.len())).collect()
+            };
+            prop_assert_eq!(keys(&got), keys(&expect), "space {} from {:?}", space, start);
+            prop_assert_eq!(&got, &expect);
+            // Every block the scan loaded, the fold loaded too.
+            let mut fold_left = fold_reads.clone();
+            for read in &scan_reads {
+                let at = fold_left.iter().position(|r| r == read);
+                prop_assert!(at.is_some(), "the scan read {:?}, the fold never did ({:?})", read, fold_reads);
+                fold_left.swap_remove(at.unwrap());
+            }
         }
     }
 }

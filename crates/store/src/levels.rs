@@ -56,11 +56,11 @@ impl Levels {
             .map_or(0, |i| i + 1)
     }
 
-    /// Every run, oldest data first: deepest level upward, then L0 in
-    /// spill order.  This is the fold order for merging scans (later
-    /// entries overwrite earlier ones).
-    pub(crate) fn iter_oldest_first(&self) -> impl Iterator<Item = &Run> {
-        self.deeper.iter().rev().flatten().chain(self.l0.iter())
+    /// The tier as merge inputs, oldest data first: each deeper level one
+    /// input, deepest first, then each L0 run one input, in spill order.
+    pub(crate) fn merge_inputs(&self) -> impl Iterator<Item = &[Run]> {
+        let levels = self.deeper.iter().rev().map(Vec::as_slice);
+        levels.chain(self.l0.iter().map(std::slice::from_ref))
     }
 
     /// Is `key` inside the retention watermark of `space`?
@@ -98,7 +98,8 @@ impl Levels {
             return false;
         }
         let h = crate::bloom::hash_pair(space, key);
-        self.iter_oldest_first().any(|r| r.may_contain_hashed(h))
+        let mut runs = self.l0.iter().chain(self.deeper.iter().flatten());
+        runs.any(|r| r.may_contain_hashed(h))
     }
 }
 
@@ -155,11 +156,8 @@ fn probe_run<D: Disk>(
     key: &str,
     counts: &mut LookupCounts,
 ) -> StoreResult<Option<Option<Bytes>>> {
-    let in_range = match (run.min_key(), run.max_key()) {
-        (Some(lo), Some(hi)) => lo <= (space, key) && (space, key) <= hi,
-        _ => false,
-    };
-    if !in_range {
+    let in_range = |(lo, hi)| lo <= (space, key) && (space, key) <= hi;
+    if !run.hull().is_some_and(in_range) {
         counts.skips += 1;
         return Ok(None);
     }

@@ -1,56 +1,124 @@
-//! The streaming k-way merge a compaction reads its inputs through.
+//! The streaming k-way merge every multi-input read goes through: a
+//! compaction's inputs, and a range scan's tier and memtable.
 //!
-//! Each input is a [`Cursor`] over a sequence of runs with ascending,
-//! pairwise-disjoint hulls — one source run, or the selected runs of the
-//! target level — that holds one raw block at a time and walks it in
-//! place ([`Run::load_raw_block`], so each block read is CRC-checked and
-//! each op parsed by the one op parser).  [`Merge::next`] yields every
-//! `(space, key)` once, in order, with the value of the newest input that
-//! holds it, borrowed from that input's block: nothing is decoded into an
-//! owned op, and a surviving entry is copied once, into the output run.
-//! Resident memory is one block per input, whatever the inputs' size.
+//! Each run input is a cursor over runs with ascending, disjoint hulls —
+//! one source run, one L0 run, or a level — that holds one block at a
+//! time and walks it in place ([`Run::load_raw_block`]: CRC-checked, each
+//! op parsed by the one op parser).  A scan seeks every run cursor to its
+//! start by the sparse index, reads no block that begins past its range,
+//! and adds the memtable's range as the newest input.  [`Merge::next`]
+//! yields every `(space, key)` once, in order, with the newest input's
+//! value borrowed from that input's buffer.  Resident memory is one block
+//! per input, whatever the inputs' size.
 
 use crate::disk::Disk;
 use crate::error::{StoreError, StoreResult};
-use crate::runs::{Run, RunEntry};
-use crate::wal::{self, OpAt, OpWalk};
+use crate::memtable::MemTables;
+use crate::runs::Run;
+use crate::wal::{OpAt, OpWalk};
+use bytes::Bytes;
+use std::collections::btree_map;
+use std::ops::{Bound, Range};
+
+/// What a scan reads: `space`'s keys from `start` on while `within` holds,
+/// with `mem`'s table of that space as the newest input.
+#[derive(Clone, Copy)]
+pub(crate) struct Scan<'a> {
+    pub(crate) space: u8,
+    pub(crate) start: &'a str,
+    pub(crate) within: &'a dyn Fn(&str) -> bool,
+    pub(crate) mem: &'a MemTables,
+}
 
 /// Block-at-a-time reader over runs whose hulls ascend without overlap.
-struct Cursor<'a> {
+struct RunCursor<'a> {
     runs: &'a [Run],
     next_block: usize,
-    /// The current block: one whole frame.
-    block: Vec<u8>,
+    /// The current block's payload, a slice of the block as read.
+    block: Bytes,
     walk: OpWalk,
     /// The entry the cursor stands on; `None` once it is exhausted.
     head: Option<OpAt>,
+    /// A scan's range; a compaction's cursor reads every entry.
+    scan: Option<Scan<'a>>,
 }
 
-/// The payload of a block frame (nothing before the first block).
-fn payload(block: &[u8]) -> &[u8] {
-    block.get(wal::HEADER_LEN..).unwrap_or_default()
-}
+impl<'a> RunCursor<'a> {
+    /// A cursor before the first entry of `runs`, or of `scan`'s range:
+    /// runs and blocks wholly below its start are skipped by the index.
+    fn new(mut runs: &'a [Run], scan: Option<Scan<'a>>) -> Self {
+        let mut next_block = 0;
+        if let Some(Scan { space, start, .. }) = scan {
+            let below = runs.partition_point(|r| r.max_key().is_none_or(|m| m < (space, start)));
+            runs = &runs[below..];
+            next_block = runs.first().map_or(0, |r| r.seek(space, start));
+        }
+        RunCursor {
+            runs,
+            next_block,
+            block: Bytes::new(),
+            walk: OpWalk::default(),
+            head: None,
+            scan,
+        }
+    }
 
-impl Cursor<'_> {
     /// Step to the next entry, loading the next block when this one is
     /// walked out.
     fn advance<D: Disk>(&mut self, disk: &D) -> StoreResult<()> {
+        self.head = None;
         loop {
-            if let Some((op, _)) = self.walk.next(payload(&self.block))? {
-                self.head = Some(op);
+            if let Some((op, key)) = self.walk.next(&self.block)? {
+                match self.scan {
+                    Some(scan) if key < scan.start => continue,
+                    Some(scan) if !(scan.within)(key) => {}
+                    _ => self.head = Some(op),
+                }
                 return Ok(());
             }
             let Some(run) = self.runs.first() else {
-                self.head = None;
                 return Ok(());
             };
             if self.next_block == run.block_count() {
                 self.runs = &self.runs[1..];
                 self.next_block = 0;
-            } else {
-                self.block = run.load_raw_block(disk, self.next_block)?;
-                self.walk = OpWalk::new(payload(&self.block))?;
-                self.next_block += 1;
+                continue;
+            }
+            // A block of a later space, or one that begins past a scan's
+            // range, is left unread.
+            let (space, first) = run.block_start(self.next_block);
+            let past = |s: Scan| space != s.space || (first >= s.start && !(s.within)(first));
+            if self.scan.is_some_and(past) {
+                return Ok(());
+            }
+            self.block = run.load_raw_block(disk, self.next_block)?;
+            self.walk = OpWalk::new(&self.block)?;
+            self.next_block += 1;
+        }
+    }
+}
+
+/// A range of one space's memtable.
+type MemRange<'a> = btree_map::Range<'a, String, Option<Bytes>>;
+
+/// One input of a merge: runs, or a scan's memtable range and its head (a
+/// `None` value is a tombstone).
+enum Cursor<'a> {
+    Runs(RunCursor<'a>),
+    Mem(
+        Scan<'a>,
+        MemRange<'a>,
+        Option<(&'a String, &'a Option<Bytes>)>,
+    ),
+}
+
+impl Cursor<'_> {
+    fn advance<D: Disk>(&mut self, disk: &D) -> StoreResult<()> {
+        match self {
+            Cursor::Runs(c) => c.advance(disk),
+            Cursor::Mem(scan, range, head) => {
+                *head = range.next().filter(|(k, _)| (scan.within)(k));
+                Ok(())
             }
         }
     }
@@ -58,26 +126,36 @@ impl Cursor<'_> {
     /// The head's `(space, key)`, the key as bytes: they order as the
     /// text does.
     fn key(&self) -> Option<(u8, &[u8])> {
-        let head = self.head.as_ref()?;
-        Some((head.space, &payload(&self.block)[head.key.clone()]))
+        match self {
+            Cursor::Runs(c) => c.head.as_ref().map(|h| (h.space, &c.block[h.key.clone()])),
+            Cursor::Mem(scan, _, head) => head.map(|(k, _)| (scan.space, k.as_bytes())),
+        }
     }
 
-    fn entry(&self) -> StoreResult<Option<RunEntry<'_>>> {
-        let Some(head) = &self.head else {
+    fn entry(&self) -> StoreResult<Option<Entry<'_>>> {
+        let Some((space, key)) = self.key() else {
             return Ok(None);
         };
-        let payload = payload(&self.block);
-        let key = std::str::from_utf8(&payload[head.key.clone()])
+        let key = std::str::from_utf8(key)
             .map_err(|_| StoreError::Corruption("key is not utf-8".into()))?;
-        Ok(Some(RunEntry {
-            space: head.space,
-            key,
-            value: head.value.clone().map(|v| &payload[v]),
-        }))
+        let value = match self {
+            Cursor::Runs(c) => c.head.clone().and_then(|h| Some((&c.block, h.value?))),
+            Cursor::Mem(_, _, head) => head.and_then(|(_, v)| v.as_ref()).map(|v| (v, 0..v.len())),
+        };
+        Ok(Some(Entry { space, key, value }))
     }
 }
 
-/// The merged view of `inputs`, oldest input first (a later input's
+/// One entry of a merge: the newest input's version of its key.
+pub(crate) struct Entry<'m> {
+    pub(crate) space: u8,
+    pub(crate) key: &'m str,
+    /// The buffer the value lies in — the block it was read in, or the
+    /// memtable's own — and where; `None` for a tombstone.
+    pub(crate) value: Option<(&'m Bytes, Range<usize>)>,
+}
+
+/// The merged view of its inputs, oldest input first (a later input's
 /// value for a key wins).
 pub(crate) struct Merge<'a, D: Disk> {
     disk: &'a D,
@@ -88,18 +166,24 @@ pub(crate) struct Merge<'a, D: Disk> {
 }
 
 impl<'a, D: Disk> Merge<'a, D> {
-    pub(crate) fn new(disk: &'a D, inputs: &[&'a [Run]]) -> StoreResult<Self> {
-        let mut cursors = Vec::with_capacity(inputs.len());
-        for &runs in inputs {
-            let mut cursor = Cursor {
-                runs,
-                next_block: 0,
-                block: Vec::new(),
-                walk: OpWalk::default(),
-                head: None,
-            };
+    /// Every entry of `inputs` (a compaction), or only those in `scan`'s
+    /// range, with the memtable's range as the newest input (a read).
+    pub(crate) fn new(
+        disk: &'a D,
+        inputs: impl IntoIterator<Item = &'a [Run]>,
+        scan: Option<Scan<'a>>,
+    ) -> StoreResult<Self> {
+        let mut cursors: Vec<Cursor<'a>> = inputs
+            .into_iter()
+            .map(|runs| Cursor::Runs(RunCursor::new(runs, scan)))
+            .collect();
+        if let Some(scan) = scan {
+            let range = (Bound::Included(scan.start), Bound::Unbounded);
+            let mem = &scan.mem.spaces[scan.space as usize];
+            cursors.push(Cursor::Mem(scan, mem.range::<str, _>(range), None));
+        }
+        for cursor in &mut cursors {
             cursor.advance(disk)?;
-            cursors.push(cursor);
         }
         Ok(Merge {
             disk,
@@ -110,8 +194,8 @@ impl<'a, D: Disk> Merge<'a, D> {
 
     /// The next `(space, key)` in order with its newest value; older
     /// versions of the same key are stepped over.  A linear minimum: a
-    /// merge has at most `run_merge_threshold + 1` inputs.
-    pub(crate) fn next(&mut self) -> StoreResult<Option<RunEntry<'_>>> {
+    /// merge has a handful of inputs.
+    pub(crate) fn next(&mut self) -> StoreResult<Option<Entry<'_>>> {
         if let Some(i) = self.taken.take() {
             self.cursors[i].advance(self.disk)?;
         }
@@ -161,7 +245,11 @@ mod tests {
     fn drain(merge: &mut Merge<'_, MemDisk>) -> Vec<Owned> {
         let mut got = Vec::new();
         while let Some(e) = merge.next().unwrap() {
-            got.push((e.space, e.key.to_string(), e.value.map(<[u8]>::to_vec)));
+            got.push((
+                e.space,
+                e.key.to_string(),
+                e.value.map(|(b, at)| b[at].to_vec()),
+            ));
         }
         got
     }
@@ -181,7 +269,8 @@ mod tests {
             &[(1, "b", Some(b"mid")), (1, "m", Some(b"mid"))],
         )];
         let new = [write(&disk, 3, &[(1, "b", None), (1, "z", Some(b"new"))])];
-        let mut merge = Merge::new(&disk, &[&level, &mid, &new]).unwrap();
+        let inputs: [&[Run]; 3] = [&level, &mid, &new];
+        let mut merge = Merge::new(&disk, inputs, None).unwrap();
         let expect: Vec<Owned> = [
             (1, "a", Some(&b"old"[..])),
             (1, "b", None),
@@ -193,6 +282,68 @@ mod tests {
         .map(|&(s, k, v)| (s, k.to_string(), v.map(<[u8]>::to_vec)))
         .collect();
         assert_eq!(drain(&mut merge), expect);
+
+        // A scan of space 1 from "b" on, with the memtable newest: its
+        // tombstone and its value win, and nothing of space 3 is read.
+        let mut mem = MemTables::default();
+        mem.spaces[1] = BTreeMap::from([
+            ("m".to_string(), None),
+            ("n".to_string(), Some(Bytes::from_static(b"mem"))),
+        ]);
+        let always = |_: &str| true;
+        let scan = Scan {
+            space: 1,
+            start: "b",
+            within: &always,
+            mem: &mem,
+        };
+        let mut merge = Merge::new(&disk, inputs, Some(scan)).unwrap();
+        let got = drain(&mut merge);
+        let expect: Vec<Owned> = [
+            (1, "b", None),
+            (1, "m", None),
+            (1, "n", Some(&b"mem"[..])),
+            (1, "z", Some(b"new")),
+        ]
+        .iter()
+        .map(|&(s, k, v)| (s, k.to_string(), v.map(<[u8]>::to_vec)))
+        .collect();
+        assert_eq!(got, expect);
+    }
+
+    /// A scanned value is a slice of the block it was read in, not a
+    /// copy: two values of one block share one buffer.
+    #[test]
+    fn scanned_values_are_slices_of_their_block() {
+        let disk = MemDisk::new();
+        let run = [write(
+            &disk,
+            0,
+            &[(1, "a", Some(b"first")), (1, "b", Some(b"second"))],
+        )];
+        let mem = MemTables::default();
+        let always = |_: &str| true;
+        let scan = Scan {
+            space: 1,
+            start: "",
+            within: &always,
+            mem: &mem,
+        };
+        let inputs: [&[Run]; 1] = [&run];
+        let mut merge = Merge::new(&disk, inputs, Some(scan)).unwrap();
+        let mut value = || {
+            let (block, at) = merge.next().unwrap().unwrap().value.unwrap();
+            block.slice(at)
+        };
+        let (a, b) = (value(), value());
+        assert_eq!(
+            (a.as_slice(), b.as_slice()),
+            (&b"first"[..], &b"second"[..])
+        );
+        // "a"'s value, "b"'s op header (tag, space, key length, key,
+        // value length), then "b"'s value.
+        let gap = 1 + 1 + 4 + 1 + 4;
+        assert_eq!(b.as_ptr(), a.as_ptr().wrapping_add(a.len() + gap));
     }
 
     #[test]
@@ -204,7 +355,8 @@ mod tests {
             &[(1, "a", Some(b"v")), (1, "b", Some(b"v"))],
         )];
         assert!(disk.corrupt_byte(&run_name(0), 12, 0x01));
-        assert!(Merge::new(&disk, &[&run]).is_err());
+        let inputs: [&[Run]; 1] = [&run];
+        assert!(Merge::new(&disk, inputs, None).is_err());
     }
 
     /// One merge input: a sorted entry set, laid down as one run or as a
@@ -267,8 +419,7 @@ mod tests {
                     fold.insert(k.clone(), v.clone());
                 }
             }
-            let inputs: Vec<&[Run]> = levels.iter().map(Vec::as_slice).collect();
-            let got = drain(&mut Merge::new(&disk, &inputs).unwrap());
+            let got = drain(&mut Merge::new(&disk, levels.iter().map(Vec::as_slice), None).unwrap());
             let expect: Vec<Owned> = fold.into_iter().map(|((s, k), v)| (s, k, v)).collect();
             prop_assert_eq!(got, expect);
         }

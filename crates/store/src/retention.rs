@@ -13,7 +13,7 @@ use crate::engine::{Space, Store};
 use crate::error::StoreResult;
 use crate::manifest::manifest_for;
 use crate::memtable::entry_cost;
-use std::collections::BTreeMap;
+use crate::merge::{Merge, Scan};
 use std::ops::Bound;
 
 impl<D: Disk> Store<D> {
@@ -60,34 +60,30 @@ impl<D: Disk> Store<D> {
             }
             None => vec![(new_start.clone(), new_below.clone())],
         };
-        // Count what the advance retires in the merged view (runs, then
-        // the memtable overlay), and price the memtable entries to purge.
+        // Count what the advance retires in the merged view of the runs
+        // and the memtable, and price the memtable entries to purge.
         let (retired, purge_cost) = {
             let mem = self.mem.read();
             let levels = self.levels.read();
-            let mut runs_view: BTreeMap<String, bool> = BTreeMap::new();
-            for (lo, hi) in &deltas {
-                for run in levels.iter_oldest_first() {
-                    for (k, v) in run.scan_while(&*self.disk, space.as_u8(), lo, |_| true)? {
-                        if k.as_str() >= hi.as_str() {
-                            break;
-                        }
-                        runs_view.insert(k, v.is_some());
-                    }
-                }
-            }
-            let mut merged: BTreeMap<&str, bool> =
-                runs_view.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+            let mut retired = 0u64;
             let mut purge_cost = 0u64;
             for (lo, hi) in &deltas {
+                let scan = Scan {
+                    space: space.as_u8(),
+                    start: lo,
+                    within: &|k: &str| k < hi.as_str(),
+                    mem: &mem,
+                };
+                let mut merge = Merge::new(&*self.disk, levels.merge_inputs(), Some(scan))?;
+                while let Some(e) = merge.next()? {
+                    retired += u64::from(e.value.is_some());
+                }
                 for (k, v) in mem.spaces[si]
                     .range::<str, _>((Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str())))
                 {
-                    merged.insert(k.as_str(), v.is_some());
                     purge_cost += entry_cost(k.len(), v.as_ref().map_or(0, |b| b.len()));
                 }
             }
-            let retired = merged.values().filter(|live| **live).count() as u64;
             (retired, purge_cost)
         };
         let manifest = {

@@ -34,6 +34,7 @@
 //! reopen O(tail) instead of O(history).
 
 use crate::bloom::Bloom;
+use crate::cache::DecodedBlock;
 use crate::crc::crc32;
 use crate::disk::Disk;
 use crate::error::{StoreError, StoreResult};
@@ -417,18 +418,8 @@ impl Run {
     /// Index of the one block whose range may contain `(space, key)`,
     /// found by binary search over the sparse index.
     pub(crate) fn block_for(&self, space: u8, key: &str) -> Option<usize> {
-        let idx = self
-            .meta
-            .blocks
-            .partition_point(|b| (b.space, b.first_key.as_str()) <= (space, key));
-        if idx == 0 {
-            return None;
-        }
-        let block = &self.meta.blocks[idx - 1];
-        if block.space != space || block.last_key.as_str() < key {
-            return None;
-        }
-        Some(idx - 1)
+        let idx = self.seek(space, key);
+        (idx < self.block_count() && self.block_start(idx) <= (space, key)).then_some(idx)
     }
 
     /// Data blocks in the run; a merge cursor walks `0..block_count()`
@@ -437,34 +428,33 @@ impl Run {
         self.meta.blocks.len()
     }
 
+    /// The first block whose range reaches `(space, key)`, found by binary
+    /// search over the sparse index: where a scan from that key starts.
+    pub(crate) fn seek(&self, space: u8, key: &str) -> usize {
+        self.meta
+            .blocks
+            .partition_point(|b| (b.space, b.last_key.as_str()) < (space, key))
+    }
+
+    /// The space and first key of block `idx`: whether a scan reads it.
+    pub(crate) fn block_start(&self, idx: usize) -> KeyRef<'_> {
+        let b = &self.meta.blocks[idx];
+        (b.space, b.first_key.as_str())
+    }
+
     /// Does some block's key range intersect the inclusive composite
     /// range `[lo, hi]`?  Sparse index only, no I/O.  A compaction
     /// selects a target-level run by asking this of every source run
     /// about the target's hull: a source key can only lie inside a hull
     /// some source block's range intersects.
     pub(crate) fn any_block_intersects(&self, lo: KeyRef<'_>, hi: KeyRef<'_>) -> bool {
-        let blocks = &self.meta.blocks;
-        let idx = blocks.partition_point(|b| (b.space, b.last_key.as_str()) < lo);
-        blocks
-            .get(idx)
-            .is_some_and(|b| (b.space, b.first_key.as_str()) <= hi)
+        let idx = self.seek(lo.0, lo.1);
+        idx < self.block_count() && self.block_start(idx) <= hi
     }
 
     /// Data-region offset of block `idx` — the block cache's key.
     pub(crate) fn block_offset(&self, idx: usize) -> u64 {
         self.meta.blocks[idx].offset
-    }
-
-    /// Resident-memory footprint of the opened run (index + bloom),
-    /// for the bounded-memory accounting.
-    pub fn resident_bytes(&self) -> usize {
-        self.meta.bloom.bits() / 8
-            + self
-                .meta
-                .blocks
-                .iter()
-                .map(|b| b.first_key.len() + b.last_key.len() + 32)
-                .sum::<usize>()
     }
 
     /// Bloom check only, on the `(space, key)` hash pair
@@ -474,12 +464,12 @@ impl Run {
         self.meta.bloom.may_contain_hashed(hash)
     }
 
-    /// Read block `idx` and check it is one whole frame whose checksum
-    /// holds and whose op count is the index's; the ops are left to a
-    /// [`wal::OpWalk`] over the frame's payload (`[wal::HEADER_LEN..]`),
-    /// which makes the rest of the checks as it walks.  A merge walks
-    /// blocks this way, in place.
-    pub(crate) fn load_raw_block<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Vec<u8>> {
+    /// Read block `idx`, check that it is one whole frame whose checksum
+    /// holds and whose op count is the index's, and hand out its payload,
+    /// a slice of the block adopted as read.  Its ops are left to a
+    /// [`wal::OpWalk`], which makes the rest of the checks as it walks: a
+    /// merge walks blocks this way, in place.
+    pub(crate) fn load_raw_block<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Bytes> {
         let b = &self.meta.blocks[idx];
         let raw = disk
             .read_range(&self.meta.name, b.offset, b.len as usize)?
@@ -496,16 +486,18 @@ impl Run {
         if wal::OpWalk::new(&raw[wal::HEADER_LEN..])?.ops_left() != b.count as usize {
             return Err(corrupt(&self.meta.name, "data block op count mismatch"));
         }
-        Ok(raw)
+        let raw = Bytes::from(raw);
+        Ok(raw.slice(wal::HEADER_LEN..raw.len()))
     }
 
-    /// Read and decode block `idx`, zero-copy: the raw block, walked and
-    /// owned.  The caller (block cache) owns the decoded ops afterwards,
-    /// so cached entries are always post-validation.
+    /// Read and decode block `idx`, zero-copy: its payload walked, each op
+    /// owned with its value a slice of the block.  The caller (block cache)
+    /// owns the decoded ops afterwards, so cached entries are always
+    /// post-validation.
     pub(crate) fn load_block_at<D: Disk>(&self, disk: &D, idx: usize) -> StoreResult<Vec<WalOp>> {
-        let raw = Bytes::from(self.load_raw_block(disk, idx)?);
+        let payload = self.load_raw_block(disk, idx)?;
         let mut ops = Vec::new();
-        wal::decode_payload(&raw, wal::HEADER_LEN, raw.len() - wal::HEADER_LEN, &mut ops)?;
+        wal::decode_payload(&payload, 0, payload.len(), &mut ops)?;
         Ok(ops)
     }
 
@@ -520,44 +512,40 @@ impl Run {
         let Some(idx) = self.block_for(space, key) else {
             return Ok(None);
         };
-        for op in self.load_block_at(disk, idx)? {
-            match op {
-                WalOp::Put {
-                    space: s,
-                    key: k,
-                    value,
-                } if s == space && k == key => return Ok(Some(Some(value))),
-                WalOp::Delete { space: s, key: k } if s == space && k == key => {
-                    return Ok(Some(None))
-                }
-                _ => {}
-            }
-        }
-        Ok(None)
+        Ok(DecodedBlock::new(self.load_block_at(disk, idx)?).lookup(key))
     }
+}
 
-    /// The one range scan: all entries of `space` from `start` up to the
-    /// first key `within` rejects, in key order (`within` must hold for a
-    /// contiguous stretch of keys beginning at `start`).  Blocks wholly
-    /// before `start` or wholly past the stretch are skipped without a
-    /// disk read.  Tombstones come back as `None` values so the caller
-    /// can shadow older tiers correctly.
-    pub(crate) fn scan_while<D: Disk>(
-        &self,
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::disk::MemDisk;
+    use crate::merge::{Merge, Scan};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// A run's range read before scans went through the merge, kept as
+    /// the reference the merged scan is held to: every entry of `space`
+    /// from `start` up to the first key `within` rejects, tombstones as
+    /// `None`, collected.  Blocks wholly before `start` or wholly past the
+    /// stretch are skipped without a read; every other block of the space
+    /// is loaded whole.
+    pub(crate) fn scan_reference<D: Disk>(
+        run: &Run,
         disk: &D,
         space: u8,
         start: &str,
-        within: impl Fn(&str) -> bool,
+        within: &dyn Fn(&str) -> bool,
     ) -> StoreResult<Vec<(String, Option<Bytes>)>> {
         let mut out = Vec::new();
-        for (idx, b) in self.meta.blocks.iter().enumerate() {
+        for (idx, b) in run.meta.blocks.iter().enumerate() {
             if b.space != space || b.last_key.as_str() < start {
                 continue;
             }
             if b.first_key.as_str() >= start && !within(&b.first_key) {
                 break;
             }
-            for op in self.load_block_at(disk, idx)? {
+            for op in run.load_block_at(disk, idx)? {
                 let (_, key, value) = op.into_entry();
                 if key.as_str() >= start && within(&key) {
                     out.push((key, value));
@@ -566,14 +554,6 @@ impl Run {
         }
         Ok(out)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::disk::MemDisk;
-    use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     fn sample_entries() -> Vec<(u8, String, Option<Vec<u8>>)> {
         let mut v = Vec::new();
@@ -620,14 +600,37 @@ mod tests {
         }
         assert_eq!(run.get(&disk, 0, "missing").unwrap(), None);
         assert_eq!(run.get(&disk, 0, "k/9999").unwrap(), None);
-        let scan = run
-            .scan_while(&disk, 2, "k/000", |k| k.starts_with("k/000"))
-            .unwrap();
-        assert_eq!(scan.len(), 10);
-        assert!(scan.windows(2).all(|w| w[0].0 < w[1].0));
-        let from = run.scan_while(&disk, 1, "k/0045", |_| true).unwrap();
+        // Range reads through the scan the store makes, tombstones
+        // included.
+        let scan = |space: u8, start: &str, within: &dyn Fn(&str) -> bool| {
+            let mem = crate::memtable::MemTables::default();
+            let inputs = [std::slice::from_ref(&run)];
+            let scan = Scan {
+                space,
+                start,
+                within,
+                mem: &mem,
+            };
+            let mut merge = Merge::new(&disk, inputs, Some(scan)).unwrap();
+            let mut keys = Vec::new();
+            while let Some(e) = merge.next().unwrap() {
+                keys.push(e.key.to_string());
+            }
+            keys
+        };
+        let keys = scan(2, "k/000", &|k| k.starts_with("k/000"));
+        assert_eq!(keys.len(), 10);
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
+        let from = scan(1, "k/0045", &|_| true);
         assert_eq!(from.len(), 5);
-        assert_eq!(from[0].0, "k/0045");
+        assert_eq!(from[0], "k/0045");
+        // The seek lands on the block holding the start, and a block's
+        // start is read off the index.
+        let at = run.seek(1, "k/0045");
+        assert!(run.block_start(at) <= (1, "k/0045"));
+        assert!(at == 0 || run.block_start(at - 1) < (1, "k/0045"));
+        assert_eq!(run.seek(0, ""), 0);
+        assert_eq!(run.seek(3, "z"), run.block_count());
     }
 
     #[test]

@@ -41,7 +41,7 @@ canary() {
   fi
   # grep stops itself after four lines: a `head` would cut it off mid-write,
   # and under pipefail that ends the script.
-  { grep -m 4 -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input|disagree|violation|environment|instead of returning" "$work/red.log" || true; } \
+  { grep -m 4 -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input|disagree|violation|environment|instead of returning|materialising" "$work/red.log" || true; } \
     | sed 's/^/    red: /'
   cp "$work/saved" "$work/$file"
 }
@@ -139,14 +139,61 @@ canary retention-off-by-one crates/store/src/levels.rs \
   's/key >= start\.as_str\(\) && key < below\.as_str\(\)/key >= start.as_str() \&\& key <= below.as_str()/' \
   cargo test -q --offline -p bioopera-store --test store_proptests store_matches_model
 
-# A bug only the tiered read path has: a run's scan drops the last record
-# it would hand over.  The untiered store never reads a run; the engine's
-# recovery over a tiered store does, and the tiered half of
+# A bug only the tiered read path has: the merged scan skips the last
+# record of every block it walks.  The untiered store never reads a run;
+# the engine's recovery over a tiered store does, and the tiered half of
 # shard_determinism — in the workspace tests since the store policy became
 # a test axis — must see it.
-canary run-scan-drops-last-record crates/store/src/runs.rs \
-  '/pub\(crate\) fn scan_while/,/^    \}/s/^        Ok\(out\)$/        out.pop();\n        Ok(out)/' \
+canary scan-skips-block-tail crates/store/src/merge.rs \
+  's/Some\(scan\) if key < scan\.start => continue,/Some(scan) if key < scan.start || self.walk.ops_left() == 0 => continue,/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism tiered::
+
+# The memtable ranked as the oldest input of a scan instead of the newest:
+# a run's stale value wins over the write that replaced it.
+canary scan-memtable-loses-tie crates/store/src/merge.rs \
+  's/cursors\.push\(Cursor::Mem\(/cursors.insert(0, Cursor::Mem(/' \
+  cargo test -q --offline -p bioopera-store --lib engine::tests::the_merged_scan
+
+# A scan's cursor that loads the next block whatever it holds: past the
+# end of its range, and on into the spaces after its own.  A recovery's
+# scans of the shard journals then walk the whole history behind them:
+# four times the finished work reads ~3.8 times the history blocks.
+canary scan-reads-past-range crates/store/src/merge.rs \
+  's/let past = \|s: Scan\| .*;$/let past = |_: Scan| false;/' \
+  cargo test -q --offline -p bioopera-core --test proportional_cost
+
+# Only the first-key half of that check gone: the cursor stays in its
+# space but loads the block after its range.  No recovery in
+# proportional_cost reaches such a block (the `sev/` tail ends the space,
+# or at the summary), so the read comparison of the scan's proptest is
+# the gate that sees it.
+canary scan-reads-block-past-range crates/store/src/merge.rs \
+  's/let past = \|s: Scan\| space != s\.space \|\| .*;$/let past = |s: Scan| space != s.space;/' \
+  cargo test -q --offline -p bioopera-store --lib engine::tests::the_merged_scan
+
+# A scan's cursor seeked to the first block of its space instead of the
+# block holding its start: recovering the history's tail reads every
+# block of the stream below the summary again, four times the blocks for
+# four times the finished work.
+canary scan-seeks-to-space-start crates/store/src/merge.rs \
+  's/m < \(space, start\)/m < (space, "")/; s/r\.seek\(space, start\)/r.seek(space, "")/' \
+  cargo test -q --offline -p bioopera-core --test proportional_cost
+
+# The merge map and the per-run collecting scan back in the store, and
+# the grep gate that keeps them out (one canary per arm).
+canary scan-merge-map-named crates/store/src/engine.rs \
+  's/^        let mut merge = Merge::new\(&\*self\.disk, levels\.merge_inputs\(\), Some\(scan\)\)\?;$/        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();\n&/' \
+  bash scripts/check.sh --gates
+canary scan-while-named crates/store/src/engine.rs \
+  's/fn collect_while\(/fn scan_while(/' \
+  bash scripts/check.sh --gates
+
+# Recovery writing back every record the in-doubt rule decided, as it did
+# before it wrote only what the rule changed: a queued record goes back to
+# the log as the journal already holds it.
+canary redrive-rewrites-everything crates/core/src/shard/mod.rs \
+  's/^                    if r\.changed \|\| spawned \{$/                    if true {/' \
+  cargo test -q --offline -p bioopera-core --test redrive_writes
 
 # The merge handing a tie to the older input: a key two inputs hold comes
 # out with its stale value, and again with its new one.

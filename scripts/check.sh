@@ -161,14 +161,16 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "recovery reads every byte once: the replay visits, a shard's journal is read in one visit"
+step "recovery reads every byte once: the replay visits, a shard's journal is read in one visit, a scan streams through the merge"
 # `wal::replay` collects a log into a list of its batches; it is the tests'
 # reference and nothing under crates/*/src may call it (or reach for a
 # replay's `.batches`): `Store::open_with` applies each frame as
 # `wal::replay_shared` decodes it and holds no list of the log's batches.
 # `Shard::recover` builds instances while `Store::visit_shard` walks the
 # prefix: no `scan_shard`, no collected scan, and the reader keeps no list
-# of `(key, bytes)` records.
+# of `(key, bytes)` records.  A scan over the tier streams through the
+# compaction's merge: no merge map of the range in engine.rs, and no
+# per-run collecting scan (`scan_while`) anywhere in the store.
 stray=$({
   grep -rnE '\breplay\(|\.batches\b|scan_shard' crates/*/src --include='*.rs' \
     | grep -v '^crates/store/src/wal.rs:'
@@ -178,6 +180,9 @@ stray=$({
     | sed 's|^|crates/core/src/shard/stepper.rs: Shard::recover: |'
   sed '/^#\[cfg(test)\]/,$d' crates/core/src/instance.rs | grep -nE 'Vec<\(String, (B\b|Bytes|Vec<u8>)' \
     | sed 's|^|crates/core/src/instance.rs:|'
+  sed '/^#\[cfg(test)\]/,$d' crates/store/src/engine.rs | grep -nE 'BTreeMap<String, Option<Bytes>>' \
+    | sed 's|^|crates/store/src/engine.rs:|'
+  grep -rn 'scan_while' crates/store/src --include='*.rs'
 } || true)
 if [ -n "$stray" ]; then
   echo "recovery materialising what it should visit:"
