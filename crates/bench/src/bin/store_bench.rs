@@ -1,24 +1,22 @@
 //! **Storage engine benchmark** — what bounded memory costs: the same
-//! workloads through [`bioopera_store::Store`] with tiering off
-//! (unbounded memtables, snapshot rolls) and under a small memtable
-//! budget.
+//! workloads through [`bioopera_store::Store`] with no memtable budget
+//! (an unbounded memtable that never rolls) and under a small one.
 //!
-//! Measured, "before" = untiered and "after" = tiered:
+//! Measured, "before" = unbudgeted and "after" = budgeted:
 //!
-//! * put throughput while the tiered store spills and merges inline,
+//! * put throughput while the budgeted store spills and merges inline,
 //! * warm-cache point gets across memtable + resident runs,
-//! * `compact()`: snapshot rewrite vs spill + one leveled maintenance
-//!   round,
-//! * reopen after the full history: snapshot replay vs run metadata only,
 //!
-//! with the observed memory ceiling reported alongside — and, beside
-//! them, the **checksum leg**: GB/s of the byte-at-a-time reference,
-//! slicing-by-8 and the dispatched `crc32` at the buffer sizes the store
-//! checksums, with the kernel that ran.  The replica of
-//! the pre-overhaul engine this bench used to race against is retired
-//! (its last before/after table is frozen in EXPERIMENTS.md; replay and
-//! open regressions are caught by `bench_e2e`'s `recover_s` and
-//! `store.open_s`).
+//! with the observed memory ceiling and the bytes a reopen reads reported
+//! alongside — and, beside them, the **checksum leg**: GB/s of the
+//! byte-at-a-time reference, slicing-by-8 and the dispatched `crc32` at
+//! the buffer sizes the store checksums, with the kernel that ran.  The
+//! replica of the pre-overhaul engine this bench used to race against is
+//! retired, and so are the legs whose "before" was the snapshot writer
+//! (`compact()` and reopen times, the sweep's untiered columns): every
+//! roll is a spill now.  Their last values are frozen in EXPERIMENTS.md;
+//! replay and open regressions are caught by `bench_e2e`'s `recover_s`
+//! and `store.open_s`.
 //!
 //! Each metric is timed per pass, variants interleaved, and the minimum
 //! over `STORE_BENCH_REPEATS` passes reported (host interference only
@@ -26,10 +24,10 @@
 //!
 //! `STORE_BENCH_SMOKE=1` shrinks the workload for CI; in every mode the
 //! run **fails loudly** (non-zero exit) if the memtable ceiling is
-//! breached, a tiered get falls below its floor relative to untiered, a
-//! tiered reopen reads more than a quarter of the disk, or — on a host
-//! with `pclmulqdq` — the dispatched checksum is slower than the portable
-//! one.
+//! breached, a budgeted get falls below its floor relative to an
+//! unbudgeted one, a reopen reads more than a quarter of the disk, or —
+//! on a host with `pclmulqdq` — the dispatched checksum is slower than the
+//! portable one.
 
 use bioopera_bench::write_results;
 use bioopera_store::crc::{crc32, crc32_bytewise, crc32_portable};
@@ -76,17 +74,15 @@ struct TieredSummary {
 }
 
 /// One history length of the opt-in tiered scaling sweep
-/// (`STORE_BENCH_TIERED_SWEEP=1`): reopen cost and resident memory, tiered
-/// vs untiered, at the same record count.
+/// (`STORE_BENCH_TIERED_SWEEP=1`): reopen cost and resident memory under
+/// the default budget.
 #[derive(Serialize)]
 struct SweepRow {
     records: usize,
     value_bytes: usize,
-    untiered_reopen_s: f64,
     tiered_reopen_s: f64,
     /// Bytes the tiered reopen actually read (manifest + run meta).
     tiered_reopen_bytes_read: u64,
-    untiered_resident_bytes: u64,
     tiered_peak_memtable_bytes: u64,
     tiered_disk_bytes: u64,
     /// Largest single compaction input during the load: leveled merges
@@ -253,9 +249,9 @@ fn main() {
 
     // ---- tiered engine: spill / bounded-memory read / merge / reopen
     //
-    // "Before" is the engine with tiering off (unbounded memtables),
-    // "after" the same engine under a small memtable budget — the cost
-    // of bounded memory.
+    // "Before" is the engine with no memtable budget (never rolled here:
+    // an unbounded memtable), "after" the same engine under a small
+    // budget — the cost of bounded memory.
     let tiered_summary;
     {
         let budget: u64 = if cfg.smoke { 64 * 1024 } else { 256 * 1024 };
@@ -316,9 +312,8 @@ fn main() {
             speedup: b / a,
         });
 
-        // Load both engines once for the read + reopen comparisons.
-        let untiered_disk = MemDisk::new();
-        let untiered = Store::open_with(untiered_disk.clone(), None).unwrap();
+        // Load both engines once for the read comparison and the reopen.
+        let untiered = Store::open_with(MemDisk::new(), None).unwrap();
         let tiered_disk = MemDisk::new();
         let tiered = Store::open_with(tiered_disk.clone(), Some(policy)).unwrap();
         for i in 0..cfg.records {
@@ -383,66 +378,11 @@ fn main() {
             after_reads.cache_misses
         );
 
-        // Compaction: snapshot rewrite (untiered) vs spill + one leveled
-        // maintenance round (tiered).  Each pass rebuilds the store from
-        // scratch because both paths leave nothing further to compact.
-        let (mut b_best, mut a_best) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..=cfg.repeats {
-            let store = Store::open_with(MemDisk::new(), None).unwrap();
-            for i in 0..cfg.records {
-                one_put(&store, i);
-            }
-            let t = Instant::now();
-            store.compact().unwrap();
-            b_best = b_best.min(t.elapsed().as_secs_f64());
-
-            let store = Store::open_with(MemDisk::new(), Some(policy)).unwrap();
-            for i in 0..cfg.records {
-                one_put(&store, i);
-            }
-            let t = Instant::now();
-            store.compact().unwrap();
-            a_best = a_best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(Metric {
-            name: "tiered_compaction_time".into(),
-            unit: "s (lower is better)".into(),
-            workload: format!(
-                "{} records x {}B: snapshot rewrite vs spill + one maintenance round",
-                cfg.records, cfg.value_bytes
-            ),
-            before: b_best,
-            after: a_best,
-            speedup: b_best / a_best,
-        });
-
-        // Reopen after the full history: snapshot replay of every record
-        // (untiered) vs manifest + run meta only (tiered, O(tail)).
-        untiered.compact().unwrap();
-        tiered.compact().unwrap();
+        // Reopen after the full history reads the manifest and the run
+        // meta, never the data blocks: O(tail).
         drop(untiered);
+        tiered.compact().unwrap();
         drop(tiered);
-        let (mut b_best, mut a_best) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..=cfg.repeats {
-            let t = Instant::now();
-            drop(Store::open_with(untiered_disk.clone(), None).unwrap());
-            b_best = b_best.min(t.elapsed().as_secs_f64());
-            let t = Instant::now();
-            drop(Store::open_with(tiered_disk.clone(), Some(policy)).unwrap());
-            a_best = a_best.min(t.elapsed().as_secs_f64());
-        }
-        metrics.push(Metric {
-            name: "tiered_reopen_time".into(),
-            unit: "s (lower is better)".into(),
-            workload: format!(
-                "reopen after a {}-record history: full snapshot replay vs run meta",
-                cfg.records
-            ),
-            before: b_best,
-            after: a_best,
-            speedup: b_best / a_best,
-        });
-
         let read_before = tiered_disk.bytes_read();
         drop(Store::open_with(tiered_disk.clone(), Some(policy)).unwrap());
         let reopen_bytes_read = tiered_disk.bytes_read() - read_before;
@@ -483,28 +423,24 @@ fn main() {
             &[10_000, 100_000, 1_000_000]
         };
         for &n in counts {
-            let load = |store: &Store<MemDisk>, track_peak: bool| -> u64 {
-                let mut peak = 0u64;
-                for i in 0..n {
-                    let mut b = Batch::new();
-                    b.put(
-                        Space::History,
-                        format!("ev/{i:09}"),
-                        Bytes::from(vec![(i % 251) as u8; value_bytes]),
-                    );
-                    store.apply(b).unwrap();
-                    if track_peak && i % 1024 == 0 {
-                        peak = peak.max(store.stats().memtable_bytes);
-                    }
-                }
-                peak.max(store.stats().memtable_bytes)
-            };
-
             let policy = TieredPolicy::default();
             let tiered_disk = MemDisk::new();
             let store = Store::open_with(tiered_disk.clone(), Some(policy)).unwrap();
-            let tiered_peak = load(&store, true);
+            let mut tiered_peak = 0u64;
+            for i in 0..n {
+                let mut b = Batch::new();
+                b.put(
+                    Space::History,
+                    format!("ev/{i:09}"),
+                    Bytes::from(vec![(i % 251) as u8; value_bytes]),
+                );
+                store.apply(b).unwrap();
+                if i % 1024 == 0 {
+                    tiered_peak = tiered_peak.max(store.stats().memtable_bytes);
+                }
+            }
             let loaded = store.stats();
+            tiered_peak = tiered_peak.max(loaded.memtable_bytes);
             store.compact().unwrap();
             drop(store);
             let read0 = tiered_disk.bytes_read();
@@ -514,21 +450,10 @@ fn main() {
             let tiered_reopen_bytes_read = tiered_disk.bytes_read() - read0;
             let tiered_disk_bytes = tiered_disk.total_file_bytes();
 
-            let untiered_disk = MemDisk::new();
-            let store = Store::open_with(untiered_disk.clone(), None).unwrap();
-            load(&store, false);
-            store.compact().unwrap();
-            let untiered_resident_bytes = store.stats().memtable_bytes;
-            drop(store);
-            let t = Instant::now();
-            drop(Store::open_with(untiered_disk.clone(), None).unwrap());
-            let untiered_reopen_s = t.elapsed().as_secs_f64();
-
             eprintln!(
-                "  sweep {n:>9} recs: reopen untiered {untiered_reopen_s:>9.5}s vs tiered \
-                 {tiered_reopen_s:>9.5}s ({tiered_reopen_bytes_read} B read of \
-                 {tiered_disk_bytes}); resident untiered {untiered_resident_bytes} B vs \
-                 tiered peak {tiered_peak} B; {} merges across {} levels, max input {} B",
+                "  sweep {n:>9} recs: reopen {tiered_reopen_s:>9.5}s \
+                 ({tiered_reopen_bytes_read} B read of {tiered_disk_bytes}); \
+                 peak resident {tiered_peak} B; {} merges across {} levels, max input {} B",
                 loaded.run_merges, loaded.levels, loaded.max_merge_bytes
             );
             // Bounded compaction: once the history is large enough to
@@ -546,10 +471,8 @@ fn main() {
             tiered_sweep.push(SweepRow {
                 records: n,
                 value_bytes,
-                untiered_reopen_s,
                 tiered_reopen_s,
                 tiered_reopen_bytes_read,
-                untiered_resident_bytes,
                 tiered_peak_memtable_bytes: tiered_peak,
                 tiered_disk_bytes,
                 tiered_max_merge_bytes: loaded.max_merge_bytes,
@@ -565,7 +488,7 @@ fn main() {
         records: cfg.records,
         value_bytes: cfg.value_bytes,
         host_cpus: std::thread::available_parallelism().map_or(1, usize::from),
-        baseline: "the same engine with tiering off (unbounded memtables, snapshot rolls)".into(),
+        baseline: "the same engine with no memtable budget (an unbounded memtable)".into(),
         metrics,
         tiered: tiered_summary,
         crc: crc_leg(&cfg),

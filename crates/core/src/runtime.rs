@@ -123,10 +123,12 @@ pub struct RuntimeConfig {
     /// crash is followed by an automatic takeover after this delay instead
     /// of waiting for a repair/maintenance `ServerRecover`.
     pub backup_failover: Option<SimTime>,
-    /// Compact the store when the WAL exceeds this many bytes.
+    /// Roll the store — spill its memtable to a sorted run — when the WAL
+    /// reaches this many bytes.  This bounds replay, and with no `tiered`
+    /// budget it bounds the resident memtable too.
     pub compact_wal_bytes: u64,
-    /// Tier the store under this policy (`None`, the default: the
-    /// untiered store), at boot and at every server recovery alike.
+    /// Give the store this memtable budget (`None`, the default: no
+    /// budget), at boot and at every server recovery alike.
     pub tiered: Option<TieredPolicy>,
     /// Dependability policies: retry budgets, backoff, quarantine, poison
     /// escalation (`DependabilityConfig::disabled()` reproduces the
@@ -156,7 +158,6 @@ fn open_store<D: Disk + Clone>(disk: &D, cfg: &RuntimeConfig) -> EngineResult<St
     let store = Store::open_with(disk.clone(), cfg.tiered)?;
     store.set_compaction_policy(Some(CompactionPolicy {
         wal_bytes_threshold: cfg.compact_wal_bytes,
-        min_wal_batches: 1,
     }));
     Ok(store)
 }

@@ -7,9 +7,10 @@
 //! recovers from a server crash through runs and levels, and must still
 //! produce what the untiered runtime produces.  Its history is the one
 //! stream both drivers write, digest and all, and a store written before
-//! it joined that stream reopens with each old event counted once.  The
-//! last two tests are the tiered store's own: its events, and windowed
-//! history retention.
+//! it joined that stream reopens with each old event counted once.  On
+//! either policy the resident memtable stays within what the WAL roll
+//! bounds.  The last two tests are the tiered store's own: its events,
+//! and windowed history retention.
 
 mod common;
 
@@ -849,6 +850,50 @@ fn store_survives_and_instance_is_queryable_after_manual_crash(policy: Option<Ti
     );
 }
 
+/// Every roll of the store is a spill, so with no memtable budget the
+/// WAL's length bounds the resident memtable, not the history.  After a
+/// commit the live WAL holds fewer than `compact_wal_bytes` (the commit
+/// that reaches it rolls), and each memtable entry came from a put in that
+/// WAL.  The entry costs its key and value plus the store's 48 B
+/// `ENTRY_OVERHEAD`; the put costs them plus 10 B of tag, space and
+/// lengths, and its frame more.  So the memtable holds at most 48 / 10 of
+/// the WAL's bytes.  (The runtime deletes nothing: no tombstone to price.)
+fn the_memtable_stays_within_the_wal_roll(policy: Option<TieredPolicy>) {
+    const WAL_BYTES: u64 = 2 * 1024;
+    let bound = WAL_BYTES * 48 / 10;
+    let cfg = RuntimeConfig {
+        heartbeat: SimTime::from_secs(20),
+        compact_wal_bytes: WAL_BYTES,
+        tiered: policy,
+        ..Default::default()
+    };
+    let mut rt = Runtime::new(MemDisk::new(), small_cluster(), library(), cfg).unwrap();
+    rt.register_template(&fanout_template(24, 0)).unwrap();
+    let mut trace = Trace::empty();
+    trace.push(SimTime::from_secs(100), TraceEventKind::ServerCrash);
+    trace.push(SimTime::from_secs(160), TraceEventKind::ServerRecover);
+    rt.install_trace(&trace);
+    let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    let mut steps = 0;
+    loop {
+        let held = rt.store().stats().memtable_bytes;
+        assert!(
+            held < bound,
+            "step {steps}: the memtable holds {held} B, over {bound} B"
+        );
+        if !rt.step().unwrap() {
+            break;
+        }
+        steps += 1;
+    }
+    assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
+    assert_eq!(
+        rt.whiteboard(id).unwrap()["total"],
+        Value::Int(expected_total(24))
+    );
+    assert!(rt.store().stats().spills > 0, "the run never rolled");
+}
+
 /// The squeezed store's spills and merges reach the awareness index as
 /// `store.*` events, through the history, without polling.
 #[test]
@@ -1124,4 +1169,5 @@ common::on_each_policy!(
     store_survives_and_instance_is_queryable_after_manual_crash,
     the_runtime_history_is_one_stream_with_a_digest,
     a_store_written_before_the_stream_is_counted_once,
+    the_memtable_stays_within_the_wal_roll,
 );

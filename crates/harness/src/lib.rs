@@ -58,7 +58,8 @@ pub fn seed_from_env(default: u64) -> u64 {
 pub struct TortureReport {
     /// The seed every schedule was derived from.
     pub seed: u64,
-    /// Store-workload enumeration outcome (untiered snapshot + WAL engine).
+    /// Store-workload enumeration outcome with no memtable budget (the
+    /// script's compactions are its only spills).
     pub store: StoreTortureOutcome,
     /// Store-workload enumeration outcome under a tiny tiered policy, so
     /// crash points inside memtable spills and run merge compactions are
@@ -155,7 +156,7 @@ impl TortureReport {
 ///
 /// `store_limit` bounds the number of store crash indices (`None` = full
 /// enumeration); `runtime_samples` bounds the runtime crash points of the
-/// real 3-TEU all-vs-all (`usize::MAX` = all of them: 83 executions, ~2 s
+/// real 3-TEU all-vs-all (`usize::MAX` = all of them: 105 executions, ~2 s
 /// in release) and `recovery_samples` its double-crash points;
 /// `shard_samples` bounds the sampled
 /// `(round, commit-prefix)` barrier-crash points of the sharded engine

@@ -59,8 +59,8 @@ fn cluster() -> Cluster {
 fn cfg(tiered: Option<TieredPolicy>) -> RuntimeConfig {
     RuntimeConfig {
         heartbeat: SimTime::from_secs(20),
-        // Small enough that the WAL compacts mid-run, putting the
-        // snapshot/manifest/delete sequence inside the crash enumeration.
+        // Small enough that the WAL rolls mid-run, putting the spill's
+        // run/manifest/delete sequence inside the crash enumeration.
         compact_wal_bytes: 6 * 1024,
         tiered,
         ..Default::default()

@@ -5,14 +5,14 @@
 //! the oracle state and the exact number of disk mutations.  Every mutation index is then re-run as
 //! a crash point under each [`CrashEffect`], optionally with a *second*
 //! crash injected during the recovery replay, plus a pass of at-rest
-//! bit-flip corruption of the persisted WAL (and, in tiered mode, of the
-//! sorted-run files).
+//! bit-flip corruption of the persisted WAL and sorted-run files.
 //!
-//! The pass runs in three configurations: the untiered snapshot + WAL
-//! engine ([`run_store_torture`]), the tiered engine under a deliberately
-//! tiny memtable budget ([`run_store_torture_tiered`]), whose probe trace
-//! pulls every spill and run-merge disk write — run-file writes, manifest
-//! commits, stale WAL/snapshot/run deletions — into the enumeration, and
+//! The pass runs in three configurations: the engine with no memtable
+//! budget ([`run_store_torture`]), which spills only at the script's
+//! compactions, the tiered engine under a deliberately tiny memtable
+//! budget ([`run_store_torture_tiered`]), whose probe trace pulls every
+//! spill and run-merge disk write — run-file writes, manifest commits,
+//! stale WAL/snapshot/run deletions — into the enumeration, and
 //! the leveled engine under squeezed level budgets
 //! ([`run_store_torture_leveled`]), which adds level-merge commits,
 //! multi-run splits, retention-watermark advances and victim GC to the
@@ -96,7 +96,7 @@ pub enum ScriptOp {
 pub enum Step {
     /// Apply one atomic batch; counts as acknowledged only on `Ok`.
     Apply(Vec<ScriptOp>),
-    /// Snapshot the state and truncate the WAL.
+    /// Roll the WAL: spill the memtable to a sorted run.
     Compact,
     /// Advance the retention watermark: retire every record of `space`
     /// with `start <= key < below` and drop all future writes below the
@@ -526,7 +526,7 @@ fn bitflip_case(
     }
     drop(store);
 
-    // Corruptible files: the live WAL and (in tiered mode) sorted runs.
+    // Corruptible files: the live WAL and the sorted runs.
     // Right after a compaction the new WAL does not exist yet (it is
     // created lazily by the next append) — the run files are then the only
     // persisted payload.
@@ -618,7 +618,7 @@ fn run_case(violations: &mut Vec<String>, tag: String, case: impl FnOnce() -> Re
     }
 }
 
-/// Full store torture pass over the untiered (snapshot + WAL) engine.
+/// Full store torture pass over the engine with no memtable budget.
 ///
 /// With `limit == None` every mutation index of the probe run becomes a
 /// crash point; otherwise a seeded sample of `limit` indices (always
@@ -632,10 +632,9 @@ pub fn run_store_torture(seed: u64, limit: Option<usize>) -> StoreTortureOutcome
 /// Same scripted workload and invariants as [`run_store_torture`], but the
 /// store runs under [`tiny_tiered_policy`], so the crash-free probe's
 /// mutation trace — and therefore the enumerated crash points — includes
-/// every disk write of memtable spills (run write, manifest commit,
-/// stale WAL/snapshot deletion) and of run merge compactions (merged-run
-/// write, manifest rewrite, input-run deletions).  Bit-flip cases corrupt
-/// sorted-run files as well as the WAL.
+/// every disk write of the spills its budget triggers (run write,
+/// manifest commit, stale WAL/snapshot deletion) and of run merge
+/// compactions (merged-run write, manifest rewrite, input-run deletions).
 pub fn run_store_torture_tiered(seed: u64, limit: Option<usize>) -> StoreTortureOutcome {
     run_store_torture_with(seed, limit, Some(tiny_tiered_policy()))
 }

@@ -35,8 +35,8 @@
 use crate::error::StoreResult;
 use crate::wal::WalOp;
 use bytes::Bytes;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 /// Default cache budget: an untiered store's, and a tiered one's unless
 /// its policy says otherwise.
@@ -154,14 +154,21 @@ impl BlockCache {
         }
     }
 
+    /// The cache's lock; a panic under it propagates to every later user.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("a panic under the block cache lock")
+    }
+
     /// Lookups answered from the cache.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().hits
+        self.lock().hits
     }
 
     /// Lookups that had to decode the block from disk.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().misses
+        self.lock().misses
     }
 
     /// Point-look `key` up in block `(run, offset)`, decoding via
@@ -177,7 +184,7 @@ impl BlockCache {
         load: impl FnOnce() -> StoreResult<Vec<WalOp>>,
     ) -> StoreResult<Option<Option<Bytes>>> {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.lock();
             if let Some(idx) = inner.slot_of(run, offset) {
                 if let Some(s) = inner.slots[idx].as_mut() {
                     s.referenced = true;
@@ -189,7 +196,7 @@ impl BlockCache {
         }
         let block = DecodedBlock::new(load()?);
         let found = block.lookup(key);
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.misses += 1;
         // A racing loader may have inserted the same block; keep the
         // existing entry rather than double-charging the budget.
@@ -252,7 +259,7 @@ impl BlockCache {
     /// deletes the run file, so dead blocks free budget immediately.
     /// Work is proportional to that run's cached blocks.
     pub fn purge_run(&self, run: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         for idx in inner
             .map
             .remove(&run)
@@ -300,7 +307,7 @@ mod tests {
                 .lookup_or_load(2, i * 4096, "k0000", || Ok(block(4, 100)))
                 .unwrap();
         }
-        assert!(cache.inner.lock().bytes <= 4096);
+        assert!(cache.lock().bytes <= 4096);
     }
 
     #[test]
@@ -314,7 +321,7 @@ mod tests {
             .unwrap();
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.inner.lock().bytes, 0);
+        assert_eq!(cache.lock().bytes, 0);
     }
 
     #[test]
@@ -333,19 +340,19 @@ mod tests {
             .lookup_or_load(3, 4096, "k0000", || Ok(block(5, 8)))
             .unwrap();
         let others = DecodedBlock::new(block(2, 8)).bytes + DecodedBlock::new(block(5, 8)).bytes;
-        let slot_of = |run, offset| cache.inner.lock().slot_of(run, offset);
+        let slot_of = |run, offset| cache.lock().slot_of(run, offset);
         let (slot2, slot3) = (slot_of(2, 0), slot_of(3, 4096));
         cache.purge_run(1);
         // Exactly run 1's two blocks went: the other runs keep their
         // slots and the byte accounting drops by run 1's share alone.
-        assert_eq!(cache.inner.lock().bytes, others);
+        assert_eq!(cache.lock().bytes, others);
         assert_eq!(slot_of(1, 0), None);
         assert_eq!(slot_of(1, 4096), None);
-        assert!(!cache.inner.lock().map.contains_key(&1));
+        assert!(!cache.lock().map.contains_key(&1));
         assert_eq!((slot_of(2, 0), slot_of(3, 4096)), (slot2, slot3));
         assert!(slot2.is_some() && slot3.is_some());
         cache.purge_run(7); // never cached: a no-op
-        assert_eq!(cache.inner.lock().bytes, others);
+        assert_eq!(cache.lock().bytes, others);
         cache
             .lookup_or_load(1, 0, "k0000", || Ok(block(2, 8)))
             .unwrap();

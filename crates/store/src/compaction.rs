@@ -1,15 +1,16 @@
-//! Every rewrite of on-disk state: snapshot roll, memtable spill, and
-//! bounded leveled compaction.
+//! Every rewrite of on-disk state: the memtable spill and bounded
+//! leveled compaction.
 //!
-//! All three follow one discipline — write the new files, commit with a
+//! Both follow one discipline — write the new files, commit with a
 //! single manifest write, swap the in-memory view, then garbage-collect
 //! the inputs — so a crash at any point leaves either the old state or
 //! the new one fully recoverable (`Store::open_with` removes whatever the
-//! manifest does not list).  There is exactly one roll body
-//! ([`Store::compact`] and the automatic roll after a commit share it)
-//! and exactly one select/merge/write/GC core (`push_down_locked`); per
-//! compaction work is O(what overlaps), never O(history), and resident
-//! memory is one block per input plus one output run.
+//! manifest does not list).  There is exactly one roll body, a spill
+//! and one round of leveled maintenance ([`Store::compact`] and the
+//! automatic roll after a commit share it), and exactly one
+//! select/merge/write/GC core (`push_down_locked`); per compaction work
+//! is O(what overlaps), never O(history), and resident memory is one
+//! block per input plus one output run.
 
 use crate::disk::Disk;
 use crate::engine::{Store, WalState};
@@ -19,26 +20,16 @@ use crate::manifest::{manifest_for, snapshot_name, wal_name};
 use crate::memtable::{entry_cost, MemTables};
 use crate::merge::{Entry, Merge};
 use crate::runs::{run_name, Run, RunEntry, RunWriter};
-use crate::wal::{self, WalOpRef};
 use std::collections::BTreeMap;
 
-/// Records per snapshot frame: keeps individual frames reasonable and is
-/// part of the on-disk format compatibility surface (snapshots written by
-/// earlier engine versions used the same chunking).
-const SNAPSHOT_CHUNK: usize = 1024;
-
 impl<D: Disk> Store<D> {
-    /// Roll the WAL forward, exactly as an automatic roll would.  In
-    /// snapshot mode (no tiered policy, no runs on disk): write
-    /// `snapshot-{e+1}` atomically, bump the manifest (the commit
-    /// point), start an empty `wal-{e+1}`, then garbage-collect the
-    /// previous epoch's files.  In tiered mode: spill the memtables to a
-    /// sorted run, then one round of leveled maintenance.  A crash at any
-    /// point leaves either the old epoch or the new epoch fully
-    /// recoverable.
+    /// Roll the WAL forward, exactly as an automatic roll would: spill
+    /// the memtables to a sorted run at epoch `e + 1`, then one round of
+    /// leveled maintenance.  A crash at any point leaves either the old
+    /// epoch or the new epoch fully recoverable.
     pub fn compact(&self) -> StoreResult<()> {
         self.check_alive()?;
-        self.roll_locked(&mut self.wal.lock())
+        self.roll_locked(&mut *self.guard(self.wal.lock())?)
     }
 
     /// Spill the memtables to a new immutable sorted-run file, rolling
@@ -46,7 +37,7 @@ impl<D: Disk> Store<D> {
     /// WAL is already empty.
     pub fn spill(&self) -> StoreResult<()> {
         self.check_alive()?;
-        self.spill_locked(&mut self.wal.lock())
+        self.spill_locked(&mut *self.guard(self.wal.lock())?)
     }
 
     /// One round of bounded leveled maintenance: compact L0 into L1
@@ -56,18 +47,19 @@ impl<D: Disk> Store<D> {
     /// benches.
     pub fn compact_levels(&self) -> StoreResult<()> {
         self.check_alive()?;
-        self.level_maintenance_locked(&mut self.wal.lock())
+        self.level_maintenance_locked(&mut *self.guard(self.wal.lock())?)
     }
 
-    /// Is a roll (spill or snapshot compaction) due?  Called by
-    /// committers while still holding their locks; the actual roll
-    /// happens in [`Store::maybe_roll`] after they release.
+    /// Is a roll due — the memtable over its budget, or the WAL at its
+    /// length threshold?  Called by committers while still holding their
+    /// locks; the actual roll happens in [`Store::maybe_roll`] after they
+    /// release.
     pub(crate) fn roll_due(&self, wal: &WalState<D>, mem: &MemTables) -> bool {
         wal.tiered
             .is_some_and(|t| mem.approx_bytes > t.memtable_budget_bytes)
-            || wal.policy.is_some_and(|p| {
-                wal.wal_bytes >= p.wal_bytes_threshold && wal.batches_in_epoch >= p.min_wal_batches
-            })
+            || wal
+                .policy
+                .is_some_and(|p| wal.wal_bytes >= p.wal_bytes_threshold)
     }
 
     /// Re-check the roll condition and perform it if still due.  Called
@@ -76,8 +68,8 @@ impl<D: Disk> Store<D> {
     /// exactly one roll (the second sees the fresh epoch).
     pub(crate) fn maybe_roll(&self) -> StoreResult<()> {
         self.check_alive()?;
-        let mut wal = self.wal.lock();
-        if !self.roll_due(&wal, &self.mem.read()) {
+        let mut wal = self.guard(self.wal.lock())?;
+        if !self.roll_due(&wal, &*self.guard(self.mem.read())?) {
             return Ok(());
         }
         self.roll_locked(&mut wal)
@@ -85,12 +77,8 @@ impl<D: Disk> Store<D> {
 
     /// The one roll body; the caller holds the WAL lock.
     fn roll_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        if wal.tiered.is_some() || !self.levels.read().no_runs() {
-            self.spill_locked(wal)?;
-            self.level_maintenance_locked(wal)
-        } else {
-            self.snapshot_locked(wal)
-        }
+        self.spill_locked(wal)?;
+        self.level_maintenance_locked(wal)
     }
 
     /// The spill body; the caller holds the WAL lock, which freezes the
@@ -99,16 +87,13 @@ impl<D: Disk> Store<D> {
     /// memtable view, write it, re-open it (self-check through the same
     /// decoder recovery will use), commit the manifest at `epoch + 1`
     /// (THE commit point — before it the new run is invisible garbage,
-    /// after it the old WAL/snapshot are garbage), GC the old epoch,
-    /// then atomically swap memtables for the run under both write
-    /// locks.
+    /// after it the old WAL and any legacy snapshot are garbage), GC the
+    /// old epoch, then atomically swap memtables for the run under both
+    /// write locks.
     fn spill_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
         let data = {
-            let mem = self.mem.read();
-            let quiescent = mem.spaces.iter().all(BTreeMap::is_empty)
-                && wal.wal_bytes == 0
-                && wal.batches_in_epoch == 0;
-            if quiescent {
+            let mem = self.guard(self.mem.read())?;
+            if wal.wal_bytes == 0 && mem.spaces.iter().all(BTreeMap::is_empty) {
                 return Ok(());
             }
             // The memtable streams into the run image; its byte estimate
@@ -131,7 +116,7 @@ impl<D: Disk> Store<D> {
             wal.disk.write_atomic(&name, &data)?;
             let run = Run::open(&*wal.disk, &name)?;
             let manifest = {
-                let levels = self.levels.read();
+                let levels = self.guard(self.levels.read())?;
                 manifest_for(
                     next,
                     levels.l0.iter().chain([&run]),
@@ -148,8 +133,8 @@ impl<D: Disk> Store<D> {
             // Readers hold `mem` across their tier lookup, so taking
             // both write locks makes the swap invisible: no reader can
             // observe the drained memtable without the new run.
-            let mut mem = self.mem.write();
-            let mut levels = self.levels.write();
+            let mut mem = self.guard(self.mem.write())?;
+            let mut levels = self.guard(self.levels.write())?;
             for map in &mut mem.spaces {
                 map.clear();
             }
@@ -158,7 +143,6 @@ impl<D: Disk> Store<D> {
         }
         wal.epoch = next;
         wal.wal_bytes = 0;
-        wal.batches_in_epoch = 0;
         wal.next_run_id += 1;
         wal.spills += 1;
         Ok(())
@@ -169,18 +153,16 @@ impl<D: Disk> Store<D> {
     /// threshold, then cascade: any deeper level holding more bytes
     /// than its budget (and more than one run) pushes one victim run
     /// down.  Each push-down moves bytes strictly deeper, so the loop
-    /// terminates; the iteration cap is a pure safety net.
+    /// terminates; the iteration cap is a pure safety net.  A store
+    /// with no policy lays its levels out as the default policy does.
     fn level_maintenance_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let policy = match wal.tiered {
-            Some(p) => p,
-            None => return Ok(()),
-        };
-        if self.levels.read().l0.len() >= policy.run_merge_threshold {
+        let policy = wal.tiered.unwrap_or_default();
+        if self.guard(self.levels.read())?.l0.len() >= policy.run_merge_threshold {
             self.push_down_locked(wal, 0)?;
         }
         for _ in 0..64 {
             let over = {
-                let levels = self.levels.read();
+                let levels = self.guard(self.levels.read())?;
                 (1..=levels.deeper.len()).find(|&i| {
                     let lvl = &levels.deeper[i - 1];
                     lvl.len() > 1
@@ -222,7 +204,7 @@ impl<D: Disk> Store<D> {
     fn push_down_locked(&self, wal: &mut WalState<D>, source: usize) -> StoreResult<()> {
         let target = source + 1;
         let (sources, overlaps, bottom, mut new_levels) = {
-            let levels = self.levels.read();
+            let levels = self.guard(self.levels.read())?;
             let sources: Vec<Run> = if source == 0 {
                 levels.l0.clone()
             } else {
@@ -329,7 +311,7 @@ impl<D: Disk> Store<D> {
         // touch a deleted file.  (A crash between the manifest commit
         // and these deletes only leaves unlisted run files, which
         // recovery hygiene removes.)
-        *self.levels.write() = new_levels;
+        *self.guard(self.levels.write())? = new_levels;
         if source >= 1 {
             if wal.level_cursors.len() < source {
                 wal.level_cursors.resize(source, None);
@@ -426,73 +408,13 @@ impl<D: Disk> Store<D> {
         }
         Ok(new_runs)
     }
-
-    /// The snapshot-roll body; the caller holds the WAL lock, which also
-    /// freezes the memtables (every writer needs that lock), so the
-    /// snapshot is a consistent image while readers proceed untouched.
-    fn snapshot_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let next = wal.epoch + 1;
-        // Stream the snapshot out of the memtables: encode in place, in
-        // chunks, borrowing keys and values — no owned clone of the record
-        // set is ever materialized.
-        let mut snap = Vec::new();
-        {
-            let mem = self.mem.read();
-            let mut refs: Vec<WalOpRef<'_>> = Vec::with_capacity(SNAPSHOT_CHUNK);
-            let mut total = 0usize;
-            for (space, map) in mem.spaces.iter().enumerate() {
-                for (key, value) in map {
-                    // Tombstones cannot reach this path (they only exist
-                    // while runs do, and runs route to `spill_locked`),
-                    // but skipping them keeps the snapshot well-formed
-                    // regardless.
-                    let Some(value) = value else { continue };
-                    refs.push(WalOpRef::Put {
-                        space: space as u8,
-                        key,
-                        value,
-                    });
-                    total += 1;
-                    if refs.len() == SNAPSHOT_CHUNK {
-                        wal::encode_frame_into(&mut snap, refs.iter().copied());
-                        refs.clear();
-                    }
-                }
-            }
-            if !refs.is_empty() {
-                wal::encode_frame_into(&mut snap, refs.iter().copied());
-            }
-            if total == 0 {
-                // Still write an (empty) snapshot so recovery has a file
-                // to find.
-                wal::encode_frame_into(&mut snap, std::iter::empty());
-            }
-        }
-        // A snapshot roll runs with no runs on disk, but a retention
-        // watermark may still be set — preserve it (bare epoch digits
-        // when there is none, for byte-compatibility).
-        let manifest = {
-            let levels = self.levels.read();
-            manifest_for(next, &levels.l0, &levels.deeper, &levels.retain)
-        };
-        self.poison_on_err((|| {
-            wal.disk.write_atomic(&snapshot_name(next), &snap)?;
-            self.commit_manifest(wal, &manifest)?;
-            wal.disk.delete(&wal_name(wal.epoch))?;
-            wal.disk.delete(&snapshot_name(wal.epoch))
-        })())?;
-        wal.epoch = next;
-        wal.wal_bytes = 0;
-        wal.batches_in_epoch = 0;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::disk::{Disk, FaultPlan, MemDisk};
     use crate::engine::tests::{assert_only_live_files, open_mem, tiny_tiered};
-    use crate::manifest::{snapshot_name, wal_name, MANIFEST};
+    use crate::manifest::MANIFEST;
     use crate::{CompactionPolicy, Space, Store, TieredPolicy};
     use bytes::Bytes;
     use std::collections::BTreeMap;
@@ -542,64 +464,10 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_every_compact_mutation_recovers() {
-        use crate::disk::CrashEffect;
-        // compact() performs 4 mutations: snapshot write, manifest write,
-        // old-WAL delete, old-snapshot delete.  Crash at each, with every
-        // effect, and verify recovery sees exactly the pre-compact records
-        // and leaves no stale files behind.
-        for idx in 0..4u64 {
-            for effect in [
-                CrashEffect::Drop,
-                CrashEffect::Torn { keep: 7 },
-                CrashEffect::AfterApply,
-            ] {
-                let (disk, store) = open_mem();
-                for i in 0..20 {
-                    store
-                        .put(Space::History, format!("ev/{i:02}"), Bytes::from(vec![i]))
-                        .unwrap();
-                }
-                store.delete(Space::History, "ev/00").unwrap();
-                let expected: Vec<(String, Bytes)> = store.scan_prefix(Space::History, "").unwrap();
-
-                disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
-                assert!(
-                    store.compact().is_err(),
-                    "mutation {idx} {effect:?} must surface the crash"
-                );
-                assert!(store.is_poisoned(), "mutation {idx} {effect:?}");
-                disk.reboot();
-
-                let recovered = Store::open_with(disk.clone(), None).unwrap();
-                assert_eq!(
-                    recovered.scan_prefix(Space::History, "").unwrap(),
-                    expected,
-                    "mutation {idx} {effect:?}: records diverged"
-                );
-                // Open's hygiene pass removed temp files and orphan epochs.
-                let epoch = recovered.stats().epoch;
-                for name in disk.list().unwrap() {
-                    assert!(
-                        name == MANIFEST || name == wal_name(epoch) || name == snapshot_name(epoch),
-                        "mutation {idx} {effect:?}: stale file `{name}` survived recovery"
-                    );
-                }
-                // The recovered store keeps working.
-                recovered
-                    .put(Space::History, "ev/99", &b"post"[..])
-                    .unwrap();
-                recovered.compact().unwrap();
-            }
-        }
-    }
-
-    #[test]
     fn compaction_policy_rolls_the_wal_automatically() {
         let (disk, store) = open_mem();
         store.set_compaction_policy(Some(CompactionPolicy {
             wal_bytes_threshold: 256,
-            min_wal_batches: 2,
         }));
         let epoch0 = store.stats().epoch;
         for i in 0..32 {
@@ -621,6 +489,10 @@ mod tests {
             "live WAL stays near the threshold, got {}",
             stats.wal_bytes
         );
+        // Every roll is a spill: the memtable holds what the live WAL
+        // does, not the history (32 entries of 119 B).
+        assert_eq!(stats.spills, stats.epoch - epoch0);
+        assert!(stats.memtable_bytes < 4 * 119, "{stats:?}");
         assert_eq!(store.len(Space::History).unwrap(), 32);
         // Everything survives recovery regardless of where the epoch rolled.
         drop(store);
@@ -660,15 +532,15 @@ mod tests {
 
         // … the tombstone rides the next spill into a run …
         store.spill().unwrap();
-        let runs = store.levels.read().l0.clone();
+        let runs = store.levels.read().unwrap().l0.clone();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[1].tombstones, 1);
 
         // … and the merge, whose output lands in the bottom level, folds
         // it away for good.
         store.compact_levels().unwrap();
-        assert!(store.levels.read().l0.is_empty());
-        let runs = store.levels.read().deeper[0].clone();
+        assert!(store.levels.read().unwrap().l0.is_empty());
+        let runs = store.levels.read().unwrap().deeper[0].clone();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].tombstones, 0);
         assert_eq!(runs[0].entries, 9);
@@ -681,24 +553,27 @@ mod tests {
         assert_eq!(reopened.len(Space::Configuration).unwrap(), 9);
         reopened.put(Space::Template, "t/x", &b"v"[..]).unwrap();
         reopened.delete(Space::Template, "t/x").unwrap();
-        assert!(reopened.mem.read().spaces[Space::Template.as_u8() as usize].is_empty());
+        assert!(reopened.mem.read().unwrap().spaces[Space::Template.as_u8() as usize].is_empty());
     }
 
     #[test]
     fn crash_at_every_spill_mutation_recovers() {
         use crate::disk::CrashEffect;
-        // spill() performs 4 mutations: run write, manifest write,
-        // old-WAL delete, old-snapshot delete.  Crash at each, with
-        // every effect, and verify recovery sees exactly the pre-spill
-        // records and leaves no stale files behind.
-        for idx in 0..4u64 {
+        // A roll is a spill whatever the budget: 4 mutations, run write,
+        // manifest write, old-WAL delete, legacy-snapshot delete.  Crash
+        // at each, with every effect, and verify recovery sees exactly
+        // the pre-spill records and leaves no stale files behind.
+        for (tiered, idx) in [None, Some(tiny_tiered())]
+            .into_iter()
+            .flat_map(|t| (0..4u64).map(move |idx| (t, idx)))
+        {
             for effect in [
                 CrashEffect::Drop,
                 CrashEffect::Torn { keep: 7 },
                 CrashEffect::AfterApply,
             ] {
                 let disk = MemDisk::new();
-                let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+                let store = Store::open_with(disk.clone(), tiered).unwrap();
                 for i in 0..20 {
                     store
                         .put(Space::History, format!("ev/{i:02}"), Bytes::from(vec![i]))
@@ -707,27 +582,25 @@ mod tests {
                 store.delete(Space::History, "ev/00").unwrap();
                 let expected: Vec<(String, Bytes)> = store.scan_prefix(Space::History, "").unwrap();
 
+                let ctx = format!("{tiered:?} spill mutation {idx} {effect:?}");
                 disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
-                assert!(
-                    store.spill().is_err(),
-                    "mutation {idx} {effect:?} must surface the crash"
-                );
-                assert!(store.is_poisoned(), "mutation {idx} {effect:?}");
+                assert!(store.compact().is_err(), "{ctx}: crash not surfaced");
+                assert!(store.is_poisoned(), "{ctx}");
                 disk.reboot();
 
-                let recovered = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+                let recovered = Store::open_with(disk.clone(), tiered).unwrap();
                 assert_eq!(
                     recovered.scan_prefix(Space::History, "").unwrap(),
                     expected,
-                    "mutation {idx} {effect:?}: records diverged"
+                    "{ctx}: records diverged"
                 );
-                assert_only_live_files(&disk, &format!("spill mutation {idx} {effect:?}"));
+                assert_only_live_files(&disk, &ctx);
                 // The recovered store keeps working — including the very
                 // operation that crashed.
                 recovered
                     .put(Space::History, "ev/99", &b"post"[..])
                     .unwrap();
-                recovered.spill().unwrap();
+                recovered.compact().unwrap();
             }
         }
     }
@@ -780,12 +653,15 @@ mod tests {
                 let recovered = Store::open_with(disk.clone(), Some(policy)).unwrap();
                 assert_eq!(scan(&recovered), expected, "{ctx}: records diverged");
                 assert_only_live_files(&disk, &ctx);
-                assert!(recovered.levels.read().deeper_levels_disjoint(), "{ctx}");
+                assert!(
+                    recovered.levels.read().unwrap().deeper_levels_disjoint(),
+                    "{ctx}"
+                );
                 // Whatever step the crash interrupted is redone (a crash
                 // before a merge's commit re-merges into fresh run ids).
                 recovered.compact_levels().unwrap();
                 assert_eq!(recovered.level_ranges(), settled, "{ctx}: layout");
-                assert!(recovered.levels.read().l0.is_empty(), "{ctx}");
+                assert!(recovered.levels.read().unwrap().l0.is_empty(), "{ctx}");
                 assert_eq!(scan(&recovered), expected, "{ctx}: diverged after redo");
             }
         }
@@ -871,7 +747,7 @@ mod tests {
             |store| {
                 let stats = store.stats();
                 assert_eq!((stats.run_merges, stats.trivial_moves), (3, 0));
-                let l1 = store.levels.read().deeper[0].clone();
+                let l1 = store.levels.read().unwrap().deeper[0].clone();
                 assert_eq!(l1.len(), 3);
                 // The configuration run is still the file the first
                 // merge wrote; its neighbours were rewritten around it.
@@ -949,7 +825,7 @@ mod tests {
     }
 
     fn level_names(store: &Store<MemDisk>, level: usize) -> Vec<String> {
-        store.levels.read().deeper[level - 1]
+        store.levels.read().unwrap().deeper[level - 1]
             .iter()
             .map(|r| r.name().to_string())
             .collect()
@@ -966,7 +842,9 @@ mod tests {
             "",
         );
         let (mutations, reads) = (disk.mutation_count(), disk.read_op_count());
-        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        store
+            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
+            .unwrap();
         assert_eq!(disk.mutation_count() - mutations, 1, "one manifest write");
         assert_eq!(disk.read_op_count(), reads, "no run is read");
         assert_eq!(level_names(&store, 2), ["run-000001", "run-000000"]);
@@ -984,10 +862,12 @@ mod tests {
         let v = Some(&b"v"[..]);
         // A tombstone must not settle in the bottom level.
         let (_, store) = store_over(&[&[&[(3, "ev/05", v), (3, "ev/06", None)]]], "");
-        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        store
+            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
+            .unwrap();
         let stats = store.stats();
         assert_eq!((stats.trivial_moves, stats.run_merges), (0, 1));
-        let moved = store.levels.read().deeper[1].clone();
+        let moved = store.levels.read().unwrap().deeper[1].clone();
         assert_eq!((moved[0].entries, moved[0].tombstones), (1, 0));
 
         // … but rides along while something deeper could still hold the
@@ -1000,7 +880,9 @@ mod tests {
             ],
             "",
         );
-        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        store
+            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
+            .unwrap();
         assert_eq!(store.stats().trivial_moves, 1);
         assert_eq!(level_names(&store, 2), ["run-000000"]);
 
@@ -1009,16 +891,20 @@ mod tests {
             &[&[&[(3, "ev/05", v), (3, "ev/06", v)]]],
             "retain 3 ev/ ev/06\n",
         );
-        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        store
+            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
+            .unwrap();
         assert_eq!(store.stats().run_merges, 1);
-        let moved = store.levels.read().deeper[1].clone();
+        let moved = store.levels.read().unwrap().deeper[1].clone();
         assert_eq!(moved[0].min_key(), Some((3, "ev/06")));
 
         // No block of the victim reaches the target run, but its hull
         // spans it: the run is rewritten in two pieces around the
         // untouched one, which is never read.
         let (disk, store) = store_over(&[&[&[(1, "a", v), (3, "z", v)]], &[&[(2, "m", v)]]], "");
-        store.push_down_locked(&mut store.wal.lock(), 1).unwrap();
+        store
+            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
+            .unwrap();
         assert_eq!(store.stats().run_merges, 1);
         assert_eq!(
             level_names(&store, 2),
@@ -1160,7 +1046,7 @@ mod tests {
             ranges.iter().any(|level| !level.is_empty()),
             "no run ever reached L1+"
         );
-        assert!(store.levels.read().deeper_levels_disjoint());
+        assert!(store.levels.read().unwrap().deeper_levels_disjoint());
 
         let check = |store: &Store<MemDisk>| {
             for space in [Space::History, Space::Instance] {

@@ -15,15 +15,14 @@
 //!   pretending.
 
 use crate::error::{StoreError, StoreResult};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Abstract flat-namespace disk: named files supporting atomic whole-file
-/// writes (snapshots, manifests) and append-only writes (the WAL).
+/// writes (runs, manifests) and append-only writes (the WAL).
 pub trait Disk: Send + Sync {
     /// Read the full contents of `name`, or `None` if it does not exist.
     fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>>;
@@ -249,7 +248,7 @@ impl MemDisk {
     /// Install (or replace) the fault plan. Byte and mutation accounting
     /// restart at zero.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.appended = 0;
         st.mutations = 0;
         st.plan = plan;
@@ -265,12 +264,12 @@ impl MemDisk {
     /// torn) file contents survive, mirroring non-volatile storage.
     pub fn reboot(&self) {
         self.crashed.store(false, Ordering::SeqCst);
-        self.state.lock().plan = None;
+        self.state().plan = None;
     }
 
     /// Total bytes appended since the last fault-plan installation.
     pub fn bytes_appended(&self) -> u64 {
-        self.state.lock().appended
+        self.state().appended
     }
 
     /// Disk mutations (`append` + `write_atomic` + `delete`) attempted
@@ -278,7 +277,7 @@ impl MemDisk {
     /// crash interrupted.  A crash-free probe run of a workload therefore
     /// yields the exact number of enumerable crash points.
     pub fn mutation_count(&self) -> u64 {
-        self.state.lock().mutations
+        self.state().mutations
     }
 
     /// XOR `mask` into byte `offset` of the persisted image of `name`,
@@ -286,7 +285,7 @@ impl MemDisk {
     /// the file does not exist or `offset` is out of range.  Works even
     /// while the disk is "crashed" — corruption does not need a live disk.
     pub fn corrupt_byte(&self, name: &str, offset: usize, mask: u8) -> bool {
-        let mut st = self.state.lock();
+        let mut st = self.state();
         match st.files.get_mut(name) {
             Some(data) if offset < data.len() && mask != 0 => {
                 data[offset] ^= mask;
@@ -299,7 +298,7 @@ impl MemDisk {
     /// Length of the persisted image of `name`, bypassing crash state
     /// (harness introspection; `None` when the file does not exist).
     pub fn file_len(&self, name: &str) -> Option<usize> {
-        self.state.lock().files.get(name).map(Vec::len)
+        self.state().files.get(name).map(Vec::len)
     }
 
     /// Bytes handed out by `read`/`read_range` since creation.  Together
@@ -307,23 +306,23 @@ impl MemDisk {
     /// path is O(tail): the reopen's read-byte delta must stay far below
     /// the total on-disk footprint.
     pub fn bytes_read(&self) -> u64 {
-        self.state.lock().read_bytes
+        self.state().read_bytes
     }
 
     /// Read operations (`read` + `read_range` + `file_size`) since
     /// creation.
     pub fn read_op_count(&self) -> u64 {
-        self.state.lock().read_ops
+        self.state().read_ops
     }
 
     /// Total bytes currently persisted across all files.
     pub fn total_file_bytes(&self) -> u64 {
-        self.state
-            .lock()
-            .files
-            .values()
-            .map(|f| f.len() as u64)
-            .sum()
+        self.state().files.values().map(|f| f.len() as u64).sum()
+    }
+
+    /// The disk's lock; a panic under it propagates to every later user.
+    fn state(&self) -> MutexGuard<'_, MemDiskState> {
+        self.state.lock().expect("a panic under the MemDisk lock")
     }
 
     fn check_alive(&self) -> StoreResult<()> {
@@ -358,7 +357,7 @@ fn fault_fires(st: &MemDiskState, append_len: Option<u64>) -> Option<CrashEffect
 impl Disk for MemDisk {
     fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>> {
         self.check_alive()?;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         let data = st.files.get(name).cloned();
         st.read_ops += 1;
         st.read_bytes += data.as_ref().map_or(0, |d| d.len() as u64);
@@ -367,7 +366,7 @@ impl Disk for MemDisk {
 
     fn write_atomic(&self, name: &str, data: &[u8]) -> StoreResult<()> {
         self.check_alive()?;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.mutations += 1;
         if let Some(effect) = fault_fires(&st, None) {
             match effect {
@@ -394,7 +393,7 @@ impl Disk for MemDisk {
 
     fn append(&self, name: &str, data: &[u8]) -> StoreResult<()> {
         self.check_alive()?;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.mutations += 1;
         if let Some(effect) = fault_fires(&st, Some(data.len() as u64)) {
             let kept = match effect {
@@ -426,12 +425,12 @@ impl Disk for MemDisk {
 
     fn list(&self) -> StoreResult<Vec<String>> {
         self.check_alive()?;
-        Ok(self.state.lock().files.keys().cloned().collect())
+        Ok(self.state().files.keys().cloned().collect())
     }
 
     fn delete(&self, name: &str) -> StoreResult<()> {
         self.check_alive()?;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.mutations += 1;
         if let Some(effect) = fault_fires(&st, None) {
             if effect == CrashEffect::AfterApply {
@@ -446,7 +445,7 @@ impl Disk for MemDisk {
 
     fn read_range(&self, name: &str, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
         self.check_alive()?;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.read_ops += 1;
         let out = {
             let Some(data) = st.files.get(name) else {
@@ -462,7 +461,7 @@ impl Disk for MemDisk {
 
     fn file_size(&self, name: &str) -> StoreResult<Option<u64>> {
         self.check_alive()?;
-        let mut st = self.state.lock();
+        let mut st = self.state();
         st.read_ops += 1;
         Ok(st.files.get(name).map(|d| d.len() as u64))
     }

@@ -3,13 +3,12 @@
 //!
 //! A store keeps the hot record set in memory (a `BTreeMap` per space,
 //! `memtable.rs`) and makes every mutation durable through the WAL
-//! before applying it.  Without a [`TieredPolicy`] the memtables hold
-//! everything and [`Store::compact`] rolls the log into a snapshot — the
-//! pre-tiering behavior, byte-for-byte.  With a policy installed, a
-//! memtable set that outgrows its budget spills to an immutable
-//! sorted-run file ([`crate::runs`]) and runs are organized into a
-//! leveled tier.  The rest of the engine lives in one module per
-//! decision:
+//! before applying it.  Every roll of the WAL is a spill to an immutable
+//! sorted-run file ([`crate::runs`]) of a leveled tier; a [`TieredPolicy`]
+//! budget, the [`CompactionPolicy`] or [`Store::compact`] calls one, and
+//! with no policy (`None`) the memtables have no budget.  A legacy
+//! `snapshot-{e}` is read at open and deleted by the first spill.  The
+//! rest of the engine lives in one module per decision:
 //!
 //! * `policy.rs` — when to roll and how big each tier may grow.
 //! * `manifest.rs` — the MANIFEST text format, the one commit
@@ -17,7 +16,7 @@
 //! * `levels.rs` — the level layout (overlapping L0, disjoint
 //!   sorted L1+) and the point-read path through it.
 //! * `compaction.rs` — every rewrite that commits through the
-//!   manifest: snapshot roll, spill, leveled push-down.
+//!   manifest: spill, leveled push-down.
 //! * `merge.rs` — the streaming k-way merge every multi-input read
 //!   goes through: a push-down's inputs, and a range scan over the
 //!   memtable and the tier.
@@ -47,7 +46,8 @@
 //! across the `levels` lookup, so a spill (which takes both write locks
 //! before clearing the memtable and publishing the new run) is atomic
 //! from a reader's point of view.  Frame encoding happens *before* any
-//! lock is taken.
+//! lock is taken.  The locks are `std::sync`'s, and a poisoned one
+//! poisons the store (`Store::guard`).
 
 use crate::cache::{BlockCache, DEFAULT_BLOCK_CACHE_BUDGET};
 use crate::disk::Disk;
@@ -60,9 +60,8 @@ use crate::policy::{CompactionPolicy, TieredPolicy};
 use crate::runs::{parse_run_name, Run};
 use crate::wal::{self, WalOp};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 
 /// The four persistent spaces of the BioOpera data layer (paper §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -189,7 +188,7 @@ pub type RunRange = ((u8, String), (u8, String));
 /// Counters describing the store's physical state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Current snapshot/WAL epoch.
+    /// Current WAL epoch: bumped by every roll.
     pub epoch: u64,
     /// Bytes appended to the live WAL since the last compaction.
     pub wal_bytes: u64,
@@ -244,7 +243,6 @@ pub(crate) struct WalState<D: Disk> {
     pub(crate) epoch: u64,
     pub(crate) wal_bytes: u64,
     batches_applied: u64,
-    pub(crate) batches_in_epoch: u64,
     recovered_torn_tail: bool,
     recovered_truncated_bytes: u64,
     pub(crate) policy: Option<CompactionPolicy>,
@@ -293,20 +291,30 @@ impl<D: Disk> Clone for Store<D> {
     }
 }
 
+/// A lock taken through its poison, for the calls that cannot fail:
+/// setting the roll policy and the introspection (`stats`,
+/// `level_ranges`, `retention`).  They touch counters, the policy and
+/// the run lists, which every update leaves valid at each step (an
+/// add, a push, an assignment), and they serve no record.
+pub(crate) fn peek<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
+
 impl<D: Disk> Store<D> {
     /// Open a store on `disk`, running crash recovery: load the run tier
-    /// and the newest committed snapshot, then replay the live WAL,
-    /// discarding any torn tail left by a crash.
+    /// (or, on a disk an older engine left with no run, its snapshot),
+    /// then replay the live WAL, discarding any torn tail left by a crash.
     ///
-    /// Exactly [`Store::open_with`] with no [`TieredPolicy`]: the store is
-    /// tiered only when its opener says so.
+    /// Exactly [`Store::open_with`] with no [`TieredPolicy`]: the store
+    /// has a memtable budget only when its opener gives it one.
     pub fn open(disk: D) -> StoreResult<Self> {
         Self::open_with(disk, None)
     }
 
-    /// [`Store::open`] with an explicit tiering decision (`None` keeps
-    /// the engine in the pure snapshot mode unless runs already exist on
-    /// disk from an earlier tiered session).
+    /// [`Store::open`] with an explicit memtable budget.  `None` means
+    /// no budget: the store spills only when its [`CompactionPolicy`]
+    /// fires or [`Store::compact`] is called, and lays its levels out as
+    /// `TieredPolicy::default()` does.
     pub fn open_with(disk: D, tiered: Option<TieredPolicy>) -> StoreResult<Self> {
         let disk = Arc::new(disk);
         let manifest = match disk.read(MANIFEST)? {
@@ -357,39 +365,32 @@ impl<D: Disk> Store<D> {
         // reads no run: reopen reads the manifest, the runs' footers and
         // meta, and the WAL tail.
         let mut replay_into_mem = |image: &Bytes| {
-            let mut frames = 0u64;
-            let end = wal::replay_shared(image, |ops| {
-                frames += 1;
+            wal::replay_shared(image, |ops| {
+                batches_applied += 1;
                 apply_ops(&mut mem, &levels, ops.drain(..));
                 Ok::<(), StoreError>(())
-            })?;
-            batches_applied += frames;
-            Ok::<_, StoreError>((end, frames))
+            })
         };
 
-        // Snapshots and runs are mutually exclusive on disk (a spill
-        // commits the manifest and deletes the snapshot in the same
-        // epoch roll), so the snapshot is only consulted when no runs
-        // are listed.  Snapshots are written atomically, so a torn
-        // snapshot is corruption.
+        // The snapshot is a read-only legacy format, which older engines
+        // rolled the WAL into.  The first spill deletes it, so it is only
+        // consulted when no runs are listed.  Snapshots were written
+        // atomically, so a torn snapshot is corruption.
         if levels.no_runs() {
             if let Some(snap) = disk.read(&snapshot_name(epoch))? {
-                let (end, _) = replay_into_mem(&Bytes::from(snap))?;
-                if end.torn_tail {
+                if replay_into_mem(&Bytes::from(snap))?.torn_tail {
                     return Err(StoreError::Corruption("snapshot has torn frames".into()));
                 }
             }
         }
 
-        let mut batches_in_epoch = 0u64;
         let (wal_bytes, recovered_torn_tail, recovered_truncated_bytes) =
             match disk.read(&wal_name(epoch))? {
                 Some(log) => {
                     // The log image becomes one shared buffer; replay
                     // slices every value out of it without copying.
                     let log = Bytes::from(log);
-                    let (end, frames) = replay_into_mem(&log)?;
-                    batches_in_epoch = frames;
+                    let end = replay_into_mem(&log)?;
                     if end.torn_tail {
                         // Repair: drop the torn tail *on disk*, not just in
                         // memory.  Future appends must continue at the end
@@ -409,13 +410,13 @@ impl<D: Disk> Store<D> {
             };
 
         // Crash hygiene: a crash can leave partially-written temp files
-        // (torn `write_atomic`), orphan snapshot/WAL files of adjacent
-        // epochs (crash inside a snapshot roll or spill between the
-        // new-state write, the manifest commit and the old-epoch GC), and
-        // run files the manifest never adopted (crash between the run
-        // write and the manifest commit) or already dropped (crash inside
-        // the merge GC).  Remove them so they can never be mistaken for
-        // live state.  These deletes are themselves crash points
+        // (torn `write_atomic`), orphan WAL files of adjacent epochs and
+        // a legacy snapshot the runs replaced (crash inside a spill
+        // between the manifest commit and the old-epoch GC), and run
+        // files the manifest never adopted (crash between the run write
+        // and the manifest commit) or already dropped (crash inside the
+        // merge GC).  Remove them so they can never be mistaken for live
+        // state.  These deletes are themselves crash points
         // (recovery-during-recovery) and are idempotent: a crash here
         // leaves a state this same pass cleans on the next open.
         let keep_wal = wal_name(epoch);
@@ -440,7 +441,6 @@ impl<D: Disk> Store<D> {
                 epoch,
                 wal_bytes,
                 batches_applied,
-                batches_in_epoch,
                 recovered_torn_tail,
                 recovered_truncated_bytes,
                 policy: None,
@@ -466,7 +466,7 @@ impl<D: Disk> Store<D> {
 
     /// Install (or clear) the automatic compaction policy.
     pub fn set_compaction_policy(&self, policy: Option<CompactionPolicy>) {
-        self.wal.lock().policy = policy;
+        peek(self.wal.lock()).policy = policy;
     }
 
     /// Apply a batch atomically: durable in the WAL first, then visible.
@@ -498,14 +498,13 @@ impl<D: Disk> Store<D> {
             return Ok(());
         }
         let auto = {
-            let mut wal = self.wal.lock();
+            let mut wal = self.guard(self.wal.lock())?;
             self.poison_on_err(wal.disk.append(&wal_name(wal.epoch), &buf))?;
             wal.wal_bytes += buf.len() as u64;
             wal.batches_applied += pending.len() as u64;
-            wal.batches_in_epoch += pending.len() as u64;
             // Still holding the WAL lock: visibility order == durable order.
-            let mut mem = self.mem.write();
-            let levels = self.levels.read();
+            let mut mem = self.guard(self.mem.write())?;
+            let levels = self.guard(self.levels.read())?;
             for ops in pending {
                 apply_ops(&mut mem, &levels, ops);
             }
@@ -543,12 +542,12 @@ impl<D: Disk> Store<D> {
     /// spill cannot move the key out from under the reader.
     pub fn get(&self, space: Space, key: &str) -> StoreResult<Option<Bytes>> {
         self.check_alive()?;
-        let mem = self.mem.read();
+        let mem = self.guard(self.mem.read())?;
         match mem.spaces[space.as_u8() as usize].get(key) {
             Some(Some(v)) => Ok(Some(v.clone())),
             Some(None) => Ok(None), // tombstone: deleted after the last spill
             None => {
-                let levels = self.levels.read();
+                let levels = self.guard(self.levels.read())?;
                 if levels.no_runs() {
                     return Ok(None);
                 }
@@ -582,8 +581,8 @@ impl<D: Disk> Store<D> {
         mut visit: impl FnMut(&str, &Bytes) -> Result<(), E>,
     ) -> Result<(), E> {
         self.check_alive()?;
-        let mem = self.mem.read();
-        let levels = self.levels.read();
+        let mem = self.guard(self.mem.read())?;
+        let levels = self.guard(self.levels.read())?;
         let space = space.as_u8();
         let scan = Scan {
             space,
@@ -686,8 +685,7 @@ impl<D: Disk> Store<D> {
     /// Introspection for invariant tests: for each level beneath L0,
     /// the composite `(space, key)` range of every run, in level order.
     pub fn level_ranges(&self) -> Vec<Vec<RunRange>> {
-        self.levels
-            .read()
+        peek(self.levels.read())
             .deeper
             .iter()
             .map(|lvl| {
@@ -705,15 +703,16 @@ impl<D: Disk> Store<D> {
 
     /// Physical statistics.
     pub fn stats(&self) -> StoreStats {
-        let wal = self.wal.lock();
-        let memtable_bytes = self.mem.read().approx_bytes;
+        let wal = peek(self.wal.lock());
+        let memtable_bytes = peek(self.mem.read()).approx_bytes;
+        let levels = peek(self.levels.read());
         StoreStats {
             epoch: wal.epoch,
             wal_bytes: wal.wal_bytes,
             batches_applied: wal.batches_applied,
             recovered_torn_tail: wal.recovered_torn_tail,
             recovered_truncated_bytes: wal.recovered_truncated_bytes,
-            runs: self.levels.read().run_count(),
+            runs: levels.run_count(),
             memtable_bytes,
             spills: wal.spills,
             run_merges: wal.run_merges,
@@ -724,7 +723,7 @@ impl<D: Disk> Store<D> {
             run_probes: self.metrics.run_probes.load(Ordering::Relaxed),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
-            levels: self.levels.read().depth(),
+            levels: levels.depth(),
             max_merge_bytes: wal.merge_bytes_max,
             retired: wal.retired,
         }
@@ -750,6 +749,17 @@ impl<D: Disk> Store<D> {
         } else {
             Ok(())
         }
+    }
+
+    /// The guard of `wal`, `mem` or `levels`.  A thread that panicked
+    /// holding one may have left what readers see half-changed (a batch
+    /// half-applied to the memtable), so a poisoned lock poisons the
+    /// store: this call fails, as every later one will until a re-open.
+    pub(crate) fn guard<G>(&self, lock: LockResult<G>) -> StoreResult<G> {
+        lock.map_err(|_| {
+            self.poison();
+            StoreError::Poisoned
+        })
     }
 
     /// A failed disk call leaves the on-disk state ambiguous from this
@@ -1239,65 +1249,108 @@ pub(crate) mod tests {
 
     #[test]
     fn pre_overhaul_disk_image_upgrades_to_tiered_strictly_additively() {
-        // Opening the frozen image under a tiered policy must not rewrite,
-        // rename or delete a single legacy byte — tiering only ever *adds*
-        // file kinds (run-* plus manifest lines) once a spill happens.
-        let disk = legacy_image();
-        let before: std::collections::BTreeMap<String, Vec<u8>> = disk
-            .list()
-            .unwrap()
-            .into_iter()
-            .map(|n| {
-                let bytes = disk.read(&n).unwrap().unwrap();
-                (n, bytes)
-            })
-            .collect();
+        // Opening the frozen image must not rewrite, rename or delete a
+        // single legacy byte, under a budget or under none.  Its first
+        // roll — a spill either way: the budget's, or `compact()` with no
+        // budget — adds a run the manifest lists and deletes the snapshot.
+        let files = |disk: &MemDisk| -> BTreeMap<String, Vec<u8>> {
+            let names = disk.list().unwrap();
+            names
+                .into_iter()
+                .map(|n| {
+                    let bytes = disk.read(&n).unwrap().unwrap();
+                    (n, bytes)
+                })
+                .collect()
+        };
+        let records = |store: &Store<MemDisk>| -> Vec<(Space, String, Bytes)> {
+            Space::ALL
+                .into_iter()
+                .flat_map(|s| {
+                    let rows = store.scan_prefix(s, "").unwrap();
+                    rows.into_iter().map(move |(k, v)| (s, k, v))
+                })
+                .collect()
+        };
+        for tiered in [None, Some(tiny_tiered())] {
+            let ctx = format!("upgrade under {tiered:?}");
+            let disk = legacy_image();
+            let before = files(&disk);
+            let store = Store::open_with(disk.clone(), tiered).unwrap();
+            assert_eq!(
+                store.get(Space::History, "ev/001").unwrap().unwrap(),
+                &b"finished"[..]
+            );
+            assert_eq!(before, files(&disk), "{ctx}: open modified a legacy file");
 
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
-        assert_eq!(
-            store.get(Space::History, "ev/001").unwrap().unwrap(),
-            &b"finished"[..]
-        );
-        let after: std::collections::BTreeMap<String, Vec<u8>> = disk
-            .list()
-            .unwrap()
-            .into_iter()
-            .map(|n| {
-                let bytes = disk.read(&n).unwrap().unwrap();
-                (n, bytes)
-            })
-            .collect();
-        assert_eq!(before, after, "tiered open modified a legacy file");
+            // With a budget the bulk crosses it; with none only `compact()`
+            // rolls.  Afterwards the directory may only hold the frozen
+            // kinds (MANIFEST, wal-<epoch>) plus run files the manifest
+            // lists: the snapshot is gone.
+            for i in 0..60u32 {
+                store
+                    .put(Space::History, format!("bulk/{i:04}"), vec![i as u8; 64])
+                    .unwrap();
+            }
+            if tiered.is_none() {
+                assert_eq!(store.stats().spills, 0, "{ctx}: no budget, no spill");
+                store.compact().unwrap();
+                assert_eq!(store.stats().runs, 1, "{ctx}");
+            }
+            assert!(store.stats().spills > 0, "{ctx}: never spilled");
+            assert_only_live_files(&disk, &ctx);
+            assert!(disk.list().unwrap().iter().any(|n| n.starts_with("run-")));
+            let held = records(&store);
+            assert_eq!(held.len(), 62, "{ctx}");
+            drop(store);
 
-        // Drive it over the budget: the resulting directory may only hold
-        // the frozen kinds (MANIFEST, wal-<epoch>) plus run files the
-        // manifest lists, and every record — legacy and new — stays
-        // readable, including through an untiered-policy reopen.
-        for i in 0..60u32 {
-            store
-                .put(Space::History, format!("bulk/{i:04}"), vec![i as u8; 64])
-                .unwrap();
+            // Every record — legacy and new — reads the same through a
+            // reopen with no budget.
+            let reopened = Store::open_with(disk, None).unwrap();
+            assert_eq!(records(&reopened), held, "{ctx}: the reopen diverged");
+            assert_eq!(
+                reopened.get(Space::History, "ev/001").unwrap().unwrap(),
+                &b"finished"[..]
+            );
+            assert_eq!(
+                reopened.get(Space::Instance, "inst/7").unwrap().unwrap(),
+                &b"running"[..]
+            );
+            assert_eq!(reopened.get(Space::Template, "tmpl/blast").unwrap(), None);
+            assert_eq!(
+                reopened.get(Space::History, "bulk/0059").unwrap().unwrap(),
+                &[59u8; 64][..]
+            );
+            assert_eq!(reopened.len(Space::History).unwrap(), 61);
         }
-        assert!(store.stats().spills > 0, "workload never spilled");
-        assert_only_live_files(&disk, "tiered upgrade");
-        assert!(disk.list().unwrap().iter().any(|n| n.starts_with("run-")));
-        drop(store);
+    }
 
-        let reopened = Store::open_with(disk, None).unwrap();
-        assert_eq!(
-            reopened.get(Space::History, "ev/001").unwrap().unwrap(),
-            &b"finished"[..]
-        );
-        assert_eq!(
-            reopened.get(Space::Instance, "inst/7").unwrap().unwrap(),
-            &b"running"[..]
-        );
-        assert_eq!(reopened.get(Space::Template, "tmpl/blast").unwrap(), None);
-        assert_eq!(
-            reopened.get(Space::History, "bulk/0059").unwrap().unwrap(),
-            &[59u8; 64][..]
-        );
-        assert_eq!(reopened.len(Space::History).unwrap(), 61);
+    /// A panic under the memtable's write lock may leave a batch
+    /// half-applied.  The poisoned lock poisons the store: no reader or
+    /// writer is served from what the panic left.
+    #[test]
+    fn a_panic_under_the_memtable_lock_poisons_the_store() {
+        let (_disk, store) = open_mem();
+        store.put(Space::Instance, "k", &b"v"[..]).unwrap();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut mem = store.mem.write().unwrap();
+            let half = Some(Bytes::from_static(b"half"));
+            mem.spaces[Space::Instance.as_u8() as usize].insert("half".into(), half);
+            panic!("a writer dies between two ops of its batch");
+        }));
+        assert!(died.is_err());
+        assert!(matches!(
+            store.get(Space::Instance, "k"),
+            Err(StoreError::Poisoned)
+        ));
+        assert!(matches!(
+            store.scan_prefix(Space::Instance, ""),
+            Err(StoreError::Poisoned)
+        ));
+        let mut batch = Batch::new();
+        batch.put(Space::Instance, "x", &b"1"[..]);
+        assert!(matches!(store.apply(batch), Err(StoreError::Poisoned)));
+        assert!(store.is_poisoned());
     }
 
     pub(crate) fn tiny_tiered() -> TieredPolicy {
@@ -1416,10 +1469,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn never_spilling_tiered_store_matches_legacy_bytes() {
-        // The same workload through an untiered store and a tiered store
-        // whose budget is never crossed must leave byte-identical
-        // directories: tiering is strictly additive on disk.
+    fn an_unreached_budget_lays_down_the_same_bytes_as_no_budget() {
+        // The same workload through a store with no memtable budget and
+        // one whose budget is never crossed must leave byte-identical
+        // directories: a budget only decides when to spill.
         let run = |tiered: Option<TieredPolicy>| -> MemDisk {
             let disk = MemDisk::new();
             let store = Store::open_with(disk.clone(), tiered).unwrap();
@@ -1441,22 +1494,26 @@ pub(crate) mod tests {
                 }))
                 .unwrap();
             drop(store);
-            // Reopen mid-workload: recovery must not diverge either.
+            // Reopen mid-workload, then roll: neither recovery nor the
+            // spill may diverge.
             let store = Store::open_with(disk.clone(), tiered).unwrap();
             store.put(Space::Configuration, "c", &b"v"[..]).unwrap();
+            store.compact().unwrap();
+            store.delete(Space::Instance, "i/08").unwrap();
             disk
         };
-        let legacy = run(None);
-        let tiered = run(Some(TieredPolicy::default())); // 4 MiB budget, never hit
-        let mut legacy_files = legacy.list().unwrap();
-        let mut tiered_files = tiered.list().unwrap();
-        legacy_files.sort();
-        tiered_files.sort();
-        assert_eq!(legacy_files, tiered_files);
-        for name in &legacy_files {
+        let unbudgeted = run(None);
+        let budgeted = run(Some(TieredPolicy::default())); // 4 MiB budget, never hit
+        let mut unbudgeted_files = unbudgeted.list().unwrap();
+        let mut budgeted_files = budgeted.list().unwrap();
+        unbudgeted_files.sort();
+        budgeted_files.sort();
+        assert_eq!(unbudgeted_files, budgeted_files);
+        assert!(unbudgeted_files.iter().any(|n| n.starts_with("run-")));
+        for name in &unbudgeted_files {
             assert_eq!(
-                legacy.read(name).unwrap(),
-                tiered.read(name).unwrap(),
+                unbudgeted.read(name).unwrap(),
+                budgeted.read(name).unwrap(),
                 "file `{name}` diverged"
             );
         }
@@ -1487,7 +1544,7 @@ pub(crate) mod tests {
             self.inner.delete(name)
         }
         fn read_range(&self, name: &str, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
-            self.reads.lock().push((name.to_string(), offset));
+            self.reads.lock().unwrap().push((name.to_string(), offset));
             self.inner.read_range(name, offset, len)
         }
         fn file_size(&self, name: &str) -> StoreResult<Option<u64>> {
@@ -1498,7 +1555,7 @@ pub(crate) mod tests {
     impl Recording {
         /// The reads logged since the last call, sorted.
         fn take_reads(&self) -> Vec<(String, u64)> {
-            let mut reads = std::mem::take(&mut *self.reads.lock());
+            let mut reads = std::mem::take(&mut *self.reads.lock().unwrap());
             reads.sort();
             reads
         }
@@ -1655,8 +1712,8 @@ pub(crate) mod tests {
             disk.take_reads();
             let expect = fold_scan(&disk, &mem.spaces[space as usize], &levels, space, from, &within);
             let fold_reads = disk.take_reads();
-            *store.levels.write() = levels;
-            *store.mem.write() = mem;
+            *store.levels.write().unwrap() = levels;
+            *store.mem.write().unwrap() = mem;
             let mut got = Vec::new();
             let space_of = Space::from_u8(space).unwrap();
             store.visit_prefix_from(space_of, prefix, &start, |k, v| {

@@ -11,12 +11,12 @@
 //!
 //! * a **write-ahead log** ([`wal`]) with CRC-framed, atomically-replayable
 //!   batches and torn-tail tolerance,
-//! * periodic **snapshots** with WAL rotation ([`Store::compact`]),
-//! * a bounded-memory **tiered layer** ([`runs`], [`bloom`]): once a
-//!   [`TieredPolicy`] memtable budget is exceeded the memtables spill to
-//!   immutable sorted-run files with per-run bloom filters and sparse block
-//!   indexes; reads check memtable → runs newest-to-oldest, and a crash-safe
-//!   merge compaction folds runs together and drops tombstones,
+//! * a **tiered layer** ([`runs`], [`bloom`]): every WAL roll is a spill
+//!   of the memtables to an immutable sorted-run file with a bloom filter
+//!   and a sparse block index — on a [`TieredPolicy`] budget, a
+//!   [`CompactionPolicy`] WAL length or [`Store::compact`] (`None`: no
+//!   budget) — and a crash-safe leveled merge folds runs together and
+//!   drops tombstones; an older engine's snapshot is read, never written,
 //! * four typed **record spaces** ([`Space`]) mirroring the paper's template /
 //!   instance / configuration / data (history) spaces,
 //! * a pluggable [`disk::Disk`] abstraction with a real filesystem backend and

@@ -1,7 +1,7 @@
 //! The MANIFEST file: the store's one commit point, and its format.
 //!
-//! Every state change bigger than a WAL append — snapshot roll, spill,
-//! leveled compaction, retention advance — becomes durable by one
+//! Every state change bigger than a WAL append — spill, leveled
+//! compaction, retention advance — becomes durable by one
 //! `write_atomic` of this file.  Nothing outside this module knows how
 //! the text is laid out; writers hand [`manifest_for`] the tier they want
 //! committed, [`parse_manifest`] gives recovery the same facts back.

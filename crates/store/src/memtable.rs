@@ -104,7 +104,7 @@ mod tests {
     /// and per space `len` is the number of records a full scan returns.
     fn assert_accounting(store: &Store<MemDisk>, ctx: &str) {
         let (approx, recount) = {
-            let mem = store.mem.read();
+            let mem = store.mem.read().unwrap();
             let recount: u64 = mem
                 .spaces
                 .iter()
@@ -125,7 +125,7 @@ mod tests {
     }
 
     fn slot(store: &Store<MemDisk>, space: Space, key: &str) -> Option<Option<usize>> {
-        let mem = store.mem.read();
+        let mem = store.mem.read().unwrap();
         mem.spaces[space.as_u8() as usize]
             .get(key)
             .map(|v| v.as_ref().map(Bytes::len))
@@ -209,6 +209,7 @@ mod tests {
         assert!(!store
             .levels
             .read()
+            .unwrap()
             .may_contain_any(space.as_u8(), "mem-only"));
         store.put(space, "mem-only", vec![3; 9]).unwrap();
         store.delete(space, "mem-only").unwrap();
@@ -253,7 +254,7 @@ mod tests {
             }
         }
         {
-            let levels = store.levels.read();
+            let levels = store.levels.read().unwrap();
             assert_eq!((levels.l0.len(), levels.deeper[0].len()), (1, 1));
         }
         drop(store);

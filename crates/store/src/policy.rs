@@ -1,38 +1,34 @@
 //! When the store rolls its WAL, and how big each tier may grow.
 //!
-//! Two independent policies: [`CompactionPolicy`] rolls the WAL into a
-//! snapshot (the pre-tiering engine), [`TieredPolicy`] bounds resident
-//! memory by spilling memtables to sorted runs and sizes the levels
-//! beneath them.  Both are arguments: a store is tiered only when its
-//! opener passes a policy to `Store::open_with` (a `Runtime` takes one
-//! through `RuntimeConfig::tiered`), and nothing here reads the
-//! environment.
+//! A roll is always a spill.  [`CompactionPolicy`] rolls once the live
+//! WAL is long enough, a [`TieredPolicy`] once the memtables outgrow its
+//! budget; it also sizes the levels, and a store opened without one
+//! (`None`: no budget) uses `TieredPolicy::default()`'s levels.  Both
+//! are arguments (a `Runtime` takes one through `RuntimeConfig::tiered`);
+//! nothing here reads the environment.
 
 use crate::cache::DEFAULT_BLOCK_CACHE_BUDGET;
 
-/// When to roll the WAL into a snapshot automatically.  Installed with
-/// [`crate::Store::set_compaction_policy`]; the store then compacts
-/// itself right after the commit that crosses the threshold, so
-/// month-long runs bound their recovery cost without the caller
-/// sprinkling `compact()` calls.
+/// When to roll the WAL automatically.  Installed with
+/// [`crate::Store::set_compaction_policy`]; the store then spills right
+/// after the commit that crosses the threshold, so month-long runs bound
+/// their replay cost — and, with no memtable budget, their resident
+/// memtable — without the caller sprinkling `compact()` calls.
 ///
-/// With no policy installed (the default) the store never compacts on its
-/// own — mutation sequences are exactly the caller's calls, which is what
-/// the crash-point torture harness enumerates.
+/// With no policy installed (the default) the store never rolls on its
+/// WAL's length — mutation sequences are exactly the caller's calls (and
+/// a memtable budget's spills), which is what the crash-point torture
+/// harness enumerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
-    /// Compact once the live WAL exceeds this many bytes.
+    /// Roll once the live WAL holds at least this many bytes.
     pub wal_bytes_threshold: u64,
-    /// …but only after at least this many batches in the current epoch,
-    /// so a single oversized batch doesn't trigger a pointless roll.
-    pub min_wal_batches: u64,
 }
 
 impl Default for CompactionPolicy {
     fn default() -> Self {
         CompactionPolicy {
             wal_bytes_threshold: 8 * 1024 * 1024,
-            min_wal_batches: 4,
         }
     }
 }
@@ -45,9 +41,10 @@ impl Default for CompactionPolicy {
 /// pushes one victim run down a level.  Tombstones are dropped only
 /// when a merge output lands in the bottom level.
 ///
-/// With no tiered policy installed (the default) the store behaves —
-/// and lays bytes down — exactly as the pre-tiering engine, unless runs
-/// already exist on disk from an earlier tiered session.
+/// With no tiered policy installed (`None`, the default) the store has
+/// no memtable budget: it spills only when its [`CompactionPolicy`]
+/// fires or `compact()` is called, and its levels take this type's
+/// default layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredPolicy {
     /// Spill once the memtables' estimated bytes exceed this.

@@ -9,7 +9,7 @@
 //! them.
 
 use crate::disk::Disk;
-use crate::engine::{Space, Store};
+use crate::engine::{peek, Space, Store};
 use crate::error::StoreResult;
 use crate::manifest::manifest_for;
 use crate::memtable::entry_cost;
@@ -30,9 +30,9 @@ impl<D: Disk> Store<D> {
         if below <= start {
             return Ok(0);
         }
-        let mut wal = self.wal.lock();
+        let mut wal = self.guard(self.wal.lock())?;
         let si = space.as_u8() as usize;
-        let old = self.levels.read().retain[si].clone();
+        let old = self.guard(self.levels.read())?.retain[si].clone();
         let (new_start, new_below) = match &old {
             Some((s, b)) => (
                 s.as_str().min(start).to_string(),
@@ -63,8 +63,8 @@ impl<D: Disk> Store<D> {
         // Count what the advance retires in the merged view of the runs
         // and the memtable, and price the memtable entries to purge.
         let (retired, purge_cost) = {
-            let mem = self.mem.read();
-            let levels = self.levels.read();
+            let mem = self.guard(self.mem.read())?;
+            let levels = self.guard(self.levels.read())?;
             let mut retired = 0u64;
             let mut purge_cost = 0u64;
             for (lo, hi) in &deltas {
@@ -87,7 +87,7 @@ impl<D: Disk> Store<D> {
             (retired, purge_cost)
         };
         let manifest = {
-            let levels = self.levels.read();
+            let levels = self.guard(self.levels.read())?;
             let mut retain = levels.retain.clone();
             retain[si] = Some((new_start.clone(), new_below.clone()));
             manifest_for(wal.epoch, &levels.l0, &levels.deeper, &retain)
@@ -96,8 +96,8 @@ impl<D: Disk> Store<D> {
         // Committed: publish the watermark and purge the in-range
         // memtable entries under both write locks (atomic to readers).
         {
-            let mut mem = self.mem.write();
-            let mut levels = self.levels.write();
+            let mut mem = self.guard(self.mem.write())?;
+            let mut levels = self.guard(self.levels.write())?;
             for (lo, hi) in &deltas {
                 let keys: Vec<String> = mem.spaces[si]
                     .range::<str, _>((Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str())))
@@ -117,7 +117,7 @@ impl<D: Disk> Store<D> {
     /// The retention watermark of `space`, if any: the `[start, below)`
     /// range of permanently retired keys.
     pub fn retention(&self, space: Space) -> Option<(String, String)> {
-        self.levels.read().retain[space.as_u8() as usize].clone()
+        peek(self.levels.read()).retain[space.as_u8() as usize].clone()
     }
 }
 

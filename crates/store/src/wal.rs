@@ -77,10 +77,9 @@ impl WalOp {
     }
 }
 
-/// A borrowed operation: what [`encode_frame_into`] consumes.  Lets the
-/// engine stream a snapshot straight out of the memtable without first
-/// materializing owned [`WalOp`]s for every record, and a commit encode its
-/// owned ones where they lie.
+/// A borrowed operation: what [`encode_frame_into`] consumes.  Lets a
+/// commit encode its owned [`WalOp`]s where they lie, and the run writer
+/// encode a memtable entry without cloning it.
 #[derive(Debug, Clone, Copy)]
 pub enum WalOpRef<'a> {
     /// Insert or replace `key` in `space` with `value`.
@@ -96,8 +95,8 @@ pub enum WalOpRef<'a> {
 /// Encode one batch of operations as a framed WAL record appended to
 /// `out`, in place: the header is reserved, the payload written behind it,
 /// then the op count, the length and the checksum patched in.  A caller
-/// encoding many frames — group commit, snapshot streaming — grows one
-/// buffer and copies nothing twice.
+/// encoding many frames — a group commit — grows one buffer and copies
+/// nothing twice.
 pub fn encode_frame_into<'a>(out: &mut Vec<u8>, ops: impl IntoIterator<Item = WalOpRef<'a>>) {
     let frame = begin_frame(out);
     let mut count = 0u32;
@@ -119,7 +118,8 @@ pub(crate) fn begin_frame(out: &mut Vec<u8>) -> usize {
 }
 
 /// Append one operation to the frame being built — the one op encoder,
-/// shared by every frame the store writes (WAL, snapshot, run block).
+/// shared by every frame the store writes (WAL, run block) and the
+/// legacy snapshot's frames it still reads.
 #[inline]
 pub(crate) fn encode_op(out: &mut Vec<u8>, op: WalOpRef<'_>) {
     match op {

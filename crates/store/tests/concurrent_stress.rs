@@ -187,7 +187,6 @@ fn auto_compaction_under_concurrent_readers_on(tiered: Option<TieredPolicy>) {
     let store = Store::open_with(disk.clone(), tiered).unwrap();
     store.set_compaction_policy(Some(CompactionPolicy {
         wal_bytes_threshold: 2 * 1024,
-        min_wal_batches: 2,
     }));
     store.apply(marker_batch(0)).unwrap();
 

@@ -4,8 +4,9 @@
 //! [`MemDisk`]; every call the engine makes — `append`/`write_atomic`
 //! with length and CRC-32 of the bytes, `delete`, `read`, `read_range`
 //! with offset and length, `file_size`, `list` — is compared, in order,
-//! with `golden/disk_trace_*.txt`, recorded at the commit before
-//! `engine.rs` was split.  Results of every get and scan are folded into
+//! with `golden/disk_trace_*.txt`: the tiered one recorded at the commit
+//! before `engine.rs` was split, the untiered one when every roll became
+//! a spill.  Results of every get and scan are folded into
 //! the trace as `#` lines, so a refactor of the write path, the scans,
 //! the compaction core or the manifest writer that moves one byte on
 //! disk, one block read or one returned record turns this red.
@@ -151,9 +152,10 @@ fn records(store: &Rec) -> usize {
     Space::ALL.iter().map(|s| store.len(*s).unwrap()).sum()
 }
 
-/// Plain WAL + snapshot mode: single applies, group commits, deletes,
-/// reopen, explicit and policy-driven `compact()`, a retention watermark
-/// carried through a snapshot roll.
+/// No memtable budget: single applies, group commits, deletes, reopen,
+/// explicit and policy-driven `compact()` — each roll a spill, every
+/// fourth an L0 merge at the default level layout — and a retention
+/// watermark carried through a roll.
 fn untiered_script() -> String {
     let disk = Recording::new();
     let store = Store::open_with(disk.clone(), None).unwrap();
@@ -211,7 +213,6 @@ fn untiered_script() -> String {
     disk.note(format_args!("# compaction policy"));
     store.set_compaction_policy(Some(CompactionPolicy {
         wal_bytes_threshold: 400,
-        min_wal_batches: 2,
     }));
     for i in 40..60 {
         store

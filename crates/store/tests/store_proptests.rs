@@ -1,8 +1,8 @@
 //! Model tests of the store, on every store policy.
 //!
-//! Under any interleaving of commits, group commits, snapshot rolls,
-//! spills, level maintenance, retention advances and reopens — untiered
-//! (with or without the auto-compaction policy) or tiered, from a flat
+//! Under any interleaving of commits, group commits, rolls, spills, level
+//! maintenance, retention advances and reopens — with no memtable budget
+//! or a budget, with or without the auto-compaction policy, from a flat
 //! tier at the default level shape to levels squeezed so that a few dozen
 //! batches cascade runs into L2 and beyond — the store is a per-space
 //! `BTreeMap` minus its retention windows:
@@ -277,7 +277,6 @@ proptest! {
     ) {
         let auto_compact = auto_compact.then_some(CompactionPolicy {
             wal_bytes_threshold: 512,
-            min_wal_batches: 2,
         });
         let open = |disk: &MemDisk| {
             let store = Store::open_with(disk.clone(), tiered).unwrap();

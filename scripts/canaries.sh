@@ -120,6 +120,25 @@ canary spill-skips-manifest crates/store/src/compaction.rs \
   '0,/^            self\.commit_manifest\(wal, &manifest\)\?;$/{//d}' \
   cargo test -q --offline -p bioopera-harness --test torture_tests tiered_store_full
 
+# A spill that writes its run and keeps the memtable anyway: the reads stay
+# right, but a store with no budget holds its whole history again, and the
+# runtime's memtable outgrows what its WAL roll bounds.
+canary spill-keeps-memtable crates/store/src/compaction.rs \
+  's/^                map\.clear\(\);$//; s/^            mem\.approx_bytes = 0;$//' \
+  cargo test -q --offline -p bioopera-core --test runtime_tests the_memtable_stays_within_the_wal_roll
+
+# The first spill over a legacy image leaving its snapshot behind: a file
+# the manifest no longer accounts for.
+canary spill-keeps-legacy-snapshot crates/store/src/compaction.rs \
+  '/^            wal\.disk\.delete\(&snapshot_name\(wal\.epoch\)\)\?;$/d' \
+  cargo test -q --offline -p bioopera-store --lib engine::tests::pre_overhaul_disk_image_upgrades_to_tiered_strictly_additively
+
+# The store's locks recovered from their poison, as the wrapper over
+# std::sync once did: a reader is served what a panicking writer left.
+canary lock-poison-swallowed crates/store/src/engine.rs \
+  's/^        lock\.map_err\(\|_\| \{$/        Ok(lock.unwrap_or_else(PoisonError::into_inner)).map_err(|_: StoreError| {/' \
+  cargo test -q --offline -p bioopera-store --lib engine::tests::a_panic_under_the_memtable_lock_poisons_the_store
+
 # The barrier sorting its effects by sequence number first and breaking
 # ties by owner shard: the order of a round's requests then depends on how
 # many shards there are (ROADMAP 1 (c)).

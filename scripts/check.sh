@@ -207,6 +207,32 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
+step "one roll body: every WAL roll is a spill, and nothing writes a snapshot"
+# `roll_locked` (compaction.rs) spills, then runs one round of leveled
+# maintenance, whatever the memtable budget.  The snapshot is a read-only
+# legacy format: `Store::open_with` still replays one, and the first spill
+# deletes it.  The writer that rolled the WAL into one must not come back,
+# under its old names or as a `write_atomic` of a snapshot file.
+stray=$(grep -rnE 'snapshot_locked|SNAPSHOT_CHUNK|write_atomic\([^)]*snapshot_name\(' \
+  crates/store/src --include='*.rs' || true)
+if [ -n "$stray" ]; then
+  echo "a snapshot writer in the store:"
+  echo "$stray"
+  exit 1
+fi
+
+step "locks that poison: std::sync in the store, no lock wrapper that swallows a panic"
+# A panic under the memtable's write lock can leave a batch half-applied;
+# the store's locks are std::sync's, and a poisoned one poisons the store
+# (`Store::guard`).  The vendored wrapper that recovered every poisoned
+# guard is gone and must not come back as a dependency or an import.
+stray=$(grep -rn 'parking_lot' Cargo.toml crates vendor --include='Cargo.toml' --include='*.rs' || true)
+if [ -n "$stray" ]; then
+  echo "parking_lot named in a manifest or a source:"
+  echo "$stray"
+  exit 1
+fi
+
 step "unsafe stays where it is argued: darwin's SIMD lane and the store's checksum kernel"
 # Library sources (crates/*/src outside src/bin/) may say `unsafe` in
 # three files only; the counting allocators of tests and bench binaries
@@ -281,7 +307,7 @@ done
 
 step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
-# real 3-TEU all-vs-all (83 executions, ~2 s of the total in release) +
+# real 3-TEU all-vs-all (105 executions, ~2 s of the total in release) +
 # sampled shard barrier-crash points + four rounds' barrier commits torn
 # every way (lost, applied unacknowledged, cut at each frame boundary ±1
 # and at seeded offsets), all held to the history invariant; then a

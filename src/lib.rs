@@ -11,7 +11,7 @@
 //!
 //! * [`ocr`] — the Opera Canonical Representation: process model, textual
 //!   parser/printer, guard expressions, validation;
-//! * [`store`] — the embedded WAL + snapshot storage engine behind the
+//! * [`store`] — the embedded WAL + sorted-run storage engine behind the
 //!   persistent template/instance/configuration/history spaces;
 //! * [`cluster`] — the deterministic discrete-event cluster simulator
 //!   (nodes, failures, network outages, external users, adaptive load
