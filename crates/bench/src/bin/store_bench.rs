@@ -122,7 +122,7 @@ struct BenchReport {
     metrics: Vec<Metric>,
     tiered: TieredSummary,
     crc: CrcLeg,
-    #[serde(skip_serializing_if = "Vec::is_empty")]
+    /// Written `[]` when the sweep did not run.
     tiered_sweep: Vec<SweepRow>,
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Events carry a structured [`EventKind`] taxonomy (instance, task, node,
 //! cluster and operator events with typed fields) rather than free-form
-//! strings; records written by earlier versions still deserialize as
+//! strings; the string records of the earliest stores are held as
 //! [`EventKind::Legacy`].  An in-memory [`AwarenessIndex`] is maintained
 //! incrementally as each commit of the history lands — by-kind /
 //! by-instance / by-node postings, counters, gauges and latency histograms
@@ -18,17 +18,16 @@
 //! This module is the History space's reader and defines its records; the
 //! one writer is [`crate::history`], which both drivers commit through:
 //! the stream of `sev/{round}/{index}` [`ShardEvent`]s summarized by a
-//! [`StreamSummary`].  Stores written before the serial runtime joined that
-//! stream hold `ev/{seq}` [`HistoryEvent`]s summarized by a `rollup`
-//! record; [`Awareness`] still reads them, and picks the layout by what the
-//! store holds.
+//! [`StreamSummary`].  That is the one layout the reader knows: an image
+//! an earlier engine wrote is rewritten into it when a driver opens the
+//! store (`crate::upgrade`).
 
 use crate::history::{round_start_key, EVENT_PREFIX};
 use crate::metrics::Histogram;
 use crate::state::InstanceId;
 use bioopera_cluster::SimTime;
 use bioopera_store::{Batch, Disk, Space, Store, StoreError};
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -318,7 +317,8 @@ pub enum EventKind {
         /// Exclusive upper bound (store key) of the retired window.
         below: String,
     },
-    /// A record written before the typed taxonomy (old string format).
+    /// A record written before the typed taxonomy (old string format), as
+    /// the upgrade of such a store rewrote it.
     Legacy {
         /// The old free-form kind, e.g. `task.end`.
         kind: String,
@@ -464,57 +464,12 @@ impl fmt::Display for EventKind {
 }
 
 /// One history record.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistoryEvent {
     /// Virtual time of the event.
     pub at: SimTime,
     /// What happened.
     pub kind: EventKind,
-}
-
-/// Hand-written so pre-taxonomy records still load: the old format was
-/// `{"at": ..., "kind": "<string>", "detail": "<string>"}` — a top-level
-/// `detail` field marks it (typed records never serialize one), and its
-/// free-form strings become [`EventKind::Legacy`].
-impl Deserialize for HistoryEvent {
-    fn from_content(c: &Content) -> Result<Self, DeError> {
-        let entries = match c {
-            Content::Map(entries) => entries,
-            other => {
-                return Err(DeError::custom(format!(
-                    "expected history event map, found {other:?}"
-                )))
-            }
-        };
-        let at: SimTime = serde::__field(entries, "at")?;
-        let kind_c = entries
-            .iter()
-            .find(|(k, _)| k == "kind")
-            .map(|(_, v)| v)
-            .ok_or_else(|| DeError::custom("history event missing `kind`"))?;
-        let detail = entries.iter().find(|(k, _)| k == "detail").map(|(_, v)| v);
-        let kind = match (kind_c, detail) {
-            (Content::Str(kind), Some(Content::Str(detail))) => EventKind::Legacy {
-                kind: kind.clone(),
-                detail: detail.clone(),
-            },
-            (_, None) => EventKind::from_content(kind_c).or_else(|e| match kind_c {
-                // A bare kind string that is no unit-variant name is still
-                // a legacy record (tolerate a missing detail field).
-                Content::Str(kind) => Ok(EventKind::Legacy {
-                    kind: kind.clone(),
-                    detail: String::new(),
-                }),
-                _ => Err(e),
-            })?,
-            (_, Some(other)) => {
-                return Err(DeError::custom(format!(
-                    "history event `detail` must be a string, found {other:?}"
-                )))
-            }
-        };
-        Ok(HistoryEvent { at, kind })
-    }
 }
 
 /// One record of the history stream, `sev/{round}/{index}`: the event, the
@@ -548,7 +503,7 @@ impl ShardEvent {
 /// they had before the member existed.  The member sits before `kind`,
 /// which runs to the closing brace (`history::encoded_kind` relies on it).
 impl Serialize for ShardEvent {
-    fn to_content(&self) -> Content {
+    fn to_content(&self) -> serde::Content {
         let mut members = vec![
             ("round".to_string(), self.round.to_content()),
             ("instance".to_string(), self.instance.to_content()),
@@ -558,7 +513,7 @@ impl Serialize for ShardEvent {
             members.push(("at".to_string(), at.to_content()));
         }
         members.push(("kind".to_string(), self.kind.to_content()));
-        Content::Map(members)
+        serde::Content::Map(members)
     }
 
     fn write_json(&self, out: &mut String) {
@@ -578,16 +533,17 @@ impl Serialize for ShardEvent {
     }
 }
 
-/// Awareness-layer errors: store failures, plus history keys that do not
-/// belong to the append sequence (foreign or corrupt keys must surface,
-/// never silently reset the sequence — that would overwrite history).
+/// Awareness-layer errors: store failures, plus history the store holds in
+/// a shape no writer left (foreign or corrupt keys must surface, never
+/// silently reset the sequence — that would overwrite history).
 #[derive(Debug)]
 pub enum AwarenessError {
     /// The underlying store failed.
     Store(StoreError),
-    /// A History-space key under the event prefix is not a sequence number.
+    /// A key under the serial runtime's old event prefix is not a sequence
+    /// number.
     BadKey {
-        /// The offending key (without the `ev/` prefix).
+        /// The offending key, without that prefix.
         key: String,
     },
     /// A record of the stream does not decode.  The store is CRC-framed,
@@ -598,6 +554,10 @@ pub enum AwarenessError {
         /// What the decoder said.
         reason: String,
     },
+    /// The store holds history from before the stream, and the stream
+    /// continuing it has retired rounds: they cannot be refolded into the
+    /// rewritten stream's digest, so the store is not upgraded.
+    RetiredStream,
 }
 
 impl fmt::Display for AwarenessError {
@@ -609,6 +569,9 @@ impl fmt::Display for AwarenessError {
             }
             AwarenessError::BadRecord { key, reason } => {
                 write!(f, "corrupt history event {key}: {reason}")
+            }
+            AwarenessError::RetiredStream => {
+                f.write_str("older history continued by retired rounds: not upgraded")
             }
         }
     }
@@ -902,24 +865,17 @@ impl AwarenessIndex {
     }
 }
 
-/// History-space key of the `ev/` layout's rollup.  Outside the `ev/`
-/// prefix so event scans never see it.
-const ROLLUP_KEY: &str = "rollup";
-
-/// The aggregates of a prefix of the history: the event-log prefix
-/// `[0, base)` of the `ev/` layout as its `rollup` record (written, until
-/// the serial runtime joined the stream, in the batch whose events it
-/// covers), and inside every [`StreamSummary`].  Seeding an index from it
-/// plus a tail scan reproduces every aggregate query of a full-history
-/// scan, which is what makes [`Awareness::open_tail`] O(tail) instead of
-/// O(history).
+/// The aggregates of a prefix of the history, inside every
+/// [`StreamSummary`].  Seeding an index from it plus a tail scan
+/// reproduces every aggregate query of a full-history scan, which is what
+/// makes [`Awareness::open_tail`] O(tail) instead of O(history).
 ///
 /// Public by name only, as the other stored record types are, so that a
-/// reader of the History space can decode the `rollup` record.
+/// reader of the History space can decode it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RollupRecord {
-    /// Events with sequence number below this are summarized.
-    base: u64,
+    /// How many events are summarized.
+    pub(crate) base: u64,
     /// Per-kind-label event counts.
     counts: BTreeMap<String, u64>,
     /// Task run-time histogram.
@@ -941,9 +897,9 @@ pub struct RollupRecord {
     store_io: BTreeMap<String, u64>,
 }
 
-/// History-space key of the stream's summary: outside `sev/`, `ev/` and
-/// `rollup`, so no scan of either layout meets it.
-const SUMMARY_KEY: &str = "summary";
+/// History-space key of the stream's summary: outside `sev/`, so no scan
+/// of the stream meets it.
+pub(crate) const SUMMARY_KEY: &str = "summary";
 
 /// The durable summary of the stream (`sev/{round}/{index}`): the
 /// aggregates of every event of the rounds below `next_round`, committed
@@ -954,72 +910,20 @@ const SUMMARY_KEY: &str = "summary";
 /// `rollup.counts` is everything a recovering engine would otherwise
 /// refold the whole stream for.
 ///
-/// A store an earlier sharded engine wrote, with an `ev/` twin beside each
-/// `sev/` record and a `rollup` counting the twins, has no such record; it
-/// reopens from a full scan of `sev/` and gains one at the next cadence.
-/// A store the serial runtime wrote before it joined the stream has `ev/`
-/// history and no `sev/`: the first commit on it carries a summary
-/// whatever the cadence, whose `rollup` counts the `ev/` events as well,
-/// so no reopen counts only the stream.  A summary written before the
-/// digest was carried has no `digest` member: that store refolds in full,
-/// once.
-///
 /// Public by name only, as [`RollupRecord`] is.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamSummary {
     /// Events of this round and later are the tail.
-    next_round: u64,
+    pub(crate) next_round: u64,
     /// The aggregates; `base` is the number of events summarized.
-    rollup: RollupRecord,
-    /// The engine's history digest over the summarized events; `None` in
-    /// a record an engine wrote before the member existed.
-    digest: Option<u64>,
+    pub(crate) rollup: RollupRecord,
+    /// The engine's history digest over the summarized events.
+    pub(crate) digest: u64,
 }
 
-impl StreamSummary {
-    /// The first round the summary does not cover.
-    pub(crate) fn next_round(&self) -> u64 {
-        self.next_round
-    }
-
-    /// The history digest over the rounds it covers, if it carries one.
-    pub(crate) fn digest(&self) -> Option<u64> {
-        self.digest
-    }
-}
-
-/// Hand-written so that a summary without a digest has no `digest` member
-/// (the derive would write `null`): a record an earlier engine stored
-/// re-encodes to the bytes it was read from.
-impl Serialize for StreamSummary {
-    fn to_content(&self) -> Content {
-        let mut members = vec![
-            ("next_round".to_string(), self.next_round.to_content()),
-            ("rollup".to_string(), self.rollup.to_content()),
-        ];
-        if let Some(digest) = self.digest {
-            members.push(("digest".to_string(), digest.to_content()));
-        }
-        Content::Map(members)
-    }
-
-    fn write_json(&self, out: &mut String) {
-        out.push_str("{\"next_round\":");
-        self.next_round.write_json(out);
-        out.push_str(",\"rollup\":");
-        self.rollup.write_json(out);
-        if let Some(digest) = self.digest {
-            out.push_str(",\"digest\":");
-            digest.write_json(out);
-        }
-        out.push('}');
-    }
-}
-
-/// The History space's reader: the awareness model over whichever layout
-/// the store holds, with the incremental [`AwarenessIndex`].  What the
-/// drivers commit reaches it through [`crate::history`], the one writer,
-/// as each commit lands.
+/// The History space's reader: the awareness model over the stream, with
+/// the incremental [`AwarenessIndex`].  What the drivers commit reaches it
+/// through [`crate::history`], the one writer, as each commit lands.
 pub struct Awareness {
     index: AwarenessIndex,
     /// Events deserialized by the most recent open — the O(tail) witness
@@ -1028,113 +932,27 @@ pub struct Awareness {
 }
 
 impl Awareness {
-    /// Open over a store, rebuilding the index from a **full scan** of
-    /// its history — of the stream if the store holds one, else of `ev/`,
-    /// where a key that does not parse as a sequence number is an error.
-    ///
-    /// This is the exact, O(history) path over one layout;
-    /// [`Awareness::open_tail`] resumes from the durable summary instead.
-    pub fn open<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
-        match Self::open_stream(store, None)? {
-            Some(stream) => Ok(stream),
-            None => Self::open_seq(store),
-        }
-    }
-
-    /// [`Awareness::open`] over the `ev/` layout.
-    fn open_seq<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
-        let mut aw = Self::from_summary(None);
-        for (_, ev) in Self::scan_sorted(store)? {
-            aw.open_scanned += 1;
-            aw.index.push(ev);
-        }
-        Ok(aw)
-    }
-
     /// Open over a store in **O(tail)**: seed the index from the durable
-    /// summary, then scan and ingest only the events past it.  Every
-    /// aggregate query (counts, histograms, gauges) equals the full-scan
-    /// answer; postings queries on the raw index cover only the tail, and
-    /// [`Awareness::of_kind`] transparently falls back to a store scan
-    /// when that matters.  With no summary on disk this is exactly
-    /// [`Awareness::open`].
-    ///
-    /// The layout is picked from what the store holds: a
-    /// [`StreamSummary`], else any `sev/` record, means the stream;
-    /// otherwise `ev/` and its `rollup`.
+    /// summary, then scan and ingest only the events past it — with no
+    /// summary on disk, the whole stream.  Every aggregate query (counts,
+    /// histograms, gauges) equals the full-scan answer; postings queries
+    /// on the raw index cover only the tail, and [`Awareness::of_kind`]
+    /// transparently falls back to a store scan when that matters.
     pub fn open_tail<D: Disk>(store: &Store<D>) -> Result<Self, AwarenessError> {
-        let summary = Self::stream_summary(store)?;
-        if let Some(stream) = Self::open_stream(store, summary)? {
-            return Ok(stream);
-        }
-        let Some(rollup) = Self::read_record::<_, RollupRecord>(store, ROLLUP_KEY)? else {
-            return Self::open_seq(store);
-        };
-        let base = rollup.base;
-        let start = format!("ev/{base:020}");
-        let mut tail: Vec<(u64, HistoryEvent)> = Vec::new();
-        for (key, bytes) in store.scan_from(Space::History, &start)? {
-            // Non-event keys (the rollup itself sorts after every event
-            // key) are not ours to validate here.
-            let Some(suffix) = key.strip_prefix("ev/") else {
-                continue;
-            };
-            let seq = suffix.parse::<u64>().map_err(|_| AwarenessError::BadKey {
-                key: suffix.to_string(),
-            })?;
-            // Pre-widening 10-digit keys interleave lexicographically
-            // with 20-digit ones, so the scan can surface already-rolled
-            // -up events; the parsed value is the truth.
-            if seq < base {
-                continue;
-            }
-            let ev: HistoryEvent =
-                serde_json::from_slice(&bytes).map_err(|e| StoreError::Codec(e.to_string()))?;
-            tail.push((seq, ev));
-        }
-        tail.sort_by_key(|(seq, _)| *seq);
-        let mut aw = Awareness {
-            index: AwarenessIndex::from_rollup(&rollup),
-            open_scanned: tail.len() as u64,
-        };
-        for (_, ev) in tail {
-            aw.index.push(ev);
-        }
-        Ok(aw)
-    }
-
-    /// Open over the stream, if the store holds one: seed the index from
-    /// `summary` and ingest the rounds it does not cover, or with none
-    /// ingest the whole stream.
-    fn open_stream<D: Disk>(
-        store: &Store<D>,
-        summary: Option<StreamSummary>,
-    ) -> Result<Option<Self>, AwarenessError> {
-        let start = match &summary {
-            Some(s) => round_start_key(s.next_round),
-            None => EVENT_PREFIX.to_string(),
-        };
-        let mut stream = Self::from_summary(summary.as_ref());
+        let summary: Option<StreamSummary> = Self::read_record(store, SUMMARY_KEY)?;
+        let start = round_start_key(summary.as_ref().map_or(0, |s| s.next_round));
+        let mut stream = Self::seeded(summary.as_ref().map(|s| &s.rollup));
         Self::visit_stream(store, &start, |ev| stream.reobserve(ev.at, ev.kind))?;
-        Ok((!stream.index.is_empty()).then_some(stream))
+        Ok(stream)
     }
 
-    /// The stream's durable summary, if the store holds one.
-    pub(crate) fn stream_summary<D: Disk>(
-        store: &Store<D>,
-    ) -> Result<Option<StreamSummary>, AwarenessError> {
-        Self::read_record(store, SUMMARY_KEY)
-    }
-
-    /// The model as `summary` left it — every aggregate of the rounds it
+    /// The model as `rollup` left it — every aggregate of the events it
     /// covers, no log — or empty without one.  The caller walks the tail
     /// and [`reobserve`](Awareness::reobserve)s it: the history writer
     /// does, so that its one pass over the tail feeds its digest too.
-    pub(crate) fn from_summary(summary: Option<&StreamSummary>) -> Self {
+    pub(crate) fn seeded(rollup: Option<&RollupRecord>) -> Self {
         Awareness {
-            index: summary.map_or_else(AwarenessIndex::default, |s| {
-                AwarenessIndex::from_rollup(&s.rollup)
-            }),
+            index: rollup.map_or_else(AwarenessIndex::default, AwarenessIndex::from_rollup),
             open_scanned: 0,
         }
     }
@@ -1161,7 +979,7 @@ impl Awareness {
     }
 
     /// The History-space record at `key`, decoded, if there is one.
-    fn read_record<D: Disk, T: Deserialize>(
+    pub(crate) fn read_record<D: Disk, T: Deserialize>(
         store: &Store<D>,
         key: &str,
     ) -> Result<Option<T>, AwarenessError> {
@@ -1174,29 +992,9 @@ impl Awareness {
     }
 
     /// Events deserialized by the open that produced this handle: the
-    /// whole history for [`Awareness::open`], only the tail for
-    /// [`Awareness::open_tail`].
+    /// stream past its summary.
     pub fn open_scanned(&self) -> u64 {
         self.open_scanned
-    }
-
-    /// The `ev/` layout, sorted by parsed sequence number (10- and
-    /// 20-digit keys interleave lexicographically, so raw key order lies).
-    fn scan_sorted<D: Disk>(store: &Store<D>) -> Result<Vec<(u64, HistoryEvent)>, AwarenessError> {
-        // Raw scan so a foreign key is reported as `BadKey` even when its
-        // value would not decode as an event either.
-        let mut out = Vec::new();
-        for (key, bytes) in store.scan_prefix(Space::History, "ev/")? {
-            let suffix = &key["ev/".len()..];
-            let seq = suffix.parse::<u64>().map_err(|_| AwarenessError::BadKey {
-                key: suffix.to_string(),
-            })?;
-            let ev: HistoryEvent =
-                serde_json::from_slice(&bytes).map_err(|e| StoreError::Codec(e.to_string()))?;
-            out.push((seq, ev));
-        }
-        out.sort_by_key(|(seq, _)| *seq);
-        Ok(out)
     }
 
     /// Fold in one event the history writer commits: it stores the event
@@ -1216,22 +1014,23 @@ impl Awareness {
     /// Put into `batch` — the one that commits the events of the rounds
     /// below `next_round` — the [`StreamSummary`] of everything
     /// [`observe`](Awareness::observe)d, `digest` being the writer's fold
-    /// of exactly those rounds.  One batch is one WAL frame: a crash keeps
-    /// the events and their summary, or neither.  Encoded through
-    /// `scratch`, the caller's buffer.
+    /// of exactly those rounds, and return it.  One batch is one WAL
+    /// frame: a crash keeps the events and their summary, or neither.
+    /// Encoded through `scratch`, the caller's buffer.
     pub(crate) fn summary_into(
         &self,
         batch: &mut Batch,
         next_round: u64,
         digest: u64,
         scratch: &mut String,
-    ) {
+    ) -> StreamSummary {
         let summary = StreamSummary {
             next_round,
             rollup: self.index.to_rollup(self.index.len() as u64),
-            digest: Some(digest),
+            digest,
         };
         batch.put_record(Space::History, SUMMARY_KEY, &summary, scratch);
+        summary
     }
 
     /// The incremental index.
@@ -1239,20 +1038,10 @@ impl Awareness {
         &self.index
     }
 
-    /// All events in commit order.  The stream, unless it holds fewer
-    /// events than the index counts: then it continues the `ev/` history
-    /// an earlier serial runtime left, which comes first.
+    /// All events of the stream, in commit order.
     pub fn all<D: Disk>(&self, store: &Store<D>) -> Result<Vec<HistoryEvent>, AwarenessError> {
-        let mut stream = Vec::new();
-        Self::visit_stream(store, EVENT_PREFIX, |ev| stream.push(ev))?;
-        if stream.len() >= self.index.len() {
-            return Ok(stream);
-        }
-        let mut all: Vec<HistoryEvent> = Self::scan_sorted(store)?
-            .into_iter()
-            .map(|(_, ev)| ev)
-            .collect();
-        all.extend(stream);
+        let mut all = Vec::new();
+        Self::visit_stream(store, EVENT_PREFIX, |ev| all.push(ev))?;
         Ok(all)
     }
 
@@ -1273,34 +1062,11 @@ impl Awareness {
             .filter(|ev| ev.kind.label() == kind)
             .collect())
     }
-
-    /// Count by kind — the monitoring dashboards' summary query, answered
-    /// from the index.
-    pub fn counts_by_kind<D: Disk>(
-        &self,
-        _store: &Store<D>,
-    ) -> Result<Vec<(String, usize)>, AwarenessError> {
-        Ok(self.index.counts_by_kind())
-    }
-
-    /// Rebuild an index from a full store scan — the oracle the
-    /// incremental index is checked against in the equivalence proptests.
-    pub fn rebuild_index<D: Disk>(
-        &self,
-        store: &Store<D>,
-    ) -> Result<AwarenessIndex, AwarenessError> {
-        let mut index = AwarenessIndex::default();
-        for ev in self.all(store)? {
-            index.ingest(&ev);
-        }
-        Ok(index)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bioopera_store::MemDisk;
 
     fn task_end(path: &str, node: &str, run_ms: u64) -> EventKind {
         EventKind::TaskEnd {
@@ -1346,24 +1112,6 @@ mod tests {
     }
 
     #[test]
-    fn foreign_key_is_a_typed_error_not_a_sequence_reset() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk).unwrap();
-        store
-            .put(
-                Space::History,
-                "ev/not-a-number".to_string(),
-                br#"{"at":[0],"kind":"x","detail":""}"#.to_vec(),
-            )
-            .unwrap();
-        match Awareness::open(&store) {
-            Err(AwarenessError::BadKey { key }) => assert_eq!(key, "not-a-number"),
-            Err(other) => panic!("expected BadKey, got {other}"),
-            Ok(_) => panic!("expected BadKey, got a working Awareness"),
-        }
-    }
-
-    #[test]
     fn typed_event_roundtrips_through_json() {
         let ev = HistoryEvent {
             at: SimTime::from_secs(9),
@@ -1376,8 +1124,6 @@ mod tests {
             },
         };
         let json = serde_json::to_string(&ev).unwrap();
-        // No `detail` field: that name is reserved as the legacy marker.
-        assert!(!json.contains("\"detail\""));
         let back: HistoryEvent = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ev);
         // Unit variants roundtrip too.
@@ -1461,16 +1207,15 @@ mod tests {
 
     /// The digest is any `u64`: the top of the range (past what an `i64`
     /// holds, where the codec changes its number node) comes back as it
-    /// went in, streamed and through the tree; and a summary without the
-    /// member has none when written, not a `null`.
+    /// went in, streamed and through the tree, and it is the last member.
     #[test]
-    fn the_summary_digest_round_trips_every_u64_and_is_absent_when_none() {
+    fn the_summary_digest_round_trips_every_u64() {
         let index = AwarenessIndex::default();
         for digest in [0, 1, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
             let summary = StreamSummary {
                 next_round: 9,
                 rollup: index.to_rollup(0),
-                digest: Some(digest),
+                digest,
             };
             let json = serde_json::to_string(&summary).unwrap();
             assert!(json.ends_with(&format!(",\"digest\":{digest}}}")), "{json}");
@@ -1484,22 +1229,6 @@ mod tests {
             let parsed = serde::JsonReader::new(&json).read_content().unwrap();
             assert_eq!(StreamSummary::from_content(&parsed).unwrap(), summary);
         }
-        let without = StreamSummary {
-            next_round: 9,
-            rollup: index.to_rollup(0),
-            digest: None,
-        };
-        let json = serde_json::to_string(&without).unwrap();
-        assert!(!json.contains("digest"), "{json}");
-        assert_eq!(
-            serde_json::from_str::<StreamSummary>(&json).unwrap(),
-            without
-        );
-        let nulled = format!("{},\"digest\":null}}", json.strip_suffix('}').unwrap());
-        assert_eq!(
-            serde_json::from_str::<StreamSummary>(&nulled).unwrap(),
-            without
-        );
     }
 
     /// A stream record's time sits before its kind when it has one, and is

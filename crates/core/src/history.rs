@@ -11,12 +11,14 @@
 //! cadence is due the same batch carries the summary of every round up to
 //! and including this one, so a summary covers exactly what is at or
 //! before the frame that holds it.  [`History::open`] reads it back: the
-//! summary, then the stream's tail past it, in one pass.
+//! summary, then the stream's tail past it, in one pass — after
+//! [`crate::upgrade`] has rewritten an image an earlier engine left.
 //!
 //! The records and the reader are [`crate::awareness`]'s.
 
-use crate::awareness::{Awareness, ShardEvent, StreamSummary};
+use crate::awareness::{Awareness, ShardEvent};
 use crate::error::{EngineError, EngineResult};
+use crate::upgrade;
 use bioopera_store::{push_padded, Batch, Disk, Space, Store};
 
 /// History-space prefix of the stream: the one history record the drivers
@@ -74,62 +76,54 @@ pub(crate) struct History {
     summarized: u64,
     /// `next_round` of the newest summary (0: none).
     summary_round: u64,
-    /// The store holds `ev/` history a serial runtime wrote before it
-    /// joined the stream, and no summary counts it yet: the next commit
-    /// carries one whatever the cadence.
-    upgrade_due: bool,
 }
 
 impl History {
     /// The history `store` holds, and the first round none of its records
-    /// is at.  The summary seeds the digest and the awareness model with
-    /// the rounds below its `next_round`, and only the tail past it is
-    /// read: one pass that feeds both.  A summary without a digest (an
-    /// earlier engine's) leaves the digest to be refolded from the
-    /// stream's first record, once; so does no summary at all.  A store
-    /// with no stream but `ev/` history is read as that layout, and the
-    /// first commit summarises it.  An event that does not decode fails
-    /// the open, named: it would silently drop out of the digest and the
-    /// counts.
+    /// is at.  An image an earlier engine wrote is upgraded first.  The
+    /// summary seeds the digest and the awareness model with the rounds
+    /// below its `next_round`, and only the tail past it is read: one pass
+    /// that feeds both.  An event that does not decode fails the open,
+    /// named: it would silently drop out of the digest and the counts.
     pub(crate) fn open<D: Disk>(store: &Store<D>) -> EngineResult<(Self, u64)> {
-        let summary = Awareness::stream_summary(store)?;
-        let tail_round = summary.as_ref().map_or(0, StreamSummary::next_round);
-        let (mut digest, start) = match summary.as_ref().and_then(StreamSummary::digest) {
-            Some(digest) => (digest, round_start_key(tail_round)),
-            None => (FNV_OFFSET, EVENT_PREFIX.to_string()),
-        };
-        let mut awareness = Awareness::from_summary(summary.as_ref());
+        let summary = upgrade::upgrade(store)?;
+        let tail_round = summary.as_ref().map_or(0, |s| s.next_round);
+        let mut digest = summary.as_ref().map_or(FNV_OFFSET, |s| s.digest);
+        let mut awareness = Awareness::seeded(summary.as_ref().map(|s| &s.rollup));
         let mut next_round = tail_round;
+        let start = round_start_key(tail_round);
         store.visit_prefix_from(Space::History, EVENT_PREFIX, &start, |key, bytes| {
             let event = decode_event(key, bytes)?;
             digest = fold(digest, &event, bytes)?;
             next_round = next_round.max(event.round + 1);
-            if event.round >= tail_round {
-                awareness.reobserve(event.time(), event.kind);
-            }
+            awareness.reobserve(event.time(), event.kind);
             Ok::<(), EngineError>(())
         })?;
-        let mut upgrade_due = false;
-        if summary.is_none() && next_round == 0 {
-            awareness = Awareness::open_tail(store)?;
-            upgrade_due = !awareness.index().is_empty();
-        }
         let history = History {
-            digest,
-            every: DEFAULT_ROLLUP_EVERY,
             summarized: awareness.index().summarized(),
             summary_round: tail_round,
-            upgrade_due,
-            awareness,
+            ..History::fresh(awareness, digest)
         };
         Ok((history, next_round))
     }
 
+    /// A writer whose stream so far folds to `digest`, with no summary yet
+    /// and the default cadence.
+    pub(crate) fn fresh(awareness: Awareness, digest: u64) -> Self {
+        History {
+            awareness,
+            digest,
+            every: DEFAULT_ROLLUP_EVERY,
+            summarized: 0,
+            summary_round: 0,
+        }
+    }
+
     /// Put `events` into `batch` as round `round` of the stream: each
     /// stored once, under its [`event_key`], and folded into the digest
-    /// and the awareness index as it goes.  When the cadence is due — or
-    /// the store's `ev/` history is not summarised yet — the summary of
-    /// every round up to and including this one joins the batch.
+    /// and the awareness index as it goes.  When the cadence is due, the
+    /// summary of every round up to and including this one joins the
+    /// batch.
     ///
     /// One batch is one WAL frame, and a crash keeps a frame whole or not
     /// at all: the history and the monitoring view over it cannot come
@@ -149,14 +143,13 @@ impl History {
             self.awareness.observe(e.time(), e.kind);
         }
         let observed = self.awareness.index().len() as u64;
-        if self.upgrade_due || observed - self.summarized >= self.every {
+        if observed - self.summarized >= self.every {
             // The digest now covers exactly the rounds below `round + 1`,
             // which is what the summary says it does.
             self.awareness
                 .summary_into(batch, round + 1, self.digest, scratch);
             self.summarized = observed;
             self.summary_round = round + 1;
-            self.upgrade_due = false;
         }
         Ok(())
     }
@@ -195,7 +188,7 @@ pub fn persisted_events<D: Disk>(store: &Store<D>) -> EngineResult<Vec<ShardEven
 
 /// Decode the stream record at `key`.  The store is CRC-framed, so one
 /// that does not decode is a format fault and is named.
-fn decode_event(key: &str, bytes: &[u8]) -> EngineResult<ShardEvent> {
+pub(crate) fn decode_event(key: &str, bytes: &[u8]) -> EngineResult<ShardEvent> {
     serde_json::from_slice(bytes)
         .map_err(|e| EngineError::Internal(format!("corrupt history event {key}: {e}")))
 }
@@ -204,7 +197,7 @@ fn decode_event(key: &str, bytes: &[u8]) -> EngineResult<ShardEvent> {
 /// sequence number, its time if it carries one, then its kind.  The kind
 /// is hashed where `record` holds it ([`encoded_kind`]), so it is encoded
 /// once per event — for the store.
-fn fold(digest: u64, e: &ShardEvent, record: &[u8]) -> EngineResult<u64> {
+pub(crate) fn fold(digest: u64, e: &ShardEvent, record: &[u8]) -> EngineResult<u64> {
     let kind = encoded_kind(e, record).ok_or_else(|| {
         EngineError::Internal("history event record does not end in its kind".into())
     })?;

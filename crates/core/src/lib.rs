@@ -48,6 +48,7 @@ pub mod planner;
 pub mod runtime;
 pub mod shard;
 pub mod state;
+mod upgrade;
 
 pub use awareness::{Awareness, AwarenessError, AwarenessIndex, EventKind, HistoryEvent};
 pub use dependability::{

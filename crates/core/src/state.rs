@@ -158,9 +158,9 @@ pub struct TaskRecord {
     /// When the task last became `Ready` (entered the activity queue).
     /// Persisted so queue-wait metrics survive a server crash: a task
     /// that waited through an outage reports the full wait, not just the
-    /// post-recovery slice.  `None` while not queued — and for records
-    /// written before this field existed, which decode as `None`.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
+    /// post-recovery slice.  `None` while not queued, written `null` — and
+    /// for records written before this field existed, which have no such
+    /// member and decode as `None`, as every absent `Option` does.
     pub ready_at: Option<SimTime>,
     /// Dependability bookkeeping for masked system failures: budget
     /// counter, pending backoff deadline, poison set.  `None` until the

@@ -1,7 +1,7 @@
 //! What the engine-level suites share: the Chain, Fan and Parent templates
 //! and the programs behind them (`Chain` is `bench_e2e`'s chain), the
 //! store policies a suite whose run tiering can change is held on, and the
-//! frozen `ev/` history writer ([`ev_writer`]).  The
+//! frozen History writers of earlier engines ([`ev_writer`]).  The
 //! allocator-counting gates (`residency.rs`, `codec_allocs.rs`) each
 //! install their own `#[global_allocator]`, so they stay separate test
 //! binaries; the workload they count is the one here.
@@ -195,21 +195,10 @@ pub fn chain_engine() -> ShardEngine<MemDisk> {
 /// its time if it has one, then a fresh encoding of its kind), the count by
 /// label and the count.
 pub fn refold(events: &[ShardEvent]) -> (u64, BTreeMap<String, u64>, u64) {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |bytes: &[u8]| {
-        for b in bytes {
-            hash = (hash ^ u64::from(*b)).wrapping_mul(0x1_0000_01b3);
-        }
-    };
+    let mut hash = ev_writer::FNV_OFFSET;
     let mut counts = BTreeMap::new();
     for e in events {
-        fold(&e.round.to_le_bytes());
-        fold(&e.instance.to_le_bytes());
-        fold(&e.seq.to_le_bytes());
-        if let Some(at) = e.at {
-            fold(&at.as_millis().to_le_bytes());
-        }
-        fold(&serde_json::to_vec(&e.kind).unwrap());
+        hash = ev_writer::fold_event(hash, e);
         *counts.entry(e.kind.label().to_string()).or_insert(0) += 1;
     }
     (hash, counts, events.len() as u64)

@@ -1061,15 +1061,15 @@ fn the_runtime_history_is_one_stream_with_a_digest(policy: Option<TieredPolicy>)
 }
 
 /// A store the runtime wrote before it joined the stream holds `ev/`
-/// history and a `rollup`, and no `sev/`.  The first commit on it carries
-/// a summary that counts the `ev/` events, so every reopen — a server
-/// recovery before any cadence-due summary, a fresh runtime after the run
-/// — counts each old event once, and the old records are left as they
-/// were.
+/// history and a `rollup`, and no `sev/`.  The first open rewrites it: the
+/// old events are round 0 of the stream, in sequence order, `ev/` and
+/// `rollup` are gone, and a summary counts everything.  So every reopen —
+/// a server recovery, a fresh runtime after the run — counts each old
+/// event once, as a record of the one stream, digested with it.
 fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy>) {
     let disk = MemDisk::new();
     let store = Store::open_with(disk.clone(), policy).unwrap();
-    let mut writer = EvWriter::open(&store);
+    let mut writer = EvWriter::new();
     writer.set_every(8);
     for i in 0..30u64 {
         let kind = match i % 3 {
@@ -1083,23 +1083,16 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
         }
     }
     writer.flush(&store);
-    let legacy = writer.index().clone();
-    let old_records = |store: &Store<MemDisk>| {
-        let mut records = store.scan_prefix(Space::History, "ev/").unwrap();
-        records.extend(store.scan_prefix(Space::History, "rollup").unwrap());
-        records
-    };
-    let written = old_records(&store);
-    assert_eq!(written.len(), 31, "thirty events and their rollup");
+    let round_zero = writer.as_round_zero();
+    assert_eq!(round_zero.len(), 30);
     drop(store);
 
     let counted_once = |rt: &Runtime<MemDisk>| {
         let stream = history::persisted_events(rt.store()).unwrap();
-        let (digest, mut counts, len) = common::refold(&stream);
+        assert_eq!(stream[..round_zero.len()], round_zero[..], "round 0");
+        assert!(stream[round_zero.len()..].iter().all(|e| e.round > 0));
+        let (digest, counts, len) = common::refold(&stream);
         assert_eq!(rt.history_digest(), digest, "the digest is the stream's");
-        for (label, n) in legacy.counts_by_kind() {
-            *counts.entry(label).or_insert(0) += n as u64;
-        }
         let index = rt.awareness().index();
         let indexed: BTreeMap<String, u64> = index
             .counts_by_kind()
@@ -1107,13 +1100,15 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
             .map(|(k, n)| (k, n as u64))
             .collect();
         assert_eq!(indexed, counts);
-        assert_eq!(index.len(), legacy.len() + len as usize);
-        assert_eq!(index.nodes_down(), legacy.nodes_down());
+        assert_eq!(index.len() as u64, len);
+        assert_eq!(index.nodes_down(), writer.index().nodes_down());
         let all = rt.awareness().all(rt.store()).unwrap();
         assert_eq!(all.len(), index.len());
-        assert_eq!(&all[..legacy.len()], legacy.events());
-        assert_eq!(old_records(rt.store()), written, "the old records moved");
-        assert!(rt.store().get(Space::History, "summary").unwrap().is_some());
+        assert_eq!(&all[..round_zero.len()], writer.events());
+        let store = rt.store();
+        assert!(store.scan_prefix(Space::History, "ev/").unwrap().is_empty());
+        assert!(store.get(Space::History, "rollup").unwrap().is_none());
+        assert!(store.get(Space::History, "summary").unwrap().is_some());
     };
     let boot = || {
         let cfg = RuntimeConfig {
@@ -1124,13 +1119,11 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
         Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap()
     };
     let mut rt = boot();
-    assert_eq!(rt.awareness().index().len(), legacy.len());
+    assert_eq!(rt.awareness().index().len(), 30);
     rt.register_template(&fanout_template(4, 0)).unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.step().unwrap();
     counted_once(&rt);
-    // Far below the default cadence: the summary that counts the old
-    // events is the one the first commit carried.
     rt.crash_server().unwrap();
     rt.recover_server().unwrap();
     counted_once(&rt);

@@ -21,16 +21,16 @@
 //! (shards, threads, summary cadence, crash or none, tiered or not),
 //! reopening the final image from its summary plus the tail gives what
 //! ingesting the persisted stream from its first event gives; and an
-//! image shaped as the previous engine left it — an `ev/` twin of every
-//! event and a `rollup` counted in `ev/` sequence numbers — recovers with
-//! each event counted once.
+//! image shaped as an earlier engine left it — an `ev/` twin of every
+//! event and a `rollup` counted in `ev/` sequence numbers — is upgraded by
+//! the recovery to the stream alone, each event counted once.
 //!
 //! Recovery reads the history from its last summary on: the summary
 //! carries the count, the label counts and the digest of the rounds it
 //! covers.  So at the same sweep, what a recovered engine says of its
 //! lifetime history must be what refolding the persisted stream from its
-//! first event says — and a store whose summary predates the digest must
-//! come to the same answer by the full refold.
+//! first event says — and a store whose summary predates the digest gains
+//! it, refolded, when the recovery opens it.
 //!
 //! Tiering is one more thing that must not be observable, so the store
 //! policy is an axis of every test here: the proptests draw it, the fixed
@@ -40,7 +40,6 @@
 
 mod common;
 
-use bioopera_core::awareness::RollupRecord;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
     Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus, ShardConfig,
@@ -48,7 +47,7 @@ use bioopera_core::{
 };
 use bioopera_ocr::value::Value;
 use bioopera_store::{MemDisk, Space, Store, TieredPolicy};
-use common::ev_writer::EvWriter;
+use common::ev_writer::{EvWriter, SummaryBeforeDigest};
 use common::{engine_on, library, refold, submit_workload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -335,11 +334,12 @@ proptest! {
     }
 }
 
-/// A store as the previous engine left it: beside every `sev/` record an
+/// A store as an earlier engine left it: beside every `sev/` record an
 /// `ev/` twin, and a `rollup` whose `base` counts `ev/` sequence numbers.
 /// The twins and the rollup are written here through the frozen `ev/`
-/// writer, byte for byte what that engine wrote.  The new engine reads
-/// `sev/` alone: each event once, `ev/` left as it was.
+/// writer, byte for byte what that engine wrote.  The recovery's open
+/// upgrades it: the twins and the rollup are gone, the stream and its
+/// digest are what they were, and each event is counted once.
 fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     policy: Option<TieredPolicy>,
 ) {
@@ -359,10 +359,11 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     }
     eng.step_round_partial_commit(2).unwrap();
     let before_crash = as_history(&eng.persisted_events().unwrap());
+    let stream = eng.store().scan_prefix(Space::History, "sev/").unwrap();
     drop(eng);
 
     let twins = Store::open(MemDisk::new()).unwrap();
-    let mut writer = EvWriter::open(&twins);
+    let mut writer = EvWriter::new();
     writer.set_every(4);
     for chunk in before_crash.chunks(5) {
         for ev in chunk {
@@ -388,6 +389,17 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
 
     let mut eng =
         ShardEngine::recover(Store::open_with(disk, policy).unwrap(), library(), cfg).unwrap();
+    // Right after the recovery: the stream as it was, and nothing else of
+    // the old layout.
+    let now = eng.store().scan_prefix(Space::History, "sev/").unwrap();
+    assert_eq!(now[..stream.len()], stream[..], "the stream moved");
+    assert!(eng
+        .store()
+        .scan_prefix(Space::History, "ev/")
+        .unwrap()
+        .is_empty());
+    assert!(eng.store().get(Space::History, "rollup").unwrap().is_none());
+    assert_eq!(lifetime(&eng), refold(&eng.persisted_events().unwrap()));
     let counted = |eng: &ShardEngine<MemDisk>| {
         let persisted = as_history(&eng.persisted_events().unwrap());
         let mut whole = AwarenessIndex::default();
@@ -419,26 +431,13 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     let reopened = Awareness::open_tail(eng.store()).unwrap();
     assert_eq!(reopened.index().len(), events);
     assert!(reopened.open_scanned() < 8);
-    // And the old stream is neither extended nor touched.
-    let mut left: Vec<_> = eng.store().scan_prefix(Space::History, "ev/").unwrap();
-    left.extend(eng.store().scan_prefix(Space::History, "rollup").unwrap());
-    assert_eq!(left, legacy);
 }
 
-/// The `summary` record as the engines before the history digest wrote
-/// and read it (PRs 22 and 23): the frozen shape, kept as a writer for
-/// stores of that age and as their reader, which skips a member it does
-/// not know.
-#[derive(Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-struct SummaryBeforeDigest {
-    next_round: u64,
-    rollup: RollupRecord,
-}
-
-/// A store whose summary carries no digest — an earlier engine's — is
-/// recovered by refolding the stream from its first record, comes to the
-/// digest the stream has, and gains the member at its next cadence.  And
-/// the other way about: the earlier reader reads this engine's summary.
+/// A store whose summary carries no digest — an earlier engine's — gains
+/// it when the recovery opens the store: the stream is refolded up to the
+/// summary once, and the record is rewritten byte for byte as this engine
+/// writes it.  And the other way about: the earlier reader reads this
+/// engine's summary.
 fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one(policy: Option<TieredPolicy>) {
     let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
     let cfg = ShardConfig {
@@ -479,9 +478,9 @@ fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one(policy: Opti
     let persisted = eng.persisted_events().unwrap();
     assert!(persisted.iter().any(|e| e.round < before.next_round));
     assert_eq!(lifetime(&eng), refold(&persisted));
-    // The recovery's own commit was under the cadence: the record is
-    // still the old one.  The next due commit writes the member.
-    assert_eq!(summary(eng.store()), old_shape);
+    // The recovery's own commit was under the cadence: the record is the
+    // one the upgrade wrote, which is the one this engine had written.
+    assert_eq!(summary(eng.store()), stored);
     eng.set_rollup_every(6);
     assert!(eng.run_to_completion().unwrap().is_completed());
     assert!(summary(eng.store()).contains(",\"digest\":"));

@@ -20,9 +20,8 @@
 //! A name is `Type/case`; the text before the `/` picks the Rust type the
 //! line decodes as (`dispatch` in `codec_differential.rs`).
 
-use crate::ev_writer::EvWriter;
+use crate::ev_writer::{EvWriter, SummaryBeforeDigest};
 use bioopera_cluster::{NodeSpec, SimTime, Trace, TraceEventKind};
-use bioopera_core::awareness::RollupRecord;
 use bioopera_core::dependability::HealthState;
 use bioopera_core::metrics::{Histogram, RollupBin, RunReport};
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent, ShardMeta};
@@ -33,7 +32,7 @@ use bioopera_core::{
 use bioopera_ocr::model::TypeTag;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate, Value};
 use bioopera_store::{MemDisk, Space, Store};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
 fn json<T: Serialize>(value: &T) -> String {
@@ -536,7 +535,7 @@ fn run_report() -> (String, String) {
 /// The `rollup` record the `ev/` writer wrote, as stored.
 fn rollup_record() -> (String, String) {
     let store = Store::open(MemDisk::new()).expect("a fresh store opens");
-    let mut writer = EvWriter::open(&store);
+    let mut writer = EvWriter::new();
     writer.set_every(4);
     for (i, kind) in event_kinds().into_iter().enumerate() {
         writer.record(SimTime::from_secs(i as u64), kind);
@@ -550,15 +549,6 @@ fn rollup_record() -> (String, String) {
         "RollupRecord/every-kind".to_string(),
         String::from_utf8(bytes.to_vec()).expect("JSON is UTF-8"),
     )
-}
-
-/// The `summary` record as the engines before the history digest wrote
-/// and read it: the frozen shape, kept as a writer (for stores of that
-/// age) and as a reader (it skips the member it does not know).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SummaryBeforeDigest {
-    pub next_round: u64,
-    pub rollup: RollupRecord,
 }
 
 /// The `summary` record the sharded engine commits with the round that

@@ -11,9 +11,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
 
-/// A dynamic value flowing through a process.
+/// A dynamic value flowing through a process.  Written as every enum is:
+/// a payload variant a one-member object around its fields (`{"Int":[3]}`),
+/// `Null` its name as a string.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "t", content = "v")]
 pub enum Value {
     /// Absent / undefined.
     Null,

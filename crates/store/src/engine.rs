@@ -652,14 +652,6 @@ impl<D: Disk> Store<D> {
         self.collect_while(space, prefix, |k| k.starts_with(prefix))
     }
 
-    /// All `(key, value)` pairs in `space` with `key >= start`, in key
-    /// order.  This is the tail-scan primitive: callers that persist a
-    /// rollup can resume from the first un-rolled-up key without
-    /// replaying their whole history.
-    pub fn scan_from(&self, space: Space, start: &str) -> StoreResult<Vec<(String, Bytes)>> {
-        self.collect_while(space, start, |_| true)
-    }
-
     /// Number of records in `space`.  O(records): a counting scan of the
     /// memtable ∪ runs view — the store keeps no count, because keeping
     /// one exact would make every write look its key up in the runs.
@@ -1429,13 +1421,20 @@ pub(crate) mod tests {
                         "{space:?}/{k}"
                     );
                 }
-                // scan_from mid-range agrees with the model's tail.
+                // A visit from mid-range agrees with the model's tail.
                 let tail: Vec<(String, Bytes)> = expect
                     .iter()
                     .filter(|(k, _)| k.as_str() >= "k/020")
                     .cloned()
                     .collect();
-                assert_eq!(store.scan_from(space, "k/020").unwrap(), tail);
+                let mut visited = Vec::new();
+                store
+                    .visit_prefix_from(space, "", "k/020", |k, v| {
+                        visited.push((k.to_string(), v.clone()));
+                        Ok::<(), StoreError>(())
+                    })
+                    .unwrap();
+                assert_eq!(visited, tail);
             }
         };
         check(&store);

@@ -18,7 +18,7 @@
 
 use bioopera_store::crc::crc32;
 use bioopera_store::{
-    Batch, CompactionPolicy, Disk, MemDisk, Space, Store, StoreResult, TieredPolicy,
+    Batch, CompactionPolicy, Disk, MemDisk, Space, Store, StoreError, StoreResult, TieredPolicy,
 };
 use bytes::Bytes;
 use std::fmt::Write as _;
@@ -135,7 +135,13 @@ fn scans(disk: &Recording, store: &Rec, prefixes: &[(Space, &str)], froms: &[(Sp
         );
     }
     for (space, start) in froms {
-        let rows = store.scan_from(*space, start).unwrap();
+        let mut rows = Vec::new();
+        store
+            .visit_prefix_from(*space, "", start, |k, v| {
+                rows.push((k.to_string(), v.clone()));
+                Ok::<(), StoreError>(())
+            })
+            .unwrap();
         note_scan(disk, &format!("scan_from {} {start}", space.name()), &rows);
     }
     for space in Space::ALL {

@@ -116,7 +116,7 @@ fn main() {
     }
 
     println!("--- persistent history (awareness model) ---");
-    for (kind, n) in rt.awareness().counts_by_kind(rt.store()).unwrap() {
+    for (kind, n) in rt.awareness().index().counts_by_kind() {
         println!("  {kind:<22} {n}");
     }
 }

@@ -80,7 +80,7 @@ canary stale-summary-digest crates/core/src/history.rs \
 
 # Recovery reading the history's tail from one round past its summary.
 canary tail-one-round-late crates/core/src/history.rs \
-  's/round_start_key\(tail_round\)\)/round_start_key(tail_round + 1))/' \
+  's/let start = round_start_key\(tail_round\);/let start = round_start_key(tail_round + 1);/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism reopening_the_stream
 
 # A summary that says it covers one round more than its frame holds: the
@@ -99,6 +99,35 @@ canary runtime-record-without-time crates/core/src/runtime.rs \
 # stream read-only.
 canary runtime-writes-ev crates/core/src/runtime.rs \
   's/^        self\.store\.apply\(batch\)\?;$/        batch.put(Space::History, "ev\/0", Vec::new());\n&/' \
+  bash scripts/check.sh --gates
+
+# The upgrade of an old serial runtime's store putting its ev/ history at
+# round 0 without moving the stream that continued it out of the way: two
+# round 0s, the later overwriting the first's keys.
+canary upgrade-keeps-rounds crates/core/src/upgrade.rs \
+  's/round: e\.round \+ 1,/round: e.round,/' \
+  cargo test -q --offline -p bioopera-core --test awareness_proptests every_image_upgrades
+
+# The upgrade leaving the ev/ records behind: the next open finds them and
+# upgrades again, writing round 0 twice over.
+canary upgrade-keeps-ev crates/core/src/upgrade.rs \
+  '/for \(_, key, _\) in &old \{/,/\}/{/batch\.delete/d}' \
+  cargo test -q --offline -p bioopera-core --test awareness_proptests every_image_upgrades
+
+# The upgrade telling twins from a serial runtime's history the wrong way
+# round: twins a later sharded engine summarized are rewritten as round 0,
+# every event counted twice.
+canary upgrade-twins-as-history crates/core/src/upgrade.rs \
+  's/s\.rollup\.base == covered/s.rollup.base != covered/' \
+  cargo test -q --offline -p bioopera-core --test awareness_proptests every_image_upgrades
+
+# The reader reaching for the old layout again, and a serde attribute the
+# vendored derive would ignore: the grep gates of check.sh.
+canary ev-read-in-awareness crates/core/src/awareness.rs \
+  's/^        Self::visit_stream\(store, EVENT_PREFIX, \|ev\| all\.push\(ev\)\)\?;$/        store.scan_prefix(Space::History, "ev\/")?;\n&/' \
+  bash scripts/check.sh --gates
+canary serde-default-planted crates/core/src/state.rs \
+  's/^    pub retry: Option<Box<RetryState>>,$/    #[serde(default)]\n&/' \
   bash scripts/check.sh --gates
 
 # A summary that counts one event more than it covers: every reopen from

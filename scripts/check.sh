@@ -114,33 +114,48 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "record codec: the Content tree stays off the engine's paths"
+step "record codec: the Content tree stays off the engine's paths, and no serde attribute pretends"
 # serde_json's entry points stream (derived writers and readers, no tree
 # in between); `Content`, `to_content` and `from_content` remain as the
 # encoding's definition, for hand-written impls and as the tests'
-# reference.  In library code exactly two files may name them: FieldMap's
-# hand-written impls and HistoryEvent's legacy reader.  Anything else is
-# the tree creeping back onto a path that runs per record.
-stray=$(grep -rnE '\b(to_content|from_content|Content)\b' crates/*/src --include='*.rs' \
-  | grep -vE '^crates/(ocr/src/value|core/src/awareness)\.rs:' || true)
+# reference.  In library code they are named in FieldMap's hand-written
+# impls, in the upgrade's reader of pre-taxonomy history records, and in
+# ShardEvent's hand-written writer, and nowhere else in awareness.rs's
+# library code.  Anything else is the tree creeping back
+# onto a path that runs per record.  The vendored derive accepts
+# `#[serde(...)]` and ignores it, so one in library code promises an
+# encoding the bytes do not have.
+stray=$({
+  grep -rnE '\b(to_content|from_content|Content)\b' crates/*/src --include='*.rs' \
+    | grep -vE '^crates/(ocr/src/value|core/src/upgrade|core/src/awareness)\.rs:'
+  sed '/^#\[cfg(test)\]/,$d; /^impl Serialize for ShardEvent {$/,/^}$/d' crates/core/src/awareness.rs \
+    | grep -nE '\b(to_content|from_content|Content)\b' | sed 's|^|crates/core/src/awareness.rs:|'
+  grep -rn '#\[serde(' crates/*/src --include='*.rs'
+} || true)
 if [ -n "$stray" ]; then
-  echo "the Content tree named outside crates/ocr/src/value.rs (FieldMap) and crates/core/src/awareness.rs (HistoryEvent):"
+  echo "the Content tree named outside FieldMap (crates/ocr/src/value.rs), the upgrade's legacy reader (crates/core/src/upgrade.rs) and ShardEvent's writer, or a #[serde(...)] attribute the derive ignores:"
   echo "$stray"
   exit 1
 fi
 
-step "one history writer: both drivers store each event once, in one frame with its summary"
+step "one history writer, one layout: both drivers store each event once, in one frame with its summary"
 # crates/core/src/history.rs is the History space's one writer: the sev/
 # stream and its summary, put into the batch of the commit they describe,
-# for the sharded engine and the serial runtime alike.  The old ev/ stream
-# is read-only: named in awareness.rs (its reader) alone, where no write
-# but the summary's may appear; its buffered writer (`.record(` +
-# `pending_batch` + `confirm_flushed` + `discard_pending`, through
-# `TypedSpace`) must not come back; and neither commit may split its
-# events from its state into a second frame (`apply_many`).
+# for the sharded engine and the serial runtime alike.  Every older layout
+# — the ev/ records, their rollup, their string records with a `detail`,
+# a summary without its digest — is read by crates/core/src/upgrade.rs
+# alone, which rewrites it at open: nothing else in crates/core/src names
+# them, and StreamSummary's digest is no Option.  No write in
+# awareness.rs's non-test code but the summary's may appear; the ev/
+# writer (`.record(` + `pending_batch` + `confirm_flushed` +
+# `discard_pending`, through `TypedSpace`) must not come back; and neither
+# commit may split its events from its state into a second frame
+# (`apply_many`).
 stray=$({
-  grep -rnE '"ev/|"rollup"|ROLLUP_KEY' crates/core/src --include='*.rs' \
-    | grep -v '^crates/core/src/awareness.rs:'
+  grep -rnE '"ev/|"rollup"|ROLLUP_KEY|"detail"' crates/core/src --include='*.rs' \
+    | grep -v '^crates/core/src/upgrade.rs:'
+  sed -n '/^pub struct StreamSummary {/,/^}/p' crates/core/src/awareness.rs | grep -n 'Option' \
+    | sed 's|^|crates/core/src/awareness.rs: StreamSummary: |'
   sed '/^#\[cfg(test)\]/,$d' crates/core/src/awareness.rs \
     | grep -nE '\.(put|put_record|delete|apply|apply_many)\(' | grep -v 'SUMMARY_KEY' \
     | sed 's|^|crates/core/src/awareness.rs:|'
@@ -156,7 +171,7 @@ stray=$({
     | sed 's|^|crates/core/src/runtime.rs: commit: |'
 } || true)
 if [ -n "$stray" ]; then
-  echo "a second history writer, an ev/ write, or a second frame for a commit's events:"
+  echo "a second history writer, an older layout named outside the upgrade, or a second frame for a commit's events:"
   echo "$stray"
   exit 1
 fi
