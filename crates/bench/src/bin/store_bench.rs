@@ -265,7 +265,7 @@ fn main() {
             block_cache_budget: 32 * 1024 * 1024,
             ..TieredPolicy::default()
         };
-        let one_put = |store: &Store<MemDisk>, i: usize| {
+        let one_put = |store: &mut Store<MemDisk>, i: usize| {
             let mut batch = Batch::new();
             batch.put(
                 Space::Instance,
@@ -282,15 +282,15 @@ fn main() {
         let (b, a) = race(
             cfg.repeats,
             || {
-                let store = Store::open_with(MemDisk::new(), None).unwrap();
+                let mut store = Store::open_with(MemDisk::new(), None).unwrap();
                 for i in 0..cfg.records {
-                    one_put(&store, i);
+                    one_put(&mut store, i);
                 }
             },
             || {
-                let store = Store::open_with(MemDisk::new(), Some(policy)).unwrap();
+                let mut store = Store::open_with(MemDisk::new(), Some(policy)).unwrap();
                 for i in 0..cfg.records {
-                    one_put(&store, i);
+                    one_put(&mut store, i);
                     if i % 64 == 0 {
                         peak.set(peak.get().max(store.stats().memtable_bytes));
                     }
@@ -313,12 +313,12 @@ fn main() {
         });
 
         // Load both engines once for the read comparison and the reopen.
-        let untiered = Store::open_with(MemDisk::new(), None).unwrap();
+        let mut untiered = Store::open_with(MemDisk::new(), None).unwrap();
         let tiered_disk = MemDisk::new();
-        let tiered = Store::open_with(tiered_disk.clone(), Some(policy)).unwrap();
+        let mut tiered = Store::open_with(tiered_disk.clone(), Some(policy)).unwrap();
         for i in 0..cfg.records {
-            one_put(&untiered, i);
-            one_put(&tiered, i);
+            one_put(&mut untiered, i);
+            one_put(&mut tiered, i);
         }
         let loaded = tiered.stats();
         assert!(loaded.spills > 0, "tiered load never spilled");
@@ -425,7 +425,7 @@ fn main() {
         for &n in counts {
             let policy = TieredPolicy::default();
             let tiered_disk = MemDisk::new();
-            let store = Store::open_with(tiered_disk.clone(), Some(policy)).unwrap();
+            let mut store = Store::open_with(tiered_disk.clone(), Some(policy)).unwrap();
             let mut tiered_peak = 0u64;
             for i in 0..n {
                 let mut b = Batch::new();

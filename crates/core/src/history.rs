@@ -85,7 +85,7 @@ impl History {
     /// below its `next_round`, and only the tail past it is read: one pass
     /// that feeds both.  An event that does not decode fails the open,
     /// named: it would silently drop out of the digest and the counts.
-    pub(crate) fn open<D: Disk>(store: &Store<D>) -> EngineResult<(Self, u64)> {
+    pub(crate) fn open<D: Disk>(store: &mut Store<D>) -> EngineResult<(Self, u64)> {
         let summary = upgrade::upgrade(store)?;
         let tail_round = summary.as_ref().map_or(0, |s| s.next_round);
         let mut digest = summary.as_ref().map_or(FNV_OFFSET, |s| s.digest);

@@ -752,7 +752,7 @@ mod tests {
     }
 
     fn scanned(batch: Batch, strip: &str) -> Vec<(String, Vec<u8>)> {
-        let store = bioopera_store::Store::open(bioopera_store::MemDisk::new()).unwrap();
+        let mut store = bioopera_store::Store::open(bioopera_store::MemDisk::new()).unwrap();
         store.apply(batch).unwrap();
         let all = store.scan_prefix(Space::Instance, "").unwrap();
         all.into_iter()

@@ -155,7 +155,7 @@ impl Default for RuntimeConfig {
 /// The store `cfg` asks for over `disk`: tiered or not, rolling its WAL
 /// at `cfg.compact_wal_bytes`.
 fn open_store<D: Disk + Clone>(disk: &D, cfg: &RuntimeConfig) -> EngineResult<Store<D>> {
-    let store = Store::open_with(disk.clone(), cfg.tiered)?;
+    let mut store = Store::open_with(disk.clone(), cfg.tiered)?;
     store.set_compaction_policy(Some(CompactionPolicy {
         wal_bytes_threshold: cfg.compact_wal_bytes,
     }));
@@ -242,8 +242,8 @@ impl<D: Disk + Clone> Runtime<D> {
         library: ActivityLibrary,
         cfg: RuntimeConfig,
     ) -> EngineResult<Self> {
-        let store = open_store(&disk, &cfg)?;
-        let (history, round) = History::open(&store)?;
+        let mut store = open_store(&disk, &cfg)?;
+        let (history, round) = History::open(&mut store)?;
         // Record the hardware configuration (§3.2: configuration space).
         for node in cluster.nodes() {
             store.put(
@@ -1589,7 +1589,7 @@ impl<D: Disk + Clone> Runtime<D> {
             return Ok(());
         }
         self.store = open_store(&self.disk, &self.cfg)?;
-        (self.history, self.round) = History::open(&self.store)?;
+        (self.history, self.round) = History::open(&mut self.store)?;
         // What was noted while the server was down never reached it.
         self.unsaved.clear();
         self.server_up = true;
@@ -1645,8 +1645,6 @@ impl<D: Disk + Clone> Runtime<D> {
                 self.on_quarantine_expire(now, &name, epoch)?;
             }
         }
-        // Collected first: resolving a template reads the store, which a
-        // visitor under the store's read locks must not do.
         let records = self.store.scan_prefix(Space::Instance, "inst/")?;
         let (store, known) = (&self.store, &mut self.templates);
         let mut journal =

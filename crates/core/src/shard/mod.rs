@@ -8,20 +8,24 @@
 //!
 //! 1. instances hash-bucket ([`router::owner`]) onto N [`Shard`]s, each
 //!    with its own journal prefix in the store ([`bioopera_store::shard_key`]);
-//! 2. every round, N shard steppers run **in parallel threads** over the
-//!    shared [`Store`] — each consumes its sorted inbox, runs the pure
-//!    navigator, and group-commits its dirty instances ([`Store::apply_many`]
-//!    per shard) — safe because shard key ranges are disjoint;
-//! 3. the barrier merges all outboxes by `(source instance, seq)`
-//!    ([`router::merge_outboxes`]), feeds the cross-shard services
-//!    (dispatch + node health, [`services::DispatchService`]), allocates
-//!    subprocess instance ids, routes messages for the next round, and
-//!    commits the round's history events.
+//! 2. every round, N shard steppers run **in parallel threads** — each
+//!    consumes its sorted inbox, runs the pure navigator, and returns its
+//!    dirty instances as journal batches; a stepper never touches the
+//!    [`Store`];
+//! 3. the barrier is the one writer: it commits each shard's batches
+//!    ([`Store::apply_many`] per shard) in shard order, merges all
+//!    outboxes by `(source instance, seq)` ([`router::merge_outboxes`]),
+//!    feeds the cross-shard services (dispatch + node health,
+//!    [`services::DispatchService`]), allocates subprocess instance ids,
+//!    routes messages for the next round, and commits the round's history
+//!    events.
 //!
 //! Because the barrier consumes a totally-ordered stream and every shard
 //! step is a pure function of `(its journal, its inbox)`, the recorded
 //! history and final state are bit-identical for any shard count and any
-//! thread interleaving — the property the replay proptests pin down.
+//! thread interleaving, and at a fixed shard count so is every byte on
+//! disk, whatever the thread count — the properties the replay proptests
+//! pin down.
 
 pub mod router;
 pub mod services;
@@ -67,7 +71,8 @@ const OPERATOR_SEQ_BASE: u64 = 1 << 56;
 pub struct ShardConfig {
     /// Number of hash buckets (fixed for the lifetime of a journal).
     pub shards: usize,
-    /// Stepper threads (clamped to `[1, shards]`).
+    /// Stepper threads (clamped to `[1, shards]`); the disk image does
+    /// not depend on it.
     pub threads: usize,
     /// Logical execution nodes.
     pub nodes: usize,
@@ -167,8 +172,10 @@ pub struct ShardEngine<D: Disk> {
 
 impl<D: Disk> ShardEngine<D> {
     /// A fresh engine over an empty (or at least shard-unused) store.
+    /// The one place the configuration is normalised: [`ShardEngine::recover`]
+    /// starts from here too.
     pub fn new(
-        store: Store<D>,
+        mut store: Store<D>,
         library: ActivityLibrary,
         mut cfg: ShardConfig,
     ) -> EngineResult<Self> {
@@ -177,7 +184,7 @@ impl<D: Disk> ShardEngine<D> {
         let shards = (0..cfg.shards).map(Shard::new).collect();
         let inboxes = vec![Vec::new(); cfg.shards];
         let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        let (history, round) = History::open(&store)?;
+        let (history, round) = History::open(&mut store)?;
         Ok(ShardEngine {
             store,
             library,
@@ -341,75 +348,63 @@ impl<D: Disk> ShardEngine<D> {
             return Ok(false);
         }
         let round = self.round;
-        let inboxes = std::mem::replace(&mut self.inboxes, vec![Vec::new(); self.cfg.shards]);
-        let outputs = {
-            let ctx = StepCtx {
-                round,
-                library: &self.library,
-                templates: &self.templates,
-                faults: self.cfg.faults.as_ref(),
-                retry_budget: self.cfg.retry_budget,
-            };
-            let threads = self.cfg.threads.clamp(1, self.cfg.shards);
-            if threads <= 1 {
-                let mut outs = Vec::with_capacity(self.shards.len());
-                for (shard, inbox) in self.shards.iter_mut().zip(inboxes) {
-                    let (out, batches) = shard.step(&ctx, inbox)?;
-                    self.store.apply_many(batches).map_err(EngineError::Store)?;
-                    outs.push(out);
-                }
-                outs
-            } else {
-                let chunk = self.shards.len().div_ceil(threads);
-                let store = &self.store;
-                let ctx = &ctx;
-                let mut inbox_iter = inboxes.into_iter();
-                let chunked: Vec<(&mut [Shard], Vec<Vec<Msg>>)> = self
-                    .shards
-                    .chunks_mut(chunk)
-                    .map(|shards| {
-                        let inboxes: Vec<Vec<Msg>> =
-                            inbox_iter.by_ref().take(shards.len()).collect();
-                        (shards, inboxes)
-                    })
-                    .collect();
-                let results: Vec<EngineResult<Vec<(ShardId, StepOutput)>>> =
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = chunked
-                            .into_iter()
-                            .map(|(shards, inboxes)| {
-                                s.spawn(move || {
-                                    let mut outs = Vec::with_capacity(shards.len());
-                                    for (shard, inbox) in shards.iter_mut().zip(inboxes) {
-                                        let (out, batches) = shard.step(ctx, inbox)?;
-                                        store.apply_many(batches).map_err(EngineError::Store)?;
-                                        outs.push((shard.id, out));
-                                    }
-                                    Ok(outs)
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| match h.join() {
-                                Ok(r) => r,
-                                Err(_) => Err(EngineError::Internal(
-                                    "shard stepper thread panicked".to_string(),
-                                )),
-                            })
-                            .collect()
-                    });
-                let mut tagged = Vec::with_capacity(self.shards.len());
-                for r in results {
-                    tagged.extend(r?);
-                }
-                tagged.sort_by_key(|(id, _)| *id);
-                tagged.into_iter().map(|(_, out)| out).collect()
-            }
-        };
+        let mut outputs = Vec::with_capacity(self.shards.len());
+        for (out, batches) in self.step_shards()? {
+            self.store.apply_many(batches).map_err(EngineError::Store)?;
+            outputs.push(out);
+        }
         self.barrier(round, outputs)?;
         self.round += 1;
         Ok(true)
+    }
+
+    /// Step every shard on its inbox: the first chunk of shards on the
+    /// caller, each further chunk on a scoped thread of its own, so
+    /// `threads == 1` spawns nothing.  Returns each shard's output and
+    /// journal batches in shard order; the steppers only compute, and the
+    /// barrier commits what they return.
+    fn step_shards(&mut self) -> EngineResult<Vec<(StepOutput, Vec<Batch>)>> {
+        let mut inboxes =
+            std::mem::replace(&mut self.inboxes, vec![Vec::new(); self.cfg.shards]).into_iter();
+        let ctx = StepCtx {
+            round: self.round,
+            library: &self.library,
+            templates: &self.templates,
+            faults: self.cfg.faults.as_ref(),
+            retry_budget: self.cfg.retry_budget,
+        };
+        let step = |shards: &mut [Shard], inboxes: Vec<Vec<Msg>>| -> EngineResult<Vec<_>> {
+            let steps = shards.iter_mut().zip(inboxes);
+            steps
+                .map(|(shard, inbox)| shard.step(&ctx, inbox))
+                .collect()
+        };
+        let chunk = self.shards.len().div_ceil(self.cfg.threads);
+        let mut chunks = self.shards.chunks_mut(chunk).map(|shards| {
+            let mine: Vec<Vec<Msg>> = inboxes.by_ref().take(shards.len()).collect();
+            (shards, mine)
+        });
+        let (first, first_inboxes) = chunks.next().expect("an engine has a shard");
+        let chunks: Vec<_> = chunks.collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = chunks
+                .into_iter()
+                .map(|(shards, inboxes)| s.spawn(move || step(shards, inboxes)))
+                .collect();
+            let mut steps = step(first, first_inboxes);
+            for handle in handles {
+                let theirs = handle.join().unwrap_or_else(|_| {
+                    Err(EngineError::Internal(
+                        "shard stepper thread panicked".to_string(),
+                    ))
+                });
+                steps = steps.and_then(|mut mine| {
+                    mine.extend(theirs?);
+                    Ok(mine)
+                });
+            }
+            steps
+        })
     }
 
     /// The deterministic barrier: merge outboxes, drive the cross-shard
@@ -547,26 +542,14 @@ impl<D: Disk> ShardEngine<D> {
         self.survey().1
     }
 
-    /// Torture hook: run one round's shard steps **serially**, commit only
-    /// the first `commit_prefix` shards' journal batches, and stop before
-    /// the barrier — modelling a crash at the shard barrier with a prefix
-    /// of the round's group commits on disk.  The engine is unusable
-    /// afterwards; reopen the store and [`ShardEngine::recover`].
+    /// Torture hook: run one round's shard steps, commit only the first
+    /// `commit_prefix` shards' journal batches, and stop before the rest
+    /// of the barrier — modelling a crash inside the barrier's commit with
+    /// a prefix of the round's shard commits on disk.  The engine is
+    /// unusable afterwards; reopen the store and [`ShardEngine::recover`].
     pub fn step_round_partial_commit(&mut self, commit_prefix: usize) -> EngineResult<()> {
-        let round = self.round;
-        let inboxes = std::mem::replace(&mut self.inboxes, vec![Vec::new(); self.cfg.shards]);
-        let ctx = StepCtx {
-            round,
-            library: &self.library,
-            templates: &self.templates,
-            faults: self.cfg.faults.as_ref(),
-            retry_budget: self.cfg.retry_budget,
-        };
-        for (i, (shard, inbox)) in self.shards.iter_mut().zip(inboxes).enumerate() {
-            let (_out, batches) = shard.step(&ctx, inbox)?;
-            if i < commit_prefix {
-                self.store.apply_many(batches).map_err(EngineError::Store)?;
-            }
+        for (_out, batches) in self.step_shards()?.into_iter().take(commit_prefix) {
+            self.store.apply_many(batches).map_err(EngineError::Store)?;
         }
         Ok(())
     }
@@ -577,10 +560,8 @@ impl<D: Disk> ShardEngine<D> {
     pub fn recover(
         store: Store<D>,
         library: ActivityLibrary,
-        mut cfg: ShardConfig,
+        cfg: ShardConfig,
     ) -> EngineResult<Self> {
-        cfg.shards = cfg.shards.max(1);
-        cfg.threads = cfg.threads.clamp(1, cfg.shards);
         let opened = store.stats();
         let mut report = RecoveryReport {
             wal_replayed_bytes: opened.wal_bytes,
@@ -588,49 +569,31 @@ impl<D: Disk> ShardEngine<D> {
             runs: opened.runs as u64,
             ..RecoveryReport::default()
         };
-        let mut templates = BTreeMap::new();
-        for (_key, bytes) in store
+        // A fresh engine opens the history, from its last summary on.
+        let mut engine = Self::new(store, library, cfg)?;
+        for (_key, bytes) in engine
+            .store
             .scan_prefix(Space::Template, "tmpl/")
             .map_err(EngineError::Store)?
         {
             let t: ProcessTemplate = decode(&bytes)?;
-            templates.insert(t.name.clone(), Arc::new(t));
+            engine.templates.insert(t.name.clone(), Arc::new(t));
         }
-        let mut shards = Vec::with_capacity(cfg.shards);
         let mut round = 0u64;
-        let mut next_instance = 1u64;
-        for i in 0..cfg.shards {
-            let (shard, r) = Shard::recover(i, &store, &templates)?;
+        for shard in &mut engine.shards {
+            let (recovered, r) = Shard::recover(shard.id, &engine.store, &engine.templates)?;
             round = round.max(r);
-            report.instances += shard.slots.len() as u64;
-            if let Some((max, _)) = shard.slots.last_key_value() {
-                next_instance = next_instance.max(max + 1);
+            report.instances += recovered.slots.len() as u64;
+            if let Some((max, _)) = recovered.slots.last_key_value() {
+                engine.next_instance = engine.next_instance.max(max + 1);
             }
-            shards.push(shard);
+            *shard = recovered;
         }
-        let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        // The history, from its last summary on, and a fresh round for
-        // what follows.  The shards' `meta` is not enough: a recovery
-        // commits its pseudo-round and no shard writes a later `meta` until
-        // the next step, so a crash before that step would recover into the
-        // same round and overwrite its events.
-        let (history, tail_round) = History::open(&store)?;
-        let next_round = (round + 1).max(tail_round);
-        let mut engine = ShardEngine {
-            inboxes: vec![Vec::new(); cfg.shards],
-            round: next_round,
-            next_instance,
-            history,
-            scratch: String::new(),
-            recovery: None,
-            store,
-            library,
-            templates,
-            shards,
-            service,
-            operator_seq: 0,
-            cfg,
-        };
+        // A fresh round for what follows.  The shards' `meta` is not
+        // enough: a recovery commits its pseudo-round and no shard writes a
+        // later `meta` until the next step, so a crash before that step
+        // would recover into the same round and overwrite its events.
+        engine.round = (round + 1).max(engine.round);
         // Reconcile the durable suspended set against the recovered
         // headers.  Both sides of a suspend/resume flip commit in one
         // atomic frame, so a mismatch means the record outlived its
@@ -1272,7 +1235,7 @@ mod tests {
         assert_eq!(recover(&crashed_disk()).unwrap().instances, 3);
 
         let disk = crashed_disk();
-        let store = Store::open(disk.clone()).unwrap();
+        let mut store = Store::open(disk.clone()).unwrap();
         let key = "s0000/inst/000000000002/task/B";
         assert!(store.get(Space::Instance, key).unwrap().is_some());
         store
@@ -1286,7 +1249,7 @@ mod tests {
         // reader recurses per level, and used to end the process with a
         // stack overflow here instead of returning.
         let disk = crashed_disk();
-        let store = Store::open(disk.clone()).unwrap();
+        let mut store = Store::open(disk.clone()).unwrap();
         // Whether the nesting is a well-typed value (lists of lists) or
         // sits in a member the record type does not have.
         for member in [r#""inputs":{"x":"#, r#""no_such_member":"#] {
@@ -1306,7 +1269,7 @@ mod tests {
         // pass that reads the tail names it — with no summary yet the tail
         // is the stream, so the record is in it.
         let disk = crashed_disk();
-        let store = Store::open(disk.clone()).unwrap();
+        let mut store = Store::open(disk.clone()).unwrap();
         let key = "sev/00000001/000002";
         assert!(store.get(Space::History, key).unwrap().is_some());
         store
@@ -1322,7 +1285,7 @@ mod tests {
         // rounds it covers, the record is never read again: recovery's
         // cost follows the tail, and so does what it can notice.
         let disk = crashed_disk_at_cadence(1);
-        let store = Store::open(disk.clone()).unwrap();
+        let mut store = Store::open(disk.clone()).unwrap();
         store
             .put(Space::History, key, b"{not json".to_vec())
             .unwrap();
@@ -1330,7 +1293,7 @@ mod tests {
         assert_eq!(recover(&disk).unwrap().instances, 3);
 
         let disk = crashed_disk();
-        let store = Store::open(disk.clone()).unwrap();
+        let mut store = Store::open(disk.clone()).unwrap();
         store
             .delete(Space::Template, keys::template("Chain"))
             .unwrap();

@@ -43,7 +43,7 @@ struct StoredSummary {
 
 /// Rewrite `store`'s History space into the current layout if an earlier
 /// engine left it otherwise, and return its summary.
-pub(crate) fn upgrade<D: Disk>(store: &Store<D>) -> EngineResult<Option<StreamSummary>> {
+pub(crate) fn upgrade<D: Disk>(store: &mut Store<D>) -> EngineResult<Option<StreamSummary>> {
     let mut old = Vec::new();
     store.visit_prefix(Space::History, OLD_PREFIX, |key, bytes| {
         let suffix = &key[OLD_PREFIX.len()..];

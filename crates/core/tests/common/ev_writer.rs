@@ -155,7 +155,7 @@ impl EvWriter {
 
     /// Write the pending records as one batch, with a rollup of everything
     /// up to them when the cadence is due.
-    pub fn flush<D: Disk>(&mut self, store: &Store<D>) {
+    pub fn flush<D: Disk>(&mut self, store: &mut Store<D>) {
         if self.pending.is_empty() {
             return;
         }
@@ -244,7 +244,7 @@ impl Continuation {
     }
 
     /// Commit one round of events (a round carries at least one).
-    pub fn commit<D: Disk>(&mut self, store: &Store<D>, events: &[(SimTime, EventKind)]) {
+    pub fn commit<D: Disk>(&mut self, store: &mut Store<D>, events: &[(SimTime, EventKind)]) {
         let mut batch = Batch::new();
         for (i, (at, kind)) in events.iter().enumerate() {
             let event = ShardEvent {

@@ -580,7 +580,7 @@ fn lost_spawn_is_rewound_and_respawned_after_server_recovery(policy: Option<Tier
             TaskState::Dispatched
         );
         rt.crash_server().unwrap();
-        let store = Store::open_with(disk.clone(), policy).unwrap();
+        let mut store = Store::open_with(disk.clone(), policy).unwrap();
         let mut erase = Batch::new();
         for (key, _) in store
             .scan_prefix(Space::Instance, &keys::instance_prefix(lost))
@@ -1068,7 +1068,7 @@ fn the_runtime_history_is_one_stream_with_a_digest(policy: Option<TieredPolicy>)
 /// event once, as a record of the one stream, digested with it.
 fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy>) {
     let disk = MemDisk::new();
-    let store = Store::open_with(disk.clone(), policy).unwrap();
+    let mut store = Store::open_with(disk.clone(), policy).unwrap();
     let mut writer = EvWriter::new();
     writer.set_every(8);
     for i in 0..30u64 {
@@ -1079,10 +1079,10 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
         };
         writer.record(SimTime::from_secs(i), kind);
         if i % 7 == 6 {
-            writer.flush(&store);
+            writer.flush(&mut store);
         }
     }
-    writer.flush(&store);
+    writer.flush(&mut store);
     let round_zero = writer.as_round_zero();
     assert_eq!(round_zero.len(), 30);
     drop(store);

@@ -7,7 +7,9 @@
 //! workload mixes — plain chains, parallel fans, and subprocess trees,
 //! with and without injected node faults — through engines at several
 //! (shards, threads) points and require bit-identical digests against
-//! the untiered 1-shard serial baseline.
+//! the untiered 1-shard serial baseline.  At a fixed shard count the
+//! thread count is not observable on disk either: the barrier is the one
+//! writer, so every file holds the same bytes after every round.
 //!
 //! Recovery is checked separately: after a crash mid-round (only a
 //! prefix of shard commits on disk) the recovered engine legitimately
@@ -46,7 +48,7 @@ use bioopera_core::{
     ShardEngine,
 };
 use bioopera_ocr::value::Value;
-use bioopera_store::{MemDisk, Space, Store, TieredPolicy};
+use bioopera_store::{Disk, MemDisk, Space, Store, TieredPolicy};
 use common::ev_writer::{EvWriter, SummaryBeforeDigest};
 use common::{engine_on, library, refold, submit_workload};
 use proptest::prelude::*;
@@ -205,12 +207,69 @@ fn run_workload_with_ops(
     fingerprint(&eng)
 }
 
+/// Every file on `disk`, by name.
+fn files(disk: &MemDisk) -> BTreeMap<String, Vec<u8>> {
+    let names = disk.list().unwrap();
+    names
+        .into_iter()
+        .map(|name| {
+            let bytes = disk.read(&name).unwrap().unwrap_or_default();
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// The workload at `shards` on every thread count in `1..=5`, stepped in
+/// lockstep under each store policy: after every round each disk holds
+/// the one-thread disk's files byte for byte.
+fn threads_leave_identical_disks(
+    workload: &[(usize, i64)],
+    shards: usize,
+    faults: Option<FaultInjection>,
+) -> Result<(), TestCaseError> {
+    for policy in common::policies() {
+        let mut runs: Vec<(MemDisk, ShardEngine<MemDisk>)> = (1..=5)
+            .map(|threads| {
+                let disk = MemDisk::new();
+                let store = Store::open_with(disk.clone(), policy).unwrap();
+                let cfg = ShardConfig {
+                    shards,
+                    threads,
+                    faults: faults.clone(),
+                    ..ShardConfig::default()
+                };
+                let mut eng = engine_on(store, cfg);
+                submit_workload(&mut eng, workload);
+                (disk, eng)
+            })
+            .collect();
+        let mut more = true;
+        while more {
+            let round = runs[0].1.round();
+            more = runs[0].1.step_round().unwrap();
+            let reference = files(&runs[0].0);
+            for (at, (disk, eng)) in runs.iter_mut().enumerate().skip(1) {
+                prop_assert_eq!(eng.step_round().unwrap(), more);
+                prop_assert!(
+                    files(disk) == reference,
+                    "{} threads diverged on disk from one thread at round {} under {:?}",
+                    at + 1,
+                    round,
+                    policy
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Any (shards, threads) point, on either store policy, reproduces the
     /// untiered serial baseline bit-for-bit, including under injected node
-    /// faults: neither sharding nor tiering is observable.
+    /// faults: neither sharding nor tiering is observable.  And at the
+    /// drawn shard count every thread count leaves the same disk.
     #[test]
     fn sharded_replay_matches_serial_baseline(
         workload in prop::collection::vec((0usize..3, 0i64..100), 1..24),
@@ -225,10 +284,11 @@ proptest! {
             rate_ppm: fault_rate,
         });
         let baseline = run_workload(&workload, 1, 1, faults.clone(), None);
-        let sharded = run_workload(&workload, shards, threads, faults, policy);
+        let sharded = run_workload(&workload, shards, threads, faults.clone(), policy);
         prop_assert_eq!(&sharded.0, &baseline.0, "history digest diverged");
         prop_assert_eq!(&sharded.1, &baseline.1, "state digest diverged");
         prop_assert_eq!(&sharded.2, &baseline.2, "event counts diverged");
+        threads_leave_identical_disks(&workload, shards, faults)?;
     }
 
     /// Suspension/resume injected at arbitrary rounds must leave the
@@ -362,14 +422,14 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     let stream = eng.store().scan_prefix(Space::History, "sev/").unwrap();
     drop(eng);
 
-    let twins = Store::open(MemDisk::new()).unwrap();
+    let mut twins = Store::open(MemDisk::new()).unwrap();
     let mut writer = EvWriter::new();
     writer.set_every(4);
     for chunk in before_crash.chunks(5) {
         for ev in chunk {
             writer.record(ev.at, ev.kind.clone());
         }
-        writer.flush(&twins);
+        writer.flush(&mut twins);
     }
     let legacy = twins.scan_prefix(Space::History, "").unwrap();
     assert_eq!(
@@ -377,7 +437,7 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
         before_crash.len() + 1,
         "the twins and a rollup"
     );
-    let store = Store::open_with(disk.clone(), policy).unwrap();
+    let mut store = Store::open_with(disk.clone(), policy).unwrap();
     assert!(store.get(Space::History, "summary").unwrap().is_none());
     for (key, bytes) in &legacy {
         assert!(key.starts_with("ev/") || key == "rollup", "{key}");
@@ -468,7 +528,7 @@ fn a_summary_without_a_digest_recovers_by_full_refold_and_gains_one(policy: Opti
     assert!(digest.strip_suffix('}').unwrap().parse::<u64>().is_ok());
 
     // The store as the earlier engine left it.
-    let store = Store::open_with(disk.clone(), policy).unwrap();
+    let mut store = Store::open_with(disk.clone(), policy).unwrap();
     store
         .put(Space::History, "summary", old_shape.clone())
         .unwrap();

@@ -125,8 +125,9 @@ impl TortureReport {
         };
         let shard = |o: &ShardTortureOutcome| {
             format!(
-                "{} oracle rounds, {} barrier-crash cases, {} double-crash cases, {} torn-commit cases",
-                o.rounds, o.cases, o.recovery_cases, o.torn_cases
+                "{} oracle rounds, {} barrier-crash cases ({} on two threads), {} double-crash cases, \
+                 {} torn-commit cases",
+                o.rounds, o.cases, o.parallel_cases, o.recovery_cases, o.torn_cases
             )
         };
         format!(

@@ -1,11 +1,13 @@
 //! Crash-at-the-shard-barrier torture for the sharded navigator.
 //!
-//! The sharded engine commits each shard's journal prefix independently
-//! inside a round; the deterministic barrier only runs after every shard
-//! commit has landed.  A server crash can therefore leave the store with
-//! an arbitrary *subset* of the round's shard commits — some shards a
-//! round ahead of others — which is exactly the state
-//! [`ShardEngine::step_round_partial_commit`] manufactures on purpose.
+//! The sharded engine's barrier commits each shard's journal batches, one
+//! append per shard in shard order, before the round's history.  A server
+//! crash can therefore leave the store with a *prefix* of the round's
+//! shard commits — some shards a round ahead of others — which is exactly
+//! the state [`ShardEngine::step_round_partial_commit`] manufactures on
+//! purpose.  Each case draws its stepper thread count, one or two, so the
+//! steps are computed on the parallel path too; the commits are the
+//! barrier's either way.
 //!
 //! For a seeded sample of `(crash round, committed-shard prefix)` points
 //! this pass crashes the engine mid-round, reopens the store, recovers,
@@ -74,6 +76,8 @@ pub struct ShardTortureOutcome {
     /// Torn-barrier-commit cases executed (every effect and offset of
     /// every sampled round counts as one).
     pub torn_cases: usize,
+    /// Partial-commit cases whose shards stepped on two threads.
+    pub parallel_cases: usize,
     /// Invariant violations; empty on success.
     pub violations: Vec<String>,
 }
@@ -187,26 +191,28 @@ fn templates() -> Vec<ProcessTemplate> {
     vec![chain, fan, parent]
 }
 
-fn cfg() -> ShardConfig {
+fn cfg(setup: Setup) -> ShardConfig {
     ShardConfig {
         shards: SHARDS,
-        threads: 1,
+        threads: setup.threads,
         ..ShardConfig::default()
     }
 }
 
-/// How one pass opens its stores, and how often it summarises.
+/// How one pass opens its stores, how often it summarises, and on how
+/// many threads its shards step.
 #[derive(Clone, Copy)]
 struct Setup {
     tiered: Option<TieredPolicy>,
     rollup_every: u64,
+    threads: usize,
 }
 
 /// Build an engine on `disk` and submit the scripted root mix.  A small
 /// `rollup_every` puts an awareness summary into most barrier commits.
 fn boot(disk: &MemDisk, setup: Setup) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
     let store = Store::open_with(disk.clone(), setup.tiered).map_err(|e| format!("open: {e}"))?;
-    let mut eng = ShardEngine::new(store, library(), cfg()).expect("engine");
+    let mut eng = ShardEngine::new(store, library(), cfg(setup)).expect("engine");
     eng.set_rollup_every(setup.rollup_every);
     for t in templates() {
         eng.register_template(t)
@@ -432,7 +438,7 @@ fn recover(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDisk>, String>
     let store = Store::open_with(disk.clone(), setup.tiered).map_err(|e| format!("reopen: {e}"))?;
     let before = task_records(&store)?;
     let mut eng =
-        ShardEngine::recover(store, library(), cfg()).map_err(|e| format!("recover: {e}"))?;
+        ShardEngine::recover(store, library(), cfg(setup)).map_err(|e| format!("recover: {e}"))?;
     eng.set_rollup_every(setup.rollup_every);
     check_engine(&eng).map_err(|e| format!("after recovery: {e}"))?;
     check_rewrites(&before, &eng).map_err(|e| format!("after recovery: {e}"))?;
@@ -534,12 +540,14 @@ pub fn run_shard_torture(
         recovery_cases: 0,
         suspend_cases: 0,
         torn_cases: 0,
+        parallel_cases: 0,
         violations: Vec::new(),
     };
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_70C7);
-    let setup_at = |rollup_every| Setup {
+    let setup_at = |rollup_every, threads| Setup {
         tiered,
         rollup_every,
+        threads,
     };
     let policy = if tiered.is_some() {
         "tiered"
@@ -549,7 +557,7 @@ pub fn run_shard_torture(
 
     // Crash-free oracle.
     let oracle_disk = MemDisk::new();
-    let oracle_setup = setup_at(rng.gen_range(1..40));
+    let oracle_setup = setup_at(rng.gen_range(1..40), 1);
     let oracle = match boot(&oracle_disk, oracle_setup).and_then(|(mut eng, ids)| {
         eng.run_to_completion()
             .map_err(|e| format!("oracle run: {e}"))?;
@@ -579,14 +587,19 @@ pub fn run_shard_torture(
         let double_crash = case % 3 == 2;
         let suspend_at_barrier = case % 2 == 1;
         let suspend_root = rng.gen_range(0..9u64) as usize;
+        let threads = rng.gen_range(1..=2);
         let tag = format!(
             "seed={seed} {policy} case={case} round={crash_round} prefix={prefix}/{SHARDS} \
-             double={double_crash} suspend={suspend_at_barrier} rollup_every={rollup_every}"
+             double={double_crash} suspend={suspend_at_barrier} rollup_every={rollup_every} \
+             threads={threads}"
         );
-        let setup = setup_at(rollup_every);
+        let setup = setup_at(rollup_every, threads);
         out.cases += 1;
         if suspend_at_barrier {
             out.suspend_cases += 1;
+        }
+        if threads > 1 {
+            out.parallel_cases += 1;
         }
 
         let disk = MemDisk::new();
@@ -628,10 +641,12 @@ pub fn run_shard_torture(
     for case in 0..samples.div_ceil(3) {
         let crash_round = rng.gen_range(0..out.rounds.max(1));
         let rollup_every = rng.gen_range(1..40u64);
+        let threads = rng.gen_range(1..=2);
         let tag = format!(
-            "seed={seed} {policy} torn case={case} round={crash_round} rollup_every={rollup_every}"
+            "seed={seed} {policy} torn case={case} round={crash_round} rollup_every={rollup_every} \
+             threads={threads}"
         );
-        let setup = setup_at(rollup_every);
+        let setup = setup_at(rollup_every, threads);
         let (index, data) = match barrier_append(crash_round, setup) {
             Ok(Some(found)) => found,
             Ok(None) => continue,
@@ -676,6 +691,7 @@ mod tests {
             assert_eq!(out.cases, 6);
             assert!(out.recovery_cases >= 1);
             assert!(out.suspend_cases >= 1);
+            assert!(out.parallel_cases >= 1);
             assert!(out.torn_cases >= 10, "{} torn cases", out.torn_cases);
             assert!(
                 out.violations.is_empty(),

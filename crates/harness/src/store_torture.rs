@@ -310,7 +310,7 @@ fn dump(store: &Store<MemDisk>) -> Result<Model, String> {
 /// Crash-free probe: runs the script and returns the mutation count.
 fn probe(steps: &[Step], tiered: Option<TieredPolicy>) -> u64 {
     let disk = MemDisk::new();
-    let store = Store::open_with(disk.clone(), tiered).expect("probe open");
+    let mut store = Store::open_with(disk.clone(), tiered).expect("probe open");
     for step in steps {
         match step {
             Step::Apply(ops) => store.apply(to_batch(ops)).expect("probe apply"),
@@ -352,7 +352,7 @@ fn store_case(
     let mut acked = 0usize;
     let mut crashed = false;
     match Store::open_with(disk.clone(), tiered) {
-        Ok(store) => {
+        Ok(mut store) => {
             for step in steps {
                 let res = match step {
                     Step::Apply(ops) => store.apply(to_batch(ops)).map(|()| true),
@@ -412,7 +412,7 @@ fn store_case(
         }
     }
 
-    let store = Store::open_with(disk.clone(), tiered)
+    let mut store = Store::open_with(disk.clone(), tiered)
         .map_err(|e| format!("reopen after crash failed: {e}"))?;
     let got = dump(&store)?;
 
@@ -493,7 +493,8 @@ fn bitflip_case(
     tiered: Option<TieredPolicy>,
 ) -> Result<(), String> {
     let disk = MemDisk::new();
-    let store = Store::open_with(disk.clone(), tiered).map_err(|e| format!("open failed: {e}"))?;
+    let mut store =
+        Store::open_with(disk.clone(), tiered).map_err(|e| format!("open failed: {e}"))?;
     let mut batches_done = 0usize;
     let mut final_state = ScriptState::default();
     for step in steps.iter().take(prefix_steps) {

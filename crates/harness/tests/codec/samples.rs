@@ -534,13 +534,13 @@ fn run_report() -> (String, String) {
 
 /// The `rollup` record the `ev/` writer wrote, as stored.
 fn rollup_record() -> (String, String) {
-    let store = Store::open(MemDisk::new()).expect("a fresh store opens");
+    let mut store = Store::open(MemDisk::new()).expect("a fresh store opens");
     let mut writer = EvWriter::new();
     writer.set_every(4);
     for (i, kind) in event_kinds().into_iter().enumerate() {
         writer.record(SimTime::from_secs(i as u64), kind);
     }
-    writer.flush(&store);
+    writer.flush(&mut store);
     let bytes = store
         .get(Space::History, "rollup")
         .expect("store read")

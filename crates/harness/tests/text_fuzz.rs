@@ -152,7 +152,7 @@ fn the_manifest_reader_refuses_mangled_manifests_without_panicking() {
     // watermark: every kind of line a manifest has, plus the per-space
     // counts older engines wrote after the epoch.
     let image = MemDisk::new();
-    let store = Store::open_with(image.clone(), policy).unwrap();
+    let mut store = Store::open_with(image.clone(), policy).unwrap();
     for i in 0..160u32 {
         store
             .put(Space::History, format!("ev/{i:04}"), vec![i as u8; 40])

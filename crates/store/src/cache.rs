@@ -132,7 +132,8 @@ struct Inner {
     misses: u64,
 }
 
-/// The budgeted CLOCK cache shared by every handle of one store.
+/// The budgeted CLOCK cache of one store.  Reads take `&Store`, so the
+/// cache keeps a lock of its own.
 pub struct BlockCache {
     budget: u64,
     inner: Mutex<Inner>,

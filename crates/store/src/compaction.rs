@@ -6,18 +6,18 @@
 //! the inputs — so a crash at any point leaves either the old state or
 //! the new one fully recoverable (`Store::open_with` removes whatever the
 //! manifest does not list).  There is exactly one roll body, a spill
-//! and one round of leveled maintenance ([`Store::compact`] and the
-//! automatic roll after a commit share it), and exactly one
-//! select/merge/write/GC core (`push_down_locked`); per compaction work
+//! and one round of leveled maintenance ([`Store::compact`], which the
+//! automatic roll after a commit calls), and exactly one
+//! select/merge/write/GC core (`push_down`); per compaction work
 //! is O(what overlaps), never O(history), and resident memory is one
 //! block per input plus one output run.
 
 use crate::disk::Disk;
-use crate::engine::{Store, WalState};
+use crate::engine::Store;
 use crate::error::StoreResult;
 use crate::levels::Levels;
-use crate::manifest::{manifest_for, snapshot_name, wal_name};
-use crate::memtable::{entry_cost, MemTables};
+use crate::manifest::{manifest_for, snapshot_name, wal_name, MANIFEST};
+use crate::memtable::entry_cost;
 use crate::merge::{Entry, Merge};
 use crate::runs::{run_name, Run, RunEntry, RunWriter};
 use std::collections::BTreeMap;
@@ -27,160 +27,111 @@ impl<D: Disk> Store<D> {
     /// the memtables to a sorted run at epoch `e + 1`, then one round of
     /// leveled maintenance.  A crash at any point leaves either the old
     /// epoch or the new epoch fully recoverable.
-    pub fn compact(&self) -> StoreResult<()> {
-        self.check_alive()?;
-        self.roll_locked(&mut *self.guard(self.wal.lock())?)
-    }
-
-    /// Spill the memtables to a new immutable sorted-run file, rolling
-    /// the WAL epoch.  No-op when there is nothing to persist and the
-    /// WAL is already empty.
-    pub fn spill(&self) -> StoreResult<()> {
-        self.check_alive()?;
-        self.spill_locked(&mut *self.guard(self.wal.lock())?)
-    }
-
-    /// One round of bounded leveled maintenance: compact L0 into L1
-    /// when the policy's L0 run-count threshold is reached, then push a
-    /// victim run down from any level over its byte budget.  Normally
-    /// triggered automatically after a spill; exposed for tests and
-    /// benches.
-    pub fn compact_levels(&self) -> StoreResult<()> {
-        self.check_alive()?;
-        self.level_maintenance_locked(&mut *self.guard(self.wal.lock())?)
+    pub fn compact(&mut self) -> StoreResult<()> {
+        self.spill()?;
+        self.compact_levels()
     }
 
     /// Is a roll due — the memtable over its budget, or the WAL at its
-    /// length threshold?  Called by committers while still holding their
-    /// locks; the actual roll happens in [`Store::maybe_roll`] after they
-    /// release.
-    pub(crate) fn roll_due(&self, wal: &WalState<D>, mem: &MemTables) -> bool {
+    /// length threshold?  Checked after every commit.
+    pub(crate) fn roll_due(&self) -> bool {
+        let wal = &self.wal;
         wal.tiered
-            .is_some_and(|t| mem.approx_bytes > t.memtable_budget_bytes)
+            .is_some_and(|t| self.mem.approx_bytes > t.memtable_budget_bytes)
             || wal
                 .policy
                 .is_some_and(|p| wal.wal_bytes >= p.wal_bytes_threshold)
     }
 
-    /// Re-check the roll condition and perform it if still due.  Called
-    /// after a commit observed the condition *and released its locks*;
-    /// the re-check under the lock means two racing committers trigger
-    /// exactly one roll (the second sees the fresh epoch).
-    pub(crate) fn maybe_roll(&self) -> StoreResult<()> {
+    /// Spill the memtables to a new immutable sorted-run file, rolling
+    /// the WAL epoch.  No-op when there is nothing to persist and the
+    /// WAL is already empty.
+    ///
+    /// Sequence: build the run image from the memtable, write it,
+    /// re-open it (self-check through the same decoder recovery will
+    /// use), commit the manifest at `epoch + 1` (THE commit point —
+    /// before it the new run is invisible garbage, after it the old WAL
+    /// and any legacy snapshot are garbage), GC the old epoch, then swap
+    /// the memtables for the run.
+    pub fn spill(&mut self) -> StoreResult<()> {
         self.check_alive()?;
-        let mut wal = self.guard(self.wal.lock())?;
-        if !self.roll_due(&wal, &*self.guard(self.mem.read())?) {
+        let mem = &self.mem;
+        if self.wal.wal_bytes == 0 && mem.spaces.iter().all(BTreeMap::is_empty) {
             return Ok(());
         }
-        self.roll_locked(&mut wal)
-    }
-
-    /// The one roll body; the caller holds the WAL lock.
-    fn roll_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        self.spill_locked(wal)?;
-        self.level_maintenance_locked(wal)
-    }
-
-    /// The spill body; the caller holds the WAL lock, which freezes the
-    /// memtables against writers (readers proceed untouched until the
-    /// final swap).  Sequence: build the run image from a frozen
-    /// memtable view, write it, re-open it (self-check through the same
-    /// decoder recovery will use), commit the manifest at `epoch + 1`
-    /// (THE commit point — before it the new run is invisible garbage,
-    /// after it the old WAL and any legacy snapshot are garbage), GC the
-    /// old epoch, then atomically swap memtables for the run under both
-    /// write locks.
-    fn spill_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let data = {
-            let mem = self.guard(self.mem.read())?;
-            if wal.wal_bytes == 0 && mem.spaces.iter().all(BTreeMap::is_empty) {
-                return Ok(());
+        // The memtable streams into the run image; its byte estimate
+        // bounds the image's data region.
+        let mut run = RunWriter::with_capacity(mem.approx_bytes as usize + 256);
+        for (space, map) in mem.spaces.iter().enumerate() {
+            for (key, value) in map {
+                run.push(RunEntry {
+                    space: space as u8,
+                    key,
+                    value: value.as_deref(),
+                });
             }
-            // The memtable streams into the run image; its byte estimate
-            // bounds the image's data region.
-            let mut run = RunWriter::with_capacity(mem.approx_bytes as usize + 256);
-            for (space, map) in mem.spaces.iter().enumerate() {
-                for (key, value) in map {
-                    run.push(RunEntry {
-                        space: space as u8,
-                        key,
-                        value: value.as_deref(),
-                    });
-                }
-            }
-            run.finish()
-        };
-        let next = wal.epoch + 1;
-        let name = run_name(wal.next_run_id);
+        }
+        let data = run.finish();
+        let epoch = self.wal.epoch;
+        let name = run_name(self.wal.next_run_id);
         let run = self.poison_on_err((|| {
-            wal.disk.write_atomic(&name, &data)?;
-            let run = Run::open(&*wal.disk, &name)?;
-            let manifest = {
-                let levels = self.guard(self.levels.read())?;
-                manifest_for(
-                    next,
-                    levels.l0.iter().chain([&run]),
-                    &levels.deeper,
-                    &levels.retain,
-                )
-            };
-            self.commit_manifest(wal, &manifest)?;
-            wal.disk.delete(&wal_name(wal.epoch))?;
-            wal.disk.delete(&snapshot_name(wal.epoch))?;
+            self.disk.write_atomic(&name, &data)?;
+            let run = Run::open(&self.disk, &name)?;
+            let levels = &self.levels;
+            let manifest = manifest_for(
+                epoch + 1,
+                levels.l0.iter().chain([&run]),
+                &levels.deeper,
+                &levels.retain,
+            );
+            self.disk.write_atomic(MANIFEST, manifest.as_bytes())?;
+            self.disk.delete(&wal_name(epoch))?;
+            self.disk.delete(&snapshot_name(epoch))?;
             Ok(run)
         })())?;
-        {
-            // Readers hold `mem` across their tier lookup, so taking
-            // both write locks makes the swap invisible: no reader can
-            // observe the drained memtable without the new run.
-            let mut mem = self.guard(self.mem.write())?;
-            let mut levels = self.guard(self.levels.write())?;
-            for map in &mut mem.spaces {
-                map.clear();
-            }
-            mem.approx_bytes = 0;
-            levels.l0.push(run);
+        for map in &mut self.mem.spaces {
+            map.clear();
         }
-        wal.epoch = next;
-        wal.wal_bytes = 0;
-        wal.next_run_id += 1;
-        wal.spills += 1;
+        self.mem.approx_bytes = 0;
+        self.levels.l0.push(run);
+        self.wal.epoch = epoch + 1;
+        self.wal.wal_bytes = 0;
+        self.wal.next_run_id += 1;
+        self.wal.spills += 1;
         Ok(())
     }
 
-    /// Leveled maintenance driver; the caller holds the WAL lock.
-    /// Compact L0 down once it reaches the policy's run-count
-    /// threshold, then cascade: any deeper level holding more bytes
-    /// than its budget (and more than one run) pushes one victim run
-    /// down.  Each push-down moves bytes strictly deeper, so the loop
-    /// terminates; the iteration cap is a pure safety net.  A store
-    /// with no policy lays its levels out as the default policy does.
-    fn level_maintenance_locked(&self, wal: &mut WalState<D>) -> StoreResult<()> {
-        let policy = wal.tiered.unwrap_or_default();
-        if self.guard(self.levels.read())?.l0.len() >= policy.run_merge_threshold {
-            self.push_down_locked(wal, 0)?;
+    /// One round of bounded leveled maintenance: compact L0 into L1
+    /// once it reaches the policy's run-count threshold, then cascade:
+    /// any deeper level holding more bytes than its budget (and more
+    /// than one run) pushes one victim run down.  Each push-down moves
+    /// bytes strictly deeper, so the loop terminates; the iteration cap
+    /// is a pure safety net.  A store with no policy lays its levels out
+    /// as the default policy does.  Run by every roll; exposed for tests
+    /// and benches.
+    pub fn compact_levels(&mut self) -> StoreResult<()> {
+        self.check_alive()?;
+        let policy = self.wal.tiered.unwrap_or_default();
+        if self.levels.l0.len() >= policy.run_merge_threshold {
+            self.push_down(0)?;
         }
         for _ in 0..64 {
-            let over = {
-                let levels = self.guard(self.levels.read())?;
-                (1..=levels.deeper.len()).find(|&i| {
-                    let lvl = &levels.deeper[i - 1];
-                    lvl.len() > 1
-                        && lvl.iter().map(|r| r.data_bytes).sum::<u64>() > policy.level_cap(i)
-                })
-            };
+            let levels = &self.levels;
+            let over = (1..=levels.deeper.len()).find(|&i| {
+                let lvl = &levels.deeper[i - 1];
+                lvl.len() > 1 && lvl.iter().map(|r| r.data_bytes).sum::<u64>() > policy.level_cap(i)
+            });
             match over {
-                Some(level) => self.push_down_locked(wal, level)?,
+                Some(level) => self.push_down(level)?,
                 None => return Ok(()),
             }
         }
         Ok(())
     }
 
-    /// One bounded compaction step; the caller holds the WAL lock.
-    /// `source == 0` takes every L0 run, `source >= 1` one cursor-picked
-    /// victim run, and moves their data into level `source + 1`,
-    /// rewriting only what overlaps:
+    /// One bounded compaction step.  `source == 0` takes every L0 run,
+    /// `source >= 1` one cursor-picked victim run, and moves their data
+    /// into level `source + 1`, rewriting only what overlaps:
     ///
     /// * **Selection** is block-granular.  A target-level run joins the
     ///   merge only if some source *block* range intersects its hull.
@@ -201,10 +152,10 @@ impl<D: Disk> Store<D> {
     /// the in-memory swap.  Tombstones are dropped only when every level
     /// deeper than the output is empty — nothing older exists to
     /// resurrect.
-    fn push_down_locked(&self, wal: &mut WalState<D>, source: usize) -> StoreResult<()> {
+    fn push_down(&mut self, source: usize) -> StoreResult<()> {
         let target = source + 1;
         let (sources, overlaps, bottom, mut new_levels) = {
-            let levels = self.guard(self.levels.read())?;
+            let levels = &self.levels;
             let sources: Vec<Run> = if source == 0 {
                 levels.l0.clone()
             } else {
@@ -214,7 +165,12 @@ impl<D: Disk> Store<D> {
                 };
                 // Round-robin victim: first run past the cursor, else
                 // wrap to the front.
-                let pick = match wal.level_cursors.get(source - 1).and_then(|c| c.as_ref()) {
+                let pick = match self
+                    .wal
+                    .level_cursors
+                    .get(source - 1)
+                    .and_then(|c| c.as_ref())
+                {
                     Some((cs, ck)) => lvl
                         .iter()
                         .position(|r| r.min_key().is_some_and(|mk| mk > (*cs, ck.as_str())))
@@ -282,7 +238,6 @@ impl<D: Disk> Store<D> {
             sources.clone()
         } else {
             self.poison_on_err(self.merge_into_runs(
-                wal,
                 &overlaps,
                 &sources,
                 untouched,
@@ -300,18 +255,17 @@ impl<D: Disk> Store<D> {
         );
         // Same epoch: a merge never changes the visible view.
         let manifest = manifest_for(
-            wal.epoch,
+            self.wal.epoch,
             &new_levels.l0,
             &new_levels.deeper,
             &new_levels.retain,
         );
-        self.commit_manifest(wal, &manifest)?;
-        // Publish in memory before GC'ing inputs: the write lock waits
-        // out every reader still scanning the old runs, so no reader can
-        // touch a deleted file.  (A crash between the manifest commit
-        // and these deletes only leaves unlisted run files, which
-        // recovery hygiene removes.)
-        *self.guard(self.levels.write())? = new_levels;
+        self.commit_manifest(&manifest)?;
+        // Publish in memory before GC'ing inputs.  (A crash between the
+        // manifest commit and these deletes only leaves unlisted run
+        // files, which recovery hygiene removes.)
+        self.levels = new_levels;
+        let wal = &mut self.wal;
         if source >= 1 {
             if wal.level_cursors.len() < source {
                 wal.level_cursors.resize(source, None);
@@ -333,7 +287,7 @@ impl<D: Disk> Store<D> {
         wal.merge_bytes_max = wal.merge_bytes_max.max(bytes_in);
         for r in sources.iter().chain(overlaps.iter()) {
             self.cache.purge_run(r.id());
-            self.poison_on_err(wal.disk.delete(r.name()))?;
+            self.poison_on_err(self.disk.delete(r.name()))?;
         }
         Ok(())
     }
@@ -348,27 +302,26 @@ impl<D: Disk> Store<D> {
     /// use; nothing is committed here.
     fn merge_into_runs(
         &self,
-        wal: &WalState<D>,
         overlaps: &[Run],
         sources: &[Run],
         untouched: &[Run],
         skip: impl Fn(u8, &str, bool) -> bool,
     ) -> StoreResult<Vec<Run>> {
-        let run_target = wal.tiered.unwrap_or_default().run_target();
+        let run_target = self.wal.tiered.unwrap_or_default().run_target();
         // The target level holds strictly older data than the sources,
         // so it ranks first and the sources overwrite.
         let mut inputs: Vec<&[Run]> = vec![overlaps];
         inputs.extend(sources.iter().map(std::slice::from_ref));
-        let mut merge = Merge::new(&*wal.disk, inputs, None)?;
+        let mut merge = Merge::new(&self.disk, inputs, None)?;
         // An output run holds at most `run_target` of entry cost, which
         // bounds its image, and no more than the inputs hold.
         let bytes_in: u64 = overlaps.iter().chain(sources).map(|r| r.data_bytes).sum();
         let capacity = run_target.min(bytes_in) as usize + 256;
         let mut new_runs: Vec<Run> = Vec::new();
         let mut write_run = |run: RunWriter| -> StoreResult<()> {
-            let name = run_name(wal.next_run_id + new_runs.len() as u64);
-            wal.disk.write_atomic(&name, &run.finish())?;
-            new_runs.push(Run::open(&*wal.disk, &name)?);
+            let name = run_name(self.wal.next_run_id + new_runs.len() as u64);
+            self.disk.write_atomic(&name, &run.finish())?;
+            new_runs.push(Run::open(&self.disk, &name)?);
             Ok(())
         };
         // `untouched[fence]` is the first untouched run not wholly below
@@ -421,7 +374,7 @@ mod tests {
 
     #[test]
     fn compact_then_recover() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         for i in 0..100 {
             store
                 .put(
@@ -454,7 +407,7 @@ mod tests {
 
     #[test]
     fn compact_empty_store() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store.compact().unwrap();
         drop(store);
         let recovered = Store::open_with(disk, None).unwrap();
@@ -465,7 +418,7 @@ mod tests {
 
     #[test]
     fn compaction_policy_rolls_the_wal_automatically() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store.set_compaction_policy(Some(CompactionPolicy {
             wal_bytes_threshold: 256,
         }));
@@ -512,7 +465,7 @@ mod tests {
     #[test]
     fn deletes_tombstone_runs_until_merge_drops_them() {
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(merge_at_two())).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(merge_at_two())).unwrap();
         for i in 0..10 {
             store
                 .put(
@@ -532,15 +485,15 @@ mod tests {
 
         // … the tombstone rides the next spill into a run …
         store.spill().unwrap();
-        let runs = store.levels.read().unwrap().l0.clone();
+        let runs = store.levels.l0.clone();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[1].tombstones, 1);
 
         // … and the merge, whose output lands in the bottom level, folds
         // it away for good.
         store.compact_levels().unwrap();
-        assert!(store.levels.read().unwrap().l0.is_empty());
-        let runs = store.levels.read().unwrap().deeper[0].clone();
+        assert!(store.levels.l0.is_empty());
+        let runs = store.levels.deeper[0].clone();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].tombstones, 0);
         assert_eq!(runs[0].entries, 9);
@@ -549,11 +502,11 @@ mod tests {
 
         // A reopen agrees, and deleting a key no run may contain never
         // creates a tombstone at all.
-        let reopened = Store::open_with(disk, Some(merge_at_two())).unwrap();
+        let mut reopened = Store::open_with(disk, Some(merge_at_two())).unwrap();
         assert_eq!(reopened.len(Space::Configuration).unwrap(), 9);
         reopened.put(Space::Template, "t/x", &b"v"[..]).unwrap();
         reopened.delete(Space::Template, "t/x").unwrap();
-        assert!(reopened.mem.read().unwrap().spaces[Space::Template.as_u8() as usize].is_empty());
+        assert!(reopened.mem.spaces[Space::Template.as_u8() as usize].is_empty());
     }
 
     #[test]
@@ -573,7 +526,7 @@ mod tests {
                 CrashEffect::AfterApply,
             ] {
                 let disk = MemDisk::new();
-                let store = Store::open_with(disk.clone(), tiered).unwrap();
+                let mut store = Store::open_with(disk.clone(), tiered).unwrap();
                 for i in 0..20 {
                     store
                         .put(Space::History, format!("ev/{i:02}"), Bytes::from(vec![i]))
@@ -588,7 +541,7 @@ mod tests {
                 assert!(store.is_poisoned(), "{ctx}");
                 disk.reboot();
 
-                let recovered = Store::open_with(disk.clone(), tiered).unwrap();
+                let mut recovered = Store::open_with(disk.clone(), tiered).unwrap();
                 assert_eq!(
                     recovered.scan_prefix(Space::History, "").unwrap(),
                     expected,
@@ -614,7 +567,7 @@ mod tests {
     /// mutations enumerated.
     fn crash_at_every_mutation_of_a_maintenance_round(
         policy: TieredPolicy,
-        setup: impl Fn(&Store<MemDisk>),
+        setup: impl Fn(&mut Store<MemDisk>),
         expect: impl Fn(&Store<MemDisk>),
     ) -> u64 {
         use crate::disk::CrashEffect;
@@ -626,8 +579,8 @@ mod tests {
         };
         let (mutations, settled) = {
             let disk = MemDisk::new();
-            let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
-            setup(&store);
+            let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+            setup(&mut store);
             let before = disk.mutation_count();
             store.compact_levels().unwrap();
             expect(&store);
@@ -641,8 +594,8 @@ mod tests {
             ] {
                 let ctx = format!("maintenance mutation {idx}/{mutations} {effect:?}");
                 let disk = MemDisk::new();
-                let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
-                setup(&store);
+                let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+                setup(&mut store);
                 let expected = scan(&store);
 
                 disk.set_fault_plan(Some(FaultPlan::at_mutation(idx, effect)));
@@ -650,25 +603,22 @@ mod tests {
                 assert!(store.is_poisoned(), "{ctx}");
                 disk.reboot();
 
-                let recovered = Store::open_with(disk.clone(), Some(policy)).unwrap();
+                let mut recovered = Store::open_with(disk.clone(), Some(policy)).unwrap();
                 assert_eq!(scan(&recovered), expected, "{ctx}: records diverged");
                 assert_only_live_files(&disk, &ctx);
-                assert!(
-                    recovered.levels.read().unwrap().deeper_levels_disjoint(),
-                    "{ctx}"
-                );
+                assert!(recovered.levels.deeper_levels_disjoint(), "{ctx}");
                 // Whatever step the crash interrupted is redone (a crash
                 // before a merge's commit re-merges into fresh run ids).
                 recovered.compact_levels().unwrap();
                 assert_eq!(recovered.level_ranges(), settled, "{ctx}: layout");
-                assert!(recovered.levels.read().unwrap().l0.is_empty(), "{ctx}");
+                assert!(recovered.levels.l0.is_empty(), "{ctx}");
                 assert_eq!(scan(&recovered), expected, "{ctx}: diverged after redo");
             }
         }
         mutations
     }
 
-    fn put_range(store: &Store<MemDisk>, space: Space, prefix: &str, n: u8, fill: u8) {
+    fn put_range(store: &mut Store<MemDisk>, space: Space, prefix: &str, n: u8, fill: u8) {
         for i in 0..n {
             store
                 .put(
@@ -747,7 +697,7 @@ mod tests {
             |store| {
                 let stats = store.stats();
                 assert_eq!((stats.run_merges, stats.trivial_moves), (3, 0));
-                let l1 = store.levels.read().unwrap().deeper[0].clone();
+                let l1 = store.levels.deeper[0].clone();
                 assert_eq!(l1.len(), 3);
                 // The configuration run is still the file the first
                 // merge wrote; its neighbours were rewritten around it.
@@ -825,7 +775,7 @@ mod tests {
     }
 
     fn level_names(store: &Store<MemDisk>, level: usize) -> Vec<String> {
-        store.levels.read().unwrap().deeper[level - 1]
+        store.levels.deeper[level - 1]
             .iter()
             .map(|r| r.name().to_string())
             .collect()
@@ -834,7 +784,7 @@ mod tests {
     #[test]
     fn push_down_moves_a_run_that_overlaps_nothing_by_manifest_alone() {
         let v = Some(&b"v"[..]);
-        let (disk, store) = store_over(
+        let (disk, mut store) = store_over(
             &[
                 &[&[(3, "ev/05", v), (3, "ev/06", v)]],
                 &[&[(3, "ev/01", v)]],
@@ -842,9 +792,7 @@ mod tests {
             "",
         );
         let (mutations, reads) = (disk.mutation_count(), disk.read_op_count());
-        store
-            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
-            .unwrap();
+        store.push_down(1).unwrap();
         assert_eq!(disk.mutation_count() - mutations, 1, "one manifest write");
         assert_eq!(disk.read_op_count(), reads, "no run is read");
         assert_eq!(level_names(&store, 2), ["run-000001", "run-000000"]);
@@ -861,18 +809,16 @@ mod tests {
     fn push_down_rewrites_when_a_move_would_break_a_rule() {
         let v = Some(&b"v"[..]);
         // A tombstone must not settle in the bottom level.
-        let (_, store) = store_over(&[&[&[(3, "ev/05", v), (3, "ev/06", None)]]], "");
-        store
-            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
-            .unwrap();
+        let (_, mut store) = store_over(&[&[&[(3, "ev/05", v), (3, "ev/06", None)]]], "");
+        store.push_down(1).unwrap();
         let stats = store.stats();
         assert_eq!((stats.trivial_moves, stats.run_merges), (0, 1));
-        let moved = store.levels.read().unwrap().deeper[1].clone();
+        let moved = store.levels.deeper[1].clone();
         assert_eq!((moved[0].entries, moved[0].tombstones), (1, 0));
 
         // … but rides along while something deeper could still hold the
         // key it shadows.
-        let (_, store) = store_over(
+        let (_, mut store) = store_over(
             &[
                 &[&[(3, "ev/05", v), (3, "ev/06", None)]],
                 &[],
@@ -880,31 +826,26 @@ mod tests {
             ],
             "",
         );
-        store
-            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
-            .unwrap();
+        store.push_down(1).unwrap();
         assert_eq!(store.stats().trivial_moves, 1);
         assert_eq!(level_names(&store, 2), ["run-000000"]);
 
         // A retention watermark reaching into the run filters it.
-        let (_, store) = store_over(
+        let (_, mut store) = store_over(
             &[&[&[(3, "ev/05", v), (3, "ev/06", v)]]],
             "retain 3 ev/ ev/06\n",
         );
-        store
-            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
-            .unwrap();
+        store.push_down(1).unwrap();
         assert_eq!(store.stats().run_merges, 1);
-        let moved = store.levels.read().unwrap().deeper[1].clone();
+        let moved = store.levels.deeper[1].clone();
         assert_eq!(moved[0].min_key(), Some((3, "ev/06")));
 
         // No block of the victim reaches the target run, but its hull
         // spans it: the run is rewritten in two pieces around the
         // untouched one, which is never read.
-        let (disk, store) = store_over(&[&[&[(1, "a", v), (3, "z", v)]], &[&[(2, "m", v)]]], "");
-        store
-            .push_down_locked(&mut store.wal.lock().unwrap(), 1)
-            .unwrap();
+        let (disk, mut store) =
+            store_over(&[&[&[(1, "a", v), (3, "z", v)]], &[&[(2, "m", v)]]], "");
+        store.push_down(1).unwrap();
         assert_eq!(store.stats().run_merges, 1);
         assert_eq!(
             level_names(&store, 2),
@@ -924,7 +865,7 @@ mod tests {
     #[test]
     fn reopen_after_spill_reads_only_the_tail() {
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
         // A long history, fully spilled, plus a short live WAL tail.
         for i in 0..2000u32 {
             store
@@ -976,7 +917,7 @@ mod tests {
     #[test]
     fn compact_in_tiered_mode_spills_and_merges_to_one_run() {
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
         for round in 0..3 {
             for i in 0..8 {
                 store
@@ -1018,7 +959,7 @@ mod tests {
     #[test]
     fn leveled_push_down_keeps_levels_disjoint_and_model_equivalent() {
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_leveled())).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(tiny_leveled())).unwrap();
         let mut model: BTreeMap<(u8, String), Vec<u8>> = BTreeMap::new();
         for i in 0..300u32 {
             let space = if i % 3 == 0 {
@@ -1046,7 +987,7 @@ mod tests {
             ranges.iter().any(|level| !level.is_empty()),
             "no run ever reached L1+"
         );
-        assert!(store.levels.read().unwrap().deeper_levels_disjoint());
+        assert!(store.levels.deeper_levels_disjoint());
 
         let check = |store: &Store<MemDisk>| {
             for space in [Space::History, Space::Instance] {

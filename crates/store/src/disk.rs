@@ -2,8 +2,9 @@
 //!
 //! Two backends are provided:
 //!
-//! * [`FileDisk`] — a directory on the real filesystem, with `fsync` on the
-//!   paths that matter for durability.
+//! * [`FileDisk`] — a directory on the real filesystem: every write is
+//!   `fsync`ed, and so is the directory after a rename, an append that
+//!   created its file, and a delete.
 //! * [`MemDisk`] — an in-memory filesystem with **fault injection**: a
 //!   [`FaultPlan`] makes the disk "crash" either after a configured number of
 //!   appended bytes or at an exact disk-mutation index, with a configurable
@@ -72,6 +73,14 @@ impl FileDisk {
     fn path(&self, name: &str) -> PathBuf {
         self.root.join(name)
     }
+
+    /// Make the directory's entries durable: a file's creation, rename or
+    /// removal is a write to its directory, which the file's own `fsync`
+    /// does not cover.
+    fn sync_dir(&self) -> StoreResult<()> {
+        std::fs::File::open(&self.root)?.sync_all()?;
+        Ok(())
+    }
 }
 
 impl Disk for FileDisk {
@@ -91,16 +100,27 @@ impl Disk for FileDisk {
             f.sync_all()?;
         }
         std::fs::rename(&tmp, self.path(name))?;
-        Ok(())
+        self.sync_dir()
     }
 
     fn append(&self, name: &str, data: &[u8]) -> StoreResult<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(self.path(name))?;
+        let path = self.path(name);
+        let (mut f, created) = match std::fs::OpenOptions::new().append(true).open(&path) {
+            Ok(f) => (f, false),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let f = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)?;
+                (f, true)
+            }
+            Err(e) => return Err(e.into()),
+        };
         f.write_all(data)?;
         f.sync_data()?;
+        if created {
+            self.sync_dir()?;
+        }
         Ok(())
     }
 
@@ -118,7 +138,7 @@ impl Disk for FileDisk {
 
     fn delete(&self, name: &str) -> StoreResult<()> {
         match std::fs::remove_file(self.path(name)) {
-            Ok(()) => Ok(()),
+            Ok(()) => self.sync_dir(),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
@@ -481,7 +501,11 @@ mod tests {
         assert_eq!(disk.read("a").unwrap().unwrap(), b"hello");
         disk.append("a", b" world").unwrap();
         assert_eq!(disk.read("a").unwrap().unwrap(), b"hello world");
-        assert_eq!(disk.list().unwrap(), vec!["a".to_string()]);
+        // An append that creates its file.
+        disk.append("b", b"new").unwrap();
+        assert_eq!(disk.read("b").unwrap().unwrap(), b"new");
+        assert_eq!(disk.list().unwrap(), vec!["a".to_string(), "b".to_string()]);
+        disk.delete("a").unwrap();
         disk.delete("a").unwrap();
         assert_eq!(disk.read("a").unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);

@@ -23,31 +23,17 @@
 //! * `retention.rs` — the per-space watermark that retires a key
 //!   range for good.
 //!
-//! # Locking model
+//! # Ownership
 //!
-//! The engine splits its state in three so readers never contend with
-//! the disk:
-//!
-//! * `wal: Mutex<WalState>` — the disk handle, epoch, WAL counters and
-//!   tier bookkeeping.  Only writers (`apply`, `apply_many`, `compact`,
-//!   spill/merge/retention) take it.
-//! * `mem: RwLock<MemTables>` — the four per-space memtables.  Readers
-//!   (`get`, `scan_prefix`, `len`) take only the read lock; a write lock
-//!   is held just for the in-memory application of an already-durable
-//!   batch.
-//! * `levels: RwLock<Levels>` — the opened sorted runs (L0 plus the
-//!   disjoint deeper levels) and the retention watermarks.
-//!
-//! Lock order is always `wal` → `mem` → `levels`.  Writers acquire `wal`
-//! first and keep holding it while they take the `mem` write lock, so
-//! the order in which batches become durable in the WAL is exactly the
-//! order in which they become visible — recovery can never disagree
-//! with what a reader observed.  Readers hold their `mem` read guard
-//! across the `levels` lookup, so a spill (which takes both write locks
-//! before clearing the memtable and publishing the new run) is atomic
-//! from a reader's point of view.  Frame encoding happens *before* any
-//! lock is taken.  The locks are `std::sync`'s, and a poisoned one
-//! poisons the store (`Store::guard`).
+//! A store has one owner.  Every write — `apply`, `apply_many`, a roll,
+//! a push-down, a retention advance, `poison` — takes `&mut self`, so
+//! the order in which batches become durable in the WAL is the order in
+//! which they become visible, and a reader can never observe a batch
+//! half-applied or a spill between its manifest commit and its memtable
+//! swap: the borrow checker, not a lock, rules it out.  Reads (`get`, the
+//! scans, `len`, `stats`) take `&self`; the block cache and the read
+//! counters they update keep their own interior mutability, so `&Store`
+//! can still be shared by readers on several threads.
 
 use crate::cache::{BlockCache, DEFAULT_BLOCK_CACHE_BUDGET};
 use crate::disk::Disk;
@@ -60,8 +46,7 @@ use crate::policy::{CompactionPolicy, TieredPolicy};
 use crate::runs::{parse_run_name, Run};
 use crate::wal::{self, WalOp};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
+use std::sync::atomic::Ordering;
 
 /// The four persistent spaces of the BioOpera data layer (paper §3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -236,10 +221,9 @@ pub struct StoreStats {
     pub retired: u64,
 }
 
-/// Everything a writer needs: the disk plus WAL/epoch accounting and
-/// tier bookkeeping.
-pub(crate) struct WalState<D: Disk> {
-    pub(crate) disk: Arc<D>,
+/// What only a writer changes: WAL/epoch accounting and tier
+/// bookkeeping.
+pub(crate) struct WalState {
     pub(crate) epoch: u64,
     pub(crate) wal_bytes: u64,
     batches_applied: u64,
@@ -265,39 +249,19 @@ pub(crate) struct WalState<D: Disk> {
     pub(crate) level_cursors: Vec<Option<(u8, String)>>,
 }
 
-/// The storage engine.  Cheap to clone (shared handle); all methods are
-/// thread-safe, and readers never block other readers.
+/// The storage engine.  Single-owner: writes take `&mut self`, reads
+/// `&self` (see the module's "Ownership").
 pub struct Store<D: Disk> {
-    pub(crate) wal: Arc<Mutex<WalState<D>>>,
-    pub(crate) mem: Arc<RwLock<MemTables>>,
-    pub(crate) levels: Arc<RwLock<Levels>>,
-    pub(crate) disk: Arc<D>,
-    metrics: Arc<TierMetrics>,
-    pub(crate) cache: Arc<BlockCache>,
-    poisoned: Arc<AtomicBool>,
-}
-
-impl<D: Disk> Clone for Store<D> {
-    fn clone(&self) -> Self {
-        Store {
-            wal: Arc::clone(&self.wal),
-            mem: Arc::clone(&self.mem),
-            levels: Arc::clone(&self.levels),
-            disk: Arc::clone(&self.disk),
-            metrics: Arc::clone(&self.metrics),
-            cache: Arc::clone(&self.cache),
-            poisoned: Arc::clone(&self.poisoned),
-        }
-    }
-}
-
-/// A lock taken through its poison, for the calls that cannot fail:
-/// setting the roll policy and the introspection (`stats`,
-/// `level_ranges`, `retention`).  They touch counters, the policy and
-/// the run lists, which every update leaves valid at each step (an
-/// add, a push, an assignment), and they serve no record.
-pub(crate) fn peek<G>(lock: LockResult<G>) -> G {
-    lock.unwrap_or_else(PoisonError::into_inner)
+    pub(crate) wal: WalState,
+    /// The four per-space memtables.
+    pub(crate) mem: MemTables,
+    /// The opened sorted runs (L0 plus the disjoint deeper levels) and
+    /// the retention watermarks.
+    pub(crate) levels: Levels,
+    pub(crate) disk: D,
+    metrics: TierMetrics,
+    pub(crate) cache: BlockCache,
+    poisoned: bool,
 }
 
 impl<D: Disk> Store<D> {
@@ -316,7 +280,6 @@ impl<D: Disk> Store<D> {
     /// fires or [`Store::compact`] is called, and lays its levels out as
     /// `TieredPolicy::default()` does.
     pub fn open_with(disk: D, tiered: Option<TieredPolicy>) -> StoreResult<Self> {
-        let disk = Arc::new(disk);
         let manifest = match disk.read(MANIFEST)? {
             Some(bytes) => parse_manifest(bytes)?,
             None => ManifestState::empty(),
@@ -336,7 +299,7 @@ impl<D: Disk> Store<D> {
             let mut open_run = |name: &str| -> StoreResult<Run> {
                 let id = parse_run_name(name).expect("validated by parse_manifest");
                 next_run_id = next_run_id.max(id + 1);
-                Run::open(&*disk, name)
+                Run::open(&disk, name)
             };
             for name in &manifest.run_names {
                 levels.l0.push(open_run(name)?);
@@ -352,10 +315,6 @@ impl<D: Disk> Store<D> {
             level.sort_by(|a, b| a.min_key().cmp(&b.min_key()));
         }
 
-        let metrics = Arc::new(TierMetrics::default());
-        let cache = Arc::new(BlockCache::new(
-            tiered.map_or(DEFAULT_BLOCK_CACHE_BUDGET, |t| t.block_cache_budget),
-        ));
         let mut mem = MemTables::default();
         let mut batches_applied = 0u64;
 
@@ -436,8 +395,7 @@ impl<D: Disk> Store<D> {
         }
 
         Ok(Store {
-            wal: Arc::new(Mutex::new(WalState {
-                disk: Arc::clone(&disk),
+            wal: WalState {
                 epoch,
                 wal_bytes,
                 batches_applied,
@@ -454,23 +412,25 @@ impl<D: Disk> Store<D> {
                 retired: 0,
                 merge_bytes_max: 0,
                 level_cursors: Vec::new(),
-            })),
-            mem: Arc::new(RwLock::new(mem)),
-            levels: Arc::new(RwLock::new(levels)),
+            },
+            mem,
+            levels,
             disk,
-            metrics,
-            cache,
-            poisoned: Arc::new(AtomicBool::new(false)),
+            metrics: TierMetrics::default(),
+            cache: BlockCache::new(
+                tiered.map_or(DEFAULT_BLOCK_CACHE_BUDGET, |t| t.block_cache_budget),
+            ),
+            poisoned: false,
         })
     }
 
     /// Install (or clear) the automatic compaction policy.
-    pub fn set_compaction_policy(&self, policy: Option<CompactionPolicy>) {
-        peek(self.wal.lock()).policy = policy;
+    pub fn set_compaction_policy(&mut self, policy: Option<CompactionPolicy>) {
+        self.wal.policy = policy;
     }
 
     /// Apply a batch atomically: durable in the WAL first, then visible.
-    pub fn apply(&self, batch: Batch) -> StoreResult<()> {
+    pub fn apply(&mut self, batch: Batch) -> StoreResult<()> {
         self.apply_many([batch])
     }
 
@@ -479,12 +439,12 @@ impl<D: Disk> Store<D> {
     /// Each batch stays its own WAL frame, so per-batch atomicity across
     /// crashes is untouched — a torn write leaves a whole-batch prefix,
     /// exactly as if the batches had been applied one call at a time.
-    /// What is amortized is everything else: one lock acquisition, one
-    /// append syscall, one visibility pass.
-    pub fn apply_many(&self, batches: impl IntoIterator<Item = Batch>) -> StoreResult<()> {
+    /// What is amortized is everything else: one append syscall, one
+    /// visibility pass, one roll check.
+    pub fn apply_many(&mut self, batches: impl IntoIterator<Item = Batch>) -> StoreResult<()> {
         self.check_alive()?;
-        // Encode outside the critical section: concurrent committers
-        // serialize only on the disk append itself, not the CPU work.
+        // Every frame is encoded before the one append; the batches
+        // become visible only once it is durable.
         let mut buf = Vec::new();
         let mut pending: Vec<Vec<WalOp>> = Vec::new();
         for batch in batches {
@@ -497,28 +457,21 @@ impl<D: Disk> Store<D> {
         if pending.is_empty() {
             return Ok(());
         }
-        let auto = {
-            let mut wal = self.guard(self.wal.lock())?;
-            self.poison_on_err(wal.disk.append(&wal_name(wal.epoch), &buf))?;
-            wal.wal_bytes += buf.len() as u64;
-            wal.batches_applied += pending.len() as u64;
-            // Still holding the WAL lock: visibility order == durable order.
-            let mut mem = self.guard(self.mem.write())?;
-            let levels = self.guard(self.levels.read())?;
-            for ops in pending {
-                apply_ops(&mut mem, &levels, ops);
-            }
-            self.roll_due(&wal, &mem)
-        };
-        if auto {
-            self.maybe_roll()?;
+        self.poison_on_err(self.disk.append(&wal_name(self.wal.epoch), &buf))?;
+        self.wal.wal_bytes += buf.len() as u64;
+        self.wal.batches_applied += pending.len() as u64;
+        for ops in pending {
+            apply_ops(&mut self.mem, &self.levels, ops);
+        }
+        if self.roll_due() {
+            self.compact()?;
         }
         Ok(())
     }
 
     /// Convenience single-record put.
     pub fn put(
-        &self,
+        &mut self,
         space: Space,
         key: impl Into<String>,
         value: impl Into<Bytes>,
@@ -529,7 +482,7 @@ impl<D: Disk> Store<D> {
     }
 
     /// Convenience single-record delete.
-    pub fn delete(&self, space: Space, key: impl Into<String>) -> StoreResult<()> {
+    pub fn delete(&mut self, space: Space, key: impl Into<String>) -> StoreResult<()> {
         let mut b = Batch::new();
         b.delete(space, key);
         self.apply(b)
@@ -537,23 +490,19 @@ impl<D: Disk> Store<D> {
 
     /// Fetch a record.  Memtable first (tombstones shadow the tier),
     /// then L0 newest-to-oldest (bloom-gated), then at most one run per
-    /// disjoint deeper level, through the shared block cache.  The
-    /// memtable guard is held across the tier lookup so a concurrent
-    /// spill cannot move the key out from under the reader.
+    /// disjoint deeper level, through the block cache.
     pub fn get(&self, space: Space, key: &str) -> StoreResult<Option<Bytes>> {
         self.check_alive()?;
-        let mem = self.guard(self.mem.read())?;
-        match mem.spaces[space.as_u8() as usize].get(key) {
+        match self.mem.spaces[space.as_u8() as usize].get(key) {
             Some(Some(v)) => Ok(Some(v.clone())),
             Some(None) => Ok(None), // tombstone: deleted after the last spill
             None => {
-                let levels = self.guard(self.levels.read())?;
-                if levels.no_runs() {
+                if self.levels.no_runs() {
                     return Ok(None);
                 }
                 match levels_lookup(
-                    &levels,
-                    &*self.disk,
+                    &self.levels,
+                    &self.disk,
                     &self.metrics,
                     &self.cache,
                     space.as_u8(),
@@ -572,7 +521,7 @@ impl<D: Disk> Store<D> {
     /// the scan by returning an error.  The tier and the memtable, the
     /// newest input, stream through one [`Merge`]; deletions and retired
     /// keys drop out, and each value is a slice of the block it was read
-    /// in.  The read locks are held throughout: `visit` must not write.
+    /// in.
     fn visit_while<E: From<StoreError>>(
         &self,
         space: Space,
@@ -581,19 +530,17 @@ impl<D: Disk> Store<D> {
         mut visit: impl FnMut(&str, &Bytes) -> Result<(), E>,
     ) -> Result<(), E> {
         self.check_alive()?;
-        let mem = self.guard(self.mem.read())?;
-        let levels = self.guard(self.levels.read())?;
         let space = space.as_u8();
         let scan = Scan {
             space,
             start,
             within: &within,
-            mem: &mem,
+            mem: &self.mem,
         };
-        let mut merge = Merge::new(&*self.disk, levels.merge_inputs(), Some(scan))?;
+        let mut merge = Merge::new(&self.disk, self.levels.merge_inputs(), Some(scan))?;
         while let Some(e) = merge.next()? {
             if let Some((block, at)) = e.value {
-                if !levels.retained(space, e.key) {
+                if !self.levels.retained(space, e.key) {
                     visit(e.key, &block.slice(at))?;
                 }
             }
@@ -619,8 +566,7 @@ impl<D: Disk> Store<D> {
     /// Visit every `(key, value)` pair in `space` whose key starts with
     /// `prefix`, in key order, without materialising the range: for a
     /// caller that decodes or folds records as they come.  An error from
-    /// `visit` ends the scan and is returned.  `visit` runs under the
-    /// store's read locks and must not write to this store.
+    /// `visit` ends the scan and is returned.
     pub fn visit_prefix<E: From<StoreError>>(
         &self,
         space: Space,
@@ -677,7 +623,7 @@ impl<D: Disk> Store<D> {
     /// Introspection for invariant tests: for each level beneath L0,
     /// the composite `(space, key)` range of every run, in level order.
     pub fn level_ranges(&self) -> Vec<Vec<RunRange>> {
-        peek(self.levels.read())
+        self.levels
             .deeper
             .iter()
             .map(|lvl| {
@@ -695,9 +641,7 @@ impl<D: Disk> Store<D> {
 
     /// Physical statistics.
     pub fn stats(&self) -> StoreStats {
-        let wal = peek(self.wal.lock());
-        let memtable_bytes = peek(self.mem.read()).approx_bytes;
-        let levels = peek(self.levels.read());
+        let (wal, levels) = (&self.wal, &self.levels);
         StoreStats {
             epoch: wal.epoch,
             wal_bytes: wal.wal_bytes,
@@ -705,7 +649,7 @@ impl<D: Disk> Store<D> {
             recovered_torn_tail: wal.recovered_torn_tail,
             recovered_truncated_bytes: wal.recovered_truncated_bytes,
             runs: levels.run_count(),
-            memtable_bytes,
+            memtable_bytes: self.mem.approx_bytes,
             spills: wal.spills,
             run_merges: wal.run_merges,
             trivial_moves: wal.trivial_moves,
@@ -724,13 +668,13 @@ impl<D: Disk> Store<D> {
     /// True once a disk failure has poisoned this handle; all further calls
     /// fail until the store is re-opened (recovery).
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
+        self.poisoned
     }
 
     /// Mark the handle as failed. Used by the runtime to model a BioOpera
     /// server crash: the in-memory half dies, the disk survives.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
+    pub fn poison(&mut self) {
+        self.poisoned = true;
     }
 
     /// The preamble of every public operation: a poisoned handle answers
@@ -743,22 +687,11 @@ impl<D: Disk> Store<D> {
         }
     }
 
-    /// The guard of `wal`, `mem` or `levels`.  A thread that panicked
-    /// holding one may have left what readers see half-changed (a batch
-    /// half-applied to the memtable), so a poisoned lock poisons the
-    /// store: this call fails, as every later one will until a re-open.
-    pub(crate) fn guard<G>(&self, lock: LockResult<G>) -> StoreResult<G> {
-        lock.map_err(|_| {
-            self.poison();
-            StoreError::Poisoned
-        })
-    }
-
     /// A failed disk call leaves the on-disk state ambiguous from this
     /// handle's point of view: poison it so every further call fails
     /// until a re-open re-establishes the truth (recovery handles both
     /// the committed and the uncommitted case).
-    pub(crate) fn poison_on_err<T>(&self, res: StoreResult<T>) -> StoreResult<T> {
+    pub(crate) fn poison_on_err<T>(&mut self, res: StoreResult<T>) -> StoreResult<T> {
         if res.is_err() {
             self.poison();
         }
@@ -767,8 +700,8 @@ impl<D: Disk> Store<D> {
 
     /// Write the manifest: the commit point of every roll, merge and
     /// retention advance.
-    pub(crate) fn commit_manifest(&self, wal: &WalState<D>, text: &str) -> StoreResult<()> {
-        self.poison_on_err(wal.disk.write_atomic(MANIFEST, text.as_bytes()))
+    pub(crate) fn commit_manifest(&mut self, text: &str) -> StoreResult<()> {
+        self.poison_on_err(self.disk.write_atomic(MANIFEST, text.as_bytes()))
     }
 }
 
@@ -779,6 +712,7 @@ pub(crate) mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::ops::Bound;
+    use std::sync::{Arc, Mutex};
 
     pub(crate) fn open_mem() -> (MemDisk, Store<MemDisk>) {
         let disk = MemDisk::new();
@@ -788,7 +722,7 @@ pub(crate) mod tests {
 
     #[test]
     fn put_get_delete_roundtrip() {
-        let (_d, store) = open_mem();
+        let (_d, mut store) = open_mem();
         store.put(Space::Instance, "p1", &b"alpha"[..]).unwrap();
         assert_eq!(
             store.get(Space::Instance, "p1").unwrap().unwrap(),
@@ -802,7 +736,7 @@ pub(crate) mod tests {
 
     #[test]
     fn scan_prefix_is_ordered_and_scoped() {
-        let (_d, store) = open_mem();
+        let (_d, mut store) = open_mem();
         for k in ["inst/2/b", "inst/1/a", "inst/1/b", "inst/10/c", "other"] {
             store
                 .put(Space::Instance, k, Bytes::from(k.to_string()))
@@ -819,7 +753,7 @@ pub(crate) mod tests {
     #[test]
     fn visit_prefix_streams_the_scan_and_stops_on_error() {
         for tiered in [None, Some(tiny_tiered())] {
-            let store = Store::open_with(MemDisk::new(), tiered).unwrap();
+            let mut store = Store::open_with(MemDisk::new(), tiered).unwrap();
             for i in 0..60 {
                 let key = format!("ev/{i:03}");
                 store.put(Space::History, key, vec![i as u8; 90]).unwrap();
@@ -878,7 +812,7 @@ pub(crate) mod tests {
 
     #[test]
     fn reopen_replays_wal() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store.put(Space::Template, "t", &b"T"[..]).unwrap();
         store.put(Space::History, "h", &b"H"[..]).unwrap();
         drop(store);
@@ -893,7 +827,7 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_is_atomic_across_crash() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store
             .put(Space::Instance, "committed", &b"yes"[..])
             .unwrap();
@@ -931,7 +865,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poison_models_server_crash() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store.put(Space::Instance, "k", &b"v"[..]).unwrap();
         store.poison();
         assert!(matches!(
@@ -948,7 +882,7 @@ pub(crate) mod tests {
 
     #[test]
     fn overwrite_takes_latest_value_across_recovery() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store.put(Space::Configuration, "node", &b"v1"[..]).unwrap();
         store.put(Space::Configuration, "node", &b"v2"[..]).unwrap();
         store.compact().unwrap();
@@ -966,7 +900,7 @@ pub(crate) mod tests {
 
     #[test]
     fn torn_tail_is_truncated_on_disk_at_open() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store
             .put(Space::Instance, "committed", &b"yes"[..])
             .unwrap();
@@ -974,7 +908,7 @@ pub(crate) mod tests {
         assert!(store.put(Space::Instance, "lost", &b"no"[..]).is_err());
         disk.reboot();
 
-        let recovered = Store::open_with(disk.clone(), None).unwrap();
+        let mut recovered = Store::open_with(disk.clone(), None).unwrap();
         let stats = recovered.stats();
         assert!(stats.recovered_torn_tail);
         assert!(stats.recovered_truncated_bytes > 0);
@@ -1000,7 +934,7 @@ pub(crate) mod tests {
 
     #[test]
     fn poisoned_store_rejects_every_public_op_without_touching_disk() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         store.put(Space::Instance, "k", &b"v"[..]).unwrap();
         store.poison();
         let mutations_before = disk.mutation_count();
@@ -1056,7 +990,7 @@ pub(crate) mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         {
             let disk = crate::disk::FileDisk::open(&dir).unwrap();
-            let store = Store::open_with(disk, None).unwrap();
+            let mut store = Store::open_with(disk, None).unwrap();
             store.put(Space::Template, "t", &b"body"[..]).unwrap();
             store.compact().unwrap();
             store.put(Space::Template, "u", &b"more"[..]).unwrap();
@@ -1078,7 +1012,7 @@ pub(crate) mod tests {
 
     #[test]
     fn apply_many_coalesces_batches_into_one_append() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         let before = disk.mutation_count();
         let mut b1 = Batch::new();
         b1.put(Space::Instance, "a", &b"1"[..]);
@@ -1115,7 +1049,7 @@ pub(crate) mod tests {
             .put(Space::Instance, "second-b", &b"3"[..]);
         let frame1_len = wal::encode_frame(&b1.ops).len() as u64;
 
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         disk.set_fault_plan(Some(FaultPlan::after_bytes(frame1_len + 5, true)));
         assert!(store.apply_many([b1, b2]).is_err());
         assert!(store.is_poisoned());
@@ -1133,7 +1067,7 @@ pub(crate) mod tests {
 
     #[test]
     fn len_agrees_with_scan_prefix_across_mutations_and_reopen() {
-        let (disk, store) = open_mem();
+        let (disk, mut store) = open_mem();
         let check = |store: &Store<MemDisk>| {
             for space in Space::ALL {
                 assert_eq!(
@@ -1179,7 +1113,7 @@ pub(crate) mod tests {
         // engine laid it down: MANIFEST at epoch 2, a snapshot with two
         // records, a WAL with one further batch (an overwrite + a delete).
         let disk = legacy_image();
-        let store = Store::open_with(disk, None).unwrap();
+        let mut store = Store::open_with(disk, None).unwrap();
         let stats = store.stats();
         assert_eq!(stats.epoch, 2);
         assert!(!stats.recovered_torn_tail);
@@ -1268,7 +1202,7 @@ pub(crate) mod tests {
             let ctx = format!("upgrade under {tiered:?}");
             let disk = legacy_image();
             let before = files(&disk);
-            let store = Store::open_with(disk.clone(), tiered).unwrap();
+            let mut store = Store::open_with(disk.clone(), tiered).unwrap();
             assert_eq!(
                 store.get(Space::History, "ev/001").unwrap().unwrap(),
                 &b"finished"[..]
@@ -1317,32 +1251,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// A panic under the memtable's write lock may leave a batch
-    /// half-applied.  The poisoned lock poisons the store: no reader or
-    /// writer is served from what the panic left.
+    /// One owner writes, but readers may still share `&Store` across
+    /// threads: what a read updates (the block cache, the read counters)
+    /// keeps its own synchronisation.
     #[test]
-    fn a_panic_under_the_memtable_lock_poisons_the_store() {
-        let (_disk, store) = open_mem();
-        store.put(Space::Instance, "k", &b"v"[..]).unwrap();
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut mem = store.mem.write().unwrap();
-            let half = Some(Bytes::from_static(b"half"));
-            mem.spaces[Space::Instance.as_u8() as usize].insert("half".into(), half);
-            panic!("a writer dies between two ops of its batch");
-        }));
-        assert!(died.is_err());
-        assert!(matches!(
-            store.get(Space::Instance, "k"),
-            Err(StoreError::Poisoned)
-        ));
-        assert!(matches!(
-            store.scan_prefix(Space::Instance, ""),
-            Err(StoreError::Poisoned)
-        ));
-        let mut batch = Batch::new();
-        batch.put(Space::Instance, "x", &b"1"[..]);
-        assert!(matches!(store.apply(batch), Err(StoreError::Poisoned)));
-        assert!(store.is_poisoned());
+    fn the_store_is_send_and_sync() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Store<MemDisk>>();
+        shareable::<Store<crate::disk::FileDisk>>();
     }
 
     pub(crate) fn tiny_tiered() -> TieredPolicy {
@@ -1376,7 +1292,7 @@ pub(crate) mod tests {
     #[test]
     fn tiny_budget_spills_and_reads_merge_across_tiers() {
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
         let mut model: BTreeMap<(u8, String), Vec<u8>> = BTreeMap::new();
         for i in 0..120u32 {
             let space = Space::from_u8((i % 4) as u8).unwrap();
@@ -1474,7 +1390,7 @@ pub(crate) mod tests {
         // directories: a budget only decides when to spill.
         let run = |tiered: Option<TieredPolicy>| -> MemDisk {
             let disk = MemDisk::new();
-            let store = Store::open_with(disk.clone(), tiered).unwrap();
+            let mut store = Store::open_with(disk.clone(), tiered).unwrap();
             for i in 0..30 {
                 store
                     .put(
@@ -1495,7 +1411,7 @@ pub(crate) mod tests {
             drop(store);
             // Reopen mid-workload, then roll: neither recovery nor the
             // spill may diverge.
-            let store = Store::open_with(disk.clone(), tiered).unwrap();
+            let mut store = Store::open_with(disk.clone(), tiered).unwrap();
             store.put(Space::Configuration, "c", &b"v"[..]).unwrap();
             store.compact().unwrap();
             store.delete(Space::Instance, "i/08").unwrap();
@@ -1704,15 +1620,15 @@ pub(crate) mod tests {
                 .prop_map(|(p, k)| format!("{p}{k:04}")),
         ) {
             let disk = Recording::default();
-            let store = Store::open_with(disk.clone(), Some(TieredPolicy::default())).unwrap();
+            let mut store = Store::open_with(disk.clone(), Some(TieredPolicy::default())).unwrap();
             let (levels, mem) = lay_down(&disk.inner, &layout, space);
             let from = start.as_str().max(prefix);
             let within = |k: &str| k.starts_with(prefix);
             disk.take_reads();
             let expect = fold_scan(&disk, &mem.spaces[space as usize], &levels, space, from, &within);
             let fold_reads = disk.take_reads();
-            *store.levels.write().unwrap() = levels;
-            *store.mem.write().unwrap() = mem;
+            store.levels = levels;
+            store.mem = mem;
             let mut got = Vec::new();
             let space_of = Space::from_u8(space).unwrap();
             store.visit_prefix_from(space_of, prefix, &start, |k, v| {

@@ -17,8 +17,8 @@ use crate::runs::Run;
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Read-path counters that live outside the WAL lock (readers bump them
-/// without serializing on writers).
+/// Read-path counters: atomics, because readers bump them through
+/// `&Store`.
 #[derive(Default)]
 pub(crate) struct TierMetrics {
     pub(crate) bloom_skips: AtomicU64,

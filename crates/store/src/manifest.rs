@@ -197,7 +197,7 @@ mod tests {
         // control bytes must survive the manifest's escaped encoding.
         let disk = MemDisk::new();
         let policy = Some(TieredPolicy::default());
-        let store = Store::open_with(disk.clone(), policy).unwrap();
+        let mut store = Store::open_with(disk.clone(), policy).unwrap();
         let start = "a b%1\t\u{1}";
         let below = "a b%2\nz 100%";
         let retired = store.retain_below(Space::Template, start, below).unwrap();
@@ -224,7 +224,7 @@ mod tests {
         use crate::Disk;
         let disk = MemDisk::new();
         let policy = Some(crate::engine::tests::tiny_tiered());
-        let store = Store::open_with(disk.clone(), policy).unwrap();
+        let mut store = Store::open_with(disk.clone(), policy).unwrap();
         for i in 0..40u32 {
             store
                 .put(Space::History, format!("ev/{i:03}"), vec![1; 60])

@@ -104,7 +104,7 @@ mod tests {
     /// and per space `len` is the number of records a full scan returns.
     fn assert_accounting(store: &Store<MemDisk>, ctx: &str) {
         let (approx, recount) = {
-            let mem = store.mem.read().unwrap();
+            let mem = &store.mem;
             let recount: u64 = mem
                 .spaces
                 .iter()
@@ -125,7 +125,7 @@ mod tests {
     }
 
     fn slot(store: &Store<MemDisk>, space: Space, key: &str) -> Option<Option<usize>> {
-        let mem = store.mem.read().unwrap();
+        let mem = &store.mem;
         mem.spaces[space.as_u8() as usize]
             .get(key)
             .map(|v| v.as_ref().map(Bytes::len))
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn a_delete_leaves_a_tombstone_only_over_a_run() {
-        let store = Store::open_with(MemDisk::new(), Some(tiny_tiered())).unwrap();
+        let mut store = Store::open_with(MemDisk::new(), Some(tiny_tiered())).unwrap();
         let space = Space::Instance;
         store.put(space, "in-a-run", vec![1; 40]).unwrap();
         store.spill().unwrap();
@@ -206,11 +206,7 @@ mod tests {
 
         // Only the memtable holds it and no run's filter claims it: the
         // delete removes the entry outright.
-        assert!(!store
-            .levels
-            .read()
-            .unwrap()
-            .may_contain_any(space.as_u8(), "mem-only"));
+        assert!(!store.levels.may_contain_any(space.as_u8(), "mem-only"));
         store.put(space, "mem-only", vec![3; 9]).unwrap();
         store.delete(space, "mem-only").unwrap();
         assert_eq!(slot(&store, space, "mem-only"), None);
@@ -230,9 +226,9 @@ mod tests {
             ..crate::TieredPolicy::default()
         };
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
         let mut model: std::collections::BTreeMap<(Space, String), Vec<u8>> = Default::default();
-        let mut put = |store: &Store<MemDisk>, space: Space, key: String, fill: u8| {
+        let mut put = |store: &mut Store<MemDisk>, space: Space, key: String, fill: u8| {
             store.put(space, key.clone(), vec![fill; 50]).unwrap();
             model.insert((space, key), vec![fill; 50]);
         };
@@ -242,7 +238,7 @@ mod tests {
         {
             for i in 0..60 {
                 put(
-                    &store,
+                    &mut store,
                     space,
                     format!("k/{:03}", 3 * i + round),
                     round as u8,
@@ -254,11 +250,11 @@ mod tests {
             }
         }
         {
-            let levels = store.levels.read().unwrap();
+            let levels = &store.levels;
             assert_eq!((levels.l0.len(), levels.deeper[0].len()), (1, 1));
         }
         drop(store);
-        let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
 
         let (reads, spills) = (disk.read_op_count(), store.stats().spills);
         let mut batches = Vec::new();

@@ -9,7 +9,7 @@
 //! them.
 
 use crate::disk::Disk;
-use crate::engine::{peek, Space, Store};
+use crate::engine::{Space, Store};
 use crate::error::StoreResult;
 use crate::manifest::manifest_for;
 use crate::memtable::entry_cost;
@@ -25,14 +25,13 @@ impl<D: Disk> Store<D> {
     /// single manifest write is the commit point (one disk mutation);
     /// it persists the widened watermark.  Returns how many visible
     /// records the advance retired.
-    pub fn retain_below(&self, space: Space, start: &str, below: &str) -> StoreResult<u64> {
+    pub fn retain_below(&mut self, space: Space, start: &str, below: &str) -> StoreResult<u64> {
         self.check_alive()?;
         if below <= start {
             return Ok(0);
         }
-        let mut wal = self.guard(self.wal.lock())?;
         let si = space.as_u8() as usize;
-        let old = self.guard(self.levels.read())?.retain[si].clone();
+        let old = self.levels.retain[si].clone();
         let (new_start, new_below) = match &old {
             Some((s, b)) => (
                 s.as_str().min(start).to_string(),
@@ -63,8 +62,7 @@ impl<D: Disk> Store<D> {
         // Count what the advance retires in the merged view of the runs
         // and the memtable, and price the memtable entries to purge.
         let (retired, purge_cost) = {
-            let mem = self.guard(self.mem.read())?;
-            let levels = self.guard(self.levels.read())?;
+            let (mem, levels) = (&self.mem, &self.levels);
             let mut retired = 0u64;
             let mut purge_cost = 0u64;
             for (lo, hi) in &deltas {
@@ -72,9 +70,9 @@ impl<D: Disk> Store<D> {
                     space: space.as_u8(),
                     start: lo,
                     within: &|k: &str| k < hi.as_str(),
-                    mem: &mem,
+                    mem,
                 };
-                let mut merge = Merge::new(&*self.disk, levels.merge_inputs(), Some(scan))?;
+                let mut merge = Merge::new(&self.disk, levels.merge_inputs(), Some(scan))?;
                 while let Some(e) = merge.next()? {
                     retired += u64::from(e.value.is_some());
                 }
@@ -86,38 +84,37 @@ impl<D: Disk> Store<D> {
             }
             (retired, purge_cost)
         };
-        let manifest = {
-            let levels = self.guard(self.levels.read())?;
-            let mut retain = levels.retain.clone();
-            retain[si] = Some((new_start.clone(), new_below.clone()));
-            manifest_for(wal.epoch, &levels.l0, &levels.deeper, &retain)
-        };
-        self.commit_manifest(&wal, &manifest)?;
+        let mut retain = self.levels.retain.clone();
+        retain[si] = Some((new_start, new_below));
+        let manifest = manifest_for(
+            self.wal.epoch,
+            &self.levels.l0,
+            &self.levels.deeper,
+            &retain,
+        );
+        self.commit_manifest(&manifest)?;
         // Committed: publish the watermark and purge the in-range
-        // memtable entries under both write locks (atomic to readers).
-        {
-            let mut mem = self.guard(self.mem.write())?;
-            let mut levels = self.guard(self.levels.write())?;
-            for (lo, hi) in &deltas {
-                let keys: Vec<String> = mem.spaces[si]
-                    .range::<str, _>((Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str())))
-                    .map(|(k, _)| k.clone())
-                    .collect();
-                for k in keys {
-                    mem.spaces[si].remove(&k);
-                }
+        // memtable entries.
+        let mem = &mut self.mem;
+        for (lo, hi) in &deltas {
+            let keys: Vec<String> = mem.spaces[si]
+                .range::<str, _>((Bound::Included(lo.as_str()), Bound::Excluded(hi.as_str())))
+                .map(|(k, _)| k.clone())
+                .collect();
+            for k in keys {
+                mem.spaces[si].remove(&k);
             }
-            mem.approx_bytes -= purge_cost;
-            levels.retain[si] = Some((new_start, new_below));
         }
-        wal.retired += retired;
+        mem.approx_bytes -= purge_cost;
+        self.levels.retain = retain;
+        self.wal.retired += retired;
         Ok(retired)
     }
 
     /// The retention watermark of `space`, if any: the `[start, below)`
     /// range of permanently retired keys.
     pub fn retention(&self, space: Space) -> Option<(String, String)> {
-        peek(self.levels.read()).retain[space.as_u8() as usize].clone()
+        self.levels.retain[space.as_u8() as usize].clone()
     }
 }
 
@@ -131,7 +128,7 @@ mod tests {
     #[test]
     fn retention_drops_covered_prefix_and_survives_reopen() {
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
         for i in 0..30u32 {
             store
                 .put(
@@ -213,7 +210,7 @@ mod tests {
             CrashEffect::AfterApply,
         ] {
             let disk = MemDisk::new();
-            let store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+            let mut store = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
             for i in 0..20u32 {
                 store
                     .put(
@@ -235,7 +232,7 @@ mod tests {
             assert!(store.is_poisoned(), "{effect:?}");
             disk.reboot();
 
-            let recovered = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
+            let mut recovered = Store::open_with(disk.clone(), Some(tiny_tiered())).unwrap();
             match recovered.retention(Space::History) {
                 None => {
                     // Old state: nothing retired.

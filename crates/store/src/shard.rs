@@ -171,7 +171,7 @@ mod tests {
             ..TieredPolicy::default()
         };
         for tiered in [None, Some(squeezed)] {
-            let store = Store::open_with(MemDisk::new(), tiered).unwrap();
+            let mut store = Store::open_with(MemDisk::new(), tiered).unwrap();
             for shard in 0..3usize {
                 for i in 0..40u32 {
                     let body = format!("shard{shard}-rec{i:03}-{}", "x".repeat(48));

@@ -164,7 +164,7 @@ fn records(store: &Rec) -> usize {
 /// watermark carried through a roll.
 fn untiered_script() -> String {
     let disk = Recording::new();
-    let store = Store::open_with(disk.clone(), None).unwrap();
+    let mut store = Store::open_with(disk.clone(), None).unwrap();
     disk.note(format_args!("# single applies"));
     for i in 0..12 {
         let (space, key) = if i % 3 == 0 {
@@ -211,7 +211,7 @@ fn untiered_script() -> String {
 
     disk.note(format_args!("# reopen"));
     drop(store);
-    let store = Store::open_with(disk.clone(), None).unwrap();
+    let mut store = Store::open_with(disk.clone(), None).unwrap();
     disk.note(format_args!("# explicit compact"));
     store.compact().unwrap();
     store.put(Space::History, "ev/0030", value(30)).unwrap();
@@ -238,7 +238,7 @@ fn untiered_script() -> String {
 
     disk.note(format_args!("# reopen"));
     drop(store);
-    let store = Store::open_with(disk.clone(), None).unwrap();
+    let mut store = Store::open_with(disk.clone(), None).unwrap();
     store.put(Space::History, "ev/0061", value(61)).unwrap();
     scans(
         &disk,
@@ -274,7 +274,7 @@ fn squeeze() -> TieredPolicy {
 /// One round of the tiered workload: a group commit of four batches
 /// (sequential history keys, overwritten instance keys, the odd delete)
 /// and one single apply.
-fn tiered_round(store: &Rec, round: usize) {
+fn tiered_round(store: &mut Rec, round: usize) {
     store
         .apply_many((0..4).map(|g| {
             let seq = round * 4 + g;
@@ -349,9 +349,9 @@ fn tiered_reads(disk: &Recording, store: &Rec) {
 /// and an untiered reopen over the runs left on disk.
 fn tiered_script() -> String {
     let disk = Recording::new();
-    let store = Store::open_with(disk.clone(), Some(squeeze())).unwrap();
+    let mut store = Store::open_with(disk.clone(), Some(squeeze())).unwrap();
     for round in 0..140 {
-        tiered_round(&store, round);
+        tiered_round(&mut store, round);
         if round % 35 == 34 {
             disk.note(format_args!("# reads after round {round}"));
             tiered_reads(&disk, &store);
@@ -373,9 +373,9 @@ fn tiered_script() -> String {
 
     disk.note(format_args!("# reopen tiered"));
     drop(store);
-    let store = Store::open_with(disk.clone(), Some(squeeze())).unwrap();
+    let mut store = Store::open_with(disk.clone(), Some(squeeze())).unwrap();
     for round in 140..200 {
-        tiered_round(&store, round);
+        tiered_round(&mut store, round);
     }
     // Below the watermark: accepted, logged, never visible.
     store.put(Space::History, "ev/000010", value(10)).unwrap();
@@ -396,7 +396,7 @@ fn tiered_script() -> String {
 
     disk.note(format_args!("# reopen untiered over the runs"));
     drop(store);
-    let store = Store::open_with(disk.clone(), None).unwrap();
+    let mut store = Store::open_with(disk.clone(), None).unwrap();
     store.put(Space::History, "ev/000900", value(900)).unwrap();
     store.delete(Space::Instance, "inst/0007/header").unwrap();
     tiered_reads(&disk, &store);
@@ -453,7 +453,7 @@ fn append_only_runs_are_written_twice_and_never_touched_again() {
         level_run_bytes: 16 * 1024,
         block_cache_budget: 0,
     };
-    let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+    let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
     let mut data = 0usize;
     let mut settled: Vec<String> = Vec::new();
     let mut seen = 0usize;

@@ -279,7 +279,7 @@ proptest! {
             wal_bytes_threshold: 512,
         });
         let open = |disk: &MemDisk| {
-            let store = Store::open_with(disk.clone(), tiered).unwrap();
+            let mut store = Store::open_with(disk.clone(), tiered).unwrap();
             store.set_compaction_policy(auto_compact);
             store
         };
@@ -344,7 +344,7 @@ proptest! {
     ) {
         // First, measure the total bytes a clean run appends.
         let probe_disk = MemDisk::new();
-        let probe = Store::open_with(probe_disk.clone(), tiered).unwrap();
+        let mut probe = Store::open_with(probe_disk.clone(), tiered).unwrap();
         for batch in &batches {
             probe.apply(to_batch(batch)).unwrap();
         }
@@ -355,7 +355,7 @@ proptest! {
         // Now the crashing run.
         let disk = MemDisk::new();
         disk.set_fault_plan(Some(FaultPlan::after_bytes(crash_at, tear)));
-        let store = Store::open_with(disk.clone(), tiered).unwrap();
+        let mut store = Store::open_with(disk.clone(), tiered).unwrap();
         let mut acknowledged = 0usize;
         for batch in &batches {
             match store.apply(to_batch(batch)) {
@@ -407,7 +407,7 @@ proptest! {
             ..TieredPolicy::default()
         };
         let disk = MemDisk::new();
-        let store = Store::open_with(disk.clone(), Some(policy)).unwrap();
+        let mut store = Store::open_with(disk.clone(), Some(policy)).unwrap();
         // Bury every key under several generations of runs.
         for round in 0..seed_rounds {
             for key in KEY_POOL {
@@ -583,7 +583,7 @@ fn absent_in_hull_keys_are_answered_by_the_bloom_not_the_cache() {
     const KEYS: usize = 4_000;
     let key = |i: usize| format!("k/{i:06}");
     let disk = MemDisk::new();
-    let store = Store::open_with(
+    let mut store = Store::open_with(
         disk.clone(),
         Some(TieredPolicy {
             memtable_budget_bytes: 16 * 1024,

@@ -41,7 +41,7 @@ canary() {
   fi
   # grep stops itself after four lines: a `head` would cut it off mid-write,
   # and under pipefail that ends the script.
-  { grep -m 4 -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input|disagree|violation|environment|instead of returning|materialising" "$work/red.log" || true; } \
+  { grep -m 4 -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input|disagree|violation|environment|instead of returning|materialising|second handle|diverged on disk" "$work/red.log" || true; } \
     | sed 's/^/    red: /'
   cp "$work/saved" "$work/$file"
 }
@@ -146,27 +146,21 @@ canary replay-drops-last-frame crates/store/src/wal.rs \
 # A spill that writes its run and retires the WAL without committing the
 # manifest that adopts the run (ROADMAP 1 (c)).
 canary spill-skips-manifest crates/store/src/compaction.rs \
-  '0,/^            self\.commit_manifest\(wal, &manifest\)\?;$/{//d}' \
+  '0,/^            self\.disk\.write_atomic\(MANIFEST, manifest\.as_bytes\(\)\)\?;$/{//d}' \
   cargo test -q --offline -p bioopera-harness --test torture_tests tiered_store_full
 
 # A spill that writes its run and keeps the memtable anyway: the reads stay
 # right, but a store with no budget holds its whole history again, and the
 # runtime's memtable outgrows what its WAL roll bounds.
 canary spill-keeps-memtable crates/store/src/compaction.rs \
-  's/^                map\.clear\(\);$//; s/^            mem\.approx_bytes = 0;$//' \
+  's/^            map\.clear\(\);$//; s/^        self\.mem\.approx_bytes = 0;$//' \
   cargo test -q --offline -p bioopera-core --test runtime_tests the_memtable_stays_within_the_wal_roll
 
 # The first spill over a legacy image leaving its snapshot behind: a file
 # the manifest no longer accounts for.
 canary spill-keeps-legacy-snapshot crates/store/src/compaction.rs \
-  '/^            wal\.disk\.delete\(&snapshot_name\(wal\.epoch\)\)\?;$/d' \
+  '/^            self\.disk\.delete\(&snapshot_name\(epoch\)\)\?;$/d' \
   cargo test -q --offline -p bioopera-store --lib engine::tests::pre_overhaul_disk_image_upgrades_to_tiered_strictly_additively
-
-# The store's locks recovered from their poison, as the wrapper over
-# std::sync once did: a reader is served what a panicking writer left.
-canary lock-poison-swallowed crates/store/src/engine.rs \
-  's/^        lock\.map_err\(\|_\| \{$/        Ok(lock.unwrap_or_else(PoisonError::into_inner)).map_err(|_: StoreError| {/' \
-  cargo test -q --offline -p bioopera-store --lib engine::tests::a_panic_under_the_memtable_lock_poisons_the_store
 
 # The barrier sorting its effects by sequence number first and breaking
 # ties by owner shard: the order of a round's requests then depends on how
@@ -174,6 +168,33 @@ canary lock-poison-swallowed crates/store/src/engine.rs \
 canary barrier-tiebreak-by-shard crates/core/src/shard/router.rs \
   's/^    for out in per_shard\.drain\(\.\.\) \{$/    let shards = per_shard.len();\n&/;s/^    effects\.sort_by_key\(Effect::src\);$/    effects.sort_by_key(|e| (e.src().1, owner(e.src().0, shards)));/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism sharded_replay_matches_serial_baseline
+
+# The barrier committing the shards' batches in reverse shard order
+# whenever more than one thread stepped them, as a race between stepper
+# threads once could: the history and the state stay right, the disk image
+# is no longer the one-thread image.
+canary reverse-commit-when-threaded crates/core/src/shard/mod.rs \
+  's/^        for \(out, batches\) in self\.step_shards\(\)\? \{$/        let mut steps = self.step_shards()?;\n        if self.cfg.threads > 1 { steps.reverse(); }\n        for (out, batches) in steps {/; s/^        self\.barrier\(round, outputs\)\?;$/        if self.cfg.threads > 1 { outputs.reverse(); }\n&/' \
+  cargo test -q --offline -p bioopera-core --test shard_determinism sharded_replay_matches_serial_baseline
+
+# A second writer path back, and the grep gate that keeps each out (one
+# canary per arm): a lock in the store, a second handle (by hand or
+# derived), a stepper that may write, a store write inside `step_shards`.
+canary store-lock-named crates/store/src/retention.rs \
+  's/^use std::ops::Bound;$/&\nuse std::sync::RwLock;/' \
+  bash scripts/check.sh --gates
+canary store-clone-impl crates/store/src/engine.rs \
+  '0,/^impl<D: Disk> Store<D> \{$/s//impl<D: Disk> Clone for Store<D> { fn clone(\&self) -> Self { unreachable!() } }\n&/' \
+  bash scripts/check.sh --gates
+canary store-clone-derived crates/store/src/engine.rs \
+  's/^pub struct Store<D: Disk> \{$/#[derive(Clone)]\n&/' \
+  bash scripts/check.sh --gates
+canary stepper-takes-mut-store crates/core/src/shard/stepper.rs \
+  's/^        store: &Store<D>,$/        store: \&mut Store<D>,/' \
+  bash scripts/check.sh --gates
+canary step-shards-commits crates/core/src/shard/mod.rs \
+  's/^(    fn step_shards\(&mut self\).*\{)$/\1\n        self.store.apply_many(Vec::new()).map_err(EngineError::Store)?;/' \
+  bash scripts/check.sh --gates
 
 # A finished attempt that never hands its node slot back: the dispatch
 # service runs out of slots and the run stalls (ROADMAP 1 (c)).
@@ -230,7 +251,7 @@ canary scan-seeks-to-space-start crates/store/src/merge.rs \
 # The merge map and the per-run collecting scan back in the store, and
 # the grep gate that keeps them out (one canary per arm).
 canary scan-merge-map-named crates/store/src/engine.rs \
-  's/^        let mut merge = Merge::new\(&\*self\.disk, levels\.merge_inputs\(\), Some\(scan\)\)\?;$/        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();\n&/' \
+  's/^        let mut merge = Merge::new\(&self\.disk, self\.levels\.merge_inputs\(\), Some\(scan\)\)\?;$/        let mut merged: BTreeMap<String, Option<Bytes>> = BTreeMap::new();\n&/' \
   bash scripts/check.sh --gates
 canary scan-while-named crates/store/src/engine.rs \
   's/fn collect_while\(/fn scan_while(/' \
@@ -265,7 +286,7 @@ canary run-writer-block-cut crates/store/src/runs.rs \
 # batch (what keeping `len` O(1) once cost), and the grep gate against a
 # run lookup named in the memtable.
 canary writer-reads-again crates/store/src/engine.rs \
-  's/^                apply_ops\(&mut mem, &levels, ops\);$/                for op in \&ops { let (crate::wal::WalOpRef::Put { space, key, .. } | crate::wal::WalOpRef::Delete { space, key }) = op.as_op_ref(); levels_lookup(\&levels, \&*self.disk, \&self.metrics, \&self.cache, space, key)?; }\n&/' \
+  's/^            apply_ops\(&mut self\.mem, &self\.levels, ops\);$/            for op in \&ops { let (crate::wal::WalOpRef::Put { space, key, .. } | crate::wal::WalOpRef::Delete { space, key }) = op.as_op_ref(); levels_lookup(\&self.levels, \&self.disk, \&self.metrics, \&self.cache, space, key)?; }\n&/' \
   cargo test -q --offline -p bioopera-store --lib memtable::tests::the_writer_never_reads_the_tier
 canary writer-lookup-named crates/store/src/memtable.rs \
   's/^use crate::levels::Levels;$/use crate::levels::{levels_lookup, Levels};/' \

@@ -236,11 +236,37 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "locks that poison: std::sync in the store, no lock wrapper that swallows a panic"
-# A panic under the memtable's write lock can leave a batch half-applied;
-# the store's locks are std::sync's, and a poisoned one poisons the store
-# (`Store::guard`).  The vendored wrapper that recovered every poisoned
-# guard is gone and must not come back as a dependency or an import.
+step "one writer: a single-owner store, and shard steppers that only compute"
+# A store has one owner: writes take &mut self, so no lock orders its
+# batches and none can be observed half-applied (the borrow checker rules
+# it out).  No Mutex/RwLock in the engine, compaction or retention code
+# (the block cache and the disks keep their own), and no second handle
+# (`impl Clone for Store`).  The sharded engine's barrier is its one
+# writer: a shard stepper (stepper.rs, `step_shards`) returns batches and
+# never applies one.
+stray=$({
+  for f in crates/store/src/engine.rs crates/store/src/compaction.rs crates/store/src/retention.rs; do
+    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(Mutex|RwLock)\b' | sed "s|^|$f:|"
+  done
+  grep -rnE 'impl(<[^>]*>)? *Clone for Store\b' crates/store/src --include='*.rs'
+  grep -rn -B3 'pub struct Store<' crates/store/src --include='*.rs' | grep 'derive(.*Clone'
+  sed '/^#\[cfg(test)\]/,$d' crates/core/src/shard/stepper.rs \
+    | grep -nE '\.apply(_many)?\(|store\.(put|put_record|delete)\(|&mut Store' \
+    | sed 's|^|crates/core/src/shard/stepper.rs:|'
+  sed -n '/    fn step_shards(/,/^    }/p' crates/core/src/shard/mod.rs \
+    | grep -nE '\.apply(_many)?\(|\.(put|put_record|delete)\(|store' \
+    | sed 's|^|crates/core/src/shard/mod.rs: step_shards: |'
+} || true)
+if [ -n "$stray" ]; then
+  echo "a lock or a second handle in the store, or a store write in a shard stepper:"
+  echo "$stray"
+  exit 1
+fi
+
+step "no lock wrapper that swallows a panic"
+# The vendored parking_lot, whose guards survived a panic under them, is
+# gone: the few locks left (the block cache, the disks) are std::sync's
+# and must not come back behind it as a dependency or an import.
 stray=$(grep -rn 'parking_lot' Cargo.toml crates vendor --include='Cargo.toml' --include='*.rs' || true)
 if [ -n "$stray" ]; then
   echo "parking_lot named in a manifest or a source:"
@@ -310,15 +336,6 @@ bash scripts/artifacts.sh
 if [ "$tier" = fast ]; then
   finish "Fast tier passed (the torture runs, canaries and benchmark runs are the full tier's)."
 fi
-
-step "store concurrent stress, 5x in release (where a late-scheduled reader used to fail 1 run in 3)"
-# On the 2-vCPU host a release build finishes the writer before the
-# last reader thread is first scheduled; the readers now rendezvous with
-# the writer after their first read, and this loop is the gate that
-# showed the old flake.
-for _ in 1 2 3 4 5; do
-  cargo test --release -q -p bioopera-store --test concurrent_stress
-done
 
 step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
