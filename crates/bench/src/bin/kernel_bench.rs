@@ -1,6 +1,9 @@
 //! **Alignment kernel microbench** — throughput of the scalar profile
-//! kernel, the striped SIMD lane and the banded PAM-ladder refinement
-//! against the seed (naive) implementation on a seeded dataset.
+//! kernel, the inter-sequence SIMD lane (`simd_batched`, one query
+//! against a batch), the striped SIMD lane (`simd_pairwise`, one pair at
+//! a time, as singles and the refinement run it) and the banded
+//! PAM-ladder refinement against the seed (naive) implementation on a
+//! seeded dataset.
 //!
 //! Measures, for each variant:
 //!
@@ -215,8 +218,9 @@ fn main() {
         (checksum, cells, 0u64)
     };
 
-    // The striped SIMD lane at the auto-detected level (scalar hosts fall
-    // back to the profile kernel, making this a no-op comparison there).
+    // The inter-sequence SIMD lane at the auto-detected level (scalar
+    // hosts fall back to the profile kernel, making this a no-op
+    // comparison there).
     let mut scratch3 = AlignScratch::new();
     let mut scores3: Vec<ScoreOnly> = Vec::new();
     let mut simd_pass = || {
@@ -236,6 +240,23 @@ fn main() {
                 &mut scores3,
             );
             for r in &scores3 {
+                checksum += r.score as f64;
+                cells += r.cells;
+            }
+        }
+        (checksum, cells, 0u64)
+    };
+
+    // The striped SIMD lane at the auto-detected level: the pairwise
+    // entry point, which singles and the refinement use.
+    let mut scratch8 = AlignScratch::new();
+    let mut simd_pairwise_pass = || {
+        let mut checksum = 0.0f64;
+        let mut cells = 0u64;
+        for e in 0..n {
+            let a = db.get(e);
+            for f in (e + 1)..n {
+                let r = align_score_with(a, db.get(f), matrix, &params, &mut scratch8);
                 checksum += r.score as f64;
                 cells += r.cells;
             }
@@ -357,6 +378,7 @@ fn main() {
     batched_pass();
     pairwise_pass();
     simd_pass();
+    simd_pairwise_pass();
     refine_plain_pass();
     refine_banded_pass();
     refine_batched_pass();
@@ -365,6 +387,7 @@ fn main() {
     let mut batch_t = Timing::new();
     let mut pair_t = Timing::new();
     let mut simd_t = Timing::new();
+    let mut simd_pair_t = Timing::new();
     let mut refp_t = Timing::new();
     let mut refb_t = Timing::new();
     let mut refq_t = Timing::new();
@@ -374,6 +397,7 @@ fn main() {
         batch_t.pass(&mut batched_pass);
         pair_t.pass(&mut pairwise_pass);
         simd_t.pass(&mut simd_pass);
+        simd_pair_t.pass(&mut simd_pairwise_pass);
         refp_t.pass(&mut refine_plain_pass);
         refb_t.pass(&mut refine_banded_pass);
         refq_t.pass(&mut refine_batched_pass);
@@ -384,6 +408,7 @@ fn main() {
     let (batch_sum, batch_cells, _) = batch_t.result;
     let (pair_sum, pair_cells, _) = pair_t.result;
     let (simd_sum, simd_cells, _) = simd_t.result;
+    let (simd_pair_sum, simd_pair_cells, _) = simd_pair_t.result;
     let (refp_sum, refp_cells, _) = refp_t.result;
     let (refb_sum, refb_cells, refb_skipped) = refb_t.result;
 
@@ -392,12 +417,14 @@ fn main() {
     let bit_identical = naive_sum == batch_sum
         && naive_sum == pair_sum
         && naive_sum == simd_sum
+        && naive_sum == simd_pair_sum
         && naive_cells == batch_cells
         && naive_cells == pair_cells
-        && naive_cells == simd_cells;
+        && naive_cells == simd_cells
+        && naive_cells == simd_pair_cells;
     assert!(
         bit_identical,
-        "kernel diverged from naive: {naive_sum} vs batch {batch_sum} / pair {pair_sum} / simd {simd_sum}"
+        "kernel diverged from naive: {naive_sum} vs batch {batch_sum} / pair {pair_sum} / simd {simd_sum} / simd pairwise {simd_pair_sum}"
     );
     // Banded refinement: same scores, every skipped cell accounted.
     assert!(
@@ -419,6 +446,7 @@ fn main() {
     for (name, t) in [
         ("profile_batched", &batch_t),
         ("simd_batched", &simd_t),
+        ("simd_pairwise", &simd_pair_t),
         ("banded_refine", &refb_t),
         ("refine_batched", &refq_t),
         ("local_traceback", &tb_t),
@@ -451,6 +479,7 @@ fn main() {
         variant("banded_refine", &refb_t, matched_pairs),
         variant("local_traceback", &tb_t, matched_pairs),
         variant("refine_batched", &refq_t, matched_pairs),
+        variant("simd_pairwise", &simd_pair_t, pairs_per_pass),
     ];
     let speedup = variants[1].cells_per_sec / variants[0].cells_per_sec;
     let simd_speedup = variants[3].cells_per_sec / variants[1].cells_per_sec;

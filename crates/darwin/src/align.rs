@@ -14,8 +14,8 @@
 //!   row pair.
 //! * [`align_score_with`] / [`align_score_many`] — the same kernel with a
 //!   caller-provided [`AlignScratch`], eliminating every per-pair heap
-//!   allocation; `align_score_many` amortizes one profile build over a
-//!   whole batch of subjects (one query vs the rest of the database).
+//!   allocation; `align_score_many` takes a whole batch of subjects (one
+//!   query vs the rest of the database) and scores it across subjects.
 //! * [`align_score_naive`] — the original three-`Vec`-per-call rolling
 //!   implementation, kept as the reference oracle: the profile kernel is
 //!   **bit-identical** to it (same `score`, same `cells`), which the
@@ -27,10 +27,15 @@
 //!   the actual alignment is needed (the tower-of-information example,
 //!   tests); the `_with` form reuses the scratch's traceback matrices.
 //!
-//! On x86_64 the score-only entry points dispatch to the striped SIMD
-//! kernel in [`crate::simd`] (SSE2/AVX2, runtime-detected, still
-//! bit-identical); the scalar wavefront kernel below is the portable
-//! fallback and the `BIOOPERA_SIMD=scalar` escape hatch.
+//! On x86_64 the score-only entry points dispatch to the SIMD kernels in
+//! [`crate::simd`] (SSE2/AVX2, runtime-detected, still bit-identical):
+//! [`align_score_many`] to the **inter-sequence lane**, which holds one
+//! subject per vector lane and refills a lane from the batch whenever its
+//! subject ends, and the pairwise and banded entry points to the
+//! **striped lane**, which spreads one query over the lanes.  Both are
+//! exact only for `open >= ext >= 0`; other gap parameters, and the
+//! `BIOOPERA_SIMD=scalar` escape hatch, take the scalar wavefront kernel
+//! below, which is also the portable fallback.
 //!
 //! Why bit-identity holds: the profile kernel iterates subject-outer /
 //! query-inner, i.e. it computes the transposed DP matrix.  The score
@@ -45,7 +50,7 @@
 use crate::alphabet::ALPHABET_SIZE;
 use crate::pam::ScoreMatrix;
 use crate::sequence::Sequence;
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, SimdLevel, LANE_MATRIX_ROWS};
 
 /// Affine gap parameters: a gap of length `L` costs `open + extend·(L-1)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,9 +92,10 @@ pub struct ScoreOnly {
 }
 
 /// Reusable alignment workspace: the query profile (linear and striped),
-/// the rolling DP rows, the striped DP columns, and the traceback
-/// matrices.  One scratch per worker thread removes every per-pair heap
-/// allocation from the all-vs-all hot loop; buffers only ever grow.
+/// the rolling DP rows, the striped DP columns, the inter-sequence lane's
+/// columns and tables, and the traceback matrices.  One scratch per
+/// worker thread removes every per-pair heap allocation from the
+/// all-vs-all hot loop; buffers only ever grow.
 #[derive(Debug, Clone)]
 pub struct AlignScratch {
     /// Rolling H row over query positions (`len + 1` entries, `h[0] = 0`).
@@ -122,6 +128,15 @@ pub struct AlignScratch {
     sh_b: Vec<f32>,
     /// Striped E column for the SIMD lane.
     se: Vec<f32>,
+    /// Inter-sequence lane ([`align_score_many`]): one vector of H and
+    /// one of E per query row, lane `l` belonging to lane `l`'s subject.
+    lane_h: Vec<f32>,
+    lane_e: Vec<f32>,
+    /// The score matrix by subject residue, `lane_matrix[r * ALPHABET_SIZE
+    /// + q] = score(q, r)`, plus a last row of `-inf` scores ([`PAST_END`]).
+    lane_matrix: Vec<f32>,
+    /// The pass's two column tables (layout in `simd::run_interseq`).
+    lane_tables: Vec<f32>,
     /// Per-subject-residue best profile entry (adaptive-banding bounds).
     row_best: [f32; ALPHABET_SIZE],
     /// Per-column suffix score bounds for the banded path.
@@ -161,6 +176,10 @@ impl AlignScratch {
             sh_a: Vec::new(),
             sh_b: Vec::new(),
             se: Vec::new(),
+            lane_h: Vec::new(),
+            lane_e: Vec::new(),
+            lane_matrix: Vec::new(),
+            lane_tables: Vec::new(),
             row_best: [f32::NEG_INFINITY; ALPHABET_SIZE],
             suffix: Vec::new(),
             tb_h: Vec::new(),
@@ -304,12 +323,7 @@ impl AlignScratch {
             }
             self.build_suffix(subject);
         }
-        // The lazy-F sweep propagates the wrapped F chain by pure
-        // gap-extension decay, which covers a corrected cell's re-open
-        // candidate only when `open >= extend >= 0` (true for any sane
-        // affine model); exotic parameters take the scalar kernel.
-        let simd_ok = self.seg > 0 && p.gap_open >= p.gap_extend && p.gap_extend >= 0.0;
-        let (best, cols) = if simd_ok {
+        let (best, cols) = if self.simd_ok(p) {
             let stride = self.seg * self.level.lanes();
             self.sh_a[..stride].fill(0.0);
             self.sh_b[..stride].fill(0.0);
@@ -345,6 +359,131 @@ impl AlignScratch {
             cells: nq as u64 * cols as u64,
             cells_skipped: nq as u64 * (nb - cols) as u64,
         }
+    }
+
+    /// Whether a SIMD kernel may score under `p`.  Both feed the F chain
+    /// from the cell before F is folded in, and the striped lane's lazy-F
+    /// sweep propagates the wrapped F chain by pure gap-extension decay:
+    /// exact only when `open >= extend >= 0` (true for any sane affine
+    /// model).  Exotic parameters take the scalar kernel.  `seg > 0`
+    /// means a SIMD level and a non-empty query.
+    fn simd_ok(&self, p: &AlignParams) -> bool {
+        self.seg > 0 && p.gap_open >= p.gap_extend && p.gap_extend >= 0.0
+    }
+
+    /// The prune's verdict on one subject of a batch: `Some` (every cell
+    /// skipped) when its safe score bound cannot reach `cutoff`.
+    fn pruned(&self, b: &Sequence, cutoff: Option<f32>) -> Option<ScoreOnly> {
+        let threshold = cutoff?;
+        (self.score_upper_bound(b.residues.len()) < threshold).then(|| ScoreOnly {
+            score: 0.0,
+            cells: 0,
+            cells_skipped: self.len as u64 * b.residues.len() as u64,
+        })
+    }
+
+    /// Score the loaded `query` against every subject on the
+    /// inter-sequence kernel, pushing one result per subject onto `out`
+    /// in subject order.  Each vector lane holds one subject; a pass
+    /// advances every lane by two columns, and a lane whose subject ends
+    /// writes its result into the subject's slot and takes the next
+    /// subject.  Pruned and empty subjects never enter a lane.  Requires
+    /// [`AlignScratch::simd_ok`].
+    fn align_across<'s>(
+        &mut self,
+        query: &[u8],
+        mut subjects: impl Iterator<Item = &'s Sequence>,
+        m: &ScoreMatrix,
+        p: &AlignParams,
+        cutoff: Option<f32>,
+        out: &mut Vec<ScoreOnly>,
+    ) {
+        let lanes = self.level.lanes();
+        let nq = query.len();
+        self.lane_matrix.clear();
+        for r in 0..ALPHABET_SIZE {
+            self.lane_matrix
+                .extend((0..ALPHABET_SIZE).map(|q| m.score(q, r)));
+        }
+        self.lane_matrix.extend([f32::NEG_INFINITY; ALPHABET_SIZE]);
+        self.lane_h.resize(nq * lanes, 0.0);
+        self.lane_e.resize(nq * lanes, f32::NEG_INFINITY);
+        self.lane_tables.resize(2 * ALPHABET_SIZE * lanes, 0.0);
+        let mut best = [0.0f32; MAX_LANES];
+        let mut codes = [PAST_END; 2 * MAX_LANES];
+        let mut lane: [Option<Lane<'s>>; MAX_LANES] = [None; MAX_LANES];
+        for (l, slot) in lane[..lanes].iter_mut().enumerate() {
+            *slot = self.refill(l, &mut subjects, cutoff, out);
+        }
+        while lane.iter().any(Option::is_some) {
+            for (l, ln) in lane[..lanes].iter().enumerate() {
+                codes[l] = ln.map_or(PAST_END, |ln| ln.at(0));
+                codes[lanes + l] = ln.map_or(PAST_END, |ln| ln.at(1));
+            }
+            simd::run_interseq(
+                self.level,
+                query,
+                &self.lane_matrix,
+                &codes,
+                &mut self.lane_tables,
+                &mut self.lane_h,
+                &mut self.lane_e,
+                &mut best,
+                p.gap_open,
+                p.gap_extend,
+            );
+            for (l, slot) in lane[..lanes].iter_mut().enumerate() {
+                let Some(ln) = slot else { continue };
+                ln.col += 2;
+                if ln.col >= ln.residues.len() {
+                    out[ln.slot] = ScoreOnly {
+                        score: best[l],
+                        cells: nq as u64 * ln.residues.len() as u64,
+                        cells_skipped: 0,
+                    };
+                    best[l] = 0.0;
+                    *slot = self.refill(l, &mut subjects, cutoff, out);
+                }
+            }
+        }
+    }
+
+    /// Give lane `l` the next subject that needs scoring, or `None` when
+    /// the batch is exhausted.  Subjects passed over (pruned or empty) get
+    /// their result pushed here; the chosen one gets a slot in `out` and
+    /// a fresh column: H = 0 and E = -inf in every row.
+    fn refill<'s>(
+        &mut self,
+        l: usize,
+        subjects: &mut impl Iterator<Item = &'s Sequence>,
+        cutoff: Option<f32>,
+        out: &mut Vec<ScoreOnly>,
+    ) -> Option<Lane<'s>> {
+        for b in subjects {
+            if let Some(r) = self.pruned(b, cutoff) {
+                out.push(r);
+                continue;
+            }
+            out.push(ScoreOnly {
+                score: 0.0,
+                cells: 0,
+                cells_skipped: 0,
+            });
+            if b.residues.is_empty() {
+                continue;
+            }
+            let lanes = self.level.lanes();
+            for i in 0..self.len {
+                self.lane_h[i * lanes + l] = 0.0;
+                self.lane_e[i * lanes + l] = f32::NEG_INFINITY;
+            }
+            return Some(Lane {
+                residues: &b.residues,
+                col: 0,
+                slot: out.len() - 1,
+            });
+        }
+        None
     }
 
     /// The scalar profile kernel.  The profile must have been loaded
@@ -565,6 +704,31 @@ impl AlignScratch {
     }
 }
 
+/// Most f32 lanes of any [`SimdLevel`].
+const MAX_LANES: usize = 8;
+
+/// Subject residue code of a lane past its subject's end: the
+/// `lane_matrix` row of `-inf` scores.
+const PAST_END: usize = LANE_MATRIX_ROWS - 1;
+
+/// One inter-sequence lane: its subject, the next column it scores and
+/// its result's slot in the batch's output.
+#[derive(Clone, Copy)]
+struct Lane<'s> {
+    residues: &'s [u8],
+    col: usize,
+    slot: usize,
+}
+
+impl Lane<'_> {
+    /// The subject residue `k` columns on, or [`PAST_END`].
+    fn at(&self, k: usize) -> usize {
+        self.residues
+            .get(self.col + k)
+            .map_or(PAST_END, |&r| r as usize)
+    }
+}
+
 /// Score-only Smith–Waterman/Gotoh via the query-profile kernel, reusing
 /// the caller's scratch: zero heap allocation once the scratch has grown
 /// to the query size.
@@ -602,18 +766,13 @@ pub fn align_score_many<'s, I>(
     scratch.set_query(a, m);
     out.clear();
     let cutoff = if p.prune { min_score } else { None };
+    if scratch.simd_ok(p) {
+        scratch.align_across(&a.residues, subjects.into_iter(), m, p, cutoff, out);
+        return;
+    }
     for b in subjects {
-        if let Some(threshold) = cutoff {
-            if scratch.score_upper_bound(b.residues.len()) < threshold {
-                out.push(ScoreOnly {
-                    score: 0.0,
-                    cells: 0,
-                    cells_skipped: scratch.len as u64 * b.residues.len() as u64,
-                });
-                continue;
-            }
-        }
-        out.push(scratch.align_loaded(&b.residues, p));
+        let r = scratch.pruned(b, cutoff);
+        out.push(r.unwrap_or_else(|| scratch.align_loaded(&b.residues, p)));
     }
 }
 

@@ -26,6 +26,15 @@
 //! gap-open), so the final horizontal max needs no masking.  The darwin
 //! proptests pin all of this against [`crate::align::align_score_naive`].
 //!
+//! A second kernel, the **inter-sequence lane** ([`run_interseq`], after
+//! Rognes 2011, "Faster Smith–Waterman database searches with
+//! inter-sequence SIMD parallelisation"), scores one query against many
+//! subjects at once: each vector lane holds a different subject and runs
+//! the plain row-by-row recurrence for its own pair, so there is no
+//! striping and no lazy-F sweep.  `align_score_many` feeds it; DESIGN.md
+//! "Inter-sequence lane" covers the lane refill and why a lane past its
+//! subject's end cannot disturb its score.
+//!
 //! Level selection: [`detect`] probes the CPU once (cached) and honours a
 //! `BIOOPERA_SIMD` override (`scalar`/`sse2`/`avx2`/`auto`), clamped to
 //! what the host supports.  SSE2 is part of the x86_64 baseline; AVX2 is
@@ -153,6 +162,70 @@ pub(crate) fn run_striped(
     {
         let _ = (profile, ha, hb, ev, subject, open, ext, band);
         unreachable!("run_striped: no SIMD backend on this architecture")
+    }
+}
+
+/// Rows of the inter-sequence kernel's score matrix: one per subject
+/// residue plus a last one of `-inf`, the code of a lane past its
+/// subject's end.
+pub(crate) const LANE_MATRIX_ROWS: usize = crate::alphabet::ALPHABET_SIZE + 1;
+
+/// Run one pass of the inter-sequence kernel at `level` (must not be
+/// `Scalar`): every lane advances by two subject columns over all query
+/// rows.
+///
+/// Layout contract (checked): with `lanes = level.lanes()`, `matrix[r *
+/// ALPHABET_SIZE + q]` scores query residue `q` against subject code
+/// `r`, and `codes` holds each lane's code in the pass's first column
+/// (`codes[l]`) and second column (`codes[lanes + l]`).  `tables` is
+/// scratch for the pass's two column tables, `2 * ALPHABET_SIZE * lanes`
+/// entries.  `h` and `e` hold one vector per query row: lane `l` of row
+/// `i` is H and E of that row at the lane's previous column.  `best`
+/// holds each lane's running best.  `h`, `e` and `best` are updated in
+/// place.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_interseq(
+    level: SimdLevel,
+    query: &[u8],
+    matrix: &[f32],
+    codes: &[usize],
+    tables: &mut [f32],
+    h: &mut [f32],
+    e: &mut [f32],
+    best: &mut [f32],
+    open: f32,
+    ext: f32,
+) {
+    use crate::alphabet::ALPHABET_SIZE;
+    let lanes = level.lanes();
+    let rows = query.len() * lanes;
+    assert!(lanes > 1, "run_interseq called at scalar level");
+    assert!(matrix.len() >= LANE_MATRIX_ROWS * ALPHABET_SIZE);
+    assert!(codes.len() >= 2 * lanes);
+    assert!(codes.iter().all(|&r| r < LANE_MATRIX_ROWS));
+    assert!(tables.len() >= 2 * ALPHABET_SIZE * lanes);
+    assert!(h.len() >= rows && e.len() >= rows && best.len() >= lanes);
+    // Every query residue indexes a table row.
+    assert!(query.iter().fold(0, |m, &q| m.max(q)) < ALPHABET_SIZE as u8);
+    #[cfg(target_arch = "x86_64")]
+    // Safety: buffer sizes and index ranges asserted above; `Avx2` only
+    // reaches here via `detect`/`max_supported`, which gate it on
+    // runtime CPUID support.
+    unsafe {
+        match level {
+            SimdLevel::Scalar => unreachable!(),
+            SimdLevel::Sse2 => {
+                x86::interseq_sse2(query, matrix, codes, tables, h, e, best, open, ext)
+            }
+            SimdLevel::Avx2 => {
+                x86::interseq_avx2(query, matrix, codes, tables, h, e, best, open, ext)
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (query, matrix, codes, tables, h, e, best, open, ext);
+        unreachable!("run_interseq: no SIMD backend on this architecture")
     }
 }
 
@@ -419,6 +492,122 @@ mod x86 {
                 kernel::<Avx2, true>(profile, seg, ha, hb, ev, subject, open, ext, s, b)
             }
         }
+    }
+
+    /// One column table of the inter-sequence pass: row `q` (at `dst +
+    /// q*lanes`) gets, in lane `l`, `matrix[codes[l] * ALPHABET_SIZE + q]`,
+    /// query residue `q` against lane `l`'s subject residue.  A transpose
+    /// of `lanes` matrix rows, four lanes by four residues at a time
+    /// (SSE, so both levels share it).
+    #[inline(always)]
+    unsafe fn column_table(matrix: *const f32, codes: *const usize, lanes: usize, dst: *mut f32) {
+        use crate::alphabet::ALPHABET_SIZE;
+        for g in (0..lanes).step_by(4) {
+            let row = |k: usize| matrix.add(*codes.add(g + k) * ALPHABET_SIZE);
+            let rows = [row(0), row(1), row(2), row(3)];
+            for q in (0..ALPHABET_SIZE).step_by(4) {
+                let [r0, r1, r2, r3] = rows.map(|r| _mm_loadu_ps(r.add(q)));
+                let lo01 = _mm_unpacklo_ps(r0, r1);
+                let lo23 = _mm_unpacklo_ps(r2, r3);
+                let hi01 = _mm_unpackhi_ps(r0, r1);
+                let hi23 = _mm_unpackhi_ps(r2, r3);
+                let out = dst.add(q * lanes + g);
+                _mm_storeu_ps(out, _mm_movelh_ps(lo01, lo23));
+                _mm_storeu_ps(out.add(lanes), _mm_movehl_ps(lo23, lo01));
+                _mm_storeu_ps(out.add(2 * lanes), _mm_movelh_ps(hi01, hi23));
+                _mm_storeu_ps(out.add(3 * lanes), _mm_movehl_ps(hi23, hi01));
+            }
+        }
+    }
+
+    /// The inter-sequence pass: lane `l` holds its own subject, and each
+    /// query row advances every lane by two columns.  The per-lane
+    /// recurrence is the naive one on the same operands, with the F chain
+    /// fed from `H0 - open` as in [`kernel`] (exact for `open >= ext`).
+    /// The second column's F chain is independent of the first's within
+    /// a row, so the two `sub, max` chains overlap.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn interseq<O: Ops>(
+        query: &[u8],
+        matrix: &[f32],
+        codes: &[usize],
+        tables: &mut [f32],
+        h: &mut [f32],
+        e: &mut [f32],
+        best: &mut [f32],
+        open: f32,
+        ext: f32,
+    ) {
+        use crate::alphabet::ALPHABET_SIZE;
+        let lanes = O::LANES;
+        let t1: *mut f32 = tables.as_mut_ptr();
+        let t2: *mut f32 = t1.add(ALPHABET_SIZE * lanes);
+        column_table(matrix.as_ptr(), codes.as_ptr(), lanes, t1);
+        column_table(matrix.as_ptr(), codes.as_ptr().add(lanes), lanes, t2);
+        let vopen = O::splat(open);
+        let vext = O::splat(ext);
+        let vzero = O::splat(0.0);
+        let hp: *mut f32 = h.as_mut_ptr();
+        let ep: *mut f32 = e.as_mut_ptr();
+        let mut vbest = O::load(best.as_ptr());
+        // Row -1 is the zero boundary; F starts at -inf in every column.
+        let mut diag1 = vzero;
+        let mut diag2 = vzero;
+        let mut f1 = O::splat(f32::NEG_INFINITY);
+        let mut f2 = f1;
+        for (i, &q) in query.iter().enumerate() {
+            let o = i * lanes;
+            let qo = q as usize * lanes;
+            // Column 1: H(i, j-1) becomes the next row's diagonal.
+            let left = O::load(hp.add(o));
+            let ve = O::load(ep.add(o));
+            let h0 = O::max(O::max(O::add(diag1, O::load(t1.add(qo))), ve), vzero);
+            let h1 = O::max(h0, f1);
+            f1 = O::max(O::sub(f1, vext), O::sub(h0, vopen));
+            let ve = O::max(O::sub(ve, vext), O::sub(h1, vopen));
+            // Column 2 reads column 1's H one row up as its diagonal.
+            let g0 = O::max(O::max(O::add(diag2, O::load(t2.add(qo))), ve), vzero);
+            let h2 = O::max(g0, f2);
+            f2 = O::max(O::sub(f2, vext), O::sub(g0, vopen));
+            O::store(ep.add(o), O::max(O::sub(ve, vext), O::sub(h2, vopen)));
+            O::store(hp.add(o), h2);
+            vbest = O::max(vbest, O::max(h1, h2));
+            diag1 = left;
+            diag2 = h1;
+        }
+        O::store(best.as_mut_ptr(), vbest);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn interseq_sse2(
+        query: &[u8],
+        matrix: &[f32],
+        codes: &[usize],
+        tables: &mut [f32],
+        h: &mut [f32],
+        e: &mut [f32],
+        best: &mut [f32],
+        open: f32,
+        ext: f32,
+    ) {
+        interseq::<Sse2>(query, matrix, codes, tables, h, e, best, open, ext)
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn interseq_avx2(
+        query: &[u8],
+        matrix: &[f32],
+        codes: &[usize],
+        tables: &mut [f32],
+        h: &mut [f32],
+        e: &mut [f32],
+        best: &mut [f32],
+        open: f32,
+        ext: f32,
+    ) {
+        interseq::<Avx2>(query, matrix, codes, tables, h, e, best, open, ext)
     }
 
     #[cfg(test)]

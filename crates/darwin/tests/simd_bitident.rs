@@ -1,12 +1,15 @@
-//! Bit-identity oracle for the striped SIMD lane and the banded
-//! refinement, at every SIMD level the host supports.
+//! Bit-identity oracle for the striped SIMD lane, the inter-sequence
+//! lane behind [`align_score_many`] and the banded refinement, at every
+//! SIMD level the host supports.
 //!
 //! The generic proptests in `profile_kernel_bitident.rs` run at the
 //! auto-detected level; this suite pins each level explicitly (via
 //! [`AlignScratch::with_level`]) so the scalar fallback and the SSE2
 //! lane stay exercised even on an AVX2 host, and covers the stripe
-//! geometry edge cases: empty/1-residue queries, lengths around lane
-//! and segment boundaries, and banding on/off.
+//! geometry edge cases (empty/1-residue queries, lengths around lane
+//! and segment boundaries, banding on/off) and the inter-sequence
+//! lane's refills (batches longer than the lanes, subjects of either
+//! parity ending mid-pass).
 
 use bioopera_darwin::align::{
     align_score_bounded_with, align_score_many, align_score_naive, align_score_with, AlignParams,
@@ -27,6 +30,37 @@ fn levels() -> Vec<SimdLevel> {
 
 fn residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..20, 0..=max_len)
+}
+
+/// Force `v`'s length odd (`parity` 0) or even (1); 2 leaves it alone.
+fn with_parity(mut v: Vec<u8>, parity: u8) -> Vec<u8> {
+    match (parity, v.len() % 2 == 1) {
+        (0, false) if v.is_empty() => v.push(3),
+        (0, false) | (1, true) => {
+            v.pop();
+        }
+        _ => {}
+    }
+    v
+}
+
+/// One batch subject: random (`kind` 0, 1), the query itself (2), or a
+/// suffix of the query followed by random residues (3), so that lanes
+/// also finish on high scores whose gap state would leak into a lane
+/// refilled without its reset.
+fn subject(kind: u8, random: Vec<u8>, query: &[u8], parity: u8) -> Vec<u8> {
+    let v = match kind {
+        2 => query.to_vec(),
+        3 => {
+            let cut = random.len().min(query.len());
+            let mut v = query[cut..].to_vec();
+            v.extend_from_slice(&random);
+            v.truncate(70);
+            v
+        }
+        _ => random,
+    };
+    with_parity(v, parity)
 }
 
 proptest! {
@@ -51,6 +85,48 @@ proptest! {
                 "level {} score {} vs naive {}", level.name(), fast.score, naive.score);
             prop_assert_eq!(fast.cells, naive.cells);
             prop_assert_eq!(fast.cells_skipped, 0);
+        }
+    }
+
+    /// The inter-sequence lane: batches from empty to three times the
+    /// widest lane count plus one (lanes refilled at every level),
+    /// queries and subjects of 0..=70 residues forced odd, even or left
+    /// mixed, every ladder matrix, and one scratch per level reused
+    /// across queries of different lengths.
+    #[test]
+    fn batches_are_bit_identical_at_every_level(
+        queries in prop::collection::vec((residues(70), 0u8..3), 1..4),
+        batch in prop::collection::vec((0u8..4, residues(70), 0u8..3), 0..=3 * 8 + 1),
+        ladder_idx in 0usize..12,
+    ) {
+        let fam = PamFamily::default();
+        let m = &fam.ladder()[ladder_idx % fam.ladder().len()];
+        let p = AlignParams::default();
+        let mut scratches: Vec<AlignScratch> =
+            levels().into_iter().map(AlignScratch::with_level).collect();
+        let mut out = Vec::new();
+        for (qi, (query, parity)) in queries.into_iter().enumerate() {
+            let q = Sequence::new(0, with_parity(query, parity));
+            let subs: Vec<Sequence> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, (kind, random, parity))| {
+                    Sequence::new(1 + i as u32, subject(*kind, random.clone(), &q.residues, *parity))
+                })
+                .collect();
+            let naive: Vec<_> = subs.iter().map(|s| align_score_naive(&q, s, m, &p)).collect();
+            for scratch in &mut scratches {
+                align_score_many(&q, subs.iter(), m, &p, None, scratch, &mut out);
+                prop_assert_eq!(out.len(), subs.len());
+                for (k, (r, n)) in out.iter().zip(&naive).enumerate() {
+                    prop_assert_eq!(r.score.to_bits(), n.score.to_bits(),
+                        "level {} query {} (len {}) subject {} (len {}): {} vs naive {}",
+                        scratch.level().name(), qi, q.residues.len(), k,
+                        subs[k].residues.len(), r.score, n.score);
+                    prop_assert_eq!(r.cells, n.cells);
+                    prop_assert_eq!(r.cells_skipped, 0);
+                }
+            }
         }
     }
 
@@ -229,7 +305,8 @@ proptest! {
     /// is fed `H0 - open` (the cell before F is folded in), which loses
     /// `F - open` — dominated by `F - ext` only then — and its lazy-F
     /// sweep is pure extension decay.  Every other pair of gap
-    /// parameters must be routed to the scalar kernel.  Draws
+    /// parameters must be routed to the scalar kernel, for single pairs
+    /// and for `align_score_many`'s inter-sequence lane alike.  Draws
     /// `open ∈ [0, 40]` and `ext ∈ [0, 4·open]` (both on a grid of exact
     /// binary fractions), with `ext == open` and `ext == 0` pinned in
     /// half of the cases, and holds every level, unbanded and banded, to
@@ -256,8 +333,22 @@ proptest! {
         let sa = Sequence::new(0, a);
         let sb = Sequence::new(1, b);
         let naive = align_score_naive(&sa, &sb, m, &p);
+        // A small batch for the inter-sequence lane: the pair itself, the
+        // query against itself, a half of `b` and an empty subject.
+        let half = Sequence::new(2, sb.residues[..sb.residues.len() / 2].to_vec());
+        let batch = [&sb, &sa, &half, &Sequence::new(3, Vec::new())];
+        let batch_naive: Vec<_> = batch.iter().map(|s| align_score_naive(&sa, s, m, &p)).collect();
+        let mut out = Vec::new();
         for level in levels() {
             let mut scratch = AlignScratch::with_level(level);
+            align_score_many(&sa, batch, m, &p, None, &mut scratch, &mut out);
+            prop_assert_eq!(out.len(), batch.len());
+            for (k, (r, n)) in out.iter().zip(&batch_naive).enumerate() {
+                prop_assert_eq!(r.score.to_bits(), n.score.to_bits(),
+                    "level {} open {} ext {}: batch subject {}: {} vs naive {}",
+                    level.name(), open, ext, k, r.score, n.score);
+                prop_assert_eq!(r.cells, n.cells);
+            }
             let fast = align_score_with(&sa, &sb, m, &p, &mut scratch);
             prop_assert_eq!(fast.score.to_bits(), naive.score.to_bits(),
                 "level {} open {} ext {}: {} vs naive {}", level.name(), open, ext, fast.score, naive.score);

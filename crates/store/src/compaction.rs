@@ -95,6 +95,7 @@ impl<D: Disk> Store<D> {
         self.mem.approx_bytes = 0;
         self.levels.l0.push(run);
         self.wal.epoch = epoch + 1;
+        self.wal.wal_file = wal_name(epoch + 1);
         self.wal.wal_bytes = 0;
         self.wal.next_run_id += 1;
         self.wal.spills += 1;

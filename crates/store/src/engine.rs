@@ -225,6 +225,9 @@ pub struct StoreStats {
 /// bookkeeping.
 pub(crate) struct WalState {
     pub(crate) epoch: u64,
+    /// `wal_name(epoch)`, set wherever the epoch changes so that an
+    /// append formats no name.
+    pub(crate) wal_file: String,
     pub(crate) wal_bytes: u64,
     batches_applied: u64,
     recovered_torn_tail: bool,
@@ -397,6 +400,7 @@ impl<D: Disk> Store<D> {
         Ok(Store {
             wal: WalState {
                 epoch,
+                wal_file: keep_wal,
                 wal_bytes,
                 batches_applied,
                 recovered_torn_tail,
@@ -457,7 +461,7 @@ impl<D: Disk> Store<D> {
         if pending.is_empty() {
             return Ok(());
         }
-        self.poison_on_err(self.disk.append(&wal_name(self.wal.epoch), &buf))?;
+        self.poison_on_err(self.disk.append(&self.wal.wal_file, &buf))?;
         self.wal.wal_bytes += buf.len() as u64;
         self.wal.batches_applied += pending.len() as u64;
         for ops in pending {

@@ -1,8 +1,12 @@
 //! The work-stealing fixed pass must be worker-count-invariant: same
 //! matches (order, scores, digest) and same cell count no matter how many
-//! threads pull from the atomic queue or how their draws interleave.
+//! threads pull from the atomic queue or how their draws interleave.  And
+//! it must be the per-pair oracle: every pair scored as
+//! [`align_score_naive`] scores it.
 
+use bioopera_darwin::align::{align_score_naive, AlignParams};
 use bioopera_darwin::dataset::DatasetConfig;
+use bioopera_darwin::pam::FIXED_PAM;
 use bioopera_darwin::{Match, MatchSet, PamFamily, SequenceDb};
 use bioopera_workloads::fixed_pass_with_workers;
 
@@ -91,4 +95,51 @@ fn fixed_pass_handles_partial_and_empty_queues() {
     let (m_last, c_last, _) = fixed_pass_with_workers(&db, &pam, &[11], 40.0, 2);
     assert!(m_last.is_empty());
     assert_eq!(c_last, 0);
+}
+
+#[test]
+fn fixed_pass_is_the_per_pair_oracle() {
+    let pam = PamFamily::default();
+    let db = SequenceDb::generate(
+        &DatasetConfig {
+            size: 30,
+            seed: 21,
+            mean_len: 60,
+            ..DatasetConfig::small(30, 21)
+        },
+        &pam,
+    );
+    let n = db.len() as u32;
+    let m = pam.nearest(FIXED_PAM);
+    let p = AlignParams::default();
+    let entries: Vec<u32> = (0..n).collect();
+    // Threshold 0 keeps every pair (scores are never negative); the
+    // second one keeps some of them.
+    let pairs = (n * (n - 1) / 2) as usize;
+    for threshold in [0.0f32, 30.0] {
+        let mut expected = Vec::new();
+        let mut cells = 0u64;
+        for e in 0..n {
+            for f in e + 1..n {
+                let r = align_score_naive(db.get(e), db.get(f), m, &p);
+                cells += r.cells;
+                if r.score >= threshold {
+                    expected.push((e, f, r.score.to_bits()));
+                }
+            }
+        }
+        assert!(threshold > 0.0 || expected.len() == pairs);
+        assert!(threshold == 0.0 || (!expected.is_empty() && expected.len() < pairs));
+        for workers in [1usize, 3] {
+            let (matches, got_cells, skipped) =
+                fixed_pass_with_workers(&db, &pam, &entries, threshold, workers);
+            let got: Vec<_> = matches
+                .iter()
+                .map(|x| (x.query, x.subject, x.score.to_bits()))
+                .collect();
+            assert_eq!(got, expected, "threshold {threshold}, {workers} workers");
+            assert_eq!(got_cells, cells);
+            assert_eq!(skipped, 0);
+        }
+    }
 }

@@ -317,6 +317,18 @@ canary simd-f-chain crates/darwin/src/simd.rs \
   's/O::sub\(vh0, vopen\)/O::sub(vh0, vext)/' \
   cargo test -q --offline -p bioopera-darwin --test simd_bitident
 
+# A refilled inter-sequence lane keeping the E column of the subject
+# before it: a gap that subject opened leaks into the next pair.
+canary interseq-lane-reset crates/darwin/src/align.rs \
+  '/self\.lane_e\[i \* lanes \+ l\] = f32::NEG_INFINITY;/d' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident batches_are_bit_identical_at_every_level
+
+# The batch dispatch without its gap guard: the inter-sequence lane's
+# shortened F chain then scores `open < ext` too.
+canary interseq-gap-guard crates/darwin/src/align.rs \
+  's/^    if scratch\.simd_ok\(p\) \{$/    if scratch.seg > 0 {/' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident every_level_is_bit_identical_over_gap_parameters
+
 # The work-stealing hand-out returning results in completion order: the
 # refine pass's output then depends on how many workers drew groups.
 canary refine-order crates/workloads/src/allvsall.rs \
