@@ -1,6 +1,8 @@
 //! **Alignment kernel microbench** — throughput of the scalar profile
 //! kernel, the inter-sequence SIMD lane (`simd_batched`, one query
-//! against a batch), the striped SIMD lane (`simd_pairwise`, one pair at
+//! against a batch), the same batches at the fixed pass's threshold
+//! (`simd_filtered`: the i16 upper-bound filter, then the f32 lane on its
+//! candidates only), the striped SIMD lane (`simd_pairwise`, one pair at
 //! a time, as singles and the refinement run it) and the banded
 //! PAM-ladder refinement against the seed (naive) implementation on a
 //! seeded dataset.
@@ -23,7 +25,11 @@
 //! banded refinement must agree with the unbanded ladder scan while
 //! accounting every skipped cell, and the per-query batched refinement
 //! (`refine_batched`) must give exactly the per-pair banded scan's
-//! checksum, cells and skipped cells.
+//! checksum, cells and skipped cells.  `simd_filtered`'s checksum sums
+//! only the scores at or above the threshold, which must equal the same
+//! sum over `simd_batched`'s exact scores, and the pairs it re-scored
+//! must number at least the matches and, on a SIMD host, fewer than all
+//! pairs.
 //!
 //! Writes `BENCH_kernel.json`.  With `KERNEL_BENCH_SMOKE=1` the bench
 //! runs one pass per variant and additionally enforces a floor on the
@@ -102,6 +108,13 @@ struct BenchReport {
     speedup_simd_vs_profile: f64,
     /// banded_refine vs refine_unbanded wall-clock on the matched pairs.
     speedup_banded_refine: f64,
+    /// simd_filtered vs simd_batched wall-clock on the same batches.
+    speedup_filtered_vs_batched: f64,
+    /// Pairs per pass at or above the fixed pass's threshold.
+    matched_pairs: u64,
+    /// Pairs per pass simd_filtered's filter passed on to the f32 lane
+    /// (all of them where the filter does not run).
+    filtered_rescored_pairs: u64,
     bit_identical: bool,
 }
 
@@ -247,6 +260,43 @@ fn main() {
         (checksum, cells, 0u64)
     };
 
+    // The fixed pass's own shape: the same batches at its threshold, so
+    // the upper-bound filter runs and the f32 lane re-scores only its
+    // candidates.  Scores below the threshold are not exact; the
+    // checksum sums the ones at or above it, which are.
+    let threshold = 80.0f32;
+    let mut scratch9 = AlignScratch::new();
+    let mut scores9: Vec<ScoreOnly> = Vec::new();
+    let rescored = std::cell::Cell::new(0u64);
+    let mut filtered_pass = || {
+        let mut checksum = 0.0f64;
+        let mut cells = 0u64;
+        let mut again = 0u64;
+        for e in 0..n {
+            if e + 1 >= n {
+                break;
+            }
+            align_score_many(
+                db.get(e),
+                ((e + 1)..n).map(|f| db.get(f)),
+                matrix,
+                &params,
+                Some(threshold),
+                &mut scratch9,
+                &mut scores9,
+            );
+            again += scratch9.rescored().unwrap_or(scores9.len()) as u64;
+            for r in &scores9 {
+                if r.score >= threshold {
+                    checksum += r.score as f64;
+                }
+                cells += r.cells;
+            }
+        }
+        rescored.set(again);
+        (checksum, cells, 0u64)
+    };
+
     // The striped SIMD lane at the auto-detected level: the pairwise
     // entry point, which singles and the refinement use.
     let mut scratch8 = AlignScratch::new();
@@ -266,9 +316,10 @@ fn main() {
 
     // ---- refinement variants run over the *matched* pairs only --------
     // (that is the shape of the real workload: the fixed-PAM pass gates
-    // which pairs reach the ladder).
-    let threshold = 80.0f32;
+    // which pairs reach the ladder).  The same loop sums the matches'
+    // exact scores, in simd_filtered's order.
     let mut matched: Vec<(u32, u32)> = Vec::new();
+    let mut matched_sum = 0.0f64;
     {
         let mut s = AlignScratch::new();
         let mut out = Vec::new();
@@ -288,6 +339,7 @@ fn main() {
             for (i, r) in out.iter().enumerate() {
                 if r.score >= threshold {
                     matched.push((e, e + 1 + i as u32));
+                    matched_sum += r.score as f64;
                 }
             }
         }
@@ -378,6 +430,7 @@ fn main() {
     batched_pass();
     pairwise_pass();
     simd_pass();
+    filtered_pass();
     simd_pairwise_pass();
     refine_plain_pass();
     refine_banded_pass();
@@ -387,6 +440,7 @@ fn main() {
     let mut batch_t = Timing::new();
     let mut pair_t = Timing::new();
     let mut simd_t = Timing::new();
+    let mut filt_t = Timing::new();
     let mut simd_pair_t = Timing::new();
     let mut refp_t = Timing::new();
     let mut refb_t = Timing::new();
@@ -397,6 +451,7 @@ fn main() {
         batch_t.pass(&mut batched_pass);
         pair_t.pass(&mut pairwise_pass);
         simd_t.pass(&mut simd_pass);
+        filt_t.pass(&mut filtered_pass);
         simd_pair_t.pass(&mut simd_pairwise_pass);
         refp_t.pass(&mut refine_plain_pass);
         refb_t.pass(&mut refine_banded_pass);
@@ -408,6 +463,7 @@ fn main() {
     let (batch_sum, batch_cells, _) = batch_t.result;
     let (pair_sum, pair_cells, _) = pair_t.result;
     let (simd_sum, simd_cells, _) = simd_t.result;
+    let (filt_sum, filt_cells, _) = filt_t.result;
     let (simd_pair_sum, simd_pair_cells, _) = simd_pair_t.result;
     let (refp_sum, refp_cells, _) = refp_t.result;
     let (refb_sum, refb_cells, refb_skipped) = refb_t.result;
@@ -425,6 +481,19 @@ fn main() {
     assert!(
         bit_identical,
         "kernel diverged from naive: {naive_sum} vs batch {batch_sum} / pair {pair_sum} / simd {simd_sum} / simd pairwise {simd_pair_sum}"
+    );
+    // The filter keeps every match's exact score and every pair's cells,
+    // and re-scores at least the matches; with a SIMD lane it must
+    // rule some pairs out.
+    let rescored = rescored.get();
+    let matched_pairs = matched.len() as u64;
+    assert!(
+        filt_sum == matched_sum && filt_cells == naive_cells,
+        "simd_filtered diverged: {filt_sum} vs {matched_sum} over the matches, cells {filt_cells} vs {naive_cells}"
+    );
+    assert!(
+        rescored >= matched_pairs && (level == SimdLevel::Scalar || rescored < pairs_per_pass),
+        "simd_filtered re-scored {rescored} pairs for {matched_pairs} matches of {pairs_per_pass}"
     );
     // Banded refinement: same scores, every skipped cell accounted.
     assert!(
@@ -446,6 +515,7 @@ fn main() {
     for (name, t) in [
         ("profile_batched", &batch_t),
         ("simd_batched", &simd_t),
+        ("simd_filtered", &filt_t),
         ("simd_pairwise", &simd_pair_t),
         ("banded_refine", &refb_t),
         ("refine_batched", &refq_t),
@@ -469,7 +539,6 @@ fn main() {
         allocations: t.allocs,
         checksum: t.result.0,
     };
-    let matched_pairs = matched.len() as u64;
     let variants = vec![
         variant("naive_align_score", &naive_t, pairs_per_pass),
         variant("profile_batched", &batch_t, pairs_per_pass),
@@ -480,10 +549,12 @@ fn main() {
         variant("local_traceback", &tb_t, matched_pairs),
         variant("refine_batched", &refq_t, matched_pairs),
         variant("simd_pairwise", &simd_pair_t, pairs_per_pass),
+        variant("simd_filtered", &filt_t, pairs_per_pass),
     ];
     let speedup = variants[1].cells_per_sec / variants[0].cells_per_sec;
     let simd_speedup = variants[3].cells_per_sec / variants[1].cells_per_sec;
     let banded_speedup = variants[4].seconds / variants[5].seconds;
+    let filtered_speedup = variants[3].seconds / variants[9].seconds;
     if smoke && level > SimdLevel::Scalar {
         // Loose floor (true margin is ≥3x; CI boxes are noisy): a SIMD
         // lane slower than the scalar kernel is a regression, full stop.
@@ -503,6 +574,9 @@ fn main() {
         speedup_cells_per_sec: speedup,
         speedup_simd_vs_profile: simd_speedup,
         speedup_banded_refine: banded_speedup,
+        speedup_filtered_vs_batched: filtered_speedup,
+        matched_pairs,
+        filtered_rescored_pairs: rescored,
         bit_identical,
     };
 
@@ -519,6 +593,9 @@ fn main() {
     eprintln!("  speedup (batched vs naive):   {speedup:.2}x");
     eprintln!("  speedup (simd vs batched):    {simd_speedup:.2}x");
     eprintln!("  speedup (banded vs unbanded): {banded_speedup:.2}x");
+    eprintln!(
+        "  speedup (filtered vs batched): {filtered_speedup:.2}x ({rescored} of {pairs_per_pass} pairs re-scored, {matched_pairs} matches)"
+    );
 
     let json = serde_json::to_string(&report).expect("serialize report");
     write_results("BENCH_kernel.json", &json);

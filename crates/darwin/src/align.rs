@@ -16,6 +16,8 @@
 //!   caller-provided [`AlignScratch`], eliminating every per-pair heap
 //!   allocation; `align_score_many` takes a whole batch of subjects (one
 //!   query vs the rest of the database) and scores it across subjects.
+//!   Given a threshold, its scores are exact above it: an upper-bound
+//!   filter rules out the subjects that cannot reach it first.
 //! * [`align_score_naive`] — the original three-`Vec`-per-call rolling
 //!   implementation, kept as the reference oracle: the profile kernel is
 //!   **bit-identical** to it (same `score`, same `cells`), which the
@@ -28,14 +30,19 @@
 //!   tests); the `_with` form reuses the scratch's traceback matrices.
 //!
 //! On x86_64 the score-only entry points dispatch to the SIMD kernels in
-//! [`crate::simd`] (SSE2/AVX2, runtime-detected, still bit-identical):
-//! [`align_score_many`] to the **inter-sequence lane**, which holds one
-//! subject per vector lane and refills a lane from the batch whenever its
-//! subject ends, and the pairwise and banded entry points to the
-//! **striped lane**, which spreads one query over the lanes.  Both are
-//! exact only for `open >= ext >= 0`; other gap parameters, and the
-//! `BIOOPERA_SIMD=scalar` escape hatch, take the scalar wavefront kernel
-//! below, which is also the portable fallback.
+//! [`crate::simd`] (SSE2/AVX2/AVX-512, runtime-detected, still
+//! bit-identical): [`align_score_many`] to the **inter-sequence lane**,
+//! which holds one subject per vector lane and refills a lane from the
+//! batch whenever its subject ends, and the pairwise and banded entry
+//! points to the **striped lane**, which spreads one query over the
+//! lanes.  Both are exact only for `open >= ext >= 0`; other gap
+//! parameters, and the `BIOOPERA_SIMD=scalar` escape hatch, take the
+//! scalar wavefront kernel below, which is also the portable fallback.
+//! With a threshold, [`align_score_many`] first runs the **upper-bound
+//! filter**, the inter-sequence pass in saturating i16 on a scaled
+//! matrix (8, 16 or 32 subjects per vector), and hands the f32 lane only
+//! the subjects whose bound reaches the threshold.  Both passes share one
+//! lane driver, `run_lanes`.
 //!
 //! Why bit-identity holds: the profile kernel iterates subject-outer /
 //! query-inner, i.e. it computes the transposed DP matrix.  The score
@@ -59,11 +66,6 @@ pub struct AlignParams {
     pub gap_open: f32,
     /// Cost of each further gapped position.
     pub gap_extend: f32,
-    /// Allow [`align_score_many`] to skip pairs whose safe score upper
-    /// bound falls below the caller's threshold.  Off by default because a
-    /// skipped pair reports zero `cells`, which changes the cost-model
-    /// accounting (never the match set).
-    pub prune: bool,
 }
 
 impl Default for AlignParams {
@@ -73,7 +75,6 @@ impl Default for AlignParams {
         AlignParams {
             gap_open: 22.0,
             gap_extend: 1.5,
-            prune: false,
         }
     }
 }
@@ -85,17 +86,25 @@ pub struct ScoreOnly {
     pub score: f32,
     /// DP cells computed (the unit of the cost model).
     pub cells: u64,
-    /// DP cells provably irrelevant and skipped (prune or banding).
-    /// `cells + cells_skipped` always equals `|a|·|b|`, so callers can
-    /// enable pruning without silently distorting cells/sec accounting.
+    /// DP cells provably irrelevant and skipped (banding).
+    /// `cells + cells_skipped` always equals `|a|·|b|`, so a banded scan
+    /// cannot silently distort cells/sec accounting.
     pub cells_skipped: u64,
 }
 
+/// The result of a subject no lane scored: an empty one, or one whose
+/// slot waits for its lane to finish.
+const NO_CELLS: ScoreOnly = ScoreOnly {
+    score: 0.0,
+    cells: 0,
+    cells_skipped: 0,
+};
+
 /// Reusable alignment workspace: the query profile (linear and striped),
 /// the rolling DP rows, the striped DP columns, the inter-sequence lane's
-/// columns and tables, and the traceback matrices.  One scratch per
-/// worker thread removes every per-pair heap allocation from the
-/// all-vs-all hot loop; buffers only ever grow.
+/// and the filter's columns and tables, and the traceback matrices.  One
+/// scratch per worker thread removes every per-pair heap allocation from
+/// the all-vs-all hot loop; buffers only ever grow.
 #[derive(Debug, Clone)]
 pub struct AlignScratch {
     /// Rolling H row over query positions (`len + 1` entries, `h[0] = 0`).
@@ -109,7 +118,7 @@ pub struct AlignScratch {
     len: usize,
     /// Safe upper bound on any alignment score using all query positions
     /// (sum over positions of the per-position best score, f64 with an
-    /// upward margin); used by the optional prune.
+    /// upward margin); the banded path's whole-matrix skip.
     bound_sum: f32,
     /// Largest per-position best score (bounds short subjects).
     bound_peak: f32,
@@ -137,6 +146,20 @@ pub struct AlignScratch {
     lane_matrix: Vec<f32>,
     /// The pass's two column tables (layout in `simd::run_interseq`).
     lane_tables: Vec<f32>,
+    /// The upper-bound filter ([`AlignScratch::filter_across`]): its
+    /// scaled score rows by query residue (`simd::run_filter`), its
+    /// per-row H and E vectors and its two column tables.
+    filter_rows: Vec<i16>,
+    filter_h: Vec<i16>,
+    filter_e: Vec<i16>,
+    filter_tables: Vec<i16>,
+    /// The filter's candidates, in subject order: each one's slot in the
+    /// batch's output and its residues' range in `candidate_residues`.
+    candidates: Vec<(usize, usize, usize)>,
+    candidate_residues: Vec<u8>,
+    /// Subjects the last [`align_score_many`] re-scored after the
+    /// filter; `None` when the filter did not run.
+    rescored: Option<usize>,
     /// Per-subject-residue best profile entry (adaptive-banding bounds).
     row_best: [f32; ALPHABET_SIZE],
     /// Per-column suffix score bounds for the banded path.
@@ -180,6 +203,13 @@ impl AlignScratch {
             lane_e: Vec::new(),
             lane_matrix: Vec::new(),
             lane_tables: Vec::new(),
+            filter_rows: Vec::new(),
+            filter_h: Vec::new(),
+            filter_e: Vec::new(),
+            filter_tables: Vec::new(),
+            candidates: Vec::new(),
+            candidate_residues: Vec::new(),
+            rescored: None,
             row_best: [f32::NEG_INFINITY; ALPHABET_SIZE],
             suffix: Vec::new(),
             tb_h: Vec::new(),
@@ -193,9 +223,16 @@ impl AlignScratch {
         self.level
     }
 
+    /// How many subjects the last [`align_score_many`] call passed from
+    /// the upper-bound filter to the f32 lane, or `None` when that call
+    /// ran no filter (no threshold, or one of the filter's fallbacks).
+    pub fn rescored(&self) -> Option<usize> {
+        self.rescored
+    }
+
     /// Load `query` under matrix `m`: build the contiguous profile rows
     /// (plus the striped layout when a SIMD lane is active), size the
-    /// rolling DP rows, and refresh the prune/banding bounds.
+    /// rolling DP rows, and refresh the banding bounds.
     pub fn set_query(&mut self, query: &Sequence, m: &ScoreMatrix) {
         let len = query.residues.len();
         self.len = len;
@@ -207,7 +244,7 @@ impl AlignScratch {
             self.profile
                 .extend(query.residues.iter().map(|&q| m.score(q as usize, r)));
         }
-        // Prune bound: the best local alignment cannot beat the sum of the
+        // Score bound: the best local alignment cannot beat the sum of the
         // per-position best substitution scores (gaps only subtract).  The
         // DP accumulates in f32 and can round upward, so pad the f64 sum
         // with a margin far above any accumulated rounding error.  The
@@ -269,7 +306,7 @@ impl AlignScratch {
     /// Per-column suffix bounds for the banded path: `suffix[j]` safely
     /// bounds what subject columns `j..` can add to any alignment score
     /// (sum of per-residue best profile entries; gaps only subtract).
-    /// Computed in f64 with the same upward margin as the prune bound,
+    /// Computed in f64 with the same upward margin as the score bound,
     /// so f32 rounding inside the DP can never make the bound unsafe.
     fn build_suffix(&mut self, subject: &[u8]) {
         let nb = subject.len();
@@ -371,119 +408,233 @@ impl AlignScratch {
         self.seg > 0 && p.gap_open >= p.gap_extend && p.gap_extend >= 0.0
     }
 
-    /// The prune's verdict on one subject of a batch: `Some` (every cell
-    /// skipped) when its safe score bound cannot reach `cutoff`.
-    fn pruned(&self, b: &Sequence, cutoff: Option<f32>) -> Option<ScoreOnly> {
-        let threshold = cutoff?;
-        (self.score_upper_bound(b.residues.len()) < threshold).then(|| ScoreOnly {
-            score: 0.0,
-            cells: 0,
-            cells_skipped: self.len as u64 * b.residues.len() as u64,
-        })
-    }
-
     /// Score the loaded `query` against every subject on the
-    /// inter-sequence kernel, pushing one result per subject onto `out`
-    /// in subject order.  Each vector lane holds one subject; a pass
-    /// advances every lane by two columns, and a lane whose subject ends
-    /// writes its result into the subject's slot and takes the next
-    /// subject.  Pruned and empty subjects never enter a lane.  Requires
+    /// inter-sequence lanes, pushing one result per subject onto `out`
+    /// in subject order.  With `min_score = Some(t)` and a filter that
+    /// applies ([`AlignScratch::load_filter`]), the i16 filter runs over
+    /// the batch first and the f32 lane re-scores only its candidates;
+    /// otherwise the f32 lane scores every subject.  Requires
     /// [`AlignScratch::simd_ok`].
     fn align_across<'s>(
         &mut self,
         query: &[u8],
-        mut subjects: impl Iterator<Item = &'s Sequence>,
+        subjects: impl Iterator<Item = &'s Sequence>,
         m: &ScoreMatrix,
         p: &AlignParams,
-        cutoff: Option<f32>,
+        min_score: Option<f32>,
         out: &mut Vec<ScoreOnly>,
     ) {
-        let lanes = self.level.lanes();
-        let nq = query.len();
         self.lane_matrix.clear();
         for r in 0..ALPHABET_SIZE {
             self.lane_matrix
                 .extend((0..ALPHABET_SIZE).map(|q| m.score(q, r)));
         }
         self.lane_matrix.extend([f32::NEG_INFINITY; ALPHABET_SIZE]);
-        self.lane_h.resize(nq * lanes, 0.0);
-        self.lane_e.resize(nq * lanes, f32::NEG_INFINITY);
-        self.lane_tables.resize(2 * ALPHABET_SIZE * lanes, 0.0);
-        let mut best = [0.0f32; MAX_LANES];
-        let mut codes = [PAST_END; 2 * MAX_LANES];
-        let mut lane: [Option<Lane<'s>>; MAX_LANES] = [None; MAX_LANES];
-        for (l, slot) in lane[..lanes].iter_mut().enumerate() {
-            *slot = self.refill(l, &mut subjects, cutoff, out);
-        }
-        while lane.iter().any(Option::is_some) {
-            for (l, ln) in lane[..lanes].iter().enumerate() {
-                codes[l] = ln.map_or(PAST_END, |ln| ln.at(0));
-                codes[lanes + l] = ln.map_or(PAST_END, |ln| ln.at(1));
-            }
-            simd::run_interseq(
-                self.level,
-                query,
-                &self.lane_matrix,
-                &codes,
-                &mut self.lane_tables,
-                &mut self.lane_h,
-                &mut self.lane_e,
-                &mut best,
-                p.gap_open,
-                p.gap_extend,
-            );
-            for (l, slot) in lane[..lanes].iter_mut().enumerate() {
-                let Some(ln) = slot else { continue };
-                ln.col += 2;
-                if ln.col >= ln.residues.len() {
-                    out[ln.slot] = ScoreOnly {
-                        score: best[l],
-                        cells: nq as u64 * ln.residues.len() as u64,
-                        cells_skipped: 0,
-                    };
-                    best[l] = 0.0;
-                    *slot = self.refill(l, &mut subjects, cutoff, out);
+        // Every subject takes its slot in `out` as the batch hands it
+        // out; an empty one keeps its empty result and takes no lane.
+        let mut subjects = subjects.map(|b| &b.residues[..]);
+        let next = move |out: &mut Vec<ScoreOnly>| {
+            for b in subjects.by_ref() {
+                out.push(NO_CELLS);
+                if !b.is_empty() {
+                    return Some((out.len() - 1, b));
                 }
             }
-        }
+            None
+        };
+        let Some(filter) = min_score.and_then(|t| self.load_filter(query, m, p, t)) else {
+            self.exact_across(query, p, out, next);
+            return;
+        };
+        self.filter_across(query, filter, out, next);
+        // The candidates' residues were copied out of the batch, which
+        // this call can walk only once.  The buffers leave the scratch
+        // while the f32 lane borrows it, and go back for the next call.
+        let candidates = std::mem::take(&mut self.candidates);
+        let residues = std::mem::take(&mut self.candidate_residues);
+        let mut again = candidates
+            .iter()
+            .map(|&(slot, from, to)| (slot, &residues[from..to]));
+        self.exact_across(query, p, out, |_| again.next());
+        self.rescored = Some(candidates.len());
+        self.candidates = candidates;
+        self.candidate_residues = residues;
     }
 
-    /// Give lane `l` the next subject that needs scoring, or `None` when
-    /// the batch is exhausted.  Subjects passed over (pruned or empty) get
-    /// their result pushed here; the chosen one gets a slot in `out` and
-    /// a fresh column: H = 0 and E = -inf in every row.
-    fn refill<'s>(
+    /// The f32 inter-sequence lane over the subjects `next` hands out:
+    /// each one's exact score and `|a|·|b|` cells, into its slot.
+    fn exact_across<'a>(
         &mut self,
-        l: usize,
-        subjects: &mut impl Iterator<Item = &'s Sequence>,
-        cutoff: Option<f32>,
+        query: &[u8],
+        p: &AlignParams,
         out: &mut Vec<ScoreOnly>,
-    ) -> Option<Lane<'s>> {
-        for b in subjects {
-            if let Some(r) = self.pruned(b, cutoff) {
-                out.push(r);
-                continue;
+        next: impl FnMut(&mut Vec<ScoreOnly>) -> Option<(usize, &'a [u8])>,
+    ) {
+        let nq = query.len() as u64;
+        let AlignScratch {
+            level,
+            lane_matrix,
+            lane_tables,
+            lane_h,
+            lane_e,
+            ..
+        } = self;
+        lane_tables.resize(2 * ALPHABET_SIZE * level.lanes(), 0.0);
+        run_lanes(
+            level.lanes(),
+            query.len(),
+            lane_h,
+            lane_e,
+            out,
+            next,
+            |codes, h, e, best| {
+                simd::run_interseq(
+                    *level,
+                    query,
+                    lane_matrix,
+                    codes,
+                    lane_tables,
+                    h,
+                    e,
+                    best,
+                    p.gap_open,
+                    p.gap_extend,
+                )
+            },
+            |out, slot, residues, best| {
+                out[slot] = ScoreOnly {
+                    score: best,
+                    cells: nq * residues.len() as u64,
+                    cells_skipped: 0,
+                }
+            },
+        );
+    }
+
+    /// The i16 filter over the subjects `next` hands out.  A subject whose
+    /// bound reaches the cut is copied into the candidates; every other
+    /// one gets its result, score 0 and `|a|·|b|` cells, now.
+    fn filter_across<'a>(
+        &mut self,
+        query: &[u8],
+        f: Filter,
+        out: &mut Vec<ScoreOnly>,
+        next: impl FnMut(&mut Vec<ScoreOnly>) -> Option<(usize, &'a [u8])>,
+    ) {
+        let nq = query.len() as u64;
+        let AlignScratch {
+            level,
+            filter_rows,
+            filter_tables,
+            filter_h,
+            filter_e,
+            candidates,
+            candidate_residues,
+            ..
+        } = self;
+        candidates.clear();
+        candidate_residues.clear();
+        filter_tables.resize(2 * ALPHABET_SIZE * level.filter_lanes(), 0);
+        run_lanes(
+            level.filter_lanes(),
+            query.len(),
+            filter_h,
+            filter_e,
+            out,
+            next,
+            |codes, h, e, best| {
+                simd::run_filter(
+                    *level,
+                    query,
+                    filter_rows,
+                    codes,
+                    filter_tables,
+                    h,
+                    e,
+                    best,
+                    f.open,
+                    f.ext,
+                )
+            },
+            |out, slot, residues, best| {
+                if best >= f.cut {
+                    let from = candidate_residues.len();
+                    candidate_residues.extend_from_slice(residues);
+                    candidates.push((slot, from, candidate_residues.len()));
+                } else {
+                    out[slot] = ScoreOnly {
+                        score: 0.0,
+                        cells: nq * residues.len() as u64,
+                        cells_skipped: 0,
+                    };
+                }
+            },
+        );
+    }
+
+    /// Set up the upper-bound filter for the loaded `query` at threshold
+    /// `t`, or say it does not apply.  Loads `filter_rows` with the
+    /// scaled matrix (`⌈k·s⌉`, the past-end code at `i16::MIN`) and
+    /// returns the scaled gaps (`⌊k·open⌋`, `⌊k·ext⌋`) and the cut
+    /// `⌊k·(t − δ)⌋`, where `δ` bounds how far the f32 DP's rounding can
+    /// lift a score above the real-valued DP's (DESIGN.md "Upper-bound
+    /// filter" gives the argument):
+    ///
+    /// * `S` is the sum over query positions of the position's best
+    ///   positive score; no partial value on a best path exceeds `M =
+    ///   2S`;
+    /// * such a path has at most `L = |a| + ⌈M / ext⌉` steps that round
+    ///   (`⌈M / open⌉` when `ext = 0`; a gap step that subtracts 0 is
+    ///   exact), and each rounds by at most `2⁻²⁴` of a value below `M`;
+    /// * so `δ = L · 2⁻²⁴ · M / (1 − 2⁻²⁴)`, valid while `L · 2⁻²⁴ ≤ 1/4`.
+    ///
+    /// `None` — the exact path — when the cut is below 1 (which covers
+    /// `t ≤ δ`), when `L · 2⁻²⁴ > 1/4`, or when `k·t`, a scaled entry or
+    /// a scaled gap exceeds [`FILTER_LIMIT`] in magnitude.  The caller has
+    /// checked [`AlignScratch::simd_ok`] (so the level is not `Scalar`
+    /// and `open ≥ ext ≥ 0`).
+    fn load_filter(
+        &mut self,
+        query: &[u8],
+        m: &ScoreMatrix,
+        p: &AlignParams,
+        t: f32,
+    ) -> Option<Filter> {
+        const ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
+        let k = FILTER_SCALE;
+        let fits = |x: f64| x.abs() <= FILTER_LIMIT;
+        self.filter_rows.clear();
+        self.filter_rows
+            .resize(ALPHABET_SIZE * simd::FILTER_ROW, i16::MIN);
+        let mut row_max = [0.0f64; ALPHABET_SIZE];
+        let mut ok = true;
+        for (q, top) in row_max.iter_mut().enumerate() {
+            for r in 0..ALPHABET_SIZE {
+                let s = f64::from(m.score(q, r));
+                *top = top.max(s);
+                let scaled = (k * s).ceil();
+                ok &= fits(scaled);
+                self.filter_rows[q * simd::FILTER_ROW + r] = scaled as i16;
             }
-            out.push(ScoreOnly {
-                score: 0.0,
-                cells: 0,
-                cells_skipped: 0,
-            });
-            if b.residues.is_empty() {
-                continue;
-            }
-            let lanes = self.level.lanes();
-            for i in 0..self.len {
-                self.lane_h[i * lanes + l] = 0.0;
-                self.lane_e[i * lanes + l] = f32::NEG_INFINITY;
-            }
-            return Some(Lane {
-                residues: &b.residues,
-                col: 0,
-                slot: out.len() - 1,
-            });
         }
-        None
+        let (open, ext) = (f64::from(p.gap_open), f64::from(p.gap_extend));
+        let most = 2.0 * query.iter().map(|&q| row_max[q as usize]).sum::<f64>();
+        let gap_steps = if ext > 0.0 {
+            (most / ext).ceil()
+        } else if open > 0.0 {
+            (most / open).ceil()
+        } else {
+            0.0
+        };
+        let steps = query.len() as f64 + gap_steps;
+        let delta = steps * ROUNDOFF * most / (1.0 - ROUNDOFF);
+        let cut = (k * (f64::from(t) - delta)).floor();
+        ok &= steps * ROUNDOFF <= 0.25 && fits(k * open) && fits(k * f64::from(t)) && cut >= 1.0;
+        ok.then(|| Filter {
+            cut: cut as i16,
+            open: (k * open).floor() as i16,
+            ext: (k * ext).floor() as i16,
+        })
     }
 
     /// The scalar profile kernel.  The profile must have been loaded
@@ -704,8 +855,108 @@ impl AlignScratch {
     }
 }
 
-/// Most f32 lanes of any [`SimdLevel`].
-const MAX_LANES: usize = 8;
+/// Most lanes of any inter-sequence pass: the filter's at AVX-512.
+const MAX_LANES: usize = simd::MAX_FILTER_LANES;
+
+/// The filter's scale `k`: entries are `⌈k·s⌉`, gaps `⌊k·gap⌋`.  A power
+/// of two, so every scaled value is exact in f64.
+const FILTER_SCALE: f64 = 8.0;
+
+/// Largest magnitude of a scaled entry, gap or threshold: half the i16
+/// range, so a best that saturates at `i16::MAX` is far above any cut and
+/// `i16::MIN`, the past-end code, is far below any entry.
+const FILTER_LIMIT: f64 = 16_383.0;
+
+/// The filter's scaled gaps and its cut (see [`AlignScratch::load_filter`]).
+#[derive(Clone, Copy)]
+struct Filter {
+    cut: i16,
+    open: i16,
+    ext: i16,
+}
+
+/// A lane value of the inter-sequence passes: the f32 lane's scores and
+/// the filter's i16 bounds.
+trait LaneCell: Copy {
+    const ZERO: Self;
+    /// Give lane `l` a fresh subject: H = 0 and E = minus infinity in
+    /// each of the `rows` query rows.
+    fn reset(h: &mut [Self], e: &mut [Self], l: usize, lanes: usize, rows: usize);
+}
+
+impl LaneCell for f32 {
+    const ZERO: f32 = 0.0;
+    fn reset(h: &mut [f32], e: &mut [f32], l: usize, lanes: usize, rows: usize) {
+        for i in 0..rows {
+            h[i * lanes + l] = 0.0;
+            e[i * lanes + l] = f32::NEG_INFINITY;
+        }
+    }
+}
+
+impl LaneCell for i16 {
+    const ZERO: i16 = 0;
+    fn reset(h: &mut [i16], e: &mut [i16], l: usize, lanes: usize, rows: usize) {
+        for i in 0..rows {
+            h[i * lanes + l] = 0;
+            e[i * lanes + l] = i16::MIN;
+        }
+    }
+}
+
+/// The lane driver both inter-sequence passes share.  Each of `lanes`
+/// lanes holds one subject from `next` (its slot in `out` and its
+/// residues); `pass` advances every lane by two columns over all `rows`
+/// query rows, given the lanes' subject codes and the H, E and best
+/// vectors; a lane whose subject ends hands its best to `finish`, takes
+/// the next subject with a fresh column and a zero best.  Idle lanes and
+/// the second column of a subject of odd length score the `PAST_END`
+/// code.  Stops when every lane is idle.
+#[allow(clippy::too_many_arguments)]
+fn run_lanes<'a, T: LaneCell>(
+    lanes: usize,
+    rows: usize,
+    h: &mut Vec<T>,
+    e: &mut Vec<T>,
+    out: &mut Vec<ScoreOnly>,
+    mut next: impl FnMut(&mut Vec<ScoreOnly>) -> Option<(usize, &'a [u8])>,
+    mut pass: impl FnMut(&[usize], &mut [T], &mut [T], &mut [T]),
+    mut finish: impl FnMut(&mut Vec<ScoreOnly>, usize, &'a [u8], T),
+) {
+    h.resize(rows * lanes, T::ZERO);
+    e.resize(rows * lanes, T::ZERO);
+    let mut refill = |l: usize, h: &mut [T], e: &mut [T], out: &mut Vec<ScoreOnly>| {
+        let (slot, residues) = next(out)?;
+        T::reset(h, e, l, lanes, rows);
+        Some(Lane {
+            residues,
+            col: 0,
+            slot,
+        })
+    };
+    let mut best = [T::ZERO; MAX_LANES];
+    let mut codes = [PAST_END; 2 * MAX_LANES];
+    let mut lane: [Option<Lane<'a>>; MAX_LANES] = [None; MAX_LANES];
+    for (l, slot) in lane[..lanes].iter_mut().enumerate() {
+        *slot = refill(l, h, e, out);
+    }
+    while lane.iter().any(Option::is_some) {
+        for (l, ln) in lane[..lanes].iter().enumerate() {
+            codes[l] = ln.map_or(PAST_END, |ln| ln.at(0));
+            codes[lanes + l] = ln.map_or(PAST_END, |ln| ln.at(1));
+        }
+        pass(&codes[..2 * lanes], h, e, &mut best[..lanes]);
+        for (l, slot) in lane[..lanes].iter_mut().enumerate() {
+            let Some(ln) = slot else { continue };
+            ln.col += 2;
+            if ln.col >= ln.residues.len() {
+                finish(out, ln.slot, ln.residues, best[l]);
+                best[l] = T::ZERO;
+                *slot = refill(l, h, e, out);
+            }
+        }
+    }
+}
 
 /// Subject residue code of a lane past its subject's end: the
 /// `lane_matrix` row of `-inf` scores.
@@ -745,13 +996,20 @@ pub fn align_score_with(
 
 /// One query against a batch of subjects: the profile is built once and
 /// the scratch is reused across the whole batch.  Results are pushed onto
-/// `out` (cleared first) in subject order.
+/// `out` (cleared first) in subject order, each with `cells = |a|·|b|`
+/// and `cells_skipped = 0`.
 ///
-/// When `p.prune` is set and `min_score` is `Some`, subjects whose safe
-/// score upper bound falls below the threshold are skipped and reported
-/// as `score: 0.0, cells: 0` — the match set is unchanged (a skipped pair
-/// can never reach the threshold) but skipped pairs contribute no cells
-/// to the cost accounting.
+/// With `min_score = None` every score is exact: the bits of
+/// [`align_score_naive`].  With `min_score = Some(t)` the scores are
+/// **exact above the threshold**: a subject whose exact score is `≥ t`
+/// reports those bits, and every other subject reports a score `< t`
+/// (0 when the upper-bound filter ruled it out).  The filter — a
+/// saturating i16 pass over a scaled matrix that bounds every score from
+/// above — leaves the f32 lane only the subjects that may reach `t`;
+/// [`AlignScratch::rescored`] counts them.  It stands aside, and every
+/// score is exact, at the scalar level, for gaps outside `open ≥ ext ≥
+/// 0`, and for thresholds or matrices it cannot scale (see DESIGN.md
+/// "Upper-bound filter").
 pub fn align_score_many<'s, I>(
     a: &Sequence,
     subjects: I,
@@ -765,14 +1023,13 @@ pub fn align_score_many<'s, I>(
 {
     scratch.set_query(a, m);
     out.clear();
-    let cutoff = if p.prune { min_score } else { None };
+    scratch.rescored = None;
     if scratch.simd_ok(p) {
-        scratch.align_across(&a.residues, subjects.into_iter(), m, p, cutoff, out);
+        scratch.align_across(&a.residues, subjects.into_iter(), m, p, min_score, out);
         return;
     }
     for b in subjects {
-        let r = scratch.pruned(b, cutoff);
-        out.push(r.unwrap_or_else(|| scratch.align_loaded(&b.residues, p)));
+        out.push(scratch.align_loaded(&b.residues, p));
     }
 }
 

@@ -35,17 +35,29 @@
 //! "Inter-sequence lane" covers the lane refill and why a lane past its
 //! subject's end cannot disturb its score.
 //!
+//! A third, the **upper-bound filter** ([`run_filter`]), is the same
+//! inter-sequence pass on a scaled integer matrix in saturating `i16`
+//! lanes (SWIPE's 16-bit scores): 8, 16 and 32 subjects per vector at
+//! SSE2, AVX2 and AVX-512.  It computes no score anyone reads, only a
+//! safe upper bound on each subject's, so that `align_score_many` can
+//! leave the f32 lane the subjects that may reach a threshold.  DESIGN.md
+//! "Upper-bound filter" gives the argument.
+//!
 //! Level selection: [`detect`] probes the CPU once (cached) and honours a
-//! `BIOOPERA_SIMD` override (`scalar`/`sse2`/`avx2`/`auto`), clamped to
-//! what the host supports.  SSE2 is part of the x86_64 baseline; AVX2 is
-//! gated on CPUID.  Non-x86_64 hosts always report [`SimdLevel::Scalar`]
-//! and use the portable profile kernel in `align.rs`.
+//! `BIOOPERA_SIMD` override (`scalar`/`sse2`/`avx2`/`avx512`/`auto`),
+//! clamped to what the host supports.  SSE2 is part of the x86_64
+//! baseline; AVX2 and AVX-512 (`avx512f` + `avx512bw`) are gated on
+//! CPUID.  The f32 kernels run at AVX2 width at the `Avx512` level; only
+//! the filter is wider there.  Non-x86_64 hosts always report
+//! [`SimdLevel::Scalar`] and use the portable profile kernel in
+//! `align.rs`.
 
 use std::sync::OnceLock;
 
 /// Vector width the alignment kernel dispatches to.
 ///
-/// Ordered: `Scalar < Sse2 < Avx2`, so levels can be clamped with `min`.
+/// Ordered: `Scalar < Sse2 < Avx2 < Avx512`, so levels can be clamped
+/// with `min`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
     /// Portable scalar profile kernel (any host).
@@ -54,15 +66,30 @@ pub enum SimdLevel {
     Sse2,
     /// 8 × f32 lanes (`__m256`); requires runtime AVX2 support.
     Avx2,
+    /// The AVX2 f32 kernels, and a 32 × i16 filter (`__m512i`); requires
+    /// runtime AVX-512F and AVX-512BW support.
+    Avx512,
 }
 
 impl SimdLevel {
-    /// f32 lanes per vector at this level.
+    /// f32 lanes per vector at this level (the `Avx512` level runs the
+    /// f32 kernels at AVX2 width).
     pub fn lanes(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
             SimdLevel::Sse2 => 4,
-            SimdLevel::Avx2 => 8,
+            SimdLevel::Avx2 | SimdLevel::Avx512 => 8,
+        }
+    }
+
+    /// i16 lanes per vector of the upper-bound filter at this level (1
+    /// at `Scalar`, which has no filter).
+    pub fn filter_lanes(self) -> usize {
+        match self {
+            SimdLevel::Scalar => 1,
+            SimdLevel::Sse2 => 8,
+            SimdLevel::Avx2 => 16,
+            SimdLevel::Avx512 => 32,
         }
     }
 
@@ -72,6 +99,7 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -83,6 +111,7 @@ pub(crate) fn parse_level(s: &str) -> Option<SimdLevel> {
         "scalar" | "off" | "none" | "0" => Some(SimdLevel::Scalar),
         "sse2" | "sse" => Some(SimdLevel::Sse2),
         "avx2" | "avx" => Some(SimdLevel::Avx2),
+        "avx512" | "avx512bw" => Some(SimdLevel::Avx512),
         _ => None,
     }
 }
@@ -91,7 +120,11 @@ pub(crate) fn parse_level(s: &str) -> Option<SimdLevel> {
 pub fn max_supported() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            SimdLevel::Avx512
+        } else if std::arch::is_x86_feature_detected!("avx2") {
             SimdLevel::Avx2
         } else {
             SimdLevel::Sse2
@@ -104,7 +137,8 @@ pub fn max_supported() -> SimdLevel {
 }
 
 /// The level new scratches dispatch to: the hardware maximum, optionally
-/// lowered by `BIOOPERA_SIMD` (`scalar`, `sse2`, `avx2`, `auto`).  Probed
+/// lowered by `BIOOPERA_SIMD` (`scalar`, `sse2`, `avx2`, `avx512`,
+/// `auto`).  Probed
 /// once per process and cached; tests that need a specific level should
 /// pin it via [`crate::align::AlignScratch::with_level`] instead of
 /// mutating the environment.
@@ -149,13 +183,16 @@ pub(crate) fn run_striped(
         assert!(suffix.len() > subject.len());
     }
     #[cfg(target_arch = "x86_64")]
-    // Safety: buffer sizes asserted above; `Avx2` only reaches here via
-    // `detect`/`max_supported`, which gate it on runtime CPUID support.
+    // Safety: buffer sizes asserted above; `Avx2` and `Avx512` only reach
+    // here via `detect`/`max_supported`, which gate them on runtime CPUID
+    // support (and AVX-512F implies AVX2).
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!("run_striped called at scalar level"),
             SimdLevel::Sse2 => x86::run_sse2(profile, seg, ha, hb, ev, subject, open, ext, band),
-            SimdLevel::Avx2 => x86::run_avx2(profile, seg, ha, hb, ev, subject, open, ext, band),
+            SimdLevel::Avx2 | SimdLevel::Avx512 => {
+                x86::run_avx2(profile, seg, ha, hb, ev, subject, open, ext, band)
+            }
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -208,16 +245,16 @@ pub(crate) fn run_interseq(
     // Every query residue indexes a table row.
     assert!(query.iter().fold(0, |m, &q| m.max(q)) < ALPHABET_SIZE as u8);
     #[cfg(target_arch = "x86_64")]
-    // Safety: buffer sizes and index ranges asserted above; `Avx2` only
-    // reaches here via `detect`/`max_supported`, which gate it on
-    // runtime CPUID support.
+    // Safety: buffer sizes and index ranges asserted above; `Avx2` and
+    // `Avx512` only reach here via `detect`/`max_supported`, which gate
+    // them on runtime CPUID support (and AVX-512F implies AVX2).
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!(),
             SimdLevel::Sse2 => {
                 x86::interseq_sse2(query, matrix, codes, tables, h, e, best, open, ext)
             }
-            SimdLevel::Avx2 => {
+            SimdLevel::Avx2 | SimdLevel::Avx512 => {
                 x86::interseq_avx2(query, matrix, codes, tables, h, e, best, open, ext)
             }
         }
@@ -226,6 +263,78 @@ pub(crate) fn run_interseq(
     {
         let _ = (query, matrix, codes, tables, h, e, best, open, ext);
         unreachable!("run_interseq: no SIMD backend on this architecture")
+    }
+}
+
+/// Entries per row of the filter's score rows: one per subject code
+/// (`LANE_MATRIX_ROWS` of them) padded to the 32 that one `vpermw` indexes.
+pub(crate) const FILTER_ROW: usize = 32;
+
+/// Most i16 lanes of any level's filter.
+pub(crate) const MAX_FILTER_LANES: usize = 32;
+
+/// Run one pass of the upper-bound filter at `level` (must not be
+/// `Scalar`): [`run_interseq`]'s pass on i16 lanes with saturating adds
+/// and subtracts, `level.filter_lanes()` subjects wide.
+///
+/// Layout contract (checked): `rows[q * FILTER_ROW + r]` is the scaled
+/// score of query residue `q` against subject code `r` (`r <
+/// LANE_MATRIX_ROWS`; the last code is a lane past its subject's end and
+/// must score `i16::MIN`).  `codes`, `h`, `e` and `best` are laid out as
+/// in [`run_interseq`] with `lanes = level.filter_lanes()`; `tables` is
+/// scratch for the pass's two column tables, `2 * ALPHABET_SIZE * lanes`
+/// entries.  `open >= ext >= 0` are the scaled gap penalties.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_filter(
+    level: SimdLevel,
+    query: &[u8],
+    rows: &[i16],
+    codes: &[usize],
+    tables: &mut [i16],
+    h: &mut [i16],
+    e: &mut [i16],
+    best: &mut [i16],
+    open: i16,
+    ext: i16,
+) {
+    use crate::alphabet::ALPHABET_SIZE;
+    let lanes = level.filter_lanes();
+    let n = query.len() * lanes;
+    assert!(lanes > 1, "run_filter called at scalar level");
+    assert!(rows.len() >= ALPHABET_SIZE * FILTER_ROW);
+    assert!(codes.len() >= 2 * lanes);
+    assert!(codes.iter().all(|&r| r < LANE_MATRIX_ROWS));
+    assert!(tables.len() >= 2 * ALPHABET_SIZE * lanes);
+    assert!(h.len() >= n && e.len() >= n && best.len() >= lanes);
+    assert!(open >= ext && ext >= 0);
+    assert!(query.iter().fold(0, |m, &q| m.max(q)) < ALPHABET_SIZE as u8);
+    // The AVX-512 tables index the rows with a vector of u16 codes.
+    let mut codes16 = [0u16; 2 * MAX_FILTER_LANES];
+    for (c, &r) in codes16.iter_mut().zip(&codes[..2 * lanes]) {
+        *c = r as u16;
+    }
+    #[cfg(target_arch = "x86_64")]
+    // Safety: buffer sizes and index ranges asserted above; `Avx2` and
+    // `Avx512` only reach here via `detect`/`max_supported`, which gate
+    // them on runtime CPUID support.
+    unsafe {
+        match level {
+            SimdLevel::Scalar => unreachable!(),
+            SimdLevel::Sse2 => {
+                x86::filter_sse2(query, rows, &codes16, tables, h, e, best, open, ext)
+            }
+            SimdLevel::Avx2 => {
+                x86::filter_avx2(query, rows, &codes16, tables, h, e, best, open, ext)
+            }
+            SimdLevel::Avx512 => {
+                x86::filter_avx512(query, rows, &codes16, tables, h, e, best, open, ext)
+            }
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (query, rows, codes16, tables, h, e, best, open, ext);
+        unreachable!("run_filter: no SIMD backend on this architecture")
     }
 }
 
@@ -610,6 +719,255 @@ mod x86 {
         interseq::<Avx2>(query, matrix, codes, tables, h, e, best, open, ext)
     }
 
+    /// Lane-width abstraction over the saturating i16 vector ops of the
+    /// upper-bound filter; the same contract as [`Ops`], for `LANES`
+    /// i16s.
+    trait Ops16: Copy {
+        type V: Copy;
+        const LANES: usize;
+        unsafe fn splat(x: i16) -> Self::V;
+        unsafe fn adds(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn subs(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
+        unsafe fn load(p: *const i16) -> Self::V;
+        unsafe fn store(p: *mut i16, v: Self::V);
+
+        /// One column table of the filter pass: row `q` (at `dst +
+        /// q*LANES`) gets, in lane `l`, `rows[q * FILTER_ROW + codes[l]]`.
+        /// A plain copy; the 32-lane level looks the rows up instead.
+        #[inline(always)]
+        unsafe fn table(rows: *const i16, codes: *const u16, dst: *mut i16) {
+            use super::FILTER_ROW;
+            use crate::alphabet::ALPHABET_SIZE;
+            for q in 0..ALPHABET_SIZE {
+                let row = rows.add(q * FILTER_ROW);
+                let out = dst.add(q * Self::LANES);
+                for l in 0..Self::LANES {
+                    *out.add(l) = *row.add(*codes.add(l) as usize);
+                }
+            }
+        }
+    }
+
+    impl Ops16 for Sse2 {
+        type V = __m128i;
+        const LANES: usize = 8;
+        #[inline(always)]
+        unsafe fn splat(x: i16) -> __m128i {
+            _mm_set1_epi16(x)
+        }
+        #[inline(always)]
+        unsafe fn adds(a: __m128i, b: __m128i) -> __m128i {
+            _mm_adds_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn subs(a: __m128i, b: __m128i) -> __m128i {
+            _mm_subs_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m128i, b: __m128i) -> __m128i {
+            _mm_max_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i16) -> __m128i {
+            _mm_loadu_si128(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut i16, v: __m128i) {
+            _mm_storeu_si128(p.cast(), v)
+        }
+    }
+
+    impl Ops16 for Avx2 {
+        type V = __m256i;
+        const LANES: usize = 16;
+        #[inline(always)]
+        unsafe fn splat(x: i16) -> __m256i {
+            _mm256_set1_epi16(x)
+        }
+        #[inline(always)]
+        unsafe fn adds(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_adds_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn subs(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_subs_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_max_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i16) -> __m256i {
+            _mm256_loadu_si256(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut i16, v: __m256i) {
+            _mm256_storeu_si256(p.cast(), v)
+        }
+    }
+
+    #[derive(Clone, Copy)]
+    struct Avx512;
+
+    impl Ops16 for Avx512 {
+        type V = __m512i;
+        const LANES: usize = 32;
+        #[inline(always)]
+        unsafe fn splat(x: i16) -> __m512i {
+            _mm512_set1_epi16(x)
+        }
+        #[inline(always)]
+        unsafe fn adds(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_adds_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn subs(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_subs_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn max(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_max_epi16(a, b)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const i16) -> __m512i {
+            _mm512_loadu_si512(p.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut i16, v: __m512i) {
+            _mm512_storeu_si512(p.cast(), v)
+        }
+        /// Each table row is one `vpermw`: the row of its query residue
+        /// indexed by the 32 lanes' codes.
+        #[inline(always)]
+        unsafe fn table(rows: *const i16, codes: *const u16, dst: *mut i16) {
+            use super::FILTER_ROW;
+            use crate::alphabet::ALPHABET_SIZE;
+            let idx = _mm512_loadu_si512(codes.cast());
+            for q in 0..ALPHABET_SIZE {
+                let row = _mm512_loadu_si512(rows.add(q * FILTER_ROW).cast());
+                _mm512_storeu_si512(dst.add(q * 32).cast(), _mm512_permutexvar_epi16(idx, row));
+            }
+        }
+    }
+
+    /// The filter pass: [`interseq`]'s recurrence, operand for operand, on
+    /// i16 lanes whose adds and subtracts saturate.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn filter<O: Ops16>(
+        query: &[u8],
+        rows: &[i16],
+        codes: &[u16],
+        tables: &mut [i16],
+        h: &mut [i16],
+        e: &mut [i16],
+        best: &mut [i16],
+        open: i16,
+        ext: i16,
+    ) {
+        use crate::alphabet::ALPHABET_SIZE;
+        let lanes = O::LANES;
+        let t1: *mut i16 = tables.as_mut_ptr();
+        let t2: *mut i16 = t1.add(ALPHABET_SIZE * lanes);
+        O::table(rows.as_ptr(), codes.as_ptr(), t1);
+        O::table(rows.as_ptr(), codes.as_ptr().add(lanes), t2);
+        let vopen = O::splat(open);
+        let vext = O::splat(ext);
+        let vzero = O::splat(0);
+        let hp: *mut i16 = h.as_mut_ptr();
+        let ep: *mut i16 = e.as_mut_ptr();
+        let mut vbest = O::load(best.as_ptr());
+        let mut diag1 = vzero;
+        let mut diag2 = vzero;
+        let mut f1 = O::splat(i16::MIN);
+        let mut f2 = f1;
+        for (i, &q) in query.iter().enumerate() {
+            let o = i * lanes;
+            let qo = q as usize * lanes;
+            let left = O::load(hp.add(o));
+            let ve = O::load(ep.add(o));
+            let h0 = O::max(O::max(O::adds(diag1, O::load(t1.add(qo))), ve), vzero);
+            let h1 = O::max(h0, f1);
+            f1 = O::max(O::subs(f1, vext), O::subs(h0, vopen));
+            let ve = O::max(O::subs(ve, vext), O::subs(h1, vopen));
+            let g0 = O::max(O::max(O::adds(diag2, O::load(t2.add(qo))), ve), vzero);
+            let h2 = O::max(g0, f2);
+            f2 = O::max(O::subs(f2, vext), O::subs(g0, vopen));
+            O::store(ep.add(o), O::max(O::subs(ve, vext), O::subs(h2, vopen)));
+            O::store(hp.add(o), h2);
+            vbest = O::max(vbest, O::max(h1, h2));
+            diag1 = left;
+            diag2 = h1;
+        }
+        O::store(best.as_mut_ptr(), vbest);
+    }
+
+    /// [`filter`] at SSE2 width.
+    ///
+    /// # Safety
+    ///
+    /// The buffers are laid out as [`super::run_filter`] asserts (SSE2 is
+    /// the x86_64 baseline).
+    #[allow(clippy::too_many_arguments)]
+    pub(super) unsafe fn filter_sse2(
+        query: &[u8],
+        rows: &[i16],
+        codes: &[u16],
+        tables: &mut [i16],
+        h: &mut [i16],
+        e: &mut [i16],
+        best: &mut [i16],
+        open: i16,
+        ext: i16,
+    ) {
+        filter::<Sse2>(query, rows, codes, tables, h, e, best, open, ext)
+    }
+
+    /// [`filter`] at AVX2 width.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, and the buffers are laid out as
+    /// [`super::run_filter`] asserts.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn filter_avx2(
+        query: &[u8],
+        rows: &[i16],
+        codes: &[u16],
+        tables: &mut [i16],
+        h: &mut [i16],
+        e: &mut [i16],
+        best: &mut [i16],
+        open: i16,
+        ext: i16,
+    ) {
+        filter::<Avx2>(query, rows, codes, tables, h, e, best, open, ext)
+    }
+
+    /// [`filter`] at AVX-512F and AVX-512BW width.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX-512F and AVX-512BW, and the buffers are laid
+    /// out as [`super::run_filter`] asserts.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) unsafe fn filter_avx512(
+        query: &[u8],
+        rows: &[i16],
+        codes: &[u16],
+        tables: &mut [i16],
+        h: &mut [i16],
+        e: &mut [i16],
+        best: &mut [i16],
+        open: i16,
+        ext: i16,
+    ) {
+        filter::<Avx512>(query, rows, codes, tables, h, e, best, open, ext)
+    }
+
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -664,6 +1022,7 @@ mod tests {
         assert_eq!(parse_level("OFF"), Some(SimdLevel::Scalar));
         assert_eq!(parse_level("sse2"), Some(SimdLevel::Sse2));
         assert_eq!(parse_level("AVX2"), Some(SimdLevel::Avx2));
+        assert_eq!(parse_level("avx512"), Some(SimdLevel::Avx512));
         assert_eq!(parse_level("auto"), None);
         assert_eq!(parse_level("bogus"), None);
     }
@@ -671,9 +1030,15 @@ mod tests {
     #[test]
     fn levels_order_and_lanes() {
         assert!(SimdLevel::Scalar < SimdLevel::Sse2 && SimdLevel::Sse2 < SimdLevel::Avx2);
+        assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
         assert_eq!(SimdLevel::Scalar.lanes(), 1);
         assert_eq!(SimdLevel::Sse2.lanes(), 4);
         assert_eq!(SimdLevel::Avx2.lanes(), 8);
+        // The f32 kernels run at AVX2 width at the AVX-512 level.
+        assert_eq!(SimdLevel::Avx512.lanes(), 8);
+        assert_eq!(SimdLevel::Sse2.filter_lanes(), 8);
+        assert_eq!(SimdLevel::Avx2.filter_lanes(), 16);
+        assert_eq!(SimdLevel::Avx512.filter_lanes(), 32);
         // Clamping an over-ask is a plain min.
         assert_eq!(SimdLevel::Avx2.min(SimdLevel::Scalar), SimdLevel::Scalar);
     }
@@ -681,5 +1046,130 @@ mod tests {
     #[test]
     fn detect_never_exceeds_hardware() {
         assert!(detect() <= max_supported());
+    }
+
+    /// The filter's recurrence for one pair, one cell at a time, with
+    /// `i16`'s own saturating arithmetic: the reference for one lane.
+    /// Returns the best and the last column's H and E.
+    fn filter_reference(
+        query: &[u8],
+        rows: &[i16],
+        subject: &[usize],
+        open: i16,
+        ext: i16,
+    ) -> (i16, Vec<i16>, Vec<i16>) {
+        let n = query.len();
+        let (mut h, mut e) = (vec![0i16; n], vec![i16::MIN; n]);
+        let mut best = 0i16;
+        for &c in subject {
+            let (mut diag, mut f) = (0i16, i16::MIN);
+            for i in 0..n {
+                let s = rows[query[i] as usize * FILTER_ROW + c];
+                let h0 = diag.saturating_add(s).max(e[i]).max(0);
+                let hv = h0.max(f);
+                f = f.saturating_sub(ext).max(h0.saturating_sub(open));
+                e[i] = e[i].saturating_sub(ext).max(hv.saturating_sub(open));
+                diag = h[i];
+                h[i] = hv;
+                best = best.max(hv);
+            }
+        }
+        (best, h, e)
+    }
+
+    /// Every filter level against the reference, lane by lane: the best
+    /// and the final H and E columns, over subjects of mixed lengths
+    /// (lanes running past their ends, which the reference scores as the
+    /// past-end code too) and copies of the query long enough to
+    /// saturate.  A saturating add that wraps instead, or a lane that
+    /// feeds its neighbour, differs.
+    #[test]
+    fn filter_lanes_saturate_like_the_reference() {
+        use crate::alphabet::ALPHABET_SIZE;
+        const PAST: usize = LANE_MATRIX_ROWS - 1;
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        // Scaled entries in [-40, 40), identities 100, by query residue;
+        // the past-end code at i16::MIN.
+        let mut rows = vec![i16::MIN; ALPHABET_SIZE * FILTER_ROW];
+        for q in 0..ALPHABET_SIZE {
+            for r in 0..ALPHABET_SIZE {
+                rows[q * FILTER_ROW + r] = if q == r { 100 } else { draw(80) as i16 - 40 };
+            }
+        }
+        let query: Vec<u8> = (0..400).map(|_| draw(20) as u8).collect();
+        let (open, ext) = (88, 8);
+        for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
+            if level > max_supported() {
+                continue;
+            }
+            let lanes = level.filter_lanes();
+            let subjects: Vec<Vec<usize>> = (0..lanes)
+                .map(|l| match l % 4 {
+                    0 => query.iter().map(|&q| q as usize).collect(),
+                    _ => (0..draw(500)).map(|_| draw(20) as usize).collect(),
+                })
+                .collect();
+            let cols = subjects
+                .iter()
+                .map(Vec::len)
+                .max()
+                .unwrap_or(0)
+                .next_multiple_of(2);
+            let padded = |l: usize, j: usize| subjects[l].get(j).copied().unwrap_or(PAST);
+            let mut h = vec![0i16; query.len() * lanes];
+            let mut e = vec![i16::MIN; query.len() * lanes];
+            let mut best = vec![0i16; lanes];
+            let mut tables = vec![0i16; 2 * ALPHABET_SIZE * lanes];
+            let mut codes = vec![0usize; 2 * lanes];
+            for j in (0..cols).step_by(2) {
+                for l in 0..lanes {
+                    codes[l] = padded(l, j);
+                    codes[lanes + l] = padded(l, j + 1);
+                }
+                run_filter(
+                    level,
+                    &query,
+                    &rows,
+                    &codes,
+                    &mut tables,
+                    &mut h,
+                    &mut e,
+                    &mut best,
+                    open,
+                    ext,
+                );
+            }
+            for l in 0..lanes {
+                let subject: Vec<usize> = (0..cols).map(|j| padded(l, j)).collect();
+                let (want, want_h, want_e) = filter_reference(&query, &rows, &subject, open, ext);
+                assert_eq!(best[l], want, "level {} lane {l}: best", level.name());
+                for i in 0..query.len() {
+                    assert_eq!(
+                        h[i * lanes + l],
+                        want_h[i],
+                        "level {} lane {l} row {i}: H",
+                        level.name()
+                    );
+                    assert_eq!(
+                        e[i * lanes + l],
+                        want_e[i],
+                        "level {} lane {l} row {i}: E",
+                        level.name()
+                    );
+                }
+            }
+            assert_eq!(
+                best[0],
+                i16::MAX,
+                "level {}: the query copy must saturate",
+                level.name()
+            );
+        }
     }
 }

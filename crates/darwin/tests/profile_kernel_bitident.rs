@@ -118,32 +118,33 @@ proptest! {
     }
 
     #[test]
-    fn prune_never_drops_a_pair_reaching_the_threshold(
+    fn a_threshold_never_drops_a_pair_reaching_it(
         query in residues(32),
         subjects in prop::collection::vec(residues(32), 0..6),
         threshold in 0.0f32..120.0,
     ) {
-        // With pruning on, a skipped pair reports score 0 — legal only if
-        // its true score was below the threshold.
+        // With a threshold, a pair reaching it keeps its exact score, and
+        // any other pair reports a score below it — never a cell less.
         let fam = PamFamily::default();
         let m = fam.nearest(120);
-        let p = AlignParams { prune: true, ..AlignParams::default() };
+        let p = AlignParams::default();
         let q = Sequence::new(0, query);
         let subs: Vec<Sequence> =
             subjects.into_iter().enumerate().map(|(i, r)| Sequence::new(1 + i as u32, r)).collect();
         let mut scratch = AlignScratch::new();
         let mut out = Vec::new();
         align_score_many(&q, subs.iter(), m, &p, Some(threshold), &mut scratch, &mut out);
+        prop_assert_eq!(out.len(), subs.len());
         for (s, r) in subs.iter().zip(&out) {
             let naive = align_score_naive(&q, s, m, &p);
-            if r.cells == 0 && naive.cells != 0 {
-                // Pruned: the oracle score must be under the threshold.
-                prop_assert!(naive.score < threshold,
-                    "pruned a pair scoring {} >= threshold {}", naive.score, threshold);
-            } else {
+            if naive.score >= threshold {
                 prop_assert_eq!(r.score.to_bits(), naive.score.to_bits());
-                prop_assert_eq!(r.cells, naive.cells);
+            } else {
+                prop_assert!(r.score < threshold,
+                    "a pair scoring {} reported {} at threshold {}", naive.score, r.score, threshold);
             }
+            prop_assert_eq!(r.cells, naive.cells);
+            prop_assert_eq!(r.cells_skipped, 0);
         }
     }
 }

@@ -380,10 +380,9 @@ pub fn build_library(mode: &AllVsAllMode, config: &AllVsAllConfig) -> ActivityLi
                         .get("item")
                         .ok_or_else(|| "missing item".to_string())?,
                 )?;
-                // Only *computed* cells feed the cost model; provably
-                // skipped work (prune) costs nothing.
-                let (matches, cells, _skipped) =
-                    fixed_pass(&db_fixed, &pam_fixed, &entries, threshold);
+                // Every pair's `|a|·|b|` cells feed the cost model, the
+                // pairs the upper-bound filter ruled out included.
+                let (matches, cells) = fixed_pass(&db_fixed, &pam_fixed, &entries, threshold);
                 let out_matches: Vec<Value> = matches
                     .iter()
                     .map(|m| {
@@ -635,7 +634,7 @@ fn fixed_pass(
     pam: &PamFamily,
     entries: &[u32],
     threshold: f32,
-) -> (Vec<Match>, u64, u64) {
+) -> (Vec<Match>, u64) {
     fixed_pass_with_workers(db, pam, entries, threshold, workers())
 }
 
@@ -646,16 +645,17 @@ fn fixed_pass(
 /// `f > e`, so contiguous chunking would leave the last worker with far
 /// fewer cells than the first.  Per entry, one query profile build is
 /// amortized over the whole `f > e` batch, with zero per-pair
-/// allocation.  Returns `(matches, cells, cells_skipped)`: DP cells
-/// computed and DP cells provably skipped (the prune bound), so cost
-/// accounting stays honest when `prune` is enabled.
+/// allocation.  `align_score_many` gets the threshold, so its upper-bound
+/// filter leaves the f32 lane only the pairs that may reach it; a match's
+/// score is still its exact one.  Returns `(matches, cells)`, `cells`
+/// counting `|a|·|b|` for every pair.
 pub fn fixed_pass_with_workers(
     db: &SequenceDb,
     pam: &PamFamily,
     entries: &[u32],
     threshold: f32,
     workers: usize,
-) -> (Vec<Match>, u64, u64) {
+) -> (Vec<Match>, u64) {
     let params = AlignParams::default();
     let matrix = pam.nearest(FIXED_PAM);
     let n = db.len() as u32;
@@ -666,7 +666,6 @@ pub fn fixed_pass_with_workers(
         |(scratch, scores), &e| {
             let mut matches = Vec::new();
             let mut cells = 0u64;
-            let mut skipped = 0u64;
             if e + 1 < n {
                 align_score_many(
                     db.get(e),
@@ -679,24 +678,21 @@ pub fn fixed_pass_with_workers(
                 );
                 for (off, r) in scores.iter().enumerate() {
                     cells += r.cells;
-                    skipped += r.cells_skipped;
                     if r.score >= threshold {
                         matches.push(Match::unrefined(e, e + 1 + off as u32, r.score));
                     }
                 }
             }
-            (matches, cells, skipped)
+            (matches, cells)
         },
     );
     let mut matches = Vec::new();
     let mut cells = 0u64;
-    let mut cells_skipped = 0u64;
-    for (m, c, s) in results {
+    for (m, c) in results {
         matches.extend(m);
         cells += c;
-        cells_skipped += s;
     }
-    (matches, cells, cells_skipped)
+    (matches, cells)
 }
 
 /// The refinement of a chunk's matches, on one worker per core.

@@ -32,19 +32,13 @@ fn fixed_pass_matches_are_identical_across_worker_counts() {
     let entries: Vec<u32> = (0..db.len() as u32).collect();
     let threshold = 80.0;
 
-    let (base_matches, base_cells, base_skipped) =
-        fixed_pass_with_workers(&db, &pam, &entries, threshold, 1);
+    let (base_matches, base_cells) = fixed_pass_with_workers(&db, &pam, &entries, threshold, 1);
     assert!(!base_matches.is_empty(), "workload should produce matches");
     let base_digest = digest_of(&base_matches);
 
     for workers in [2usize, 3, 5, 13, 64] {
-        let (matches, cells, skipped) =
-            fixed_pass_with_workers(&db, &pam, &entries, threshold, workers);
+        let (matches, cells) = fixed_pass_with_workers(&db, &pam, &entries, threshold, workers);
         assert_eq!(cells, base_cells, "cells differ at {workers} workers");
-        assert_eq!(
-            skipped, base_skipped,
-            "skipped cells differ at {workers} workers"
-        );
         assert_eq!(
             matches.len(),
             base_matches.len(),
@@ -73,16 +67,14 @@ fn fixed_pass_handles_partial_and_empty_queues() {
         &pam,
     );
     // Empty queue: nothing to do at any worker count.
-    let (m, c, sk) = fixed_pass_with_workers(&db, &pam, &[], 80.0, 4);
+    let (m, c) = fixed_pass_with_workers(&db, &pam, &[], 80.0, 4);
     assert!(m.is_empty());
     assert_eq!(c, 0);
-    assert_eq!(sk, 0);
     // A partial, non-contiguous queue is still worker-count-invariant.
     let entries = vec![7u32, 0, 11, 3];
-    let (m1, c1, s1) = fixed_pass_with_workers(&db, &pam, &entries, 40.0, 1);
-    let (m4, c4, s4) = fixed_pass_with_workers(&db, &pam, &entries, 40.0, 4);
+    let (m1, c1) = fixed_pass_with_workers(&db, &pam, &entries, 40.0, 1);
+    let (m4, c4) = fixed_pass_with_workers(&db, &pam, &entries, 40.0, 4);
     assert_eq!(c1, c4);
-    assert_eq!(s1, s4);
     assert_eq!(m1.len(), m4.len());
     for (a, b) in m1.iter().zip(&m4) {
         assert_eq!(
@@ -92,7 +84,7 @@ fn fixed_pass_handles_partial_and_empty_queues() {
     }
     // The last entry aligns against nothing ahead of it only when it is
     // the database's final entry; entry 11 here contributes zero pairs.
-    let (m_last, c_last, _) = fixed_pass_with_workers(&db, &pam, &[11], 40.0, 2);
+    let (m_last, c_last) = fixed_pass_with_workers(&db, &pam, &[11], 40.0, 2);
     assert!(m_last.is_empty());
     assert_eq!(c_last, 0);
 }
@@ -113,10 +105,11 @@ fn fixed_pass_is_the_per_pair_oracle() {
     let m = pam.nearest(FIXED_PAM);
     let p = AlignParams::default();
     let entries: Vec<u32> = (0..n).collect();
-    // Threshold 0 keeps every pair (scores are never negative); the
-    // second one keeps some of them.
+    // Threshold 0 keeps every pair (scores are never negative) and runs
+    // no filter; 30 and 80, the fixed pass's own, keep some of them and
+    // run the upper-bound filter wherever the host has a SIMD level.
     let pairs = (n * (n - 1) / 2) as usize;
-    for threshold in [0.0f32, 30.0] {
+    for threshold in [0.0f32, 30.0, 80.0] {
         let mut expected = Vec::new();
         let mut cells = 0u64;
         for e in 0..n {
@@ -131,7 +124,7 @@ fn fixed_pass_is_the_per_pair_oracle() {
         assert!(threshold > 0.0 || expected.len() == pairs);
         assert!(threshold == 0.0 || (!expected.is_empty() && expected.len() < pairs));
         for workers in [1usize, 3] {
-            let (matches, got_cells, skipped) =
+            let (matches, got_cells) =
                 fixed_pass_with_workers(&db, &pam, &entries, threshold, workers);
             let got: Vec<_> = matches
                 .iter()
@@ -139,7 +132,6 @@ fn fixed_pass_is_the_per_pair_oracle() {
                 .collect();
             assert_eq!(got, expected, "threshold {threshold}, {workers} workers");
             assert_eq!(got_cells, cells);
-            assert_eq!(skipped, 0);
         }
     }
 }

@@ -58,7 +58,7 @@ fn refine_pass_is_identical_across_worker_counts() {
         &pam,
     );
     let entries: Vec<u32> = (0..db.len() as u32).collect();
-    let (matches, _, _) = fixed_pass_with_workers(&db, &pam, &entries, 40.0, 2);
+    let (matches, _) = fixed_pass_with_workers(&db, &pam, &entries, 40.0, 2);
     let pairs: Vec<(u32, u32)> = matches.iter().map(|m| (m.query, m.subject)).collect();
     let queries = pairs.chunk_by(|x, y| x.0 == y.0).count();
     assert!(

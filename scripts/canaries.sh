@@ -320,7 +320,7 @@ canary simd-f-chain crates/darwin/src/simd.rs \
 # A refilled inter-sequence lane keeping the E column of the subject
 # before it: a gap that subject opened leaks into the next pair.
 canary interseq-lane-reset crates/darwin/src/align.rs \
-  '/self\.lane_e\[i \* lanes \+ l\] = f32::NEG_INFINITY;/d' \
+  '/e\[i \* lanes \+ l\] = f32::NEG_INFINITY;/d' \
   cargo test -q --offline -p bioopera-darwin --test simd_bitident batches_are_bit_identical_at_every_level
 
 # The batch dispatch without its gap guard: the inter-sequence lane's
@@ -328,6 +328,26 @@ canary interseq-lane-reset crates/darwin/src/align.rs \
 canary interseq-gap-guard crates/darwin/src/align.rs \
   's/^    if scratch\.simd_ok\(p\) \{$/    if scratch.seg > 0 {/' \
   cargo test -q --offline -p bioopera-darwin --test simd_bitident every_level_is_bit_identical_over_gap_parameters
+
+# The upper-bound filter's gap penalties scaled up instead of down: a
+# long gap then costs the bound more than the real path pays, and a
+# gapped match at its own score is filtered out.
+canary filter-gap-rounds-up crates/darwin/src/align.rs \
+  's/\(k \* (open|ext)\)\.floor\(\) as i16/(k * \1).ceil() as i16/g' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident
+
+# The filter's saturating adds wrapping instead, at every width: a lane
+# past i16::MAX no longer reports the saturated best.
+canary filter-wrapping-add crates/darwin/src/simd.rs \
+  's/(_mm(256|512)?)_adds_epi16/\1_add_epi16/g' \
+  cargo test -q --offline -p bioopera-darwin --lib filter_lanes_saturate_like_the_reference
+
+# A refilled filter lane keeping the E column of the subject before it:
+# a high-scoring subject's gaps raise the next one's bound, and the
+# batch's candidates are no longer the subjects' own.
+canary filter-lane-reset crates/darwin/src/align.rs \
+  '/e\[i \* lanes \+ l\] = i16::MIN;/d' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident filter_verdicts_do_not_leak_between_subjects
 
 # The work-stealing hand-out returning results in completion order: the
 # refine pass's output then depends on how many workers drew groups.
