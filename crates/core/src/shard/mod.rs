@@ -12,13 +12,15 @@
 //!    consumes its sorted inbox, runs the pure navigator, and returns its
 //!    dirty instances as journal batches; a stepper never touches the
 //!    [`Store`];
-//! 3. the barrier is the one writer: it commits each shard's batches
-//!    ([`Store::apply_many`] per shard) in shard order, merges all
-//!    outboxes by `(source instance, seq)` ([`router::merge_outboxes`]),
-//!    feeds the cross-shard services (dispatch + node health,
+//! 3. the barrier is the one writer: it merges all outboxes by
+//!    `(source instance, seq)` ([`router::merge_outboxes`]), feeds the
+//!    cross-shard services (dispatch + node health,
 //!    [`services::DispatchService`]), allocates subprocess instance ids,
-//!    routes messages for the next round, and commits the round's history
-//!    events.
+//!    routes messages for the next round, and encodes the round's history
+//!    events; then the round reaches the store as **one append** — one
+//!    [`Store::apply_many`] of every shard's batches in shard order and
+//!    the history batch last.  A crash inside it leaves a whole-frame
+//!    prefix of that append, and a recovery, too, is one append.
 //!
 //! Because the barrier consumes a totally-ordered stream and every shard
 //! step is a pure function of `(its journal, its inbox)`, the recorded
@@ -349,11 +351,13 @@ impl<D: Disk> ShardEngine<D> {
         }
         let round = self.round;
         let mut outputs = Vec::with_capacity(self.shards.len());
-        for (out, batches) in self.step_shards()? {
-            self.store.apply_many(batches).map_err(EngineError::Store)?;
+        let mut batches = Vec::new();
+        for (out, journal) in self.step_shards()? {
+            batches.extend(journal);
             outputs.push(out);
         }
-        self.barrier(round, outputs)?;
+        batches.push(self.barrier(round, outputs)?);
+        self.store.apply_many(batches).map_err(EngineError::Store)?;
         self.round += 1;
         Ok(true)
     }
@@ -409,8 +413,10 @@ impl<D: Disk> ShardEngine<D> {
 
     /// The deterministic barrier: merge outboxes, drive the cross-shard
     /// services, allocate subprocess ids, route next-round messages, and
-    /// commit the round's history.
-    fn barrier(&mut self, round: u64, outputs: Vec<StepOutput>) -> EngineResult<()> {
+    /// return the round's history batch ([`History::commit`]; empty when
+    /// the round recorded no event), which the round's one append carries
+    /// after every shard's journal batches.
+    fn barrier(&mut self, round: u64, outputs: Vec<StepOutput>) -> EngineResult<Batch> {
         let (effects, mut events) = merge_outboxes(outputs);
         let mut bseq = 0u64;
         let mut barrier_events: Vec<ShardEvent> = Vec::new();
@@ -475,19 +481,12 @@ impl<D: Disk> ShardEngine<D> {
             self.route(grant);
         }
         events.extend(barrier_events);
-        self.commit_events(round, events)
-    }
-
-    /// Commit the round's totally-ordered events, in one frame
-    /// ([`History::commit`]).
-    fn commit_events(&mut self, round: u64, events: Vec<ShardEvent>) -> EngineResult<()> {
-        if events.is_empty() {
-            return Ok(());
-        }
         let mut batch = Batch::new();
-        self.history
-            .commit(&mut batch, round, events, &mut self.scratch)?;
-        self.store.apply(batch).map_err(EngineError::Store)
+        if !events.is_empty() {
+            self.history
+                .commit(&mut batch, round, events, &mut self.scratch)?;
+        }
+        Ok(batch)
     }
 
     /// Run rounds to quiescence.
@@ -542,18 +541,6 @@ impl<D: Disk> ShardEngine<D> {
         self.survey().1
     }
 
-    /// Torture hook: run one round's shard steps, commit only the first
-    /// `commit_prefix` shards' journal batches, and stop before the rest
-    /// of the barrier — modelling a crash inside the barrier's commit with
-    /// a prefix of the round's shard commits on disk.  The engine is
-    /// unusable afterwards; reopen the store and [`ShardEngine::recover`].
-    pub fn step_round_partial_commit(&mut self, commit_prefix: usize) -> EngineResult<()> {
-        for (_out, batches) in self.step_shards()?.into_iter().take(commit_prefix) {
-            self.store.apply_many(batches).map_err(EngineError::Store)?;
-        }
-        Ok(())
-    }
-
     /// Rebuild an engine from the store: templates, per-shard journals,
     /// then re-drive the in-doubt cross-shard work (lost grants, lost
     /// child-completion messages, lost spawn requests).
@@ -598,6 +585,7 @@ impl<D: Disk> ShardEngine<D> {
         // headers.  Both sides of a suspend/resume flip commit in one
         // atomic frame, so a mismatch means the record outlived its
         // instance (e.g. a pruned terminal slot): drop it.
+        let mut stale = Batch::new();
         let susp = engine
             .store
             .scan_prefix(Space::Instance, "susp/")
@@ -609,13 +597,10 @@ impl<D: Disk> ShardEngine<D> {
                 .and_then(|id| engine.instance_status(id))
                 == Some(InstanceStatus::Suspended);
             if !parked {
-                engine
-                    .store
-                    .delete(Space::Instance, key)
-                    .map_err(EngineError::Store)?;
+                stale.delete(Space::Instance, key);
             }
         }
-        engine.redrive(&mut report)?;
+        engine.redrive(&mut report, stale)?;
         engine.recovery = Some(report);
         Ok(engine)
     }
@@ -643,8 +628,10 @@ impl<D: Disk> ShardEngine<D> {
     /// Only the records this changes are written back — a rewind, a
     /// stamp the rule had to add, a re-spawn's `Dispatched` — so a crash
     /// between rounds, which leaves every in-doubt record `Ready` and
-    /// stamped, costs recovery no write but its history commit.
-    fn redrive(&mut self, report: &mut RecoveryReport) -> EngineResult<()> {
+    /// stamped, costs recovery no write but its history commit.  The
+    /// `stale` deletes, the rewritten records and the history frame reach
+    /// the store in one append.
+    fn redrive(&mut self, report: &mut RecoveryReport, mut stale: Batch) -> EngineResult<()> {
         let now = SimTime::from_secs(self.round);
         let round = self.round;
         // Pass 0: acked submissions whose Start message died in memory
@@ -666,9 +653,7 @@ impl<D: Disk> ShardEngine<D> {
                 .slots
                 .contains_key(&id)
             {
-                self.store
-                    .delete(Space::Instance, key)
-                    .map_err(EngineError::Store)?;
+                stale.delete(Space::Instance, key);
                 continue;
             }
             let start: PendingStart = decode(&bytes)?;
@@ -706,7 +691,7 @@ impl<D: Disk> ShardEngine<D> {
         // asks for a node again — and what that changed is persisted.
         let mut requests: Vec<(InstanceId, String)> = Vec::new();
         let mut spawns: Vec<(InstanceId, String, String, BTreeMap<String, Value>)> = Vec::new();
-        let mut batches: Vec<Batch> = Vec::new();
+        let mut batches = vec![stale];
         for shard in &mut self.shards {
             for (id, slot) in &mut shard.slots {
                 let resolved = slot.resolve_in_doubt(now, &children);
@@ -747,7 +732,6 @@ impl<D: Disk> ShardEngine<D> {
                 batches.push(batch);
             }
         }
-        self.store.apply_many(batches).map_err(EngineError::Store)?;
         // Deterministic order for everything the services/inboxes see.
         requests.sort();
         child_results.sort_by_key(|a| a.2);
@@ -808,7 +792,11 @@ impl<D: Disk> ShardEngine<D> {
                 requeued: report.lost_grant,
             },
         });
-        self.commit_events(round, events)?;
+        let mut history = Batch::new();
+        self.history
+            .commit(&mut history, round, events, &mut self.scratch)?;
+        batches.push(history);
+        self.store.apply_many(batches).map_err(EngineError::Store)?;
         // The recovery pseudo-round used `round`'s event keys; advance so
         // the next barrier commits under fresh keys.
         self.round += 1;
@@ -1031,7 +1019,12 @@ fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> EngineResult<T> {
 }
 
 #[cfg(test)]
+#[path = "../../tests/common/tears.rs"]
+mod tears;
+
+#[cfg(test)]
 mod tests {
+    use super::tears::tear_at_each_frame;
     use super::*;
     use crate::library::ProgramOutput;
     use bioopera_ocr::model::TypeTag;
@@ -1135,40 +1128,48 @@ mod tests {
         assert_eq!(eng.awareness().index().count("instance.resume"), 1);
     }
 
+    /// Crash round 2 of an 8-chain run on 4 shards and 2 threads — in
+    /// which `ids[3]` is already durably parked — at every frame boundary
+    /// of its append.
     #[test]
     fn suspend_survives_crash_and_resume_after_recovery_completes() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
         let cfg = ShardConfig {
             shards: 4,
             threads: 2,
             ..ShardConfig::default()
         };
-        let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).expect("engine");
-        eng.register_template(chain_template()).unwrap();
-        let ids: Vec<InstanceId> = (0..8)
-            .map(|_| eng.submit("Chain", BTreeMap::new()).unwrap())
-            .collect();
-        eng.step_round().unwrap();
-        eng.suspend(ids[3]).unwrap();
-        eng.step_round().unwrap();
-        eng.step_round_partial_commit(2).unwrap();
-        drop(eng);
-        let store = Store::open(disk).unwrap();
-        let mut eng = ShardEngine::recover(store, chain_library(), cfg).unwrap();
-        assert_eq!(
-            eng.instance_status(ids[3]),
-            Some(InstanceStatus::Suspended),
-            "suspension survives the crash"
-        );
-        let outcome = eng.run_to_completion().unwrap();
-        assert_eq!(outcome, RunOutcome::Quiesced { suspended: 1 });
-        eng.resume(ids[3]).unwrap();
-        let outcome = eng.run_to_completion().unwrap();
-        assert_eq!(outcome, RunOutcome::Completed);
-        let stats = eng.stats();
-        assert_eq!(stats.completed, 8, "{stats:?}");
-        assert_eq!(stats.suspended, 0);
+        let crash = |disk: &MemDisk, plan| {
+            let store = Store::open(disk.clone()).unwrap();
+            let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).expect("engine");
+            eng.register_template(chain_template()).unwrap();
+            let ids: Vec<InstanceId> = (0..8)
+                .map(|_| eng.submit("Chain", BTreeMap::new()).unwrap())
+                .collect();
+            eng.step_round().unwrap();
+            eng.suspend(ids[3]).unwrap();
+            eng.step_round().unwrap();
+            disk.set_fault_plan(Some(plan));
+            assert!(eng.step_round().is_err());
+            ids
+        };
+        let cuts = tear_at_each_frame(crash, |disk, ids, kept| {
+            let store = Store::open(disk.clone()).unwrap();
+            let mut eng = ShardEngine::recover(store, chain_library(), cfg.clone()).unwrap();
+            assert_eq!(
+                eng.instance_status(ids[3]),
+                Some(InstanceStatus::Suspended),
+                "suspension survives the crash ({kept} bytes kept)"
+            );
+            let outcome = eng.run_to_completion().unwrap();
+            assert_eq!(outcome, RunOutcome::Quiesced { suspended: 1 });
+            eng.resume(ids[3]).unwrap();
+            let outcome = eng.run_to_completion().unwrap();
+            assert_eq!(outcome, RunOutcome::Completed);
+            let stats = eng.stats();
+            assert_eq!(stats.completed, 8, "{kept} bytes kept: {stats:?}");
+            assert_eq!(stats.suspended, 0);
+        });
+        assert!(cuts.len() > 2);
     }
 
     #[test]
@@ -1361,32 +1362,37 @@ mod tests {
 
     #[test]
     fn recovery_resumes_after_partial_commit() {
-        let disk = MemDisk::new();
-        let store = Store::open(disk.clone()).unwrap();
         let cfg = ShardConfig {
             shards: 4,
             threads: 1,
             ..ShardConfig::default()
         };
-        let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).expect("engine");
-        eng.register_template(chain_template()).unwrap();
-        for _ in 0..12 {
-            eng.submit("Chain", BTreeMap::new()).unwrap();
-        }
-        // A couple of clean rounds, then a crash with only two of four
-        // shard commits on disk.
-        eng.step_round().unwrap();
-        eng.step_round().unwrap();
-        eng.step_round_partial_commit(2).unwrap();
-        drop(eng);
-        let store = Store::open(disk).unwrap();
-        let mut eng = ShardEngine::recover(store, chain_library(), cfg).unwrap();
-        eng.run_to_completion().unwrap();
-        let stats = eng.stats();
-        assert_eq!(
-            stats.completed, 12,
-            "all submitted work completes: {stats:?}"
-        );
-        assert_eq!(stats.aborted, 0);
+        // A couple of clean rounds, then a crash that keeps a frame-aligned
+        // prefix of the third round's append: some shards' journals, or
+        // all of them without the history, or nothing.
+        let crash = |disk: &MemDisk, plan| {
+            let store = Store::open(disk.clone()).unwrap();
+            let mut eng = ShardEngine::new(store, chain_library(), cfg.clone()).expect("engine");
+            eng.register_template(chain_template()).unwrap();
+            for _ in 0..12 {
+                eng.submit("Chain", BTreeMap::new()).unwrap();
+            }
+            eng.step_round().unwrap();
+            eng.step_round().unwrap();
+            disk.set_fault_plan(Some(plan));
+            assert!(eng.step_round().is_err());
+        };
+        let cuts = tear_at_each_frame(crash, |disk, (), kept| {
+            let store = Store::open(disk.clone()).unwrap();
+            let mut eng = ShardEngine::recover(store, chain_library(), cfg.clone()).unwrap();
+            eng.run_to_completion().unwrap();
+            let stats = eng.stats();
+            assert_eq!(
+                stats.completed, 12,
+                "all submitted work completes ({kept} bytes kept): {stats:?}"
+            );
+            assert_eq!(stats.aborted, 0);
+        });
+        assert!(cuts.len() > 4, "{} cuts", cuts.len());
     }
 }

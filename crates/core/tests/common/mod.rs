@@ -1,7 +1,8 @@
 //! What the engine-level suites share: the Chain, Fan and Parent templates
 //! and the programs behind them (`Chain` is `bench_e2e`'s chain), the
-//! store policies a suite whose run tiering can change is held on, and the
-//! frozen History writers of earlier engines ([`ev_writer`]).  The
+//! store policies a suite whose run tiering can change is held on, the
+//! frozen History writers of earlier engines ([`ev_writer`]), and the
+//! crash that tears a round's append at each frame boundary ([`tears`]).  The
 //! allocator-counting gates (`residency.rs`, `codec_allocs.rs`) each
 //! install their own `#[global_allocator]`, so they stay separate test
 //! binaries; the workload they count is the one here.
@@ -10,6 +11,7 @@
 #![allow(dead_code)]
 
 pub mod ev_writer;
+pub mod tears;
 
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent};
 use bioopera_core::{ActivityLibrary, ProgramOutput};

@@ -155,10 +155,10 @@ fn recover(
 }
 
 /// Crash a sharded run of chains, fans and subprocess parents at every
-/// round — between rounds, or inside one with `prefix` of the shards'
-/// commits on disk — recover twice, and run the result to the end.
-/// Returns the reports of the first recoveries.
-fn crash_every_round(policy: Option<TieredPolicy>, prefix: Option<usize>) -> Vec<RecoveryReport> {
+/// round — between rounds, or `inside` one at each frame boundary of its
+/// append — recover twice, and run the result to the end.  Returns the
+/// reports of the first recoveries.
+fn crash_every_round(policy: Option<TieredPolicy>, inside: bool) -> Vec<RecoveryReport> {
     let workload: Vec<(usize, i64)> = (0..12).map(|i| (i % 3, i as i64)).collect();
     let rounds = {
         let store = Store::open_with(MemDisk::new(), policy).unwrap();
@@ -169,33 +169,54 @@ fn crash_every_round(policy: Option<TieredPolicy>, prefix: Option<usize>) -> Vec
     };
     let mut reports = Vec::new();
     for crash in 0..rounds {
-        let at = format!("crash at round {crash}, prefix {prefix:?}");
-        let disk = AppendLog::default();
-        let store = Store::open_with(disk.clone(), policy).unwrap();
-        let mut eng = common::engine_on(store, common::chain_config());
-        common::submit_workload(&mut eng, &workload);
-        for _ in 0..crash {
-            eng.step_round().unwrap();
+        let run = |disk: &AppendLog| {
+            let store = Store::open_with(disk.clone(), policy).unwrap();
+            let mut eng = common::engine_on(store, common::chain_config());
+            common::submit_workload(&mut eng, &workload);
+            for _ in 0..crash {
+                eng.step_round().unwrap();
+            }
+            eng
+        };
+        let recover_twice = |disk: &AppendLog, at: &str| {
+            let (eng, first, _) = recover(disk, policy, &format!("{at}, first recovery"));
+            drop(eng);
+            let (mut eng, second, written) =
+                recover(disk, policy, &format!("{at}, second recovery"));
+            // The first recovery's re-spawns died with it: the second
+            // rewinds and re-spawns them again, and writes nothing else.
+            assert_eq!(second.lost_spawn, first.lost_spawn, "{at}");
+            assert_eq!(written as u64, second.lost_spawn, "{at}: {second:?}");
+            assert!(eng.run_to_completion().unwrap().is_completed(), "{at}");
+            first
+        };
+        let at = format!("crash at round {crash}");
+        if inside {
+            let crash_inside = |mem: &MemDisk, plan| {
+                let disk = AppendLog {
+                    inner: mem.clone(),
+                    ..AppendLog::default()
+                };
+                let mut eng = run(&disk);
+                mem.set_fault_plan(Some(plan));
+                assert!(eng.step_round().is_err());
+                disk
+            };
+            reports.extend(common::tears::tear_at_each_frame(
+                crash_inside,
+                |_, disk, kept| recover_twice(&disk, &format!("{at}, {kept} bytes kept")),
+            ));
+        } else {
+            let disk = AppendLog::default();
+            drop(run(&disk));
+            reports.push(recover_twice(&disk, &at));
         }
-        if let Some(prefix) = prefix {
-            eng.step_round_partial_commit(prefix).unwrap();
-        }
-        drop(eng);
-        let (eng, first, _) = recover(&disk, policy, &format!("{at}, first recovery"));
-        drop(eng);
-        let (mut eng, second, written) = recover(&disk, policy, &format!("{at}, second recovery"));
-        // The first recovery's re-spawns died with it: the second rewinds
-        // and re-spawns them again, and writes nothing else.
-        assert_eq!(second.lost_spawn, first.lost_spawn, "{at}");
-        assert_eq!(written as u64, second.lost_spawn, "{at}: {second:?}");
-        assert!(eng.run_to_completion().unwrap().is_completed(), "{at}");
-        reports.push(first);
     }
     reports
 }
 
 fn a_crash_between_rounds_writes_only_what_it_undid(policy: Option<TieredPolicy>) {
-    let reports = crash_every_round(policy, None);
+    let reports = crash_every_round(policy, false);
     // Between rounds every queued record is stamped: what is rewritten is
     // the spawns the barrier allocated and no step committed.
     let queued: u64 = reports.iter().map(|r| r.requeue).sum();
@@ -208,12 +229,10 @@ fn a_crash_between_rounds_writes_only_what_it_undid(policy: Option<TieredPolicy>
 }
 
 fn a_crash_inside_a_round_writes_only_what_it_undid(policy: Option<TieredPolicy>) {
-    for prefix in [0, 2] {
-        let reports = crash_every_round(policy, Some(prefix));
-        assert!(reports.iter().any(|r| r.lost_spawn > 0), "{reports:?}");
-        for r in &reports {
-            assert_eq!(r.rewritten, r.lost_spawn, "{r:?}");
-        }
+    let reports = crash_every_round(policy, true);
+    assert!(reports.iter().any(|r| r.lost_spawn > 0), "{reports:?}");
+    for r in &reports {
+        assert_eq!(r.rewritten, r.lost_spawn, "{r:?}");
     }
 }
 

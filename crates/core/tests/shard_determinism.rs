@@ -11,8 +11,10 @@
 //! thread count is not observable on disk either: the barrier is the one
 //! writer, so every file holds the same bytes after every round.
 //!
-//! Recovery is checked separately: after a crash mid-round (only a
-//! prefix of shard commits on disk) the recovered engine legitimately
+//! Recovery is checked separately: after a crash mid-round (a
+//! frame-aligned prefix of the round's one append on disk: some shards'
+//! journals, or all of them without the history) the recovered engine
+//! legitimately
 //! records extra history (`server.recover`, requeues, fresh ids for
 //! re-spawned children), so the assertion there is *output* equality —
 //! every root reaches the oracle's terminal status with the oracle's
@@ -42,6 +44,7 @@
 
 mod common;
 
+use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
     Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus, ShardConfig,
@@ -318,14 +321,15 @@ proptest! {
     /// live handle, and a reopen of the final image from the last summary
     /// plus its tail, answer what ingesting the stream from its first
     /// event answers — whatever the cadence put into which frame,
-    /// wherever a crash cut the run, tiered or not.
+    /// wherever a crash cut the run (at each frame boundary of the
+    /// crashing round's append), tiered or not.
     #[test]
     fn reopening_the_stream_from_its_summary_equals_ingesting_it_whole(
         workload in prop::collection::vec((0usize..3, 0i64..100), 1..16),
         shards in 1usize..9,
         threads in 1usize..5,
         rollup_every in 1u64..40,
-        crash in (any::<bool>(), 0u64..8, 0usize..9),
+        crash in (any::<bool>(), 0u64..8),
         policy in common::policy(),
         fault_rate in prop_oneof![Just(0u32), Just(120_000u32)],
     ) {
@@ -336,70 +340,112 @@ proptest! {
             faults: (fault_rate > 0).then_some(FaultInjection { seed: 7, rate_ppm: fault_rate }),
             ..ShardConfig::default()
         };
-        let disk = MemDisk::new();
-        let mut eng = engine_on(open(&disk), cfg.clone());
-        eng.set_rollup_every(rollup_every);
-        submit_workload(&mut eng, &workload);
-        if let (true, crash_round, prefix) = crash {
+        let boot = |disk: &MemDisk| {
+            let mut eng = engine_on(open(disk), cfg.clone());
+            eng.set_rollup_every(rollup_every);
+            submit_workload(&mut eng, &workload);
+            eng
+        };
+        let (true, crash_round) = crash else {
+            let mut eng = boot(&MemDisk::new());
+            eng.run_to_completion().unwrap();
+            return stream_is_whole(&eng, rollup_every);
+        };
+        let crash = |disk: &MemDisk, plan| {
+            let mut eng = boot(disk);
             for _ in 0..crash_round {
                 eng.step_round().unwrap();
             }
-            if !eng.quiescent() {
-                eng.step_round_partial_commit(prefix.min(shards)).unwrap();
-            }
-            drop(eng);
-            eng = ShardEngine::recover(open(&disk), library(), cfg).unwrap();
+            disk.set_fault_plan(Some(plan));
+            assert!(eng.step_round().is_err());
+        };
+        let recover = |disk: &MemDisk, (), kept| {
+            let mut eng = ShardEngine::recover(open(disk), library(), cfg.clone()).unwrap();
             eng.set_rollup_every(rollup_every);
             // Seeded from the summary and folded over the tail alone, the
             // recovered view is the whole stream's.
             prop_assert_eq!(
                 lifetime(&eng),
                 refold(&eng.persisted_events().unwrap()),
-                "recovered from round {} at cadence {}", crash_round, rollup_every
+                "recovered from round {} ({} bytes kept) at cadence {}",
+                crash_round, kept, rollup_every
             );
-        }
+            eng.run_to_completion().unwrap();
+            stream_is_whole(&eng, rollup_every)
+        };
+        let finished = MemDisk::new();
+        let mut eng = boot(&finished);
         eng.run_to_completion().unwrap();
-
-        let persisted = eng.persisted_events().unwrap();
-        prop_assert_eq!(lifetime(&eng), refold(&persisted));
-        let history = as_history(&persisted);
-        let mut whole = AwarenessIndex::default();
-        for ev in &history {
-            whole.ingest(ev);
+        if crash_round >= eng.round() {
+            // The run ends first: recover the finished store.
+            drop(eng);
+            return recover(&finished, (), 0);
         }
-        prop_assert_eq!(
-            format!("{:?}", aggregates(eng.awareness().index())),
-            format!("{:?}", aggregates(&whole)),
-            "the live view drifted from the stream"
-        );
-        let reopened = Awareness::open_tail(eng.store()).unwrap();
-        prop_assert!(aggregates(reopened.index()) == aggregates(&whole),
-            "reopened {:?}\nwhole stream {:?}", aggregates(reopened.index()), aggregates(&whole));
-        prop_assert_eq!(&reopened.all(eng.store()).unwrap(), &history);
-        prop_assert_eq!(&eng.awareness().all(eng.store()).unwrap(), &history);
-        // O(tail): a commit that leaves `rollup_every` events or more
-        // unsummarized writes a summary, so the tail is always shorter.
-        prop_assert_eq!(
-            reopened.open_scanned(),
-            history.len() as u64 - reopened.index().summarized()
-        );
-        prop_assert!(reopened.open_scanned() < rollup_every,
-            "scanned {} events at cadence {rollup_every}", reopened.open_scanned());
-        // One writer: the stream, its summary, and nothing under `ev/`.
-        prop_assert!(eng.store().scan_prefix(Space::History, "ev/").unwrap().is_empty());
-        prop_assert_eq!(
-            eng.store().get(Space::History, "summary").unwrap().is_some(),
-            history.len() as u64 >= rollup_every
-        );
+        drop(eng);
+        for checked in common::tears::tear_at_each_frame(crash, recover) {
+            checked?;
+        }
     }
+}
+
+/// What [`reopening_the_stream_from_its_summary_equals_ingesting_it_whole`]
+/// holds a finished run to.
+fn stream_is_whole(eng: &ShardEngine<MemDisk>, rollup_every: u64) -> Result<(), TestCaseError> {
+    let persisted = eng.persisted_events().unwrap();
+    prop_assert_eq!(lifetime(eng), refold(&persisted));
+    let history = as_history(&persisted);
+    let mut whole = AwarenessIndex::default();
+    for ev in &history {
+        whole.ingest(ev);
+    }
+    prop_assert_eq!(
+        format!("{:?}", aggregates(eng.awareness().index())),
+        format!("{:?}", aggregates(&whole)),
+        "the live view drifted from the stream"
+    );
+    let reopened = Awareness::open_tail(eng.store()).unwrap();
+    prop_assert!(
+        aggregates(reopened.index()) == aggregates(&whole),
+        "reopened {:?}\nwhole stream {:?}",
+        aggregates(reopened.index()),
+        aggregates(&whole)
+    );
+    prop_assert_eq!(&reopened.all(eng.store()).unwrap(), &history);
+    prop_assert_eq!(&eng.awareness().all(eng.store()).unwrap(), &history);
+    // O(tail): a commit that leaves `rollup_every` events or more
+    // unsummarized writes a summary, so the tail is always shorter.
+    prop_assert_eq!(
+        reopened.open_scanned(),
+        history.len() as u64 - reopened.index().summarized()
+    );
+    prop_assert!(
+        reopened.open_scanned() < rollup_every,
+        "scanned {} events at cadence {rollup_every}",
+        reopened.open_scanned()
+    );
+    // One writer: the stream, its summary, and nothing under `ev/`.
+    prop_assert!(eng
+        .store()
+        .scan_prefix(Space::History, "ev/")
+        .unwrap()
+        .is_empty());
+    prop_assert_eq!(
+        eng.store()
+            .get(Space::History, "summary")
+            .unwrap()
+            .is_some(),
+        history.len() as u64 >= rollup_every
+    );
+    Ok(())
 }
 
 /// A store as an earlier engine left it: beside every `sev/` record an
 /// `ev/` twin, and a `rollup` whose `base` counts `ev/` sequence numbers.
 /// The twins and the rollup are written here through the frozen `ev/`
-/// writer, byte for byte what that engine wrote.  The recovery's open
-/// upgrades it: the twins and the rollup are gone, the stream and its
-/// digest are what they were, and each event is counted once.
+/// writer, byte for byte what that engine wrote, over what a crash at
+/// each frame boundary of the fourth round's append left.  The recovery's
+/// open upgrades it: the twins and the rollup are gone, the stream and
+/// its digest are what they were, and each event is counted once.
 fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     policy: Option<TieredPolicy>,
 ) {
@@ -409,18 +455,28 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
         threads: 2,
         ..ShardConfig::default()
     };
-    let disk = MemDisk::new();
-    let mut eng = engine_on(Store::open_with(disk.clone(), policy).unwrap(), cfg.clone());
-    // The previous engine wrote no stream summary.
-    eng.set_rollup_every(u64::MAX);
-    submit_workload(&mut eng, &workload);
-    for _ in 0..3 {
-        eng.step_round().unwrap();
-    }
-    eng.step_round_partial_commit(2).unwrap();
-    let before_crash = as_history(&eng.persisted_events().unwrap());
-    let stream = eng.store().scan_prefix(Space::History, "sev/").unwrap();
-    drop(eng);
+    let crash = |disk: &MemDisk, plan| {
+        let mut eng = engine_on(Store::open_with(disk.clone(), policy).unwrap(), cfg.clone());
+        // The previous engine wrote no stream summary.
+        eng.set_rollup_every(u64::MAX);
+        submit_workload(&mut eng, &workload);
+        for _ in 0..3 {
+            eng.step_round().unwrap();
+        }
+        disk.set_fault_plan(Some(plan));
+        assert!(eng.step_round().is_err());
+    };
+    common::tears::tear_at_each_frame(crash, |disk, (), _| {
+        previous_engine_image_upgrades(disk, policy, cfg.clone())
+    });
+}
+
+/// Write the `ev/` twins and their `rollup` of what `disk`'s stream holds
+/// beside it, then recover and run it to the end.
+fn previous_engine_image_upgrades(disk: &MemDisk, policy: Option<TieredPolicy>, cfg: ShardConfig) {
+    let mut store = Store::open_with(disk.clone(), policy).unwrap();
+    let before_crash = as_history(&history::persisted_events(&store).unwrap());
+    let stream = store.scan_prefix(Space::History, "sev/").unwrap();
 
     let mut twins = Store::open(MemDisk::new()).unwrap();
     let mut writer = EvWriter::new();
@@ -437,7 +493,6 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
         before_crash.len() + 1,
         "the twins and a rollup"
     );
-    let mut store = Store::open_with(disk.clone(), policy).unwrap();
     assert!(store.get(Space::History, "summary").unwrap().is_none());
     for (key, bytes) in &legacy {
         assert!(key.starts_with("ev/") || key == "rollup", "{key}");
@@ -447,8 +502,12 @@ fn a_store_the_previous_engine_wrote_recovers_with_each_event_counted_once(
     }
     drop(store);
 
-    let mut eng =
-        ShardEngine::recover(Store::open_with(disk, policy).unwrap(), library(), cfg).unwrap();
+    let mut eng = ShardEngine::recover(
+        Store::open_with(disk.clone(), policy).unwrap(),
+        library(),
+        cfg,
+    )
+    .unwrap();
     // Right after the recovery: the stream as it was, and nothing else of
     // the old layout.
     let now = eng.store().scan_prefix(Space::History, "sev/").unwrap();
@@ -572,9 +631,9 @@ fn the_crash_free_history_digest_is_pinned(policy: Option<TieredPolicy>) {
     );
 }
 
-/// Crash at the shard barrier with a partial commit prefix, recover,
-/// and require every root to converge to the untiered crash-free
-/// oracle's terminal status and whiteboard.
+/// Crash inside a round's append with a frame-aligned prefix of it on
+/// disk, recover, and require every root to converge to the untiered
+/// crash-free oracle's terminal status and whiteboard.
 fn recovery_after_partial_commit_converges_to_oracle_outputs(policy: Option<TieredPolicy>) {
     let workload: Vec<(usize, i64)> = (0..9).map(|i| (i % 3, 10 + i as i64)).collect();
 
@@ -595,41 +654,42 @@ fn recovery_after_partial_commit_converges_to_oracle_outputs(policy: Option<Tier
         .iter()
         .all(|(st, _)| *st == InstanceStatus::Completed));
 
-    // Crash at every (round, commit-prefix) point of the early rounds.
+    // Crash at every frame boundary of the early rounds' appends.
+    let cfg = ShardConfig {
+        shards: 4,
+        threads: 1,
+        ..ShardConfig::default()
+    };
     for crash_round in 0..4u64 {
-        for prefix in 0..=4usize {
-            let disk = MemDisk::new();
-            let cfg = ShardConfig {
-                shards: 4,
-                threads: 1,
-                ..ShardConfig::default()
-            };
+        let crash = |disk: &MemDisk, plan| {
             let mut eng = engine_on(Store::open_with(disk.clone(), policy).unwrap(), cfg.clone());
             let ids = submit_workload(&mut eng, &workload);
             for _ in 0..crash_round {
                 eng.step_round().unwrap();
             }
-            eng.step_round_partial_commit(prefix).unwrap();
-            drop(eng);
-
-            let store = Store::open_with(disk, policy).unwrap();
-            let mut eng = ShardEngine::recover(store, library(), cfg).unwrap();
-            eng.run_to_completion().unwrap_or_else(|e| {
-                panic!("round {crash_round} prefix {prefix}: stuck after recovery: {e}")
-            });
+            disk.set_fault_plan(Some(plan));
+            assert!(eng.step_round().is_err());
+            ids
+        };
+        common::tears::tear_at_each_frame(crash, |disk, ids, kept| {
+            let store = Store::open_with(disk.clone(), policy).unwrap();
+            let mut eng = ShardEngine::recover(store, library(), cfg.clone()).unwrap();
+            let at = format!("round {crash_round}, {kept} bytes kept");
+            eng.run_to_completion()
+                .unwrap_or_else(|e| panic!("{at}: stuck after recovery: {e}"));
             for (id, (want_status, want_wb)) in ids.iter().zip(&expected) {
                 assert_eq!(
                     eng.instance_status(*id),
                     Some(*want_status),
-                    "round {crash_round} prefix {prefix}: root {id} status"
+                    "{at}: root {id} status"
                 );
                 assert_eq!(
                     eng.instance_whiteboard(*id),
                     Some(want_wb),
-                    "round {crash_round} prefix {prefix}: root {id} whiteboard"
+                    "{at}: root {id} whiteboard"
                 );
             }
-        }
+        });
     }
 }
 
@@ -650,3 +710,68 @@ common::on_each_policy!(
     recovery_after_partial_commit_converges_to_oracle_outputs,
     single_shard_config_is_the_reference_semantics,
 );
+
+/// Every file of `disk`, name and bytes, folded into `hash` (FNV-1a).
+fn fold_files(mut hash: u64, disk: &MemDisk) -> u64 {
+    for name in disk.list().unwrap() {
+        let bytes = disk.read(&name).unwrap().unwrap_or_default();
+        for b in name.as_bytes().iter().chain(&bytes) {
+            hash = (hash ^ u64::from(*b)).wrapping_mul(0x1_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// On a store with no memtable budget a round is one disk mutation, the
+/// one append of its frames, and those frames are the ones the engine
+/// wrote when every shard's batches were an append of their own: every
+/// file of a 4-shard chain run after every round, folded together, gives
+/// the digest that engine's image gave.
+#[test]
+fn a_round_is_one_append_and_the_untiered_image_did_not_move() {
+    let disk = MemDisk::new();
+    let mut eng = common::chain_engine_on(Store::open(disk.clone()).unwrap());
+    for x in 0..48 {
+        let initial = BTreeMap::from([("x".to_string(), Value::Int(x))]);
+        eng.submit("Chain", initial).unwrap();
+    }
+    let mut image = common::ev_writer::FNV_OFFSET;
+    loop {
+        let before = disk.mutation_count();
+        if !eng.step_round().unwrap() {
+            break;
+        }
+        let round = eng.round();
+        assert_eq!(disk.mutation_count() - before, 1, "round {round}");
+        image = fold_files(image, &disk);
+    }
+    assert_eq!(eng.stats().completed, 48);
+    assert_eq!(image, 0xd247_77a7_c9bc_e5c5, "{image:#018x}");
+}
+
+/// A recovery — the records it deletes, the task records it rewrites,
+/// its history — is one append beyond what the store's open wrote,
+/// wherever between rounds the server died (a root parked, or parking).
+#[test]
+fn a_recovery_is_one_append() {
+    let workload: Vec<(usize, i64)> = (0..12).map(|i| (i % 3, i as i64)).collect();
+    for crash in 0..6 {
+        let disk = MemDisk::new();
+        let mut eng = engine_on(Store::open(disk.clone()).unwrap(), common::chain_config());
+        let ids = submit_workload(&mut eng, &workload);
+        for _ in 0..crash {
+            eng.step_round().unwrap();
+            eng.suspend(ids[crash]).unwrap();
+        }
+        drop(eng);
+        let store = Store::open(disk.clone()).unwrap();
+        let opened = disk.mutation_count();
+        let eng = ShardEngine::recover(store, library(), common::chain_config()).unwrap();
+        let report = eng.recovery_report().unwrap();
+        assert_eq!(
+            disk.mutation_count() - opened,
+            1,
+            "crash at round {crash}: {report:?}"
+        );
+    }
+}

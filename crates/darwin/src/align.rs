@@ -22,8 +22,9 @@
 //!   implementation, kept as the reference oracle: the profile kernel is
 //!   **bit-identical** to it (same `score`, same `cells`), which the
 //!   darwin proptests verify across the whole PAM ladder.
-//! * [`align_score_bounded_with`] — score-to-beat variant powering the
-//!   PAM-ladder refinement's adaptive banding; skipped work is reported
+//! * `AlignScratch::align_loaded_bounded` (crate-internal) — the
+//!   score-to-beat kernel of the PAM-ladder refinement's adaptive banding
+//!   ([`crate::refine::refine_query_banded`]); skipped work is reported
 //!   via [`ScoreOnly::cells_skipped`].
 //! * [`align_local`] / [`align_local_with`] — full traceback, used where
 //!   the actual alignment is needed (the tower-of-information example,
@@ -328,11 +329,15 @@ impl AlignScratch {
     }
 
     /// [`AlignScratch::align_loaded`], optionally **banded**: with
-    /// `beat = Some(s)` the kernel may stop early once no unprocessed
-    /// cell can lift the final score above `s`.  Whenever the true score
-    /// exceeds `s` the result is exactly the unbanded one; otherwise the
-    /// returned score is a partial best that is provably `<= s`, with
-    /// the unvisited cells reported in `cells_skipped`.
+    /// `beat = Some(s)` the kernel may skip provably-losing work — the
+    /// whole matrix when the query's [`AlignScratch::score_upper_bound`]
+    /// cannot reach `s`, or a suffix of subject columns once no
+    /// unprocessed cell can lift the final score above `s`.  Whenever the
+    /// true score exceeds `s` the result is exactly the unbanded one;
+    /// otherwise the returned score is a partial best that is provably
+    /// `<= s`, with the unvisited cells reported in `cells_skipped`.  The
+    /// PAM-ladder refinement runs it with one profile per matrix shared
+    /// by all of a query's subjects ([`crate::refine::refine_query_banded`]).
     pub(crate) fn align_loaded_bounded(
         &mut self,
         subject: &[u8],
@@ -1087,29 +1092,6 @@ pub fn align_score_naive(
     }
 }
 
-/// Score-only alignment with a **score to beat**: identical to
-/// [`align_score_with`] whenever the true score exceeds `beat`, but
-/// allowed to skip provably-losing work — the whole matrix when the
-/// query's [`AlignScratch::score_upper_bound`] cannot reach `beat`, or
-/// a suffix of subject columns once the adaptive band proves no later
-/// cell can lift the final score above `beat`.  In the skipping case the
-/// returned score is a partial best that is provably `<= beat`; skipped
-/// cells are reported in [`ScoreOnly::cells_skipped`] so cost accounting
-/// stays honest.  The PAM-ladder refinement runs the same bounded kernel
-/// with one profile per matrix shared by all of a query's subjects
-/// ([`crate::refine::refine_query_banded`]).
-pub fn align_score_bounded_with(
-    a: &Sequence,
-    b: &Sequence,
-    m: &ScoreMatrix,
-    p: &AlignParams,
-    beat: f32,
-    scratch: &mut AlignScratch,
-) -> ScoreOnly {
-    scratch.set_query(a, m);
-    scratch.align_loaded_bounded(&b.residues, p, Some(beat))
-}
-
 /// One aligned column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlignOp {
@@ -1294,6 +1276,7 @@ pub fn align_local_with(
 mod tests {
     use super::*;
     use crate::pam::{PamFamily, FIXED_PAM};
+    use proptest::prelude::*;
 
     fn seq(s: &str) -> Sequence {
         Sequence::from_str(0, s).unwrap()
@@ -1419,5 +1402,120 @@ mod tests {
         assert_eq!(al.b_range.1 - al.b_range.0, b_consumed);
         // The conserved core is found.
         assert!(al.identities >= 11);
+    }
+
+    /// Every level the host can execute (always includes `Scalar`).
+    fn levels() -> Vec<SimdLevel> {
+        let mut v = vec![
+            SimdLevel::Scalar,
+            SimdLevel::Sse2,
+            SimdLevel::Avx2,
+            SimdLevel::Avx512,
+        ];
+        v.retain(|&l| l <= simd::max_supported());
+        v
+    }
+
+    fn residues(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(0u8..20, 0..=max_len)
+    }
+
+    /// `a` against `b` through the banded kernel at `beat`.
+    fn banded(
+        scratch: &mut AlignScratch,
+        a: &Sequence,
+        b: &Sequence,
+        m: &ScoreMatrix,
+        p: &AlignParams,
+        beat: f32,
+    ) -> ScoreOnly {
+        scratch.set_query(a, m);
+        scratch.align_loaded_bounded(&b.residues, p, Some(beat))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The banded kernel returns the exact score whenever the true
+        /// score exceeds `beat`, and never claims a score above `beat`
+        /// otherwise, at every level.
+        #[test]
+        fn bounded_score_is_exact_when_it_beats_the_bound(
+            a in residues(40),
+            b in residues(40),
+            beat in -10.0f32..200.0,
+        ) {
+            let fam = PamFamily::default();
+            let m = fam.nearest(120);
+            let p = AlignParams::default();
+            let sa = Sequence::new(0, a);
+            let sb = Sequence::new(1, b);
+            let naive = align_score_naive(&sa, &sb, m, &p);
+            for level in levels() {
+                let mut scratch = AlignScratch::with_level(level);
+                let r = banded(&mut scratch, &sa, &sb, m, &p, beat);
+                prop_assert_eq!(r.cells + r.cells_skipped, naive.cells);
+                if naive.score > beat {
+                    prop_assert_eq!(r.score.to_bits(), naive.score.to_bits(),
+                        "level {} truncated a winning matrix", level.name());
+                    prop_assert_eq!(r.cells_skipped, 0,
+                        "a winning matrix must be fully computed");
+                } else {
+                    prop_assert!(r.score <= beat,
+                        "level {} partial score {} exceeds beat {}", level.name(), r.score, beat);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The banded half of `simd_bitident`'s gap-parameter proptest,
+        /// over the same draws: `open ∈ [0, 40]` and `ext ∈ [0, 4·open]`
+        /// (exact binary fractions), `ext == open` and `ext == 0` pinned
+        /// in half of the cases, any matrix of the ladder.  At every
+        /// level, banded just below the true score nothing may be cut,
+        /// and banded at a drawn bound the score is exact when beaten and
+        /// never above the bound otherwise.
+        #[test]
+        fn banded_kernel_is_exact_over_gap_parameters(
+            a in residues(48),
+            b in residues(48),
+            ladder_idx in 0usize..12,
+            open_q in 0u32..161,
+            ext_sixteenths in 0u32..65,
+            pin in 0u8..4,
+            beat in -10.0f32..200.0,
+        ) {
+            let fam = PamFamily::default();
+            let m = &fam.ladder()[ladder_idx % fam.ladder().len()];
+            let open = open_q as f32 / 4.0;
+            let ext = match pin {
+                0 => open,
+                1 => 0.0,
+                _ => open * ext_sixteenths as f32 / 16.0,
+            };
+            let p = AlignParams { gap_open: open, gap_extend: ext };
+            let sa = Sequence::new(0, a);
+            let sb = Sequence::new(1, b);
+            let naive = align_score_naive(&sa, &sb, m, &p);
+            for level in levels() {
+                let mut scratch = AlignScratch::with_level(level);
+                let below = banded(&mut scratch, &sa, &sb, m, &p, naive.score - 1.0);
+                prop_assert_eq!(below.score.to_bits(), naive.score.to_bits(),
+                    "level {} open {} ext {}: banded {} vs naive {}",
+                    level.name(), open, ext, below.score, naive.score);
+                prop_assert_eq!(below.cells, naive.cells);
+                let r = banded(&mut scratch, &sa, &sb, m, &p, beat);
+                prop_assert_eq!(r.cells + r.cells_skipped, naive.cells);
+                if naive.score > beat {
+                    prop_assert_eq!(r.score.to_bits(), naive.score.to_bits(),
+                        "level {} open {} ext {}: banded at {}", level.name(), open, ext, beat);
+                } else {
+                    prop_assert!(r.score <= beat);
+                }
+            }
+        }
     }
 }

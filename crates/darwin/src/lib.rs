@@ -39,8 +39,8 @@ pub mod sequence;
 pub mod simd;
 
 pub use align::{
-    align_local, align_local_with, align_score, align_score_bounded_with, align_score_many,
-    align_score_naive, align_score_with, AlignParams, AlignScratch, Alignment, ScoreOnly,
+    align_local, align_local_with, align_score, align_score_many, align_score_naive,
+    align_score_with, AlignParams, AlignScratch, Alignment, ScoreOnly,
 };
 pub use alphabet::{AminoAcid, ALPHABET_SIZE};
 pub use cost::CostModel;

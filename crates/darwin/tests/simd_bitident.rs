@@ -15,8 +15,7 @@
 //! parameters, through saturation, and whatever else shares the batch.
 
 use bioopera_darwin::align::{
-    align_score_bounded_with, align_score_many, align_score_naive, align_score_with, AlignParams,
-    AlignScratch, ScoreOnly,
+    align_score_many, align_score_naive, align_score_with, AlignParams, AlignScratch, ScoreOnly,
 };
 use bioopera_darwin::pam::{PamFamily, ScoreMatrix};
 use bioopera_darwin::refine::{refine_pam_distance_banded, refine_pam_distance_with};
@@ -269,37 +268,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn bounded_score_is_exact_when_it_beats_the_bound(
-        a in residues(40),
-        b in residues(40),
-        beat in -10.0f32..200.0,
-    ) {
-        // align_score_bounded_with must return the exact score whenever
-        // the true score exceeds `beat`, and never claim a score above
-        // `beat` otherwise.
-        let fam = PamFamily::default();
-        let m = fam.nearest(120);
-        let p = AlignParams::default();
-        let sa = Sequence::new(0, a);
-        let sb = Sequence::new(1, b);
-        let naive = align_score_naive(&sa, &sb, m, &p);
-        for level in levels() {
-            let mut scratch = AlignScratch::with_level(level);
-            let r = align_score_bounded_with(&sa, &sb, m, &p, beat, &mut scratch);
-            prop_assert_eq!(r.cells + r.cells_skipped, naive.cells);
-            if naive.score > beat {
-                prop_assert_eq!(r.score.to_bits(), naive.score.to_bits(),
-                    "level {} truncated a winning matrix", level.name());
-                prop_assert_eq!(r.cells_skipped, 0,
-                    "a winning matrix must be fully computed");
-            } else {
-                prop_assert!(r.score <= beat,
-                    "level {} partial score {} exceeds beat {}", level.name(), r.score, beat);
-            }
-        }
-    }
-
     /// The old prune's accounting test on the filter's contract: every
     /// cell accounted, and a score is the oracle's or below the drawn
     /// threshold.
@@ -417,8 +385,9 @@ proptest! {
     /// and for `align_score_many`'s inter-sequence lane alike.  Draws
     /// `open ∈ [0, 40]` and `ext ∈ [0, 4·open]` (both on a grid of exact
     /// binary fractions), with `ext == open` and `ext == 0` pinned in
-    /// half of the cases, and holds every level, unbanded and banded, to
-    /// the naive oracle bit for bit.
+    /// half of the cases, and holds every level to the naive oracle bit
+    /// for bit (the banded kernel's half of this is `align.rs`'s
+    /// `banded_kernel_is_exact_over_gap_parameters`).
     #[test]
     fn every_level_is_bit_identical_over_gap_parameters(
         a in residues(48),
@@ -427,7 +396,6 @@ proptest! {
         open_q in 0u32..161,
         ext_sixteenths in 0u32..65,
         pin in 0u8..4,
-        beat in -10.0f32..200.0,
     ) {
         let fam = PamFamily::default();
         let m = &fam.ladder()[ladder_idx % fam.ladder().len()];
@@ -461,20 +429,6 @@ proptest! {
             prop_assert_eq!(fast.score.to_bits(), naive.score.to_bits(),
                 "level {} open {} ext {}: {} vs naive {}", level.name(), open, ext, fast.score, naive.score);
             prop_assert_eq!(fast.cells, naive.cells);
-            // Banded below the true score: nothing may be cut.
-            let below = align_score_bounded_with(&sa, &sb, m, &p, naive.score - 1.0, &mut scratch);
-            prop_assert_eq!(below.score.to_bits(), naive.score.to_bits(),
-                "level {} open {} ext {}: banded {} vs naive {}", level.name(), open, ext, below.score, naive.score);
-            prop_assert_eq!(below.cells, naive.cells);
-            // Banded at a drawn bound: exact when beaten, never above it.
-            let r = align_score_bounded_with(&sa, &sb, m, &p, beat, &mut scratch);
-            prop_assert_eq!(r.cells + r.cells_skipped, naive.cells);
-            if naive.score > beat {
-                prop_assert_eq!(r.score.to_bits(), naive.score.to_bits(),
-                    "level {} open {} ext {}: banded at {}", level.name(), open, ext, beat);
-            } else {
-                prop_assert!(r.score <= beat);
-            }
         }
     }
 }

@@ -6,10 +6,10 @@
 //!
 //! Defaults: full store crash-point enumeration, every runtime crash
 //! point (`--runtime-samples N` samples instead), 3 runtime double-crash
-//! points, 12 sampled shard barrier-crash points, then a bounded sample of
-//! the runtime and shard passes again over stores under the tiny leveled
-//! policy; seed from `HARNESS_SEED` (or the built-in default).  Exits
-//! non-zero and prints
+//! points, 12 sampled shard rounds (each crashed in its append every way
+//! a tear can leave it), then a bounded sample of the runtime and shard
+//! passes again over stores under the tiny leveled policy; seed from
+//! `HARNESS_SEED` (or the built-in default).  Exits non-zero and prints
 //! every violation — each carries the `HARNESS_SEED`/crash-index pair
 //! that reproduces it.
 

@@ -75,14 +75,14 @@ pub struct TortureReport {
     /// [`tiny_leveled_policy`]: crash points inside the spills, merges and
     /// push-downs of a running engine.
     pub runtime_leveled: RuntimeTortureOutcome,
-    /// Sharded-navigator barrier-crash outcome.
+    /// Sharded-navigator crash-inside-a-round outcome.
     pub shard: ShardTortureOutcome,
     /// A bounded sample of the shard pass under [`tiny_leveled_policy`].
     pub shard_leveled: ShardTortureOutcome,
 }
 
 /// At most this many runtime crash points, runtime double-crash points and
-/// shard barrier-crash points [`run_full`] samples under
+/// sampled shard rounds [`run_full`] runs under
 /// [`tiny_leveled_policy`].
 const LEVELED_SAMPLES: (usize, usize, usize) = (4, 1, 8);
 
@@ -125,8 +125,8 @@ impl TortureReport {
         };
         let shard = |o: &ShardTortureOutcome| {
             format!(
-                "{} oracle rounds, {} barrier-crash cases ({} on two threads), {} double-crash cases, \
-                 {} torn-commit cases",
+                "{} oracle rounds, {} sampled rounds ({} on two threads, {} crashing twice), \
+                 {} crashes in their appends",
                 o.rounds, o.cases, o.parallel_cases, o.recovery_cases, o.torn_cases
             )
         };
@@ -159,10 +159,8 @@ impl TortureReport {
 /// enumeration); `runtime_samples` bounds the runtime crash points of the
 /// real 3-TEU all-vs-all (`usize::MAX` = all of them: 105 executions, ~2 s
 /// in release) and `recovery_samples` its double-crash points;
-/// `shard_samples` bounds the sampled
-/// `(round, commit-prefix)` barrier-crash points of the sharded engine
-/// (and, at a third of it, the rounds whose barrier commit is torn every
-/// way).  The runtime and shard passes then run again under
+/// `shard_samples` bounds the sampled rounds of the sharded engine, each
+/// crashed in its one append every way a tear can leave it.  The runtime and shard passes then run again under
 /// [`tiny_leveled_policy`], on a bounded sample (`LEVELED_SAMPLES`).
 pub fn run_full(
     seed: u64,

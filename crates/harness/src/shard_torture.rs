@@ -1,50 +1,45 @@
-//! Crash-at-the-shard-barrier torture for the sharded navigator.
+//! Crash-inside-a-round torture for the sharded navigator.
 //!
-//! The sharded engine's barrier commits each shard's journal batches, one
-//! append per shard in shard order, before the round's history.  A server
-//! crash can therefore leave the store with a *prefix* of the round's
-//! shard commits — some shards a round ahead of others — which is exactly
-//! the state [`ShardEngine::step_round_partial_commit`] manufactures on
-//! purpose.  Each case draws its stepper thread count, one or two, so the
-//! steps are computed on the parallel path too; the commits are the
-//! barrier's either way.
+//! A round of the sharded engine reaches the store as one append: every
+//! shard's journal batches in shard order, then the history batch that
+//! carries the round's events and, when its cadence is due, the awareness
+//! summary that covers them — each batch a WAL frame.  A server crash
+//! inside that append leaves a CRC-valid prefix of its frames: some
+//! shards a round ahead of others, or every journal without its history.
 //!
-//! For a seeded sample of `(crash round, committed-shard prefix)` points
-//! this pass crashes the engine mid-round, reopens the store, recovers,
-//! and requires every root instance to converge to the crash-free
-//! oracle's terminal status *and* final whiteboard.  History digests are
-//! deliberately not compared: recovery legitimately appends its own
-//! events (`server.recover`, requeues, fresh ids for re-spawned
-//! subprocess children).  A fraction of cases crash a second time during
-//! the recovered run to cover crash-during-recovery, and another
-//! fraction suspends a sampled root *at the crashing barrier* — the
-//! suspend control message is in flight (or its durable record is in
-//! the committed prefix) when the server dies — covering the
-//! suspend→crash→recover→resume path: whatever the crash preserved, the
-//! recovered run must quiesce rather than wedge, and an operator resume
-//! must drive every root to the oracle's outputs.
+//! Each case samples a round, a summary cadence and one or two stepper
+//! threads from the seed, finds the round's append on a twin that dies
+//! the moment it is durable, and then crashes the round in that append
+//! every way a [`FaultPlan`] can: lost, kept in full with the
+//! acknowledgment lost, and torn at byte 0, one byte either side of every
+//! frame boundary and at seeded offsets inside.  After each crash it
+//! reopens the store, recovers, and requires every root instance to
+//! converge to the crash-free oracle's terminal status *and* final
+//! whiteboard.  History digests are deliberately not compared: recovery
+//! legitimately appends its own events (`server.recover`, requeues, fresh
+//! ids for re-spawned subprocess children).  A third of the cases crash a
+//! second time, in the recovered run's first append, to cover
+//! crash-during-recovery, and half suspend a sampled root right before
+//! the crashing round — the suspend control message is in flight (or its
+//! durable record is in the kept prefix) when the server dies — covering
+//! the suspend→crash→recover→resume path: whatever the crash preserved,
+//! the recovered run must quiesce rather than wedge, and an operator
+//! resume must drive every root to the oracle's outputs.
 //!
-//! A second kind of case puts a [`FaultPlan`] under the engine and tears
-//! **the barrier's own commit** — the one append that carries a round's
-//! history events and, when its cadence is due, the awareness summary
-//! that covers them: lost, kept in full with the acknowledgment lost, and
-//! torn at byte 0, one byte either side of every WAL frame boundary and
-//! at seeded offsets inside.  Every case of either kind holds the engine
-//! to the **history invariant** ([`check_history`], which the runtime
-//! torture shares) after each recovery and at the end: the engine's
-//! lifetime digest, the awareness index, a reopen from the summary and the
-//! persisted stream are views of one record, so they agree — the digest
-//! with a refold of what `sev/` holds, the rest by label, in length, and
-//! in every aggregate an index rebuilt from the persisted stream would
-//! hold.  Every recovery is also held to what it wrote ([`check_rewrites`]):
-//! each task record it rewrote differs from the copy the journal held, and
-//! each it left out still equals it.
+//! Every crash holds the engine to the **history invariant**
+//! ([`check_history`], which the runtime torture shares) after each
+//! recovery and at the end: the engine's lifetime digest, the awareness
+//! index, a reopen from the summary and the persisted stream are views of
+//! one record, so they agree — the digest with a refold of what `sev/`
+//! holds, the rest by label, in length, and in every aggregate an index
+//! rebuilt from the persisted stream would hold.  Every recovery is also
+//! held to what it wrote ([`check_rewrites`]): each task record it
+//! rewrote differs from the copy the journal held, and each it left out
+//! still equals it.
 //!
 //! The store policy is the caller's: under a tiered one the rounds spill
 //! and merge, so crash points fall inside a store whose journals and
 //! history live in runs, and recovery reads them back through levels.
-//!
-//! [`ShardEngine::step_round_partial_commit`]: bioopera_core::ShardEngine::step_round_partial_commit
 
 use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
@@ -63,20 +58,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-/// Outcome of the shard-barrier torture pass.
+/// Outcome of the shard crash torture pass.
 pub struct ShardTortureOutcome {
     /// Rounds the crash-free oracle needed (the crash-point space).
     pub rounds: u64,
-    /// Single-crash cases executed.
+    /// Sampled cases: a crashing round, a cadence, a thread count.
     pub cases: usize,
-    /// Crash-during-recovery (double-crash) cases executed.
+    /// Cases that crash again in the recovered run (double crash).
     pub recovery_cases: usize,
-    /// Suspend-at-the-crashing-barrier cases executed.
+    /// Cases that suspend a root right before the crashing round.
     pub suspend_cases: usize,
-    /// Torn-barrier-commit cases executed (every effect and offset of
-    /// every sampled round counts as one).
+    /// Crashes executed: every effect and offset of every case's round
+    /// append counts as one.
     pub torn_cases: usize,
-    /// Partial-commit cases whose shards stepped on two threads.
+    /// Cases whose shards stepped on two threads.
     pub parallel_cases: usize,
     /// Invariant violations; empty on success.
     pub violations: Vec<String>,
@@ -209,7 +204,7 @@ struct Setup {
 }
 
 /// Build an engine on `disk` and submit the scripted root mix.  A small
-/// `rollup_every` puts an awareness summary into most barrier commits.
+/// `rollup_every` puts an awareness summary into most rounds' appends.
 fn boot(disk: &MemDisk, setup: Setup) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String> {
     let store = Store::open_with(disk.clone(), setup.tiered).map_err(|e| format!("open: {e}"))?;
     let mut eng = ShardEngine::new(store, library(), cfg(setup)).expect("engine");
@@ -467,46 +462,38 @@ fn recover_and_finish(disk: &MemDisk, setup: Setup) -> Result<ShardEngine<MemDis
     Ok(eng)
 }
 
-/// The barrier's commit of round `round`, found on two crash-free twins
-/// of the run: which disk mutation of the round it is, and the bytes it
-/// appends.  `None` when the round commits no history.
-fn barrier_append(round: u64, setup: Setup) -> Result<Option<(u64, Vec<u8>)>, String> {
-    // Twin A stops short of the barrier: its mutation count is the index
-    // of the barrier's append, its files are the image before it.
-    let before = MemDisk::new();
-    let (mut eng, _) = boot_at_round(&before, setup, round)?;
-    before.set_fault_plan(None);
-    eng.step_round_partial_commit(SHARDS)
-        .map_err(|e| format!("probe partial commit: {e}"))?;
-    let index = before.mutation_count();
-    drop(eng);
-    // Twin B dies the moment that mutation is durable: what it holds
-    // beyond twin A is the append.
-    let after = MemDisk::new();
-    let (mut eng, _) = boot_at_round(&after, setup, round)?;
-    after.set_fault_plan(Some(FaultPlan::at_mutation(index, CrashEffect::AfterApply)));
-    if eng.step_round().is_ok() {
-        return Ok(None);
+/// The bytes the crashing round appends, found on a twin of the case that
+/// dies the moment they are durable; `None` when the round appends
+/// nothing.  `arm` replays the case up to the round it crashes, whose
+/// append is the round's first disk mutation.
+fn round_append(
+    arm: impl Fn(&MemDisk) -> Result<(ShardEngine<MemDisk>, Vec<u64>), String>,
+) -> Result<Option<Vec<u8>>, String> {
+    let disk = MemDisk::new();
+    let (mut eng, _) = arm(&disk)?;
+    disk.set_fault_plan(Some(FaultPlan::at_mutation(0, CrashEffect::AfterApply)));
+    match eng.step_round() {
+        Ok(_) => return Ok(None),
+        Err(_) if disk.has_crashed() => {}
+        Err(e) => return Err(format!("probe step: {e}")),
     }
     drop(eng);
-    after.reboot();
-    for name in after.list().map_err(|e| format!("probe list: {e}"))? {
-        let grown = after
-            .read(&name)
-            .map_err(|e| format!("probe read: {e}"))?
-            .unwrap_or_default();
-        let had = before.file_len(&name).unwrap_or(0);
-        if grown.len() > had {
-            return Ok(Some((index, grown[had..].to_vec())));
-        }
-    }
-    Ok(None)
+    disk.reboot();
+    let names = disk.list().map_err(|e| format!("probe list: {e}"))?;
+    let wal = names.into_iter().filter(|n| n.starts_with("wal-")).max();
+    let log = disk
+        .read(&wal.ok_or("the probe left no WAL")?)
+        .map_err(|e| format!("probe read: {e}"))?
+        .unwrap_or_default();
+    Ok(Some(
+        log[log.len() - disk.bytes_appended() as usize..].to_vec(),
+    ))
 }
 
-/// Every crash the barrier's append of `data` can suffer: lost, applied
+/// Every crash the round's append of `data` can suffer: lost, applied
 /// with the acknowledgment lost, and torn at 0, at each WAL frame
 /// boundary ±1 and at three seeded offsets inside.
-fn barrier_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
+fn append_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
     let len = data.len() as u64;
     let mut keeps = vec![0u64];
     let mut off = 0usize;
@@ -526,9 +513,9 @@ fn barrier_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
     effects
 }
 
-/// Run the shard-barrier crash torture over stores tiered by `tiered`:
-/// `samples` single-crash points and (roughly) a third as many
-/// double-crash points, all derived from `seed`.
+/// Run the shard crash torture over stores tiered by `tiered`: `samples`
+/// sampled rounds, each crashed in its one append every way
+/// [`append_crash_effects`] names, all derived from `seed`.
 pub fn run_shard_torture(
     seed: u64,
     samples: usize,
@@ -582,95 +569,73 @@ pub fn run_shard_torture(
 
     for case in 0..samples {
         let crash_round = rng.gen_range(0..out.rounds.max(1));
-        let prefix = rng.gen_range(0..=SHARDS);
         let rollup_every = rng.gen_range(1..40u64);
         let double_crash = case % 3 == 2;
-        let suspend_at_barrier = case % 2 == 1;
+        let suspend_before = case % 2 == 1;
         let suspend_root = rng.gen_range(0..9u64) as usize;
         let threads = rng.gen_range(1..=2);
         let tag = format!(
-            "seed={seed} {policy} case={case} round={crash_round} prefix={prefix}/{SHARDS} \
-             double={double_crash} suspend={suspend_at_barrier} rollup_every={rollup_every} \
-             threads={threads}"
+            "seed={seed} {policy} case={case} round={crash_round} double={double_crash} \
+             suspend={suspend_before} rollup_every={rollup_every} threads={threads}"
         );
         let setup = setup_at(rollup_every, threads);
         out.cases += 1;
-        if suspend_at_barrier {
-            out.suspend_cases += 1;
-        }
-        if threads > 1 {
-            out.parallel_cases += 1;
-        }
-
-        let disk = MemDisk::new();
-        let res = boot_at_round(&disk, setup, crash_round).and_then(|(mut eng, ids)| {
-            if suspend_at_barrier {
-                // Park a root right before the crashing barrier: the
-                // suspend control message (and, if its owner shard is in
-                // the committed prefix, the durable susp/ record) dies
-                // with the server in an arbitrary intermediate state.
+        out.recovery_cases += usize::from(double_crash);
+        out.suspend_cases += usize::from(suspend_before);
+        out.parallel_cases += usize::from(threads > 1);
+        let arm = |disk: &MemDisk| {
+            let (mut eng, ids) = boot_at_round(disk, setup, crash_round)?;
+            if suspend_before {
+                // Park a root right before the crashing round: the
+                // suspend control message (and, if its owner's frames are
+                // in the kept prefix, the durable susp/ record) dies with
+                // the server in an arbitrary intermediate state.
                 eng.suspend(ids[suspend_root % ids.len()])
                     .map_err(|e| format!("suspend: {e}"))?;
             }
-            eng.step_round_partial_commit(prefix)
-                .map_err(|e| format!("partial commit: {e}"))?;
-            drop(eng);
-
-            if double_crash {
-                // Crash again mid-recovered-run before checking outputs.
-                out.recovery_cases += 1;
-                let mut eng = recover(&disk, setup)?;
-                let prefix2 = rng.gen_range(0..=SHARDS);
-                if !eng.quiescent() {
-                    eng.step_round_partial_commit(prefix2)
-                        .map_err(|e| format!("second partial commit: {e}"))?;
-                }
-                drop(eng);
-            }
-
-            let eng = recover_and_finish(&disk, setup)?;
-            compare(&tag, &roots(&eng, &ids)?, &oracle)
-        });
-        if let Err(e) = res {
-            out.violations.push(format!("shard torture [{tag}]: {e}"));
-        }
-    }
-
-    // Tear the barrier's own commit: a third as many rounds as barrier
-    // crashes, every effect and offset of each.
-    for case in 0..samples.div_ceil(3) {
-        let crash_round = rng.gen_range(0..out.rounds.max(1));
-        let rollup_every = rng.gen_range(1..40u64);
-        let threads = rng.gen_range(1..=2);
-        let tag = format!(
-            "seed={seed} {policy} torn case={case} round={crash_round} rollup_every={rollup_every} \
-             threads={threads}"
-        );
-        let setup = setup_at(rollup_every, threads);
-        let (index, data) = match barrier_append(crash_round, setup) {
-            Ok(Some(found)) => found,
+            Ok((eng, ids))
+        };
+        let data = match round_append(arm) {
+            Ok(Some(data)) => data,
             Ok(None) => continue,
             Err(e) => {
                 out.violations.push(format!("shard torture [{tag}]: {e}"));
                 continue;
             }
         };
-        for effect in barrier_crash_effects(&data, &mut rng) {
+        let effects = append_crash_effects(&data, &mut rng);
+        for &effect in &effects {
             out.torn_cases += 1;
+            // A double crash tears the recovered run's first append too.
+            let second = double_crash.then(|| effects[rng.gen_range(0..effects.len())]);
             let disk = MemDisk::new();
-            let res = boot_at_round(&disk, setup, crash_round).and_then(|(mut eng, ids)| {
-                disk.set_fault_plan(Some(FaultPlan::at_mutation(index, effect)));
+            let res = arm(&disk).and_then(|(mut eng, ids)| {
+                disk.set_fault_plan(Some(FaultPlan::at_mutation(0, effect)));
                 if eng.step_round().is_ok() {
-                    return Err("the armed barrier commit never crashed".to_string());
+                    return Err("the armed round append never crashed".to_string());
                 }
                 drop(eng);
                 disk.reboot();
+                if let Some(second) = second {
+                    let mut eng = recover(&disk, setup)?;
+                    disk.set_fault_plan(Some(FaultPlan::at_mutation(0, second)));
+                    if !eng.quiescent() {
+                        match eng.step_round() {
+                            Err(e) if !disk.has_crashed() => {
+                                return Err(format!("recovered step: {e}"))
+                            }
+                            _ => {}
+                        }
+                    }
+                    drop(eng);
+                    disk.reboot();
+                }
                 let eng = recover_and_finish(&disk, setup)?;
                 compare(&tag, &roots(&eng, &ids)?, &oracle)
             });
             if let Err(e) = res {
                 out.violations.push(format!(
-                    "shard torture [{tag} mutation={index} of {} bytes, {effect:?}]: {e}",
+                    "shard torture [{tag} {} bytes, {effect:?}, then {second:?}]: {e}",
                     data.len()
                 ));
             }

@@ -47,7 +47,11 @@ impl Default for CompactionPolicy {
 /// default layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TieredPolicy {
-    /// Spill once the memtables' estimated bytes exceed this.
+    /// Spill once the memtables' estimated bytes exceed this.  The check
+    /// runs once per [`crate::Store::apply_many`], after the whole call
+    /// is applied — once per round on the sharded engine, whose round is
+    /// one call — so the memtables can exceed the budget by up to one
+    /// call's writes before the roll.
     pub memtable_budget_bytes: u64,
     /// Compact L0 into L1 once this many L0 runs exist.
     pub run_merge_threshold: usize,

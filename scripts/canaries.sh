@@ -169,13 +169,20 @@ canary barrier-tiebreak-by-shard crates/core/src/shard/router.rs \
   's/^    for out in per_shard\.drain\(\.\.\) \{$/    let shards = per_shard.len();\n&/;s/^    effects\.sort_by_key\(Effect::src\);$/    effects.sort_by_key(|e| (e.src().1, owner(e.src().0, shards)));/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism sharded_replay_matches_serial_baseline
 
-# The barrier committing the shards' batches in reverse shard order
+# The round's append carrying the shards' batches in reverse shard order
 # whenever more than one thread stepped them, as a race between stepper
 # threads once could: the history and the state stay right, the disk image
 # is no longer the one-thread image.
 canary reverse-commit-when-threaded crates/core/src/shard/mod.rs \
-  's/^        for \(out, batches\) in self\.step_shards\(\)\? \{$/        let mut steps = self.step_shards()?;\n        if self.cfg.threads > 1 { steps.reverse(); }\n        for (out, batches) in steps {/; s/^        self\.barrier\(round, outputs\)\?;$/        if self.cfg.threads > 1 { outputs.reverse(); }\n&/' \
+  's/^        for \(out, journal\) in self\.step_shards\(\)\? \{$/        let mut steps = self.step_shards()?;\n        if self.cfg.threads > 1 { steps.reverse(); }\n        for (out, journal) in steps {/; s/^        batches\.push\(self\.barrier\(round, outputs\)\?\);$/        if self.cfg.threads > 1 { outputs.reverse(); }\n&/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism sharded_replay_matches_serial_baseline
+
+# The round's history batch stored by an append of its own after the
+# shards' journals: the same frames, so the untiered image is the same,
+# but a round is two disk mutations again.
+canary round-split-append crates/core/src/shard/mod.rs \
+  's/^        batches\.push\(self\.barrier\(round, outputs\)\?\);$/        let history = self.barrier(round, outputs)?;\n        self.store.apply_many(batches).map_err(EngineError::Store)?;\n        let batches = vec![history];/' \
+  cargo test -q --offline -p bioopera-core --test shard_determinism a_round_is_one_append
 
 # A second writer path back, and the grep gate that keeps each out (one
 # canary per arm): a lock in the store, a second handle (by hand or

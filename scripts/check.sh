@@ -148,9 +148,11 @@ step "one history writer, one layout: both drivers store each event once, in one
 # them, and StreamSummary's digest is no Option.  No write in
 # awareness.rs's non-test code but the summary's may appear; the ev/
 # writer (`.record(` + `pending_batch` + `confirm_flushed` +
-# `discard_pending`, through `TypedSpace`) must not come back; and neither
-# commit may split its events from its state into a second frame
-# (`apply_many`).
+# `discard_pending`, through `TypedSpace`) must not come back; the
+# runtime's commit may not split its events from its state into a second
+# frame (`apply_many`); and the sharded engine stores a round, and a
+# recovery, in one append each: two `apply_many` calls in its non-test
+# code, one per round and one per recovery.
 stray=$({
   grep -rnE '"ev/|"rollup"|ROLLUP_KEY|"detail"' crates/core/src --include='*.rs' \
     | grep -v '^crates/core/src/upgrade.rs:'
@@ -165,13 +167,14 @@ stray=$({
     | grep -vE '^crates/core/src/(history|awareness)\.rs$'); do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'put(_record)?\(Space::History' | sed "s|^|$f:|"
   done
-  sed -n '/fn commit_events/,/^    }/p' crates/core/src/shard/mod.rs | grep 'apply_many' \
-    | sed 's|^|crates/core/src/shard/mod.rs: commit_events: |'
+  appends=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/shard/mod.rs | grep -c 'apply_many(' || true)
+  [ "$appends" = 2 ] \
+    || echo "crates/core/src/shard/mod.rs: $appends apply_many calls, not one per round and one per recovery"
   sed -n '/    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs | grep 'apply_many' \
     | sed 's|^|crates/core/src/runtime.rs: commit: |'
 } || true)
 if [ -n "$stray" ]; then
-  echo "a second history writer, an older layout named outside the upgrade, or a second frame for a commit's events:"
+  echo "a second history writer, an older layout named outside the upgrade, a second frame for a commit's events, or a second append for a round:"
   echo "$stray"
   exit 1
 fi
@@ -340,11 +343,12 @@ fi
 step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
 # real 3-TEU all-vs-all (105 executions, ~2 s of the total in release) +
-# sampled shard barrier-crash points + four rounds' barrier commits torn
-# every way (lost, applied unacknowledged, cut at each frame boundary ±1
-# and at seeded offsets), all held to the history invariant; then a
-# bounded sample of the runtime and shard passes again over stores under
-# the tiny leveled policy, so crash points fall inside spills and merges.
+# twelve sampled shard rounds, each round's one append torn every way
+# (lost, applied unacknowledged, cut at each frame boundary ±1 and at
+# seeded offsets; a third crash again in the recovered run, half suspend
+# a root first), all held to the history invariant; then a bounded sample
+# of the runtime and shard passes again over stores under the tiny
+# leveled policy, so crash points fall inside spills and merges.
 cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
 
 step "canaries: every audited gate turns red on its planted bug"
