@@ -1,8 +1,11 @@
 //! **Alignment kernel microbench** — throughput of the scalar profile
 //! kernel, the inter-sequence SIMD lane (`simd_batched`, one query
 //! against a batch), the same batches at the fixed pass's threshold
-//! (`simd_filtered`: the i16 upper-bound filter, then the f32 lane on its
-//! candidates only), the striped SIMD lane (`simd_pairwise`, one pair at
+//! (`simd_filtered`: the u8 upper-bound filter, then the f32 lane on its
+//! candidates only), the filter on its own (`filter_pass`: each query
+//! against a batch of unrelated sequences, which the filter rules out
+//! nearly whole, so the f32 lane re-scores next to nothing), the striped
+//! SIMD lane (`simd_pairwise`, one pair at
 //! a time, as singles and the refinement run it) and the banded
 //! PAM-ladder refinement against the seed (naive) implementation on a
 //! seeded dataset.
@@ -29,7 +32,7 @@
 //! only the scores at or above the threshold, which must equal the same
 //! sum over `simd_batched`'s exact scores, and the pairs it re-scored
 //! must number at least the matches and, on a SIMD host, fewer than all
-//! pairs.
+//! pairs; `filter_pass` is held to the same sum over its own pairs.
 //!
 //! Writes `BENCH_kernel.json`.  With `KERNEL_BENCH_SMOKE=1` the bench
 //! runs one pass per variant and additionally enforces a floor on the
@@ -115,6 +118,8 @@ struct BenchReport {
     /// Pairs per pass simd_filtered's filter passed on to the f32 lane
     /// (all of them where the filter does not run).
     filtered_rescored_pairs: u64,
+    /// The same for filter_pass, whose pairs are unrelated.
+    filter_pass_rescored_pairs: u64,
     bit_identical: bool,
 }
 
@@ -297,6 +302,73 @@ fn main() {
         (checksum, cells, 0u64)
     };
 
+    // The filter on its own: every query against a batch of sequences
+    // from another seed's families, at the same threshold.  Unrelated
+    // pairs rarely reach it, so the f32 lane re-scores next to nothing
+    // and the pass times the filter.  Batches four times the widest
+    // filter keep its lanes busy, as the fixed pass's do.
+    let unrelated = SequenceDb::generate(
+        &DatasetConfig {
+            size: 4 * 64,
+            seed: cfg.seed + 1,
+            ..cfg.clone()
+        },
+        &pam,
+    );
+    let unrelated_pairs = n as u64 * unrelated.len() as u64;
+    let mut scratch10 = AlignScratch::new();
+    let mut scores10: Vec<ScoreOnly> = Vec::new();
+    let filter_rescored = std::cell::Cell::new(0u64);
+    let mut filter_only_pass = || {
+        let mut checksum = 0.0f64;
+        let mut cells = 0u64;
+        let mut again = 0u64;
+        for e in 0..n {
+            align_score_many(
+                db.get(e),
+                unrelated.sequences.iter(),
+                matrix,
+                &params,
+                Some(threshold),
+                &mut scratch10,
+                &mut scores10,
+            );
+            again += scratch10.rescored().unwrap_or(scores10.len()) as u64;
+            for r in &scores10 {
+                if r.score >= threshold {
+                    checksum += r.score as f64;
+                }
+                cells += r.cells;
+            }
+        }
+        filter_rescored.set(again);
+        (checksum, cells, 0u64)
+    };
+    // Its exact reference: the same pairs on the f32 lane alone.
+    let (unrelated_sum, unrelated_cells) = {
+        let mut s = AlignScratch::new();
+        let mut out = Vec::new();
+        let (mut sum, mut cells) = (0.0f64, 0u64);
+        for e in 0..n {
+            align_score_many(
+                db.get(e),
+                unrelated.sequences.iter(),
+                matrix,
+                &params,
+                None,
+                &mut s,
+                &mut out,
+            );
+            for r in &out {
+                if r.score >= threshold {
+                    sum += r.score as f64;
+                }
+                cells += r.cells;
+            }
+        }
+        (sum, cells)
+    };
+
     // The striped SIMD lane at the auto-detected level: the pairwise
     // entry point, which singles and the refinement use.
     let mut scratch8 = AlignScratch::new();
@@ -431,6 +503,7 @@ fn main() {
     pairwise_pass();
     simd_pass();
     filtered_pass();
+    filter_only_pass();
     simd_pairwise_pass();
     refine_plain_pass();
     refine_banded_pass();
@@ -441,6 +514,7 @@ fn main() {
     let mut pair_t = Timing::new();
     let mut simd_t = Timing::new();
     let mut filt_t = Timing::new();
+    let mut filter_t = Timing::new();
     let mut simd_pair_t = Timing::new();
     let mut refp_t = Timing::new();
     let mut refb_t = Timing::new();
@@ -452,6 +526,7 @@ fn main() {
         pair_t.pass(&mut pairwise_pass);
         simd_t.pass(&mut simd_pass);
         filt_t.pass(&mut filtered_pass);
+        filter_t.pass(&mut filter_only_pass);
         simd_pair_t.pass(&mut simd_pairwise_pass);
         refp_t.pass(&mut refine_plain_pass);
         refb_t.pass(&mut refine_banded_pass);
@@ -495,6 +570,13 @@ fn main() {
         rescored >= matched_pairs && (level == SimdLevel::Scalar || rescored < pairs_per_pass),
         "simd_filtered re-scored {rescored} pairs for {matched_pairs} matches of {pairs_per_pass}"
     );
+    let filter_rescored = filter_rescored.get();
+    assert!(
+        filter_t.result.0 == unrelated_sum && filter_t.result.1 == unrelated_cells,
+        "filter_pass diverged: {} vs {unrelated_sum} over the matches, cells {} vs {unrelated_cells}",
+        filter_t.result.0,
+        filter_t.result.1
+    );
     // Banded refinement: same scores, every skipped cell accounted.
     assert!(
         refp_sum == refb_sum,
@@ -516,6 +598,7 @@ fn main() {
         ("profile_batched", &batch_t),
         ("simd_batched", &simd_t),
         ("simd_filtered", &filt_t),
+        ("filter_pass", &filter_t),
         ("simd_pairwise", &simd_pair_t),
         ("banded_refine", &refb_t),
         ("refine_batched", &refq_t),
@@ -550,6 +633,7 @@ fn main() {
         variant("refine_batched", &refq_t, matched_pairs),
         variant("simd_pairwise", &simd_pair_t, pairs_per_pass),
         variant("simd_filtered", &filt_t, pairs_per_pass),
+        variant("filter_pass", &filter_t, unrelated_pairs),
     ];
     let speedup = variants[1].cells_per_sec / variants[0].cells_per_sec;
     let simd_speedup = variants[3].cells_per_sec / variants[1].cells_per_sec;
@@ -577,6 +661,7 @@ fn main() {
         speedup_filtered_vs_batched: filtered_speedup,
         matched_pairs,
         filtered_rescored_pairs: rescored,
+        filter_pass_rescored_pairs: filter_rescored,
         bit_identical,
     };
 
@@ -596,6 +681,7 @@ fn main() {
     eprintln!(
         "  speedup (filtered vs batched): {filtered_speedup:.2}x ({rescored} of {pairs_per_pass} pairs re-scored, {matched_pairs} matches)"
     );
+    eprintln!("  filter_pass: {filter_rescored} of {unrelated_pairs} unrelated pairs re-scored");
 
     let json = serde_json::to_string(&report).expect("serialize report");
     write_results("BENCH_kernel.json", &json);

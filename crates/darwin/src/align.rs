@@ -40,10 +40,10 @@
 //! parameters, and the `BIOOPERA_SIMD=scalar` escape hatch, take the
 //! scalar wavefront kernel below, which is also the portable fallback.
 //! With a threshold, [`align_score_many`] first runs the **upper-bound
-//! filter**, the inter-sequence pass in saturating i16 on a scaled
-//! matrix (8, 16 or 32 subjects per vector), and hands the f32 lane only
-//! the subjects whose bound reaches the threshold.  Both passes share one
-//! lane driver, `run_lanes`.
+//! filter**, the inter-sequence pass in saturating u8 on a scaled,
+//! biased matrix (16, 32 or 64 subjects per vector), and hands the f32
+//! lane only the subjects whose bound reaches the threshold.  Both passes
+//! share one lane driver, `run_lanes`.
 //!
 //! Why bit-identity holds: the profile kernel iterates subject-outer /
 //! query-inner, i.e. it computes the transposed DP matrix.  The score
@@ -150,10 +150,10 @@ pub struct AlignScratch {
     /// The upper-bound filter ([`AlignScratch::filter_across`]): its
     /// scaled score rows by query residue (`simd::run_filter`), its
     /// per-row H and E vectors and its two column tables.
-    filter_rows: Vec<i16>,
-    filter_h: Vec<i16>,
-    filter_e: Vec<i16>,
-    filter_tables: Vec<i16>,
+    filter_rows: Vec<u8>,
+    filter_h: Vec<u8>,
+    filter_e: Vec<u8>,
+    filter_tables: Vec<u8>,
     /// The filter's candidates, in subject order: each one's slot in the
     /// batch's output and its residues' range in `candidate_residues`.
     candidates: Vec<(usize, usize, usize)>,
@@ -416,7 +416,7 @@ impl AlignScratch {
     /// Score the loaded `query` against every subject on the
     /// inter-sequence lanes, pushing one result per subject onto `out`
     /// in subject order.  With `min_score = Some(t)` and a filter that
-    /// applies ([`AlignScratch::load_filter`]), the i16 filter runs over
+    /// applies ([`AlignScratch::load_filter`]), the u8 filter runs over
     /// the batch first and the f32 lane re-scores only its candidates;
     /// otherwise the f32 lane scores every subject.  Requires
     /// [`AlignScratch::simd_ok`].
@@ -435,6 +435,8 @@ impl AlignScratch {
                 .extend((0..ALPHABET_SIZE).map(|q| m.score(q, r)));
         }
         self.lane_matrix.extend([f32::NEG_INFINITY; ALPHABET_SIZE]);
+        let filter = min_score.and_then(|t| self.load_filter(query, m, p, t));
+        let query = simd::Query::new(query);
         // Every subject takes its slot in `out` as the batch hands it
         // out; an empty one keeps its empty result and takes no lane.
         let mut subjects = subjects.map(|b| &b.residues[..]);
@@ -447,7 +449,7 @@ impl AlignScratch {
             }
             None
         };
-        let Some(filter) = min_score.and_then(|t| self.load_filter(query, m, p, t)) else {
+        let Some(filter) = filter else {
             self.exact_across(query, p, out, next);
             return;
         };
@@ -470,7 +472,7 @@ impl AlignScratch {
     /// each one's exact score and `|a|·|b|` cells, into its slot.
     fn exact_across<'a>(
         &mut self,
-        query: &[u8],
+        query: simd::Query<'_>,
         p: &AlignParams,
         out: &mut Vec<ScoreOnly>,
         next: impl FnMut(&mut Vec<ScoreOnly>) -> Option<(usize, &'a [u8])>,
@@ -516,12 +518,12 @@ impl AlignScratch {
         );
     }
 
-    /// The i16 filter over the subjects `next` hands out.  A subject whose
+    /// The u8 filter over the subjects `next` hands out.  A subject whose
     /// bound reaches the cut is copied into the candidates; every other
     /// one gets its result, score 0 and `|a|·|b|` cells, now.
     fn filter_across<'a>(
         &mut self,
-        query: &[u8],
+        query: simd::Query<'_>,
         f: Filter,
         out: &mut Vec<ScoreOnly>,
         next: impl FnMut(&mut Vec<ScoreOnly>) -> Option<(usize, &'a [u8])>,
@@ -557,6 +559,7 @@ impl AlignScratch {
                     h,
                     e,
                     best,
+                    f.bias,
                     f.open,
                     f.ext,
                 )
@@ -578,12 +581,15 @@ impl AlignScratch {
     }
 
     /// Set up the upper-bound filter for the loaded `query` at threshold
-    /// `t`, or say it does not apply.  Loads `filter_rows` with the
-    /// scaled matrix (`⌈k·s⌉`, the past-end code at `i16::MIN`) and
-    /// returns the scaled gaps (`⌊k·open⌋`, `⌊k·ext⌋`) and the cut
-    /// `⌊k·(t − δ)⌋`, where `δ` bounds how far the f32 DP's rounding can
-    /// lift a score above the real-valued DP's (DESIGN.md "Upper-bound
-    /// filter" gives the argument):
+    /// `t`, or say it does not apply.  Takes the largest power of two `k`
+    /// for which the cut and every biased entry fit u8, loads
+    /// `filter_rows` with the biased scaled matrix (`⌈k·s⌉ + bias`, where
+    /// `bias` lifts the least entry to 0; the past-end code at 0), and
+    /// returns the bias, the scaled gaps (`⌊k·open⌋`, `⌊k·ext⌋`) and the
+    /// cut `⌊k·(t − δ)⌋`, which must not exceed the ceiling `255 − bias`
+    /// a saturated lane holds.  `δ` bounds how far the f32 DP's rounding
+    /// can lift a score above the real-valued DP's (DESIGN.md
+    /// "Upper-bound filter" gives the argument):
     ///
     /// * `S` is the sum over query positions of the position's best
     ///   positive score; no partial value on a best path exceeds `M =
@@ -593,11 +599,10 @@ impl AlignScratch {
     ///   exact), and each rounds by at most `2⁻²⁴` of a value below `M`;
     /// * so `δ = L · 2⁻²⁴ · M / (1 − 2⁻²⁴)`, valid while `L · 2⁻²⁴ ≤ 1/4`.
     ///
-    /// `None` — the exact path — when the cut is below 1 (which covers
-    /// `t ≤ δ`), when `L · 2⁻²⁴ > 1/4`, or when `k·t`, a scaled entry or
-    /// a scaled gap exceeds [`FILTER_LIMIT`] in magnitude.  The caller has
-    /// checked [`AlignScratch::simd_ok`] (so the level is not `Scalar`
-    /// and `open ≥ ext ≥ 0`).
+    /// `None` — the exact path — when `L · 2⁻²⁴ > 1/4`, when no `k ≥ 1`
+    /// fits, or when the cut is below 1 (which covers `t ≤ δ`).  The
+    /// caller has checked [`AlignScratch::simd_ok`] (so the level is not
+    /// `Scalar` and `open ≥ ext ≥ 0`).
     fn load_filter(
         &mut self,
         query: &[u8],
@@ -606,21 +611,15 @@ impl AlignScratch {
         t: f32,
     ) -> Option<Filter> {
         const ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
-        let k = FILTER_SCALE;
-        let fits = |x: f64| x.abs() <= FILTER_LIMIT;
-        self.filter_rows.clear();
-        self.filter_rows
-            .resize(ALPHABET_SIZE * simd::FILTER_ROW, i16::MIN);
+        let s = |q: usize, r: usize| f64::from(m.score(q, r));
         let mut row_max = [0.0f64; ALPHABET_SIZE];
-        let mut ok = true;
+        let (mut least, mut most_entry) = (0.0f64, 0.0f64);
         for (q, top) in row_max.iter_mut().enumerate() {
             for r in 0..ALPHABET_SIZE {
-                let s = f64::from(m.score(q, r));
-                *top = top.max(s);
-                let scaled = (k * s).ceil();
-                ok &= fits(scaled);
-                self.filter_rows[q * simd::FILTER_ROW + r] = scaled as i16;
+                *top = top.max(s(q, r));
+                least = least.min(s(q, r));
             }
+            most_entry = most_entry.max(*top);
         }
         let (open, ext) = (f64::from(p.gap_open), f64::from(p.gap_extend));
         let most = 2.0 * query.iter().map(|&q| row_max[q as usize]).sum::<f64>();
@@ -633,12 +632,30 @@ impl AlignScratch {
         };
         let steps = query.len() as f64 + gap_steps;
         let delta = steps * ROUNDOFF * most / (1.0 - ROUNDOFF);
-        let cut = (k * (f64::from(t) - delta)).floor();
-        ok &= steps * ROUNDOFF <= 0.25 && fits(k * open) && fits(k * f64::from(t)) && cut >= 1.0;
-        ok.then(|| Filter {
-            cut: cut as i16,
-            open: (k * open).floor() as i16,
-            ext: (k * ext).floor() as i16,
+        let bias = |k: f64| -(k * least).ceil();
+        let cut = |k: f64| (k * (f64::from(t) - delta)).floor();
+        let ceiling = |k: f64| 255.0 - bias(k);
+        let k = (0..8)
+            .rev()
+            .map(|j| f64::from(1u8 << j))
+            .find(|&k| (k * most_entry).ceil() <= ceiling(k) && cut(k) <= ceiling(k))?;
+        if steps * ROUNDOFF > 0.25 || cut(k) < 1.0 {
+            return None;
+        }
+        self.filter_rows.clear();
+        self.filter_rows.resize(ALPHABET_SIZE * simd::FILTER_ROW, 0);
+        for q in 0..ALPHABET_SIZE {
+            for r in 0..ALPHABET_SIZE {
+                self.filter_rows[q * simd::FILTER_ROW + r] = ((k * s(q, r)).ceil() + bias(k)) as u8;
+            }
+        }
+        // A float-to-int `as` saturates: a scaled gap past 255 is charged
+        // 255, which still rounds it down.
+        Some(Filter {
+            cut: cut(k) as u8,
+            bias: bias(k) as u8,
+            open: (k * open).floor() as u8,
+            ext: (k * ext).floor() as u8,
         })
     }
 
@@ -863,29 +880,21 @@ impl AlignScratch {
 /// Most lanes of any inter-sequence pass: the filter's at AVX-512.
 const MAX_LANES: usize = simd::MAX_FILTER_LANES;
 
-/// The filter's scale `k`: entries are `⌈k·s⌉`, gaps `⌊k·gap⌋`.  A power
-/// of two, so every scaled value is exact in f64.
-const FILTER_SCALE: f64 = 8.0;
-
-/// Largest magnitude of a scaled entry, gap or threshold: half the i16
-/// range, so a best that saturates at `i16::MAX` is far above any cut and
-/// `i16::MIN`, the past-end code, is far below any entry.
-const FILTER_LIMIT: f64 = 16_383.0;
-
-/// The filter's scaled gaps and its cut (see [`AlignScratch::load_filter`]).
-#[derive(Clone, Copy)]
+/// The filter's bias, scaled gaps and cut (see [`AlignScratch::load_filter`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Filter {
-    cut: i16,
-    open: i16,
-    ext: i16,
+    cut: u8,
+    bias: u8,
+    open: u8,
+    ext: u8,
 }
 
 /// A lane value of the inter-sequence passes: the f32 lane's scores and
-/// the filter's i16 bounds.
+/// the filter's u8 bounds.
 trait LaneCell: Copy {
     const ZERO: Self;
-    /// Give lane `l` a fresh subject: H = 0 and E = minus infinity in
-    /// each of the `rows` query rows.
+    /// Give lane `l` a fresh subject: H = 0 and E at its floor (minus
+    /// infinity, or the u8 lane's 0) in each of the `rows` query rows.
     fn reset(h: &mut [Self], e: &mut [Self], l: usize, lanes: usize, rows: usize);
 }
 
@@ -899,12 +908,12 @@ impl LaneCell for f32 {
     }
 }
 
-impl LaneCell for i16 {
-    const ZERO: i16 = 0;
-    fn reset(h: &mut [i16], e: &mut [i16], l: usize, lanes: usize, rows: usize) {
+impl LaneCell for u8 {
+    const ZERO: u8 = 0;
+    fn reset(h: &mut [u8], e: &mut [u8], l: usize, lanes: usize, rows: usize) {
         for i in 0..rows {
             h[i * lanes + l] = 0;
-            e[i * lanes + l] = i16::MIN;
+            e[i * lanes + l] = 0;
         }
     }
 }
@@ -925,7 +934,7 @@ fn run_lanes<'a, T: LaneCell>(
     e: &mut Vec<T>,
     out: &mut Vec<ScoreOnly>,
     mut next: impl FnMut(&mut Vec<ScoreOnly>) -> Option<(usize, &'a [u8])>,
-    mut pass: impl FnMut(&[usize], &mut [T], &mut [T], &mut [T]),
+    mut pass: impl FnMut(&[u8], &mut [T], &mut [T], &mut [T]),
     mut finish: impl FnMut(&mut Vec<ScoreOnly>, usize, &'a [u8], T),
 ) {
     h.resize(rows * lanes, T::ZERO);
@@ -964,8 +973,8 @@ fn run_lanes<'a, T: LaneCell>(
 }
 
 /// Subject residue code of a lane past its subject's end: the
-/// `lane_matrix` row of `-inf` scores.
-const PAST_END: usize = LANE_MATRIX_ROWS - 1;
+/// `lane_matrix` row of `-inf` scores and the filter rows' 0 entries.
+const PAST_END: u8 = (LANE_MATRIX_ROWS - 1) as u8;
 
 /// One inter-sequence lane: its subject, the next column it scores and
 /// its result's slot in the batch's output.
@@ -978,10 +987,8 @@ struct Lane<'s> {
 
 impl Lane<'_> {
     /// The subject residue `k` columns on, or [`PAST_END`].
-    fn at(&self, k: usize) -> usize {
-        self.residues
-            .get(self.col + k)
-            .map_or(PAST_END, |&r| r as usize)
+    fn at(&self, k: usize) -> u8 {
+        self.residues.get(self.col + k).copied().unwrap_or(PAST_END)
     }
 }
 
@@ -1009,7 +1016,7 @@ pub fn align_score_with(
 /// **exact above the threshold**: a subject whose exact score is `≥ t`
 /// reports those bits, and every other subject reports a score `< t`
 /// (0 when the upper-bound filter ruled it out).  The filter — a
-/// saturating i16 pass over a scaled matrix that bounds every score from
+/// saturating u8 pass over a scaled matrix that bounds every score from
 /// above — leaves the f32 lane only the subjects that may reach `t`;
 /// [`AlignScratch::rescored`] counts them.  It stands aside, and every
 /// score is exact, at the scalar level, for gaps outside `open ≥ ext ≥
@@ -1402,6 +1409,37 @@ mod tests {
         assert_eq!(al.b_range.1 - al.b_range.0, b_consumed);
         // The conserved core is found.
         assert!(al.identities >= 11);
+    }
+
+    /// The filter's scale is derived per (matrix, threshold): PAM 120 at
+    /// the fixed pass's 80 runs at `k = 2` (entries `⌈2s⌉ + 10`, ceiling
+    /// 245), at 150 the cut no longer fits under that ceiling and `k`
+    /// drops to 1, and past the `k = 1` ceiling no scale fits.
+    #[test]
+    fn the_filter_scale_is_the_largest_that_fits_u8() {
+        let fam = fam();
+        let m = fam.nearest(FIXED_PAM);
+        let p = AlignParams::default();
+        let q = seq("MKVLAWGCHDEGGGGPPPPMKVLAWGCHDE");
+        let mut scratch = AlignScratch::with_level(SimdLevel::Sse2);
+        scratch.set_query(&q, m);
+        let mut filter = |t: f32| scratch.load_filter(&q.residues, m, &p, t);
+        let at = |cut, bias, open, ext| {
+            Some(Filter {
+                cut,
+                bias,
+                open,
+                ext,
+            })
+        };
+        assert_eq!(filter(80.0), at(159, 10, 44, 3));
+        assert_eq!(filter(150.0), at(149, 5, 22, 1));
+        // The k = 1 ceiling is 250: the cut of 251 (250, as δ > 0) fits,
+        // 252's does not.
+        assert_eq!(filter(251.0), at(250, 5, 22, 1));
+        assert_eq!(filter(252.0), None);
+        // A cut below 1 takes the exact path too.
+        assert_eq!(filter(0.01), None);
     }
 
     /// Every level the host can execute (always includes `Scalar`).

@@ -36,9 +36,9 @@
 //! subject's end cannot disturb its score.
 //!
 //! A third, the **upper-bound filter** ([`run_filter`]), is the same
-//! inter-sequence pass on a scaled integer matrix in saturating `i16`
-//! lanes (SWIPE's 16-bit scores): 8, 16 and 32 subjects per vector at
-//! SSE2, AVX2 and AVX-512.  It computes no score anyone reads, only a
+//! inter-sequence pass on a scaled, biased integer matrix in saturating
+//! `u8` lanes (SWIPE's 8-bit scores): 16, 32 and 64 subjects per vector
+//! at SSE2, AVX2 and AVX-512.  It computes no score anyone reads, only a
 //! safe upper bound on each subject's, so that `align_score_many` can
 //! leave the f32 lane the subjects that may reach a threshold.  DESIGN.md
 //! "Upper-bound filter" gives the argument.
@@ -66,7 +66,7 @@ pub enum SimdLevel {
     Sse2,
     /// 8 × f32 lanes (`__m256`); requires runtime AVX2 support.
     Avx2,
-    /// The AVX2 f32 kernels, and a 32 × i16 filter (`__m512i`); requires
+    /// The AVX2 f32 kernels, and a 64 × u8 filter (`__m512i`); requires
     /// runtime AVX-512F and AVX-512BW support.
     Avx512,
 }
@@ -82,14 +82,14 @@ impl SimdLevel {
         }
     }
 
-    /// i16 lanes per vector of the upper-bound filter at this level (1
+    /// u8 lanes per vector of the upper-bound filter at this level (1
     /// at `Scalar`, which has no filter).
     pub fn filter_lanes(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 8,
-            SimdLevel::Avx2 => 16,
-            SimdLevel::Avx512 => 32,
+            SimdLevel::Sse2 => 16,
+            SimdLevel::Avx2 => 32,
+            SimdLevel::Avx512 => 64,
         }
     }
 
@@ -207,6 +207,24 @@ pub(crate) fn run_striped(
 /// subject's end.
 pub(crate) const LANE_MATRIX_ROWS: usize = crate::alphabet::ALPHABET_SIZE + 1;
 
+/// A query of the inter-sequence passes, its residues checked once, when
+/// it is built, to index a table row: a batch's passes share it, so no
+/// pass re-scans the query.
+#[derive(Clone, Copy)]
+pub(crate) struct Query<'a>(&'a [u8]);
+
+impl<'a> Query<'a> {
+    pub(crate) fn new(residues: &'a [u8]) -> Self {
+        use crate::alphabet::ALPHABET_SIZE;
+        assert!(residues.iter().fold(0, |m, &q| m.max(q)) < ALPHABET_SIZE as u8);
+        Query(residues)
+    }
+
+    pub(crate) fn len(self) -> usize {
+        self.0.len()
+    }
+}
+
 /// Run one pass of the inter-sequence kernel at `level` (must not be
 /// `Scalar`): every lane advances by two subject columns over all query
 /// rows.
@@ -223,9 +241,9 @@ pub(crate) const LANE_MATRIX_ROWS: usize = crate::alphabet::ALPHABET_SIZE + 1;
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_interseq(
     level: SimdLevel,
-    query: &[u8],
+    query: Query<'_>,
     matrix: &[f32],
-    codes: &[usize],
+    codes: &[u8],
     tables: &mut [f32],
     h: &mut [f32],
     e: &mut [f32],
@@ -239,15 +257,15 @@ pub(crate) fn run_interseq(
     assert!(lanes > 1, "run_interseq called at scalar level");
     assert!(matrix.len() >= LANE_MATRIX_ROWS * ALPHABET_SIZE);
     assert!(codes.len() >= 2 * lanes);
-    assert!(codes.iter().all(|&r| r < LANE_MATRIX_ROWS));
+    assert!(codes.iter().all(|&r| usize::from(r) < LANE_MATRIX_ROWS));
     assert!(tables.len() >= 2 * ALPHABET_SIZE * lanes);
     assert!(h.len() >= rows && e.len() >= rows && best.len() >= lanes);
-    // Every query residue indexes a table row.
-    assert!(query.iter().fold(0, |m, &q| m.max(q)) < ALPHABET_SIZE as u8);
+    let query = query.0;
     #[cfg(target_arch = "x86_64")]
-    // Safety: buffer sizes and index ranges asserted above; `Avx2` and
-    // `Avx512` only reach here via `detect`/`max_supported`, which gate
-    // them on runtime CPUID support (and AVX-512F implies AVX2).
+    // Safety: buffer sizes and index ranges asserted above (the query's
+    // residues by `Query::new`); `Avx2` and `Avx512` only reach here via
+    // `detect`/`max_supported`, which gate them on runtime CPUID support
+    // (and AVX-512F implies AVX2).
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!(),
@@ -267,35 +285,39 @@ pub(crate) fn run_interseq(
 }
 
 /// Entries per row of the filter's score rows: one per subject code
-/// (`LANE_MATRIX_ROWS` of them) padded to the 32 that one `vpermw` indexes.
+/// (`LANE_MATRIX_ROWS` of them) padded to the 32 that two 16-entry byte
+/// shuffles index.
 pub(crate) const FILTER_ROW: usize = 32;
 
-/// Most i16 lanes of any level's filter.
-pub(crate) const MAX_FILTER_LANES: usize = 32;
+/// Most u8 lanes of any level's filter.
+pub(crate) const MAX_FILTER_LANES: usize = 64;
 
 /// Run one pass of the upper-bound filter at `level` (must not be
-/// `Scalar`): [`run_interseq`]'s pass on i16 lanes with saturating adds
-/// and subtracts, `level.filter_lanes()` subjects wide.
+/// `Scalar`): [`run_interseq`]'s pass on u8 lanes with saturating adds
+/// and subtracts, `level.filter_lanes()` subjects wide.  A cell is
+/// `max(adds(diag, entry) - bias, E, F)`, every subtract saturating at
+/// 0, the local alignment's floor.
 ///
-/// Layout contract (checked): `rows[q * FILTER_ROW + r]` is the scaled
+/// Layout contract (checked): `rows[q * FILTER_ROW + r]` is the biased
 /// score of query residue `q` against subject code `r` (`r <
 /// LANE_MATRIX_ROWS`; the last code is a lane past its subject's end and
-/// must score `i16::MIN`).  `codes`, `h`, `e` and `best` are laid out as
-/// in [`run_interseq`] with `lanes = level.filter_lanes()`; `tables` is
+/// should hold 0).  `codes`, `h`, `e` and `best` are laid out as in
+/// [`run_interseq`] with `lanes = level.filter_lanes()`; `tables` is
 /// scratch for the pass's two column tables, `2 * ALPHABET_SIZE * lanes`
-/// entries.  `open >= ext >= 0` are the scaled gap penalties.
+/// entries.  `open >= ext` are the scaled gap penalties.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_filter(
     level: SimdLevel,
-    query: &[u8],
-    rows: &[i16],
-    codes: &[usize],
-    tables: &mut [i16],
-    h: &mut [i16],
-    e: &mut [i16],
-    best: &mut [i16],
-    open: i16,
-    ext: i16,
+    query: Query<'_>,
+    rows: &[u8],
+    codes: &[u8],
+    tables: &mut [u8],
+    h: &mut [u8],
+    e: &mut [u8],
+    best: &mut [u8],
+    bias: u8,
+    open: u8,
+    ext: u8,
 ) {
     use crate::alphabet::ALPHABET_SIZE;
     let lanes = level.filter_lanes();
@@ -303,37 +325,32 @@ pub(crate) fn run_filter(
     assert!(lanes > 1, "run_filter called at scalar level");
     assert!(rows.len() >= ALPHABET_SIZE * FILTER_ROW);
     assert!(codes.len() >= 2 * lanes);
-    assert!(codes.iter().all(|&r| r < LANE_MATRIX_ROWS));
+    assert!(codes.iter().all(|&r| usize::from(r) < LANE_MATRIX_ROWS));
     assert!(tables.len() >= 2 * ALPHABET_SIZE * lanes);
     assert!(h.len() >= n && e.len() >= n && best.len() >= lanes);
-    assert!(open >= ext && ext >= 0);
-    assert!(query.iter().fold(0, |m, &q| m.max(q)) < ALPHABET_SIZE as u8);
-    // The AVX-512 tables index the rows with a vector of u16 codes.
-    let mut codes16 = [0u16; 2 * MAX_FILTER_LANES];
-    for (c, &r) in codes16.iter_mut().zip(&codes[..2 * lanes]) {
-        *c = r as u16;
-    }
+    assert!(open >= ext);
+    let query = query.0;
     #[cfg(target_arch = "x86_64")]
-    // Safety: buffer sizes and index ranges asserted above; `Avx2` and
-    // `Avx512` only reach here via `detect`/`max_supported`, which gate
-    // them on runtime CPUID support.
+    // Safety: buffer sizes and index ranges asserted above (the query's
+    // residues by `Query::new`); `Avx2` and `Avx512` only reach here via
+    // `detect`/`max_supported`, which gate them on runtime CPUID support.
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!(),
             SimdLevel::Sse2 => {
-                x86::filter_sse2(query, rows, &codes16, tables, h, e, best, open, ext)
+                x86::filter_sse2(query, rows, codes, tables, h, e, best, bias, open, ext)
             }
             SimdLevel::Avx2 => {
-                x86::filter_avx2(query, rows, &codes16, tables, h, e, best, open, ext)
+                x86::filter_avx2(query, rows, codes, tables, h, e, best, bias, open, ext)
             }
             SimdLevel::Avx512 => {
-                x86::filter_avx512(query, rows, &codes16, tables, h, e, best, open, ext)
+                x86::filter_avx512(query, rows, codes, tables, h, e, best, bias, open, ext)
             }
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (query, rows, codes16, tables, h, e, best, open, ext);
+        let _ = (query, rows, codes, tables, h, e, best, bias, open, ext);
         unreachable!("run_filter: no SIMD backend on this architecture")
     }
 }
@@ -609,10 +626,10 @@ mod x86 {
     /// of `lanes` matrix rows, four lanes by four residues at a time
     /// (SSE, so both levels share it).
     #[inline(always)]
-    unsafe fn column_table(matrix: *const f32, codes: *const usize, lanes: usize, dst: *mut f32) {
+    unsafe fn column_table(matrix: *const f32, codes: *const u8, lanes: usize, dst: *mut f32) {
         use crate::alphabet::ALPHABET_SIZE;
         for g in (0..lanes).step_by(4) {
-            let row = |k: usize| matrix.add(*codes.add(g + k) * ALPHABET_SIZE);
+            let row = |k: usize| matrix.add(usize::from(*codes.add(g + k)) * ALPHABET_SIZE);
             let rows = [row(0), row(1), row(2), row(3)];
             for q in (0..ALPHABET_SIZE).step_by(4) {
                 let [r0, r1, r2, r3] = rows.map(|r| _mm_loadu_ps(r.add(q)));
@@ -640,7 +657,7 @@ mod x86 {
     unsafe fn interseq<O: Ops>(
         query: &[u8],
         matrix: &[f32],
-        codes: &[usize],
+        codes: &[u8],
         tables: &mut [f32],
         h: &mut [f32],
         e: &mut [f32],
@@ -692,7 +709,7 @@ mod x86 {
     pub(super) unsafe fn interseq_sse2(
         query: &[u8],
         matrix: &[f32],
-        codes: &[usize],
+        codes: &[u8],
         tables: &mut [f32],
         h: &mut [f32],
         e: &mut [f32],
@@ -708,7 +725,7 @@ mod x86 {
     pub(super) unsafe fn interseq_avx2(
         query: &[u8],
         matrix: &[f32],
-        codes: &[usize],
+        codes: &[u8],
         tables: &mut [f32],
         h: &mut [f32],
         e: &mut [f32],
@@ -719,179 +736,209 @@ mod x86 {
         interseq::<Avx2>(query, matrix, codes, tables, h, e, best, open, ext)
     }
 
-    /// Lane-width abstraction over the saturating i16 vector ops of the
+    /// Lane-width abstraction over the saturating u8 vector ops of the
     /// upper-bound filter; the same contract as [`Ops`], for `LANES`
-    /// i16s.
-    trait Ops16: Copy {
+    /// u8s.
+    trait Ops8: Copy {
         type V: Copy;
         const LANES: usize;
-        unsafe fn splat(x: i16) -> Self::V;
+        unsafe fn splat(x: u8) -> Self::V;
         unsafe fn adds(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn subs(a: Self::V, b: Self::V) -> Self::V;
         unsafe fn max(a: Self::V, b: Self::V) -> Self::V;
-        unsafe fn load(p: *const i16) -> Self::V;
-        unsafe fn store(p: *mut i16, v: Self::V);
+        unsafe fn load(p: *const u8) -> Self::V;
+        unsafe fn store(p: *mut u8, v: Self::V);
 
         /// One column table of the filter pass: row `q` (at `dst +
         /// q*LANES`) gets, in lane `l`, `rows[q * FILTER_ROW + codes[l]]`.
-        /// A plain copy; the 32-lane level looks the rows up instead.
+        /// A plain copy; the wider levels look the rows up instead.
         #[inline(always)]
-        unsafe fn table(rows: *const i16, codes: *const u16, dst: *mut i16) {
+        unsafe fn table(rows: *const u8, codes: *const u8, dst: *mut u8) {
             use super::FILTER_ROW;
             use crate::alphabet::ALPHABET_SIZE;
             for q in 0..ALPHABET_SIZE {
                 let row = rows.add(q * FILTER_ROW);
                 let out = dst.add(q * Self::LANES);
                 for l in 0..Self::LANES {
-                    *out.add(l) = *row.add(*codes.add(l) as usize);
+                    *out.add(l) = *row.add(usize::from(*codes.add(l)));
                 }
             }
         }
     }
 
-    impl Ops16 for Sse2 {
+    impl Ops8 for Sse2 {
         type V = __m128i;
-        const LANES: usize = 8;
+        const LANES: usize = 16;
         #[inline(always)]
-        unsafe fn splat(x: i16) -> __m128i {
-            _mm_set1_epi16(x)
+        unsafe fn splat(x: u8) -> __m128i {
+            _mm_set1_epi8(x as i8)
         }
         #[inline(always)]
         unsafe fn adds(a: __m128i, b: __m128i) -> __m128i {
-            _mm_adds_epi16(a, b)
+            _mm_adds_epu8(a, b)
         }
         #[inline(always)]
         unsafe fn subs(a: __m128i, b: __m128i) -> __m128i {
-            _mm_subs_epi16(a, b)
+            _mm_subs_epu8(a, b)
         }
         #[inline(always)]
         unsafe fn max(a: __m128i, b: __m128i) -> __m128i {
-            _mm_max_epi16(a, b)
+            _mm_max_epu8(a, b)
         }
         #[inline(always)]
-        unsafe fn load(p: *const i16) -> __m128i {
+        unsafe fn load(p: *const u8) -> __m128i {
             _mm_loadu_si128(p.cast())
         }
         #[inline(always)]
-        unsafe fn store(p: *mut i16, v: __m128i) {
+        unsafe fn store(p: *mut u8, v: __m128i) {
             _mm_storeu_si128(p.cast(), v)
         }
     }
 
-    impl Ops16 for Avx2 {
+    impl Ops8 for Avx2 {
         type V = __m256i;
-        const LANES: usize = 16;
+        const LANES: usize = 32;
         #[inline(always)]
-        unsafe fn splat(x: i16) -> __m256i {
-            _mm256_set1_epi16(x)
+        unsafe fn splat(x: u8) -> __m256i {
+            _mm256_set1_epi8(x as i8)
         }
         #[inline(always)]
         unsafe fn adds(a: __m256i, b: __m256i) -> __m256i {
-            _mm256_adds_epi16(a, b)
+            _mm256_adds_epu8(a, b)
         }
         #[inline(always)]
         unsafe fn subs(a: __m256i, b: __m256i) -> __m256i {
-            _mm256_subs_epi16(a, b)
+            _mm256_subs_epu8(a, b)
         }
         #[inline(always)]
         unsafe fn max(a: __m256i, b: __m256i) -> __m256i {
-            _mm256_max_epi16(a, b)
+            _mm256_max_epu8(a, b)
         }
         #[inline(always)]
-        unsafe fn load(p: *const i16) -> __m256i {
+        unsafe fn load(p: *const u8) -> __m256i {
             _mm256_loadu_si256(p.cast())
         }
         #[inline(always)]
-        unsafe fn store(p: *mut i16, v: __m256i) {
+        unsafe fn store(p: *mut u8, v: __m256i) {
             _mm256_storeu_si256(p.cast(), v)
+        }
+        /// Each table row is two in-lane byte shuffles of its query
+        /// residue's row, one for codes below 16 and one for the rest.
+        #[inline(always)]
+        unsafe fn table(rows: *const u8, codes: *const u8, dst: *mut u8) {
+            use super::FILTER_ROW;
+            use crate::alphabet::ALPHABET_SIZE;
+            let idx = _mm256_loadu_si256(codes.cast());
+            let high = _mm256_cmpgt_epi8(idx, _mm256_set1_epi8(15));
+            for q in 0..ALPHABET_SIZE {
+                let row = rows.add(q * FILTER_ROW);
+                let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.cast()));
+                let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(row.add(16).cast()));
+                let v = _mm256_blendv_epi8(
+                    _mm256_shuffle_epi8(lo, idx),
+                    _mm256_shuffle_epi8(hi, idx),
+                    high,
+                );
+                _mm256_storeu_si256(dst.add(q * 32).cast(), v);
+            }
         }
     }
 
     #[derive(Clone, Copy)]
     struct Avx512;
 
-    impl Ops16 for Avx512 {
+    impl Ops8 for Avx512 {
         type V = __m512i;
-        const LANES: usize = 32;
+        const LANES: usize = 64;
         #[inline(always)]
-        unsafe fn splat(x: i16) -> __m512i {
-            _mm512_set1_epi16(x)
+        unsafe fn splat(x: u8) -> __m512i {
+            _mm512_set1_epi8(x as i8)
         }
         #[inline(always)]
         unsafe fn adds(a: __m512i, b: __m512i) -> __m512i {
-            _mm512_adds_epi16(a, b)
+            _mm512_adds_epu8(a, b)
         }
         #[inline(always)]
         unsafe fn subs(a: __m512i, b: __m512i) -> __m512i {
-            _mm512_subs_epi16(a, b)
+            _mm512_subs_epu8(a, b)
         }
         #[inline(always)]
         unsafe fn max(a: __m512i, b: __m512i) -> __m512i {
-            _mm512_max_epi16(a, b)
+            _mm512_max_epu8(a, b)
         }
         #[inline(always)]
-        unsafe fn load(p: *const i16) -> __m512i {
+        unsafe fn load(p: *const u8) -> __m512i {
             _mm512_loadu_si512(p.cast())
         }
         #[inline(always)]
-        unsafe fn store(p: *mut i16, v: __m512i) {
+        unsafe fn store(p: *mut u8, v: __m512i) {
             _mm512_storeu_si512(p.cast(), v)
         }
-        /// Each table row is one `vpermw`: the row of its query residue
-        /// indexed by the 32 lanes' codes.
+        /// [`Avx2`]'s two shuffles at 64 lanes, with AVX-512BW alone.
         #[inline(always)]
-        unsafe fn table(rows: *const i16, codes: *const u16, dst: *mut i16) {
+        unsafe fn table(rows: *const u8, codes: *const u8, dst: *mut u8) {
             use super::FILTER_ROW;
             use crate::alphabet::ALPHABET_SIZE;
             let idx = _mm512_loadu_si512(codes.cast());
+            let high = _mm512_cmpgt_epu8_mask(idx, _mm512_set1_epi8(15));
             for q in 0..ALPHABET_SIZE {
-                let row = _mm512_loadu_si512(rows.add(q * FILTER_ROW).cast());
-                _mm512_storeu_si512(dst.add(q * 32).cast(), _mm512_permutexvar_epi16(idx, row));
+                let row = rows.add(q * FILTER_ROW);
+                let lo = _mm512_broadcast_i32x4(_mm_loadu_si128(row.cast()));
+                let hi = _mm512_broadcast_i32x4(_mm_loadu_si128(row.add(16).cast()));
+                let v = _mm512_mask_blend_epi8(
+                    high,
+                    _mm512_shuffle_epi8(lo, idx),
+                    _mm512_shuffle_epi8(hi, idx),
+                );
+                _mm512_storeu_si512(dst.add(q * 64).cast(), v);
             }
         }
     }
 
     /// The filter pass: [`interseq`]'s recurrence, operand for operand, on
-    /// i16 lanes whose adds and subtracts saturate.
+    /// u8 lanes whose adds and subtracts saturate, with each entry's bias
+    /// taken off after its add.  E, F and the boundary row start at 0:
+    /// every lane value already is `>= 0`, so the floor needs no `max`.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn filter<O: Ops16>(
+    unsafe fn filter<O: Ops8>(
         query: &[u8],
-        rows: &[i16],
-        codes: &[u16],
-        tables: &mut [i16],
-        h: &mut [i16],
-        e: &mut [i16],
-        best: &mut [i16],
-        open: i16,
-        ext: i16,
+        rows: &[u8],
+        codes: &[u8],
+        tables: &mut [u8],
+        h: &mut [u8],
+        e: &mut [u8],
+        best: &mut [u8],
+        bias: u8,
+        open: u8,
+        ext: u8,
     ) {
         use crate::alphabet::ALPHABET_SIZE;
         let lanes = O::LANES;
-        let t1: *mut i16 = tables.as_mut_ptr();
-        let t2: *mut i16 = t1.add(ALPHABET_SIZE * lanes);
+        let t1: *mut u8 = tables.as_mut_ptr();
+        let t2: *mut u8 = t1.add(ALPHABET_SIZE * lanes);
         O::table(rows.as_ptr(), codes.as_ptr(), t1);
         O::table(rows.as_ptr(), codes.as_ptr().add(lanes), t2);
+        let vbias = O::splat(bias);
         let vopen = O::splat(open);
         let vext = O::splat(ext);
-        let vzero = O::splat(0);
-        let hp: *mut i16 = h.as_mut_ptr();
-        let ep: *mut i16 = e.as_mut_ptr();
+        let hp: *mut u8 = h.as_mut_ptr();
+        let ep: *mut u8 = e.as_mut_ptr();
         let mut vbest = O::load(best.as_ptr());
-        let mut diag1 = vzero;
-        let mut diag2 = vzero;
-        let mut f1 = O::splat(i16::MIN);
-        let mut f2 = f1;
+        let mut diag1 = O::splat(0);
+        let mut diag2 = diag1;
+        let mut f1 = diag1;
+        let mut f2 = diag1;
         for (i, &q) in query.iter().enumerate() {
             let o = i * lanes;
             let qo = q as usize * lanes;
             let left = O::load(hp.add(o));
             let ve = O::load(ep.add(o));
-            let h0 = O::max(O::max(O::adds(diag1, O::load(t1.add(qo))), ve), vzero);
+            let h0 = O::max(O::subs(O::adds(diag1, O::load(t1.add(qo))), vbias), ve);
             let h1 = O::max(h0, f1);
             f1 = O::max(O::subs(f1, vext), O::subs(h0, vopen));
             let ve = O::max(O::subs(ve, vext), O::subs(h1, vopen));
-            let g0 = O::max(O::max(O::adds(diag2, O::load(t2.add(qo))), ve), vzero);
+            let g0 = O::max(O::subs(O::adds(diag2, O::load(t2.add(qo))), vbias), ve);
             let h2 = O::max(g0, f2);
             f2 = O::max(O::subs(f2, vext), O::subs(g0, vopen));
             O::store(ep.add(o), O::max(O::subs(ve, vext), O::subs(h2, vopen)));
@@ -912,16 +959,17 @@ mod x86 {
     #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn filter_sse2(
         query: &[u8],
-        rows: &[i16],
-        codes: &[u16],
-        tables: &mut [i16],
-        h: &mut [i16],
-        e: &mut [i16],
-        best: &mut [i16],
-        open: i16,
-        ext: i16,
+        rows: &[u8],
+        codes: &[u8],
+        tables: &mut [u8],
+        h: &mut [u8],
+        e: &mut [u8],
+        best: &mut [u8],
+        bias: u8,
+        open: u8,
+        ext: u8,
     ) {
-        filter::<Sse2>(query, rows, codes, tables, h, e, best, open, ext)
+        filter::<Sse2>(query, rows, codes, tables, h, e, best, bias, open, ext)
     }
 
     /// [`filter`] at AVX2 width.
@@ -934,16 +982,17 @@ mod x86 {
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn filter_avx2(
         query: &[u8],
-        rows: &[i16],
-        codes: &[u16],
-        tables: &mut [i16],
-        h: &mut [i16],
-        e: &mut [i16],
-        best: &mut [i16],
-        open: i16,
-        ext: i16,
+        rows: &[u8],
+        codes: &[u8],
+        tables: &mut [u8],
+        h: &mut [u8],
+        e: &mut [u8],
+        best: &mut [u8],
+        bias: u8,
+        open: u8,
+        ext: u8,
     ) {
-        filter::<Avx2>(query, rows, codes, tables, h, e, best, open, ext)
+        filter::<Avx2>(query, rows, codes, tables, h, e, best, bias, open, ext)
     }
 
     /// [`filter`] at AVX-512F and AVX-512BW width.
@@ -956,16 +1005,17 @@ mod x86 {
     #[target_feature(enable = "avx512f,avx512bw")]
     pub(super) unsafe fn filter_avx512(
         query: &[u8],
-        rows: &[i16],
-        codes: &[u16],
-        tables: &mut [i16],
-        h: &mut [i16],
-        e: &mut [i16],
-        best: &mut [i16],
-        open: i16,
-        ext: i16,
+        rows: &[u8],
+        codes: &[u8],
+        tables: &mut [u8],
+        h: &mut [u8],
+        e: &mut [u8],
+        best: &mut [u8],
+        bias: u8,
+        open: u8,
+        ext: u8,
     ) {
-        filter::<Avx512>(query, rows, codes, tables, h, e, best, open, ext)
+        filter::<Avx512>(query, rows, codes, tables, h, e, best, bias, open, ext)
     }
 
     #[cfg(test)]
@@ -1036,9 +1086,9 @@ mod tests {
         assert_eq!(SimdLevel::Avx2.lanes(), 8);
         // The f32 kernels run at AVX2 width at the AVX-512 level.
         assert_eq!(SimdLevel::Avx512.lanes(), 8);
-        assert_eq!(SimdLevel::Sse2.filter_lanes(), 8);
-        assert_eq!(SimdLevel::Avx2.filter_lanes(), 16);
-        assert_eq!(SimdLevel::Avx512.filter_lanes(), 32);
+        assert_eq!(SimdLevel::Sse2.filter_lanes(), 16);
+        assert_eq!(SimdLevel::Avx2.filter_lanes(), 32);
+        assert_eq!(SimdLevel::Avx512.filter_lanes(), 64);
         // Clamping an over-ask is a plain min.
         assert_eq!(SimdLevel::Avx2.min(SimdLevel::Scalar), SimdLevel::Scalar);
     }
@@ -1048,24 +1098,39 @@ mod tests {
         assert!(detect() <= max_supported());
     }
 
+    /// A xorshift stream of draws below `n`.
+    fn draws(mut seed: u64) -> impl FnMut(u64) -> u64 {
+        move |n| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        }
+    }
+
+    /// The subject code of a lane past its subject's end.
+    const PAST: u8 = (LANE_MATRIX_ROWS - 1) as u8;
+
+    /// The filter's bias and scaled gaps: `(bias, open, ext)`.
+    type Gaps = (u8, u8, u8);
+
     /// The filter's recurrence for one pair, one cell at a time, with
-    /// `i16`'s own saturating arithmetic: the reference for one lane.
+    /// `u8`'s own saturating arithmetic: the reference for one lane.
     /// Returns the best and the last column's H and E.
     fn filter_reference(
         query: &[u8],
-        rows: &[i16],
-        subject: &[usize],
-        open: i16,
-        ext: i16,
-    ) -> (i16, Vec<i16>, Vec<i16>) {
+        rows: &[u8],
+        subject: &[u8],
+        (bias, open, ext): Gaps,
+    ) -> (u8, Vec<u8>, Vec<u8>) {
         let n = query.len();
-        let (mut h, mut e) = (vec![0i16; n], vec![i16::MIN; n]);
-        let mut best = 0i16;
+        let (mut h, mut e) = (vec![0u8; n], vec![0u8; n]);
+        let mut best = 0u8;
         for &c in subject {
-            let (mut diag, mut f) = (0i16, i16::MIN);
+            let (mut diag, mut f) = (0u8, 0u8);
             for i in 0..n {
-                let s = rows[query[i] as usize * FILTER_ROW + c];
-                let h0 = diag.saturating_add(s).max(e[i]).max(0);
+                let t = rows[query[i] as usize * FILTER_ROW + c as usize];
+                let h0 = diag.saturating_add(t).saturating_sub(bias).max(e[i]);
                 let hv = h0.max(f);
                 f = f.saturating_sub(ext).max(h0.saturating_sub(open));
                 e[i] = e[i].saturating_sub(ext).max(hv.saturating_sub(open));
@@ -1077,99 +1142,173 @@ mod tests {
         (best, h, e)
     }
 
+    /// The exact Gotoh DP of one pair on the unbiased scores `rows -
+    /// bias`, in i32 where nothing saturates: the score the filter bounds.
+    fn scaled_exact(query: &[u8], rows: &[u8], subject: &[u8], (bias, open, ext): Gaps) -> i32 {
+        let (open, ext) = (i32::from(open), i32::from(ext));
+        let n = query.len();
+        let (mut h, mut e) = (vec![0i32; n], vec![i32::MIN / 2; n]);
+        let mut best = 0;
+        for &c in subject {
+            let (mut diag, mut f) = (0i32, i32::MIN / 2);
+            for i in 0..n {
+                let s = i32::from(rows[query[i] as usize * FILTER_ROW + c as usize]);
+                let hv = (diag + s - i32::from(bias)).max(e[i]).max(f).max(0);
+                f = (f - ext).max(hv - open);
+                e[i] = (e[i] - ext).max(hv - open);
+                diag = h[i];
+                h[i] = hv;
+                best = best.max(hv);
+            }
+        }
+        best
+    }
+
+    /// `level`'s filter over `subjects`, one per lane, each run past its
+    /// end to the longest one's even length.  Returns the lanes' bests and
+    /// final H and E columns, and the columns run.
+    fn run_filter_lanes(
+        level: SimdLevel,
+        query: &[u8],
+        rows: &[u8],
+        subjects: &[Vec<u8>],
+        (bias, open, ext): Gaps,
+    ) -> (Vec<u8>, Vec<u8>, Vec<u8>, usize) {
+        use crate::alphabet::ALPHABET_SIZE;
+        let lanes = level.filter_lanes();
+        assert_eq!(subjects.len(), lanes);
+        let cols = subjects.iter().map(Vec::len).max().unwrap_or(0);
+        let cols = cols.next_multiple_of(2);
+        let mut h = vec![0u8; query.len() * lanes];
+        let mut e = vec![0u8; query.len() * lanes];
+        let mut best = vec![0u8; lanes];
+        let mut tables = vec![0u8; 2 * ALPHABET_SIZE * lanes];
+        let mut codes = vec![0u8; 2 * lanes];
+        let q = Query::new(query);
+        for j in (0..cols).step_by(2) {
+            for (l, s) in subjects.iter().enumerate() {
+                codes[l] = s.get(j).copied().unwrap_or(PAST);
+                codes[lanes + l] = s.get(j + 1).copied().unwrap_or(PAST);
+            }
+            let (h, e, t) = (&mut h, &mut e, &mut tables);
+            run_filter(level, q, rows, &codes, t, h, e, &mut best, bias, open, ext);
+        }
+        (best, h, e, cols)
+    }
+
     /// Every filter level against the reference, lane by lane: the best
     /// and the final H and E columns, over subjects of mixed lengths
     /// (lanes running past their ends, which the reference scores as the
     /// past-end code too) and copies of the query long enough to
-    /// saturate.  A saturating add that wraps instead, or a lane that
-    /// feeds its neighbour, differs.
+    /// saturate.  A saturating add that wraps instead, a dropped bias or
+    /// a lane that feeds its neighbour differs.
     #[test]
     fn filter_lanes_saturate_like_the_reference() {
         use crate::alphabet::ALPHABET_SIZE;
-        const PAST: usize = LANE_MATRIX_ROWS - 1;
-        let mut seed = 0x2545_f491_4f6c_dd1du64;
-        let mut draw = |n: u64| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed % n
-        };
-        // Scaled entries in [-40, 40), identities 100, by query residue;
-        // the past-end code at i16::MIN.
-        let mut rows = vec![i16::MIN; ALPHABET_SIZE * FILTER_ROW];
+        let mut draw = draws(0x2545_f491_4f6c_dd1d);
+        // Unbiased entries in [-12, 12], identities 20, by query residue,
+        // stored with a bias of 12; the past-end code at 0.
+        let gaps: Gaps = (12, 22, 3);
+        let mut rows = vec![0u8; ALPHABET_SIZE * FILTER_ROW];
         for q in 0..ALPHABET_SIZE {
             for r in 0..ALPHABET_SIZE {
-                rows[q * FILTER_ROW + r] = if q == r { 100 } else { draw(80) as i16 - 40 };
+                rows[q * FILTER_ROW + r] = if q == r { 32 } else { draw(25) as u8 };
             }
         }
         let query: Vec<u8> = (0..400).map(|_| draw(20) as u8).collect();
-        let (open, ext) = (88, 8);
         for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
             if level > max_supported() {
                 continue;
             }
-            let lanes = level.filter_lanes();
-            let subjects: Vec<Vec<usize>> = (0..lanes)
+            let subjects: Vec<Vec<u8>> = (0..level.filter_lanes())
                 .map(|l| match l % 4 {
-                    0 => query.iter().map(|&q| q as usize).collect(),
-                    _ => (0..draw(500)).map(|_| draw(20) as usize).collect(),
+                    0 => query.clone(),
+                    _ => (0..draw(500)).map(|_| draw(20) as u8).collect(),
                 })
                 .collect();
-            let cols = subjects
-                .iter()
-                .map(Vec::len)
-                .max()
-                .unwrap_or(0)
-                .next_multiple_of(2);
-            let padded = |l: usize, j: usize| subjects[l].get(j).copied().unwrap_or(PAST);
-            let mut h = vec![0i16; query.len() * lanes];
-            let mut e = vec![i16::MIN; query.len() * lanes];
-            let mut best = vec![0i16; lanes];
-            let mut tables = vec![0i16; 2 * ALPHABET_SIZE * lanes];
-            let mut codes = vec![0usize; 2 * lanes];
-            for j in (0..cols).step_by(2) {
-                for l in 0..lanes {
-                    codes[l] = padded(l, j);
-                    codes[lanes + l] = padded(l, j + 1);
-                }
-                run_filter(
-                    level,
-                    &query,
-                    &rows,
-                    &codes,
-                    &mut tables,
-                    &mut h,
-                    &mut e,
-                    &mut best,
-                    open,
-                    ext,
-                );
-            }
-            for l in 0..lanes {
-                let subject: Vec<usize> = (0..cols).map(|j| padded(l, j)).collect();
-                let (want, want_h, want_e) = filter_reference(&query, &rows, &subject, open, ext);
-                assert_eq!(best[l], want, "level {} lane {l}: best", level.name());
+            let (best, h, e, cols) = run_filter_lanes(level, &query, &rows, &subjects, gaps);
+            let lanes = subjects.len();
+            for (l, s) in subjects.iter().enumerate() {
+                let subject: Vec<u8> = (0..cols)
+                    .map(|j| s.get(j).copied().unwrap_or(PAST))
+                    .collect();
+                let (want, want_h, want_e) = filter_reference(&query, &rows, &subject, gaps);
+                let name = level.name();
+                assert_eq!(best[l], want, "level {name} lane {l}: best");
                 for i in 0..query.len() {
                     assert_eq!(
                         h[i * lanes + l],
                         want_h[i],
-                        "level {} lane {l} row {i}: H",
-                        level.name()
+                        "level {name} lane {l} row {i}: H"
                     );
                     assert_eq!(
                         e[i * lanes + l],
                         want_e[i],
-                        "level {} lane {l} row {i}: E",
-                        level.name()
+                        "level {name} lane {l} row {i}: E"
                     );
                 }
             }
             assert_eq!(
                 best[0],
-                i16::MAX,
+                u8::MAX - gaps.0,
                 "level {}: the query copy must saturate",
                 level.name()
             );
+        }
+    }
+
+    /// The u8 bound is the scaled exact score, clipped at the ceiling
+    /// `255 - bias`: below it nothing saturates and the floor at 0 is the
+    /// local alignment's own, and a lane that reaches it stays there.  So
+    /// it never falls below the scaled exact score, or the ceiling, at
+    /// any level, over drawn matrices, biases, gaps and subjects (random,
+    /// the query, and the query with substitutions and indels).
+    #[test]
+    fn filter_bound_is_the_scaled_exact_score_clipped() {
+        use crate::alphabet::ALPHABET_SIZE;
+        let mut draw = draws(0x9e37_79b9_7f4a_7c15);
+        for case in 0..40 {
+            let bias = 1 + draw(24) as u8;
+            let top = draw(40) as u8;
+            let mut rows = vec![0u8; ALPHABET_SIZE * FILTER_ROW];
+            for q in 0..ALPHABET_SIZE {
+                for r in 0..ALPHABET_SIZE {
+                    rows[q * FILTER_ROW + r] = draw(u64::from(bias + top) + 1) as u8;
+                }
+            }
+            let ext = draw(8) as u8;
+            let gaps: Gaps = (bias, ext + draw(30) as u8, ext);
+            let query: Vec<u8> = (0..1 + draw(90)).map(|_| draw(20) as u8).collect();
+            for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
+                if level > max_supported() {
+                    continue;
+                }
+                let subjects: Vec<Vec<u8>> = (0..level.filter_lanes())
+                    .map(|l| match l % 3 {
+                        0 => (0..draw(120)).map(|_| draw(20) as u8).collect(),
+                        1 => query.clone(),
+                        _ => query
+                            .iter()
+                            .flat_map(|&q| match draw(8) {
+                                0 => vec![],
+                                1 => vec![draw(20) as u8, q],
+                                2 => vec![draw(20) as u8],
+                                _ => vec![q],
+                            })
+                            .collect(),
+                    })
+                    .collect();
+                let (best, ..) = run_filter_lanes(level, &query, &rows, &subjects, gaps);
+                for (l, s) in subjects.iter().enumerate() {
+                    let want = scaled_exact(&query, &rows, s, gaps).min(i32::from(u8::MAX - bias));
+                    assert_eq!(
+                        i32::from(best[l]),
+                        want,
+                        "case {case} level {} lane {l}",
+                        level.name()
+                    );
+                }
+            }
         }
     }
 }

@@ -10,17 +10,19 @@
 //! and segment boundaries, banding on/off) and the inter-sequence
 //! lane's refills (batches longer than the lanes, subjects of either
 //! parity ending mid-pass).  With a threshold, `align_score_many` runs the
-//! i16 upper-bound filter first: its scores must be exact above the
+//! u8 upper-bound filter first: its scores must be exact above the
 //! threshold and below it otherwise, at every level, over drawn gap
-//! parameters, through saturation, and whatever else shares the batch.
+//! parameters, through saturation, at every scale the filter derives,
+//! and whatever else shares the batch.
 
 use bioopera_darwin::align::{
     align_score_many, align_score_naive, align_score_with, AlignParams, AlignScratch, ScoreOnly,
 };
+use bioopera_darwin::dataset::DatasetConfig;
 use bioopera_darwin::pam::{PamFamily, ScoreMatrix};
 use bioopera_darwin::refine::{refine_pam_distance_banded, refine_pam_distance_with};
 use bioopera_darwin::simd::{self, SimdLevel};
-use bioopera_darwin::{align_local, align_local_with, Alignment, Sequence};
+use bioopera_darwin::{align_local, align_local_with, Alignment, Sequence, SequenceDb};
 use proptest::prelude::*;
 
 /// Every level the host can execute (always includes `Scalar`).
@@ -450,7 +452,7 @@ proptest! {
         queries in prop::collection::vec(residues(70), 1..3),
         batch in prop::collection::vec(
             (0u8..6, residues(70), prop::collection::vec((0u8..8, 0u8..20), 70)),
-            0..=3 * 32 + 1,
+            0..=3 * 64 + 1,
         ),
         pick in 0usize..1000,
         ladder_idx in 0usize..12,
@@ -495,11 +497,12 @@ proptest! {
     }
 }
 
-/// Long identical pairs drive the filter's i16 lanes into saturation (a
-/// self-score of a 700-residue query is far above `i16::MAX / 8`): a
-/// saturated bound must keep its pair a candidate, so every score above
-/// the threshold is still exact, up to the largest threshold the filter
-/// scales and past it.
+/// Long identical pairs drive the filter's u8 lanes into saturation (a
+/// self-score of a 700-residue query is far above the ceiling, `255 −
+/// bias`, at any scale): a saturated bound must keep its pair a
+/// candidate, so every score above the threshold is still exact, at the
+/// scale `k = 2` (threshold 80), at `k = 1` (200) and past the `k = 1`
+/// ceiling of 250 (300 and the self-score), where the exact path runs.
 #[test]
 fn saturated_filter_lanes_keep_their_pairs() {
     let fam = PamFamily::default();
@@ -521,21 +524,51 @@ fn saturated_filter_lanes_keep_their_pairs() {
         .iter()
         .map(|s| align_score_naive(&q, s, m, &p))
         .collect();
-    assert!(naive[0].score * 8.0 > f32::from(i16::MAX));
+    assert!(naive[0].score > 255.0);
     let mut out = Vec::new();
     for level in levels() {
         let mut scratch = AlignScratch::with_level(level);
-        for t in [80.0f32, 2000.0, 2100.0, naive[0].score] {
+        for t in [80.0f32, 200.0, 300.0, naive[0].score] {
             check_thresholded(&q, &subs, &naive, t, m, &p, &mut scratch, &mut out).unwrap();
-            // 2 000 is the largest of these the filter scales (k·t within
-            // half the i16 range); past it the exact path runs.
-            let filtered = level > SimdLevel::Scalar && t <= 2000.0;
+            let filtered = level > SimdLevel::Scalar && t <= 200.0;
             assert_eq!(
                 scratch.rescored().is_some(),
                 filtered,
                 "level {} t {t}",
                 level.name()
             );
+        }
+    }
+}
+
+/// The scale drops as the threshold rises: PAM 120 at 80 runs at `k = 2`,
+/// at 150 its cut no longer fits under that scale's ceiling and the
+/// filter runs at `k = 1`, and at 300 no `k ≥ 1` fits: the filter stands
+/// aside and every score, not only those above the threshold, is exact.
+#[test]
+fn the_filter_scale_drops_to_one_then_stands_aside() {
+    let fam = PamFamily::default();
+    let m = fam.nearest(120);
+    let p = AlignParams::default();
+    let db = SequenceDb::generate(&DatasetConfig::small(40, 11), &fam);
+    let q = db.get(0);
+    let subs: Vec<Sequence> = (1..db.len() as u32).map(|f| db.get(f).clone()).collect();
+    let naive: Vec<_> = subs
+        .iter()
+        .map(|s| align_score_naive(q, s, m, &p))
+        .collect();
+    let mut out = Vec::new();
+    for level in levels() {
+        let mut scratch = AlignScratch::with_level(level);
+        for t in [80.0f32, 150.0] {
+            check_thresholded(q, &subs, &naive, t, m, &p, &mut scratch, &mut out).unwrap();
+            assert_eq!(scratch.rescored().is_some(), level > SimdLevel::Scalar);
+        }
+        align_score_many(q, subs.iter(), m, &p, Some(300.0), &mut scratch, &mut out);
+        assert_eq!(scratch.rescored(), None, "level {}", level.name());
+        for (r, n) in out.iter().zip(&naive) {
+            assert_eq!(r.score.to_bits(), n.score.to_bits());
+            assert_eq!(r.cells, n.cells);
         }
     }
 }
@@ -547,23 +580,23 @@ fn saturated_filter_lanes_keep_their_pairs() {
 fn gapped_matches_pass_the_filter_at_their_own_score() {
     let fam = PamFamily::default();
     let m = fam.nearest(120);
-    // k·open = 80.015625 and k·ext = 8.015625: rounding them up would
-    // charge almost a whole scaled unit per gap step.
+    // k·open = 10.001953 and k·ext = 1.0019531 at k = 1: rounding them
+    // up would charge a whole scaled unit more per gap step.
     let p = AlignParams {
         gap_open: 10.001953,
         gap_extend: 1.0019531,
     };
-    let q = Sequence::new(0, (0..80).map(|i| ((i * 7 + i / 3) % 20) as u8).collect());
-    let mut residues = q.residues[..40].to_vec();
-    residues.extend((0..100).map(|j| ((j * 11 + 5) % 20) as u8));
-    residues.extend_from_slice(&q.residues[40..]);
+    let q = Sequence::new(0, (0..32).map(|i| ((i * 7 + i / 3) % 20) as u8).collect());
+    let mut residues = q.residues[..16].to_vec();
+    residues.extend((0..30).map(|j| ((j * 11 + 5) % 20) as u8));
+    residues.extend_from_slice(&q.residues[16..]);
     let gapped = Sequence::new(1, residues);
     let subs = vec![gapped];
     let naive: Vec<_> = subs
         .iter()
         .map(|s| align_score_naive(&q, s, m, &p))
         .collect();
-    let half: f32 = q.residues[..40]
+    let half: f32 = q.residues[..16]
         .iter()
         .map(|&r| m.score(r as usize, r as usize))
         .sum();
@@ -585,6 +618,7 @@ fn gapped_matches_pass_the_filter_at_their_own_score() {
             &mut out,
         )
         .unwrap();
+        assert_eq!(scratch.rescored(), (level > SimdLevel::Scalar).then_some(1));
     }
 }
 
@@ -597,7 +631,7 @@ fn filter_verdicts_do_not_leak_between_subjects() {
     let m = fam.nearest(120);
     let p = AlignParams::default();
     let q = Sequence::new(0, (0..90).map(|i| ((i * 7 + i / 4) % 20) as u8).collect());
-    let subs: Vec<Sequence> = (0..3 * 32 + 1)
+    let subs: Vec<Sequence> = (0..3 * 64 + 1)
         .map(|i: u32| {
             let residues = if i.is_multiple_of(3) {
                 q.residues.clone()
@@ -618,5 +652,50 @@ fn filter_verdicts_do_not_leak_between_subjects() {
         let mut scratch = AlignScratch::with_level(level);
         check_thresholded(&q, &subs, &naive, 120.0, m, &p, &mut scratch, &mut out).unwrap();
         check_verdicts_are_per_subject(&q, &subs, 120.0, m, &p, &mut scratch, &mut out).unwrap();
+    }
+}
+
+/// Matches and filter candidates of [`rescored_pairs_are_pinned_on_a_fixed_database`].
+const MATCHES: usize = 199;
+const RESCORED: usize = 213;
+
+/// The filter's candidates on a fixed database, the all-vs-all's upper
+/// triangle at its fixed pass's threshold, pinned: the same at every
+/// width, a few more than the matches.  A bound that loosens (a bias not
+/// taken off, a scale that no longer tracks the threshold) lets more
+/// through; one that tightens past the real scores loses matches, which
+/// the contract catches.
+#[test]
+fn rescored_pairs_are_pinned_on_a_fixed_database() {
+    let fam = PamFamily::default();
+    let m = fam.nearest(120);
+    let p = AlignParams::default();
+    let db = SequenceDb::generate(&DatasetConfig::small(60, 42), &fam);
+    let n = db.len() as u32;
+    let mut out = Vec::new();
+    for level in levels() {
+        let mut scratch = AlignScratch::with_level(level);
+        let (mut rescored, mut matches) = (0, 0);
+        for e in 0..n {
+            let subjects = (e + 1..n).map(|f| db.get(f));
+            align_score_many(
+                db.get(e),
+                subjects,
+                m,
+                &p,
+                Some(80.0),
+                &mut scratch,
+                &mut out,
+            );
+            rescored += scratch.rescored().unwrap_or(out.len());
+            matches += out.iter().filter(|r| r.score >= 80.0).count();
+        }
+        assert_eq!(matches, MATCHES, "level {}", level.name());
+        let want = if level > SimdLevel::Scalar {
+            RESCORED
+        } else {
+            1770
+        };
+        assert_eq!(rescored, want, "level {}", level.name());
     }
 }

@@ -340,20 +340,27 @@ canary interseq-gap-guard crates/darwin/src/align.rs \
 # long gap then costs the bound more than the real path pays, and a
 # gapped match at its own score is filtered out.
 canary filter-gap-rounds-up crates/darwin/src/align.rs \
-  's/\(k \* (open|ext)\)\.floor\(\) as i16/(k * \1).ceil() as i16/g' \
+  's/\(k \* (open|ext)\)\.floor\(\) as u8/(k * \1).ceil() as u8/g' \
   cargo test -q --offline -p bioopera-darwin --test simd_bitident
 
 # The filter's saturating adds wrapping instead, at every width: a lane
-# past i16::MAX no longer reports the saturated best.
+# past 255 no longer holds the saturated ceiling.
 canary filter-wrapping-add crates/darwin/src/simd.rs \
-  's/(_mm(256|512)?)_adds_epi16/\1_add_epi16/g' \
+  's/(_mm(256|512)?)_adds_epu8/\1_add_epi8/g' \
   cargo test -q --offline -p bioopera-darwin --lib filter_lanes_saturate_like_the_reference
+
+# The filter's bias no longer taken off after each add: every diagonal
+# step gains the bias, the bound loosens, and the pinned candidates of a
+# fixed database multiply.
+canary filter-bias-dropped crates/darwin/src/simd.rs \
+  's/let vbias = O::splat\(bias\);/let vbias = O::splat(0);/' \
+  cargo test -q --offline -p bioopera-darwin --test simd_bitident
 
 # A refilled filter lane keeping the E column of the subject before it:
 # a high-scoring subject's gaps raise the next one's bound, and the
 # batch's candidates are no longer the subjects' own.
 canary filter-lane-reset crates/darwin/src/align.rs \
-  '/e\[i \* lanes \+ l\] = i16::MIN;/d' \
+  '/e\[i \* lanes \+ l\] = 0;/d' \
   cargo test -q --offline -p bioopera-darwin --test simd_bitident filter_verdicts_do_not_leak_between_subjects
 
 # The work-stealing hand-out returning results in completion order: the
