@@ -14,7 +14,9 @@
 //! 3. **the journal format** — [`Instance::commit_into`] /
 //!    [`Instance::tasks_into`] write `inst/{id}/header` and
 //!    `inst/{id}/task/{path}` (under an optional `s{NNNN}/` shard prefix),
-//!    a [`JournalReader`] reads them back as a scan hands them over;
+//!    what a step marked in its [`Dirty`] set is written through them at
+//!    the driver's one commit, and a [`JournalReader`] reads the records
+//!    back as a scan hands them over;
 //! 4. **the in-doubt rule** — [`Instance::resolve_in_doubt`]: what a
 //!    `Ready` or `Dispatched` record means after the server that wrote it
 //!    died.
@@ -276,6 +278,22 @@ impl Instance {
         }
     }
 
+    /// Append what `marks` names of this instance to `batch`: a marked
+    /// header with its marked records, or the marked records alone.
+    pub fn marked_into(
+        &self,
+        batch: &mut Batch,
+        shard: Option<usize>,
+        marks: &Marks,
+        scratch: &mut String,
+    ) {
+        if marks.header {
+            self.commit_into(batch, shard, &marks.tasks, scratch);
+        } else {
+            self.tasks_into(batch, shard, &marks.tasks, scratch);
+        }
+    }
+
     // ---- recovery: the in-doubt rule ----
 
     /// Decide every record a dead server left in doubt.  `children` holds
@@ -349,6 +367,49 @@ pub fn child_links<'a>(
         .into_iter()
         .filter_map(|inst| inst.header.parent.clone())
         .collect()
+}
+
+// ---- journal: what a step wrote ----
+
+/// The records a step wrote and has not committed yet.  Both drivers mark
+/// into one as they go — a navigation, a dispatch stamp, a recovery
+/// rewind — and write it at their one commit as one batch per instance,
+/// in id order ([`Instance::marked_into`]): a record written twice in a
+/// step is committed once, as the step left it.
+#[derive(Debug, Default)]
+pub struct Dirty(BTreeMap<InstanceId, Marks>);
+
+/// What one instance has in a [`Dirty`] set.
+#[derive(Debug, Default)]
+pub struct Marks {
+    header: bool,
+    tasks: BTreeSet<String>,
+}
+
+impl Dirty {
+    /// Mark `id`'s header.
+    pub fn header(&mut self, id: InstanceId) {
+        self.0.entry(id).or_default().header = true;
+    }
+
+    /// Mark the task record at `path` alone: a dispatch stamp or a
+    /// recovery rewind changes no header.
+    pub fn task(&mut self, id: InstanceId, path: &str) {
+        self.0.entry(id).or_default().tasks.insert(path.to_string());
+    }
+
+    /// Mark what a navigation wrote: the header and every record it
+    /// touched ([`NavOutcome::touched`]).
+    pub fn nav(&mut self, id: InstanceId, outcome: &NavOutcome) {
+        let marks = self.0.entry(id).or_default();
+        marks.header = true;
+        marks.tasks.extend(outcome.touched.iter().cloned());
+    }
+
+    /// The marks, by instance id.
+    pub fn iter(&self) -> impl Iterator<Item = (InstanceId, &Marks)> {
+        self.0.iter().map(|(id, marks)| (*id, marks))
+    }
 }
 
 // ---- journal: shard meta record, keys, reader ----

@@ -19,17 +19,20 @@
 //! * measurement: availability/utilization time series (Figures 5/6) and
 //!   a labeled event log.
 //!
-//! Everything the navigator decides is persisted in one atomic store batch
-//! *before* the runtime acts on it; the recovery property tests crash the
-//! runtime at arbitrary points and verify the resumed run completes with
-//! identical results.
+//! A step — and each public call that changes an instance — ends in one
+//! commit: what it wrote is only *marked* as it goes, and the commit makes
+//! it durable in one append, shaped like a shard round (a batch per dirty
+//! instance, the node-health records, the history round).  A server crash
+//! loses the step it interrupts, as it loses every other volatile thing;
+//! the recovery property tests crash the runtime at arbitrary points and
+//! verify the resumed run completes with identical results.
 
 use crate::awareness::{Awareness, EventKind, HistoryEvent, ShardEvent};
 use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision, SystemCause};
 use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
 use crate::error::{EngineError, EngineResult};
 use crate::history::{round_start_key, History, EVENT_PREFIX};
-use crate::instance::{self, Instance, Role};
+use crate::instance::{self, Dirty, Instance, Role};
 use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
 use crate::navigator::{self, FailureKind, NavOutcome};
@@ -42,7 +45,7 @@ use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
 use bioopera_ocr::ExternalBinding;
 use bioopera_store::{Batch, CompactionPolicy, Disk, Space, Store, StoreStats, TieredPolicy};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Events driving the runtime's kernel.
@@ -185,9 +188,15 @@ pub struct Runtime<D: Disk + Clone> {
     history: History,
     /// The stream round the next commit that carries events is.
     round: u64,
-    /// Events noted since the last commit: the next persistence batch
-    /// carries them, or at the latest the end-of-step flush.
+    /// Events noted since the last commit: the next one carries them.
     unsaved: Vec<HistoryEvent>,
+    /// Instance records written since the last commit.
+    dirty: Dirty,
+    /// Nodes whose health record changed since the last commit.
+    dirty_health: BTreeSet<String>,
+    /// Configuration records for the next commit beyond the health
+    /// records: the node specs a boot writes.
+    config: Batch,
     cfg: RuntimeConfig,
 
     // ---- volatile server memory (lost on server crash) ----
@@ -245,12 +254,10 @@ impl<D: Disk + Clone> Runtime<D> {
         let mut store = open_store(&disk, &cfg)?;
         let (history, round) = History::open(&mut store)?;
         // Record the hardware configuration (§3.2: configuration space).
+        let (mut config, mut scratch) = (Batch::new(), String::new());
         for node in cluster.nodes() {
-            store.put(
-                Space::Configuration,
-                keys::node(&node.spec.name),
-                serde_json::to_vec(&node.spec).map_err(bioopera_store::StoreError::from)?,
-            )?;
+            let key = keys::node(&node.spec.name);
+            config.put_record(Space::Configuration, key, &node.spec, &mut scratch);
         }
         let mut rt = Runtime {
             disk,
@@ -261,10 +268,13 @@ impl<D: Disk + Clone> Runtime<D> {
             history,
             round,
             unsaved: Vec::new(),
+            dirty: Dirty::default(),
+            dirty_health: BTreeSet::new(),
+            config,
             cfg,
             instances: BTreeMap::new(),
             templates: BTreeMap::new(),
-            scratch: String::new(),
+            scratch,
             in_flight: BTreeMap::new(),
             ready_queue: VecDeque::new(),
             next_instance_id: 1,
@@ -284,6 +294,7 @@ impl<D: Disk + Clone> Runtime<D> {
             retained_round: 0,
         };
         rt.rebuild_from_store()?;
+        rt.commit()?;
         Ok(rt)
     }
 
@@ -312,7 +323,7 @@ impl<D: Disk + Clone> Runtime<D> {
         initial: BTreeMap<String, Value>,
     ) -> EngineResult<InstanceId> {
         let id = self.instantiate(template_name, initial, None)?;
-        self.flush_history()?;
+        self.commit()?;
         Ok(id)
     }
 
@@ -327,7 +338,7 @@ impl<D: Disk + Clone> Runtime<D> {
         self.next_instance_id += 1;
         let (inst, outcome) = Instance::create(template, id, parent, self.kernel.now(), &initial)?;
         self.instances.insert(id, inst);
-        self.persist_full_instance(id)?;
+        self.mark_instance(id);
         self.note(
             self.kernel.now(),
             EventKind::InstanceStart {
@@ -388,14 +399,12 @@ impl<D: Disk + Clone> Runtime<D> {
         }
     }
 
-    /// One scheduler iteration: dispatch, then process the next event.
-    /// Returns `Ok(false)` once every instance is terminal.
-    ///
-    /// History events the iteration noted and no persistence batch
-    /// carried are committed as one round at the end of the step.
+    /// One scheduler iteration: dispatch, then process the next event,
+    /// then [`commit`](Runtime::commit) what the iteration wrote and
+    /// noted.  Returns `Ok(false)` once every instance is terminal.
     pub fn step(&mut self) -> EngineResult<bool> {
         let more = self.step_inner()?;
-        self.flush_history()?;
+        self.commit()?;
         Ok(more)
     }
 
@@ -513,20 +522,50 @@ impl<D: Disk + Clone> Runtime<D> {
         self.history.digest()
     }
 
-    /// Note a history event: it is committed with the next persistence
-    /// batch, or at the latest by the end-of-step flush.
+    /// Note a history event: the next commit carries it — unless the
+    /// server is down, when the commit drops it with everything else.
     fn note(&mut self, at: SimTime, kind: EventKind) {
         self.unsaved.push(HistoryEvent { at, kind });
     }
 
-    /// Commit `batch` with every event noted since the last commit in the
-    /// same frame, as one round of the history stream: the events become
-    /// durable *with* the state they precede (persisted-before-visible, in
-    /// one append).  While the server is down nothing is committed.
-    fn commit(&mut self, mut batch: Batch) -> EngineResult<()> {
-        if self.server_up && !self.unsaved.is_empty() {
+    /// Make what was marked and noted since the last commit durable in
+    /// one append, shaped like a shard round: a batch per dirty instance
+    /// ([`Instance::marked_into`]), then the configuration records (the
+    /// changed node-health records, and the node specs at boot), then the
+    /// noted events as one round of the history stream.  The events
+    /// become durable with the state they describe; a crash inside the
+    /// append keeps a prefix of whole batches.  The tier activity the
+    /// append set off is noted for the next commit as `store.*` events;
+    /// then, when enabled, the stream below the durable summary is
+    /// retired.  While the server is down nothing is committed: what it
+    /// marked and noted died with it.
+    fn commit(&mut self) -> EngineResult<()> {
+        let dirty = std::mem::take(&mut self.dirty);
+        let health = std::mem::take(&mut self.dirty_health);
+        let mut config = std::mem::take(&mut self.config);
+        if !self.server_up {
+            self.unsaved.clear();
+            return Ok(());
+        }
+        let mut batches = Vec::new();
+        for (id, marks) in dirty.iter() {
+            if let Some(inst) = self.instances.get(&id) {
+                let mut batch = Batch::new();
+                inst.marked_into(&mut batch, None, marks, &mut self.scratch);
+                batches.push(batch);
+            }
+        }
+        for name in &health {
+            if let Some(h) = self.node_health.get(name) {
+                let key = dependability::health_key(name);
+                config.put_record(Space::Configuration, key, h, &mut self.scratch);
+            }
+        }
+        batches.push(config);
+        let mut events = Batch::new();
+        if !self.unsaved.is_empty() {
             let round = self.round;
-            let events = self
+            let noted = self
                 .unsaved
                 .drain(..)
                 .enumerate()
@@ -538,34 +577,20 @@ impl<D: Disk + Clone> Runtime<D> {
                     kind: ev.kind,
                 });
             self.history
-                .commit(&mut batch, round, events, &mut self.scratch)?;
+                .commit(&mut events, round, noted, &mut self.scratch)?;
             self.round += 1;
         }
-        self.store.apply(batch)?;
-        Ok(())
-    }
-
-    /// Commit the events no persistence batch carried (one round), after
-    /// recording the tier activity since the previous flush as `store.*`
-    /// events; then, when enabled, retire the stream below the durable
-    /// summary.  No-op while the server is down — the store is poisoned
-    /// and the noted events die with the server.
-    fn flush_history(&mut self) -> EngineResult<()> {
-        if self.server_up {
-            self.record_store_events();
-            if !self.unsaved.is_empty() {
-                self.commit(Batch::new())?;
-            }
-            self.maybe_retain_history()?;
-        }
-        Ok(())
+        batches.push(events);
+        self.store.apply_many(batches)?;
+        self.record_store_events();
+        self.maybe_retain_history()
     }
 
     /// Turn the store's tier counters into awareness events: one
-    /// `store.spill` and/or `store.compaction` per step boundary where
-    /// the counters moved, carrying the deltas (and sampling the
-    /// cumulative read-side counters so the index can report cache and
-    /// bloom health).
+    /// `store.spill` and/or `store.compaction` per commit that moved
+    /// them, carrying the deltas (and sampling the cumulative read-side
+    /// counters so the index can report cache and bloom health).  The
+    /// next commit carries them.
     fn record_store_events(&mut self) {
         let stats = self.store.stats();
         let prev = self.tier_stats.replace(stats);
@@ -772,18 +797,22 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// Operator suspend of one instance: drain running jobs, start nothing.
     pub fn suspend(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.suspend_instance(id)?;
+        self.commit()
+    }
+
+    fn suspend_instance(&mut self, id: InstanceId) -> EngineResult<()> {
         let mem = self
             .instances
             .get_mut(&id)
             .ok_or(EngineError::UnknownInstance(id))?;
         if mem.header.status == InstanceStatus::Running {
             mem.header.status = InstanceStatus::Suspended;
-            self.persist_header(id)?;
+            self.dirty.header(id);
             self.note(
                 self.kernel.now(),
                 EventKind::InstanceSuspend { instance: id },
             );
-            self.flush_history()?;
             self.log(format!("instance {id} suspended"));
         }
         Ok(())
@@ -791,46 +820,44 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// Operator resume.
     pub fn resume(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.resume_instance(id)?;
+        self.commit()
+    }
+
+    fn resume_instance(&mut self, id: InstanceId) -> EngineResult<()> {
         let now = self.kernel.now();
         let inst = self
             .instances
             .get_mut(&id)
             .ok_or(EngineError::UnknownInstance(id))?;
         let outcome = navigator::on_resume(&mut inst.view(), now);
-        self.persist_after_nav(id, &outcome)?;
+        self.mark_nav(id, &outcome);
         self.apply_outcome(id, outcome)?;
         self.note(
             self.kernel.now(),
             EventKind::InstanceResume { instance: id },
         );
-        self.flush_history()?;
         self.log(format!("instance {id} resumed"));
         Ok(())
     }
 
     /// Operator abort.
     pub fn abort(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.abort_instance(id)?;
+        self.commit()
+    }
+
+    fn abort_instance(&mut self, id: InstanceId) -> EngineResult<()> {
         let now = self.kernel.now();
-        let jobs: Vec<JobId> = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.instance == id)
-            .map(|(j, _)| *j)
-            .collect();
-        for job in jobs {
-            if let Some(f) = self.in_flight.remove(&job) {
-                if let Some(n) = self.cluster.node_mut(&f.node) {
-                    n.abort_job(now, job);
-                }
-            }
-        }
-        if let Some(mem) = self.instances.get_mut(&id) {
-            mem.header.status = InstanceStatus::Aborted;
-            mem.header.ended_at = Some(now);
-        }
-        self.persist_header(id)?;
+        self.recall_jobs(id);
+        let mem = self
+            .instances
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownInstance(id))?;
+        mem.header.status = InstanceStatus::Aborted;
+        mem.header.ended_at = Some(now);
+        self.dirty.header(id);
         self.note(now, EventKind::InstanceAbort { instance: id });
-        self.flush_history()?;
         self.resync_all_nodes();
         self.log(format!("instance {id} aborted by operator"));
         Ok(())
@@ -840,20 +867,13 @@ impl<D: Disk + Clone> Runtime<D> {
     /// pulled back and re-queued ("the process was re-started and BioOpera
     /// immediately re-scheduled the TEUs that then completed successfully").
     pub fn restart_instance(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.requeue_in_flight(id)?;
+        self.commit()
+    }
+
+    fn requeue_in_flight(&mut self, id: InstanceId) -> EngineResult<()> {
         let now = self.kernel.now();
-        let jobs: Vec<JobId> = self
-            .in_flight
-            .iter()
-            .filter(|(_, f)| f.instance == id)
-            .map(|(j, _)| *j)
-            .collect();
-        for job in jobs {
-            if let Some(f) = self.in_flight.remove(&job) {
-                if let Some(n) = self.cluster.node_mut(&f.node) {
-                    n.abort_job(now, job);
-                }
-            }
-        }
+        self.recall_jobs(id);
         let mut outcome = NavOutcome::default();
         let restartable: Vec<String> = self
             .instances
@@ -885,14 +905,27 @@ impl<D: Disk + Clone> Runtime<D> {
                 requeued: outcome.newly_ready.len() as u64,
             },
         );
-        self.persist_after_nav(id, &outcome)?;
+        self.mark_nav(id, &outcome);
         self.apply_outcome(id, outcome)?;
-        self.flush_history()?;
         self.resync_all_nodes();
         self.log(format!(
             "instance {id} restarted; in-flight TEUs re-scheduled"
         ));
         Ok(())
+    }
+
+    /// Take every job of instance `id` out of flight and off its node.
+    fn recall_jobs(&mut self, id: InstanceId) {
+        let now = self.kernel.now();
+        let cluster = &mut self.cluster;
+        self.in_flight.retain(|job, f| {
+            if f.instance == id {
+                if let Some(n) = cluster.node_mut(&f.node) {
+                    n.abort_job(now, *job);
+                }
+            }
+            f.instance != id
+        });
     }
 
     /// Selective recomputation (§6, lineage tracking): start a new
@@ -951,7 +984,7 @@ impl<D: Disk + Clone> Runtime<D> {
             }
             navigator::reevaluate(&mut view, self.kernel.now())?
         };
-        self.persist_full_instance(id)?;
+        self.mark_instance(id);
         self.note(
             self.kernel.now(),
             EventKind::InstanceRecompute {
@@ -961,7 +994,7 @@ impl<D: Disk + Clone> Runtime<D> {
             },
         );
         self.apply_outcome(id, outcome)?;
-        self.flush_history()?;
+        self.commit()?;
         self.log(format!(
             "instance {id}: selective recomputation of {} (reusing the rest of instance {source})",
             changed.join(", ")
@@ -986,16 +1019,16 @@ impl<D: Disk + Clone> Runtime<D> {
         for action in actions {
             use bioopera_ocr::model::EventAction::*;
             match action {
-                Suspend => self.suspend(id)?,
-                Resume => self.resume(id)?,
-                Abort => self.abort(id)?,
+                Suspend => self.suspend_instance(id)?,
+                Resume => self.resume_instance(id)?,
+                Abort => self.abort_instance(id)?,
                 SetData(field, e) => {
                     let Some(inst) = self.instances.get_mut(&id) else {
                         continue;
                     };
                     let value = navigator::eval_in_instance(&inst.view(), &e)?;
                     inst.header.whiteboard.insert(field.clone(), value);
-                    self.persist_header(id)?;
+                    self.dirty.header(id);
                     self.log(format!("instance {id}: event {event} set {field}"));
                 }
             }
@@ -1007,8 +1040,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 event: event.to_string(),
             },
         );
-        self.flush_history()?;
-        Ok(())
+        self.commit()
     }
 
     /// Crash the server immediately (test hook; traces use
@@ -1019,7 +1051,8 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// Recover the server immediately (test hook).
     pub fn recover_server(&mut self) -> EngineResult<()> {
-        self.on_server_recover()
+        self.on_server_recover()?;
+        self.commit()
     }
 
     // ------------------------------------------------------------------
@@ -1054,11 +1087,8 @@ impl<D: Disk + Clone> Runtime<D> {
     }
 
     fn on_quarantine_expire(&mut self, at: SimTime, node: &str, epoch: u64) -> EngineResult<()> {
-        if !self.server_up {
-            // The recovery path re-derives expiry timers from the
-            // persisted health records.
-            return Ok(());
-        }
+        // A server that is down holds no health: its recovery re-derives
+        // the expiry timers from the persisted records.
         let Some(health) = self.node_health.get_mut(node) else {
             return Ok(());
         };
@@ -1069,18 +1099,15 @@ impl<D: Disk + Clone> Runtime<D> {
                     node: node.to_string(),
                 },
             );
-            self.persist_node_health(node)?;
+            self.dirty_health.insert(node.to_string());
             self.log(format!("node {node} left quarantine (probation)"));
         }
         Ok(())
     }
 
     fn on_job_start(&mut self, at: SimTime, node_name: &str, job: JobId) -> EngineResult<()> {
-        if !self.server_up {
-            return Ok(()); // dispatch was annulled by the server crash
-        }
         let Some(flight) = self.in_flight.get(&job) else {
-            return Ok(()); // annulled (abort/restart)
+            return Ok(()); // annulled (abort, restart, server crash)
         };
         let work = match &flight.result {
             Ok(out) => out.cost_ref_ms.max(1.0),
@@ -1177,14 +1204,11 @@ impl<D: Disk + Clone> Runtime<D> {
             self.pec_buffer.push((node_name.to_string(), job, cpu_ms));
             return Ok(());
         }
-        if !self.server_up {
-            // Server down: the PEC cannot deliver; with the server's
-            // volatile state gone the result is useless — recovery re-runs
-            // the task.
-            return Ok(());
-        }
+        // Annulled — or granted by a server that died since: with its
+        // volatile state gone the result is useless, and recovery re-runs
+        // the task.
         let Some(flight) = self.in_flight.remove(&job) else {
-            return Ok(()); // annulled
+            return Ok(());
         };
         if flight.silent {
             // Paper event 10: the TEU finished but never reported.
@@ -1270,7 +1294,7 @@ impl<D: Disk + Clone> Runtime<D> {
             Err(e) => return Err(e),
         };
         self.note(at, event);
-        self.persist_after_nav(id, &outcome)?;
+        self.mark_nav(id, &outcome);
         self.apply_outcome(id, outcome)
     }
 
@@ -1284,36 +1308,28 @@ impl<D: Disk + Clone> Runtime<D> {
                     Some(n) => n.crash(at),
                     None => Vec::new(),
                 };
-                if self.server_up {
-                    self.note(at, EventKind::NodeCrash { node: name.clone() });
-                }
+                self.note(at, EventKind::NodeCrash { node: name.clone() });
                 self.fail_jobs(&killed, "node crash")?;
             }
             TraceEventKind::NodeUp(name) => {
                 if let Some(n) = self.cluster.node_mut(&name) {
                     n.recover(at);
                 }
-                if self.server_up {
-                    self.note(at, EventKind::NodeRecover { node: name });
-                }
+                self.note(at, EventKind::NodeRecover { node: name });
             }
             TraceEventKind::AllNodesDown => {
                 let mut killed = Vec::new();
                 for n in self.cluster.nodes_mut() {
                     killed.extend(n.crash(at));
                 }
-                if self.server_up {
-                    self.note(at, EventKind::ClusterFailure);
-                }
+                self.note(at, EventKind::ClusterFailure);
                 self.fail_jobs(&killed, "cluster failure")?;
             }
             TraceEventKind::AllNodesUp => {
                 for n in self.cluster.nodes_mut() {
                     n.recover(at);
                 }
-                if self.server_up {
-                    self.note(at, EventKind::ClusterRecover);
-                }
+                self.note(at, EventKind::ClusterRecover);
             }
             TraceEventKind::NetworkDown => {
                 self.cluster.set_network(NetworkState::Down);
@@ -1331,17 +1347,15 @@ impl<D: Disk + Clone> Runtime<D> {
                     let cpus = n.cpus_online() as f64;
                     n.set_external_load(at, fraction * cpus);
                 }
-                if self.server_up {
-                    // §3.4: load samples feed the same awareness taxonomy.
-                    let loads: Vec<(String, f64)> = self
-                        .cluster
-                        .nodes()
-                        .iter()
-                        .map(|n| (n.spec.name.clone(), n.external_cpus()))
-                        .collect();
-                    for (node, cpus) in loads {
-                        self.note(at, EventKind::NodeLoad { node, cpus });
-                    }
+                // §3.4: load samples feed the same awareness taxonomy.
+                let loads: Vec<(String, f64)> = self
+                    .cluster
+                    .nodes()
+                    .iter()
+                    .map(|n| (n.spec.name.clone(), n.external_cpus()))
+                    .collect();
+                for (node, cpus) in loads {
+                    self.note(at, EventKind::NodeLoad { node, cpus });
                 }
                 self.resync_all_nodes();
             }
@@ -1349,43 +1363,35 @@ impl<D: Disk + Clone> Runtime<D> {
                 if let Some(n) = self.cluster.node_mut(&node) {
                     n.set_external_load(at, cpus);
                 }
-                if self.server_up {
-                    self.note(
-                        at,
-                        EventKind::NodeLoad {
-                            node: node.clone(),
-                            cpus,
-                        },
-                    );
-                }
+                self.note(
+                    at,
+                    EventKind::NodeLoad {
+                        node: node.clone(),
+                        cpus,
+                    },
+                );
                 self.resync_node(&node);
             }
             TraceEventKind::UpgradeAllTo { cpus } => {
                 for n in self.cluster.nodes_mut() {
                     n.set_cpus(at, cpus);
                 }
-                if self.server_up {
-                    self.note(at, EventKind::ClusterUpgrade { cpus });
-                }
+                self.note(at, EventKind::ClusterUpgrade { cpus });
                 self.resync_all_nodes();
             }
             TraceEventKind::ServerCrash => self.on_server_crash()?,
             TraceEventKind::ServerRecover => self.on_server_recover()?,
             TraceEventKind::OperatorSuspend => {
                 self.operator_suspended = true;
-                if self.server_up {
-                    self.note(at, EventKind::OperatorSuspend);
-                }
+                self.note(at, EventKind::OperatorSuspend);
             }
             TraceEventKind::OperatorResume => {
                 self.operator_suspended = false;
-                if self.server_up {
-                    self.note(at, EventKind::OperatorResume);
-                }
+                self.note(at, EventKind::OperatorResume);
                 let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
                 for id in ids {
                     if self.instance_status(id) == Some(InstanceStatus::Suspended) {
-                        self.resume(id)?;
+                        self.resume_instance(id)?;
                     }
                 }
             }
@@ -1404,17 +1410,13 @@ impl<D: Disk + Clone> Runtime<D> {
                 if let Some(n) = self.cluster.node_mut(&name) {
                     n.set_reachable(false);
                 }
-                if self.server_up {
-                    self.note(at, EventKind::NodePartition { node: name });
-                }
+                self.note(at, EventKind::NodePartition { node: name });
             }
             TraceEventKind::NodeRejoin(name) => {
                 if let Some(n) = self.cluster.node_mut(&name) {
                     n.set_reachable(true);
                 }
-                if self.server_up {
-                    self.note(at, EventKind::NodeRejoin { node: name.clone() });
-                }
+                self.note(at, EventKind::NodeRejoin { node: name.clone() });
                 // Deliver what this node's PEC buffered during the
                 // partition (a still-unreachable node's entries are
                 // re-buffered by `deliver_completion`).
@@ -1565,15 +1567,14 @@ impl<D: Disk + Clone> Runtime<D> {
                 n.abort_job(now, job);
             }
         }
-        // All volatile server memory is gone — including history events
-        // noted this step but not yet committed.
+        // All volatile server memory is gone — what this step noted and
+        // marked too: its commit finds the server down and drops it.
         self.instances.clear();
         self.templates.clear();
         self.in_flight.clear();
         self.ready_queue.clear();
         self.pec_buffer.clear();
         self.node_health.clear();
-        self.unsaved.clear();
         self.store.poison();
         self.resync_all_nodes();
         if let Some(delay) = self.cfg.backup_failover {
@@ -1590,12 +1591,9 @@ impl<D: Disk + Clone> Runtime<D> {
         }
         self.store = open_store(&self.disk, &self.cfg)?;
         (self.history, self.round) = History::open(&mut self.store)?;
-        // What was noted while the server was down never reached it.
-        self.unsaved.clear();
         self.server_up = true;
         let requeued = self.rebuild_from_store()?;
         self.note(self.kernel.now(), EventKind::ServerRecover { requeued });
-        self.flush_history()?;
         self.log("server recovered: instances rebuilt from the instance space".into());
         self.ensure_heartbeat();
         Ok(())
@@ -1686,7 +1684,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 );
             }
             if changed {
-                self.persist_task(id, &path)?;
+                self.dirty.task(id, &path);
             }
             self.enqueue_ready(id, path);
         }
@@ -1778,7 +1776,7 @@ impl<D: Disk + Clone> Runtime<D> {
                     };
                     let (children, outcome) =
                         navigator::expand_parallel(&mut inst.view(), &path, now)?;
-                    self.persist_after_nav(id, &outcome)?;
+                    self.mark_nav(id, &outcome);
                     for child in children {
                         self.enqueue_ready(id, child);
                     }
@@ -1884,7 +1882,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 .map(|since| now.saturating_sub(since).as_millis())
                 .unwrap_or(0)
         };
-        self.persist_task(id, path)?;
+        self.dirty.task(id, path);
         self.note(
             now,
             EventKind::TaskStart {
@@ -1926,7 +1924,7 @@ impl<D: Disk + Clone> Runtime<D> {
             self.note_stale(id, Some(path), "subprocess start");
             return Ok(());
         };
-        self.persist_task(id, path)?;
+        self.dirty.task(id, path);
         // Late binding: the template is resolved from the template space
         // *now*, not when the parent was defined.
         let child = self.instantiate(&template_name, initial, Some((id, path.to_string())))?;
@@ -2069,7 +2067,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 now,
             )?,
         };
-        self.persist_after_nav(parent_id, &outcome)?;
+        self.mark_nav(parent_id, &outcome);
         self.apply_outcome(parent_id, outcome)
     }
 
@@ -2168,7 +2166,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 outcome
             }
         };
-        self.persist_after_nav(id, &outcome)?;
+        self.mark_nav(id, &outcome);
         self.apply_outcome(id, outcome)?;
         if self.cfg.dependability.enabled && cause == SystemCause::NodeFault {
             if let Some(name) = node {
@@ -2205,7 +2203,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 "node {name} quarantined after {failures} consecutive failures"
             ));
         }
-        self.persist_node_health(name)?;
+        self.dirty_health.insert(name.to_string());
         Ok(())
     }
 
@@ -2220,24 +2218,8 @@ impl<D: Disk + Clone> Runtime<D> {
         let before = health.clone();
         health.on_job_succeeded();
         if *health != before {
-            self.persist_node_health(name)?;
+            self.dirty_health.insert(name.to_string());
         }
-        Ok(())
-    }
-
-    /// Write `name`'s health record to the configuration space.
-    fn persist_node_health(&mut self, name: &str) -> EngineResult<()> {
-        if !self.server_up {
-            return Ok(());
-        }
-        let Some(health) = self.node_health.get(name) else {
-            return Ok(());
-        };
-        self.store.put(
-            Space::Configuration,
-            dependability::health_key(name),
-            serde_json::to_vec(health).map_err(bioopera_store::StoreError::from)?,
-        )?;
         Ok(())
     }
 
@@ -2249,18 +2231,16 @@ impl<D: Disk + Clone> Runtime<D> {
     fn fail_jobs(&mut self, killed: &[JobId], why: &str) -> EngineResult<()> {
         for job in killed {
             if let Some(f) = self.in_flight.remove(job) {
-                if self.server_up {
-                    // A crash kills the whole node, not one job — an
-                    // environment fault, so the node's health streak and
-                    // the tasks' poison sets are not charged.
-                    self.system_failure(
-                        f.instance,
-                        &f.path,
-                        Some(&f.node),
-                        SystemCause::Environment,
-                        why,
-                    )?;
-                }
+                // A crash kills the whole node, not one job — an
+                // environment fault, so the node's health streak and the
+                // tasks' poison sets are not charged.
+                self.system_failure(
+                    f.instance,
+                    &f.path,
+                    Some(&f.node),
+                    SystemCause::Environment,
+                    why,
+                )?;
             }
         }
         self.resync_all_nodes();
@@ -2325,7 +2305,7 @@ impl<D: Disk + Clone> Runtime<D> {
             .map(|(id, _)| *id)
             .collect();
         for id in &stuck {
-            self.restart_instance(*id)?;
+            self.requeue_in_flight(*id)?;
         }
         self.auto_restarts += u32::from(!stuck.is_empty());
         Ok(!stuck.is_empty())
@@ -2347,7 +2327,7 @@ impl<D: Disk + Clone> Runtime<D> {
             let ids: Vec<InstanceId> = self.instances.keys().copied().collect();
             for id in ids {
                 if self.instance_status(id) == Some(InstanceStatus::Suspended) {
-                    self.resume(id)?;
+                    self.resume_instance(id)?;
                 }
             }
             return Ok(true);
@@ -2413,82 +2393,47 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(false)
     }
 
-    // ---- persistence helpers ----
+    // ---- marking what a step wrote ----
 
-    /// Persist the header and every task record of an instance in one
-    /// atomic batch (used at instantiation).
-    fn persist_full_instance(&mut self, id: InstanceId) -> EngineResult<()> {
-        let now = self.kernel.now();
-        let inst = self
-            .instances
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        // Stamp enqueue times before the records hit disk, so an initial
-        // task's queue wait is measured from instantiation even across a
-        // crash.
-        for rec in inst.tasks.values_mut() {
-            if rec.state == TaskState::Ready {
-                rec.ready_at.get_or_insert(now);
-            }
-        }
-        let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, inst.tasks.keys(), &mut self.scratch);
-        self.commit(batch)
-    }
-
-    fn persist_header(&mut self, id: InstanceId) -> EngineResult<()> {
-        let inst = self
-            .instances
-            .get(&id)
-            .ok_or(EngineError::UnknownInstance(id))?;
-        let mut batch = Batch::new();
-        inst.commit_into(
-            &mut batch,
-            None,
-            std::iter::empty::<&str>(),
-            &mut self.scratch,
-        );
-        self.store.apply(batch)?;
-        Ok(())
-    }
-
-    fn persist_task(&mut self, id: InstanceId, path: &str) -> EngineResult<()> {
-        let Some(inst) = self.instances.get(&id) else {
-            return Ok(());
-        };
-        let mut batch = Batch::new();
-        inst.tasks_into(&mut batch, None, [path], &mut self.scratch);
-        self.store.apply(batch)?;
-        Ok(())
-    }
-
-    /// Persist the header plus exactly the task records the navigation
-    /// wrote ([`NavOutcome::touched`]), in one atomic batch.  Every other
-    /// record already equals its stored copy, so leaving it out changes
-    /// nothing recovery can observe.
-    fn persist_after_nav(&mut self, id: InstanceId, outcome: &NavOutcome) -> EngineResult<()> {
+    /// Mark `id`'s header and every task record (a new instance), first
+    /// stamping each `Ready` one with its enqueue time: an initial task's
+    /// queue wait runs from instantiation, even across a crash.
+    fn mark_instance(&mut self, id: InstanceId) {
         let now = self.kernel.now();
         let Some(inst) = self.instances.get_mut(&id) else {
-            return Ok(());
+            return;
         };
-        for p in &outcome.touched {
-            let Some(rec) = inst.tasks.get_mut(p) else {
-                continue;
-            };
-            // Normalise the persisted enqueue stamp before serialising:
-            // records entering `Ready` carry the time they queued (first
-            // entry wins), records leaving it drop the stamp.  Doing this
-            // here — before the batch is built — is what makes queue-wait
-            // metrics crash-proof.
+        self.dirty.header(id);
+        for (path, rec) in inst.tasks.iter_mut() {
             if rec.state == TaskState::Ready {
                 rec.ready_at.get_or_insert(now);
-            } else {
-                rec.ready_at = None;
+            }
+            self.dirty.task(id, path);
+        }
+    }
+
+    /// Mark what a navigation of `id` wrote — the header plus exactly the
+    /// records it touched ([`NavOutcome::touched`]); every other record
+    /// already equals its stored copy.  Each touched record's enqueue
+    /// stamp is normalised first: one entering `Ready` carries the time it
+    /// queued (first entry wins), one leaving it drops the stamp.  Done
+    /// where the record is marked, it is what the commit writes, so
+    /// queue-wait metrics survive a crash.
+    fn mark_nav(&mut self, id: InstanceId, outcome: &NavOutcome) {
+        let now = self.kernel.now();
+        let Some(inst) = self.instances.get_mut(&id) else {
+            return;
+        };
+        for p in &outcome.touched {
+            if let Some(rec) = inst.tasks.get_mut(p) {
+                if rec.state == TaskState::Ready {
+                    rec.ready_at.get_or_insert(now);
+                } else {
+                    rec.ready_at = None;
+                }
             }
         }
-        let mut batch = Batch::new();
-        inst.commit_into(&mut batch, None, &outcome.touched, &mut self.scratch);
-        self.commit(batch)
+        self.dirty.nav(id, outcome);
     }
 
     // ---- node completion-event plumbing ----

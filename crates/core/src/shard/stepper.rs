@@ -20,7 +20,7 @@
 use super::router::{splitmix64, ControlOp, Effect, Msg, Payload, ShardEvent, ShardId, StepOutput};
 use crate::awareness::EventKind;
 use crate::error::{EngineError, EngineResult};
-use crate::instance::{Instance, JournalReader, Role, ShardMeta};
+use crate::instance::{Dirty, Instance, JournalReader, Role, ShardMeta};
 use crate::library::ActivityLibrary;
 use crate::navigator::{self, FailureKind, NavOutcome};
 use crate::state::{InstanceId, InstanceStatus, TaskState};
@@ -97,9 +97,8 @@ pub(super) fn child_cpu_ms(child: &Instance) -> f64 {
 #[derive(Default)]
 struct StepState {
     out: StepOutput,
-    /// Task records written this step, per instance; an entry (even an
-    /// empty one) also commits the instance's header.
-    dirty: BTreeMap<InstanceId, BTreeSet<String>>,
+    /// What this step wrote; every instance in it commits its header.
+    dirty: Dirty,
     stale_seq: BTreeMap<InstanceId, u64>,
     /// Root instances created this step: their commit retires the
     /// engine-level pending-start record.
@@ -111,24 +110,6 @@ struct StepState {
     /// Instances that left the suspended set this step (resume): their
     /// commit deletes the `susp/` record atomically with the header.
     resumed_now: BTreeSet<InstanceId>,
-}
-
-impl StepState {
-    fn mark(&mut self, id: InstanceId, path: &str) {
-        self.dirty.entry(id).or_default().insert(path.to_string());
-    }
-
-    fn mark_header(&mut self, id: InstanceId) {
-        self.dirty.entry(id).or_default();
-    }
-
-    /// Mark what a navigation wrote: the header plus its touched records.
-    fn mark_touched(&mut self, id: InstanceId, outcome: &NavOutcome) {
-        self.dirty
-            .entry(id)
-            .or_default()
-            .extend(outcome.touched.iter().cloned());
-    }
 }
 
 /// What to do with a task that just became ready.
@@ -392,7 +373,8 @@ impl Shard {
                 }
             }
         }
-        st.mark(id, &path);
+        st.dirty.header(id);
+        st.dirty.task(id, &path);
         if fault {
             self.emit(
                 st,
@@ -601,7 +583,7 @@ impl Shard {
                     return Ok(());
                 }
                 slot.header.status = InstanceStatus::Suspended;
-                st.mark_header(id);
+                st.dirty.header(id);
                 st.suspended_now.insert(id);
                 st.resumed_now.remove(&id);
                 self.emit(
@@ -680,7 +662,7 @@ impl Shard {
         outcome: NavOutcome,
     ) -> EngineResult<()> {
         let now = ctx.now();
-        st.mark_touched(id, &outcome);
+        st.dirty.nav(id, &outcome);
         let mut ready: VecDeque<String> = outcome.newly_ready.into();
         let mut compensations: VecDeque<(String, String)> = outcome.compensations.into();
         let mut completed = outcome.completed;
@@ -714,7 +696,8 @@ impl Shard {
             let Some(path) = ready.pop_front() else {
                 break;
             };
-            st.mark(id, &path);
+            // `nav` marked the header on entry.
+            st.dirty.task(id, &path);
             let act = {
                 let Some(slot) = self.slots.get(&id) else {
                     break;
@@ -777,7 +760,7 @@ impl Shard {
                     };
                     let (children, out2) =
                         navigator::expand_parallel(&mut slot.view(), &path, now)?;
-                    st.mark_touched(id, &out2);
+                    st.dirty.nav(id, &out2);
                     ready.extend(children);
                     ready.extend(out2.newly_ready);
                     completed |= out2.completed;
@@ -836,29 +819,29 @@ impl Shard {
     /// One batch per dirty instance (header + touched task records) plus
     /// the shard meta record — the shard's group commit for this round.
     fn build_batches(&self, ctx: &StepCtx<'_>, st: &StepState) -> Vec<Batch> {
-        let mut batches = Vec::with_capacity(st.dirty.len() + 1);
+        let mut batches = Vec::new();
         // Every record of the round is encoded through this one buffer.
         let mut scratch = String::new();
-        for (id, dirty) in &st.dirty {
-            let Some(slot) = self.slots.get(id) else {
+        for (id, marks) in st.dirty.iter() {
+            let Some(slot) = self.slots.get(&id) else {
                 continue;
             };
             let mut b = Batch::new();
-            if st.created_roots.contains(id) {
+            if st.created_roots.contains(&id) {
                 // Same atomic frame as the instance's first commit: the
                 // pending-start record and the header never coexist
                 // half-applied.
-                b.delete(Space::Instance, super::pending_key(*id));
+                b.delete(Space::Instance, super::pending_key(id));
             }
             // The durable suspended set rides the same atomic frame as
             // the header that carries the status flip, so a crash can
             // never observe one without the other.
-            if st.suspended_now.contains(id) {
-                b.put(Space::Instance, super::suspended_key(*id), vec![1]);
-            } else if st.resumed_now.contains(id) {
-                b.delete(Space::Instance, super::suspended_key(*id));
+            if st.suspended_now.contains(&id) {
+                b.put(Space::Instance, super::suspended_key(id), vec![1]);
+            } else if st.resumed_now.contains(&id) {
+                b.delete(Space::Instance, super::suspended_key(id));
             }
-            slot.commit_into(&mut b, Some(self.id), dirty, &mut scratch);
+            slot.marked_into(&mut b, Some(self.id), marks, &mut scratch);
             batches.push(b);
         }
         let mut meta = Batch::new();

@@ -2,7 +2,9 @@
 //!
 //! A sharded engine's round reaches the store as one append of whole WAL
 //! frames — every shard's journal batches in shard order, then the
-//! history batch — and so does a recovery.  A crash inside that append
+//! history batch — and so does a recovery, and so does a `Runtime` step,
+//! public call or recovery (a batch per dirty instance, the configuration
+//! batch, the history batch).  A crash inside that append
 //! leaves a CRC-valid prefix of its frames on disk: a cut inside a frame
 //! loses that frame at the next open, so the frame boundaries are every
 //! state a crash in the append can leave.  This file names nothing but

@@ -9,7 +9,8 @@
 //! stream both drivers write, digest and all, and a store written before
 //! it joined that stream reopens with each old event counted once.  On
 //! either policy the resident memtable stays within what the WAL roll
-//! bounds.  The last two tests are the tiered store's own: its events,
+//! bounds, and a commit torn inside its append converges; a step, a
+//! public call or a recovery is at most one append.  The last two tests are the tiered store's own: its events,
 //! and windowed history retention.
 
 mod common;
@@ -894,6 +895,196 @@ fn the_memtable_stays_within_the_wal_roll(policy: Option<TieredPolicy>) {
     assert!(rt.store().stats().spills > 0, "the run never rolled");
 }
 
+/// Status, whiteboard and task states of each of `ids`.
+type Finished = Vec<(
+    Option<InstanceStatus>,
+    Option<BTreeMap<String, Value>>,
+    BTreeMap<String, TaskState>,
+)>;
+
+fn finished(rt: &Runtime<MemDisk>, ids: &[InstanceId]) -> Finished {
+    ids.iter()
+        .map(|id| {
+            let states = rt.task_records(*id).map_or_else(BTreeMap::new, |tasks| {
+                tasks.iter().map(|(p, r)| (p.clone(), r.state)).collect()
+            });
+            (rt.instance_status(*id), rt.whiteboard(*id).cloned(), states)
+        })
+        .collect()
+}
+
+/// A crash inside a multi-frame commit keeps a prefix of its batches —
+/// some instances' records and not others', the history round last — and
+/// a fresh runtime booted on what survived still finishes every instance
+/// as the crash-free run does, durably: a further boot finds every
+/// record as the run left it.  Two commits are torn at each frame
+/// boundary: the step whose pump grants the first task of three
+/// instances, and the recovery that rewinds those grants.
+fn a_torn_runtime_append_converges(policy: Option<TieredPolicy>) {
+    let boot = |disk: &MemDisk| {
+        let cfg = RuntimeConfig {
+            heartbeat: SimTime::from_secs(20),
+            tiered: policy,
+            ..Default::default()
+        };
+        let mut rt = Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap();
+        rt.register_template(&fanout_template(6, 0)).unwrap();
+        rt
+    };
+    let start = |disk: &MemDisk| {
+        let mut rt = boot(disk);
+        let ids: Vec<InstanceId> = (0..3)
+            .map(|_| rt.submit("Fanout", BTreeMap::new()).unwrap())
+            .collect();
+        (rt, ids)
+    };
+    let durable = |disk: &MemDisk, rt: Runtime<MemDisk>, ids: &[InstanceId]| -> Finished {
+        let done = finished(&rt, ids);
+        drop(rt);
+        assert_eq!(finished(&boot(disk), ids), done, "a reboot moved a record");
+        done
+    };
+    let finish = |disk: &MemDisk, ids: &[InstanceId]| -> Finished {
+        let mut rt = boot(disk);
+        rt.run_to_completion().unwrap();
+        durable(disk, rt, ids)
+    };
+    let oracle_disk = MemDisk::new();
+    let (mut rt, ids) = start(&oracle_disk);
+    // The first step whose grants span more than one instance.
+    let mut granting = 0;
+    loop {
+        let before = rt.in_flight_jobs();
+        rt.step().unwrap();
+        let granted: std::collections::BTreeSet<InstanceId> = rt
+            .in_flight_jobs()
+            .into_iter()
+            .filter(|job| !before.contains(job))
+            .map(|(id, _, _)| id)
+            .collect();
+        if granted.len() > 1 {
+            break;
+        }
+        granting += 1;
+    }
+    rt.run_to_completion().unwrap();
+    let oracle = durable(&oracle_disk, rt, &ids);
+    assert!(oracle
+        .iter()
+        .all(|(status, _, _)| *status == Some(InstanceStatus::Completed)));
+
+    let grants = common::tears::tear_at_each_frame(
+        |disk, plan| {
+            let (mut rt, ids) = start(disk);
+            for _ in 0..granting {
+                rt.step().unwrap();
+            }
+            disk.set_fault_plan(Some(plan));
+            assert!(rt.step().is_err(), "the torn append fails the step");
+            ids
+        },
+        |disk, ids, _| finish(disk, &ids),
+    );
+    let recoveries = common::tears::tear_at_each_frame(
+        |disk, plan| {
+            let (mut rt, ids) = start(disk);
+            for _ in 0..=granting {
+                rt.step().unwrap();
+            }
+            rt.crash_server().unwrap();
+            disk.set_fault_plan(Some(plan));
+            assert!(rt.recover_server().is_err(), "the torn append fails it");
+            ids
+        },
+        |disk, ids, _| finish(disk, &ids),
+    );
+    // Three instances' batches and the history round: five cuts each.
+    for (what, tears) in [("grants", &grants), ("recovery", &recoveries)] {
+        assert!(tears.len() >= 5, "{what}: {} cuts", tears.len());
+        for (cut, finished) in tears.iter().enumerate() {
+            assert_eq!(finished, &oracle, "{what}, cut {cut}");
+        }
+    }
+}
+
+/// Run `call` and check it made at most one disk mutation of `disk`.
+fn one_append<T>(disk: &MemDisk, what: &str, call: impl FnOnce() -> T) -> T {
+    let before = disk.mutation_count();
+    let out = call();
+    let made = disk.mutation_count() - before;
+    assert!(made <= 1, "{what}: {made} appends");
+    out
+}
+
+/// The runtime's twin of the sharded engine's `a_round_is_one_append…`
+/// and `a_recovery_is_one_append`: a step, every public call that changes
+/// an instance, and a server recovery each only mark what they write, and
+/// one commit stores it in one append — a batch per dirty instance, the
+/// node-health records, the history round.  The store is untiered and its
+/// WAL never rolls, so every disk mutation is an append (and the store's
+/// open, inside the recovery, writes nothing over an image with no torn
+/// tail).  A pump that grants several tasks at once is among the steps.
+#[test]
+fn a_runtime_step_is_one_append() {
+    let disk = MemDisk::new();
+    let cfg = RuntimeConfig {
+        heartbeat: SimTime::from_secs(20),
+        compact_wal_bytes: u64::MAX,
+        ..Default::default()
+    };
+    let mut rt = Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap();
+    let evented = ProcessBuilder::new("Evented")
+        .whiteboard_default("threshold", TypeTag::Float, Value::Float(80.0))
+        .activity("A", "noop", |t| t)
+        .on_event(
+            "retune",
+            EventAction::SetData("threshold".into(), Expr::Lit(Value::Float(95.0))),
+        )
+        .on_event("pause", EventAction::Suspend)
+        .on_event("go", EventAction::Resume)
+        .build()
+        .unwrap();
+    rt.register_template(&fanout_template(8, 0)).unwrap();
+    rt.register_template(&evented).unwrap();
+
+    let fan = one_append(&disk, "submit", || rt.submit("Fanout", BTreeMap::new())).unwrap();
+    let ev = one_append(&disk, "submit", || rt.submit("Evented", BTreeMap::new())).unwrap();
+    for event in ["retune", "pause", "go"] {
+        one_append(&disk, event, || rt.signal_event(ev, event)).unwrap();
+    }
+    let doomed = one_append(&disk, "submit", || rt.submit("Fanout", BTreeMap::new())).unwrap();
+    one_append(&disk, "abort", || rt.abort(doomed)).unwrap();
+
+    // Step until the fan is out, granting its children several at a time.
+    let mut widest = 0;
+    while rt.in_flight_jobs().len() < 4 {
+        let started = rt.awareness().index().count("task.start");
+        assert!(one_append(&disk, "step", || rt.step()).unwrap());
+        widest = widest.max(rt.awareness().index().count("task.start") - started);
+    }
+    assert!(
+        widest >= 3,
+        "no step granted several tasks (widest {widest})"
+    );
+    one_append(&disk, "suspend", || rt.suspend(fan)).unwrap();
+    one_append(&disk, "resume", || rt.resume(fan)).unwrap();
+    one_append(&disk, "restart", || rt.restart_instance(fan)).unwrap();
+    one_append(&disk, "step", || rt.step()).unwrap();
+    rt.crash_server().unwrap();
+    one_append(&disk, "recover", || rt.recover_server()).unwrap();
+    assert_eq!(rt.awareness().index().count("server.recover"), 1);
+    while one_append(&disk, "step", || rt.step()).unwrap() {}
+    assert_eq!(rt.instance_status(fan), Some(InstanceStatus::Completed));
+
+    let again = one_append(&disk, "recompute", || rt.recompute(fan, &["Merge"])).unwrap();
+    while one_append(&disk, "step", || rt.step()).unwrap() {}
+    assert_eq!(rt.instance_status(again), Some(InstanceStatus::Completed));
+    assert_eq!(
+        rt.whiteboard(again).unwrap()["total"],
+        Value::Int(expected_total(8))
+    );
+}
+
 /// The squeezed store's spills and merges reach the awareness index as
 /// `store.*` events, through the history, without polling.
 #[test]
@@ -1163,4 +1354,5 @@ common::on_each_policy!(
     the_runtime_history_is_one_stream_with_a_digest,
     a_store_written_before_the_stream_is_counted_once,
     the_memtable_stays_within_the_wal_roll,
+    a_torn_runtime_append_converges,
 );

@@ -42,6 +42,10 @@ pub use store_torture::{
     tiny_tiered_policy, StoreTortureOutcome,
 };
 
+use bioopera_store::{wal, CrashEffect};
+use rand::rngs::StdRng;
+use rand::Rng;
+
 /// Default seed when `HARNESS_SEED` is not set.
 pub const DEFAULT_SEED: u64 = 0xB10B_0B5E;
 
@@ -52,6 +56,33 @@ pub fn seed_from_env(default: u64) -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(default)
+}
+
+/// Every crash an append of `data` can suffer: lost, applied with the
+/// acknowledgment lost, and torn at 0, at each WAL frame boundary ±1 and
+/// at three seeded offsets inside.  A shard round's append and a
+/// `Runtime` commit are each one append of whole frames, so this is every
+/// state a crash can leave of either; `data` is empty for a mutation that
+/// appends nothing (a run or manifest write, a delete), which is lost,
+/// applied, or left as an empty temp file.
+pub fn append_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
+    let len = data.len() as u64;
+    let mut keeps = vec![0u64];
+    let mut off = 0usize;
+    while off + wal::HEADER_LEN <= data.len() {
+        let payload = u32::from_le_bytes(data[off + 2..off + 6].try_into().expect("four bytes"));
+        off += wal::HEADER_LEN + payload as usize;
+        keeps.extend([off as u64 - 1, off as u64, off as u64 + 1]);
+    }
+    for _ in 0..3 {
+        keeps.push(rng.gen_range(0..len.max(1)));
+    }
+    keeps.retain(|k| *k <= len);
+    keeps.sort_unstable();
+    keeps.dedup();
+    let mut effects = vec![CrashEffect::Drop, CrashEffect::AfterApply];
+    effects.extend(keeps.into_iter().map(|keep| CrashEffect::Torn { keep }));
+    effects
 }
 
 /// Combined outcome of the store and runtime torture passes.
@@ -119,8 +150,8 @@ impl TortureReport {
         };
         let runtime = |o: &RuntimeTortureOutcome| {
             format!(
-                "{} mutations, {} crash cases, {} recovery double-crash cases",
-                o.mutations, o.cases, o.recovery_cases
+                "{} mutations, {} crashed at {} cuts, {} recovery double-crash cases",
+                o.mutations, o.points, o.cases, o.recovery_cases
             )
         };
         let shard = |o: &ShardTortureOutcome| {
@@ -157,8 +188,9 @@ impl TortureReport {
 ///
 /// `store_limit` bounds the number of store crash indices (`None` = full
 /// enumeration); `runtime_samples` bounds the runtime crash points of the
-/// real 3-TEU all-vs-all (`usize::MAX` = all of them: 105 executions, ~2 s
-/// in release) and `recovery_samples` its double-crash points;
+/// real 3-TEU all-vs-all (`usize::MAX` = all 58 of them, each commit's
+/// append cut every way [`append_crash_effects`] names: 369 executions, a
+/// few seconds in release) and `recovery_samples` its double-crash points;
 /// `shard_samples` bounds the sampled rounds of the sharded engine, each
 /// crashed in its one append every way a tear can leave it.  The runtime and shard passes then run again under
 /// [`tiny_leveled_policy`], on a bounded sample (`LEVELED_SAMPLES`).

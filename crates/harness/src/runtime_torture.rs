@@ -1,13 +1,18 @@
 //! Engine-level crash-point torture: a small all-vs-all run through the
 //! real [`Runtime`] on a fault-injected [`MemDisk`].
 //!
-//! The crash-free run yields the oracle digest/match count and the number
-//! of disk mutations the whole execution performs (template registration,
-//! instance and task persistence, awareness events, WAL compactions).
-//! Every one of those mutation indices — or, when fewer samples are asked
-//! for than there are mutations, a seeded sample of them — is then re-run
-//! with a crash injected at exactly that point; after rebooting the disk,
-//! a brand-new
+//! The crash-free run yields the oracle digest/match count and every disk
+//! mutation the whole execution performs (template registration, one
+//! append per commit — a step's, a public call's, a recovery's — and the
+//! WAL rolls), with the bytes each one appended.  Every one of those
+//! mutation indices — or, when fewer samples are asked for than there are
+//! mutations, a seeded sample of them — is then re-run with a crash
+//! injected at exactly that point, cutting the append every way
+//! [`append_crash_effects`] names (lost, applied unacknowledged, torn at
+//! each frame boundary ±1 and at seeded offsets: a commit's append is a
+//! batch per dirty instance, then the configuration and history batches,
+//! so a cut keeps some instances' records and not others'); a sampled
+//! point takes one of those cuts.  After rebooting the disk, a brand-new
 //! `Runtime` must rebuild from the surviving bytes and finish the
 //! computation with results **byte-identical** to the oracle — the paper's
 //! §3.4 "avoid inconsistencies in the output data after failures", now
@@ -23,23 +28,27 @@
 //! [`Runtime`]: bioopera_core::Runtime
 //! [`MemDisk`]: bioopera_store::MemDisk
 
+use crate::append_crash_effects;
 use crate::shard_torture::check_history;
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::{InstanceStatus, Runtime, RuntimeConfig};
 use bioopera_darwin::{DatasetConfig, PamFamily, SequenceDb};
 use bioopera_ocr::value::Value;
-use bioopera_store::{CrashEffect, FaultPlan, MemDisk, TieredPolicy};
+use bioopera_store::{CrashEffect, Disk, FaultPlan, MemDisk, StoreResult, TieredPolicy};
 use bioopera_workloads::{AllVsAllConfig, AllVsAllSetup};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Outcome of the runtime torture pass.
 pub struct RuntimeTortureOutcome {
     /// Disk mutations of the crash-free oracle run.
     pub mutations: u64,
-    /// Single-crash cases executed.
+    /// Crash points (mutation indices) crashed.
+    pub points: usize,
+    /// Single-crash cases executed: every cut of each point's append, or
+    /// one per sampled point.
     pub cases: usize,
     /// Crash-during-recovery (double-crash) cases executed.
     pub recovery_cases: usize,
@@ -84,13 +93,55 @@ pub fn real_setup() -> AllVsAllSetup {
 
 type RunResult = (InstanceStatus, Value, Value);
 
+/// A `MemDisk` that keeps what each of its mutations appended, in order
+/// (nothing for a write or a delete): the crash-free run tells each crash
+/// point which bytes it tears.
+#[derive(Clone, Default)]
+struct Recorder {
+    disk: MemDisk,
+    appended: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Recorder {
+    fn log(&self, data: &[u8]) {
+        self.appended.lock().expect("recorder").push(data.to_vec());
+    }
+}
+
+impl Disk for Recorder {
+    fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>> {
+        self.disk.read(name)
+    }
+    fn write_atomic(&self, name: &str, data: &[u8]) -> StoreResult<()> {
+        self.log(&[]);
+        self.disk.write_atomic(name, data)
+    }
+    fn append(&self, name: &str, data: &[u8]) -> StoreResult<()> {
+        self.log(data);
+        self.disk.append(name, data)
+    }
+    fn list(&self) -> StoreResult<Vec<String>> {
+        self.disk.list()
+    }
+    fn delete(&self, name: &str) -> StoreResult<()> {
+        self.log(&[]);
+        self.disk.delete(name)
+    }
+    fn read_range(&self, name: &str, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
+        self.disk.read_range(name, offset, len)
+    }
+    fn file_size(&self, name: &str) -> StoreResult<Option<u64>> {
+        self.disk.file_size(name)
+    }
+}
+
 /// Bring up a runtime over `disk` and drive the all-vs-all to completion.
 /// On a fresh disk this submits the instance; on a recovered disk it
 /// resumes whatever the rebuilt state contains (re-registering templates
 /// is an idempotent put, and re-submitting only happens when the crash
 /// predated the instance header reaching the store).
-fn drive(
-    disk: &MemDisk,
+fn drive<D: Disk + Clone>(
+    disk: &D,
     s: &AllVsAllSetup,
     tiered: Option<TieredPolicy>,
 ) -> Result<RunResult, String> {
@@ -99,8 +150,7 @@ fn drive(
     }
     let mut rt = Runtime::new(disk.clone(), cluster(), s.library.clone(), cfg(tiered))
         .map_err(fail("boot"))?;
-    let check =
-        |rt: &Runtime<MemDisk>| check_history(rt.history_digest(), rt.awareness(), rt.store());
+    let check = |rt: &Runtime<D>| check_history(rt.history_digest(), rt.awareness(), rt.store());
     check(&rt).map_err(fail("after recovery"))?;
     rt.register_template(&s.chunk_template)
         .map_err(fail("register chunk template"))?;
@@ -198,9 +248,10 @@ fn runtime_case(
 }
 
 /// Runtime torture pass over the all-vs-all set-up `s` on stores tiered
-/// by `tiered`: every disk mutation index of the crash-free run when
-/// `samples` reaches their number (`usize::MAX` = always), otherwise
-/// `samples` seeded picks; plus `recovery_samples` double-crash
+/// by `tiered`: every disk mutation index of the crash-free run, each cut
+/// every way [`append_crash_effects`] names, when `samples` reaches their
+/// number (`usize::MAX` = always), otherwise `samples` seeded picks with
+/// one seeded cut each; plus `recovery_samples` double-crash
 /// (crash-during-recovery) points.  All randomness derives from `seed`.
 pub fn run_runtime_torture(
     s: &AllVsAllSetup,
@@ -211,6 +262,7 @@ pub fn run_runtime_torture(
 ) -> RuntimeTortureOutcome {
     let mut out = RuntimeTortureOutcome {
         mutations: 0,
+        points: 0,
         cases: 0,
         recovery_cases: 0,
         violations: Vec::new(),
@@ -221,8 +273,8 @@ pub fn run_runtime_torture(
     } else {
         "untiered"
     };
-    // Crash-free oracle run; also counts the enumerable crash points.
-    let disk = MemDisk::new();
+    // Crash-free oracle run; also records the enumerable crash points.
+    let disk = Recorder::default();
     let oracle = match drive(&disk, s, tiered) {
         Ok(res) if res.0 == InstanceStatus::Completed => res,
         Ok(res) => {
@@ -239,10 +291,12 @@ pub fn run_runtime_torture(
             return out;
         }
     };
-    out.mutations = disk.mutation_count();
+    let appended = disk.appended.lock().expect("recorder").clone();
+    out.mutations = appended.len() as u64;
 
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_1D1D);
-    let indices: Vec<u64> = if samples as u64 >= out.mutations {
+    let full = samples as u64 >= out.mutations;
+    let indices: Vec<u64> = if full {
         (0..out.mutations).collect()
     } else {
         // Always cover the first mutations (bootstrap/config writes) and
@@ -258,27 +312,27 @@ pub fn run_runtime_torture(
         picks
     };
 
-    for (i, &k) in indices.iter().enumerate() {
-        let effect = match i % 3 {
-            0 => CrashEffect::Drop,
-            1 => CrashEffect::AfterApply,
-            _ => CrashEffect::Torn {
-                keep: rng.gen_range(1..64u64),
-            },
-        };
-        out.cases += 1;
-        let tag = format!("HARNESS_SEED={seed} {policy} runtime crash-index={k} effect={effect:?}");
-        run_case(&mut out.violations, tag, || {
-            runtime_case(s, tiered, &oracle, k, effect, None)
-        });
+    for &k in &indices {
+        let mut effects = append_crash_effects(&appended[k as usize], &mut rng);
+        if !full {
+            effects = vec![effects[rng.gen_range(0..effects.len())]];
+        }
+        out.points += 1;
+        for effect in effects {
+            out.cases += 1;
+            let tag =
+                format!("HARNESS_SEED={seed} {policy} runtime crash-index={k} effect={effect:?}");
+            run_case(&mut out.violations, tag, || {
+                runtime_case(s, tiered, &oracle, k, effect, None)
+            });
+        }
     }
 
     for _ in 0..recovery_samples {
         let k = rng.gen_range(0..out.mutations);
         let r = rng.gen_range(0..8u64);
-        let effect = CrashEffect::Torn {
-            keep: rng.gen_range(1..64u64),
-        };
+        let effects = append_crash_effects(&appended[k as usize], &mut rng);
+        let effect = effects[rng.gen_range(0..effects.len())];
         out.recovery_cases += 1;
         let tag = format!(
             "HARNESS_SEED={seed} {policy} runtime crash-index={k} effect={effect:?} recovery-crash={r}"

@@ -52,7 +52,7 @@ use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
 use bioopera_store::{
-    shard_key, wal, CrashEffect, Disk, FaultPlan, MemDisk, Space, Store, TieredPolicy,
+    shard_key, CrashEffect, Disk, FaultPlan, MemDisk, Space, Store, TieredPolicy,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -490,32 +490,11 @@ fn round_append(
     ))
 }
 
-/// Every crash the round's append of `data` can suffer: lost, applied
-/// with the acknowledgment lost, and torn at 0, at each WAL frame
-/// boundary ±1 and at three seeded offsets inside.
-fn append_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
-    let len = data.len() as u64;
-    let mut keeps = vec![0u64];
-    let mut off = 0usize;
-    while off + wal::HEADER_LEN <= data.len() {
-        let payload = u32::from_le_bytes(data[off + 2..off + 6].try_into().expect("four bytes"));
-        off += wal::HEADER_LEN + payload as usize;
-        keeps.extend([off as u64 - 1, off as u64, off as u64 + 1]);
-    }
-    for _ in 0..3 {
-        keeps.push(rng.gen_range(0..len.max(1)));
-    }
-    keeps.retain(|k| *k <= len);
-    keeps.sort_unstable();
-    keeps.dedup();
-    let mut effects = vec![CrashEffect::Drop, CrashEffect::AfterApply];
-    effects.extend(keeps.into_iter().map(|keep| CrashEffect::Torn { keep }));
-    effects
-}
-
 /// Run the shard crash torture over stores tiered by `tiered`: `samples`
 /// sampled rounds, each crashed in its one append every way
 /// [`append_crash_effects`] names, all derived from `seed`.
+///
+/// [`append_crash_effects`]: crate::append_crash_effects
 pub fn run_shard_torture(
     seed: u64,
     samples: usize,
@@ -603,7 +582,7 @@ pub fn run_shard_torture(
                 continue;
             }
         };
-        let effects = append_crash_effects(&data, &mut rng);
+        let effects = crate::append_crash_effects(&data, &mut rng);
         for &effect in &effects {
             out.torn_cases += 1;
             // A double crash tears the recovered run's first append too.

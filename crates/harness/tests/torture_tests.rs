@@ -120,9 +120,9 @@ fn runtime_sampled_crash_points_recover_byte_identically() {
 }
 
 /// Every disk mutation of a 3-TEU all-vs-all (cost-model programs, so the
-/// whole enumeration runs in seconds) is a crash point here — including
-/// the three between a subprocess task's `Dispatched` record and its
-/// child's first commit, which a sample of 6 never hit and which wedged
+/// whole enumeration runs in seconds) is a crash point here, its append
+/// cut at every frame boundary — including the cut between a subprocess
+/// task's `Dispatched` record and its child's first batch, which wedged
 /// the serial runtime until it shared the shard engine's lost-spawn rule.
 #[test]
 fn runtime_full_crash_point_enumeration_recovers_byte_identically() {
@@ -134,11 +134,17 @@ fn runtime_full_crash_point_enumeration_recovers_byte_identically() {
     let setup = AllVsAllSetup::synthetic(16, 53, 38, config);
     let out = run_runtime_torture(&setup, seed, usize::MAX, 2, None);
     assert!(
-        out.mutations > 50,
+        out.mutations > 40,
         "all-vs-all run too small: {} mutations",
         out.mutations
     );
-    assert_eq!(out.cases as u64, out.mutations, "not a full enumeration");
+    assert_eq!(out.points as u64, out.mutations, "not a full enumeration");
+    assert!(
+        out.cases >= 5 * out.points,
+        "appends not cut frame by frame: {} cuts of {} points",
+        out.cases,
+        out.points
+    );
     assert!(
         out.violations.is_empty(),
         "{} violations (first: {})",

@@ -98,7 +98,27 @@ canary runtime-record-without-time crates/core/src/runtime.rs \
 # An ev/ write back in the engine, and the grep gate that keeps the old
 # stream read-only.
 canary runtime-writes-ev crates/core/src/runtime.rs \
-  's/^        self\.store\.apply\(batch\)\?;$/        batch.put(Space::History, "ev\/0", Vec::new());\n&/' \
+  's/^        batches\.push\(events\);$/        events.put(Space::History, "ev\/0", Vec::new());\n&/' \
+  bash scripts/check.sh --gates
+
+# The serial runtime's commit applying each dirty instance's batch on its
+# own: the same frames, but a step that wrote an instance is two appends
+# or more again.
+canary runtime-split-commit crates/core/src/runtime.rs \
+  's/^                batches\.push\(batch\);$/                self.store.apply(batch)?;/' \
+  cargo test -q --offline -p bioopera-core --test runtime_tests a_runtime_step_is_one_append
+
+# A navigation on the serial runtime marking its header but not the task
+# records it touched: the commit drops them, and a reboot after the run
+# finds records the run had moved on from.
+canary runtime-mark-header-only crates/core/src/runtime.rs \
+  's/^        self\.dirty\.nav\(id, outcome\);$/        self.dirty.header(id);/' \
+  cargo test -q --offline -p bioopera-core --test runtime_tests a_torn_runtime_append_converges
+
+# A dispatch stamp written straight to the store, a commit point of its
+# own again, and the grep gate that keeps the runtime to its one commit.
+canary runtime-direct-write crates/core/src/runtime.rs \
+  '0,/^        self\.dirty\.task\(id, path\);$/s//        self.store.apply(Batch::new())?;\n&/' \
   bash scripts/check.sh --gates
 
 # The upgrade of an old serial runtime's store putting its ev/ history at

@@ -148,11 +148,10 @@ step "one history writer, one layout: both drivers store each event once, in one
 # them, and StreamSummary's digest is no Option.  No write in
 # awareness.rs's non-test code but the summary's may appear; the ev/
 # writer (`.record(` + `pending_batch` + `confirm_flushed` +
-# `discard_pending`, through `TypedSpace`) must not come back; the
-# runtime's commit may not split its events from its state into a second
-# frame (`apply_many`); and the sharded engine stores a round, and a
-# recovery, in one append each: two `apply_many` calls in its non-test
-# code, one per round and one per recovery.
+# `discard_pending`, through `TypedSpace`) must not come back; and the
+# sharded engine stores a round, and a recovery, in one append each: two
+# `apply_many` calls in its non-test code, one per round and one per
+# recovery.  (The serial runtime's one append is the next step's gate.)
 stray=$({
   grep -rnE '"ev/|"rollup"|ROLLUP_KEY|"detail"' crates/core/src --include='*.rs' \
     | grep -v '^crates/core/src/upgrade.rs:'
@@ -170,11 +169,34 @@ stray=$({
   appends=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/shard/mod.rs | grep -c 'apply_many(' || true)
   [ "$appends" = 2 ] \
     || echo "crates/core/src/shard/mod.rs: $appends apply_many calls, not one per round and one per recovery"
-  sed -n '/    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs | grep 'apply_many' \
-    | sed 's|^|crates/core/src/runtime.rs: commit: |'
 } || true)
 if [ -n "$stray" ]; then
   echo "a second history writer, an older layout named outside the upgrade, a second frame for a commit's events, or a second append for a round:"
+  echo "$stray"
+  exit 1
+fi
+
+step "one commit: the serial runtime writes the store in its commit and in register_template alone"
+# A Runtime step, each public call that changes an instance, and a
+# recovery only mark what they write; `Runtime::commit` stores it with one
+# `apply_many` — a batch per dirty instance, the configuration records, the
+# history round — as a shard round is stored.  No other store write
+# (`apply`, `apply_many`, `put`, `delete`) may appear in runtime.rs but
+# the template registration's put: a direct write is a commit point of
+# its own again, a second append in a step.
+stray=$({
+  sed '/^#\[cfg(test)\]/,$d; /^    fn commit(&mut self/,/^    }/d; /^    pub fn register_template(/,/^    }/d' \
+    crates/core/src/runtime.rs \
+    | grep -nE '\.apply(_many)?\(|store\.(put|put_record|delete)\(' \
+    | sed 's|^|crates/core/src/runtime.rs: outside commit and register_template: |'
+  writes=$(sed -n '/^    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs \
+    | grep -cE '\.apply(_many)?\(|store\.(put|put_record|delete)\(' || true)
+  many=$(sed -n '/^    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs | grep -c '\.apply_many(' || true)
+  [ "$writes" = 1 ] && [ "$many" = 1 ] \
+    || echo "crates/core/src/runtime.rs: commit makes $writes store writes ($many apply_many), not one apply_many"
+} || true)
+if [ -n "$stray" ]; then
+  echo "a Runtime store write outside its one commit:"
   echo "$stray"
   exit 1
 fi
@@ -342,11 +364,12 @@ fi
 
 step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # Full store crash-point enumeration + every runtime crash point of the
-# real 3-TEU all-vs-all (105 executions, ~2 s of the total in release) +
-# twelve sampled shard rounds, each round's one append torn every way
-# (lost, applied unacknowledged, cut at each frame boundary ±1 and at
-# seeded offsets; a third crash again in the recovered run, half suspend
-# a root first), all held to the history invariant; then a bounded sample
+# real 3-TEU all-vs-all (58 points, each commit's append cut every way:
+# 369 executions, ~4 s of the total in release) + twelve sampled shard
+# rounds, each round's one append torn every way (lost, applied
+# unacknowledged, cut at each frame boundary ±1 and at seeded offsets; a
+# third crash again in the recovered run, half suspend a root first),
+# all held to the history invariant; then a bounded sample
 # of the runtime and shard passes again over stores under the tiny
 # leveled policy, so crash points fall inside spills and merges.
 cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
