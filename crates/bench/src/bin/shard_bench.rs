@@ -23,13 +23,10 @@
 //! [`ShardEngine::run_to_completion`]: bioopera_core::ShardEngine::run_to_completion
 
 use bioopera_bench::write_results;
-use bioopera_core::{ActivityLibrary, ProgramOutput, ShardConfig, ShardEngine};
-use bioopera_ocr::model::TypeTag;
-use bioopera_ocr::value::Value;
-use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
+use bioopera_core::{ShardConfig, ShardEngine};
 use bioopera_store::{MemDisk, Store};
+use bioopera_workloads::toys::{chain_template, library, toy};
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 #[derive(Serialize)]
@@ -58,40 +55,6 @@ struct ShardBenchReport {
     configs: Vec<ConfigResult>,
 }
 
-fn library() -> ActivityLibrary {
-    let mut lib = ActivityLibrary::new();
-    lib.register("p.a", |inputs| {
-        let x = inputs.get("x").and_then(|v| v.as_int()).unwrap_or(7);
-        Ok(ProgramOutput::from_fields([("x", Value::Int(x))], 10.0))
-    });
-    lib.register("p.b", |inputs| {
-        let x = inputs
-            .get("x")
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| "missing x".to_string())?;
-        Ok(ProgramOutput::from_fields([("y", Value::Int(x * 2))], 20.0))
-    });
-    lib
-}
-
-fn chain_template() -> ProcessTemplate {
-    ProcessBuilder::new("Chain")
-        .whiteboard_default("x", TypeTag::Int, Value::Int(7))
-        .whiteboard_field("y", TypeTag::Int)
-        .activity("A", "p.a", |t| {
-            t.input("x", TypeTag::Int).output("x", TypeTag::Int)
-        })
-        .activity("B", "p.b", |t| {
-            t.input("x", TypeTag::Int).output("y", TypeTag::Int)
-        })
-        .connect("A", "B")
-        .flow_from_whiteboard("x", "A", "x")
-        .flow_to_task("A", "x", "B", "x")
-        .flow_to_whiteboard("B", "y", "y")
-        .build()
-        .unwrap()
-}
-
 /// Drive `instances` chains on `shards` shards; returns (wall seconds,
 /// rounds, grants, history digest, awareness counts by kind).
 fn run_config(shards: usize, instances: u64) -> (f64, u64, u64, u64, Vec<(String, usize)>) {
@@ -107,9 +70,8 @@ fn run_config(shards: usize, instances: u64) -> (f64, u64, u64, u64, Vec<(String
     let mut eng = ShardEngine::new(store, library(), cfg).expect("engine");
     eng.register_template(chain_template()).unwrap();
     for i in 0..instances {
-        let mut initial = BTreeMap::new();
-        initial.insert("x".to_string(), Value::Int(i as i64 % 101));
-        eng.submit("Chain", initial).unwrap();
+        let (name, initial) = toy(0, i as i64 % 101);
+        eng.submit(name, initial).unwrap();
     }
     let t0 = Instant::now();
     let outcome = eng.run_to_completion().unwrap();

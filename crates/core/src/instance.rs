@@ -220,6 +220,18 @@ impl Instance {
         whiteboard
     }
 
+    /// The reference CPU this finished instance reports to the task that
+    /// spawned it: every record's but a parallel child's (the parallel
+    /// parent already carries its children's sum).  A container — a
+    /// parallel parent or a subprocess task — carries what it contains.
+    pub fn child_cpu_ms(&self) -> f64 {
+        self.tasks
+            .values()
+            .filter(|r| !r.is_parallel_child())
+            .map(|r| r.cpu_ms)
+            .sum()
+    }
+
     /// This instance as the what-if planner sees it.
     pub fn planner_view(&self) -> PlannerInstance {
         PlannerInstance {

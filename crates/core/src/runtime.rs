@@ -1643,13 +1643,12 @@ impl<D: Disk + Clone> Runtime<D> {
                 self.on_quarantine_expire(now, &name, epoch)?;
             }
         }
-        let records = self.store.scan_prefix(Space::Instance, "inst/")?;
         let (store, known) = (&self.store, &mut self.templates);
         let mut journal =
             instance::JournalReader::new(None, |name| Self::resolve_template(store, known, name));
-        for (key, bytes) in &records {
-            journal.read(key, bytes)?;
-        }
+        store.visit_prefix(Space::Instance, "inst/", |key, bytes| {
+            journal.read(key, bytes)
+        })?;
         (self.instances, _) = journal.finish();
         self.next_instance_id = self.instances.last_key_value().map_or(1, |(id, _)| id + 1);
         // In-flight work was lost with the server.  The shared in-doubt
@@ -2039,16 +2038,7 @@ impl<D: Disk + Clone> Runtime<D> {
             // The child's whiteboard fields matching the parent task's
             // declared outputs become the task outputs.
             let outputs = parent.subprocess_outputs(parent_task, child.header.whiteboard.clone());
-            let child_cpu: f64 = child
-                .tasks
-                .values()
-                .filter(|r| r.state == TaskState::Ended)
-                // Skip template-level container records (their cpu
-                // duplicates what they contain).
-                .filter(|r| r.is_parallel_child() || !child.role(r).is_container())
-                .map(|r| r.cpu_ms)
-                .sum();
-            Some((outputs, child_cpu))
+            Some((outputs, child.child_cpu_ms()))
         } else {
             None
         };

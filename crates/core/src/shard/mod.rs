@@ -680,7 +680,7 @@ impl<D: Disk> ShardEngine<D> {
                         id,
                         slot.header.status == InstanceStatus::Completed,
                         slot.header.whiteboard.clone(),
-                        stepper::child_cpu_ms(slot),
+                        slot.child_cpu_ms(),
                     ));
                 }
             }

@@ -81,18 +81,6 @@ impl StepCtx<'_> {
     }
 }
 
-/// Reference-CPU total a finished child instance reports to its parent
-/// task (parallel children excluded — their sum is already recorded on
-/// the parallel parent).
-pub(super) fn child_cpu_ms(child: &Instance) -> f64 {
-    child
-        .tasks
-        .values()
-        .filter(|r| !r.is_parallel_child())
-        .map(|r| r.cpu_ms)
-        .sum()
-}
-
 /// Transient per-step accumulation.
 #[derive(Default)]
 struct StepState {
@@ -797,7 +785,7 @@ impl Shard {
                 let (outputs, cpu_ms) = self
                     .slots
                     .get(&id)
-                    .map(|s| (s.header.whiteboard.clone(), child_cpu_ms(s)))
+                    .map(|s| (s.header.whiteboard.clone(), s.child_cpu_ms()))
                     .unwrap_or_default();
                 let src = (id, self.next_seq(st, id));
                 st.out.effects.push(Effect::Send(Msg {

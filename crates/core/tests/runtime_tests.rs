@@ -18,6 +18,7 @@ mod common;
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::history;
 use bioopera_core::navigator; // used indirectly via runtime
+use bioopera_core::shard::{ShardConfig, ShardEngine};
 use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
 use bioopera_core::{ActivityLibrary, Awareness, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
@@ -1325,6 +1326,45 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
     let rt = boot();
     counted_once(&rt);
     assert_eq!(rt.awareness().index().count("server.recover"), 1);
+}
+
+/// `Grand` runs `Parent` (`Sub(Chain) -> After`) as a subprocess: the CPU
+/// Grand's `Sub` records is all its child ran, the chain inside included
+/// — A 10 + B 20 + After 20 — on either driver.
+#[test]
+fn a_nested_subprocess_reports_all_its_cpu_on_both_drivers() {
+    let grand = ProcessBuilder::new("Grand")
+        .whiteboard_default("x", TypeTag::Int, Value::Int(21))
+        .subprocess("Sub", "Parent", |t| t.input("x", TypeTag::Int))
+        .flow_from_whiteboard("x", "Sub", "x")
+        .build()
+        .unwrap();
+    let templates = [common::chain_template(), common::parent_template(), grand];
+
+    let cfg = RuntimeConfig {
+        heartbeat: SimTime::from_secs(20),
+        ..Default::default()
+    };
+    // Nodes at the reference speed: a program's CPU is its cost.
+    let cluster = Cluster::new("ref", vec![NodeSpec::new("n1", 2, 500, "linux")]);
+    let mut rt = Runtime::new(MemDisk::new(), cluster, common::library(), cfg).unwrap();
+    for t in &templates {
+        rt.register_template(t).unwrap();
+    }
+    let id = rt.submit("Grand", BTreeMap::new()).unwrap();
+    rt.run_to_completion().unwrap();
+    assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
+    assert_eq!(rt.task_record(id, "Sub").unwrap().cpu_ms, 50.0, "Runtime");
+
+    let store = Store::open(MemDisk::new()).unwrap();
+    let mut eng = ShardEngine::new(store, common::library(), ShardConfig::default()).unwrap();
+    for t in templates {
+        eng.register_template(t).unwrap();
+    }
+    let id = eng.submit("Grand", BTreeMap::new()).unwrap();
+    assert!(eng.run_to_completion().unwrap().is_completed());
+    let (_, _, inst) = eng.slots().find(|(_, at, _)| *at == id).unwrap();
+    assert_eq!(inst.tasks["Sub"].cpu_ms, 50.0, "ShardEngine");
 }
 
 common::on_each_policy!(

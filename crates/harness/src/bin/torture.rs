@@ -4,14 +4,15 @@
 //! torture [--seed N] [--store-limit N] [--runtime-samples N] [--recovery-samples N] [--shard-samples N]
 //! ```
 //!
-//! Defaults: full store crash-point enumeration, every runtime crash
-//! point (`--runtime-samples N` samples instead), 3 runtime double-crash
-//! points, 12 sampled shard rounds (each crashed in its append every way
-//! a tear can leave it), then a bounded sample of the runtime and shard
-//! passes again over stores under the tiny leveled policy; seed from
-//! `HARNESS_SEED` (or the built-in default).  Exits non-zero and prints
-//! every violation — each carries the `HARNESS_SEED`/crash-index pair
-//! that reproduces it.
+//! Every pass runs through the one crash enumerator.  Defaults: every
+//! store crash point, every runtime crash point (`--runtime-samples N`
+//! samples instead, one seeded effect a point), 3 runtime double crashes,
+//! 12 sampled shard rounds (every mutation of each crashed every way),
+//! then a bounded sample of the runtime and shard passes again over stores
+//! under the tiny leveled policy; seed from `HARNESS_SEED` (or the
+//! built-in default).  Prints one line of counts per pass; exits non-zero
+//! and prints every violation — each led by the `HARNESS_SEED`, crash
+//! index and effect that reproduce it.
 
 use bioopera_harness::{run_full, seed_from_env, DEFAULT_SEED};
 use std::time::Instant;

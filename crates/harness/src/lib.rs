@@ -8,43 +8,45 @@
 //! one.
 //!
 //! The method is the classic crash-point enumeration used by file-system
-//! and database torture tests:
+//! and database torture tests, in one loop ([`enumerate`]):
 //!
-//! 1. run a scripted workload **crash-free** on a [`MemDisk`] and count
-//!    every disk mutation (`append`, `write_atomic`, `delete`);
-//! 2. re-run the workload once per mutation index, injecting a crash at
-//!    exactly that point with each [`CrashEffect`] (lost write, torn
-//!    write, write-then-crash);
-//! 3. after every crash: reboot, reopen, and check the durability
-//!    invariants — reopen never panics, every acknowledged batch is fully
-//!    present, the in-flight batch is all-or-nothing, and resuming the
-//!    workload converges byte-identically on the crash-free oracle.
+//! 1. run a workload **crash-free** on a [`enumerate::Recorder`], which
+//!    logs every disk mutation (`append`, `write_atomic`, `delete`) with
+//!    its bytes;
+//! 2. turn each mutation into its crashes ([`enumerate::crash_effects`]):
+//!    lost, applied with the acknowledgment lost, an append torn at 0, 1,
+//!    each WAL frame boundary ±1 and seeded offsets, a `write_atomic`'s
+//!    temporary file torn at 0, 1 and seeded offsets;
+//! 3. for each point — all of them, or a seeded sample keeping the first,
+//!    middle and last — crash there, reboot, optionally crash again early
+//!    in the recovery, then recover, compare with the oracle, reopen and
+//!    compare again.
 //!
-//! A second crash can be injected *during recovery itself*, and persisted
-//! bytes can be bit-flipped to model media corruption; both are part of
-//! the enumeration.
+//! Three workloads plug into it, each keeping only how to run or resume
+//! itself on a disk and what "equal to the oracle" means:
+//! [`store_torture`] (a scripted batch workload held to a whole-batch
+//! prefix model, plus at-rest bit flips), [`runtime_torture`] (a real
+//! all-vs-all through the `Runtime`: digest and match count) and
+//! [`shard_torture`] (a sampled round of the sharded engine: every root's
+//! status and whiteboard, the history invariant, what recovery rewrote).
 //!
 //! Everything is derived from a single `HARNESS_SEED`, printed together
-//! with the crash index in every violation message, so any failure
-//! reproduces with `HARNESS_SEED=<seed> cargo test -p bioopera-harness`.
-//!
-//! [`MemDisk`]: bioopera_store::MemDisk
-//! [`CrashEffect`]: bioopera_store::CrashEffect
+//! with the crash index and effect in every violation message, so any
+//! failure reproduces with `HARNESS_SEED=<seed> cargo test -p
+//! bioopera-harness`.
 
+pub mod enumerate;
 pub mod runtime_torture;
 pub mod shard_torture;
 pub mod store_torture;
 
-pub use runtime_torture::{real_setup, run_runtime_torture, RuntimeTortureOutcome};
-pub use shard_torture::{run_shard_torture, ShardTortureOutcome};
+pub use enumerate::Outcome;
+pub use runtime_torture::{real_setup, run_runtime_torture};
+pub use shard_torture::run_shard_torture;
 pub use store_torture::{
     run_store_torture, run_store_torture_leveled, run_store_torture_tiered, tiny_leveled_policy,
-    tiny_tiered_policy, StoreTortureOutcome,
+    tiny_tiered_policy,
 };
-
-use bioopera_store::{wal, CrashEffect};
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Default seed when `HARNESS_SEED` is not set.
 pub const DEFAULT_SEED: u64 = 0xB10B_0B5E;
@@ -58,58 +60,31 @@ pub fn seed_from_env(default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Every crash an append of `data` can suffer: lost, applied with the
-/// acknowledgment lost, and torn at 0, at each WAL frame boundary ±1 and
-/// at three seeded offsets inside.  A shard round's append and a
-/// `Runtime` commit are each one append of whole frames, so this is every
-/// state a crash can leave of either; `data` is empty for a mutation that
-/// appends nothing (a run or manifest write, a delete), which is lost,
-/// applied, or left as an empty temp file.
-pub fn append_crash_effects(data: &[u8], rng: &mut StdRng) -> Vec<CrashEffect> {
-    let len = data.len() as u64;
-    let mut keeps = vec![0u64];
-    let mut off = 0usize;
-    while off + wal::HEADER_LEN <= data.len() {
-        let payload = u32::from_le_bytes(data[off + 2..off + 6].try_into().expect("four bytes"));
-        off += wal::HEADER_LEN + payload as usize;
-        keeps.extend([off as u64 - 1, off as u64, off as u64 + 1]);
-    }
-    for _ in 0..3 {
-        keeps.push(rng.gen_range(0..len.max(1)));
-    }
-    keeps.retain(|k| *k <= len);
-    keeps.sort_unstable();
-    keeps.dedup();
-    let mut effects = vec![CrashEffect::Drop, CrashEffect::AfterApply];
-    effects.extend(keeps.into_iter().map(|keep| CrashEffect::Torn { keep }));
-    effects
-}
-
-/// Combined outcome of the store and runtime torture passes.
+/// Combined outcome of every torture pass.
 pub struct TortureReport {
     /// The seed every schedule was derived from.
     pub seed: u64,
     /// Store-workload enumeration outcome with no memtable budget (the
     /// script's compactions are its only spills).
-    pub store: StoreTortureOutcome,
+    pub store: Outcome,
     /// Store-workload enumeration outcome under a tiny tiered policy, so
     /// crash points inside memtable spills and run merge compactions are
     /// part of the enumeration.
-    pub store_tiered: StoreTortureOutcome,
+    pub store_tiered: Outcome,
     /// Store-workload enumeration outcome under a tiny *leveled* policy:
     /// level-merge commits, multi-run splits, retention-watermark advances
     /// and input-run GC all become enumerated crash points.
-    pub store_leveled: StoreTortureOutcome,
+    pub store_leveled: Outcome,
     /// Runtime all-vs-all outcome.
-    pub runtime: RuntimeTortureOutcome,
+    pub runtime: Outcome,
     /// A bounded sample of the runtime pass over stores under
     /// [`tiny_leveled_policy`]: crash points inside the spills, merges and
     /// push-downs of a running engine.
-    pub runtime_leveled: RuntimeTortureOutcome,
+    pub runtime_leveled: Outcome,
     /// Sharded-navigator crash-inside-a-round outcome.
-    pub shard: ShardTortureOutcome,
+    pub shard: Outcome,
     /// A bounded sample of the shard pass under [`tiny_leveled_policy`].
-    pub shard_leveled: ShardTortureOutcome,
+    pub shard_leveled: Outcome,
 }
 
 /// At most this many runtime crash points, runtime double-crash points and
@@ -118,21 +93,24 @@ pub struct TortureReport {
 const LEVELED_SAMPLES: (usize, usize, usize) = (4, 1, 8);
 
 impl TortureReport {
+    fn passes(&self) -> [(&str, &Outcome); 7] {
+        [
+            ("store", &self.store),
+            ("tiered", &self.store_tiered),
+            ("leveled", &self.store_leveled),
+            ("runtime", &self.runtime),
+            ("runtime, leveled", &self.runtime_leveled),
+            ("shard", &self.shard),
+            ("shard, leveled", &self.shard_leveled),
+        ]
+    }
+
     /// Every invariant violation found, store first.
     pub fn violations(&self) -> Vec<&str> {
-        [
-            &self.store.violations,
-            &self.store_tiered.violations,
-            &self.store_leveled.violations,
-            &self.runtime.violations,
-            &self.runtime_leveled.violations,
-            &self.shard.violations,
-            &self.shard_leveled.violations,
-        ]
-        .into_iter()
-        .flatten()
-        .map(String::as_str)
-        .collect()
+        self.passes()
+            .into_iter()
+            .flat_map(|(_, o)| o.violations.iter().map(String::as_str))
+            .collect()
     }
 
     /// True when no invariant was violated.
@@ -142,57 +120,23 @@ impl TortureReport {
 
     /// Human-readable multi-line summary.
     pub fn summary(&self) -> String {
-        let store = |o: &StoreTortureOutcome| {
-            format!(
-                "{} mutations, {} crash cases, {} recovery double-crash cases, {} bit-flip cases",
-                o.mutations, o.cases, o.recovery_cases, o.bitflip_cases
-            )
-        };
-        let runtime = |o: &RuntimeTortureOutcome| {
-            format!(
-                "{} mutations, {} crashed at {} cuts, {} recovery double-crash cases",
-                o.mutations, o.points, o.cases, o.recovery_cases
-            )
-        };
-        let shard = |o: &ShardTortureOutcome| {
-            format!(
-                "{} oracle rounds, {} sampled rounds ({} on two threads, {} crashing twice), \
-                 {} crashes in their appends",
-                o.rounds, o.cases, o.parallel_cases, o.recovery_cases, o.torn_cases
-            )
-        };
-        format!(
-            "torture harness HARNESS_SEED={}\n\
-             \x20 store:            {}\n\
-             \x20 tiered:           {}\n\
-             \x20 leveled:          {}\n\
-             \x20 runtime:          {}\n\
-             \x20 runtime, leveled: {}\n\
-             \x20 shard:            {}\n\
-             \x20 shard, leveled:   {}\n\
-             \x20 violations: {}",
-            self.seed,
-            store(&self.store),
-            store(&self.store_tiered),
-            store(&self.store_leveled),
-            runtime(&self.runtime),
-            runtime(&self.runtime_leveled),
-            shard(&self.shard),
-            shard(&self.shard_leveled),
-            self.violations().len(),
-        )
+        let mut out = format!("torture harness HARNESS_SEED={}\n", self.seed);
+        for (name, o) in self.passes() {
+            out += &format!("  {:<18}{}\n", format!("{name}:"), o.summary());
+        }
+        out + &format!("  violations: {}", self.violations().len())
     }
 }
 
 /// Run every torture pass.
 ///
-/// `store_limit` bounds the number of store crash indices (`None` = full
+/// `store_limit` bounds the number of store crash points (`None` = full
 /// enumeration); `runtime_samples` bounds the runtime crash points of the
-/// real 3-TEU all-vs-all (`usize::MAX` = all 58 of them, each commit's
-/// append cut every way [`append_crash_effects`] names: 369 executions, a
-/// few seconds in release) and `recovery_samples` its double-crash points;
-/// `shard_samples` bounds the sampled rounds of the sharded engine, each
-/// crashed in its one append every way a tear can leave it.  The runtime and shard passes then run again under
+/// real 3-TEU all-vs-all (`usize::MAX` = every one, each crashed every way
+/// [`enumerate::crash_effects`] names, a few seconds in release) and
+/// `recovery_samples` its double crashes; `shard_samples` bounds the
+/// sampled rounds of the sharded engine, every mutation of each crashed
+/// every way.  The runtime and shard passes then run again under
 /// [`tiny_leveled_policy`], on a bounded sample (`LEVELED_SAMPLES`).
 pub fn run_full(
     seed: u64,

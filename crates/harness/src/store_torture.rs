@@ -1,16 +1,17 @@
 //! Store-level crash-point enumeration.
 //!
 //! A scripted batch workload (puts, deletes, compactions and retention
-//! advances across all four spaces) is first executed crash-free to obtain
-//! the oracle state and the exact number of disk mutations.  Every mutation index is then re-run as
-//! a crash point under each [`CrashEffect`], optionally with a *second*
-//! crash injected during the recovery replay, plus a pass of at-rest
-//! bit-flip corruption of the persisted WAL and sorted-run files.
+//! advances across all four spaces) is a workload of the crash enumerator
+//! ([`crate::enumerate`]): its crash-free run is the oracle, and every
+//! mutation of that run is a crash point, crashed every way
+//! [`enumerate::crash_effects`] names, with three seeded double crashes a
+//! point.  A pass of at-rest bit-flip corruption of the persisted WAL and
+//! sorted-run files follows.
 //!
 //! The pass runs in three configurations: the engine with no memtable
 //! budget ([`run_store_torture`]), which spills only at the script's
 //! compactions, the tiered engine under a deliberately tiny memtable
-//! budget ([`run_store_torture_tiered`]), whose probe trace pulls every
+//! budget ([`run_store_torture_tiered`]), whose recorded run pulls every
 //! spill and run-merge disk write — run-file writes, manifest commits,
 //! stale WAL/snapshot/run deletions — into the enumeration, and
 //! the leveled engine under squeezed level budgets
@@ -31,13 +32,11 @@
 //!   (torn tail) or a typed corruption error — never a panic, never a
 //!   partial batch.
 
-use bioopera_store::{
-    Batch, CrashEffect, Disk, FaultPlan, MemDisk, Space, Store, StoreError, TieredPolicy,
-};
+use crate::enumerate::{self, Outcome, Recorder};
+use bioopera_store::{Batch, Disk, MemDisk, Space, Store, StoreError, StoreResult, TieredPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Reference model of the logical store contents: `(space, key) -> value`.
 type Model = BTreeMap<(u8, String), Vec<u8>>;
@@ -109,21 +108,6 @@ pub enum Step {
         /// Exclusive upper bound of the retired window.
         below: String,
     },
-}
-
-/// Outcome of the store torture pass.
-pub struct StoreTortureOutcome {
-    /// Disk mutations of the crash-free probe run (= enumerable crash points).
-    pub mutations: u64,
-    /// Single-crash cases executed.
-    pub cases: usize,
-    /// Crash-during-recovery (double-crash) cases executed.
-    pub recovery_cases: usize,
-    /// At-rest bit-flip cases executed.
-    pub bitflip_cases: usize,
-    /// Invariant violations; empty on success.  Every entry embeds the
-    /// `HARNESS_SEED` and crash index needed to reproduce it.
-    pub violations: Vec<String>,
 }
 
 /// Deterministic scripted workload: ~24 batches of 1–4 operations over a
@@ -294,7 +278,26 @@ fn script_states(steps: &[Step]) -> Vec<(usize, ScriptState)> {
     states
 }
 
-fn dump(store: &Store<MemDisk>) -> Result<Model, String> {
+impl Step {
+    /// Run this step on `store`: `Ok(true)` when it was a batch and the
+    /// store acknowledged it.
+    fn run<D: Disk>(&self, store: &mut Store<D>) -> StoreResult<bool> {
+        match self {
+            Step::Apply(ops) => store.apply(to_batch(ops)).map(|()| true),
+            Step::Compact => store.compact().map(|()| false),
+            Step::Retain {
+                space,
+                start,
+                below,
+            } => {
+                let space = Space::from_u8(*space).expect("script space tag");
+                store.retain_below(space, start, below).map(|_| false)
+            }
+        }
+    }
+}
+
+fn dump<D: Disk>(store: &Store<D>) -> Result<Model, String> {
     let mut m = Model::new();
     for space in Space::ALL {
         for (k, v) in store
@@ -307,178 +310,57 @@ fn dump(store: &Store<MemDisk>) -> Result<Model, String> {
     Ok(m)
 }
 
-/// Crash-free probe: runs the script and returns the mutation count.
-fn probe(steps: &[Step], tiered: Option<TieredPolicy>) -> u64 {
-    let disk = MemDisk::new();
-    let mut store = Store::open_with(disk.clone(), tiered).expect("probe open");
-    for step in steps {
-        match step {
-            Step::Apply(ops) => store.apply(to_batch(ops)).expect("probe apply"),
-            Step::Compact => store.compact().expect("probe compact"),
-            Step::Retain {
-                space,
-                start,
-                below,
-            } => {
-                store
-                    .retain_below(
-                        Space::from_u8(*space).expect("script space tag"),
-                        start,
-                        below,
-                    )
-                    .map(|_| ())
-                    .expect("probe retain");
-            }
-        }
-    }
-    disk.mutation_count()
-}
-
-/// One crash case: crash at `crash_index` with `effect`, optionally crash
-/// again at recovery mutation `recovery_crash`, then verify every
-/// durability invariant.  Returns `Err(description)` on the first
-/// violation.
-fn store_case(
+/// The script as a workload: open the store, hold what it holds to the
+/// script, resume from the first batch it lacks and return the contents.
+///
+/// Durability and atomicity: what an open finds is a whole-step prefix of
+/// the script at `acked` batches — or one more, the in-flight batch or
+/// retention advance whose write completed with its acknowledgment lost —
+/// never a partial batch or retention.  Compactions and retention advances
+/// re-run unconditionally (both are idempotent on covered state).  A step
+/// that fails leaves a handle that must be poisoned and refuse all work.
+fn run_script<D: Disk + Clone>(
     steps: &[Step],
     states: &[(usize, ScriptState)],
-    crash_index: u64,
-    effect: CrashEffect,
-    recovery_crash: Option<u64>,
     tiered: Option<TieredPolicy>,
-) -> Result<(), String> {
-    let disk = MemDisk::new();
-    disk.set_fault_plan(Some(FaultPlan::at_mutation(crash_index, effect)));
-
-    let mut acked = 0usize;
-    let mut crashed = false;
-    match Store::open_with(disk.clone(), tiered) {
-        Ok(mut store) => {
-            for step in steps {
-                let res = match step {
-                    Step::Apply(ops) => store.apply(to_batch(ops)).map(|()| true),
-                    Step::Compact => store.compact().map(|()| false),
-                    Step::Retain {
-                        space,
-                        start,
-                        below,
-                    } => store
-                        .retain_below(
-                            Space::from_u8(*space).expect("script space tag"),
-                            start,
-                            below,
-                        )
-                        .map(|_| false),
-                };
-                match res {
-                    Ok(true) => acked += 1,
-                    Ok(false) => {}
-                    Err(_) => {
-                        crashed = true;
-                        break;
-                    }
-                }
-            }
-            if crashed {
-                // The surviving handle must be poisoned and refuse all work.
-                if !store.is_poisoned() {
-                    return Err("store handle not poisoned after crash".into());
-                }
-                if !matches!(
-                    store.get(Space::Instance, "torture/k00"),
-                    Err(StoreError::Poisoned)
-                ) {
-                    return Err("poisoned store served a read".into());
-                }
-            }
-        }
-        // Crash during the very first manifest write: nothing acknowledged.
-        Err(_) => crashed = true,
-    }
-    if !crashed {
-        return Err("fault plan never fired — crash index beyond workload mutations".into());
-    }
-
-    disk.reboot();
-
-    // Optionally crash a second time while recovery itself is mutating the
-    // disk (torn-tail truncation, stale-file GC).  Either recovery finishes
-    // before the armed index (then disarm), or it crashes and a second
-    // reboot + reopen must still succeed.
-    if let Some(r) = recovery_crash {
-        disk.set_fault_plan(Some(FaultPlan::at_mutation(r, CrashEffect::Drop)));
-        match Store::open_with(disk.clone(), tiered) {
-            Ok(_) => disk.set_fault_plan(None),
-            Err(_) => disk.reboot(),
-        }
-    }
-
-    let mut store = Store::open_with(disk.clone(), tiered)
-        .map_err(|e| format!("reopen after crash failed: {e}"))?;
+    disk: &D,
+    acked: &mut usize,
+) -> Result<Model, String> {
+    let mut store = Store::open_with(disk.clone(), tiered).map_err(|e| format!("open: {e}"))?;
     let got = dump(&store)?;
-
-    // Durability: all acknowledged batches present.  Atomicity: the state
-    // is a whole-step prefix of the script at the acknowledged batch count
-    // — only the single in-flight batch (write completed, ack lost) or the
-    // in-flight retention advance (manifest committed, ack lost) may
-    // appear beyond it.  Never a partial batch, never a partial retention.
-    let recovered = states
+    *acked = states
         .iter()
-        .filter(|(a, _)| *a == acked || *a == acked + 1)
+        .filter(|(a, _)| *a == *acked || *a == *acked + 1)
         .find(|(_, s)| s.data == got)
         .map(|(a, _)| *a)
         .ok_or_else(|| {
             format!(
-                "recovered state is no whole-step prefix at {acked} or {} acknowledged batches",
-                acked + 1
+                "the store is no whole-step prefix at {acked} or {} acknowledged batches",
+                *acked + 1
             )
         })?;
-
-    // Resume the script from the first batch the recovered state lacks;
-    // compactions and retention advances re-run unconditionally (both are
-    // idempotent on already-covered state), so the resumed run must
-    // converge byte-identically on the oracle.
-    let mut batch_no = 0usize;
+    let mut batch_no = 0;
     for step in steps {
-        match step {
-            Step::Apply(ops) => {
-                batch_no += 1;
-                if batch_no <= recovered {
-                    continue;
-                }
-                store
-                    .apply(to_batch(ops))
-                    .map_err(|e| format!("resume apply of batch {batch_no} failed: {e}"))?;
+        if let Step::Apply(_) = step {
+            batch_no += 1;
+            if batch_no <= *acked {
+                continue;
             }
-            Step::Compact => store
-                .compact()
-                .map_err(|e| format!("resume compact failed: {e}"))?,
-            Step::Retain {
-                space,
-                start,
-                below,
-            } => {
-                store
-                    .retain_below(
-                        Space::from_u8(*space).expect("script space tag"),
-                        start,
-                        below,
-                    )
-                    .map_err(|e| format!("resume retain failed: {e}"))?;
+        }
+        match step.run(&mut store) {
+            Ok(batch) => *acked += usize::from(batch),
+            Err(e) => {
+                assert!(store.is_poisoned(), "store handle not poisoned after {e}");
+                let read = store.get(Space::Instance, "torture/k00");
+                assert!(
+                    matches!(read, Err(StoreError::Poisoned)),
+                    "poisoned store served a read"
+                );
+                return Err(format!("step failed: {e}"));
             }
         }
     }
-    let oracle = &states.last().expect("non-empty states").1.data;
-    if dump(&store)? != *oracle {
-        return Err("resumed run diverged from the crash-free oracle".into());
-    }
-
-    // The converged state must survive one further clean reopen.
-    drop(store);
-    let store = Store::open_with(disk, tiered).map_err(|e| format!("final reopen failed: {e}"))?;
-    if dump(&store)? != *oracle {
-        return Err("converged state lost across a clean reopen".into());
-    }
-    Ok(())
+    dump(&store)
 }
 
 /// One at-rest bit-flip case: run a crash-free prefix of the script, flip
@@ -495,37 +377,13 @@ fn bitflip_case(
     let disk = MemDisk::new();
     let mut store =
         Store::open_with(disk.clone(), tiered).map_err(|e| format!("open failed: {e}"))?;
-    let mut batches_done = 0usize;
-    let mut final_state = ScriptState::default();
-    for step in steps.iter().take(prefix_steps) {
-        match step {
-            Step::Apply(ops) => {
-                store
-                    .apply(to_batch(ops))
-                    .map_err(|e| format!("workload apply failed: {e}"))?;
-                batches_done += 1;
-                final_state.apply(ops);
-            }
-            Step::Compact => store
-                .compact()
-                .map_err(|e| format!("workload compact failed: {e}"))?,
-            Step::Retain {
-                space,
-                start,
-                below,
-            } => {
-                store
-                    .retain_below(
-                        Space::from_u8(*space).expect("script space tag"),
-                        start,
-                        below,
-                    )
-                    .map_err(|e| format!("workload retain failed: {e}"))?;
-                final_state.retain_below(*space, start, below);
-            }
-        }
+    let prefix = &steps[..prefix_steps];
+    for step in prefix {
+        step.run(&mut store)
+            .map_err(|e| format!("workload step failed: {e}"))?;
     }
     drop(store);
+    let (batches_done, final_state) = script_states(prefix).pop().expect("non-empty states");
 
     // Corruptible files: the live WAL and the sorted runs.
     // Right after a compaction the new WAL does not exist yet (it is
@@ -601,42 +459,24 @@ fn bitflip_case(
     Ok(())
 }
 
-/// Run a case through `catch_unwind` so a panicking recovery path becomes
-/// a reported violation (with its reproduction tag) instead of aborting
-/// the whole enumeration.
-fn run_case(violations: &mut Vec<String>, tag: String, case: impl FnOnce() -> Result<(), String>) {
-    match catch_unwind(AssertUnwindSafe(case)) {
-        Ok(Ok(())) => {}
-        Ok(Err(msg)) => violations.push(format!("{tag}: {msg}")),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic>".into());
-            violations.push(format!("{tag}: PANICKED: {msg}"));
-        }
-    }
-}
-
 /// Full store torture pass over the engine with no memtable budget.
 ///
-/// With `limit == None` every mutation index of the probe run becomes a
-/// crash point; otherwise a seeded sample of `limit` indices (always
-/// including the first and last) is used.
-pub fn run_store_torture(seed: u64, limit: Option<usize>) -> StoreTortureOutcome {
+/// With `limit == None` every mutation of the crash-free run is a crash
+/// point, crashed every way; otherwise a seeded sample of `limit` points
+/// (always the first, middle and last), one seeded way each.
+pub fn run_store_torture(seed: u64, limit: Option<usize>) -> Outcome {
     run_store_torture_with(seed, limit, None)
 }
 
 /// Full store torture pass over the **tiered** engine.
 ///
 /// Same scripted workload and invariants as [`run_store_torture`], but the
-/// store runs under [`tiny_tiered_policy`], so the crash-free probe's
-/// mutation trace — and therefore the enumerated crash points — includes
-/// every disk write of the spills its budget triggers (run write,
-/// manifest commit, stale WAL/snapshot deletion) and of run merge
-/// compactions (merged-run write, manifest rewrite, input-run deletions).
-pub fn run_store_torture_tiered(seed: u64, limit: Option<usize>) -> StoreTortureOutcome {
+/// store runs under [`tiny_tiered_policy`], so the crash-free run's
+/// mutations — and therefore the enumerated crash points — include every
+/// disk write of the spills its budget triggers (run write, manifest
+/// commit, stale WAL/snapshot deletion) and of run merge compactions
+/// (merged-run write, manifest rewrite, input-run deletions).
+pub fn run_store_torture_tiered(seed: u64, limit: Option<usize>) -> Outcome {
     run_store_torture_with(seed, limit, Some(tiny_tiered_policy()))
 }
 
@@ -647,7 +487,7 @@ pub fn run_store_torture_tiered(seed: u64, limit: Option<usize>) -> StoreTorture
 /// push runs into L1 and beyond during the script, adding level-merge run
 /// writes, manifest commits with `lrun` lines, input-run GC and
 /// retention-watermark advances to the enumerated crash points.
-pub fn run_store_torture_leveled(seed: u64, limit: Option<usize>) -> StoreTortureOutcome {
+pub fn run_store_torture_leveled(seed: u64, limit: Option<usize>) -> Outcome {
     run_store_torture_with(seed, limit, Some(tiny_leveled_policy()))
 }
 
@@ -655,87 +495,37 @@ fn run_store_torture_with(
     seed: u64,
     limit: Option<usize>,
     tiered: Option<TieredPolicy>,
-) -> StoreTortureOutcome {
+) -> Outcome {
     let steps = scripted_workload(seed);
     let states = script_states(&steps);
-    let mutations = probe(&steps, tiered);
+    let run = |disk: &Recorder, acked: &mut usize| run_script(&steps, &states, tiered, disk, acked);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
-
-    let crash_indices: Vec<u64> = match limit {
-        None => (0..mutations).collect(),
-        Some(n) => {
-            let mut picked = vec![0, mutations.saturating_sub(1)];
-            while picked.len() < n.min(mutations as usize) {
-                picked.push(rng.gen_range(0..mutations));
-            }
-            picked.sort_unstable();
-            picked.dedup();
-            picked
-        }
+    let tag = format!("HARNESS_SEED={seed} tiered={}", tiered.is_some());
+    let mut out = Outcome::default();
+    let Some(oracle) = enumerate::record(&mut out, &tag, run) else {
+        return out;
     };
-
-    let mut out = StoreTortureOutcome {
-        mutations,
-        cases: 0,
-        recovery_cases: 0,
-        bitflip_cases: 0,
-        violations: Vec::new(),
-    };
-
-    for &k in &crash_indices {
-        let torn_keep = rng.gen_range(2..48u64);
-        let effects = [
-            CrashEffect::Drop,
-            CrashEffect::Torn { keep: 1 },
-            CrashEffect::Torn { keep: torn_keep },
-            CrashEffect::AfterApply,
-        ];
-        for effect in effects {
-            out.cases += 1;
-            run_case(
-                &mut out.violations,
-                format!(
-                    "HARNESS_SEED={seed} tiered={} crash-index={k} effect={effect:?}",
-                    tiered.is_some()
-                ),
-                || store_case(&steps, &states, k, effect, None, tiered),
-            );
-        }
-        // Second crash during the recovery replay/GC of the torn-write image.
-        for r in 0..3u64 {
-            out.recovery_cases += 1;
-            let effect = CrashEffect::Torn { keep: torn_keep };
-            run_case(
-                &mut out.violations,
-                format!(
-                    "HARNESS_SEED={seed} tiered={} crash-index={k} effect={effect:?} \
-                     recovery-crash={r}",
-                    tiered.is_some()
-                ),
-                || store_case(&steps, &states, k, effect, Some(r), tiered),
-            );
-        }
+    if oracle.outcome != states.last().expect("non-empty states").1.data {
+        out.violations.push(format!(
+            "{tag} oracle: the crash-free run diverged from the script"
+        ));
     }
+    // Three double crashes a point, as many as the points.
+    let doubles = 3 * limit.unwrap_or(usize::MAX).min(oracle.window().len());
+    enumerate::sweep(&mut out, &mut rng, &tag, &oracle, limit, doubles, run);
 
-    let n_flips = match limit {
-        None => 48,
-        Some(n) => n.max(8),
-    };
+    let n_flips = limit.map_or(48, |n| n.max(8));
     for _ in 0..n_flips {
-        out.bitflip_cases += 1;
+        out.bitflips += 1;
         let prefix_steps = rng.gen_range(1..=steps.len());
         let offset_pick = rng.gen_range(0..u64::MAX);
         let bit = rng.gen_range(0..8u64) as u32;
-        run_case(
-            &mut out.violations,
-            format!(
-                "HARNESS_SEED={seed} tiered={} bit-flip prefix-steps={prefix_steps} \
-                 offset-pick={offset_pick} bit={bit}",
-                tiered.is_some()
-            ),
-            || bitflip_case(&steps, &states, prefix_steps, offset_pick, bit, tiered),
+        let tag = format!(
+            "{tag} bit-flip prefix-steps={prefix_steps} offset-pick={offset_pick} bit={bit}"
         );
+        enumerate::run_case(&mut out.violations, tag, || {
+            bitflip_case(&steps, &states, prefix_steps, offset_pick, bit, tiered)
+        });
     }
-
     out
 }

@@ -140,9 +140,9 @@ fn runtime_full_crash_point_enumeration_recovers_byte_identically() {
     );
     assert_eq!(out.points as u64, out.mutations, "not a full enumeration");
     assert!(
-        out.cases >= 5 * out.points,
+        out.crashes >= 5 * out.points,
         "appends not cut frame by frame: {} cuts of {} points",
-        out.cases,
+        out.crashes,
         out.points
     );
     assert!(

@@ -18,12 +18,15 @@
 //! * [`chaos`] — the flaky-node chaos scenario exercising the
 //!   dependability policies (retry budgets, backoff, quarantine) against
 //!   the masked-failure requeue livelock.
+//! * [`toys`] — the chain, fan and parent toy processes the engine's
+//!   tests, the torture harness and the shard bench share.
 
 pub mod allvsall;
 pub mod baseline;
 pub mod bio;
 pub mod chaos;
 pub mod tower;
+pub mod toys;
 
 pub use allvsall::{
     fixed_pass_with_workers, refine_pass_with_workers, AllVsAllConfig, AllVsAllMode, AllVsAllSetup,

@@ -169,6 +169,18 @@ canary spill-skips-manifest crates/store/src/compaction.rs \
   '0,/^            self\.disk\.write_atomic\(MANIFEST, manifest\.as_bytes\(\)\)\?;$/{//d}' \
   cargo test -q --offline -p bioopera-harness --test torture_tests tiered_store_full
 
+# The crash enumerator forgetting the WAL frame boundaries: an append is
+# torn only at 0, 1 and seeded offsets, never between two of its frames.
+canary effects-skip-frame-boundaries crates/harness/src/enumerate.rs \
+  '/keeps\.extend\(\[off as u64 - 1, off as u64, off as u64 \+ 1\]\);/d' \
+  cargo test -q --offline -p bioopera-harness --lib enumerate
+
+# The crash enumerator comparing the recovered run and skipping the
+# reopen after it: a recovery that converges without writing passes.
+canary enumerator-skips-reopen crates/harness/src/enumerate.rs \
+  's/for stage in \["recovery", "a reopen"\]/for stage in ["recovery"]/' \
+  cargo test -q --offline -p bioopera-harness --lib enumerate
+
 # A spill that writes its run and keeps the memtable anyway: the reads stay
 # right, but a store with no budget holds its whole history again, and the
 # runtime's memtable outgrows what its WAL roll bounds.

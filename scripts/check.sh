@@ -207,8 +207,9 @@ step "recovery reads every byte once: the replay visits, a shard's journal is re
 # replay's `.batches`): `Store::open_with` applies each frame as
 # `wal::replay_shared` decodes it and holds no list of the log's batches.
 # `Shard::recover` builds instances while `Store::visit_shard` walks the
-# prefix: no `scan_shard`, no collected scan, and the reader keeps no list
-# of `(key, bytes)` records.  A scan over the tier streams through the
+# prefix, and `Runtime::rebuild_from_store` while `visit_prefix("inst/")`
+# does: no `scan_shard`, no collected scan of a journal, and the reader
+# keeps no list of `(key, bytes)` records.  A scan over the tier streams through the
 # compaction's merge: no merge map of the range in engine.rs, and no
 # per-run collecting scan (`scan_while`) anywhere in the store.
 stray=$({
@@ -218,6 +219,8 @@ stray=$({
     | sed 's|^|crates/store/src/engine.rs: open_with: |'
   sed -n '/pub fn recover</,/^    }/p' crates/core/src/shard/stepper.rs | grep -E 'scan_prefix|Vec<\(' \
     | sed 's|^|crates/core/src/shard/stepper.rs: Shard::recover: |'
+  sed -n '/fn rebuild_from_store/,/^    }/p' crates/core/src/runtime.rs | grep -E 'scan_prefix\(Space::Instance' \
+    | sed 's|^|crates/core/src/runtime.rs: rebuild_from_store: |'
   sed '/^#\[cfg(test)\]/,$d' crates/core/src/instance.rs | grep -nE 'Vec<\(String, (B\b|Bytes|Vec<u8>)' \
     | sed 's|^|crates/core/src/instance.rs:|'
   sed '/^#\[cfg(test)\]/,$d' crates/store/src/engine.rs | grep -nE 'BTreeMap<String, Option<Bytes>>' \
@@ -363,15 +366,18 @@ if [ "$tier" = fast ]; then
 fi
 
 step "crash-point torture harness (seed override: HARNESS_SEED=N)"
-# Full store crash-point enumeration + every runtime crash point of the
-# real 3-TEU all-vs-all (58 points, each commit's append cut every way:
-# 369 executions, ~4 s of the total in release) + twelve sampled shard
-# rounds, each round's one append torn every way (lost, applied
-# unacknowledged, cut at each frame boundary ±1 and at seeded offsets; a
-# third crash again in the recovered run, half suspend a root first),
-# all held to the history invariant; then a bounded sample
-# of the runtime and shard passes again over stores under the tiny
-# leveled policy, so crash points fall inside spills and merges.
+# One enumerator (crates/harness/src/enumerate.rs) over three workloads:
+# every store crash point (34 / 55 / 59 with no budget / tiered /
+# leveled, each crashed every way: lost, applied unacknowledged, an
+# append torn at 0, 1, each frame boundary ±1 and seeded offsets, a
+# write_atomic's temp file at 0, 1 and seeded offsets; three double
+# crashes a point; 48 bit flips each) + every runtime crash point of the
+# real 3-TEU all-vs-all (58 points, 436 crashes) + twelve sampled shard
+# rounds, every mutation of each crashed every way (543 crashes, 36
+# double; half suspend a root first), all held to the history invariant
+# and reopened after they converge; then a bounded sample of the
+# runtime and shard passes again over stores under the tiny leveled
+# policy, so crash points fall inside spills and merges (~10 s in all).
 cargo run --release -q -p bioopera-harness --bin torture -- --recovery-samples 3 --shard-samples 12
 
 step "canaries: every audited gate turns red on its planted bug"
