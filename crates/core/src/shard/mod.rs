@@ -48,7 +48,7 @@ use crate::history::{self, fnv1a64, History, FNV_OFFSET};
 use crate::instance::{self, InDoubt};
 use crate::library::ActivityLibrary;
 use crate::planner::{OutageImpact, PlannerNode, PlannerSnapshot};
-use crate::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
+use crate::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskRecord, TaskState};
 use bioopera_cluster::SimTime;
 use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
@@ -139,8 +139,9 @@ pub struct RecoveryReport {
     /// … and dispatched subprocess tasks whose child never came up.
     pub lost_spawn: u64,
     /// Task records recovery wrote back: those the in-doubt rule changed
-    /// and those a re-spawn stamped.  Every other in-doubt record already
-    /// equals its stored copy and is left out.
+    /// and those a re-spawn stamped anew.  Every other in-doubt record
+    /// already equals its stored copy and is left out — a re-spawn's too,
+    /// when a recovery that crashed at the same round stored its stamp.
     pub rewritten: u64,
     /// Acknowledged submissions whose start died with the server, routed
     /// again.
@@ -694,6 +695,14 @@ impl<D: Disk> ShardEngine<D> {
         let mut batches = vec![stale];
         for shard in &mut self.shards {
             for (id, slot) in &mut shard.slots {
+                // A re-spawn restamps its record, and a recovery that
+                // crashed at this round may have stored that stamp already.
+                let dispatched: BTreeMap<String, TaskRecord> = slot
+                    .tasks
+                    .values()
+                    .filter(|t| t.state == TaskState::Dispatched)
+                    .map(|t| (t.path.clone(), (**t).clone()))
+                    .collect();
                 let resolved = slot.resolve_in_doubt(now, &children);
                 // Suspended instances re-drive too — their in-doubt work
                 // is rewound to `Ready` so nothing is lost — but stay
@@ -719,7 +728,12 @@ impl<D: Disk> ShardEngine<D> {
                                 false
                             }
                         };
-                    if r.changed || spawned {
+                    let written = if spawned {
+                        dispatched.get(&r.path) != slot.tasks.get(&r.path).map(|t| &**t)
+                    } else {
+                        r.changed
+                    };
+                    if written {
                         changed.push(&r.path);
                     }
                 }

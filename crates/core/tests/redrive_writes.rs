@@ -13,7 +13,9 @@
 //! * no appended record equals its stored copy;
 //! * every record recovery changed in memory was appended;
 //! * a second recovery straight after the first appends nothing but the
-//!   re-spawns of the first's spawns, which died with it again.
+//!   re-spawns of the first's spawns, which died with it again;
+//! * a recovery redone after a crash inside its own append does not
+//!   append again the re-spawns that append kept.
 
 mod common;
 
@@ -236,6 +238,40 @@ fn a_crash_inside_a_round_writes_only_what_it_undid(policy: Option<TieredPolicy>
     }
 }
 
+/// A recovery that dies inside its own append, cut at each of its frame
+/// boundaries, is redone at the same round: the re-spawns a kept prefix
+/// already stored are not written again.
+fn a_recovery_torn_in_its_own_append_rewrites_nothing_it_kept(policy: Option<TieredPolicy>) {
+    let workload: Vec<(usize, i64)> = (0..12).map(|i| (i % 3, i as i64)).collect();
+    let mut respawned = 0;
+    for crash in 0..4 {
+        let crash_in_recovery = |mem: &MemDisk, plan| {
+            let disk = AppendLog {
+                inner: mem.clone(),
+                ..AppendLog::default()
+            };
+            let store = Store::open_with(disk.clone(), policy).unwrap();
+            let mut eng = common::engine_on(store, common::chain_config());
+            common::submit_workload(&mut eng, &workload);
+            for _ in 0..crash {
+                eng.step_round().unwrap();
+            }
+            drop(eng);
+            let store = Store::open_with(disk.clone(), policy).unwrap();
+            mem.set_fault_plan(Some(plan));
+            let recovered = ShardEngine::recover(store, common::library(), common::chain_config());
+            assert!(recovered.is_err(), "the recovery's append never crashed");
+            disk
+        };
+        let reports = common::tears::tear_at_each_frame(crash_in_recovery, |_, disk, kept| {
+            let at = format!("crash at round {crash}, its recovery cut at {kept} bytes");
+            recover(&disk, policy, &at).1
+        });
+        respawned += reports.iter().map(|r| r.lost_spawn).sum::<u64>();
+    }
+    assert!(respawned > 0, "no recovery re-spawned");
+}
+
 /// A runtime whose server dies with work queued and work on the nodes:
 /// the queued records stay as stored, the dispatched ones are rewound and
 /// written, and a second crash straight after the recovery finds nothing
@@ -309,5 +345,6 @@ fn a_runtime_recovery_writes_only_the_rewound_grants(policy: Option<TieredPolicy
 common::on_each_policy!(
     a_crash_between_rounds_writes_only_what_it_undid,
     a_crash_inside_a_round_writes_only_what_it_undid,
+    a_recovery_torn_in_its_own_append_rewrites_nothing_it_kept,
     a_runtime_recovery_writes_only_the_rewound_grants,
 );

@@ -9,7 +9,8 @@
 //! samples instead, one seeded effect a point), 3 runtime double crashes,
 //! 12 sampled shard rounds (every mutation of each crashed every way),
 //! then a bounded sample of the runtime and shard passes again over stores
-//! under the tiny leveled policy; seed from `HARNESS_SEED` (or the
+//! under the tiny leveled policy, where a roll's run, manifest and delete
+//! writes are crashed one seeded way each; seed from `HARNESS_SEED` (or the
 //! built-in default).  Prints one line of counts per pass; exits non-zero
 //! and prints every violation — each led by the `HARNESS_SEED`, crash
 //! index and effect that reproduce it.

@@ -9,11 +9,12 @@
 //!
 //! [`record`] runs the workload crash-free on a [`Recorder`], which logs
 //! every disk mutation with its kind and bytes; [`sweep`] then crashes the
-//! workload at the recorded points, each in every way [`crash_effects`]
-//! names (one seeded way when asked to sample), reboots, optionally
-//! crashes again early in the recovery, recovers, compares with the
-//! oracle, reopens once more and compares again.  Every case runs inside [`run_case`], whose tag names the seed,
-//! the point and the effect that reproduce it.
+//! workload at the recorded points, each in the ways [`crash_effects`]
+//! names that its [`Plan`] asks for, reboots, optionally crashes again
+//! at one of the recovery's own mutations, recovers, compares with the
+//! oracle, reopens once more and compares again.  Every case runs inside
+//! [`run_case`], whose tag names the seed, the point and the effect that
+//! reproduce it.
 
 use bioopera_store::{wal, CrashEffect, Disk, FaultPlan, MemDisk, StoreResult};
 use rand::rngs::StdRng;
@@ -166,7 +167,7 @@ pub struct Outcome {
     pub points: usize,
     /// Single crashes: one per effect a point was crashed with.
     pub crashes: usize,
-    /// Double crashes: a crash, then another early in the recovery.
+    /// Double crashes: a crash, then another inside the recovery.
     pub doubles: usize,
     /// At-rest bit flips (the store's pass).
     pub bitflips: usize,
@@ -220,62 +221,106 @@ pub fn record<O>(
     })
 }
 
-/// Crash the workload at the [`points`] of the oracle's window: every
-/// point every way when `sample` is `None`, otherwise each point one
-/// seeded way.  Then `doubles` seeded (point, effect) pairs crash again
-/// with a seeded effect at one of the recovery's first eight mutations.
+/// How many ways [`sweep`] crashes each of its points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ways {
+    /// Every way [`crash_effects`] names.
+    Every,
+    /// An append every way; any other mutation — a roll's run, manifest
+    /// or delete — one seeded way.
+    EveryAppend,
+    /// One seeded way.
+    One,
+}
+
+/// Where and how often [`sweep`] crashes a workload.
+#[derive(Debug, Clone, Copy)]
+pub struct Plan {
+    /// How many crash points, as [`points`] picks them (`None` = all).
+    pub sample: Option<usize>,
+    /// How many ways each point is crashed.
+    pub ways: Ways,
+    /// How many double crashes follow.
+    pub doubles: usize,
+}
+
+/// Crash the workload at the [`points`] of the oracle's window, each in
+/// as many of the ways [`crash_effects`] names as the plan's `ways` says.
+/// Then the plan's `doubles` crash again: double `j` takes the `j % n`-th
+/// of the `n` points in a seeded order, one seeded way that point was
+/// crashed, and crashes again at the recovery's mutation `j / n`, one
+/// seeded way of the mutation the recovery made there.  So `3 * n`
+/// doubles crash every point's recovery at its first three mutations.
 pub fn sweep<O: PartialEq + Debug>(
     out: &mut Outcome,
     rng: &mut StdRng,
     tag: &str,
     oracle: &Oracle<O>,
-    sample: Option<usize>,
-    doubles: usize,
+    plan: Plan,
     run: impl Fn(&Recorder, &mut usize) -> Result<O, String>,
 ) {
-    let cuts: Vec<(usize, Vec<CrashEffect>)> = points(oracle.window(), sample, rng)
-        .into_iter()
-        .map(|k| (k, crash_effects(&oracle.log[k], rng)))
-        .collect();
-    for (k, effects) in &cuts {
-        let effects = match sample {
-            None => effects.clone(),
-            Some(_) => vec![effects[rng.gen_range(0..effects.len())]],
-        };
+    let Plan {
+        sample,
+        ways,
+        doubles,
+    } = plan;
+    let points = points(oracle.window(), sample, rng);
+    let mut order = points.clone();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    let doubles = if points.is_empty() { 0 } else { doubles };
+    let mut again = vec![Vec::new(); oracle.log.len()];
+    for j in 0..doubles {
+        again[order[j % points.len()]].push(j / points.len());
+    }
+    let depth = doubles.div_ceil(points.len().max(1));
+    let seeded =
+        |effects: &[CrashEffect], rng: &mut StdRng| effects[rng.gen_range(0..effects.len())];
+    for k in points {
+        let mutation = &oracle.log[k];
+        let mut effects = crash_effects(mutation, rng);
+        if ways == Ways::One || (ways == Ways::EveryAppend && mutation.kind != Kind::Append) {
+            effects = vec![seeded(&effects, rng)];
+        }
         out.points += 1;
+        let first = seeded(&effects, rng);
+        let mut recovery = Vec::new();
         for effect in effects {
             out.crashes += 1;
             let tag = format!("{tag} crash-index={k} effect={effect:?}");
+            let capture = if effect == first { depth } else { 0 };
+            let made = run_case(&mut out.violations, tag, || {
+                crash_case(&run, &oracle.outcome, (k, effect), None, capture)
+            });
+            recovery.extend(made.into_iter().flatten());
+        }
+        for &r in &again[k] {
+            let second = recovery
+                .get(r)
+                .map_or(CrashEffect::Drop, |m| seeded(&crash_effects(m, rng), rng));
+            out.doubles += 1;
+            let tag = format!(
+                "{tag} crash-index={k} effect={first:?} recovery-crash={r} recovery-effect={second:?}"
+            );
             run_case(&mut out.violations, tag, || {
-                crash_case(&run, &oracle.outcome, (*k, effect), None)
+                crash_case(&run, &oracle.outcome, (k, first), Some((r, second)), 0)
             });
         }
-    }
-    let doubles = if cuts.is_empty() { 0 } else { doubles };
-    for _ in 0..doubles {
-        let (k, effects) = &cuts[rng.gen_range(0..cuts.len())];
-        let effect = effects[rng.gen_range(0..effects.len())];
-        let again = (
-            rng.gen_range(0..8),
-            effects[rng.gen_range(0..effects.len())],
-        );
-        out.doubles += 1;
-        let tag = format!("{tag} crash-index={k} effect={effect:?} recovery-crash={again:?}");
-        run_case(&mut out.violations, tag, || {
-            crash_case(&run, &oracle.outcome, (*k, effect), Some(again))
-        });
     }
 }
 
 /// One case: crash at `first`, reboot, optionally crash again at `again`
 /// (counted from the recovery's start) and reboot, then recover and
-/// reopen, each equal to the oracle.
+/// reopen, each equal to the oracle.  Hands back the first `capture`
+/// mutations the recovery made.
 fn crash_case<O: PartialEq + Debug>(
     run: &impl Fn(&Recorder, &mut usize) -> Result<O, String>,
     oracle: &O,
     first: (usize, CrashEffect),
     again: Option<(usize, CrashEffect)>,
-) -> Result<(), String> {
+    capture: usize,
+) -> Result<Vec<Mutation>, String> {
     let disk = Recorder::default();
     let mem = &disk.disk;
     let arm = |(at, effect): (usize, CrashEffect)| {
@@ -288,6 +333,7 @@ fn crash_case<O: PartialEq + Debug>(
         Err(e) if !mem.has_crashed() => return Err(format!("failed without the crash: {e}")),
         Err(_) => mem.reboot(),
     }
+    let start = disk.log().mutations.len();
     if let Some(again) = again {
         arm(again);
         match run(&disk, &mut acked) {
@@ -299,15 +345,23 @@ fn crash_case<O: PartialEq + Debug>(
             Err(_) => mem.reboot(),
         }
     }
-    for stage in ["recovery", "a reopen"] {
+    let mut check = |stage: &str| {
         let got = run(&disk, &mut acked).map_err(|e| format!("{stage} failed: {e}"))?;
         if got != *oracle {
             return Err(format!(
                 "{stage} diverged from the oracle: {got:?}, oracle {oracle:?}"
             ));
         }
-    }
-    Ok(())
+        Ok(())
+    };
+    check("recovery")?;
+    let made = {
+        let mut log = disk.log();
+        let end = log.mutations.len().min(start + capture);
+        log.mutations.drain(start..end).collect()
+    };
+    check("a reopen")?;
+    Ok(made)
 }
 
 /// Run `case` and hand back its value; an `Err`, or a panic, becomes a
@@ -390,15 +444,12 @@ mod tests {
         let mut out = Outcome::default();
         let mut rng = StdRng::seed_from_u64(7);
         let oracle = record(&mut out, "toy", toy(plant)).expect("a clean oracle");
-        sweep(
-            &mut out,
-            &mut rng,
-            "toy",
-            &oracle,
-            None,
+        let plan = Plan {
+            sample: None,
+            ways: Ways::Every,
             doubles,
-            toy(plant),
-        );
+        };
+        sweep(&mut out, &mut rng, "toy", &oracle, plan, toy(plant));
         out
     }
 
@@ -421,9 +472,10 @@ mod tests {
         );
         assert_eq!(points(10..20, Some(4), &mut rng).len(), 4);
 
-        let out = sweep_toy(Plant::Nothing, 2);
+        // Each point's recovery crashed again at its first three mutations.
+        let out = sweep_toy(Plant::Nothing, 18);
         assert_eq!(out.points, 6);
-        assert_eq!(out.doubles, 2);
+        assert_eq!(out.doubles, 18);
         assert!(out.violations.is_empty(), "{:#?}", out.violations);
     }
 

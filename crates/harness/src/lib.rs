@@ -18,9 +18,10 @@
 //!    each WAL frame boundary ±1 and seeded offsets, a `write_atomic`'s
 //!    temporary file torn at 0, 1 and seeded offsets;
 //! 3. for each point — all of them, or a seeded sample keeping the first,
-//!    middle and last — crash there, reboot, optionally crash again early
-//!    in the recovery, then recover, compare with the oracle, reopen and
-//!    compare again.
+//!    middle and last — crash there in the ways the workload's plan asks
+//!    for, reboot, optionally crash again at one of the recovery's own
+//!    mutations, then recover, compare with the oracle, reopen and compare
+//!    again.
 //!
 //! Three workloads plug into it, each keeping only how to run or resume
 //! itself on a disk and what "equal to the oracle" means:
@@ -133,11 +134,13 @@ impl TortureReport {
 /// `store_limit` bounds the number of store crash points (`None` = full
 /// enumeration); `runtime_samples` bounds the runtime crash points of the
 /// real 3-TEU all-vs-all (`usize::MAX` = every one, each crashed every way
-/// [`enumerate::crash_effects`] names, a few seconds in release) and
-/// `recovery_samples` its double crashes; `shard_samples` bounds the
-/// sampled rounds of the sharded engine, every mutation of each crashed
-/// every way.  The runtime and shard passes then run again under
-/// [`tiny_leveled_policy`], on a bounded sample (`LEVELED_SAMPLES`).
+/// [`enumerate::crash_effects`] names, a few seconds in release; a sample
+/// crashes each point one seeded way) and `recovery_samples` its double
+/// crashes; `shard_samples` bounds the sampled rounds of the sharded
+/// engine, every mutation of each crashed — an append every way, a
+/// tiered roll's other writes one seeded way each.  The runtime and shard
+/// passes then run again under [`tiny_leveled_policy`], on a bounded
+/// sample (`LEVELED_SAMPLES`).
 pub fn run_full(
     seed: u64,
     store_limit: Option<usize>,

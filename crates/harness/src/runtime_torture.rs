@@ -22,7 +22,7 @@
 //!
 //! [`Runtime`]: bioopera_core::Runtime
 
-use crate::enumerate::{self, Outcome, Recorder};
+use crate::enumerate::{self, Outcome, Plan, Recorder, Ways};
 use crate::shard_torture::check_history;
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::{InstanceStatus, Runtime, RuntimeConfig};
@@ -119,8 +119,8 @@ fn drive<D: Disk + Clone>(
 /// by `tiered`: every disk mutation of the crash-free run, each crashed
 /// every way [`enumerate::crash_effects`] names, when `samples` reaches
 /// their number (`usize::MAX` = always), otherwise `samples` seeded points
-/// with one seeded effect each; plus `recovery_samples` double crashes.
-/// All randomness derives from `seed`.
+/// with one seeded effect each; plus `recovery_samples` double crashes,
+/// spread over the points.  All randomness derives from `seed`.
 pub fn run_runtime_torture(
     s: &AllVsAllSetup,
     seed: u64,
@@ -146,15 +146,16 @@ pub fn run_runtime_torture(
         return out;
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A_D1D1_1D1D);
-    let sample = Some(samples).filter(|n| *n < oracle.window().len());
-    enumerate::sweep(
-        &mut out,
-        &mut rng,
-        &tag,
-        &oracle,
-        sample,
-        recovery_samples,
-        run,
-    );
+    // A sample crashes each of its points one seeded way.
+    let plan = Plan {
+        sample: Some(samples),
+        ways: if samples < oracle.window().len() {
+            Ways::One
+        } else {
+            Ways::Every
+        },
+        doubles: recovery_samples,
+    };
+    enumerate::sweep(&mut out, &mut rng, &tag, &oracle, plan, run);
     out
 }

@@ -15,8 +15,10 @@
 //! its durable record is in the kept prefix) when the server dies.  The
 //! case's run boots the toys of `bioopera_workloads::toys`, steps to the
 //! round and steps it inside the [`Recorder`]'s window, so every mutation
-//! of that round is a crash point, crashed every way the enumerator
-//! names, three seeded ones a point crashing again early in the recovery.
+//! of that round is a crash point: an append crashed every way the
+//! enumerator names, a tiered roll's run, manifest and delete writes one
+//! seeded way each, and three cases a round crashing again at one of the
+//! recovery's own mutations.
 //! On a disk that holds something the run recovers instead.  Whatever the
 //! crash preserved, the recovered run must quiesce rather than wedge, and
 //! an operator resume must drive every root to the crash-free run's
@@ -41,7 +43,7 @@
 //! and merge, so crash points fall inside a store whose journals and
 //! history live in runs, and recovery reads them back through levels.
 
-use crate::enumerate::{self, Outcome, Recorder};
+use crate::enumerate::{self, Outcome, Plan, Recorder, Ways};
 use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::state::keys;
@@ -325,7 +327,13 @@ fn check_rewrites(
 /// sampled cases, every mutation of each one's round crashed every way
 /// the enumerator names, all derived from `seed`.
 pub fn run_shard_torture(seed: u64, samples: usize, tiered: Option<TieredPolicy>) -> Outcome {
+    torture(seed, samples, tiered).0
+}
+
+/// [`run_shard_torture`], and the cases it drew.
+fn torture(seed: u64, samples: usize, tiered: Option<TieredPolicy>) -> (Outcome, Vec<Case>) {
     let mut out = Outcome::default();
+    let mut cases = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5AAD_70C7);
     let policy = if tiered.is_some() {
         "tiered"
@@ -348,11 +356,12 @@ pub fn run_shard_torture(seed: u64, samples: usize, tiered: Option<TieredPolicy>
         let roots = finish(&mut eng)?;
         Ok((eng.round(), roots))
     }) else {
-        return out;
+        return (out, cases);
     };
 
     for i in 0..samples {
         let case = base.draw(i, rounds, &mut rng);
+        cases.push(case);
         let tag = format!(
             "{tag} case={i} round={} suspend={:?} rollup_every={} threads={}",
             case.round, case.suspend, case.rollup_every, case.threads
@@ -368,12 +377,16 @@ pub fn run_shard_torture(seed: u64, samples: usize, tiered: Option<TieredPolicy>
             ));
             continue;
         }
-        // A tiered store's roll makes dozens of mutations a round: each
-        // is crashed one seeded way.
-        let ways = tiered.map(|_| usize::MAX);
-        enumerate::sweep(&mut out, &mut rng, &tag, &recorded, ways, 3, run);
+        // A tiered store's roll makes dozens of mutations a round: its
+        // run, manifest and delete writes are crashed one seeded way each.
+        let plan = Plan {
+            sample: None,
+            ways: Ways::EveryAppend,
+            doubles: 3,
+        };
+        enumerate::sweep(&mut out, &mut rng, &tag, &recorded, plan, run);
     }
-    out
+    (out, cases)
 }
 
 #[cfg(test)]
@@ -382,24 +395,15 @@ mod tests {
 
     #[test]
     fn small_sample_is_clean_on_each_policy() {
-        // Six draws hold a suspending case and a two-thread case.
-        let base = Case {
-            tiered: None,
-            rollup_every: 1,
-            threads: 1,
-            round: 0,
-            suspend: None,
-        };
-        let mut rng = StdRng::seed_from_u64(crate::DEFAULT_SEED);
-        let drawn: Vec<Case> = (0..6).map(|i| base.draw(i, 6, &mut rng)).collect();
-        assert!(drawn.iter().any(|c| c.suspend.is_some()));
-        assert!(drawn.iter().any(|c| c.threads > 1));
         // A leveled round's every mutation is a crash point: fewer cases.
-        for (tiered, cases) in [(None, 6), (Some(crate::tiny_leveled_policy()), 2)] {
-            let out = run_shard_torture(crate::DEFAULT_SEED, cases, tiered);
+        for (tiered, n) in [(None, 6), (Some(crate::tiny_leveled_policy()), 2)] {
+            let (out, cases) = torture(crate::DEFAULT_SEED, n, tiered);
             assert!(out.mutations > 0);
-            assert!(out.points >= cases, "{} points", out.points);
+            assert_eq!(cases.len(), n);
+            assert!(out.points >= cases.len(), "{} points", out.points);
             assert!(out.doubles >= 1);
+            assert!(cases.iter().any(|c| c.suspend.is_some()));
+            assert!(cases.iter().any(|c| c.threads > 1));
             assert!(out.crashes >= 10, "{} crashes", out.crashes);
             assert!(
                 out.violations.is_empty(),

@@ -4,8 +4,8 @@
 //! advances across all four spaces) is a workload of the crash enumerator
 //! ([`crate::enumerate`]): its crash-free run is the oracle, and every
 //! mutation of that run is a crash point, crashed every way
-//! [`enumerate::crash_effects`] names, with three seeded double crashes a
-//! point.  A pass of at-rest bit-flip corruption of the persisted WAL and
+//! [`enumerate::crash_effects`] names and crashed again at each of its
+//! recovery's first three mutations.  A pass of at-rest bit-flip corruption of the persisted WAL and
 //! sorted-run files follows.
 //!
 //! The pass runs in three configurations: the engine with no memtable
@@ -32,7 +32,7 @@
 //!   (torn tail) or a typed corruption error — never a panic, never a
 //!   partial batch.
 
-use crate::enumerate::{self, Outcome, Recorder};
+use crate::enumerate::{self, Outcome, Plan, Recorder, Ways};
 use bioopera_store::{Batch, Disk, MemDisk, Space, Store, StoreError, StoreResult, TieredPolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -462,8 +462,9 @@ fn bitflip_case(
 /// Full store torture pass over the engine with no memtable budget.
 ///
 /// With `limit == None` every mutation of the crash-free run is a crash
-/// point, crashed every way; otherwise a seeded sample of `limit` points
-/// (always the first, middle and last), one seeded way each.
+/// point; otherwise a seeded sample of `limit` points (always the first,
+/// middle and last).  Each is crashed every way, and again at each of its
+/// recovery's first three mutations.
 pub fn run_store_torture(seed: u64, limit: Option<usize>) -> Outcome {
     run_store_torture_with(seed, limit, None)
 }
@@ -510,9 +511,14 @@ fn run_store_torture_with(
             "{tag} oracle: the crash-free run diverged from the script"
         ));
     }
-    // Three double crashes a point, as many as the points.
-    let doubles = 3 * limit.unwrap_or(usize::MAX).min(oracle.window().len());
-    enumerate::sweep(&mut out, &mut rng, &tag, &oracle, limit, doubles, run);
+    // Every point every way, and again at its recovery's first three
+    // mutations.
+    let plan = Plan {
+        sample: limit,
+        ways: Ways::Every,
+        doubles: 3 * limit.unwrap_or(usize::MAX).min(oracle.window().len()),
+    };
+    enumerate::sweep(&mut out, &mut rng, &tag, &oracle, plan, run);
 
     let n_flips = limit.map_or(48, |n| n.max(8));
     for _ in 0..n_flips {

@@ -178,7 +178,7 @@ canary effects-skip-frame-boundaries crates/harness/src/enumerate.rs \
 # The crash enumerator comparing the recovered run and skipping the
 # reopen after it: a recovery that converges without writing passes.
 canary enumerator-skips-reopen crates/harness/src/enumerate.rs \
-  's/for stage in \["recovery", "a reopen"\]/for stage in ["recovery"]/' \
+  '/^    check\("a reopen"\)\?;$/d' \
   cargo test -q --offline -p bioopera-harness --lib enumerate
 
 # A spill that writes its run and keeps the memtable anyway: the reads stay
@@ -300,7 +300,7 @@ canary scan-while-named crates/store/src/engine.rs \
 # before it wrote only what the rule changed: a queued record goes back to
 # the log as the journal already holds it.
 canary redrive-rewrites-everything crates/core/src/shard/mod.rs \
-  's/^                    if r\.changed \|\| spawned \{$/                    if true {/' \
+  's/^                    if written \{$/                    if true {/' \
   cargo test -q --offline -p bioopera-core --test redrive_writes
 
 # The merge handing a tie to the older input: a key two inputs hold comes

@@ -370,11 +370,12 @@ step "crash-point torture harness (seed override: HARNESS_SEED=N)"
 # every store crash point (34 / 55 / 59 with no budget / tiered /
 # leveled, each crashed every way: lost, applied unacknowledged, an
 # append torn at 0, 1, each frame boundary ±1 and seeded offsets, a
-# write_atomic's temp file at 0, 1 and seeded offsets; three double
-# crashes a point; 48 bit flips each) + every runtime crash point of the
-# real 3-TEU all-vs-all (58 points, 436 crashes) + twelve sampled shard
-# rounds, every mutation of each crashed every way (543 crashes, 36
-# double; half suspend a root first), all held to the history invariant
+# write_atomic's temp file at 0, 1 and seeded offsets; each point crashed
+# again at its recovery's first three mutations; 48 bit flips each) +
+# every runtime crash point of the real 3-TEU all-vs-all (58 points, 437
+# crashes) + twelve sampled shard rounds, every mutation of each crashed
+# every way (507 crashes, 36 double; half suspend a root first), all
+# held to the history invariant
 # and reopened after they converge; then a bounded sample of the
 # runtime and shard passes again over stores under the tiny leveled
 # policy, so crash points fall inside spills and merges (~10 s in all).
