@@ -19,13 +19,20 @@
 //!    back as a scan hands them over;
 //! 4. **the in-doubt rule** — [`Instance::resolve_in_doubt`]: what a
 //!    `Ready` or `Dispatched` record means after the server that wrote it
-//!    died.
+//!    died;
+//! 5. **the reaction** — [`Instance::react`]: what a completion, a
+//!    failure, a child's end or a resume does to an instance, and what it
+//!    asks of the driver ([`Effect`]); [`Instance::activate`]: what a ready
+//!    task asks of it ([`Activation`]).  A driver only routes the effects:
+//!    to its queue or dispatcher, its kernel or its outbox.
 //!
-//! `scripts/check.sh` holds the line: task kinds, instance keys and
-//! `InstanceView` literals may not appear in the drivers.
+//! `scripts/check.sh` holds the line: task kinds, instance keys,
+//! `InstanceView` literals and the navigator's reactions may not appear in
+//! the drivers.
 
+use crate::awareness::EventKind;
 use crate::error::{EngineError, EngineResult};
-use crate::navigator::{self, InstanceView, NavOutcome};
+use crate::navigator::{self, FailureKind, InstanceView, NavOutcome};
 use crate::planner::{self, PlannerInstance, PlannerTask};
 use crate::state::{
     keys, InstanceHeader, InstanceId, InstanceStatus, TaskMap, TaskRecord, TaskState,
@@ -123,16 +130,98 @@ pub struct Resolved {
     pub changed: bool,
 }
 
+/// What happened to an instance ([`Instance::react`]).
+#[derive(Debug)]
+pub enum Input {
+    /// The task at `path` ended with `outputs`, having used `cpu_ms`.
+    TaskEnded {
+        path: String,
+        outputs: BTreeMap<String, Value>,
+        cpu_ms: f64,
+    },
+    /// An attempt at the task at `path` failed.
+    TaskFailed { path: String, kind: FailureKind },
+    /// Child instance `child` of the subprocess task at `path` ended:
+    /// `concluded` holds its whiteboard and CPU if it completed, and is
+    /// `None` if it aborted.
+    ChildDone {
+        path: String,
+        child: InstanceId,
+        concluded: Option<(BTreeMap<String, Value>, f64)>,
+    },
+    /// The instance was resumed.
+    Resume,
+}
+
+/// One thing a [`Reaction`] asks of its driver.
+#[derive(Debug)]
+pub enum Effect {
+    /// Note this event in the history.
+    Note(EventKind),
+    /// The task at this path became ready: [`Instance::activate`] it.
+    Ready(String),
+    /// Run `task`'s compensation `program` on `inputs`, the task's inputs
+    /// as bound now; the result is discarded.
+    Compensate {
+        task: String,
+        program: String,
+        inputs: BTreeMap<String, Value>,
+    },
+    /// The instance ended: conclude the subprocess task `task` of instance
+    /// `parent` with `success`, the whiteboard as `outputs` and the CPU it
+    /// used ([`Instance::child_cpu_ms`]).
+    Conclude {
+        parent: InstanceId,
+        task: String,
+        success: bool,
+        outputs: BTreeMap<String, Value>,
+        cpu_ms: f64,
+    },
+}
+
+/// What a driver does after a reaction, in order ([`Instance::react`]).
+pub type Reaction = Vec<Effect>;
+
+/// What a ready task asks of its driver ([`Instance::activate`]).
+#[derive(Debug)]
+pub enum Activation<'a> {
+    /// The record is not `Ready` any more: nothing to do.
+    Skip,
+    /// The task waits, `Ready`: its instance is not running, or its retry
+    /// deadline is still ahead.
+    Park,
+    /// The record is gone, or the template does not know it: note a stale
+    /// event with this context.
+    Stale(&'static str),
+    /// An activity: ask for a node that may run it.
+    Request(&'a ExternalBinding),
+    /// A subprocess, now `Dispatched`: start a child instance of the
+    /// template called `template` on the whiteboard `initial`.
+    Spawn {
+        template: String,
+        initial: BTreeMap<String, Value>,
+    },
+    /// A parallel task, now expanded: activate `children` after the tasks
+    /// already waiting, then route `reaction` (an empty list concludes the
+    /// task at once).
+    Expand {
+        children: Vec<String>,
+        reaction: Reaction,
+    },
+}
+
 impl Instance {
     /// A fresh instance of `template`, its records created and its entry
-    /// tasks `Ready` ([`navigator::init_instance`]).
+    /// tasks `Ready` ([`navigator::init_instance`]), with the reaction its
+    /// driver routes ([`Instance::settle`]).
     pub fn create(
         template: Arc<ProcessTemplate>,
         id: InstanceId,
         parent: Option<(InstanceId, String)>,
         now: SimTime,
         initial: &BTreeMap<String, Value>,
-    ) -> EngineResult<(Self, NavOutcome)> {
+        dirty: &mut Dirty,
+    ) -> EngineResult<(Self, Reaction)> {
         let mut inst = Instance {
             header: InstanceHeader {
                 id,
@@ -148,7 +237,133 @@ impl Instance {
             template,
         };
         let outcome = navigator::init_instance(&mut inst.view(), initial)?;
-        Ok((inst, outcome))
+        let reaction = inst.settle(outcome, now, dirty);
+        Ok((inst, reaction))
+    }
+
+    /// React to `input` at `now`: run the navigator, mark what it wrote in
+    /// `dirty`, and return what the driver does next ([`Instance::settle`]).
+    ///
+    /// A `ChildDone` for a task that is not `Dispatched` — a second
+    /// delivery, say of an orphan that finished after its task was
+    /// re-driven — changes nothing: its reaction is a
+    /// `SubprocessDuplicate` note alone (a `StaleEvent` if there is no
+    /// such task).  A `Resume` readies the failed tasks it gives another
+    /// chance; the tasks parked `Ready` while the instance was suspended
+    /// are the driver's to wake.
+    pub fn react(
+        &mut self,
+        input: Input,
+        now: SimTime,
+        dirty: &mut Dirty,
+    ) -> EngineResult<Reaction> {
+        let outcome = match input {
+            Input::TaskEnded {
+                path,
+                outputs,
+                cpu_ms,
+            } => navigator::on_task_ended(&mut self.view(), &path, outputs, now, cpu_ms)?,
+            Input::TaskFailed { path, kind } => {
+                navigator::on_task_failed(&mut self.view(), &path, kind, now)?
+            }
+            Input::ChildDone {
+                path,
+                child,
+                concluded,
+            } => {
+                let instance = self.header.id;
+                let note = match self.tasks.get(&path).map(|r| r.state) {
+                    Some(TaskState::Dispatched) => {
+                        let input = match concluded {
+                            Some((whiteboard, cpu_ms)) => Input::TaskEnded {
+                                outputs: self.subprocess_outputs(&path, whiteboard),
+                                path,
+                                cpu_ms,
+                            },
+                            None => Input::TaskFailed {
+                                path,
+                                kind: FailureKind::Program,
+                            },
+                        };
+                        return self.react(input, now, dirty);
+                    }
+                    Some(_) => EventKind::SubprocessDuplicate {
+                        instance,
+                        path,
+                        child,
+                    },
+                    None => EventKind::StaleEvent {
+                        instance,
+                        path: Some(path),
+                        context: "child completion: unknown task".to_string(),
+                    },
+                };
+                return Ok(vec![Effect::Note(note)]);
+            }
+            Input::Resume => navigator::on_resume(&mut self.view(), now),
+        };
+        Ok(self.settle(outcome, now, dirty))
+    }
+
+    /// What [`Instance::react`] does after its navigator call, for a
+    /// caller that navigated `outcome` itself (a creation, a
+    /// recomputation, an operator restart).  It marks the header and every
+    /// record the navigation touched in `dirty` — each touched record's
+    /// queue stamp normalised first: one entering `Ready` carries the time
+    /// it queued (the first stamp wins), one leaving it drops the stamp —
+    /// and returns, in order: `Note(TaskCompensate)` + `Compensate` per
+    /// compensation, `Ready` per ready task, `Note(InstanceSuspend)` if a
+    /// failure policy suspended the instance, `Note(InstanceComplete)` or
+    /// `Note(InstanceAbort)` if it ended, and then `Conclude` if it is a
+    /// child.
+    pub fn settle(&mut self, outcome: NavOutcome, now: SimTime, dirty: &mut Dirty) -> Reaction {
+        drain(&mut self.view(), outcome, now, dirty)
+    }
+
+    /// Activate the task at `path`, which became ready: a task waits
+    /// (`Park`) while its instance is not running — or, an activity,
+    /// until its retry deadline (which only `Runtime`'s dependability
+    /// policy sets) has passed; a record no longer `Ready` is skipped; an
+    /// activity asks for a node; a subprocess is stamped `Dispatched` and
+    /// spawns; a parallel task expands, marking its records in `dirty`;
+    /// anything else is stale.  A ready record carries its queue stamp
+    /// already ([`Instance::settle`]).
+    pub fn activate(
+        &mut self,
+        path: &str,
+        now: SimTime,
+        dirty: &mut Dirty,
+    ) -> EngineResult<Activation<'_>> {
+        if self.header.status != InstanceStatus::Running {
+            return Ok(Activation::Park);
+        }
+        let mut view = self.view();
+        let template = view.template;
+        let Some(rec) = view.tasks.get(path) else {
+            return Ok(Activation::Stale("ready task has no record"));
+        };
+        if rec.state != TaskState::Ready {
+            return Ok(Activation::Skip);
+        }
+        Ok(match role(template, rec) {
+            Role::Activity(_) if rec.retry_at().is_some_and(|t| t > now) => Activation::Park,
+            Role::Activity(binding) => Activation::Request(binding),
+            Role::Subprocess(child) => match dispatch_subprocess(&mut view, path, now) {
+                Some(initial) => Activation::Spawn {
+                    template: child.to_string(),
+                    initial,
+                },
+                None => Activation::Stale("ready task has no record"),
+            },
+            Role::ParallelParent => {
+                let (children, outcome) = navigator::expand_parallel(&mut view, path, now)?;
+                Activation::Expand {
+                    children,
+                    reaction: drain(&mut view, outcome, now, dirty),
+                }
+            }
+            Role::Unknown => Activation::Stale("ready task not in template"),
+        })
     }
 
     /// The navigator's view of this instance.
@@ -171,12 +386,7 @@ impl Instance {
     /// flows and values mapped in by predecessors.  `None` without a
     /// record.
     pub fn bind_inputs(&self, path: &str) -> Option<BTreeMap<String, Value>> {
-        let rec = self.tasks.get(path)?;
-        Some(if rec.is_parallel_child() {
-            rec.inputs.to_map()
-        } else {
-            navigator::bind_inputs_parts(&self.template, &self.header, &self.tasks, path)
-        })
+        bind_inputs(&self.template, &self.header, &self.tasks, path)
     }
 
     /// Activate the `Ready` subprocess task at `path`: bind its inputs,
@@ -193,13 +403,7 @@ impl Instance {
             return None;
         };
         let child = child.to_string();
-        let initial = self.bind_inputs(path)?;
-        let rec = self.tasks.get_mut(path)?;
-        rec.state = TaskState::Dispatched;
-        rec.started_at = Some(now);
-        rec.ready_at = None;
-        rec.inputs = initial.clone().into();
-        Some((child, initial))
+        Some((child, dispatch_subprocess(&mut self.view(), path, now)?))
     }
 
     /// The outputs the subprocess task at `path` takes from its finished
@@ -225,11 +429,7 @@ impl Instance {
     /// parent already carries its children's sum).  A container — a
     /// parallel parent or a subprocess task — carries what it contains.
     pub fn child_cpu_ms(&self) -> f64 {
-        self.tasks
-            .values()
-            .filter(|r| !r.is_parallel_child())
-            .map(|r| r.cpu_ms)
-            .sum()
+        child_cpu_ms(&self.tasks)
     }
 
     /// This instance as the what-if planner sees it.
@@ -369,6 +569,105 @@ impl Instance {
     }
 }
 
+// What `Instance::activate` does after it has borrowed the template for
+// the binding it may return is written over an instance's parts (a
+// navigator view), which leave the template borrowable.
+
+/// [`Instance::bind_inputs`] over an instance's parts.
+fn bind_inputs(
+    template: &ProcessTemplate,
+    header: &InstanceHeader,
+    tasks: &TaskMap,
+    path: &str,
+) -> Option<BTreeMap<String, Value>> {
+    let rec = tasks.get(path)?;
+    Some(if rec.is_parallel_child() {
+        rec.inputs.to_map()
+    } else {
+        navigator::bind_inputs_parts(template, header, tasks, path)
+    })
+}
+
+/// [`Instance::child_cpu_ms`] over an instance's records.
+fn child_cpu_ms(tasks: &TaskMap) -> f64 {
+    tasks
+        .values()
+        .filter(|r| !r.is_parallel_child())
+        .map(|r| r.cpu_ms)
+        .sum()
+}
+
+/// Stamp the subprocess record at `path` `Dispatched` on the inputs it
+/// binds now, and return them: the child's initial whiteboard.
+fn dispatch_subprocess(
+    view: &mut InstanceView<'_>,
+    path: &str,
+    now: SimTime,
+) -> Option<BTreeMap<String, Value>> {
+    let initial = bind_inputs(view.template, view.header, view.tasks, path)?;
+    let rec = view.tasks.get_mut(path)?;
+    rec.state = TaskState::Dispatched;
+    rec.started_at = Some(now);
+    rec.ready_at = None;
+    rec.inputs = initial.clone().into();
+    Some(initial)
+}
+
+/// [`Instance::settle`] over a view.
+fn drain(
+    view: &mut InstanceView<'_>,
+    outcome: NavOutcome,
+    now: SimTime,
+    dirty: &mut Dirty,
+) -> Reaction {
+    let instance = view.header.id;
+    for path in &outcome.touched {
+        if let Some(rec) = view.tasks.get_mut(path) {
+            if rec.state == TaskState::Ready {
+                rec.ready_at.get_or_insert(now);
+            } else {
+                rec.ready_at = None;
+            }
+        }
+    }
+    dirty.nav(instance, &outcome);
+    let mut reaction = Vec::new();
+    for (task, program) in outcome.compensations {
+        let inputs = bind_inputs(view.template, view.header, view.tasks, &task).unwrap_or_default();
+        reaction.push(Effect::Note(EventKind::TaskCompensate {
+            instance,
+            path: task.clone(),
+            program: program.clone(),
+        }));
+        reaction.push(Effect::Compensate {
+            task,
+            program,
+            inputs,
+        });
+    }
+    reaction.extend(outcome.newly_ready.into_iter().map(Effect::Ready));
+    if outcome.suspended {
+        reaction.push(Effect::Note(EventKind::InstanceSuspend { instance }));
+    }
+    if outcome.completed || outcome.aborted {
+        reaction.push(Effect::Note(if outcome.completed {
+            EventKind::InstanceComplete { instance }
+        } else {
+            EventKind::InstanceAbort { instance }
+        }));
+        if let Some((parent, task)) = view.header.parent.clone() {
+            reaction.push(Effect::Conclude {
+                parent,
+                task,
+                success: outcome.completed,
+                outputs: view.header.whiteboard.clone(),
+                cpu_ms: child_cpu_ms(view.tasks),
+            });
+        }
+    }
+    reaction
+}
+
 /// The `(parent instance, parent task path)` link of every instance that
 /// implements a subprocess task — terminal children included: a finished
 /// child whose parent never heard of it is re-delivered, not re-spawned.
@@ -412,7 +711,7 @@ impl Dirty {
 
     /// Mark what a navigation wrote: the header and every record it
     /// touched ([`NavOutcome::touched`]).
-    pub fn nav(&mut self, id: InstanceId, outcome: &NavOutcome) {
+    fn nav(&mut self, id: InstanceId, outcome: &NavOutcome) {
         let marks = self.0.entry(id).or_default();
         marks.header = true;
         marks.tasks.extend(outcome.touched.iter().cloned());
@@ -602,7 +901,8 @@ mod tests {
     }
 
     fn instance(id: InstanceId) -> Instance {
-        Instance::create(template(), id, None, SimTime::ZERO, &BTreeMap::new())
+        let dirty = &mut Dirty::default();
+        Instance::create(template(), id, None, SimTime::ZERO, &BTreeMap::new(), dirty)
             .unwrap()
             .0
     }
@@ -727,11 +1027,14 @@ mod tests {
     fn in_doubt_rule_keeps_a_persisted_stamp_and_skips_terminal_instances() {
         let mut inst = instance(1);
         let queued = SimTime::from_secs(5);
-        inst.tasks.get_mut("A").unwrap().ready_at = Some(queued);
+        // `create` left all four entry tasks Ready and stamped; in the
+        // journal of a server that died before the others were stamped,
+        // only `A` carries its stamp, so only `A` is left as the journal
+        // holds it.
+        for rec in inst.tasks.values_mut() {
+            rec.ready_at = (rec.path == "A").then_some(queued);
+        }
         let resolved = inst.resolve_in_doubt(SimTime::from_secs(90), &BTreeSet::new());
-        // `create` left all four entry tasks Ready; only `A` was stamped,
-        // as a driver stamps every record it queues, so only `A` is left
-        // as the journal holds it.
         assert_eq!(resolved.len(), 4, "{resolved:?}");
         for r in &resolved {
             assert_eq!(r.verdict, InDoubt::Requeue, "{r:?}");
@@ -762,6 +1065,103 @@ mod tests {
             assert!(done.resolve_in_doubt(queued, &BTreeSet::new()).is_empty());
             assert_eq!(done.tasks["A"].state, TaskState::Dispatched);
         }
+    }
+
+    #[test]
+    fn activate_asks_by_role_and_waits_while_parked() {
+        let now = SimTime::from_secs(4);
+        let dirty = &mut Dirty::default();
+        let mut inst = instance(1);
+        let asked = |a: Activation<'_>| match a {
+            Activation::Skip => "skip".to_string(),
+            Activation::Park => "park".to_string(),
+            Activation::Stale(why) => format!("stale: {why}"),
+            Activation::Request(b) => format!("request {}", b.program),
+            Activation::Spawn { template, .. } => format!("spawn {template}"),
+            Activation::Expand { children, reaction } => {
+                format!("expand {children:?}, {} effects", reaction.len())
+            }
+        };
+        // An activity backing off waits for its deadline, then asks.
+        let deadline = SimTime::from_secs(9);
+        inst.tasks.get_mut("A").unwrap().retry_mut().retry_at = Some(deadline);
+        assert_eq!(asked(inst.activate("A", now, dirty).unwrap()), "park");
+        assert_eq!(
+            asked(inst.activate("A", deadline, dirty).unwrap()),
+            "request p.a"
+        );
+        assert_eq!(asked(inst.activate("S", now, dirty).unwrap()), "spawn Sub");
+        assert_eq!(inst.tasks["S"].state, TaskState::Dispatched);
+        assert_eq!(asked(inst.activate("S", now, dirty).unwrap()), "skip");
+        // `Q` expands into its items' children, stamped as they queue;
+        // `P` has no items, so its expansion concludes it at once.
+        let q = inst.tasks.get_mut("Q").unwrap();
+        q.inputs.insert("items".into(), Value::int_list(0..2));
+        assert_eq!(
+            asked(inst.activate("Q", now, dirty).unwrap()),
+            r#"expand ["Q[0]", "Q[1]"], 0 effects"#
+        );
+        assert_eq!(inst.tasks["Q[1]"].ready_at, Some(now));
+        assert_eq!(inst.tasks["Q"].ready_at, None);
+        assert_eq!(
+            asked(inst.activate("P", now, dirty).unwrap()),
+            "expand [], 0 effects"
+        );
+        assert_eq!(inst.tasks["P"].state, TaskState::Ended);
+        assert_eq!(
+            asked(inst.activate("Ghost", now, dirty).unwrap()),
+            "stale: ready task has no record"
+        );
+        inst.header.status = InstanceStatus::Suspended;
+        assert_eq!(asked(inst.activate("Q[0]", now, dirty).unwrap()), "park");
+    }
+
+    #[test]
+    fn react_concludes_a_subprocess_task_once() {
+        let now = SimTime::from_secs(4);
+        let dirty = &mut Dirty::default();
+        let mut inst = instance(1);
+        inst.begin_subprocess("S", now).unwrap();
+        let child_done = |path: &str| Input::ChildDone {
+            path: path.to_string(),
+            child: 9,
+            concluded: Some((
+                BTreeMap::from([
+                    ("kept".to_string(), Value::Int(5)),
+                    ("scratch".to_string(), Value::Int(6)),
+                ]),
+                30.0,
+            )),
+        };
+        let first = inst.react(child_done("S"), now, dirty).unwrap();
+        assert!(first.is_empty(), "nothing follows S: {first:?}");
+        let s = &inst.tasks["S"];
+        assert_eq!(s.state, TaskState::Ended);
+        assert_eq!(
+            s.outputs.to_map(),
+            BTreeMap::from([("kept".into(), Value::Int(5))])
+        );
+        assert_eq!(s.cpu_ms, 30.0);
+        let again = inst.react(child_done("S"), now, dirty).unwrap();
+        assert!(
+            matches!(
+                again.as_slice(),
+                [Effect::Note(EventKind::SubprocessDuplicate {
+                    child: 9,
+                    ..
+                })]
+            ),
+            "{again:?}"
+        );
+        assert_eq!(inst.tasks["S"].cpu_ms, 30.0, "a duplicate changes nothing");
+        let ghost = inst.react(child_done("Ghost"), now, dirty).unwrap();
+        assert!(
+            matches!(
+                ghost.as_slice(),
+                [Effect::Note(EventKind::StaleEvent { .. })]
+            ),
+            "{ghost:?}"
+        );
     }
 
     #[test]

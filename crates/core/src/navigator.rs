@@ -283,7 +283,7 @@ pub fn bind_inputs_parts(
 
 /// Handle successful completion of the task at `path` with `outputs`:
 /// record, run the mapping phase, propagate readiness, detect completion.
-pub fn on_task_ended(
+pub(crate) fn on_task_ended(
     view: &mut InstanceView<'_>,
     path: &str,
     outputs: BTreeMap<String, Value>,
@@ -440,7 +440,7 @@ fn propagate(nav: &mut Tracked<'_, '_>) -> EngineResult<NavOutcome> {
 /// Expand a `Ready` parallel task: create one child record per input
 /// element.  Returns the child paths (all `Ready`).  An empty input list
 /// completes the task immediately with an empty collection.
-pub fn expand_parallel(
+pub(crate) fn expand_parallel(
     view: &mut InstanceView<'_>,
     task_name: &str,
     now: SimTime,
@@ -571,7 +571,7 @@ fn check_parallel_parent(
 }
 
 /// Handle a failed attempt of the task at `path`.
-pub fn on_task_failed(
+pub(crate) fn on_task_failed(
     view: &mut InstanceView<'_>,
     path: &str,
     kind: FailureKind,
@@ -697,7 +697,7 @@ fn task_failed(
 /// Also re-checks completion: an instance whose last task ended while it
 /// was parked (in-flight work drains under suspension) has nothing left
 /// to re-activate and must flip terminal now, not never.
-pub fn on_resume(view: &mut InstanceView<'_>, now: SimTime) -> NavOutcome {
+pub(crate) fn on_resume(view: &mut InstanceView<'_>, now: SimTime) -> NavOutcome {
     let mut nav = Tracked::new(view);
     let mut out = NavOutcome::default();
     if nav.header().status == InstanceStatus::Suspended {

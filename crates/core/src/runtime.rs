@@ -32,7 +32,7 @@ use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision,
 use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
 use crate::error::{EngineError, EngineResult};
 use crate::history::{round_start_key, History, EVENT_PREFIX};
-use crate::instance::{self, Dirty, Instance, Role};
+use crate::instance::{self, Activation, Dirty, Effect, Input, Instance, Reaction};
 use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
 use crate::navigator::{self, FailureKind, NavOutcome};
@@ -336,17 +336,18 @@ impl<D: Disk + Clone> Runtime<D> {
         let template = Self::resolve_template(&self.store, &mut self.templates, template_name)?;
         let id = self.next_instance_id;
         self.next_instance_id += 1;
-        let (inst, outcome) = Instance::create(template, id, parent, self.kernel.now(), &initial)?;
+        let now = self.kernel.now();
+        let (inst, reaction) =
+            Instance::create(template, id, parent, now, &initial, &mut self.dirty)?;
         self.instances.insert(id, inst);
-        self.mark_instance(id);
         self.note(
-            self.kernel.now(),
+            now,
             EventKind::InstanceStart {
                 instance: id,
                 template: template_name.to_string(),
             },
         );
-        self.apply_outcome(id, outcome)?;
+        self.route(id, reaction)?;
         self.ensure_heartbeat();
         Ok(id)
     }
@@ -830,9 +831,8 @@ impl<D: Disk + Clone> Runtime<D> {
             .instances
             .get_mut(&id)
             .ok_or(EngineError::UnknownInstance(id))?;
-        let outcome = navigator::on_resume(&mut inst.view(), now);
-        self.mark_nav(id, &outcome);
-        self.apply_outcome(id, outcome)?;
+        let reaction = inst.react(Input::Resume, now, &mut self.dirty)?;
+        self.route(id, reaction)?;
         self.note(
             self.kernel.now(),
             EventKind::InstanceResume { instance: id },
@@ -875,38 +875,35 @@ impl<D: Disk + Clone> Runtime<D> {
         let now = self.kernel.now();
         self.recall_jobs(id);
         let mut outcome = NavOutcome::default();
-        let restartable: Vec<String> = self
-            .instances
-            .get(&id)
-            .map(|mem| {
-                mem.tasks
-                    .iter()
-                    .filter(|(_, rec)| {
-                        rec.state == TaskState::Dispatched && !mem.role(rec).is_container()
-                    })
-                    .map(|(path, _)| path.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        if let Some(mem) = self.instances.get_mut(&id) {
+        let mut reaction = Reaction::new();
+        let mut requeued = 0;
+        if let Some(inst) = self.instances.get_mut(&id) {
+            // Containers are driven by what they contain: never requeued.
+            let restartable: Vec<String> = inst
+                .tasks
+                .values()
+                .filter(|rec| rec.state == TaskState::Dispatched && !inst.role(rec).is_container())
+                .map(|rec| rec.path.clone())
+                .collect();
             for path in restartable {
-                if let Some(rec) = mem.tasks.get_mut(&path) {
+                if let Some(rec) = inst.tasks.get_mut(&path) {
                     rec.state = TaskState::Ready;
                     rec.node = None;
                     outcome.touched.insert(path.clone());
                     outcome.newly_ready.push(path);
                 }
             }
+            requeued = outcome.newly_ready.len() as u64;
+            reaction = inst.settle(outcome, now, &mut self.dirty);
         }
         self.note(
             now,
             EventKind::InstanceRestart {
                 instance: id,
-                requeued: outcome.newly_ready.len() as u64,
+                requeued,
             },
         );
-        self.mark_nav(id, &outcome);
-        self.apply_outcome(id, outcome)?;
+        self.route(id, reaction)?;
         self.resync_all_nodes();
         self.log(format!(
             "instance {id} restarted; in-flight TEUs re-scheduled"
@@ -963,37 +960,40 @@ impl<D: Disk + Clone> Runtime<D> {
             )
         };
         let id = self.instantiate(&template_name, whiteboard, None)?;
-        let outcome = {
-            let mut view = self
-                .instances
-                .get_mut(&id)
-                .ok_or(EngineError::UnknownInstance(id))?
-                .view();
-            let mut replay_order = Vec::new();
-            for rec in reuse_records {
-                let mut r = rec;
-                // Reused work costs nothing in the new instance's books.
-                r.cpu_ms = 0.0;
-                replay_order.push((r.state, r.path.clone()));
-                view.tasks.insert(r.path.clone(), r);
+        let now = self.kernel.now();
+        let inst = self
+            .instances
+            .get_mut(&id)
+            .ok_or(EngineError::UnknownInstance(id))?;
+        let mut view = inst.view();
+        let mut replay_order = Vec::new();
+        for rec in reuse_records {
+            let mut r = rec;
+            // Reused work costs nothing in the new instance's books.
+            r.cpu_ms = 0.0;
+            replay_order.push((r.state, r.path.clone()));
+            view.tasks.insert(r.path.clone(), r);
+        }
+        for (state, path) in &replay_order {
+            if *state == TaskState::Ended {
+                navigator::replay_mapping(&mut view, path);
             }
-            for (state, path) in replay_order {
-                if state == TaskState::Ended {
-                    navigator::replay_mapping(&mut view, &path);
-                }
-            }
-            navigator::reevaluate(&mut view, self.kernel.now())?
-        };
-        self.mark_instance(id);
+        }
+        let mut outcome = navigator::reevaluate(&mut view, now)?;
+        // The reused records are written as they were put in.
+        outcome
+            .touched
+            .extend(replay_order.into_iter().map(|(_, path)| path));
+        let reaction = inst.settle(outcome, now, &mut self.dirty);
         self.note(
-            self.kernel.now(),
+            now,
             EventKind::InstanceRecompute {
                 instance: id,
                 source,
                 changed: changed.iter().map(|c| c.to_string()).collect(),
             },
         );
-        self.apply_outcome(id, outcome)?;
+        self.route(id, reaction)?;
         self.commit()?;
         self.log(format!(
             "instance {id}: selective recomputation of {} (reusing the rest of instance {source})",
@@ -1262,9 +1262,13 @@ impl<D: Disk + Clone> Runtime<D> {
                 .started_at
                 .map_or(0, |s| at.saturating_sub(s).as_millis());
         }
-        let (result, event) = match flight.result {
+        let (input, event) = match flight.result {
             Ok(out) => (
-                navigator::on_task_ended(&mut inst.view(), &path, out.outputs, at, cpu_ms),
+                Input::TaskEnded {
+                    path: path.clone(),
+                    outputs: out.outputs,
+                    cpu_ms,
+                },
                 EventKind::TaskEnd {
                     instance: id,
                     path: path.clone(),
@@ -1274,7 +1278,10 @@ impl<D: Disk + Clone> Runtime<D> {
                 },
             ),
             Err(error) => (
-                navigator::on_task_failed(&mut inst.view(), &path, FailureKind::Program, at),
+                Input::TaskFailed {
+                    path: path.clone(),
+                    kind: FailureKind::Program,
+                },
                 EventKind::TaskFail {
                     instance: id,
                     path: path.clone(),
@@ -1282,8 +1289,8 @@ impl<D: Disk + Clone> Runtime<D> {
                 },
             ),
         };
-        let outcome = match result {
-            Ok(outcome) => outcome,
+        let reaction = match inst.react(input, at, &mut self.dirty) {
+            Ok(reaction) => reaction,
             // A report for a record that no longer exists (a stale
             // in-flight job racing a restart or recovery) is evidence, not
             // poison: record it and drop it.
@@ -1294,8 +1301,7 @@ impl<D: Disk + Clone> Runtime<D> {
             Err(e) => return Err(e),
         };
         self.note(at, event);
-        self.mark_nav(id, &outcome);
-        self.apply_outcome(id, outcome)
+        self.route(id, reaction)
     }
 
     fn on_trace(&mut self, at: SimTime, ev: TraceEvent) -> EngineResult<()> {
@@ -1685,12 +1691,12 @@ impl<D: Disk + Clone> Runtime<D> {
             if changed {
                 self.dirty.task(id, &path);
             }
-            self.enqueue_ready(id, path);
+            self.ready_queue.push_back((id, path));
         }
         // Reconcile the rare crash window between "child instance became
         // terminal" and "parent task concluded": deliver those completions
         // now so the parent is not stuck in Dispatched forever.
-        let pending_children: Vec<(InstanceId, String, InstanceId, bool)> = self
+        let pending_children: Vec<(InstanceId, Input)> = self
             .instances
             .iter()
             .filter_map(|(cid, cm)| {
@@ -1701,17 +1707,19 @@ impl<D: Disk + Clone> Runtime<D> {
                 let parent = self.instances.get(&pid)?;
                 let rec = parent.tasks.get(&ptask)?;
                 (rec.state == TaskState::Dispatched).then(|| {
-                    (
-                        pid,
-                        ptask,
-                        *cid,
-                        cm.header.status == InstanceStatus::Completed,
-                    )
+                    let concluded = (cm.header.status == InstanceStatus::Completed)
+                        .then(|| (cm.header.whiteboard.clone(), cm.child_cpu_ms()));
+                    let input = Input::ChildDone {
+                        path: ptask,
+                        child: *cid,
+                        concluded,
+                    };
+                    (pid, input)
                 })
             })
             .collect();
-        for (pid, ptask, cid, success) in pending_children {
-            self.on_child_instance_done(pid, &ptask, cid, success)?;
+        for (pid, input) in pending_children {
+            self.child_done(pid, input)?;
         }
         Ok(requeued)
     }
@@ -1734,31 +1742,23 @@ impl<D: Disk + Clone> Runtime<D> {
         let mut view: Option<PumpView> = None;
         let mut deferred: VecDeque<(InstanceId, String)> = VecDeque::new();
         while let Some((id, path)) = self.ready_queue.pop_front() {
-            let Some(mem) = self.instances.get(&id) else {
+            let Some(inst) = self.instances.get_mut(&id) else {
                 continue;
             };
-            if mem.header.status != InstanceStatus::Running {
-                deferred.push_back((id, path));
-                continue;
-            }
-            let Some(rec) = mem.tasks.get(&path) else {
-                continue;
-            };
-            if rec.state != TaskState::Ready {
-                continue; // stale queue entry
-            }
-            // Parked on a backoff deadline: its RetryAt event wakes us.
-            if rec.retry_at().map(|t| t > now).unwrap_or(false) {
-                deferred.push_back((id, path));
-                continue;
-            }
-            match mem.role(rec) {
-                Role::Activity(binding) => {
+            match inst.activate(&path, now, &mut self.dirty)? {
+                // A parked instance's, or one backing off: its resume or its
+                // RetryAt event wakes us.
+                Activation::Park => deferred.push_back((id, path)),
+                Activation::Skip => {} // stale queue entry
+                Activation::Stale(why) => self.note_stale(id, Some(&path), why),
+                Activation::Request(binding) => {
                     let program = self
                         .library
                         .get(&binding.program)
                         .ok_or_else(|| EngineError::UnknownProgram(binding.program.clone()))?;
-                    let view = view.get_or_insert_with(|| self.pump_view());
+                    let view = view.get_or_insert_with(|| {
+                        PumpView::new(&self.cluster, &self.in_flight, &self.node_health)
+                    });
                     let Some(node) = view.place(self.cfg.policy.as_mut(), binding) else {
                         deferred.push_back((id, path));
                         continue;
@@ -1768,68 +1768,31 @@ impl<D: Disk + Clone> Runtime<D> {
                         view.nodes[node].running_jobs += 1;
                     }
                 }
-                Role::ParallelParent => {
-                    let Some(inst) = self.instances.get_mut(&id) else {
-                        self.note_stale(id, Some(&path), "parallel expansion");
-                        continue;
-                    };
-                    let (children, outcome) =
-                        navigator::expand_parallel(&mut inst.view(), &path, now)?;
-                    self.mark_nav(id, &outcome);
-                    for child in children {
-                        self.enqueue_ready(id, child);
-                    }
-                    self.apply_outcome(id, outcome)?;
+                Activation::Spawn { template, initial } => {
+                    self.dirty.task(id, &path);
+                    // Late binding: the template is resolved from the
+                    // template space *now*, not when the parent was defined.
+                    let parent = Some((id, path.clone()));
+                    let child = self.instantiate(&template, initial, parent)?;
+                    self.note(
+                        now,
+                        EventKind::SubprocessStart {
+                            instance: id,
+                            path,
+                            child,
+                            template,
+                        },
+                    );
                 }
-                Role::Subprocess(_) => self.start_subprocess(id, &path)?,
-                Role::Unknown => {
-                    // The queue entry's record or template declaration is
-                    // gone (foreign journal record, template mismatch):
-                    // drop it as a recorded stale event rather than
-                    // poisoning the whole step.
-                    self.note_stale(id, Some(&path), "dispatch: task has no role");
+                Activation::Expand { children, reaction } => {
+                    self.ready_queue
+                        .extend(children.into_iter().map(|child| (id, child)));
+                    self.route(id, reaction)?;
                 }
             }
         }
         self.ready_queue = deferred;
         Ok(())
-    }
-
-    /// The dispatcher's picture of the cluster, with committed
-    /// (in-transit) jobs accounted.
-    fn pump_view(&self) -> PumpView {
-        let mut committed: BTreeMap<&str, u32> = BTreeMap::new();
-        for f in self.in_flight.values() {
-            *committed.entry(f.node.as_str()).or_default() += 1;
-        }
-        let nodes = self
-            .cluster
-            .nodes()
-            .iter()
-            .map(|n| {
-                let quarantined = self
-                    .node_health
-                    .get(&n.spec.name)
-                    .map(|h| h.is_quarantined())
-                    .unwrap_or(false);
-                NodeView::new(
-                    n.spec.name.clone(),
-                    n.spec.os.clone(),
-                    n.spec.speed(),
-                    n.cpus_online(),
-                    committed.get(n.spec.name.as_str()).copied().unwrap_or(0),
-                    n.load_fraction(),
-                    // A partitioned node is indistinguishable from a down
-                    // one for dispatch purposes.
-                    n.is_up() && n.is_reachable(),
-                    quarantined,
-                )
-            })
-            .collect();
-        PumpView {
-            nodes,
-            unplaceable: Vec::new(),
-        }
     }
 
     /// Hand the `Ready` activity at `(id, path)` to `node_name`: bind its
@@ -1913,152 +1876,57 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(true)
     }
 
-    fn start_subprocess(&mut self, id: InstanceId, path: &str) -> EngineResult<()> {
-        let now = self.kernel.now();
-        let Some((template_name, initial)) = self
-            .instances
-            .get_mut(&id)
-            .and_then(|inst| inst.begin_subprocess(path, now))
-        else {
-            self.note_stale(id, Some(path), "subprocess start");
-            return Ok(());
-        };
-        self.dirty.task(id, path);
-        // Late binding: the template is resolved from the template space
-        // *now*, not when the parent was defined.
-        let child = self.instantiate(&template_name, initial, Some((id, path.to_string())))?;
-        self.note(
-            now,
-            EventKind::SubprocessStart {
-                instance: id,
-                path: path.to_string(),
-                child,
-                template: template_name,
-            },
-        );
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Outcome / persistence plumbing
     // ------------------------------------------------------------------
 
-    /// Queue a ready task, stamping when it became ready on the record
-    /// itself (first entry wins — re-queuing an already-waiting task
-    /// keeps the original time).  The stamp lives on the persisted
-    /// [`TaskRecord`], so queue-wait metrics survive a server crash.
-    fn enqueue_ready(&mut self, id: InstanceId, path: String) {
+    /// Carry out `reaction` for instance `id`, in order: note its events,
+    /// queue its ready tasks (each stamped on its record with the time it
+    /// queued, so queue-wait metrics survive a server crash), run its
+    /// compensations (control actions, zero-cost), and conclude a finished
+    /// child's task in its parent.
+    fn route(&mut self, id: InstanceId, reaction: Reaction) -> EngineResult<()> {
         let now = self.kernel.now();
-        if let Some(rec) = self
-            .instances
-            .get_mut(&id)
-            .and_then(|m| m.tasks.get_mut(&path))
-        {
-            rec.ready_at.get_or_insert(now);
-        }
-        self.ready_queue.push_back((id, path));
-    }
-
-    /// Act on a navigation outcome: queue ready tasks, run compensations,
-    /// propagate completion to parent instances.
-    fn apply_outcome(&mut self, id: InstanceId, outcome: NavOutcome) -> EngineResult<()> {
-        for path in &outcome.newly_ready {
-            self.enqueue_ready(id, path.clone());
-        }
-        for (task, program) in &outcome.compensations {
-            // Compensation programs are control actions; run them
-            // immediately (zero-cost) and record them.
-            if let Some(prog) = self.library.get(program) {
-                let _ = prog(&BTreeMap::new());
-            }
-            self.note(
-                self.kernel.now(),
-                EventKind::TaskCompensate {
-                    instance: id,
-                    path: task.clone(),
-                    program: program.clone(),
-                },
-            );
-        }
-        if outcome.completed || outcome.aborted {
-            let parent = self
-                .instances
-                .get(&id)
-                .and_then(|m| m.header.parent.clone());
-            self.note(
-                self.kernel.now(),
-                if outcome.completed {
-                    EventKind::InstanceComplete { instance: id }
-                } else {
-                    EventKind::InstanceAbort { instance: id }
-                },
-            );
-            if let Some((pid, ptask)) = parent {
-                self.on_child_instance_done(pid, &ptask, id, outcome.completed)?;
+        for effect in reaction {
+            match effect {
+                Effect::Note(kind) => self.note(now, kind),
+                Effect::Ready(path) => self.ready_queue.push_back((id, path)),
+                Effect::Compensate {
+                    program, inputs, ..
+                } => {
+                    if let Some(prog) = self.library.get(&program) {
+                        let _ = prog(&inputs);
+                    }
+                }
+                Effect::Conclude {
+                    parent,
+                    task,
+                    success,
+                    outputs,
+                    cpu_ms,
+                } => {
+                    let input = Input::ChildDone {
+                        path: task,
+                        child: id,
+                        concluded: success.then_some((outputs, cpu_ms)),
+                    };
+                    self.child_done(parent, input)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// A subprocess child instance finished; conclude the parent task.
-    fn on_child_instance_done(
-        &mut self,
-        parent_id: InstanceId,
-        parent_task: &str,
-        child_id: InstanceId,
-        success: bool,
-    ) -> EngineResult<()> {
+    /// Deliver a child instance's end (`input`, an [`Input::ChildDone`])
+    /// to instance `parent`.
+    fn child_done(&mut self, parent: InstanceId, input: Input) -> EngineResult<()> {
         let now = self.kernel.now();
-        // A duplicate delivery (e.g. an orphaned pre-crash child finishing
-        // after the task was re-driven) must not conclude the task twice.
-        let parent_state = self
-            .instances
-            .get(&parent_id)
-            .and_then(|m| m.tasks.get(parent_task))
-            .map(|r| r.state);
-        if parent_state != Some(TaskState::Dispatched) {
-            self.note(
-                now,
-                EventKind::SubprocessDuplicate {
-                    instance: parent_id,
-                    path: parent_task.to_string(),
-                    child: child_id,
-                },
-            );
-            return Ok(());
-        }
-        let concluded = if success {
-            let (Some(parent), Some(child)) = (
-                self.instances.get(&parent_id),
-                self.instances.get(&child_id),
-            ) else {
-                self.note_stale(parent_id, Some(parent_task), "child completion");
-                return Ok(());
-            };
-            // The child's whiteboard fields matching the parent task's
-            // declared outputs become the task outputs.
-            let outputs = parent.subprocess_outputs(parent_task, child.header.whiteboard.clone());
-            Some((outputs, child.child_cpu_ms()))
-        } else {
-            None
-        };
-        let Some(parent) = self.instances.get_mut(&parent_id) else {
-            self.note_stale(parent_id, Some(parent_task), "child conclusion");
+        let Some(inst) = self.instances.get_mut(&parent) else {
+            self.note_stale(parent, None, "child completion: unknown instance");
             return Ok(());
         };
-        let outcome = match concluded {
-            Some((outputs, child_cpu)) => {
-                navigator::on_task_ended(&mut parent.view(), parent_task, outputs, now, child_cpu)?
-            }
-            None => navigator::on_task_failed(
-                &mut parent.view(),
-                parent_task,
-                FailureKind::Program,
-                now,
-            )?,
-        };
-        self.mark_nav(parent_id, &outcome);
-        self.apply_outcome(parent_id, outcome)
+        let reaction = inst.react(input, now, &mut self.dirty)?;
+        self.route(parent, reaction)
     }
 
     /// Handle a system failure of `(id, path)` hosted on `node` (if
@@ -2100,10 +1968,13 @@ impl<D: Disk + Clone> Runtime<D> {
                 delay: SimTime::ZERO,
             },
         };
-        let outcome = match decision {
+        let reaction = match decision {
             RetryDecision::Requeue { delay } => {
-                let outcome =
-                    navigator::on_task_failed(&mut inst.view(), path, FailureKind::System, now)?;
+                let input = Input::TaskFailed {
+                    path: path.to_string(),
+                    kind: FailureKind::System,
+                };
+                let reaction = inst.react(input, now, &mut self.dirty)?;
                 // `self.note`, but `inst` still borrows `self.instances`.
                 self.unsaved.push(HistoryEvent {
                     at: now,
@@ -2134,7 +2005,7 @@ impl<D: Disk + Clone> Runtime<D> {
                         },
                     });
                 }
-                outcome
+                reaction
             }
             RetryDecision::Escalate { reason } => {
                 // Stop masking: the failure becomes visible through the
@@ -2142,8 +2013,11 @@ impl<D: Disk + Clone> Runtime<D> {
                 if let Some(r) = inst.tasks.get_mut(path).and_then(|rec| rec.retry.as_mut()) {
                     r.retry_at = None;
                 }
-                let outcome =
-                    navigator::on_task_failed(&mut inst.view(), path, FailureKind::Program, now)?;
+                let input = Input::TaskFailed {
+                    path: path.to_string(),
+                    kind: FailureKind::Program,
+                };
+                let reaction = inst.react(input, now, &mut self.dirty)?;
                 self.note(
                     now,
                     EventKind::TaskPoisoned {
@@ -2153,11 +2027,10 @@ impl<D: Disk + Clone> Runtime<D> {
                     },
                 );
                 self.log(format!("instance {id}: task {path} escalated ({reason})"));
-                outcome
+                reaction
             }
         };
-        self.mark_nav(id, &outcome);
-        self.apply_outcome(id, outcome)?;
+        self.route(id, reaction)?;
         if self.cfg.dependability.enabled && cause == SystemCause::NodeFault {
             if let Some(name) = node {
                 self.note_node_failure(name, now)?;
@@ -2383,49 +2256,6 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(false)
     }
 
-    // ---- marking what a step wrote ----
-
-    /// Mark `id`'s header and every task record (a new instance), first
-    /// stamping each `Ready` one with its enqueue time: an initial task's
-    /// queue wait runs from instantiation, even across a crash.
-    fn mark_instance(&mut self, id: InstanceId) {
-        let now = self.kernel.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        self.dirty.header(id);
-        for (path, rec) in inst.tasks.iter_mut() {
-            if rec.state == TaskState::Ready {
-                rec.ready_at.get_or_insert(now);
-            }
-            self.dirty.task(id, path);
-        }
-    }
-
-    /// Mark what a navigation of `id` wrote — the header plus exactly the
-    /// records it touched ([`NavOutcome::touched`]); every other record
-    /// already equals its stored copy.  Each touched record's enqueue
-    /// stamp is normalised first: one entering `Ready` carries the time it
-    /// queued (first entry wins), one leaving it drops the stamp.  Done
-    /// where the record is marked, it is what the commit writes, so
-    /// queue-wait metrics survive a crash.
-    fn mark_nav(&mut self, id: InstanceId, outcome: &NavOutcome) {
-        let now = self.kernel.now();
-        let Some(inst) = self.instances.get_mut(&id) else {
-            return;
-        };
-        for p in &outcome.touched {
-            if let Some(rec) = inst.tasks.get_mut(p) {
-                if rec.state == TaskState::Ready {
-                    rec.ready_at.get_or_insert(now);
-                } else {
-                    rec.ready_at = None;
-                }
-            }
-        }
-        self.dirty.nav(id, outcome);
-    }
-
     // ---- node completion-event plumbing ----
 
     fn resync_node(&mut self, name: &str) {
@@ -2470,6 +2300,46 @@ struct PumpView {
 }
 
 impl PumpView {
+    /// The dispatcher's picture of `cluster`, with the committed
+    /// (in-transit) jobs of `in_flight` accounted and the nodes `health`
+    /// quarantines marked.
+    fn new(
+        cluster: &Cluster,
+        in_flight: &BTreeMap<JobId, InFlight>,
+        health: &BTreeMap<String, NodeHealth>,
+    ) -> Self {
+        let mut committed: BTreeMap<&str, u32> = BTreeMap::new();
+        for f in in_flight.values() {
+            *committed.entry(f.node.as_str()).or_default() += 1;
+        }
+        let nodes = cluster
+            .nodes()
+            .iter()
+            .map(|n| {
+                let quarantined = health
+                    .get(&n.spec.name)
+                    .map(|h| h.is_quarantined())
+                    .unwrap_or(false);
+                NodeView::new(
+                    n.spec.name.clone(),
+                    n.spec.os.clone(),
+                    n.spec.speed(),
+                    n.cpus_online(),
+                    committed.get(n.spec.name.as_str()).copied().unwrap_or(0),
+                    n.load_fraction(),
+                    // A partitioned node is indistinguishable from a down
+                    // one for dispatch purposes.
+                    n.is_up() && n.is_reachable(),
+                    quarantined,
+                )
+            })
+            .collect();
+        PumpView {
+            nodes,
+            unplaceable: Vec::new(),
+        }
+    }
+
     /// Index of the node `policy` grants `binding`, or `None` to defer.
     fn place(
         &mut self,

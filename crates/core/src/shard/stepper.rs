@@ -20,9 +20,11 @@
 use super::router::{splitmix64, ControlOp, Effect, Msg, Payload, ShardEvent, ShardId, StepOutput};
 use crate::awareness::EventKind;
 use crate::error::{EngineError, EngineResult};
-use crate::instance::{Dirty, Instance, JournalReader, Role, ShardMeta};
+use crate::instance::{
+    self, Activation, Dirty, Input, Instance, JournalReader, Reaction, Role, ShardMeta,
+};
 use crate::library::ActivityLibrary;
-use crate::navigator::{self, FailureKind, NavOutcome};
+use crate::navigator::FailureKind;
 use crate::state::{InstanceId, InstanceStatus, TaskState};
 use bioopera_cluster::SimTime;
 use bioopera_ocr::model::ProcessTemplate;
@@ -98,18 +100,6 @@ struct StepState {
     /// Instances that left the suspended set this step (resume): their
     /// commit deletes the `susp/` record atomically with the header.
     resumed_now: BTreeSet<InstanceId>,
-}
-
-/// What to do with a task that just became ready.
-enum Act {
-    Request,
-    Spawn,
-    Expand,
-    Skip,
-    /// The instance is suspended: leave the task `Ready` (with its
-    /// queue-wait clock running) and activate nothing until resume.
-    Park,
-    Stale(&'static str),
 }
 
 /// One hash bucket of the sharded navigator.
@@ -269,25 +259,19 @@ impl Shard {
         }
         let Some(tmpl) = ctx.templates.get(&template).cloned() else {
             self.stale(st, ctx.round, id, None, "start: unknown template");
-            if let Some((pid, ppath)) = parent {
-                // Tell the parent its subprocess never came up.
-                let src = (id, self.next_seq(st, id));
-                st.out.effects.push(Effect::Send(Msg {
-                    dest: pid,
-                    src,
-                    payload: Payload::ChildDone {
-                        path: ppath,
-                        child: id,
-                        success: false,
-                        outputs: BTreeMap::new(),
-                        cpu_ms: 0.0,
-                    },
-                }));
-            }
-            return Ok(());
+            // Tell the parent its subprocess never came up.
+            let never = parent.map(|(parent, task)| instance::Effect::Conclude {
+                parent,
+                task,
+                success: false,
+                outputs: BTreeMap::new(),
+                cpu_ms: 0.0,
+            });
+            return self.route(ctx, st, id, never.into_iter().collect());
         };
         let root = parent.is_none();
-        let (slot, outcome) = Instance::create(tmpl, id, parent, ctx.now(), &initial)?;
+        let (slot, reaction) =
+            Instance::create(tmpl, id, parent, ctx.now(), &initial, &mut st.dirty)?;
         self.slots.insert(id, slot);
         if root {
             st.created_roots.insert(id);
@@ -301,10 +285,9 @@ impl Shard {
                 template,
             },
         );
-        self.apply_outcome(ctx, st, id, outcome)
+        self.route(ctx, st, id, reaction)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn on_grant(
         &mut self,
         ctx: &StepCtx<'_>,
@@ -314,56 +297,59 @@ impl Shard {
         node: String,
     ) -> EngineResult<()> {
         let now = ctx.now();
-        let queue_ms;
-        let mut fault = false;
-        let mut escalate = false;
-        {
-            let Some(slot) = self.slots.get_mut(&id) else {
-                self.stale(st, ctx.round, id, Some(&path), "grant: unknown instance");
-                self.push_release(st, id, &node, false);
-                return Ok(());
-            };
-            if slot.header.status == InstanceStatus::Suspended {
-                // Parked: hand the slot back and keep the task Ready —
-                // resume re-requests it.
-                self.stale(st, ctx.round, id, Some(&path), "grant: instance suspended");
-                self.push_release(st, id, &node, false);
-                return Ok(());
-            }
-            let Some(rec) = slot.tasks.get_mut(&path) else {
-                self.stale(st, ctx.round, id, Some(&path), "grant: unknown task");
-                self.push_release(st, id, &node, false);
-                return Ok(());
-            };
-            if rec.state != TaskState::Ready {
-                // Post-recovery duplicate grant: the slot is simply
-                // returned; the record keeps whatever state drove it.
-                self.stale(st, ctx.round, id, Some(&path), "grant: task not ready");
-                self.push_release(st, id, &node, false);
-                return Ok(());
-            }
-            queue_ms = rec
-                .ready_at
-                .take()
-                .map(|since| now.saturating_sub(since).as_millis())
-                .unwrap_or(0);
-            rec.state = TaskState::Dispatched;
-            rec.node = Some(node.clone());
-            rec.started_at = Some(now);
-            let attempt = rec.attempts + rec.retry.as_ref().map(|r| r.sys_failures).unwrap_or(0);
-            if let Some(f) = ctx.faults {
-                if f.hits(id, &path, attempt) {
-                    fault = true;
-                    let retry = rec.retry_mut();
-                    retry.sys_failures += 1;
-                    retry.note_failed_node(&node);
-                    escalate = retry.sys_failures > ctx.retry_budget;
-                }
-            }
+        let Some(slot) = self.slots.get_mut(&id) else {
+            self.stale(st, ctx.round, id, Some(&path), "grant: unknown instance");
+            self.push_release(st, id, &node, false);
+            return Ok(());
+        };
+        if slot.header.status == InstanceStatus::Suspended {
+            // Parked: hand the slot back and keep the task Ready — resume
+            // re-requests it.
+            self.stale(st, ctx.round, id, Some(&path), "grant: instance suspended");
+            self.push_release(st, id, &node, false);
+            return Ok(());
         }
+        let Some(rec) = slot.tasks.get_mut(&path) else {
+            self.stale(st, ctx.round, id, Some(&path), "grant: unknown task");
+            self.push_release(st, id, &node, false);
+            return Ok(());
+        };
+        if rec.state != TaskState::Ready {
+            // Post-recovery duplicate grant: the slot is simply returned;
+            // the record keeps whatever state drove it.
+            self.stale(st, ctx.round, id, Some(&path), "grant: task not ready");
+            self.push_release(st, id, &node, false);
+            return Ok(());
+        }
+        let queue_ms = rec
+            .ready_at
+            .take()
+            .map(|since| now.saturating_sub(since).as_millis())
+            .unwrap_or(0);
+        rec.state = TaskState::Dispatched;
+        rec.node = Some(node.clone());
+        rec.started_at = Some(now);
+        let attempt = rec.attempts + rec.retry.as_ref().map(|r| r.sys_failures).unwrap_or(0);
+        // `Some(escalate)` when the injected fault hits this attempt.
+        let fault = ctx.faults.filter(|f| f.hits(id, &path, attempt)).map(|_| {
+            let retry = rec.retry_mut();
+            retry.sys_failures += 1;
+            retry.note_failed_node(&node);
+            retry.sys_failures > ctx.retry_budget
+        });
         st.dirty.header(id);
         st.dirty.task(id, &path);
-        if fault {
+        if let Some(escalate) = fault {
+            let kind = if escalate {
+                FailureKind::Program
+            } else {
+                FailureKind::System
+            };
+            let input = Input::TaskFailed {
+                path: path.clone(),
+                kind,
+            };
+            let reaction = slot.react(input, now, &mut st.dirty)?;
             self.emit(
                 st,
                 ctx.round,
@@ -375,28 +361,24 @@ impl Shard {
                 },
             );
             self.push_release(st, id, &node, true);
-            let kind = if escalate {
+            if escalate {
                 self.emit(
                     st,
                     ctx.round,
                     id,
                     EventKind::TaskPoisoned {
                         instance: id,
-                        path: path.clone(),
+                        path,
                         reason: format!("masked-failure budget exhausted ({})", ctx.retry_budget),
                     },
                 );
-                FailureKind::Program
-            } else {
-                FailureKind::System
-            };
-            let outcome = self.nav_failed(id, &path, kind, now)?;
-            return self.apply_outcome(ctx, st, id, outcome);
+            }
+            return self.route(ctx, st, id, reaction);
         }
         // Resolve the program (template activity or parallel-child body)
         // and bind its inputs.
-        let resolved = self.slots.get(&id).and_then(|slot| {
-            let Role::Activity(binding) = slot.role(slot.tasks.get(&path)?) else {
+        let resolved = slot.tasks.get(&path).and_then(|rec| {
+            let Role::Activity(binding) = slot.role(rec) else {
                 return None;
             };
             Some((binding.program.clone(), slot.bind_inputs(&path)?))
@@ -411,54 +393,49 @@ impl Shard {
             Some(prog) => prog(&inputs),
             None => Err(format!("program `{name}` not in activity library")),
         };
-        match run {
+        let (input, start, end) = match run {
             Ok(out) => {
-                self.emit(
-                    st,
-                    ctx.round,
-                    id,
-                    EventKind::TaskStart {
-                        instance: id,
-                        path: path.clone(),
-                        node: node.clone(),
-                        job: ctx.round,
-                        queue_ms,
-                    },
-                );
-                let run_ms = out.cost_ref_ms.max(0.0) as u64;
                 let cpu_ms = out.cost_ref_ms;
-                let outcome = self.nav_ended(id, &path, out.outputs, now, cpu_ms)?;
-                self.emit(
-                    st,
-                    ctx.round,
-                    id,
-                    EventKind::TaskEnd {
-                        instance: id,
-                        path: path.clone(),
-                        node: node.clone(),
-                        run_ms,
-                        cpu_ms,
-                    },
-                );
-                self.push_release(st, id, &node, false);
-                self.apply_outcome(ctx, st, id, outcome)
+                let start = EventKind::TaskStart {
+                    instance: id,
+                    path: path.clone(),
+                    node: node.clone(),
+                    job: ctx.round,
+                    queue_ms,
+                };
+                let end = EventKind::TaskEnd {
+                    instance: id,
+                    path: path.clone(),
+                    node: node.clone(),
+                    run_ms: cpu_ms.max(0.0) as u64,
+                    cpu_ms,
+                };
+                let input = Input::TaskEnded {
+                    path,
+                    outputs: out.outputs,
+                    cpu_ms,
+                };
+                (input, Some(start), end)
             }
             Err(error) => {
-                self.emit(
-                    st,
-                    ctx.round,
-                    id,
-                    EventKind::TaskFail {
-                        instance: id,
-                        path: path.clone(),
-                        error,
-                    },
-                );
-                self.push_release(st, id, &node, false);
-                let outcome = self.nav_failed(id, &path, FailureKind::Program, now)?;
-                self.apply_outcome(ctx, st, id, outcome)
+                let fail = EventKind::TaskFail {
+                    instance: id,
+                    path: path.clone(),
+                    error,
+                };
+                let input = Input::TaskFailed {
+                    path,
+                    kind: FailureKind::Program,
+                };
+                (input, None, fail)
             }
+        };
+        let reaction = slot.react(input, now, &mut st.dirty)?;
+        for kind in start.into_iter().chain([end]) {
+            self.emit(st, ctx.round, id, kind);
         }
+        self.push_release(st, id, &node, false);
+        self.route(ctx, st, id, reaction)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -473,85 +450,55 @@ impl Shard {
         outputs: BTreeMap<String, Value>,
         cpu_ms: f64,
     ) -> EngineResult<()> {
-        let now = ctx.now();
-        {
-            let Some(slot) = self.slots.get(&id) else {
-                self.stale(
-                    st,
-                    ctx.round,
-                    id,
-                    Some(&path),
-                    "child completion: unknown instance",
-                );
-                return Ok(());
-            };
-            let Some(rec) = slot.tasks.get(&path) else {
-                self.stale(
-                    st,
-                    ctx.round,
-                    id,
-                    Some(&path),
-                    "child completion: unknown task",
-                );
-                return Ok(());
-            };
-            if rec.state != TaskState::Dispatched {
-                self.emit(
-                    st,
-                    ctx.round,
-                    id,
-                    EventKind::SubprocessDuplicate {
-                        instance: id,
-                        path,
-                        child,
-                    },
-                );
-                return Ok(());
-            }
-        }
-        if success {
-            let outputs = match self.slots.get(&id) {
-                Some(slot) => slot.subprocess_outputs(&path, outputs),
-                None => outputs,
-            };
-            let outcome = self.nav_ended(id, &path, outputs, now, cpu_ms)?;
-            self.emit(
-                st,
-                ctx.round,
-                id,
+        let Some(slot) = self.slots.get_mut(&id) else {
+            let why = "child completion: unknown instance";
+            self.stale(st, ctx.round, id, Some(&path), why);
+            return Ok(());
+        };
+        let input = Input::ChildDone {
+            path: path.clone(),
+            child,
+            concluded: success.then_some((outputs, cpu_ms)),
+        };
+        let reaction = slot.react(input, ctx.now(), &mut st.dirty)?;
+        // Unlike `Runtime`, the stepper notes the end or the failure of a
+        // task its child concluded — unless the reaction refused the
+        // delivery (DESIGN.md, "One reaction").
+        let refused = matches!(
+            reaction.as_slice(),
+            [instance::Effect::Note(
+                EventKind::SubprocessDuplicate { .. } | EventKind::StaleEvent { .. }
+            )]
+        );
+        if !refused {
+            let kind = if success {
                 EventKind::TaskEnd {
                     instance: id,
                     path,
                     node: "subprocess".to_string(),
                     run_ms: 0,
                     cpu_ms,
-                },
-            );
-            self.apply_outcome(ctx, st, id, outcome)
-        } else {
-            self.emit(
-                st,
-                ctx.round,
-                id,
+                }
+            } else {
                 EventKind::TaskFail {
                     instance: id,
-                    path: path.clone(),
+                    path,
                     error: format!("child instance {child} aborted"),
-                },
-            );
-            let outcome = self.nav_failed(id, &path, FailureKind::Program, now)?;
-            self.apply_outcome(ctx, st, id, outcome)
+                }
+            };
+            self.emit(st, ctx.round, id, kind);
         }
+        self.route(ctx, st, id, reaction)
     }
 
     /// Operator suspend/resume, delivered through the sorted inbox so the
     /// steering point is deterministic.  Suspend parks the instance:
     /// status flips to `Suspended` (durably, together with a `susp/` set
     /// record), in-flight work is allowed to drain, and nothing new
-    /// activates.  Resume flips it back, resets failed-task budgets
-    /// ([`navigator::on_resume`]), and re-activates every `Ready` task —
-    /// both the ones parked while suspended and the ones re-readied by
-    /// the resume itself.
+    /// activates.  Resume flips it back, gives failed tasks another chance
+    /// ([`Instance::react`]), and re-activates every `Ready` task — both
+    /// the ones parked while suspended and the ones re-readied by the
+    /// resume itself.
     fn on_control(
         &mut self,
         ctx: &StepCtx<'_>,
@@ -588,17 +535,19 @@ impl Shard {
                     self.stale(st, ctx.round, id, None, why);
                     return Ok(());
                 }
-                let now = ctx.now();
-                let mut outcome = navigator::on_resume(&mut slot.view(), now);
-                // Re-activate everything that is Ready now: the resume
-                // re-readied Failed tasks, and parked tasks stayed Ready
-                // the whole time.  BTreeMap order keeps this deterministic.
-                outcome.newly_ready = slot
+                let reaction = slot.react(Input::Resume, ctx.now(), &mut st.dirty)?;
+                // A parked task stayed Ready with no request out: wake
+                // every Ready task, the re-readied ones among them, in path
+                // order, in place of the reaction's own.
+                let ready = slot
                     .tasks
                     .values()
                     .filter(|r| r.state == TaskState::Ready)
-                    .map(|r| r.path.clone())
-                    .collect();
+                    .map(|r| instance::Effect::Ready(r.path.clone()));
+                let rest = reaction
+                    .into_iter()
+                    .filter(|e| !matches!(e, instance::Effect::Ready(_)));
+                let reaction = ready.chain(rest).collect();
                 st.resumed_now.insert(id);
                 st.suspended_now.remove(&id);
                 self.emit(
@@ -607,198 +556,96 @@ impl Shard {
                     id,
                     EventKind::InstanceResume { instance: id },
                 );
-                self.apply_outcome(ctx, st, id, outcome)
+                self.route(ctx, st, id, reaction)
             }
         }
     }
 
-    fn nav_ended(
-        &mut self,
-        id: InstanceId,
-        path: &str,
-        outputs: BTreeMap<String, Value>,
-        now: SimTime,
-        cpu_ms: f64,
-    ) -> EngineResult<NavOutcome> {
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return Ok(NavOutcome::default());
-        };
-        navigator::on_task_ended(&mut slot.view(), path, outputs, now, cpu_ms)
-    }
-
-    fn nav_failed(
-        &mut self,
-        id: InstanceId,
-        path: &str,
-        kind: FailureKind,
-        now: SimTime,
-    ) -> EngineResult<NavOutcome> {
-        let Some(slot) = self.slots.get_mut(&id) else {
-            return Ok(NavOutcome::default());
-        };
-        navigator::on_task_failed(&mut slot.view(), path, kind, now)
-    }
-
-    /// Drain a navigation outcome: activate ready tasks (request a node,
-    /// spawn a subprocess, or expand a parallel task in place), run
-    /// compensations, and conclude the instance if it went terminal.
-    fn apply_outcome(
+    /// Carry out `reaction` for instance `id`, in order: note its events (a
+    /// policy suspension with its `susp/` record), run its compensations,
+    /// activate its ready tasks — request a node,
+    /// spawn a child, or expand a parallel task, whose children and
+    /// reaction queue up behind what is already waiting — and send a
+    /// finished child's end to its parent.
+    fn route(
         &mut self,
         ctx: &StepCtx<'_>,
         st: &mut StepState,
         id: InstanceId,
-        outcome: NavOutcome,
+        reaction: Reaction,
     ) -> EngineResult<()> {
         let now = ctx.now();
-        st.dirty.nav(id, &outcome);
-        let mut ready: VecDeque<String> = outcome.newly_ready.into();
-        let mut compensations: VecDeque<(String, String)> = outcome.compensations.into();
-        let mut completed = outcome.completed;
-        let mut aborted = outcome.aborted;
-        let suspended = outcome.suspended;
-        loop {
-            if let Some((task, program)) = compensations.pop_front() {
-                self.emit(
-                    st,
-                    ctx.round,
-                    id,
-                    EventKind::TaskCompensate {
-                        instance: id,
-                        path: task.clone(),
-                        program: program.clone(),
-                    },
-                );
-                // Compensations run inline on the recorded inputs; their
-                // outcome does not feed back into navigation.
-                if let Some(prog) = ctx.library.get(&program) {
-                    let inputs = self
-                        .slots
-                        .get(&id)
-                        .and_then(|s| s.tasks.get(&task))
-                        .map(|r| r.inputs.to_map())
-                        .unwrap_or_default();
-                    let _ = prog(&inputs);
+        let mut queue: VecDeque<instance::Effect> = reaction.into();
+        while let Some(effect) = queue.pop_front() {
+            match effect {
+                instance::Effect::Note(kind) => {
+                    if let EventKind::InstanceSuspend { .. } = kind {
+                        // A failure policy parked the instance: its `susp/`
+                        // record rides the header's frame, as an operator
+                        // suspension's does.
+                        st.suspended_now.insert(id);
+                        st.resumed_now.remove(&id);
+                    }
+                    self.emit(st, ctx.round, id, kind);
                 }
-                continue;
-            }
-            let Some(path) = ready.pop_front() else {
-                break;
-            };
-            // `nav` marked the header on entry.
-            st.dirty.task(id, &path);
-            let act = {
-                let Some(slot) = self.slots.get(&id) else {
-                    break;
-                };
-                if slot.header.status == InstanceStatus::Suspended {
-                    Act::Park
-                } else {
-                    match slot.tasks.get(&path) {
-                        None => Act::Stale("ready task has no record"),
-                        Some(rec) if rec.state != TaskState::Ready => Act::Skip,
-                        Some(rec) => match slot.role(rec) {
-                            Role::Activity(_) => Act::Request,
-                            Role::Subprocess(_) => Act::Spawn,
-                            Role::ParallelParent => Act::Expand,
-                            Role::Unknown => Act::Stale("ready task not in template"),
-                        },
+                instance::Effect::Compensate {
+                    program, inputs, ..
+                } => {
+                    if let Some(prog) = ctx.library.get(&program) {
+                        let _ = prog(&inputs);
                     }
                 }
-            };
-            match act {
-                Act::Skip => {}
-                Act::Park => {
-                    if let Some(rec) = self.slots.get_mut(&id).and_then(|s| s.tasks.get_mut(&path))
-                    {
-                        rec.ready_at.get_or_insert(now);
-                    }
-                }
-                Act::Stale(why) => self.stale(st, ctx.round, id, Some(&path), why),
-                Act::Request => {
-                    if let Some(rec) = self.slots.get_mut(&id).and_then(|s| s.tasks.get_mut(&path))
-                    {
-                        rec.ready_at.get_or_insert(now);
-                    }
-                    let src = (id, self.next_seq(st, id));
-                    st.out.effects.push(Effect::Request {
-                        instance: id,
-                        path: path.clone(),
-                        src,
-                    });
-                }
-                Act::Spawn => {
-                    let Some((template, initial)) = self
-                        .slots
-                        .get_mut(&id)
-                        .and_then(|s| s.begin_subprocess(&path, now))
-                    else {
+                instance::Effect::Ready(path) => {
+                    st.dirty.task(id, &path);
+                    let Some(slot) = self.slots.get_mut(&id) else {
                         continue;
                     };
+                    match slot.activate(&path, now, &mut st.dirty)? {
+                        Activation::Skip | Activation::Park => {}
+                        Activation::Stale(why) => self.stale(st, ctx.round, id, Some(&path), why),
+                        Activation::Request(_) => {
+                            let src = (id, self.next_seq(st, id));
+                            st.out.effects.push(Effect::Request {
+                                instance: id,
+                                path,
+                                src,
+                            });
+                        }
+                        Activation::Spawn { template, initial } => {
+                            let src = (id, self.next_seq(st, id));
+                            st.out.effects.push(Effect::Spawn {
+                                parent: (id, path),
+                                template,
+                                initial,
+                                src,
+                            });
+                        }
+                        Activation::Expand { children, reaction } => {
+                            queue.extend(children.into_iter().map(instance::Effect::Ready));
+                            queue.extend(reaction);
+                        }
+                    }
+                }
+                instance::Effect::Conclude {
+                    parent,
+                    task,
+                    success,
+                    outputs,
+                    cpu_ms,
+                } => {
                     let src = (id, self.next_seq(st, id));
-                    st.out.effects.push(Effect::Spawn {
-                        parent: (id, path.clone()),
-                        template,
-                        initial,
+                    st.out.effects.push(Effect::Send(Msg {
+                        dest: parent,
                         src,
-                    });
+                        payload: Payload::ChildDone {
+                            path: task,
+                            child: id,
+                            success,
+                            outputs,
+                            cpu_ms,
+                        },
+                    }));
                 }
-                Act::Expand => {
-                    let Some(slot) = self.slots.get_mut(&id) else {
-                        break;
-                    };
-                    let (children, out2) =
-                        navigator::expand_parallel(&mut slot.view(), &path, now)?;
-                    st.dirty.nav(id, &out2);
-                    ready.extend(children);
-                    ready.extend(out2.newly_ready);
-                    completed |= out2.completed;
-                    aborted |= out2.aborted;
-                    compensations.extend(out2.compensations);
-                }
-            }
-        }
-        if suspended {
-            // Policy-driven suspension (FailurePolicy::Suspend) parks the
-            // instance exactly like an operator suspend.
-            st.suspended_now.insert(id);
-            st.resumed_now.remove(&id);
-            self.emit(
-                st,
-                ctx.round,
-                id,
-                EventKind::InstanceSuspend { instance: id },
-            );
-        }
-        if completed || aborted {
-            if completed {
-                self.emit(
-                    st,
-                    ctx.round,
-                    id,
-                    EventKind::InstanceComplete { instance: id },
-                );
-            } else {
-                self.emit(st, ctx.round, id, EventKind::InstanceAbort { instance: id });
-            }
-            let parent = self.slots.get(&id).and_then(|s| s.header.parent.clone());
-            if let Some((pid, ppath)) = parent {
-                let (outputs, cpu_ms) = self
-                    .slots
-                    .get(&id)
-                    .map(|s| (s.header.whiteboard.clone(), s.child_cpu_ms()))
-                    .unwrap_or_default();
-                let src = (id, self.next_seq(st, id));
-                st.out.effects.push(Effect::Send(Msg {
-                    dest: pid,
-                    src,
-                    payload: Payload::ChildDone {
-                        path: ppath,
-                        child: id,
-                        success: completed,
-                        outputs,
-                        cpu_ms,
-                    },
-                }));
             }
         }
         Ok(())

@@ -22,7 +22,7 @@ use bioopera_ocr::model::{ExternalBinding, FailurePolicy, ParallelBody, TypeTag}
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
 use bioopera_store::{shard_key, MemDisk, Space, Store, TieredPolicy};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The shared programs, plus `ok`, `boom` and `odd_fails` (which fails on
 /// an odd item).
@@ -189,6 +189,21 @@ fn assert_journal_mirrors_memory(eng: &ShardEngine<MemDisk>, at: &str) {
             .len();
         assert_eq!(stored_tasks, slot.tasks.len(), "{at}: task count of {id}");
     }
+    // The durable suspended set is the suspended slots, parked by an
+    // operator or by a failure policy.
+    let stored: BTreeSet<u64> = eng
+        .store()
+        .scan_prefix(Space::Instance, "susp/")
+        .unwrap()
+        .into_iter()
+        .map(|(key, _)| key["susp/".len()..].parse().unwrap())
+        .collect();
+    let parked: BTreeSet<u64> = eng
+        .slots()
+        .filter(|(_, _, slot)| slot.header.status == InstanceStatus::Suspended)
+        .map(|(_, id, _)| id)
+        .collect();
+    assert_eq!(stored, parked, "{at}: the durable suspended set");
 }
 
 /// Run rounds to quiescence, checking the mirror after each; `each_round`

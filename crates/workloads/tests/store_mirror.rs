@@ -335,4 +335,14 @@ fn failure_policies() {
     assert_eq!(status("Alternative"), Some(InstanceStatus::Completed));
     assert_eq!(status("Ignore"), Some(InstanceStatus::Completed));
     assert_eq!(status("Suspend"), Some(InstanceStatus::Suspended));
+    // A policy's suspension is noted as an operator's is.
+    let noted = rt
+        .awareness()
+        .of_kind(rt.store(), "instance.suspend")
+        .unwrap();
+    let suspend = Some(ids["Suspend"]);
+    assert!(
+        noted.iter().any(|e| e.kind.instance() == suspend),
+        "no instance.suspend for the policy's suspension: {noted:?}"
+    );
 }

@@ -108,12 +108,24 @@ canary runtime-split-commit crates/core/src/runtime.rs \
   's/^                batches\.push\(batch\);$/                self.store.apply(batch)?;/' \
   cargo test -q --offline -p bioopera-core --test runtime_tests a_runtime_step_is_one_append
 
-# A navigation on the serial runtime marking its header but not the task
-# records it touched: the commit drops them, and a reboot after the run
-# finds records the run had moved on from.
-canary runtime-mark-header-only crates/core/src/runtime.rs \
-  's/^        self\.dirty\.nav\(id, outcome\);$/        self.dirty.header(id);/' \
+# A reaction marking its header but not the task records it touched —
+# the one mark both drivers share: the serial runtime's commit drops them,
+# and a reboot after the run finds records the run had moved on from.
+canary runtime-mark-header-only crates/core/src/instance.rs \
+  's/^    dirty\.nav\(instance, &outcome\);$/    dirty.header(instance);/' \
   cargo test -q --offline -p bioopera-core --test runtime_tests a_torn_runtime_append_converges
+
+# One driver running a compensation on an empty map again: the two
+# drivers' compensation programs see different inputs.
+canary compensation-inputs-diverge crates/core/src/runtime.rs \
+  's/^                        let _ = prog\(&inputs\);$/                        let _ = prog(\&BTreeMap::new());/' \
+  cargo test -q --offline -p bioopera-core --test cross_driver
+
+# A driver calling the navigator's reaction itself again, beside the
+# instance layer's, and the grep gate that keeps it in instance.rs.
+canary reaction-outside-instance crates/core/src/runtime.rs \
+  's/^        let reaction = inst\.react\(Input::Resume, now, &mut self\.dirty\)\?;$/        navigator::on_resume(\&mut inst.view(), now);\n&/' \
+  bash scripts/check.sh --gates
 
 # A dispatch stamp written straight to the store, a commit point of its
 # own again, and the grep gate that keeps the runtime to its one commit.

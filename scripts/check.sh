@@ -82,18 +82,23 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "one instance layer: task kinds, instance keys and InstanceView literals stay out of the drivers"
+step "one instance layer: task kinds, instance keys, InstanceView literals and the navigator's reactions stay out of the drivers"
 # crates/core/src/instance.rs is the only place that classifies a task
-# record, formats an instance-record key or builds a navigator view; a
-# step loop that does any of the three itself is a second copy starting
-# to drift (the lost-spawn wedge was one).  navigator.rs and planner.rs
-# read the template by definition; state.rs defines the key helpers.
+# record, formats an instance-record key, builds a navigator view or
+# reacts to a completion, a failure, a child's end or a resume
+# (Instance::react / Instance::activate); a step loop that does any of
+# these itself is a second copy starting to drift (the lost-spawn wedge,
+# the compensation inputs and the unnoted policy suspension were three).
+# navigator.rs and planner.rs read the template by definition; state.rs
+# defines the key helpers.
 stray=$({
   grep -rnE 'TaskKind::|parallel_body\(' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(navigator|instance|planner)\.rs:'
   grep -rnE 'keys::header\(|keys::task\(|keys::push_record\(|shard_key\(|push_shard_prefix\(' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(instance|state)\.rs:'
   grep -rnE 'InstanceView \{' crates/core/src --include='*.rs' \
+    | grep -vE '^crates/core/src/(navigator|instance)\.rs:'
+  grep -rnE '\b(on_task_ended|on_task_failed|on_resume|expand_parallel)\(' crates/core/src --include='*.rs' \
     | grep -vE '^crates/core/src/(navigator|instance)\.rs:'
 } || true)
 if [ -n "$stray" ]; then
