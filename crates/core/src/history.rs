@@ -1,25 +1,29 @@
-//! The History space's one writer, for both drivers: the stream of
-//! `sev/{round}/{index}` records and the summary that covers a prefix of
-//! it.
+//! The journal: the one owner of a driver's store, and the History
+//! space's one writer (the `sev/{round}/{index}` stream and the summary
+//! that covers a prefix of it), for both drivers.  A `Journal` holds
+//! its [`Store`] privately: a driver reads through `Journal::store` and
+//! writes through `Journal::commit` — its batches, then the history
+//! frame of its events, in one append — and three more calls, so the
+//! compiler knows of no other write path.
 //!
 //! A *round* is one commit that carries events: a barrier round of the
-//! sharded engine, or a commit point of the serial runtime (the
-//! persistence batch its events ride, or its end-of-step flush).
-//! [`History::commit`] puts each event once, under its [`event_key`], into
-//! the batch that commits the round — one WAL frame — and folds it into
-//! the lifetime digest and the awareness index as it goes.  When the
-//! cadence is due the same batch carries the summary of every round up to
-//! and including this one, so a summary covers exactly what is at or
-//! before the frame that holds it.  [`History::open`] reads it back: the
-//! summary, then the stream's tail past it, in one pass — after
-//! [`crate::upgrade`] has rewritten an image an earlier engine left.
-//!
-//! The records and the reader are [`crate::awareness`]'s.
+//! sharded engine, or a commit point of the serial runtime.  Each event
+//! is stored once, under its [`event_key`], and folded into the lifetime
+//! digest and the awareness index; when the cadence is due the same frame
+//! carries the summary of every round up to and including this one, so a
+//! summary covers exactly what is at or before its frame.
+//! `Journal::open` reads the summary, then the stream's tail past it,
+//! in one pass — after [`crate::upgrade`] has rewritten an image an
+//! earlier engine left.  The records and the reader are
+//! [`crate::awareness`]'s.
 
 use crate::awareness::{Awareness, ShardEvent};
 use crate::error::{EngineError, EngineResult};
+use crate::instance::RecoveryReport;
+use crate::state::keys;
 use crate::upgrade;
-use bioopera_store::{push_padded, Batch, Disk, Space, Store};
+use bioopera_ocr::model::ProcessTemplate;
+use bioopera_store::{push_padded, Batch, Disk, Space, Store, StoreError};
 
 /// History-space prefix of the stream: the one history record the drivers
 /// write, and what recovery, the digest and the awareness model all read.
@@ -62,11 +66,13 @@ pub(crate) fn round_start_key(round: u64) -> String {
     key
 }
 
-/// The stream as one driver writes it: the awareness model over it, the
-/// lifetime digest of what it committed, and the summary cadence.  (How
-/// many events, and how many of each label, is the awareness index's to
-/// say: it is fed by the same calls, event for event.)
-pub(crate) struct History {
+/// A driver's store and the stream it writes there: the awareness model
+/// over the stream, the lifetime digest of what it committed, and the
+/// summary cadence.  (How many events, and how many of each label, is the
+/// awareness index's to say: it is fed by the same calls, event for
+/// event.)
+pub(crate) struct Journal<D: Disk> {
+    store: Store<D>,
     awareness: Awareness,
     digest: u64,
     /// A commit that leaves this many events past the last summary
@@ -76,17 +82,27 @@ pub(crate) struct History {
     summarized: u64,
     /// `next_round` of the newest summary (0: none).
     summary_round: u64,
+    /// The buffer every history record is encoded through.
+    scratch: String,
 }
 
-impl History {
-    /// The history `store` holds, and the first round none of its records
-    /// is at.  An image an earlier engine wrote is upgraded first.  The
-    /// summary seeds the digest and the awareness model with the rounds
-    /// below its `next_round`, and only the tail past it is read: one pass
-    /// that feeds both.  An event that does not decode fails the open,
-    /// named: it would silently drop out of the digest and the counts.
-    pub(crate) fn open<D: Disk>(store: &mut Store<D>) -> EngineResult<(Self, u64)> {
-        let summary = upgrade::upgrade(store)?;
+impl<D: Disk> Journal<D> {
+    /// Take `store` over: its history, the first round none of its records
+    /// is at, and what its open replayed ([`RecoveryReport`]'s store half).
+    /// An image an earlier engine wrote is upgraded first.  The summary
+    /// seeds the digest and the awareness model with the rounds below its
+    /// `next_round`, and only the tail past it is read: one pass that feeds
+    /// both.  An event that does not decode fails the open, named: it
+    /// would silently drop out of the digest and the counts.
+    pub(crate) fn open(mut store: Store<D>) -> EngineResult<(Self, u64, RecoveryReport)> {
+        let opened = store.stats();
+        let report = RecoveryReport {
+            wal_replayed_bytes: opened.wal_bytes,
+            wal_truncated_bytes: opened.recovered_truncated_bytes,
+            runs: opened.runs as u64,
+            ..RecoveryReport::default()
+        };
+        let summary = upgrade::upgrade(&mut store)?;
         let tail_round = summary.as_ref().map_or(0, |s| s.next_round);
         let mut digest = summary.as_ref().map_or(FNV_OFFSET, |s| s.digest);
         let mut awareness = Awareness::seeded(summary.as_ref().map(|s| &s.rollup));
@@ -99,59 +115,76 @@ impl History {
             awareness.reobserve(event.time(), event.kind);
             Ok::<(), EngineError>(())
         })?;
-        let history = History {
+        let journal = Journal {
+            store,
             summarized: awareness.index().summarized(),
-            summary_round: tail_round,
-            ..History::fresh(awareness, digest)
-        };
-        Ok((history, next_round))
-    }
-
-    /// A writer whose stream so far folds to `digest`, with no summary yet
-    /// and the default cadence.
-    pub(crate) fn fresh(awareness: Awareness, digest: u64) -> Self {
-        History {
             awareness,
             digest,
             every: DEFAULT_ROLLUP_EVERY,
-            summarized: 0,
-            summary_round: 0,
-        }
+            summary_round: tail_round,
+            scratch: String::new(),
+        };
+        Ok((journal, next_round, report))
     }
 
-    /// Put `events` into `batch` as round `round` of the stream: each
-    /// stored once, under its [`event_key`], and folded into the digest
-    /// and the awareness index as it goes.  When the cadence is due, the
-    /// summary of every round up to and including this one joins the
-    /// batch.
-    ///
-    /// One batch is one WAL frame, and a crash keeps a frame whole or not
-    /// at all: the history and the monitoring view over it cannot come
-    /// apart, and what recovery refolds from `sev/` is what both held.
-    /// The model runs ahead of the commit: a store that fails an append is
-    /// poisoned, and a driver that ran ahead of it is never used again.
+    /// Make `batches`, then `events` as round `round` of the stream, durable
+    /// in one append (no events, no history frame; nothing at all, no
+    /// mutation).  A crash keeps a prefix of whole frames, so the history
+    /// and the monitoring view over it cannot come apart.  The model runs
+    /// ahead of the append: a store that fails one is poisoned, and a
+    /// driver that ran ahead of it is never used again.
     pub(crate) fn commit(
         &mut self,
-        batch: &mut Batch,
+        mut batches: Vec<Batch>,
         round: u64,
         events: impl IntoIterator<Item = ShardEvent>,
-        scratch: &mut String,
     ) -> EngineResult<()> {
-        for (i, e) in events.into_iter().enumerate() {
-            batch.put_record(Space::History, event_key(round, i), &e, scratch);
-            self.digest = fold(self.digest, &e, scratch.as_bytes())?;
-            self.awareness.observe(e.time(), e.kind);
+        let mut events = events.into_iter().enumerate().peekable();
+        if events.peek().is_some() {
+            let mut frame = Batch::new();
+            for (i, e) in events {
+                frame.put_record(Space::History, event_key(round, i), &e, &mut self.scratch);
+                self.digest = fold(self.digest, &e, self.scratch.as_bytes())?;
+                self.awareness.observe(e.time(), e.kind);
+            }
+            let observed = self.awareness.index().len() as u64;
+            if observed - self.summarized >= self.every {
+                // The digest now covers exactly the rounds below
+                // `round + 1`, which is what the summary says it does.
+                self.awareness
+                    .summary_into(&mut frame, round + 1, self.digest, &mut self.scratch);
+                self.summarized = observed;
+                self.summary_round = round + 1;
+            }
+            batches.push(frame);
         }
-        let observed = self.awareness.index().len() as u64;
-        if observed - self.summarized >= self.every {
-            // The digest now covers exactly the rounds below `round + 1`,
-            // which is what the summary says it does.
-            self.awareness
-                .summary_into(batch, round + 1, self.digest, scratch);
-            self.summarized = observed;
-            self.summary_round = round + 1;
-        }
-        Ok(())
+        Ok(self.store.apply_many(batches)?)
+    }
+
+    /// Validate `t` and store it in the template space, under its name:
+    /// one append, for either driver.
+    pub(crate) fn register_template(&mut self, t: &ProcessTemplate) -> EngineResult<()> {
+        bioopera_ocr::validate(t)?;
+        let bytes = serde_json::to_vec(t).map_err(StoreError::from)?;
+        let key = keys::template(&t.name);
+        Ok(self.store.put(Space::Template, key, bytes)?)
+    }
+
+    /// Retire the stream's records below `below`, a round's start key (the
+    /// serial runtime's windowed retention): how many went.
+    pub(crate) fn retain_below(&mut self, below: &str) -> EngineResult<u64> {
+        let retired = self.store.retain_below(Space::History, EVENT_PREFIX, below);
+        Ok(retired?)
+    }
+
+    /// Refuse every further call, as a crashed server's store does.
+    pub(crate) fn poison(&mut self) {
+        self.store.poison();
+    }
+
+    /// The store, to read.
+    pub(crate) fn store(&self) -> &Store<D> {
+        &self.store
     }
 
     /// Rolling FNV-1a digest of the committed stream (order-sensitive).
@@ -253,6 +286,89 @@ mod tests {
     use crate::awareness::EventKind;
     use crate::shard::router::splitmix64;
     use bioopera_cluster::SimTime;
+    use bioopera_ocr::ProcessBuilder;
+    use bioopera_store::wal::{self, WalOp};
+    use bioopera_store::{Disk, MemDisk};
+
+    /// The journal's contract, counted on the disk: a commit of batches
+    /// and events is one mutation, the history frame behind the batches;
+    /// a commit with nothing to store is none; a template is one, and
+    /// none when it does not validate.
+    #[test]
+    fn a_commit_is_one_append_and_an_empty_commit_none() {
+        let disk = MemDisk::new();
+        let (mut journal, round, _) = Journal::open(Store::open(disk.clone()).unwrap()).unwrap();
+        let mut mutations = |call: &mut dyn FnMut(&mut Journal<MemDisk>)| {
+            let before = disk.mutation_count();
+            call(&mut journal);
+            disk.mutation_count() - before
+        };
+        let batch = |key: &str| {
+            let mut b = Batch::new();
+            b.put(Space::Instance, key, key.as_bytes().to_vec());
+            b
+        };
+        let start = |round: u64, instance: u64| ShardEvent {
+            round,
+            instance,
+            seq: 0,
+            at: None,
+            kind: EventKind::InstanceStart {
+                instance,
+                template: "T".into(),
+            },
+        };
+        let template = ProcessBuilder::new("T")
+            .activity("A", "noop", |t| t)
+            .build()
+            .unwrap();
+        let mut twice = template.clone();
+        twice.tasks.push(twice.tasks[0].clone());
+        let counted = [
+            mutations(&mut |j| {
+                let batches = vec![batch("a"), Batch::new(), batch("b"), batch("c")];
+                j.commit(batches, round, [start(round, 1), start(round, 2)])
+                    .unwrap();
+            }),
+            mutations(&mut |j| {
+                j.commit(Vec::new(), round + 1, [start(round + 1, 3)])
+                    .unwrap()
+            }),
+            mutations(&mut |j| {
+                j.commit(vec![Batch::new(), Batch::new()], round + 2, [])
+                    .unwrap()
+            }),
+            mutations(&mut |j| j.commit(Vec::new(), round + 2, []).unwrap()),
+            mutations(&mut |j| j.register_template(&template).unwrap()),
+            mutations(&mut |j| assert!(j.register_template(&twice).is_err())),
+        ];
+        assert_eq!(counted, [1, 1, 0, 0, 1, 0]);
+        // Frame by frame, the first key each holds: the three batches, the
+        // two history frames, the template.
+        let wal = disk
+            .list()
+            .unwrap()
+            .into_iter()
+            .find(|n| n.starts_with("wal-"));
+        let log = disk.read(&wal.unwrap()).unwrap().unwrap();
+        let mut firsts = Vec::new();
+        wal::replay_shared::<StoreError>(&log.into(), |ops| {
+            firsts.push(match ops.drain(..).next() {
+                Some(WalOp::Put { key, .. } | WalOp::Delete { key, .. }) => key,
+                None => String::new(),
+            });
+            Ok(())
+        })
+        .unwrap();
+        let (e1, e3) = (event_key(round, 0), event_key(round + 1, 0));
+        assert_eq!(firsts, ["a", "b", "c", &e1, &e3, "tmpl/T"]);
+        let events = persisted_events(journal.store()).unwrap();
+        assert_eq!(
+            events,
+            [start(round, 1), start(round, 2), start(round + 1, 3)]
+        );
+        assert_eq!(journal.awareness().index().len(), 3);
+    }
 
     /// Round 0 of N submissions commits N `instance.start` events, and
     /// `{index:06}` alone put the millionth before the second.

@@ -14,10 +14,11 @@
 //! * the **recovery module** and the persistent **spaces** ([`state`],
 //!   backed by `bioopera-store`) make every transition durable *before* it
 //!   is acted on, so node, network and server failures never lose completed
-//!   work;
+//!   work; each step loop's store is owned by its journal ([`history`]),
+//!   the only code that writes it: a transition is one commit there;
 //! * the **awareness model** ([`awareness`]) reads the persistent history
 //!   of task timings, node events and load samples, powering monitoring
-//!   queries; [`history`] is its one writer, for both step loops;
+//!   queries; the journal is its one writer, for both step loops;
 //! * the **dependability policies** ([`dependability`]) bound the masked
 //!   system-failure loop: per-task retry budgets with exponential backoff,
 //!   node quarantine, and poison-task escalation;

@@ -31,8 +31,8 @@ use crate::awareness::{Awareness, EventKind, HistoryEvent, ShardEvent};
 use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision, SystemCause};
 use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
 use crate::error::{EngineError, EngineResult};
-use crate::history::{round_start_key, History, EVENT_PREFIX};
-use crate::instance::{self, Activation, Dirty, Effect, Input, Instance, Reaction};
+use crate::history::{round_start_key, Journal};
+use crate::instance::{self, Activation, Dirty, Effect, Input, Instance, Reaction, RecoveryReport};
 use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
 use crate::navigator::{self, FailureKind, NavOutcome};
@@ -181,11 +181,10 @@ struct InFlight {
 /// The runtime.
 pub struct Runtime<D: Disk + Clone> {
     disk: D,
-    store: Store<D>,
+    journal: Journal<D>,
     kernel: SimKernel<EngineEvent>,
     cluster: Cluster,
     library: ActivityLibrary,
-    history: History,
     /// The stream round the next commit that carries events is.
     round: u64,
     /// Events noted since the last commit: the next one carries them.
@@ -240,6 +239,8 @@ pub struct Runtime<D: Disk + Clone> {
     history_retention: bool,
     /// The summary round the last retention advance was issued for.
     retained_round: u64,
+    /// What the last rebuild read, found in doubt and wrote.
+    recovery: RecoveryReport,
 }
 
 impl<D: Disk + Clone> Runtime<D> {
@@ -251,8 +252,7 @@ impl<D: Disk + Clone> Runtime<D> {
         library: ActivityLibrary,
         cfg: RuntimeConfig,
     ) -> EngineResult<Self> {
-        let mut store = open_store(&disk, &cfg)?;
-        let (history, round) = History::open(&mut store)?;
+        let (journal, round, recovery) = Journal::open(open_store(&disk, &cfg)?)?;
         // Record the hardware configuration (§3.2: configuration space).
         let (mut config, mut scratch) = (Batch::new(), String::new());
         for node in cluster.nodes() {
@@ -261,11 +261,10 @@ impl<D: Disk + Clone> Runtime<D> {
         }
         let mut rt = Runtime {
             disk,
-            store,
+            journal,
             kernel: SimKernel::new(),
             cluster,
             library,
-            history,
             round,
             unsaved: Vec::new(),
             dirty: Dirty::default(),
@@ -292,6 +291,7 @@ impl<D: Disk + Clone> Runtime<D> {
             tier_stats: None,
             history_retention: false,
             retained_round: 0,
+            recovery,
         };
         rt.rebuild_from_store()?;
         rt.commit()?;
@@ -304,12 +304,7 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// Validate a template and admit it to the template space.
     pub fn register_template(&mut self, t: &ProcessTemplate) -> EngineResult<()> {
-        bioopera_ocr::validate(t)?;
-        self.store.put(
-            Space::Template,
-            keys::template(&t.name),
-            serde_json::to_vec(t).map_err(bioopera_store::StoreError::from)?,
-        )?;
+        self.journal.register_template(t)?;
         // Late binding: a re-registration replaces what instances started
         // from now on resolve the name to.
         self.templates.insert(t.name.clone(), Arc::new(t.clone()));
@@ -333,7 +328,8 @@ impl<D: Disk + Clone> Runtime<D> {
         initial: BTreeMap<String, Value>,
         parent: Option<(InstanceId, String)>,
     ) -> EngineResult<InstanceId> {
-        let template = Self::resolve_template(&self.store, &mut self.templates, template_name)?;
+        let template =
+            Self::resolve_template(self.journal.store(), &mut self.templates, template_name)?;
         let id = self.next_instance_id;
         self.next_instance_id += 1;
         let now = self.kernel.now();
@@ -503,7 +499,13 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// The persistent store (for planner/history queries).
     pub fn store(&self) -> &Store<D> {
-        &self.store
+        self.journal.store()
+    }
+
+    /// What the last rebuild — the boot's, or the last server recovery's
+    /// — read, found in doubt and wrote.
+    pub fn recovery_report(&self) -> RecoveryReport {
+        self.recovery
     }
 
     /// The cluster (for planner queries).
@@ -513,14 +515,14 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// The awareness model.
     pub fn awareness(&self) -> &Awareness {
-        self.history.awareness()
+        self.journal.awareness()
     }
 
     /// Rolling FNV-1a digest of the committed history stream
     /// (order-sensitive): comparable between runs, and continuous across a
     /// server crash.
     pub fn history_digest(&self) -> u64 {
-        self.history.digest()
+        self.journal.digest()
     }
 
     /// Note a history event: the next commit carries it — unless the
@@ -563,26 +565,20 @@ impl<D: Disk + Clone> Runtime<D> {
             }
         }
         batches.push(config);
-        let mut events = Batch::new();
-        if !self.unsaved.is_empty() {
-            let round = self.round;
-            let noted = self
-                .unsaved
-                .drain(..)
-                .enumerate()
-                .map(|(seq, ev)| ShardEvent {
-                    round,
-                    instance: ev.kind.instance().unwrap_or(0),
-                    seq: seq as u64,
-                    at: Some(ev.at),
-                    kind: ev.kind,
-                });
-            self.history
-                .commit(&mut events, round, noted, &mut self.scratch)?;
-            self.round += 1;
-        }
-        batches.push(events);
-        self.store.apply_many(batches)?;
+        let round = self.round;
+        self.round += u64::from(!self.unsaved.is_empty());
+        let noted = self
+            .unsaved
+            .drain(..)
+            .enumerate()
+            .map(|(seq, ev)| ShardEvent {
+                round,
+                instance: ev.kind.instance().unwrap_or(0),
+                seq: seq as u64,
+                at: Some(ev.at),
+                kind: ev.kind,
+            });
+        self.journal.commit(batches, round, noted)?;
         self.record_store_events();
         self.maybe_retain_history()
     }
@@ -593,7 +589,7 @@ impl<D: Disk + Clone> Runtime<D> {
     /// counters so the index can report cache and bloom health).  The
     /// next commit carries them.
     fn record_store_events(&mut self) {
-        let stats = self.store.stats();
+        let stats = self.journal.store().stats();
         let prev = self.tier_stats.replace(stats);
         let (prev_spills, prev_merges) = prev.map_or((0, 0), |p| (p.spills, p.run_merges));
         let now = self.kernel.now();
@@ -628,14 +624,12 @@ impl<D: Disk + Clone> Runtime<D> {
     /// records.  Off by default; enabled via
     /// [`set_history_retention`](Runtime::set_history_retention).
     fn maybe_retain_history(&mut self) -> EngineResult<()> {
-        let round = self.history.summarized_round();
+        let round = self.journal.summarized_round();
         if !self.history_retention || round == self.retained_round {
             return Ok(());
         }
         let below = round_start_key(round);
-        let retired = self
-            .store
-            .retain_below(Space::History, EVENT_PREFIX, &below)?;
+        let retired = self.journal.retain_below(&below)?;
         self.retained_round = round;
         if retired > 0 {
             // Noted now, durable with the next commit.
@@ -656,7 +650,7 @@ impl<D: Disk + Clone> Runtime<D> {
     /// Override the history summary cadence (tests and benches force tiny
     /// values so the summary and retention paths run constantly).
     pub fn set_rollup_every(&mut self, every: u64) {
-        self.history.set_every(every);
+        self.journal.set_every(every);
     }
 
     /// Snapshot everything this run tells the operator — per-kind event
@@ -1581,7 +1575,7 @@ impl<D: Disk + Clone> Runtime<D> {
         self.ready_queue.clear();
         self.pec_buffer.clear();
         self.node_health.clear();
-        self.store.poison();
+        self.journal.poison();
         self.resync_all_nodes();
         if let Some(delay) = self.cfg.backup_failover {
             self.kernel
@@ -1595,8 +1589,8 @@ impl<D: Disk + Clone> Runtime<D> {
         if self.server_up {
             return Ok(());
         }
-        self.store = open_store(&self.disk, &self.cfg)?;
-        (self.history, self.round) = History::open(&mut self.store)?;
+        (self.journal, self.round, self.recovery) =
+            Journal::open(open_store(&self.disk, &self.cfg)?)?;
         self.server_up = true;
         let requeued = self.rebuild_from_store()?;
         self.note(self.kernel.now(), EventKind::ServerRecover { requeued });
@@ -1617,7 +1611,8 @@ impl<D: Disk + Clone> Runtime<D> {
         // that died with the server's kernel state.
         self.node_health.clear();
         for (key, bytes) in self
-            .store
+            .journal
+            .store()
             .scan_prefix(Space::Configuration, dependability::HEALTH_PREFIX)?
         {
             let Some(name) = key.strip_prefix(dependability::HEALTH_PREFIX) else {
@@ -1649,13 +1644,14 @@ impl<D: Disk + Clone> Runtime<D> {
                 self.on_quarantine_expire(now, &name, epoch)?;
             }
         }
-        let (store, known) = (&self.store, &mut self.templates);
+        let (store, known) = (self.journal.store(), &mut self.templates);
         let mut journal =
             instance::JournalReader::new(None, |name| Self::resolve_template(store, known, name));
         store.visit_prefix(Space::Instance, "inst/", |key, bytes| {
             journal.read(key, bytes)
         })?;
         (self.instances, _) = journal.finish();
+        self.recovery.instances = self.instances.len() as u64;
         self.next_instance_id = self.instances.last_key_value().map_or(1, |(id, _)| id + 1);
         // In-flight work was lost with the server.  The shared in-doubt
         // rule puts every queued or dispatched record back to `Ready` —
@@ -1670,6 +1666,7 @@ impl<D: Disk + Clone> Runtime<D> {
         let mut requeue: Vec<(InstanceId, instance::Resolved)> = Vec::new();
         for (id, inst) in &mut self.instances {
             let resolved = inst.resolve_in_doubt(now, &children);
+            resolved.iter().for_each(|r| self.recovery.found(r.verdict));
             requeue.extend(resolved.into_iter().map(|r| (*id, r)));
         }
         let requeued = requeue.len() as u64;
@@ -1689,6 +1686,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 );
             }
             if changed {
+                self.recovery.rewritten += 1;
                 self.dirty.task(id, &path);
             }
             self.ready_queue.push_back((id, path));

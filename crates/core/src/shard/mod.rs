@@ -10,17 +10,17 @@
 //!    with its own journal prefix in the store ([`bioopera_store::shard_key`]);
 //! 2. every round, N shard steppers run **in parallel threads** — each
 //!    consumes its sorted inbox, runs the pure navigator, and returns its
-//!    dirty instances as journal batches; a stepper never touches the
-//!    [`Store`];
-//! 3. the barrier is the one writer: it merges all outboxes by
-//!    `(source instance, seq)` ([`router::merge_outboxes`]), feeds the
-//!    cross-shard services (dispatch + node health,
-//!    [`services::DispatchService`]), allocates subprocess instance ids,
-//!    routes messages for the next round, and encodes the round's history
-//!    events; then the round reaches the store as **one append** — one
-//!    [`Store::apply_many`] of every shard's batches in shard order and
-//!    the history batch last.  A crash inside it leaves a whole-frame
-//!    prefix of that append, and a recovery, too, is one append.
+//!    dirty instances as journal batches; a stepper never sees the
+//!    engine's `Journal`, the one owner of its [`Store`];
+//! 3. the barrier merges all outboxes by `(source instance, seq)`
+//!    ([`router::merge_outboxes`]), feeds the cross-shard services
+//!    (dispatch + node health, [`services::DispatchService`]), allocates
+//!    subprocess instance ids, routes messages for the next round, and
+//!    returns the round's history events; then the round reaches the
+//!    store as **one append** — one `Journal::commit` of every shard's
+//!    batches in shard order and the history frame last.  A crash inside
+//!    it leaves a whole-frame prefix of that append, and a recovery, too,
+//!    is one append.
 //!
 //! Because the barrier consumes a totally-ordered stream and every shard
 //! step is a pure function of `(its journal, its inbox)`, the recorded
@@ -33,7 +33,7 @@ pub mod router;
 pub mod services;
 pub mod stepper;
 
-pub use crate::instance::{Instance, ShardMeta};
+pub use crate::instance::{Instance, RecoveryReport, ShardMeta};
 pub use router::{
     merge_outboxes, owner, splitmix64, ControlOp, Effect, Msg, Payload, ShardEvent, ShardId,
     SrcKey, StepOutput,
@@ -44,11 +44,11 @@ pub use stepper::{FaultInjection, Shard, StepCtx};
 use crate::awareness::{Awareness, EventKind};
 use crate::diagnostics;
 use crate::error::{EngineError, EngineResult};
-use crate::history::{self, fnv1a64, History, FNV_OFFSET};
-use crate::instance::{self, InDoubt};
+use crate::history::{self, fnv1a64, Journal, FNV_OFFSET};
+use crate::instance;
 use crate::library::ActivityLibrary;
 use crate::planner::{OutageImpact, PlannerNode, PlannerSnapshot};
-use crate::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskRecord, TaskState};
+use crate::state::{InstanceId, InstanceStatus, RunOutcome, TaskRecord, TaskState};
 use bioopera_cluster::SimTime;
 use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
@@ -127,37 +127,10 @@ pub struct ShardRunStats {
     pub suspended: u64,
 }
 
-/// What the last [`ShardEngine::recover`] read, found in doubt and wrote.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RecoveryReport {
-    /// Instances read from the shard journals.
-    pub instances: u64,
-    /// In-doubt records by [`InDoubt`] kind: queued ones …
-    pub requeue: u64,
-    /// … dispatched activities whose grant died with the server …
-    pub lost_grant: u64,
-    /// … and dispatched subprocess tasks whose child never came up.
-    pub lost_spawn: u64,
-    /// Task records recovery wrote back: those the in-doubt rule changed
-    /// and those a re-spawn stamped anew.  Every other in-doubt record
-    /// already equals its stored copy and is left out — a re-spawn's too,
-    /// when a recovery that crashed at the same round stored its stamp.
-    pub rewritten: u64,
-    /// Acknowledged submissions whose start died with the server, routed
-    /// again.
-    pub pending_rerouted: u64,
-    /// WAL bytes the store's open replayed …
-    pub wal_replayed_bytes: u64,
-    /// … and the torn tail it truncated.
-    pub wal_truncated_bytes: u64,
-    /// Sorted runs the store's open found.
-    pub runs: u64,
-}
-
 /// The sharded navigator engine.
 pub struct ShardEngine<D: Disk> {
     cfg: ShardConfig,
-    store: Store<D>,
+    journal: Journal<D>,
     library: ActivityLibrary,
     templates: BTreeMap<String, Arc<ProcessTemplate>>,
     shards: Vec<Shard>,
@@ -166,8 +139,8 @@ pub struct ShardEngine<D: Disk> {
     round: u64,
     next_instance: InstanceId,
     operator_seq: u64,
-    history: History,
-    /// The buffer every record the barrier writes is encoded through.
+    /// The buffer the engine's own records (pending starts, recovery
+    /// rewrites) are encoded through.
     scratch: String,
     /// The report of the recovery that built this engine, if one did.
     recovery: Option<RecoveryReport>,
@@ -177,19 +150,24 @@ impl<D: Disk> ShardEngine<D> {
     /// A fresh engine over an empty (or at least shard-unused) store.
     /// The one place the configuration is normalised: [`ShardEngine::recover`]
     /// starts from here too.
-    pub fn new(
-        mut store: Store<D>,
+    pub fn new(store: Store<D>, library: ActivityLibrary, cfg: ShardConfig) -> EngineResult<Self> {
+        Ok(Self::open(store, library, cfg)?.0)
+    }
+
+    /// [`ShardEngine::new`], and what the store's open replayed.
+    fn open(
+        store: Store<D>,
         library: ActivityLibrary,
         mut cfg: ShardConfig,
-    ) -> EngineResult<Self> {
+    ) -> EngineResult<(Self, RecoveryReport)> {
         cfg.shards = cfg.shards.max(1);
         cfg.threads = cfg.threads.clamp(1, cfg.shards);
         let shards = (0..cfg.shards).map(Shard::new).collect();
         let inboxes = vec![Vec::new(); cfg.shards];
         let service = DispatchService::new(cfg.nodes, cfg.node_capacity, cfg.quarantine_threshold);
-        let (history, round) = History::open(&mut store)?;
-        Ok(ShardEngine {
-            store,
+        let (journal, round, opened) = Journal::open(store)?;
+        let engine = ShardEngine {
+            journal,
             library,
             templates: BTreeMap::new(),
             shards,
@@ -198,22 +176,16 @@ impl<D: Disk> ShardEngine<D> {
             round,
             next_instance: 1,
             operator_seq: 0,
-            history,
             scratch: String::new(),
             recovery: None,
             cfg,
-        })
+        };
+        Ok((engine, opened))
     }
 
-    /// Register (and persist) a template.
+    /// Validate and persist a template.
     pub fn register_template(&mut self, template: ProcessTemplate) -> EngineResult<()> {
-        let mut b = Batch::new();
-        b.put(
-            Space::Template,
-            keys::template(&template.name),
-            encode(&template)?,
-        );
-        self.store.apply(b).map_err(EngineError::Store)?;
+        self.journal.register_template(&template)?;
         self.templates
             .insert(template.name.clone(), Arc::new(template));
         Ok(())
@@ -242,7 +214,7 @@ impl<D: Disk> ShardEngine<D> {
             },
             &mut self.scratch,
         );
-        self.store.apply(pending).map_err(EngineError::Store)?;
+        self.journal.commit(vec![pending], self.round, [])?;
         self.route(Msg {
             dest: id,
             src: (id, 0),
@@ -353,12 +325,12 @@ impl<D: Disk> ShardEngine<D> {
         let round = self.round;
         let mut outputs = Vec::with_capacity(self.shards.len());
         let mut batches = Vec::new();
-        for (out, journal) in self.step_shards()? {
-            batches.extend(journal);
+        for (out, written) in self.step_shards()? {
+            batches.extend(written);
             outputs.push(out);
         }
-        batches.push(self.barrier(round, outputs)?);
-        self.store.apply_many(batches).map_err(EngineError::Store)?;
+        let events = self.barrier(round, outputs)?;
+        self.journal.commit(batches, round, events)?;
         self.round += 1;
         Ok(true)
     }
@@ -414,10 +386,9 @@ impl<D: Disk> ShardEngine<D> {
 
     /// The deterministic barrier: merge outboxes, drive the cross-shard
     /// services, allocate subprocess ids, route next-round messages, and
-    /// return the round's history batch ([`History::commit`]; empty when
-    /// the round recorded no event), which the round's one append carries
-    /// after every shard's journal batches.
-    fn barrier(&mut self, round: u64, outputs: Vec<StepOutput>) -> EngineResult<Batch> {
+    /// return the round's events, which the round's one append
+    /// ([`Journal::commit`]) stores after every shard's journal batches.
+    fn barrier(&mut self, round: u64, outputs: Vec<StepOutput>) -> EngineResult<Vec<ShardEvent>> {
         let (effects, mut events) = merge_outboxes(outputs);
         let mut bseq = 0u64;
         let mut barrier_events: Vec<ShardEvent> = Vec::new();
@@ -482,12 +453,7 @@ impl<D: Disk> ShardEngine<D> {
             self.route(grant);
         }
         events.extend(barrier_events);
-        let mut batch = Batch::new();
-        if !events.is_empty() {
-            self.history
-                .commit(&mut batch, round, events, &mut self.scratch)?;
-        }
-        Ok(batch)
+        Ok(events)
     }
 
     /// Run rounds to quiescence.
@@ -550,26 +516,16 @@ impl<D: Disk> ShardEngine<D> {
         library: ActivityLibrary,
         cfg: ShardConfig,
     ) -> EngineResult<Self> {
-        let opened = store.stats();
-        let mut report = RecoveryReport {
-            wal_replayed_bytes: opened.wal_bytes,
-            wal_truncated_bytes: opened.recovered_truncated_bytes,
-            runs: opened.runs as u64,
-            ..RecoveryReport::default()
-        };
         // A fresh engine opens the history, from its last summary on.
-        let mut engine = Self::new(store, library, cfg)?;
-        for (_key, bytes) in engine
-            .store
-            .scan_prefix(Space::Template, "tmpl/")
-            .map_err(EngineError::Store)?
-        {
+        let (mut engine, mut report) = Self::open(store, library, cfg)?;
+        let store = engine.journal.store();
+        for (_key, bytes) in store.scan_prefix(Space::Template, "tmpl/")? {
             let t: ProcessTemplate = decode(&bytes)?;
             engine.templates.insert(t.name.clone(), Arc::new(t));
         }
         let mut round = 0u64;
         for shard in &mut engine.shards {
-            let (recovered, r) = Shard::recover(shard.id, &engine.store, &engine.templates)?;
+            let (recovered, r) = Shard::recover(shard.id, store, &engine.templates)?;
             round = round.max(r);
             report.instances += recovered.slots.len() as u64;
             if let Some((max, _)) = recovered.slots.last_key_value() {
@@ -587,11 +543,7 @@ impl<D: Disk> ShardEngine<D> {
         // atomic frame, so a mismatch means the record outlived its
         // instance (e.g. a pruned terminal slot): drop it.
         let mut stale = Batch::new();
-        let susp = engine
-            .store
-            .scan_prefix(Space::Instance, "susp/")
-            .map_err(EngineError::Store)?;
-        for (key, _bytes) in susp {
+        for (key, _bytes) in store.scan_prefix(Space::Instance, "susp/")? {
             let parked = key
                 .strip_prefix("susp/")
                 .and_then(|s| s.parse::<InstanceId>().ok())
@@ -638,11 +590,11 @@ impl<D: Disk> ShardEngine<D> {
         // Pass 0: acked submissions whose Start message died in memory
         // before the owning shard committed the instance.  (Records for
         // instances that did come up are just stale; drop them.)
-        let pending = self
-            .store
-            .scan_prefix(Space::Instance, "pending/")
-            .map_err(EngineError::Store)?;
-        for (key, bytes) in pending {
+        for (key, bytes) in self
+            .journal
+            .store()
+            .scan_prefix(Space::Instance, "pending/")?
+        {
             let Some(id) = key
                 .strip_prefix("pending/")
                 .and_then(|s| s.parse::<InstanceId>().ok())
@@ -712,11 +664,7 @@ impl<D: Disk> ShardEngine<D> {
                 let parked = slot.header.status == InstanceStatus::Suspended;
                 let mut changed: Vec<&str> = Vec::new();
                 for r in &resolved {
-                    *match r.verdict {
-                        InDoubt::Requeue => &mut report.requeue,
-                        InDoubt::LostGrant => &mut report.lost_grant,
-                        InDoubt::LostSpawn => &mut report.lost_spawn,
-                    } += 1;
+                    report.found(r.verdict);
                     let spawned = !parked
                         && match slot.begin_subprocess(&r.path, now) {
                             Some((template, initial)) => {
@@ -806,11 +754,7 @@ impl<D: Disk> ShardEngine<D> {
                 requeued: report.lost_grant,
             },
         });
-        let mut history = Batch::new();
-        self.history
-            .commit(&mut history, round, events, &mut self.scratch)?;
-        batches.push(history);
-        self.store.apply_many(batches).map_err(EngineError::Store)?;
+        self.journal.commit(batches, round, events)?;
         // The recovery pseudo-round used `round`'s event keys; advance so
         // the next barrier commits under fresh keys.
         self.round += 1;
@@ -843,7 +787,7 @@ impl<D: Disk> ShardEngine<D> {
     /// Rolling FNV-1a digest of the committed history stream (order-
     /// sensitive): bit-identical across shard counts and thread counts.
     pub fn history_digest(&self) -> u64 {
-        self.history.digest()
+        self.journal.digest()
     }
 
     /// Digest of the final instance state, merged across shards in
@@ -901,7 +845,7 @@ impl<D: Disk> ShardEngine<D> {
 
     /// The underlying store.
     pub fn store(&self) -> &Store<D> {
-        &self.store
+        self.journal.store()
     }
 
     /// The configuration in force.
@@ -912,13 +856,13 @@ impl<D: Disk> ShardEngine<D> {
     /// The awareness model: a view over the barrier's totally-ordered
     /// event stream, fed as each round commits.
     pub fn awareness(&self) -> &Awareness {
-        self.history.awareness()
+        self.journal.awareness()
     }
 
     /// Override the awareness summary cadence (tests force tiny values to
     /// commit a summary with almost every round).
     pub fn set_rollup_every(&mut self, every: u64) {
-        self.history.set_every(every);
+        self.journal.set_every(every);
     }
 
     /// Plain-data view of (logical nodes, in-flight jobs, instance task
@@ -969,7 +913,7 @@ impl<D: Disk> ShardEngine<D> {
 
     /// Decode the committed history events (in commit order).
     pub fn persisted_events(&self) -> EngineResult<Vec<ShardEvent>> {
-        history::persisted_events(&self.store)
+        history::persisted_events(self.journal.store())
     }
 }
 
@@ -1024,10 +968,6 @@ fn fnv1a64_json<T: serde::Serialize>(hash: u64, value: &T, scratch: &mut String)
     fnv1a64(hash, scratch.as_bytes())
 }
 
-fn encode<T: serde::Serialize>(value: &T) -> EngineResult<Vec<u8>> {
-    serde_json::to_vec(value).map_err(|e| EngineError::Internal(format!("encode: {e}")))
-}
-
 fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> EngineResult<T> {
     serde_json::from_slice(bytes).map_err(|e| EngineError::Internal(format!("decode: {e}")))
 }
@@ -1041,6 +981,7 @@ mod tests {
     use super::tears::tear_at_each_frame;
     use super::*;
     use crate::library::ProgramOutput;
+    use crate::state::keys;
     use bioopera_ocr::model::TypeTag;
     use bioopera_ocr::ProcessBuilder;
     use bioopera_store::MemDisk;
@@ -1082,6 +1023,26 @@ mod tests {
         let mut eng = ShardEngine::new(store, chain_library(), cfg).expect("engine");
         eng.register_template(chain_template()).unwrap();
         eng
+    }
+
+    /// A template `bioopera_ocr::validate` rejects — here a task named
+    /// twice — is refused before it is stored, as the serial runtime
+    /// refuses it: no `tmpl/` record, nothing to submit.
+    #[test]
+    fn an_invalid_template_is_refused_and_not_stored() {
+        let mut eng = engine(2, 1);
+        let mut twice = chain_template();
+        twice.name = "Twice".into();
+        twice.tasks.push(twice.tasks[0].clone());
+        assert!(bioopera_ocr::validate(&twice).is_err());
+        assert!(eng.register_template(twice).is_err());
+        let stored = eng.store().scan_prefix(Space::Template, "tmpl/").unwrap();
+        let names: Vec<&str> = stored.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(names, [keys::template("Chain")]);
+        assert!(matches!(
+            eng.submit("Twice", BTreeMap::new()),
+            Err(EngineError::UnknownTemplate(_))
+        ));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! is read once and rewritten into the current one — the `sev/` stream
 //! and a `summary` carrying its digest — in **one batch, so one WAL
 //! frame**: a crash keeps the old image or the new one, and the next open
-//! upgrades again.  [`History::open`] runs it, so every driver open does;
-//! after it the readers know one layout.
+//! upgrades again.  `Journal::open` runs
+//! it, so every driver open does; after it the readers know one layout.
 //!
 //! | image (who wrote it) | what the upgrade does |
 //! |---|---|
@@ -13,14 +13,14 @@
 //!
 //! On a current image — nothing in History below `sev/`, where `ev/` and
 //! `rollup` sort — it is an empty range visit, a point lookup and the
-//! summary read [`History::open`] needs anyway, and it writes nothing.
+//! summary read the journal's open needs anyway, and it writes nothing.
 
 use crate::awareness::{
     Awareness, AwarenessError, EventKind, HistoryEvent, RollupRecord, ShardEvent, StreamSummary,
     SUMMARY_KEY,
 };
 use crate::error::{EngineError, EngineResult};
-use crate::history::{decode_event, fold, History, EVENT_PREFIX, FNV_OFFSET};
+use crate::history::{decode_event, event_key, fold, EVENT_PREFIX, FNV_OFFSET};
 use bioopera_cluster::SimTime;
 use bioopera_store::{Batch, Disk, Space, Store, StoreError};
 use serde::{Content, DeError, Deserialize};
@@ -144,18 +144,15 @@ pub(crate) fn upgrade<D: Disk>(store: &mut Store<D>) -> EngineResult<Option<Stre
         for e in &rewritten[covered..] {
             aggregate.observe(e.time(), e.kind.clone());
         }
-        let mut writer = History::fresh(Awareness::seeded(None), FNV_OFFSET);
-        writer.set_every(u64::MAX);
+        let mut digest = FNV_OFFSET;
         for round in rewritten.chunk_by(|a, b| a.round == b.round) {
-            writer.commit(
-                &mut batch,
-                round[0].round,
-                round.iter().cloned(),
-                &mut scratch,
-            )?;
+            for (i, e) in round.iter().enumerate() {
+                batch.put_record(Space::History, event_key(e.round, i), e, &mut scratch);
+                digest = fold(digest, e, scratch.as_bytes())?;
+            }
         }
         let next_round = rewritten.last().map_or(1, |e| e.round + 1);
-        Some(aggregate.summary_into(&mut batch, next_round, writer.digest(), &mut scratch))
+        Some(aggregate.summary_into(&mut batch, next_round, digest, &mut scratch))
     };
     store.apply(batch)?;
     Ok(summary)

@@ -20,11 +20,13 @@ use bioopera_core::history;
 use bioopera_core::navigator; // used indirectly via runtime
 use bioopera_core::shard::{ShardConfig, ShardEngine};
 use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
-use bioopera_core::{ActivityLibrary, Awareness, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera_core::{
+    ActivityLibrary, Awareness, ProgramOutput, RecoveryReport, Runtime, RuntimeConfig,
+};
 use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder, ProcessTemplate};
-use bioopera_store::{Batch, MemDisk, Space, Store, TieredPolicy};
+use bioopera_store::{Batch, Disk, MemDisk, Space, Store, TieredPolicy};
 use common::ev_writer::EvWriter;
 use std::collections::BTreeMap;
 
@@ -1084,6 +1086,57 @@ fn a_runtime_step_is_one_append() {
         rt.whiteboard(again).unwrap()["total"],
         Value::Int(expected_total(8))
     );
+}
+
+/// The serial runtime reports its recovery as the sharded engine does.
+/// A fan of two on a one-slot node crashes with one child granted and
+/// one queued; a torn tail is left behind the log.  The report counts the
+/// one instance read, the lost grant and the requeue, the one record the
+/// rule rewound (the queued one is already stamped), the log replayed and
+/// the tail truncated — and the boot before it read nothing.
+#[test]
+fn a_runtime_recovery_reports_what_it_read_found_and_wrote() {
+    let disk = MemDisk::new();
+    let cfg = RuntimeConfig {
+        heartbeat: SimTime::from_secs(20),
+        compact_wal_bytes: u64::MAX,
+        ..Default::default()
+    };
+    let one_slot = Cluster::new("one", vec![NodeSpec::new("n1", 1, 500, "linux")]);
+    let mut rt = Runtime::new(disk.clone(), one_slot, library(), cfg).unwrap();
+    assert_eq!(rt.recovery_report().instances, 0, "the boot read nothing");
+    rt.register_template(&fanout_template(2, 0)).unwrap();
+    let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
+    let children = |rt: &Runtime<MemDisk>, state| {
+        let records = rt.task_records(id).unwrap().values();
+        records
+            .filter(|r| r.is_parallel_child() && r.state == state)
+            .count()
+    };
+    while children(&rt, TaskState::Dispatched) == 0 {
+        assert!(rt.step().unwrap(), "finished before the fan went out");
+    }
+    assert_eq!(children(&rt, TaskState::Ready), 1);
+    rt.crash_server().unwrap();
+    let wals = disk.list().unwrap().into_iter();
+    let wal = wals.filter(|n| n.starts_with("wal-")).max().unwrap();
+    let logged = disk.file_len(&wal).unwrap() as u64;
+    disk.append(&wal, &[0xA5; 7]).unwrap();
+    rt.recover_server().unwrap();
+    let expected = RecoveryReport {
+        instances: 1,
+        requeue: 1,
+        lost_grant: 1,
+        lost_spawn: 0,
+        rewritten: 1,
+        pending_rerouted: 0,
+        wal_replayed_bytes: logged,
+        wal_truncated_bytes: 7,
+        runs: 0,
+    };
+    assert_eq!(rt.recovery_report(), expected);
+    assert_eq!(rt.run_to_completion().unwrap(), RunOutcome::Completed);
+    assert_eq!(rt.whiteboard(id).unwrap()["total"], Value::Int(1));
 }
 
 /// The squeezed store's spills and merges reach the awareness index as

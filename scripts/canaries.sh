@@ -17,9 +17,23 @@ trap 'rm -rf "$work"' EXIT
 git ls-files -co --exclude-standard -z | xargs -0 cp --parents -t "$work"
 export CARGO_TARGET_DIR="$work/target"
 
+# red_kind GATE...: what kind of red red.log shows.
+red_kind() {
+  local log=$work/red.log
+  if grep -q '^error: could not compile' "$log"; then
+    echo "build error: $(grep -m 1 -E '^error(\[E[0-9]+\])?: ' "$log" || true)"
+  elif [[ " $* " == *" scripts/check.sh --gates "* ]]; then
+    echo "grep gate: $(grep '^==> ' "$log" | tail -n 1 | cut -c5- || true)"
+  else
+    echo "test failure: $(grep -m 1 -E '^---- [^ ]+ ' "$log" | cut -d' ' -f2 || true)"
+  fi
+}
+
 # canary NAME FILE SED-EXPRESSION GATE...
 # The expression must change FILE; GATE must pass before it is applied
-# and fail after.
+# and fail after.  The red is named by its kind: a build error (a rule the
+# types hold), a test failure (and the first test that failed), or a grep
+# gate (and its step).
 canary() {
   local name=$1 file=$2 expr=$3
   shift 3
@@ -39,6 +53,7 @@ canary() {
     echo "    GATE STAYED GREEN: $*"
     exit 1
   fi
+  echo "    red ($(red_kind "$@"))"
   # grep stops itself after four lines: a `head` would cut it off mid-write,
   # and under pipefail that ends the script.
   { grep -m 4 -E "panicked at|assertion|differs|cache lookups|drifted|minimal failing input|disagree|violation|environment|instead of returning|materialising|second handle|diverged on disk" "$work/red.log" || true; } \
@@ -75,7 +90,7 @@ canary bloom-bit crates/store/src/bloom.rs \
 # The summary written with a round carrying the digest from before that
 # round's events: a recovery seeded from it is one round short.
 canary stale-summary-digest crates/core/src/history.rs \
-  's/^        for \(i, e\) in events\.into_iter\(\)\.enumerate\(\) \{$/        let stale = self.digest;\n&/;s/^                \.summary_into\(batch, round \+ 1, self\.digest, scratch\);$/                .summary_into(batch, round + 1, stale, scratch);/' \
+  's/^            for \(i, e\) in events \{$/            let stale = self.digest;\n&/;s/^                    \.summary_into\(&mut frame, round \+ 1, self\.digest, &mut self\.scratch\);$/                    .summary_into(\&mut frame, round + 1, stale, \&mut self.scratch);/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism reopening_the_stream
 
 # Recovery reading the history's tail from one round past its summary.
@@ -86,26 +101,26 @@ canary tail-one-round-late crates/core/src/history.rs \
 # A summary that says it covers one round more than its frame holds: the
 # serial runtime, reopened from it, skips the round after it.
 canary runtime-summary-round-late crates/core/src/history.rs \
-  's/^                \.summary_into\(batch, round \+ 1, self\.digest, scratch\);$/                .summary_into(batch, round + 2, self.digest, scratch);/' \
+  's/^                    \.summary_into\(&mut frame, round \+ 1, self\.digest, &mut self\.scratch\);$/                    .summary_into(\&mut frame, round + 2, self.digest, \&mut self.scratch);/' \
   cargo test -q --offline -p bioopera-core --test runtime_tests the_runtime_history
 
 # The serial runtime's record losing its virtual time: its events come
 # back stamped with the round that committed them.
 canary runtime-record-without-time crates/core/src/runtime.rs \
-  's/^                    at: Some\(ev\.at\),$/                    at: None,/' \
+  's/^                at: Some\(ev\.at\),$/                at: None,/' \
   cargo test -q --offline -p bioopera-core --test runtime_tests the_runtime_history
 
 # An ev/ write back in the engine, and the grep gate that keeps the old
 # stream read-only.
 canary runtime-writes-ev crates/core/src/runtime.rs \
-  's/^        batches\.push\(events\);$/        events.put(Space::History, "ev\/0", Vec::new());\n&/' \
+  's/^        batches\.push\(config\);$/        config.put(Space::History, "ev\/0", Vec::new());\n&/' \
   bash scripts/check.sh --gates
 
-# The serial runtime's commit applying each dirty instance's batch on its
-# own: the same frames, but a step that wrote an instance is two appends
-# or more again.
+# The serial runtime's commit committing each dirty instance's batch on
+# its own: the same frames, but a step that wrote an instance is two
+# appends or more again.
 canary runtime-split-commit crates/core/src/runtime.rs \
-  's/^                batches\.push\(batch\);$/                self.store.apply(batch)?;/' \
+  's/^                batches\.push\(batch\);$/                self.journal.commit(vec![batch], self.round, [])?;/' \
   cargo test -q --offline -p bioopera-core --test runtime_tests a_runtime_step_is_one_append
 
 # A reaction marking its header but not the task records it touched —
@@ -128,10 +143,22 @@ canary reaction-outside-instance crates/core/src/runtime.rs \
   bash scripts/check.sh --gates
 
 # A dispatch stamp written straight to the store, a commit point of its
-# own again, and the grep gate that keeps the runtime to its one commit.
+# own again: the journal lends its store out only to read, so it does not
+# build.
 canary runtime-direct-write crates/core/src/runtime.rs \
-  '0,/^        self\.dirty\.task\(id, path\);$/s//        self.store.apply(Batch::new())?;\n&/' \
-  bash scripts/check.sh --gates
+  '0,/^        self\.dirty\.task\(id, path\);$/s//        self.journal.store().apply(Batch::new())?;\n&/' \
+  cargo build -q --offline -p bioopera-core
+
+# The journal storing a template unvalidated again, as the sharded engine
+# once did: a template the runtime refuses would be registered there.
+canary journal-skips-validate crates/core/src/history.rs \
+  '/^        bioopera_ocr::validate\(t\)\?;$/d' \
+  cargo test -q --offline -p bioopera-core --lib an_invalid_template_is_refused_and_not_stored
+
+# The serial runtime's rebuild leaving its rewrites out of the report.
+canary runtime-report-misses-rewrites crates/core/src/runtime.rs \
+  '/^                self\.recovery\.rewritten \+= 1;$/d' \
+  cargo test -q --offline -p bioopera-core --test runtime_tests a_runtime_recovery_reports
 
 # The upgrade of an old serial runtime's store putting its ev/ history at
 # round 0 without moving the stream that continued it out of the way: two
@@ -218,19 +245,20 @@ canary barrier-tiebreak-by-shard crates/core/src/shard/router.rs \
 # threads once could: the history and the state stay right, the disk image
 # is no longer the one-thread image.
 canary reverse-commit-when-threaded crates/core/src/shard/mod.rs \
-  's/^        for \(out, journal\) in self\.step_shards\(\)\? \{$/        let mut steps = self.step_shards()?;\n        if self.cfg.threads > 1 { steps.reverse(); }\n        for (out, journal) in steps {/; s/^        batches\.push\(self\.barrier\(round, outputs\)\?\);$/        if self.cfg.threads > 1 { outputs.reverse(); }\n&/' \
+  's/^        for \(out, written\) in self\.step_shards\(\)\? \{$/        let mut steps = self.step_shards()?;\n        if self.cfg.threads > 1 { steps.reverse(); }\n        for (out, written) in steps {/; s/^        let events = self\.barrier\(round, outputs\)\?;$/        if self.cfg.threads > 1 { outputs.reverse(); }\n&/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism sharded_replay_matches_serial_baseline
 
-# The round's history batch stored by an append of its own after the
+# The round's history frame stored by a commit of its own after the
 # shards' journals: the same frames, so the untiered image is the same,
 # but a round is two disk mutations again.
 canary round-split-append crates/core/src/shard/mod.rs \
-  's/^        batches\.push\(self\.barrier\(round, outputs\)\?\);$/        let history = self.barrier(round, outputs)?;\n        self.store.apply_many(batches).map_err(EngineError::Store)?;\n        let batches = vec![history];/' \
+  '0,/^        self\.journal\.commit\(batches, round, events\)\?;$/s//        self.journal.commit(batches, round, Vec::new())?;\n        self.journal.commit(Vec::new(), round, events)?;/' \
   cargo test -q --offline -p bioopera-core --test shard_determinism a_round_is_one_append
 
-# A second writer path back, and the grep gate that keeps each out (one
-# canary per arm): a lock in the store, a second handle (by hand or
-# derived), a stepper that may write, a store write inside `step_shards`.
+# A second writer path back (one canary per arm): a lock in the store and
+# a second handle (by hand or derived), which the grep gate keeps out; a
+# stepper that may write, and a store write inside `step_shards`, which do
+# not build — the journal lends its store out only to read.
 canary store-lock-named crates/store/src/retention.rs \
   's/^use std::ops::Bound;$/&\nuse std::sync::RwLock;/' \
   bash scripts/check.sh --gates
@@ -242,10 +270,10 @@ canary store-clone-derived crates/store/src/engine.rs \
   bash scripts/check.sh --gates
 canary stepper-takes-mut-store crates/core/src/shard/stepper.rs \
   's/^        store: &Store<D>,$/        store: \&mut Store<D>,/' \
-  bash scripts/check.sh --gates
+  cargo build -q --offline -p bioopera-core
 canary step-shards-commits crates/core/src/shard/mod.rs \
-  's/^(    fn step_shards\(&mut self\).*\{)$/\1\n        self.store.apply_many(Vec::new()).map_err(EngineError::Store)?;/' \
-  bash scripts/check.sh --gates
+  's/^(    fn step_shards\(&mut self\).*\{)$/\1\n        self.journal.store().apply_many(Vec::new())?;/' \
+  cargo build -q --offline -p bioopera-core
 
 # A finished attempt that never hands its node slot back: the dispatch
 # service runs out of slots and the run stalls (ROADMAP 1 (c)).

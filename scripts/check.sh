@@ -143,20 +143,17 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "one history writer, one layout: both drivers store each event once, in one frame with its summary"
-# crates/core/src/history.rs is the History space's one writer: the sev/
-# stream and its summary, put into the batch of the commit they describe,
-# for the sharded engine and the serial runtime alike.  Every older layout
+step "one layout: every older History image is named in the upgrade alone"
+# The journal (crates/core/src/history.rs) owns each driver's store, so
+# the compiler keeps every write — the sev/ stream and its summary among
+# them — in it.  What a type cannot say is kept here: every older layout
 # — the ev/ records, their rollup, their string records with a `detail`,
 # a summary without its digest — is read by crates/core/src/upgrade.rs
 # alone, which rewrites it at open: nothing else in crates/core/src names
-# them, and StreamSummary's digest is no Option.  No write in
-# awareness.rs's non-test code but the summary's may appear; the ev/
+# them, and StreamSummary's digest is no Option.  No write into a batch in
+# awareness.rs's non-test code but the summary's may appear, and the ev/
 # writer (`.record(` + `pending_batch` + `confirm_flushed` +
-# `discard_pending`, through `TypedSpace`) must not come back; and the
-# sharded engine stores a round, and a recovery, in one append each: two
-# `apply_many` calls in its non-test code, one per round and one per
-# recovery.  (The serial runtime's one append is the next step's gate.)
+# `discard_pending`, through `TypedSpace`) must not come back.
 stray=$({
   grep -rnE '"ev/|"rollup"|ROLLUP_KEY|"detail"' crates/core/src --include='*.rs' \
     | grep -v '^crates/core/src/upgrade.rs:'
@@ -167,41 +164,9 @@ stray=$({
     | sed 's|^|crates/core/src/awareness.rs:|'
   grep -rnE 'pending_batch|confirm_flushed|discard_pending|\.record\(' crates/core/src --include='*.rs'
   grep -rnE 'TypedSpace' crates/*/src --include='*.rs'
-  for f in $(grep -rlE 'put(_record)?\(Space::History' crates/core/src --include='*.rs' \
-    | grep -vE '^crates/core/src/(history|awareness)\.rs$'); do
-    sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'put(_record)?\(Space::History' | sed "s|^|$f:|"
-  done
-  appends=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/shard/mod.rs | grep -c 'apply_many(' || true)
-  [ "$appends" = 2 ] \
-    || echo "crates/core/src/shard/mod.rs: $appends apply_many calls, not one per round and one per recovery"
 } || true)
 if [ -n "$stray" ]; then
-  echo "a second history writer, an older layout named outside the upgrade, a second frame for a commit's events, or a second append for a round:"
-  echo "$stray"
-  exit 1
-fi
-
-step "one commit: the serial runtime writes the store in its commit and in register_template alone"
-# A Runtime step, each public call that changes an instance, and a
-# recovery only mark what they write; `Runtime::commit` stores it with one
-# `apply_many` — a batch per dirty instance, the configuration records, the
-# history round — as a shard round is stored.  No other store write
-# (`apply`, `apply_many`, `put`, `delete`) may appear in runtime.rs but
-# the template registration's put: a direct write is a commit point of
-# its own again, a second append in a step.
-stray=$({
-  sed '/^#\[cfg(test)\]/,$d; /^    fn commit(&mut self/,/^    }/d; /^    pub fn register_template(/,/^    }/d' \
-    crates/core/src/runtime.rs \
-    | grep -nE '\.apply(_many)?\(|store\.(put|put_record|delete)\(' \
-    | sed 's|^|crates/core/src/runtime.rs: outside commit and register_template: |'
-  writes=$(sed -n '/^    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs \
-    | grep -cE '\.apply(_many)?\(|store\.(put|put_record|delete)\(' || true)
-  many=$(sed -n '/^    fn commit(&mut self/,/^    }/p' crates/core/src/runtime.rs | grep -c '\.apply_many(' || true)
-  [ "$writes" = 1 ] && [ "$many" = 1 ] \
-    || echo "crates/core/src/runtime.rs: commit makes $writes store writes ($many apply_many), not one apply_many"
-} || true)
-if [ -n "$stray" ]; then
-  echo "a Runtime store write outside its one commit:"
+  echo "an older History layout named outside the upgrade, or a second history writer in awareness.rs:"
   echo "$stray"
   exit 1
 fi
@@ -269,29 +234,23 @@ if [ -n "$stray" ]; then
   exit 1
 fi
 
-step "one writer: a single-owner store, and shard steppers that only compute"
+step "one writer: a single-owner store"
 # A store has one owner: writes take &mut self, so no lock orders its
 # batches and none can be observed half-applied (the borrow checker rules
 # it out).  No Mutex/RwLock in the engine, compaction or retention code
 # (the block cache and the disks keep their own), and no second handle
-# (`impl Clone for Store`).  The sharded engine's barrier is its one
-# writer: a shard stepper (stepper.rs, `step_shards`) returns batches and
-# never applies one.
+# (`impl Clone for Store`).  In the engine that owner is each driver's
+# journal, which lends the store out only as `&Store`: a shard stepper,
+# or any driver code but the journal's calls, cannot write it.
 stray=$({
   for f in crates/store/src/engine.rs crates/store/src/compaction.rs crates/store/src/retention.rs; do
     sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\b(Mutex|RwLock)\b' | sed "s|^|$f:|"
   done
   grep -rnE 'impl(<[^>]*>)? *Clone for Store\b' crates/store/src --include='*.rs'
   grep -rn -B3 'pub struct Store<' crates/store/src --include='*.rs' | grep 'derive(.*Clone'
-  sed '/^#\[cfg(test)\]/,$d' crates/core/src/shard/stepper.rs \
-    | grep -nE '\.apply(_many)?\(|store\.(put|put_record|delete)\(|&mut Store' \
-    | sed 's|^|crates/core/src/shard/stepper.rs:|'
-  sed -n '/    fn step_shards(/,/^    }/p' crates/core/src/shard/mod.rs \
-    | grep -nE '\.apply(_many)?\(|\.(put|put_record|delete)\(|store' \
-    | sed 's|^|crates/core/src/shard/mod.rs: step_shards: |'
 } || true)
 if [ -n "$stray" ]; then
-  echo "a lock or a second handle in the store, or a store write in a shard stepper:"
+  echo "a lock or a second handle in the store:"
   echo "$stray"
   exit 1
 fi
