@@ -620,6 +620,17 @@ pub struct AwarenessIndex {
     base_counts: BTreeMap<String, u64>,
 }
 
+/// Post event `i` under `key`, allocating the key only the first time it
+/// is seen.
+fn post(map: &mut BTreeMap<String, Vec<usize>>, key: &str, i: usize) {
+    match map.get_mut(key) {
+        Some(list) => list.push(i),
+        None => {
+            map.insert(key.to_string(), vec![i]);
+        }
+    }
+}
+
 impl AwarenessIndex {
     /// Fold one event in (events must arrive in sequence order).
     pub fn ingest(&mut self, ev: &HistoryEvent) {
@@ -698,15 +709,12 @@ impl AwarenessIndex {
             _ => {}
         }
         let i = self.log.len();
-        self.by_kind
-            .entry(ev.kind.label().to_string())
-            .or_default()
-            .push(i);
+        post(&mut self.by_kind, ev.kind.label(), i);
         if let Some(id) = ev.kind.instance() {
             self.by_instance.entry(id).or_default().push(i);
         }
         if let Some(node) = ev.kind.node() {
-            self.by_node.entry(node.to_string()).or_default().push(i);
+            post(&mut self.by_node, node, i);
         }
         self.log.push(ev);
     }

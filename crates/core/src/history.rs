@@ -8,12 +8,12 @@
 //!
 //! A *round* is one commit that carries events: a barrier round of the
 //! sharded engine, or a commit point of the serial runtime.  Each event
-//! is stored once, under its [`event_key`], and folded into the lifetime
+//! is stored once, under its `event_key`, and folded into the lifetime
 //! digest and the awareness index; when the cadence is due the same frame
 //! carries the summary of every round up to and including this one, so a
 //! summary covers exactly what is at or before its frame.
 //! `Journal::open` reads the summary, then the stream's tail past it,
-//! in one pass — after [`crate::upgrade`] has rewritten an image an
+//! in one pass — after `crate::upgrade` has rewritten an image an
 //! earlier engine left.  The records and the reader are
 //! [`crate::awareness`]'s.
 

@@ -43,7 +43,6 @@ use bioopera_cluster::trace::{Trace, TraceEvent, TraceEventKind};
 use bioopera_cluster::{Cluster, JobId, JobOutcome, NetworkState, SimKernel, SimTime};
 use bioopera_ocr::model::ProcessTemplate;
 use bioopera_ocr::value::Value;
-use bioopera_ocr::ExternalBinding;
 use bioopera_store::{Batch, CompactionPolicy, Disk, Space, Store, StoreStats, TieredPolicy};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -96,6 +95,20 @@ pub struct RunStats {
     pub cpu_per_activity: SimTime,
     /// Peak processors in use at any series sample.
     pub max_cpus_used: u32,
+}
+
+/// What the pump did with the activity queue since the runtime was
+/// built, server crashes included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PumpCounts {
+    /// Pumps that went through the queue.
+    pub pumps: u64,
+    /// Queue entries activated ([`Instance::activate`]).
+    pub activated: u64,
+    /// Queue entries kept waiting without an activation: their last one
+    /// found no eligible node, and neither their instance nor the node
+    /// picture has moved since.
+    pub held: u64,
 }
 
 /// Kill-and-restart migration (§5.4 future-work strategy, implemented as
@@ -206,7 +219,14 @@ pub struct Runtime<D: Disk + Clone> {
     /// The buffer every journal record is encoded through.
     scratch: String,
     in_flight: BTreeMap<JobId, InFlight>,
-    ready_queue: VecDeque<(InstanceId, String)>,
+    ready_queue: VecDeque<Queued>,
+    /// Empty between pumps: a pump collects what it defers here and then
+    /// trades it for the drained `ready_queue`, so that neither queue is
+    /// reallocated per pump.
+    deferred: VecDeque<Queued>,
+    /// Instances committed since the last pump went through the queue:
+    /// their waiting entries are activated again.
+    written: BTreeSet<InstanceId>,
     next_instance_id: InstanceId,
     next_job_id: JobId,
 
@@ -229,6 +249,7 @@ pub struct Runtime<D: Disk + Clone> {
     event_log: Vec<(SimTime, String)>,
     heartbeat_scheduled: bool,
     auto_restarts: u32,
+    pump_counts: PumpCounts,
 
     // ---- store awareness ----
     /// Tier counters at the last store-event emission; diffed at each
@@ -276,6 +297,8 @@ impl<D: Disk + Clone> Runtime<D> {
             scratch,
             in_flight: BTreeMap::new(),
             ready_queue: VecDeque::new(),
+            deferred: VecDeque::new(),
+            written: BTreeSet::new(),
             next_instance_id: 1,
             next_job_id: 1,
             server_up: true,
@@ -288,6 +311,7 @@ impl<D: Disk + Clone> Runtime<D> {
             event_log: Vec::new(),
             heartbeat_scheduled: false,
             auto_restarts: 0,
+            pump_counts: PumpCounts::default(),
             tier_stats: None,
             history_retention: false,
             retained_round: 0,
@@ -397,8 +421,8 @@ impl<D: Disk + Clone> Runtime<D> {
     }
 
     /// One scheduler iteration: dispatch, then process the next event,
-    /// then [`commit`](Runtime::commit) what the iteration wrote and
-    /// noted.  Returns `Ok(false)` once every instance is terminal.
+    /// then commit what the iteration wrote and noted, in one append.
+    /// Returns `Ok(false)` once every instance is terminal.
     pub fn step(&mut self) -> EngineResult<bool> {
         let more = self.step_inner()?;
         self.commit()?;
@@ -455,6 +479,11 @@ impl<D: Disk + Clone> Runtime<D> {
     /// Activities waiting in the activity queue.
     pub fn ready_queue_len(&self) -> usize {
         self.ready_queue.len()
+    }
+
+    /// What the pump did with the activity queue so far.
+    pub fn pump_counts(&self) -> PumpCounts {
+        self.pump_counts
     }
 
     /// Current virtual time.
@@ -552,6 +581,7 @@ impl<D: Disk + Clone> Runtime<D> {
         }
         let mut batches = Vec::new();
         for (id, marks) in dirty.iter() {
+            self.written.insert(id);
             if let Some(inst) = self.instances.get(&id) {
                 let mut batch = Batch::new();
                 inst.marked_into(&mut batch, None, marks, &mut self.scratch);
@@ -641,8 +671,9 @@ impl<D: Disk + Clone> Runtime<D> {
         Ok(())
     }
 
-    /// Enable or disable windowed history retention (see
-    /// [`maybe_retain_history`](Runtime::maybe_retain_history)).
+    /// Enable or disable windowed history retention: once a durable
+    /// summary covers a prefix of the stream, the records below it are
+    /// retired at the next commit.
     pub fn set_history_retention(&mut self, on: bool) {
         self.history_retention = on;
     }
@@ -1521,9 +1552,9 @@ impl<D: Disk + Clone> Runtime<D> {
         // instance.  Queue entries whose instance is operator-suspended
         // are not runnable work — counting them would tick forever on a
         // suspended instance (pump defers them back every iteration).
-        let runnable_queued = self.ready_queue.iter().any(|(id, _)| {
+        let runnable_queued = self.ready_queue.iter().any(|entry| {
             self.instances
-                .get(id)
+                .get(&entry.id)
                 .map(|m| m.header.status == InstanceStatus::Running)
                 .unwrap_or(false)
         });
@@ -1573,6 +1604,7 @@ impl<D: Disk + Clone> Runtime<D> {
         self.templates.clear();
         self.in_flight.clear();
         self.ready_queue.clear();
+        self.written.clear();
         self.pec_buffer.clear();
         self.node_health.clear();
         self.journal.poison();
@@ -1605,6 +1637,7 @@ impl<D: Disk + Clone> Runtime<D> {
     fn rebuild_from_store(&mut self) -> EngineResult<u64> {
         self.instances.clear();
         self.ready_queue.clear();
+        self.written.clear();
         self.in_flight.clear();
         // Node health records are authoritative in the configuration
         // space; reload them and re-derive the quarantine-expiry timers
@@ -1689,7 +1722,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 self.recovery.rewritten += 1;
                 self.dirty.task(id, &path);
             }
-            self.ready_queue.push_back((id, path));
+            self.ready_queue.push_back(Queued::new(id, path));
         }
         // Reconcile the rare crash window between "child instance became
         // terminal" and "parent task concluded": deliver those completions
@@ -1726,7 +1759,15 @@ impl<D: Disk + Clone> Runtime<D> {
     // Dispatch
     // ------------------------------------------------------------------
 
-    /// Try to dispatch everything in the ready queue.
+    /// Try to dispatch everything in the ready queue.  An entry whose
+    /// last activation found no eligible node is kept where it is, not
+    /// activated again, while its instance has not been written since and
+    /// the view still projects to what it was deferred under
+    /// ([`Projection`]): its activation would ask for a node the same way
+    /// and the eligibility filter would answer no again, without asking
+    /// the policy.  A policy's refusal is never kept: policies may be
+    /// stateful, and the sequence of `choose` calls they see is part of
+    /// the contract.
     fn pump(&mut self) -> EngineResult<()> {
         if !self.server_up
             || self.operator_suspended
@@ -1735,18 +1776,33 @@ impl<D: Disk + Clone> Runtime<D> {
             return Ok(());
         }
         let now = self.kernel.now();
-        // Built on the first activity; nothing a pump does changes the
-        // cluster, so grants are the only thing that can move the view.
+        self.pump_counts.pumps += 1;
+        let written = std::mem::take(&mut self.written);
+        // Built on the first entry that needs it; nothing a pump does
+        // changes the cluster, so grants are the only thing that can move
+        // the view.
         let mut view: Option<PumpView> = None;
-        let mut deferred: VecDeque<(InstanceId, String)> = VecDeque::new();
-        while let Some((id, path)) = self.ready_queue.pop_front() {
+        let mut deferred = std::mem::take(&mut self.deferred);
+        while let Some(entry) = self.ready_queue.pop_front() {
+            if let Some(under) = &entry.unplaceable {
+                let view = view.get_or_insert_with(|| {
+                    PumpView::new(&self.cluster, &self.in_flight, &self.node_health)
+                });
+                if !written.contains(&entry.id) && view.projects_to(under) {
+                    self.pump_counts.held += 1;
+                    deferred.push_back(entry);
+                    continue;
+                }
+            }
+            let Queued { id, path, .. } = entry;
             let Some(inst) = self.instances.get_mut(&id) else {
                 continue;
             };
+            self.pump_counts.activated += 1;
             match inst.activate(&path, now, &mut self.dirty)? {
                 // A parked instance's, or one backing off: its resume or its
                 // RetryAt event wakes us.
-                Activation::Park => deferred.push_back((id, path)),
+                Activation::Park => deferred.push_back(Queued::new(id, path)),
                 Activation::Skip => {} // stale queue entry
                 Activation::Stale(why) => self.note_stale(id, Some(&path), why),
                 Activation::Request(binding) => {
@@ -1757,13 +1813,25 @@ impl<D: Disk + Clone> Runtime<D> {
                     let view = view.get_or_insert_with(|| {
                         PumpView::new(&self.cluster, &self.in_flight, &self.node_health)
                     });
-                    let Some(node) = view.place(self.cfg.policy.as_mut(), binding) else {
-                        deferred.push_back((id, path));
-                        continue;
+                    let policy = self.cfg.policy.as_mut();
+                    let node = match dispatcher::place(policy, &view.nodes, binding) {
+                        Placement::Node(node) => node,
+                        Placement::Deferred => {
+                            deferred.push_back(Queued::new(id, path));
+                            continue;
+                        }
+                        Placement::NoEligibleNode => {
+                            deferred.push_back(Queued {
+                                id,
+                                path,
+                                unplaceable: Some(view.projection()),
+                            });
+                            continue;
+                        }
                     };
                     let node_name = view.nodes[node].name.clone();
                     if self.start_activity(id, &path, &*program, node_name)? {
-                        view.nodes[node].running_jobs += 1;
+                        view.grant(node);
                     }
                 }
                 Activation::Spawn { template, initial } => {
@@ -1784,12 +1852,12 @@ impl<D: Disk + Clone> Runtime<D> {
                 }
                 Activation::Expand { children, reaction } => {
                     self.ready_queue
-                        .extend(children.into_iter().map(|child| (id, child)));
+                        .extend(children.into_iter().map(|child| Queued::new(id, child)));
                     self.route(id, reaction)?;
                 }
             }
         }
-        self.ready_queue = deferred;
+        self.deferred = std::mem::replace(&mut self.ready_queue, deferred);
         Ok(())
     }
 
@@ -1888,7 +1956,7 @@ impl<D: Disk + Clone> Runtime<D> {
         for effect in reaction {
             match effect {
                 Effect::Note(kind) => self.note(now, kind),
-                Effect::Ready(path) => self.ready_queue.push_back((id, path)),
+                Effect::Ready(path) => self.ready_queue.push_back(Queued::new(id, path)),
                 Effect::Compensate {
                     program, inputs, ..
                 } => {
@@ -2208,7 +2276,7 @@ impl<D: Disk + Clone> Runtime<D> {
         let next_retry = self
             .ready_queue
             .iter()
-            .filter_map(|(id, path)| {
+            .filter_map(|Queued { id, path, .. }| {
                 let rec = self.instances.get(id)?.tasks.get(path)?;
                 if rec.state != TaskState::Ready {
                     return None;
@@ -2284,17 +2352,77 @@ impl<D: Disk + Clone> Runtime<D> {
     }
 }
 
+/// An activity queue entry: the task at `path` of instance `id`.
+struct Queued {
+    id: InstanceId,
+    path: String,
+    /// The projection under which the entry's last activation found no
+    /// eligible node, if it found none.
+    unplaceable: Option<Arc<Projection>>,
+}
+
+impl Queued {
+    /// An entry the next pump activates.
+    fn new(id: InstanceId, path: String) -> Self {
+        Queued {
+            id,
+            path,
+            unplaceable: None,
+        }
+    }
+}
+
+/// What [`dispatcher::place`]'s eligibility filter reads of each node
+/// view, in cluster order: `up` (finite readings included),
+/// `quarantined`, whether a slot is free, `os` and `name`.  Under equal
+/// projections every placement constraint has the same eligible nodes.
+#[derive(Debug)]
+struct Projection {
+    flags: Vec<[bool; 3]>,
+    names: Vec<(String, String)>,
+}
+
+impl Projection {
+    /// What moves of a node's eligibility: up, quarantined, a free slot.
+    fn node_flags(n: &NodeView) -> [bool; 3] {
+        [n.up, n.quarantined, n.free_slots() > 0]
+    }
+
+    fn of(nodes: &[NodeView]) -> Self {
+        Projection {
+            flags: nodes.iter().map(Self::node_flags).collect(),
+            names: nodes
+                .iter()
+                .map(|n| (n.name.clone(), n.os.clone()))
+                .collect(),
+        }
+    }
+
+    /// Is this the projection of `nodes`?  The flags, which move, are
+    /// compared first.
+    fn matches(&self, nodes: &[NodeView]) -> bool {
+        self.flags.len() == nodes.len()
+            && self
+                .flags
+                .iter()
+                .zip(nodes)
+                .all(|(f, n)| *f == Self::node_flags(n))
+            && self
+                .names
+                .iter()
+                .zip(nodes)
+                .all(|((name, os), n)| *name == n.name && *os == n.os)
+    }
+}
+
 /// One pump's node views: built once, kept current by bumping the chosen
 /// node's `running_jobs` after each grant.
 struct PumpView {
     nodes: Vec<NodeView>,
-    /// Placement constraints `(os, hosts)` for which no node passed the
-    /// eligibility filter.  Grants only take slots away, so within one
-    /// pump such a constraint stays unplaceable and later queue entries
-    /// carrying it are deferred without another filter pass.  A *policy*
-    /// refusal is never remembered: policies may be stateful, and the
-    /// sequence of `choose` calls they see must not depend on this memo.
-    unplaceable: Vec<(Option<String>, Vec<String>)>,
+    /// The projection of `nodes`, shared with the entries deferred under
+    /// it; `None` until asked for, and again once a grant takes a node's
+    /// last free slot.
+    projection: Option<Arc<Projection>>,
 }
 
 impl PumpView {
@@ -2334,31 +2462,42 @@ impl PumpView {
             .collect();
         PumpView {
             nodes,
-            unplaceable: Vec::new(),
+            projection: None,
         }
     }
 
-    /// Index of the node `policy` grants `binding`, or `None` to defer.
-    fn place(
-        &mut self,
-        policy: &mut dyn SchedulingPolicy,
-        binding: &ExternalBinding,
-    ) -> Option<usize> {
+    /// Account a job granted to node `i`.
+    fn grant(&mut self, i: usize) {
+        self.nodes[i].running_jobs += 1;
+        if self.nodes[i].free_slots() == 0 {
+            self.projection = None;
+        }
+    }
+
+    /// The projection of the current nodes.
+    fn projection(&mut self) -> Arc<Projection> {
+        let nodes = &self.nodes;
+        Arc::clone(
+            self.projection
+                .get_or_insert_with(|| Arc::new(Projection::of(nodes))),
+        )
+    }
+
+    /// Do the current nodes project to `under`?  A match found by value
+    /// becomes the view's projection, so the entries deferred under the
+    /// same one match by pointer.
+    fn projects_to(&mut self, under: &Arc<Projection>) -> bool {
         if self
-            .unplaceable
-            .iter()
-            .any(|(os, hosts)| *os == binding.os && *hosts == binding.hosts)
+            .projection
+            .as_ref()
+            .is_some_and(|p| Arc::ptr_eq(p, under))
         {
-            return None;
+            return true;
         }
-        match dispatcher::place(policy, &self.nodes, binding) {
-            Placement::Node(i) => Some(i),
-            Placement::Deferred => None,
-            Placement::NoEligibleNode => {
-                self.unplaceable
-                    .push((binding.os.clone(), binding.hosts.clone()));
-                None
-            }
+        if under.matches(&self.nodes) {
+            self.projection = Some(Arc::clone(under));
+            return true;
         }
+        false
     }
 }

@@ -168,15 +168,6 @@ impl DispatchService {
     pub fn nodes(&self) -> &[LogicalNode] {
         &self.nodes
     }
-
-    /// Drop all volatile dispatch state (crash recovery: grants in flight
-    /// are lost; ready tasks re-request from their rebuilt records).
-    pub fn reset_volatile(&mut self) {
-        self.queue.clear();
-        for n in &mut self.nodes {
-            n.in_flight = 0;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! vectors.  Horizontal-gap scores (E) live in a striped column that
 //! survives across subject residues; the vertical-gap chain (F) runs
 //! inside the column and is broken by the striping, which the **lazy-F**
-//! sweep repairs (see [`x86::kernel`]).
+//! sweep repairs (see `x86::kernel`).
 //!
 //! Bit-identity with the scalar kernels: every cell's H is
 //! `max(diag + score, E, F, 0)` over the same operands — `f32` max over
@@ -26,7 +26,7 @@
 //! gap-open), so the final horizontal max needs no masking.  The darwin
 //! proptests pin all of this against [`crate::align::align_score_naive`].
 //!
-//! A second kernel, the **inter-sequence lane** ([`run_interseq`], after
+//! A second kernel, the **inter-sequence lane** (`run_interseq`, after
 //! Rognes 2011, "Faster Smith–Waterman database searches with
 //! inter-sequence SIMD parallelisation"), scores one query against many
 //! subjects at once: each vector lane holds a different subject and runs
@@ -35,7 +35,7 @@
 //! "Inter-sequence lane" covers the lane refill and why a lane past its
 //! subject's end cannot disturb its score.
 //!
-//! A third, the **upper-bound filter** ([`run_filter`]), is the same
+//! A third, the **upper-bound filter** (`run_filter`), is the same
 //! inter-sequence pass on a scaled, biased integer matrix in saturating
 //! `u8` lanes (SWIPE's 8-bit scores): 16, 32 and 64 subjects per vector
 //! at SSE2, AVX2 and AVX-512.  It computes no score anyone reads, only a

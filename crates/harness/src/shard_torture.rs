@@ -29,13 +29,13 @@
 //! children).
 //!
 //! Every run holds the engine to the **history invariant**
-//! ([`check_history`], which the runtime torture shares) after each
+//! (`check_history`, which the runtime torture shares) after each
 //! recovery and at the end: the engine's lifetime digest, the awareness
 //! index, a reopen from the summary and the persisted stream are views of
 //! one record, so they agree — the digest with a refold of what `sev/`
 //! holds, the rest by label, in length, and in every aggregate an index
 //! rebuilt from the persisted stream would hold.  Every recovery is also
-//! held to what it wrote ([`check_rewrites`]): each task record it
+//! held to what it wrote (`check_rewrites`): each task record it
 //! rewrote differs from the copy the journal held, and each it left out
 //! still equals it.
 //!

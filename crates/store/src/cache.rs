@@ -29,7 +29,7 @@
 //! Blocks are inserted only *after* their frame CRC verified, so the
 //! cache can never serve bytes that corruption detection would have
 //! rejected.  Merge compactions stream runs block by block
-//! ([`crate::merge`]) and bypass the cache entirely — a merge touches
+//! (`crate::merge`) and bypass the cache entirely — a merge touches
 //! every block once and would only evict the read-path working set.
 
 use crate::error::StoreResult;

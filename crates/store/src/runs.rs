@@ -24,7 +24,7 @@
 //! Data blocks reuse the WAL frame format verbatim: one op encoder writes
 //! both, and one op parser reads both.  A point read decodes a block
 //! zero-copy — values are `Bytes` slices of the block read — and a merge
-//! walks it in place ([`Run::load_raw_block`]) and copies each surviving
+//! walks it in place (`Run::load_raw_block`) and copies each surviving
 //! entry once, into its output run ([`RunWriter`]).
 //!
 //! The meta payload carries the entry/tombstone counts, the per-run

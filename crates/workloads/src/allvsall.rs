@@ -638,7 +638,7 @@ fn fixed_pass(
     fixed_pass_with_workers(db, pam, entries, threshold, workers())
 }
 
-/// [`fixed_pass`] with an explicit worker count, exposed so tests can
+/// `fixed_pass` with an explicit worker count, exposed so tests can
 /// assert the result is worker-count-invariant.
 ///
 /// Entries are work-stolen one at a time: entry `e` aligns against all
@@ -700,7 +700,7 @@ fn refine_pass(db: &SequenceDb, pam: &PamFamily, pairs: &[(u32, u32)]) -> Vec<Re
     refine_pass_with_workers(db, pam, pairs, workers())
 }
 
-/// [`refine_pass`] with an explicit worker count, exposed so tests can
+/// `refine_pass` with an explicit worker count, exposed so tests can
 /// assert the result is worker-count-invariant.
 ///
 /// Consecutive `(query, subject)` pairs with the same query form one

@@ -22,6 +22,8 @@ red_kind() {
   local log=$work/red.log
   if grep -q '^error: could not compile' "$log"; then
     echo "build error: $(grep -m 1 -E '^error(\[E[0-9]+\])?: ' "$log" || true)"
+  elif grep -q '^error: could not document' "$log"; then
+    echo "doc error: $(grep -m 1 -E '^error: ' "$log" || true)"
   elif [[ " $* " == *" scripts/check.sh --gates "* ]]; then
     echo "grep gate: $(grep '^==> ' "$log" | tail -n 1 | cut -c5- || true)"
   else
@@ -32,8 +34,8 @@ red_kind() {
 # canary NAME FILE SED-EXPRESSION GATE...
 # The expression must change FILE; GATE must pass before it is applied
 # and fail after.  The red is named by its kind: a build error (a rule the
-# types hold), a test failure (and the first test that failed), or a grep
-# gate (and its step).
+# types hold), a doc error (a link rustdoc refuses), a test failure (and
+# the first test that failed), or a grep gate (and its step).
 canary() {
   local name=$1 file=$2 expr=$3
   shift 3
@@ -148,6 +150,25 @@ canary reaction-outside-instance crates/core/src/runtime.rs \
 canary runtime-direct-write crates/core/src/runtime.rs \
   '0,/^        self\.dirty\.task\(id, path\);$/s//        self.journal.store().apply(Batch::new())?;\n&/' \
   cargo build -q --offline -p bioopera-core
+
+# The pump holding a waiting entry without asking whether its instance
+# was written since the entry was deferred: a suspended instance's
+# entries are never looked at again while the node picture stands still.
+canary pump-ignores-touch crates/core/src/runtime.rs \
+  's/^                if !written\.contains\(&entry\.id\) && view\.projects_to\(under\) \{$/                if view.projects_to(under) {/' \
+  cargo test -q --offline -p bioopera-core --test pump_memo a_written_instance_wakes
+
+# The pump holding a waiting entry without asking whether the node picture
+# moved: a slot that opens is never offered to the entries that wait.
+canary pump-ignores-capacity crates/core/src/runtime.rs \
+  's/^                if !written\.contains\(&entry\.id\) && view\.projects_to\(under\) \{$/                if !written.contains(\&entry.id) {/' \
+  cargo test -q --offline -p bioopera-core --test pump_memo a_node_crash_and_its_recovery
+
+# A public doc linking to a private item again: the rustdoc step of
+# check.sh, which denies warnings.
+canary doc-links-private-item crates/core/src/runtime.rs \
+  's/^    \/\/\/ What the pump did with the activity queue so far\.$/    \/\/\/ What [`Runtime::pump`] did with the activity queue so far./' \
+  env RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline -p bioopera-core
 
 # The journal storing a template unvalidated again, as the sharded engine
 # once did: a template the runtime refuses would be registered there.

@@ -4,7 +4,7 @@
 #
 #   bash scripts/check.sh --gates  # the grep gates alone: seconds (the
 #                                  # canaries plant bugs against these)
-#   bash scripts/check.sh --fast   # fmt, the grep gates, clippy, the workspace
+#   bash scripts/check.sh --fast   # fmt, the grep gates, clippy, rustdoc, the workspace
 #                                  # tests (tiering included: the store policy
 #                                  # is a test axis, not an environment), the
 #                                  # two release-mode allocation gates, the
@@ -301,6 +301,9 @@ fi
 
 step "cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+step "rustdoc (deny warnings): no link to a private item, none unresolved"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
 step "cargo test -q --workspace"
 cargo test -q --workspace
