@@ -764,6 +764,23 @@ impl Dirty {
     pub fn iter(&self) -> impl Iterator<Item = (InstanceId, &Marks)> {
         self.0.iter().map(|(id, marks)| (*id, marks))
     }
+
+    /// Add `other`'s marks to these.
+    pub fn absorb(&mut self, other: Dirty) {
+        for (id, marks) in other.0 {
+            let into = self.0.entry(id).or_default();
+            into.header |= marks.header;
+            into.tasks.extend(marks.tasks);
+        }
+    }
+
+    /// Whether `id`'s header or its task record at `path` is marked: what
+    /// an activation of that record reads.
+    pub fn touches(&self, id: InstanceId, path: &str) -> bool {
+        self.0
+            .get(&id)
+            .is_some_and(|marks| marks.header || marks.tasks.contains(path))
+    }
 }
 
 // ---- journal: shard meta record, keys, reader ----

@@ -224,9 +224,10 @@ pub struct Runtime<D: Disk + Clone> {
     /// trades it for the drained `ready_queue`, so that neither queue is
     /// reallocated per pump.
     deferred: VecDeque<Queued>,
-    /// Instances committed since the last pump went through the queue:
-    /// their waiting entries are activated again.
-    written: BTreeSet<InstanceId>,
+    /// The records committed since the last pump went through the queue:
+    /// a waiting entry whose own record or instance header is among them
+    /// is activated again.
+    written: Dirty,
     next_instance_id: InstanceId,
     next_job_id: JobId,
 
@@ -298,7 +299,7 @@ impl<D: Disk + Clone> Runtime<D> {
             in_flight: BTreeMap::new(),
             ready_queue: VecDeque::new(),
             deferred: VecDeque::new(),
-            written: BTreeSet::new(),
+            written: Dirty::default(),
             next_instance_id: 1,
             next_job_id: 1,
             server_up: true,
@@ -581,13 +582,13 @@ impl<D: Disk + Clone> Runtime<D> {
         }
         let mut batches = Vec::new();
         for (id, marks) in dirty.iter() {
-            self.written.insert(id);
             if let Some(inst) = self.instances.get(&id) {
                 let mut batch = Batch::new();
                 inst.marked_into(&mut batch, None, marks, &mut self.scratch);
                 batches.push(batch);
             }
         }
+        self.written.absorb(dirty);
         for name in &health {
             if let Some(h) = self.node_health.get(name) {
                 let key = dependability::health_key(name);
@@ -1604,7 +1605,7 @@ impl<D: Disk + Clone> Runtime<D> {
         self.templates.clear();
         self.in_flight.clear();
         self.ready_queue.clear();
-        self.written.clear();
+        self.written = Dirty::default();
         self.pec_buffer.clear();
         self.node_health.clear();
         self.journal.poison();
@@ -1637,7 +1638,7 @@ impl<D: Disk + Clone> Runtime<D> {
     fn rebuild_from_store(&mut self) -> EngineResult<u64> {
         self.instances.clear();
         self.ready_queue.clear();
-        self.written.clear();
+        self.written = Dirty::default();
         self.in_flight.clear();
         // Node health records are authoritative in the configuration
         // space; reload them and re-derive the quarantine-expiry timers
@@ -1761,7 +1762,8 @@ impl<D: Disk + Clone> Runtime<D> {
 
     /// Try to dispatch everything in the ready queue.  An entry whose
     /// last activation found no eligible node is kept where it is, not
-    /// activated again, while its instance has not been written since and
+    /// activated again, while neither its own record nor its instance's
+    /// header has been written since — all its activation reads — and
     /// the view still projects to what it was deferred under
     /// ([`Projection`]): its activation would ask for a node the same way
     /// and the eligibility filter would answer no again, without asking
@@ -1788,7 +1790,7 @@ impl<D: Disk + Clone> Runtime<D> {
                 let view = view.get_or_insert_with(|| {
                     PumpView::new(&self.cluster, &self.in_flight, &self.node_health)
                 });
-                if !written.contains(&entry.id) && view.projects_to(under) {
+                if !written.touches(entry.id, &entry.path) && view.projects_to(under) {
                     self.pump_counts.held += 1;
                     deferred.push_back(entry);
                     continue;

@@ -1,8 +1,9 @@
 //! Dispatch decisions are pinned.
 //!
-//! The pump may build its node view once and skip placement constraints
-//! it already found unplaceable, but it may not change a single grant nor
-//! the sequence of `SchedulingPolicy::choose` calls a (possibly stateful)
+//! The pump may build its node view once and leave an entry it found
+//! unplaceable unactivated while nothing its activation or its placement
+//! reads has changed, but it may not change a single grant nor the
+//! sequence of `SchedulingPolicy::choose` calls a (possibly stateful)
 //! policy sees.  This runs a saturated heterogeneous cluster — 39 tasks
 //! for 8 slots, with unconstrained, `os`-constrained and
 //! `hosts`-constrained bindings, an externally loaded node and a node

@@ -853,3 +853,213 @@ fn a_record_nested_past_the_bound_is_an_error_not_a_stack_overflow() {
     let deeper = Value::List(vec![value]);
     assert!(serde_json::from_str::<Value>(&serde_json::to_string(&deeper).unwrap()).is_err());
 }
+
+// ---------------------------------------------------------------------------
+// Field maps: the stored form against the tree
+// ---------------------------------------------------------------------------
+
+/// What a field map's text came to both ways, and which form the stored
+/// side took.
+#[derive(Default)]
+struct FieldMapTally {
+    texts: usize,
+    stored: usize,
+    built: usize,
+    rejected: usize,
+}
+
+impl FieldMapTally {
+    /// `bytes` read as a `FieldMap` — kept as its text when the writer
+    /// printed it — and through the tree; alone and one level down (as
+    /// the first item of a tuple).  Both sides accept or both refuse; what
+    /// they accept is the same value, and the stored side writes the
+    /// bytes the tree prints before anything builds it and after.
+    fn check(&mut self, seed: u64, bytes: &[u8]) {
+        self.check_one(seed, bytes);
+        let mut nested = b"[".to_vec();
+        nested.extend_from_slice(bytes);
+        nested.push(b']');
+        let stored = serde_json::from_slice::<(FieldMap,)>(&nested).map(|(m,)| m);
+        let tree = std::str::from_utf8(&nested)
+            .map_err(drop)
+            .and_then(|t| parse_tree(t).map_err(drop))
+            .and_then(|c| <(FieldMap,)>::from_content(&c).map_err(drop))
+            .map(|(m,)| m);
+        self.compare(seed, &nested, stored.map_err(drop), tree);
+    }
+
+    fn check_one(&mut self, seed: u64, bytes: &[u8]) {
+        let stored = serde_json::from_slice::<FieldMap>(bytes);
+        let tree = std::str::from_utf8(bytes)
+            .map_err(drop)
+            .and_then(|t| parse_tree(t).map_err(drop))
+            .and_then(|c| FieldMap::from_content(&c).map_err(drop));
+        self.compare(seed, bytes, stored.map_err(drop), tree);
+    }
+
+    fn compare(
+        &mut self,
+        seed: u64,
+        bytes: &[u8],
+        stored: Result<FieldMap, ()>,
+        tree: Result<FieldMap, ()>,
+    ) {
+        let text = String::from_utf8_lossy(bytes);
+        self.texts += 1;
+        match (stored, tree) {
+            (Ok(stored), Ok(tree)) => {
+                let kept = stored.is_stored();
+                let printed = tree_to_string(&tree);
+                assert_eq!(
+                    serde_json::to_string(&stored).unwrap(),
+                    printed,
+                    "HARNESS_SEED={seed}: the stored form (left, written unbuilt) and the tree \
+                     (right) write {text:?} differently"
+                );
+                assert_eq!(
+                    format!("{stored:?}"),
+                    format!("{tree:?}"),
+                    "HARNESS_SEED={seed}: {text:?} reads differently"
+                );
+                assert!(!stored.is_stored(), "reading it built it");
+                assert_eq!(
+                    serde_json::to_string(&stored).unwrap(),
+                    printed,
+                    "HARNESS_SEED={seed}: {text:?} built"
+                );
+                if kept {
+                    self.stored += 1;
+                } else {
+                    self.built += 1;
+                }
+            }
+            (Err(()), Err(())) => self.rejected += 1,
+            (stored, tree) => panic!(
+                "HARNESS_SEED={seed}: the stored form says {} and the tree says {} on {text:?}",
+                if stored.is_ok() { "Ok" } else { "Err" },
+                if tree.is_ok() { "Ok" } else { "Err" },
+            ),
+        }
+    }
+}
+
+/// The variant tags of [`Value`]: each payload tag of `c`'s `Value`
+/// encodings swapped for every other one, and the unit tag misspelled.
+fn retagged(c: &Content) -> Vec<Content> {
+    const TAGS: [&str; 6] = ["Bool", "Int", "Float", "Str", "List", "Map"];
+    let mut out = Vec::new();
+    match c {
+        Content::Map(entries) if entries.len() == 1 && TAGS.contains(&entries[0].0.as_str()) => {
+            for tag in TAGS.iter().filter(|t| **t != entries[0].0) {
+                out.push(Content::Map(vec![(tag.to_string(), entries[0].1.clone())]));
+            }
+        }
+        Content::Str(tag) if tag == "Null" => out.push(Content::Str("Nul".into())),
+        _ => {}
+    }
+    let children: Vec<&Content> = match c {
+        Content::Seq(items) => items.iter().collect(),
+        Content::Map(entries) => entries.iter().map(|(_, v)| v).collect(),
+        _ => Vec::new(),
+    };
+    for (i, child) in children.into_iter().enumerate() {
+        for m in retagged(child) {
+            let mut copy = c.clone();
+            match &mut copy {
+                Content::Seq(items) => items[i] = m,
+                Content::Map(entries) => entries[i].1 = m,
+                _ => unreachable!(),
+            }
+            out.push(copy);
+        }
+    }
+    out
+}
+
+/// Most mutants a single field map contributes.
+const MUTANTS_PER_MAP: usize = 120;
+
+#[test]
+fn a_stored_field_map_reads_and_writes_what_the_tree_does() {
+    let seed = seed_from_env(DEFAULT_SEED);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF1E1D);
+    // The field maps of the golden task records, and seeded ones.
+    let mut maps: Vec<String> = Vec::new();
+    for (name, line) in golden_lines() {
+        if name.starts_with("TaskRecord/") {
+            let Content::Map(members) = parse_tree(line).unwrap() else {
+                panic!("{name}: a task record is a map");
+            };
+            for (key, value) in members {
+                if key == "inputs" || key == "outputs" {
+                    let mut text = String::new();
+                    write_content(&value, &mut text);
+                    maps.push(text);
+                }
+            }
+        }
+    }
+    for _ in 0..150 {
+        // Keys with escapes in them (never kept: the text would not order
+        // them as the map does), and field names.
+        let fields = FieldMap::from(random_fields(&mut rng, 3));
+        maps.push(serde_json::to_string(&fields).unwrap());
+        let fields: FieldMap = (0..rng.gen_range(1..5usize))
+            .map(|i| (format!("field{i}"), random_value(&mut rng, 3)))
+            .collect();
+        maps.push(serde_json::to_string(&fields).unwrap());
+    }
+    let mut tally = FieldMapTally::default();
+    for map in &maps {
+        tally.check(seed, map.as_bytes());
+        let tree = parse_tree(map).unwrap();
+        // Retyped, nulled, dropped, repeated and shadowed members, tags
+        // swapped, and the members in reverse order.
+        let mut variants = mutants(&tree);
+        variants.extend(retagged(&tree));
+        if let Content::Map(members) = &tree {
+            variants.push(Content::Map(members.iter().rev().cloned().collect()));
+        }
+        while variants.len() > MUTANTS_PER_MAP {
+            let at = rng.gen_range(0..variants.len());
+            variants.swap_remove(at);
+        }
+        variants.push(tree);
+        for variant in &variants {
+            // Compact, and spelled with whitespace, `3.0` and escapes.
+            for style in [Style::COMPACT, Style::random(&mut rng)] {
+                let mut text = String::new();
+                spell(variant, style, &mut rng, &mut text);
+                tally.check(seed, text.as_bytes());
+            }
+        }
+        // Truncated and bit-flipped.
+        let bytes = map.as_bytes();
+        for _ in 0..40 {
+            let at = rng.gen_range(0..bytes.len());
+            tally.check(seed, &bytes[..at]);
+            let mut flipped = bytes.to_vec();
+            flipped[at] ^= 1 << rng.gen_range(0..8u32);
+            tally.check(seed, &flipped);
+        }
+    }
+    // Nested up to the bound and past it: a list in a list … in a field.
+    for lists in 38..46 {
+        let value = (0..lists).fold(Value::Null, |v, _| Value::List(vec![v]));
+        let fields = FieldMap::from(BTreeMap::from([("deep".to_string(), value)]));
+        tally.check(seed, serde_json::to_string(&fields).unwrap().as_bytes());
+    }
+    eprintln!(
+        "HARNESS_SEED={seed}: {} field-map texts, {} kept as text, {} built, {} refused by both",
+        tally.texts, tally.stored, tally.built, tally.rejected
+    );
+    // The comparison is not vacuous for any outcome.
+    assert!(tally.texts > 10_000, "only {} texts", tally.texts);
+    for (what, n) in [
+        ("kept", tally.stored),
+        ("built", tally.built),
+        ("refused", tally.rejected),
+    ] {
+        assert!(n > 1_000, "{n} of {} {what}", tally.texts);
+    }
+}

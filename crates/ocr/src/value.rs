@@ -6,7 +6,9 @@
 //! "the fact that the process state is persistently stored in a database
 //! also offers significant advantages for monitoring and querying purposes".
 
+use serde::json::f64_prints_as;
 use serde::{Content, DeError, Deserialize, JsonReader, Serialize};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Index;
@@ -229,6 +231,211 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
+/// Recognizes, byte by byte, the text `write_json` prints for a non-empty
+/// field map — compact, keys ascending, each [`Value`] in its written
+/// form — and builds nothing.  Anything else is not recognized, though the
+/// reader may well accept it; for what it does recognize, reading the text
+/// would succeed and writing what it reads would print the text back,
+/// except that a float's digits are compared with what the writer prints
+/// only when the text is written ([`floats_as_printed`]).
+struct Printed<'t> {
+    text: &'t [u8],
+    at: usize,
+}
+
+impl<'t> Printed<'t> {
+    /// The length of the field map at the start of `text`, if this
+    /// recognizes it within `depth` more levels of nesting.
+    fn field_map(text: &[u8], depth: usize) -> Option<usize> {
+        let mut p = Printed { text, at: 0 };
+        p.eat(b"{")?;
+        p.members(b'}', depth.checked_sub(1)?)?;
+        Some(p.at)
+    }
+
+    fn eat(&mut self, lit: &[u8]) -> Option<()> {
+        self.text[self.at..]
+            .starts_with(lit)
+            .then(|| self.at += lit.len())
+    }
+
+    fn next(&self) -> Option<u8> {
+        self.text.get(self.at).copied()
+    }
+
+    /// `"key":value` members, keys strictly ascending, at least one, then
+    /// `close`.
+    fn members(&mut self, close: u8, depth: usize) -> Option<()> {
+        let mut last: Option<&[u8]> = None;
+        loop {
+            let key = self.key()?;
+            if last.is_some_and(|last| last >= key) {
+                return None;
+            }
+            last = Some(key);
+            self.value(depth)?;
+            match self.next()? {
+                b',' => self.at += 1,
+                b if b == close => {
+                    self.at += 1;
+                    return Some(());
+                }
+                _ => return None,
+            }
+        }
+    }
+
+    /// A member's key and the `:` after it.  Spelled without an escape, so
+    /// that the text orders keys as the map does.
+    fn key(&mut self) -> Option<&'t [u8]> {
+        let start = self.at + 1;
+        if self.string()? {
+            return None;
+        }
+        let key = &self.text[start..self.at - 1];
+        self.eat(b":")?;
+        Some(key)
+    }
+
+    /// One [`Value`] as `write_json` prints it.
+    fn value(&mut self, depth: usize) -> Option<()> {
+        if self.eat(b"\"Null\"").is_some() {
+            return Some(());
+        }
+        // Every other variant is a map of one member around a sequence of
+        // one item.
+        let depth = depth.checked_sub(2)?;
+        // The tag by its whole prefix: one comparison each, no string scan.
+        let rest = &self.text[self.at..];
+        if rest.starts_with(b"{\"Int\":[") {
+            self.at += 8;
+            self.int()?;
+        } else if rest.starts_with(b"{\"Float\":[") {
+            self.at += 10;
+            if self.eat(b"null").is_none() {
+                self.number()?;
+            }
+        } else if rest.starts_with(b"{\"Str\":[") {
+            self.at += 8;
+            self.string()?;
+        } else if rest.starts_with(b"{\"Bool\":[") {
+            self.at += 9;
+            self.eat(b"true").or_else(|| self.eat(b"false"))?;
+        } else if rest.starts_with(b"{\"List\":[[") {
+            self.at += 10;
+            let depth = depth.checked_sub(1)?;
+            if self.eat(b"]").is_none() {
+                loop {
+                    self.value(depth)?;
+                    match self.next()? {
+                        b',' => self.at += 1,
+                        b']' => break self.at += 1,
+                        _ => return None,
+                    }
+                }
+            }
+        } else if rest.starts_with(b"{\"Map\":[{") {
+            self.at += 9;
+            let depth = depth.checked_sub(1)?;
+            if self.eat(b"}").is_none() {
+                self.members(b'}', depth)?;
+            }
+        } else {
+            return None;
+        }
+        self.eat(b"]}")
+    }
+
+    /// An integer as the writer prints an `i64`: no `-0`, and at most 18
+    /// digits, which every `i64` reader takes as they are.
+    fn int(&mut self) -> Option<()> {
+        let negative = self.eat(b"-").is_some();
+        let first = self.next()?;
+        let len = self.natural()?;
+        (len <= 18 && !(negative && first == b'0')).then_some(())
+    }
+
+    /// A number in plain decimal form — what the writer prints for a
+    /// finite float, which never uses an exponent — and one every float
+    /// reader takes.
+    fn number(&mut self) -> Option<()> {
+        self.eat(b"-");
+        self.natural()?;
+        if self.eat(b".").is_some() {
+            let start = self.at;
+            self.digits();
+            (self.at > start).then_some(())?;
+        }
+        Some(())
+    }
+
+    /// `0`, or digits with no leading zero: how many.
+    fn natural(&mut self) -> Option<usize> {
+        let start = self.at;
+        self.digits();
+        match &self.text[start..self.at] {
+            [] => None,
+            [b'0', _, ..] => None,
+            digits => Some(digits.len()),
+        }
+    }
+
+    fn digits(&mut self) {
+        while self.next().is_some_and(|b| b.is_ascii_digit()) {
+            self.at += 1;
+        }
+    }
+
+    /// A string spelled as the writer spells it: escaped where it must be
+    /// — a quote, a backslash, a control character — and nowhere else,
+    /// each escape in the writer's form.  Returns whether it holds an
+    /// escape.
+    fn string(&mut self) -> Option<bool> {
+        self.eat(b"\"")?;
+        let mut escaped = false;
+        loop {
+            match self.next()? {
+                b'"' => {
+                    self.at += 1;
+                    return Some(escaped);
+                }
+                b'\\' => {
+                    let len = match &self.text[self.at + 1..] {
+                        [b'"' | b'\\' | b'n' | b'r' | b't', ..] => 2,
+                        // `\u00xx`, lowercase: a control character
+                        // other than tab (09), newline (0a) and return (0d).
+                        [b'u', b'0', b'0', hi @ (b'0' | b'1'), lo @ (b'0'..=b'9' | b'a'..=b'f'), ..]
+                            if !matches!((hi, lo), (b'0', b'9' | b'a' | b'd')) =>
+                        {
+                            6
+                        }
+                        _ => return None,
+                    };
+                    self.at += len;
+                    escaped = true;
+                }
+                b if b < 0x20 => return None,
+                _ => self.at += 1,
+            }
+        }
+    }
+}
+
+/// Whether every float of a recognized text is spelled as the writer
+/// prints it — the one thing [`Printed`] leaves to the write, because a
+/// float printed costs as much as a whole record checked.  In such a text
+/// `{"Float":[` can only open a float: a quote inside a string is escaped.
+fn floats_as_printed(text: &str) -> bool {
+    const FLOAT: &str = "{\"Float\":[";
+    text.match_indices(FLOAT).all(|(at, _)| {
+        let digits = &text[at + FLOAT.len()..];
+        let digits = &digits[..digits.find(']').unwrap_or(digits.len())];
+        let mut r = JsonReader::new(digits);
+        let value = r.read_scalar().and_then(|c| f64::from_content(&c));
+        value.is_ok_and(|v| f64_prints_as(v, digits))
+    })
+}
+
 /// An exact-size, key-sorted map of named [`Value`]s — the *resident* form
 /// of a field structure (a task record's inputs and outputs).
 ///
@@ -240,10 +447,31 @@ impl<T: Into<Value>> From<Option<T>> for Value {
 /// passed along — program inputs and outputs, the whiteboard,
 /// [`Value::Map`] — stays a `BTreeMap`.
 ///
+/// A map read from JSON is held in its **stored form** — the text it was
+/// read from, checked but not built — until something reads it: the first
+/// [`get`](Self::get), [`iter`](Self::iter), [`len`](Self::len),
+/// [`insert`](Self::insert), [`to_map`](Self::to_map), `Index`, `==`,
+/// `Debug` or `to_content` builds the entries, once.  A recovery reads
+/// every task record of the journal and needs the fields of few of them;
+/// the rest are checked, at a fraction of what building them costs, and
+/// never built.  Only text the writer prints is kept: one spelled any
+/// other way (spaced, keys out of order or repeated, `3.0` for an
+/// integer, a needless escape) is built as it is read, by the one
+/// decode.  So writing needs no build either: the kept text is written
+/// verbatim — unless one of its floats is spelled otherwise than the
+/// writer prints it, which is checked then — until an `insert` drops it.
+///
 /// On the wire it *is* a `BTreeMap<String, Value>`: the same `Content::Map`
 /// in key order out, keys in any order (or `null`) in.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FieldMap(Box<[(String, Value)]>);
+#[derive(Clone, Default)]
+pub struct FieldMap {
+    /// The text the map was read from, exactly as `write_json` prints the
+    /// entries; `None` for a map built in memory, and once one is changed.
+    text: Option<Box<str>>,
+    /// The entries, key-sorted: set when built, from `text` on the first
+    /// read (empty when neither is set).
+    entries: OnceCell<Box<[(String, Value)]>>,
+}
 
 impl FieldMap {
     /// An empty map (no allocation).
@@ -251,34 +479,60 @@ impl FieldMap {
         FieldMap::default()
     }
 
-    /// Number of fields.
-    pub fn len(&self) -> usize {
-        self.0.len()
+    fn built(entries: Box<[(String, Value)]>) -> Self {
+        FieldMap {
+            text: None,
+            entries: OnceCell::from(entries),
+        }
     }
 
-    /// True with no fields.
+    /// The entries, built from the stored text on the first call.
+    fn entries(&self) -> &[(String, Value)] {
+        self.entries.get_or_init(|| match &self.text {
+            Some(text) => decode(&mut JsonReader::new(text))
+                .expect("a stored field map was checked when it was read"),
+            None => Box::default(),
+        })
+    }
+
+    /// True while the map holds only the text it was read from: nothing
+    /// has read it since.
+    pub fn is_stored(&self) -> bool {
+        self.text.is_some() && self.entries.get().is_none()
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.entries().len()
+    }
+
+    /// True with no fields.  Never builds: an empty map keeps no text.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.text.is_none() && self.entries.get().is_none_or(|e| e.is_empty())
     }
 
     fn position(&self, key: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
+        self.entries()
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
     }
 
     /// The value of field `key`.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.position(key).ok().map(|i| &self.0[i].1)
+        self.position(key).ok().map(|i| &self.entries()[i].1)
     }
 
     /// Set field `key`, returning the value it replaces.
     pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
-        match self.position(&key) {
-            Ok(i) => Some(std::mem::replace(&mut self.0[i].1, value)),
+        let at = self.position(&key);
+        self.text = None;
+        let entries = self.entries.get_mut().expect("built by `position`");
+        match at {
+            Ok(i) => Some(std::mem::replace(&mut entries[i].1, value)),
             Err(i) => {
-                let mut entries = std::mem::take(&mut self.0).into_vec();
-                entries.reserve_exact(1);
-                entries.insert(i, (key, value));
-                self.0 = entries.into_boxed_slice();
+                let mut grown = std::mem::take(entries).into_vec();
+                grown.reserve_exact(1);
+                grown.insert(i, (key, value));
+                *entries = grown.into_boxed_slice();
                 None
             }
         }
@@ -286,12 +540,57 @@ impl FieldMap {
 
     /// The fields in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
-        self.0.iter().map(|(k, v)| (k, v))
+        self.entries().iter().map(|(k, v)| (k, v))
     }
 
     /// A copy in the passed form, for a program or a child instance.
     pub fn to_map(&self) -> BTreeMap<String, Value> {
         self.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+}
+
+/// Build the entries of the map at the cursor: the one decode of a field
+/// map.
+fn decode(r: &mut JsonReader<'_>) -> Result<Box<[(String, Value)]>, DeError> {
+    let mut entries = Vec::new();
+    let mut more = r.map_start_or_null()?;
+    while more {
+        let entry = (r.read_key()?.into_owned(), Value::read_json(r)?);
+        more = r.map_next()?;
+        // A structure of one field — most are — is allocated at its
+        // final size rather than grown to four entries and cut back.
+        if !more && entries.is_empty() {
+            entries.reserve_exact(1);
+        }
+        entries.push(entry);
+    }
+    Ok(sorted(entries))
+}
+
+/// `entries` key-sorted, later entries replacing earlier ones of the same
+/// key, as in a `BTreeMap`.
+fn sorted(entries: Vec<(String, Value)>) -> Box<[(String, Value)]> {
+    if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+        entries.into_boxed_slice()
+    } else {
+        entries
+            .into_iter()
+            .collect::<BTreeMap<_, _>>()
+            .into_iter()
+            .collect()
+    }
+}
+
+/// The derived form's: `FieldMap([("key", value), …])`.
+impl fmt::Debug for FieldMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("FieldMap").field(&self.entries()).finish()
+    }
+}
+
+impl PartialEq for FieldMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
     }
 }
 
@@ -306,19 +605,14 @@ impl Index<&str> for FieldMap {
 
 impl From<BTreeMap<String, Value>> for FieldMap {
     fn from(map: BTreeMap<String, Value>) -> Self {
-        FieldMap(map.into_iter().collect())
+        FieldMap::built(map.into_iter().collect())
     }
 }
 
 /// Later entries replace earlier ones of the same key, as in a `BTreeMap`.
 impl FromIterator<(String, Value)> for FieldMap {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Self {
-        let entries: Vec<(String, Value)> = iter.into_iter().collect();
-        if entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            FieldMap(entries.into_boxed_slice())
-        } else {
-            entries.into_iter().collect::<BTreeMap<_, _>>().into()
-        }
+        FieldMap::built(sorted(iter.into_iter().collect()))
     }
 }
 
@@ -332,7 +626,10 @@ impl Serialize for FieldMap {
     }
 
     fn write_json(&self, out: &mut String) {
-        serde::write_map(self.iter(), out);
+        match &self.text {
+            Some(text) if floats_as_printed(text) => out.push_str(text),
+            _ => serde::write_map(self.iter(), out),
+        }
     }
 }
 
@@ -348,20 +645,16 @@ impl Deserialize for FieldMap {
         }
     }
 
+    /// Keeps the map's text if it is what the writer prints (the stored
+    /// form); builds the entries now if it is not.
     fn read_json(r: &mut JsonReader<'_>) -> Result<Self, DeError> {
-        let mut entries = Vec::new();
-        let mut more = r.map_start_or_null()?;
-        while more {
-            let entry = (r.read_key()?.into_owned(), Value::read_json(r)?);
-            more = r.map_next()?;
-            // A structure of one field — most are — is allocated at its
-            // final size rather than grown to four entries and cut back.
-            if !more && entries.is_empty() {
-                entries.reserve_exact(1);
-            }
-            entries.push(entry);
-        }
-        Ok(entries.into_iter().collect())
+        Ok(match r.take_value(Printed::field_map) {
+            Some(text) => FieldMap {
+                text: Some(text.into()),
+                entries: OnceCell::new(),
+            },
+            None => FieldMap::built(decode(r)?),
+        })
     }
 }
 

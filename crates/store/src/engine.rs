@@ -463,6 +463,10 @@ impl<D: Disk> Store<D> {
         }
         self.poison_on_err(self.disk.append(&self.wal.wal_file, &buf))?;
         self.wal.wal_bytes += buf.len() as u64;
+        // The frames are on disk: free them before the ops land in the
+        // memtable and a roll spills it, rather than hold a copy of the
+        // round through both.
+        drop(buf);
         self.wal.batches_applied += pending.len() as u64;
         for ops in pending {
             apply_ops(&mut self.mem, &self.levels, ops);

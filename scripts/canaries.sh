@@ -155,13 +155,31 @@ canary runtime-direct-write crates/core/src/runtime.rs \
 # was written since the entry was deferred: a suspended instance's
 # entries are never looked at again while the node picture stands still.
 canary pump-ignores-touch crates/core/src/runtime.rs \
-  's/^                if !written\.contains\(&entry\.id\) && view\.projects_to\(under\) \{$/                if view.projects_to(under) {/' \
+  's/^                if !written\.touches\(entry\.id, &entry\.path\) && view\.projects_to\(under\) \{$/                if view.projects_to(under) {/' \
   cargo test -q --offline -p bioopera-core --test pump_memo a_written_instance_wakes
+
+# The pump waking every waiting entry of an instance that was written at
+# all: a dispatch stamp of one task re-activates all its siblings.
+canary pump-wakes-by-instance crates/core/src/runtime.rs \
+  's/^                if !written\.touches\(entry\.id, &entry\.path\) && view\.projects_to\(under\) \{$/                if !written.iter().any(|(id, _)| id == entry.id) \&\& view.projects_to(under) {/' \
+  cargo test -q --offline -p bioopera-core --test pump_memo waiting_entries_are_activated_once
+
+# A field map built as it is read: a recovery builds the inputs and
+# outputs of every record it reads again, the ended ones included.
+canary field-map-built-at-read crates/ocr/src/value.rs \
+  's/^        Ok\(match r\.take_value\(Printed::field_map\) \{$/        Ok(match None::<\&str> {/' \
+  cargo test -q --offline -p bioopera-core --test stored_field_maps
+
+# The field-map recognizer taking any three-letter variant tag for `Int`:
+# `{"Str":[5]}` is kept as text, and the stored form and the tree part.
+canary field-map-validator-lax crates/ocr/src/value.rs \
+  's/if rest\.starts_with\(b"\{\\"Int\\":\["\) \{/if rest.get(5..8) == Some(\&b"\\":["[..]) {/' \
+  cargo test -q --offline -p bioopera-harness --test codec_differential
 
 # The pump holding a waiting entry without asking whether the node picture
 # moved: a slot that opens is never offered to the entries that wait.
 canary pump-ignores-capacity crates/core/src/runtime.rs \
-  's/^                if !written\.contains\(&entry\.id\) && view\.projects_to\(under\) \{$/                if !written.contains(\&entry.id) {/' \
+  's/^                if !written\.touches\(entry\.id, &entry\.path\) && view\.projects_to\(under\) \{$/                if !written.touches(entry.id, \&entry.path) {/' \
   cargo test -q --offline -p bioopera-core --test pump_memo a_node_crash_and_its_recovery
 
 # A public doc linking to a private item again: the rustdoc step of
