@@ -11,7 +11,7 @@
 use bioopera_bench::{fmt_days, write_results};
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::runtime::MigrationConfig;
-use bioopera_core::{Runtime, RuntimeConfig};
+use bioopera_core::{Driver, Runtime, RuntimeConfig};
 use bioopera_store::MemDisk;
 use bioopera_workloads::allvsall::{AllVsAllConfig, AllVsAllSetup};
 use std::fmt::Write;

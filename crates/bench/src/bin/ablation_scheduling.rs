@@ -7,7 +7,8 @@
 use bioopera_bench::{fmt_days, write_results};
 use bioopera_cluster::{Cluster, SimTime, Trace};
 use bioopera_core::{
-    AvoidSaturated, FastestFit, LeastLoaded, RoundRobin, Runtime, RuntimeConfig, SchedulingPolicy,
+    AvoidSaturated, Driver, FastestFit, LeastLoaded, RoundRobin, Runtime, RuntimeConfig,
+    SchedulingPolicy,
 };
 use bioopera_store::MemDisk;
 use bioopera_workloads::allvsall::{AllVsAllConfig, AllVsAllSetup};

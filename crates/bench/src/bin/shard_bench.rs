@@ -23,7 +23,7 @@
 //! [`ShardEngine::run_to_completion`]: bioopera_core::ShardEngine::run_to_completion
 
 use bioopera_bench::write_results;
-use bioopera_core::{ShardConfig, ShardEngine};
+use bioopera_core::{Driver, ShardConfig, ShardEngine};
 use bioopera_store::{MemDisk, Store};
 use bioopera_workloads::toys::{chain_template, library, toy};
 use serde::Serialize;

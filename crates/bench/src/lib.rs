@@ -7,7 +7,7 @@
 //! availability/utilization series, and writing results files.
 
 use bioopera_cluster::{Cluster, SimTime, Trace};
-use bioopera_core::{Runtime, RuntimeConfig, SeriesRollup, SeriesSample};
+use bioopera_core::{Driver, Runtime, RuntimeConfig, SeriesRollup, SeriesSample};
 use bioopera_store::MemDisk;
 use bioopera_workloads::allvsall::AllVsAllSetup;
 use std::path::PathBuf;

@@ -32,12 +32,14 @@
 //!   cluster simulator and drives whole month-long executions, including
 //!   every failure class of the paper's evaluation; the **sharded
 //!   navigator** ([`shard`]) drives the same instances in bulk-synchronous
-//!   rounds.
+//!   rounds; both answer one **driver surface** ([`driver`]), so a caller
+//!   names the step loop only where it builds one.
 
 pub mod awareness;
 pub mod dependability;
 mod diagnostics;
 pub mod dispatcher;
+pub mod driver;
 pub mod error;
 pub mod history;
 pub mod instance;
@@ -56,6 +58,7 @@ pub use dependability::{
     DependabilityConfig, HealthState, NodeHealth, RetryDecision, RetryState, SystemCause,
 };
 pub use dispatcher::{AvoidSaturated, FastestFit, LeastLoaded, RoundRobin, SchedulingPolicy};
+pub use driver::Driver;
 pub use error::{EngineError, EngineResult};
 pub use library::{ActivityLibrary, Program, ProgramOutput};
 pub use lineage::{Lineage, RecomputePlan};

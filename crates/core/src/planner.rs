@@ -10,16 +10,16 @@
 //!
 //! The analysis itself is a pure function of a [`PlannerSnapshot`] — a
 //! plain-data view of (cluster nodes, in-flight jobs, instance task
-//! state) that both engines know how to produce: the serial [`Runtime`]
-//! from its live cluster simulator, the shard engine from its journals
-//! and dispatch service.  Keeping one core means a what-if answer can
-//! never depend on which step loop executed the workload.
+//! state) that every driver produces ([`Driver::planner_snapshot`]): the
+//! serial [`Runtime`](crate::Runtime) from its live cluster simulator, the
+//! shard engine from its journals and dispatch service.  Keeping one core
+//! means a what-if answer can never depend on which step loop executed
+//! the workload.
 
-use crate::runtime::Runtime;
+use crate::driver::Driver;
 use crate::state::{InstanceId, TaskState};
 use bioopera_ocr::model::TaskKind;
 use bioopera_ocr::ProcessTemplate;
-use bioopera_store::Disk;
 use std::collections::BTreeSet;
 
 /// One affected in-flight job.
@@ -272,9 +272,9 @@ pub(crate) fn binding_of(
 pub struct Planner;
 
 impl Planner {
-    /// Analyze the impact of taking `offline` nodes away from the runtime's
-    /// cluster, using the live instance state and configuration space.
-    pub fn what_if_offline<D: Disk + Clone>(rt: &Runtime<D>, offline: &[&str]) -> OutageImpact {
-        rt.planner_snapshot().what_if(offline)
+    /// Analyze the impact of taking `offline` nodes away from a driver's
+    /// nodes, using the live instance state.
+    pub fn what_if_offline(eng: &impl Driver, offline: &[&str]) -> OutageImpact {
+        eng.planner_snapshot().what_if(offline)
     }
 }

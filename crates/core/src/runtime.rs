@@ -30,12 +30,14 @@
 use crate::awareness::{Awareness, EventKind, HistoryEvent, ShardEvent};
 use crate::dependability::{self, DependabilityConfig, NodeHealth, RetryDecision, SystemCause};
 use crate::dispatcher::{self, NodeView, Placement, SchedulingPolicy};
+use crate::driver::Driver;
 use crate::error::{EngineError, EngineResult};
 use crate::history::{round_start_key, Journal};
 use crate::instance::{self, Activation, Dirty, Effect, Input, Instance, Reaction, RecoveryReport};
 use crate::library::{ActivityLibrary, Program, ProgramOutput};
 use crate::metrics::{RunReport, SeriesRollup};
 use crate::navigator::{self, FailureKind, NavOutcome};
+use crate::planner::{PlannerNode, PlannerSnapshot};
 use crate::state::{
     keys, InstanceHeader, InstanceId, InstanceStatus, RunOutcome, TaskMap, TaskRecord, TaskState,
 };
@@ -265,6 +267,126 @@ pub struct Runtime<D: Disk + Clone> {
     recovery: RecoveryReport,
 }
 
+/// The runtime's half of the driver surface.  The calls `bench_e2e`
+/// makes on a `Runtime` keep their inherent bodies and are forwarded.
+impl<D: Disk + Clone> Driver for Runtime<D> {
+    type Disk = D;
+
+    fn register_template(&mut self, template: &ProcessTemplate) -> EngineResult<()> {
+        Runtime::register_template(self, template)
+    }
+
+    fn submit(
+        &mut self,
+        template: &str,
+        initial: BTreeMap<String, Value>,
+    ) -> EngineResult<InstanceId> {
+        Runtime::submit(self, template, initial)
+    }
+
+    /// Drains running jobs and starts nothing.
+    fn suspend(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.suspend_instance(id)?;
+        self.commit()
+    }
+
+    fn resume(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.resume_instance(id)?;
+        self.commit()
+    }
+
+    fn step(&mut self) -> EngineResult<bool> {
+        Runtime::step(self)
+    }
+
+    /// Suspension is a steering state, not a failure: the run quiesces
+    /// instead of wedging, and a `resume` followed by another
+    /// `run_to_completion` picks the work back up.
+    fn run_to_completion(&mut self) -> EngineResult<RunOutcome> {
+        while Runtime::step(self)? {}
+        let suspended = self
+            .instances
+            .values()
+            .filter(|m| m.header.status == InstanceStatus::Suspended)
+            .count() as u64;
+        if suspended > 0 {
+            Ok(RunOutcome::Quiesced { suspended })
+        } else {
+            Ok(RunOutcome::Completed)
+        }
+    }
+
+    /// What the last rebuild — the boot's, or the last server recovery's
+    /// — read, found in doubt and wrote.
+    fn recovery_report(&self) -> RecoveryReport {
+        self.recovery
+    }
+
+    fn instance_status(&self, id: InstanceId) -> Option<InstanceStatus> {
+        Runtime::instance_status(self, id)
+    }
+
+    fn instance_header(&self, id: InstanceId) -> Option<&InstanceHeader> {
+        self.instances.get(&id).map(|m| &m.header)
+    }
+
+    fn whiteboard(&self, id: InstanceId) -> Option<&BTreeMap<String, Value>> {
+        Runtime::whiteboard(self, id)
+    }
+
+    fn task_records(&self, id: InstanceId) -> Option<&TaskMap> {
+        self.instances.get(&id).map(|m| &m.tasks)
+    }
+
+    fn instances(&self) -> Vec<(InstanceId, InstanceStatus, String)> {
+        Runtime::instances(self)
+    }
+
+    /// Order-sensitive, comparable between runs, and continuous across a
+    /// server crash.
+    fn history_digest(&self) -> u64 {
+        self.journal.digest()
+    }
+
+    fn awareness(&self) -> &Awareness {
+        Runtime::awareness(self)
+    }
+
+    fn store(&self) -> &Store<D> {
+        Runtime::store(self)
+    }
+
+    fn set_rollup_every(&mut self, every: u64) {
+        self.journal.set_every(every);
+    }
+
+    /// The cluster's nodes, the jobs in flight and the live instances.
+    fn planner_snapshot(&self) -> PlannerSnapshot {
+        let nodes = self
+            .cluster
+            .nodes()
+            .iter()
+            .map(|n| PlannerNode {
+                name: n.spec.name.clone(),
+                os: Some(n.spec.os.clone()),
+                cpus: n.cpus_online(),
+                up: n.is_up(),
+            })
+            .collect();
+        let instances = self
+            .instances
+            .values()
+            .filter(|inst| !inst.header.status.is_terminal())
+            .map(Instance::planner_view)
+            .collect();
+        PlannerSnapshot {
+            nodes,
+            in_flight: self.in_flight_jobs(),
+            instances,
+        }
+    }
+}
+
 impl<D: Disk + Clone> Runtime<D> {
     /// Create a runtime over `disk` (recovering any existing state),
     /// managing `cluster` with `library` and `cfg`.
@@ -401,26 +523,6 @@ impl<D: Disk + Clone> Runtime<D> {
         }
     }
 
-    /// Drive the simulation until every instance is terminal or the only
-    /// non-terminal instances are operator-suspended.
-    ///
-    /// Suspension is a steering state, not a failure: the run quiesces
-    /// with [`RunOutcome::Quiesced`] instead of wedging, and a `resume`
-    /// followed by another `run_to_completion` picks the work back up.
-    pub fn run_to_completion(&mut self) -> EngineResult<RunOutcome> {
-        while self.step()? {}
-        let suspended = self
-            .instances
-            .values()
-            .filter(|m| m.header.status == InstanceStatus::Suspended)
-            .count() as u64;
-        if suspended > 0 {
-            Ok(RunOutcome::Quiesced { suspended })
-        } else {
-            Ok(RunOutcome::Completed)
-        }
-    }
-
     /// One scheduler iteration: dispatch, then process the next event,
     /// then commit what the iteration wrote and noted, in one append.
     /// Returns `Ok(false)` once every instance is terminal.
@@ -497,11 +599,6 @@ impl<D: Disk + Clone> Runtime<D> {
         self.instances.get(&id).map(|m| m.header.status)
     }
 
-    /// Header record of an instance, as the server holds it in memory.
-    pub fn instance_header(&self, id: InstanceId) -> Option<&InstanceHeader> {
-        self.instances.get(&id).map(|m| &m.header)
-    }
-
     /// Whiteboard of an instance.
     pub fn whiteboard(&self, id: InstanceId) -> Option<&BTreeMap<String, Value>> {
         self.instances.get(&id).map(|m| &m.header.whiteboard)
@@ -510,11 +607,6 @@ impl<D: Disk + Clone> Runtime<D> {
     /// A task record.
     pub fn task_record(&self, id: InstanceId, path: &str) -> Option<&TaskRecord> {
         self.instances.get(&id)?.tasks.get(path).map(|rec| &**rec)
-    }
-
-    /// All task records of an instance.
-    pub fn task_records(&self, id: InstanceId) -> Option<&TaskMap> {
-        self.instances.get(&id).map(|m| &m.tasks)
     }
 
     /// The recorded availability/utilization series.
@@ -532,12 +624,6 @@ impl<D: Disk + Clone> Runtime<D> {
         self.journal.store()
     }
 
-    /// What the last rebuild — the boot's, or the last server recovery's
-    /// — read, found in doubt and wrote.
-    pub fn recovery_report(&self) -> RecoveryReport {
-        self.recovery
-    }
-
     /// The cluster (for planner queries).
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
@@ -546,13 +632,6 @@ impl<D: Disk + Clone> Runtime<D> {
     /// The awareness model.
     pub fn awareness(&self) -> &Awareness {
         self.journal.awareness()
-    }
-
-    /// Rolling FNV-1a digest of the committed history stream
-    /// (order-sensitive): comparable between runs, and continuous across a
-    /// server crash.
-    pub fn history_digest(&self) -> u64 {
-        self.journal.digest()
     }
 
     /// Note a history event: the next commit carries it — unless the
@@ -679,12 +758,6 @@ impl<D: Disk + Clone> Runtime<D> {
         self.history_retention = on;
     }
 
-    /// Override the history summary cadence (tests and benches force tiny
-    /// values so the summary and retention paths run constantly).
-    pub fn set_rollup_every(&mut self, every: u64) {
-        self.journal.set_every(every);
-    }
-
     /// Snapshot everything this run tells the operator — per-kind event
     /// counters, task latency histograms, gauges, the series rolled up
     /// into `bin`-wide windows, and the labeled event log — as one
@@ -727,35 +800,6 @@ impl<D: Disk + Clone> Runtime<D> {
             .values()
             .map(|f| (f.instance, f.path.clone(), f.node.clone()))
             .collect()
-    }
-
-    /// Plain-data view of (cluster, in-flight jobs, instance task state)
-    /// for the engine-agnostic what-if core — see
-    /// [`crate::planner::PlannerSnapshot`].
-    pub fn planner_snapshot(&self) -> crate::planner::PlannerSnapshot {
-        use crate::planner::{PlannerNode, PlannerSnapshot};
-        let nodes = self
-            .cluster
-            .nodes()
-            .iter()
-            .map(|n| PlannerNode {
-                name: n.spec.name.clone(),
-                os: Some(n.spec.os.clone()),
-                cpus: n.cpus_online(),
-                up: n.is_up(),
-            })
-            .collect();
-        let instances = self
-            .instances
-            .values()
-            .filter(|inst| !inst.header.status.is_terminal())
-            .map(Instance::planner_view)
-            .collect();
-        PlannerSnapshot {
-            nodes,
-            in_flight: self.in_flight_jobs(),
-            instances,
-        }
     }
 
     /// How many times the runtime performed the automatic operator-restart
@@ -822,12 +866,6 @@ impl<D: Disk + Clone> Runtime<D> {
         })
     }
 
-    /// Operator suspend of one instance: drain running jobs, start nothing.
-    pub fn suspend(&mut self, id: InstanceId) -> EngineResult<()> {
-        self.suspend_instance(id)?;
-        self.commit()
-    }
-
     fn suspend_instance(&mut self, id: InstanceId) -> EngineResult<()> {
         let mem = self
             .instances
@@ -843,12 +881,6 @@ impl<D: Disk + Clone> Runtime<D> {
             self.log(format!("instance {id} suspended"));
         }
         Ok(())
-    }
-
-    /// Operator resume.
-    pub fn resume(&mut self, id: InstanceId) -> EngineResult<()> {
-        self.resume_instance(id)?;
-        self.commit()
     }
 
     fn resume_instance(&mut self, id: InstanceId) -> EngineResult<()> {

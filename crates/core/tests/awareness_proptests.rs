@@ -20,7 +20,8 @@ use bioopera_cluster::SimTime;
 use bioopera_core::history;
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent};
 use bioopera_core::{
-    Awareness, AwarenessError, AwarenessIndex, EngineError, EngineResult, EventKind, HistoryEvent,
+    Awareness, AwarenessError, AwarenessIndex, Driver, EngineError, EngineResult, EventKind,
+    HistoryEvent,
 };
 use bioopera_store::{Batch, CrashEffect, FaultPlan, MemDisk, Space, Store, TieredPolicy};
 use common::ev_writer::{Continuation, EvWriter, SummaryBeforeDigest};
@@ -185,7 +186,7 @@ struct Answers {
     ends: Vec<HistoryEvent>,
 }
 
-fn answers(eng: &ShardEngine<MemDisk>) -> Answers {
+fn answers(eng: &impl Driver) -> Answers {
     let aw = eng.awareness();
     Answers {
         digest: eng.history_digest(),

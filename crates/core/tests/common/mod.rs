@@ -1,11 +1,13 @@
 //! What the engine-level suites share: the Chain, Fan and Parent toys of
 //! `bioopera_workloads::toys` (`Chain` is `bench_e2e`'s chain), the
 //! store policies a suite whose run tiering can change is held on, the
-//! frozen History writers of earlier engines ([`ev_writer`]), and the
-//! crash that tears a round's append at each frame boundary ([`tears`]).  The
-//! allocator-counting gates (`residency.rs`, `codec_allocs.rs`) each
-//! install their own `#[global_allocator]`, so they stay separate test
-//! binaries; the workload they count is the one here.
+//! drivers a scenario written once against `Driver` runs on
+//! ([`on_each_driver`]), the frozen History writers of earlier engines
+//! ([`ev_writer`]), and the crash that tears a round's append at each
+//! frame boundary ([`tears`]).  The allocator-counting gates
+//! (`residency.rs`, `codec_allocs.rs`) each install their own
+//! `#[global_allocator]`, so they stay separate test binaries; the
+//! workload they count is the one here.
 
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
@@ -13,7 +15,14 @@
 pub mod ev_writer;
 pub mod tears;
 
+use bioopera_cluster::{Cluster, NodeSpec};
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent};
+use bioopera_core::{
+    ActivityLibrary, Awareness, Driver, EngineResult, InstanceHeader, InstanceId, InstanceStatus,
+    PlannerSnapshot, RecoveryReport, RunOutcome, Runtime, RuntimeConfig, TaskMap,
+};
+use bioopera_ocr::value::Value;
+use bioopera_ocr::ProcessTemplate;
 use bioopera_store::{Disk, MemDisk, Store, TieredPolicy};
 #[allow(unused_imports)]
 pub use bioopera_workloads::toys::{chain_template, fan_template, library, parent_template};
@@ -32,7 +41,7 @@ pub fn engine_on<D: Disk>(store: Store<D>, cfg: ShardConfig) -> ShardEngine<D> {
 
 /// Submit a workload — a template index and a per-instance knob for each
 /// root — and return the roots' ids.
-pub fn submit_workload<D: Disk>(eng: &mut ShardEngine<D>, workload: &[(usize, i64)]) -> Vec<u64> {
+pub fn submit_workload(eng: &mut impl Driver, workload: &[(usize, i64)]) -> Vec<u64> {
     workload
         .iter()
         .map(|(tmpl, knob)| {
@@ -76,6 +85,15 @@ pub fn refold(events: &[ShardEvent]) -> (u64, BTreeMap<String, u64>, u64) {
         *counts.entry(e.kind.label().to_string()).or_insert(0) += 1;
     }
     (hash, counts, events.len() as u64)
+}
+
+/// A driver's lifetime view of its history — its digest, and its
+/// awareness index's count by label and count — as [`refold`] reports it.
+pub fn lifetime(eng: &impl Driver) -> (u64, BTreeMap<String, u64>, u64) {
+    let index = eng.awareness().index();
+    let counts = index.counts_by_kind().into_iter();
+    let counts = counts.map(|(k, n)| (k, n as u64)).collect();
+    (eng.history_digest(), counts, index.len() as u64)
 }
 
 /// The squeezed tiered policy: a spill every few records, an L0 merge
@@ -128,3 +146,154 @@ macro_rules! on_each_policy {
 }
 #[allow(unused_imports)]
 pub(crate) use on_each_policy;
+
+/// A `Runtime` over `disk` on two one-CPU nodes.  Its boot recovers
+/// whatever the disk holds, so a scenario crashes it by dropping it and
+/// calling this again.
+pub fn runtime<D: Disk + Clone>(
+    disk: D,
+    library: ActivityLibrary,
+    policy: Option<TieredPolicy>,
+) -> EngineResult<Runtime<D>> {
+    let cluster = Cluster::new(
+        "two",
+        vec![
+            NodeSpec::new("n1", 1, 500, "linux"),
+            NodeSpec::new("n2", 1, 500, "linux"),
+        ],
+    );
+    let cfg = RuntimeConfig {
+        tiered: policy,
+        ..RuntimeConfig::default()
+    };
+    Runtime::new(disk, cluster, library, cfg)
+}
+
+/// A `ShardEngine` of `shards` shards stepped on `threads` threads over
+/// `disk`, recovered from whatever the disk holds.
+pub fn shards<D: Disk>(
+    disk: D,
+    library: ActivityLibrary,
+    policy: Option<TieredPolicy>,
+    shards: usize,
+    threads: usize,
+) -> EngineResult<ShardEngine<D>> {
+    let store = Store::open_with(disk, policy)?;
+    let cfg = ShardConfig {
+        shards,
+        threads,
+        ..ShardConfig::default()
+    };
+    ShardEngine::recover(store, library, cfg)
+}
+
+/// A third driver: it forwards every call to the one it wraps.  A scenario
+/// written against `Driver` runs on it unchanged.
+pub struct Forward<E>(pub E);
+
+impl<E: Driver> Driver for Forward<E> {
+    type Disk = E::Disk;
+
+    fn register_template(&mut self, template: &ProcessTemplate) -> EngineResult<()> {
+        self.0.register_template(template)
+    }
+    fn submit(
+        &mut self,
+        template: &str,
+        initial: BTreeMap<String, Value>,
+    ) -> EngineResult<InstanceId> {
+        self.0.submit(template, initial)
+    }
+    fn suspend(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.0.suspend(id)
+    }
+    fn resume(&mut self, id: InstanceId) -> EngineResult<()> {
+        self.0.resume(id)
+    }
+    fn step(&mut self) -> EngineResult<bool> {
+        self.0.step()
+    }
+    fn run_to_completion(&mut self) -> EngineResult<RunOutcome> {
+        self.0.run_to_completion()
+    }
+    fn recovery_report(&self) -> RecoveryReport {
+        self.0.recovery_report()
+    }
+    fn instance_status(&self, id: InstanceId) -> Option<InstanceStatus> {
+        self.0.instance_status(id)
+    }
+    fn instance_header(&self, id: InstanceId) -> Option<&InstanceHeader> {
+        self.0.instance_header(id)
+    }
+    fn whiteboard(&self, id: InstanceId) -> Option<&BTreeMap<String, Value>> {
+        self.0.whiteboard(id)
+    }
+    fn task_records(&self, id: InstanceId) -> Option<&TaskMap> {
+        self.0.task_records(id)
+    }
+    fn instances(&self) -> Vec<(InstanceId, InstanceStatus, String)> {
+        self.0.instances()
+    }
+    fn history_digest(&self) -> u64 {
+        self.0.history_digest()
+    }
+    fn awareness(&self) -> &Awareness {
+        self.0.awareness()
+    }
+    fn store(&self) -> &Store<E::Disk> {
+        self.0.store()
+    }
+    fn set_rollup_every(&mut self, every: u64) {
+        self.0.set_rollup_every(every)
+    }
+    fn planner_snapshot(&self) -> PlannerSnapshot {
+        self.0.planner_snapshot()
+    }
+    fn persisted_events(&self) -> EngineResult<Vec<ShardEvent>> {
+        self.0.persisted_events()
+    }
+}
+
+/// A `#[test]` per driver and store policy for each named scenario — a
+/// `fn(Option<TieredPolicy>, build)`, where `build(disk, library)` makes
+/// the driver over `disk`, recovering what it holds, or fails as its
+/// recovery failed — in modules `runtime`, `shards_1x1`, `shards_4x2` and
+/// `forward` (a [`Forward`] around the 4×2 engine), each with `untiered`
+/// and `tiered` ([`squeezed`]), so a failure names its driver and its
+/// policy.
+#[allow(unused_macros)]
+macro_rules! on_each_driver {
+    ($($scenario:ident),+ $(,)?) => {
+        crate::common::on_each_driver!(@driver runtime; $($scenario),+;
+            |disk, library, policy| crate::common::runtime(disk, library, policy));
+        crate::common::on_each_driver!(@driver shards_1x1; $($scenario),+;
+            |disk, library, policy| crate::common::shards(disk, library, policy, 1, 1));
+        crate::common::on_each_driver!(@driver shards_4x2; $($scenario),+;
+            |disk, library, policy| crate::common::shards(disk, library, policy, 4, 2));
+        crate::common::on_each_driver!(@driver forward; $($scenario),+;
+            |disk, library, policy| {
+                crate::common::shards(disk, library, policy, 4, 2).map(crate::common::Forward)
+            });
+    };
+    (@driver $driver:ident; $($scenario:ident),+; $build:expr) => {
+        mod $driver {
+            crate::common::on_each_driver!(@policy untiered, None; $($scenario),+; $build);
+            crate::common::on_each_driver!(
+                @policy tiered, Some(crate::common::squeezed()); $($scenario),+; $build
+            );
+        }
+    };
+    (@policy $name:ident, $policy:expr; $($scenario:ident),+; $build:expr) => {
+        mod $name {
+            $(
+                #[test]
+                fn $scenario() {
+                    let policy = $policy;
+                    crate::$scenario(policy, |disk, library| ($build)(disk, library, policy))
+                }
+            )+
+        }
+    };
+}
+#[allow(unused_imports)]
+pub(crate) use on_each_driver;

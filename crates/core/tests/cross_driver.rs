@@ -1,8 +1,9 @@
-//! One reaction, two routers: the same templates run on `Runtime` and on a
-//! 1×1 and a 4×2 `ShardEngine` end the same way.
+//! One reaction, two routers: the same templates run on any driver end as
+//! they end on a `Runtime` — on a `Runtime` itself, a 1×1 and a 4×2
+//! `ShardEngine` and a forwarding wrapper, on both store policies.
 //!
 //! Both drivers route what `Instance::react` decides; this holds them to
-//! it from outside.  Every instance — named by its root's submission and
+//! it from outside, through the driver surface alone.  Every instance — named by its root's submission and
 //! the subprocess tasks leading to it, since the drivers number children
 //! differently — must reach the same terminal status, whiteboard and
 //! per-task CPU, and note the same sequence of the reaction's own event
@@ -10,15 +11,16 @@
 //! only one driver notes is left out by name, each with its reason
 //! ([`compared`]).
 
-use bioopera_cluster::{Cluster, NodeSpec};
+mod common;
+
 use bioopera_core::{
-    ActivityLibrary, EventKind, InstanceHeader, InstanceId, InstanceStatus, ProgramOutput, Runtime,
-    RuntimeConfig, ShardConfig, ShardEngine, TaskMap,
+    ActivityLibrary, Driver, EngineResult, EventKind, InstanceHeader, InstanceId, InstanceStatus,
+    ProgramOutput, TaskMap,
 };
 use bioopera_ocr::model::{ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder, ProcessTemplate};
-use bioopera_store::{MemDisk, Store};
+use bioopera_store::{MemDisk, TieredPolicy};
 use bioopera_workloads::toys;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -317,49 +319,15 @@ fn sorted(seen: &Seen) -> Vec<Map> {
     seen
 }
 
-fn on_runtime(roots: &[(String, Map)]) -> Run {
+/// The set `roots` run to its end on the driver `build` makes.
+fn run<E: Driver>(
+    build: &impl Fn(MemDisk, ActivityLibrary) -> EngineResult<E>,
+    roots: &[(String, Map)],
+) -> Run {
     let seen = Seen::default();
-    let cluster = Cluster::new(
-        "pool",
-        ["w1", "w2", "w3"]
-            .map(|n| NodeSpec::new(n, 2, 500, "linux"))
-            .to_vec(),
-    );
-    let mut rt = Runtime::new(
-        MemDisk::new(),
-        cluster,
-        library(&seen),
-        RuntimeConfig::default(),
-    )
-    .unwrap();
+    let mut eng = build(MemDisk::new(), library(&seen)).unwrap();
     for t in templates() {
-        rt.register_template(&t).unwrap();
-    }
-    let ids: Vec<InstanceId> = roots
-        .iter()
-        .map(|(name, initial)| rt.submit(name, initial.clone()).unwrap())
-        .collect();
-    rt.run_to_completion().unwrap();
-    let events = rt.awareness().all(rt.store()).unwrap();
-    let instances = rt.instances().into_iter().map(|(id, _, _)| {
-        let header = rt.instance_header(id).unwrap();
-        (id, header, rt.task_records(id).unwrap())
-    });
-    let ended = ended(instances, &ids, events.iter().map(|e| &e.kind));
-    (ended, sorted(&seen))
-}
-
-fn on_shards(roots: &[(String, Map)], shards: usize, threads: usize) -> Run {
-    let seen = Seen::default();
-    let cfg = ShardConfig {
-        shards,
-        threads,
-        ..ShardConfig::default()
-    };
-    let store = Store::open(MemDisk::new()).unwrap();
-    let mut eng = ShardEngine::new(store, library(&seen), cfg).unwrap();
-    for t in templates() {
-        eng.register_template(t).unwrap();
+        eng.register_template(&t).unwrap();
     }
     let ids: Vec<InstanceId> = roots
         .iter()
@@ -367,47 +335,51 @@ fn on_shards(roots: &[(String, Map)], shards: usize, threads: usize) -> Run {
         .collect();
     eng.run_to_completion().unwrap();
     let events = eng.persisted_events().unwrap();
-    let instances = eng
-        .slots()
-        .map(|(_, id, slot)| (id, &slot.header, &slot.tasks));
+    let instances = eng.instances().into_iter().map(|(id, _, _)| {
+        let header = eng.instance_header(id).unwrap();
+        (id, header, eng.task_records(id).unwrap())
+    });
     let ended = ended(instances, &ids, events.iter().map(|e| &e.kind));
     (ended, sorted(&seen))
 }
 
-#[test]
-fn both_drivers_route_one_reaction_to_the_same_end() {
+/// Every set ends on the driver as it ends on a `Runtime`.
+fn every_set_ends_as_on_the_runtime<E: Driver>(
+    policy: Option<TieredPolicy>,
+    build: impl Fn(MemDisk, ActivityLibrary) -> EngineResult<E>,
+) {
+    let oracle = |disk, library| common::runtime(disk, library, policy);
     for (set, roots) in sets() {
-        let (serial, serial_seen) = on_runtime(&roots);
+        let (serial, serial_seen) = run(&oracle, &roots);
         assert!(
             serial.values().all(|e| e.status != InstanceStatus::Running),
             "{set}: every instance ends or parks: {serial:#?}"
         );
-        for (shards, threads) in [(1, 1), (4, 2)] {
-            let (sharded, sharded_seen) = on_shards(&roots, shards, threads);
-            let at = format!("{set} on {shards}×{threads} shards");
-            assert_eq!(
-                serial.keys().collect::<Vec<_>>(),
-                sharded.keys().collect::<Vec<_>>(),
-                "{at}: the same instances"
-            );
-            for (name, ended) in &serial {
-                assert_eq!(ended, &sharded[name], "{at}: {name} diverged");
-            }
-            assert_eq!(
-                serial_seen, sharded_seen,
-                "{at}: the compensation saw different inputs"
-            );
+        let (driven, driven_seen) = run(&build, &roots);
+        assert_eq!(
+            serial.keys().collect::<Vec<_>>(),
+            driven.keys().collect::<Vec<_>>(),
+            "{set}: the same instances"
+        );
+        for (name, ended) in &serial {
+            assert_eq!(ended, &driven[name], "{set}: {name} diverged");
         }
+        assert_eq!(
+            serial_seen, driven_seen,
+            "{set}: the compensation saw different inputs"
+        );
     }
 }
 
 /// The sets exercise what the comparison is about: compensations with
 /// inputs, a policy suspension, aborts, children two levels deep.
-#[test]
-fn the_sets_reach_every_reaction() {
-    let (toys, _) = on_runtime(&sets()[0].1);
+fn the_sets_reach_every_reaction<E: Driver>(
+    _policy: Option<TieredPolicy>,
+    build: impl Fn(MemDisk, ActivityLibrary) -> EngineResult<E>,
+) {
+    let (toys, _) = run(&build, &sets()[0].1);
     assert!(toys.contains_key("Grand#6/Sub/Sub"), "{:?}", toys.keys());
-    let (sphere, seen) = on_runtime(&sets()[1].1);
+    let (sphere, seen) = run(&build, &sets()[1].1);
     assert_eq!(sphere["Sphere#0"].status, InstanceStatus::Aborted);
     assert_eq!(
         seen,
@@ -417,7 +389,7 @@ fn the_sets_reach_every_reaction() {
         ],
         "S1 compensated on the whiteboard's x, S2 on the x S1 mapped in"
     );
-    let (policies, _) = on_runtime(&sets()[2].1);
+    let (policies, _) = run(&build, &sets()[2].1);
     let reacted = |name: &str| {
         policies[name]
             .reacted
@@ -431,3 +403,8 @@ fn the_sets_reach_every_reaction() {
     assert_eq!(reacted("Abort#3"), ["instance.abort"]);
     assert_eq!(policies["Suspend#2"].status, InstanceStatus::Suspended);
 }
+
+common::on_each_driver!(
+    every_set_ends_as_on_the_runtime,
+    the_sets_reach_every_reaction,
+);

@@ -11,7 +11,8 @@
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::state::{InstanceStatus, TaskState};
 use bioopera_core::{
-    ActivityLibrary, DependabilityConfig, HealthState, ProgramOutput, Runtime, RuntimeConfig,
+    ActivityLibrary, DependabilityConfig, Driver, HealthState, ProgramOutput, Runtime,
+    RuntimeConfig,
 };
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
@@ -126,7 +127,7 @@ fn flaky_runtime(dep: DependabilityConfig, tasks: i64) -> Runtime<MemDisk> {
     rt
 }
 
-fn count(rt: &Runtime<MemDisk>, kind: &str) -> u64 {
+fn count(rt: &impl Driver, kind: &str) -> u64 {
     rt.awareness()
         .index()
         .counts_by_kind()
@@ -198,7 +199,7 @@ fn instant_requeue_engine_livelocks_on_the_same_trace() {
 }
 
 /// The `retry` fields of all persisted task records, keyed by store key.
-fn retry_fields(rt: &Runtime<MemDisk>) -> BTreeMap<String, Option<Box<bioopera_core::RetryState>>> {
+fn retry_fields(rt: &impl Driver) -> BTreeMap<String, Option<Box<bioopera_core::RetryState>>> {
     rt.store()
         .scan_prefix(Space::Instance, "inst/")
         .unwrap()

@@ -15,8 +15,8 @@
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::dispatcher::NodeView;
 use bioopera_core::{
-    ActivityLibrary, AvoidSaturated, EventKind, LeastLoaded, ProgramOutput, RoundRobin, Runtime,
-    RuntimeConfig, SchedulingPolicy,
+    ActivityLibrary, AvoidSaturated, Driver, EventKind, LeastLoaded, ProgramOutput, RoundRobin,
+    Runtime, RuntimeConfig, SchedulingPolicy,
 };
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;

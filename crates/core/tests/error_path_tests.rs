@@ -5,7 +5,7 @@
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::state::InstanceStatus;
-use bioopera_core::{ActivityLibrary, EngineError, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera_core::{ActivityLibrary, Driver, EngineError, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera_ocr::model::TypeTag;
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder};

@@ -4,7 +4,7 @@
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::state::InstanceStatus;
-use bioopera_core::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera_core::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera_ocr::model::TypeTag;
 use bioopera_ocr::value::Value;
 use bioopera_ocr::ProcessBuilder;

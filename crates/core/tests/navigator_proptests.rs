@@ -7,7 +7,9 @@
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::state::TaskState;
-use bioopera_core::{ActivityLibrary, InstanceStatus, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera_core::{
+    ActivityLibrary, Driver, InstanceStatus, ProgramOutput, Runtime, RuntimeConfig,
+};
 use bioopera_ocr::expr::{BinOp, Expr};
 use bioopera_ocr::model::TypeTag;
 use bioopera_ocr::value::Value;

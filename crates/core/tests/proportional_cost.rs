@@ -16,7 +16,7 @@ mod common;
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
 use bioopera_core::shard::ShardEngine;
 use bioopera_core::state::{keys, TaskState};
-use bioopera_core::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig, TaskRecord};
+use bioopera_core::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig, TaskRecord};
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
@@ -270,12 +270,12 @@ fn history_cost_of_recovery(finished: u64) -> (u64, u64, usize) {
     let disk = LoggingDisk::default();
     let mut engine = common::chain_engine_on(Store::open_with(disk.clone(), policy).unwrap());
     engine.set_rollup_every(CADENCE);
-    let submit = |engine: &mut ShardEngine<LoggingDisk>, chains: u64| {
+    fn submit(engine: &mut impl Driver, chains: u64) {
         for x in 0..chains {
             let initial = BTreeMap::from([("x".to_string(), Value::Int(x as i64))]);
             engine.submit("Chain", initial).unwrap();
         }
-    };
+    }
     submit(&mut engine, finished);
     assert!(engine.run_to_completion().unwrap().is_completed());
     submit(&mut engine, LIVE);

@@ -20,7 +20,7 @@ use bioopera_core::dispatcher::NodeView;
 use bioopera_core::runtime::PumpCounts;
 use bioopera_core::state::{InstanceId, InstanceStatus};
 use bioopera_core::{
-    ActivityLibrary, DependabilityConfig, EventKind, ProgramOutput, RoundRobin, Runtime,
+    ActivityLibrary, DependabilityConfig, Driver, EventKind, ProgramOutput, RoundRobin, Runtime,
     RuntimeConfig, SchedulingPolicy,
 };
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
@@ -131,7 +131,7 @@ fn runtime(
     (rt, calls)
 }
 
-fn submit(rt: &mut Runtime<MemDisk>, count: i64) -> InstanceId {
+fn submit(rt: &mut impl Driver, count: i64) -> InstanceId {
     let initial = BTreeMap::from([("count".to_string(), Value::Int(count))]);
     rt.submit("Fan", initial).unwrap()
 }
@@ -161,7 +161,7 @@ fn run_until(rt: &mut Runtime<MemDisk>, at: SimTime) {
 
 /// The grants in order, then every event but the store's, then the
 /// `choose` count.
-fn render(rt: &Runtime<MemDisk>, calls: &AtomicU64) -> String {
+fn render(rt: &impl Driver, calls: &AtomicU64) -> String {
     let events = rt.awareness().all(rt.store()).unwrap();
     let mut out = String::new();
     for ev in &events {

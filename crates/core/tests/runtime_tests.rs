@@ -16,12 +16,11 @@
 mod common;
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
-use bioopera_core::history;
 use bioopera_core::navigator; // used indirectly via runtime
 use bioopera_core::shard::{ShardConfig, ShardEngine};
 use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskState};
 use bioopera_core::{
-    ActivityLibrary, Awareness, ProgramOutput, RecoveryReport, Runtime, RuntimeConfig,
+    ActivityLibrary, Awareness, Driver, ProgramOutput, RecoveryReport, Runtime, RuntimeConfig,
 };
 use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
@@ -905,7 +904,7 @@ type Finished = Vec<(
     BTreeMap<String, TaskState>,
 )>;
 
-fn finished(rt: &Runtime<MemDisk>, ids: &[InstanceId]) -> Finished {
+fn finished(rt: &impl Driver, ids: &[InstanceId]) -> Finished {
     ids.iter()
         .map(|id| {
             let states = rt.task_records(*id).map_or_else(BTreeMap::new, |tasks| {
@@ -1252,17 +1251,8 @@ fn the_runtime_history_is_one_stream_with_a_digest(policy: Option<TieredPolicy>)
         Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap()
     };
     let stream = |rt: &Runtime<MemDisk>| {
-        let persisted = history::persisted_events(rt.store()).unwrap();
-        let (digest, counts, len) = common::refold(&persisted);
-        assert_eq!(rt.history_digest(), digest);
-        let index = rt.awareness().index();
-        let indexed: BTreeMap<String, u64> = index
-            .counts_by_kind()
-            .into_iter()
-            .map(|(k, n)| (k, n as u64))
-            .collect();
-        assert_eq!(indexed, counts);
-        assert_eq!(index.len() as u64, len);
+        let persisted = rt.persisted_events().unwrap();
+        assert_eq!(common::lifetime(rt), common::refold(&persisted));
         persisted
     };
     let mut rt = boot(&disk);
@@ -1333,19 +1323,15 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
     drop(store);
 
     let counted_once = |rt: &Runtime<MemDisk>| {
-        let stream = history::persisted_events(rt.store()).unwrap();
+        let stream = rt.persisted_events().unwrap();
         assert_eq!(stream[..round_zero.len()], round_zero[..], "round 0");
         assert!(stream[round_zero.len()..].iter().all(|e| e.round > 0));
-        let (digest, counts, len) = common::refold(&stream);
-        assert_eq!(rt.history_digest(), digest, "the digest is the stream's");
+        assert_eq!(
+            common::lifetime(rt),
+            common::refold(&stream),
+            "the stream's"
+        );
         let index = rt.awareness().index();
-        let indexed: BTreeMap<String, u64> = index
-            .counts_by_kind()
-            .into_iter()
-            .map(|(k, n)| (k, n as u64))
-            .collect();
-        assert_eq!(indexed, counts);
-        assert_eq!(index.len() as u64, len);
         assert_eq!(index.nodes_down(), writer.index().nodes_down());
         let all = rt.awareness().all(rt.store()).unwrap();
         assert_eq!(all.len(), index.len());

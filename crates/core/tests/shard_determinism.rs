@@ -47,13 +47,13 @@ mod common;
 use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::{
-    Awareness, AwarenessIndex, FaultInjection, HistoryEvent, InstanceStatus, ShardConfig,
+    Awareness, AwarenessIndex, Driver, FaultInjection, HistoryEvent, InstanceStatus, ShardConfig,
     ShardEngine,
 };
 use bioopera_ocr::value::Value;
 use bioopera_store::{Disk, MemDisk, Space, Store, TieredPolicy};
 use common::ev_writer::{EvWriter, SummaryBeforeDigest};
-use common::{engine_on, library, refold, submit_workload};
+use common::{engine_on, library, lifetime, refold, submit_workload};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -78,7 +78,7 @@ fn build_engine(
 type Fingerprint = (u64, u64, BTreeMap<String, u64>);
 
 fn fingerprint(eng: &ShardEngine<MemDisk>) -> Fingerprint {
-    (eng.history_digest(), eng.state_digest(), eng.event_counts())
+    (eng.history_digest(), eng.state_digest(), lifetime(eng).1)
 }
 
 /// Run a workload (list of template indices, plus a per-instance knob)
@@ -99,7 +99,7 @@ fn run_workload(
     fingerprint(&eng)
 }
 
-fn assert_spilled_if_tiered(eng: &ShardEngine<MemDisk>, policy: Option<TieredPolicy>) {
+fn assert_spilled_if_tiered(eng: &impl Driver, policy: Option<TieredPolicy>) {
     let stats = eng.store().stats();
     assert_eq!(
         stats.spills > 0,
@@ -119,11 +119,6 @@ fn as_history(events: &[ShardEvent]) -> Vec<HistoryEvent> {
             kind: e.kind.clone(),
         })
         .collect()
-}
-
-/// The engine's lifetime view of its history, as [`refold`] reports it.
-fn lifetime(eng: &ShardEngine<MemDisk>) -> (u64, BTreeMap<String, u64>, u64) {
-    (eng.history_digest(), eng.event_counts(), eng.stats().events)
 }
 
 /// Every aggregate an index answers from; the log and postings of a
@@ -390,7 +385,7 @@ proptest! {
 
 /// What [`reopening_the_stream_from_its_summary_equals_ingesting_it_whole`]
 /// holds a finished run to.
-fn stream_is_whole(eng: &ShardEngine<MemDisk>, rollup_every: u64) -> Result<(), TestCaseError> {
+fn stream_is_whole(eng: &impl Driver, rollup_every: u64) -> Result<(), TestCaseError> {
     let persisted = eng.persisted_events().unwrap();
     prop_assert_eq!(lifetime(eng), refold(&persisted));
     let history = as_history(&persisted);
@@ -532,7 +527,7 @@ fn previous_engine_image_upgrades(disk: &MemDisk, policy: Option<TieredPolicy>, 
             .into_iter()
             .map(|(k, n)| (k, n as u64))
             .collect();
-        assert_eq!(eng.event_counts(), by_label);
+        assert_eq!(lifetime(eng).1, by_label);
         persisted.len()
     };
     // What was there, plus the recovery's own events — not twice that.
@@ -646,7 +641,7 @@ fn recovery_after_partial_commit_converges_to_oracle_outputs(policy: Option<Tier
         .map(|id| {
             (
                 oracle.instance_status(*id).unwrap(),
-                oracle.instance_whiteboard(*id).unwrap().clone(),
+                oracle.whiteboard(*id).unwrap().clone(),
             )
         })
         .collect();
@@ -684,7 +679,7 @@ fn recovery_after_partial_commit_converges_to_oracle_outputs(policy: Option<Tier
                     "{at}: root {id} status"
                 );
                 assert_eq!(
-                    eng.instance_whiteboard(*id),
+                    eng.whiteboard(*id),
                     Some(want_wb),
                     "{at}: root {id} whiteboard"
                 );
@@ -767,7 +762,7 @@ fn a_recovery_is_one_append() {
         let store = Store::open(disk.clone()).unwrap();
         let opened = disk.mutation_count();
         let eng = ShardEngine::recover(store, library(), common::chain_config()).unwrap();
-        let report = eng.recovery_report().unwrap();
+        let report = eng.recovery_report();
         assert_eq!(
             disk.mutation_count() - opened,
             1,

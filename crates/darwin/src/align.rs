@@ -31,7 +31,7 @@
 //!   tests); the `_with` form reuses the scratch's traceback matrices.
 //!
 //! On x86_64 the score-only entry points dispatch to the SIMD kernels in
-//! [`crate::simd`] (SSE2/AVX2/AVX-512, runtime-detected, still
+//! [`crate::simd`] (SSE2/AVX2, runtime-detected, still
 //! bit-identical): [`align_score_many`] to the **inter-sequence lane**,
 //! which holds one subject per vector lane and refills a lane from the
 //! batch whenever its subject ends, and the pairwise and banded entry
@@ -41,7 +41,7 @@
 //! scalar wavefront kernel below, which is also the portable fallback.
 //! With a threshold, [`align_score_many`] first runs the **upper-bound
 //! filter**, the inter-sequence pass in saturating u8 on a scaled,
-//! biased matrix (16, 32 or 64 subjects per vector), and hands the f32
+//! biased matrix (16 or 32 subjects per vector), and hands the f32
 //! lane only the subjects whose bound reaches the threshold.  Both passes
 //! share one lane driver, `run_lanes`.
 //!
@@ -877,7 +877,7 @@ impl AlignScratch {
     }
 }
 
-/// Most lanes of any inter-sequence pass: the filter's at AVX-512.
+/// Most lanes of any inter-sequence pass: the filter's at AVX2.
 const MAX_LANES: usize = simd::MAX_FILTER_LANES;
 
 /// The filter's bias, scaled gaps and cut (see [`AlignScratch::load_filter`]).
@@ -1444,12 +1444,7 @@ mod tests {
 
     /// Every level the host can execute (always includes `Scalar`).
     fn levels() -> Vec<SimdLevel> {
-        let mut v = vec![
-            SimdLevel::Scalar,
-            SimdLevel::Sse2,
-            SimdLevel::Avx2,
-            SimdLevel::Avx512,
-        ];
+        let mut v = vec![SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
         v.retain(|&l| l <= simd::max_supported());
         v
     }

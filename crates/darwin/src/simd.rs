@@ -37,18 +37,16 @@
 //!
 //! A third, the **upper-bound filter** (`run_filter`), is the same
 //! inter-sequence pass on a scaled, biased integer matrix in saturating
-//! `u8` lanes (SWIPE's 8-bit scores): 16, 32 and 64 subjects per vector
-//! at SSE2, AVX2 and AVX-512.  It computes no score anyone reads, only a
+//! `u8` lanes (SWIPE's 8-bit scores): 16 and 32 subjects per vector at
+//! SSE2 and AVX2.  It computes no score anyone reads, only a
 //! safe upper bound on each subject's, so that `align_score_many` can
 //! leave the f32 lane the subjects that may reach a threshold.  DESIGN.md
 //! "Upper-bound filter" gives the argument.
 //!
 //! Level selection: [`detect`] probes the CPU once (cached) and honours a
-//! `BIOOPERA_SIMD` override (`scalar`/`sse2`/`avx2`/`avx512`/`auto`),
-//! clamped to what the host supports.  SSE2 is part of the x86_64
-//! baseline; AVX2 and AVX-512 (`avx512f` + `avx512bw`) are gated on
-//! CPUID.  The f32 kernels run at AVX2 width at the `Avx512` level; only
-//! the filter is wider there.  Non-x86_64 hosts always report
+//! `BIOOPERA_SIMD` override (`scalar`/`sse2`/`avx2`/`auto`), clamped to
+//! what the host supports.  SSE2 is part of the x86_64 baseline; AVX2 is
+//! gated on CPUID.  Non-x86_64 hosts always report
 //! [`SimdLevel::Scalar`] and use the portable profile kernel in
 //! `align.rs`.
 
@@ -56,7 +54,7 @@ use std::sync::OnceLock;
 
 /// Vector width the alignment kernel dispatches to.
 ///
-/// Ordered: `Scalar < Sse2 < Avx2 < Avx512`, so levels can be clamped
+/// Ordered: `Scalar < Sse2 < Avx2`, so levels can be clamped
 /// with `min`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SimdLevel {
@@ -66,19 +64,15 @@ pub enum SimdLevel {
     Sse2,
     /// 8 × f32 lanes (`__m256`); requires runtime AVX2 support.
     Avx2,
-    /// The AVX2 f32 kernels, and a 64 × u8 filter (`__m512i`); requires
-    /// runtime AVX-512F and AVX-512BW support.
-    Avx512,
 }
 
 impl SimdLevel {
-    /// f32 lanes per vector at this level (the `Avx512` level runs the
-    /// f32 kernels at AVX2 width).
+    /// f32 lanes per vector at this level.
     pub fn lanes(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
             SimdLevel::Sse2 => 4,
-            SimdLevel::Avx2 | SimdLevel::Avx512 => 8,
+            SimdLevel::Avx2 => 8,
         }
     }
 
@@ -89,7 +83,6 @@ impl SimdLevel {
             SimdLevel::Scalar => 1,
             SimdLevel::Sse2 => 16,
             SimdLevel::Avx2 => 32,
-            SimdLevel::Avx512 => 64,
         }
     }
 
@@ -99,7 +92,6 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
-            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -111,7 +103,6 @@ pub(crate) fn parse_level(s: &str) -> Option<SimdLevel> {
         "scalar" | "off" | "none" | "0" => Some(SimdLevel::Scalar),
         "sse2" | "sse" => Some(SimdLevel::Sse2),
         "avx2" | "avx" => Some(SimdLevel::Avx2),
-        "avx512" | "avx512bw" => Some(SimdLevel::Avx512),
         _ => None,
     }
 }
@@ -120,11 +111,7 @@ pub(crate) fn parse_level(s: &str) -> Option<SimdLevel> {
 pub fn max_supported() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
-        if std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512bw")
-        {
-            SimdLevel::Avx512
-        } else if std::arch::is_x86_feature_detected!("avx2") {
+        if std::arch::is_x86_feature_detected!("avx2") {
             SimdLevel::Avx2
         } else {
             SimdLevel::Sse2
@@ -137,8 +124,8 @@ pub fn max_supported() -> SimdLevel {
 }
 
 /// The level new scratches dispatch to: the hardware maximum, optionally
-/// lowered by `BIOOPERA_SIMD` (`scalar`, `sse2`, `avx2`, `avx512`,
-/// `auto`).  Probed
+/// lowered by `BIOOPERA_SIMD` (`scalar`, `sse2`, `avx2`, `auto`).
+/// Probed
 /// once per process and cached; tests that need a specific level should
 /// pin it via [`crate::align::AlignScratch::with_level`] instead of
 /// mutating the environment.
@@ -183,16 +170,13 @@ pub(crate) fn run_striped(
         assert!(suffix.len() > subject.len());
     }
     #[cfg(target_arch = "x86_64")]
-    // Safety: buffer sizes asserted above; `Avx2` and `Avx512` only reach
-    // here via `detect`/`max_supported`, which gate them on runtime CPUID
-    // support (and AVX-512F implies AVX2).
+    // Safety: buffer sizes asserted above; `Avx2` only reaches here via
+    // `detect`/`max_supported`, which gate it on runtime CPUID support.
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!("run_striped called at scalar level"),
             SimdLevel::Sse2 => x86::run_sse2(profile, seg, ha, hb, ev, subject, open, ext, band),
-            SimdLevel::Avx2 | SimdLevel::Avx512 => {
-                x86::run_avx2(profile, seg, ha, hb, ev, subject, open, ext, band)
-            }
+            SimdLevel::Avx2 => x86::run_avx2(profile, seg, ha, hb, ev, subject, open, ext, band),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -263,16 +247,15 @@ pub(crate) fn run_interseq(
     let query = query.0;
     #[cfg(target_arch = "x86_64")]
     // Safety: buffer sizes and index ranges asserted above (the query's
-    // residues by `Query::new`); `Avx2` and `Avx512` only reach here via
-    // `detect`/`max_supported`, which gate them on runtime CPUID support
-    // (and AVX-512F implies AVX2).
+    // residues by `Query::new`); `Avx2` only reaches here via
+    // `detect`/`max_supported`, which gate it on runtime CPUID support.
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!(),
             SimdLevel::Sse2 => {
                 x86::interseq_sse2(query, matrix, codes, tables, h, e, best, open, ext)
             }
-            SimdLevel::Avx2 | SimdLevel::Avx512 => {
+            SimdLevel::Avx2 => {
                 x86::interseq_avx2(query, matrix, codes, tables, h, e, best, open, ext)
             }
         }
@@ -290,7 +273,7 @@ pub(crate) fn run_interseq(
 pub(crate) const FILTER_ROW: usize = 32;
 
 /// Most u8 lanes of any level's filter.
-pub(crate) const MAX_FILTER_LANES: usize = 64;
+pub(crate) const MAX_FILTER_LANES: usize = 32;
 
 /// Run one pass of the upper-bound filter at `level` (must not be
 /// `Scalar`): [`run_interseq`]'s pass on u8 lanes with saturating adds
@@ -332,8 +315,8 @@ pub(crate) fn run_filter(
     let query = query.0;
     #[cfg(target_arch = "x86_64")]
     // Safety: buffer sizes and index ranges asserted above (the query's
-    // residues by `Query::new`); `Avx2` and `Avx512` only reach here via
-    // `detect`/`max_supported`, which gate them on runtime CPUID support.
+    // residues by `Query::new`); `Avx2` only reaches here via
+    // `detect`/`max_supported`, which gate it on runtime CPUID support.
     unsafe {
         match level {
             SimdLevel::Scalar => unreachable!(),
@@ -342,9 +325,6 @@ pub(crate) fn run_filter(
             }
             SimdLevel::Avx2 => {
                 x86::filter_avx2(query, rows, codes, tables, h, e, best, bias, open, ext)
-            }
-            SimdLevel::Avx512 => {
-                x86::filter_avx512(query, rows, codes, tables, h, e, best, bias, open, ext)
             }
         }
     }
@@ -844,57 +824,6 @@ mod x86 {
         }
     }
 
-    #[derive(Clone, Copy)]
-    struct Avx512;
-
-    impl Ops8 for Avx512 {
-        type V = __m512i;
-        const LANES: usize = 64;
-        #[inline(always)]
-        unsafe fn splat(x: u8) -> __m512i {
-            _mm512_set1_epi8(x as i8)
-        }
-        #[inline(always)]
-        unsafe fn adds(a: __m512i, b: __m512i) -> __m512i {
-            _mm512_adds_epu8(a, b)
-        }
-        #[inline(always)]
-        unsafe fn subs(a: __m512i, b: __m512i) -> __m512i {
-            _mm512_subs_epu8(a, b)
-        }
-        #[inline(always)]
-        unsafe fn max(a: __m512i, b: __m512i) -> __m512i {
-            _mm512_max_epu8(a, b)
-        }
-        #[inline(always)]
-        unsafe fn load(p: *const u8) -> __m512i {
-            _mm512_loadu_si512(p.cast())
-        }
-        #[inline(always)]
-        unsafe fn store(p: *mut u8, v: __m512i) {
-            _mm512_storeu_si512(p.cast(), v)
-        }
-        /// [`Avx2`]'s two shuffles at 64 lanes, with AVX-512BW alone.
-        #[inline(always)]
-        unsafe fn table(rows: *const u8, codes: *const u8, dst: *mut u8) {
-            use super::FILTER_ROW;
-            use crate::alphabet::ALPHABET_SIZE;
-            let idx = _mm512_loadu_si512(codes.cast());
-            let high = _mm512_cmpgt_epu8_mask(idx, _mm512_set1_epi8(15));
-            for q in 0..ALPHABET_SIZE {
-                let row = rows.add(q * FILTER_ROW);
-                let lo = _mm512_broadcast_i32x4(_mm_loadu_si128(row.cast()));
-                let hi = _mm512_broadcast_i32x4(_mm_loadu_si128(row.add(16).cast()));
-                let v = _mm512_mask_blend_epi8(
-                    high,
-                    _mm512_shuffle_epi8(lo, idx),
-                    _mm512_shuffle_epi8(hi, idx),
-                );
-                _mm512_storeu_si512(dst.add(q * 64).cast(), v);
-            }
-        }
-    }
-
     /// The filter pass: [`interseq`]'s recurrence, operand for operand, on
     /// u8 lanes whose adds and subtracts saturate, with each entry's bias
     /// taken off after its add.  E, F and the boundary row start at 0:
@@ -995,29 +924,6 @@ mod x86 {
         filter::<Avx2>(query, rows, codes, tables, h, e, best, bias, open, ext)
     }
 
-    /// [`filter`] at AVX-512F and AVX-512BW width.
-    ///
-    /// # Safety
-    ///
-    /// The CPU supports AVX-512F and AVX-512BW, and the buffers are laid
-    /// out as [`super::run_filter`] asserts.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx512bw")]
-    pub(super) unsafe fn filter_avx512(
-        query: &[u8],
-        rows: &[u8],
-        codes: &[u8],
-        tables: &mut [u8],
-        h: &mut [u8],
-        e: &mut [u8],
-        best: &mut [u8],
-        bias: u8,
-        open: u8,
-        ext: u8,
-    ) {
-        filter::<Avx512>(query, rows, codes, tables, h, e, best, bias, open, ext)
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -1072,7 +978,6 @@ mod tests {
         assert_eq!(parse_level("OFF"), Some(SimdLevel::Scalar));
         assert_eq!(parse_level("sse2"), Some(SimdLevel::Sse2));
         assert_eq!(parse_level("AVX2"), Some(SimdLevel::Avx2));
-        assert_eq!(parse_level("avx512"), Some(SimdLevel::Avx512));
         assert_eq!(parse_level("auto"), None);
         assert_eq!(parse_level("bogus"), None);
     }
@@ -1080,15 +985,11 @@ mod tests {
     #[test]
     fn levels_order_and_lanes() {
         assert!(SimdLevel::Scalar < SimdLevel::Sse2 && SimdLevel::Sse2 < SimdLevel::Avx2);
-        assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
         assert_eq!(SimdLevel::Scalar.lanes(), 1);
         assert_eq!(SimdLevel::Sse2.lanes(), 4);
         assert_eq!(SimdLevel::Avx2.lanes(), 8);
-        // The f32 kernels run at AVX2 width at the AVX-512 level.
-        assert_eq!(SimdLevel::Avx512.lanes(), 8);
         assert_eq!(SimdLevel::Sse2.filter_lanes(), 16);
         assert_eq!(SimdLevel::Avx2.filter_lanes(), 32);
-        assert_eq!(SimdLevel::Avx512.filter_lanes(), 64);
         // Clamping an over-ask is a plain min.
         assert_eq!(SimdLevel::Avx2.min(SimdLevel::Scalar), SimdLevel::Scalar);
     }
@@ -1216,7 +1117,7 @@ mod tests {
             }
         }
         let query: Vec<u8> = (0..400).map(|_| draw(20) as u8).collect();
-        for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
+        for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
             if level > max_supported() {
                 continue;
             }
@@ -1279,7 +1180,7 @@ mod tests {
             let ext = draw(8) as u8;
             let gaps: Gaps = (bias, ext + draw(30) as u8, ext);
             let query: Vec<u8> = (0..1 + draw(90)).map(|_| draw(20) as u8).collect();
-            for level in [SimdLevel::Sse2, SimdLevel::Avx2, SimdLevel::Avx512] {
+            for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
                 if level > max_supported() {
                     continue;
                 }

@@ -27,12 +27,7 @@ use proptest::prelude::*;
 
 /// Every level the host can execute (always includes `Scalar`).
 fn levels() -> Vec<SimdLevel> {
-    let mut v = vec![
-        SimdLevel::Scalar,
-        SimdLevel::Sse2,
-        SimdLevel::Avx2,
-        SimdLevel::Avx512,
-    ];
+    let mut v = vec![SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
     v.retain(|&l| l <= simd::max_supported());
     v
 }

@@ -25,7 +25,7 @@
 use crate::enumerate::{self, Outcome, Plan, Recorder, Ways};
 use crate::shard_torture::check_history;
 use bioopera_cluster::{Cluster, NodeSpec, SimTime};
-use bioopera_core::{InstanceStatus, Runtime, RuntimeConfig};
+use bioopera_core::{Driver, InstanceStatus, Runtime, RuntimeConfig};
 use bioopera_darwin::{DatasetConfig, PamFamily, SequenceDb};
 use bioopera_ocr::value::Value;
 use bioopera_store::{Disk, TieredPolicy};
@@ -86,8 +86,7 @@ fn drive<D: Disk + Clone>(
     }
     let mut rt = Runtime::new(disk.clone(), cluster(), s.library.clone(), cfg(tiered))
         .map_err(fail("boot"))?;
-    let check = |rt: &Runtime<D>| check_history(rt.history_digest(), rt.awareness(), rt.store());
-    check(&rt).map_err(fail("after recovery"))?;
+    check_history(&rt).map_err(fail("after recovery"))?;
     rt.register_template(&s.chunk_template)
         .map_err(fail("register chunk template"))?;
     rt.register_template(&s.template)
@@ -102,7 +101,7 @@ fn drive<D: Disk + Clone>(
         None => rt.submit("AllVsAll", s.initial()).map_err(fail("submit"))?,
     };
     rt.run_to_completion().map_err(fail("run"))?;
-    check(&rt).map_err(fail("at the end"))?;
+    check_history(&rt).map_err(fail("at the end"))?;
     let status = rt
         .instance_status(id)
         .ok_or("instance vanished after run")?;

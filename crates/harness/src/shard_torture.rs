@@ -44,11 +44,11 @@
 //! history live in runs, and recovery reads them back through levels.
 
 use crate::enumerate::{self, Outcome, Plan, Recorder, Ways};
-use bioopera_core::history;
 use bioopera_core::shard::ShardEvent;
 use bioopera_core::state::keys;
 use bioopera_core::{
-    Awareness, AwarenessIndex, HistoryEvent, InstanceStatus, ShardConfig, ShardEngine, TaskRecord,
+    Awareness, AwarenessIndex, Driver, HistoryEvent, InstanceStatus, ShardConfig, ShardEngine,
+    TaskRecord,
 };
 use bioopera_ocr::value::Value;
 use bioopera_store::{shard_key, Disk, Space, Store, TieredPolicy};
@@ -118,7 +118,7 @@ impl Case {
             let before = task_records(&store)?;
             let eng = ShardEngine::recover(store, toys::library(), cfg)
                 .map_err(|e| format!("recover: {e}"))?;
-            check_engine(&eng).map_err(|e| format!("after recovery: {e}"))?;
+            check_history(&eng).map_err(|e| format!("after recovery: {e}"))?;
             check_rewrites(&before, &eng).map_err(|e| format!("after recovery: {e}"))?;
             eng
         };
@@ -163,10 +163,10 @@ fn finish(eng: &mut ShardEngine<Recorder>) -> Result<Vec<RootResult>, String> {
             .map_err(|e| format!("run: {e}"))?
             .is_completed()
         {
-            check_engine(eng).map_err(|e| format!("at the end: {e}"))?;
+            check_history(eng).map_err(|e| format!("at the end: {e}"))?;
             return (1..=ROOTS)
                 .map(|id| {
-                    let whiteboard = eng.instance_whiteboard(id).cloned();
+                    let whiteboard = eng.whiteboard(id).cloned();
                     eng.instance_status(id)
                         .zip(whiteboard)
                         .ok_or(format!("root {id} vanished"))
@@ -202,19 +202,17 @@ fn refold_digest(events: &[ShardEvent]) -> u64 {
     hash
 }
 
-/// The history invariant, for either driver: one record, and every view
-/// of it agrees with it.  The driver's lifetime `digest` (seeded from a
+/// The history invariant, for any driver: one record, and every view of
+/// it agrees with it.  The driver's lifetime digest (seeded from a
 /// summary, then folded over the tail and every commit since) is the
 /// digest of the persisted stream refolded whole; the awareness index's
 /// counts, length and aggregates are the stream's; and so are those of a
-/// reopen of `store` from its summary plus the tail.
-pub(crate) fn check_history<D: Disk>(
-    digest: u64,
-    awareness: &Awareness,
-    store: &Store<D>,
-) -> Result<(), String> {
-    let persisted =
-        history::persisted_events(store).map_err(|e| format!("persisted events: {e}"))?;
+/// reopen of its store from its summary plus the tail.
+pub(crate) fn check_history(eng: &impl Driver) -> Result<(), String> {
+    let (digest, awareness, store) = (eng.history_digest(), eng.awareness(), eng.store());
+    let persisted = eng
+        .persisted_events()
+        .map_err(|e| format!("persisted events: {e}"))?;
     let mut rebuilt = AwarenessIndex::default();
     for e in &persisted {
         rebuilt.ingest(&HistoryEvent {
@@ -271,11 +269,6 @@ pub(crate) fn check_history<D: Disk>(
     Ok(())
 }
 
-/// [`check_history`] of a sharded engine.
-fn check_engine(eng: &ShardEngine<Recorder>) -> Result<(), String> {
-    check_history(eng.history_digest(), eng.awareness(), eng.store())
-}
-
 /// Every task record of the shard journals `store` holds, by key.
 fn task_records<D: Disk>(store: &Store<D>) -> Result<BTreeMap<String, TaskRecord>, String> {
     let mut out = BTreeMap::new();
@@ -300,9 +293,7 @@ fn check_rewrites(
     before: &BTreeMap<String, TaskRecord>,
     eng: &ShardEngine<Recorder>,
 ) -> Result<(), String> {
-    let report = eng
-        .recovery_report()
-        .ok_or("a recovered engine has no report")?;
+    let report = eng.recovery_report();
     let after = task_records(eng.store())?;
     let mut differ = 0u64;
     for (shard, id, slot) in eng.slots() {

@@ -26,7 +26,7 @@ use bioopera_core::dependability::HealthState;
 use bioopera_core::metrics::{Histogram, RollupBin, RunReport};
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent, ShardMeta};
 use bioopera_core::{
-    ActivityLibrary, EventKind, HistoryEvent, InstanceHeader, InstanceStatus, NodeHealth,
+    ActivityLibrary, Driver, EventKind, HistoryEvent, InstanceHeader, InstanceStatus, NodeHealth,
     ProgramOutput, RetryState, TaskRecord, TaskState,
 };
 use bioopera_ocr::model::TypeTag;

@@ -625,6 +625,44 @@ fn seeded_records_stream_to_the_bytes_the_tree_prints() {
     same_bytes_and_same_value(seed, &vec![(); 3]);
 }
 
+/// A float of each class the records carry, `k`-th of its class: ±0,
+/// subnormals, whole numbers below and above 2^53, and `f32`-wide scores,
+/// whose shortest text has up to 17 digits.
+fn float_of_class(rng: &mut StdRng, k: usize) -> f64 {
+    let sign = if rng.gen_bool(0.5) { -1.0 } else { 1.0 };
+    sign * match k % 5 {
+        0 => 0.0,
+        1 => f64::from_bits(rng.gen_range(1..1u64 << 52)),
+        2 => rng.gen_range(0..1u64 << 53) as f64,
+        3 => (rng.gen_range(1u64 << 53..u64::MAX) as f64) * f64::from(rng.gen_range(1..1u32 << 20)),
+        _ => f64::from(rng.gen::<f32>() * 1e3),
+    }
+}
+
+/// Every float class reads back bit for bit, through both readers and as
+/// a `Value`; the one exception is a NaN, which JSON spells `null`.
+#[test]
+fn floats_read_back_bit_for_bit() {
+    let seed = seed_from_env(DEFAULT_SEED);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF10A7);
+    for k in 0..5_000 {
+        let x = float_of_class(&mut rng, k);
+        let text = serde_json::to_string(&x).unwrap();
+        let streamed: f64 = serde_json::from_str(&text).unwrap();
+        let tree = f64::from_content(&parse_tree(&text).unwrap()).unwrap();
+        for (reader, back) in [("streamed", streamed), ("tree", tree)] {
+            assert_eq!(
+                back.to_bits(),
+                x.to_bits(),
+                "HARNESS_SEED={seed}: {x:?} printed {text}, the {reader} reader read {back:?}"
+            );
+        }
+        same_bytes_and_same_value(seed, &Value::Float(x));
+    }
+    let nan: f64 = serde_json::from_str(&serde_json::to_string(&f64::NAN).unwrap()).unwrap();
+    assert!(nan.is_nan());
+}
+
 // ---------------------------------------------------------------------------
 // The tolerance table (DESIGN.md "Record codec"), row by row
 // ---------------------------------------------------------------------------

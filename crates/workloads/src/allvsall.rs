@@ -743,7 +743,7 @@ pub fn refine_pass_with_workers(
 mod tests {
     use super::*;
     use bioopera_cluster::{Cluster, NodeSpec, SimTime};
-    use bioopera_core::{Runtime, RuntimeConfig};
+    use bioopera_core::{Driver, Runtime, RuntimeConfig};
     use bioopera_darwin::dataset::DatasetConfig;
     use bioopera_store::MemDisk;
 

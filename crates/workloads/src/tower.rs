@@ -422,7 +422,7 @@ pub fn make_input_dna(families: usize, members_per_family: usize, seed: u64) -> 
 mod tests {
     use super::*;
     use bioopera_cluster::{Cluster, NodeSpec, SimTime};
-    use bioopera_core::{Runtime, RuntimeConfig};
+    use bioopera_core::{Driver, Runtime, RuntimeConfig};
     use bioopera_store::MemDisk;
 
     #[test]

@@ -9,7 +9,7 @@
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::state::InstanceStatus;
-use bioopera_core::{DependabilityConfig, Runtime, RuntimeConfig};
+use bioopera_core::{DependabilityConfig, Driver, Runtime, RuntimeConfig};
 use bioopera_ocr::value::Value;
 use bioopera_store::MemDisk;
 use bioopera_workloads::allvsall::{AllVsAllConfig, AllVsAllSetup};

@@ -3,7 +3,7 @@
 //! failure story (crash events, masked system failures, rollup series).
 
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
-use bioopera_core::{Runtime, RuntimeConfig};
+use bioopera_core::{Driver, Runtime, RuntimeConfig};
 use bioopera_store::MemDisk;
 use bioopera_workloads::allvsall::{AllVsAllConfig, AllVsAllSetup};
 use std::collections::BTreeMap;

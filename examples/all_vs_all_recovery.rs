@@ -12,7 +12,7 @@
 use bioopera::cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera::darwin::dataset::DatasetConfig;
 use bioopera::darwin::{PamFamily, SequenceDb};
-use bioopera::engine::{Runtime, RuntimeConfig};
+use bioopera::engine::{Driver, Runtime, RuntimeConfig};
 use bioopera::store::MemDisk;
 use bioopera::workloads::allvsall::{AllVsAllConfig, AllVsAllSetup};
 use std::sync::Arc;

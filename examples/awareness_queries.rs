@@ -10,7 +10,7 @@
 //! ```
 
 use bioopera::cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
-use bioopera::engine::{ActivityLibrary, EventKind, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera::engine::{ActivityLibrary, Driver, EventKind, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera::ocr::{self, ProcessBuilder, TypeTag, Value};
 use bioopera::store::MemDisk;
 use std::collections::BTreeMap;

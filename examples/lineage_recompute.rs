@@ -14,7 +14,7 @@
 
 use bioopera::cluster::{Cluster, NodeSpec, SimTime};
 use bioopera::darwin::{CostModel, PamFamily};
-use bioopera::engine::{Lineage, Runtime, RuntimeConfig};
+use bioopera::engine::{Driver, Lineage, Runtime, RuntimeConfig};
 use bioopera::ocr::Value;
 use bioopera::store::MemDisk;
 use bioopera::workloads::tower::{make_input_dna, tower_library, tower_template};

@@ -7,7 +7,7 @@
 //! ```
 
 use bioopera::cluster::{Cluster, NodeSpec, SimTime};
-use bioopera::engine::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera::engine::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera::ocr::{self, Value};
 use bioopera::store::MemDisk;
 use std::collections::BTreeMap;

@@ -6,7 +6,7 @@
 //! ```
 
 use bioopera::cluster::{Cluster, NodeSpec, SimTime};
-use bioopera::engine::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera::engine::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera::ocr::{self, ProcessBuilder, TypeTag, Value};
 use bioopera::store::MemDisk;
 use std::collections::BTreeMap;

@@ -8,7 +8,7 @@
 //! ```
 
 use bioopera::cluster::{Cluster, NodeSpec, SimTime};
-use bioopera::engine::{ActivityLibrary, Planner, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera::engine::{ActivityLibrary, Driver, Planner, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera::ocr::{ExternalBinding, ParallelBody, ProcessBuilder, TypeTag, Value};
 use bioopera::store::MemDisk;
 use std::collections::BTreeMap;

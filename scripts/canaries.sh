@@ -138,6 +138,13 @@ canary compensation-inputs-diverge crates/core/src/runtime.rs \
   's/^                        let _ = prog\(&inputs\);$/                        let _ = prog(\&BTreeMap::new());/' \
   cargo test -q --offline -p bioopera-core --test cross_driver
 
+# The sharded engine's driver surface reading an instance's task records
+# from shard 0 instead of the shard that owns it: a scenario written once
+# against `Driver` finds no records of an instance shard 0 does not own.
+canary driver-wrong-shard crates/core/src/shard/mod.rs \
+  's/^        self\.slot\(id\)\.map\(\|s\| &s\.tasks\)$/        self.shards[0].slots.get(\&id).map(|s| \&s.tasks)/' \
+  cargo test -q --offline -p bioopera-core --test cross_driver shards_4x2
+
 # A driver calling the navigator's reaction itself again, beside the
 # instance layer's, and the grep gate that keeps it in instance.rs.
 canary reaction-outside-instance crates/core/src/runtime.rs \
@@ -318,7 +325,7 @@ canary step-shards-commits crates/core/src/shard/mod.rs \
 # service runs out of slots and the run stalls (ROADMAP 1 (c)).
 canary dropped-release crates/core/src/shard/stepper.rs \
   '/fn push_release/,/^    \}/s/^        let src = \(instance, self\.next_seq\(st, instance\)\);$/        if !faulted { return; }\n&/' \
-  cargo test -q --offline -p bioopera-core --test shard_store_mirror
+  cargo test -q --offline -p bioopera-core --test store_mirror
 
 # The retention window closed at its upper bound: the key a watermark
 # stops below is retired with it (ROADMAP 1 (c)).
@@ -374,6 +381,12 @@ canary scan-merge-map-named crates/store/src/engine.rs \
 canary scan-while-named crates/store/src/engine.rs \
   's/fn collect_while\(/fn scan_while(/' \
   bash scripts/check.sh --gates
+
+# Negative zero printed as the integer `-0` again: it reads back as 0.0,
+# and a float's sign is lost on the way through the codec.
+canary negative-zero-as-int vendor/serde/src/json.rs \
+  's/out\.write_str\("-0\.0"\)/out.write_str("-0")/' \
+  cargo test -q --offline -p bioopera-ocr --test field_map_proptests floats_read_back_bit_for_bit
 
 # Recovery writing back every record the in-doubt rule decided, as it did
 # before it wrote only what the rule changed: a queued record goes back to

@@ -405,11 +405,6 @@ test -s results/BENCH_shard.json || { echo "BENCH_shard.json missing"; exit 1; }
 step "darwin suite with SIMD force-disabled (portable fallback stays honest)"
 BIOOPERA_SIMD=scalar cargo test -q -p bioopera-darwin
 
-step "darwin and workloads suites at AVX2 (the 32-lane filter on an AVX-512 host)"
-# An AVX-512 host defaults to the 64-lane filter; this keeps the 32-lane
-# one running through every caller that takes the default level.
-BIOOPERA_SIMD=avx2 cargo test -q -p bioopera-darwin -p bioopera-workloads
-
 step "darwin suite at SSE2 (the 16-lane filter and its copied tables)"
 # The SSE2 filter copies its column tables instead of shuffling them;
 # this runs that path through every caller that takes the default level.

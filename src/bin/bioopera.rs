@@ -19,7 +19,7 @@
 //! branches, parallel tasks, failure handlers — straight from OCR text.
 
 use bioopera::cluster::{Cluster, NodeSpec, SimTime, Trace};
-use bioopera::engine::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
+use bioopera::engine::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera::ocr::{self, Value};
 use bioopera::store::MemDisk;
 use std::collections::BTreeMap;

@@ -26,7 +26,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use bioopera::engine::{ActivityLibrary, ProgramOutput, Runtime, RuntimeConfig};
+//! use bioopera::engine::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig};
 //! use bioopera::cluster::{Cluster, NodeSpec};
 //! use bioopera::ocr::{ProcessBuilder, TypeTag, Value};
 //! use bioopera::store::MemDisk;

@@ -7,7 +7,7 @@ use bioopera::cluster::monitor::{evaluate, MonitorConfig};
 use bioopera::cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera::darwin::dataset::DatasetConfig;
 use bioopera::darwin::{PamFamily, SequenceDb};
-use bioopera::engine::{InstanceStatus, Runtime, RuntimeConfig};
+use bioopera::engine::{Driver, InstanceStatus, Runtime, RuntimeConfig};
 use bioopera::ocr;
 use bioopera::store::MemDisk;
 use bioopera::workloads::allvsall::{AllVsAllConfig, AllVsAllSetup};
