@@ -3,8 +3,9 @@
 //! store policies a suite whose run tiering can change is held on, the
 //! drivers a scenario written once against `Driver` runs on
 //! ([`on_each_driver`]), the frozen History writers of earlier engines
-//! ([`ev_writer`]), and the crash that tears a round's append at each
-//! frame boundary ([`tears`]).  The allocator-counting gates
+//! ([`ev_writer`]), the crash that tears a round's append at each
+//! frame boundary ([`tears`]), and a disk that logs what is appended
+//! ([`wal_log`]).  The allocator-counting gates
 //! (`residency.rs`, `codec_allocs.rs`) each install their own
 //! `#[global_allocator]`, so they stay separate test binaries; the
 //! workload they count is the one here.
@@ -14,16 +15,20 @@
 
 pub mod ev_writer;
 pub mod tears;
+pub mod wal_log;
 
 use bioopera_cluster::{Cluster, NodeSpec};
 use bioopera_core::shard::{ShardConfig, ShardEngine, ShardEvent};
+use bioopera_core::state::keys;
 use bioopera_core::{
     ActivityLibrary, Awareness, Driver, EngineResult, InstanceHeader, InstanceId, InstanceStatus,
-    PlannerSnapshot, RecoveryReport, RunOutcome, Runtime, RuntimeConfig, TaskMap,
+    PlannerSnapshot, ProgramOutput, RecoveryReport, RunOutcome, Runtime, RuntimeConfig, TaskMap,
+    TaskRecord,
 };
+use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
-use bioopera_ocr::ProcessTemplate;
-use bioopera_store::{Disk, MemDisk, Store, TieredPolicy};
+use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
+use bioopera_store::{parse_shard_key, Disk, MemDisk, Space, Store, TieredPolicy};
 #[allow(unused_imports)]
 pub use bioopera_workloads::toys::{chain_template, fan_template, library, parent_template};
 use bioopera_workloads::toys::{templates, toy};
@@ -96,6 +101,107 @@ pub fn lifetime(eng: &impl Driver) -> (u64, BTreeMap<String, u64>, u64) {
     (eng.history_digest(), counts, index.len() as u64)
 }
 
+/// The fan-out programs: `gen.list(count)` → `items` = [0, .., count-1],
+/// cost 1 s; `work.unit` squares `item`, cost the `cost_ms` input
+/// (default 60 s); `merge.sum` sums `results[i].value`, cost 2 s.
+pub fn fanout_library() -> ActivityLibrary {
+    let mut lib = ActivityLibrary::new();
+    lib.register("gen.list", |inputs| {
+        let count = inputs.get("count").and_then(|v| v.as_int()).unwrap_or(4);
+        Ok(ProgramOutput::from_fields(
+            [("items", Value::int_list(0..count))],
+            1_000.0,
+        ))
+    });
+    lib.register("work.unit", |inputs| {
+        let item = inputs
+            .get("item")
+            .and_then(|v| v.as_int())
+            .ok_or_else(|| "work.unit needs an item".to_string())?;
+        let cost = inputs
+            .get("cost_ms")
+            .and_then(|v| v.as_float())
+            .unwrap_or(60_000.0);
+        Ok(ProgramOutput::from_fields(
+            [("value", Value::Int(item * item))],
+            cost,
+        ))
+    });
+    lib.register("merge.sum", |inputs| {
+        let results = inputs
+            .get("results")
+            .and_then(|v| v.as_list().map(|l| l.to_vec()))
+            .ok_or_else(|| "merge.sum needs results".to_string())?;
+        let total: i64 = results
+            .iter()
+            .filter_map(|r| r.get_path(&["value"]).and_then(|v| v.as_int()))
+            .sum();
+        Ok(ProgramOutput::from_fields(
+            [("total", Value::Int(total))],
+            2_000.0,
+        ))
+    });
+    lib
+}
+
+/// items -> parallel squares (each retried `retries` times) -> sum, the
+/// canonical fan-out process.
+pub fn fanout_template(count: i64, retries: u32) -> ProcessTemplate {
+    ProcessBuilder::new("Fanout")
+        .whiteboard_default("count", TypeTag::Int, Value::Int(count))
+        .whiteboard_field("total", TypeTag::Int)
+        .activity("Gen", "gen.list", |t| {
+            t.input("count", TypeTag::Int)
+                .output("items", TypeTag::List)
+        })
+        .parallel(
+            "Fan",
+            "items",
+            ParallelBody::Activity(ExternalBinding::program("work.unit")),
+            "results",
+            |t| t.retries(retries),
+        )
+        .activity("Merge", "merge.sum", |t| {
+            t.input("results", TypeTag::List)
+                .output("total", TypeTag::Int)
+        })
+        .connect("Gen", "Fan")
+        .connect("Fan", "Merge")
+        .flow_from_whiteboard("count", "Gen", "count")
+        .flow_to_task("Gen", "items", "Fan", "items")
+        .flow_to_task("Fan", "results", "Merge", "results")
+        .flow_to_whiteboard("Merge", "total", "total")
+        .build()
+        .unwrap()
+}
+
+/// A journal key less its shard prefix: where a record lives is the
+/// driver's business, which record it is is not.
+pub fn unsharded(key: String) -> String {
+    match parse_shard_key(&key) {
+        Some((_, rest)) => rest.to_string(),
+        None => key,
+    }
+}
+
+/// Every Instance-space record `store` holds, by [`unsharded`] key.
+pub fn journal<D: Disk>(store: &Store<D>) -> BTreeMap<String, Vec<u8>> {
+    let records = store.scan_prefix(Space::Instance, "").unwrap();
+    let records = records.into_iter().map(|(k, v)| (unsharded(k), v.to_vec()));
+    records.collect()
+}
+
+/// Every task record a driver holds, by its [`unsharded`] journal key.
+pub fn records(eng: &impl Driver) -> BTreeMap<String, &TaskRecord> {
+    let mut out = BTreeMap::new();
+    for (id, _, _) in eng.instances() {
+        for (path, rec) in eng.task_records(id).unwrap() {
+            out.insert(keys::task(id, path), &**rec);
+        }
+    }
+    out
+}
+
 /// The squeezed tiered policy: a spill every few records, an L0 merge
 /// every second spill, and levels that overflow constantly.
 pub fn squeezed() -> TieredPolicy {
@@ -155,22 +261,22 @@ pub fn runtime<D: Disk + Clone>(
     library: ActivityLibrary,
     policy: Option<TieredPolicy>,
 ) -> EngineResult<Runtime<D>> {
-    let cluster = Cluster::new(
-        "two",
-        vec![
-            NodeSpec::new("n1", 1, 500, "linux"),
-            NodeSpec::new("n2", 1, 500, "linux"),
-        ],
-    );
     let cfg = RuntimeConfig {
         tiered: policy,
         ..RuntimeConfig::default()
     };
-    Runtime::new(disk, cluster, library, cfg)
+    Runtime::new(disk, pool(&["n1", "n2"], 1), library, cfg)
+}
+
+/// A cluster of the nodes `names`, each of `cpus` CPUs at 500 MHz.
+pub fn pool(names: &[&str], cpus: u32) -> Cluster {
+    let nodes = names.iter().map(|n| NodeSpec::new(*n, cpus, 500, "linux"));
+    Cluster::new("pool", nodes.collect())
 }
 
 /// A `ShardEngine` of `shards` shards stepped on `threads` threads over
-/// `disk`, recovered from whatever the disk holds.
+/// `disk`: a fresh one ([`ShardEngine::new`]) on a disk that holds
+/// nothing, else one recovered from what the disk holds.
 pub fn shards<D: Disk>(
     disk: D,
     library: ActivityLibrary,
@@ -178,13 +284,18 @@ pub fn shards<D: Disk>(
     shards: usize,
     threads: usize,
 ) -> EngineResult<ShardEngine<D>> {
+    let fresh = disk.list()?.is_empty();
     let store = Store::open_with(disk, policy)?;
     let cfg = ShardConfig {
         shards,
         threads,
         ..ShardConfig::default()
     };
-    ShardEngine::recover(store, library, cfg)
+    if fresh {
+        ShardEngine::new(store, library, cfg)
+    } else {
+        ShardEngine::recover(store, library, cfg)
+    }
 }
 
 /// A third driver: it forwards every call to the one it wraps.  A scenario
@@ -256,43 +367,45 @@ impl<E: Driver> Driver for Forward<E> {
 
 /// A `#[test]` per driver and store policy for each named scenario — a
 /// `fn(Option<TieredPolicy>, build)`, where `build(disk, library)` makes
-/// the driver over `disk`, recovering what it holds, or fails as its
-/// recovery failed — in modules `runtime`, `shards_1x1`, `shards_4x2` and
-/// `forward` (a [`Forward`] around the 4×2 engine), each with `untiered`
-/// and `tiered` ([`squeezed`]), so a failure names its driver and its
-/// policy.
+/// the driver over `disk`, fresh on an empty disk and recovering what it
+/// holds otherwise, or fails as its recovery failed.  The drivers are
+/// `runtime` ([`runtime`]), `shards_1x1` and `shards_4x2` ([`shards`]),
+/// or the ones a leading `[..]` names, `forward` (a [`Forward`] around the
+/// 4×2 engine) among them; each is a module with `untiered` and `tiered`
+/// ([`squeezed`]), so a failure names its driver and its policy.
 #[allow(unused_macros)]
 macro_rules! on_each_driver {
+    ([$($driver:ident),+] $($scenario:ident),+ $(,)?) => {
+        crate::common::on_each_driver!(@drivers [$($driver),+] [$($scenario),+]);
+    };
     ($($scenario:ident),+ $(,)?) => {
-        crate::common::on_each_driver!(@driver runtime; $($scenario),+;
-            |disk, library, policy| crate::common::runtime(disk, library, policy));
-        crate::common::on_each_driver!(@driver shards_1x1; $($scenario),+;
-            |disk, library, policy| crate::common::shards(disk, library, policy, 1, 1));
-        crate::common::on_each_driver!(@driver shards_4x2; $($scenario),+;
-            |disk, library, policy| crate::common::shards(disk, library, policy, 4, 2));
-        crate::common::on_each_driver!(@driver forward; $($scenario),+;
-            |disk, library, policy| {
-                crate::common::shards(disk, library, policy, 4, 2).map(crate::common::Forward)
-            });
+        crate::common::on_each_driver!([runtime, shards_1x1, shards_4x2] $($scenario),+);
     };
-    (@driver $driver:ident; $($scenario:ident),+; $build:expr) => {
-        mod $driver {
-            crate::common::on_each_driver!(@policy untiered, None; $($scenario),+; $build);
+    (@drivers [$($driver:ident),+] $scenarios:tt) => {
+        $(mod $driver {
+            crate::common::on_each_driver!(@policy $driver, untiered, None; $scenarios);
             crate::common::on_each_driver!(
-                @policy tiered, Some(crate::common::squeezed()); $($scenario),+; $build
+                @policy $driver, tiered, Some(crate::common::squeezed()); $scenarios
             );
-        }
+        })+
     };
-    (@policy $name:ident, $policy:expr; $($scenario:ident),+; $build:expr) => {
+    (@policy $driver:ident, $name:ident, $policy:expr; [$($scenario:ident),+]) => {
         mod $name {
             $(
                 #[test]
                 fn $scenario() {
                     let policy = $policy;
-                    crate::$scenario(policy, |disk, library| ($build)(disk, library, policy))
+                    let build = crate::common::on_each_driver!(@build $driver);
+                    crate::$scenario(policy, |disk, library| build(disk, library, policy))
                 }
             )+
         }
+    };
+    (@build runtime) => { crate::common::runtime };
+    (@build shards_1x1) => { |d, l, p| crate::common::shards(d, l, p, 1, 1) };
+    (@build shards_4x2) => { |d, l, p| crate::common::shards(d, l, p, 4, 2) };
+    (@build forward) => {
+        |d, l, p| crate::common::shards(d, l, p, 4, 2).map(crate::common::Forward)
     };
 }
 #[allow(unused_imports)]

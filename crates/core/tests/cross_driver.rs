@@ -1,5 +1,5 @@
 //! One reaction, two routers: the same templates run on any driver end as
-//! they end on a `Runtime` — on a `Runtime` itself, a 1×1 and a 4×2
+//! they end on a `Runtime` on three two-CPU nodes — on a 1×1 and a 4×2
 //! `ShardEngine` and a forwarding wrapper, on both store policies.
 //!
 //! Both drivers route what `Instance::react` decides; this holds them to
@@ -15,7 +15,7 @@ mod common;
 
 use bioopera_core::{
     ActivityLibrary, Driver, EngineResult, EventKind, InstanceHeader, InstanceId, InstanceStatus,
-    ProgramOutput, TaskMap,
+    ProgramOutput, Runtime, RuntimeConfig, TaskMap,
 };
 use bioopera_ocr::model::{ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
@@ -343,12 +343,25 @@ fn run<E: Driver>(
     (ended, sorted(&seen))
 }
 
+/// The reference: a `Runtime` on three two-CPU nodes.
+fn oracle(
+    disk: MemDisk,
+    library: ActivityLibrary,
+    policy: Option<TieredPolicy>,
+) -> EngineResult<Runtime<MemDisk>> {
+    let cfg = RuntimeConfig {
+        tiered: policy,
+        ..RuntimeConfig::default()
+    };
+    Runtime::new(disk, common::pool(&["w1", "w2", "w3"], 2), library, cfg)
+}
+
 /// Every set ends on the driver as it ends on a `Runtime`.
 fn every_set_ends_as_on_the_runtime<E: Driver>(
     policy: Option<TieredPolicy>,
     build: impl Fn(MemDisk, ActivityLibrary) -> EngineResult<E>,
 ) {
-    let oracle = |disk, library| common::runtime(disk, library, policy);
+    let oracle = |disk, library| oracle(disk, library, policy);
     for (set, roots) in sets() {
         let (serial, serial_seen) = run(&oracle, &roots);
         assert!(
@@ -373,10 +386,8 @@ fn every_set_ends_as_on_the_runtime<E: Driver>(
 
 /// The sets exercise what the comparison is about: compensations with
 /// inputs, a policy suspension, aborts, children two levels deep.
-fn the_sets_reach_every_reaction<E: Driver>(
-    _policy: Option<TieredPolicy>,
-    build: impl Fn(MemDisk, ActivityLibrary) -> EngineResult<E>,
-) {
+fn the_sets_reach_every_reaction(policy: Option<TieredPolicy>) {
+    let build = |disk, library| oracle(disk, library, policy);
     let (toys, _) = run(&build, &sets()[0].1);
     assert!(toys.contains_key("Grand#6/Sub/Sub"), "{:?}", toys.keys());
     let (sphere, seen) = run(&build, &sets()[1].1);
@@ -404,7 +415,7 @@ fn the_sets_reach_every_reaction<E: Driver>(
     assert_eq!(policies["Suspend#2"].status, InstanceStatus::Suspended);
 }
 
-common::on_each_driver!(
-    every_set_ends_as_on_the_runtime,
-    the_sets_reach_every_reaction,
-);
+// A runtime arm would hold the oracle to itself; the forwarding wrapper
+// shows that a third driver needs no edit to the scenario.
+common::on_each_driver!([shards_1x1, shards_4x2, forward] every_set_ends_as_on_the_runtime);
+common::on_each_policy!(the_sets_reach_every_reaction);

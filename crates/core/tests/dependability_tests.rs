@@ -8,97 +8,17 @@
 //! engine requeues the same tasks forever.  With the policies on, the run
 //! completes on the pool's healthy capacity with a bounded retry count.
 
+mod common;
+
 use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
 use bioopera_core::state::{InstanceStatus, TaskState};
-use bioopera_core::{
-    ActivityLibrary, DependabilityConfig, Driver, HealthState, ProgramOutput, Runtime,
-    RuntimeConfig,
-};
-use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
+use bioopera_core::{DependabilityConfig, Driver, HealthState, Runtime, RuntimeConfig};
 use bioopera_ocr::value::Value;
-use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
 use bioopera_store::{MemDisk, Space};
 use std::collections::BTreeMap;
 
-fn library() -> ActivityLibrary {
-    let mut lib = ActivityLibrary::new();
-    lib.register("gen.list", |inputs| {
-        let count = inputs.get("count").and_then(|v| v.as_int()).unwrap_or(4);
-        Ok(ProgramOutput::from_fields(
-            [("items", Value::int_list(0..count))],
-            1_000.0,
-        ))
-    });
-    lib.register("work.unit", |inputs| {
-        let item = inputs
-            .get("item")
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| "work.unit needs an item".to_string())?;
-        Ok(ProgramOutput::from_fields(
-            [("value", Value::Int(item * item))],
-            60_000.0,
-        ))
-    });
-    lib.register("merge.sum", |inputs| {
-        let results = inputs
-            .get("results")
-            .and_then(|v| v.as_list().map(|l| l.to_vec()))
-            .ok_or_else(|| "merge.sum needs results".to_string())?;
-        let total: i64 = results
-            .iter()
-            .filter_map(|r| r.get_path(&["value"]).and_then(|v| v.as_int()))
-            .sum();
-        Ok(ProgramOutput::from_fields(
-            [("total", Value::Int(total))],
-            2_000.0,
-        ))
-    });
-    lib
-}
-
-fn fanout_template(count: i64) -> ProcessTemplate {
-    ProcessBuilder::new("Fanout")
-        .whiteboard_default("count", TypeTag::Int, Value::Int(count))
-        .whiteboard_field("total", TypeTag::Int)
-        .activity("Gen", "gen.list", |t| {
-            t.input("count", TypeTag::Int)
-                .output("items", TypeTag::List)
-        })
-        .parallel(
-            "Fan",
-            "items",
-            ParallelBody::Activity(ExternalBinding::program("work.unit")),
-            "results",
-            |t| t,
-        )
-        .activity("Merge", "merge.sum", |t| {
-            t.input("results", TypeTag::List)
-                .output("total", TypeTag::Int)
-        })
-        .connect("Gen", "Fan")
-        .connect("Fan", "Merge")
-        .flow_from_whiteboard("count", "Gen", "count")
-        .flow_to_task("Gen", "items", "Fan", "items")
-        .flow_to_task("Fan", "results", "Merge", "results")
-        .flow_to_whiteboard("Merge", "total", "total")
-        .build()
-        .unwrap()
-}
-
 fn expected_total(n: i64) -> i64 {
     (0..n).map(|i| i * i).sum()
-}
-
-/// Two equal nodes; `n1` sorts first, so it wins every least-loaded tie —
-/// ties never accidentally rescue the run from the flaky node.
-fn two_nodes() -> Cluster {
-    Cluster::new(
-        "pair",
-        vec![
-            NodeSpec::new("n1", 2, 500, "linux"),
-            NodeSpec::new("n2", 2, 500, "linux"),
-        ],
-    )
 }
 
 /// A trace that turns `node` into a job killer at t=1 ms, forever.
@@ -121,20 +41,18 @@ fn flaky_runtime(dep: DependabilityConfig, tasks: i64) -> Runtime<MemDisk> {
         dependability: dep,
         ..Default::default()
     };
-    let mut rt = Runtime::new(MemDisk::new(), two_nodes(), library(), cfg).unwrap();
-    rt.register_template(&fanout_template(tasks)).unwrap();
+    // Two equal nodes; `n1` sorts first, so it wins every least-loaded
+    // tie — ties never accidentally rescue the run from the flaky node.
+    let nodes = common::pool(&["n1", "n2"], 2);
+    let mut rt = Runtime::new(MemDisk::new(), nodes, common::fanout_library(), cfg).unwrap();
+    rt.register_template(&common::fanout_template(tasks, 0))
+        .unwrap();
     rt.install_trace(&flaky_forever("n1"));
     rt
 }
 
 fn count(rt: &impl Driver, kind: &str) -> u64 {
-    rt.awareness()
-        .index()
-        .counts_by_kind()
-        .into_iter()
-        .find(|(k, _)| k == kind)
-        .map(|(_, n)| n as u64)
-        .unwrap_or(0)
+    rt.awareness().index().count(kind) as u64
 }
 
 #[test]
@@ -269,14 +187,7 @@ fn poison_task_escalates_after_failing_on_distinct_nodes() {
     // Every node kills every job: each task eventually system-fails on
     // `poison_distinct_nodes` distinct nodes and is escalated to a
     // program failure instead of bouncing forever.
-    let cluster = Cluster::new(
-        "all-bad",
-        vec![
-            NodeSpec::new("n1", 1, 500, "linux"),
-            NodeSpec::new("n2", 1, 500, "linux"),
-            NodeSpec::new("n3", 1, 500, "linux"),
-        ],
-    );
+    let cluster = common::pool(&["n1", "n2", "n3"], 1);
     let mut trace = Trace::empty();
     for n in ["n1", "n2", "n3"] {
         trace.push(
@@ -299,8 +210,9 @@ fn poison_task_escalates_after_failing_on_distinct_nodes() {
         dependability: dep,
         ..Default::default()
     };
-    let mut rt = Runtime::new(MemDisk::new(), cluster, library(), cfg).unwrap();
-    rt.register_template(&fanout_template(2)).unwrap();
+    let mut rt = Runtime::new(MemDisk::new(), cluster, common::fanout_library(), cfg).unwrap();
+    rt.register_template(&common::fanout_template(2, 0))
+        .unwrap();
     rt.install_trace(&trace);
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     // The run terminates (no livelock) with the instance aborted by the
@@ -346,8 +258,9 @@ fn node_crash_during_server_outage_requeues_lost_tasks_exactly_once() {
         heartbeat: SimTime::from_secs(20),
         ..Default::default()
     };
-    let mut rt = Runtime::new(MemDisk::new(), cluster, library(), cfg).unwrap();
-    rt.register_template(&fanout_template(8)).unwrap();
+    let mut rt = Runtime::new(MemDisk::new(), cluster, common::fanout_library(), cfg).unwrap();
+    rt.register_template(&common::fanout_template(8, 0))
+        .unwrap();
     rt.install_trace(&trace);
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();

@@ -2,7 +2,9 @@
 //! the warm-standby backup server, plus recovery from a *storage-level*
 //! crash (torn WAL) — the deepest failure the stack can absorb.
 
-use bioopera_cluster::{Cluster, NodeSpec, SimTime, Trace, TraceEventKind};
+mod common;
+
+use bioopera_cluster::{Cluster, SimTime, Trace, TraceEventKind};
 use bioopera_core::state::InstanceStatus;
 use bioopera_core::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig};
 use bioopera_ocr::model::TypeTag;
@@ -14,12 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn cluster() -> Cluster {
-    Cluster::new(
-        "lt",
-        (0..3)
-            .map(|i| NodeSpec::new(format!("n{i}"), 2, 500, "linux"))
-            .collect(),
-    )
+    common::pool(&["n0", "n1", "n2"], 2)
 }
 
 /// A three-stage pipeline whose middle stage we will "improve"; execution

@@ -5,7 +5,9 @@
 //! task; the real engine — with its queues, virtual-time dispatch,
 //! persistence and event loop — must agree, and must be deterministic.
 
-use bioopera_cluster::{Cluster, NodeSpec, SimTime};
+mod common;
+
+use bioopera_cluster::SimTime;
 use bioopera_core::state::TaskState;
 use bioopera_core::{
     ActivityLibrary, Driver, InstanceStatus, ProgramOutput, Runtime, RuntimeConfig,
@@ -130,12 +132,7 @@ fn run_engine(template: &ProcessTemplate, n: usize) -> (InstanceStatus, Vec<Task
             1_000.0 + idx as f64 * 100.0,
         ))
     });
-    let cluster = Cluster::new(
-        "np",
-        (0..2)
-            .map(|i| NodeSpec::new(format!("n{i}"), 2, 500, "linux"))
-            .collect(),
-    );
+    let cluster = common::pool(&["n0", "n1"], 2);
     let cfg = RuntimeConfig {
         heartbeat: SimTime::from_secs(30),
         ..Default::default()

@@ -13,72 +13,18 @@
 
 mod common;
 
-use bioopera_cluster::{Cluster, NodeSpec, SimTime};
+use bioopera_cluster::SimTime;
 use bioopera_core::shard::ShardEngine;
 use bioopera_core::state::{keys, TaskState};
 use bioopera_core::{ActivityLibrary, Driver, ProgramOutput, Runtime, RuntimeConfig, TaskRecord};
 use bioopera_ocr::model::{ExternalBinding, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{ProcessBuilder, ProcessTemplate};
-use bioopera_store::wal::{self, WalOp};
-use bioopera_store::{Disk, MemDisk, Space, Store, StoreResult, TieredPolicy};
+use bioopera_store::wal::WalOp;
+use bioopera_store::{Store, TieredPolicy};
+use common::wal_log::WalLog;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// A `MemDisk` that keeps every batch appended to a WAL, in order — the
-/// log itself cannot be read back afterwards, because a tiered store
-/// retires WAL epochs — and counts the bytes of every History-space run
-/// block read back.
-#[derive(Clone, Default)]
-struct LoggingDisk {
-    inner: MemDisk,
-    batches: Arc<Mutex<Vec<Vec<WalOp>>>>,
-    history_block_bytes: Arc<AtomicU64>,
-}
-
-impl Disk for LoggingDisk {
-    fn read(&self, name: &str) -> StoreResult<Option<Vec<u8>>> {
-        self.inner.read(name)
-    }
-    fn write_atomic(&self, name: &str, data: &[u8]) -> StoreResult<()> {
-        self.inner.write_atomic(name, data)
-    }
-    fn append(&self, name: &str, data: &[u8]) -> StoreResult<()> {
-        if name.starts_with("wal-") {
-            // One append is one or more whole frames (a group commit).
-            let frames = wal::replay(data)?;
-            assert!(!frames.torn_tail, "an append is whole frames");
-            self.batches.lock().unwrap().extend(frames.batches);
-        }
-        self.inner.append(name, data)
-    }
-    fn list(&self) -> StoreResult<Vec<String>> {
-        self.inner.list()
-    }
-    fn delete(&self, name: &str) -> StoreResult<()> {
-        self.inner.delete(name)
-    }
-    fn read_range(&self, name: &str, offset: u64, len: usize) -> StoreResult<Option<Vec<u8>>> {
-        let data = self.inner.read_range(name, offset, len)?;
-        // A data block of a run is one whole frame of one space's records;
-        // anything else read by range (a run's index and filter) is not.
-        if let Some(Ok(frame)) = data.as_deref().map(wal::replay) {
-            let is_history = |op: &WalOp| match op {
-                WalOp::Put { space, .. } | WalOp::Delete { space, .. } => *space == HISTORY,
-            };
-            if !frame.torn_tail && frame.batches.iter().flatten().any(is_history) {
-                self.history_block_bytes
-                    .fetch_add(len as u64, Ordering::Relaxed);
-            }
-        }
-        Ok(data)
-    }
-    fn file_size(&self, name: &str) -> StoreResult<Option<u64>> {
-        self.inner.file_size(name)
-    }
-}
 
 /// `Gen -> parallel Fan -> Merge`; every element of `Gen.items` carries a
 /// 4 KiB payload and the whiteboard's 2 KiB `blob` passes through `Fan`
@@ -148,13 +94,8 @@ fn library() -> ActivityLibrary {
 /// `Fan` also dispatches the children it can place, and commits their
 /// records once, in that batch.
 fn bytes_logged_while_children_run(n: i64, policy: Option<TieredPolicy>) -> usize {
-    let disk = LoggingDisk::default();
-    let cluster = Cluster::new(
-        "c",
-        (0..4)
-            .map(|i| NodeSpec::new(format!("n{i}"), 2, 500, "linux"))
-            .collect(),
-    );
+    let disk = WalLog::default();
+    let cluster = common::pool(&["n0", "n1", "n2", "n3"], 2);
     let cfg = RuntimeConfig {
         heartbeat: SimTime::from_mins(10),
         tiered: policy,
@@ -168,7 +109,7 @@ fn bytes_logged_while_children_run(n: i64, policy: Option<TieredPolicy>) -> usiz
     assert!(rt.run_to_completion().unwrap().is_completed());
     assert_eq!(rt.task_record(id, "Fan").unwrap().state, TaskState::Ended);
 
-    let batches = disk.batches.lock().unwrap();
+    let batches = disk.take();
     let writes = |batch: &[WalOp], wanted: &str| {
         batch.iter().any(|op| match op {
             WalOp::Put { key, .. } | WalOp::Delete { key, .. } => key == wanted,
@@ -267,7 +208,7 @@ fn history_cost_of_recovery(finished: u64) -> (u64, u64, usize) {
         memtable_budget_bytes: 16 * 1024,
         ..TieredPolicy::default()
     });
-    let disk = LoggingDisk::default();
+    let disk = WalLog::default();
     let mut engine = common::chain_engine_on(Store::open_with(disk.clone(), policy).unwrap());
     engine.set_rollup_every(CADENCE);
     fn submit(engine: &mut impl Driver, chains: u64) {
@@ -289,19 +230,17 @@ fn history_cost_of_recovery(finished: u64) -> (u64, u64, usize) {
     );
     drop(engine);
 
-    disk.history_block_bytes.store(0, Ordering::Relaxed);
+    disk.take_history_block_bytes();
     let store = Store::open_with(disk.clone(), policy).unwrap();
     let engine = ShardEngine::recover(store, common::library(), common::chain_config()).unwrap();
     assert_eq!(engine.stats().instances, finished + LIVE);
     (
         engine.awareness().open_scanned(),
-        disk.history_block_bytes.load(Ordering::Relaxed),
+        disk.take_history_block_bytes(),
         engine.persisted_events().unwrap().len(),
     )
 }
 
-/// `Space::History` as a WAL operation carries it.
-const HISTORY: u8 = 3;
 /// Events between two summaries, at most.
 const CADENCE: u64 = 64;
 /// Chains in flight at the crash.
@@ -309,7 +248,6 @@ const LIVE: u64 = 16;
 
 #[test]
 fn recovering_the_history_costs_its_tail_not_its_length() {
-    assert_eq!(Space::from_u8(HISTORY).unwrap(), Space::History);
     let (scanned_small, read_small, events_small) = history_cost_of_recovery(300);
     let (scanned_large, read_large, events_large) = history_cost_of_recovery(1200);
     assert!(

@@ -22,7 +22,7 @@ use bioopera_core::state::{keys, InstanceId, InstanceStatus, RunOutcome, TaskSta
 use bioopera_core::{
     ActivityLibrary, Awareness, Driver, ProgramOutput, RecoveryReport, Runtime, RuntimeConfig,
 };
-use bioopera_ocr::model::{EventAction, ExternalBinding, FailurePolicy, ParallelBody, TypeTag};
+use bioopera_ocr::model::{EventAction, FailurePolicy, ParallelBody, TypeTag};
 use bioopera_ocr::value::Value;
 use bioopera_ocr::{Expr, ProcessBuilder, ProcessTemplate};
 use bioopera_store::{Batch, Disk, MemDisk, Space, Store, TieredPolicy};
@@ -52,49 +52,10 @@ fn small_cluster() -> Cluster {
     )
 }
 
-/// A library with:
-/// * `gen.list(count)` -> `items` = [0, .., count-1], cost 1 s
-/// * `work.unit` -> squares `item`, cost = `cost_ms` input (default 60 s)
-/// * `merge.sum` -> sums `results[i].value`, cost 2 s
-/// * `fail.always` -> program error
-/// * `fail.flaky` -> fails unless `attempt_ok` is set on the whiteboard
+/// [`common::fanout_library`], plus `fail.always` (a program error),
+/// `noop` and `undo.noop`.
 fn library() -> ActivityLibrary {
-    let mut lib = ActivityLibrary::new();
-    lib.register("gen.list", |inputs| {
-        let count = inputs.get("count").and_then(|v| v.as_int()).unwrap_or(4);
-        Ok(ProgramOutput::from_fields(
-            [("items", Value::int_list(0..count))],
-            1_000.0,
-        ))
-    });
-    lib.register("work.unit", |inputs| {
-        let item = inputs
-            .get("item")
-            .and_then(|v| v.as_int())
-            .ok_or_else(|| "work.unit needs an item".to_string())?;
-        let cost = inputs
-            .get("cost_ms")
-            .and_then(|v| v.as_float())
-            .unwrap_or(60_000.0);
-        Ok(ProgramOutput::from_fields(
-            [("value", Value::Int(item * item))],
-            cost,
-        ))
-    });
-    lib.register("merge.sum", |inputs| {
-        let results = inputs
-            .get("results")
-            .and_then(|v| v.as_list().map(|l| l.to_vec()))
-            .ok_or_else(|| "merge.sum needs results".to_string())?;
-        let total: i64 = results
-            .iter()
-            .filter_map(|r| r.get_path(&["value"]).and_then(|v| v.as_int()))
-            .sum();
-        Ok(ProgramOutput::from_fields(
-            [("total", Value::Int(total))],
-            2_000.0,
-        ))
-    });
+    let mut lib = common::fanout_library();
     lib.register("fail.always", |_| Err("deliberate failure".to_string()));
     lib.register("noop", |_| {
         Ok(ProgramOutput::from_fields(
@@ -104,36 +65,6 @@ fn library() -> ActivityLibrary {
     });
     lib.register("undo.noop", |_| Ok(ProgramOutput::instant(BTreeMap::new())));
     lib
-}
-
-/// items -> parallel squares -> sum, the canonical fan-out process.
-fn fanout_template(count: i64, retries: u32) -> ProcessTemplate {
-    ProcessBuilder::new("Fanout")
-        .whiteboard_default("count", TypeTag::Int, Value::Int(count))
-        .whiteboard_field("total", TypeTag::Int)
-        .activity("Gen", "gen.list", |t| {
-            t.input("count", TypeTag::Int)
-                .output("items", TypeTag::List)
-        })
-        .parallel(
-            "Fan",
-            "items",
-            ParallelBody::Activity(ExternalBinding::program("work.unit")),
-            "results",
-            |t| t.retries(retries),
-        )
-        .activity("Merge", "merge.sum", |t| {
-            t.input("results", TypeTag::List)
-                .output("total", TypeTag::Int)
-        })
-        .connect("Gen", "Fan")
-        .connect("Fan", "Merge")
-        .flow_from_whiteboard("count", "Gen", "count")
-        .flow_to_task("Gen", "items", "Fan", "items")
-        .flow_to_task("Fan", "results", "Merge", "results")
-        .flow_to_whiteboard("Merge", "total", "total")
-        .build()
-        .unwrap()
 }
 
 fn runtime(cluster: Cluster, policy: Option<TieredPolicy>) -> Runtime<MemDisk> {
@@ -154,7 +85,8 @@ fn expected_total(n: i64) -> i64 {
 
 fn fanout_completes_with_correct_result(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(6, 0)).unwrap();
+    rt.register_template(&common::fanout_template(6, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
     assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
@@ -177,21 +109,14 @@ fn parallelism_reduces_wall_time(policy: Option<TieredPolicy>) {
     // Same work on a 1-CPU cluster vs a 6-CPU cluster.
     let run = |cluster: Cluster| {
         let mut rt = runtime(cluster, policy);
-        rt.register_template(&fanout_template(6, 0)).unwrap();
+        rt.register_template(&common::fanout_template(6, 0))
+            .unwrap();
         let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
         rt.run_to_completion().unwrap();
         rt.stats(id).unwrap()
     };
-    let single = run(Cluster::new(
-        "one",
-        vec![NodeSpec::new("solo", 1, 500, "linux")],
-    ));
-    let multi = run(Cluster::new(
-        "six",
-        (0..6)
-            .map(|i| NodeSpec::new(format!("n{i}"), 1, 500, "linux"))
-            .collect(),
-    ));
+    let single = run(common::pool(&["solo"], 1));
+    let multi = run(common::pool(&["n0", "n1", "n2", "n3", "n4", "n5"], 1));
     assert!(
         multi.wall.as_millis() * 3 < single.wall.as_millis(),
         "parallel {} vs serial {}",
@@ -205,7 +130,8 @@ fn parallelism_reduces_wall_time(policy: Option<TieredPolicy>) {
 
 fn node_crash_is_masked_and_work_completes(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(8, 0)).unwrap();
+    rt.register_template(&common::fanout_template(8, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     // Kill n1 30 s in (children are mid-flight), revive it later.
     trace.push(
@@ -233,7 +159,8 @@ fn node_crash_is_masked_and_work_completes(policy: Option<TieredPolicy>) {
 
 fn whole_cluster_failure_recovers(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(6, 0)).unwrap();
+    rt.register_template(&common::fanout_template(6, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(20), TraceEventKind::AllNodesDown);
     trace.push(SimTime::from_secs(500), TraceEventKind::AllNodesUp);
@@ -251,7 +178,8 @@ fn whole_cluster_failure_recovers(policy: Option<TieredPolicy>) {
 
 fn server_crash_resumes_without_losing_completed_work(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(6, 0)).unwrap();
+    rt.register_template(&common::fanout_template(6, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     // Crash the server after Gen has certainly completed (Gen costs 1 s,
     // latency 2 s) but while children run; recover a minute later.
@@ -276,7 +204,8 @@ fn server_crash_resumes_without_losing_completed_work(policy: Option<TieredPolic
 
 fn network_outage_buffers_results_at_pecs(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(5, 0)).unwrap();
+    rt.register_template(&common::fanout_template(5, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     // Outage covers the completion times of the first child wave.
     trace.push(SimTime::from_secs(10), TraceEventKind::NetworkDown);
@@ -303,7 +232,8 @@ fn network_outage_buffers_results_at_pecs(policy: Option<TieredPolicy>) {
 
 fn disk_full_forces_reruns_until_freed(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(4, 0)).unwrap();
+    rt.register_template(&common::fanout_template(4, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(5), TraceEventKind::DiskFull);
     trace.push(SimTime::from_secs(400), TraceEventKind::DiskFreed);
@@ -324,7 +254,8 @@ fn disk_full_forces_reruns_until_freed(policy: Option<TieredPolicy>) {
 
 fn operator_suspend_drains_and_resume_continues(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(6, 0)).unwrap();
+    rt.register_template(&common::fanout_template(6, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(5), TraceEventKind::OperatorSuspend);
     trace.push(SimTime::from_hours(2), TraceEventKind::OperatorResume);
@@ -342,7 +273,8 @@ fn api_suspend_quiesces_run_and_resume_completes(policy: Option<TieredPolicy>) {
     // instance must not spin or error `run_to_completion` — the run
     // quiesces with a suspended count, and resume picks it back up.
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(4, 0)).unwrap();
+    rt.register_template(&common::fanout_template(4, 0))
+        .unwrap();
     let parked = rt.submit("Fanout", BTreeMap::new()).unwrap();
     let free = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.suspend(parked).unwrap();
@@ -663,7 +595,8 @@ fn placement_constraints_honored(policy: Option<TieredPolicy>) {
 fn what_if_planner_reports_affected_jobs(policy: Option<TieredPolicy>) {
     use bioopera_core::Planner;
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(6, 0)).unwrap();
+    rt.register_template(&common::fanout_template(6, 0))
+        .unwrap();
     let _id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     // Advance until children are in flight: run a bounded number of events
     // by installing a "probe" — simplest: run until jobs exist by stepping
@@ -769,7 +702,8 @@ fn migration_rescues_starved_jobs(policy: Option<TieredPolicy>) {
 fn deterministic_replay_same_disk_content(policy: Option<TieredPolicy>) {
     let run_digest = || {
         let mut rt = runtime(small_cluster(), policy);
-        rt.register_template(&fanout_template(5, 0)).unwrap();
+        rt.register_template(&common::fanout_template(5, 0))
+            .unwrap();
         let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
         rt.run_to_completion().unwrap();
         (
@@ -826,7 +760,8 @@ fn stale_completion_after_abort_is_recorded_not_fatal(policy: Option<TieredPolic
     // (no panic, no error) — at most noting the anomaly — and the
     // remaining workload must keep running.
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(4, 0)).unwrap();
+    rt.register_template(&common::fanout_template(4, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     let other = rt.submit("Fanout", BTreeMap::new()).unwrap();
     // Abort the first instance almost immediately — its Gen job (1 s
@@ -839,7 +774,8 @@ fn stale_completion_after_abort_is_recorded_not_fatal(policy: Option<TieredPolic
 
 fn store_survives_and_instance_is_queryable_after_manual_crash(policy: Option<TieredPolicy>) {
     let mut rt = runtime(small_cluster(), policy);
-    rt.register_template(&fanout_template(4, 0)).unwrap();
+    rt.register_template(&common::fanout_template(4, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.crash_server().unwrap();
     assert!(rt.instances().is_empty(), "volatile state gone");
@@ -871,7 +807,8 @@ fn the_memtable_stays_within_the_wal_roll(policy: Option<TieredPolicy>) {
         ..Default::default()
     };
     let mut rt = Runtime::new(MemDisk::new(), small_cluster(), library(), cfg).unwrap();
-    rt.register_template(&fanout_template(24, 0)).unwrap();
+    rt.register_template(&common::fanout_template(24, 0))
+        .unwrap();
     let mut trace = Trace::empty();
     trace.push(SimTime::from_secs(100), TraceEventKind::ServerCrash);
     trace.push(SimTime::from_secs(160), TraceEventKind::ServerRecover);
@@ -930,7 +867,8 @@ fn a_torn_runtime_append_converges(policy: Option<TieredPolicy>) {
             ..Default::default()
         };
         let mut rt = Runtime::new(disk.clone(), small_cluster(), library(), cfg).unwrap();
-        rt.register_template(&fanout_template(6, 0)).unwrap();
+        rt.register_template(&common::fanout_template(6, 0))
+            .unwrap();
         rt
     };
     let start = |disk: &MemDisk| {
@@ -1046,7 +984,8 @@ fn a_runtime_step_is_one_append() {
         .on_event("go", EventAction::Resume)
         .build()
         .unwrap();
-    rt.register_template(&fanout_template(8, 0)).unwrap();
+    rt.register_template(&common::fanout_template(8, 0))
+        .unwrap();
     rt.register_template(&evented).unwrap();
 
     let fan = one_append(&disk, "submit", || rt.submit("Fanout", BTreeMap::new())).unwrap();
@@ -1104,7 +1043,8 @@ fn a_runtime_recovery_reports_what_it_read_found_and_wrote() {
     let one_slot = Cluster::new("one", vec![NodeSpec::new("n1", 1, 500, "linux")]);
     let mut rt = Runtime::new(disk.clone(), one_slot, library(), cfg).unwrap();
     assert_eq!(rt.recovery_report().instances, 0, "the boot read nothing");
-    rt.register_template(&fanout_template(2, 0)).unwrap();
+    rt.register_template(&common::fanout_template(2, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     let children = |rt: &Runtime<MemDisk>, state| {
         let records = rt.task_records(id).unwrap().values();
@@ -1143,7 +1083,8 @@ fn a_runtime_recovery_reports_what_it_read_found_and_wrote() {
 #[test]
 fn a_tiered_runtime_surfaces_its_spills_as_store_events() {
     let mut rt = runtime(small_cluster(), Some(common::squeezed()));
-    rt.register_template(&fanout_template(8, 0)).unwrap();
+    rt.register_template(&common::fanout_template(8, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
     assert_eq!(
@@ -1177,7 +1118,8 @@ fn history_retention_retires_rolled_up_records_and_recovery_survives() {
     let mut rt = tiered_runtime(&disk);
     rt.set_rollup_every(8);
     rt.set_history_retention(true);
-    rt.register_template(&fanout_template(10, 0)).unwrap();
+    rt.register_template(&common::fanout_template(10, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.run_to_completion().unwrap();
     assert_eq!(rt.instance_status(id), Some(InstanceStatus::Completed));
@@ -1257,7 +1199,8 @@ fn the_runtime_history_is_one_stream_with_a_digest(policy: Option<TieredPolicy>)
     };
     let mut rt = boot(&disk);
     rt.set_rollup_every(8);
-    rt.register_template(&fanout_template(6, 0)).unwrap();
+    rt.register_template(&common::fanout_template(6, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     for _ in 0..12 {
         rt.step().unwrap();
@@ -1351,7 +1294,8 @@ fn a_store_written_before_the_stream_is_counted_once(policy: Option<TieredPolicy
     };
     let mut rt = boot();
     assert_eq!(rt.awareness().index().len(), 30);
-    rt.register_template(&fanout_template(4, 0)).unwrap();
+    rt.register_template(&common::fanout_template(4, 0))
+        .unwrap();
     let id = rt.submit("Fanout", BTreeMap::new()).unwrap();
     rt.step().unwrap();
     counted_once(&rt);

@@ -37,20 +37,9 @@ fn ended_field_maps<'a>(records: impl Iterator<Item = &'a TaskRecord>) -> (usize
 
 /// Chains and fans, no subprocess: a recovery re-spawns nothing under a
 /// fresh id, so the instances are the crash-free run's.
-const WORKLOAD: [(usize, i64); 12] = [
-    (0, 1),
-    (1, 2),
-    (0, 3),
-    (1, 4),
-    (0, 5),
-    (1, 6),
-    (0, 7),
-    (1, 8),
-    (0, 9),
-    (1, 10),
-    (0, 11),
-    (1, 12),
-];
+fn workload() -> Vec<(usize, i64)> {
+    (0..12).map(|i| (i % 2, i as i64 + 1)).collect()
+}
 
 /// `rec` written as it is, and with its field maps built afresh.
 fn written_both_ways(rec: &TaskRecord) -> (String, String) {
@@ -88,15 +77,6 @@ fn state(eng: &impl Driver) -> Vec<String> {
     out
 }
 
-/// Every task record the driver holds.
-fn records(eng: &impl Driver) -> Vec<&TaskRecord> {
-    eng.instances()
-        .into_iter()
-        .flat_map(|(id, _, _)| eng.task_records(id).unwrap().values())
-        .map(|r| &**r)
-        .collect()
-}
-
 /// Crash the workload after each step, recover it and run it to its end.
 /// The recovery keeps every ended field map as text, and the run ends as
 /// the run that never crashed; when the crash came after the last step,
@@ -109,7 +89,7 @@ fn a_recovery_keeps_ended_field_maps_as_text<E: Driver>(
         let mut eng = build(disk.clone(), common::library()).unwrap();
         eng.register_template(&common::chain_template()).unwrap();
         eng.register_template(&common::fan_template()).unwrap();
-        common::submit_workload(&mut eng, &WORKLOAD);
+        common::submit_workload(&mut eng, &workload());
         eng
     };
     let mut oracle = start(&MemDisk::new());
@@ -129,10 +109,10 @@ fn a_recovery_keeps_ended_field_maps_as_text<E: Driver>(
         }
         drop(eng);
         let mut eng = build(disk.clone(), common::library()).unwrap();
-        let (stored, built) = ended_field_maps(records(&eng).into_iter());
+        let (stored, built) = ended_field_maps(common::records(&eng).into_values());
         assert_eq!(built, 0, "{at}: {stored} kept");
         kept += stored;
-        for rec in records(&eng) {
+        for rec in common::records(&eng).into_values() {
             let (kept, built) = written_both_ways(rec);
             assert_eq!(kept, built, "{at}");
         }

@@ -395,6 +395,14 @@ canary redrive-rewrites-everything crates/core/src/shard/mod.rs \
   's/^                    if written \{$/                    if true {/' \
   cargo test -q --offline -p bioopera-core --test redrive_writes
 
+# A `Runtime` recovery that reports each record it found in doubt twice,
+# so it rewrites less than it reports: a crash inside a step shows it only
+# because its rewrites are held to its in-doubt counts exactly, and those
+# to the journal's in-doubt records counted from the stored bytes.
+canary runtime-doubt-counted-twice crates/core/src/runtime.rs \
+  's/resolved\.iter\(\)\.for_each\(/resolved.iter().chain(\&resolved).for_each(/' \
+  cargo test -q --offline -p bioopera-core --test redrive_writes runtime::untiered::a_crash_inside_a_step
+
 # The merge handing a tie to the older input: a key two inputs hold comes
 # out with its stale value, and again with its new one.
 canary merge-tie-older-wins crates/store/src/merge.rs \
